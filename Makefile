@@ -69,10 +69,11 @@ bench-smoke:
 	$(GO) run ./cmd/vliterag run -exp precision -quick
 	$(GO) run ./cmd/vliterag run -exp overload -quick
 
-# Wall-clock scaling assertion for the parallel sharded engine: a
-# replicated cluster run must finish >=1.5x faster on 4 workers than on
-# 1. Needs a quiet host with >=4 cores (the test skips itself
-# otherwise), so it is its own target rather than part of `race`/`test`.
+# Wall-clock scaling verdict for the parallel sharded engine: on a
+# 16-replica run, every core together must not be more than 15% slower
+# than one worker (any host with >=2 CPUs), and must be >=1.5x faster on
+# hosts with >=4. The speedup is logged either way. Needs a quiet host,
+# so it is its own target rather than part of `race`/`test`.
 scaling-smoke:
 	SCALING_SMOKE=1 $(GO) test ./internal/rag -run TestWorkerScalingSmoke -v -count=1
 

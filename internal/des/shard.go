@@ -1,16 +1,23 @@
-// Parallel sharded simulation: a conservative (CMB-style) coordinator
-// that runs several Sims — shards — on separate goroutines and lets
-// them exchange timestamped messages over Links with a declared
-// minimum delay (the lookahead).
+// Parallel sharded simulation: a synchronous bounded-window coordinator
+// that runs several Sims — shards — on worker goroutines and lets them
+// exchange timestamped messages over Links with a declared minimum
+// delay (the lookahead).
 //
 // # Safety rule
 //
-// Each shard owner publishes a horizon: a promise that no message it
-// has not yet sent will carry a timestamp earlier than horizon +
-// link delay. A shard may execute its next event at time t only while
-// t < bound, where bound is the minimum over its inbound links of the
-// source's horizon plus that link's delay — the classic conservative
-// condition, so no shard ever executes past a message it has not seen.
+// The group advances in windows. A window starts at T, the earliest
+// instant at which anything can still happen anywhere — the minimum
+// over shards of the next local event and the head of every inbound
+// link — and is L wide, L being the smallest link delay in the group.
+// Inside the window a shard executes only events before bound = T + L.
+// Every event of the window fires at some now ≥ T, and a Send must be
+// stamped ≥ now + delay ≥ T + L, so nothing sent inside a window can be
+// due inside it: every message due before bound was already sitting in
+// its link when the window opened, and no shard ever executes past a
+// message it has not seen. Workers meet at one barrier per window;
+// that barrier is the only synchronization. What a worker sends during
+// a window goes into its own mailboxes, one per destination worker,
+// which that worker files into the links right after the barrier.
 //
 // # Determinism rule
 //
@@ -34,22 +41,28 @@
 //     timestamp ≥ bound), so the iteration order is complete and the
 //     cross-link tie-break deterministic.
 //
-// With those rules, running the shards on one goroutine or sixteen
-// changes only which shard *stalls* waiting for a horizon, never the
-// order in which events fire. workers=1 is therefore not a separate
-// code path but the same algorithm on one goroutine — the reference
-// schedule is the parallel schedule.
+// What a shard does inside a window depends only on its own queue and
+// on the inbound messages present when the window opened; both are the
+// product of earlier windows, and T is a minimum over all shards, so
+// by induction the window sequence and every shard's schedule are the
+// same however shards are spread over workers. workers=1 is not a
+// separate code path but the same loop with nobody to wait for at the
+// barrier — the reference schedule is the parallel schedule.
 //
 // # Termination
 //
-// A Group is done when no shard holds an executable event at or before
-// the deadline and no relevant message is in flight. That is detected
-// with a double-scan: read the global activity counter, check every
-// shard's idle flag and every link's sent==delivered balance, read the
-// counter again; an unchanged counter proves no send or delivery raced
-// the scan. This avoids the horizon-climbing pathology of pure
-// null-message termination, where draining an idle tail of the run
-// takes (deadline − last event)/lookahead rounds.
+// T skips straight over stretches where nothing is scheduled, so a
+// deadline far past the last event costs no rounds. Each worker
+// reports the earliest instant left on its shards plus the earliest
+// stamp it sent in the window (the receiver only files that message
+// after the barrier); T is the minimum of the reports. A window opened
+// at the earliest pending event or message executes it, so the group
+// always progresses; T can be early only when a link was stamped out
+// of order (the early stamp sits behind a later head), which costs one
+// empty window before the reports are exact again. The run ends at the
+// first barrier where T is past the deadline or nothing is left at
+// all. Messages stamped past the deadline stay in their links for
+// Drain.
 package des
 
 import (
@@ -63,11 +76,13 @@ import (
 // maxTime is the "no event / no constraint" sentinel.
 const maxTime = Time(math.MaxInt64)
 
-// horizonEvery bounds how many events a shard executes between horizon
-// publications mid-burst, so peers waiting on this shard's promise are
-// never starved by a long local stretch. Publishing is one atomic
-// store; 32 keeps it well under 1% of event cost.
-const horizonEvery = 32
+// barrierSpins is how many times a worker polls a peer's done count at
+// the barrier before it starts yielding its P between polls. A window
+// is a few microseconds of event work, so when every worker has a P
+// the peer arrives well inside the budget and a yield would only add
+// scheduler cost. With more workers than Ps the budget is zero: a
+// spinning worker would be holding the P its peer needs.
+const barrierSpins = 1 << 12
 
 // Msg is one cross-shard message: the link's deliver callback runs
 // with arg on the destination shard at virtual time at.
@@ -76,27 +91,26 @@ type Msg struct {
 	arg any
 }
 
+// mail is a Msg on its way to link l: an entry of a worker's mailbox.
+type mail struct {
+	l *Link
+	Msg
+}
+
 // Shard is one Sim inside a Group, owned by exactly one worker
-// goroutine at a time. All scheduling on Sim must happen from the
-// shard's own event handlers (or before Run starts).
+// goroutine for the length of a Run. All scheduling on Sim must happen
+// from the shard's own event handlers (or before Run starts).
 type Shard struct {
 	Sim Sim
 
 	id    int
 	group *Group
 	in    []*Link
-	out   []*Link
 
-	// horizon is the published promise (see package comment). Only the
-	// owning worker writes it; any shard reads it.
-	horizon atomic.Int64
-	// idle is true while the shard is blocked with no local event at or
-	// before the deadline; the quiescence scan reads it.
-	idle atomic.Bool
-
-	// Owner-local state (never touched across goroutines).
-	sincePub int
-	wasIdle  bool
+	// Owner-local state, set up by Run.
+	w       *worker // nil outside Run
+	slot    int     // index in w.own / w.next
+	minHead Time    // lower bound on the heads of the inbound links
 }
 
 // ID returns the shard's index in its group (creation order).
@@ -104,29 +118,18 @@ func (s *Shard) ID() int { return s.id }
 
 // Link is a one-way FIFO message channel between two shards with a
 // minimum delay: every Send must be timestamped at least delay past
-// the sender's current virtual time. That delay is the lookahead the
-// conservative synchronization runs on.
+// the sender's current virtual time. The smallest delay in a group is
+// the width of its synchronization window.
 type Link struct {
 	src, dst *Shard
 	delay    Time
 	deliver  func(any)
+	to       int // index of dst's worker, set up by Run
 
-	// stamp is bumped once per producer append; the consumer caches the
-	// last value it drained and skips the lock while it is unchanged.
-	stamp atomic.Uint64
-	// sent counts messages timestamped at or before the group deadline;
-	// delivered counts consumer pops. The quiescence scan compares them.
-	sent      atomic.Int64
-	delivered atomic.Int64
-
-	mu  sync.Mutex
-	buf []Msg // producer side, appended under mu
-
-	// Consumer side: only the destination shard's owner touches these.
-	// pending/buf double-buffer, so steady state allocates nothing.
+	// Undelivered messages in send order, from head on. Only the
+	// destination shard's owner touches these during Run.
 	pending []Msg
 	head    int
-	seen    uint64
 }
 
 // Delay returns the link's minimum delay (its lookahead).
@@ -134,51 +137,32 @@ func (l *Link) Delay() Time { return l.delay }
 
 // Send queues a message for delivery on the destination shard at
 // virtual time at. It must be called from the source shard's event
-// context, and at must honor the link's lookahead (now + delay);
-// violating that would let the receiver execute past an unseen
-// message, so it panics.
+// context (or before Run), and at must honor the link's lookahead
+// (now + delay); violating that would let the receiver execute past an
+// unseen message, so it panics.
 func (l *Link) Send(at Time, arg any) {
 	if at < l.src.Sim.Now()+l.delay {
 		panic(fmt.Sprintf("des: link %d->%d send at t=%d violates lookahead (now=%d, delay=%d)",
 			l.src.id, l.dst.id, at, l.src.Sim.Now(), l.delay))
 	}
-	l.mu.Lock()
-	l.buf = append(l.buf, Msg{at: at, arg: arg})
-	l.mu.Unlock()
-	l.stamp.Add(1)
-	if at <= l.src.group.deadline {
-		l.sent.Add(1)
+	w := l.src.w
+	if w == nil { // outside Run nothing else is running
+		l.push(Msg{at, arg})
+		return
 	}
-	l.src.group.activity.Add(1)
+	w.box[l.to] = append(w.box[l.to], mail{l, Msg{at, arg}})
+	w.sentMin = min(w.sentMin, at)
 }
 
-// peek returns the next undelivered message without consuming it,
-// refilling the consumer buffer from the producer side when needed.
-func (l *Link) peek() (Msg, bool) {
-	if l.head < len(l.pending) {
-		return l.pending[l.head], true
+// push appends a message on the consumer side, first reclaiming the
+// delivered prefix once it is the larger part, so the slice stays as
+// long as the backlog and steady state allocates nothing.
+func (l *Link) push(m Msg) {
+	if l.head > len(l.pending)/2 {
+		l.pending = l.pending[:copy(l.pending, l.pending[l.head:])]
+		l.head = 0
 	}
-	if l.stamp.Load() == l.seen {
-		return Msg{}, false
-	}
-	l.mu.Lock()
-	l.seen = l.stamp.Load()
-	spare := l.pending[:0]
-	l.pending = l.buf
-	l.buf = spare
-	l.mu.Unlock()
-	l.head = 0
-	if len(l.pending) == 0 {
-		return Msg{}, false
-	}
-	return l.pending[0], true
-}
-
-// pop consumes the message peek returned.
-func (l *Link) pop() {
-	l.head++
-	l.delivered.Add(1)
-	l.dst.group.activity.Add(1)
+	l.pending = append(l.pending, m)
 }
 
 // Drain consumes every message still undelivered after Run — messages
@@ -190,13 +174,27 @@ func (l *Link) Drain(fn func(at Time, arg any)) {
 	}
 	l.pending = l.pending[:0]
 	l.head = 0
-	l.mu.Lock()
-	buf := l.buf
-	l.buf = l.buf[:0]
-	l.mu.Unlock()
-	for _, m := range buf {
-		fn(m.at, m.arg)
-	}
+}
+
+// worker is one goroutine's share of a Run: the shards it owns and what
+// it publishes to the other workers at each barrier.
+type worker struct {
+	id   int
+	own  []*Shard
+	next []Time // next[i]: earliest local event or inbound head of own[i]
+
+	box     [][]mail // this window's mailboxes, by destination worker
+	sentMin Time     // earliest timestamp sent in the current window
+	_       [40]byte
+
+	// Published at the barrier, on a cache line of their own so that a
+	// peer polling done does not slow this worker's window down. The
+	// slots alternate by window parity: a fast worker filling window
+	// k+1's never overwrites what a slow one still reads for window k.
+	done atomic.Int64 // windows finished
+	min  [2]Time      // earliest instant anything can happen on this worker
+	sent [2][][]mail  // box, as the window left it
+	_    [56]byte
 }
 
 // Group is a set of shards wired by links, run to a common deadline.
@@ -205,11 +203,9 @@ type Group struct {
 	links  []*Link
 
 	deadline Time
-	// activity counts every send and every delivery; the quiescence
-	// double-scan uses it to prove nothing raced the scan.
-	activity atomic.Int64
-	quiesced atomic.Bool
-	qmu      sync.Mutex
+	window   Time // smallest link delay
+	workers  []*worker
+	spins    int
 }
 
 // NewGroup returns an empty shard group.
@@ -243,202 +239,167 @@ func Connect(src, dst *Shard, delay Time, deliver func(any)) (*Link, error) {
 		return nil, fmt.Errorf("des: link needs a deliver callback")
 	}
 	l := &Link{src: src, dst: dst, delay: delay, deliver: deliver}
-	src.out = append(src.out, l)
 	dst.in = append(dst.in, l)
 	src.group.links = append(src.group.links, l)
 	return l, nil
 }
 
 // Run executes the group until no event at or before deadline remains
-// anywhere, spreading shards round-robin over the given number of
-// worker goroutines. workers ≤ 1 runs everything on the calling
-// goroutine — the identical algorithm, so results match any worker
-// count bit for bit.
+// anywhere, on the given number of worker goroutines (the caller is
+// one of them). Each worker owns a contiguous block of shards: shards
+// created one after another tend to have their state allocated side by
+// side, and neighbours on one worker do not share cache lines across
+// cores. workers ≤ 1 runs everything on the calling goroutine — the
+// identical algorithm, so results match any worker count bit for bit.
 func (g *Group) Run(deadline Time, workers int) {
-	g.deadline = deadline
-	g.quiesced.Store(false)
-	if workers > len(g.shards) {
-		workers = len(g.shards)
-	}
-	if workers <= 1 {
-		g.runWorker(g.shards)
+	if len(g.shards) == 0 {
 		return
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		var own []*Shard
-		for i := w; i < len(g.shards); i += workers {
-			own = append(own, g.shards[i])
-		}
-		wg.Add(1)
-		go func(own []*Shard) {
-			defer wg.Done()
-			g.runWorker(own)
-		}(own)
+	workers = max(1, min(workers, len(g.shards)))
+	g.deadline = deadline
+	g.window = maxTime
+	for _, l := range g.links {
+		g.window = min(g.window, l.delay)
 	}
-	wg.Wait()
-}
-
-// runWorker sweeps its owned shards, advancing each as far as the
-// conservative bound allows, until the group quiesces.
-func (g *Group) runWorker(own []*Shard) {
-	for {
-		progressed := false
-		for _, s := range own {
-			if g.advance(s) {
-				progressed = true
+	g.spins = barrierSpins
+	if workers > runtime.GOMAXPROCS(0) {
+		g.spins = 0
+	}
+	g.workers = make([]*worker, workers)
+	for i := range g.workers {
+		g.workers[i] = &worker{id: i, sent: [2][][]mail{make([][]mail, workers), make([][]mail, workers)}}
+	}
+	start := maxTime
+	for i, s := range g.shards {
+		w := g.workers[i*workers/len(g.shards)]
+		s.w, s.slot, s.minHead = w, len(w.own), maxTime
+		for _, l := range s.in {
+			if l.head < len(l.pending) {
+				s.minHead = min(s.minHead, l.pending[l.head].at)
 			}
 		}
-		if g.quiesced.Load() {
-			return
+		at := s.minHead
+		if t, ok := s.Sim.nextAt(); ok {
+			at = min(at, t)
 		}
-		if progressed {
-			continue
+		w.own = append(w.own, s)
+		w.next = append(w.next, at)
+		start = min(start, at)
+	}
+	for _, l := range g.links {
+		l.to = l.dst.w.id
+	}
+
+	var wg sync.WaitGroup
+	for _, w := range g.workers[1:] {
+		wg.Add(1)
+		go func(w *worker) {
+			defer wg.Done()
+			g.work(w, start)
+		}(w)
+	}
+	g.work(g.workers[0], start)
+	wg.Wait()
+	for _, s := range g.shards {
+		s.w = nil
+	}
+	g.workers = nil
+}
+
+// work is one worker's loop: a window of its shards, a barrier, the
+// mail the window produced, repeat. start is the first window's T;
+// every later one comes from the barrier.
+func (g *Group) work(w *worker, start Time) {
+	for k, T := 0, start; T <= g.deadline && T < maxTime; k++ {
+		p := k & 1
+		w.box, w.sentMin = w.sent[p], maxTime
+		for i := range w.box {
+			w.box[i] = w.box[i][:0]
 		}
-		if g.checkQuiescent() {
-			return
+		bound := maxTime
+		if T < maxTime-g.window {
+			bound = T + g.window
 		}
-		runtime.Gosched()
+		lo := maxTime
+		for i, at := range w.next {
+			if at < bound {
+				at = g.advance(w.own[i], bound)
+				w.next[i] = at
+			}
+			lo = min(lo, at)
+		}
+		// A message sent in this window reaches its shard's next entry
+		// only after the barrier, so the sender accounts for it here.
+		T = g.barrier(w, k, min(lo, w.sentMin))
+		// File what the window sent to this worker's shards. Peers are
+		// reading this worker's boxes of the same parity meanwhile; the
+		// next window fills the other parity.
+		for _, o := range g.workers {
+			for _, m := range o.sent[p][w.id] {
+				l := m.l
+				if s := l.dst; l.head == len(l.pending) && m.at < s.minHead {
+					s.minHead = m.at
+					w.next[s.slot] = min(w.next[s.slot], m.at)
+				}
+				l.push(m.Msg)
+			}
+		}
 	}
 }
 
-// advance runs one shard until it blocks on a peer's horizon (or runs
-// out of work), applying the delivery and link-order rules from the
-// package comment. It reports whether any event executed.
-func (g *Group) advance(s *Shard) bool {
-	progressed := false
-	bound := s.computeBound()
+// barrier publishes lo, this worker's earliest pending instant after
+// window k, waits for every worker to do the same, and returns the
+// global minimum: the next window's T. The store to done also
+// publishes the window's mailboxes.
+func (g *Group) barrier(w *worker, k int, lo Time) Time {
+	w.min[k&1] = lo
+	w.done.Store(int64(k + 1))
+	for _, o := range g.workers {
+		for spin := 0; o.done.Load() <= int64(k); spin++ {
+			if spin >= g.spins {
+				runtime.Gosched()
+			}
+		}
+		lo = min(lo, o.min[k&1])
+	}
+	return lo
+}
+
+// advance runs one shard up to bound, applying the delivery and
+// link-order rules from the package comment, and returns the earliest
+// instant at which anything can still happen on it.
+func (g *Group) advance(s *Shard, bound Time) Time {
+	if len(s.in) == 0 {
+		bound = maxTime // nothing can ever arrive
+	}
+	last := min(bound-1, g.deadline) // latest executable instant
 	for {
-		next, ok := s.Sim.nextAt()
 		nt := maxTime
-		if ok {
-			nt = next
+		if t, ok := s.Sim.nextAt(); ok {
+			nt = t
 		}
 		// Deliver safe inbound messages, in link order. Each delivery
 		// becomes the new next local event, so later links' same-instant
-		// messages chain in behind it deterministically.
-		for _, l := range s.in {
-			for {
-				m, okm := l.peek()
-				if !okm || m.at >= bound || m.at > nt || m.at > g.deadline {
-					break
+		// messages chain in behind it deterministically. minHead lets the
+		// common case — nothing due yet — skip the scan.
+		if s.minHead <= nt && s.minHead <= last {
+			s.minHead = maxTime
+			for _, l := range s.in {
+				for l.head < len(l.pending) {
+					m := &l.pending[l.head]
+					if m.at > nt || m.at > last {
+						s.minHead = min(s.minHead, m.at)
+						break
+					}
+					s.Sim.AtArg(m.at, l.deliver, m.arg)
+					l.head++
+					nt = m.at
 				}
-				s.wake()
-				s.Sim.AtArg(m.at, l.deliver, m.arg)
-				l.pop()
-				nt = m.at
 			}
 		}
-		if nt < bound && nt <= g.deadline {
-			s.wake()
-			s.Sim.Step()
-			progressed = true
-			s.sincePub++
-			if s.sincePub >= horizonEvery {
-				// Mid-burst promise: future sends fire at ≥ now + delay.
-				s.publish(s.Sim.Now())
-			}
-			continue
+		if nt > last {
+			return min(nt, s.minHead)
 		}
-		// Blocked. Peers may have published since the bound was cached;
-		// retry once with a fresh bound before stalling.
-		if nb := s.computeBound(); nb > bound {
-			bound = nb
-			continue
-		}
-		break
+		s.Sim.Step()
 	}
-	s.block(bound)
-	return progressed
-}
-
-// computeBound returns the earliest instant at which an unseen inbound
-// message could still arrive: min over inbound links of the source's
-// horizon plus the link delay.
-func (s *Shard) computeBound() Time {
-	bound := maxTime
-	for _, l := range s.in {
-		h := Time(l.src.horizon.Load())
-		b := maxTime
-		if h < maxTime-l.delay {
-			b = h + l.delay
-		}
-		if b < bound {
-			bound = b
-		}
-	}
-	return bound
-}
-
-// wake clears the idle flag before the shard delivers or executes.
-// The store is sequenced before the delivery's activity bump, which is
-// what lets the quiescence double-scan trust a true idle flag.
-func (s *Shard) wake() {
-	if s.wasIdle {
-		s.idle.Store(false)
-		s.wasIdle = false
-	}
-}
-
-// block publishes the shard's stall-time horizon — the earliest
-// instant anything could still execute here: its next local event, its
-// earliest undelivered message, or the bound itself — and refreshes
-// the idle flag for the quiescence scan.
-func (s *Shard) block(bound Time) {
-	h := bound
-	nt, ok := s.Sim.nextAt()
-	if ok && nt < h {
-		h = nt
-	}
-	for _, l := range s.in {
-		if m, okm := l.peek(); okm && m.at < h {
-			h = m.at
-		}
-	}
-	s.publish(h)
-	idle := !ok || nt > s.group.deadline
-	if idle != s.wasIdle {
-		s.idle.Store(idle)
-		s.wasIdle = idle
-	}
-}
-
-// publish raises the shard's horizon (it never moves backward — the
-// promise only strengthens).
-func (s *Shard) publish(h Time) {
-	s.sincePub = 0
-	if h > Time(s.horizon.Load()) {
-		s.horizon.Store(int64(h))
-	}
-}
-
-// checkQuiescent runs the double-scan termination check: with the
-// activity counter unchanged around a scan that saw every shard idle
-// and every link balanced, no event at or before the deadline can ever
-// execute again, anywhere.
-func (g *Group) checkQuiescent() bool {
-	if g.quiesced.Load() {
-		return true
-	}
-	g.qmu.Lock()
-	defer g.qmu.Unlock()
-	if g.quiesced.Load() {
-		return true
-	}
-	c1 := g.activity.Load()
-	for _, s := range g.shards {
-		if !s.idle.Load() {
-			return false
-		}
-	}
-	for _, l := range g.links {
-		if l.sent.Load() != l.delivered.Load() {
-			return false
-		}
-	}
-	if g.activity.Load() != c1 {
-		return false
-	}
-	g.quiesced.Store(true)
-	return true
 }

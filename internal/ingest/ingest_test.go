@@ -361,3 +361,70 @@ func TestCompactPurgesEncodedAppends(t *testing.T) {
 		t.Fatal("out-of-range IDs report alive")
 	}
 }
+
+// TestDeleteFirstPositionThenSearch: tombstoning position 0 of a list
+// longer than 64 entries — a base list, a pending buffer, an encoded
+// append list — used to leave a one-word bitmap that the masked scan
+// kernels indexed past. A bitmap must cover its whole list from the
+// first tombstone on, and keep covering it as the list grows.
+func TestDeleteFirstPositionThenSearch(t *testing.T) {
+	gc := dataset.GenConfig{NCenters: 8, PerCenter: 160, Dim: 16, PhysNList: 8, PhysNProbe: 8, Templates: 64, Seed: 5}
+	w, err := dataset.Build(dataset.Orcas2K, gc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(w)
+	r := rng.New(17)
+	kill := func(id int) {
+		t.Helper()
+		m := &workload.Mutation{Kind: workload.MutDelete, Pick: uint64(id)}
+		if !s.Delete(m) || int(m.ID) != id {
+			t.Fatalf("delete resolved to %d, want %d", m.ID, id)
+		}
+	}
+	search := func(q []float32, dead int) {
+		t.Helper()
+		if res := s.Search(q, gc.PhysNProbe, 10); len(res) != 10 || contains(res, dead) {
+			t.Fatalf("search after deleting %d returned %+v", dead, res)
+		}
+	}
+	// firstAt returns the vector at position 0 of a list of kind where
+	// that is longer than one bitmap word.
+	firstAt := func(locs []loc, offset int, where uint8, size func(c int) int) int {
+		t.Helper()
+		for i, l := range locs {
+			if l.where == where && l.pos == 0 && !l.dead && size(int(l.cluster)) > 64 {
+				return offset + i
+			}
+		}
+		t.Fatalf("no list of kind %d longer than 64 entries", where)
+		return -1
+	}
+	q := w.QueryVector(w.Sample(r), r)
+
+	base := firstAt(s.baseLoc, 0, locBase, w.Index.ClusterSize)
+	kill(base)
+	search(q, base)
+
+	// 70 copies of one vector share a cluster: a pending buffer of 70.
+	vec := w.InsertVector(r)
+	insert := func(n int) {
+		for i := 0; i < n; i++ {
+			s.Insert(&workload.Mutation{Kind: workload.MutInsert, Vec: vec})
+		}
+	}
+	insert(70)
+	pend := firstAt(s.insLoc, len(s.baseLoc), locPend, func(c int) int { return len(s.cl[c].pendIDs) })
+	kill(pend)
+	search(vec, pend)
+	insert(70) // the buffer outgrows the bitmap's second word
+	search(vec, pend)
+
+	s.Reencode()
+	app := firstAt(s.insLoc, len(s.baseLoc), locApp, func(c int) int { return len(s.cl[c].appIDs) })
+	kill(app)
+	search(vec, app)
+	insert(70)
+	s.Reencode() // the append list outgrows the bitmap's third word
+	search(vec, app)
+}

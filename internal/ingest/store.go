@@ -154,11 +154,19 @@ func NewStore(w *dataset.Workload) *Store {
 	return s
 }
 
-// grow sets bit i of the bitmap, growing it to cover i.
-func setBit(bits []uint64, i int) []uint64 {
-	for len(bits) <= i>>6 {
+// cover grows a tombstone bitmap to one bit per entry of an n-entry
+// list. The masked scan kernels index ceil(n/64) words of any bitmap
+// that is not empty, so a bitmap is either empty or covers its list.
+func cover(bits []uint64, n int) []uint64 {
+	for len(bits) < (n+63)>>6 {
 		bits = append(bits, 0)
 	}
+	return bits
+}
+
+// setBit sets bit i of the tombstone bitmap of an n-entry list.
+func setBit(bits []uint64, i, n int) []uint64 {
+	bits = cover(bits, n)
 	bits[uint(i)>>6] |= 1 << (uint(i) & 63)
 	return bits
 }
@@ -173,6 +181,9 @@ func (s *Store) Insert(m *workload.Mutation) int {
 	s.insLoc = append(s.insLoc, loc{cluster: int32(c), pos: int32(len(cl.pendIDs)), where: locPend})
 	cl.pendIDs = append(cl.pendIDs, id)
 	cl.pendVecs = append(cl.pendVecs, m.Vec...)
+	if len(cl.deadPend) > 0 {
+		cl.deadPend = cover(cl.deadPend, len(cl.pendIDs))
+	}
 	cl.bfDirty = true
 	s.delta[c] += s.rawPerVec
 	s.resSum += math.Sqrt(float64(s.ix.CentroidResidual2(m.Vec, c)))
@@ -222,13 +233,13 @@ func (s *Store) kill(l *loc) {
 	cl := &s.cl[l.cluster]
 	switch l.where {
 	case locBase:
-		cl.deadBase = setBit(cl.deadBase, int(l.pos))
+		cl.deadBase = setBit(cl.deadBase, int(l.pos), s.ix.ClusterSize(int(l.cluster)))
 		cl.deadBaseCount++
 	case locApp:
-		cl.deadApp = setBit(cl.deadApp, int(l.pos))
+		cl.deadApp = setBit(cl.deadApp, int(l.pos), len(cl.appIDs))
 		cl.deadAppCount++
 	default:
-		cl.deadPend = setBit(cl.deadPend, int(l.pos))
+		cl.deadPend = setBit(cl.deadPend, int(l.pos), len(cl.pendIDs))
 		cl.deadPendCount++
 		s.pendingTotal--
 	}
@@ -261,6 +272,9 @@ func (s *Store) Reencode() int {
 			cl.appCodes = append(cl.appCodes, code...)
 			s.delta[c] += s.encPerVec - s.rawPerVec
 			encoded++
+		}
+		if len(cl.deadApp) > 0 {
+			cl.deadApp = cover(cl.deadApp, len(cl.appIDs))
 		}
 		cl.pendIDs = cl.pendIDs[:0]
 		cl.pendVecs = cl.pendVecs[:0]

@@ -111,7 +111,7 @@ type Options struct {
 	Overload *OverloadOptions
 
 	// Workers selects how many worker goroutines a *sharded* cluster run
-	// spreads its shards over (0 = all cores). It changes wall-clock
+	// spreads its shards over (0 = one per GOMAXPROCS). It changes wall-clock
 	// only: the merged schedule is bit-identical for any value. Workers
 	// is meaningful only where there are shards to spread — RunCluster
 	// with NetDelay > 0 (Workers > 1 turns sharding on by defaulting

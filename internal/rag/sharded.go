@@ -22,13 +22,16 @@ import (
 // execute thousands of events per synchronization window.
 const DefaultNetDelay = time.Millisecond
 
-// shardWorkers resolves the Workers option: zero or negative means one
-// worker per core.
-func shardWorkers(n int) int {
+// shardWorkers resolves the Workers option for a group of the given
+// shard count: zero or negative means one worker per P — GOMAXPROCS,
+// not the core count, because workers meet at a barrier every window
+// and only spin against each other when they outnumber the Ps of a
+// CPU-limited container — and there is never more than one per shard.
+func shardWorkers(n, shards int) int {
 	if n <= 0 {
-		return runtime.NumCPU()
+		n = runtime.GOMAXPROCS(0)
 	}
-	return n
+	return min(n, shards)
 }
 
 // mergeShardRecords assembles the global per-request record set of a
@@ -110,7 +113,7 @@ func runClusterSharded(opts Options, replicas int, policy serve.Policy) (*Cluste
 	defer installDrift(x.FrontSim(), opts)()
 	arr := arrivalsFor(opts)
 	arr.SetPool(pool)
-	workers := shardWorkers(opts.Workers)
+	workers := shardWorkers(opts.Workers, replicas+1)
 	sec := beginServeSection()
 	arr.Start(x.FrontSim(), des.Time(opts.Duration), x.Submit)
 	x.Run(des.Time(opts.Duration+opts.Drain), workers)
@@ -277,7 +280,7 @@ func runMultiTenantSharded(opts MultiTenantOptions) (*MultiTenantResult, error) 
 		pipes[r] = pipe
 	}
 
-	workers := shardWorkers(opts.Workers)
+	workers := shardWorkers(opts.Workers, replicas+1)
 	front := x.FrontSim()
 	sec := beginServeSection()
 	for i, tc := range opts.Tenants {

@@ -100,7 +100,7 @@ type MultiTenantOptions struct {
 	// least-loaded).
 	Policy serve.Policy
 	// Workers and NetDelay mirror Options: worker goroutines for the
-	// sharded engine (wall-clock only; 0 = all cores) and the modeled
+	// sharded engine (wall-clock only; 0 = one per GOMAXPROCS) and the modeled
 	// front↔replica transit that doubles as the conservative lookahead.
 	// Setting either (or Replicas > 1) selects the sharded engine;
 	// NetDelay defaults to DefaultNetDelay there.

@@ -359,7 +359,7 @@ type ServeOptions struct {
 	RateSchedule RateSchedule
 
 	// Workers spreads a *cluster* run's shard timelines over N worker
-	// goroutines (0 = all cores). It is a wall-clock knob only: the
+	// goroutines (0 = one per GOMAXPROCS). It is a wall-clock knob only: the
 	// merged schedule is bit-identical for every value. Workers > 1
 	// turns the sharded engine on by defaulting NetDelay; single-node
 	// Serve ignores both fields.
