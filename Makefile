@@ -9,12 +9,13 @@ FUZZTIME ?= 5s
 # Coverage ratchet: `make cover-check` fails below this total (the
 # measured baseline at the time the gate was added was 76.6%; the
 # resilience layer raised it to 77.3%, the streaming-ingest layer to
-# 79.4%, and the mixed-precision and overload-control layers to
-# 79.9%). Raise it when coverage improves; never lower it to make CI
+# 79.4%, the mixed-precision and overload-control layers to 79.9%, and
+# the benchmark's own tests plus the internal/rag assembler collapse
+# to 81.2%). Raise it when coverage improves; never lower it to make CI
 # pass.
-COVER_MIN ?= 79.0
+COVER_MIN ?= 80.0
 
-.PHONY: verify build test vet lint race bench bench-search bench-serve bench-smoke scaling-smoke examples-smoke fuzz-smoke cover cover-check cover-ratchet fmt
+.PHONY: verify build test vet lint race bench bench-search bench-smoke scaling-smoke examples-smoke fuzz-smoke cover cover-check cover-ratchet fmt
 
 verify: vet lint build race
 
@@ -44,26 +45,17 @@ race:
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# Timed search-kernel benchmarks — the numbers tracked in
-# BENCH_search.json (see also `vliterag run -exp bench`).
+# Timed search-kernel benchmarks (benchstat-able); the repository's
+# performance measurement is `bash benchmark/run.sh`.
 bench-search:
 	$(GO) test -run=NONE -bench=Search -benchmem -benchtime=2s ./...
 
-# Timed end-to-end serving benchmarks — simulated-requests/sec,
-# wall-clock per simulated second, and allocs/request for the serving
-# scenarios, recorded with before/after rows in BENCH_serve.json (see
-# also `vliterag run -exp bench-serve`, which honors
-# -cpuprofile/-memprofile for profiling the serving loop directly).
-bench-serve:
-	$(GO) run ./cmd/vliterag run -exp bench-serve
-
-# One-iteration compile-and-run of the search kernel benchmarks, a
-# quick-mode bench-serve pass, and quick faults + ingest + overload
-# runs (the resilience, live-corpus, and overload-control paths
-# end-to-end through the CLI); CI runs this so none of them can rot.
+# One-iteration compile-and-run of the search kernel benchmarks and
+# quick faults + ingest + precision + overload runs (the resilience,
+# live-corpus, mixed-precision and overload-control paths end-to-end
+# through the CLI); CI runs this so none of them can rot.
 bench-smoke:
 	$(GO) test -run=NONE -bench=Search -benchtime=1x ./...
-	$(GO) run ./cmd/vliterag run -exp bench-serve -quick
 	$(GO) run ./cmd/vliterag run -exp faults -quick
 	$(GO) run ./cmd/vliterag run -exp ingest -quick
 	$(GO) run ./cmd/vliterag run -exp precision -quick

@@ -17,7 +17,7 @@ func TestRegistryComplete(t *testing.T) {
 	// the beyond-the-paper studies.
 	want := []string{"fig3", "fig4", "fig5", "fig6", "fig8", "fig9", "fig10",
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "tab1", "ablations",
-		"cluster", "bench", "bench-serve", "adapt", "tenants", "overload", "faults",
+		"cluster", "adapt", "tenants", "overload", "faults",
 		"ingest", "precision"}
 	reg := Registry()
 	for _, id := range want {
@@ -38,7 +38,7 @@ func TestLookupListsValidIDs(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown id accepted")
 	}
-	for _, id := range []string{"fig11", "adapt", "bench"} {
+	for _, id := range []string{"fig11", "adapt", "cluster"} {
 		if !strings.Contains(err.Error(), id) {
 			t.Errorf("lookup error does not list %q: %v", id, err)
 		}
@@ -460,120 +460,6 @@ func TestAdaptRecovery(t *testing.T) {
 		}
 	}
 	if !strings.HasPrefix(r.CSV(), "window_start_s,static_attainment") {
-		t.Errorf("CSV header wrong: %q", strings.SplitN(r.CSV(), "\n", 2)[0])
-	}
-}
-
-func TestBenchShape(t *testing.T) {
-	r, err := Bench(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Path != "" {
-		t.Errorf("quick-mode bench wrote %s", r.Path)
-	}
-	want := map[string]bool{
-		"ivf_search": false, "ivf_search_scratch": false,
-		"ivf_search_batch64_per_query": false, "ivf_probe": false,
-		"lut_build": false, "lut_scan_cluster": false, "brute_force_topk": false,
-	}
-	for _, row := range r.Rows {
-		if _, ok := want[row.Name]; !ok {
-			t.Errorf("unexpected kernel %q", row.Name)
-			continue
-		}
-		want[row.Name] = true
-		if row.NsPerOp <= 0 || row.OpsPerSec <= 0 || row.Iters <= 0 {
-			t.Errorf("%s: degenerate measurement %+v", row.Name, row)
-		}
-		// The scratch path is the allocation-free contract; leave slack
-		// for runtime background allocations in the counter window.
-		if row.Name == "ivf_search_scratch" && row.AllocsPerOp > 1 {
-			t.Errorf("scratch search allocates %.2f objects/op", row.AllocsPerOp)
-		}
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("kernel %q missing from bench rows", name)
-		}
-	}
-	if out := r.Render(); !strings.Contains(out, "ivf_search") {
-		t.Errorf("render missing kernels:\n%s", out)
-	}
-}
-
-// TestBenchServeShape runs the end-to-end serving benchmark in quick
-// mode and pins its contract: every scenario measured, sane rates, and
-// the steady-state allocation budget of the allocation-free serving
-// core (≤1 alloc per request, the PR-5 acceptance bound; the residual
-// is amortized buffer growth during ramp-up, not per-event garbage).
-func TestBenchServeShape(t *testing.T) {
-	r, err := BenchServe(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Path != "" {
-		t.Errorf("quick-mode bench-serve wrote %s", r.Path)
-	}
-	want := map[string]bool{
-		"single_vliterag_30rps": false, "cluster_x2_least_loaded_60rps": false,
-		"cluster_x2_precision_60rps": false,
-		"adaptive_drift_20rps":       false, "tenants_quick_fair": false,
-		// Quick mode's sharded fleet: the same schedule executed
-		// sequentially and on 2 workers, so CI exercises the parallel
-		// engine end to end on every commit.
-		"fleet_x8_240rps_w1": false, "fleet_x8_240rps_w2": false,
-	}
-	var fleetReqs []int
-	for _, row := range r.Rows {
-		if _, ok := want[row.Config]; !ok {
-			t.Errorf("unexpected config %q", row.Config)
-			continue
-		}
-		want[row.Config] = true
-		if row.Requests <= 0 || row.SimReqPerSec <= 0 || row.WallSeconds <= 0 {
-			t.Errorf("%s: degenerate measurement %+v", row.Config, row)
-		}
-		if row.AllocsPerReq > 1 {
-			t.Errorf("%s: %.2f allocs/request, steady-state budget is <=1", row.Config, row.AllocsPerReq)
-		}
-		if row.Workers < 1 || row.GoMaxProcs < 1 {
-			t.Errorf("%s: workers/gomaxprocs not recorded: %+v", row.Config, row)
-		}
-		if strings.HasPrefix(row.Config, "fleet_") {
-			fleetReqs = append(fleetReqs, row.Requests)
-		}
-		if row.Attainment < 0 || row.Attainment > 1 {
-			t.Errorf("%s: attainment %.4f out of range", row.Config, row.Attainment)
-		}
-		// Only the precision-refined row carries a recall gain; it pairs
-		// the gain with its attainment so the JSON records the quality
-		// trade, not throughput alone.
-		if row.Config == "cluster_x2_precision_60rps" {
-			if row.RecallGainPts <= 0 || row.Attainment <= 0 {
-				t.Errorf("precision row missing quality fields: %+v", row)
-			}
-		} else if row.RecallGainPts != 0 {
-			t.Errorf("%s: unexpected recall gain %.4f on an unrefined run", row.Config, row.RecallGainPts)
-		}
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("config %q missing from bench-serve rows", name)
-		}
-	}
-	// Worker count is a wall-clock knob: both fleet rows must have
-	// simulated the identical request population.
-	if len(fleetReqs) == 2 && fleetReqs[0] != fleetReqs[1] {
-		t.Errorf("fleet request counts diverged across worker counts: %v", fleetReqs)
-	}
-	out := r.Render()
-	for _, wantStr := range []string{"tenants_quick_fair", "fleet_x8_240rps_w2", "vs baseline", "sim-req/s", "workers"} {
-		if !strings.Contains(out, wantStr) {
-			t.Errorf("render missing %q:\n%s", wantStr, out)
-		}
-	}
-	if !strings.HasPrefix(r.CSV(), "phase,config,workers,gomaxprocs,requests") {
 		t.Errorf("CSV header wrong: %q", strings.SplitN(r.CSV(), "\n", 2)[0])
 	}
 }

@@ -29,7 +29,7 @@ type Runner func(Config) (Renderer, error)
 
 // Registry maps experiment IDs to runners: one per table and figure of
 // the paper's evaluation (fig3..fig17, tab1) plus the beyond-the-paper
-// studies (ablations, cluster, bench, adapt) — see ARCHITECTURE.md
+// studies (ablations, cluster, adapt, ...) — see ARCHITECTURE.md
 // "Adding a new serving scenario" for how to register more.
 func Registry() map[string]Runner {
 	return map[string]Runner{
@@ -50,15 +50,11 @@ func Registry() map[string]Runner {
 		"tab1":      func(c Config) (Renderer, error) { return Table1(c) },
 		"ablations": func(c Config) (Renderer, error) { return Ablations(c) },
 		"cluster":   func(c Config) (Renderer, error) { return Cluster(c) },
-		"bench":     func(c Config) (Renderer, error) { return Bench(c) },
-		"bench-serve": func(c Config) (Renderer, error) {
-			return BenchServe(c)
-		},
-		"adapt":    func(c Config) (Renderer, error) { return Adapt(c) },
-		"tenants":  func(c Config) (Renderer, error) { return Tenants(c) },
-		"overload": func(c Config) (Renderer, error) { return Overload(c) },
-		"faults":   func(c Config) (Renderer, error) { return Faults(c) },
-		"ingest":   func(c Config) (Renderer, error) { return Ingest(c) },
+		"adapt":     func(c Config) (Renderer, error) { return Adapt(c) },
+		"tenants":   func(c Config) (Renderer, error) { return Tenants(c) },
+		"overload":  func(c Config) (Renderer, error) { return Overload(c) },
+		"faults":    func(c Config) (Renderer, error) { return Faults(c) },
+		"ingest":    func(c Config) (Renderer, error) { return Ingest(c) },
 		"precision": func(c Config) (Renderer, error) {
 			return Precision(c)
 		},

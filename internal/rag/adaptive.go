@@ -1,18 +1,9 @@
 package rag
 
 import (
-	"fmt"
-
 	"vectorliterag/internal/adapt"
-	"vectorliterag/internal/costmodel"
 	"vectorliterag/internal/des"
-	"vectorliterag/internal/hitrate"
-	"vectorliterag/internal/perfmodel"
-	"vectorliterag/internal/profiler"
-	"vectorliterag/internal/retrieval"
-	"vectorliterag/internal/serve"
 	"vectorliterag/internal/update"
-	"vectorliterag/internal/workload"
 )
 
 // AdaptiveOptions configures an adaptive vLiteRAG run: the usual
@@ -45,21 +36,68 @@ type AdaptiveResult struct {
 	Observed int
 }
 
-// derivedWindow sizes the monitor window to roughly ten seconds of
-// traffic when the caller did not choose one. With a schedule driving
-// arrivals, Rate is only a label (and may be far off the real traffic),
-// so the schedule's bound sizes the window — conservatively large,
-// which also keeps the one-window post-swap cooldown meaningful.
-func derivedWindow(opts *AdaptiveOptions) int {
-	rate := opts.Rate
-	if opts.RateSchedule != nil {
-		rate = opts.RateSchedule.MaxRate()
+// newAdaptController builds the in-loop adaptation controller for a
+// single-node run — the re-partitioning plane of RunAdaptive and, with
+// io set, the compaction plane of a live run — on the models the
+// decision was made from: the controller re-measures only the access
+// profile across cycles, because drift moves the query distribution,
+// not the machine. It returns the model-expected mean hit rate of the
+// installed plan, the monitor's first anchor. The caller binds the
+// engine (and the compactor) once the pipeline exists.
+func newAdaptController(sim *des.Sim, opts *Options, d *decision, mon update.MonitorConfig, io *IngestOptions) (*adapt.Controller, float64, error) {
+	if err := d.fit(); err != nil {
+		return nil, 0, err
 	}
-	w := int(rate * 10)
-	if w < 100 {
-		w = 100
+	if d.mu0 == 0 { // a prebuilt plan skipped the capacity measurement
+		var err error
+		if d.mu0, err = bareCapacity(opts.Node, opts.Model, opts.Node.NumGPUs, opts.Shape); err != nil {
+			return nil, 0, err
+		}
 	}
-	return w
+	// Fill each unset monitor field independently, so a caller pinning
+	// only the window (or only a threshold) still gets working defaults
+	// for the rest.
+	def := update.DefaultMonitorConfig()
+	if mon.WindowRequests == 0 {
+		// Roughly ten seconds of traffic. With a schedule driving
+		// arrivals, Rate is only a label (and may be far off the real
+		// traffic), so the schedule's bound sizes the window —
+		// conservatively large, which also keeps the one-window post-swap
+		// cooldown meaningful.
+		rate := opts.Rate
+		if opts.RateSchedule != nil {
+			rate = opts.RateSchedule.MaxRate()
+		}
+		mon.WindowRequests = max(int(rate*10), 100)
+	}
+	if mon.SLOThreshold == 0 {
+		mon.SLOThreshold = def.SLOThreshold
+	}
+	if mon.HitRateDivergence == 0 {
+		mon.HitRateDivergence = def.HitRateDivergence
+	}
+	cfg := adapt.Config{
+		Monitor:        mon,
+		ProfileQueries: opts.ProfileQueries,
+		Epsilon:        opts.Epsilon,
+	}
+	if io != nil {
+		cfg.EscalateSkew, cfg.EscalateResidual = io.EscalateSkew, io.EscalateResidual
+	}
+	expected := d.est.MeanHitRate(d.rho)
+	ctrl, err := adapt.NewController(cfg, adapt.Inputs{
+		Sim:       sim,
+		W:         opts.W,
+		Node:      opts.Node,
+		SLOTotal:  d.sloTotal,
+		SLOSearch: opts.SLOSearch,
+		Perf:      d.perf,
+		Mu0:       d.mu0,
+		MemKV:     nodeKVBytes(opts.Node, opts.Model),
+		Expected:  expected,
+		Seed:      opts.Seed + 13,
+	})
+	return ctrl, expected, err
 }
 
 // RunAdaptive executes one adaptive evaluation point: a vLiteRAG
@@ -77,114 +115,15 @@ func RunAdaptive(opts AdaptiveOptions) (*AdaptiveResult, error) {
 	if opts.Kind == "" {
 		opts.Kind = VLiteRAG
 	}
-	if opts.Kind != VLiteRAG {
-		return nil, fmt.Errorf("rag: adaptive serving requires the hot-swappable vLiteRAG runtime, got %s", opts.Kind)
-	}
-	if opts.Overload != nil {
-		return nil, fmt.Errorf("rag: overload control and the adaptive replan controller would fight over the same latency signal; run one or the other")
-	}
-	sloTotal, err := opts.normalize()
+	run, err := runSingle(opts.Options, &opts.Monitor, nil)
 	if err != nil {
 		return nil, err
 	}
-	prof, err := profileFor(opts.Options)
-	if err != nil {
-		return nil, err
-	}
-	cpuModel := costmodel.NewSearchModel(opts.Node.CPU, opts.W.Spec)
-	d, err := decide(opts.Options, prof, cpuModel)
-	if err != nil {
-		return nil, err
-	}
-
-	// The controller re-uses the hardware-derived models across cycles
-	// and re-measures only the access profile: drift moves the query
-	// distribution, not the machine.
-	est, err := hitrate.NewEstimator(prof)
-	if err != nil {
-		return nil, err
-	}
-	perf, err := perfmodel.Fit(profiler.ProfileLatency(cpuModel, profiler.DefaultBatches()))
-	if err != nil {
-		return nil, err
-	}
-	mu0 := d.mu0
-	if mu0 == 0 { // prebuilt-plan path skips the capacity measurement
-		if mu0, err = bareCapacity(opts.Node, opts.Model, opts.Node.NumGPUs, opts.Shape); err != nil {
-			return nil, err
-		}
-	}
-	expected := est.MeanHitRate(d.rho)
-	// Fill each unset monitor field independently, so a caller pinning
-	// only the window (or only a threshold) still gets working defaults
-	// for the rest.
-	def := update.DefaultMonitorConfig()
-	if opts.Monitor.WindowRequests == 0 {
-		opts.Monitor.WindowRequests = derivedWindow(&opts)
-	}
-	if opts.Monitor.SLOThreshold == 0 {
-		opts.Monitor.SLOThreshold = def.SLOThreshold
-	}
-	if opts.Monitor.HitRateDivergence == 0 {
-		opts.Monitor.HitRateDivergence = def.HitRateDivergence
-	}
-
-	var sim des.Sim
-	coll := serve.NewCollector()
-	ctrl, err := adapt.NewController(adapt.Config{
-		Monitor:        opts.Monitor,
-		ProfileQueries: opts.ProfileQueries,
-		Epsilon:        opts.Epsilon,
-	}, adapt.Inputs{
-		Sim:       &sim,
-		W:         opts.W,
-		Node:      opts.Node,
-		SLOTotal:  sloTotal,
-		SLOSearch: opts.SLOSearch,
-		Perf:      perf,
-		Mu0:       mu0,
-		MemKV:     nodeKVBytes(opts.Node, opts.Model),
-		Expected:  expected,
-		Seed:      opts.Seed + 13,
-	})
-	if err != nil {
-		return nil, err
-	}
-	retr, gen := stageBuilders(&sim, opts.Options, d, cpuModel, nil)
-	pool := &workload.Pool{}
-	// The controller observes each completed request before the pool
-	// recycles it; the release therefore goes last in the terminal Tee.
-	pipe, err := serve.Compose(&sim, serve.Tee(coll.Done, ctrl.Observe, pool.Release), serve.Admit(coll), retr, gen)
-	if err != nil {
-		return nil, err
-	}
-	hs, ok := pipe.Retrieval().Engine.(retrieval.HotSwapper)
-	if !ok {
-		return nil, fmt.Errorf("rag: engine %s is not hot-swappable", pipe.Retrieval().Engine.Name())
-	}
-	ctrl.Bind(hs)
-
-	defer installDrift(&sim, opts.Options)()
-	arr := arrivalsFor(opts.Options)
-	arr.SetPool(pool)
-	sec := beginServeSection()
-	pipe.Run(arr, opts.Duration, opts.Drain)
-	wall, allocs, bytes := sec.end()
-
 	return &AdaptiveResult{
-		Result: Result{
-			Kind: opts.Kind, Rate: opts.Rate, SLOTotal: sloTotal,
-			ServeWall: wall, ServeAllocs: allocs, ServeBytes: bytes,
-			Rho: d.rho, PlanBytes: d.planBytes, Mu0: mu0, Partition: d.partition,
-			Requests:  coll.Requests(),
-			Generated: coll.Admitted(),
-			AvgBatch:  pipe.Retrieval().AvgBatch(),
-			LLMGPUs:   pipe.Generation().GPUs(opts.Model.TP),
-			Summary:   coll.Summarize(sloTotal, des.Time(opts.Warmup)),
-		},
-		ExpectedHitRate: expected,
-		Rebuilds:        ctrl.Rebuilds(),
-		Pending:         ctrl.Pending(),
-		Observed:        ctrl.Observed(),
+		Result:          run.Result,
+		ExpectedHitRate: run.expected,
+		Rebuilds:        run.ctrl.Rebuilds(),
+		Pending:         run.ctrl.Pending(),
+		Observed:        run.ctrl.Observed(),
 	}, nil
 }

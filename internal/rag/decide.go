@@ -1,0 +1,234 @@
+package rag
+
+import (
+	"fmt"
+	"time"
+
+	"vectorliterag/internal/costmodel"
+	"vectorliterag/internal/dataset"
+	"vectorliterag/internal/des"
+	"vectorliterag/internal/hitrate"
+	"vectorliterag/internal/partition"
+	"vectorliterag/internal/perfmodel"
+	"vectorliterag/internal/profiler"
+	"vectorliterag/internal/serve"
+	"vectorliterag/internal/splitter"
+	"vectorliterag/internal/workload"
+)
+
+// decision is a system's resource choice — coverage, split plan, LLM
+// placement — computed once per run and shared by every replica that
+// instantiates it. It is the output of the offline half of each
+// baseline (for vLiteRAG, Algorithm 1).
+type decision struct {
+	rho       float64
+	plan      *splitter.Plan // nil for CPU-only
+	planBytes int64
+	partition *partition.Result
+	mu0       float64
+	nDed      int // DED-GPU: GPUs dedicated to retrieval
+
+	// What the decision was made from. The adapt controller re-runs
+	// Algorithm 1 on the same fitted models (drift moves the query
+	// distribution, not the machine); est and perf stay nil until a path
+	// that needs them calls fit.
+	sloTotal time.Duration
+	prof     *profiler.AccessProfile
+	cpuModel costmodel.SearchModel
+	est      *hitrate.Estimator
+	perf     *perfmodel.Model
+}
+
+// fitModels fits the two models Algorithm 1 consumes: the hit-rate
+// estimator over an access profile and the CPU search-latency model.
+func fitModels(prof *profiler.AccessProfile, cpuModel costmodel.SearchModel) (*hitrate.Estimator, *perfmodel.Model, error) {
+	est, err := hitrate.NewEstimator(prof)
+	if err != nil {
+		return nil, nil, err
+	}
+	perf, err := perfmodel.Fit(profiler.ProfileLatency(cpuModel, profiler.DefaultBatches()))
+	if err != nil {
+		return nil, nil, err
+	}
+	return est, perf, nil
+}
+
+// fit fills the decision's models once: the partitioned kinds fit them
+// while deciding, the prebuilt-plan path only if a controller asks.
+func (d *decision) fit() (err error) {
+	if d.est == nil {
+		d.est, d.perf, err = fitModels(d.prof, d.cpuModel)
+	}
+	return err
+}
+
+// profileSample sizes the calibration sample (default 4000 queries).
+func profileSample(n int) int {
+	if n <= 0 {
+		return 4000
+	}
+	return n
+}
+
+// offline runs the offline half of a single-corpus run — validation and
+// defaults, access profiling, the per-kind resource decision — and
+// leaves opts ready for composition.
+func offline(opts *Options) (*decision, error) {
+	sloTotal, err := opts.normalize()
+	if err != nil {
+		return nil, err
+	}
+	prof, err := profiler.CollectAccess(opts.W, profileSample(opts.ProfileQueries), opts.Seed+1)
+	if err != nil {
+		return nil, err
+	}
+	d := &decision{sloTotal: sloTotal, prof: prof, cpuModel: costmodel.NewSearchModel(opts.Node.CPU, opts.W.Spec)}
+	if err := d.decide(opts); err != nil {
+		return nil, err
+	}
+	if d.plan != nil {
+		d.planBytes = d.plan.TotalBytes()
+	}
+	return d, nil
+}
+
+// decide makes the per-kind resource decision from the access profile.
+func (d *decision) decide(opts *Options) (err error) {
+	switch opts.Kind {
+	case CPUOnly:
+		return nil
+
+	case AllGPU:
+		d.rho = 1
+		d.plan, err = splitter.Build(d.prof, 1.0, opts.Node.NumGPUs)
+		return err
+
+	case DedGPU:
+		perGPU := opts.Node.GPU.UsableMem()
+		nDed := int((opts.W.TotalIndexBytes() + perGPU - 1) / perGPU)
+		if nDed < 1 {
+			nDed = 1
+		}
+		if nDed >= opts.Node.NumGPUs {
+			return fmt.Errorf("rag: index needs %d dedicated GPUs, node has %d", nDed, opts.Node.NumGPUs)
+		}
+		if opts.Node.NumGPUs-nDed < opts.Model.TP {
+			return fmt.Errorf("rag: DED-GPU leaves %d GPUs, %s needs TP=%d", opts.Node.NumGPUs-nDed, opts.Model, opts.Model.TP)
+		}
+		d.rho, d.nDed = 1, nDed
+		d.plan, err = splitter.Build(d.prof, 1.0, nDed)
+		return err
+
+	case VLiteRAG, HedraRAG:
+		if opts.Plan != nil && opts.Kind == VLiteRAG {
+			// Serve an existing plan as-is ("build once, serve many").
+			d.rho, d.plan = opts.Plan.Coverage, opts.Plan
+			return nil
+		}
+		if err := d.fit(); err != nil {
+			return err
+		}
+		if d.mu0, err = bareCapacity(opts.Node, opts.Model, opts.Node.NumGPUs, opts.Shape); err != nil {
+			return err
+		}
+		memKV := nodeKVBytes(opts.Node, opts.Model)
+		if opts.Kind == VLiteRAG {
+			part, err := partition.LatencyBounded(partition.Inputs{
+				SLOSearch:    opts.SLOSearch,
+				Epsilon:      opts.Epsilon,
+				Perf:         d.perf,
+				Est:          d.est,
+				MemKV:        memKV,
+				Mu0:          d.mu0,
+				IndexBytesAt: splitter.IndexBytesAt(d.prof),
+			})
+			if err != nil {
+				return err
+			}
+			d.partition = &part
+			d.rho = part.Rho
+		} else if opts.HedraCoverageOverride > 0 {
+			d.rho = opts.HedraCoverageOverride
+		} else {
+			part, err := partition.Hedra(partition.HedraInputs{
+				Perf: d.perf, Est: d.est,
+				MemKV: memKV, Mu0: d.mu0,
+				IndexBytesAt: splitter.IndexBytesAt(d.prof),
+				BatchCap:     opts.MaxBatch,
+			})
+			if err != nil {
+				return err
+			}
+			d.partition = &part
+			d.rho = part.Rho
+		}
+		if d.plan, err = splitter.Build(d.prof, d.rho, opts.Node.NumGPUs); err != nil {
+			return err
+		}
+		if opts.Kind == VLiteRAG && opts.Precision != nil {
+			return attachPrecision(opts, d.prof, d.plan, memKV)
+		}
+		return nil
+
+	default:
+		return fmt.Errorf("rag: unknown kind %q", opts.Kind)
+	}
+}
+
+// attachPrecision runs the (tier, codec) refinement on a freshly built
+// vLiteRAG plan: per-cluster SQ8 recall deltas from the profile, the
+// upgrade budget as a fraction of the HBM the placement loop left to
+// the KV pool, and the greedy assignment of partition.AssignPrecision.
+// The refinement's extra bytes fold into the plan's shard accounting,
+// so the KV pool downstream pays for them.
+func attachPrecision(opts *Options, prof *profiler.AccessProfile, plan *splitter.Plan, memKV int64) error {
+	deltas, err := profiler.SQRecallDeltas(prof)
+	if err != nil {
+		return err
+	}
+	leftover := memKV - plan.TotalBytes()
+	if leftover < 0 {
+		leftover = 0
+	}
+	prec, err := partition.AssignPrecision(partition.PrecisionInputs{
+		Prof:          prof,
+		Plan:          plan,
+		RecallDeltas:  deltas,
+		SQRatio:       float64(opts.W.Spec.Dim) / float64(opts.W.Spec.CodeBytes),
+		SQBudgetBytes: int64(opts.Precision.SQBudgetFrac * float64(leftover)),
+		NVMeColdShare: opts.Precision.NVMeColdShare,
+	})
+	if err != nil {
+		return err
+	}
+	plan.AttachPrecision(prec)
+	return nil
+}
+
+// arrivalsFor returns one corpus's pipeline source, drawing requests
+// from pool (into which the terminal sink must release them): the
+// constant-rate Poisson stream, or the inhomogeneous (thinned) stream
+// when a rate schedule is set.
+func arrivalsFor(w *dataset.Workload, rate float64, sched workload.Schedule, shape workload.Shape, seed uint64, pool *workload.Pool) *serve.Arrivals {
+	var arr *serve.Arrivals
+	if sched != nil {
+		arr = serve.NewScheduledArrivals(w, sched, shape, seed)
+	} else {
+		arr = serve.NewArrivals(w, rate, shape, seed)
+	}
+	arr.SetPool(pool)
+	return arr
+}
+
+// installDrift schedules the drift trace's popularity rotations on the
+// virtual timeline and returns a restore hook that resets the workload
+// to its pre-run rotation, so one run's drift cannot leak into the
+// next (static and adaptive arms replay the identical trace).
+func installDrift(sim *des.Sim, opts *Options) (restore func()) {
+	initial := opts.W.PopularityRotation()
+	for _, ev := range opts.Drift {
+		ev := ev
+		sim.At(des.Time(ev.At), func() { opts.W.ApplyDrift(ev) })
+	}
+	return func() { opts.W.SetPopularityRotation(initial) }
+}

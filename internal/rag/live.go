@@ -5,14 +5,9 @@ import (
 	"time"
 
 	"vectorliterag/internal/adapt"
-	"vectorliterag/internal/costmodel"
 	"vectorliterag/internal/des"
-	"vectorliterag/internal/hitrate"
 	"vectorliterag/internal/ingest"
 	"vectorliterag/internal/metrics"
-	"vectorliterag/internal/perfmodel"
-	"vectorliterag/internal/profiler"
-	"vectorliterag/internal/retrieval"
 	"vectorliterag/internal/rng"
 	"vectorliterag/internal/serve"
 	"vectorliterag/internal/update"
@@ -142,168 +137,58 @@ func RunLive(opts LiveOptions) (*LiveResult, error) {
 	if err := opts.Ingest.validate(); err != nil {
 		return nil, err
 	}
-	if !opts.Ingest.active() {
-		res, err := Run(opts.Options)
-		if err != nil {
-			return nil, err
+	var io *IngestOptions
+	var mon *update.MonitorConfig
+	if opts.Ingest.active() {
+		io = &opts.Ingest
+		if io.Compaction {
+			mon = &opts.Monitor
 		}
-		return &LiveResult{Result: *res, FreshnessSLO: opts.Ingest.FreshnessSLO}, nil
 	}
-	if opts.Ingest.Compaction && opts.Kind != VLiteRAG {
-		return nil, fmt.Errorf("rag: compaction needs the hot-swappable vLiteRAG runtime, got %s", opts.Kind)
-	}
-	if opts.resilient() {
-		return nil, fmt.Errorf("rag: live ingest runs single-node — fault injection needs RunCluster")
-	}
-	if opts.Overload != nil {
-		return nil, fmt.Errorf("rag: overload control is not wired into the live-ingest pipeline; drop Overload or run without ingest")
-	}
-	sloTotal, err := opts.normalize()
+	run, err := runSingle(opts.Options, mon, io)
 	if err != nil {
 		return nil, err
 	}
-	prof, err := profileFor(opts.Options)
-	if err != nil {
-		return nil, err
+	res := &LiveResult{Result: run.Result, FreshnessSLO: opts.Ingest.FreshnessSLO}
+	if io == nil {
+		return res, nil
 	}
-	cpuModel := costmodel.NewSearchModel(opts.Node.CPU, opts.W.Spec)
-	d, err := decide(opts.Options, prof, cpuModel)
-	if err != nil {
-		return nil, err
-	}
-
-	var sim des.Sim
-	store := ingest.NewStore(opts.W)
-	ing := ingest.New(ingest.Config{
-		Sim:           &sim,
-		Store:         store,
-		Node:          opts.Node,
-		ReencodeEvery: opts.Ingest.ReencodeEvery,
-		Horizon:       des.Time(opts.Duration + opts.Drain),
-	})
-
-	// Mutation sources: seeds split off the run seed on their own stream
-	// IDs, so the request stream (Seed+7) and the profiling sample
-	// (Seed+1) are untouched — the frozen half of a frozen-vs-live A/B
-	// replays identically.
-	var aux []serve.Aux
-	if opts.Ingest.InsertRate > 0 || opts.Ingest.InsertSchedule != nil {
-		g := workload.NewMutationGen(opts.W, workload.MutInsert,
-			opts.Ingest.InsertRate, opts.Ingest.InsertSchedule, 0, rng.Stream(opts.Seed, 21))
-		aux = append(aux, serve.AuxFunc(func(s *des.Sim, until des.Time) { g.Start(s, until, ing.Submit) }))
-	}
-	if opts.Ingest.DeleteRate > 0 || opts.Ingest.DeleteSchedule != nil {
-		g := workload.NewMutationGen(opts.W, workload.MutDelete,
-			opts.Ingest.DeleteRate, opts.Ingest.DeleteSchedule, 0, rng.Stream(opts.Seed, 22))
-		aux = append(aux, serve.AuxFunc(func(s *des.Sim, until des.Time) { g.Start(s, until, ing.Submit) }))
-	}
-
-	// The compaction arm runs the adaptive controller with the ingester
-	// bound as its compactor; construction mirrors RunAdaptive.
-	var ctrl *adapt.Controller
-	if opts.Ingest.Compaction {
-		est, err := hitrate.NewEstimator(prof)
-		if err != nil {
-			return nil, err
-		}
-		perf, err := perfmodel.Fit(profiler.ProfileLatency(cpuModel, profiler.DefaultBatches()))
-		if err != nil {
-			return nil, err
-		}
-		mu0 := d.mu0
-		if mu0 == 0 {
-			if mu0, err = bareCapacity(opts.Node, opts.Model, opts.Node.NumGPUs, opts.Shape); err != nil {
-				return nil, err
-			}
-		}
-		mon := opts.Monitor
-		def := update.DefaultMonitorConfig()
-		if mon.WindowRequests == 0 {
-			rate := opts.Rate
-			if opts.RateSchedule != nil {
-				rate = opts.RateSchedule.MaxRate()
-			}
-			if mon.WindowRequests = int(rate * 10); mon.WindowRequests < 100 {
-				mon.WindowRequests = 100
-			}
-		}
-		if mon.SLOThreshold == 0 {
-			mon.SLOThreshold = def.SLOThreshold
-		}
-		if mon.HitRateDivergence == 0 {
-			mon.HitRateDivergence = def.HitRateDivergence
-		}
-		ctrl, err = adapt.NewController(adapt.Config{
-			Monitor:          mon,
-			ProfileQueries:   opts.ProfileQueries,
-			Epsilon:          opts.Epsilon,
-			EscalateSkew:     opts.Ingest.EscalateSkew,
-			EscalateResidual: opts.Ingest.EscalateResidual,
-		}, adapt.Inputs{
-			Sim:       &sim,
-			W:         opts.W,
-			Node:      opts.Node,
-			SLOTotal:  sloTotal,
-			SLOSearch: opts.SLOSearch,
-			Perf:      perf,
-			Mu0:       mu0,
-			MemKV:     nodeKVBytes(opts.Node, opts.Model),
-			Expected:  est.MeanHitRate(d.rho),
-			Seed:      opts.Seed + 13,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	pool := &workload.Pool{}
-	coll := serve.NewCollector()
-	retr, gen := stageBuilders(&sim, opts.Options, d, cpuModel, store)
-	terminal := serve.Tee(coll.Done, pool.Release)
-	if ctrl != nil {
-		terminal = serve.Tee(coll.Done, ctrl.Observe, pool.Release)
-	}
-	pipe, err := serve.Compose(&sim, terminal, serve.Admit(coll), retr, gen)
-	if err != nil {
-		return nil, err
-	}
-	if ctrl != nil {
-		hs, ok := pipe.Retrieval().Engine.(retrieval.HotSwapper)
-		if !ok {
-			return nil, fmt.Errorf("rag: engine %s is not hot-swappable", pipe.Retrieval().Engine.Name())
-		}
-		ctrl.Bind(hs)
-		ctrl.BindCompactor(ing)
-	}
-
-	defer installDrift(&sim, opts.Options)()
-	arr := arrivalsFor(opts.Options)
-	arr.SetPool(pool)
-	sec := beginServeSection()
-	pipe.RunAux(arr, opts.Duration, opts.Drain, aux...)
-	wall, allocs, bytes := sec.end()
-
-	res := &LiveResult{
-		Result: Result{
-			Kind: opts.Kind, Rate: opts.Rate, SLOTotal: sloTotal,
-			ServeWall: wall, ServeAllocs: allocs, ServeBytes: bytes,
-			Rho: d.rho, PlanBytes: d.planBytes, Mu0: d.mu0, Partition: d.partition,
-			Requests:  coll.Requests(),
-			Generated: coll.Admitted(),
-			AvgBatch:  pipe.Retrieval().AvgBatch(),
-			LLMGPUs:   pipe.Generation().GPUs(opts.Model.TP),
-			Summary:   coll.Summarize(sloTotal, des.Time(opts.Warmup)),
-		},
-		FreshnessSLO:  opts.Ingest.FreshnessSLO,
-		Mutations:     ing.Log(),
-		Reencodes:     ing.Reencodes(),
-		Compactions:   ing.Compactions(),
-		SizeSkew:      store.SizeSkew(),
-		ResidualRatio: store.ResidualRatio(),
-	}
-	res.Freshness = metrics.SummarizeFreshness(res.Mutations, opts.Ingest.FreshnessSLO, des.Time(opts.Warmup))
-	if ctrl != nil {
-		res.Rebuilds = ctrl.Rebuilds()
+	res.Mutations = run.ing.Log()
+	res.Reencodes = run.ing.Reencodes()
+	res.Compactions = run.ing.Compactions()
+	res.SizeSkew = run.store.SizeSkew()
+	res.ResidualRatio = run.store.ResidualRatio()
+	res.Freshness = metrics.SummarizeFreshness(res.Mutations, io.FreshnessSLO, run.warmup)
+	if run.ctrl != nil {
+		res.Rebuilds = run.ctrl.Rebuilds()
 	}
 	return res, nil
+}
+
+// startIngest puts the streaming-ingest subsystem on a run's timeline:
+// the live store, the serial ingest station (which arms its periodic
+// re-encode at once), and the mutation sources to start beside the
+// arrivals. Their seeds split off the run seed on their own stream IDs,
+// so the request stream (Seed+7) and the profiling sample (Seed+1) are
+// untouched — the frozen half of a frozen-vs-live A/B replays
+// identically.
+func startIngest(sim *des.Sim, opts *Options, io *IngestOptions) (*ingest.Store, *ingest.Ingester, []serve.Aux) {
+	store := ingest.NewStore(opts.W)
+	ing := ingest.New(ingest.Config{
+		Sim:           sim,
+		Store:         store,
+		Node:          opts.Node,
+		ReencodeEvery: io.ReencodeEvery,
+		Horizon:       des.Time(opts.Duration + opts.Drain),
+	})
+	var aux []serve.Aux
+	source := func(kind workload.MutationKind, rate float64, sched workload.Schedule, stream uint64) {
+		if rate > 0 || sched != nil {
+			g := workload.NewMutationGen(opts.W, kind, rate, sched, 0, rng.Stream(opts.Seed, stream))
+			aux = append(aux, serve.AuxFunc(func(s *des.Sim, until des.Time) { g.Start(s, until, ing.Submit) }))
+		}
+	}
+	source(workload.MutInsert, io.InsertRate, io.InsertSchedule, 21)
+	source(workload.MutDelete, io.DeleteRate, io.DeleteSchedule, 22)
+	return store, ing, aux
 }

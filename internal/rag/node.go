@@ -1,0 +1,242 @@
+package rag
+
+import (
+	"time"
+
+	"vectorliterag/internal/brownout"
+	"vectorliterag/internal/costmodel"
+	"vectorliterag/internal/des"
+	"vectorliterag/internal/gpu"
+	"vectorliterag/internal/hw"
+	"vectorliterag/internal/llm"
+	"vectorliterag/internal/metrics"
+	"vectorliterag/internal/retrieval"
+	"vectorliterag/internal/serve"
+	"vectorliterag/internal/splitter"
+	"vectorliterag/internal/workload"
+)
+
+// nodeSpec is everything about a serving node that is the same for
+// every replica of a run: the hardware, the index bytes the decision
+// put on the GPUs, which retrieval engine scans them, and how admission
+// is metered. build instantiates it, once per replica, on whichever
+// timeline that replica lives on.
+type nodeSpec struct {
+	node  hw.Node
+	model llm.ModelSpec
+	// plans' shard bytes stack on the retrieval GPUs, shrinking the KV
+	// pool the LLM instances see. nDed > 0 (DED-GPU) reserves the node's
+	// last nDed GPUs for retrieval and leaves the LLM the rest; otherwise
+	// both share every GPU.
+	plans []*splitter.Plan
+	nDed  int
+	// cfg is the engine configuration minus the per-replica Sim and
+	// Forward; engine builds the run's retrieval engine from it.
+	cfg    retrieval.Config
+	engine func(cfg retrieval.Config, gpus []*gpu.State) (retrieval.Engine, error)
+	// classes, when non-nil, puts a FairScheduler of that lineup (and
+	// inflight bound) between admission and retrieval; overload, when
+	// non-nil, bounds its queues and optionally runs the brownout
+	// controller over budgets/bias (one entry per class).
+	classes  []serve.TenantClass
+	inflight int
+	overload *OverloadOptions
+	budgets  []brownout.StageBudget
+	bias     []float64
+}
+
+// singleSpec is the node of a single-corpus run: the decision's plan,
+// the engine its Kind names, and — only under overload control — a
+// single-class scheduler with the run's own stage SLOs as budgets.
+func singleSpec(opts *Options, d *decision, live retrieval.LiveCost) *nodeSpec {
+	s := &nodeSpec{
+		node: opts.Node, model: opts.Model, nDed: d.nDed,
+		cfg: retrieval.Config{W: opts.W, CPUModel: d.cpuModel, Live: live, MaxBatch: opts.MaxBatch, NVMe: opts.Node.NVMe},
+	}
+	if d.plan != nil {
+		s.plans = []*splitter.Plan{d.plan}
+	}
+	gm := costmodel.GPUScanModel{GPU: opts.Node.GPU}
+	s.engine = func(cfg retrieval.Config, gpus []*gpu.State) (retrieval.Engine, error) {
+		switch opts.Kind {
+		case CPUOnly:
+			return retrieval.NewCPUOnly(cfg), nil
+		case AllGPU:
+			return retrieval.NewAllGPU(cfg, d.plan, gpus, gm), nil
+		case DedGPU:
+			return retrieval.NewDedGPU(cfg, d.plan, gpus, gm), nil
+		case HedraRAG:
+			return retrieval.NewHedra(cfg, d.plan, gpus, gm), nil
+		}
+		h := retrieval.NewHybrid(cfg, d.plan, gpus, gm)
+		h.Dispatcher = !opts.DisableDispatcher
+		return h, nil
+	}
+	if opts.Overload != nil {
+		s.classes = []serve.TenantClass{{Weight: 1, Priority: 0}}
+		s.inflight = 32
+		s.overload = opts.Overload
+		s.budgets = stageBudgets(opts.Overload, []time.Duration{opts.SLOSearch}, opts.SLOGen)
+		s.bias = []float64{1}
+	}
+	return s
+}
+
+// node is one built replica: its pipeline plus the pieces the tally
+// reads back after the run (nil where the spec had none).
+type node struct {
+	pipe  *serve.Pipeline
+	coll  *serve.Collector
+	sched *serve.FairScheduler
+	brown *brownout.Controller
+}
+
+// build instantiates one replica of the spec on sim: fresh GPU states
+// with the shard bytes applied, admission into coll (skipped when coll
+// is nil — the resilient router keeps the only record), the optional
+// scheduler and overload rig, retrieval, generation. A completed
+// request is recorded, shown to the brownout monitor and then to each
+// observer, and finally handed to next, which takes ownership of it
+// (the pool release, a completion notice, a router) and so must come
+// last; a rejected one is frozen in the record and handed to next.
+func (s *nodeSpec) build(sim *des.Sim, coll *serve.Collector, observers []serve.Sink, next serve.Sink) (*node, error) {
+	states := gpu.NewStates(s.node)
+	split := len(states) - s.nDed
+	idxStates, llmStates := states, states
+	if s.nDed > 0 {
+		idxStates, llmStates = states[split:], states[:split]
+	}
+	for _, plan := range s.plans {
+		for g := range plan.ShardBytes {
+			if g < len(idxStates) {
+				idxStates[g].ShardBytes += plan.ShardBytes[g]
+			}
+		}
+	}
+
+	n := &node{coll: coll}
+	var builders []serve.Builder
+	var tail []serve.Sink
+	if coll != nil {
+		builders = append(builders, serve.Admit(coll))
+		tail = append(tail, coll.Done)
+	}
+	if s.classes != nil {
+		sched, err := serve.NewFairScheduler(s.classes, s.inflight)
+		if err != nil {
+			return nil, err
+		}
+		n.sched = sched
+		builders = append(builders, serve.Scheduled(sched))
+		if s.overload != nil {
+			sched.SetAdmission(s.overload.QueueCap, serve.Tee(coll.Abandon, next))
+		}
+		if s.overload != nil && s.overload.Brownout {
+			n.brown, err = brownout.NewController(sim, brownout.Config{
+				Window:  s.overload.Window,
+				MaxShed: s.overload.MaxShed,
+			}, s.budgets, s.bias)
+			if err != nil {
+				return nil, err
+			}
+			sched.SetOnDispatch(n.brown.Stamp)
+			tail = append(tail, n.brown.Observe)
+		}
+	}
+	terminal := serve.Tee(append(append(tail, observers...), next)...)
+
+	cfg := s.cfg
+	cfg.Sim = sim
+	// Compose builds back to front: generation first, so the engine's
+	// Forward hook points at a live cluster.
+	builders = append(builders,
+		serve.RetrievalStage(func(forward serve.Sink) (retrieval.Engine, error) {
+			cfg.Forward = forward
+			return s.engine(cfg, idxStates)
+		}),
+		serve.GenerationStage(func() (*llm.Cluster, error) {
+			return llm.NewCluster(sim, s.node, s.model, llmStates, llm.DefaultEngineConfig())
+		}))
+	pipe, err := serve.Compose(sim, terminal, builders...)
+	if err != nil {
+		return nil, err
+	}
+	if n.sched != nil {
+		// The scheduler meters the TTFT-relevant section — retrieval
+		// queue, search, LLM wait, prefill — releasing the slot at first
+		// token rather than at completion: decode proceeds concurrently
+		// for many requests inside the LLM and must not hold admission
+		// slots, while anything queued beyond the bound would sit in
+		// downstream FIFO queues where tier priority cannot act. The
+		// completion sink installed by Compose is re-installed unchanged.
+		pipe.Generation().Cluster.SetCallbacks(n.sched.Release, terminal)
+	}
+	n.pipe = pipe
+	return n, nil
+}
+
+// nodeRows reads back each node's share of a run — the traffic routed to
+// it (weights[i]; a lone node weighs 1), its mean batch size, its LLM
+// GPUs — and folds the rows and the engines' served recall gain into
+// the run-level aggregates: GPUs sum, the means weight each node by its
+// traffic, so a lone node reports its own readings exactly.
+func nodeRows(nodes []*node, weights []int, tp int) (rows []ReplicaResult, avgBatch, recallGain float64, llmGPUs int) {
+	var batchSum, gainSum float64
+	total := 0
+	for i, n := range nodes {
+		rr := ReplicaResult{
+			Submitted: weights[i],
+			AvgBatch:  n.pipe.Retrieval().AvgBatch(),
+			LLMGPUs:   n.pipe.Generation().GPUs(tp),
+		}
+		rows = append(rows, rr)
+		total += rr.Submitted
+		llmGPUs += rr.LLMGPUs
+		batchSum += rr.AvgBatch * float64(rr.Submitted)
+		if g, ok := n.pipe.Retrieval().Engine.(retrieval.RecallReporter); ok {
+			gainSum += g.RecallGain() * float64(rr.Submitted)
+		}
+	}
+	if total > 0 {
+		avgBatch = batchSum / float64(total)
+		recallGain = gainSum / float64(total)
+	}
+	return rows, avgBatch, recallGain, llmGPUs
+}
+
+// tally turns what a single-corpus run left behind — the decision, the
+// global record set (arrival order, one per admitted request), the
+// built nodes and how much traffic each took — into its Result, plus
+// the per-replica rows a routed run reports.
+func tally(opts *Options, d *decision, records []workload.Request, nodes []*node, weights []int) (Result, []ReplicaResult) {
+	res := Result{
+		Kind: opts.Kind, Rate: opts.Rate, SLOTotal: d.sloTotal,
+		Rho: d.rho, PlanBytes: d.planBytes, Mu0: d.mu0, Partition: d.partition,
+		Requests:  records,
+		Generated: len(records),
+		Summary:   metrics.Summarize(records, d.sloTotal, des.Time(opts.Warmup)),
+	}
+	var rows []ReplicaResult
+	rows, res.AvgBatch, res.RecallGain, res.LLMGPUs = nodeRows(nodes, weights, opts.Model.TP)
+	if d.plan != nil && d.plan.Prec != nil {
+		res.SQClusters = d.plan.Prec.SQClusters
+		res.NVMeClusters = d.plan.Prec.NVMeClusters
+	}
+	if opts.Overload != nil {
+		res.Overload = overloadReport(opts.Overload, nodes, 1, opts.Duration+opts.Drain)
+	}
+	return res, rows
+}
+
+// tallyCluster is tally for a routed run: each replica's row also
+// carries its own summary where the node kept a collector.
+func tallyCluster(opts *Options, d *decision, policy serve.Policy, records []workload.Request, nodes []*node, submitted []int) *ClusterResult {
+	res := &ClusterResult{Policy: policy}
+	res.Result, res.PerReplica = tally(opts, d, records, nodes, submitted)
+	for i, n := range nodes {
+		if n.coll != nil {
+			res.PerReplica[i].Summary = n.coll.Summarize(d.sloTotal, des.Time(opts.Warmup))
+		}
+	}
+	return res
+}

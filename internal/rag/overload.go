@@ -6,7 +6,6 @@ import (
 
 	"vectorliterag/internal/brownout"
 	"vectorliterag/internal/des"
-	"vectorliterag/internal/serve"
 )
 
 // OverloadOptions configures overload control on a serving run: bounded
@@ -37,25 +36,31 @@ type OverloadOptions struct {
 	MaxShed float64
 }
 
-// normalize validates and fills defaults.
-func (o *OverloadOptions) normalize() error {
-	if o.QueueCap < 0 {
-		return fmt.Errorf("rag: negative overload QueueCap %d", o.QueueCap)
+// normalized validates the options and returns a private copy with the
+// defaults filled in (see PrecisionOptions.normalized). A nil receiver
+// stays nil.
+func (o *OverloadOptions) normalized() (*OverloadOptions, error) {
+	if o == nil {
+		return nil, nil
 	}
-	if o.QueueCap == 0 {
-		o.QueueCap = 64
+	q := *o
+	if q.QueueCap < 0 {
+		return nil, fmt.Errorf("rag: negative overload QueueCap %d", q.QueueCap)
 	}
-	if o.RetrievalBudget < 0 || o.GenerationBudget < 0 {
-		return fmt.Errorf("rag: negative overload stage budget %v/%v",
-			o.RetrievalBudget, o.GenerationBudget)
+	if q.QueueCap == 0 {
+		q.QueueCap = 64
 	}
-	if o.Window < 0 {
-		return fmt.Errorf("rag: negative overload Window %d", o.Window)
+	if q.RetrievalBudget < 0 || q.GenerationBudget < 0 {
+		return nil, fmt.Errorf("rag: negative overload stage budget %v/%v",
+			q.RetrievalBudget, q.GenerationBudget)
 	}
-	if o.MaxShed < 0 || o.MaxShed >= 1 {
-		return fmt.Errorf("rag: overload MaxShed %v outside [0,1)", o.MaxShed)
+	if q.Window < 0 {
+		return nil, fmt.Errorf("rag: negative overload Window %d", q.Window)
 	}
-	return nil
+	if q.MaxShed < 0 || q.MaxShed >= 1 {
+		return nil, fmt.Errorf("rag: overload MaxShed %v outside [0,1)", q.MaxShed)
+	}
+	return &q, nil
 }
 
 // OverloadReport is the overload-control addendum of a run (nil when
@@ -83,151 +88,56 @@ type OverloadReport struct {
 	MeanShed        float64
 }
 
-// overloadRig is one pipeline's overload-control wiring: the admission
-// bound lives on the (possibly pre-existing) FairScheduler, the
-// optional controller observes completions and stamps dispatches.
-type overloadRig struct {
-	sched *serve.FairScheduler
-	ctrl  *brownout.Controller
-}
-
-// rigOverload installs overload control on a scheduler: the admission
-// bound with its rejection sink, and — when Brownout is set — the
-// controller over the given per-tenant stage budgets and tier biases,
-// hooked into the scheduler's dispatch path. The caller must tee
-// Observe into the completion path (before the request is recycled or
-// shipped away).
-func rigOverload(sim *des.Sim, o *OverloadOptions, sched *serve.FairScheduler,
-	budgets []brownout.StageBudget, bias []float64, reject serve.Sink) (*overloadRig, error) {
-	sched.SetAdmission(o.QueueCap, reject)
-	rig := &overloadRig{sched: sched}
-	if o.Brownout {
-		ctrl, err := brownout.NewController(sim, brownout.Config{
-			Window:  o.Window,
-			MaxShed: o.MaxShed,
-		}, budgets, bias)
-		if err != nil {
-			return nil, err
-		}
-		sched.SetOnDispatch(ctrl.Stamp)
-		rig.ctrl = ctrl
-	}
-	return rig, nil
-}
-
-// observe returns the rig's completion observer, or nil without a
-// controller — callers tee it conditionally.
-func (r *overloadRig) observe() serve.Sink {
-	if r == nil || r.ctrl == nil {
-		return nil
-	}
-	return r.ctrl.Observe
-}
-
-// teeObserve splices the rig's observer between record finalization and
-// the sink that gives the request away.
-func teeObserve(rig *overloadRig, record serve.Sink, release serve.Sink) serve.Sink {
-	if obs := rig.observe(); obs != nil {
-		return serve.Tee(record, obs, release)
-	}
-	return serve.Tee(record, release)
-}
-
-// report assembles the rig's outcome. end is the virtual clock at run
-// end; span the full run length the brownout share normalizes by.
-func (r *overloadRig) report(o *OverloadOptions, tenants int, end des.Time, span time.Duration) *OverloadReport {
-	rep := &OverloadReport{
-		QueueCap: o.QueueCap,
-		Brownout: o.Brownout,
-		Rejected: make([]int, tenants),
-	}
-	for t := 0; t < tenants; t++ {
-		rep.Rejected[t] = r.sched.Rejected(t)
-		rep.RejectedTotal += rep.Rejected[t]
-	}
-	if r.ctrl != nil {
-		rep.MaxLevel = r.ctrl.MaxLevel()
-		rep.TimeInBrownout = r.ctrl.TimeInBrownout(end)
-		if span > 0 {
-			rep.BrownoutShare = float64(rep.TimeInBrownout) / float64(span)
-		}
-		rep.StampedRequests = r.ctrl.StampedRequests()
-		rep.MeanShed = r.ctrl.MeanShed()
-	}
-	return rep
-}
-
-// mergeOverloadReports folds per-replica rigs into one report: rejected
-// counts sum, the brownout depth and dwell report the worst replica,
-// and the mean shed weights each replica by its stamped requests.
-func mergeOverloadReports(o *OverloadOptions, rigs []*overloadRig, tenants int, end des.Time, span time.Duration) *OverloadReport {
+// overloadReport folds the nodes' admission counters and brownout
+// controllers into one report: rejected counts sum, the brownout depth
+// and dwell report the worst replica, and the mean shed weights each
+// replica by its stamped requests (a lone node reports its own mean as
+// is, with no weighted round trip). span is the full run length.
+func overloadReport(o *OverloadOptions, nodes []*node, tenants int, span time.Duration) *OverloadReport {
 	rep := &OverloadReport{
 		QueueCap: o.QueueCap,
 		Brownout: o.Brownout,
 		Rejected: make([]int, tenants),
 	}
 	var shedSum float64
-	for _, rig := range rigs {
-		if rig == nil {
+	for _, n := range nodes {
+		for t := range rep.Rejected {
+			rep.Rejected[t] += n.sched.Rejected(t)
+			rep.RejectedTotal += n.sched.Rejected(t)
+		}
+		if n.brown == nil {
 			continue
 		}
-		rr := rig.report(o, tenants, end, span)
-		for t := range rep.Rejected {
-			rep.Rejected[t] += rr.Rejected[t]
-		}
-		rep.RejectedTotal += rr.RejectedTotal
-		if rr.MaxLevel > rep.MaxLevel {
-			rep.MaxLevel = rr.MaxLevel
-		}
-		if rr.TimeInBrownout > rep.TimeInBrownout {
-			rep.TimeInBrownout = rr.TimeInBrownout
-			rep.BrownoutShare = rr.BrownoutShare
-		}
-		rep.StampedRequests += rr.StampedRequests
-		shedSum += rr.MeanShed * float64(rr.StampedRequests)
+		rep.MaxLevel = max(rep.MaxLevel, n.brown.MaxLevel())
+		rep.TimeInBrownout = max(rep.TimeInBrownout, n.brown.TimeInBrownout(des.Time(span)))
+		rep.StampedRequests += n.brown.StampedRequests()
+		shedSum += n.brown.MeanShed() * float64(n.brown.StampedRequests())
 	}
-	if rep.StampedRequests > 0 {
+	if span > 0 {
+		rep.BrownoutShare = float64(rep.TimeInBrownout) / float64(span)
+	}
+	if len(nodes) == 1 && nodes[0].brown != nil {
+		rep.MeanShed = nodes[0].brown.MeanShed()
+	} else if rep.StampedRequests > 0 {
 		rep.MeanShed = shedSum / float64(rep.StampedRequests)
 	}
 	return rep
 }
 
-// overloadBudgets derives the per-tenant stage budgets and tier biases
-// for a multi-tenant run's controller.
-func (opts *MultiTenantOptions) overloadBudgets() ([]brownout.StageBudget, []float64) {
-	budgets := make([]brownout.StageBudget, len(opts.Tenants))
-	bias := make([]float64, len(opts.Tenants))
-	for i, tc := range opts.Tenants {
-		b := brownout.StageBudget{Retrieval: tc.SLOSearch, Generation: opts.SLOGen}
-		if opts.Overload.RetrievalBudget > 0 {
-			b.Retrieval = opts.Overload.RetrievalBudget
+// stageBudgets derives the brownout controller's per-tenant stage
+// budgets: each tenant's own search SLO and the run's generation SLO,
+// unless the options override them.
+func stageBudgets(o *OverloadOptions, sloSearch []time.Duration, sloGen time.Duration) []brownout.StageBudget {
+	budgets := make([]brownout.StageBudget, len(sloSearch))
+	for i, slo := range sloSearch {
+		b := brownout.StageBudget{Retrieval: slo, Generation: sloGen}
+		if o.RetrievalBudget > 0 {
+			b.Retrieval = o.RetrievalBudget
 		}
-		if opts.Overload.GenerationBudget > 0 {
-			b.Generation = opts.Overload.GenerationBudget
+		if o.GenerationBudget > 0 {
+			b.Generation = o.GenerationBudget
 		}
 		budgets[i] = b
-		bias[i] = tc.Tier.BrownoutBias()
 	}
-	return budgets, bias
-}
-
-// overloadBudget is the single-tenant form: one budget from the run's
-// own stage SLOs, full bias.
-func (opts *Options) overloadBudget() ([]brownout.StageBudget, []float64) {
-	b := brownout.StageBudget{Retrieval: opts.SLOSearch, Generation: opts.SLOGen}
-	if opts.Overload.RetrievalBudget > 0 {
-		b.Retrieval = opts.Overload.RetrievalBudget
-	}
-	if opts.Overload.GenerationBudget > 0 {
-		b.Generation = opts.Overload.GenerationBudget
-	}
-	return []brownout.StageBudget{b}, []float64{1}
-}
-
-// rejectSink builds the standard rejection path: freeze the collector
-// record as unserved, then hand the request to the give-away sink
-// (pool release on a single timeline, the completion notice on a
-// sharded replica).
-func rejectSink(abandon serve.Sink, giveAway serve.Sink) serve.Sink {
-	return serve.Tee(abandon, giveAway)
+	return budgets
 }

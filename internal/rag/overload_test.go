@@ -25,14 +25,17 @@ func TestOverloadOptionsNormalize(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			o := tc.o
-			err := o.normalize()
+			in := tc.o
+			o, err := in.normalized()
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
 				}
 				if o.QueueCap == 0 {
-					t.Fatal("normalize left the default queue cap at 0")
+					t.Fatal("normalized left the default queue cap at 0")
+				}
+				if in != tc.o {
+					t.Fatalf("normalized wrote through the caller's options: %+v", in)
 				}
 				return
 			}
@@ -40,39 +43,6 @@ func TestOverloadOptionsNormalize(t *testing.T) {
 				t.Fatalf("error %v does not name %s", err, tc.wantErr)
 			}
 		})
-	}
-}
-
-// TestOverloadIncompatibleModes: every serving mode that cannot honor
-// overload control must say so up front instead of silently ignoring
-// the option.
-func TestOverloadIncompatibleModes(t *testing.T) {
-	ov := &OverloadOptions{QueueCap: 16}
-
-	mt := mtOpts(t)
-	mt.Overload = ov
-	mt.SharedQueue = true
-	if _, err := RunMultiTenant(mt); err == nil || !strings.Contains(err.Error(), "shared-queue") {
-		t.Fatalf("SharedQueue+Overload: %v", err)
-	}
-
-	ao := AdaptiveOptions{Options: baseOpts(t, VLiteRAG, 10)}
-	ao.Overload = ov
-	if _, err := RunAdaptive(ao); err == nil || !strings.Contains(err.Error(), "overload") {
-		t.Fatalf("adaptive+Overload: %v", err)
-	}
-
-	co := baseOpts(t, VLiteRAG, 10)
-	co.Overload = ov
-	if _, err := RunCluster(co, 2, ""); err == nil || !strings.Contains(err.Error(), "overload") {
-		t.Fatalf("cluster+Overload: %v", err)
-	}
-
-	lo := LiveOptions{Options: baseOpts(t, VLiteRAG, 10)}
-	lo.Overload = ov
-	lo.Ingest.InsertRate = 4
-	if _, err := RunLive(lo); err == nil || !strings.Contains(err.Error(), "overload") {
-		t.Fatalf("live-ingest+Overload: %v", err)
 	}
 }
 

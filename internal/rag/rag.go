@@ -157,24 +157,31 @@ type PrecisionOptions struct {
 	NVMeColdShare float64
 }
 
-// normalize fills defaults and validates.
-func (p *PrecisionOptions) normalize() error {
-	if p.SQBudgetFrac < 0 {
-		return fmt.Errorf("rag: negative precision SQBudgetFrac %v", p.SQBudgetFrac)
+// normalized validates the options and returns a private copy with the
+// defaults filled in, so the caller's struct is never written through
+// (a caller may share one pointer across concurrent runs). A nil
+// receiver stays nil.
+func (p *PrecisionOptions) normalized() (*PrecisionOptions, error) {
+	if p == nil {
+		return nil, nil
 	}
-	if p.SQBudgetFrac > 1 {
-		return fmt.Errorf("rag: precision SQBudgetFrac %v exceeds 1", p.SQBudgetFrac)
+	q := *p
+	if q.SQBudgetFrac < 0 {
+		return nil, fmt.Errorf("rag: negative precision SQBudgetFrac %v", q.SQBudgetFrac)
 	}
-	if p.NVMeColdShare < 0 || p.NVMeColdShare >= 1 {
-		return fmt.Errorf("rag: precision NVMeColdShare %v outside [0,1)", p.NVMeColdShare)
+	if q.SQBudgetFrac > 1 {
+		return nil, fmt.Errorf("rag: precision SQBudgetFrac %v exceeds 1", q.SQBudgetFrac)
 	}
-	if p.SQBudgetFrac == 0 {
-		p.SQBudgetFrac = 0.10
+	if q.NVMeColdShare < 0 || q.NVMeColdShare >= 1 {
+		return nil, fmt.Errorf("rag: precision NVMeColdShare %v outside [0,1)", q.NVMeColdShare)
 	}
-	if p.NVMeColdShare == 0 {
-		p.NVMeColdShare = 0.02
+	if q.SQBudgetFrac == 0 {
+		q.SQBudgetFrac = 0.10
 	}
-	return nil
+	if q.NVMeColdShare == 0 {
+		q.NVMeColdShare = 0.02
+	}
+	return &q, nil
 }
 
 // resilient reports whether this run takes the failure-aware path.
@@ -198,18 +205,11 @@ func (opts *Options) normalize() (sloTotal time.Duration, err error) {
 	if err := dataset.ValidateDrift(opts.Drift); err != nil {
 		return 0, fmt.Errorf("rag: %w", err)
 	}
-	if opts.Precision != nil {
-		if opts.Kind != VLiteRAG {
-			return 0, fmt.Errorf("rag: precision refinement applies to %s only, not %s", VLiteRAG, opts.Kind)
-		}
-		if err := opts.Precision.normalize(); err != nil {
-			return 0, err
-		}
+	if opts.Precision, err = opts.Precision.normalized(); err != nil {
+		return 0, err
 	}
-	if opts.Overload != nil {
-		if err := opts.Overload.normalize(); err != nil {
-			return 0, err
-		}
+	if opts.Overload, err = opts.Overload.normalized(); err != nil {
+		return 0, err
 	}
 	if opts.Duration == 0 {
 		opts.Duration = 120 * time.Second
@@ -246,15 +246,6 @@ type Result struct {
 	// snapshots from the streaming collector, not the pooled (recycled)
 	// live objects.
 	Requests []workload.Request
-
-	// ServeWall is host wall-clock spent inside the run's simulation
-	// section (arrival scheduling plus the event loop), excluding the
-	// offline decision work; ServeAllocs and ServeBytes are the heap
-	// allocation deltas over the same section. They exist so bench-serve
-	// can track the simulation core's performance across PRs.
-	ServeWall   time.Duration
-	ServeAllocs uint64
-	ServeBytes  uint64
 
 	// Rho is the GPU cache coverage the system chose (1 for ALL/DED-GPU,
 	// 0 for CPU-only).
@@ -337,15 +328,6 @@ func GenSLO(node hw.Node, model llm.ModelSpec, shape workload.Shape) (time.Durat
 	genSLOCache.m[key] = slo
 	genSLOCache.Unlock()
 	return slo, nil
-}
-
-// applyShards records per-GPU resident shard bytes (shrinking KV).
-func applyShards(states []*gpu.State, plan *splitter.Plan) {
-	for g := range plan.ShardBytes {
-		if g < len(states) {
-			states[g].ShardBytes = plan.ShardBytes[g]
-		}
-	}
 }
 
 // nodeKVBytes returns the node-wide baseline KV capacity with no index

@@ -131,12 +131,6 @@ func TestFaultFreeResilientCompletes(t *testing.T) {
 }
 
 func TestResilientValidation(t *testing.T) {
-	// Single-node Run rejects fault schedules.
-	o := baseOpts(t, VLiteRAG, 10)
-	o.Faults = fault.Schedule{{Kind: fault.Crash, Replica: 0, At: time.Second, Duration: time.Second}}
-	if _, err := Run(o); err == nil {
-		t.Fatal("Run accepted a fault schedule")
-	}
 	// RunCluster rejects schedules naming replicas the run doesn't have.
 	o2 := baseOpts(t, VLiteRAG, 10)
 	o2.Faults = fault.Schedule{{Kind: fault.Crash, Replica: 5, At: time.Second, Duration: time.Second}}

@@ -151,25 +151,6 @@ func TestRunIgnoresWorkers(t *testing.T) {
 	}
 }
 
-func TestShardedClusterValidation(t *testing.T) {
-	o := baseOpts(t, CPUOnly, 10)
-	o.NetDelay = -time.Millisecond
-	if _, err := RunCluster(o, 2, serve.RoundRobin); err == nil {
-		t.Error("negative NetDelay accepted")
-	}
-	mo := mtOpts(t)
-	mo.NetDelay = -time.Millisecond
-	if _, err := RunMultiTenant(mo); err == nil {
-		t.Error("negative tenant NetDelay accepted")
-	}
-	mo = mtOpts(t)
-	mo.Replicas = 2
-	mo.Policy = "bogus"
-	if _, err := RunMultiTenant(mo); err == nil {
-		t.Error("unknown policy accepted on sharded tenants path")
-	}
-}
-
 func shardedMTOpts(t *testing.T, seed uint64, workers int) MultiTenantOptions {
 	o := mtOpts(t)
 	o.Seed = seed
@@ -298,11 +279,11 @@ func TestWorkerScalingSmoke(t *testing.T) {
 		o.NetDelay = time.Millisecond
 		best := time.Duration(1<<63 - 1)
 		for rep := 0; rep < 3; rep++ {
-			res, err := RunCluster(o, 16, serve.RoundRobin)
-			if err != nil {
+			t0 := time.Now()
+			if _, err := RunCluster(o, 16, serve.RoundRobin); err != nil {
 				t.Fatal(err)
 			}
-			best = min(best, res.ServeWall)
+			best = min(best, time.Since(t0))
 		}
 		return best
 	}

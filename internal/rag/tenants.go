@@ -8,14 +8,13 @@ import (
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/des"
 	"vectorliterag/internal/gpu"
-	"vectorliterag/internal/hitrate"
 	"vectorliterag/internal/hw"
 	"vectorliterag/internal/llm"
 	"vectorliterag/internal/metrics"
 	"vectorliterag/internal/partition"
-	"vectorliterag/internal/perfmodel"
 	"vectorliterag/internal/profiler"
 	"vectorliterag/internal/retrieval"
+	"vectorliterag/internal/rng"
 	"vectorliterag/internal/serve"
 	"vectorliterag/internal/splitter"
 	"vectorliterag/internal/tenant"
@@ -150,11 +149,6 @@ type MultiTenantResult struct {
 	// Requests holds per-request records in arrival order (value
 	// snapshots from the streaming collector).
 	Requests []workload.Request
-	// ServeWall / ServeAllocs / ServeBytes measure the simulation
-	// section, as on Result (see beginServeSection).
-	ServeWall   time.Duration
-	ServeAllocs uint64
-	ServeBytes  uint64
 
 	// Replicas, Workers, NetDelay, and PerReplicaSubmitted echo the
 	// sharded execution configuration (zero/nil on the single-node
@@ -170,14 +164,17 @@ type MultiTenantResult struct {
 }
 
 // normalizeMT fills defaults and validates the option set, returning
-// the per-tenant combined SLO budgets.
-func (opts *MultiTenantOptions) normalizeMT() ([]time.Duration, error) {
+// the per-tenant combined SLO budgets. Defaults land on private copies
+// of the tenant lineup and the refinement options, never in the
+// caller's memory.
+func (opts *MultiTenantOptions) normalizeMT() (slos []time.Duration, err error) {
 	if len(opts.Tenants) == 0 {
 		return nil, fmt.Errorf("rag: no tenants")
 	}
 	if opts.Node.NumGPUs == 0 {
 		return nil, fmt.Errorf("rag: node has no GPUs")
 	}
+	opts.Tenants = append([]TenantConfig(nil), opts.Tenants...)
 	for i := range opts.Tenants {
 		tc := &opts.Tenants[i]
 		if tc.W == nil {
@@ -226,20 +223,13 @@ func (opts *MultiTenantOptions) normalizeMT() ([]time.Duration, error) {
 		}
 		opts.SLOGen = slo
 	}
-	if opts.Precision != nil {
-		if err := opts.Precision.normalize(); err != nil {
-			return nil, err
-		}
+	if opts.Precision, err = opts.Precision.normalized(); err != nil {
+		return nil, err
 	}
-	if opts.Overload != nil {
-		if opts.SharedQueue {
-			return nil, fmt.Errorf("rag: overload control needs the fair scheduler's per-tenant queues; it cannot bound the shared-queue baseline")
-		}
-		if err := opts.Overload.normalize(); err != nil {
-			return nil, err
-		}
+	if opts.Overload, err = opts.Overload.normalized(); err != nil {
+		return nil, err
 	}
-	slos := make([]time.Duration, len(opts.Tenants))
+	slos = make([]time.Duration, len(opts.Tenants))
 	for i := range opts.Tenants {
 		slos[i] = opts.Tenants[i].SLOSearch + opts.SLOGen
 	}
@@ -258,10 +248,6 @@ type tenantDecision struct {
 // decideTenants profiles every tenant, runs the joint allocator, and
 // builds each tenant's split plan at its granted coverage.
 func decideTenants(opts *MultiTenantOptions) (*tenantDecision, error) {
-	n := opts.ProfileQueries
-	if n <= 0 {
-		n = 4000
-	}
 	mu0, err := bareCapacity(opts.Node, opts.Model, opts.Node.NumGPUs, opts.Shape)
 	if err != nil {
 		return nil, err
@@ -270,16 +256,12 @@ func decideTenants(opts *MultiTenantOptions) (*tenantDecision, error) {
 	inputs := make([]tenant.Input, len(opts.Tenants))
 	profs := make([]*profiler.AccessProfile, len(opts.Tenants))
 	for i, tc := range opts.Tenants {
-		prof, err := profiler.CollectAccess(tc.W, n, opts.Seed+1+101*uint64(i))
-		if err != nil {
-			return nil, fmt.Errorf("rag: tenant %s: %w", tc.Name, err)
-		}
-		est, err := hitrate.NewEstimator(prof)
+		prof, err := profiler.CollectAccess(tc.W, profileSample(opts.ProfileQueries), opts.Seed+1+101*uint64(i))
 		if err != nil {
 			return nil, fmt.Errorf("rag: tenant %s: %w", tc.Name, err)
 		}
 		cm := costmodel.NewSearchModel(opts.Node.CPU, tc.W.Spec)
-		perf, err := perfmodel.Fit(profiler.ProfileLatency(cm, profiler.DefaultBatches()))
+		est, perf, err := fitModels(prof, cm)
 		if err != nil {
 			return nil, fmt.Errorf("rag: tenant %s: %w", tc.Name, err)
 		}
@@ -403,6 +385,37 @@ func attachTenantPrecision(opts *MultiTenantOptions, prof *profiler.AccessProfil
 	return nil
 }
 
+// tenantSpec is the node of a multi-tenant run: every tenant's plan
+// stacked on one set of GPUs, the multi-tenant engine pricing each
+// stage per tenant slot (the shared engine config carries no Workload
+// or CPUModel), and — unless SharedQueue — the FairScheduler over the
+// tenants' tiers, with each tenant's own SLOs as overload budgets.
+func tenantSpec(opts *MultiTenantOptions, d *tenantDecision) *nodeSpec {
+	s := &nodeSpec{
+		node: opts.Node, model: opts.Model, plans: d.plans,
+		cfg: retrieval.Config{MaxBatch: opts.MaxBatch, NVMe: opts.Node.NVMe},
+	}
+	slots := make([]retrieval.TenantSlot, len(opts.Tenants))
+	sloSearch := make([]time.Duration, len(opts.Tenants))
+	for i, tc := range opts.Tenants {
+		slots[i] = retrieval.TenantSlot{W: tc.W, Plan: d.plans[i], CPUModel: d.cpuModels[i], Priority: tc.Tier.Priority()}
+		sloSearch[i] = tc.SLOSearch
+		if !opts.SharedQueue {
+			s.classes = append(s.classes, serve.TenantClass{Weight: tc.Tier.Weight(), Priority: tc.Tier.Priority()})
+			s.bias = append(s.bias, tc.Tier.BrownoutBias())
+		}
+	}
+	s.engine = func(cfg retrieval.Config, gpus []*gpu.State) (retrieval.Engine, error) {
+		return retrieval.NewMultiTenant(cfg, slots, gpus, costmodel.GPUScanModel{GPU: opts.Node.GPU})
+	}
+	s.inflight = opts.SchedulerInflight
+	if opts.Overload != nil {
+		s.overload = opts.Overload
+		s.budgets = stageBudgets(opts.Overload, sloSearch, opts.SLOGen)
+	}
+	return s
+}
+
 // RunMultiTenant executes one multi-tenant evaluation point: N tenants
 // with their own corpora, rates, and SLO tiers share one node. The
 // joint allocator splits HBM across the tenants' GPU index caches
@@ -410,138 +423,104 @@ func attachTenantPrecision(opts *MultiTenantOptions, prof *profiler.AccessProfil
 // arrivals multiplex onto one virtual timeline, and the FairScheduler
 // meters admission into the shared retrieval engine — unless
 // SharedQueue selects the unmetered baseline.
+//
+// Replicas > 1 (or a NetDelay, or Workers > 1) serves the lineup on R
+// identical multi-tenant nodes behind the sharded exchange, each with
+// its own GPU states, retrieval engine, LLM cluster, and fair
+// scheduler. The joint HBM allocation is made once per *replica* — each
+// node carries every tenant's index slice sized for its 1/R share of
+// that tenant's traffic — and reported rates stay nominal
+// (cluster-wide).
 func RunMultiTenant(opts MultiTenantOptions) (*MultiTenantResult, error) {
 	if opts.NetDelay < 0 {
 		return nil, fmt.Errorf("rag: negative NetDelay %v", opts.NetDelay)
 	}
-	if opts.Replicas > 1 || opts.NetDelay > 0 || opts.Workers > 1 {
-		return runMultiTenantSharded(opts)
+	if err := reject(when(opts.SharedQueue, fSharedQueue)|when(opts.Overload != nil, fOverload), ""); err != nil {
+		return nil, err
+	}
+	sharded := opts.Replicas > 1 || opts.NetDelay > 0 || opts.Workers > 1
+	replicas := max(opts.Replicas, 1)
+	if sharded && opts.NetDelay == 0 {
+		opts.NetDelay = DefaultNetDelay
 	}
 	slos, err := opts.normalizeMT()
 	if err != nil {
 		return nil, err
 	}
-	d, err := decideTenants(&opts)
+	// Size each node's allocation for its share of the traffic: the
+	// allocator sees per-replica rates, every other input unchanged.
+	scaled := opts
+	scaled.Tenants = append([]TenantConfig(nil), opts.Tenants...)
+	for i := range scaled.Tenants {
+		scaled.Tenants[i].Rate /= float64(replicas)
+	}
+	d, err := decideTenants(&scaled)
 	if err != nil {
 		return nil, err
 	}
+	spec := tenantSpec(&opts, d)
 
-	// One shared set of GPU states: every tenant's shard bytes stack up
-	// on the same devices, shrinking the KV pool the LLM instances see.
-	states := gpu.NewStates(opts.Node)
-	for _, plan := range d.plans {
-		for g := range plan.ShardBytes {
-			if g < len(states) {
-				states[g].ShardBytes += plan.ShardBytes[g]
-			}
-		}
-	}
-	gm := costmodel.GPUScanModel{GPU: opts.Node.GPU}
-	slots := make([]retrieval.TenantSlot, len(opts.Tenants))
-	for i, tc := range opts.Tenants {
-		slots[i] = retrieval.TenantSlot{W: tc.W, Plan: d.plans[i], CPUModel: d.cpuModels[i], Priority: tc.Tier.Priority()}
-	}
-
-	var sched *serve.FairScheduler
-	if !opts.SharedQueue {
-		classes := make([]serve.TenantClass, len(opts.Tenants))
+	// startTenants starts every tenant's arrival source on a front
+	// simulator, feeding submit; seed is the engine's pinned seed rule.
+	startTenants := func(front *des.Sim, pool *workload.Pool, submit serve.Sink, seed func(i uint64) uint64) {
 		for i, tc := range opts.Tenants {
-			classes[i] = serve.TenantClass{Weight: tc.Tier.Weight(), Priority: tc.Tier.Priority()}
+			arr := arrivalsFor(tc.W, tc.Rate, tc.RateSchedule, opts.Shape, seed(uint64(i)), pool)
+			arr.SetTenant(i)
+			arr.Start(front, des.Time(opts.Duration), submit)
 		}
-		sched, err = serve.NewFairScheduler(classes, opts.SchedulerInflight)
+	}
+	res := &MultiTenantResult{SharedQueue: opts.SharedQueue}
+	var records []workload.Request
+	var nodes []*node
+	weights := []int{1}
+	if sharded {
+		f, err := newFleet(spec, replicas, opts.Policy, opts.NetDelay)
 		if err != nil {
 			return nil, err
 		}
-	}
-
-	var sim des.Sim
-	pool := &workload.Pool{}
-	coll := serve.NewCollector()
-	retr := serve.RetrievalStage(func(forward serve.Sink) (retrieval.Engine, error) {
-		// The shared config carries no Workload or CPUModel: the engine
-		// prices every stage per tenant slot.
-		return retrieval.NewMultiTenant(retrieval.Config{
-			Sim:      &sim,
-			Forward:  forward,
-			MaxBatch: opts.MaxBatch,
-			NVMe:     opts.Node.NVMe,
-		}, slots, states, gm)
-	})
-	gen := serve.GenerationStage(func() (*llm.Cluster, error) {
-		return llm.NewCluster(&sim, opts.Node, opts.Model, states, llm.DefaultEngineConfig())
-	})
-	var rig *overloadRig
-	if opts.Overload != nil {
-		budgets, bias := opts.overloadBudgets()
-		rig, err = rigOverload(&sim, opts.Overload, sched, budgets, bias,
-			rejectSink(coll.Abandon, pool.Release))
+		// Stream splitting makes the front's multiplexed order a pure
+		// function of (Seed, tenant index), independent of worker count.
+		startTenants(f.x.FrontSim(), f.pool, f.x.Submit, func(i uint64) uint64 { return rng.Stream(opts.Seed+7, i) })
+		records, weights, res.Workers = f.run(des.Time(opts.Duration+opts.Drain), opts.Workers)
+		nodes = f.nodes
+		res.Replicas, res.NetDelay, res.PerReplicaSubmitted = replicas, opts.NetDelay, weights
+	} else {
+		var sim des.Sim
+		pool := &workload.Pool{}
+		coll := serve.NewCollector()
+		n, err := spec.build(&sim, coll, nil, pool.Release)
 		if err != nil {
 			return nil, err
 		}
+		startTenants(&sim, pool, n.pipe.Submit, func(i uint64) uint64 { return opts.Seed + 7 + 13*i })
+		sim.RunUntil(des.Time(opts.Duration + opts.Drain))
+		records, nodes = coll.Requests(), []*node{n}
 	}
-	builders := []serve.Builder{serve.Admit(coll)}
-	if sched != nil {
-		builders = append(builders, serve.Scheduled(sched))
-	}
-	builders = append(builders, retr, gen)
-	terminal := teeObserve(rig, coll.Done, pool.Release)
-	pipe, err := serve.Compose(&sim, terminal, builders...)
-	if err != nil {
-		return nil, err
-	}
-	if sched != nil {
-		// The scheduler meters the TTFT-relevant section — retrieval
-		// queue, search, LLM wait, prefill — releasing the slot at first
-		// token rather than at completion: decode proceeds concurrently
-		// for many requests inside the LLM and must not hold admission
-		// slots, while anything queued beyond the bound would sit in
-		// downstream FIFO queues where tier priority cannot act. The
-		// completion sink installed by Compose is re-installed unchanged.
-		pipe.Generation().Cluster.SetCallbacks(sched.Release, terminal)
-	}
+	tallyTenants(res, &opts, slos, d, records, nodes, weights)
+	return res, nil
+}
 
-	sec := beginServeSection()
-	for i, tc := range opts.Tenants {
-		seed := opts.Seed + 7 + 13*uint64(i)
-		var arr *serve.Arrivals
-		if tc.RateSchedule != nil {
-			arr = serve.NewScheduledArrivals(tc.W, tc.RateSchedule, opts.Shape, seed)
-		} else {
-			arr = serve.NewArrivals(tc.W, tc.Rate, opts.Shape, seed)
-		}
-		arr.SetTenant(i)
-		arr.SetPool(pool)
-		arr.Start(&sim, des.Time(opts.Duration), pipe.Submit)
-	}
-	sim.RunUntil(des.Time(opts.Duration + opts.Drain))
-	wall, allocs, bytes := sec.end()
+// tallyTenants fills a multi-tenant result from what the run left
+// behind: the allocation, the global record set (arrival order), the
+// built nodes and how much traffic each took.
+func tallyTenants(res *MultiTenantResult, opts *MultiTenantOptions, slos []time.Duration, d *tenantDecision, records []workload.Request, nodes []*node, weights []int) {
+	res.Mu0 = d.mu0
+	res.MuLLM = d.alloc.MuLLM
+	res.BudgetBytes = d.alloc.BudgetBytes
+	res.UsedBytes = d.alloc.UsedBytes
+	res.Generated = len(records)
+	res.Requests = records
+	_, res.AvgBatch, res.RecallGain, res.LLMGPUs = nodeRows(nodes, weights, opts.Model.TP)
 
 	// Per-tenant summaries against each tenant's own combined SLO.
-	// Records partition by tenant in arrival order, preserving the
-	// aggregation order of the pre-record implementation bit for bit.
-	all := coll.Requests()
+	// Records partition by tenant in arrival order.
 	byTenant := make([][]workload.Request, len(opts.Tenants))
-	for _, req := range all {
+	for _, req := range records {
 		t := req.Tenant
 		if t < 0 || t >= len(byTenant) {
 			t = 0
 		}
 		byTenant[t] = append(byTenant[t], req)
-	}
-	res := &MultiTenantResult{
-		ServeWall: wall, ServeAllocs: allocs, ServeBytes: bytes,
-		Mu0:         d.mu0,
-		MuLLM:       d.alloc.MuLLM,
-		BudgetBytes: d.alloc.BudgetBytes,
-		UsedBytes:   d.alloc.UsedBytes,
-		SharedQueue: opts.SharedQueue,
-		Generated:   coll.Admitted(),
-		Requests:    all,
-		AvgBatch:    pipe.Retrieval().AvgBatch(),
-		LLMGPUs:     pipe.Generation().GPUs(opts.Model.TP),
-	}
-	if g, ok := pipe.Retrieval().Engine.(retrieval.RecallReporter); ok {
-		res.RecallGain = g.RecallGain()
 	}
 	atts := make([]float64, len(opts.Tenants))
 	var okWeighted float64
@@ -552,10 +531,13 @@ func RunMultiTenant(opts MultiTenantOptions) (*MultiTenantResult, error) {
 			Name: tc.Name, Tier: tc.Tier, Rate: tc.Rate,
 			SLOTotal: slos[i], Alloc: d.alloc.Allocations[i], Summary: sum,
 		}
-		if sched != nil {
-			tr.PeakQueue = sched.PeakQueue(i)
-			if rig != nil {
-				tr.Rejected = sched.Rejected(i)
+		for _, n := range nodes {
+			if n.sched == nil {
+				continue
+			}
+			tr.PeakQueue = max(tr.PeakQueue, n.sched.PeakQueue(i))
+			if opts.Overload != nil {
+				tr.Rejected += n.sched.Rejected(i)
 			}
 		}
 		res.Tenants = append(res.Tenants, tr)
@@ -567,9 +549,7 @@ func RunMultiTenant(opts MultiTenantOptions) (*MultiTenantResult, error) {
 	if total > 0 {
 		res.Attainment = okWeighted / float64(total)
 	}
-	if rig != nil {
-		res.Overload = rig.report(opts.Overload, len(opts.Tenants),
-			des.Time(opts.Duration+opts.Drain), opts.Duration+opts.Drain)
+	if opts.Overload != nil {
+		res.Overload = overloadReport(opts.Overload, nodes, len(opts.Tenants), opts.Duration+opts.Drain)
 	}
-	return res, nil
 }

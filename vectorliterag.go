@@ -426,14 +426,20 @@ func ragOptions(opts ServeOptions) rag.Options {
 	return ro
 }
 
-// Serve runs the end-to-end pipeline (arrivals → admission → retrieval
-// → generation) in virtual time and reports the paper's metrics.
-func Serve(opts ServeOptions) (*Report, error) {
-	res, err := rag.Run(ragOptions(opts))
-	if err != nil {
-		return nil, err
+// timelineBucket resolves a caller's TimelineBucket override.
+func timelineBucket(override time.Duration) time.Duration {
+	if override <= 0 {
+		return defaultTimelineBucket
 	}
-	return &Report{
+	return override
+}
+
+// reportFrom projects a run result onto the public report, with the
+// attainment timeline at the given resolution. Every single-summary
+// Serve* builds its Report here, so no entry point can drop a field the
+// others carry.
+func reportFrom(res *rag.Result, bucket time.Duration) Report {
+	return Report{
 		Summary:      res.Summary,
 		SLOTotal:     res.SLOTotal,
 		Rho:          res.Rho,
@@ -442,9 +448,20 @@ func Serve(opts ServeOptions) (*Report, error) {
 		RecallGain:   res.RecallGain,
 		SQClusters:   res.SQClusters,
 		NVMeClusters: res.NVMeClusters,
-		Timeline:     metrics.Timeline(res.Requests, res.SLOTotal, defaultTimelineBucket),
+		Timeline:     metrics.Timeline(res.Requests, res.SLOTotal, bucket),
 		Overload:     res.Overload,
-	}, nil
+	}
+}
+
+// Serve runs the end-to-end pipeline (arrivals → admission → retrieval
+// → generation) in virtual time and reports the paper's metrics.
+func Serve(opts ServeOptions) (*Report, error) {
+	res, err := rag.Run(ragOptions(opts))
+	if err != nil {
+		return nil, err
+	}
+	rep := reportFrom(res, defaultTimelineBucket)
+	return &rep, nil
 }
 
 // AdaptiveServeOptions configures an adaptive vLiteRAG serving run:
@@ -488,19 +505,8 @@ func ServeAdaptive(opts AdaptiveServeOptions) (*AdaptiveReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	bucket := opts.TimelineBucket
-	if bucket <= 0 {
-		bucket = defaultTimelineBucket
-	}
 	return &AdaptiveReport{
-		Report: Report{
-			Summary:  res.Summary,
-			SLOTotal: res.SLOTotal,
-			Rho:      res.Rho,
-			AvgBatch: res.AvgBatch,
-			Mu0:      res.Mu0,
-			Timeline: metrics.Timeline(res.Requests, res.SLOTotal, bucket),
-		},
+		Report:          reportFrom(&res.Result, timelineBucket(opts.TimelineBucket)),
 		ExpectedHitRate: res.ExpectedHitRate,
 		Rebuilds:        res.Rebuilds,
 		Pending:         res.Pending,
@@ -599,21 +605,11 @@ func ServeLive(opts LiveServeOptions) (*LiveReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	bucket := opts.TimelineBucket
-	if bucket <= 0 {
-		bucket = defaultTimelineBucket
-	}
-	wins := metrics.Timeline(res.Requests, res.SLOTotal, bucket)
-	metrics.AnnotateFreshness(wins, res.Mutations, res.FreshnessSLO, bucket)
+	bucket := timelineBucket(opts.TimelineBucket)
+	rep := reportFrom(&res.Result, bucket)
+	metrics.AnnotateFreshness(rep.Timeline, res.Mutations, res.FreshnessSLO, bucket)
 	return &LiveReport{
-		Report: Report{
-			Summary:  res.Summary,
-			SLOTotal: res.SLOTotal,
-			Rho:      res.Rho,
-			AvgBatch: res.AvgBatch,
-			Mu0:      res.Mu0,
-			Timeline: wins,
-		},
+		Report:        rep,
 		Freshness:     res.Freshness,
 		FreshnessSLO:  res.FreshnessSLO,
 		Mutations:     len(res.Mutations),
@@ -694,14 +690,7 @@ func ServeCluster(opts ClusterOptions) (*ClusterReport, error) {
 		return nil, err
 	}
 	rep := &ClusterReport{
-		Report: Report{
-			Summary:  res.Summary,
-			SLOTotal: res.SLOTotal,
-			Rho:      res.Rho,
-			AvgBatch: res.AvgBatch,
-			Mu0:      res.Mu0,
-			Timeline: metrics.Timeline(res.Requests, res.SLOTotal, defaultTimelineBucket),
-		},
+		Report:     reportFrom(&res.Result, defaultTimelineBucket),
 		Policy:     res.Policy,
 		Workers:    res.Workers,
 		NetDelay:   res.NetDelay,

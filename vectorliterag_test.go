@@ -2,6 +2,7 @@ package vectorliterag_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -123,6 +124,54 @@ func TestServeCluster(t *testing.T) {
 	}
 }
 
+// TestServeClusterReportsPrecision: the cluster entry point carries the
+// precision refinement's outcome into its report, on the plain router
+// and behind the resilient one.
+func TestServeClusterReportsPrecision(t *testing.T) {
+	w := smallWorkload(t, vlr.Orcas1K)
+	for name, res := range map[string]*vlr.ResilienceConfig{"plain": nil, "resilient": {}} {
+		rep, err := vlr.ServeCluster(vlr.ClusterOptions{
+			ServeOptions: vlr.ServeOptions{
+				Workload: w, System: vlr.VLiteRAG, Rate: 30, Seed: 1,
+				Duration: 40 * time.Second, Precision: &vlr.PrecisionOptions{},
+			},
+			Resilience: res,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.SQClusters <= 0 || rep.RecallGain <= 0 {
+			t.Errorf("%s router: report dropped the precision outcome: %d SQ8 clusters, recall gain %v",
+				name, rep.SQClusters, rep.RecallGain)
+		}
+	}
+}
+
+// TestServeLeavesOptionsAlone: validation fills defaults on private
+// copies, so one options pointer can be shared by concurrent Serve
+// calls (each on its own Workload — the drift restore hook writes the
+// workload's rotation) and comes back as the caller wrote it.
+func TestServeLeavesOptionsAlone(t *testing.T) {
+	prec, over := &vlr.PrecisionOptions{}, &vlr.OverloadOptions{}
+	var wg sync.WaitGroup
+	for _, w := range []*vlr.Workload{smallWorkload(t, vlr.Orcas1K), smallWorkload(t, vlr.Orcas1K)} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := vlr.Serve(vlr.ServeOptions{
+				Workload: w, System: vlr.VLiteRAG, Rate: 15, Seed: 1,
+				Duration: 30 * time.Second, Precision: prec, Overload: over,
+			}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if *prec != (vlr.PrecisionOptions{}) || *over != (vlr.OverloadOptions{}) {
+		t.Fatalf("Serve wrote defaults through the caller's options: %+v %+v", *prec, *over)
+	}
+}
+
 func TestServeDefaultsToVLiteRAG(t *testing.T) {
 	w := smallWorkload(t, vlr.WikiAll)
 	rep, err := vlr.Serve(vlr.ServeOptions{Workload: w, Rate: 10, Duration: 30 * time.Second})
@@ -146,8 +195,8 @@ func TestCapacity(t *testing.T) {
 
 func TestExperimentRegistry(t *testing.T) {
 	names := vlr.Experiments()
-	if len(names) != 25 {
-		t.Fatalf("got %d experiments, want 25: %v", len(names), names)
+	if len(names) != 23 {
+		t.Fatalf("got %d experiments, want 23: %v", len(names), names)
 	}
 	_, err := vlr.RunExperiment("nope", true)
 	if err == nil {
