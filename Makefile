@@ -11,9 +11,10 @@ FUZZTIME ?= 5s
 # resilience layer raised it to 77.3%, the streaming-ingest layer to
 # 79.4%, the mixed-precision and overload-control layers to 79.9%, and
 # the benchmark's own tests plus the internal/rag assembler collapse
-# to 81.2%). Raise it when coverage improves; never lower it to make CI
-# pass.
-COVER_MIN ?= 80.0
+# to 81.2%, and one Report type in internal/experiments — with the
+# well-covered internal/hnsw deleted — to 82.0%). Raise it when coverage
+# improves; never lower it to make CI pass.
+COVER_MIN ?= 81.0
 
 .PHONY: verify build test vet lint race bench bench-search bench-smoke scaling-smoke examples-smoke fuzz-smoke cover cover-check cover-ratchet fmt
 
@@ -50,16 +51,13 @@ bench:
 bench-search:
 	$(GO) test -run=NONE -bench=Search -benchmem -benchtime=2s ./...
 
-# One-iteration compile-and-run of the search kernel benchmarks and
-# quick faults + ingest + precision + overload runs (the resilience,
-# live-corpus, mixed-precision and overload-control paths end-to-end
-# through the CLI); CI runs this so none of them can rot.
+# One-iteration compile-and-run of the search kernel benchmarks, then
+# every registered experiment at quick scale through the CLI's CSV path
+# (one link step: each artifact's runner, its report, and the export of
+# every table); CI runs this so none of them can rot.
 bench-smoke:
 	$(GO) test -run=NONE -bench=Search -benchtime=1x ./...
-	$(GO) run ./cmd/vliterag run -exp faults -quick
-	$(GO) run ./cmd/vliterag run -exp ingest -quick
-	$(GO) run ./cmd/vliterag run -exp precision -quick
-	$(GO) run ./cmd/vliterag run -exp overload -quick
+	$(GO) run ./cmd/vliterag run -exp all -quick -csv >/dev/null
 
 # Wall-clock scaling verdict for the parallel sharded engine: on a
 # 16-replica run, every core together must not be more than 15% slower

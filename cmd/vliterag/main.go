@@ -133,7 +133,7 @@ func runCmd(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	exp := fs.String("exp", "", "experiment id (see `vliterag list`) or 'all'")
 	quick := fs.Bool("quick", false, "shrink sweeps for a fast run")
-	asCSV := fs.Bool("csv", false, "emit raw data rows as CSV where the experiment supports it")
+	asCSV := fs.Bool("csv", false, "emit the data rows of every table as CSV instead of text")
 	prof := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err

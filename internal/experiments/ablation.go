@@ -2,15 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/rag"
 )
 
-// AblationResult covers the design-choice ablations this repo tracks
-// beyond the paper's own Fig. 14:
+// Ablations covers the design-choice ablations this repo tracks beyond
+// the paper's own Fig. 14, all on ORCAS-1K + Qwen3-32B at 32 req/s:
 //
 //   - queuing factor eps: Algorithm 1 budgets tau_s = SLO/(1+eps); the
 //     paper fixes eps=1 as the empirically observed worst case (§IV-A3).
@@ -19,146 +17,75 @@ import (
 //     coverage executed with IndexIVFShards semantics (HedraRAG's
 //     runtime), isolating the router/dispatcher contribution from the
 //     partitioning policy.
-type AblationResult struct {
-	Eps     []EpsRow
-	Runtime []RuntimeRow
-	Systems []SystemRow
-}
-
-// SystemRow is one full-system sample of the enumeration study (every
-// implemented system, including HedraRAG, at one operating point).
-type SystemRow struct {
-	Kind   rag.Kind
-	Rho    float64
-	Att    float64
-	Search time.Duration
-}
-
-// EpsRow is one queuing-factor sample.
-type EpsRow struct {
-	Epsilon float64
-	Rho     float64
-	Att     float64
-	Search  time.Duration
-}
-
-// RuntimeRow isolates the runtime pipeline at fixed coverage.
-type RuntimeRow struct {
-	Pipeline string
-	Att      float64
-	Search   time.Duration
-	TTFTP90  time.Duration
-}
-
-// Ablations runs both studies on ORCAS-1K + Qwen3-32B.
-func Ablations(cfg Config) (*AblationResult, error) {
-	w, err := WorkloadFor(dataset.Orcas1K)
-	if err != nil {
-		return nil, err
-	}
-	dep := deployments()[1]
-	rate := 32.0
-	res := &AblationResult{}
+//   - system enumeration: every implemented pipeline composition —
+//     including HedraRAG, which the main-evaluation Kinds() omits — at
+//     the same operating point.
+func Ablations(cfg Config) (*Report, error) {
+	point := grid{dep: qwenH100(), spec: dataset.Orcas1K, rates: []float64{32}}
+	rep := &Report{}
 
 	epsValues := []float64{0.5, 1.0, 2.0}
 	if cfg.Quick {
 		epsValues = []float64{0.5, 2.0}
 	}
+	rep.Printf("Ablation A: queuing factor eps (tau_s = SLO/(1+eps)), ORCAS-1K + Qwen3-32B @32 rps\n")
+	epsT := rep.Table(
+		col("eps", "%.1f", "eps", "%.1f"),
+		col("rho", "%.3f", "rho", ""),
+		col("attainment", "%.2f", "attainment", ""),
+		col("avg search", "%.0fms", "search_mean_s", ""),
+	)
 	for _, eps := range epsValues {
-		r, err := rag.Run(rag.Options{
-			Node: dep.Node, Model: dep.Model, W: w, Kind: rag.VLiteRAG,
-			Rate: rate, Seed: cfg.Seed, Duration: runDuration(cfg.Quick),
-			Epsilon: eps,
-		})
-		if err != nil {
-			return nil, err
+		point.arms = append(point.arms, arm[rag.Options]{fmt.Sprintf("eps=%.1f", eps), func(o *rag.Options) { o.Epsilon = eps }})
+	}
+	err := cfg.sweep(point, single(func(_ string, o rag.Options, r *rag.Result) {
+		epsT.Add(o.Epsilon, r.Rho, r.Summary.Attainment, r.Summary.Breakdown.Search)
+	}))
+	if err != nil {
+		return nil, err
+	}
+
+	// Runtime ablation: the first arm finds vLiteRAG's coverage (vlRho),
+	// the last runs the unpruned/undispatched runtime at that exact
+	// coverage.
+	rep.Printf("\nAblation B: runtime pipeline at equal coverage\n")
+	runtimeT := rep.Table(
+		col("pipeline", "", "pipeline", ""),
+		col("attainment", "%.2f", "attainment", ""),
+		col("avg search", "%.0fms", "search_mean_s", ""),
+		col("TTFT p90", "%.0fms", "ttft_p90_s", ""),
+	)
+	var vlRho float64
+	point.arms = []arm[rag.Options]{
+		{name: "router+dispatcher (vLiteRAG)"},
+		{"no dispatcher", func(o *rag.Options) { o.DisableDispatcher = true }},
+		{"unpruned probes, no dispatcher", func(o *rag.Options) {
+			o.Kind, o.HedraCoverageOverride = rag.HedraRAG, vlRho
+		}},
+	}
+	err = cfg.sweep(point, single(func(pipeline string, _ rag.Options, r *rag.Result) {
+		if vlRho == 0 {
+			vlRho = r.Rho
 		}
-		res.Eps = append(res.Eps, EpsRow{
-			Epsilon: eps, Rho: r.Rho,
-			Att: r.Summary.Attainment, Search: r.Summary.Breakdown.Search,
-		})
-	}
-
-	// Runtime ablation: first find vLiteRAG's coverage, then run the
-	// unpruned/undispatched runtime at that exact coverage.
-	vl, err := rag.Run(rag.Options{
-		Node: dep.Node, Model: dep.Model, W: w, Kind: rag.VLiteRAG,
-		Rate: rate, Seed: cfg.Seed, Duration: runDuration(cfg.Quick),
-	})
+		runtimeT.Add(pipeline, r.Summary.Attainment, r.Summary.Breakdown.Search, r.Summary.TTFT.P90)
+	}))
 	if err != nil {
 		return nil, err
 	}
-	unpruned, err := rag.Run(rag.Options{
-		Node: dep.Node, Model: dep.Model, W: w, Kind: rag.HedraRAG,
-		Rate: rate, Seed: cfg.Seed, Duration: runDuration(cfg.Quick),
-		HedraCoverageOverride: vl.Rho,
-	})
+
+	rep.Printf("\nAblation C: all systems at one operating point\n")
+	systems := rep.Table(
+		col("system", "", "system", ""),
+		col("rho", "%.3f", "rho", ""),
+		col("attainment", "%.2f", "attainment", ""),
+		col("avg search", "%.0fms", "search_mean_s", ""),
+	)
+	point.arms, point.kinds = nil, rag.AllKinds()
+	err = cfg.sweep(point, single(func(_ string, o rag.Options, r *rag.Result) {
+		systems.Add(string(o.Kind), r.Rho, r.Summary.Attainment, r.Summary.Breakdown.Search)
+	}))
 	if err != nil {
 		return nil, err
 	}
-	noDisp, err := rag.Run(rag.Options{
-		Node: dep.Node, Model: dep.Model, W: w, Kind: rag.VLiteRAG,
-		Rate: rate, Seed: cfg.Seed, Duration: runDuration(cfg.Quick),
-		DisableDispatcher: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range []struct {
-		name string
-		r    *rag.Result
-	}{
-		{"router+dispatcher (vLiteRAG)", vl},
-		{"no dispatcher", noDisp},
-		{"unpruned probes, no dispatcher", unpruned},
-	} {
-		res.Runtime = append(res.Runtime, RuntimeRow{
-			Pipeline: c.name,
-			Att:      c.r.Summary.Attainment,
-			Search:   c.r.Summary.Breakdown.Search,
-			TTFTP90:  c.r.Summary.TTFT.P90,
-		})
-	}
-
-	// System enumeration: every implemented pipeline composition —
-	// including HedraRAG, which the main-evaluation Kinds() omits — at
-	// the same operating point.
-	for _, kind := range rag.AllKinds() {
-		r, err := rag.Run(rag.Options{
-			Node: dep.Node, Model: dep.Model, W: w, Kind: kind,
-			Rate: rate, Seed: cfg.Seed, Duration: runDuration(cfg.Quick),
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Systems = append(res.Systems, SystemRow{
-			Kind: kind, Rho: r.Rho,
-			Att: r.Summary.Attainment, Search: r.Summary.Breakdown.Search,
-		})
-	}
-	return res, nil
-}
-
-// Render formats both ablations.
-func (r *AblationResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Ablation A: queuing factor eps (tau_s = SLO/(1+eps)), ORCAS-1K + Qwen3-32B @32 rps\n")
-	t := &table{header: []string{"eps", "rho", "attainment", "avg search"}}
-	for _, row := range r.Eps {
-		t.add(fmt.Sprintf("%.1f", row.Epsilon), f3(row.Rho), f2(row.Att), ms(row.Search))
-	}
-	b.WriteString(t.String())
-	b.WriteString("\nAblation B: runtime pipeline at equal coverage\n")
-	t2 := &table{header: []string{"pipeline", "attainment", "avg search", "TTFT p90"}}
-	for _, row := range r.Runtime {
-		t2.add(row.Pipeline, f2(row.Att), ms(row.Search), ms(row.TTFTP90))
-	}
-	b.WriteString(t2.String())
-	b.WriteString("\nAblation C: all systems at one operating point\n")
-	t3 := &table{header: []string{"system", "rho", "attainment", "avg search"}}
-	for _, row := range r.Systems {
-		t3.add(string(row.Kind), f3(row.Rho), f2(row.Att), ms(row.Search))
-	}
-	b.WriteString(t3.String())
-	return b.String()
+	return rep, nil
 }

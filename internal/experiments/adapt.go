@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"vectorliterag/internal/adapt"
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/metrics"
 	"vectorliterag/internal/rag"
@@ -13,103 +12,128 @@ import (
 	"vectorliterag/internal/workload"
 )
 
-// AdaptResult is the online-adaptation study (paper §IV-B3, beyond the
+// adaptBucket is the timeline resolution.
+const adaptBucket = 30 * time.Second
+
+// Adapt is the online-adaptation study (paper §IV-B3, beyond the
 // paper's offline Fig. 9 costing): one non-stationary run — a mid-run
 // popularity rotation — served by the static vLiteRAG plan and by the
 // adaptive controller, under identical arrivals and drift. The artifact
 // is attainment-over-time for both arms plus the controller's trigger
 // timeline, showing detection, the background rebuild, the mid-reload
 // CPU divert, and recovery inside a single run.
-type AdaptResult struct {
-	Dataset   string
-	Model     string
-	Rate      float64
-	SLOSearch time.Duration
-	DriftAt   time.Duration
-	Rotate    int
-
-	ExpectedHit  float64 // model expectation the monitor starts from
-	Windows      []AdaptWindow
-	Rebuilds     []adapt.RebuildRecord
-	StaticPost   float64 // post-drift attainment, static plan
-	AdaptivePost float64 // post-drift attainment, adaptive
-	ValidateErr  string  // non-empty when a rebuild broke the paper's envelope
-}
-
-// AdaptWindow is one bucket of the paired attainment series.
-type AdaptWindow struct {
-	Start                  time.Duration
-	StaticAtt, AdaptiveAtt float64
-	StaticHit, AdaptiveHit float64
-}
-
-// adaptBucket is the timeline resolution.
-const adaptBucket = 30 * time.Second
-
-// Adapt runs the drift study on ORCAS-2K + Qwen3-32B: the dataset whose
-// CPU scan is heavy enough that a stranded hot set actually costs SLO
-// attainment, at a rate the fresh plan sustains comfortably.
-func Adapt(cfg Config) (*AdaptResult, error) {
+//
+// It runs on ORCAS-2K + Qwen3-32B: the dataset whose CPU scan is heavy
+// enough that a stranded hot set actually costs SLO attainment, at a
+// rate the fresh plan sustains comfortably.
+func Adapt(cfg Config) (*Report, error) {
 	w, err := WorkloadFor(dataset.Orcas2K)
 	if err != nil {
 		return nil, err
 	}
-	dep := deployments()[1] // Qwen3-32B on the H100 node
+	dep := qwenH100()
 	duration := 360 * time.Second
 	if cfg.Quick {
 		duration = 240 * time.Second
 	}
-	res := &AdaptResult{
-		Dataset:   dataset.Orcas2K.Name,
-		Model:     dep.Model.Name,
-		Rate:      20,
-		SLOSearch: 150 * time.Millisecond,
-		DriftAt:   45 * time.Second,
-		Rotate:    w.DefaultDriftRotation(),
-	}
-	opts := rag.AdaptiveOptions{Options: rag.Options{
-		Node: dep.Node, Model: dep.Model, W: w, Kind: rag.VLiteRAG,
-		Rate: res.Rate, Seed: cfg.Seed,
-		Duration: duration, Drain: 120 * time.Second,
-		SLOSearch: res.SLOSearch,
-		Drift:     []dataset.DriftEvent{{At: res.DriftAt, Rotate: res.Rotate}},
-	}}
-
-	adaptive, err := rag.RunAdaptive(opts)
+	const (
+		rate      = 20.0
+		sloSearch = 150 * time.Millisecond
+		driftAt   = 45 * time.Second
+	)
+	rotate := w.DefaultDriftRotation()
+	var adaptive *rag.AdaptiveResult
+	var static *rag.Result
+	err = cfg.sweep(grid{dep: dep, spec: dataset.Orcas2K, rates: []float64{rate}, base: func(o *rag.Options) {
+		o.Duration, o.Drain = duration, 120*time.Second
+		o.SLOSearch = sloSearch
+		o.Drift = []dataset.DriftEvent{{At: driftAt, Rotate: rotate}}
+	}}, func(_ string, o rag.Options) (err error) {
+		if adaptive, err = rag.RunAdaptive(rag.AdaptiveOptions{Options: o}); err != nil {
+			return fmt.Errorf("adaptive arm: %w", err)
+		}
+		if static, err = rag.Run(o); err != nil {
+			return fmt.Errorf("static arm: %w", err)
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("adaptive arm: %w", err)
-	}
-	static, err := rag.Run(opts.Options)
-	if err != nil {
-		return nil, fmt.Errorf("static arm: %w", err)
+		return nil, err
 	}
 
-	res.ExpectedHit = adaptive.ExpectedHitRate
-	res.Rebuilds = adaptive.Rebuilds
+	// validateErr is non-empty when a rebuild broke the paper's envelope.
+	validateErr := ""
 	for _, rb := range adaptive.Rebuilds {
 		if rb.Aborted != "" {
-			res.ValidateErr = "aborted: " + rb.Aborted
-		} else if err := update.Validate(rb.Timing); err != nil && res.ValidateErr == "" {
-			res.ValidateErr = err.Error()
+			validateErr = "aborted: " + rb.Aborted
+		} else if err := update.Validate(rb.Timing); err != nil && validateErr == "" {
+			validateErr = err.Error()
 		}
 	}
-	res.StaticPost = attainmentFrom(static.Requests, res.DriftAt, static.SLOTotal)
-	res.AdaptivePost = attainmentFrom(adaptive.Requests, res.DriftAt, adaptive.SLOTotal)
+	staticPost := attainmentFrom(static.Requests, driftAt, static.SLOTotal)
+	adaptivePost := attainmentFrom(adaptive.Requests, driftAt, adaptive.SLOTotal)
 
+	rep := &Report{}
+	rep.Table(dataCol("expected_hit"), dataCol("rebuilds"), dataCol("validate_err"),
+		dataCol("static_post"), dataCol("adaptive_post")).
+		Add(adaptive.ExpectedHitRate, len(adaptive.Rebuilds), validateErr, staticPost, adaptivePost)
+	rep.Printf("Online adaptation: %s + %s @ %.0f req/s, SLO_search %v\n",
+		dataset.Orcas2K.Name, dep.Model.Name, rate, sloSearch)
+	rep.Printf("popularity rotates by %d templates at t=%v; expected hit rate %.3f\n\n",
+		rotate, driftAt, adaptive.ExpectedHitRate)
+	t := rep.Table(
+		col("window", "%v", "window_start_s", "%.0f"),
+		col("static att", "%.3f", "static_attainment", ""),
+		col("adaptive att", "%.3f", "adaptive_attainment", ""),
+		col("static hit", "%.3f", "static_hit_rate", ""),
+		col("adaptive hit", "%.3f", "adaptive_hit_rate", ""),
+		textCol("events", ""),
+	)
 	st := metrics.Timeline(static.Requests, static.SLOTotal, adaptBucket)
 	ad := metrics.Timeline(adaptive.Requests, adaptive.SLOTotal, adaptBucket)
-	n := len(st)
-	if len(ad) < n {
-		n = len(ad)
+	for i := range min(len(st), len(ad)) {
+		start := st[i].Start
+		in := func(at time.Duration) bool { return at >= start && at < start+adaptBucket }
+		events := []string{}
+		if in(driftAt) {
+			events = append(events, "drift")
+		}
+		for j, rb := range adaptive.Rebuilds {
+			if in(time.Duration(rb.TriggeredAt)) {
+				events = append(events, fmt.Sprintf("trigger#%d", j+1))
+			}
+			if rb.SwappedAt > 0 && in(time.Duration(rb.SwappedAt)) {
+				events = append(events, fmt.Sprintf("swap#%d", j+1))
+			}
+		}
+		t.Add(start, st[i].Attainment, ad[i].Attainment, st[i].MeanHitRate, ad[i].MeanHitRate,
+			strings.Join(events, " "))
 	}
-	for i := 0; i < n; i++ {
-		res.Windows = append(res.Windows, AdaptWindow{
-			Start:     st[i].Start,
-			StaticAtt: st[i].Attainment, AdaptiveAtt: ad[i].Attainment,
-			StaticHit: st[i].MeanHitRate, AdaptiveHit: ad[i].MeanHitRate,
-		})
+
+	rep.Printf("\nrebuild timeline:\n")
+	if len(adaptive.Rebuilds) == 0 {
+		rep.Printf("  (none triggered)\n")
 	}
-	return res, nil
+	round := func(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
+	for i, rb := range adaptive.Rebuilds {
+		if rb.Aborted != "" {
+			rep.Printf("  #%d triggered %v, ABORTED (%s)\n", i+1, round(time.Duration(rb.TriggeredAt)), rb.Aborted)
+			continue
+		}
+		rep.Printf("  #%d triggered %v: profile %v + algorithm %v + split %v + load %v = %v; swap at %v; rho %.3f -> %.3f\n",
+			i+1, round(time.Duration(rb.TriggeredAt)),
+			round(rb.Timing.Profiling), round(rb.Timing.Algorithm), round(rb.Timing.Splitting), round(rb.Timing.Loading),
+			round(rb.Timing.Total()), round(time.Duration(rb.SwappedAt)), rb.OldRho, rb.NewRho)
+	}
+	if validateErr != "" {
+		rep.Printf("  WARNING: %s\n", validateErr)
+	}
+	rep.Printf("\npost-drift attainment: static %.3f, adaptive %.3f", staticPost, adaptivePost)
+	if adaptivePost > staticPost && len(adaptive.Rebuilds) > 0 && validateErr == "" {
+		rep.Printf("  (recovered within the run ✓)")
+	}
+	rep.Printf("\n")
+	return rep, nil
 }
 
 // attainmentFrom computes SLO attainment over requests arriving at or
@@ -130,79 +154,4 @@ func attainmentFrom(reqs []workload.Request, from time.Duration, slo time.Durati
 		return 0
 	}
 	return float64(ok) / float64(n)
-}
-
-// Render formats the attainment-over-time table and the trigger
-// timeline.
-func (r *AdaptResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Online adaptation: %s + %s @ %.0f req/s, SLO_search %v\n",
-		r.Dataset, r.Model, r.Rate, r.SLOSearch)
-	fmt.Fprintf(&b, "popularity rotates by %d templates at t=%v; expected hit rate %.3f\n\n",
-		r.Rotate, r.DriftAt, r.ExpectedHit)
-
-	t := &table{header: []string{"window", "static att", "adaptive att", "static hit", "adaptive hit", "events"}}
-	for _, win := range r.Windows {
-		events := []string{}
-		if r.DriftAt >= win.Start && r.DriftAt < win.Start+adaptBucket {
-			events = append(events, "drift")
-		}
-		for i, rb := range r.Rebuilds {
-			if trig := time.Duration(rb.TriggeredAt); trig >= win.Start && trig < win.Start+adaptBucket {
-				events = append(events, fmt.Sprintf("trigger#%d", i+1))
-			}
-			if rb.SwappedAt > 0 {
-				if swap := time.Duration(rb.SwappedAt); swap >= win.Start && swap < win.Start+adaptBucket {
-					events = append(events, fmt.Sprintf("swap#%d", i+1))
-				}
-			}
-		}
-		t.add(win.Start.String(), f3(win.StaticAtt), f3(win.AdaptiveAtt),
-			f3(win.StaticHit), f3(win.AdaptiveHit), strings.Join(events, " "))
-	}
-	b.WriteString(t.String())
-
-	b.WriteString("\nrebuild timeline:\n")
-	if len(r.Rebuilds) == 0 {
-		b.WriteString("  (none triggered)\n")
-	}
-	for i, rb := range r.Rebuilds {
-		if rb.Aborted != "" {
-			fmt.Fprintf(&b, "  #%d triggered %v, ABORTED (%s)\n",
-				i+1, time.Duration(rb.TriggeredAt).Round(time.Millisecond), rb.Aborted)
-			continue
-		}
-		fmt.Fprintf(&b, "  #%d triggered %v: profile %v + algorithm %v + split %v + load %v = %v; swap at %v; rho %.3f -> %.3f\n",
-			i+1, time.Duration(rb.TriggeredAt).Round(time.Millisecond),
-			rb.Timing.Profiling.Round(time.Millisecond), rb.Timing.Algorithm.Round(time.Millisecond),
-			rb.Timing.Splitting.Round(time.Millisecond), rb.Timing.Loading.Round(time.Millisecond),
-			rb.Timing.Total().Round(time.Millisecond),
-			time.Duration(rb.SwappedAt).Round(time.Millisecond), rb.OldRho, rb.NewRho)
-	}
-	if r.ValidateErr != "" {
-		fmt.Fprintf(&b, "  WARNING: %s\n", r.ValidateErr)
-	}
-	fmt.Fprintf(&b, "\npost-drift attainment: static %.3f, adaptive %.3f", r.StaticPost, r.AdaptivePost)
-	if r.AdaptivePost > r.StaticPost && len(r.Rebuilds) > 0 && r.ValidateErr == "" {
-		b.WriteString("  (recovered within the run ✓)\n")
-	} else {
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// CSV exports the paired attainment series, one row per window.
-func (r *AdaptResult) CSV() string {
-	rows := [][]string{}
-	for _, win := range r.Windows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.0f", win.Start.Seconds()),
-			fmt.Sprintf("%.4f", win.StaticAtt),
-			fmt.Sprintf("%.4f", win.AdaptiveAtt),
-			fmt.Sprintf("%.4f", win.StaticHit),
-			fmt.Sprintf("%.4f", win.AdaptiveHit),
-		})
-	}
-	return writeCSV([]string{"window_start_s", "static_attainment", "adaptive_attainment",
-		"static_hit_rate", "adaptive_hit_rate"}, rows)
 }

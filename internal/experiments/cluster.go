@@ -2,44 +2,21 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/rag"
 	"vectorliterag/internal/serve"
-	"vectorliterag/internal/workload"
 )
 
-// ClusterResult is the multi-replica scale-out study (beyond the
-// paper): N identical vLiteRAG node pipelines behind a front-end
-// router, driven at a cluster-wide rate proportional to N. Near-flat
-// attainment across N shows the composition scales; the round-robin vs
-// least-loaded split isolates what routing buys under Poisson load.
-type ClusterResult struct {
-	Rows []ClusterRow
-}
-
-// ClusterRow is one (replicas, policy) sample.
-type ClusterRow struct {
-	Replicas int
-	Policy   serve.Policy
-	Rate     float64 // cluster-wide arrival rate
-	Att      float64
-	TTFTP90  time.Duration
-	E2EP90   time.Duration
-	MaxSkew  float64 // max over replicas of its share minus the fair share
-}
-
-// Cluster runs the scale-out study on ORCAS-1K + Qwen3-32B at 80 % of
-// per-node capacity per replica.
-func Cluster(cfg Config) (*ClusterResult, error) {
-	w, err := WorkloadFor(dataset.Orcas1K)
-	if err != nil {
-		return nil, err
-	}
-	dep := deployments()[1]
-	mu, err := rag.BareCapacity(dep.Node, dep.Model, workload.DefaultShape())
+// Cluster is the multi-replica scale-out study (beyond the paper): N
+// identical vLiteRAG node pipelines behind a front-end router on
+// ORCAS-1K + Qwen3-32B, driven at a cluster-wide rate of 80 % of
+// per-node capacity per replica. Near-flat attainment across N shows
+// the composition scales; the round-robin vs least-loaded split
+// isolates what routing buys under Poisson load.
+func Cluster(cfg Config) (*Report, error) {
+	dep := qwenH100()
+	mu, err := dep.capacity()
 	if err != nil {
 		return nil, err
 	}
@@ -48,48 +25,41 @@ func Cluster(cfg Config) (*ClusterResult, error) {
 	if cfg.Quick {
 		sizes = []int{1, 2}
 	}
-	res := &ClusterResult{}
+	rep := &Report{}
+	rep.Printf("Cluster scale-out: vLiteRAG x N replicas, ORCAS-1K + Qwen3-32B @ 0.8 capacity/replica\n")
+	t := rep.Table(
+		col("replicas", "", "replicas", ""),
+		col("policy", "", "policy", ""),
+		col("rate", "%.1f", "rate_rps", "%.1f"), // cluster-wide arrival rate
+		col("attainment", "%.2f", "attainment", ""),
+		col("TTFT p90", "%.0fms", "ttft_p90_s", ""),
+		col("E2E p90", "%.1fs", "e2e_p90_s", ""),
+		col("max skew", "%.3f", "max_skew", ""), // max over replicas of its share minus the fair share
+	)
 	for _, n := range sizes {
+		var policies []arm[rag.Options]
 		for _, policy := range serve.Policies() {
 			if n == 1 && policy != serve.LeastLoaded {
 				continue // a single replica routes identically under any policy
 			}
-			rate := perNode * float64(n)
-			r, err := rag.RunCluster(rag.Options{
-				Node: dep.Node, Model: dep.Model, W: w, Kind: rag.VLiteRAG,
-				Rate: rate, Seed: cfg.Seed, Duration: runDuration(cfg.Quick),
-			}, n, policy)
-			if err != nil {
-				return nil, fmt.Errorf("cluster x%d %s: %w", n, policy, err)
-			}
-			row := ClusterRow{
-				Replicas: n, Policy: policy, Rate: rate,
-				Att:     r.Summary.Attainment,
-				TTFTP90: r.Summary.TTFT.P90,
-				E2EP90:  r.Summary.E2E.P90,
-			}
-			fair := 1.0 / float64(n)
-			for _, rep := range r.PerReplica {
-				share := float64(rep.Submitted) / float64(r.Generated)
-				if skew := share - fair; skew > row.MaxSkew {
-					row.MaxSkew = skew
+			policies = append(policies, arm[rag.Options]{name: string(policy)})
+		}
+		err := cfg.sweep(grid{dep: dep, spec: dataset.Orcas1K, rates: []float64{perNode * float64(n)}, arms: policies},
+			func(policy string, o rag.Options) error {
+				r, err := rag.RunCluster(o, n, serve.Policy(policy))
+				if err != nil {
+					return err
 				}
-			}
-			res.Rows = append(res.Rows, row)
+				maxSkew, fair := 0.0, 1.0/float64(n)
+				for _, replica := range r.PerReplica {
+					maxSkew = max(maxSkew, float64(replica.Submitted)/float64(r.Generated)-fair)
+				}
+				t.Add(n, policy, o.Rate, r.Summary.Attainment, r.Summary.TTFT.P90, r.Summary.E2E.P90, maxSkew)
+				return nil
+			})
+		if err != nil {
+			return nil, fmt.Errorf("cluster x%d: %w", n, err)
 		}
 	}
-	return res, nil
-}
-
-// Render formats the scale-out table.
-func (r *ClusterResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Cluster scale-out: vLiteRAG x N replicas, ORCAS-1K + Qwen3-32B @ 0.8 capacity/replica\n")
-	t := &table{header: []string{"replicas", "policy", "rate", "attainment", "TTFT p90", "E2E p90", "max skew"}}
-	for _, row := range r.Rows {
-		t.add(fmt.Sprintf("%d", row.Replicas), string(row.Policy),
-			fmt.Sprintf("%.1f", row.Rate), f2(row.Att), ms(row.TTFTP90), sec(row.E2EP90), f3(row.MaxSkew))
-	}
-	b.WriteString(t.String())
-	return b.String()
+	return rep, nil
 }

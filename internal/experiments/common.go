@@ -1,13 +1,13 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation (§VI). Each runner regenerates the corresponding
 // artifact on the simulated substrate — same workloads, same parameter
-// sweeps, same metrics — and renders a text table whose rows mirror
-// what the paper plots. registry.go is the index of experiment IDs.
+// sweeps, same metrics — as one Report: text lines and typed tables
+// whose rows mirror what the paper plots (report.go), filled by the one
+// sweep runner in this file. registry.go is the index of experiment IDs.
 package experiments
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -24,10 +24,12 @@ type Config struct {
 	// full setting reproduces the paper's grids.
 	Quick bool
 	Seed  uint64
-}
 
-// DefaultConfig runs experiments at full scale.
-func DefaultConfig() Config { return Config{Seed: 1} }
+	// workers is the worker-goroutine count handed to every run. The
+	// determinism tests vary it: cluster, live and multi-tenant artifacts
+	// must be bit-identical for every value, whichever engine they take.
+	workers int
+}
 
 // workload cache: physical index construction dominates experiment
 // setup, and every figure reuses the same three datasets.
@@ -68,25 +70,38 @@ func deployments() []deployment {
 	}
 }
 
+// qwenH100 is the paper's middle configuration, Qwen3-32B on the H100
+// node — the deployment every single-deployment study runs on.
+func qwenH100() deployment { return deployments()[1] }
+
+// capacity is the deployment's standalone LLM throughput at the default
+// request shape (the vertical dashed lines of Fig. 11).
+func (dep deployment) capacity() (float64, error) {
+	return rag.BareCapacity(dep.Node, dep.Model, workload.DefaultShape())
+}
+
 // ratesFor returns the arrival-rate sweep for a deployment, scaled to
 // its measured capacity like the paper's x-axes (which end just past
 // the standalone-throughput line).
-func ratesFor(node hw.Node, model llm.ModelSpec, quick bool) ([]float64, float64, error) {
-	mu, err := rag.BareCapacity(node, model, workload.DefaultShape())
+func ratesFor(dep deployment, quick bool) ([]float64, float64, error) {
+	mu, err := dep.capacity()
 	if err != nil {
 		return nil, 0, err
 	}
-	var fracs []float64
+	fracs := []float64{0.4, 0.55, 0.7, 0.8, 0.87, 0.93, 0.98, 1.05}
 	if quick {
 		fracs = []float64{0.5, 0.8, 1.0}
-	} else {
-		fracs = []float64{0.4, 0.55, 0.7, 0.8, 0.87, 0.93, 0.98, 1.05}
 	}
+	return scaled(mu, fracs), mu, nil
+}
+
+// scaled returns mu times each fraction, rounded to 0.1 req/s.
+func scaled(mu float64, fracs []float64) []float64 {
 	rates := make([]float64, len(fracs))
 	for i, f := range fracs {
 		rates[i] = round1(mu * f)
 	}
-	return rates, mu, nil
+	return rates
 }
 
 func round1(v float64) float64 { return float64(int(v*10+0.5)) / 10 }
@@ -99,98 +114,95 @@ func runDuration(quick bool) time.Duration {
 	return 120 * time.Second
 }
 
-// SweepPoint is one (system, rate) evaluation.
-type SweepPoint struct {
-	Kind      rag.Kind
-	Rate      float64
-	Att       float64
-	TTFTP90   time.Duration
-	TTFTP95   time.Duration
-	E2EP90    time.Duration
-	E2EMean   time.Duration
-	Search    time.Duration // mean search latency
-	SearchP90 time.Duration
-	Queueing  time.Duration
-	Prefill   time.Duration
-	AvgBatch  float64
-	Rho       float64
-	Unserved  int
+// arm is one named variant of a scenario: a single mutation of the base
+// options every other arm shares.
+type arm[O any] struct {
+	name string
+	mut  func(*O) // nil: the base options as they are
 }
 
-func point(res *rag.Result) SweepPoint {
-	s := res.Summary
-	return SweepPoint{
-		Kind: res.Kind, Rate: res.Rate, Att: s.Attainment,
-		TTFTP90: s.TTFT.P90, TTFTP95: s.TTFT.P95,
-		E2EP90: s.E2E.P90, E2EMean: s.E2E.Mean,
-		Search: s.Breakdown.Search, SearchP90: s.Search.P90,
-		Queueing: s.Breakdown.Queueing, Prefill: s.Breakdown.Prefill,
-		AvgBatch: res.AvgBatch, Rho: res.Rho, Unserved: s.Unserved,
+// eachArm is the one arm loop: it runs every arm on its own mutated
+// copy of the base options and names the arm that failed.
+func eachArm[O any](base O, arms []arm[O], run func(name string, o O) error) error {
+	for _, a := range arms {
+		o := base
+		if a.mut != nil {
+			a.mut(&o)
+		}
+		if err := run(a.name, o); err != nil {
+			if a.name == "" {
+				return err
+			}
+			return fmt.Errorf("%s arm: %w", a.name, err)
+		}
 	}
+	return nil
 }
 
-// sweep evaluates each (kind, rate) pair on one deployment/dataset.
-func sweep(cfg Config, dep deployment, w *dataset.Workload, kinds []rag.Kind, rates []float64, mutate func(*rag.Options)) ([]SweepPoint, error) {
-	var out []SweepPoint
+// grid is one experiment's scenario space on one deployment and
+// dataset: every (system, rate, arm) point. Axes that change the
+// dataset or the deployment (model, node size) are the caller's outer
+// loops.
+type grid struct {
+	dep   deployment
+	spec  dataset.Spec
+	kinds []rag.Kind // nil: vLiteRAG alone
+	rates []float64
+	base  func(*rag.Options) // what every arm shares beyond the point itself; may be nil
+	arms  []arm[rag.Options] // nil: the base options alone
+}
+
+// sweep is the one runner, and the only place a (Config, deployment,
+// workload, system, rate) tuple becomes a rag.Options: it walks the
+// grid system by system, rate by rate, arm by arm, hands each point's
+// options to run, and names the point that failed. An arm's mutation is
+// applied last, after the grid's base, so it may override anything —
+// the system included.
+func (cfg Config) sweep(g grid, run func(arm string, o rag.Options) error) error {
+	w, err := WorkloadFor(g.spec)
+	if err != nil {
+		return err
+	}
+	kinds, arms := g.kinds, g.arms
+	if kinds == nil {
+		kinds = []rag.Kind{rag.VLiteRAG}
+	}
+	if arms == nil {
+		arms = []arm[rag.Options]{{}}
+	}
+	point := func(name string, o rag.Options) error {
+		if err := run(name, o); err != nil {
+			return fmt.Errorf("%s @%.1f rps: %w", o.Kind, o.Rate, err)
+		}
+		return nil
+	}
 	for _, kind := range kinds {
-		for _, rate := range rates {
-			opts := rag.Options{
-				Node: dep.Node, Model: dep.Model, W: w, Kind: kind,
+		for _, rate := range g.rates {
+			o := rag.Options{
+				Node: g.dep.Node, Model: g.dep.Model, W: w, Kind: kind,
 				Rate: rate, Seed: cfg.Seed, Duration: runDuration(cfg.Quick),
+				Workers: cfg.workers,
 			}
-			if mutate != nil {
-				mutate(&opts)
+			if g.base != nil {
+				g.base(&o)
 			}
-			res, err := rag.Run(opts)
-			if err != nil {
-				return nil, fmt.Errorf("%s @%.1f rps: %w", kind, rate, err)
-			}
-			out = append(out, point(res))
-		}
-	}
-	return out, nil
-}
-
-// table renders aligned columns.
-type table struct {
-	header []string
-	rows   [][]string
-}
-
-func (t *table) add(cells ...string) { t.rows = append(t.rows, cells) }
-
-func (t *table) String() string {
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
-	}
-	for _, r := range t.rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if err := eachArm(o, arms, point); err != nil {
+				return err
 			}
 		}
 	}
-	var b strings.Builder
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	line(t.header)
-	for _, r := range t.rows {
-		line(r)
-	}
-	return b.String()
+	return nil
 }
 
-func ms(d time.Duration) string { return fmt.Sprintf("%.0fms", d.Seconds()*1000) }
-func sec(d time.Duration) string {
-	return fmt.Sprintf("%.1fs", d.Seconds())
+// single adapts a row builder to sweep for the studies whose every
+// point is one single-node rag.Run.
+func single(row func(arm string, o rag.Options, r *rag.Result)) func(string, rag.Options) error {
+	return func(arm string, o rag.Options) error {
+		r, err := rag.Run(o)
+		if err != nil {
+			return err
+		}
+		row(arm, o, r)
+		return nil
+	}
 }
-func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
-func f3(v float64) string { return fmt.Sprintf("%.3f", v) }

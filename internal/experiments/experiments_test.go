@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/csv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,35 @@ import (
 )
 
 func quick() Config { return Config{Quick: true, Seed: 1} }
+
+// quickReports caches each experiment's quick-mode report: every run is
+// deterministic, so one run per test binary serves every assertion on
+// it.
+var quickReports = map[string]*Report{}
+
+func quickReport(t *testing.T, id string) *Report {
+	t.Helper()
+	if quickReports[id] == nil {
+		rep, err := Registry()[id](quick())
+		if err != nil {
+			t.Fatal(err)
+		}
+		quickReports[id] = rep
+	}
+	return quickReports[id]
+}
+
+// golden compares got against testdata/<name>.
+func golden(t *testing.T, name, got string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted:\ngot:\n%s\nwant:\n%s", name, got, want)
+	}
+}
 
 func TestRegistryComplete(t *testing.T) {
 	// Every table and figure of the evaluation must be registered, plus
@@ -45,57 +75,103 @@ func TestLookupListsValidIDs(t *testing.T) {
 	}
 }
 
-func TestFig3Shape(t *testing.T) {
-	r, err := Fig3(quick())
-	if err != nil {
-		t.Fatal(err)
+// TestAllQuickGolden pins every artifact: the quick-mode text of all
+// registered experiments in Names() order, each followed by the blank
+// line the CLI prints, is the output recorded before the experiments
+// moved onto one Report type.
+func TestAllQuickGolden(t *testing.T) {
+	var b strings.Builder
+	for _, id := range Names() {
+		b.WriteString(quickReport(t, id).Render() + "\n")
 	}
-	for b, norm := range r.Normalized {
+	golden(t, "all_quick.golden", b.String())
+}
+
+// TestCSVExports: every table of every registered experiment exports,
+// as blank-line-separated blocks that each parse back with a header row
+// and uniform width; Fig. 11 exports one flat table, a row per point.
+func TestCSVExports(t *testing.T) {
+	for _, id := range Names() {
+		out := quickReport(t, id).CSV()
+		if out == "" {
+			t.Errorf("%s exports no CSV", id)
+		}
+		for _, block := range strings.Split(out, "\n\n") {
+			recs, err := csv.NewReader(strings.NewReader(block)).ReadAll()
+			if err != nil || len(recs) < 2 {
+				t.Errorf("%s: CSV block does not parse to header + rows (%v):\n%s", id, err, block)
+			}
+		}
+	}
+	f11 := quickReport(t, "fig11")
+	out := f11.CSV()
+	if !strings.HasPrefix(out, "dataset,model,system,rate_rps") {
+		t.Fatalf("fig11 CSV header wrong: %q", strings.SplitN(out, "\n", 2)[0])
+	}
+	if lines, want := strings.Count(out, "\n"), len(f11.Tab(0).Rows())+1; lines != want {
+		t.Fatalf("fig11 CSV has %d lines, want %d", lines, want)
+	}
+}
+
+// TestFig5CSVSpecOrder: the access CDF exports in spec order (Wiki-All,
+// then ORCAS 1K), identically on every call.
+func TestFig5CSVSpecOrder(t *testing.T) {
+	rep := quickReport(t, "fig5")
+	first := rep.CSV()
+	if !strings.HasPrefix(first, "dataset,cluster_percentile,cumulative_share\nWiki-All,") {
+		t.Fatalf("fig5 CSV does not start with the Wiki-All block: %q", first[:80])
+	}
+	for i := 1; i < 16; i++ {
+		if rep.CSV() != first {
+			t.Fatalf("fig5 CSV export %d differs from the first", i+1)
+		}
+	}
+}
+
+func TestFig3Shape(t *testing.T) {
+	rep := quickReport(t, "fig3")
+	for _, r := range rep.Tab(0).Rows() {
 		// Fast scan must be ~5x faster (Fig. 3 left shows ~0.2 normalized)
 		// though CQ dilutes the ratio slightly.
-		if norm < 0.15 || norm > 0.4 {
-			t.Errorf("batch %d: normalized fast-scan latency %.2f outside [0.15,0.4]", b, norm)
+		if norm := r.Float("IVF-FS"); norm < 0.15 || norm > 0.4 {
+			t.Errorf("batch %d: normalized fast-scan latency %.2f outside [0.15,0.4]", r.Int("batch"), norm)
 		}
 	}
-	for b, br := range r.Breakdown {
-		if br.LUTBuild+br.LUTScan <= br.CQ {
-			t.Errorf("batch %d: LUT stage does not dominate (Fig. 3 right)", b)
+	for _, r := range rep.Tab(1).Rows() {
+		if r.Dur("LUT-build")+r.Dur("LUT-scan") <= r.Dur("CQ") {
+			t.Errorf("batch %d: LUT stage does not dominate (Fig. 3 right)", r.Int("batch"))
 		}
 	}
-	if !strings.Contains(r.Render(), "Fig 3") {
+	if !strings.Contains(rep.Render(), "Fig 3") {
 		t.Error("render missing title")
 	}
 }
 
 func TestFig4Shape(t *testing.T) {
-	r, err := Fig4(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	speedup := float64(r.CPUSearch) / float64(r.GPUSearch)
+	rep := quickReport(t, "fig4")
+	left := rep.Tab(0).Row()
+	speedup := float64(left.Dur("cpu_search_s")) / float64(left.Dur("gpu_search_s"))
 	if speedup < 4 || speedup > 40 {
 		t.Errorf("GPU speedup %.1fx outside the paper's ~10x order", speedup)
 	}
 	// Throughput must grow with KV space and normalize to 1.
-	last := r.Throughput[len(r.Throughput)-1]
+	right := rep.Tab(1).Rows()
+	last := right[len(right)-1].Float("norm throughput")
 	if last != 1.0 {
 		t.Errorf("throughput not normalized: %v", last)
 	}
-	if r.Throughput[0] >= last {
-		t.Errorf("tiny KV not slower: %v", r.Throughput)
+	if first := right[0].Float("norm throughput"); first >= last {
+		t.Errorf("tiny KV not slower: %v vs %v", first, last)
 	}
-	if !strings.Contains(r.Render(), "Fig 4") {
+	if !strings.Contains(rep.Render(), "Fig 4") {
 		t.Error("render missing title")
 	}
 }
 
 func TestFig5SkewTargets(t *testing.T) {
-	r, err := Fig5(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wiki := r.Top20[dataset.WikiAll.Name]
-	orcas := r.Top20[dataset.Orcas1K.Name]
+	rep := quickReport(t, "fig5")
+	wiki := rep.Tab(0).Row("dataset", dataset.WikiAll.Name).Float("top20")
+	orcas := rep.Tab(0).Row("dataset", dataset.Orcas1K.Name).Float("top20")
 	if wiki < 0.5 || wiki > 0.72 {
 		t.Errorf("Wiki-All top-20%% share %.3f vs paper ~0.59", wiki)
 	}
@@ -105,83 +181,73 @@ func TestFig5SkewTargets(t *testing.T) {
 	if orcas <= wiki {
 		t.Error("ORCAS must be more skewed than Wiki-All")
 	}
-	if !strings.Contains(r.Render(), "Fig 5") {
+	if !strings.Contains(rep.Render(), "Fig 5") {
 		t.Error("render missing title")
 	}
 }
 
 func TestFig6CoverageImprovesHitRate(t *testing.T) {
-	r, err := Fig6(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, byCov := range r.Dist {
-		if !(byCov[0.05].Mean < byCov[0.10].Mean && byCov[0.10].Mean < byCov[0.20].Mean) {
-			t.Errorf("%s: mean hit rate not increasing with coverage: %v %v %v",
-				name, byCov[0.05].Mean, byCov[0.10].Mean, byCov[0.20].Mean)
+	rep := quickReport(t, "fig6")
+	for _, name := range []string{dataset.WikiAll.Name, dataset.Orcas1K.Name} {
+		at := func(pct int) Row { return rep.Tab(0).Row("dataset", name, "coverage", pct) }
+		m5, m10, m20 := at(5).Float("mean"), at(10).Float("mean"), at(20).Float("mean")
+		if !(m5 < m10 && m10 < m20) {
+			t.Errorf("%s: mean hit rate not increasing with coverage: %v %v %v", name, m5, m10, m20)
 		}
 		// Tail queries persist (the violin's lower tail, Takeaway 3).
-		if byCov[0.20].Min > 0.6 {
-			t.Errorf("%s: no long-tail queries at 20%% coverage (min=%.2f)", name, byCov[0.20].Min)
+		if lo := at(20).Float("min"); lo > 0.6 {
+			t.Errorf("%s: no long-tail queries at 20%% coverage (min=%.2f)", name, lo)
 		}
 	}
-	if !strings.Contains(r.Render(), "Fig 6") {
+	if !strings.Contains(rep.Render(), "Fig 6") {
 		t.Error("render missing title")
 	}
 }
 
 func TestFig8Curves(t *testing.T) {
-	r, err := Fig8(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(r.Search); i++ {
-		if r.Search[i] < r.Search[i-1] {
+	rep := quickReport(t, "fig8")
+	left := rep.Tab(0).Rows()
+	for i := 1; i < len(left); i++ {
+		if left[i].Dur("search") < left[i-1].Dur("search") {
 			t.Error("search latency not monotone in batch")
 		}
 	}
 	// Variance model tracks empirical within 3x wherever both defined.
-	for i := range r.Means {
-		if r.EmpVar[i] <= 0 {
+	for _, r := range rep.Tab(1).Rows() {
+		emp, model := r.Float("empirical_var"), r.Float("model_var")
+		if emp <= 0 {
 			continue
 		}
-		ratio := r.ModelVar[i] / r.EmpVar[i]
-		if ratio > 4 || ratio < 0.25 {
-			t.Errorf("variance model off at mean %.2f: model %.4f vs empirical %.4f",
-				r.Means[i], r.ModelVar[i], r.EmpVar[i])
+		if ratio := model / emp; ratio > 4 || ratio < 0.25 {
+			t.Errorf("variance model off at mean %.2f: model %.4f vs empirical %.4f", r.Float("mean"), model, emp)
 		}
 	}
-	if !strings.Contains(r.Render(), "Fig 8") {
+	if !strings.Contains(rep.Render(), "Fig 8") {
 		t.Error("render missing title")
 	}
 }
 
 func TestFig9WithinEnvelope(t *testing.T) {
-	r, err := Fig9(quick())
-	if err != nil {
-		t.Fatal(err)
+	rep := quickReport(t, "fig9")
+	rows := rep.Tab(0).Rows()
+	if len(rows) != 6 {
+		t.Fatalf("expected 6 bars, got %d", len(rows))
 	}
-	if len(r.Rows) != 6 {
-		t.Fatalf("expected 6 bars, got %d", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		if row.Timing.Total() <= 0 || row.Timing.Total().Seconds() > 120 {
-			t.Errorf("%s @%v: rebuild %v outside the paper's <1min envelope",
-				row.Dataset, row.SLO, row.Timing.Total())
+	for _, r := range rows {
+		if total := r.Dur("total"); total <= 0 || total.Seconds() > 120 {
+			t.Errorf("%s @%v: rebuild %v outside the paper's <1min envelope", r.Str("dataset"), r.Dur("SLO"), total)
 		}
 	}
-	if !strings.Contains(r.Render(), "Fig 9") {
+	if !strings.Contains(rep.Render(), "Fig 9") {
 		t.Error("render missing title")
 	}
 }
 
 func TestFig10ModelTracksMeasurement(t *testing.T) {
-	r, err := Fig10(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
 	prevPred := map[string]float64{}
-	for _, row := range r.Rows {
+	for _, r := range quickReport(t, "fig10").Tab(0).Rows() {
+		name, batch := r.Str("dataset"), r.Int("batch")
+		pred, meas := r.Float("pred tail hit"), r.Float("meas tail hit")
 		// Tail hit rate: the Beta estimator tracks the replayed truth in
 		// level and trend. Our synthetic per-query hit-rate distribution
 		// has a heavier low tail than a Beta with the parabolic variance,
@@ -189,236 +255,171 @@ func TestFig10ModelTracksMeasurement(t *testing.T) {
 		// the paper's Fig. 10 shows the same direction of offset. Bound
 		// the absolute gap and require the predicted curve to decline
 		// with batch size like the measured one.
-		if diff := row.PredTailHit - row.MeasTailHit; diff > 0.35 || diff < -0.15 {
-			t.Errorf("%s b=%d: tail hit pred %.3f vs meas %.3f",
-				row.Dataset, row.Batch, row.PredTailHit, row.MeasTailHit)
+		if diff := pred - meas; diff > 0.35 || diff < -0.15 {
+			t.Errorf("%s b=%d: tail hit pred %.3f vs meas %.3f", name, batch, pred, meas)
 		}
-		if prev, ok := prevPred[row.Dataset]; ok && row.PredTailHit > prev+1e-9 {
-			t.Errorf("%s b=%d: predicted tail hit rose with batch", row.Dataset, row.Batch)
+		if prev, ok := prevPred[name]; ok && pred > prev+1e-9 {
+			t.Errorf("%s b=%d: predicted tail hit rose with batch", name, batch)
 		}
-		prevPred[row.Dataset] = row.PredTailHit
+		prevPred[name] = pred
 		// Latency: within 2.5x (the paper also reports a visible offset,
 		// Fig. 10 left).
-		ratio := float64(row.PredLatency) / float64(row.MeasLatency)
-		if ratio > 2.5 || ratio < 0.4 {
-			t.Errorf("%s b=%d: latency pred %v vs meas %v",
-				row.Dataset, row.Batch, row.PredLatency, row.MeasLatency)
+		predLat, measLat := r.Dur("pred latency"), r.Dur("meas latency")
+		if ratio := float64(predLat) / float64(measLat); ratio > 2.5 || ratio < 0.4 {
+			t.Errorf("%s b=%d: latency pred %v vs meas %v", name, batch, predLat, measLat)
 		}
 	}
 }
 
 func TestFig11QuickHeadline(t *testing.T) {
-	r, err := Fig11(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Cells) == 0 {
+	rep := quickReport(t, "fig11")
+	cell := rep.Tab(0).Rows() // quick mode runs one (dataset, model) cell
+	if len(cell) == 0 {
 		t.Fatal("no cells")
 	}
-	cell := r.Cells[0]
-	vl := cell.MaxAttainedRate(rag.VLiteRAG, 0.5)
-	cpu := cell.MaxAttainedRate(rag.CPUOnly, 0.5)
+	vl := maxAttainedRate(cell, rag.VLiteRAG, 0.5)
+	cpu := maxAttainedRate(cell, rag.CPUOnly, 0.5)
 	if vl <= cpu {
 		t.Errorf("vLiteRAG SLO-bound rate %.1f not above CPU-only %.1f", vl, cpu)
 	}
-	if !strings.Contains(r.Render(), "vLiteRAG") {
+	if !strings.Contains(rep.Render(), "vLiteRAG") {
 		t.Error("render missing system rows")
 	}
 }
 
 func TestFig12BreakdownSane(t *testing.T) {
-	r, err := Fig12(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range r.Rows {
-		if row.Search <= 0 || row.LLM <= 0 {
-			t.Errorf("%s %s: degenerate breakdown %+v", row.Dataset, row.Kind, row)
+	rep := quickReport(t, "fig12")
+	for _, r := range rep.Tab(0).Rows() {
+		if r.Dur("search") <= 0 || r.Dur("LLM(prefill)") <= 0 {
+			t.Errorf("%s %s: degenerate breakdown %+v", r.Str("dataset"), r.Str("system"), r.cells)
 		}
 	}
 	// CPU-only search segment must dominate vLiteRAG's at equal rate.
-	var cpuSearch, vlSearch float64
-	for _, row := range r.Rows {
-		if row.Dataset == dataset.Orcas1K.Name && row.Rate == 32 {
-			switch row.Kind {
-			case rag.CPUOnly:
-				cpuSearch = row.Search.Seconds()
-			case rag.VLiteRAG:
-				vlSearch = row.Search.Seconds()
-			}
-		}
+	at := func(kind rag.Kind) float64 {
+		return rep.Tab(0).Row("dataset", dataset.Orcas1K.Name, "rate", 32.0, "system", string(kind)).Dur("search").Seconds()
 	}
-	if cpuSearch <= vlSearch {
+	if cpuSearch, vlSearch := at(rag.CPUOnly), at(rag.VLiteRAG); cpuSearch <= vlSearch {
 		t.Errorf("CPU-only search %.3fs not above vLiteRAG %.3fs", cpuSearch, vlSearch)
 	}
-	if !strings.Contains(r.Render(), "Fig 12") {
+	if !strings.Contains(rep.Render(), "Fig 12") {
 		t.Error("render missing title")
 	}
-	if !strings.HasPrefix(r.CSV(), "dataset,system,rate_rps") {
+	if !strings.HasPrefix(rep.CSV(), "dataset,system,rate_rps") {
 		t.Error("fig12 CSV header wrong")
 	}
 }
 
 func TestFig13HedraCachesMore(t *testing.T) {
-	r, err := Fig13(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "fig13")
 	// The §VI-D contrast: HedraRAG over-caches relative to the
 	// latency-bounded point (paper: 0.73 vs 0.315).
-	if r.HedraRho <= r.VLiteRho {
-		t.Errorf("hedra rho %.3f not above vLiteRAG rho %.3f", r.HedraRho, r.VLiteRho)
+	hedra := rep.Tab(0).Row("system", string(rag.HedraRAG)).Float("rho")
+	vlite := rep.Tab(0).Row("system", string(rag.VLiteRAG)).Float("rho")
+	if hedra <= vlite {
+		t.Errorf("hedra rho %.3f not above vLiteRAG rho %.3f", hedra, vlite)
 	}
-	if !strings.Contains(r.Render(), "Fig 13") {
+	if !strings.Contains(rep.Render(), "Fig 13") {
 		t.Error("render missing title")
 	}
 }
 
 func TestFig14DispatcherHelps(t *testing.T) {
-	r, err := Fig14(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	on := map[float64]Fig14Row{}
-	off := map[float64]Fig14Row{}
-	for _, row := range r.Rows {
-		if row.Dispatcher {
-			on[row.Rate] = row
-		} else {
-			off[row.Rate] = row
+	rep := quickReport(t, "fig14")
+	for _, on := range rep.Tab(0).Rows() {
+		if on.Str("dispatcher") != "on" {
+			continue
+		}
+		rate := on.Float("rate")
+		off := rep.Tab(0).Row("dispatcher", "off", "rate", rate)
+		if on.Dur("avg search") > off.Dur("avg search") {
+			t.Errorf("rate %.0f: dispatcher hurt avg search (%v vs %v)", rate, on.Dur("avg search"), off.Dur("avg search"))
 		}
 	}
-	for rate, o := range on {
-		f := off[rate]
-		if o.AvgSearch > f.AvgSearch {
-			t.Errorf("rate %.0f: dispatcher hurt avg search (%v vs %v)", rate, o.AvgSearch, f.AvgSearch)
-		}
-	}
-	if !strings.Contains(r.Render(), "Fig 14") {
+	if !strings.Contains(rep.Render(), "Fig 14") {
 		t.Error("render missing title")
 	}
 }
 
 func TestFig16TableIIMonotone(t *testing.T) {
-	r, err := Fig16(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Table) < 2 {
+	rep := quickReport(t, "fig16")
+	split := rep.Tab(1).Rows()
+	if len(split) < 2 {
 		t.Fatal("Table II empty")
 	}
 	// Stricter SLO (earlier row) allocates at least as much index memory
 	// and leaves less KV (paper Table II).
-	for i := 1; i < len(r.Table); i++ {
-		if r.Table[i-1].IndexGB < r.Table[i].IndexGB-0.01 {
-			t.Errorf("index memory not decreasing with relaxed SLO: %+v", r.Table)
+	for i := 1; i < len(split); i++ {
+		if split[i-1].Float("index_gb") < split[i].Float("index_gb")-0.01 {
+			t.Errorf("index memory not decreasing with relaxed SLO:\n%s", rep.Render())
 		}
-		if r.Table[i-1].KVCacheGB > r.Table[i].KVCacheGB+0.01 {
-			t.Errorf("KV cache not increasing with relaxed SLO: %+v", r.Table)
+		if split[i-1].Float("kv_cache_gb") > split[i].Float("kv_cache_gb")+0.01 {
+			t.Errorf("KV cache not increasing with relaxed SLO:\n%s", rep.Render())
 		}
 	}
-	if !strings.Contains(r.Render(), "Fig 16") {
+	if !strings.Contains(rep.Render(), "Fig 16") {
 		t.Error("render missing title")
 	}
-	if !strings.HasPrefix(r.CSV(), "slo_search_ms") {
+	if !strings.HasPrefix(rep.CSV(), "slo_search_ms") {
 		t.Error("fig16 CSV header wrong")
 	}
 }
 
 func TestTable1(t *testing.T) {
-	r, err := Table1(quick())
-	if err != nil {
-		t.Fatal(err)
+	rep := quickReport(t, "tab1")
+	if len(rep.Tab(0).Rows()) != 3 || len(rep.Tab(1).Rows()) != 3 {
+		t.Fatalf("incomplete Table I:\n%s", rep.Render())
 	}
-	if len(r.SearchSLOs) != 3 || len(r.GenSLOs) != 3 {
-		t.Fatalf("incomplete Table I: %+v", r)
-	}
-	out := r.Render()
+	out := rep.Render()
 	if !strings.Contains(out, "Wiki-All") || !strings.Contains(out, "Qwen3-32B") {
 		t.Error("render incomplete")
 	}
 }
 
 func TestCluster(t *testing.T) {
-	r, err := Cluster(quick())
-	if err != nil {
-		t.Fatal(err)
+	rep := quickReport(t, "cluster")
+	rows := rep.Tab(0).Rows()
+	if len(rows) != 3 { // x1 least-loaded, x2 both policies
+		t.Fatalf("got %d rows:\n%s", len(rows), rep.Render())
 	}
-	if len(r.Rows) != 3 { // x1 least-loaded, x2 both policies
-		t.Fatalf("got %d rows: %+v", len(r.Rows), r.Rows)
-	}
-	base := r.Rows[0]
-	for _, row := range r.Rows[1:] {
-		if row.Att < base.Att-0.10 {
-			t.Errorf("x%d %s attainment %.3f collapsed vs single-node %.3f",
-				row.Replicas, row.Policy, row.Att, base.Att)
+	base := rows[0].Float("attainment")
+	for _, r := range rows[1:] {
+		if att := r.Float("attainment"); att < base-0.10 {
+			t.Errorf("x%d %s attainment %.3f collapsed vs single-node %.3f", r.Int("replicas"), r.Str("policy"), att, base)
 		}
-		if row.MaxSkew > 0.25 {
-			t.Errorf("x%d %s skew %.3f too large", row.Replicas, row.Policy, row.MaxSkew)
+		if skew := r.Float("max skew"); skew > 0.25 {
+			t.Errorf("x%d %s skew %.3f too large", r.Int("replicas"), r.Str("policy"), skew)
 		}
 	}
-	out := r.Render()
+	out := rep.Render()
 	if !strings.Contains(out, "least-loaded") || !strings.Contains(out, "round-robin") {
 		t.Error("render missing policies")
 	}
 }
 
 func TestAblations(t *testing.T) {
-	r, err := Ablations(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "ablations")
 	// Larger eps -> tighter budget -> more coverage -> faster search.
-	first, last := r.Eps[0], r.Eps[len(r.Eps)-1]
-	if last.Rho < first.Rho {
-		t.Errorf("coverage fell as eps grew: %v -> %v", first.Rho, last.Rho)
+	eps := rep.Tab(0).Rows()
+	first, last := eps[0], eps[len(eps)-1]
+	if last.Float("rho") < first.Float("rho") {
+		t.Errorf("coverage fell as eps grew: %v -> %v", first.Float("rho"), last.Float("rho"))
 	}
 	// The enumeration study covers every implemented system.
-	if len(r.Systems) != 5 {
-		t.Errorf("system enumeration has %d rows, want 5: %+v", len(r.Systems), r.Systems)
+	if n := len(rep.Tab(2).Rows()); n != 5 {
+		t.Errorf("system enumeration has %d rows, want 5:\n%s", n, rep.Render())
 	}
-	if last.Search > first.Search {
-		t.Errorf("search slower at higher coverage: %v -> %v", first.Search, last.Search)
+	if last.Dur("avg search") > first.Dur("avg search") {
+		t.Errorf("search slower at higher coverage: %v -> %v", first.Dur("avg search"), last.Dur("avg search"))
 	}
 	// The full runtime must not lose to its ablated variants on search.
-	full := r.Runtime[0]
-	for _, row := range r.Runtime[1:] {
-		if full.Search > row.Search {
-			t.Errorf("full pipeline slower than %q: %v vs %v", row.Pipeline, full.Search, row.Search)
+	runtime := rep.Tab(1).Rows()
+	for _, r := range runtime[1:] {
+		if full := runtime[0].Dur("avg search"); full > r.Dur("avg search") {
+			t.Errorf("full pipeline slower than %q: %v vs %v", r.Str("pipeline"), full, r.Dur("avg search"))
 		}
 	}
-	if !strings.Contains(r.Render(), "Ablation") {
+	if !strings.Contains(rep.Render(), "Ablation") {
 		t.Error("render missing title")
-	}
-}
-
-func TestCSVExports(t *testing.T) {
-	f11, err := Fig11(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := f11.CSV()
-	if !strings.HasPrefix(out, "dataset,model,system,rate_rps") {
-		t.Fatalf("fig11 CSV header wrong: %q", strings.SplitN(out, "\n", 2)[0])
-	}
-	lines := strings.Count(out, "\n")
-	if want := len(f11.Cells[0].Points)*len(f11.Cells) + 1; lines != want {
-		t.Fatalf("fig11 CSV has %d lines, want %d", lines, want)
-	}
-	f5, err := Fig5(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(f5.CSV(), "cluster_percentile") {
-		t.Fatal("fig5 CSV header missing")
-	}
-	// Every CSVer must parse back as CSV (no unescaped commas).
-	for _, c := range []CSVer{f11, f5} {
-		for i, line := range strings.Split(strings.TrimSpace(c.CSV()), "\n") {
-			if line == "" {
-				t.Fatalf("empty CSV line %d", i)
-			}
-		}
 	}
 }
 
@@ -427,88 +428,66 @@ func TestCSVExports(t *testing.T) {
 // attainment above the static plan's post-drift attainment, with at
 // least one rebuild whose timing respects the paper's envelope.
 func TestAdaptRecovery(t *testing.T) {
-	r, err := Adapt(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rebuilds) == 0 {
+	rep := quickReport(t, "adapt")
+	sum := rep.Tab(0).Row()
+	if sum.Int("rebuilds") == 0 {
 		t.Fatal("drift never triggered a rebuild")
 	}
-	if r.ValidateErr != "" {
-		t.Fatalf("rebuild violated the update envelope: %s", r.ValidateErr)
+	if msg := sum.Str("validate_err"); msg != "" {
+		t.Fatalf("rebuild violated the update envelope: %s", msg)
 	}
-	if r.AdaptivePost <= r.StaticPost {
+	if sum.Float("adaptive_post") <= sum.Float("static_post") {
 		t.Fatalf("adaptive post-drift attainment %.3f not above static %.3f",
-			r.AdaptivePost, r.StaticPost)
+			sum.Float("adaptive_post"), sum.Float("static_post"))
 	}
 	// The final window must show the recovered hot set: adaptive hit
 	// rate back near the expectation while the static plan keeps
 	// missing.
-	last := r.Windows[len(r.Windows)-1]
-	if last.AdaptiveHit < r.ExpectedHit-0.1 {
+	windows := rep.Tab(1).Rows()
+	last := windows[len(windows)-1]
+	if last.Float("adaptive hit") < sum.Float("expected_hit")-0.1 {
 		t.Fatalf("final-window adaptive hit %.3f never recovered toward %.3f",
-			last.AdaptiveHit, r.ExpectedHit)
+			last.Float("adaptive hit"), sum.Float("expected_hit"))
 	}
-	if last.AdaptiveHit < last.StaticHit+0.2 {
+	if last.Float("adaptive hit") < last.Float("static hit")+0.2 {
 		t.Fatalf("final-window hit rates barely differ: adaptive %.3f vs static %.3f",
-			last.AdaptiveHit, last.StaticHit)
+			last.Float("adaptive hit"), last.Float("static hit"))
 	}
-	out := r.Render()
+	out := rep.Render()
 	for _, want := range []string{"rebuild timeline", "drift", "swap#1", "post-drift attainment"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
-	if !strings.HasPrefix(r.CSV(), "window_start_s,static_attainment") {
-		t.Errorf("CSV header wrong: %q", strings.SplitN(r.CSV(), "\n", 2)[0])
+	if !strings.HasPrefix(rep.CSV(), "window_start_s,static_attainment") {
+		t.Errorf("CSV header wrong: %q", strings.SplitN(rep.CSV(), "\n", 2)[0])
 	}
-}
-
-// tenantsQuick caches the quick-mode Tenants run: it is the most
-// expensive experiment in this suite (two full multi-tenant
-// simulations) and deterministic, so both tests below share one run.
-var tenantsQuick *TenantsResult
-
-func tenantsQuickResult(t *testing.T) *TenantsResult {
-	t.Helper()
-	if tenantsQuick == nil {
-		r, err := Tenants(quick())
-		if err != nil {
-			t.Fatal(err)
-		}
-		tenantsQuick = r
-	}
-	return tenantsQuick
 }
 
 // TestTenantsIsolation: the headline multi-tenant artifact — with a
 // bursty bronze tenant, gold holds its tier target only under the
 // joint allocator + FairScheduler, not under the shared queue.
 func TestTenantsIsolation(t *testing.T) {
-	r := tenantsQuickResult(t)
-	fair, shared := r.Arm("fair"), r.Arm("shared-queue")
-	if fair == nil || shared == nil {
-		t.Fatalf("arms missing: %+v", r.Arms)
+	rep := quickReport(t, "tenants")
+	row := func(arm, tenant string) Row { return rep.Tab(0).Row("arm", arm, "tenant", tenant) }
+	if !row("fair", "gold").Bool("met") {
+		t.Fatalf("fair arm gold misses its tier target:\n%s", rep.Render())
 	}
-	g := fair.Row("gold")
-	if g == nil || !g.Met {
-		t.Fatalf("fair arm gold misses its tier target: %+v", g)
+	if !row("fair", "silver").Bool("met") {
+		t.Errorf("fair arm silver misses its tier target:\n%s", rep.Render())
 	}
-	if s := fair.Row("silver"); s == nil || !s.Met {
-		t.Errorf("fair arm silver misses its tier target: %+v", s)
-	}
-	if g2 := shared.Row("gold"); g2 == nil || g2.Met {
-		t.Fatalf("shared-queue baseline unexpectedly holds gold's target: %+v", g2)
+	if row("shared-queue", "gold").Bool("met") {
+		t.Fatalf("shared-queue baseline unexpectedly holds gold's target:\n%s", rep.Render())
 	}
 	// The bronze surplus must visibly wait in its own queue under fair
 	// scheduling and nowhere under the shared queue.
-	if b := fair.Row("bronze"); b == nil || b.PeakQueue == 0 {
-		t.Errorf("fair arm bronze queue never grew: %+v", b)
+	if row("fair", "bronze").Int("peak queue") == 0 {
+		t.Errorf("fair arm bronze queue never grew:\n%s", rep.Render())
 	}
-	if b := shared.Row("bronze"); b == nil || b.PeakQueue != 0 {
-		t.Errorf("shared-queue arm reports a per-tenant queue: %+v", b)
+	if row("shared-queue", "bronze").Int("peak queue") != 0 {
+		t.Errorf("shared-queue arm reports a per-tenant queue:\n%s", rep.Render())
 	}
-	out := r.Render()
+	out := rep.Render()
 	for _, want := range []string{"gold", "silver", "bronze", "fair", "shared-queue", "Jain"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
@@ -519,30 +498,7 @@ func TestTenantsIsolation(t *testing.T) {
 // TestTenantsGoldenPinned: the quick-mode artifact is bit-identical
 // across runs with the same seed; the golden file pins it.
 func TestTenantsGoldenPinned(t *testing.T) {
-	got := tenantsQuickResult(t).CSV()
-	want, err := os.ReadFile(filepath.Join("testdata", "tenants_quick.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("tenants quick-mode CSV drifted from golden:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// faultsQuick caches the quick-mode Faults run (four full cluster
-// simulations under the storm) for the assertions below.
-var faultsQuick *FaultsResult
-
-func faultsQuickResult(t *testing.T) *FaultsResult {
-	t.Helper()
-	if faultsQuick == nil {
-		r, err := Faults(quick())
-		if err != nil {
-			t.Fatal(err)
-		}
-		faultsQuick = r
-	}
-	return faultsQuick
+	golden(t, "tenants_quick.golden", quickReport(t, "tenants").CSV())
 }
 
 // TestFaultsResilience: the headline failure-handling artifact — the
@@ -551,48 +507,46 @@ func faultsQuickResult(t *testing.T) *FaultsResult {
 // races, and degradation recovers goodput relative to plain
 // retry+hedge.
 func TestFaultsResilience(t *testing.T) {
-	r := faultsQuickResult(t)
-	base, retry := r.Arm("baseline"), r.Arm("retry")
-	hedgeArm, full := r.Arm("retry+hedge"), r.Arm("retry+hedge+degrade")
-	if base == nil || retry == nil || hedgeArm == nil || full == nil {
-		t.Fatalf("arms missing: %+v", r.Arms)
-	}
-	if base.Stats.Failed == 0 {
+	rep := quickReport(t, "faults")
+	arm := func(name string) Row { return rep.Tab(0).Row("arm", name) }
+	base, hedgeArm, full := arm("baseline"), arm("retry+hedge"), arm("retry+hedge+degrade")
+	if base.Int("failed") == 0 {
 		t.Fatal("baseline failed nothing; the crash hit no in-flight work")
 	}
-	if base.Recover > 0 {
-		t.Errorf("baseline reports a recovery (%v) with no retries configured", base.Recover)
+	if base.Dur("recover_s") > 0 {
+		t.Errorf("baseline reports a recovery (%v) with no retries configured", base.Dur("recover_s"))
 	}
-	for _, a := range []*FaultsArm{retry, hedgeArm, full} {
-		if a.Stats.Failed != 0 || a.Unserved != 0 {
-			t.Errorf("%s arm dropped requests: failed %d, unserved %d", a.Name, a.Stats.Failed, a.Unserved)
+	for _, a := range []Row{arm("retry"), hedgeArm, full} {
+		name := a.Str("arm")
+		if a.Int("failed") != 0 || a.Int("unserved") != 0 {
+			t.Errorf("%s arm dropped requests: failed %d, unserved %d", name, a.Int("failed"), a.Int("unserved"))
 		}
-		if a.Stats.FailedOver != base.Stats.Failed {
+		if a.Int("failover") != base.Int("failed") {
 			t.Errorf("%s arm failed over %d, want the baseline's %d crash victims",
-				a.Name, a.Stats.FailedOver, base.Stats.Failed)
+				name, a.Int("failover"), base.Int("failed"))
 		}
-		if a.Recover <= 0 {
-			t.Errorf("%s arm never recovered the crash: %v", a.Name, a.Recover)
+		if a.Dur("recover_s") <= 0 {
+			t.Errorf("%s arm never recovered the crash: %v", name, a.Dur("recover_s"))
 		}
 		// Resilience costs goodput (re-served work competes with fresh
 		// arrivals) but must not collapse the run.
-		if a.Goodput < 0.9*base.Goodput {
-			t.Errorf("%s arm goodput %.2f collapsed vs baseline %.2f", a.Name, a.Goodput, base.Goodput)
+		if a.Float("goodput") < 0.9*base.Float("goodput") {
+			t.Errorf("%s arm goodput %.2f collapsed vs baseline %.2f", name, a.Float("goodput"), base.Float("goodput"))
 		}
 	}
-	if hedgeArm.Stats.Hedged == 0 || hedgeArm.Stats.HedgeWins == 0 {
+	if hedgeArm.Int("hedged") == 0 || hedgeArm.Int("hedge_wins") == 0 {
 		t.Errorf("hedge arm fired %d backups with %d wins; the straggler tail went unhedged",
-			hedgeArm.Stats.Hedged, hedgeArm.Stats.HedgeWins)
+			hedgeArm.Int("hedged"), hedgeArm.Int("hedge_wins"))
 	}
 	// Hedging must stay rare — a hedge storm doubles load and collapses
 	// the cluster (the tuning this experiment documents).
-	if hedgeArm.Stats.Hedged > hedgeArm.N/10 {
-		t.Errorf("hedge storm: %d backups for %d requests", hedgeArm.Stats.Hedged, hedgeArm.N)
+	if hedgeArm.Int("hedged") > hedgeArm.Int("requests")/10 {
+		t.Errorf("hedge storm: %d backups for %d requests", hedgeArm.Int("hedged"), hedgeArm.Int("requests"))
 	}
-	if full.Goodput < hedgeArm.Goodput {
-		t.Errorf("degradation lost goodput: %.2f vs retry+hedge %.2f", full.Goodput, hedgeArm.Goodput)
+	if full.Float("goodput") < hedgeArm.Float("goodput") {
+		t.Errorf("degradation lost goodput: %.2f vs retry+hedge %.2f", full.Float("goodput"), hedgeArm.Float("goodput"))
 	}
-	out := r.Render()
+	out := rep.Render()
 	for _, want := range []string{"baseline", "retry+hedge+degrade", "crash@30s:r0:20s", "recover"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
@@ -603,13 +557,24 @@ func TestFaultsResilience(t *testing.T) {
 // TestFaultsGoldenPinned: the quick-mode faults artifact is
 // bit-identical across runs with the same seed; the golden pins it.
 func TestFaultsGoldenPinned(t *testing.T) {
-	got := faultsQuickResult(t).CSV()
-	want, err := os.ReadFile(filepath.Join("testdata", "faults_quick.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("faults quick-mode CSV drifted from golden:\ngot:\n%s\nwant:\n%s", got, want)
+	golden(t, "faults_quick.golden", quickReport(t, "faults").CSV())
+}
+
+// sameAcrossWorkers re-runs an experiment at each worker count and
+// requires the CSV of the default-worker run.
+func sameAcrossWorkers(t *testing.T, id string, counts ...int) {
+	t.Helper()
+	ref := quickReport(t, id).CSV()
+	for _, workers := range counts {
+		cfg := quick()
+		cfg.workers = workers
+		rep, err := Registry()[id](cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.CSV(); got != ref {
+			t.Errorf("workers=%d: %s CSV diverged:\ngot:\n%s\nwant:\n%s", workers, id, got, ref)
+		}
 	}
 }
 
@@ -617,32 +582,7 @@ func TestFaultsGoldenPinned(t *testing.T) {
 // on the single shared timeline, so the artifact must be bit-identical
 // for every Workers value.
 func TestFaultsDeterministicAcrossWorkers(t *testing.T) {
-	ref := faultsQuickResult(t).CSV()
-	for _, workers := range []int{2, 4} {
-		r, err := faultsWithWorkers(quick(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := r.CSV(); got != ref {
-			t.Errorf("workers=%d: faults CSV diverged:\ngot:\n%s\nwant:\n%s", workers, got, ref)
-		}
-	}
-}
-
-// ingestQuick caches the quick-mode Ingest run (three full live
-// simulations under the shared diurnal load) for the assertions below.
-var ingestQuick *IngestResult
-
-func ingestQuickResult(t *testing.T) *IngestResult {
-	t.Helper()
-	if ingestQuick == nil {
-		r, err := Ingest(quick())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ingestQuick = r
-	}
-	return ingestQuick
+	sameAcrossWorkers(t, "faults", 2, 4)
 }
 
 // TestIngestFreshness: the headline live-corpus artifact — the frozen
@@ -652,51 +592,50 @@ func ingestQuickResult(t *testing.T) *IngestResult {
 // escalation ladder: cheap compaction on the first drift trigger, full
 // re-partition when the trigger recurs.
 func TestIngestFreshness(t *testing.T) {
-	r := ingestQuickResult(t)
-	frozen, live, comp := r.Arm("frozen"), r.Arm("streaming"), r.Arm("streaming+compaction")
-	if frozen == nil || live == nil || comp == nil {
-		t.Fatalf("arms missing: %+v", r.Arms)
+	rep := quickReport(t, "ingest")
+	arm := func(name string) Row { return rep.Tab(0).Row("arm", name) }
+	frozen, live, comp := arm("frozen"), arm("streaming"), arm("streaming+compaction")
+	if frozen.Int("inserts") != 0 || frozen.Int("deletes") != 0 || frozen.Int("reencodes") != 0 {
+		t.Errorf("frozen arm mutated: %+v", frozen.cells)
 	}
-	if frozen.Inserts != 0 || frozen.Deletes != 0 || frozen.Reencode != 0 {
-		t.Errorf("frozen arm mutated: %+v", *frozen)
-	}
-	for _, a := range []*IngestArm{live, comp} {
-		if a.Inserts == 0 || a.Deletes == 0 {
-			t.Errorf("%s arm saw no mutations: inserts %d, deletes %d", a.Name, a.Inserts, a.Deletes)
+	for _, a := range []Row{live, comp} {
+		name := a.Str("arm")
+		if a.Int("inserts") == 0 || a.Int("deletes") == 0 {
+			t.Errorf("%s arm saw no mutations: inserts %d, deletes %d", name, a.Int("inserts"), a.Int("deletes"))
 		}
-		if a.Pending != 0 {
-			t.Errorf("%s arm left %d raw appends unfolded at run end", a.Name, a.Pending)
+		if a.Int("pending") != 0 {
+			t.Errorf("%s arm left %d raw appends unfolded at run end", name, a.Int("pending"))
 		}
-		if a.Reencode == 0 {
-			t.Errorf("%s arm never re-encoded", a.Name)
+		if a.Int("reencodes") == 0 {
+			t.Errorf("%s arm never re-encoded", name)
 		}
-		if a.TTSP50 <= 0 || a.TTSP99 < a.TTSP50 {
-			t.Errorf("%s arm TTS percentiles inverted: p50 %v, p99 %v", a.Name, a.TTSP50, a.TTSP99)
+		if p50, p99 := a.Dur("tts_p50_s"), a.Dur("tts_p99_s"); p50 <= 0 || p99 < p50 {
+			t.Errorf("%s arm TTS percentiles inverted: p50 %v, p99 %v", name, p50, p99)
 		}
-		if a.FreshAtt < 0.9 {
-			t.Errorf("%s arm freshness attainment %.3f; mutations queued past the SLO", a.Name, a.FreshAtt)
+		if fresh := a.Float("fresh_attainment"); fresh < 0.9 {
+			t.Errorf("%s arm freshness attainment %.3f; mutations queued past the SLO", name, fresh)
 		}
 		// The live corpus may cost a sliver of serving headroom, no more.
-		if a.Att < 0.95*frozen.Att {
-			t.Errorf("%s arm attainment %.3f fell past 95%% of frozen %.3f", a.Name, a.Att, frozen.Att)
+		if a.Float("attainment") < 0.95*frozen.Float("attainment") {
+			t.Errorf("%s arm attainment %.3f fell past 95%% of frozen %.3f", name, a.Float("attainment"), frozen.Float("attainment"))
 		}
 	}
 	// Identical mutation streams: the controller changes the index, not
 	// the corpus.
-	if live.Inserts != comp.Inserts || live.Deletes != comp.Deletes {
+	if live.Int("inserts") != comp.Int("inserts") || live.Int("deletes") != comp.Int("deletes") {
 		t.Errorf("mutation streams diverged: streaming %d/%d vs compaction %d/%d",
-			live.Inserts, live.Deletes, comp.Inserts, comp.Deletes)
+			live.Int("inserts"), live.Int("deletes"), comp.Int("inserts"), comp.Int("deletes"))
 	}
-	if live.Compact != 0 || live.Rebuilds != 0 {
-		t.Errorf("streaming arm ran the controller: %d compactions, %d rebuilds", live.Compact, live.Rebuilds)
+	if live.Int("compactions") != 0 || live.Int("rebuilds") != 0 {
+		t.Errorf("streaming arm ran the controller: %d compactions, %d rebuilds", live.Int("compactions"), live.Int("rebuilds"))
 	}
-	if comp.Compact == 0 {
+	if comp.Int("compactions") == 0 {
 		t.Errorf("compaction arm never compacted; the drift trigger escalated straight to a rebuild")
 	}
-	if comp.Rebuilds == 0 {
+	if comp.Int("rebuilds") == 0 {
 		t.Errorf("compaction arm never escalated; the repeat trigger should force the full re-partition")
 	}
-	out := r.Render()
+	out := rep.Render()
 	for _, want := range []string{"frozen", "streaming+compaction", "tts p99", "freshness SLO", "escalat"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
@@ -707,45 +646,14 @@ func TestIngestFreshness(t *testing.T) {
 // TestIngestGoldenPinned: the quick-mode ingest artifact is
 // bit-identical across runs with the same seed; the golden pins it.
 func TestIngestGoldenPinned(t *testing.T) {
-	got := ingestQuickResult(t).CSV()
-	want, err := os.ReadFile(filepath.Join("testdata", "ingest_quick.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("ingest quick-mode CSV drifted from golden:\ngot:\n%s\nwant:\n%s", got, want)
-	}
+	golden(t, "ingest_quick.golden", quickReport(t, "ingest").CSV())
 }
 
 // TestIngestDeterministicAcrossWorkers: mutations, re-encodes, and
 // compactions all schedule on the single shared timeline, so the
 // artifact must be bit-identical for every Workers value.
 func TestIngestDeterministicAcrossWorkers(t *testing.T) {
-	ref := ingestQuickResult(t).CSV()
-	for _, workers := range []int{2, 4} {
-		r, err := ingestWithWorkers(quick(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := r.CSV(); got != ref {
-			t.Errorf("workers=%d: ingest CSV diverged:\ngot:\n%s\nwant:\n%s", workers, got, ref)
-		}
-	}
-}
-
-// precisionQuick caches the quick-mode run for all precision tests.
-var precisionQuick *PrecisionResult
-
-func precisionQuickResult(t *testing.T) *PrecisionResult {
-	t.Helper()
-	if precisionQuick == nil {
-		r, err := Precision(quick())
-		if err != nil {
-			t.Fatal(err)
-		}
-		precisionQuick = r
-	}
-	return precisionQuick
+	sameAcrossWorkers(t, "ingest", 2, 4)
 }
 
 // TestPrecisionHeadline: the tentpole claim. At the same HBM budget the
@@ -755,46 +663,49 @@ func precisionQuickResult(t *testing.T) *PrecisionResult {
 // more than 2 points. The HBM-only baseline keeps the whole index
 // resident and is untouched by the refinement.
 func TestPrecisionHeadline(t *testing.T) {
-	r := precisionQuickResult(t)
-	for _, rate := range r.Rates() {
-		hbm, place, prec := r.Arm("hbm-only", rate), r.Arm("placement", rate), r.Arm("placement+precision", rate)
-		if hbm == nil || place == nil || prec == nil {
-			t.Fatalf("arms missing at rate %.1f: %+v", rate, r.Arms)
+	rep := quickReport(t, "precision")
+	for _, hbm := range rep.Tab(0).Rows() {
+		if hbm.Str("arm") != "hbm-only" {
+			continue
 		}
-		if hbm.Rho != 1 || hbm.SQ != 0 || hbm.NVMe != 0 || hbm.Gain != 0 {
-			t.Errorf("hbm-only arm is not the untouched baseline: %+v", *hbm)
+		rate := hbm.Float("rate")
+		place := rep.Tab(0).Row("arm", "placement", "rate", rate)
+		prec := rep.Tab(0).Row("arm", "placement+precision", "rate", rate)
+		if hbm.Float("rho") != 1 || hbm.Int("sq8") != 0 || hbm.Int("nvme") != 0 || hbm.Float("recall +pts") != 0 {
+			t.Errorf("hbm-only arm is not the untouched baseline: %+v", hbm.cells)
 		}
-		if place.SQ != 0 || place.NVMe != 0 || place.Gain != 0 {
-			t.Errorf("placement-only arm carries precision state: %+v", *place)
+		if place.Int("sq8") != 0 || place.Int("nvme") != 0 || place.Float("recall +pts") != 0 {
+			t.Errorf("placement-only arm carries precision state: %+v", place.cells)
 		}
-		if prec.SQ == 0 {
+		if prec.Int("sq8") == 0 {
 			t.Errorf("@%.1f: refinement upgraded no clusters to SQ8", rate)
 		}
-		if prec.NVMe == 0 {
+		if prec.Int("nvme") == 0 {
 			t.Errorf("@%.1f: refinement demoted no clusters to NVMe", rate)
 		}
-		if prec.Att < place.Att {
+		if prec.Float("attainment") < place.Float("attainment") {
 			t.Errorf("@%.1f: precision attainment %.4f below placement-only %.4f at equal budget",
-				rate, prec.Att, place.Att)
+				rate, prec.Float("attainment"), place.Float("attainment"))
 		}
-		if prec.Gain < -2 {
-			t.Errorf("@%.1f: recall loss %.2f pts exceeds the 2-point bound", rate, prec.Gain)
+		gain := prec.Float("recall +pts")
+		if gain < -2 {
+			t.Errorf("@%.1f: recall loss %.2f pts exceeds the 2-point bound", rate, gain)
 		}
-		if prec.Gain <= 0 {
-			t.Errorf("@%.1f: SQ8 upgrades bought no recall: %.4f pts", rate, prec.Gain)
+		if gain <= 0 {
+			t.Errorf("@%.1f: SQ8 upgrades bought no recall: %.4f pts", rate, gain)
 		}
-		if prec.Rho != place.Rho {
+		if prec.Float("rho") != place.Float("rho") {
 			t.Errorf("@%.1f: refinement moved the placement split: rho %.4f vs %.4f",
-				rate, prec.Rho, place.Rho)
+				rate, prec.Float("rho"), place.Float("rho"))
 		}
 		// Honest accounting: the SQ8 bytes live in GPU memory, so the
 		// refined plan must report more resident bytes, never fewer.
-		if prec.PlanGB <= place.PlanGB {
+		if prec.Float("plan GB") <= place.Float("plan GB") {
 			t.Errorf("@%.1f: refined plan %.2f GB not above placement-only %.2f GB",
-				rate, prec.PlanGB, place.PlanGB)
+				rate, prec.Float("plan GB"), place.Float("plan GB"))
 		}
 	}
-	out := r.Render()
+	out := rep.Render()
 	for _, want := range []string{"hbm-only", "placement+precision", "recall +pts", "same HBM budget"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
@@ -805,14 +716,7 @@ func TestPrecisionHeadline(t *testing.T) {
 // TestPrecisionGoldenPinned: the quick-mode artifact is bit-identical
 // across runs with the same seed; the golden pins it.
 func TestPrecisionGoldenPinned(t *testing.T) {
-	got := precisionQuickResult(t).CSV()
-	want, err := os.ReadFile(filepath.Join("testdata", "precision_quick.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("precision quick-mode CSV drifted from golden:\ngot:\n%s\nwant:\n%s", got, want)
-	}
+	golden(t, "precision_quick.golden", quickReport(t, "precision").CSV())
 }
 
 // TestPrecisionDeterministicAcrossWorkers: every arm runs on the
@@ -821,32 +725,7 @@ func TestPrecisionGoldenPinned(t *testing.T) {
 // timeline is a pure function of the options — the artifact must be
 // bit-identical for every Workers value.
 func TestPrecisionDeterministicAcrossWorkers(t *testing.T) {
-	ref := precisionQuickResult(t).CSV()
-	for _, workers := range []int{1, 2, 4} {
-		r, err := precisionWithWorkers(quick(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := r.CSV(); got != ref {
-			t.Errorf("workers=%d: precision CSV diverged:\ngot:\n%s\nwant:\n%s", workers, got, ref)
-		}
-	}
-}
-
-// overloadQuick caches the quick-mode Overload run (three full sharded
-// multi-tenant simulations under the ramp) for the assertions below.
-var overloadQuick *OverloadResult
-
-func overloadQuickResult(t *testing.T) *OverloadResult {
-	t.Helper()
-	if overloadQuick == nil {
-		r, err := Overload(quick())
-		if err != nil {
-			t.Fatal(err)
-		}
-		overloadQuick = r
-	}
-	return overloadQuick
+	sameAcrossWorkers(t, "precision", 1, 2, 4)
 }
 
 // TestOverloadResilience: the headline overload artifact — at a
@@ -856,50 +735,57 @@ func overloadQuickResult(t *testing.T) *OverloadResult {
 // brownout ladder on top of it holds gold at ≥0.90 attainment while
 // buying goodput with recall instead of with dropped requests.
 func TestOverloadResilience(t *testing.T) {
-	r := overloadQuickResult(t)
-	naive, reject, brown := r.Arm("naive-queue"), r.Arm("reject-only"), r.Arm("brownout")
-	if naive == nil || reject == nil || brown == nil {
-		t.Fatalf("arms missing: %+v", r.Arms)
+	rep := quickReport(t, "overload")
+	tab := rep.Tab(0)
+	// Per-arm outcomes repeat on every tenant row; read them off gold's.
+	arm := func(name string) Row { return tab.Row("arm", name, "tenant", "gold") }
+	rejected := func(name string) (n int) {
+		for _, r := range tab.Rows() {
+			if r.Str("arm") == name {
+				n += r.Int("rejected")
+			}
+		}
+		return n
 	}
-	if !naive.Collapsed(r.QueueCap) {
-		t.Fatalf("naive queue did not collapse: attainment %.3f, rows %+v", naive.Attainment, naive.Rows)
+	naive, reject, brown := arm("naive-queue"), arm("reject-only"), arm("brownout")
+	if !collapsed(tab, "naive-queue") {
+		t.Fatalf("naive queue did not collapse: attainment %.3f\n%s", naive.Float("agg_attainment"), rep.Render())
 	}
-	if naive.Rejected != 0 {
-		t.Errorf("naive arm rejected %d requests with no admission bound", naive.Rejected)
+	if n := rejected("naive-queue"); n != 0 {
+		t.Errorf("naive arm rejected %d requests with no admission bound", n)
 	}
-	g := brown.Row("gold")
-	if g == nil || g.Att < 0.90 {
-		t.Fatalf("brownout arm gold attainment below 0.90: %+v", g)
+	if brown.Float("attainment") < 0.90 {
+		t.Fatalf("brownout arm gold attainment below 0.90: %+v", brown.cells)
 	}
 	// Bounded admission must actually bound: no per-tenant queue past
 	// the cap, and the bronze surplus visibly refused.
-	for _, a := range []*OverloadArm{reject, brown} {
-		for _, row := range a.Rows {
-			if row.PeakQueue > r.QueueCap {
-				t.Errorf("%s arm %s queue %d exceeds cap %d", a.Name, row.Name, row.PeakQueue, r.QueueCap)
+	for _, name := range []string{"reject-only", "brownout"} {
+		for _, r := range tab.Rows() {
+			if r.Str("arm") == name && r.Int("peak queue") > overloadQueueCap {
+				t.Errorf("%s arm %s queue %d exceeds cap %d", name, r.Str("tenant"), r.Int("peak queue"), overloadQueueCap)
 			}
 		}
-		if a.Rejected == 0 {
-			t.Errorf("%s arm rejected nothing under 1.5x overload", a.Name)
+		if rejected(name) == 0 {
+			t.Errorf("%s arm rejected nothing under 1.5x overload", name)
 		}
 	}
 	// The controller must have engaged and stayed engaged through the
 	// sustained overload, shedding real work.
-	if brown.MaxLevel == 0 || brown.TimeInBrownout == 0 || brown.MeanShed == 0 {
+	if brown.Int("max_level") == 0 || brown.Dur("time_in_brownout_s") == 0 || brown.Float("mean_shed") == 0 {
 		t.Errorf("brownout controller never engaged: level %d, time %v, shed %.2f",
-			brown.MaxLevel, brown.TimeInBrownout, brown.MeanShed)
+			brown.Int("max_level"), brown.Dur("time_in_brownout_s"), brown.Float("mean_shed"))
 	}
 	// Degrading beats dropping: brownout serves more within-SLO work
 	// than reject-only, and pays for it in recall (the SQ8→PQ rung
 	// hands back some of the precision upgrade's gain).
-	if brown.Goodput <= reject.Goodput {
-		t.Errorf("brownout goodput %.2f did not beat reject-only %.2f", brown.Goodput, reject.Goodput)
+	if brown.Float("goodput_rps") <= reject.Float("goodput_rps") {
+		t.Errorf("brownout goodput %.2f did not beat reject-only %.2f", brown.Float("goodput_rps"), reject.Float("goodput_rps"))
 	}
-	if brown.RecallGain >= naive.RecallGain {
+	if brown.Float("recall_gain") >= naive.Float("recall_gain") {
 		t.Errorf("brownout recall gain %.4f did not drop below naive %.4f; the precision-fallback rung never fired",
-			brown.RecallGain, naive.RecallGain)
+			brown.Float("recall_gain"), naive.Float("recall_gain"))
 	}
-	out := r.Render()
+	out := rep.Render()
 	for _, want := range []string{"naive-queue", "reject-only", "brownout", "overload contained"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
@@ -910,14 +796,7 @@ func TestOverloadResilience(t *testing.T) {
 // TestOverloadGoldenPinned: the quick-mode artifact is bit-identical
 // across runs with the same seed; the golden pins it.
 func TestOverloadGoldenPinned(t *testing.T) {
-	got := overloadQuickResult(t).CSV()
-	want, err := os.ReadFile(filepath.Join("testdata", "overload_quick.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("overload quick-mode CSV drifted from golden:\ngot:\n%s\nwant:\n%s", got, want)
-	}
+	golden(t, "overload_quick.golden", quickReport(t, "overload").CSV())
 }
 
 // TestOverloadDeterministicAcrossWorkers: every arm runs on the
@@ -926,14 +805,5 @@ func TestOverloadGoldenPinned(t *testing.T) {
 // merged timeline is a pure function of the options — the artifact
 // must be bit-identical for every Workers value.
 func TestOverloadDeterministicAcrossWorkers(t *testing.T) {
-	ref := overloadQuickResult(t).CSV()
-	for _, workers := range []int{1, 2, 4} {
-		r, err := overloadWithWorkers(quick(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := r.CSV(); got != ref {
-			t.Errorf("workers=%d: overload CSV diverged:\ngot:\n%s\nwant:\n%s", workers, got, ref)
-		}
-	}
+	sameAcrossWorkers(t, "overload", 1, 2, 4)
 }

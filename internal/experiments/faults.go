@@ -2,44 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/fault"
 	"vectorliterag/internal/rag"
 	"vectorliterag/internal/serve"
-	"vectorliterag/internal/workload"
 )
-
-// FaultsResult is the failure-resilience study (beyond the paper): a
-// 3-replica vLiteRAG cluster under a scripted storm — a replica crash,
-// a straggler episode (LLM slowdown), and a bandwidth episode
-// (retrieval slowdown) — evaluated under four resilience arms. The
-// identical storm and arrival trace hit every arm; only the front
-// end's failure handling differs. The artifact: goodput recovers arm
-// by arm as failover+retry, hedging, and graceful degradation stack.
-type FaultsResult struct {
-	Replicas int
-	Rate     float64
-	Storm    fault.Schedule
-	Arms     []FaultsArm
-}
-
-// FaultsArm is one resilience configuration's outcome under the storm.
-type FaultsArm struct {
-	Name     string
-	Att      float64
-	Goodput  float64
-	N        int
-	Unserved int
-	TTFTP90  time.Duration
-	E2EP90   time.Duration
-	Stats    serve.ResilienceStats
-	// Recover is the crash episode's time-to-recover (negative when no
-	// failed-over request ever completed — the baseline arm).
-	Recover time.Duration
-}
 
 // faultsStorm scripts the storm: the crash lands mid-run with traffic
 // in flight, the straggler and bandwidth episodes follow after the
@@ -61,43 +30,38 @@ func faultsStorm() fault.Schedule {
 // fault-free p99 and the timeout, so backups fire only for the
 // stragglers' tail — any tighter and the duplicated load collapses
 // the run.
-func faultsArms() []struct {
-	name string
-	cfg  serve.ResilienceConfig
-} {
+func faultsArms() []arm[rag.Options] {
 	const (
 		timeout = 30 * time.Second
 		hedge   = 15 * time.Second
 	)
-	return []struct {
-		name string
-		cfg  serve.ResilienceConfig
-	}{
-		{"baseline", serve.ResilienceConfig{}},
-		{"retry", serve.ResilienceConfig{Timeout: timeout, MaxRetries: 2}},
-		{"retry+hedge", serve.ResilienceConfig{Timeout: timeout, MaxRetries: 2, HedgeDelay: hedge}},
-		{"retry+hedge+degrade", serve.ResilienceConfig{Timeout: timeout, MaxRetries: 2, HedgeDelay: hedge, Degrade: true}},
+	with := func(c serve.ResilienceConfig) func(*rag.Options) {
+		return func(o *rag.Options) { o.Resilience = &c }
+	}
+	return []arm[rag.Options]{
+		{"baseline", with(serve.ResilienceConfig{})},
+		{"retry", with(serve.ResilienceConfig{Timeout: timeout, MaxRetries: 2})},
+		{"retry+hedge", with(serve.ResilienceConfig{Timeout: timeout, MaxRetries: 2, HedgeDelay: hedge})},
+		{"retry+hedge+degrade", with(serve.ResilienceConfig{Timeout: timeout, MaxRetries: 2, HedgeDelay: hedge, Degrade: true})},
 	}
 }
 
-// Faults runs the resilience study on ORCAS-1K + Qwen3-32B at 50 % of
-// per-node capacity per replica — enough headroom that the surviving
-// pair can absorb the crashed replica's share, the regime graceful
-// degradation is built for.
-func Faults(cfg Config) (*FaultsResult, error) {
-	return faultsWithWorkers(cfg, 0)
-}
-
-// faultsWithWorkers exists for the determinism test: the resilient
-// path pins the single shared timeline, so the artifact must be
-// bit-identical for every Workers value.
-func faultsWithWorkers(cfg Config, workers int) (*FaultsResult, error) {
-	w, err := WorkloadFor(dataset.Orcas1K)
-	if err != nil {
-		return nil, err
-	}
-	dep := deployments()[1] // Qwen3-32B on the H100 node
-	mu, err := rag.BareCapacity(dep.Node, dep.Model, workload.DefaultShape())
+// Faults is the failure-resilience study (beyond the paper): a
+// 3-replica vLiteRAG cluster under a scripted storm — a replica crash,
+// a straggler episode (LLM slowdown), and a bandwidth episode
+// (retrieval slowdown) — evaluated under four resilience arms. The
+// identical storm and arrival trace hit every arm; only the front
+// end's failure handling differs. The artifact: goodput recovers arm
+// by arm as failover+retry, hedging, and graceful degradation stack.
+//
+// It runs on ORCAS-1K + Qwen3-32B at 50 % of per-node capacity per
+// replica — enough headroom that the surviving pair can absorb the
+// crashed replica's share, the regime graceful degradation is built
+// for. The resilient path pins the single shared timeline, so the
+// artifact is bit-identical for every worker count.
+func Faults(cfg Config) (*Report, error) {
+	dep := qwenH100()
+	mu, err := dep.capacity()
 	if err != nil {
 		return nil, err
 	}
@@ -107,105 +71,67 @@ func faultsWithWorkers(cfg Config, workers int) (*FaultsResult, error) {
 	if cfg.Quick {
 		duration = 120 * time.Second
 	}
-	res := &FaultsResult{Replicas: replicas, Rate: rate, Storm: faultsStorm()}
-	for _, arm := range faultsArms() {
-		rcfg := arm.cfg
-		r, err := rag.RunCluster(rag.Options{
-			Node: dep.Node, Model: dep.Model, W: w, Kind: rag.VLiteRAG,
-			Rate: rate, Seed: cfg.Seed, Duration: duration, Workers: workers,
-			Faults: res.Storm, Resilience: &rcfg,
-		}, replicas, serve.LeastLoaded)
+	storm := faultsStorm()
+	rep := &Report{}
+	rep.Printf("Failure resilience: vLiteRAG x%d, ORCAS-1K + Qwen3-32B @ %.1f req/s cluster-wide\n", replicas, rate)
+	rep.Printf("storm: %s\n", storm)
+	rep.Printf("identical storm and arrivals per arm; only the front end's failure handling differs\n\n")
+	t := rep.Table(
+		col("arm", "", "arm", ""),
+		col("goodput", "%.2f/s", "goodput_rps", ""),
+		col("attainment", "%.3f", "attainment", ""),
+		csvCol("requests", ""),
+		col("unserved", "", "unserved", ""),
+		csvCol("ttft_p90_s", ""),
+		csvCol("e2e_p90_s", ""),
+		col("retried", "", "retried", ""),
+		col("failover", "", "failedover", ""),
+		textCol("hedged(wins)", ""),
+		csvCol("hedged", ""),
+		csvCol("hedge_wins", ""),
+		col("timed out", "", "timedout", ""),
+		col("failed", "", "failed", ""),
+		csvCol("ghosts", ""),
+		// The crash episode's time-to-recover: negative when no failed-over
+		// request ever completed (the baseline arm), shown as "-".
+		textCol("recover", "%.1fs"),
+		csvCol("recover_s", ""),
+	)
+	err = cfg.sweep(grid{
+		dep: dep, spec: dataset.Orcas1K, rates: []float64{rate}, arms: faultsArms(),
+		base: func(o *rag.Options) { o.Duration, o.Faults = duration, storm },
+	}, func(name string, o rag.Options) error {
+		r, err := rag.RunCluster(o, replicas, serve.LeastLoaded)
 		if err != nil {
-			return nil, fmt.Errorf("faults %s arm: %w", arm.name, err)
+			return err
 		}
-		a := FaultsArm{
-			Name:     arm.name,
-			Att:      r.Summary.Attainment,
-			Goodput:  r.Resilience.Goodput,
-			N:        r.Summary.N,
-			Unserved: r.Summary.Unserved,
-			TTFTP90:  r.Summary.TTFT.P90,
-			E2EP90:   r.Summary.E2E.P90,
-			Stats:    r.Resilience.Stats,
-		}
+		var recovered time.Duration
 		for i, d := range r.Resilience.Recoveries {
-			if i == 0 || d > a.Recover {
-				a.Recover = d
+			if i == 0 || d > recovered {
+				recovered = d
 			}
 		}
-		res.Arms = append(res.Arms, a)
-	}
-	return res, nil
-}
-
-// Arm returns the named arm.
-func (r *FaultsResult) Arm(name string) *FaultsArm {
-	for i := range r.Arms {
-		if r.Arms[i].Name == name {
-			return &r.Arms[i]
+		var shown any = "-"
+		if recovered > 0 {
+			shown = recovered
 		}
+		s, st := r.Summary, r.Resilience.Stats
+		t.Add(name, r.Resilience.Goodput, s.Attainment, s.N, s.Unserved, s.TTFT.P90, s.E2E.P90,
+			st.Retried, st.FailedOver, fmt.Sprintf("%d(%d)", st.Hedged, st.HedgeWins), st.Hedged, st.HedgeWins,
+			st.TimedOut, st.Failed, st.Ghosts, shown, recovered)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil
-}
-
-// Render formats the resilience table.
-func (r *FaultsResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Failure resilience: vLiteRAG x%d, ORCAS-1K + Qwen3-32B @ %.1f req/s cluster-wide\n",
-		r.Replicas, r.Rate)
-	fmt.Fprintf(&b, "storm: %s\n", r.Storm)
-	b.WriteString("identical storm and arrivals per arm; only the front end's failure handling differs\n\n")
-	t := &table{header: []string{"arm", "goodput", "attainment", "unserved", "retried", "failover",
-		"hedged(wins)", "timed out", "failed", "recover"}}
-	for _, a := range r.Arms {
-		rec := "-"
-		if a.Recover > 0 {
-			rec = sec(a.Recover)
-		}
-		t.add(a.Name, fmt.Sprintf("%.2f/s", a.Goodput), f3(a.Att),
-			fmt.Sprintf("%d", a.Unserved), fmt.Sprintf("%d", a.Stats.Retried),
-			fmt.Sprintf("%d", a.Stats.FailedOver),
-			fmt.Sprintf("%d(%d)", a.Stats.Hedged, a.Stats.HedgeWins),
-			fmt.Sprintf("%d", a.Stats.TimedOut), fmt.Sprintf("%d", a.Stats.Failed), rec)
+	baseline, full := t.Row("arm", "baseline"), t.Row("arm", "retry+hedge+degrade")
+	dropped := baseline.Int("failed") + baseline.Int("unserved")
+	if lost := full.Int("failed") + full.Int("unserved"); dropped > 0 && lost == 0 {
+		rep.Printf("\nresilience serves every request the baseline dropped (%d) at %.0f%% of baseline goodput ✓\n",
+			dropped, 100*full.Float("goodput")/baseline.Float("goodput"))
+	} else {
+		rep.Printf("\ndropped: baseline %d vs full resilience %d; goodput %.2f/s vs %.2f/s\n",
+			dropped, lost, baseline.Float("goodput"), full.Float("goodput"))
 	}
-	b.WriteString(t.String())
-	base, full := r.Arm("baseline"), r.Arm("retry+hedge+degrade")
-	if base != nil && full != nil {
-		dropped := base.Stats.Failed + base.Unserved
-		if dropped > 0 && full.Stats.Failed == 0 && full.Unserved == 0 {
-			fmt.Fprintf(&b, "\nresilience serves every request the baseline dropped (%d) at %.0f%% of baseline goodput ✓\n",
-				dropped, 100*full.Goodput/base.Goodput)
-		} else {
-			fmt.Fprintf(&b, "\ndropped: baseline %d vs full resilience %d; goodput %.2f/s vs %.2f/s\n",
-				dropped, full.Stats.Failed+full.Unserved, base.Goodput, full.Goodput)
-		}
-	}
-	return b.String()
-}
-
-// CSV exports one row per arm.
-func (r *FaultsResult) CSV() string {
-	rows := [][]string{}
-	for _, a := range r.Arms {
-		rows = append(rows, []string{
-			a.Name,
-			fmt.Sprintf("%.4f", a.Goodput),
-			fmt.Sprintf("%.4f", a.Att),
-			fmt.Sprintf("%d", a.N),
-			fmt.Sprintf("%d", a.Unserved),
-			fmt.Sprintf("%.6f", a.TTFTP90.Seconds()),
-			fmt.Sprintf("%.6f", a.E2EP90.Seconds()),
-			fmt.Sprintf("%d", a.Stats.Retried),
-			fmt.Sprintf("%d", a.Stats.FailedOver),
-			fmt.Sprintf("%d", a.Stats.Hedged),
-			fmt.Sprintf("%d", a.Stats.HedgeWins),
-			fmt.Sprintf("%d", a.Stats.TimedOut),
-			fmt.Sprintf("%d", a.Stats.Failed),
-			fmt.Sprintf("%d", a.Stats.Ghosts),
-			fmt.Sprintf("%.6f", a.Recover.Seconds()),
-		})
-	}
-	return writeCSV([]string{"arm", "goodput_rps", "attainment", "requests", "unserved",
-		"ttft_p90_s", "e2e_p90_s", "retried", "failedover", "hedged", "hedge_wins",
-		"timedout", "failed", "ghosts", "recover_s"}, rows)
+	return rep, nil
 }

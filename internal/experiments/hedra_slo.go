@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"vectorliterag/internal/dataset"
-	"vectorliterag/internal/hw"
 	"vectorliterag/internal/rag"
 )
 
@@ -38,21 +35,23 @@ func vliteHeavySpec() dataset.Spec {
 	return s
 }
 
-// Fig13Result reproduces the HedraRAG comparison (Fig. 13): TTFT and
-// E2E latency across arrival rates, plus the two partitioning points.
-type Fig13Result struct {
-	HedraRho, VLiteRho float64
-	Points             []SweepPoint
-}
-
-// Fig13 runs both systems, each on its own index build.
-func Fig13(cfg Config) (*Fig13Result, error) {
-	dep := deployments()[1] // Qwen3-32B + H100 node
-	rates, _, err := ratesFor(dep.Node, dep.Model, cfg.Quick)
+// Fig13 reproduces the HedraRAG comparison (Fig. 13): TTFT and E2E
+// latency across arrival rates, plus the two partitioning points, each
+// system on its own index build.
+func Fig13(cfg Config) (*Report, error) {
+	dep := qwenH100()
+	rates, _, err := ratesFor(dep, cfg.Quick)
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig13Result{}
+	t := &Table{Cols: []Col{
+		col("system", "", "system", ""),
+		col("rate", "%.1f", "rate_rps", "%.1f"),
+		col("TTFT p90", "%.0fms", "ttft_p90_s", ""),
+		col("E2E mean", "%.1fs", "e2e_mean_s", ""),
+		col("attainment", "%.2f", "attainment", ""),
+		csvCol("rho", ""),
+	}}
 	for _, sys := range []struct {
 		kind rag.Kind
 		spec dataset.Spec
@@ -60,132 +59,82 @@ func Fig13(cfg Config) (*Fig13Result, error) {
 		{rag.HedraRAG, hedraIndexSpec()},
 		{rag.VLiteRAG, vliteHeavySpec()},
 	} {
-		w, err := WorkloadFor(sys.spec)
+		err := cfg.sweep(grid{
+			dep: dep, spec: sys.spec, kinds: []rag.Kind{sys.kind}, rates: rates,
+			base: func(o *rag.Options) { o.SLOSearch = 400 * time.Millisecond },
+		}, single(func(_ string, o rag.Options, r *rag.Result) {
+			t.Add(string(o.Kind), o.Rate, r.Summary.TTFT.P90, r.Summary.E2E.Mean, r.Summary.Attainment, r.Rho)
+		}))
 		if err != nil {
 			return nil, err
 		}
-		points, err := sweep(cfg, dep, w, []rag.Kind{sys.kind}, rates, func(o *rag.Options) {
-			o.SLOSearch = 400 * time.Millisecond
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, points...)
-		for _, p := range points {
-			switch p.Kind {
-			case rag.HedraRAG:
-				res.HedraRho = p.Rho
-			case rag.VLiteRAG:
-				res.VLiteRho = p.Rho
-			}
-		}
 	}
-	return res, nil
+	// The partitioning line prints above the table it is read from.
+	rep := &Report{}
+	rep.Printf("Fig 13: comparison with HedraRAG (sqrt(N)-cluster setting, SLO_search=400ms)\n")
+	rep.Printf("partitioning points: HedraRAG rho=%.3f (paper 0.73), vLiteRAG rho=%.3f (paper 0.315)\n",
+		t.Row("system", string(rag.HedraRAG)).Float("rho"), t.Row("system", string(rag.VLiteRAG)).Float("rho"))
+	rep.add(t)
+	return rep, nil
 }
 
-// Render formats the comparison.
-func (r *Fig13Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Fig 13: comparison with HedraRAG (sqrt(N)-cluster setting, SLO_search=400ms)\n")
-	fmt.Fprintf(&b, "partitioning points: HedraRAG rho=%.3f (paper 0.73), vLiteRAG rho=%.3f (paper 0.315)\n",
-		r.HedraRho, r.VLiteRho)
-	t := &table{header: []string{"system", "rate", "TTFT p90", "E2E mean", "attainment"}}
-	for _, p := range r.Points {
-		t.add(string(p.Kind), fmt.Sprintf("%.1f", p.Rate), ms(p.TTFTP90), sec(p.E2EMean), f2(p.Att))
-	}
-	b.WriteString(t.String())
-	return b.String()
-}
-
-// Fig16Result reproduces the SLO_search sensitivity study (Fig. 16) and
-// Table II (memory split per SLO).
-type Fig16Result struct {
-	Rows  []Fig16Row
-	Table []Table2Row
-}
-
-// Fig16Row is one (SLO, system, rate) sample.
-type Fig16Row struct {
-	SLO     time.Duration
-	Kind    rag.Kind
-	Rate    float64
-	TTFTP95 time.Duration
-	TTFTP90 time.Duration
-}
-
-// Table2Row is one row of Table II.
-type Table2Row struct {
-	SLO       time.Duration
-	IndexGB   float64
-	ParamGB   float64
-	KVCacheGB float64
-	Rho       float64
-}
-
-// Fig16 sweeps SLO_search in {100,150,200,250} ms on Qwen3-32B +
-// ORCAS-1K.
-func Fig16(cfg Config) (*Fig16Result, error) {
-	w, err := WorkloadFor(dataset.Orcas1K)
-	if err != nil {
-		return nil, err
-	}
-	dep := deployments()[1]
+// Fig16 reproduces the SLO_search sensitivity study (Fig. 16) — one
+// (SLO, system, rate) sample per row, SLO_search swept over
+// {100,150,200,250} ms on Qwen3-32B + ORCAS-1K — and Table II, the
+// per-GPU memory split per SLO.
+func Fig16(cfg Config) (*Report, error) {
+	dep := qwenH100()
 	slos := []time.Duration{100 * time.Millisecond, 150 * time.Millisecond, 200 * time.Millisecond, 250 * time.Millisecond}
 	if cfg.Quick {
 		slos = []time.Duration{100 * time.Millisecond, 250 * time.Millisecond}
 	}
-	kinds := []rag.Kind{rag.CPUOnly, rag.AllGPU, rag.VLiteRAG}
-	rates, _, err := ratesFor(dep.Node, dep.Model, cfg.Quick)
+	rates, _, err := ratesFor(dep, cfg.Quick)
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig16Result{}
-	node := hw.H100Node()
+	rep := &Report{}
+	rep.Printf("Fig 16: P95 (and P90) TTFT under different SLO_search targets (Qwen3-32B + ORCAS-1K)\n")
+	curves := rep.Table(
+		col("SLO_search", "%.0fms", "slo_search_ms", "%.0f"),
+		col("system", "", "system", ""),
+		col("rate", "%.1f", "rate_rps", "%.1f"),
+		col("TTFT p95", "%.0fms", "ttft_p95_s", ""),
+		col("TTFT p90", "%.0fms", "ttft_p90_s", ""),
+	)
+	rep.Printf("\nTable II: SLO targets and per-GPU memory split (vLiteRAG)\n")
+	split := rep.Table(
+		col("SLO (ms)", "%.0f", "slo_search_ms", "%.0f"),
+		col("Index (GB)", "%.2f", "index_gb", ""),
+		col("Param (GB)", "%.2f", "param_gb", ""),
+		col("KV Cache (GB)", "%.2f", "kv_cache_gb", ""),
+		col("rho", "%.3f", "rho", ""),
+	)
 	for _, slo := range slos {
-		points, err := sweep(cfg, dep, w, kinds, rates, func(o *rag.Options) {
-			o.SLOSearch = slo
-		})
+		sloMS := slo.Seconds() * 1000
+		err := cfg.sweep(grid{
+			dep: dep, spec: dataset.Orcas1K, rates: rates,
+			kinds: []rag.Kind{rag.CPUOnly, rag.AllGPU, rag.VLiteRAG},
+			base:  func(o *rag.Options) { o.SLOSearch = slo },
+		}, single(func(_ string, o rag.Options, r *rag.Result) {
+			curves.Add(sloMS, string(o.Kind), o.Rate, r.Summary.TTFT.P95, r.Summary.TTFT.P90)
+		}))
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range points {
-			res.Rows = append(res.Rows, Fig16Row{
-				SLO: slo, Kind: p.Kind, Rate: p.Rate, TTFTP95: p.TTFTP95, TTFTP90: p.TTFTP90,
-			})
-		}
-		// Compute the Table-II memory split from a single partitioned run.
-		r, err := rag.Run(rag.Options{
-			Node: dep.Node, Model: dep.Model, W: w, Kind: rag.VLiteRAG,
-			Rate: rates[0], Seed: cfg.Seed, Duration: runDuration(true),
-			SLOSearch: slo,
-		})
+		// Compute the Table-II memory split from a single partitioned run
+		// (quick-length at either scale: only the decision is read).
+		err = cfg.sweep(grid{
+			dep: dep, spec: dataset.Orcas1K, rates: rates[:1],
+			base: func(o *rag.Options) { o.SLOSearch, o.Duration = slo, runDuration(true) },
+		}, single(func(_ string, _ rag.Options, r *rag.Result) {
+			weights := float64(dep.Model.WeightBytesPerGPU())
+			perGPUShard := float64(r.PlanBytes) / float64(dep.Node.NumGPUs)
+			kv := float64(dep.Node.GPU.UsableMem()) - weights - perGPUShard
+			split.Add(sloMS, perGPUShard/1e9, weights/1e9, kv/1e9, r.Rho)
+		}))
 		if err != nil {
 			return nil, err
 		}
-		perGPUShard := float64(r.PlanBytes) / float64(node.NumGPUs)
-		paramGB := float64(dep.Model.WeightBytesPerGPU()) / 1e9
-		kvGB := (float64(node.GPU.UsableMem()) - float64(dep.Model.WeightBytesPerGPU()) - perGPUShard) / 1e9
-		res.Table = append(res.Table, Table2Row{
-			SLO: slo, IndexGB: perGPUShard / 1e9, ParamGB: paramGB, KVCacheGB: kvGB, Rho: r.Rho,
-		})
 	}
-	return res, nil
-}
-
-// Render formats the sensitivity curves and Table II.
-func (r *Fig16Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Fig 16: P95 (and P90) TTFT under different SLO_search targets (Qwen3-32B + ORCAS-1K)\n")
-	t := &table{header: []string{"SLO_search", "system", "rate", "TTFT p95", "TTFT p90"}}
-	for _, row := range r.Rows {
-		t.add(ms(row.SLO), string(row.Kind), fmt.Sprintf("%.1f", row.Rate), ms(row.TTFTP95), ms(row.TTFTP90))
-	}
-	b.WriteString(t.String())
-	b.WriteString("\nTable II: SLO targets and per-GPU memory split (vLiteRAG)\n")
-	t2 := &table{header: []string{"SLO (ms)", "Index (GB)", "Param (GB)", "KV Cache (GB)", "rho"}}
-	for _, row := range r.Table {
-		t2.add(fmt.Sprintf("%.0f", row.SLO.Seconds()*1000), f2(row.IndexGB), f2(row.ParamGB), f2(row.KVCacheGB), f3(row.Rho))
-	}
-	b.WriteString(t2.String())
-	return b.String()
+	return rep, nil
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"vectorliterag/internal/dataset"
@@ -10,7 +8,7 @@ import (
 	"vectorliterag/internal/workload"
 )
 
-// IngestResult is the streaming-ingest study (beyond the paper's
+// Ingest is the streaming-ingest study (beyond the paper's
 // frozen-corpus evaluation): the same diurnal query load and the same
 // mid-run popularity drift served over a frozen corpus and over a live
 // one — insert/delete streams on the serving timeline, tombstone-masked
@@ -22,201 +20,114 @@ import (
 // escalation ladder — cheap compaction first (the live trackers read
 // "overlay", not geometry), full Algorithm-1 re-partition when the
 // trigger recurs.
-type IngestResult struct {
-	Dataset       string
-	Model         string
-	Rate          float64 // diurnal mean, req/s
-	InsertRate    float64 // mutations/s
-	DeleteRate    float64
-	ReencodeEvery time.Duration
-	FreshnessSLO  time.Duration
-	DriftAt       time.Duration
-	Rotate        int
-	Arms          []IngestArm
-}
-
-// IngestArm is one corpus regime's outcome under the shared load.
-type IngestArm struct {
-	Name     string
-	Att      float64
-	N        int
-	TTFTP90  time.Duration
-	TTSP50   time.Duration // time-to-searchable
-	TTSP99   time.Duration
-	FreshAtt float64 // inserts searchable within the freshness SLO
-	Inserts  int
-	Deletes  int
-	Pending  int // raw appends never folded by run end
-	Reencode int
-	Compact  int
-	Rebuilds int     // completed full re-partitions (escalated triggers)
-	Skew     float64 // live cluster-size skew at run end
-	Residual float64 // insert residual norm over the corpus baseline
-}
-
-// Ingest runs the live-corpus study on ORCAS-2K + Qwen3-32B — like the
-// adapt study, the dataset whose CPU scan is heavy enough that a
-// stranded hot set actually costs SLO attainment, so the drift episode
-// gives the compaction controller something real to answer — under a
-// diurnal arrival cycle.
-func Ingest(cfg Config) (*IngestResult, error) {
-	return ingestWithWorkers(cfg, 0)
-}
-
-// ingestWithWorkers exists for the determinism test: live runs schedule
-// everything on the single shared timeline, so the artifact must be
-// bit-identical for every Workers value.
-func ingestWithWorkers(cfg Config, workers int) (*IngestResult, error) {
+//
+// It runs on ORCAS-2K + Qwen3-32B — like the adapt study, the dataset
+// whose CPU scan is heavy enough that a stranded hot set actually costs
+// SLO attainment, so the drift episode gives the compaction controller
+// something real to answer — under a diurnal arrival cycle. Live runs
+// schedule everything on the single shared timeline, so the artifact is
+// bit-identical for every worker count.
+func Ingest(cfg Config) (*Report, error) {
 	w, err := WorkloadFor(dataset.Orcas2K)
 	if err != nil {
 		return nil, err
 	}
-	dep := deployments()[1] // Qwen3-32B on the H100 node
-	rate := 20.0
+	dep := qwenH100()
+	rate := 20.0 // diurnal mean, req/s
 	duration := 240 * time.Second
 	if cfg.Quick {
 		duration = 120 * time.Second
 	}
-	res := &IngestResult{
-		Dataset: dataset.Orcas2K.Name, Model: dep.Model.Name,
-		Rate: rate, InsertRate: 4, DeleteRate: 1,
+	streams := rag.IngestOptions{
+		InsertRate: 4, DeleteRate: 1, // mutations/s
 		ReencodeEvery: 12 * time.Second, FreshnessSLO: 500 * time.Millisecond,
-		DriftAt: duration / 4, Rotate: w.DefaultDriftRotation(),
 	}
-	arms := []struct {
-		name   string
-		ingest rag.IngestOptions
-	}{
-		{"frozen", rag.IngestOptions{}},
-		{"streaming", rag.IngestOptions{
-			InsertRate: res.InsertRate, DeleteRate: res.DeleteRate,
-			ReencodeEvery: res.ReencodeEvery, FreshnessSLO: res.FreshnessSLO,
-		}},
-		{"streaming+compaction", rag.IngestOptions{
-			InsertRate: res.InsertRate, DeleteRate: res.DeleteRate,
-			ReencodeEvery: res.ReencodeEvery, FreshnessSLO: res.FreshnessSLO,
-			Compaction: true,
+	drift := dataset.DriftEvent{At: duration / 4, Rotate: w.DefaultDriftRotation()}
+	arms := []arm[rag.LiveOptions]{
+		{name: "frozen"},
+		{"streaming", func(o *rag.LiveOptions) { o.Ingest = streams }},
+		{"streaming+compaction", func(o *rag.LiveOptions) {
+			o.Ingest = streams
+			o.Ingest.Compaction = true
 			// The insert stream tracks the drifted query distribution by
 			// design, so the cumulative residual carries a ~2.5-2.7x floor
 			// after the rotation; keep the threshold above it so the first
 			// trigger takes the cheap compaction and escalation comes from
 			// the repeat-trigger rule, not the tracker floor.
-			EscalateResidual: 3.0,
+			o.Ingest.EscalateResidual = 3.0
 		}},
 	}
-	for _, arm := range arms {
-		r, err := rag.RunLive(rag.LiveOptions{
-			Options: rag.Options{
-				Node: dep.Node, Model: dep.Model, W: w, Kind: rag.VLiteRAG,
-				Rate: rate, RateSchedule: workload.Diurnal(rate, 0.4*rate, duration),
-				Seed: cfg.Seed, Duration: duration, Drain: 120 * time.Second,
-				Workers: workers, SLOSearch: 150 * time.Millisecond,
-				Drift: []dataset.DriftEvent{{At: res.DriftAt, Rotate: res.Rotate}},
-			},
-			Ingest: arm.ingest,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("ingest %s arm: %w", arm.name, err)
-		}
-		f := r.Freshness
-		a := IngestArm{
-			Name:     arm.name,
-			Att:      r.Summary.Attainment,
-			N:        r.Summary.N,
-			TTFTP90:  r.Summary.TTFT.P90,
-			TTSP50:   f.TTS.P50,
-			TTSP99:   f.TTS.P99,
-			FreshAtt: f.Attainment,
-			Inserts:  f.Inserts,
-			Deletes:  f.Deletes,
-			Pending:  f.Pending,
-			Reencode: r.Reencodes,
-			Compact:  r.Compactions,
-			Skew:     r.SizeSkew,
-			Residual: r.ResidualRatio,
-		}
-		for _, rb := range r.Rebuilds {
-			if !rb.Compaction && rb.Aborted == "" {
-				a.Rebuilds++
+	rep := &Report{}
+	rep.Printf("Streaming ingest: vLiteRAG, %s + %s, diurnal load around %.1f req/s\n",
+		dataset.Orcas2K.Name, dep.Model.Name, rate)
+	rep.Printf("mutations: %.0f inserts/s + %.0f deletes/s, re-encode every %v, freshness SLO %v\n",
+		streams.InsertRate, streams.DeleteRate, streams.ReencodeEvery, streams.FreshnessSLO)
+	rep.Printf("identical arrivals per arm, popularity rotates by %d templates at t=%v; only the corpus regime differs\n\n",
+		drift.Rotate, drift.At)
+	t := rep.Table(
+		col("arm", "", "arm", ""),
+		col("attainment", "%.3f", "attainment", ""),
+		csvCol("requests", ""),
+		col("ttft p90", "%.0fms", "ttft_p90_s", ""),
+		// Time-to-searchable and the share of inserts searchable within the
+		// freshness SLO read "-" on an arm that saw no inserts.
+		textCol("tts p50", "%.0fms"),
+		csvCol("tts_p50_s", ""),
+		textCol("tts p99", "%.0fms"),
+		csvCol("tts_p99_s", ""),
+		textCol("fresh att", "%.3f"),
+		csvCol("fresh_attainment", ""),
+		col("inserts", "", "inserts", ""),
+		col("deletes", "", "deletes", ""),
+		csvCol("pending", ""), // raw appends never folded by run end
+		col("re-encodes", "", "reencodes", ""),
+		col("compactions", "", "compactions", ""),
+		col("rebuilds", "", "rebuilds", ""), // completed full re-partitions (escalated triggers)
+		csvCol("size_skew", ""),             // live cluster-size skew at run end
+		csvCol("residual_ratio", ""),        // insert residual norm over the corpus baseline
+	)
+	err = cfg.sweep(grid{dep: dep, spec: dataset.Orcas2K, rates: []float64{rate}, base: func(o *rag.Options) {
+		o.RateSchedule = workload.Diurnal(rate, 0.4*rate, duration)
+		o.Duration, o.Drain = duration, 120*time.Second
+		o.SLOSearch = 150 * time.Millisecond
+		o.Drift = []dataset.DriftEvent{drift}
+	}}, func(_ string, o rag.Options) error {
+		return eachArm(rag.LiveOptions{Options: o}, arms, func(name string, lo rag.LiveOptions) error {
+			r, err := rag.RunLive(lo)
+			if err != nil {
+				return err
 			}
-		}
-		res.Arms = append(res.Arms, a)
-	}
-	return res, nil
-}
-
-// Arm returns the named arm.
-func (r *IngestResult) Arm(name string) *IngestArm {
-	for i := range r.Arms {
-		if r.Arms[i].Name == name {
-			return &r.Arms[i]
-		}
-	}
-	return nil
-}
-
-// Render formats the freshness table.
-func (r *IngestResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Streaming ingest: vLiteRAG, %s + %s, diurnal load around %.1f req/s\n",
-		r.Dataset, r.Model, r.Rate)
-	fmt.Fprintf(&b, "mutations: %.0f inserts/s + %.0f deletes/s, re-encode every %v, freshness SLO %v\n",
-		r.InsertRate, r.DeleteRate, r.ReencodeEvery, r.FreshnessSLO)
-	fmt.Fprintf(&b, "identical arrivals per arm, popularity rotates by %d templates at t=%v; only the corpus regime differs\n\n",
-		r.Rotate, r.DriftAt)
-	t := &table{header: []string{"arm", "attainment", "ttft p90", "tts p50", "tts p99",
-		"fresh att", "inserts", "deletes", "re-encodes", "compactions", "rebuilds"}}
-	for _, a := range r.Arms {
-		tts50, tts99, fresh := "-", "-", "-"
-		if a.Inserts > 0 {
-			tts50, tts99, fresh = ms(a.TTSP50), ms(a.TTSP99), f3(a.FreshAtt)
-		}
-		t.add(a.Name, f3(a.Att), ms(a.TTFTP90), tts50, tts99, fresh,
-			fmt.Sprintf("%d", a.Inserts), fmt.Sprintf("%d", a.Deletes),
-			fmt.Sprintf("%d", a.Reencode), fmt.Sprintf("%d", a.Compact),
-			fmt.Sprintf("%d", a.Rebuilds))
-	}
-	b.WriteString(t.String())
-	frozen, live := r.Arm("frozen"), r.Arm("streaming")
-	if frozen != nil && live != nil && frozen.Att > 0 {
-		fmt.Fprintf(&b, "\nstreaming holds %.1f%% of the frozen arm's attainment with %d live mutations",
-			100*live.Att/frozen.Att, live.Inserts+live.Deletes)
-		if live.Att >= 0.95*frozen.Att {
-			b.WriteString(" ✓\n")
-		} else {
-			b.WriteString("\n")
-		}
-	}
-	if comp := r.Arm("streaming+compaction"); comp != nil {
-		fmt.Fprintf(&b, "drift at run end: skew %.2f, residual %.2f (compaction arm: %d compactions, escalated to %d full re-partitions)\n",
-			comp.Skew, comp.Residual, comp.Compact, comp.Rebuilds)
-	}
-	return b.String()
-}
-
-// CSV exports one row per arm.
-func (r *IngestResult) CSV() string {
-	rows := [][]string{}
-	for _, a := range r.Arms {
-		rows = append(rows, []string{
-			a.Name,
-			fmt.Sprintf("%.4f", a.Att),
-			fmt.Sprintf("%d", a.N),
-			fmt.Sprintf("%.6f", a.TTFTP90.Seconds()),
-			fmt.Sprintf("%.6f", a.TTSP50.Seconds()),
-			fmt.Sprintf("%.6f", a.TTSP99.Seconds()),
-			fmt.Sprintf("%.4f", a.FreshAtt),
-			fmt.Sprintf("%d", a.Inserts),
-			fmt.Sprintf("%d", a.Deletes),
-			fmt.Sprintf("%d", a.Pending),
-			fmt.Sprintf("%d", a.Reencode),
-			fmt.Sprintf("%d", a.Compact),
-			fmt.Sprintf("%d", a.Rebuilds),
-			fmt.Sprintf("%.4f", a.Skew),
-			fmt.Sprintf("%.4f", a.Residual),
+			f := r.Freshness
+			var tts50, tts99, fresh any = "-", "-", "-"
+			if f.Inserts > 0 {
+				tts50, tts99, fresh = f.TTS.P50, f.TTS.P99, f.Attainment
+			}
+			rebuilds := 0
+			for _, rb := range r.Rebuilds {
+				if !rb.Compaction && rb.Aborted == "" {
+					rebuilds++
+				}
+			}
+			t.Add(name, r.Summary.Attainment, r.Summary.N, r.Summary.TTFT.P90,
+				tts50, f.TTS.P50, tts99, f.TTS.P99, fresh, f.Attainment,
+				f.Inserts, f.Deletes, f.Pending, r.Reencodes, r.Compactions, rebuilds,
+				r.SizeSkew, r.ResidualRatio)
+			return nil
 		})
+	})
+	if err != nil {
+		return nil, err
 	}
-	return writeCSV([]string{"arm", "attainment", "requests", "ttft_p90_s", "tts_p50_s",
-		"tts_p99_s", "fresh_attainment", "inserts", "deletes", "pending", "reencodes",
-		"compactions", "rebuilds", "size_skew", "residual_ratio"}, rows)
+	frozen, live, comp := t.Row("arm", "frozen"), t.Row("arm", "streaming"), t.Row("arm", "streaming+compaction")
+	if frozenAtt, liveAtt := frozen.Float("attainment"), live.Float("attainment"); frozenAtt > 0 {
+		rep.Printf("\nstreaming holds %.1f%% of the frozen arm's attainment with %d live mutations",
+			100*liveAtt/frozenAtt, live.Int("inserts")+live.Int("deletes"))
+		if liveAtt >= 0.95*frozenAtt {
+			rep.Printf(" ✓")
+		}
+		rep.Printf("\n")
+	}
+	rep.Printf("drift at run end: skew %.2f, residual %.2f (compaction arm: %d compactions, escalated to %d full re-partitions)\n",
+		comp.Float("size_skew"), comp.Float("residual_ratio"), comp.Int("compactions"), comp.Int("rebuilds"))
+	return rep, nil
 }

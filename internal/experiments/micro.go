@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
 	"vectorliterag/internal/costmodel"
 	"vectorliterag/internal/dataset"
@@ -27,197 +25,166 @@ func fig3Spec() dataset.Spec {
 	return s
 }
 
-// Fig3Result reproduces Fig. 3: standard IVF vs fast-scan latency
-// (left) and the stage breakdown of IVF fast scan (right).
-type Fig3Result struct {
-	// Normalized latency of IVF-FS relative to standard IVF at each
-	// batch size (left panel; paper: ~0.2).
-	Normalized map[int]float64
-	// Breakdown at each batch size (right panel).
-	Breakdown map[int]costmodel.Breakdown
-}
-
-// Fig3 runs the microbenchmark.
-func Fig3(cfg Config) (*Fig3Result, error) {
-	spec := fig3Spec()
-	fs := costmodel.NewSearchModel(hw.Xeon8462Y(), spec)
+// Fig3 reproduces Fig. 3: IVF fast-scan latency normalized to standard
+// IVF at each batch size (left; paper: ~0.2) and the stage breakdown of
+// IVF fast scan (right).
+func Fig3(cfg Config) (*Report, error) {
+	fs := costmodel.NewSearchModel(hw.Xeon8462Y(), fig3Spec())
 	std := fs
 	std.FastScan = false
-	res := &Fig3Result{Normalized: map[int]float64{}, Breakdown: map[int]costmodel.Breakdown{}}
+	rep := &Report{}
+	rep.Printf("Fig 3 (left): IVF-FS latency normalized to standard IVF\n")
+	left := rep.Table(
+		col("batch", "", "batch", ""),
+		textCol("IVF", ""),
+		col("IVF-FS", "%.2f", "ivf_fs_normalized", ""),
+	)
 	for _, b := range []int{4, 16} {
-		res.Normalized[b] = float64(fs.SearchTime(b)) / float64(std.SearchTime(b))
+		left.Add(b, "1.00", float64(fs.SearchTime(b))/float64(std.SearchTime(b)))
 	}
+	rep.Printf("\nFig 3 (right): IVF-FS breakdown on 128M index\n")
+	right := rep.Table(
+		col("batch", "", "batch", ""),
+		col("CQ", "%.0fms", "cq_s", ""),
+		col("LUT-build", "%.0fms", "lut_build_s", ""),
+		col("LUT-scan", "%.0fms", "lut_scan_s", ""),
+		col("total", "%.0fms", "total_s", ""),
+	)
 	for _, b := range []int{2, 8} {
-		res.Breakdown[b] = fs.SearchBreakdown(b)
+		br := fs.SearchBreakdown(b)
+		right.Add(b, br.CQ, br.LUTBuild, br.LUTScan, br.Total())
 	}
-	return res, nil
+	return rep, nil
 }
 
-// Render formats the result.
-func (r *Fig3Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Fig 3 (left): IVF-FS latency normalized to standard IVF\n")
-	t := &table{header: []string{"batch", "IVF", "IVF-FS"}}
-	for _, batch := range []int{4, 16} {
-		t.add(fmt.Sprint(batch), "1.00", f2(r.Normalized[batch]))
-	}
-	b.WriteString(t.String())
-	b.WriteString("\nFig 3 (right): IVF-FS breakdown on 128M index\n")
-	t2 := &table{header: []string{"batch", "CQ", "LUT-build", "LUT-scan", "total"}}
-	for _, batch := range []int{2, 8} {
-		br := r.Breakdown[batch]
-		t2.add(fmt.Sprint(batch), ms(br.CQ), ms(br.LUTBuild), ms(br.LUTScan), ms(br.Total()))
-	}
-	b.WriteString(t2.String())
-	return b.String()
-}
-
-// Fig4Result reproduces Fig. 4: CPU fast-scan vs GPU IVF search (left)
-// and LLM throughput vs relative KV space (right).
-type Fig4Result struct {
-	CPUSearch time.Duration
-	GPUSearch time.Duration
-	// KVFraction[i] of baseline KV space gives Throughput[i] (normalized
-	// to the full-KV throughput).
-	KVFraction []float64
-	Throughput []float64
-}
-
-// Fig4 runs both panels. The right panel serves Qwen3-30B-class work on
-// two H100s as in the paper's figure caption.
-func Fig4(cfg Config) (*Fig4Result, error) {
+// Fig4 reproduces Fig. 4: CPU fast-scan vs GPU IVF search (left) and
+// LLM throughput, normalized to the full-KV throughput, vs relative KV
+// space (right). The right panel serves Qwen3-30B-class work on two
+// H100s as in the paper's figure caption.
+func Fig4(cfg Config) (*Report, error) {
 	spec := fig3Spec()
 	cpu := costmodel.NewSearchModel(hw.Xeon8462Y(), spec)
 	g := costmodel.GPUScanModel{GPU: hw.H100()}
 	// The GPU bar is a standalone Faiss-GPU IVF search: coarse
 	// quantization also runs on-device at HBM rates, so its cost is
 	// folded into the kernel term rather than the CPU CQ curve.
-	res := &Fig4Result{
-		CPUSearch: cpu.SearchTime(4),
-		GPUSearch: g.ShardScanTime(4*cpu.QueryScanBytes(), 4*spec.NProbe),
-	}
+	cpuSearch := cpu.SearchTime(4)
+	gpuSearch := g.ShardScanTime(4*cpu.QueryScanBytes(), 4*spec.NProbe)
+	rep := &Report{}
+	rep.Printf("Fig 4 (left): search time on 128M index — CPU fast scan %s vs GPU %s (%.1fx)\n",
+		format("%.0fms", cpuSearch, false), format("%.0fms", gpuSearch, false), float64(cpuSearch)/float64(gpuSearch))
+	rep.Table(csvCol("cpu_search_s", ""), csvCol("gpu_search_s", "")).Add(cpuSearch, gpuSearch)
 
 	node := hw.H100Node()
 	node.NumGPUs = 2
 	model := llm.Qwen3_32B
-	shape := workload.DefaultShape()
 	fracs := []float64{0.05, 0.1, 0.2, 0.4, 0.7, 1.0}
 	if cfg.Quick {
 		fracs = []float64{0.1, 0.4, 1.0}
 	}
 	baselineFree := node.GPU.UsableMem() - model.WeightBytesPerGPU()
-	var base float64
-	for _, f := range fracs {
+	throughput := make([]float64, len(fracs))
+	for i, f := range fracs {
 		states := gpu.NewStates(node)
 		shard := int64(float64(baselineFree) * (1 - f))
 		for _, s := range states {
 			s.ShardBytes = shard
 		}
-		mu, err := llm.MeasureCapacity(node, model, states, shape, llm.DefaultEngineConfig())
+		mu, err := llm.MeasureCapacity(node, model, states, workload.DefaultShape(), llm.DefaultEngineConfig())
 		if err != nil {
 			return nil, err
 		}
-		if f == fracs[len(fracs)-1] {
-			base = mu
+		throughput[i] = mu
+	}
+	rep.Printf("\nFig 4 (right): normalized LLM throughput vs relative KV space\n")
+	right := rep.Table(
+		col("rel KV", "%.2f", "rel_kv", ""),
+		col("norm throughput", "%.2f", "norm_throughput", ""),
+	)
+	base := throughput[len(fracs)-1]
+	for i, f := range fracs {
+		if base > 0 {
+			throughput[i] /= base
 		}
-		res.KVFraction = append(res.KVFraction, f)
-		res.Throughput = append(res.Throughput, mu)
+		right.Add(f, throughput[i])
 	}
-	if base > 0 {
-		for i := range res.Throughput {
-			res.Throughput[i] /= base
-		}
-	}
-	return res, nil
+	return rep, nil
 }
 
-// Render formats the result.
-func (r *Fig4Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig 4 (left): search time on 128M index — CPU fast scan %s vs GPU %s (%.1fx)\n",
-		ms(r.CPUSearch), ms(r.GPUSearch), float64(r.CPUSearch)/float64(r.GPUSearch))
-	b.WriteString("\nFig 4 (right): normalized LLM throughput vs relative KV space\n")
-	t := &table{header: []string{"rel KV", "norm throughput"}}
-	for i := range r.KVFraction {
-		t.add(f2(r.KVFraction[i]), f2(r.Throughput[i]))
-	}
-	b.WriteString(t.String())
-	return b.String()
-}
-
-// Fig5Result reproduces Fig. 5: the cluster access-frequency CDF.
-type Fig5Result struct {
-	// Share[name][i] is the cumulative access share of the top
-	// (i+1)/len fraction of clusters.
-	Share map[string][]float64
-	// Top20 is the headline number: share carried by the top 20%.
-	Top20 map[string]float64
-}
-
-// Fig5 measures access CDFs for both workloads.
-func Fig5(cfg Config) (*Fig5Result, error) {
-	res := &Fig5Result{Share: map[string][]float64{}, Top20: map[string]float64{}}
+// Fig5 reproduces Fig. 5: the cluster access-frequency CDF — the
+// cumulative access share of the top fraction of clusters, printed at
+// decile points and exported per cluster rank — and the headline
+// number, the share carried by the top 20%.
+func Fig5(cfg Config) (*Report, error) {
 	n := 20000
 	if cfg.Quick {
 		n = 4000
 	}
 	r := rng.New(cfg.Seed + 5)
-	for _, spec := range []dataset.Spec{dataset.WikiAll, dataset.Orcas1K} {
+	specs := []dataset.Spec{dataset.WikiAll, dataset.Orcas1K}
+	var share [2][]float64
+	var top20 [2]float64
+	rep := &Report{}
+	cdf := rep.Table(
+		csvCol("dataset", ""),
+		csvCol("cluster_percentile", "%.4f"),
+		csvCol("cumulative_share", "%.6f"),
+		dataCol("top20"),
+	)
+	for i, spec := range specs {
 		w, err := WorkloadFor(spec)
 		if err != nil {
 			return nil, err
 		}
-		queries := w.SampleMany(r, n)
-		counts := w.AccessCounts(queries)
+		counts := w.AccessCounts(w.SampleMany(r, n))
 		weights := make([]float64, len(counts))
 		for c, cnt := range counts {
 			weights[c] = float64(cnt) * float64(w.Index.ClusterSize(c))
 		}
-		res.Share[spec.Name] = stats.CDFPoints(weights)
-		res.Top20[spec.Name] = stats.ShareOfTopFraction(weights, 0.20)
-	}
-	return res, nil
-}
-
-// Render formats the CDF at decile points.
-func (r *Fig5Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Fig 5: CDF of cluster access frequency (share of distance computations)\n")
-	t := &table{header: []string{"cluster percentile", dataset.WikiAll.Name, dataset.Orcas1K.Name}}
-	wiki := r.Share[dataset.WikiAll.Name]
-	orcas := r.Share[dataset.Orcas1K.Name]
-	for _, pct := range []float64{0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0} {
-		iw := int(pct*float64(len(wiki))) - 1
-		io := int(pct*float64(len(orcas))) - 1
-		if iw < 0 {
-			iw = 0
+		share[i] = stats.CDFPoints(weights)
+		top20[i] = stats.ShareOfTopFraction(weights, 0.20)
+		for rank, s := range share[i] {
+			cdf.Add(spec.Name, float64(rank+1)/float64(len(share[i])), s, top20[i])
 		}
-		if io < 0 {
-			io = 0
-		}
-		t.add(fmt.Sprintf("%.0f%%", pct*100), f3(wiki[iw]), f3(orcas[io]))
 	}
-	b.WriteString(t.String())
-	fmt.Fprintf(&b, "top-20%% share: %s=%.3f (paper ~0.59), %s=%.3f (paper ~0.93)\n",
-		dataset.WikiAll.Name, r.Top20[dataset.WikiAll.Name],
-		dataset.Orcas1K.Name, r.Top20[dataset.Orcas1K.Name])
-	return b.String()
+	rep.Printf("Fig 5: CDF of cluster access frequency (share of distance computations)\n")
+	deciles := rep.Table(
+		textCol("cluster percentile", "%d%%"),
+		textCol(specs[0].Name, "%.3f"),
+		textCol(specs[1].Name, "%.3f"),
+	)
+	for _, pct := range []int{5, 10, 20, 30, 50, 75, 100} {
+		at := func(share []float64) float64 {
+			return share[max(int(float64(pct)/100*float64(len(share)))-1, 0)]
+		}
+		deciles.Add(pct, at(share[0]), at(share[1]))
+	}
+	rep.Printf("top-20%% share: %s=%.3f (paper ~0.59), %s=%.3f (paper ~0.93)\n",
+		specs[0].Name, top20[0], specs[1].Name, top20[1])
+	return rep, nil
 }
 
-// Fig6Result reproduces Fig. 6: hit-rate distribution vs cache coverage.
-type Fig6Result struct {
-	// Dist[name][coverage] summarizes the per-query hit-rate sample.
-	Dist map[string]map[float64]stats.Summary
-}
-
-// Fig6 measures hit-rate distributions at 5/10/20 % coverage.
-func Fig6(cfg Config) (*Fig6Result, error) {
-	res := &Fig6Result{Dist: map[string]map[float64]stats.Summary{}}
+// Fig6 reproduces Fig. 6: the per-query hit-rate distribution at 5/10/20 %
+// cache coverage, one violin summary per row.
+func Fig6(cfg Config) (*Report, error) {
 	n := 8000
 	if cfg.Quick {
 		n = 2000
 	}
 	r := rng.New(cfg.Seed + 6)
+	rep := &Report{}
+	rep.Printf("Fig 6: per-query hit-rate distribution vs cache coverage\n")
+	t := rep.Table(
+		col("dataset", "", "dataset", ""),
+		col("coverage", "%d%%", "coverage_pct", ""),
+		col("median", "%.2f", "median", ""),
+		textCol("IQR", ""),
+		csvCol("p25", ""),
+		csvCol("p75", ""),
+		col("min", "%.2f", "min", ""),
+		col("max", "%.2f", "max", ""),
+		col("mean", "%.2f", "mean", ""),
+	)
 	for _, spec := range []dataset.Spec{dataset.WikiAll, dataset.Orcas1K} {
 		w, err := WorkloadFor(spec)
 		if err != nil {
@@ -227,62 +194,37 @@ func Fig6(cfg Config) (*Fig6Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Dist[spec.Name] = map[float64]stats.Summary{}
 		test := w.SampleMany(r, n)
-		for _, cov := range []float64{0.05, 0.10, 0.20} {
-			k := int(cov*float64(w.Index.NList()) + 0.5)
-			mask := prof.HotMask(k)
+		for _, pct := range []int{5, 10, 20} {
+			mask := prof.HotMask(int(float64(pct)/100*float64(w.Index.NList()) + 0.5))
 			rates := make([]float64, len(test))
 			for i, q := range test {
 				rates[i] = w.HitRate(q, mask) // count-based, as in Fig. 6
 			}
-			res.Dist[spec.Name][cov] = stats.Summarize(rates)
+			s := stats.Summarize(rates)
+			t.Add(spec.Name, pct, s.Median, fmt.Sprintf("[%.2f,%.2f]", s.P25, s.P75), s.P25, s.P75, s.Min, s.Max, s.Mean)
 		}
 	}
-	return res, nil
+	return rep, nil
 }
 
-// Render formats the violin summaries.
-func (r *Fig6Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Fig 6: per-query hit-rate distribution vs cache coverage\n")
-	t := &table{header: []string{"dataset", "coverage", "median", "IQR", "min", "max", "mean"}}
-	for _, name := range []string{dataset.WikiAll.Name, dataset.Orcas1K.Name} {
-		for _, cov := range []float64{0.05, 0.10, 0.20} {
-			s := r.Dist[name][cov]
-			t.add(name, fmt.Sprintf("%.0f%%", cov*100), f2(s.Median),
-				fmt.Sprintf("[%.2f,%.2f]", s.P25, s.P75), f2(s.Min), f2(s.Max), f2(s.Mean))
-		}
-	}
-	b.WriteString(t.String())
-	return b.String()
-}
-
-// Fig8Result reproduces Fig. 8: search latency vs batch size (left) and
-// hit-rate variance vs mean (right).
-type Fig8Result struct {
-	Batches []int
-	CQ      []time.Duration
-	LUT     []time.Duration
-	Search  []time.Duration
-	// Variance curve: empirical variance and the 4*sigmaMax2*m(1-m)
-	// model at each measured mean.
-	Means, EmpVar, ModelVar []float64
-}
-
-// Fig8 profiles the ORCAS-class CPU latency curve and validates the
-// variance approximation.
-func Fig8(cfg Config) (*Fig8Result, error) {
-	spec := dataset.Orcas1K
-	sm := costmodel.NewSearchModel(hw.Xeon8462Y(), spec)
-	res := &Fig8Result{}
+// Fig8 reproduces Fig. 8: the ORCAS-class CPU search latency vs batch
+// size (left), and on Wiki-All, the paper's right-panel dataset, the
+// empirical hit-rate variance beside the 4*sigmaMax2*m(1-m) model at
+// each measured mean (right).
+func Fig8(cfg Config) (*Report, error) {
+	sm := costmodel.NewSearchModel(hw.Xeon8462Y(), dataset.Orcas1K)
+	rep := &Report{}
+	rep.Printf("Fig 8 (left): CPU search latency vs batch size (ORCAS-1K class)\n")
+	left := rep.Table(
+		col("batch", "", "batch", ""),
+		col("CQ", "%.0fms", "cq_s", ""),
+		col("LUT", "%.0fms", "lut_s", ""),
+		col("search", "%.0fms", "search_s", ""),
+	)
 	for b := 1; b <= 32; b += 3 {
-		res.Batches = append(res.Batches, b)
-		res.CQ = append(res.CQ, sm.CQTime(b))
-		res.LUT = append(res.LUT, sm.LUTTime(int64(b)*sm.QueryScanBytes(), b))
-		res.Search = append(res.Search, sm.SearchTime(b))
+		left.Add(b, sm.CQTime(b), sm.LUTTime(int64(b)*sm.QueryScanBytes(), b), sm.SearchTime(b))
 	}
-	// Variance parabola on Wiki-All (the paper's right panel dataset).
 	w, err := WorkloadFor(dataset.WikiAll)
 	if err != nil {
 		return nil, err
@@ -299,33 +241,19 @@ func Fig8(cfg Config) (*Fig8Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	rep.Printf("\nFig 8 (right): hit-rate variance vs mean (Wiki-All)\n")
+	right := rep.Table(
+		col("mean", "%.3f", "mean", "%.6f"),
+		col("empirical var", "%.4f", "empirical_var", "%.6f"),
+		col("4*s2max*m(1-m)", "%.4f", "model_var", "%.6f"),
+	)
 	nlist := w.Index.NList()
 	for k := 2; k < nlist; k += nlist / 12 {
 		mean := est.MeanHitRate(float64(k) / float64(nlist))
 		if mean < 0.02 || mean > 0.98 {
 			continue
 		}
-		res.Means = append(res.Means, mean)
-		res.EmpVar = append(res.EmpVar, est.EmpiricalVariance(prof, k))
-		res.ModelVar = append(res.ModelVar, est.Variance(mean))
+		right.Add(mean, est.EmpiricalVariance(prof, k), est.Variance(mean))
 	}
-	return res, nil
-}
-
-// Render formats both panels.
-func (r *Fig8Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Fig 8 (left): CPU search latency vs batch size (ORCAS-1K class)\n")
-	t := &table{header: []string{"batch", "CQ", "LUT", "search"}}
-	for i, batch := range r.Batches {
-		t.add(fmt.Sprint(batch), ms(r.CQ[i]), ms(r.LUT[i]), ms(r.Search[i]))
-	}
-	b.WriteString(t.String())
-	b.WriteString("\nFig 8 (right): hit-rate variance vs mean (Wiki-All)\n")
-	t2 := &table{header: []string{"mean", "empirical var", "4*s2max*m(1-m)"}}
-	for i := range r.Means {
-		t2.add(f3(r.Means[i]), fmt.Sprintf("%.4f", r.EmpVar[i]), fmt.Sprintf("%.4f", r.ModelVar[i]))
-	}
-	b.WriteString(t2.String())
-	return b.String()
+	return rep, nil
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"vectorliterag/internal/costmodel"
@@ -17,23 +15,10 @@ import (
 	"vectorliterag/internal/update"
 )
 
-// Fig9Result reproduces Fig. 9: time to rebuild the GPU index shards
-// with updated access data, broken into profiling / algorithm /
-// splitting / loading.
-type Fig9Result struct {
-	Rows []Fig9Row
-}
-
-// Fig9Row is one (dataset, SLO) bar.
-type Fig9Row struct {
-	Dataset string
-	SLO     time.Duration
-	Rho     float64
-	Timing  update.RebuildTiming
-}
-
-// Fig9 estimates rebuild timing for the paper's six bars.
-func Fig9(cfg Config) (*Fig9Result, error) {
+// Fig9 reproduces Fig. 9: time to rebuild the GPU index shards with
+// updated access data, broken into profiling / algorithm / splitting /
+// loading, for the paper's six (dataset, SLO) bars.
+func Fig9(cfg Config) (*Report, error) {
 	cases := []struct {
 		spec dataset.Spec
 		slos []time.Duration
@@ -43,7 +28,18 @@ func Fig9(cfg Config) (*Fig9Result, error) {
 		{dataset.Orcas2K, []time.Duration{200 * time.Millisecond, 300 * time.Millisecond}},
 	}
 	node := hw.H100Node()
-	res := &Fig9Result{}
+	rep := &Report{}
+	rep.Printf("Fig 9: index rebuild time breakdown (background update cycle)\n")
+	t := rep.Table(
+		col("dataset", "", "dataset", ""),
+		col("SLO", "%.0fms", "slo_search_s", ""),
+		col("rho", "%.3f", "rho", ""),
+		col("profiling", "%.1fs", "profiling_s", ""),
+		col("algorithm", "%.1fs", "algorithm_s", ""),
+		col("splitting", "%.1fs", "splitting_s", ""),
+		col("loading", "%.1fs", "loading_s", ""),
+		col("total", "%.1fs", "total_s", ""),
+	)
 	for _, c := range cases {
 		w, err := WorkloadFor(c.spec)
 		if err != nil {
@@ -76,48 +72,20 @@ func Fig9(cfg Config) (*Fig9Result, error) {
 			}
 			// The paper's update path replays ~50k calibration queries.
 			timing := update.EstimateRebuild(node, c.spec, plan, 50000, part.Iterations)
-			res.Rows = append(res.Rows, Fig9Row{Dataset: c.spec.Name, SLO: slo, Rho: part.Rho, Timing: timing})
+			t.Add(c.spec.Name, slo, part.Rho, timing.Profiling, timing.Algorithm,
+				timing.Splitting, timing.Loading, timing.Total())
 		}
 	}
-	return res, nil
+	return rep, nil
 }
 
-// Render formats the stage bars.
-func (r *Fig9Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Fig 9: index rebuild time breakdown (background update cycle)\n")
-	t := &table{header: []string{"dataset", "SLO", "rho", "profiling", "algorithm", "splitting", "loading", "total"}}
-	for _, row := range r.Rows {
-		t.add(row.Dataset, ms(row.SLO), f3(row.Rho),
-			sec(row.Timing.Profiling), sec(row.Timing.Algorithm),
-			sec(row.Timing.Splitting), sec(row.Timing.Loading), sec(row.Timing.Total()))
-	}
-	b.WriteString(t.String())
-	return b.String()
-}
-
-// Fig10Result reproduces Fig. 10: predicted vs measured hybrid search
-// latency (left) and tail (batch-minimum) hit rate (right) across batch
-// sizes, for all three datasets.
-type Fig10Result struct {
-	Rows []Fig10Row
-}
-
-// Fig10Row is one (dataset, batch) comparison.
-type Fig10Row struct {
-	Dataset     string
-	Batch       int
-	PredLatency time.Duration
-	MeasLatency time.Duration
-	PredTailHit float64
-	MeasTailHit float64
-}
-
-// Fig10 validates the performance model: predictions come from the
-// fitted perf model + Beta estimator; measurements replay real query
-// batches against the hot set and price them with the cost model
-// exactly as the hybrid engine would.
-func Fig10(cfg Config) (*Fig10Result, error) {
+// Fig10 reproduces Fig. 10 — predicted vs measured hybrid search latency
+// (left) and tail (batch-minimum) hit rate (right) across batch sizes,
+// for all three datasets — and so validates the performance model:
+// predictions come from the fitted perf model + Beta estimator;
+// measurements replay real query batches against the hot set and price
+// them with the cost model exactly as the hybrid engine would.
+func Fig10(cfg Config) (*Report, error) {
 	const coverage = 0.15
 	trials := 400
 	if cfg.Quick {
@@ -125,7 +93,16 @@ func Fig10(cfg Config) (*Fig10Result, error) {
 	}
 	r := rng.New(cfg.Seed + 10)
 	node := hw.H100Node()
-	res := &Fig10Result{}
+	rep := &Report{}
+	rep.Printf("Fig 10: performance-model validation at 15%% coverage\n")
+	t := rep.Table(
+		col("dataset", "", "dataset", ""),
+		col("batch", "", "batch", ""),
+		col("pred latency", "%.0fms", "pred_latency_s", ""),
+		col("meas latency", "%.0fms", "meas_latency_s", ""),
+		col("pred tail hit", "%.3f", "pred_tail_hit", ""),
+		col("meas tail hit", "%.3f", "meas_tail_hit", ""),
+	)
 	for _, spec := range []dataset.Spec{dataset.WikiAll, dataset.Orcas1K, dataset.Orcas2K} {
 		w, err := WorkloadFor(spec)
 		if err != nil {
@@ -168,28 +145,10 @@ func Fig10(cfg Config) (*Fig10Result, error) {
 				sumLat += lat.Seconds()
 				sumMin += minHit
 			}
-			res.Rows = append(res.Rows, Fig10Row{
-				Dataset:     spec.Name,
-				Batch:       batch,
-				PredLatency: perf.HybridTime(batch, est.MinHitRate(coverage, batch)),
-				MeasLatency: time.Duration(sumLat / float64(trials) * 1e9),
-				PredTailHit: est.MinHitRate(coverage, batch),
-				MeasTailHit: sumMin / float64(trials),
-			})
+			predTail := est.MinHitRate(coverage, batch)
+			t.Add(spec.Name, batch, perf.HybridTime(batch, predTail),
+				time.Duration(sumLat/float64(trials)*1e9), predTail, sumMin/float64(trials))
 		}
 	}
-	return res, nil
-}
-
-// Render formats the validation table.
-func (r *Fig10Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Fig 10: performance-model validation at 15% coverage\n")
-	t := &table{header: []string{"dataset", "batch", "pred latency", "meas latency", "pred tail hit", "meas tail hit"}}
-	for _, row := range r.Rows {
-		t.add(row.Dataset, fmt.Sprint(row.Batch), ms(row.PredLatency), ms(row.MeasLatency),
-			f3(row.PredTailHit), f3(row.MeasTailHit))
-	}
-	b.WriteString(t.String())
-	return b.String()
+	return rep, nil
 }

@@ -1,80 +1,13 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
-	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/des"
 	"vectorliterag/internal/metrics"
 	"vectorliterag/internal/rag"
-	"vectorliterag/internal/tenant"
 	"vectorliterag/internal/workload"
 )
-
-// OverloadResult is the overload-resilience study: three tenants ramp
-// their aggregate arrival rate from well inside a Qwen3-32B/H100 node's
-// ≈38 req/s capacity to ≈1.5× past it (bronze supplies most of the
-// surge), then hold there. Three arms serve the identical traces:
-//
-//   - naive-queue:  unbounded per-tenant queues, no shedding — the
-//     metastable baseline where bronze's backlog grows without bound
-//     and drags the aggregate down with it.
-//   - reject-only:  bounded admission (per-tenant queue cap) with
-//     early rejection, no brownout — load is dropped, never degraded.
-//   - brownout:     bounded admission plus the closed-loop controller
-//     walking the shed ladder (nprobe → rerank depth → SQ8→PQ
-//     precision fallback), tier-biased so gold sheds least.
-//
-// The artifact: under the same 1.5× overload, the brownout arm keeps
-// gold at or above its tier target while the naive queue collapses.
-type OverloadResult struct {
-	Dataset  map[string]string // tenant name → dataset name
-	RampOver time.Duration     // ramp length from base to peak rate
-	BaseRate float64           // aggregate arrival rate before the ramp
-	PeakRate float64           // aggregate arrival rate after the ramp
-	QueueCap int               // per-tenant admission cap (bounded arms)
-	Arms     []OverloadArm
-}
-
-// OverloadArm is one overload-policy's outcome.
-type OverloadArm struct {
-	Name     string // "naive-queue", "reject-only", or "brownout"
-	Bounded  bool
-	Brownout bool
-	// Goodput is requests served within their own tenant's combined
-	// SLO per second of measured window (metrics.TenantGoodput).
-	Goodput float64
-	// Attainment is the request-weighted aggregate SLO attainment.
-	Attainment float64
-	// RecallGain is the served mean per-query recall gain from SQ8
-	// upgrades — the brownout arm gives some of it back when the
-	// ladder's precision-fallback rung forces PQ scans.
-	RecallGain float64
-	Rejected   int // arrivals refused at admission, all tenants
-	// MaxLevel / TimeInBrownout / BrownoutShare / MeanShed report the
-	// controller's trajectory (zero in the non-brownout arms).
-	MaxLevel       int
-	TimeInBrownout time.Duration
-	BrownoutShare  float64
-	MeanShed       float64
-	Rows           []OverloadRow
-}
-
-// OverloadRow is one tenant's outcome under one arm.
-type OverloadRow struct {
-	Name      string
-	Tier      tenant.Tier
-	PeakRate  float64
-	Att       float64
-	Target    float64
-	Met       bool
-	TTFTP90   time.Duration
-	PeakQueue int
-	Rejected  int
-	N         int
-}
 
 // overloadQueueCap is the per-tenant admission bound shared by the
 // reject-only and brownout arms. Sized like the FairScheduler's
@@ -90,237 +23,143 @@ const overloadQueueCap = 32
 // in every arm so the brownout ladder's SQ8→PQ rung has recall to
 // give back, and the run is pinned to the sharded engine (explicit
 // NetDelay) so worker count provably never moves the schedule.
-func overloadOpts(cfg Config, quick bool, workers int) (rag.MultiTenantOptions, time.Duration, error) {
-	dep := deployments()[1] // Qwen3-32B on the H100 node
-	goldW, err := WorkloadFor(dataset.Orcas1K)
-	if err != nil {
-		return rag.MultiTenantOptions{}, 0, err
-	}
-	silverW, err := WorkloadFor(dataset.WikiAll)
-	if err != nil {
-		return rag.MultiTenantOptions{}, 0, err
-	}
-	rampOver := 30 * time.Second
+func overloadOpts(cfg Config, rampOver time.Duration) (rag.MultiTenantOptions, error) {
 	duration := 240 * time.Second
-	if quick {
+	if cfg.Quick {
 		duration = 90 * time.Second
 	}
-	opts := rag.MultiTenantOptions{
-		Node: dep.Node, Model: dep.Model,
-		Tenants: []rag.TenantConfig{
-			{Name: "gold", Tier: tenant.Gold, W: goldW, Rate: 9,
-				SLOSearch:    350 * time.Millisecond,
-				RateSchedule: workload.Ramp(9, 12, rampOver)},
-			{Name: "silver", Tier: tenant.Silver, W: silverW, Rate: 3,
-				SLOSearch:    500 * time.Millisecond,
-				RateSchedule: workload.Ramp(3, 6, rampOver)},
-			{Name: "bronze", Tier: tenant.Bronze, W: goldW, Rate: 2.5,
-				SLOSearch:    300 * time.Millisecond,
-				RateSchedule: workload.Ramp(2.5, 39, rampOver)},
-		},
-		Precision: &rag.PrecisionOptions{},
-		Warmup:    20 * time.Second,
-		Duration:  duration,
-		NetDelay:  rag.DefaultNetDelay,
-		Workers:   workers,
-		Seed:      cfg.Seed,
-	}
-	return opts, rampOver, nil
-}
-
-// Overload runs the overload-resilience study with the default worker
-// count.
-func Overload(cfg Config) (*OverloadResult, error) {
-	return overloadWithWorkers(cfg, 0)
-}
-
-// overloadWithWorkers is the parameterized entry: the determinism test
-// re-runs the study at workers ∈ {1, 2, 4} and asserts bit-identical
-// results, which the explicit NetDelay (sharded engine on every path)
-// guarantees by construction.
-func overloadWithWorkers(cfg Config, workers int) (*OverloadResult, error) {
-	opts, rampOver, err := overloadOpts(cfg, cfg.Quick, workers)
+	opts, err := cfg.threeTenants(duration)
 	if err != nil {
-		return nil, err
+		return opts, err
 	}
-	res := &OverloadResult{
-		Dataset: map[string]string{
-			"gold":   dataset.Orcas1K.Name,
-			"silver": dataset.WikiAll.Name,
-			"bronze": dataset.Orcas1K.Name,
-		},
-		RampOver: rampOver,
-		QueueCap: overloadQueueCap,
+	for i, peak := range []float64{12, 6, 39} {
+		tc := &opts.Tenants[i]
+		tc.RateSchedule = workload.Ramp(tc.Rate, peak, rampOver)
 	}
-	for _, tc := range opts.Tenants {
-		res.BaseRate += tc.RateSchedule.RateAt(0)
-		res.PeakRate += tc.RateSchedule.RateAt(rampOver)
-	}
-	for _, arm := range []struct {
-		name     string
-		overload *rag.OverloadOptions
-	}{
-		{"naive-queue", nil},
-		{"reject-only", &rag.OverloadOptions{QueueCap: overloadQueueCap}},
-		{"brownout", &rag.OverloadOptions{QueueCap: overloadQueueCap, Brownout: true}},
-	} {
-		o := opts
-		o.Overload = arm.overload
-		r, err := rag.RunMultiTenant(o)
-		if err != nil {
-			return nil, fmt.Errorf("overload %s arm: %w", arm.name, err)
-		}
-		slos := make([]time.Duration, len(r.Tenants))
-		for i, tr := range r.Tenants {
-			slos[i] = tr.SLOTotal
-		}
-		a := OverloadArm{
-			Name:       arm.name,
-			Bounded:    arm.overload != nil,
-			Brownout:   arm.overload != nil && arm.overload.Brownout,
-			Attainment: r.Attainment,
-			RecallGain: r.RecallGain,
-			Goodput: metrics.TenantGoodput(r.Requests, slos,
-				des.Time(opts.Warmup), des.Time(opts.Duration)),
-		}
-		if r.Overload != nil {
-			a.Rejected = r.Overload.RejectedTotal
-			a.MaxLevel = r.Overload.MaxLevel
-			a.TimeInBrownout = r.Overload.TimeInBrownout
-			a.BrownoutShare = r.Overload.BrownoutShare
-			a.MeanShed = r.Overload.MeanShed
-		}
-		for _, tr := range r.Tenants {
-			a.Rows = append(a.Rows, OverloadRow{
-				Name: tr.Name, Tier: tr.Tier,
-				PeakRate: peakRateFor(opts, tr.Name),
-				Att:      tr.Summary.Attainment,
-				Target:   tr.Tier.Target(), Met: tr.Summary.Attainment >= tr.Tier.Target(),
-				TTFTP90: tr.Summary.TTFT.P90, PeakQueue: tr.PeakQueue,
-				Rejected: tr.Rejected, N: tr.Summary.N,
-			})
-		}
-		res.Arms = append(res.Arms, a)
-	}
-	return res, nil
+	opts.Precision = &rag.PrecisionOptions{}
+	opts.Warmup = 20 * time.Second
+	opts.NetDelay = rag.DefaultNetDelay
+	opts.Workers = cfg.workers
+	return opts, nil
 }
 
-func peakRateFor(opts rag.MultiTenantOptions, name string) float64 {
-	for _, tc := range opts.Tenants {
-		if tc.Name == name && tc.RateSchedule != nil {
-			return tc.RateSchedule.RateAt(time.Hour)
-		}
-	}
-	return 0
-}
-
-// Arm returns the named arm.
-func (r *OverloadResult) Arm(name string) *OverloadArm {
-	for i := range r.Arms {
-		if r.Arms[i].Name == name {
-			return &r.Arms[i]
-		}
-	}
-	return nil
-}
-
-// Row returns the named tenant's row within an arm.
-func (a *OverloadArm) Row(name string) *OverloadRow {
-	for i := range a.Rows {
-		if a.Rows[i].Name == name {
-			return &a.Rows[i]
-		}
-	}
-	return nil
-}
-
-// Collapsed reports whether the naive-queue failure signature is
-// present: either aggregate attainment fell below half, or some
-// tenant's queue grew past ten times the bounded arms' cap — the
-// unbounded-backlog half of the metastable picture.
-func (a *OverloadArm) Collapsed(queueCap int) bool {
-	if a.Attainment < 0.5 {
-		return true
-	}
-	for _, row := range a.Rows {
-		if row.PeakQueue > 10*queueCap {
+// collapsed reports whether the naive-queue failure signature is
+// present in an arm's rows: either aggregate attainment fell below
+// half, or some tenant's queue grew past ten times the bounded arms'
+// cap — the unbounded-backlog half of the metastable picture.
+func collapsed(t *Table, arm string) bool {
+	for _, r := range t.Rows() {
+		if r.Str("arm") == arm && (r.Float("agg_attainment") < 0.5 || r.Int("peak queue") > 10*overloadQueueCap) {
 			return true
 		}
 	}
 	return false
 }
 
-// Render formats the overload table.
-func (r *OverloadResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Overload resilience: aggregate ramp %.1f→%.1f req/s over %v against ≈38 req/s capacity\n",
-		r.BaseRate, r.PeakRate, r.RampOver)
-	fmt.Fprintf(&b, "bounded arms cap each tenant's queue at %d; brownout walks the tier-biased shed ladder\n\n",
-		r.QueueCap)
-	t := &table{header: []string{"arm", "tenant", "tier", "peak rate", "attainment", "target", "met", "TTFT p90", "peak queue", "rejected"}}
-	for _, arm := range r.Arms {
-		for _, row := range arm.Rows {
-			met := "no"
-			if row.Met {
-				met = "yes"
+// Overload is the overload-resilience study: three tenants ramp their
+// aggregate arrival rate from well inside a Qwen3-32B/H100 node's
+// ≈38 req/s capacity to ≈1.5× past it (bronze supplies most of the
+// surge), then hold there. Three arms serve the identical traces:
+//
+//   - naive-queue:  unbounded per-tenant queues, no shedding — the
+//     metastable baseline where bronze's backlog grows without bound
+//     and drags the aggregate down with it.
+//   - reject-only:  bounded admission (per-tenant queue cap) with
+//     early rejection, no brownout — load is dropped, never degraded.
+//   - brownout:     bounded admission plus the closed-loop controller
+//     walking the shed ladder (nprobe → rerank depth → SQ8→PQ
+//     precision fallback), tier-biased so gold sheds least.
+//
+// The artifact: under the same 1.5× overload, the brownout arm keeps
+// gold at or above its tier target while the naive queue collapses.
+func Overload(cfg Config) (*Report, error) {
+	const rampOver = 30 * time.Second
+	opts, err := overloadOpts(cfg, rampOver)
+	if err != nil {
+		return nil, err
+	}
+	var baseRate, peakRate float64 // aggregate arrival rate before and after the ramp
+	for _, tc := range opts.Tenants {
+		baseRate += tc.RateSchedule.RateAt(0)
+		peakRate += tc.RateSchedule.RateAt(rampOver)
+	}
+	rep := &Report{}
+	rep.Printf("Overload resilience: aggregate ramp %.1f→%.1f req/s over %v against ≈38 req/s capacity\n",
+		baseRate, peakRate, rampOver)
+	rep.Printf("bounded arms cap each tenant's queue at %d; brownout walks the tier-biased shed ladder\n\n",
+		overloadQueueCap)
+	t := rep.Table(
+		col("arm", "", "arm", ""),
+		col("tenant", "", "tenant", ""),
+		col("tier", "", "tier", ""),
+		col("peak rate", "%.1f", "peak_rate", "%.1f"),
+		col("attainment", "%.3f", "attainment", ""),
+		col("target", "%.2f", "target", "%.2f"),
+		col("met", "", "met", ""),
+		col("TTFT p90", "%.0fms", "ttft_p90_s", ""),
+		col("peak queue", "", "peak_queue", ""),
+		col("rejected", "", "rejected", ""),
+		// Per-arm outcomes, repeated on each of the arm's tenant rows.
+		// Goodput is requests served within their own tenant's combined SLO
+		// per second of measured window; recall_gain is the served mean
+		// per-query gain from SQ8 upgrades, some of which the brownout arm
+		// gives back when the precision-fallback rung forces PQ scans; the
+		// last three are the controller's trajectory (zero without brownout).
+		csvCol("goodput_rps", ""),
+		csvCol("agg_attainment", ""),
+		csvCol("recall_gain", ""),
+		csvCol("max_level", ""),
+		csvCol("time_in_brownout_s", ""),
+		csvCol("mean_shed", ""),
+	)
+	err = eachArm(opts, []arm[rag.MultiTenantOptions]{
+		{name: "naive-queue"},
+		{"reject-only", func(o *rag.MultiTenantOptions) {
+			o.Overload = &rag.OverloadOptions{QueueCap: overloadQueueCap}
+		}},
+		{"brownout", func(o *rag.MultiTenantOptions) {
+			o.Overload = &rag.OverloadOptions{QueueCap: overloadQueueCap, Brownout: true}
+		}},
+	}, func(name string, o rag.MultiTenantOptions) error {
+		r, err := rag.RunMultiTenant(o)
+		if err != nil {
+			return err
+		}
+		slos := make([]time.Duration, len(r.Tenants))
+		for i, tr := range r.Tenants {
+			slos[i] = tr.SLOTotal
+		}
+		goodput := metrics.TenantGoodput(r.Requests, slos, des.Time(o.Warmup), des.Time(o.Duration))
+		ov := r.Overload
+		if ov == nil {
+			ov = &rag.OverloadReport{}
+		}
+		for i, tr := range r.Tenants {
+			att, target := tr.Summary.Attainment, tr.Tier.Target()
+			t.Add(name, tr.Name, string(tr.Tier), o.Tenants[i].RateSchedule.RateAt(time.Hour),
+				att, target, att >= target, tr.Summary.TTFT.P90, tr.PeakQueue, tr.Rejected,
+				goodput, r.Attainment, r.RecallGain, ov.MaxLevel, ov.TimeInBrownout, ov.MeanShed)
+		}
+		rep.Printf("\n%s: goodput %.2f req/s, aggregate attainment %.3f, recall gain %.4f",
+			name, goodput, r.Attainment, r.RecallGain)
+		if o.Overload != nil {
+			rep.Printf(", rejected %d", ov.RejectedTotal)
+			if o.Overload.Brownout {
+				rep.Printf("\n  brownout: max level %d, %.0f%% of run in brownout, mean shed %.2f",
+					ov.MaxLevel, ov.BrownoutShare*100, ov.MeanShed)
 			}
-			t.add(arm.Name, row.Name, string(row.Tier), fmt.Sprintf("%.1f", row.PeakRate),
-				f3(row.Att), f2(row.Target), met, ms(row.TTFTP90),
-				fmt.Sprintf("%d", row.PeakQueue), fmt.Sprintf("%d", row.Rejected))
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	b.WriteString(t.String())
-	for _, arm := range r.Arms {
-		fmt.Fprintf(&b, "\n%s: goodput %.2f req/s, aggregate attainment %.3f, recall gain %.4f",
-			arm.Name, arm.Goodput, arm.Attainment, arm.RecallGain)
-		if arm.Bounded {
-			fmt.Fprintf(&b, ", rejected %d", arm.Rejected)
-		}
-		if arm.Brownout {
-			fmt.Fprintf(&b, "\n  brownout: max level %d, %.0f%% of run in brownout, mean shed %.2f",
-				arm.MaxLevel, arm.BrownoutShare*100, arm.MeanShed)
-		}
+	rep.Printf("\n")
+	gold := t.Row("arm", "brownout", "tenant", "gold").Float("attainment")
+	if naive := collapsed(t, "naive-queue"); gold >= 0.90 && naive {
+		rep.Printf("\noverload contained: brownout holds gold ≥0.90 at 1.5× capacity while the naive queue collapses ✓\n")
+	} else {
+		rep.Printf("\ngold under brownout %.3f (want ≥0.90); naive collapse %t\n", gold, naive)
 	}
-	b.WriteString("\n")
-	naive, brown := r.Arm("naive-queue"), r.Arm("brownout")
-	if naive != nil && brown != nil {
-		if g := brown.Row("gold"); g != nil {
-			if g.Att >= 0.90 && naive.Collapsed(r.QueueCap) {
-				b.WriteString("\noverload contained: brownout holds gold ≥0.90 at 1.5× capacity while the naive queue collapses ✓\n")
-			} else {
-				fmt.Fprintf(&b, "\ngold under brownout %.3f (want ≥0.90); naive collapse %t\n",
-					g.Att, naive.Collapsed(r.QueueCap))
-			}
-		}
-	}
-	return b.String()
-}
-
-// CSV exports one row per (arm, tenant).
-func (r *OverloadResult) CSV() string {
-	rows := [][]string{}
-	for _, arm := range r.Arms {
-		for _, row := range arm.Rows {
-			rows = append(rows, []string{
-				arm.Name, row.Name, string(row.Tier),
-				fmt.Sprintf("%.1f", row.PeakRate),
-				fmt.Sprintf("%.4f", row.Att),
-				fmt.Sprintf("%.2f", row.Target),
-				fmt.Sprintf("%t", row.Met),
-				fmt.Sprintf("%.6f", row.TTFTP90.Seconds()),
-				fmt.Sprintf("%d", row.PeakQueue),
-				fmt.Sprintf("%d", row.Rejected),
-				fmt.Sprintf("%.4f", arm.Goodput),
-				fmt.Sprintf("%.4f", arm.Attainment),
-				fmt.Sprintf("%.4f", arm.RecallGain),
-				fmt.Sprintf("%d", arm.MaxLevel),
-				fmt.Sprintf("%.6f", arm.TimeInBrownout.Seconds()),
-				fmt.Sprintf("%.4f", arm.MeanShed),
-			})
-		}
-	}
-	return writeCSV([]string{"arm", "tenant", "tier", "peak_rate", "attainment",
-		"target", "met", "ttft_p90_s", "peak_queue", "rejected", "goodput_rps",
-		"agg_attainment", "recall_gain", "max_level", "time_in_brownout_s",
-		"mean_shed"}, rows)
+	return rep, nil
 }

@@ -1,17 +1,12 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-	"time"
-
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/rag"
 	"vectorliterag/internal/serve"
-	"vectorliterag/internal/workload"
 )
 
-// PrecisionResult is the joint placement x precision study (beyond the
+// Precision is the joint placement x precision study (beyond the
 // paper's all-PQ evaluation): the same cluster, load, and arrival
 // stream served three ways — the HBM-only baseline with the full index
 // in GPU memory, vLiteRAG's placement-only split, and the split
@@ -22,167 +17,74 @@ import (
 // attainment table: the refinement buys recall points AND attainment
 // at the same memory budget, because SQ8 scans stream gather-free at
 // near raw HBM bandwidth while PQ scans are LUT-gather bound.
-type PrecisionResult struct {
-	Dataset  string
-	Model    string
-	Replicas int
-	Mu       float64 // cluster-wide bare LLM capacity, req/s
-	Arms     []PrecisionArm
-}
-
-// PrecisionArm is one (system, rate) outcome.
-type PrecisionArm struct {
-	Name      string
-	Rate      float64
-	Att       float64
-	N         int
-	TTFTP90   time.Duration
-	SearchP90 time.Duration
-	Rho       float64
-	PlanGB    float64 // GPU-resident index bytes, cluster-wide per node
-	SQ        int     // clusters upgraded to SQ8
-	NVMe      int     // clusters demoted to the NVMe tier
-	Gain      float64 // served mean per-query recall gain, recall points
-}
-
-// Precision runs the three-way comparison on ORCAS-1K + Qwen3-32B — the
-// dataset whose 52 GB logical index forces a real placement decision on
-// the H100 node, so the precision refinement has a leftover budget to
-// spend and a CPU cold path to demote from.
-func Precision(cfg Config) (*PrecisionResult, error) {
-	return precisionWithWorkers(cfg, 0)
-}
-
-// precisionWithWorkers exists for the determinism test: the runs execute
-// on the parallel sharded cluster engine, whose merged schedule is a
-// pure function of the options — the artifact must be bit-identical for
-// every Workers value.
-func precisionWithWorkers(cfg Config, workers int) (*PrecisionResult, error) {
-	w, err := WorkloadFor(dataset.Orcas1K)
-	if err != nil {
-		return nil, err
-	}
-	dep := deployments()[1] // Qwen3-32B on the H100 node
+//
+// It runs on ORCAS-1K + Qwen3-32B — the dataset whose 52 GB logical
+// index forces a real placement decision on the H100 node, so the
+// precision refinement has a leftover budget to spend and a CPU cold
+// path to demote from. Every arm executes on the parallel sharded
+// cluster engine (NetDelay is explicit), whose merged schedule is a
+// pure function of the options — the artifact is bit-identical for
+// every worker count.
+func Precision(cfg Config) (*Report, error) {
+	dep := qwenH100()
 	const replicas = 2
-	mu, err := rag.BareCapacity(dep.Node, dep.Model, workload.DefaultShape())
+	mu, err := dep.capacity()
 	if err != nil {
 		return nil, err
 	}
-	muCluster := mu * float64(replicas)
+	muCluster := mu * float64(replicas) // cluster-wide bare LLM capacity, req/s
 	fracs := []float64{0.6, 0.75, 0.9}
 	if cfg.Quick {
 		fracs = []float64{0.75}
 	}
-	res := &PrecisionResult{
-		Dataset: dataset.Orcas1K.Name, Model: dep.Model.Name,
-		Replicas: replicas, Mu: muCluster,
-	}
-	arms := []struct {
-		name string
-		kind rag.Kind
-		prec *rag.PrecisionOptions
-	}{
-		{"hbm-only", rag.AllGPU, nil},
-		{"placement", rag.VLiteRAG, nil},
-		{"placement+precision", rag.VLiteRAG, &rag.PrecisionOptions{}},
-	}
-	for _, frac := range fracs {
-		rate := round1(muCluster * frac)
-		for _, arm := range arms {
-			r, err := rag.RunCluster(rag.Options{
-				Node: dep.Node, Model: dep.Model, W: w, Kind: arm.kind,
-				Rate: rate, Seed: cfg.Seed, Duration: runDuration(cfg.Quick),
-				Precision: arm.prec,
-				Workers:   workers,
-				NetDelay:  rag.DefaultNetDelay,
-			}, replicas, serve.RoundRobin)
-			if err != nil {
-				return nil, fmt.Errorf("precision %s @%.1f rps: %w", arm.name, rate, err)
-			}
-			res.Arms = append(res.Arms, PrecisionArm{
-				Name: arm.name, Rate: rate,
-				Att: r.Summary.Attainment, N: r.Summary.N,
-				TTFTP90:   r.Summary.TTFT.P90,
-				SearchP90: r.Summary.Search.P90,
-				Rho:       r.Rho,
-				PlanGB:    float64(r.PlanBytes) / 1e9,
-				SQ:        r.SQClusters,
-				NVMe:      r.NVMeClusters,
-				Gain:      100 * r.RecallGain,
-			})
+	rep := &Report{}
+	rep.Printf("Joint placement x precision: %s + %s, %d replicas (cluster capacity %.1f req/s)\n",
+		dataset.Orcas1K.Name, dep.Model.Name, replicas, muCluster)
+	rep.Printf("same HBM budget per arm: the refinement spends only bytes the placement loop left to the KV pool\n\n")
+	t := rep.Table(
+		col("arm", "", "arm", ""),
+		col("rate", "%.1f", "rate", "%.1f"),
+		col("attainment", "%.3f", "attainment", ""),
+		csvCol("requests", ""),
+		col("ttft p90", "%.0fms", "ttft_p90_s", ""),
+		col("search p90", "%.0fms", "search_p90_s", ""),
+		col("rho", "%.3f", "rho", ""),
+		col("plan GB", "%.1f", "plan_gb", ""),             // GPU-resident index bytes, cluster-wide per node
+		col("sq8", "", "sq8_clusters", ""),                // clusters upgraded to SQ8
+		col("nvme", "", "nvme_clusters", ""),              // clusters demoted to the NVMe tier
+		col("recall +pts", "%.2f", "recall_gain_pts", ""), // served mean per-query recall gain
+	)
+	err = cfg.sweep(grid{
+		dep: dep, spec: dataset.Orcas1K, rates: scaled(muCluster, fracs),
+		base: func(o *rag.Options) { o.NetDelay = rag.DefaultNetDelay },
+		arms: []arm[rag.Options]{
+			{"hbm-only", func(o *rag.Options) { o.Kind = rag.AllGPU }},
+			{name: "placement"},
+			{"placement+precision", func(o *rag.Options) { o.Precision = &rag.PrecisionOptions{} }},
+		},
+	}, func(name string, o rag.Options) error {
+		r, err := rag.RunCluster(o, replicas, serve.RoundRobin)
+		if err != nil {
+			return err
 		}
+		t.Add(name, o.Rate, r.Summary.Attainment, r.Summary.N, r.Summary.TTFT.P90, r.Summary.Search.P90,
+			r.Rho, float64(r.PlanBytes)/1e9, r.SQClusters, r.NVMeClusters, 100*r.RecallGain)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
-}
-
-// Arm returns the named arm at the given rate, or nil.
-func (r *PrecisionResult) Arm(name string, rate float64) *PrecisionArm {
-	for i := range r.Arms {
-		if r.Arms[i].Name == name && r.Arms[i].Rate == rate {
-			return &r.Arms[i]
-		}
-	}
-	return nil
-}
-
-// Rates returns the distinct rate points in run order.
-func (r *PrecisionResult) Rates() []float64 {
-	var out []float64
-	for _, a := range r.Arms {
-		if len(out) == 0 || out[len(out)-1] != a.Rate {
-			out = append(out, a.Rate)
-		}
-	}
-	return out
-}
-
-// Render formats the recall-vs-attainment table.
-func (r *PrecisionResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Joint placement x precision: %s + %s, %d replicas (cluster capacity %.1f req/s)\n",
-		r.Dataset, r.Model, r.Replicas, r.Mu)
-	b.WriteString("same HBM budget per arm: the refinement spends only bytes the placement loop left to the KV pool\n\n")
-	t := &table{header: []string{"arm", "rate", "attainment", "ttft p90", "search p90",
-		"rho", "plan GB", "sq8", "nvme", "recall +pts"}}
-	for _, a := range r.Arms {
-		t.add(a.Name, fmt.Sprintf("%.1f", a.Rate), f3(a.Att), ms(a.TTFTP90), ms(a.SearchP90),
-			f3(a.Rho), fmt.Sprintf("%.1f", a.PlanGB),
-			fmt.Sprintf("%d", a.SQ), fmt.Sprintf("%d", a.NVMe), f2(a.Gain))
-	}
-	b.WriteString(t.String())
-	for _, rate := range r.Rates() {
-		place, prec := r.Arm("placement", rate), r.Arm("placement+precision", rate)
-		if place == nil || prec == nil || place.Att <= 0 {
+	for _, rate := range scaled(muCluster, fracs) {
+		place, prec := t.Row("arm", "placement", "rate", rate), t.Row("arm", "placement+precision", "rate", rate)
+		if place.Float("attainment") <= 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "\n@%.1f req/s: precision holds %.1f%% of placement-only attainment and buys +%.2f recall pts",
-			rate, 100*prec.Att/place.Att, prec.Gain)
-		if prec.Att >= place.Att {
-			b.WriteString(" ✓")
+		rep.Printf("\n@%.1f req/s: precision holds %.1f%% of placement-only attainment and buys +%.2f recall pts",
+			rate, 100*prec.Float("attainment")/place.Float("attainment"), prec.Float("recall +pts"))
+		if prec.Float("attainment") >= place.Float("attainment") {
+			rep.Printf(" ✓")
 		}
 	}
-	b.WriteString("\n")
-	return b.String()
-}
-
-// CSV exports one row per (arm, rate).
-func (r *PrecisionResult) CSV() string {
-	rows := [][]string{}
-	for _, a := range r.Arms {
-		rows = append(rows, []string{
-			a.Name,
-			fmt.Sprintf("%.1f", a.Rate),
-			fmt.Sprintf("%.4f", a.Att),
-			fmt.Sprintf("%d", a.N),
-			fmt.Sprintf("%.6f", a.TTFTP90.Seconds()),
-			fmt.Sprintf("%.6f", a.SearchP90.Seconds()),
-			fmt.Sprintf("%.4f", a.Rho),
-			fmt.Sprintf("%.4f", a.PlanGB),
-			fmt.Sprintf("%d", a.SQ),
-			fmt.Sprintf("%d", a.NVMe),
-			fmt.Sprintf("%.4f", a.Gain),
-		})
-	}
-	return writeCSV([]string{"arm", "rate", "attainment", "requests", "ttft_p90_s",
-		"search_p90_s", "rho", "plan_gb", "sq8_clusters", "nvme_clusters", "recall_gain_pts"}, rows)
+	rep.Printf("\n")
+	return rep, nil
 }

@@ -4,28 +4,15 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"vectorliterag/internal/dataset"
-	"vectorliterag/internal/hw"
 	"vectorliterag/internal/llm"
 	"vectorliterag/internal/rag"
 	"vectorliterag/internal/workload"
 )
 
-// hwNodeWithGPUs returns the H100 node scaled to the given GPU count
-// with the paper's proportional CPU provisioning (§VI-E4).
-func hwNodeWithGPUs(gpus int) (hw.Node, error) {
-	return hw.H100Node().WithGPUs(gpus)
-}
-
-// Renderer is any experiment result that can print itself.
-type Renderer interface {
-	Render() string
-}
-
 // Runner executes one experiment.
-type Runner func(Config) (Renderer, error)
+type Runner func(Config) (*Report, error)
 
 // Registry maps experiment IDs to runners: one per table and figure of
 // the paper's evaluation (fig3..fig17, tab1) plus the beyond-the-paper
@@ -33,31 +20,29 @@ type Runner func(Config) (Renderer, error)
 // "Adding a new serving scenario" for how to register more.
 func Registry() map[string]Runner {
 	return map[string]Runner{
-		"fig3":      func(c Config) (Renderer, error) { return Fig3(c) },
-		"fig4":      func(c Config) (Renderer, error) { return Fig4(c) },
-		"fig5":      func(c Config) (Renderer, error) { return Fig5(c) },
-		"fig6":      func(c Config) (Renderer, error) { return Fig6(c) },
-		"fig8":      func(c Config) (Renderer, error) { return Fig8(c) },
-		"fig9":      func(c Config) (Renderer, error) { return Fig9(c) },
-		"fig10":     func(c Config) (Renderer, error) { return Fig10(c) },
-		"fig11":     func(c Config) (Renderer, error) { return Fig11(c) },
-		"fig12":     func(c Config) (Renderer, error) { return Fig12(c) },
-		"fig13":     func(c Config) (Renderer, error) { return Fig13(c) },
-		"fig14":     func(c Config) (Renderer, error) { return Fig14(c) },
-		"fig15":     func(c Config) (Renderer, error) { return Fig15(c) },
-		"fig16":     func(c Config) (Renderer, error) { return Fig16(c) },
-		"fig17":     func(c Config) (Renderer, error) { return Fig17(c) },
-		"tab1":      func(c Config) (Renderer, error) { return Table1(c) },
-		"ablations": func(c Config) (Renderer, error) { return Ablations(c) },
-		"cluster":   func(c Config) (Renderer, error) { return Cluster(c) },
-		"adapt":     func(c Config) (Renderer, error) { return Adapt(c) },
-		"tenants":   func(c Config) (Renderer, error) { return Tenants(c) },
-		"overload":  func(c Config) (Renderer, error) { return Overload(c) },
-		"faults":    func(c Config) (Renderer, error) { return Faults(c) },
-		"ingest":    func(c Config) (Renderer, error) { return Ingest(c) },
-		"precision": func(c Config) (Renderer, error) {
-			return Precision(c)
-		},
+		"fig3":      Fig3,
+		"fig4":      Fig4,
+		"fig5":      Fig5,
+		"fig6":      Fig6,
+		"fig8":      Fig8,
+		"fig9":      Fig9,
+		"fig10":     Fig10,
+		"fig11":     Fig11,
+		"fig12":     Fig12,
+		"fig13":     Fig13,
+		"fig14":     Fig14,
+		"fig15":     Fig15,
+		"fig16":     Fig16,
+		"fig17":     Fig17,
+		"tab1":      Table1,
+		"ablations": Ablations,
+		"cluster":   Cluster,
+		"adapt":     Adapt,
+		"tenants":   Tenants,
+		"overload":  Overload,
+		"faults":    Faults,
+		"ingest":    Ingest,
+		"precision": Precision,
 	}
 }
 
@@ -82,50 +67,31 @@ func Lookup(id string) (Runner, error) {
 		id, strings.Join(Names(), "\n  "))
 }
 
-// Table1Result reproduces Table I: the SLO targets. The search SLOs are
-// the paper's configuration inputs; the generation SLOs are derived on
-// this substrate with the paper's methodology (latency at the model's
+// Table1 reproduces Table I: the SLO targets. The search SLOs are the
+// paper's configuration inputs; the generation SLOs are derived on this
+// substrate with the paper's methodology (latency at the model's
 // throughput limit) and printed next to the paper's values.
-type Table1Result struct {
-	SearchSLOs map[string]time.Duration
-	GenSLOs    map[string]time.Duration // measured here
-	PaperGen   map[string]int           // paper's Table I, in ms
-}
-
-// Table1 assembles the SLO table.
-func Table1(cfg Config) (*Table1Result, error) {
-	res := &Table1Result{
-		SearchSLOs: map[string]time.Duration{},
-		GenSLOs:    map[string]time.Duration{},
-		PaperGen:   map[string]int{},
-	}
+func Table1(cfg Config) (*Report, error) {
+	rep := &Report{}
+	rep.Printf("Table I: SLO targets\n")
+	search := rep.Table(
+		col("vector index", "", "vector_index", ""),
+		col("SLO_search", "%.0fms", "slo_search_s", ""),
+	)
 	for _, spec := range []dataset.Spec{dataset.WikiAll, dataset.Orcas1K, dataset.Orcas2K} {
-		res.SearchSLOs[spec.Name] = spec.SLOSearch
+		search.Add(spec.Name, spec.SLOSearch)
 	}
+	gen := rep.Table(
+		col("LLM", "", "llm", ""),
+		col("SLO_LLM (measured)", "%.0fms", "slo_llm_measured_s", ""),
+		col("SLO_LLM (paper)", "%dms", "slo_llm_paper_ms", ""),
+	)
 	for _, dep := range deployments() {
 		slo, err := rag.GenSLO(dep.Node, dep.Model, workload.DefaultShape())
 		if err != nil {
 			return nil, err
 		}
-		res.GenSLOs[dep.Model.Name] = slo
-		res.PaperGen[dep.Model.Name] = llm.SLOGen(dep.Model)
+		gen.Add(dep.Model.Name, slo, llm.SLOGen(dep.Model))
 	}
-	return res, nil
-}
-
-// Render formats Table I.
-func (r *Table1Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Table I: SLO targets\n")
-	t := &table{header: []string{"vector index", "SLO_search"}}
-	for _, name := range []string{dataset.WikiAll.Name, dataset.Orcas1K.Name, dataset.Orcas2K.Name} {
-		t.add(name, ms(r.SearchSLOs[name]))
-	}
-	b.WriteString(t.String())
-	t2 := &table{header: []string{"LLM", "SLO_LLM (measured)", "SLO_LLM (paper)"}}
-	for _, name := range []string{llm.Llama3_8B.Name, llm.Qwen3_32B.Name, llm.Llama3_70B.Name} {
-		t2.add(name, ms(r.GenSLOs[name]), fmt.Sprintf("%dms", r.PaperGen[name]))
-	}
-	b.WriteString(t2.String())
-	return b.String()
+	return rep, nil
 }

@@ -2,250 +2,151 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
 	"vectorliterag/internal/dataset"
+	"vectorliterag/internal/hw"
 	"vectorliterag/internal/rag"
 	"vectorliterag/internal/workload"
 )
 
-// Fig11Result reproduces the main evaluation (Fig. 11): SLO attainment
-// and end-to-end latency under increasing arrival rates, for every
-// (dataset, LLM, system) combination.
-type Fig11Result struct {
-	Cells []Fig11Cell
-}
-
-// Fig11Cell is one subplot: a dataset x model pair with its sweep.
-type Fig11Cell struct {
-	Dataset  string
-	Model    string
-	Capacity float64 // standalone LLM throughput (vertical dashed line)
-	Points   []SweepPoint
-}
-
-// Fig11 runs the 3x3 grid across the four main systems.
-func Fig11(cfg Config) (*Fig11Result, error) {
+// Fig11 reproduces the main evaluation (Fig. 11): SLO attainment and
+// end-to-end latency under increasing arrival rates, for every
+// (dataset, LLM, system) combination — the 3x3 grid across the four
+// main systems, one subplot per dataset x model pair.
+func Fig11(cfg Config) (*Report, error) {
 	specs := []dataset.Spec{dataset.WikiAll, dataset.Orcas1K, dataset.Orcas2K}
-	if cfg.Quick {
-		specs = specs[1:2] // ORCAS-1K only
-	}
 	deps := deployments()
 	if cfg.Quick {
-		deps = deps[1:2] // Qwen3-32B only
+		specs = specs[1:2] // ORCAS-1K only
+		deps = deps[1:2]   // Qwen3-32B only
 	}
-	res := &Fig11Result{}
+	rep := &Report{}
+	rep.Printf("Fig 11: SLO attainment (left metric) and E2E latency (right metric)\n")
+	t := rep.Table(
+		csvCol("dataset", ""),
+		csvCol("model", ""),
+		col("system", "", "system", ""),
+		col("rate", "%.1f", "rate_rps", "%.1f"),
+		col("attainment", "%.2f", "attainment", ""),
+		col("TTFT p90", "%.0fms", "ttft_p90_s", ""),
+		col("E2E p90", "%.1fs", "e2e_p90_s", ""),
+		col("search", "%.0fms", "search_mean_s", ""),
+		col("rho", "%.3f", "rho", ""),
+	)
 	for _, spec := range specs {
-		w, err := WorkloadFor(spec)
-		if err != nil {
-			return nil, err
-		}
 		for _, dep := range deps {
-			rates, mu, err := ratesFor(dep.Node, dep.Model, cfg.Quick)
+			// mu is the standalone LLM throughput (the vertical dashed line).
+			rates, mu, err := ratesFor(dep, cfg.Quick)
 			if err != nil {
 				return nil, err
 			}
-			points, err := sweep(cfg, dep, w, rag.Kinds(), rates, nil)
+			t.Notef("\n-- %s + %s (bare capacity %.1f rps)\n", spec.Name, dep.Model.Name, mu)
+			first := len(t.rows)
+			err = cfg.sweep(grid{dep: dep, spec: spec, kinds: rag.Kinds(), rates: rates},
+				single(func(_ string, o rag.Options, r *rag.Result) {
+					s := r.Summary
+					t.Add(spec.Name, dep.Model.Name, string(o.Kind), o.Rate, s.Attainment,
+						s.TTFT.P90, s.E2E.P90, s.Breakdown.Search, r.Rho)
+				}))
 			if err != nil {
 				return nil, err
 			}
-			res.Cells = append(res.Cells, Fig11Cell{
-				Dataset: spec.Name, Model: dep.Model.Name, Capacity: mu, Points: points,
-			})
+			// Headline: SLO-bound throughput ratio vs best baseline.
+			cell := t.Rows()[first:]
+			vl := maxAttainedRate(cell, rag.VLiteRAG, 0.5)
+			bestBase := 0.0
+			for _, k := range []rag.Kind{rag.CPUOnly, rag.DedGPU, rag.AllGPU} {
+				bestBase = max(bestBase, maxAttainedRate(cell, k, 0.5))
+			}
+			if bestBase > 0 {
+				t.Notef("SLO-bound (att>=0.5) rate: vLiteRAG %.1f vs best baseline %.1f (%.2fx)\n",
+					vl, bestBase, vl/bestBase)
+			}
 		}
 	}
-	return res, nil
+	return rep, nil
 }
 
-// MaxAttainedRate returns the highest rate at which the system kept
-// attainment >= level in the cell, or 0 if it never did.
-func (c Fig11Cell) MaxAttainedRate(kind rag.Kind, level float64) float64 {
+// maxAttainedRate returns the highest rate at which the system kept
+// attainment >= level among the rows, or 0 if it never did.
+func maxAttainedRate(rows []Row, kind rag.Kind, level float64) float64 {
 	best := 0.0
-	for _, p := range c.Points {
-		if p.Kind == kind && p.Att >= level && p.Rate > best {
-			best = p.Rate
+	for _, r := range rows {
+		if r.Str("system") == string(kind) && r.Float("attainment") >= level {
+			best = max(best, r.Float("rate"))
 		}
 	}
 	return best
 }
 
-// Render formats every cell.
-func (r *Fig11Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Fig 11: SLO attainment (left metric) and E2E latency (right metric)\n")
-	for _, cell := range r.Cells {
-		fmt.Fprintf(&b, "\n-- %s + %s (bare capacity %.1f rps)\n", cell.Dataset, cell.Model, cell.Capacity)
-		t := &table{header: []string{"system", "rate", "attainment", "TTFT p90", "E2E p90", "search", "rho"}}
-		for _, p := range cell.Points {
-			t.add(string(p.Kind), fmt.Sprintf("%.1f", p.Rate), f2(p.Att), ms(p.TTFTP90), sec(p.E2EP90), ms(p.Search), f3(p.Rho))
-		}
-		b.WriteString(t.String())
-		// Headline: SLO-bound throughput ratio vs best baseline.
-		vl := cell.MaxAttainedRate(rag.VLiteRAG, 0.5)
-		bestBase := 0.0
-		for _, k := range []rag.Kind{rag.CPUOnly, rag.DedGPU, rag.AllGPU} {
-			if v := cell.MaxAttainedRate(k, 0.5); v > bestBase {
-				bestBase = v
-			}
-		}
-		if bestBase > 0 {
-			fmt.Fprintf(&b, "SLO-bound (att>=0.5) rate: vLiteRAG %.1f vs best baseline %.1f (%.2fx)\n",
-				vl, bestBase, vl/bestBase)
-		}
-	}
-	return b.String()
-}
-
-// Fig12Result reproduces the TTFT breakdown (Fig. 12) for Wiki-All and
-// ORCAS-1K with Qwen3-32B at three arrival rates.
-type Fig12Result struct {
-	Rows []Fig12Row
-}
-
-// Fig12Row is one stacked bar.
-type Fig12Row struct {
-	Dataset  string
-	Kind     rag.Kind
-	Rate     float64
-	Queueing time.Duration
-	Search   time.Duration
-	LLM      time.Duration // wait + prefill (the grey segment)
-}
-
-// Fig12 measures the breakdowns.
-func Fig12(cfg Config) (*Fig12Result, error) {
-	dep := deployments()[1] // Qwen3-32B on H100
+// Fig12 reproduces the TTFT breakdown (Fig. 12) for Wiki-All and
+// ORCAS-1K with Qwen3-32B at three arrival rates: one stacked bar per
+// row.
+func Fig12(cfg Config) (*Report, error) {
 	rates := []float64{19, 32, 38}
 	if cfg.Quick {
 		rates = []float64{19, 32}
 	}
-	res := &Fig12Result{}
+	rep := &Report{}
+	rep.Printf("Fig 12: TTFT breakdown with Qwen3-32B\n")
+	t := rep.Table(
+		col("dataset", "", "dataset", ""),
+		col("system", "", "system", ""),
+		col("rate", "%.0f", "rate_rps", "%.1f"),
+		col("queueing", "%.0fms", "queueing_s", ""),
+		col("search", "%.0fms", "search_s", ""),
+		col("LLM(prefill)", "%.0fms", "llm_s", ""), // wait + prefill (the grey segment)
+		textCol("total", "%.0fms"),
+	)
 	for _, spec := range []dataset.Spec{dataset.WikiAll, dataset.Orcas1K} {
-		w, err := WorkloadFor(spec)
+		err := cfg.sweep(grid{dep: qwenH100(), spec: spec, kinds: rag.Kinds(), rates: rates},
+			single(func(_ string, o rag.Options, r *rag.Result) {
+				bd := r.Summary.Breakdown
+				llm := bd.LLMWait + bd.Prefill
+				t.Add(spec.Name, string(o.Kind), o.Rate, bd.Queueing, bd.Search, llm, bd.Queueing+bd.Search+llm)
+			}))
 		if err != nil {
 			return nil, err
 		}
-		for _, kind := range rag.Kinds() {
-			for _, rate := range rates {
-				r, err := rag.Run(rag.Options{
-					Node: dep.Node, Model: dep.Model, W: w, Kind: kind,
-					Rate: rate, Seed: cfg.Seed, Duration: runDuration(cfg.Quick),
-				})
-				if err != nil {
-					return nil, err
-				}
-				bd := r.Summary.Breakdown
-				res.Rows = append(res.Rows, Fig12Row{
-					Dataset: spec.Name, Kind: kind, Rate: rate,
-					Queueing: bd.Queueing, Search: bd.Search, LLM: bd.LLMWait + bd.Prefill,
-				})
-			}
-		}
 	}
-	return res, nil
+	return rep, nil
 }
 
-// Render formats the stacked bars.
-func (r *Fig12Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Fig 12: TTFT breakdown with Qwen3-32B\n")
-	t := &table{header: []string{"dataset", "system", "rate", "queueing", "search", "LLM(prefill)", "total"}}
-	for _, row := range r.Rows {
-		t.add(row.Dataset, string(row.Kind), fmt.Sprintf("%.0f", row.Rate),
-			ms(row.Queueing), ms(row.Search), ms(row.LLM), ms(row.Queueing+row.Search+row.LLM))
-	}
-	b.WriteString(t.String())
-	return b.String()
-}
-
-// Fig14Result reproduces the dispatcher ablation (Fig. 14): average and
-// P90 search latency with the dispatcher on vs off, plus batch sizes.
-type Fig14Result struct {
-	Rows []Fig14Row
-}
-
-// Fig14Row is one (rate, dispatcher) sample.
-type Fig14Row struct {
-	Rate       float64
-	Dispatcher bool
-	AvgSearch  time.Duration
-	P90Search  time.Duration
-	AvgBatch   float64
-}
-
-// Fig14 runs the ablation on the ORCAS-2K index (as in the paper).
-func Fig14(cfg Config) (*Fig14Result, error) {
-	w, err := WorkloadFor(dataset.Orcas2K)
-	if err != nil {
-		return nil, err
-	}
-	dep := deployments()[1]
+// Fig14 reproduces the dispatcher ablation (Fig. 14) on the ORCAS-2K
+// index, as in the paper: average and P90 search latency with the
+// dispatcher on vs off, plus batch sizes.
+func Fig14(cfg Config) (*Report, error) {
 	rates := []float64{24, 32, 41}
 	if cfg.Quick {
 		rates = []float64{24, 32}
 	}
-	res := &Fig14Result{}
-	for _, disp := range []bool{true, false} {
-		for _, rate := range rates {
-			r, err := rag.Run(rag.Options{
-				Node: dep.Node, Model: dep.Model, W: w, Kind: rag.VLiteRAG,
-				Rate: rate, Seed: cfg.Seed, Duration: runDuration(cfg.Quick),
-				DisableDispatcher: !disp,
-			})
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, Fig14Row{
-				Rate: rate, Dispatcher: disp,
-				AvgSearch: r.Summary.Breakdown.Search,
-				P90Search: r.Summary.Search.P90,
-				AvgBatch:  r.AvgBatch,
-			})
+	rep := &Report{}
+	rep.Printf("Fig 14: dynamic dispatcher ablation (ORCAS-2K)\n")
+	t := rep.Table(
+		col("rate", "%.0f", "rate_rps", "%.1f"),
+		col("dispatcher", "", "dispatcher", ""),
+		col("avg search", "%.0fms", "search_mean_s", ""),
+		col("p90 search", "%.0fms", "search_p90_s", ""),
+		col("avg batch", "%.2f", "avg_batch", ""),
+	)
+	for _, disp := range []string{"on", "off"} {
+		arms := []arm[rag.Options]{{disp, func(o *rag.Options) { o.DisableDispatcher = disp == "off" }}}
+		err := cfg.sweep(grid{dep: qwenH100(), spec: dataset.Orcas2K, rates: rates, arms: arms},
+			single(func(disp string, o rag.Options, r *rag.Result) {
+				t.Add(o.Rate, disp, r.Summary.Breakdown.Search, r.Summary.Search.P90, r.AvgBatch)
+			}))
+		if err != nil {
+			return nil, err
 		}
 	}
-	return res, nil
+	return rep, nil
 }
 
-// Render formats the ablation.
-func (r *Fig14Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Fig 14: dynamic dispatcher ablation (ORCAS-2K)\n")
-	t := &table{header: []string{"rate", "dispatcher", "avg search", "p90 search", "avg batch"}}
-	for _, row := range r.Rows {
-		on := "off"
-		if row.Dispatcher {
-			on = "on"
-		}
-		t.add(fmt.Sprintf("%.0f", row.Rate), on, ms(row.AvgSearch), ms(row.P90Search), f2(row.AvgBatch))
-	}
-	b.WriteString(t.String())
-	return b.String()
-}
-
-// Fig15Result reproduces the input/output length ablation (Fig. 15):
-// P90 TTFT across arrival rates for different token shapes, on
-// Llama3-8B and Llama3-70B with the ORCAS-2K index.
-type Fig15Result struct {
-	Rows []Fig15Row
-}
-
-// Fig15Row is one curve sample.
-type Fig15Row struct {
-	Model   string
-	Kind    rag.Kind
-	Shape   workload.Shape
-	Rate    float64
-	TTFTP90 time.Duration
-	Att     float64
-}
-
-// Fig15 sweeps shapes {512,1024,2048}/256 and 1024/{128,256,512}.
-func Fig15(cfg Config) (*Fig15Result, error) {
-	w, err := WorkloadFor(dataset.Orcas2K)
-	if err != nil {
-		return nil, err
-	}
+// Fig15 reproduces the input/output length ablation (Fig. 15): P90 TTFT
+// across arrival rates for token shapes {512,1024,2048}/256 and
+// 1024/{128,256,512}, on Llama3-8B and Llama3-70B with the ORCAS-2K
+// index.
+func Fig15(cfg Config) (*Report, error) {
 	shapes := []workload.Shape{
 		{InputTokens: 512, OutputTokens: 256, TopK: 25},
 		{InputTokens: 1024, OutputTokens: 256, TopK: 25},
@@ -253,118 +154,80 @@ func Fig15(cfg Config) (*Fig15Result, error) {
 		{InputTokens: 1024, OutputTokens: 128, TopK: 25},
 		{InputTokens: 1024, OutputTokens: 512, TopK: 25},
 	}
-	kinds := []rag.Kind{rag.CPUOnly, rag.AllGPU, rag.VLiteRAG}
 	deps := []deployment{deployments()[0], deployments()[2]} // 8B and 70B
+	fracs := []float64{0.4, 0.6, 0.8, 0.95, 1.05}
 	if cfg.Quick {
-		shapes = shapes[1:2]
-		deps = deps[:1]
+		shapes, deps, fracs = shapes[1:2], deps[:1], []float64{0.5, 0.8, 1.0}
 	}
-	res := &Fig15Result{}
+	rep := &Report{}
+	rep.Printf("Fig 15: input/output length ablation (ORCAS-2K)\n")
+	t := rep.Table(
+		col("model", "", "model", ""),
+		col("shape", "", "shape", ""),
+		col("system", "", "system", ""),
+		col("rate", "%.1f", "rate_rps", "%.1f"),
+		col("TTFT p90", "%.0fms", "ttft_p90_s", ""),
+		col("attainment", "%.2f", "attainment", ""),
+	)
 	for _, dep := range deps {
 		for _, shape := range shapes {
 			mu, err := rag.BareCapacity(dep.Node, dep.Model, shape)
 			if err != nil {
 				return nil, err
 			}
-			fracs := []float64{0.5, 0.8, 1.0}
-			if !cfg.Quick {
-				fracs = []float64{0.4, 0.6, 0.8, 0.95, 1.05}
-			}
-			for _, kind := range kinds {
-				for _, f := range fracs {
-					rate := round1(mu * f)
-					r, err := rag.Run(rag.Options{
-						Node: dep.Node, Model: dep.Model, W: w, Kind: kind,
-						Rate: rate, Seed: cfg.Seed, Duration: runDuration(cfg.Quick),
-						Shape: shape,
-					})
-					if err != nil {
-						return nil, err
-					}
-					res.Rows = append(res.Rows, Fig15Row{
-						Model: dep.Model.Name, Kind: kind, Shape: shape, Rate: rate,
-						TTFTP90: r.Summary.TTFT.P90, Att: r.Summary.Attainment,
-					})
-				}
+			err = cfg.sweep(grid{
+				dep: dep, spec: dataset.Orcas2K, rates: scaled(mu, fracs),
+				kinds: []rag.Kind{rag.CPUOnly, rag.AllGPU, rag.VLiteRAG},
+				base:  func(o *rag.Options) { o.Shape = shape },
+			}, single(func(_ string, o rag.Options, r *rag.Result) {
+				t.Add(dep.Model.Name, fmt.Sprintf("%d/%d", shape.InputTokens, shape.OutputTokens),
+					string(o.Kind), o.Rate, r.Summary.TTFT.P90, r.Summary.Attainment)
+			}))
+			if err != nil {
+				return nil, err
 			}
 		}
 	}
-	return res, nil
+	return rep, nil
 }
 
-// Render formats the ablation.
-func (r *Fig15Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Fig 15: input/output length ablation (ORCAS-2K)\n")
-	t := &table{header: []string{"model", "shape", "system", "rate", "TTFT p90", "attainment"}}
-	for _, row := range r.Rows {
-		t.add(row.Model, fmt.Sprintf("%d/%d", row.Shape.InputTokens, row.Shape.OutputTokens),
-			string(row.Kind), fmt.Sprintf("%.1f", row.Rate), ms(row.TTFTP90), f2(row.Att))
-	}
-	b.WriteString(t.String())
-	return b.String()
-}
-
-// Fig17Result reproduces the hardware-capacity robustness study
-// (Fig. 17): 4, 6, and 8 GPUs with proportionally scaled CPU cores.
-type Fig17Result struct {
-	Rows []Fig17Row
-}
-
-// Fig17Row is one (gpus, system, rate) sample.
-type Fig17Row struct {
-	GPUs    int
-	Kind    rag.Kind
-	Rate    float64
-	Att     float64
-	E2EMean time.Duration
-	Rho     float64
-}
-
-// Fig17 runs Qwen3-32B + ORCAS-2K across node sizes.
-func Fig17(cfg Config) (*Fig17Result, error) {
-	w, err := WorkloadFor(dataset.Orcas2K)
-	if err != nil {
-		return nil, err
-	}
+// Fig17 reproduces the hardware-capacity robustness study (Fig. 17):
+// Qwen3-32B + ORCAS-2K on 4, 6, and 8 GPUs with the paper's
+// proportionally scaled CPU cores (§VI-E4).
+func Fig17(cfg Config) (*Report, error) {
 	gpuCounts := []int{4, 6, 8}
 	if cfg.Quick {
 		gpuCounts = []int{4, 8}
 	}
-	kinds := []rag.Kind{rag.CPUOnly, rag.AllGPU, rag.VLiteRAG}
-	res := &Fig17Result{}
+	rep := &Report{}
+	rep.Printf("Fig 17: robustness to hardware capacity (Qwen3-32B + ORCAS-2K)\n")
+	t := rep.Table(
+		col("GPUs", "", "gpus", ""),
+		col("system", "", "system", ""),
+		col("rate", "%.1f", "rate_rps", "%.1f"),
+		col("attainment", "%.2f", "attainment", ""),
+		col("E2E mean", "%.1fs", "e2e_mean_s", ""),
+		col("rho", "%.3f", "rho", ""),
+	)
 	for _, g := range gpuCounts {
-		node, err := hwNodeWithGPUs(g)
+		node, err := hw.H100Node().WithGPUs(g)
 		if err != nil {
 			return nil, err
 		}
-		dep := deployment{Model: deployments()[1].Model, Node: node}
-		rates, _, err := ratesFor(node, dep.Model, cfg.Quick)
+		dep := deployment{Model: qwenH100().Model, Node: node}
+		rates, _, err := ratesFor(dep, cfg.Quick)
 		if err != nil {
 			return nil, err
 		}
-		points, err := sweep(cfg, dep, w, kinds, rates, nil)
+		err = cfg.sweep(grid{
+			dep: dep, spec: dataset.Orcas2K, rates: rates,
+			kinds: []rag.Kind{rag.CPUOnly, rag.AllGPU, rag.VLiteRAG},
+		}, single(func(_ string, o rag.Options, r *rag.Result) {
+			t.Add(g, string(o.Kind), o.Rate, r.Summary.Attainment, r.Summary.E2E.Mean, r.Rho)
+		}))
 		if err != nil {
 			return nil, err
-		}
-		for _, p := range points {
-			res.Rows = append(res.Rows, Fig17Row{
-				GPUs: g, Kind: p.Kind, Rate: p.Rate, Att: p.Att, E2EMean: p.E2EMean, Rho: p.Rho,
-			})
 		}
 	}
-	return res, nil
-}
-
-// Render formats the study.
-func (r *Fig17Result) Render() string {
-	var b strings.Builder
-	b.WriteString("Fig 17: robustness to hardware capacity (Qwen3-32B + ORCAS-2K)\n")
-	t := &table{header: []string{"GPUs", "system", "rate", "attainment", "E2E mean", "rho"}}
-	for _, row := range r.Rows {
-		t.add(fmt.Sprint(row.GPUs), string(row.Kind), fmt.Sprintf("%.1f", row.Rate),
-			f2(row.Att), sec(row.E2EMean), f3(row.Rho))
-	}
-	b.WriteString(t.String())
-	return b.String()
+	return rep, nil
 }

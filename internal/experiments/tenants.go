@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"vectorliterag/internal/dataset"
@@ -11,7 +9,34 @@ import (
 	"vectorliterag/internal/workload"
 )
 
-// TenantsResult is the multi-tenant isolation study (beyond the paper,
+// threeTenants is the cast the multi-tenant studies share: gold, silver
+// and bronze on one Qwen3-32B/H100 node whose capacity measures ≈38
+// req/s, with gold and silver steady well inside it at their base
+// rates. Per-tenant search SLOs are the tenants' contracts (gold pays
+// for 350 ms at 95 %, silver 500 ms at 85 %, bronze 300 ms at best
+// effort). Each study adds its own rate schedules.
+func (cfg Config) threeTenants(duration time.Duration) (rag.MultiTenantOptions, error) {
+	dep := qwenH100()
+	goldW, err := WorkloadFor(dataset.Orcas1K)
+	if err != nil {
+		return rag.MultiTenantOptions{}, err
+	}
+	silverW, err := WorkloadFor(dataset.WikiAll)
+	if err != nil {
+		return rag.MultiTenantOptions{}, err
+	}
+	return rag.MultiTenantOptions{
+		Node: dep.Node, Model: dep.Model,
+		Tenants: []rag.TenantConfig{
+			{Name: "gold", Tier: tenant.Gold, W: goldW, Rate: 9, SLOSearch: 350 * time.Millisecond},
+			{Name: "silver", Tier: tenant.Silver, W: silverW, Rate: 3, SLOSearch: 500 * time.Millisecond},
+			{Name: "bronze", Tier: tenant.Bronze, W: goldW, Rate: 2.5, SLOSearch: 300 * time.Millisecond},
+		},
+		Duration: duration, Seed: cfg.Seed,
+	}, nil
+}
+
+// Tenants is the multi-tenant isolation study (beyond the paper,
 // extending Algorithm 1 to shared-GPU tenancy): three tenants — gold
 // and silver with steady traffic, bronze with a flash-crowd burst
 // schedule — share one node under the joint HBM allocator. The fair
@@ -19,191 +44,63 @@ import (
 // with tier-aware preemption ordering); the baseline shares one
 // unmetered queue. The artifact: gold's SLO attainment stays at or
 // above its tier target under the FairScheduler while the shared-queue
-// baseline lets the bronze burst drag it below.
-type TenantsResult struct {
-	Dataset  map[string]string // tenant name → dataset name
-	Arms     []TenantsArm
-	BurstLen time.Duration
-	Period   time.Duration
-}
-
-// TenantsArm is one scheduling policy's outcome.
-type TenantsArm struct {
-	Name        string // "fair" or "shared-queue"
-	SharedQueue bool
-	Fairness    float64
-	Rows        []TenantsRow
-}
-
-// TenantsRow is one tenant's outcome under one arm.
-type TenantsRow struct {
-	Name      string
-	Tier      tenant.Tier
-	Rate      float64
-	Rho       float64
-	Att       float64
-	Target    float64
-	Met       bool
-	TTFTP90   time.Duration
-	PeakQueue int
-	N         int
-}
-
-// tenantsOpts assembles the three-tenant scenario. Rates are absolute
-// for a node whose Qwen3-32B capacity measures ≈38 req/s: gold and
-// silver run steady well inside capacity, bronze idles at 2.5 req/s
-// but bursts to 45 req/s — transiently ~1.5× node capacity — for 15 s
-// of every minute. Per-tenant search SLOs are the tenants' contracts
-// (gold pays for 350 ms at 95 %, silver 500 ms at 85 %, bronze 300 ms
-// at best effort).
-func tenantsOpts(cfg Config, quick bool) (rag.MultiTenantOptions, time.Duration, time.Duration, error) {
-	dep := deployments()[1] // Qwen3-32B on the H100 node
-	goldW, err := WorkloadFor(dataset.Orcas1K)
-	if err != nil {
-		return rag.MultiTenantOptions{}, 0, 0, err
-	}
-	silverW, err := WorkloadFor(dataset.WikiAll)
-	if err != nil {
-		return rag.MultiTenantOptions{}, 0, 0, err
-	}
-	period := 60 * time.Second
-	burstLen := 15 * time.Second
+// baseline lets the bronze burst drag it below. Identical tenants,
+// allocation, and arrival traces run under both scheduling arms.
+func Tenants(cfg Config) (*Report, error) {
 	duration := 240 * time.Second
-	if quick {
+	if cfg.Quick {
 		duration = 120 * time.Second
 	}
-	opts := rag.MultiTenantOptions{
-		Node: dep.Node, Model: dep.Model,
-		Tenants: []rag.TenantConfig{
-			{Name: "gold", Tier: tenant.Gold, W: goldW, Rate: 9,
-				SLOSearch: 350 * time.Millisecond},
-			{Name: "silver", Tier: tenant.Silver, W: silverW, Rate: 3,
-				SLOSearch: 500 * time.Millisecond},
-			{Name: "bronze", Tier: tenant.Bronze, W: goldW, Rate: 2.5,
-				SLOSearch:    300 * time.Millisecond,
-				RateSchedule: workload.Bursts(2.5, 45, period, burstLen)},
-		},
-		Duration: duration, Seed: cfg.Seed,
-	}
-	return opts, period, burstLen, nil
-}
-
-// Tenants runs the isolation study: identical tenants, allocation, and
-// arrival traces under both scheduling arms.
-func Tenants(cfg Config) (*TenantsResult, error) {
-	opts, period, burstLen, err := tenantsOpts(cfg, cfg.Quick)
+	opts, err := cfg.threeTenants(duration)
 	if err != nil {
 		return nil, err
 	}
-	res := &TenantsResult{
-		Dataset: map[string]string{
-			"gold":   dataset.Orcas1K.Name,
-			"silver": dataset.WikiAll.Name,
-			"bronze": dataset.Orcas1K.Name,
-		},
-		Period:   period,
-		BurstLen: burstLen,
-	}
-	for _, arm := range []struct {
-		name   string
-		shared bool
-	}{{"fair", false}, {"shared-queue", true}} {
-		o := opts
-		o.SharedQueue = arm.shared
+	// Bronze idles at 2.5 req/s but bursts to 45 req/s — transiently
+	// ~1.5× node capacity — for 15 s of every minute.
+	const period, burstLen = 60 * time.Second, 15 * time.Second
+	opts.Tenants[2].RateSchedule = workload.Bursts(2.5, 45, period, burstLen)
+
+	rep := &Report{}
+	rep.Printf("Multi-tenant isolation: gold/silver steady, bronze bursts (%v of every %v)\n", burstLen, period)
+	rep.Printf("joint HBM allocation identical across arms; only the admission policy differs\n\n")
+	t := rep.Table(
+		col("arm", "", "arm", ""),
+		col("tenant", "", "tenant", ""),
+		col("tier", "", "tier", ""),
+		col("rate", "%.1f", "rate", "%.1f"),
+		col("rho", "%.3f", "rho", ""),
+		col("attainment", "%.3f", "attainment", ""),
+		col("target", "%.2f", "target", "%.2f"),
+		col("met", "", "met", ""),
+		col("TTFT p90", "%.0fms", "ttft_p90_s", ""),
+		col("peak queue", "", "peak_queue", ""),
+		csvCol("jain_fairness", ""),
+	)
+	err = eachArm(opts, []arm[rag.MultiTenantOptions]{
+		{name: "fair"},
+		{"shared-queue", func(o *rag.MultiTenantOptions) { o.SharedQueue = true }},
+	}, func(name string, o rag.MultiTenantOptions) error {
 		r, err := rag.RunMultiTenant(o)
 		if err != nil {
-			return nil, fmt.Errorf("tenants %s arm: %w", arm.name, err)
+			return err
 		}
-		a := TenantsArm{Name: arm.name, SharedQueue: arm.shared, Fairness: r.Fairness}
 		for _, tr := range r.Tenants {
-			a.Rows = append(a.Rows, TenantsRow{
-				Name: tr.Name, Tier: tr.Tier, Rate: tr.Rate,
-				Rho: tr.Alloc.Rho, Att: tr.Summary.Attainment,
-				Target: tr.Tier.Target(), Met: tr.Summary.Attainment >= tr.Tier.Target(),
-				TTFTP90: tr.Summary.TTFT.P90, PeakQueue: tr.PeakQueue,
-				N: tr.Summary.N,
-			})
+			att, target := tr.Summary.Attainment, tr.Tier.Target()
+			t.Add(name, tr.Name, string(tr.Tier), tr.Rate, tr.Alloc.Rho, att, target, att >= target,
+				tr.Summary.TTFT.P90, tr.PeakQueue, r.Fairness)
 		}
-		res.Arms = append(res.Arms, a)
+		rep.Printf("\n%s: Jain fairness %.3f", name, r.Fairness)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
-}
-
-// Arm returns the named arm ("fair" or "shared-queue").
-func (r *TenantsResult) Arm(name string) *TenantsArm {
-	for i := range r.Arms {
-		if r.Arms[i].Name == name {
-			return &r.Arms[i]
-		}
+	fair, shared := t.Row("arm", "fair", "tenant", "gold"), t.Row("arm", "shared-queue", "tenant", "gold")
+	if fair.Bool("met") && !shared.Bool("met") {
+		rep.Printf("\nbronze burst contained: gold holds its tier target only under the FairScheduler ✓\n")
+	} else {
+		rep.Printf("\ngold attainment: fair %.3f vs shared-queue %.3f (target %.2f)\n",
+			fair.Float("attainment"), shared.Float("attainment"), fair.Float("target"))
 	}
-	return nil
-}
-
-// Row returns the named tenant's row within an arm.
-func (a *TenantsArm) Row(name string) *TenantsRow {
-	for i := range a.Rows {
-		if a.Rows[i].Name == name {
-			return &a.Rows[i]
-		}
-	}
-	return nil
-}
-
-// Render formats the isolation table.
-func (r *TenantsResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Multi-tenant isolation: gold/silver steady, bronze bursts (%v of every %v)\n",
-		r.BurstLen, r.Period)
-	b.WriteString("joint HBM allocation identical across arms; only the admission policy differs\n\n")
-	t := &table{header: []string{"arm", "tenant", "tier", "rate", "rho", "attainment", "target", "met", "TTFT p90", "peak queue"}}
-	for _, arm := range r.Arms {
-		for _, row := range arm.Rows {
-			met := "no"
-			if row.Met {
-				met = "yes"
-			}
-			t.add(arm.Name, row.Name, string(row.Tier), fmt.Sprintf("%.1f", row.Rate),
-				f3(row.Rho), f3(row.Att), f2(row.Target), met, ms(row.TTFTP90),
-				fmt.Sprintf("%d", row.PeakQueue))
-		}
-	}
-	b.WriteString(t.String())
-	for _, arm := range r.Arms {
-		fmt.Fprintf(&b, "\n%s: Jain fairness %.3f", arm.Name, arm.Fairness)
-	}
-	fair, shared := r.Arm("fair"), r.Arm("shared-queue")
-	if fair != nil && shared != nil {
-		g1, g2 := fair.Row("gold"), shared.Row("gold")
-		if g1 != nil && g2 != nil {
-			if g1.Met && !g2.Met {
-				b.WriteString("\nbronze burst contained: gold holds its tier target only under the FairScheduler ✓\n")
-			} else {
-				fmt.Fprintf(&b, "\ngold attainment: fair %.3f vs shared-queue %.3f (target %.2f)\n",
-					g1.Att, g2.Att, g1.Target)
-			}
-		}
-	}
-	return b.String()
-}
-
-// CSV exports one row per (arm, tenant).
-func (r *TenantsResult) CSV() string {
-	rows := [][]string{}
-	for _, arm := range r.Arms {
-		for _, row := range arm.Rows {
-			rows = append(rows, []string{
-				arm.Name, row.Name, string(row.Tier),
-				fmt.Sprintf("%.1f", row.Rate),
-				fmt.Sprintf("%.4f", row.Rho),
-				fmt.Sprintf("%.4f", row.Att),
-				fmt.Sprintf("%.2f", row.Target),
-				fmt.Sprintf("%t", row.Met),
-				fmt.Sprintf("%.6f", row.TTFTP90.Seconds()),
-				fmt.Sprintf("%d", row.PeakQueue),
-				fmt.Sprintf("%.4f", arm.Fairness),
-			})
-		}
-	}
-	return writeCSV([]string{"arm", "tenant", "tier", "rate", "rho", "attainment",
-		"target", "met", "ttft_p90_s", "peak_queue", "jain_fairness"}, rows)
+	return rep, nil
 }

@@ -160,9 +160,6 @@ func NewInstance(sim *des.Sim, node hw.Node, spec ModelSpec, gpus []*gpu.State, 
 	return inst, nil
 }
 
-// KVCapacityTokens reports the instance's KV pool in tokens.
-func (in *Instance) KVCapacityTokens() int64 { return in.kvCapacityTokens }
-
 // Load returns the number of requests queued or running.
 func (in *Instance) Load() int {
 	return len(in.waiting) - in.wHead + len(in.prefilling) + in.nRunning

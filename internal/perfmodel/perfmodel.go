@@ -77,23 +77,6 @@ func (m *Model) HybridTime(b int, eta float64) time.Duration {
 	return m.CQTime(b) + time.Duration((1-eta)*float64(m.LUTTime(b)))
 }
 
-// HybridTimeTiered evaluates Eq. 1 with the miss path split across
-// storage tiers: coldPenalty is the extra fetch latency of the
-// NVMe-resident share of a fully uncached batch (see
-// costmodel.NVMeScanTime), and like T_LUT it shrinks with the hit
-// rate — cached clusters are never fetched from the SSD. With a zero
-// penalty this is exactly HybridTime, so tier-unaware callers are
-// unchanged.
-func (m *Model) HybridTimeTiered(b int, eta float64, coldPenalty time.Duration) time.Duration {
-	if eta < 0 {
-		eta = 0
-	}
-	if eta > 1 {
-		eta = 1
-	}
-	return m.HybridTime(b, eta) + time.Duration((1-eta)*float64(coldPenalty))
-}
-
 // EtaForBudget solves Eq. 1 for the hit rate needed to bring batch-b
 // search latency within budget:
 //

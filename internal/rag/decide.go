@@ -78,6 +78,12 @@ func offline(opts *Options) (*decision, error) {
 	if err != nil {
 		return nil, err
 	}
+	return profileAndDecide(opts, sloTotal)
+}
+
+// profileAndDecide profiles the workload and makes the per-kind
+// resource decision. opts must carry its Shape and SLOSearch.
+func profileAndDecide(opts *Options, sloTotal time.Duration) (*decision, error) {
 	prof, err := profiler.CollectAccess(opts.W, profileSample(opts.ProfileQueries), opts.Seed+1)
 	if err != nil {
 		return nil, err
@@ -90,6 +96,41 @@ func offline(opts *Options) (*decision, error) {
 		d.planBytes = d.plan.TotalBytes()
 	}
 	return d, nil
+}
+
+// Decision is the outcome of the offline half alone, for callers that
+// build a system without serving it.
+type Decision struct {
+	Rho       float64
+	Plan      *splitter.Plan // nil for CPU-only
+	PlanBytes int64
+	Partition *partition.Result // nil for non-partitioned systems
+	Mu0       float64
+	// MeanHitRate is the estimator's mean hit rate at Rho (zero for the
+	// systems that fit no estimator).
+	MeanHitRate float64
+}
+
+// Decide runs the offline half of Run by itself — profile → estimate →
+// model → partition → split, Algorithm 1 for vLiteRAG — on the options
+// the decision reads (Node, Model, W, Kind, Shape, SLOSearch, Epsilon,
+// ProfileQueries, Seed, ...). It needs no arrival rate and measures no
+// generation SLO, and it is the same code path, profile seed and
+// defaults every Run decides on, so its Rho is the Rho a run reports.
+func Decide(opts Options) (*Decision, error) {
+	if opts.W == nil {
+		return nil, fmt.Errorf("rag: nil workload")
+	}
+	opts.decisionDefaults()
+	d, err := profileAndDecide(&opts, 0)
+	if err != nil {
+		return nil, err
+	}
+	out := &Decision{Rho: d.rho, Plan: d.plan, PlanBytes: d.planBytes, Partition: d.partition, Mu0: d.mu0}
+	if d.est != nil {
+		out.MeanHitRate = d.est.MeanHitRate(d.rho)
+	}
+	return out, nil
 }
 
 // decide makes the per-kind resource decision from the access profile.

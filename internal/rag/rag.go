@@ -220,12 +220,7 @@ func (opts *Options) normalize() (sloTotal time.Duration, err error) {
 	if opts.Drain == 0 {
 		opts.Drain = 120 * time.Second
 	}
-	if opts.Shape == (workload.Shape{}) {
-		opts.Shape = workload.DefaultShape()
-	}
-	if opts.SLOSearch == 0 {
-		opts.SLOSearch = opts.W.Spec.SLOSearch
-	}
+	opts.decisionDefaults()
 	if opts.SLOGen == 0 {
 		slo, err := GenSLO(opts.Node, opts.Model, opts.Shape)
 		if err != nil {
@@ -234,6 +229,16 @@ func (opts *Options) normalize() (sloTotal time.Duration, err error) {
 		opts.SLOGen = slo
 	}
 	return opts.SLOSearch + opts.SLOGen, nil
+}
+
+// decisionDefaults fills the defaults the offline decision reads.
+func (opts *Options) decisionDefaults() {
+	if opts.Shape == (workload.Shape{}) {
+		opts.Shape = workload.DefaultShape()
+	}
+	if opts.SLOSearch == 0 {
+		opts.SLOSearch = opts.W.Spec.SLOSearch
+	}
 }
 
 // Result is one evaluation point.

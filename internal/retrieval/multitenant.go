@@ -127,9 +127,6 @@ func (e *MultiTenant) Name() string {
 	return fmt.Sprintf("multi-tenant(%d)", len(e.slots))
 }
 
-// Slots returns the tenant runtime slots (diagnostics and tests).
-func (e *MultiTenant) Slots() []TenantSlot { return e.slots }
-
 // RecallGain implements RecallReporter: the mean per-query modeled
 // recall gain from SQ8-upgraded clusters across all tenants, zero when
 // no tenant's plan carries a precision refinement.

@@ -209,14 +209,6 @@ func (r *Rand) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes a slice in place using the supplied swap function.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Zipf samples integers in [0, n) with probability proportional to
 // 1/(i+1)^s. It precomputes the CDF once; draws are O(log n). The
 // sampler holds no random state of its own — the caller supplies the

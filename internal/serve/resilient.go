@@ -424,14 +424,6 @@ func (r *ResilientRouter) onHedge(att *attempt, seq uint64) {
 	rep.pipe.Submit(cp)
 }
 
-// ReplicaSink returns the terminal sink for replica i's pipeline. It
-// replaces the plain cluster terminal (collector Done + Release + pool
-// release): completions are first checked against the attempts map so
-// ghosts drain silently, then the winning copy settles the request.
-func (r *ResilientRouter) ReplicaSink(i int) Sink {
-	return func(req *workload.Request) { r.Complete(i, req) }
-}
-
 // Complete settles one copy finishing on replica i. It is exported so
 // callers that must build replica pipelines *before* the router exists
 // can wire a late-bound closure as each terminal sink.
@@ -527,6 +519,3 @@ func (r *ResilientRouter) Recover(i int) {
 	r.up[i] = true
 	r.nUp++
 }
-
-// Up reports whether replica i is currently in the candidate set.
-func (r *ResilientRouter) Up(i int) bool { return r.up[i] }

@@ -100,17 +100,6 @@ func (p *Plan) TotalBytes() int64 {
 	return sum
 }
 
-// MaxShardBytes returns the largest shard (the per-GPU memory cost).
-func (p *Plan) MaxShardBytes() int64 {
-	var m int64
-	for _, b := range p.ShardBytes {
-		if b > m {
-			m = b
-		}
-	}
-	return m
-}
-
 // Route splits a query's probe list into per-shard resident clusters
 // and the CPU-resident remainder — the router's mapping-table lookup
 // (paper §IV-B1). The returned shard lists index into plan.Shards.

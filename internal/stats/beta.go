@@ -48,25 +48,6 @@ func (b Beta) Variance() float64 {
 	return b.Alpha * b.Beta / (s * s * (s + 1))
 }
 
-// PDF evaluates the density at x in [0, 1].
-func (b Beta) PDF(x float64) float64 {
-	if x < 0 || x > 1 {
-		return 0
-	}
-	if x == 0 || x == 1 {
-		// Handle boundary: density may be infinite; return a large finite
-		// value only when the exponent is negative, else 0.
-		if (x == 0 && b.Alpha < 1) || (x == 1 && b.Beta < 1) {
-			return math.Inf(1)
-		}
-		if (x == 0 && b.Alpha > 1) || (x == 1 && b.Beta > 1) {
-			return 0
-		}
-	}
-	logPDF := (b.Alpha-1)*math.Log(x) + (b.Beta-1)*math.Log(1-x) - logBetaFn(b.Alpha, b.Beta)
-	return math.Exp(logPDF)
-}
-
 // CDF evaluates the cumulative distribution at x via the regularized
 // incomplete beta function I_x(alpha, beta).
 func (b Beta) CDF(x float64) float64 {

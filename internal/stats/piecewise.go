@@ -64,11 +64,6 @@ func (p *PiecewiseLinear) Eval(x float64) float64 {
 	return y0 + frac*(y1-y0)
 }
 
-// Knots returns copies of the knot coordinates.
-func (p *PiecewiseLinear) Knots() (xs, ys []float64) {
-	return append([]float64(nil), p.xs...), append([]float64(nil), p.ys...)
-}
-
 // InverseMonotone solves Eval(x) = y for x assuming the model is
 // non-decreasing, by bisection over [xs[0], hi]. Returns ok=false if y
 // is below the model's minimum.

@@ -5,17 +5,13 @@ import (
 	"time"
 
 	"vectorliterag/internal/adapt"
-	"vectorliterag/internal/costmodel"
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/experiments"
 	"vectorliterag/internal/fault"
-	"vectorliterag/internal/hitrate"
 	"vectorliterag/internal/hw"
 	"vectorliterag/internal/llm"
 	"vectorliterag/internal/metrics"
 	"vectorliterag/internal/partition"
-	"vectorliterag/internal/perfmodel"
-	"vectorliterag/internal/profiler"
 	"vectorliterag/internal/rag"
 	"vectorliterag/internal/serve"
 	"vectorliterag/internal/splitter"
@@ -249,65 +245,27 @@ func BuildSystem(opts SystemOptions) (*BuiltSystem, error) {
 	if opts.Model.Params == 0 {
 		opts.Model = llm.Qwen3_32B
 	}
-	if opts.SLOSearch == 0 {
-		opts.SLOSearch = opts.Workload.Spec.SLOSearch
+	if opts.ProfileQueries < 0 {
+		return nil, fmt.Errorf("vectorliterag: negative ProfileQueries %d", opts.ProfileQueries)
 	}
-	n := opts.ProfileQueries
-	if n == 0 {
-		n = 4000
-	}
-	prof, err := profiler.CollectAccess(opts.Workload, n, opts.Seed+1)
-	if err != nil {
-		return nil, err
-	}
-	est, err := hitrate.NewEstimator(prof)
-	if err != nil {
-		return nil, err
-	}
-	sm := costmodel.NewSearchModel(opts.Node.CPU, opts.Workload.Spec)
-	perf, err := perfmodel.Fit(profiler.ProfileLatency(sm, profiler.DefaultBatches()))
-	if err != nil {
-		return nil, err
-	}
-	mu0, err := rag.BareCapacity(opts.Node, opts.Model, workload.DefaultShape())
-	if err != nil {
-		return nil, err
-	}
-	part, err := partition.LatencyBounded(partition.Inputs{
-		SLOSearch:    opts.SLOSearch,
-		Epsilon:      opts.Epsilon,
-		Perf:         perf,
-		Est:          est,
-		MemKV:        nodeKV(opts.Node, opts.Model),
-		Mu0:          mu0,
-		IndexBytesAt: splitter.IndexBytesAt(prof),
+	d, err := rag.Decide(rag.Options{
+		Node: opts.Node, Model: opts.Model, W: opts.Workload, Kind: rag.VLiteRAG,
+		SLOSearch: opts.SLOSearch, Epsilon: opts.Epsilon,
+		ProfileQueries: opts.ProfileQueries, Seed: opts.Seed,
 	})
 	if err != nil {
 		return nil, err
 	}
-	plan, err := splitter.Build(prof, part.Rho, opts.Node.NumGPUs)
-	if err != nil {
-		return nil, err
-	}
 	return &BuiltSystem{
-		Rho:         part.Rho,
-		PlanBytes:   plan.TotalBytes(),
-		Plan:        plan,
-		Partition:   part,
-		Mu0:         mu0,
-		MeanHitRate: est.MeanHitRate(part.Rho),
-		TailHitRate: part.EtaMin,
-		Rebuild:     update.EstimateRebuild(opts.Node, opts.Workload.Spec, plan, 50000, part.Iterations),
+		Rho:         d.Rho,
+		PlanBytes:   d.PlanBytes,
+		Plan:        d.Plan,
+		Partition:   *d.Partition,
+		Mu0:         d.Mu0,
+		MeanHitRate: d.MeanHitRate,
+		TailHitRate: d.Partition.EtaMin,
+		Rebuild:     update.EstimateRebuild(opts.Node, opts.Workload.Spec, d.Plan, 50000, d.Partition.Iterations),
 	}, nil
-}
-
-func nodeKV(node hw.Node, model llm.ModelSpec) int64 {
-	perGPU := node.GPU.UsableMem() - model.WeightBytesPerGPU()
-	if perGPU < 0 {
-		perGPU = 0
-	}
-	used := (node.NumGPUs / model.TP) * model.TP
-	return perGPU * int64(used)
 }
 
 // ServeOptions configures one serving run on the simulator.
@@ -890,32 +848,29 @@ func Experiments() []string { return experiments.Names() }
 // rendered text. Quick mode shrinks sweeps for fast runs. An unknown ID
 // returns an error listing every valid one.
 func RunExperiment(id string, quick bool) (string, error) {
-	runner, err := experiments.Lookup(id)
-	if err != nil {
-		return "", fmt.Errorf("vectorliterag: %w", err)
-	}
-	res, err := runner(experiments.Config{Quick: quick, Seed: 1})
+	rep, err := runExperiment(id, quick)
 	if err != nil {
 		return "", err
 	}
-	return res.Render(), nil
+	return rep.Render(), nil
 }
 
-// RunExperimentCSV regenerates one experiment and returns its raw data
-// rows as CSV (the paper artifact's log format). Experiments without a
-// CSV exporter return an error naming the text renderer instead.
+// RunExperimentCSV regenerates one experiment and returns the data rows
+// of every table it prints as CSV (the paper artifact's log format):
+// tables in print order, each under its header row, one blank line
+// between them.
 func RunExperimentCSV(id string, quick bool) (string, error) {
-	runner, err := experiments.Lookup(id)
-	if err != nil {
-		return "", fmt.Errorf("vectorliterag: %w", err)
-	}
-	res, err := runner(experiments.Config{Quick: quick, Seed: 1})
+	rep, err := runExperiment(id, quick)
 	if err != nil {
 		return "", err
 	}
-	c, ok := res.(experiments.CSVer)
-	if !ok {
-		return "", fmt.Errorf("vectorliterag: experiment %q has no CSV exporter; use RunExperiment", id)
+	return rep.CSV(), nil
+}
+
+func runExperiment(id string, quick bool) (*experiments.Report, error) {
+	runner, err := experiments.Lookup(id)
+	if err != nil {
+		return nil, fmt.Errorf("vectorliterag: %w", err)
 	}
-	return c.CSV(), nil
+	return runner(experiments.Config{Quick: quick, Seed: 1})
 }

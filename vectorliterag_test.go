@@ -1,6 +1,7 @@
 package vectorliterag_test
 
 import (
+	"encoding/csv"
 	"strings"
 	"sync"
 	"testing"
@@ -58,6 +59,43 @@ func TestBuildSystemDefaults(t *testing.T) {
 	}
 	if _, err := vlr.BuildSystem(vlr.SystemOptions{}); err == nil {
 		t.Fatal("nil workload accepted")
+	}
+}
+
+// TestBuildSystemIsTheServedDecision pins Algorithm 1's outcome on the
+// default workloads and requires BuildSystem to report the coverage a
+// vLiteRAG Serve decides on: both read internal/rag's one decision.
+func TestBuildSystemIsTheServedDecision(t *testing.T) {
+	for _, c := range []struct {
+		spec      vlr.Spec
+		rho       float64
+		planBytes int64
+	}{
+		{vlr.Orcas1K, 0.1015625, 5_304_000_000},
+		{vlr.WikiAll, 0.109375, 2_664_750_000},
+		{vlr.Orcas2K, 0.2109375, 18_720_000_000},
+	} {
+		w, err := vlr.NewWorkload(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := vlr.BuildSystem(vlr.SystemOptions{Workload: w, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys.Rho != c.rho || sys.PlanBytes != c.planBytes {
+			t.Errorf("%s: BuildSystem rho %v, plan %d bytes; want %v, %d", c.spec.Name, sys.Rho, sys.PlanBytes, c.rho, c.planBytes)
+		}
+		rep, err := vlr.Serve(vlr.ServeOptions{
+			Workload: w, System: vlr.VLiteRAG, Rate: 15, Seed: 1,
+			Duration: 30 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Rho != sys.Rho {
+			t.Errorf("%s: Serve decided rho %v, BuildSystem %v", c.spec.Name, rep.Rho, sys.Rho)
+		}
 	}
 }
 
@@ -404,18 +442,26 @@ func TestPublicHelpers(t *testing.T) {
 	}
 }
 
+// TestRunExperimentCSV: every registered experiment exports CSV through
+// the public entry point — each table a blank-line-separated block that
+// parses back with a header row and uniform width.
 func TestRunExperimentCSV(t *testing.T) {
-	out, err := vlr.RunExperimentCSV("ingest", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "arm,attainment") || !strings.Contains(out, "streaming+compaction") {
-		t.Fatalf("CSV output malformed: %q", out)
+	for _, id := range vlr.Experiments() {
+		out, err := vlr.RunExperimentCSV(id, true)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		for _, block := range strings.Split(out, "\n\n") {
+			recs, err := csv.NewReader(strings.NewReader(block)).ReadAll()
+			if err != nil || len(recs) < 2 {
+				t.Errorf("%s: CSV block does not parse to header + rows (%v):\n%s", id, err, block)
+			}
+		}
+		if id == "ingest" && (!strings.HasPrefix(out, "arm,attainment") || !strings.Contains(out, "streaming+compaction")) {
+			t.Errorf("ingest CSV output malformed: %q", out)
+		}
 	}
 	if _, err := vlr.RunExperimentCSV("nope", true); err == nil {
 		t.Fatal("unknown experiment accepted")
-	}
-	if _, err := vlr.RunExperimentCSV("tab1", true); err == nil {
-		t.Fatal("experiment without CSV exporter accepted")
 	}
 }
