@@ -51,12 +51,13 @@ bench:
 bench-search:
 	$(GO) test -run=NONE -bench=Search -benchmem -benchtime=2s ./...
 
-# One-iteration compile-and-run of the search kernel benchmarks, then
+# One-iteration compile-and-run of the search kernel and decision-path
+# (Eq. 2 integral, Algorithm 1, joint allocator) benchmarks, then
 # every registered experiment at quick scale through the CLI's CSV path
 # (one link step: each artifact's runner, its report, and the export of
 # every table); CI runs this so none of them can rot.
 bench-smoke:
-	$(GO) test -run=NONE -bench=Search -benchtime=1x ./...
+	$(GO) test -run=NONE -bench='Search|ExpectedMin|LatencyBounded|JointAllocate' -benchtime=1x ./...
 	$(GO) run ./cmd/vliterag run -exp all -quick -csv >/dev/null
 
 # Wall-clock scaling verdict for the parallel sharded engine: on a

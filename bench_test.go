@@ -7,8 +7,8 @@ package vectorliterag_test
 // with `go run ./cmd/vliterag run -exp <id>`.
 //
 // Micro-benchmarks for the hot algorithmic paths (IVF search, LUT scan,
-// first-order-statistic integral, discrete-event throughput) follow at
-// the bottom.
+// first-order-statistic integral, Algorithm 1 and the joint allocator
+// on a cold estimator, discrete-event throughput) follow at the bottom.
 
 import (
 	"fmt"
@@ -17,11 +17,20 @@ import (
 
 	vlr "vectorliterag"
 
+	"vectorliterag/internal/costmodel"
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/des"
+	"vectorliterag/internal/hitrate"
+	"vectorliterag/internal/hw"
 	"vectorliterag/internal/ivf"
+	"vectorliterag/internal/llm"
+	"vectorliterag/internal/partition"
+	"vectorliterag/internal/perfmodel"
+	"vectorliterag/internal/profiler"
 	"vectorliterag/internal/rng"
+	"vectorliterag/internal/splitter"
 	"vectorliterag/internal/stats"
+	"vectorliterag/internal/tenant"
 	"vectorliterag/internal/vecmath"
 )
 
@@ -212,6 +221,103 @@ func BenchmarkExpectedMin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = beta.ExpectedMin(8)
+	}
+}
+
+// decisionInputs is what Algorithm 1 and the joint allocator consume
+// for default ORCAS-1K on the default node, everything but the
+// hit-rate estimator: the decision benchmarks build a cold one per
+// iteration, outside the timer, because the estimator remembers every
+// Eq. 2 point it has integrated.
+type decisionInputs struct {
+	prof   *profiler.AccessProfile
+	perf   *perfmodel.Model
+	mu0    float64
+	memKV  int64
+	prefix []int64
+}
+
+var benchD *decisionInputs
+
+func benchDecision(b *testing.B) *decisionInputs {
+	b.Helper()
+	if benchD != nil {
+		return benchD
+	}
+	node, model := hw.H100Node(), llm.Qwen3_32B
+	w, err := dataset.Build(dataset.Orcas1K, dataset.DefaultGen())
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := &decisionInputs{}
+	if d.prof, err = profiler.CollectAccess(w, 4000, 2); err != nil {
+		b.Fatal(err)
+	}
+	d.perf, err = perfmodel.Fit(profiler.ProfileLatency(costmodel.NewSearchModel(node.CPU, w.Spec), profiler.DefaultBatches()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if d.mu0, err = vlr.Capacity(node, model); err != nil {
+		b.Fatal(err)
+	}
+	d.memKV = (node.GPU.UsableMem() - model.WeightBytesPerGPU()) * int64(node.NumGPUs/model.TP*model.TP)
+	d.prefix = make([]int64, len(d.prof.HotOrder)+1)
+	for k, c := range d.prof.HotOrder {
+		d.prefix[k+1] = d.prefix[k] + w.ClusterBytes(c)
+	}
+	benchD = d
+	return d
+}
+
+func (d *decisionInputs) coldEstimator(b *testing.B) *hitrate.Estimator {
+	b.Helper()
+	b.StopTimer()
+	est, err := hitrate.NewEstimator(d.prof)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.StartTimer()
+	return est
+}
+
+// BenchmarkLatencyBounded measures one cold run of Algorithm 1.
+func BenchmarkLatencyBounded(b *testing.B) {
+	d := benchDecision(b)
+	bytesAt := splitter.IndexBytesAt(d.prof)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := partition.LatencyBounded(partition.Inputs{
+			SLOSearch: dataset.Orcas1K.SLOSearch, Perf: d.perf, Est: d.coldEstimator(b),
+			MemKV: d.memKV, Mu0: d.mu0, IndexBytesAt: bytesAt,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkJointAllocate measures one cold three-tenant joint
+// allocation, the tenants sharing one estimator or holding one each.
+func BenchmarkJointAllocate(b *testing.B) {
+	d := benchDecision(b)
+	for _, sharedEst := range []bool{true, false} {
+		b.Run(fmt.Sprintf("shared=%v", sharedEst), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var tenants []tenant.Input
+				est := d.coldEstimator(b)
+				for j, tier := range tenant.Tiers() {
+					if !sharedEst && j > 0 {
+						est = d.coldEstimator(b)
+					}
+					tenants = append(tenants, tenant.Input{
+						Name: string(tier), Tier: tier, Rate: float64(4 * (j + 1)),
+						SLOSearch: dataset.Orcas1K.SLOSearch, Perf: d.perf, Est: est, PrefixBytes: d.prefix,
+					})
+				}
+				if _, err := tenant.JointAllocate(tenant.Inputs{Tenants: tenants, MemKV: d.memKV, Mu0: d.mu0}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -20,18 +20,32 @@ package hitrate
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"vectorliterag/internal/profiler"
 	"vectorliterag/internal/stats"
 )
 
-// Estimator predicts hit-rate behaviour for any cache coverage.
+// Estimator predicts hit-rate behaviour for any cache coverage. It is
+// safe for concurrent use.
 type Estimator struct {
 	nlist     int
-	hotOrder  []int
 	meanCurve []float64 // meanCurve[k] = mean work-weighted hit rate with top-k hot
 	sigmaMax2 float64   // empirical variance at mean ≈ 0.5
+
+	// minHit remembers every Eq. 2 integral this estimator has evaluated.
+	// The value depends on the profile, the hot-cluster count and the
+	// batch size alone, and Algorithm 1's nested bisections and the joint
+	// allocator's greedy revisit the same few points dozens of times, so
+	// each is integrated once for the estimator's lifetime (one profile).
+	// One float64 a point, at most (nlist+1) × batch sizes seen.
+	mu           sync.Mutex
+	minHit       map[point]float64
+	integrations int // Beta.ExpectedMin calls made; tests fence it
 }
+
+// point is one argument of Eq. 2: hot clusters cached, batch size.
+type point struct{ clusters, batch int }
 
 // NewEstimator builds the estimator from an access profile. It
 // precomputes the coverage→mean curve incrementally and profiles
@@ -41,7 +55,7 @@ func NewEstimator(p *profiler.AccessProfile) (*Estimator, error) {
 	if nlist == 0 || len(p.Queries) == 0 {
 		return nil, fmt.Errorf("hitrate: empty access profile")
 	}
-	e := &Estimator{nlist: nlist, hotOrder: p.HotOrder}
+	e := &Estimator{nlist: nlist, minHit: make(map[point]float64)}
 
 	// contrib[c]: how much promoting cluster c adds to the mean
 	// work-weighted hit rate, averaged over the training queries.
@@ -132,7 +146,11 @@ func (e *Estimator) SigmaMax2() float64 { return e.sigmaMax2 }
 // BetaAt instantiates the Beta hit-rate distribution for a coverage.
 // Degenerate means (0 or 1) are reported via ok=false.
 func (e *Estimator) BetaAt(coverage float64) (stats.Beta, bool) {
-	mean := e.MeanHitRate(coverage)
+	return e.betaAt(e.Clusters(coverage))
+}
+
+func (e *Estimator) betaAt(clusters int) (stats.Beta, bool) {
+	mean := e.meanCurve[clusters]
 	if mean <= 1e-9 || mean >= 1-1e-9 {
 		return stats.Beta{}, false
 	}
@@ -154,21 +172,38 @@ func (e *Estimator) BetaAt(coverage float64) (stats.Beta, bool) {
 // MinHitRate returns the expected minimum hit rate within a batch of
 // the given size at the given coverage (Eq. 2).
 func (e *Estimator) MinHitRate(coverage float64, batch int) float64 {
+	return e.minHitRateAt(e.Clusters(coverage), batch)
+}
+
+// minHitRateAt is MinHitRate by hot-cluster count, read through the
+// minHit table. The lock is held across the integration, so concurrent
+// callers of one point wait for the first and none integrates it again.
+func (e *Estimator) minHitRateAt(clusters, batch int) float64 {
 	if batch < 1 {
 		batch = 1
 	}
-	b, ok := e.BetaAt(coverage)
+	at := point{clusters, batch}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if v, ok := e.minHit[at]; ok {
+		return v
+	}
+	b, ok := e.betaAt(clusters)
 	if !ok {
 		// Degenerate: all-or-nothing coverage.
-		return e.MeanHitRate(coverage)
+		return e.meanCurve[clusters]
 	}
-	return b.ExpectedMin(batch)
+	v := b.ExpectedMin(batch)
+	e.integrations++
+	e.minHit[at] = v
+	return v
 }
 
 // CoverageForMinHitRate is the paper's HitRate2Coverage: the smallest
 // coverage whose expected batch-minimum hit rate reaches etaMin. The
 // second return value is false when even full coverage cannot reach it
-// (the caller then knows the SLO is infeasible at this batch size).
+// (the caller then knows the SLO is infeasible at this batch size):
+// etaMin above 1, or a profile whose queries did no work at all.
 func (e *Estimator) CoverageForMinHitRate(etaMin float64, batch int) (float64, bool) {
 	if etaMin <= 0 {
 		return 0, true
@@ -176,26 +211,21 @@ func (e *Estimator) CoverageForMinHitRate(etaMin float64, batch int) (float64, b
 	if etaMin > 1 {
 		return 1, false
 	}
-	// MinHitRate is monotone in coverage; bisect over cluster counts.
-	lo, hi := 0, e.nlist
-	if e.MinHitRate(1, batch) < etaMin-1e-9 {
+	// Full coverage is not an integral: its mean is normalised to exactly
+	// 1, the degenerate branch of minHitRateAt, so this probe costs
+	// nothing and fails only on an all-zero mean curve.
+	if e.minHitRateAt(e.nlist, batch) < etaMin-1e-9 {
 		return 1, false
 	}
+	// MinHitRate is monotone in coverage; bisect over cluster counts.
+	lo, hi := 0, e.nlist
 	for lo < hi {
 		mid := (lo + hi) / 2
-		cov := float64(mid) / float64(e.nlist)
-		if e.MinHitRate(cov, batch) < etaMin {
+		if e.minHitRateAt(mid, batch) < etaMin {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	return float64(lo) / float64(e.nlist), true
-}
-
-// HotSet returns the cluster IDs cached at the given coverage,
-// hottest-first.
-func (e *Estimator) HotSet(coverage float64) []int {
-	k := e.Clusters(coverage)
-	return append([]int(nil), e.hotOrder[:k]...)
 }

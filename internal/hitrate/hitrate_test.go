@@ -2,6 +2,7 @@ package hitrate
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"vectorliterag/internal/dataset"
@@ -230,10 +231,122 @@ func TestBetaMomentsMatchEstimator(t *testing.T) {
 	}
 }
 
-func TestHotSetSize(t *testing.T) {
-	e, _ := buildEstimator(t, dataset.WikiAll)
-	hs := e.HotSet(0.25)
-	if len(hs) != e.Clusters(0.25) {
-		t.Fatalf("hot set size %d", len(hs))
+// TestClustersInvertsClusterFraction is the property the by-cluster-count
+// table lookup rests on: the coverage k/n that CoverageForMinHitRate and
+// the joint allocator hand back rounds to cluster count k again, so
+// MinHitRate(k/n, b) and the bisect's probe of k read the same point.
+func TestClustersInvertsClusterFraction(t *testing.T) {
+	for _, n := range []int{48, 64, 100, 128, 1000} {
+		e := &Estimator{nlist: n}
+		for k := 0; k <= n; k++ {
+			if got := e.Clusters(float64(k) / float64(n)); got != k {
+				t.Fatalf("nlist %d: Clusters(%d/%d) = %d", n, k, n, got)
+			}
+		}
+	}
+}
+
+// TestMinHitRateTableIsTransparent: an answer read back from the table,
+// on an estimator that has served other points in between, has the bits
+// of a fresh estimator's first (integrated) answer.
+func TestMinHitRateTableIsTransparent(t *testing.T) {
+	warm, p := buildEstimator(t, dataset.Orcas1K)
+	r := rng.New(41)
+	type probe struct {
+		cov   float64
+		batch int
+		first float64
+	}
+	var probes []probe
+	for i := 0; i < 24; i++ {
+		pr := probe{cov: r.Float64(), batch: 1 + r.Intn(48)}
+		pr.first = warm.MinHitRate(pr.cov, pr.batch)
+		probes = append(probes, pr)
+	}
+	for _, pr := range probes {
+		fresh, err := NewEstimator(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fresh.MinHitRate(pr.cov, pr.batch)
+		again := warm.MinHitRate(pr.cov, pr.batch)
+		if math.Float64bits(pr.first) != math.Float64bits(want) || math.Float64bits(again) != math.Float64bits(want) {
+			t.Errorf("MinHitRate(%v, %d): first %v, from table %v, fresh estimator %v", pr.cov, pr.batch, pr.first, again, want)
+		}
+	}
+	if calls, points := warm.Integrations(); calls != points || calls > len(probes) {
+		t.Errorf("%d integrations for %d distinct points over %d probes", calls, points, len(probes))
+	}
+}
+
+// TestCoverageForMinHitRateMatchesLinearScan holds the bisect over
+// cluster counts to its definition: the smallest k whose MinHitRate at
+// coverage k/nlist reaches the target.
+func TestCoverageForMinHitRateMatchesLinearScan(t *testing.T) {
+	for _, spec := range []dataset.Spec{dataset.Orcas1K, dataset.WikiAll} {
+		e, p := buildEstimator(t, spec)
+		scan, err := NewEstimator(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, batch := range []int{1, 3, 8, 32} {
+			for _, eta := range []float64{0.05, 0.3, 0.5, 0.62, 0.8, 0.95, 1} {
+				want := scan.nlist
+				for k := 0; k <= scan.nlist; k++ {
+					if scan.MinHitRate(float64(k)/float64(scan.nlist), batch) >= eta {
+						want = k
+						break
+					}
+				}
+				cov, ok := e.CoverageForMinHitRate(eta, batch)
+				if !ok || cov != float64(want)/float64(e.nlist) {
+					t.Errorf("%s: CoverageForMinHitRate(%v, %d) = %v, %v; linear scan says %d/%d",
+						spec.Name, eta, batch, cov, ok, want, e.nlist)
+				}
+			}
+		}
+	}
+}
+
+// TestEstimatorSharedAcrossGoroutines hammers one estimator from eight
+// goroutines over overlapping points (run it under -race): every
+// goroutine reads the serial answer and no point is integrated twice.
+func TestEstimatorSharedAcrossGoroutines(t *testing.T) {
+	shared, p := buildEstimator(t, dataset.WikiAll)
+	serial, err := NewEstimator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := []int{2, 5, 9}
+	want := make([][]float64, len(batches))
+	for i, b := range batches {
+		for k := 0; k <= serial.nlist; k += 3 {
+			want[i] = append(want[i], serial.MinHitRate(float64(k)/float64(serial.nlist), b))
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for i := range batches {
+					i := (i + g) % len(batches)
+					for j, w := range want[i] {
+						cov := float64(3*j) / float64(shared.nlist)
+						if got := shared.MinHitRate(cov, batches[i]); math.Float64bits(got) != math.Float64bits(w) {
+							t.Errorf("goroutine %d: MinHitRate(%v, %d) = %v, serial %v", g, cov, batches[i], got, w)
+						}
+					}
+					if _, ok := shared.CoverageForMinHitRate(0.4, batches[i]); !ok {
+						t.Errorf("goroutine %d: target 0.4 infeasible at batch %d", g, batches[i])
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if calls, points := shared.Integrations(); calls != points {
+		t.Errorf("%d integrations for %d distinct points", calls, points)
 	}
 }

@@ -59,7 +59,7 @@ type Result struct {
 	EtaMin        float64       // expected batch-minimum hit rate at rho
 	TauS          time.Duration // search budget used (SLO/(1+eps))
 	Iterations    int
-	Feasible      bool // false when even rho=1 cannot meet the budget
+	Feasible      bool // false when rho misses the budget or its index leaves no KV cache
 }
 
 // LatencyBounded runs Algorithm 1.
@@ -100,7 +100,6 @@ func LatencyBounded(in Inputs) (Result, error) {
 			continue
 		}
 		rho, res.ExpectedBatch, res.EtaMin = inferPartition(in, tauS, mu)
-		res.MuLLM = mu
 		if rho > rhoM {
 			lo = rho
 			if lo > hi {
@@ -112,9 +111,12 @@ func LatencyBounded(in Inputs) (Result, error) {
 	}
 	res.Rho = rho
 	res.IndexBytes = in.IndexBytesAt(rho)
-	// Final feasibility verdict: does the chosen configuration actually
-	// meet the budget under Eq. 1 at the planned batch size?
-	res.Feasible = in.Perf.HybridTime(res.ExpectedBatch, res.EtaMin) <= tauS+tauS/20
+	res.MuLLM = in.Mu0 * kvFraction(in.MemKV, res.IndexBytes)
+	// Final feasibility verdict: does the chosen index leave the LLM any
+	// KV cache, and does the configuration actually meet the budget under
+	// Eq. 1 at the planned batch size?
+	res.Feasible = res.IndexBytes < in.MemKV &&
+		in.Perf.HybridTime(res.ExpectedBatch, res.EtaMin) <= tauS+tauS/20
 	return res, nil
 }
 

@@ -123,6 +123,40 @@ func TestImpossibleSLOReportsInfeasible(t *testing.T) {
 	}
 }
 
+// TestIndexThatDoesNotFitIsInfeasible: when the KV pool is smaller than
+// the index the search budget asks for, Algorithm 1 must say so here,
+// not leave it to surface downstream as "llm: no KV space", and the
+// throughput it reports must be the one its own Rho leaves.
+func TestIndexThatDoesNotFitIsInfeasible(t *testing.T) {
+	f := setup(t, dataset.Orcas1K)
+	for _, memKV := range []int64{4 << 30, 1 << 30} {
+		in := f.inputs()
+		in.MemKV = memKV
+		res, err := LatencyBounded(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.IndexBytes < memKV {
+			t.Fatalf("MemKV %d: fixture no longer overflows (index %d bytes)", memKV, res.IndexBytes)
+		}
+		if res.Feasible {
+			t.Errorf("MemKV %d: rho %v needs %d index bytes yet is reported feasible", memKV, res.Rho, res.IndexBytes)
+		}
+		if res.MuLLM != 0 {
+			t.Errorf("MemKV %d: MuLLM %v with no KV cache left, want 0", memKV, res.MuLLM)
+		}
+	}
+	// Where the index fits, MuLLM is the linear estimate at the returned Rho.
+	in := f.inputs()
+	res, err := LatencyBounded(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := in.Mu0 * kvFraction(in.MemKV, in.IndexBytesAt(res.Rho)); !res.Feasible || res.MuLLM != want {
+		t.Errorf("default fixture: feasible %v, MuLLM %v, want true, %v", res.Feasible, res.MuLLM, want)
+	}
+}
+
 func TestConvergesQuickly(t *testing.T) {
 	// Paper: convergence in under a minute of wall time; here the loop
 	// itself must converge in a handful of bisection steps.

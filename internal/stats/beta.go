@@ -60,27 +60,6 @@ func (b Beta) CDF(x float64) float64 {
 	return RegIncBeta(b.Alpha, b.Beta, x)
 }
 
-// Quantile returns the x with CDF(x) = p, by bisection. p outside [0,1]
-// is clamped.
-func (b Beta) Quantile(p float64) float64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return 1
-	}
-	lo, hi := 0.0, 1.0
-	for i := 0; i < 100; i++ {
-		mid := (lo + hi) / 2
-		if b.CDF(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
 // ExpectedMin returns E[min of n iid draws], the first-order statistic
 // mean from the paper's Eq. 2:
 //
@@ -101,8 +80,9 @@ func (b Beta) ExpectedMin(n int) float64 {
 	}
 	const steps = 2000 // even
 	h := 1.0 / steps
+	cdf := newIncBeta(b.Alpha, b.Beta) // once per integral, not per grid point
 	f := func(x float64) float64 {
-		surv := 1 - b.CDF(x)
+		surv := 1 - cdf.at(x)
 		if surv <= 0 {
 			return 0
 		}
@@ -131,19 +111,33 @@ func logBetaFn(a, b float64) float64 {
 // RegIncBeta computes the regularized incomplete beta function
 // I_x(a, b) using the continued-fraction expansion from Numerical
 // Recipes (Lentz's method), accurate to ~1e-12 for moderate a, b.
-func RegIncBeta(a, b, x float64) float64 {
+func RegIncBeta(a, b, x float64) float64 { return newIncBeta(a, b).at(x) }
+
+// incBeta is I_x(a, b) for one (a, b) evaluated at many x: ln B(a, b)
+// (three Lgamma calls) and the point where the continued fraction
+// switches to its symmetric form depend on the distribution alone, so
+// an integral over x pays for them once.
+type incBeta struct {
+	a, b, lnB, split float64
+}
+
+func newIncBeta(a, b float64) incBeta {
+	return incBeta{a: a, b: b, lnB: logBetaFn(a, b), split: (a + 1) / (a + b + 2)}
+}
+
+func (f incBeta) at(x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
 	if x >= 1 {
 		return 1
 	}
-	lnFront := a*math.Log(x) + b*math.Log(1-x) - logBetaFn(a, b)
+	lnFront := f.a*math.Log(x) + f.b*math.Log(1-x) - f.lnB
 	front := math.Exp(lnFront)
-	if x < (a+1)/(a+b+2) {
-		return front * betaCF(a, b, x) / a
+	if x < f.split {
+		return front * betaCF(f.a, f.b, x) / f.a
 	}
-	return 1 - front*betaCF(b, a, 1-x)/b
+	return 1 - front*betaCF(f.b, f.a, 1-x)/f.b
 }
 
 func betaCF(a, b, x float64) float64 {

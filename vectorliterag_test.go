@@ -2,6 +2,7 @@ package vectorliterag_test
 
 import (
 	"encoding/csv"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -63,17 +64,22 @@ func TestBuildSystemDefaults(t *testing.T) {
 }
 
 // TestBuildSystemIsTheServedDecision pins Algorithm 1's outcome on the
-// default workloads and requires BuildSystem to report the coverage a
+// default workloads — the planned batch, the iteration count and the
+// tail hit rate by its bits, so a cheaper Eq. 2 cannot move a decision
+// unnoticed — and requires BuildSystem to report the coverage a
 // vLiteRAG Serve decides on: both read internal/rag's one decision.
 func TestBuildSystemIsTheServedDecision(t *testing.T) {
 	for _, c := range []struct {
-		spec      vlr.Spec
-		rho       float64
-		planBytes int64
+		spec       vlr.Spec
+		rho        float64
+		planBytes  int64
+		batch      int
+		iterations int
+		etaMinBits uint64
 	}{
-		{vlr.Orcas1K, 0.1015625, 5_304_000_000},
-		{vlr.WikiAll, 0.109375, 2_664_750_000},
-		{vlr.Orcas2K, 0.2109375, 18_720_000_000},
+		{vlr.Orcas1K, 0.1015625, 5_304_000_000, 4, 9, 0x3fe3f76091202b53},  // EtaMin 0.6239474138722961
+		{vlr.WikiAll, 0.109375, 2_664_750_000, 3, 8, 0x3fd7e0e660f86ddf},   // 0.37310180158394063
+		{vlr.Orcas2K, 0.2109375, 18_720_000_000, 6, 9, 0x3fe7e091ff8bdfad}, // 0.7461633673801679
 	} {
 		w, err := vlr.NewWorkload(c.spec)
 		if err != nil {
@@ -85,6 +91,12 @@ func TestBuildSystemIsTheServedDecision(t *testing.T) {
 		}
 		if sys.Rho != c.rho || sys.PlanBytes != c.planBytes {
 			t.Errorf("%s: BuildSystem rho %v, plan %d bytes; want %v, %d", c.spec.Name, sys.Rho, sys.PlanBytes, c.rho, c.planBytes)
+		}
+		if p := sys.Partition; p.ExpectedBatch != c.batch || p.Iterations != c.iterations ||
+			math.Float64bits(p.EtaMin) != c.etaMinBits || !p.Feasible {
+			t.Errorf("%s: batch %d, %d iterations, EtaMin %v (%#x), feasible %v; want %d, %d, %v (%#x), true",
+				c.spec.Name, p.ExpectedBatch, p.Iterations, p.EtaMin, math.Float64bits(p.EtaMin), p.Feasible,
+				c.batch, c.iterations, math.Float64frombits(c.etaMinBits), c.etaMinBits)
 		}
 		rep, err := vlr.Serve(vlr.ServeOptions{
 			Workload: w, System: vlr.VLiteRAG, Rate: 15, Seed: 1,
