@@ -46,18 +46,20 @@ race:
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# Timed search-kernel benchmarks (benchstat-able); the repository's
-# performance measurement is `bash benchmark/run.sh`.
+# Timed search-kernel and build-layer benchmarks (benchstat-able); the
+# repository's performance measurement is `bash benchmark/run.sh`.
 bench-search:
-	$(GO) test -run=NONE -bench=Search -benchmem -benchtime=2s ./...
+	$(GO) test -run=NONE -bench='Search|DotRows|KMeansAssign|DatasetBuild' -benchmem -benchtime=2s ./...
 
-# One-iteration compile-and-run of the search kernel and decision-path
-# (Eq. 2 integral, Algorithm 1, joint allocator) benchmarks, then
+# One-iteration compile-and-run of the search kernel, build-layer
+# (blocked dot kernel, k-means assignment, dataset build) and
+# decision-path (Eq. 2 integral, Algorithm 1, joint allocator)
+# benchmarks, then
 # every registered experiment at quick scale through the CLI's CSV path
 # (one link step: each artifact's runner, its report, and the export of
 # every table); CI runs this so none of them can rot.
 bench-smoke:
-	$(GO) test -run=NONE -bench='Search|ExpectedMin|LatencyBounded|JointAllocate' -benchtime=1x ./...
+	$(GO) test -run=NONE -bench='Search|DotRows|KMeansAssign|DatasetBuild|ExpectedMin|LatencyBounded|JointAllocate' -benchtime=1x ./...
 	$(GO) run ./cmd/vliterag run -exp all -quick -csv >/dev/null
 
 # Wall-clock scaling verdict for the parallel sharded engine: on a
@@ -90,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzScanSQMasked$$' -fuzztime=$(FUZZTIME) ./internal/pq
 	$(GO) test -run=NONE -fuzz='^FuzzScanSQIDsMasked$$' -fuzztime=$(FUZZTIME) ./internal/pq
 	$(GO) test -run=NONE -fuzz='^FuzzTopK$$' -fuzztime=$(FUZZTIME) ./internal/vecmath
+	$(GO) test -run=NONE -fuzz='^FuzzDotRows$$' -fuzztime=$(FUZZTIME) ./internal/vecmath
 
 # Per-package coverage plus the total.
 cover:

@@ -200,6 +200,80 @@ func BenchmarkIVFProbe(b *testing.B) {
 	}
 }
 
+// BenchmarkDotRows measures the blocked one-vector-against-many-rows
+// kernel at the three shapes the index runs it at: coarse quantization
+// (128 centroids x 64 dims), one PQ subspace of a 64-d vector (64
+// codewords x 8 dims), and coarse quantization at dim 32.
+func BenchmarkDotRows(b *testing.B) {
+	for _, sh := range []struct{ rows, dim int }{{128, 64}, {64, 8}, {128, 32}} {
+		b.Run(fmt.Sprintf("%dx%d", sh.rows, sh.dim), func(b *testing.B) {
+			q, rows := gaussianMatrix(1, sh.dim), gaussianMatrix(sh.rows, sh.dim)
+			out := make([]float32, sh.rows)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				vecmath.DotRows(q, rows, sh.dim, out)
+			}
+		})
+	}
+}
+
+// BenchmarkKMeansAssign measures one k-means assignment step — every
+// vector's norm-decomposed argmin over the centroids, the loop k-means
+// training, PQ encoding and insert routing all spend their time in —
+// at the coarse-quantizer shape and at the PQ-subspace shape. One
+// iteration assigns 1 024 vectors.
+func BenchmarkKMeansAssign(b *testing.B) {
+	const n = 1024
+	for _, sh := range []struct{ k, dim int }{{128, 64}, {64, 8}} {
+		b.Run(fmt.Sprintf("k%d_dim%d", sh.k, sh.dim), func(b *testing.B) {
+			data, cents := gaussianMatrix(n, sh.dim), gaussianMatrix(sh.k, sh.dim)
+			norms := vecmath.RowNorms(cents, sh.dim, nil)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for v := 0; v < n; v++ {
+					benchSink, _ = vecmath.ArgminNormScore(data[v*sh.dim:(v+1)*sh.dim], cents, norms, sh.dim)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDatasetBuild measures dataset.Build — corpus synthesis,
+// coarse and PQ training, encoding, query profiling: the set-up every
+// benchmark workload, experiment and example pays — on the search
+// workloads' corpus (32 768 x 64-d, 128 lists) and on DefaultGen.
+func BenchmarkDatasetBuild(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		gen  dataset.GenConfig
+	}{
+		{"search_corpus", dataset.GenConfig{NCenters: 128, PerCenter: 256, Dim: 64,
+			PhysNList: 128, PhysNProbe: 16, Templates: 1024, Seed: 1}},
+		{"default_gen", dataset.DefaultGen()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := dataset.Build(dataset.Orcas1K, c.gen); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// benchSink keeps a measured call's result live.
+var benchSink int
+
+// gaussianMatrix returns a fixed n x dim row-major Gaussian matrix.
+func gaussianMatrix(n, dim int) []float32 {
+	r := rng.New(uint64(n*1000 + dim))
+	m := make([]float32, n*dim)
+	for i := range m {
+		m[i] = float32(r.NormFloat64())
+	}
+	return m
+}
+
 // BenchmarkLUTScan measures the ADC scan of one cluster.
 func BenchmarkLUTScan(b *testing.B) {
 	w := benchWorkload(b)

@@ -1,6 +1,8 @@
 package ingest
 
 import (
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -427,4 +429,142 @@ func TestDeleteFirstPositionThenSearch(t *testing.T) {
 	insert(70)
 	s.Reencode() // the append list outgrows the bitmap's third word
 	search(vec, app)
+}
+
+// rebuildSearch is Store.Search as it was before the store kept its own
+// scratch and incremental pending norms: a copied probe list, a fresh
+// LUT and heap per query, and a BruteForcer rebuilt — every norm
+// re-derived — over each probed pending buffer.
+func rebuildSearch(s *Store, q []float32, nprobe, k int) []vecmath.Neighbor {
+	lut := s.ix.BuildLUT(q)
+	top := vecmath.NewTopK(k)
+	for _, c := range s.ix.Probe(q, nprobe) {
+		cl := &s.cl[c]
+		s.ix.ScanClusterMasked(lut, c, cl.deadBase, top)
+		if len(cl.appIDs) > 0 {
+			lut.ScanCodesIDsMasked(cl.appCodes, cl.appIDs, cl.deadApp, top)
+		}
+		if len(cl.pendIDs) > 0 {
+			vecmath.NewBruteForcer(cl.pendVecs, s.dim).ScanMaskedInto(top, q, cl.pendIDs, cl.deadPend)
+		}
+	}
+	return top.Sorted()
+}
+
+// TestIncrementalNormsMatchRebuild: under a random interleave of
+// inserts, deletes, searches, re-encodes and compactions, the store's
+// search — reused scratch, norms appended one row at a time — returns
+// exactly what the rebuild-everything search returns, and every pending
+// buffer's norm table stays in step with its rows.
+func TestIncrementalNormsMatchRebuild(t *testing.T) {
+	w := testWorkload(t)
+	s := NewStore(w)
+	r := rng.New(23)
+	hot := w.InsertVector(r) // re-inserted often, so one buffer grows long
+	for step := 0; step < 3000; step++ {
+		switch x := r.Intn(100); {
+		case x < 45:
+			vec := hot
+			if r.Intn(3) > 0 {
+				vec = w.InsertVector(r)
+			}
+			s.Insert(&workload.Mutation{Kind: workload.MutInsert, Vec: vec})
+		case x < 60:
+			s.Delete(&workload.Mutation{Kind: workload.MutDelete, Pick: r.Uint64()})
+		case x < 98:
+			q := hot
+			if r.Intn(2) == 0 {
+				q = w.QueryVector(w.Sample(r), r)
+			}
+			k := 1 + r.Intn(20)
+			got, want := s.Search(q, 8, k), rebuildSearch(s, q, 8, k)
+			if len(got) != len(want) {
+				t.Fatalf("step %d: %d neighbors, rebuild search %d", step, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("step %d neighbor %d: got %+v, rebuild search %+v", step, i, got[i], want[i])
+				}
+			}
+		case x < 99:
+			s.Reencode()
+		default:
+			s.Compact()
+		}
+		if step%100 == 0 {
+			for c := range s.cl {
+				cl := &s.cl[c]
+				if len(cl.pendNorms) != len(cl.pendIDs) || len(cl.pendVecs) != len(cl.pendIDs)*s.dim {
+					t.Fatalf("step %d cluster %d: %d ids, %d norms, %d floats", step, c, len(cl.pendIDs), len(cl.pendNorms), len(cl.pendVecs))
+				}
+			}
+		}
+	}
+}
+
+// TestStoreSearchAllocs: a search allocates its result slice and
+// nothing else — on a frozen store, on one whose pending buffers have
+// been folded away, and on one with raw vectors pending.
+func TestStoreSearchAllocs(t *testing.T) {
+	w := testWorkload(t)
+	s := NewStore(w)
+	r := rng.New(29)
+	q := w.QueryVector(w.Sample(r), r)
+	check := func(state string) {
+		t.Helper()
+		s.Search(q, 8, 10) // warm the store's scratch
+		if allocs := testing.AllocsPerRun(50, func() { s.Search(q, 8, 10) }); allocs > 1 {
+			t.Fatalf("%s: Search allocates %.1f objects per query, want at most the result slice", state, allocs)
+		}
+	}
+	check("frozen store")
+	for i := 0; i < 200; i++ {
+		s.Insert(&workload.Mutation{Kind: workload.MutInsert, Vec: w.InsertVector(r)})
+	}
+	s.Delete(&workload.Mutation{Kind: workload.MutDelete, Pick: uint64(w.Index.NVectors() + 5)})
+	check("raw vectors pending")
+	s.Reencode()
+	check("clean pending buffers")
+}
+
+// TestSearchAfterInsertAllocsFlat: the first search after an insert
+// used to re-derive (and re-allocate) the norm of every pending row of
+// each probed cluster — allocation linear in the buffer, quadratic
+// between re-encodes. Now it allocates the result slice whatever the
+// buffer holds.
+func TestSearchAfterInsertAllocsFlat(t *testing.T) {
+	w := testWorkload(t)
+	r := rng.New(37)
+	vec := w.InsertVector(r)
+	// MemStats counts the whole process, so a runtime goroutine that
+	// allocates between the two reads inflates a pair; it can only add.
+	// The least of 20 pairs is the search's own allocation (the old
+	// rebuild allocated in every pair, so the least still catches it).
+	perSearch := func(pending int) (objects, bytes uint64) {
+		s := NewStore(w)
+		for i := 0; i < pending; i++ {
+			s.Insert(&workload.Mutation{Kind: workload.MutInsert, Vec: vec})
+		}
+		s.Search(vec, 8, 10)
+		const pairs = 20
+		objects, bytes = math.MaxUint64, math.MaxUint64
+		var before, after runtime.MemStats
+		for i := 0; i < pairs; i++ {
+			s.Insert(&workload.Mutation{Kind: workload.MutInsert, Vec: vec})
+			runtime.ReadMemStats(&before)
+			s.Search(vec, 8, 10)
+			runtime.ReadMemStats(&after)
+			objects = min(objects, after.Mallocs-before.Mallocs)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		return objects, bytes
+	}
+	smallObj, smallBytes := perSearch(4)
+	bigObj, bigBytes := perSearch(4096)
+	if smallObj > 1 || bigObj > 1 {
+		t.Fatalf("search after insert allocates %d objects at 4 pending, %d at 4096; want at most 1", smallObj, bigObj)
+	}
+	if bigBytes > smallBytes {
+		t.Fatalf("search after insert allocates %d B at 4096 pending vs %d B at 4: grows with the buffer", bigBytes, smallBytes)
+	}
 }

@@ -34,6 +34,7 @@ import (
 
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/ivf"
+	"vectorliterag/internal/pq"
 	"vectorliterag/internal/vecmath"
 	"vectorliterag/internal/workload"
 )
@@ -70,12 +71,13 @@ type clusterState struct {
 	deadAppCount int
 
 	// Raw-float append buffer: pending inserts awaiting re-encode.
+	// pendNorms[i] is row i's squared norm, derived once at Insert, so
+	// the brute-force scan never re-derives the buffer's norms.
 	pendIDs       []int32
 	pendVecs      []float32
+	pendNorms     []float32
 	deadPend      []uint64
 	deadPendCount int
-	bf            *vecmath.BruteForcer // rebuilt lazily after appends
-	bfDirty       bool
 }
 
 // Store is the live-corpus overlay. It is single-goroutine, like the
@@ -108,6 +110,11 @@ type Store struct {
 	inserts, deletes int
 	pendingTotal     int // live pending vectors across clusters
 	encScratch       []byte
+
+	// Search's reusable buffers: probe scratch, LUT and top-k heap.
+	scratch *ivf.SearchScratch
+	lut     pq.LUT
+	top     vecmath.TopK
 }
 
 // NewStore builds the live overlay for a workload. The workload and
@@ -123,6 +130,7 @@ func NewStore(w *dataset.Workload) *Store {
 		basePerVec: make([]float64, nlist),
 		delta:      make([]float64, nlist),
 		encScratch: make([]byte, ix.CodeSize()),
+		scratch:    ix.NewSearchScratch(),
 	}
 	spec := w.Spec
 	s.logicalPerVec = float64(spec.NVectors) / float64(n)
@@ -181,10 +189,10 @@ func (s *Store) Insert(m *workload.Mutation) int {
 	s.insLoc = append(s.insLoc, loc{cluster: int32(c), pos: int32(len(cl.pendIDs)), where: locPend})
 	cl.pendIDs = append(cl.pendIDs, id)
 	cl.pendVecs = append(cl.pendVecs, m.Vec...)
+	cl.pendNorms = append(cl.pendNorms, vecmath.Norm2(m.Vec))
 	if len(cl.deadPend) > 0 {
 		cl.deadPend = cover(cl.deadPend, len(cl.pendIDs))
 	}
-	cl.bfDirty = true
 	s.delta[c] += s.rawPerVec
 	s.resSum += math.Sqrt(float64(s.ix.CentroidResidual2(m.Vec, c)))
 	s.resN++
@@ -278,9 +286,9 @@ func (s *Store) Reencode() int {
 		}
 		cl.pendIDs = cl.pendIDs[:0]
 		cl.pendVecs = cl.pendVecs[:0]
+		cl.pendNorms = cl.pendNorms[:0]
 		cl.deadPend = cl.deadPend[:0]
 		cl.deadPendCount = 0
-		cl.bf, cl.bfDirty = nil, false
 	}
 	// pendingTotal tracks live *raw* vectors; every buffer just drained.
 	s.pendingTotal = 0
@@ -356,10 +364,13 @@ func (s *Store) ScanBytesAll(q dataset.QueryID) int64 {
 // L2, commensurate with the LUT's approximate squared distances). It
 // is the correctness surface for the overlay (tests, examples); the
 // serving engines consume the Store through its cost-model methods.
+// Probe list, LUT and heap are the store's own and reused; the result
+// is freshly allocated and owned by the caller.
 func (s *Store) Search(q []float32, nprobe, k int) []vecmath.Neighbor {
-	probes := s.ix.Probe(q, nprobe)
-	lut := s.ix.BuildLUT(q)
-	top := vecmath.NewTopK(k)
+	probes := s.ix.ProbeInto(s.scratch, q, nprobe)
+	lut, top := &s.lut, &s.top
+	s.ix.Quantizer().BuildLUTInto(q, lut)
+	top.Reset(k)
 	for _, c := range probes {
 		cl := &s.cl[c]
 		s.ix.ScanClusterMasked(lut, c, cl.deadBase, top)
@@ -367,11 +378,8 @@ func (s *Store) Search(q []float32, nprobe, k int) []vecmath.Neighbor {
 			lut.ScanCodesIDsMasked(cl.appCodes, cl.appIDs, cl.deadApp, top)
 		}
 		if len(cl.pendIDs) > 0 {
-			if cl.bfDirty || cl.bf == nil {
-				cl.bf = vecmath.NewBruteForcer(cl.pendVecs, s.dim)
-				cl.bfDirty = false
-			}
-			cl.bf.ScanMaskedInto(top, q, cl.pendIDs, cl.deadPend)
+			bf := vecmath.NewBruteForcerNorms(cl.pendVecs, cl.pendNorms, s.dim)
+			bf.ScanMaskedInto(top, q, cl.pendIDs, cl.deadPend)
 		}
 	}
 	return top.Sorted()

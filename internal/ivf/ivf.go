@@ -184,16 +184,17 @@ func (ix *Index) ScanClusterMasked(lut *pq.LUT, cluster int, dead []uint64, top 
 }
 
 // SearchScratch owns every buffer the three-stage search pipeline
-// touches — the probe heap and probe list, the per-query LUT, the
-// top-k heap, and the result slice — so steady-state search performs
-// zero allocations. A scratch is not safe for concurrent use; create
-// one per worker (or let Search/SearchBatch draw from the index's
-// internal pool). Result slices returned by the *Into methods alias the
-// scratch and are valid until its next use.
+// touches — the centroid products, probe heap and probe list, the
+// per-query LUT, the top-k heap, and the result slice — so steady-state
+// search performs zero allocations. A scratch is not safe for
+// concurrent use; create one per worker (or let Search/SearchBatch draw
+// from the index's internal pool). Result slices returned by the *Into
+// methods alias the scratch and are valid until its next use.
 type SearchScratch struct {
 	lut      pq.LUT
 	top      vecmath.TopK
 	probeTop vecmath.TopK
+	cdots    []float32 // <query, centroid> per cluster, one DotRows pass
 	probes   []int
 	out      []vecmath.Neighbor
 }
@@ -229,9 +230,13 @@ func (ix *Index) ProbeInto(s *SearchScratch, query []float32, nprobe int) []int 
 		nprobe = ix.nlist
 	}
 	s.probeTop.Reset(nprobe)
-	dim := ix.dim
-	for c := 0; c < ix.nlist; c++ {
-		s.probeTop.Push(c, ix.centNorms[c]-2*vecmath.Dot(query, ix.centroids[c*dim:(c+1)*dim]))
+	if cap(s.cdots) < ix.nlist {
+		s.cdots = make([]float32, ix.nlist)
+	}
+	s.cdots = s.cdots[:ix.nlist]
+	vecmath.DotRows(query, ix.centroids, ix.dim, s.cdots)
+	for c, dot := range s.cdots {
+		s.probeTop.Push(c, ix.centNorms[c]-2*dot)
 	}
 	s.out = s.probeTop.AppendSorted(s.out[:0])
 	s.probes = s.probes[:0]

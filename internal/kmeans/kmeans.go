@@ -131,20 +131,32 @@ func Train(data []float32, cfg Config) (*Result, error) {
 // seedPlusPlus picks K initial centroids with D^2 weighting
 // (k-means++), which gives provably bounded inertia and — more
 // importantly here — deterministic, well-spread clusters. The
-// min-distance table updates run on the worker pool; the weighted draw
-// scans the table sequentially, so the picks are worker-count
-// independent.
+// min-distance table updates run on the worker pool (per-element
+// writes); the weighted draw scans the table sequentially, so the picks
+// are worker-count independent.
 func seedPlusPlus(data []float32, n, dim, k, workers int, r *rng.Rand) []float32 {
 	centroids := make([]float32, k*dim)
 	first := r.Intn(n)
 	copy(centroids[:dim], data[first*dim:(first+1)*dim])
 
+	// d2[i] is vector i's squared distance to its nearest pick so far:
+	// pick 0 sets it, each later pick lowers it. dist is the float32
+	// scratch the four-rows-at-a-time kernel writes a chunk's distances to
+	// the newest pick into.
 	d2 := make([]float64, n)
-	parallel.For(n, workers, func(start, end int) {
-		for i := start; i < end; i++ {
-			d2[i] = float64(vecmath.SquaredL2(data[i*dim:(i+1)*dim], centroids[:dim]))
-		}
-	})
+	dist := make([]float32, n)
+	lower := func(c int) {
+		cent := centroids[c*dim : (c+1)*dim]
+		parallel.For(n, workers, func(start, end int) {
+			vecmath.SquaredL2Rows(cent, data[start*dim:end*dim], dim, dist[start:end])
+			for i := start; i < end; i++ {
+				if v := float64(dist[i]); c == 0 || v < d2[i] {
+					d2[i] = v
+				}
+			}
+		})
+	}
+	lower(0)
 	for c := 1; c < k; c++ {
 		total := 0.0
 		for _, d := range d2 {
@@ -166,15 +178,7 @@ func seedPlusPlus(data []float32, n, dim, k, workers int, r *rng.Rand) []float32
 			}
 		}
 		copy(centroids[c*dim:(c+1)*dim], data[pick*dim:(pick+1)*dim])
-		// Update min-distance table (parallel; per-element writes).
-		parallel.For(n, workers, func(start, end int) {
-			for i := start; i < end; i++ {
-				d := float64(vecmath.SquaredL2(data[i*dim:(i+1)*dim], centroids[c*dim:(c+1)*dim]))
-				if d < d2[i] {
-					d2[i] = d
-				}
-			}
-		})
+		lower(c)
 	}
 	return centroids
 }

@@ -119,3 +119,54 @@ func TestNoEmptyClustersOnDuplicateData(t *testing.T) {
 		}
 	}
 }
+
+// TestSeedPlusPlusMatchesPerRowReference pins the blocked seeding pass
+// to the loop it replaced — one SquaredL2(row, centre) per vector per
+// pick — on the same generator state: identical picks, in order, for
+// sizes that leave remainder rows and partial blocks, at any worker
+// count.
+func TestSeedPlusPlusMatchesPerRowReference(t *testing.T) {
+	for _, tc := range []struct{ n, dim, k int }{{50, 3, 7}, {130, 8, 16}, {333, 64, 12}} {
+		data := trainData(tc.n, tc.dim, uint64(tc.n))
+		// Duplicated rows make zero distances and ties in the draw.
+		copy(data[tc.dim:2*tc.dim], data[:tc.dim])
+
+		r := rng.New(9)
+		want := make([]float32, tc.k*tc.dim)
+		first := r.Intn(tc.n)
+		copy(want[:tc.dim], data[first*tc.dim:(first+1)*tc.dim])
+		d2 := make([]float64, tc.n)
+		for c := 1; c < tc.k; c++ {
+			prev := want[(c-1)*tc.dim : c*tc.dim]
+			total := 0.0
+			for i := range d2 {
+				d := float64(vecmath.SquaredL2(data[i*tc.dim:(i+1)*tc.dim], prev))
+				if c == 1 || d < d2[i] {
+					d2[i] = d
+				}
+				total += d2[i]
+			}
+			pick := tc.n - 1
+			if total <= 0 {
+				pick = r.Intn(tc.n)
+			} else {
+				target, cum := r.Float64()*total, 0.0
+				for i, d := range d2 {
+					if cum += d; cum >= target {
+						pick = i
+						break
+					}
+				}
+			}
+			copy(want[c*tc.dim:(c+1)*tc.dim], data[pick*tc.dim:(pick+1)*tc.dim])
+		}
+		for _, workers := range []int{1, 3} {
+			got := seedPlusPlus(data, tc.n, tc.dim, tc.k, workers, rng.New(9))
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("n %d dim %d workers %d: seed centroid %d differs from the per-row reference", tc.n, tc.dim, workers, i/tc.dim)
+				}
+			}
+		}
+	}
+}

@@ -37,7 +37,7 @@ type Quantizer struct {
 type Config struct {
 	Dim   int
 	M     int // must divide Dim
-	K     int // codewords per subspace; default 256
+	K     int // codewords per subspace, at most 256; default 256
 	Iters int
 	Seed  uint64
 	// Workers sizes the training worker pool (subspaces train
@@ -54,6 +54,9 @@ func Train(data []float32, cfg Config) (*Quantizer, error) {
 	}
 	if cfg.Dim <= 0 || cfg.M <= 0 {
 		return nil, fmt.Errorf("pq: non-positive dim %d or M %d", cfg.Dim, cfg.M)
+	}
+	if cfg.K < 0 || cfg.K > lutStride {
+		return nil, fmt.Errorf("pq: K=%d codewords outside [1, %d]: a code is one byte per subspace", cfg.K, lutStride)
 	}
 	if cfg.Dim%cfg.M != 0 {
 		return nil, fmt.Errorf("pq: M=%d does not divide dim=%d", cfg.M, cfg.Dim)
@@ -101,7 +104,7 @@ func Train(data []float32, cfg Config) (*Quantizer, error) {
 }
 
 // CodeSize returns the number of bytes in one encoded vector (one byte
-// per subspace; K <= 256 is required for this layout).
+// per subspace, which is why Train rejects K > 256).
 func (q *Quantizer) CodeSize() int { return q.M }
 
 // Encode quantizes vector v (length Dim) into dst (length M). It
@@ -203,8 +206,11 @@ func (q *Quantizer) BuildLUTInto(v []float32, t *LUT) {
 				row[j] = e
 			}
 		default:
-			for j := 0; j < q.K; j++ {
-				e := qn - 2*vecmath.Dot(qSub, cb[j*sd:(j+1)*sd]) + norms[j]
+			// The products land in the LUT row itself, four codewords per
+			// step, and are turned into entries in place.
+			vecmath.DotRows(qSub, cb[:q.K*sd], sd, row)
+			for j, dot := range row {
+				e := qn - 2*dot + norms[j]
 				if e < 0 {
 					e = 0
 				}

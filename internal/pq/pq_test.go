@@ -36,6 +36,19 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := Train([]float32{1, 2, 3, 4}, Config{Dim: 4, M: 2, K: 16}); err == nil {
 		t.Fatal("fewer vectors than codewords accepted")
 	}
+	// A code is one byte per subspace and a LUT row 256 entries: K=257
+	// used to train, then truncate codeword indices in Encode and spill
+	// LUT entries into the next subspace's row.
+	r := rng.New(1)
+	big := randomMatrix(r, 300, 4)
+	for _, k := range []int{257, 512, -1} {
+		if _, err := Train(big, Config{Dim: 4, M: 2, K: k, Iters: 1}); err == nil {
+			t.Fatalf("K=%d accepted", k)
+		}
+	}
+	if q, err := Train(big, Config{Dim: 4, M: 2, K: 256, Iters: 1}); err != nil || q.K != 256 {
+		t.Fatalf("K=256 rejected: %v", err)
+	}
 }
 
 func TestEncodeDecodeReducesError(t *testing.T) {
@@ -303,5 +316,36 @@ func TestBuildLUTIntoReusesBuffer(t *testing.T) {
 		q.BuildLUTInto(data[:8], &lut)
 	}); allocs != 0 {
 		t.Fatalf("BuildLUTInto allocates %.1f objects on a warm LUT", allocs)
+	}
+}
+
+// TestBuildLUTMatchesPerEntryFormula pins every LUT entry, bit for bit,
+// to the per-codeword expression qn - 2*Dot(q_m, c) + |c|^2 clamped at
+// zero, for the hand-unrolled sub-vector width 4, the generic arm on
+// the blocked kernel (8), and widths and codebook sizes that leave
+// remainder rows and remainder terms (3 with K=30, 5 with K=7).
+func TestBuildLUTMatchesPerEntryFormula(t *testing.T) {
+	r := rng.New(14)
+	for _, tc := range []struct{ dim, m, k int }{{32, 8, 64}, {64, 8, 64}, {12, 4, 30}, {10, 2, 7}} {
+		q, data := trainSmall(t, r, 300, tc.dim, tc.m, tc.k)
+		sd := tc.dim / tc.m
+		var lut LUT
+		for trial := 0; trial < 5; trial++ {
+			v := data[trial*tc.dim : (trial+1)*tc.dim]
+			q.BuildLUTInto(v, &lut)
+			for m := 0; m < tc.m; m++ {
+				qSub := v[m*sd : (m+1)*sd]
+				qn := vecmath.Norm2(qSub)
+				for j := 0; j < tc.k; j++ {
+					want := qn - 2*vecmath.Dot(qSub, q.codebooks[m][j*sd:(j+1)*sd]) + q.cbNorms[m][j]
+					if want < 0 {
+						want = 0
+					}
+					if got := lut.tab[m*lutStride+j]; math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("dim %d sd %d: entry (%d,%d) = %v, per-entry formula %v", tc.dim, sd, m, j, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package vecmath
 
 import (
 	"encoding/binary"
+	"math"
 	"sort"
 	"testing"
 )
@@ -94,6 +95,64 @@ func FuzzTopK(f *testing.F) {
 			if again[i] != got[i] {
 				t.Fatalf("reused collector diverged at %d: %+v vs %+v", i, again[i], got[i])
 			}
+		}
+	})
+}
+
+// fuzzMatrix decodes a fuzz payload into a query and a row-major
+// matrix: the first byte picks the dimension (1–40), every following
+// four bytes are one float32 taken bit for bit (so NaNs, infinities,
+// denormals and signed zeros all occur), the first dim of them the
+// query and the rest whole rows.
+func fuzzMatrix(data []byte) (q, rows []float32, dim int, ok bool) {
+	if len(data) < 1 {
+		return nil, nil, 0, false
+	}
+	dim = int(data[0])%40 + 1
+	body := data[1:]
+	vals := make([]float32, min(len(body)/4, 2048))
+	for i := range vals {
+		vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[i*4:]))
+	}
+	if len(vals) < dim {
+		return nil, nil, 0, false
+	}
+	q, rows = vals[:dim], vals[dim:]
+	return q, rows[:len(rows)/dim*dim], dim, true
+}
+
+// FuzzDotRows: for any query and matrix, every DotRows output is Dot's
+// bits for that row, every SquaredL2Rows output SquaredL2's, and the
+// blocked ArgminNormScore picks the (index, score) a per-row Dot loop
+// picks.
+func FuzzDotRows(f *testing.F) {
+	f.Add([]byte("\x03the five boxing wizards jump quickly over the lazy dog!"))
+	f.Add([]byte("\x00\x00\x00\x80\x3f\x00\x00\x80\x7f\x00\x00\x00\x00\x00\x00\xc0\x7f\x01\x00\x00\x00\x00\x00\x80\xff"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q, rows, dim, ok := fuzzMatrix(data)
+		if !ok {
+			t.Skip()
+		}
+		n := len(rows) / dim
+		dots, l2s := make([]float32, n), make([]float32, n)
+		DotRows(q, rows, dim, dots)
+		SquaredL2Rows(q, rows, dim, l2s)
+		for i := 0; i < n; i++ {
+			row := rows[i*dim : (i+1)*dim]
+			if want := Dot(q, row); !sameBits(dots[i], want) {
+				t.Fatalf("dim %d row %d of %d: DotRows %x, Dot %x", dim, i, n, math.Float32bits(dots[i]), math.Float32bits(want))
+			}
+			if want := SquaredL2(q, row); !sameBits(l2s[i], want) {
+				t.Fatalf("dim %d row %d of %d: SquaredL2Rows %x, SquaredL2 %x", dim, i, n, math.Float32bits(l2s[i]), math.Float32bits(want))
+			}
+		}
+		if n == 0 {
+			return
+		}
+		norms := RowNorms(rows, dim, nil)
+		wi, ws := naiveArgminNormScore(q, rows, norms, dim)
+		if gi, gs := ArgminNormScore(q, rows, norms, dim); gi != wi || !sameBits(gs, ws) {
+			t.Fatalf("dim %d, %d rows: ArgminNormScore (%d, %x), per-row loop (%d, %x)", dim, n, gi, math.Float32bits(gs), wi, math.Float32bits(ws))
 		}
 	})
 }

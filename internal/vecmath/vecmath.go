@@ -11,6 +11,11 @@
 // in a norm-decomposed variant (d = |x|^2 - 2<x,c> + |c|^2 with
 // precomputed row norms) that turns the subtract-square inner loop into
 // a plain dot product.
+//
+// Every one-vector-against-many-rows loop runs on DotRows (or its
+// subtract-square twin SquaredL2Rows): four rows advance together, each
+// on its own sequential accumulator, so the result of every row is the
+// bits Dot would return while the four add chains overlap.
 package vecmath
 
 // SquaredL2 returns the squared Euclidean distance between a and b.
@@ -61,6 +66,91 @@ func Dot(a, b []float32) float32 {
 // Norm2 returns the squared L2 norm of v.
 func Norm2(v []float32) float32 {
 	return Dot(v, v)
+}
+
+// DotRows writes out[i] = Dot(q, row i) for every row of the row-major
+// matrix rows (dim columns): len(q) must be dim and len(out) the row
+// count. Dot's single accumulator makes a product one chain of dependent
+// adds; here four consecutive rows advance together, each on its own
+// sequential accumulator with Dot's expression shape (sum += q[j] *
+// row[j], j ascending), so every output is bit-for-bit Dot's — on a
+// platform that contracts x*y+z, both contract — and the four chains
+// overlap in the pipeline. Remainder rows go through Dot. It panics on a
+// non-positive dim or mismatched lengths.
+func DotRows(q, rows []float32, dim int, out []float32) {
+	if dim <= 0 || len(q) != dim || len(rows) != len(out)*dim {
+		panic("vecmath: DotRows on non-positive dim or mismatched lengths")
+	}
+	i := 0
+	for ; i+4 <= len(out); i += 4 {
+		// Re-slicing each row to len(q) lets the compiler drop the bounds
+		// checks in the j loop.
+		blk := rows[i*dim : (i+4)*dim]
+		r0 := blk[:dim][:len(q)]
+		r1 := blk[dim : 2*dim][:len(q)]
+		r2 := blk[2*dim : 3*dim][:len(q)]
+		r3 := blk[3*dim : 4*dim][:len(q)]
+		var s0, s1, s2, s3 float32
+		for j, x := range q {
+			s0 += x * r0[j]
+			s1 += x * r1[j]
+			s2 += x * r2[j]
+			s3 += x * r3[j]
+		}
+		o := out[i : i+4 : i+4]
+		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+	}
+	for ; i < len(out); i++ {
+		out[i] = Dot(q, rows[i*dim:(i+1)*dim])
+	}
+}
+
+// SquaredL2Rows is DotRows for the subtract-square distance: out[i] =
+// SquaredL2(q, row i), bit for bit, four rows per step on one sequential
+// accumulator each. (SquaredL2 is exactly symmetric in its arguments —
+// a-b and b-a differ only in sign, which the square drops — so callers
+// holding many vectors and one centre pass the centre as q.)
+func SquaredL2Rows(q, rows []float32, dim int, out []float32) {
+	if dim <= 0 || len(q) != dim || len(rows) != len(out)*dim {
+		panic("vecmath: SquaredL2Rows on non-positive dim or mismatched lengths")
+	}
+	i := 0
+	for ; i+4 <= len(out); i += 4 {
+		blk := rows[i*dim : (i+4)*dim]
+		r0 := blk[:dim][:len(q)]
+		r1 := blk[dim : 2*dim][:len(q)]
+		r2 := blk[2*dim : 3*dim][:len(q)]
+		r3 := blk[3*dim : 4*dim][:len(q)]
+		var s0, s1, s2, s3 float32
+		for j, x := range q {
+			d0 := x - r0[j]
+			s0 += d0 * d0
+			d1 := x - r1[j]
+			s1 += d1 * d1
+			d2 := x - r2[j]
+			s2 += d2 * d2
+			d3 := x - r3[j]
+			s3 += d3 * d3
+		}
+		o := out[i : i+4 : i+4]
+		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+	}
+	for ; i < len(out); i++ {
+		out[i] = SquaredL2(q, rows[i*dim:(i+1)*dim])
+	}
+}
+
+// scoreBlock is how many rows the norm-score scans hand DotRows at a
+// time: the products land in a stack array of this size, so the scans
+// need no scratch of their own and allocate nothing.
+const scoreBlock = 64
+
+// dotBlock runs DotRows over the (at most scoreBlock) rows starting at
+// row base and returns their products, which alias dots.
+func dotBlock(q, rows []float32, dim, base int, dots *[scoreBlock]float32) []float32 {
+	m := min(scoreBlock, len(rows)/dim-base)
+	DotRows(q, rows[base*dim:(base+m)*dim], dim, dots[:m])
+	return dots[:m]
 }
 
 // Add accumulates src into dst element-wise.
@@ -117,17 +207,21 @@ func ArgminL2(q []float32, rows []float32, dim int) (int, float32) {
 // score. The query's own norm is a rank-invariant constant and is
 // omitted; the true squared distance of the winner is qnorm + score
 // (clamped at zero against rounding). norms must hold RowNorms(rows).
-// It panics if rows is empty or not a multiple of dim.
+// It panics if rows is empty or not a multiple of dim. Ties go to the
+// lowest index; a NaN score never wins unless it is row 0's.
 func ArgminNormScore(q, rows, norms []float32, dim int) (int, float32) {
-	if len(rows) == 0 || len(rows)%dim != 0 {
+	if dim <= 0 || len(rows) == 0 || len(rows)%dim != 0 {
 		panic("vecmath: ArgminNormScore on empty or ragged matrix")
 	}
 	best := -1
 	bestS := float32(0)
-	for i := 0; i*dim < len(rows); i++ {
-		s := norms[i] - 2*Dot(q, rows[i*dim:(i+1)*dim])
-		if best < 0 || s < bestS {
-			best, bestS = i, s
+	var dots [scoreBlock]float32
+	for base := 0; base*dim < len(rows); base += scoreBlock {
+		for j, dot := range dotBlock(q, rows, dim, base, &dots) {
+			s := norms[base+j] - 2*dot
+			if best < 0 || s < bestS {
+				best, bestS = base+j, s
+			}
 		}
 	}
 	return best, bestS
@@ -289,7 +383,15 @@ type BruteForcer struct {
 
 // NewBruteForcer precomputes row norms for the row-major matrix.
 func NewBruteForcer(rows []float32, dim int) *BruteForcer {
-	return &BruteForcer{rows: rows, norms: RowNorms(rows, dim, nil), dim: dim}
+	return NewBruteForcerNorms(rows, RowNorms(rows, dim, nil), dim)
+}
+
+// NewBruteForcerNorms is NewBruteForcer for a caller that already holds
+// the norms (norms[i] = Norm2(row i)) — a growing buffer that derives
+// each row's norm once, as the row is appended, instead of all of them
+// again after every append.
+func NewBruteForcerNorms(rows, norms []float32, dim int) *BruteForcer {
+	return &BruteForcer{rows: rows, norms: norms, dim: dim}
 }
 
 // Clone returns a BruteForcer sharing this one's (immutable) matrix and
@@ -309,17 +411,20 @@ func (b *BruteForcer) Clone() *BruteForcer {
 // distances. The scan allocates nothing.
 func (b *BruteForcer) ScanMaskedInto(top *TopK, q []float32, ids []int32, dead []uint64) {
 	qn := Norm2(q)
-	dim := b.dim
 	masked := len(dead) > 0
-	for i := 0; i*dim < len(b.rows); i++ {
-		if masked && dead[uint(i)>>6]&(1<<(uint(i)&63)) != 0 {
-			continue
+	var dots [scoreBlock]float32
+	for base := 0; base*b.dim < len(b.rows); base += scoreBlock {
+		for j, dot := range dotBlock(q, b.rows, b.dim, base, &dots) {
+			i := base + j
+			if masked && dead[uint(i)>>6]&(1<<(uint(i)&63)) != 0 {
+				continue
+			}
+			d := qn + b.norms[i] - 2*dot
+			if d < 0 {
+				d = 0
+			}
+			top.Push(int(ids[i]), d)
 		}
-		d := qn + b.norms[i] - 2*Dot(q, b.rows[i*dim:(i+1)*dim])
-		if d < 0 {
-			d = 0
-		}
-		top.Push(int(ids[i]), d)
 	}
 }
 
@@ -329,9 +434,11 @@ func (b *BruteForcer) ScanMaskedInto(top *TopK, q []float32, ids []int32, dead [
 // query performs no allocations.
 func (b *BruteForcer) AppendTopK(dst []Neighbor, q []float32, k int) []Neighbor {
 	b.top.Reset(k)
-	dim := b.dim
-	for i := 0; i*dim < len(b.rows); i++ {
-		b.top.Push(i, b.norms[i]-2*Dot(q, b.rows[i*dim:(i+1)*dim]))
+	var dots [scoreBlock]float32
+	for base := 0; base*b.dim < len(b.rows); base += scoreBlock {
+		for j, dot := range dotBlock(q, b.rows, b.dim, base, &dots) {
+			b.top.Push(base+j, b.norms[base+j]-2*dot)
+		}
 	}
 	base := len(dst)
 	dst = b.top.AppendSorted(dst)
