@@ -39,7 +39,12 @@ lint:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
+# The two parallel engines go first, uncached: a data race in des.Group
+# or in the link-free fleet should fail in seconds, not behind the whole
+# sweep.
 race:
+	$(GO) test -race -count=1 ./internal/des
+	$(GO) test -race -count=1 ./internal/rag -run 'Sharded|LinkFree'
 	$(GO) test -race ./...
 
 # Full micro-benchmark sweep (one iteration each; sanity, not timing).
@@ -52,21 +57,23 @@ bench-search:
 	$(GO) test -run=NONE -bench='Search|DotRows|KMeansAssign|DatasetBuild' -benchmem -benchtime=2s ./...
 
 # One-iteration compile-and-run of the search kernel, build-layer
-# (blocked dot kernel, k-means assignment, dataset build) and
-# decision-path (Eq. 2 integral, Algorithm 1, joint allocator)
+# (blocked dot kernel, k-means assignment, dataset build),
+# decision-path (Eq. 2 integral, Algorithm 1, joint allocator) and
+# fleet (link-free round-robin, exchange-backed least-loaded)
 # benchmarks, then
 # every registered experiment at quick scale through the CLI's CSV path
 # (one link step: each artifact's runner, its report, and the export of
 # every table); CI runs this so none of them can rot.
 bench-smoke:
-	$(GO) test -run=NONE -bench='Search|DotRows|KMeansAssign|DatasetBuild|ExpectedMin|LatencyBounded|JointAllocate' -benchtime=1x ./...
+	$(GO) test -run=NONE -bench='Search|DotRows|KMeansAssign|DatasetBuild|ExpectedMin|LatencyBounded|JointAllocate|FleetRoundRobin|FleetLeastLoaded' -benchtime=1x ./...
 	$(GO) run ./cmd/vliterag run -exp all -quick -csv >/dev/null
 
-# Wall-clock scaling verdict for the parallel sharded engine: on a
-# 16-replica run, every core together must not be more than 15% slower
-# than one worker (any host with >=2 CPUs), and must be >=1.5x faster on
-# hosts with >=4. The speedup is logged either way. Needs a quiet host,
-# so it is its own target rather than part of `race`/`test`.
+# Wall-clock scaling verdict for Workers: on a 16-replica round-robin
+# run (the link-free fleet), every core together must not be more than
+# 15% slower than one worker (any host with >=2 CPUs), and must be >=1.5x
+# faster on hosts with >=4. The least-loaded ratio (des.Group) is logged
+# beside it and gates nothing. Needs a quiet host, so it is its own
+# target rather than part of `race`/`test`.
 scaling-smoke:
 	SCALING_SMOKE=1 $(GO) test ./internal/rag -run TestWorkerScalingSmoke -v -count=1
 

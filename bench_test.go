@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	vlr "vectorliterag"
 
@@ -394,6 +395,34 @@ func BenchmarkJointAllocate(b *testing.B) {
 		})
 	}
 }
+
+// benchFleet times one 16-replica ServeCluster run with a modeled
+// network (320 req/s over a short window, every core) under the given
+// routing policy. The policy picks the engine: round-robin runs the
+// link-free fleet, least-loaded the sharded exchange on des.Group.
+func benchFleet(b *testing.B, policy vlr.RoutePolicy) {
+	w := benchWorkload(b)
+	opts := vlr.ClusterOptions{
+		ServeOptions: vlr.ServeOptions{Workload: w, Rate: 320, Duration: 40 * time.Second,
+			Drain: 30 * time.Second, NetDelay: time.Millisecond, Seed: 1},
+		Replicas: 16, Policy: policy,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := vlr.ServeCluster(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += rep.Summary.N
+	}
+}
+
+// BenchmarkFleetRoundRobin measures the link-free fleet path.
+func BenchmarkFleetRoundRobin(b *testing.B) { benchFleet(b, vlr.RoundRobin) }
+
+// BenchmarkFleetLeastLoaded measures the exchange-backed fleet path.
+func BenchmarkFleetLeastLoaded(b *testing.B) { benchFleet(b, vlr.LeastLoaded) }
 
 // BenchmarkBruteForceTopK measures the exact-search ground truth used
 // for recall validation.

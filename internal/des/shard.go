@@ -23,7 +23,9 @@
 //
 // The merged schedule must be a pure function of the event graph, not
 // of goroutine interleaving, so the same Group produces bit-identical
-// results for any worker count. Two rules make that hold:
+// results for any worker count. Two rules make that hold
+// (both are implemented once, by feed in inbox.go, which Sim.RunFed
+// shares):
 //
 //   - Delivery instant: an inbound message is moved into the shard's
 //     event queue only when its timestamp is ≤ the shard's next local
@@ -105,7 +107,7 @@ type Shard struct {
 
 	id    int
 	group *Group
-	in    []*Link
+	in    []*Inbox // receiving ends of the inbound links, creation order
 
 	// Owner-local state, set up by Run.
 	w       *worker // nil outside Run
@@ -123,13 +125,11 @@ func (s *Shard) ID() int { return s.id }
 type Link struct {
 	src, dst *Shard
 	delay    Time
-	deliver  func(any)
 	to       int // index of dst's worker, set up by Run
 
-	// Undelivered messages in send order, from head on. Only the
-	// destination shard's owner touches these during Run.
-	pending []Msg
-	head    int
+	// The receiving end. Only the destination shard's owner touches it
+	// during Run.
+	in Inbox
 }
 
 // Delay returns the link's minimum delay (its lookahead).
@@ -147,34 +147,17 @@ func (l *Link) Send(at Time, arg any) {
 	}
 	w := l.src.w
 	if w == nil { // outside Run nothing else is running
-		l.push(Msg{at, arg})
+		l.in.push(Msg{at, arg})
 		return
 	}
 	w.box[l.to] = append(w.box[l.to], mail{l, Msg{at, arg}})
 	w.sentMin = min(w.sentMin, at)
 }
 
-// push appends a message on the consumer side, first reclaiming the
-// delivered prefix once it is the larger part, so the slice stays as
-// long as the backlog and steady state allocates nothing.
-func (l *Link) push(m Msg) {
-	if l.head > len(l.pending)/2 {
-		l.pending = l.pending[:copy(l.pending, l.pending[l.head:])]
-		l.head = 0
-	}
-	l.pending = append(l.pending, m)
-}
-
 // Drain consumes every message still undelivered after Run — messages
 // timestamped past the deadline, "in the network" when the clock
 // stopped — in send order. Call only after Run has returned.
-func (l *Link) Drain(fn func(at Time, arg any)) {
-	for _, m := range l.pending[l.head:] {
-		fn(m.at, m.arg)
-	}
-	l.pending = l.pending[:0]
-	l.head = 0
-}
+func (l *Link) Drain(fn func(at Time, arg any)) { l.in.Drain(fn) }
 
 // worker is one goroutine's share of a Run: the shards it owns and what
 // it publishes to the other workers at each barrier.
@@ -238,8 +221,8 @@ func Connect(src, dst *Shard, delay Time, deliver func(any)) (*Link, error) {
 	if deliver == nil {
 		return nil, fmt.Errorf("des: link needs a deliver callback")
 	}
-	l := &Link{src: src, dst: dst, delay: delay, deliver: deliver}
-	dst.in = append(dst.in, l)
+	l := &Link{src: src, dst: dst, delay: delay, in: Inbox{deliver: deliver}}
+	dst.in = append(dst.in, &l.in)
 	src.group.links = append(src.group.links, l)
 	return l, nil
 }
@@ -272,12 +255,7 @@ func (g *Group) Run(deadline Time, workers int) {
 	start := maxTime
 	for i, s := range g.shards {
 		w := g.workers[i*workers/len(g.shards)]
-		s.w, s.slot, s.minHead = w, len(w.own), maxTime
-		for _, l := range s.in {
-			if l.head < len(l.pending) {
-				s.minHead = min(s.minHead, l.pending[l.head].at)
-			}
-		}
+		s.w, s.slot, s.minHead = w, len(w.own), headMin(s.in)
 		at := s.minHead
 		if t, ok := s.Sim.nextAt(); ok {
 			at = min(at, t)
@@ -337,11 +315,11 @@ func (g *Group) work(w *worker, start Time) {
 		for _, o := range g.workers {
 			for _, m := range o.sent[p][w.id] {
 				l := m.l
-				if s := l.dst; l.head == len(l.pending) && m.at < s.minHead {
+				if s := l.dst; l.in.Len() == 0 && m.at < s.minHead {
 					s.minHead = m.at
 					w.next[s.slot] = min(w.next[s.slot], m.at)
 				}
-				l.push(m.Msg)
+				l.in.push(m.Msg)
 			}
 		}
 	}
@@ -365,41 +343,13 @@ func (g *Group) barrier(w *worker, k int, lo Time) Time {
 	return lo
 }
 
-// advance runs one shard up to bound, applying the delivery and
-// link-order rules from the package comment, and returns the earliest
-// instant at which anything can still happen on it.
+// advance runs one shard up to bound under the delivery and link-order
+// rules (feed), and returns the earliest instant at which anything can
+// still happen on it.
 func (g *Group) advance(s *Shard, bound Time) Time {
 	if len(s.in) == 0 {
 		bound = maxTime // nothing can ever arrive
 	}
-	last := min(bound-1, g.deadline) // latest executable instant
-	for {
-		nt := maxTime
-		if t, ok := s.Sim.nextAt(); ok {
-			nt = t
-		}
-		// Deliver safe inbound messages, in link order. Each delivery
-		// becomes the new next local event, so later links' same-instant
-		// messages chain in behind it deterministically. minHead lets the
-		// common case — nothing due yet — skip the scan.
-		if s.minHead <= nt && s.minHead <= last {
-			s.minHead = maxTime
-			for _, l := range s.in {
-				for l.head < len(l.pending) {
-					m := &l.pending[l.head]
-					if m.at > nt || m.at > last {
-						s.minHead = min(s.minHead, m.at)
-						break
-					}
-					s.Sim.AtArg(m.at, l.deliver, m.arg)
-					l.head++
-					nt = m.at
-				}
-			}
-		}
-		if nt > last {
-			return min(nt, s.minHead)
-		}
-		s.Sim.Step()
-	}
+	// The latest executable instant: short of bound, and of the deadline.
+	return feed(&s.Sim, s.in, &s.minHead, min(bound-1, g.deadline))
 }

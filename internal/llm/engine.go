@@ -288,8 +288,11 @@ func (in *Instance) park(e *entry) {
 	in.nRunning++
 }
 
-// growWheel resizes the wheel to hold at least need ticks of lookahead,
-// re-bucketing parked entries. Buckets are relocated wholesale: within
+// growWheel resizes the wheel to the smallest power of two with at least
+// need slots — one more than the parking entry's ticks is all the
+// no-collision argument asks, so a run of one OutputTokens allocates its
+// wheel once, at the exact size, on the first park — re-bucketing parked
+// entries. Buckets are relocated wholesale: within
 // a bucket join order is preserved, and distinct buckets cannot merge
 // because the new size also exceeds every parked entry's remaining
 // lookahead. Fresh slots are carved out of one flat backing array with
@@ -297,7 +300,7 @@ func (in *Instance) park(e *entry) {
 // costs two allocations, not one per slot.
 func (in *Instance) growWheel(need int) {
 	size := 256
-	for size < need+1 {
+	for size < need {
 		size *= 2
 	}
 	old := in.wheel

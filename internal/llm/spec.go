@@ -21,6 +21,20 @@ type ModelSpec struct {
 	BytesElem int // weight/KV element size (2 for bf16)
 }
 
+// Validate rejects a spec the engine would divide by zero on: a partly
+// filled struct literal is the usual way to get one.
+func (m ModelSpec) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"TP", m.TP}, {"Layers", m.Layers}, {"KVHeads", m.KVHeads}, {"HeadDim", m.HeadDim}, {"BytesElem", m.BytesElem}} {
+		if f.v < 1 {
+			return fmt.Errorf("llm: model %q needs %s >= 1, got %d", m.Name, f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // WeightBytes returns the total model weight footprint.
 func (m ModelSpec) WeightBytes() int64 { return m.Params * int64(m.BytesElem) }
 

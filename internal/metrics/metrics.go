@@ -49,7 +49,6 @@ type Summary struct {
 // a collector holds for the lifetime of a run (and across runs).
 type Summarizer struct {
 	ttft, e2e, search []float64
-	sorted            []float64
 }
 
 // Summarize filters to requests that arrived at or after cutoff (warmup
@@ -59,6 +58,12 @@ type Summarizer struct {
 // backlog is a failure, not missing data — but are excluded from the
 // latency percentiles.
 func (a *Summarizer) Summarize(reqs []workload.Request, slo time.Duration, cutoff des.Time) Summary {
+	// No sample can outgrow the record count: size the scratch once
+	// instead of regrowing it append by append.
+	if n := len(reqs); cap(a.ttft) < n {
+		buf := make([]float64, 3*n)
+		a.ttft, a.e2e, a.search = buf[:0:n], buf[n:n:2*n], buf[2*n:2*n:3*n]
+	}
 	a.ttft = a.ttft[:0]
 	a.e2e = a.e2e[:0]
 	a.search = a.search[:0]
@@ -99,9 +104,9 @@ func (a *Summarizer) Summarize(reqs []workload.Request, slo time.Duration, cutof
 	if served == 0 {
 		return s
 	}
-	s.TTFT = a.quantiles(a.ttft)
-	s.E2E = a.quantiles(a.e2e)
-	s.Search = a.quantiles(a.search)
+	s.TTFT = quantiles(a.ttft)
+	s.E2E = quantiles(a.e2e)
+	s.Search = quantiles(a.search)
 	fs := float64(served)
 	s.Breakdown = Breakdown{
 		Queueing: time.Duration(sumQ / fs),
@@ -172,23 +177,19 @@ func TenantGoodput(reqs []workload.Request, slos []time.Duration, cutoff, horizo
 
 // quantiles computes the five-number summary: the mean over the sample
 // in collection order (bit-compatible with the historical float
-// summation order), the percentiles from one sorted scratch copy.
-func (a *Summarizer) quantiles(sample []float64) Quantiles {
+// summation order), then the percentiles from the sample sorted in
+// place — it is the summarizer's scratch, and nothing reads it again.
+func quantiles(sample []float64) Quantiles {
 	if len(sample) == 0 {
 		return Quantiles{}
 	}
 	mean := stats.Mean(sample)
-	if cap(a.sorted) < len(sample) {
-		a.sorted = make([]float64, len(sample))
-	}
-	s := a.sorted[:len(sample)]
-	copy(s, sample)
-	slices.Sort(s)
+	slices.Sort(sample)
 	return Quantiles{
 		Mean: time.Duration(mean),
-		P50:  time.Duration(stats.PercentileSorted(s, 0.50)),
-		P90:  time.Duration(stats.PercentileSorted(s, 0.90)),
-		P95:  time.Duration(stats.PercentileSorted(s, 0.95)),
-		P99:  time.Duration(stats.PercentileSorted(s, 0.99)),
+		P50:  time.Duration(stats.PercentileSorted(sample, 0.50)),
+		P90:  time.Duration(stats.PercentileSorted(sample, 0.90)),
+		P95:  time.Duration(stats.PercentileSorted(sample, 0.95)),
+		P99:  time.Duration(stats.PercentileSorted(sample, 0.99)),
 	}
 }

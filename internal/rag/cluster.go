@@ -8,6 +8,7 @@ import (
 	"vectorliterag/internal/des"
 	"vectorliterag/internal/fault"
 	"vectorliterag/internal/metrics"
+	"vectorliterag/internal/parallel"
 	"vectorliterag/internal/retrieval"
 	"vectorliterag/internal/serve"
 	"vectorliterag/internal/workload"
@@ -27,11 +28,10 @@ type ClusterResult struct {
 	Result
 	Policy     serve.Policy
 	PerReplica []ReplicaResult
-	// Workers and NetDelay echo the execution configuration of a sharded
+	// Workers and NetDelay echo the execution configuration of a fleet
 	// run (zero on the single-timeline path): how many worker goroutines
-	// executed the shards — a wall-clock knob only, never visible in the
-	// schedule — and the modeled network transit that doubled as the
-	// conservative lookahead.
+	// executed the replica timelines — a wall-clock knob only, never
+	// visible in the schedule — and the modeled network transit.
 	Workers  int
 	NetDelay time.Duration
 	// Resilience reports the failure-handling addendum of a resilient
@@ -77,13 +77,25 @@ const DefaultNetDelay = time.Millisecond
 // Poisson stream feeds the router, so rate is the cluster-wide arrival
 // rate.
 //
-// Three engines share the node builder and the tally and differ only in
-// the timeline (Options.NetDelay, Options.Faults): faults or a
-// Resilience config put every replica and the failure-aware router on
-// one simulator, whatever Workers says; otherwise a positive NetDelay
-// selects the sharded exchange, and zero keeps the plain router and its
-// replicas on one instantaneous simulator.
+// Every engine shares the node builder and the tally; they differ only
+// in the timeline, chosen from Options.Faults, Options.NetDelay and the
+// policy. Faults or a Resilience config put every replica and the
+// failure-aware router on one simulator, whatever Workers says. A zero
+// NetDelay keeps the plain router and its replicas on one instantaneous
+// simulator. A positive NetDelay runs a fleet: link-free under
+// round-robin (or with one replica) — arrivals routed up front, each
+// replica alone on its timeline, Workers of them at a time — and on the
+// sharded exchange (des.Group) under least-loaded, whose routing needs
+// the completion notices while it runs.
 func RunCluster(opts Options, replicas int, policy serve.Policy) (*ClusterResult, error) {
+	return runCluster(opts, replicas, policy, newFleet)
+}
+
+// fleetBuilder is newFleet's signature: the seam through which the
+// differential tests put a run on the engine newFleet would not pick.
+type fleetBuilder func(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.Duration, expect int) (*fleet, error)
+
+func runCluster(opts Options, replicas int, policy serve.Policy, build fleetBuilder) (*ClusterResult, error) {
 	if replicas <= 0 {
 		return nil, fmt.Errorf("rag: need at least one replica, got %d", replicas)
 	}
@@ -115,7 +127,7 @@ func RunCluster(opts Options, replicas int, policy serve.Policy) (*ClusterResult
 	}
 	spec := singleSpec(&opts, d, nil)
 	if opts.NetDelay > 0 && !opts.resilient() {
-		return runClusterSharded(&opts, d, spec, replicas, policy)
+		return runClusterSharded(&opts, d, spec, replicas, policy, build)
 	}
 	return runClusterShared(&opts, d, spec, replicas, policy)
 }
@@ -132,7 +144,9 @@ func runClusterShared(opts *Options, d *decision, spec *nodeSpec, replicas int, 
 	resilient := opts.resilient()
 	var sim des.Sim
 	pool := &workload.Pool{}
+	expect := expectedArrivals(opts.Rate, opts.RateSchedule, opts.Duration)
 	coll := serve.NewCollector()
+	coll.Reserve(expect)
 	// The resilient router can only be built after the replica pipelines
 	// exist, so each terminal sink late-binds through this variable.
 	var rr *serve.ResilientRouter
@@ -144,7 +158,9 @@ func runClusterShared(opts *Options, d *decision, spec *nodeSpec, replicas int, 
 		if resilient {
 			nodes[i], err = spec.build(&sim, nil, nil, func(req *workload.Request) { rr.Complete(i, req) })
 		} else {
-			nodes[i], err = spec.build(&sim, serve.NewCollector(), []serve.Sink{coll.Done, rep.Release}, pool.Release)
+			own := serve.NewCollector()
+			own.Reserve(replicaShare(expect, replicas))
+			nodes[i], err = spec.build(&sim, own, []serve.Sink{coll.Done, rep.Release}, pool.Release)
 		}
 		if err != nil {
 			return nil, err
@@ -198,6 +214,11 @@ func runClusterShared(opts *Options, d *decision, spec *nodeSpec, replicas int, 
 		submitted[i] = rep.Submitted()
 	}
 	res := tallyCluster(opts, d, policy, coll.Requests(), nodes, submitted)
+	for i, n := range nodes {
+		if n.coll != nil {
+			res.PerReplica[i].Summary = n.coll.Summarize(d.sloTotal, des.Time(opts.Warmup))
+		}
+	}
 	if resilient {
 		res.Resilience = &ResilienceReport{
 			Faults:     opts.Faults,
@@ -209,36 +230,112 @@ func runClusterShared(opts *Options, d *decision, spec *nodeSpec, replicas int, 
 	return res, nil
 }
 
-// runClusterSharded runs the replicas behind the sharded exchange.
-func runClusterSharded(opts *Options, d *decision, spec *nodeSpec, replicas int, policy serve.Policy) (*ClusterResult, error) {
-	f, err := newFleet(spec, replicas, policy, opts.NetDelay)
+// runClusterSharded runs the replicas as a fleet behind a front with a
+// modeled network, on whichever engine build puts behind it.
+func runClusterSharded(opts *Options, d *decision, spec *nodeSpec, replicas int, policy serve.Policy, build fleetBuilder) (*ClusterResult, error) {
+	f, err := build(spec, replicas, policy, opts.NetDelay, expectedArrivals(opts.Rate, opts.RateSchedule, opts.Duration))
 	if err != nil {
 		return nil, err
 	}
 	// Drift rotates popularity on the front timeline, where the only
-	// reader (arrival sampling) lives; replica shards never touch the
+	// reader (arrival sampling) lives; replica timelines never touch the
 	// rotation, so the trace stays race-free under parallel execution.
-	defer installDrift(f.x.FrontSim(), opts)()
+	defer installDrift(f.FrontSim(), opts)()
 	arr := arrivalsFor(opts.W, opts.Rate, opts.RateSchedule, opts.Shape, opts.Seed+7, f.pool)
-	arr.Start(f.x.FrontSim(), des.Time(opts.Duration), f.x.Submit)
-	records, submitted, workers := f.run(des.Time(opts.Duration+opts.Drain), opts.Workers)
+	arr.Start(f.FrontSim(), des.Time(opts.Duration), f.Submit)
+	sums := make([]metrics.Summary, len(f.nodes))
+	records, submitted, workers := f.run(des.Time(opts.Duration+opts.Drain), opts.Workers, func(i int, n *node) {
+		sums[i] = n.coll.Summarize(d.sloTotal, des.Time(opts.Warmup))
+	})
 
 	res := tallyCluster(opts, d, policy, records, f.nodes, submitted)
+	for i := range sums {
+		res.PerReplica[i].Summary = sums[i]
+	}
 	res.Workers, res.NetDelay = workers, opts.NetDelay
 	return res, nil
 }
 
-// fleet is R replicas of one node spec behind the sharded exchange:
-// the front shard owns arrivals, routing and the request pool, and each
-// replica runs on its own shard with its own collector. The caller
-// starts its arrival sources on the front simulator, into x.Submit.
+// fleet is R replicas of one node spec behind a front that owns
+// arrivals, routing and the request pool, one modeled network delay
+// away from every replica, each replica on a timeline of its own with
+// its own collector. The caller starts its arrival sources (and drift
+// events) on FrontSim, feeding Submit at each request's arrival instant,
+// and then calls run. Which of two engines executes that contract is
+// decided by newFleet from the routing policy and the replica count
+// alone, and no caller can tell the difference:
+//
+//   - Routing that reads replica state (least-loaded over several
+//     replicas) needs the completion notices while it routes, so front
+//     and replicas advance together as shards of a des.Group behind a
+//     serve.Exchange (x).
+//   - Routing that cannot observe replica state (round-robin, or a lone
+//     replica under any policy) makes the front's choices a pure
+//     function of the arrival stream. No link, window or barrier is
+//     built: the front runs alone and deals each arrival, by value, into
+//     its replica's lane; then every lane runs to the deadline by itself
+//     on internal/parallel, fed under the shard delivery rule
+//     (des.Sim.RunFed), which makes its schedule the one the exchange
+//     would have produced, event for event.
 type fleet struct {
-	x     *serve.Exchange
 	pool  *workload.Pool
 	nodes []*node
+
+	x *serve.Exchange // nil on the link-free path
+
+	front    des.Sim
+	netDelay des.Time
+	lanes    []*lane
+	arrivals int
 }
 
-func newFleet(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.Duration) (*fleet, error) {
+// lane is one link-free replica's timeline and its inbox: the front
+// appends the replica's arrivals in routing order, and the replica then
+// serves them in place — its collector adopts the array — so a record
+// is written once and never copied until the final merge. Lanes are
+// allocated one by one and padded: workers advance different lanes at
+// once, and two simulators on one cache line serialize them.
+type lane struct {
+	sim  des.Sim
+	reqs []workload.Request
+	_    [64]byte
+}
+
+// newFleet builds the fleet on the engine its routing needs. expect is
+// the arrival count the run should not exceed (a sizing hint: a low one
+// costs reallocation, never correctness).
+func newFleet(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.Duration, expect int) (*fleet, error) {
+	policy, err := serve.ResolvePolicy(policy)
+	if err != nil {
+		return nil, err
+	}
+	if replicas <= 0 {
+		return nil, fmt.Errorf("rag: fleet needs at least one replica, got %d", replicas)
+	}
+	if netDelay <= 0 {
+		return nil, fmt.Errorf("rag: fleet needs a positive network delay, got %v", netDelay)
+	}
+	if policy == serve.LeastLoaded && replicas > 1 {
+		return newExchangeFleet(spec, replicas, policy, netDelay, expect)
+	}
+	f := &fleet{pool: &workload.Pool{}, nodes: make([]*node, replicas), netDelay: des.Time(netDelay)}
+	for i := range f.nodes {
+		// Round-robin deals arrival k to lane k mod R, so the hint splits
+		// exactly. Nobody takes the request after the collector: it lives
+		// in the lane's array and is never recycled.
+		l := &lane{reqs: make([]workload.Request, 0, expect/replicas+1)}
+		f.lanes = append(f.lanes, l)
+		if f.nodes[i], err = spec.build(&l.sim, serve.NewCollector(), nil, func(*workload.Request) {}); err != nil {
+			return nil, err
+		}
+	}
+	return f, nil
+}
+
+// newExchangeFleet builds the fleet on the sharded exchange whatever the
+// policy (newFleet picks it for feedback routing only; the differential
+// tests run round-robin through it as the reference).
+func newExchangeFleet(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.Duration, expect int) (*fleet, error) {
 	f := &fleet{pool: &workload.Pool{}, nodes: make([]*node, replicas)}
 	var err error
 	if f.x, err = serve.NewExchange(policy, replicas, netDelay, netDelay, f.pool); err != nil {
@@ -249,7 +346,9 @@ func newFleet(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.D
 		// ships the request home with the notice, so overload control is
 		// per replica and the merged schedule stays a pure function of
 		// the options for any worker count.
-		if f.nodes[i], err = spec.build(f.x.ReplicaSim(i), serve.NewCollector(), nil, f.x.NoticeSink(i)); err != nil {
+		coll := serve.NewCollector()
+		coll.Reserve(replicaShare(expect, replicas))
+		if f.nodes[i], err = spec.build(f.x.ReplicaSim(i), coll, nil, f.x.NoticeSink(i)); err != nil {
 			return nil, err
 		}
 		f.x.BindReplica(i, f.nodes[i].pipe.Submit)
@@ -257,42 +356,109 @@ func newFleet(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.D
 	return f, nil
 }
 
-// run executes every shard to the deadline and gathers the run: the
+// replicaShare sizes one replica's collector from the fleet-wide hint
+// when routing is load-dependent: an even share plus an eighth.
+func replicaShare(expect, replicas int) int {
+	return expect/replicas + expect/(8*replicas) + 16
+}
+
+// FrontSim returns the front timeline: arrival sources and drift events
+// go here.
+func (f *fleet) FrontSim() *des.Sim {
+	if f.x != nil {
+		return f.x.FrontSim()
+	}
+	return &f.front
+}
+
+// Submit routes one arrival — the sink the arrival sources feed. It
+// restamps the request ID with the global arrival index, so per-replica
+// records merge back into front arrival order even when several
+// generators multiplex onto the front timeline. On the link-free path
+// the request is copied into its lane and the pooled object recycled at
+// once; its transit ends one network delay after its arrival instant.
+func (f *fleet) Submit(req *workload.Request) {
+	if f.x != nil {
+		f.x.Submit(req)
+		return
+	}
+	req.ID = f.arrivals
+	l := f.lanes[f.arrivals%len(f.lanes)]
+	f.arrivals++
+	l.reqs = append(l.reqs, *req)
+	f.pool.Put(req)
+}
+
+// run executes the fleet to the deadline and gathers the run: the
 // global per-request record set in front arrival order, the requests
-// routed to each replica, and the worker count used. Every routed
-// request carries its global arrival index as its ID (the Exchange
-// restamps at Submit), so per-replica collector records scatter
-// straight into one slice; requests still in network transit when the
-// clock stopped never reached a collector and are snapshotted from the
-// wire — admitted but unserved, exactly how the single-timeline
-// collector reports a request stuck between router and replica at the
-// deadline.
-func (f *fleet) run(deadline des.Time, workers int) (records []workload.Request, submitted []int, used int) {
-	used = shardWorkers(workers, len(f.nodes)+1)
-	f.x.Run(deadline, used)
-	records = make([]workload.Request, f.x.Arrivals())
+// routed to each replica, and the worker count used. after, when
+// non-nil, sees each replica once its timeline has finished (on the
+// link-free path from the goroutine that ran it, so per-replica
+// aggregation is part of the parallel phase). Every routed request
+// carries its global arrival index as its ID, so per-replica records
+// scatter straight into one slice; requests still in network transit
+// when the clock stopped never reached a collector and are reported as
+// they left the front — admitted but unserved, exactly how the
+// single-timeline collector reports a request stuck between router and
+// replica at the deadline.
+func (f *fleet) run(deadline des.Time, workers int, after func(i int, n *node)) (records []workload.Request, submitted []int, used int) {
+	if after == nil {
+		after = func(int, *node) {}
+	}
+	submitted = make([]int, len(f.nodes))
 	put := func(rec *workload.Request) {
 		if rec.ID >= 0 && rec.ID < len(records) {
 			records[rec.ID] = *rec
 		}
 	}
-	submitted = make([]int, len(f.nodes))
-	for i, n := range f.nodes {
-		submitted[i] = f.x.Submitted(i)
-		recs := n.coll.Requests()
-		for j := range recs {
-			put(&recs[j])
+	if f.x != nil {
+		used = shardWorkers(workers, len(f.nodes)+1)
+		f.x.Run(deadline, used)
+		records = make([]workload.Request, f.x.Arrivals())
+		for i, n := range f.nodes {
+			submitted[i] = f.x.Submitted(i)
+			recs := n.coll.Requests()
+			for j := range recs {
+				put(&recs[j])
+			}
+			after(i, n)
+		}
+		f.x.DrainArrivals(put)
+		return records, submitted, used
+	}
+
+	// Phase 1: the front alone. Every arrival lands in its lane.
+	f.front.RunUntil(deadline)
+	// Phase 2: each replica alone, fed its lane. The lane's length is the
+	// replica's exact admission count, and the array it will report.
+	used = shardWorkers(workers, len(f.lanes))
+	parallel.ForEach(len(f.lanes), used, func(i int) {
+		l, n := f.lanes[i], f.nodes[i]
+		n.coll.Adopt(l.reqs)
+		in := des.NewInbox(func(arg any) { n.pipe.Submit(arg.(*workload.Request)) }, len(l.reqs))
+		for j := range l.reqs {
+			in.Post(l.reqs[j].ArrivalAt+f.netDelay, &l.reqs[j])
+		}
+		l.sim.RunFed(deadline, in)
+		after(i, n)
+	})
+	// Phase 3: one array in arrival order, the undelivered tails included.
+	records = make([]workload.Request, f.arrivals)
+	for i, l := range f.lanes {
+		submitted[i] = len(l.reqs)
+		for j := range l.reqs {
+			put(&l.reqs[j])
 		}
 	}
-	f.x.DrainArrivals(put)
 	return records, submitted, used
 }
 
-// shardWorkers resolves the Workers option for a group of the given
-// shard count: zero or negative means one worker per P — GOMAXPROCS,
-// not the core count, because workers meet at a barrier every window
-// and only spin against each other when they outnumber the Ps of a
-// CPU-limited container — and there is never more than one per shard.
+// shardWorkers resolves the Workers option for the given number of
+// timelines: zero or negative means one worker per P — GOMAXPROCS, not
+// the core count, because exchange workers meet at a barrier every
+// window and only spin against each other when they outnumber the Ps of
+// a CPU-limited container — and there is never more than one per
+// timeline.
 func shardWorkers(n, shards int) int {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)

@@ -2,6 +2,7 @@ package rag
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"vectorliterag/internal/costmodel"
@@ -120,6 +121,9 @@ type Decision struct {
 func Decide(opts Options) (*Decision, error) {
 	if opts.W == nil {
 		return nil, fmt.Errorf("rag: nil workload")
+	}
+	if err := checkDeployment(opts.Node, opts.Model); err != nil {
+		return nil, err
 	}
 	opts.decisionDefaults()
 	d, err := profileAndDecide(&opts, 0)
@@ -259,6 +263,18 @@ func arrivalsFor(w *dataset.Workload, rate float64, sched workload.Schedule, sha
 	}
 	arr.SetPool(pool)
 	return arr
+}
+
+// expectedArrivals is the request count the stream arrivalsFor builds
+// will almost never exceed over an arrival window: the Poisson mean
+// plus four standard deviations. Collectors and fleet lanes are sized
+// to it before the run; falling short only costs a reallocation.
+func expectedArrivals(rate float64, sched workload.Schedule, window time.Duration) int {
+	mean := rate * window.Seconds()
+	if sched != nil {
+		mean = workload.MeanArrivals(sched, window)
+	}
+	return int(mean+4*math.Sqrt(mean)) + 16
 }
 
 // installDrift schedules the drift trace's popularity rotations on the

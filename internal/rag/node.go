@@ -228,15 +228,10 @@ func tally(opts *Options, d *decision, records []workload.Request, nodes []*node
 	return res, rows
 }
 
-// tallyCluster is tally for a routed run: each replica's row also
-// carries its own summary where the node kept a collector.
+// tallyCluster is tally for a routed run. Each replica's own summary is
+// the caller's to fill in, where the node kept a collector.
 func tallyCluster(opts *Options, d *decision, policy serve.Policy, records []workload.Request, nodes []*node, submitted []int) *ClusterResult {
 	res := &ClusterResult{Policy: policy}
 	res.Result, res.PerReplica = tally(opts, d, records, nodes, submitted)
-	for i, n := range nodes {
-		if n.coll != nil {
-			res.PerReplica[i].Summary = n.coll.Summarize(d.sloTotal, des.Time(opts.Warmup))
-		}
-	}
 	return res
 }

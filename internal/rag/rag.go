@@ -110,20 +110,23 @@ type Options struct {
 	// fight.
 	Overload *OverloadOptions
 
-	// Workers selects how many worker goroutines a *sharded* cluster run
-	// spreads its shards over (0 = one per GOMAXPROCS). It changes wall-clock
-	// only: the merged schedule is bit-identical for any value. Workers
-	// is meaningful only where there are shards to spread — RunCluster
-	// with NetDelay > 0 (Workers > 1 turns sharding on by defaulting
-	// NetDelay); single-node Run ignores it entirely.
+	// Workers selects how many worker goroutines a fleet run (RunCluster
+	// with NetDelay > 0) spreads its replica timelines over (0 = one per
+	// GOMAXPROCS). It changes wall-clock only: the merged schedule is
+	// bit-identical for any value. On the link-free path (round-robin,
+	// or one replica) the timelines never meet, so a worker more is
+	// never slower; on the exchange (least-loaded) workers meet at a
+	// barrier every NetDelay. Workers > 1 turns the fleet on by
+	// defaulting NetDelay; single-node Run ignores it entirely.
 	Workers int
 	// NetDelay is the modeled front-end↔replica network transit of a
-	// cluster run. Zero keeps today's single-timeline cluster semantics
+	// cluster run. Zero keeps the single-timeline cluster semantics
 	// (router and replicas share one instantaneous simulator). A
-	// positive value switches RunCluster to the parallel sharded engine:
-	// requests reach replicas one NetDelay after routing, completion
-	// notices return one NetDelay later, and that delay is the lookahead
-	// window conservative synchronization runs on.
+	// positive value runs the replicas as a fleet (see fleet): requests
+	// reach replicas one NetDelay after routing in either engine; under
+	// least-loaded, completion notices return one NetDelay later and
+	// that delay is the lookahead window conservative synchronization
+	// runs on, while round-robin needs no notice, link or window at all.
 	NetDelay time.Duration
 
 	// Faults is the failure storm injected into a cluster run: replica
@@ -189,11 +192,28 @@ func (opts *Options) resilient() bool {
 	return len(opts.Faults) > 0 || opts.Resilience != nil
 }
 
+// checkDeployment rejects a node/model pair no engine can be built on —
+// a zero or partly filled struct would otherwise reach a division by
+// TP or by the per-token KV bytes. Every entry point that normalizes
+// options or measures a deployment calls it first.
+func checkDeployment(node hw.Node, model llm.ModelSpec) error {
+	if node.NumGPUs < 1 {
+		return fmt.Errorf("rag: node %q has %d GPUs", node.Name, node.NumGPUs)
+	}
+	if err := model.Validate(); err != nil {
+		return fmt.Errorf("rag: %w", err)
+	}
+	return nil
+}
+
 // normalize fills defaults and derives the total SLO; it leaves opts
 // ready for composition.
 func (opts *Options) normalize() (sloTotal time.Duration, err error) {
 	if opts.W == nil {
 		return 0, fmt.Errorf("rag: nil workload")
+	}
+	if err := checkDeployment(opts.Node, opts.Model); err != nil {
+		return 0, err
 	}
 	if opts.RateSchedule != nil {
 		if err := workload.ValidateSchedule(opts.RateSchedule); err != nil {
@@ -284,6 +304,9 @@ var capCache = struct {
 // bareCapacity measures (or recalls) the standalone LLM throughput for
 // a node/model/shape deployment over nGPUs.
 func bareCapacity(node hw.Node, model llm.ModelSpec, nGPUs int, shape workload.Shape) (float64, error) {
+	if err := checkDeployment(node, model); err != nil {
+		return 0, err
+	}
 	key := fmt.Sprintf("%s|%s|%d|%d/%d", node.Name, model.Name, nGPUs, shape.InputTokens, shape.OutputTokens)
 	capCache.Lock()
 	v, ok := capCache.m[key]
@@ -317,6 +340,9 @@ var genSLOCache = struct {
 // GenSLO returns the measured generation-stage TTFT SLO for a
 // deployment (Table I methodology on this substrate).
 func GenSLO(node hw.Node, model llm.ModelSpec, shape workload.Shape) (time.Duration, error) {
+	if err := checkDeployment(node, model); err != nil {
+		return 0, err
+	}
 	key := fmt.Sprintf("%s|%s|%d/%d", node.Name, model.Name, shape.InputTokens, shape.OutputTokens)
 	genSLOCache.Lock()
 	v, ok := genSLOCache.m[key]

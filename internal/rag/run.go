@@ -74,6 +74,7 @@ func runSingle(opts Options, mon *update.MonitorConfig, io *IngestOptions) (*sin
 	}
 	pool := &workload.Pool{}
 	coll := serve.NewCollector()
+	coll.Reserve(expectedArrivals(opts.Rate, opts.RateSchedule, opts.Duration))
 	n, err := singleSpec(&opts, d, live).build(&sim, coll, observers, pool.Release)
 	if err != nil {
 		return nil, err

@@ -91,18 +91,18 @@ type MultiTenantOptions struct {
 	Overload *OverloadOptions
 
 	// Replicas > 1 serves the tenants on R identical multi-tenant nodes
-	// behind a front-end router, on the parallel sharded engine. Each
-	// node gets the full tenant lineup with its joint HBM allocation
-	// sized for a 1/R traffic share.
+	// behind a front-end router, as a fleet. Each node gets the full
+	// tenant lineup with its joint HBM allocation sized for a 1/R
+	// traffic share.
 	Replicas int
 	// Policy picks the router policy for replicated runs (default
 	// least-loaded).
 	Policy serve.Policy
 	// Workers and NetDelay mirror Options: worker goroutines for the
-	// sharded engine (wall-clock only; 0 = one per GOMAXPROCS) and the modeled
-	// front↔replica transit that doubles as the conservative lookahead.
-	// Setting either (or Replicas > 1) selects the sharded engine;
-	// NetDelay defaults to DefaultNetDelay there.
+	// replica timelines (wall-clock only; 0 = one per GOMAXPROCS) and the
+	// modeled front↔replica transit. Setting either (or Replicas > 1)
+	// runs the fleet — link-free with one replica or round-robin, on the
+	// sharded exchange otherwise; NetDelay defaults to DefaultNetDelay.
 	Workers  int
 	NetDelay time.Duration
 }
@@ -171,8 +171,8 @@ func (opts *MultiTenantOptions) normalizeMT() (slos []time.Duration, err error) 
 	if len(opts.Tenants) == 0 {
 		return nil, fmt.Errorf("rag: no tenants")
 	}
-	if opts.Node.NumGPUs == 0 {
-		return nil, fmt.Errorf("rag: node has no GPUs")
+	if err := checkDeployment(opts.Node, opts.Model); err != nil {
+		return nil, err
 	}
 	opts.Tenants = append([]TenantConfig(nil), opts.Tenants...)
 	for i := range opts.Tenants {
@@ -425,13 +425,17 @@ func tenantSpec(opts *MultiTenantOptions, d *tenantDecision) *nodeSpec {
 // SharedQueue selects the unmetered baseline.
 //
 // Replicas > 1 (or a NetDelay, or Workers > 1) serves the lineup on R
-// identical multi-tenant nodes behind the sharded exchange, each with
+// identical multi-tenant nodes as a fleet behind one front, each with
 // its own GPU states, retrieval engine, LLM cluster, and fair
 // scheduler. The joint HBM allocation is made once per *replica* — each
 // node carries every tenant's index slice sized for its 1/R share of
 // that tenant's traffic — and reported rates stay nominal
 // (cluster-wide).
 func RunMultiTenant(opts MultiTenantOptions) (*MultiTenantResult, error) {
+	return runMultiTenant(opts, newFleet)
+}
+
+func runMultiTenant(opts MultiTenantOptions, build fleetBuilder) (*MultiTenantResult, error) {
 	if opts.NetDelay < 0 {
 		return nil, fmt.Errorf("rag: negative NetDelay %v", opts.NetDelay)
 	}
@@ -469,25 +473,30 @@ func RunMultiTenant(opts MultiTenantOptions) (*MultiTenantResult, error) {
 			arr.Start(front, des.Time(opts.Duration), submit)
 		}
 	}
+	expect := 0
+	for _, tc := range opts.Tenants {
+		expect += expectedArrivals(tc.Rate, tc.RateSchedule, opts.Duration)
+	}
 	res := &MultiTenantResult{SharedQueue: opts.SharedQueue}
 	var records []workload.Request
 	var nodes []*node
 	weights := []int{1}
 	if sharded {
-		f, err := newFleet(spec, replicas, opts.Policy, opts.NetDelay)
+		f, err := build(spec, replicas, opts.Policy, opts.NetDelay, expect)
 		if err != nil {
 			return nil, err
 		}
 		// Stream splitting makes the front's multiplexed order a pure
 		// function of (Seed, tenant index), independent of worker count.
-		startTenants(f.x.FrontSim(), f.pool, f.x.Submit, func(i uint64) uint64 { return rng.Stream(opts.Seed+7, i) })
-		records, weights, res.Workers = f.run(des.Time(opts.Duration+opts.Drain), opts.Workers)
+		startTenants(f.FrontSim(), f.pool, f.Submit, func(i uint64) uint64 { return rng.Stream(opts.Seed+7, i) })
+		records, weights, res.Workers = f.run(des.Time(opts.Duration+opts.Drain), opts.Workers, nil)
 		nodes = f.nodes
 		res.Replicas, res.NetDelay, res.PerReplicaSubmitted = replicas, opts.NetDelay, weights
 	} else {
 		var sim des.Sim
 		pool := &workload.Pool{}
 		coll := serve.NewCollector()
+		coll.Reserve(expect)
 		n, err := spec.build(&sim, coll, nil, pool.Release)
 		if err != nil {
 			return nil, err

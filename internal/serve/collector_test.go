@@ -85,3 +85,76 @@ func TestCollectorSummarizeReusesScratch(t *testing.T) {
 		t.Fatalf("Summarize allocated %.1f objects/op on a warm collector, want 0", allocs)
 	}
 }
+
+// TestCollectorReserve: reserving room regrows nothing afterwards and
+// loses nothing admitted before; a reservation that turns out low only
+// costs the regrowth it was meant to save.
+func TestCollectorReserve(t *testing.T) {
+	c := NewCollector()
+	first := &workload.Request{ID: 0, ArrivalAt: 5}
+	c.Admit(first)
+	c.Reserve(100)
+	first.FirstToken = 9 // still live: the reservation must keep tracking it
+	reqs := make([]workload.Request, 150)
+	base := &c.records[0]
+	for i := 1; i < 100; i++ {
+		reqs[i].ID = i
+		c.Admit(&reqs[i])
+	}
+	if &c.records[0] != base {
+		t.Fatal("record array regrew inside the reservation")
+	}
+	for i := 100; i < 150; i++ {
+		reqs[i].ID = i
+		c.Admit(&reqs[i])
+	}
+	recs := c.Requests()
+	if len(recs) != 150 || recs[0].FirstToken != 9 {
+		t.Fatalf("%d records, first %+v", len(recs), recs[0])
+	}
+	for i, r := range recs {
+		if r.ID != i {
+			t.Fatalf("record %d has ID %d", i, r.ID)
+		}
+	}
+}
+
+// TestCollectorAdopt: an adopted array is the record set — requests are
+// admitted in its order, served where they lie, and whatever was never
+// admitted stays outside every view.
+func TestCollectorAdopt(t *testing.T) {
+	reqs := make([]workload.Request, 4)
+	for i := range reqs {
+		reqs[i] = workload.Request{ID: i, ArrivalAt: des.Time(100 * i)}
+	}
+	c := NewCollector()
+	c.Adopt(reqs)
+	if c.Admitted() != 0 || len(c.Requests()) != 0 {
+		t.Fatal("adopting admitted something")
+	}
+	c.Admit(&reqs[0])
+	c.Admit(&reqs[1])
+	c.Admit(&reqs[2])
+	reqs[0].FirstToken, reqs[0].Done = 40, 90
+	c.Done(&reqs[0])
+	reqs[1].FirstToken = 150 // in flight: no refresh needed, the record is the request
+	c.Abandon(&reqs[2])      // a rejection: nothing to freeze
+
+	recs := c.Requests()
+	if len(recs) != 3 || c.Admitted() != 3 || c.Completed() != 1 {
+		t.Fatalf("records=%d admitted=%d completed=%d", len(recs), c.Admitted(), c.Completed())
+	}
+	if &recs[1] != &reqs[1] || recs[0].Done != 90 || recs[1].FirstToken != 150 || recs[2].FirstToken != 0 {
+		t.Fatalf("records are not the adopted requests: %+v", recs)
+	}
+	if s := c.Summarize(time.Second, 0); s.N != 3 || s.Unserved != 1 {
+		t.Fatalf("summary N=%d unserved=%d, want 3 and the rejected one", s.N, s.Unserved)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("admitting out of array order went unnoticed")
+		}
+	}()
+	c.Admit(&reqs[0])
+}

@@ -153,10 +153,15 @@ func (p *Pipeline) RunAux(arr *Arrivals, duration, drain time.Duration, aux ...A
 // aggregation time — so a request stuck mid-generation when the clock
 // stops reports exactly the fields it had then, as it did before
 // pooling existed.
+//
+// A collector that adopted its record array (Adopt) skips all of that:
+// the requests are served where they will be reported, so a record is
+// always its request's current state and nothing is copied or tracked.
 type Collector struct {
 	records   []workload.Request  // per-request snapshots, arrival order
 	live      []*workload.Request // non-nil until the request finalizes
 	idx       map[*workload.Request]int32
+	inPlace   bool // records are the request objects themselves (Adopt)
 	completed int
 	agg       metrics.Summarizer
 }
@@ -166,9 +171,34 @@ func NewCollector() *Collector {
 	return &Collector{idx: make(map[*workload.Request]int32)}
 }
 
+// Reserve makes room for n admissions, so a run whose arrival count is
+// known (or well estimated) beforehand does not regrow the record array
+// as it goes. A low n costs regrowth, never correctness.
+func (c *Collector) Reserve(n int) {
+	if n > cap(c.records) {
+		c.records = append(make([]workload.Request, 0, n), c.records...)
+		c.live = append(make([]*workload.Request, 0, n), c.live...)
+	}
+}
+
+// Adopt makes reqs — every request this collector will ever admit, in
+// admission order, owned by the caller and never recycled — the record
+// array itself: admission i must present &reqs[i], and from then on the
+// record and the live request are one object. Call before any Admit.
+func (c *Collector) Adopt(reqs []workload.Request) {
+	c.records, c.inPlace = reqs[:0], true
+}
+
 // Admit records a request entering the system (wired into the Admission
 // stage, so the record order equals the arrival order).
 func (c *Collector) Admit(req *workload.Request) {
+	if c.inPlace {
+		c.records = c.records[:len(c.records)+1]
+		if req != &c.records[len(c.records)-1] {
+			panic("serve: adopted collector admitted out of order")
+		}
+		return
+	}
 	i := int32(len(c.records))
 	c.records = append(c.records, *req)
 	c.live = append(c.live, req)

@@ -117,6 +117,20 @@ func (s DiurnalSchedule) RateAt(t time.Duration) float64 {
 // MaxRate implements Schedule.
 func (s DiurnalSchedule) MaxRate() float64 { return s.Mean + math.Abs(s.Amplitude) }
 
+// MeanArrivals is the expected number of arrivals a generator driven by
+// s emits over [0, window]: the integral of the rate, by the midpoint
+// rule on a fixed grid. It sizes buffers before a run, so a square wave
+// landing a step off costs nothing that matters.
+func MeanArrivals(s Schedule, window time.Duration) float64 {
+	const steps = 1024
+	dt := window / steps
+	var sum float64
+	for i := 0; i < steps; i++ {
+		sum += s.RateAt(time.Duration(i)*dt + dt/2)
+	}
+	return sum * dt.Seconds()
+}
+
 // ValidateSchedule rejects schedules the thinning generator cannot
 // drive: the bound must be positive and finite, and no rate may be
 // negative at time zero (spot check; implementations are trusted to be

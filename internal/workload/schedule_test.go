@@ -142,3 +142,22 @@ func TestConstantPathUnchanged(t *testing.T) {
 		t.Fatalf("constant 20 rps over 60s produced %d arrivals", n)
 	}
 }
+
+// TestMeanArrivals checks the sizing integral against the closed forms.
+func TestMeanArrivals(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		s    Schedule
+		d    time.Duration
+		want float64
+	}{
+		{"constant", Constant(12), 100 * time.Second, 1200},
+		{"ramp then hold", Ramp(0, 20, 50*time.Second), 100 * time.Second, 500 + 1000},
+		{"bursts", Bursts(4, 30, 30*time.Second, 10*time.Second), 60 * time.Second, 2 * (10*30 + 20*4)},
+		{"whole diurnal cycles", Diurnal(10, 5, 20*time.Second), 60 * time.Second, 600},
+	} {
+		if got := MeanArrivals(tc.s, tc.d); math.Abs(got-tc.want) > 0.01*tc.want {
+			t.Errorf("%s: %.1f arrivals, want %.1f within 1%%", tc.name, got, tc.want)
+		}
+	}
+}

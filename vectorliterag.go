@@ -316,16 +316,25 @@ type ServeOptions struct {
 	// time-varying arrival process (ramps, bursts, diurnal cycles).
 	RateSchedule RateSchedule
 
-	// Workers spreads a *cluster* run's shard timelines over N worker
+	// Workers spreads a *cluster* run's replica timelines over N worker
 	// goroutines (0 = one per GOMAXPROCS). It is a wall-clock knob only: the
-	// merged schedule is bit-identical for every value. Workers > 1
-	// turns the sharded engine on by defaulting NetDelay; single-node
-	// Serve ignores both fields.
+	// merged schedule is bit-identical for every value. Under
+	// round-robin routing (or with one replica) the replicas run
+	// independently of each other, so more workers are never slower;
+	// under least-loaded they synchronize once per NetDelay and more
+	// workers pay off only with cores to spare. Workers > 1 turns the
+	// modeled network on by defaulting NetDelay; single-node Serve
+	// ignores both fields.
 	Workers int
 	// NetDelay is the modeled front-end↔replica network transit of a
-	// cluster run. Zero keeps the single-timeline cluster semantics; a
-	// positive value selects the parallel sharded engine, with the
-	// delay doubling as its conservative-synchronization lookahead.
+	// cluster run. Zero keeps the single-timeline cluster semantics. A
+	// positive value puts every replica on its own timeline one
+	// NetDelay from the front end: round-robin routing never reads
+	// replica state, so arrivals are routed up front and each replica
+	// runs alone to the deadline; least-loaded routing reads completion
+	// notices one NetDelay stale, so front end and replicas advance
+	// together as shards of the parallel engine, with the delay as its
+	// conservative-synchronization lookahead.
 	NetDelay time.Duration
 }
 
@@ -709,7 +718,8 @@ type MultiTenantServeOptions struct {
 	Precision *PrecisionOptions
 
 	// Replicas > 1 serves the tenants on R identical multi-tenant nodes
-	// behind a front-end router on the parallel sharded engine; each
+	// behind a front-end router with a modeled network (see
+	// ServeOptions.NetDelay for which policy runs on which engine); each
 	// node carries the full tenant lineup with its joint HBM allocation
 	// sized for a 1/R traffic share.
 	Replicas int
@@ -717,9 +727,9 @@ type MultiTenantServeOptions struct {
 	// LeastLoaded).
 	Policy RoutePolicy
 	// Workers and NetDelay mirror ServeOptions: worker goroutines for
-	// the sharded engine (wall-clock only) and the modeled network
-	// transit that doubles as the conservative lookahead. Setting
-	// either — or Replicas > 1 — selects the sharded engine.
+	// the replica timelines (wall-clock only) and the modeled network
+	// transit. Setting either — or Replicas > 1 — puts the tenants'
+	// nodes behind that network.
 	Workers  int
 	NetDelay time.Duration
 }

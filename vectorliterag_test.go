@@ -477,3 +477,103 @@ func TestRunExperimentCSV(t *testing.T) {
 		t.Fatal("unknown experiment accepted")
 	}
 }
+
+// TestPartialDeploymentRejected: a partly filled Node or Model — the
+// struct literal a caller writes when overriding one field — is an
+// error from every public entry point, never a division by zero (TP,
+// Layers, KVHeads, HeadDim, BytesElem) or an out-of-range make
+// (NumGPUs) deep inside the engines.
+func TestPartialDeploymentRejected(t *testing.T) {
+	w := smallWorkload(t, vlr.Orcas1K)
+	full := vlr.Llama3_8B
+	models := map[string]func(m *vlr.ModelSpec){
+		"params only":        func(m *vlr.ModelSpec) { *m = vlr.ModelSpec{Params: 7e9} },
+		"zero TP":            func(m *vlr.ModelSpec) { m.TP = 0 },
+		"negative TP":        func(m *vlr.ModelSpec) { m.TP = -2 },
+		"zero Layers":        func(m *vlr.ModelSpec) { m.Layers = 0 },
+		"zero KVHeads":       func(m *vlr.ModelSpec) { m.KVHeads = 0 },
+		"zero HeadDim":       func(m *vlr.ModelSpec) { m.HeadDim = 0 },
+		"zero BytesElem":     func(m *vlr.ModelSpec) { m.BytesElem = 0 },
+		"negative BytesElem": func(m *vlr.ModelSpec) { m.BytesElem = -1 },
+	}
+	nodes := map[string]vlr.Node{
+		"negative NumGPUs": {Name: "bad", NumGPUs: -1},
+		"GPU count only":   {NumGPUs: 2},
+	}
+	entries := map[string]func(node vlr.Node, model vlr.ModelSpec) error{
+		"Serve": func(n vlr.Node, m vlr.ModelSpec) error {
+			_, err := vlr.Serve(vlr.ServeOptions{Workload: w, Rate: 5, Node: n, Model: m})
+			return err
+		},
+		"Serve CPU-Only with SLOGen": func(n vlr.Node, m vlr.ModelSpec) error {
+			// The one single-node path that measures nothing before it builds.
+			_, err := vlr.Serve(vlr.ServeOptions{Workload: w, Rate: 5, Node: n, Model: m, System: vlr.CPUOnly, SLOGen: time.Second})
+			return err
+		},
+		"ServeAdaptive": func(n vlr.Node, m vlr.ModelSpec) error {
+			_, err := vlr.ServeAdaptive(vlr.AdaptiveServeOptions{ServeOptions: vlr.ServeOptions{Workload: w, Rate: 5, Node: n, Model: m}})
+			return err
+		},
+		"ServeLive": func(n vlr.Node, m vlr.ModelSpec) error {
+			_, err := vlr.ServeLive(vlr.LiveServeOptions{
+				ServeOptions: vlr.ServeOptions{Workload: w, Rate: 5, Node: n, Model: m},
+				Ingest:       vlr.LiveIngestOptions{InsertRate: 5},
+			})
+			return err
+		},
+		"ServeCluster": func(n vlr.Node, m vlr.ModelSpec) error {
+			_, err := vlr.ServeCluster(vlr.ClusterOptions{ServeOptions: vlr.ServeOptions{Workload: w, Rate: 5, Node: n, Model: m}})
+			return err
+		},
+		"ServeCluster sharded": func(n vlr.Node, m vlr.ModelSpec) error {
+			_, err := vlr.ServeCluster(vlr.ClusterOptions{
+				ServeOptions: vlr.ServeOptions{Workload: w, Rate: 5, Node: n, Model: m, NetDelay: time.Millisecond},
+				Policy:       vlr.RoundRobin,
+			})
+			return err
+		},
+		"ServeCluster resilient": func(n vlr.Node, m vlr.ModelSpec) error {
+			_, err := vlr.ServeCluster(vlr.ClusterOptions{
+				ServeOptions: vlr.ServeOptions{Workload: w, Rate: 5, Node: n, Model: m},
+				Resilience:   &vlr.ResilienceConfig{},
+			})
+			return err
+		},
+		"ServeTenants": func(n vlr.Node, m vlr.ModelSpec) error {
+			_, err := vlr.ServeTenants(vlr.MultiTenantServeOptions{
+				Node: n, Model: m,
+				Tenants: []vlr.TenantSpec{{Name: "a", Tier: vlr.Tiers()[0], Workload: w, Rate: 3}},
+			})
+			return err
+		},
+		"BuildSystem": func(n vlr.Node, m vlr.ModelSpec) error {
+			_, err := vlr.BuildSystem(vlr.SystemOptions{Workload: w, Node: n, Model: m})
+			return err
+		},
+		"Capacity": func(n vlr.Node, m vlr.ModelSpec) error {
+			_, err := vlr.Capacity(n, m)
+			return err
+		},
+	}
+	check := func(label string, call func() error) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("%s: panic: %v", label, r)
+			}
+		}()
+		if err := call(); err == nil {
+			t.Errorf("%s: accepted", label)
+		}
+	}
+	for ename, entry := range entries {
+		for mname, mod := range models {
+			m := full
+			mod(&m)
+			check(ename+" / model "+mname, func() error { return entry(vlr.H100Node(), m) })
+		}
+		for nname, n := range nodes {
+			check(ename+" / node "+nname, func() error { return entry(n, full) })
+		}
+	}
+}
