@@ -39,12 +39,14 @@ lint:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# The two parallel engines go first, uncached: a data race in des.Group
-# or in the link-free fleet should fail in seconds, not behind the whole
-# sweep.
+# The parallel engines and the pruned build go first, uncached: a data
+# race in des.Group, in the link-free fleet or in the per-point k-means
+# bounds written from parallel.For chunks should fail in seconds, not
+# behind the whole sweep.
 race:
 	$(GO) test -race -count=1 ./internal/des
 	$(GO) test -race -count=1 ./internal/rag -run 'Sharded|LinkFree'
+	$(GO) test -race -count=1 ./internal/kmeans ./internal/pq ./internal/ivf
 	$(GO) test -race ./...
 
 # Full micro-benchmark sweep (one iteration each; sanity, not timing).
@@ -54,10 +56,10 @@ bench:
 # Timed search-kernel and build-layer benchmarks (benchstat-able); the
 # repository's performance measurement is `bash benchmark/run.sh`.
 bench-search:
-	$(GO) test -run=NONE -bench='Search|DotRows|KMeansAssign|DatasetBuild' -benchmem -benchtime=2s ./...
+	$(GO) test -run=NONE -bench='Search|DotRows|KMeansAssign|KMeansTrain|DatasetBuild' -benchmem -benchtime=2s ./...
 
 # One-iteration compile-and-run of the search kernel, build-layer
-# (blocked dot kernel, k-means assignment, dataset build),
+# (blocked dot kernel, k-means assignment and training, dataset build),
 # decision-path (Eq. 2 integral, Algorithm 1, joint allocator) and
 # fleet (link-free round-robin, exchange-backed least-loaded)
 # benchmarks, then
@@ -65,7 +67,7 @@ bench-search:
 # (one link step: each artifact's runner, its report, and the export of
 # every table); CI runs this so none of them can rot.
 bench-smoke:
-	$(GO) test -run=NONE -bench='Search|DotRows|KMeansAssign|DatasetBuild|ExpectedMin|LatencyBounded|JointAllocate|FleetRoundRobin|FleetLeastLoaded' -benchtime=1x ./...
+	$(GO) test -run=NONE -bench='Search|DotRows|KMeansAssign|KMeansTrain|DatasetBuild|ExpectedMin|LatencyBounded|JointAllocate|FleetRoundRobin|FleetLeastLoaded' -benchtime=1x ./...
 	$(GO) run ./cmd/vliterag run -exp all -quick -csv >/dev/null
 
 # Wall-clock scaling verdict for Workers: on a 16-replica round-robin

@@ -24,6 +24,7 @@ import (
 	"vectorliterag/internal/hitrate"
 	"vectorliterag/internal/hw"
 	"vectorliterag/internal/ivf"
+	"vectorliterag/internal/kmeans"
 	"vectorliterag/internal/llm"
 	"vectorliterag/internal/partition"
 	"vectorliterag/internal/perfmodel"
@@ -97,7 +98,7 @@ func BenchmarkTable2(b *testing.B) { benchExperiment(b, "fig16") }
 
 // BenchmarkBuildSystemOffline times the whole offline build path —
 // synthetic corpus, k-means coarse quantizer, per-subspace PQ
-// codebooks, encode, template probing — sequentially (workers=1) vs on
+// codebooks and codes, template probing — sequentially (workers=1) vs on
 // the full worker pool (workers=NumCPU). The parallel run is
 // bit-identical to the sequential one (see the parallel_test.go files);
 // on a ≥4-core machine it completes the build ≥2× faster, since the
@@ -232,7 +233,41 @@ func BenchmarkKMeansAssign(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for v := 0; v < n; v++ {
-					benchSink, _ = vecmath.ArgminNormScore(data[v*sh.dim:(v+1)*sh.dim], cents, norms, sh.dim)
+					benchSink, _, _ = vecmath.ArgminNormScore(data[v*sh.dim:(v+1)*sh.dim], cents, norms, sh.dim)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkKMeansTrain measures one whole k-means training — k-means++
+// seeding and eight Lloyd passes, both pruned by the triangle bound — at
+// the two shapes the index build runs: the coarse quantizer (32 768
+// vectors of the search corpus, 64-d, K = 128, on the worker pool) and
+// one PQ subspace of it (8-d, K = 64, one worker, as pq.Train runs its
+// subspaces side by side).
+func BenchmarkKMeansTrain(b *testing.B) {
+	w, err := dataset.Build(dataset.Orcas1K, dataset.GenConfig{NCenters: 128, PerCenter: 256, Dim: 64,
+		PhysNList: 128, PhysNProbe: 16, Templates: 1, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sub := make([]float32, 0, len(w.Data)/8)
+	for i := 0; i < len(w.Data); i += 64 {
+		sub = append(sub, w.Data[i:i+8]...)
+	}
+	for _, c := range []struct {
+		name string
+		data []float32
+		cfg  kmeans.Config
+	}{
+		{"k128_dim64", w.Data, kmeans.Config{K: 128, Dim: 64, MaxIters: 8, Seed: 12}},
+		{"k64_dim8", sub, kmeans.Config{K: 64, Dim: 8, MaxIters: 8, Seed: 13, Workers: 1}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := kmeans.Train(c.data, c.cfg); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})
@@ -240,7 +275,7 @@ func BenchmarkKMeansAssign(b *testing.B) {
 }
 
 // BenchmarkDatasetBuild measures dataset.Build — corpus synthesis,
-// coarse and PQ training, encoding, query profiling: the set-up every
+// coarse and PQ training (which yields the codes), query profiling: the set-up every
 // benchmark workload, experiment and example pays — on the search
 // workloads' corpus (32 768 x 64-d, 128 lists) and on DefaultGen.
 func BenchmarkDatasetBuild(b *testing.B) {

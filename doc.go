@@ -47,8 +47,8 @@
 // (ServeOptions.RateSchedule: ramps, bursts, diurnal cycles) supply
 // the workloads that make it fire.
 //
-// The offline build path (corpus generation, k-means, IVF-PQ training
-// and encoding, access profiling) runs on a worker pool sized to the
+// The offline build path (corpus generation, k-means, IVF-PQ training,
+// which yields the codes, access profiling) runs on a worker pool sized to the
 // host's cores and is bit-identical to a sequential build for a fixed
 // seed, so experiments stay reproducible on any machine.
 //

@@ -124,11 +124,33 @@ type template struct {
 	probes []int // physical cluster IDs, most similar first
 }
 
+// pqM is the physical index's PQ subspace count (code bytes per vector).
+const pqM = 8
+
+// validate rejects a GenConfig Build cannot realize, naming the field.
+func (gc GenConfig) validate() error {
+	if gc.NCenters <= 0 || gc.PerCenter <= 0 || gc.Dim <= 0 {
+		return fmt.Errorf("dataset: bad generation config %+v", gc)
+	}
+	n := gc.NCenters * gc.PerCenter
+	switch {
+	case gc.Templates < 1:
+		return fmt.Errorf("dataset: Templates = %d, want >= 1", gc.Templates)
+	case gc.PhysNList < 1 || gc.PhysNList > n:
+		return fmt.Errorf("dataset: PhysNList = %d, want in [1, %d] (the corpus size)", gc.PhysNList, n)
+	case gc.PhysNProbe < 1 || gc.PhysNProbe > gc.PhysNList:
+		return fmt.Errorf("dataset: PhysNProbe = %d, want in [1, PhysNList = %d]", gc.PhysNProbe, gc.PhysNList)
+	case gc.Dim%pqM != 0:
+		return fmt.Errorf("dataset: Dim = %d, want a multiple of the %d PQ subspaces", gc.Dim, pqM)
+	}
+	return nil
+}
+
 // Build generates the corpus, trains the physical index, precomputes
 // template probe lists, and derives the logical-scale calibration.
 func Build(spec Spec, gc GenConfig) (*Workload, error) {
-	if gc.NCenters <= 0 || gc.PerCenter <= 0 || gc.Dim <= 0 {
-		return nil, fmt.Errorf("dataset: bad generation config %+v", gc)
+	if err := gc.validate(); err != nil {
+		return nil, err
 	}
 	r := rng.New(gc.Seed ^ hashName(spec.Name))
 	const spread = 1.0
@@ -147,7 +169,7 @@ func Build(spec Spec, gc GenConfig) (*Workload, error) {
 		}
 	}
 	ix, err := ivf.Build(data, ivf.BuildConfig{
-		Dim: gc.Dim, NList: gc.PhysNList, PQM: 8, PQK: 64, TrainIters: 8, Seed: gc.Seed + 11,
+		Dim: gc.Dim, NList: gc.PhysNList, PQM: pqM, PQK: 64, TrainIters: 8, Seed: gc.Seed + 11,
 		Workers: gc.Workers,
 	})
 	if err != nil {

@@ -46,7 +46,7 @@ type BuildConfig struct {
 	PQK        int // codewords per subspace (<= 256)
 	TrainIters int
 	Seed       uint64
-	// Workers sizes the training/encoding worker pool; non-positive
+	// Workers sizes the training worker pool; non-positive
 	// means one per CPU core. The built index is bit-identical for any
 	// value (deterministic chunking; see internal/parallel).
 	Workers int
@@ -86,8 +86,9 @@ func Build(data []float32, cfg BuildConfig) (*Index, error) {
 	}
 	// PQ is trained on residuals-free raw vectors (IVFPQ "by_residual=false"
 	// mode), which keeps LUT semantics simple: one LUT per query serves
-	// every cluster.
-	quant, err := pq.Train(data, pq.Config{Dim: cfg.Dim, M: cfg.PQM, K: cfg.PQK, Iters: cfg.TrainIters, Seed: cfg.Seed + 1, Workers: cfg.Workers})
+	// every cluster. Training on the whole corpus yields every vector's
+	// code (Encode's, bit for bit), so there is no encode pass.
+	quant, codes, err := pq.TrainEncode(data, pq.Config{Dim: cfg.Dim, M: cfg.PQM, K: cfg.PQK, Iters: cfg.TrainIters, Seed: cfg.Seed + 1, Workers: cfg.Workers})
 	if err != nil {
 		return nil, fmt.Errorf("ivf: pq: %w", err)
 	}
@@ -101,16 +102,8 @@ func Build(data []float32, cfg BuildConfig) (*Index, error) {
 		nvecs:     n,
 		workers:   cfg.Workers,
 	}
-	// Encode every vector concurrently into a flat code matrix, then fill
-	// the inverted lists in index order — the same list layout the
-	// sequential append loop produced.
+	// Fill the inverted lists in index order.
 	cs := quant.CodeSize()
-	codes := make([]byte, n*cs)
-	parallel.For(n, cfg.Workers, func(start, end int) {
-		for i := start; i < end; i++ {
-			ix.quant.Encode(data[i*cfg.Dim:(i+1)*cfg.Dim], codes[i*cs:(i+1)*cs])
-		}
-	})
 	for i := 0; i < n; i++ {
 		c := coarse.Assignments[i]
 		ix.lists[c].ids = append(ix.lists[c].ids, int32(i))
@@ -165,7 +158,7 @@ func (ix *Index) NearestCentroid(v []float32) int {
 	if len(v) != ix.dim {
 		panic(fmt.Sprintf("ivf: route vector dim %d != index dim %d", len(v), ix.dim))
 	}
-	c, _ := vecmath.ArgminNormScore(v, ix.centroids, ix.centNorms, ix.dim)
+	c, _, _ := vecmath.ArgminNormScore(v, ix.centroids, ix.centNorms, ix.dim)
 	return c
 }
 

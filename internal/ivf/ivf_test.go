@@ -69,6 +69,39 @@ func TestAllVectorsIndexedExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestBuildListsMatchEncodeAndRouting: the codes Build takes from PQ
+// training are Quantizer.Encode's for every vector, and every vector
+// sits in the list NearestCentroid routes it to — the pruned k-means
+// final assignments are the plain argmins — at sub-vector widths 1, 4
+// and 8.
+func TestBuildListsMatchEncodeAndRouting(t *testing.T) {
+	r := rng.New(12)
+	for _, cfg := range []BuildConfig{
+		{Dim: 16, NList: 16, PQM: 16, PQK: 128, TrainIters: 8, Seed: 1},
+		{Dim: 32, NList: 24, PQM: 8, PQK: 64, TrainIters: 6, Seed: 2},
+		{Dim: 64, NList: 24, PQM: 8, PQK: 64, TrainIters: 6, Seed: 3, Workers: 3},
+	} {
+		data, _ := clusteredData(r, 24, 60, cfg.Dim, 0.9)
+		ix, err := Build(data, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := ix.CodeSize()
+		for c := 0; c < ix.NList(); c++ {
+			codes := ix.ClusterCodes(c)
+			for p, id := range ix.ClusterIDs(c) {
+				v := data[int(id)*cfg.Dim : (int(id)+1)*cfg.Dim]
+				if want := ix.Quantizer().Encode(v, nil); string(codes[p*cs:(p+1)*cs]) != string(want) {
+					t.Fatalf("dim %d: vector %d stored code %v, Encode %v", cfg.Dim, id, codes[p*cs:(p+1)*cs], want)
+				}
+				if route := ix.NearestCentroid(v); route != c {
+					t.Fatalf("dim %d: vector %d in list %d, NearestCentroid %d", cfg.Dim, id, c, route)
+				}
+			}
+		}
+	}
+}
+
 func TestProbeReturnsRequestedCount(t *testing.T) {
 	r := rng.New(2)
 	data, ix := buildSmall(t, r)

@@ -1,5 +1,5 @@
 // Package parallel provides the deterministic worker-pool primitive the
-// offline build path (k-means, PQ training, IVF encoding, profiling)
+// offline build path (k-means, PQ training, template probing, profiling)
 // uses to exploit multiple cores without changing results.
 //
 // Determinism contract: each chunk writes only to its own disjoint

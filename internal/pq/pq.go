@@ -49,24 +49,34 @@ type Config struct {
 // Train learns the per-subspace codebooks from the row-major training
 // matrix.
 func Train(data []float32, cfg Config) (*Quantizer, error) {
+	q, _, err := TrainEncode(data, cfg)
+	return q, err
+}
+
+// TrainEncode is Train that also returns the code of every training
+// vector (row-major, CodeSize bytes each). A subspace's final k-means
+// assignment is the argmin Encode takes against the trained codebook —
+// the same scores over the same codeword norms — so the codes are
+// Encode's, bit for bit, without a second pass over the data.
+func TrainEncode(data []float32, cfg Config) (*Quantizer, []byte, error) {
 	if cfg.K == 0 {
 		cfg.K = 256
 	}
 	if cfg.Dim <= 0 || cfg.M <= 0 {
-		return nil, fmt.Errorf("pq: non-positive dim %d or M %d", cfg.Dim, cfg.M)
+		return nil, nil, fmt.Errorf("pq: non-positive dim %d or M %d", cfg.Dim, cfg.M)
 	}
 	if cfg.K < 0 || cfg.K > lutStride {
-		return nil, fmt.Errorf("pq: K=%d codewords outside [1, %d]: a code is one byte per subspace", cfg.K, lutStride)
+		return nil, nil, fmt.Errorf("pq: K=%d codewords outside [1, %d]: a code is one byte per subspace", cfg.K, lutStride)
 	}
 	if cfg.Dim%cfg.M != 0 {
-		return nil, fmt.Errorf("pq: M=%d does not divide dim=%d", cfg.M, cfg.Dim)
+		return nil, nil, fmt.Errorf("pq: M=%d does not divide dim=%d", cfg.M, cfg.Dim)
 	}
 	if len(data) == 0 || len(data)%cfg.Dim != 0 {
-		return nil, fmt.Errorf("pq: bad training matrix length %d for dim %d", len(data), cfg.Dim)
+		return nil, nil, fmt.Errorf("pq: bad training matrix length %d for dim %d", len(data), cfg.Dim)
 	}
 	n := len(data) / cfg.Dim
 	if n < cfg.K {
-		return nil, fmt.Errorf("pq: %d training vectors < K=%d codewords", n, cfg.K)
+		return nil, nil, fmt.Errorf("pq: %d training vectors < K=%d codewords", n, cfg.K)
 	}
 	subDim := cfg.Dim / cfg.M
 	q := &Quantizer{Dim: cfg.Dim, M: cfg.M, K: cfg.K, subDim: subDim, codebooks: make([][]float32, cfg.M)}
@@ -79,6 +89,7 @@ func Train(data []float32, cfg Config) (*Quantizer, error) {
 		innerWorkers = 1
 	}
 	errs := make([]error, cfg.M)
+	assign := make([][]int, cfg.M)
 	parallel.ForEach(cfg.M, cfg.Workers, func(m int) {
 		sub := make([]float32, n*subDim)
 		for i := 0; i < n; i++ {
@@ -89,18 +100,24 @@ func Train(data []float32, cfg Config) (*Quantizer, error) {
 			errs[m] = fmt.Errorf("pq: subspace %d: %w", m, err)
 			return
 		}
-		q.codebooks[m] = res.Centroids
+		q.codebooks[m], assign[m] = res.Centroids, res.Assignments
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	q.cbNorms = make([][]float32, cfg.M)
 	for m := range q.codebooks {
 		q.cbNorms[m] = vecmath.RowNorms(q.codebooks[m], subDim, nil)
 	}
-	return q, nil
+	codes := make([]byte, n*cfg.M)
+	for m, a := range assign {
+		for i, j := range a {
+			codes[i*cfg.M+m] = byte(j)
+		}
+	}
+	return q, codes, nil
 }
 
 // CodeSize returns the number of bytes in one encoded vector (one byte
@@ -117,7 +134,7 @@ func (q *Quantizer) Encode(v []float32, dst []byte) []byte {
 		dst = make([]byte, q.M)
 	}
 	for m := 0; m < q.M; m++ {
-		idx, _ := vecmath.ArgminNormScore(v[m*q.subDim:(m+1)*q.subDim], q.codebooks[m], q.cbNorms[m], q.subDim)
+		idx, _, _ := vecmath.ArgminNormScore(v[m*q.subDim:(m+1)*q.subDim], q.codebooks[m], q.cbNorms[m], q.subDim)
 		dst[m] = byte(idx)
 	}
 	return dst

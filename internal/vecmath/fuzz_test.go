@@ -150,9 +150,10 @@ func FuzzDotRows(f *testing.F) {
 			return
 		}
 		norms := RowNorms(rows, dim, nil)
-		wi, ws := naiveArgminNormScore(q, rows, norms, dim)
-		if gi, gs := ArgminNormScore(q, rows, norms, dim); gi != wi || !sameBits(gs, ws) {
-			t.Fatalf("dim %d, %d rows: ArgminNormScore (%d, %x), per-row loop (%d, %x)", dim, n, gi, math.Float32bits(gs), wi, math.Float32bits(ws))
+		wi, ws, w2 := naiveArgminNormScore(q, rows, norms, dim)
+		if gi, gs, g2 := ArgminNormScore(q, rows, norms, dim); gi != wi || !sameBits(gs, ws) || !sameBits(g2, w2) {
+			t.Fatalf("dim %d, %d rows: ArgminNormScore (%d, %x, %x), per-row loop (%d, %x, %x)", dim, n,
+				gi, math.Float32bits(gs), math.Float32bits(g2), wi, math.Float32bits(ws), math.Float32bits(w2))
 		}
 	})
 }

@@ -117,30 +117,42 @@ func TestRowsKernelsPanicOnBadShape(t *testing.T) {
 }
 
 // naiveArgminNormScore is ArgminNormScore as it was before the blocked
-// kernel: one Dot per row, strict less-than, lowest index wins a tie.
-func naiveArgminNormScore(q, rows, norms []float32, dim int) (int, float32) {
-	best, bestS := -1, float32(0)
-	for i := 0; i*dim < len(rows); i++ {
-		s := norms[i] - 2*Dot(q, rows[i*dim:(i+1)*dim])
-		if best < 0 || s < bestS {
-			best, bestS = i, s
+// kernel: one Dot per row, strict less-than, lowest index wins a tie —
+// plus the second-best score, the minimum over every other row's
+// non-NaN score (+Inf when there is none).
+func naiveArgminNormScore(q, rows, norms []float32, dim int) (int, float32, float32) {
+	n := len(rows) / dim
+	scores := make([]float32, n)
+	best := -1
+	for i := range scores {
+		scores[i] = norms[i] - 2*Dot(q, rows[i*dim:(i+1)*dim])
+		if best < 0 || scores[i] < scores[best] {
+			best = i
 		}
 	}
-	return best, bestS
+	second := float32(math.Inf(1))
+	for i, s := range scores {
+		if i != best && s < second {
+			second = s
+		}
+	}
+	return best, scores[best], second
 }
 
-// TestArgminNormScoreMatchesNaive: same (index, score bits) as the
-// per-row Dot loop — across block boundaries, with exact ties
-// (duplicated rows: the lowest index must win) and with NaN scores
-// (which never displace a winner, and stay the answer only from row 0).
+// TestArgminNormScoreMatchesNaive: same (index, score bits, second-best
+// bits) as the per-row Dot loop — across block boundaries, with exact
+// ties (duplicated rows: the lowest index must win, and the second-best
+// equals the best) and with NaN scores (which never displace a winner,
+// and stay the answer only from row 0).
 func TestArgminNormScoreMatchesNaive(t *testing.T) {
 	r := rng.New(33)
 	check := func(label string, q, rows, norms []float32, dim int) {
 		t.Helper()
-		wi, ws := naiveArgminNormScore(q, rows, norms, dim)
-		gi, gs := ArgminNormScore(q, rows, norms, dim)
-		if gi != wi || !sameBits(gs, ws) {
-			t.Fatalf("%s: got (%d, %x), naive (%d, %x)", label, gi, math.Float32bits(gs), wi, math.Float32bits(ws))
+		wi, ws, w2 := naiveArgminNormScore(q, rows, norms, dim)
+		gi, gs, g2 := ArgminNormScore(q, rows, norms, dim)
+		if gi != wi || !sameBits(gs, ws) || !sameBits(g2, w2) {
+			t.Fatalf("%s: got (%d, %x, %x), naive (%d, %x, %x)", label,
+				gi, math.Float32bits(gs), math.Float32bits(g2), wi, math.Float32bits(ws), math.Float32bits(w2))
 		}
 	}
 	for _, dim := range []int{1, 4, 8, 13, 64} {
@@ -154,7 +166,7 @@ func TestArgminNormScoreMatchesNaive(t *testing.T) {
 
 			// Exact ties: the winner's row copied over a later row in
 			// another block and over an earlier one.
-			win, _ := naiveArgminNormScore(q, rows, norms, dim)
+			win, _, _ := naiveArgminNormScore(q, rows, norms, dim)
 			for _, dup := range []int{n - 1, 0, n / 2} {
 				copy(rows[dup*dim:(dup+1)*dim], rows[win*dim:(win+1)*dim])
 				norms[dup] = norms[win]
@@ -175,7 +187,7 @@ func TestArgminNormScoreMatchesNaive(t *testing.T) {
 	for i := range rows {
 		rows[i] = float32(i%4) + 1
 	}
-	if i, _ := ArgminNormScore(rows[:4], rows, RowNorms(rows, 4, nil), 4); i != 0 {
+	if i, _, _ := ArgminNormScore(rows[:4], rows, RowNorms(rows, 4, nil), 4); i != 0 {
 		t.Fatalf("all rows tied: winner %d, want 0", i)
 	}
 }

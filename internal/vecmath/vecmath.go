@@ -18,6 +18,8 @@
 // bits Dot would return while the four add chains overlap.
 package vecmath
 
+import "math"
+
 // SquaredL2 returns the squared Euclidean distance between a and b.
 // The slices must have equal length. Pinning b's length to a's lets the
 // compiler drop the bounds check in the loop; the 4-way unroll keeps a
@@ -204,27 +206,31 @@ func ArgminL2(q []float32, rows []float32, dim int) (int, float32) {
 
 // ArgminNormScore returns the row index minimizing the norm-decomposed
 // L2 score |c|^2 - 2<q,c> over the row-major matrix, together with that
-// score. The query's own norm is a rank-invariant constant and is
-// omitted; the true squared distance of the winner is qnorm + score
-// (clamped at zero against rounding). norms must hold RowNorms(rows).
-// It panics if rows is empty or not a multiple of dim. Ties go to the
-// lowest index; a NaN score never wins unless it is row 0's.
-func ArgminNormScore(q, rows, norms []float32, dim int) (int, float32) {
+// score and the second-best score: the smallest score of any other row
+// (+Inf for a one-row matrix; NaN scores are passed over). The query's
+// own norm is a rank-invariant constant and is omitted; the true squared
+// distance of the winner is qnorm + score (clamped at zero against
+// rounding). norms must hold RowNorms(rows). It panics if rows is empty
+// or not a multiple of dim. Ties go to the lowest index; a NaN score
+// never wins unless it is row 0's.
+func ArgminNormScore(q, rows, norms []float32, dim int) (best int, score, second float32) {
 	if dim <= 0 || len(rows) == 0 || len(rows)%dim != 0 {
 		panic("vecmath: ArgminNormScore on empty or ragged matrix")
 	}
-	best := -1
-	bestS := float32(0)
+	best = -1
+	score, second = float32(math.Inf(1)), float32(math.Inf(1))
 	var dots [scoreBlock]float32
 	for base := 0; base*dim < len(rows); base += scoreBlock {
 		for j, dot := range dotBlock(q, rows, dim, base, &dots) {
 			s := norms[base+j] - 2*dot
-			if best < 0 || s < bestS {
-				best, bestS = base+j, s
+			if best < 0 || s < score {
+				best, score, second = base+j, s, score
+			} else if s < second {
+				second = s
 			}
 		}
 	}
-	return best, bestS
+	return best, score, second
 }
 
 // Neighbor is one search result: an item index and its distance to the

@@ -328,7 +328,7 @@ func TestArgminNormScoreMatchesExact(t *testing.T) {
 			q[i] = float32(r.NormFloat64())
 		}
 		wantIdx, wantD := ArgminL2(q, rows, dim)
-		gotIdx, score := ArgminNormScore(q, rows, norms, dim)
+		gotIdx, score, _ := ArgminNormScore(q, rows, norms, dim)
 		if gotIdx != wantIdx {
 			t.Fatalf("trial %d: decomposed argmin %d, exact %d", trial, gotIdx, wantIdx)
 		}

@@ -25,6 +25,35 @@ func smallWorkload(t *testing.T, spec vlr.Spec) *vlr.Workload {
 	return w
 }
 
+// TestNewWorkloadWithGenRejectsBadGen: a GenConfig the physical index
+// cannot realize is an error naming the field — never a panic, a
+// misleading downstream message or a silent clamp.
+func TestNewWorkloadWithGenRejectsBadGen(t *testing.T) {
+	base := vlr.GenConfig{NCenters: 8, PerCenter: 16, Dim: 8, PhysNList: 8, PhysNProbe: 2, Templates: 32, Seed: 3}
+	for _, tc := range []struct {
+		field string
+		mod   func(*vlr.GenConfig)
+	}{
+		{"Templates", func(g *vlr.GenConfig) { g.Templates = 0 }},
+		{"Templates", func(g *vlr.GenConfig) { g.Templates = -1 }},
+		{"PhysNList", func(g *vlr.GenConfig) { g.PhysNList = 0 }},
+		{"PhysNList", func(g *vlr.GenConfig) { g.PhysNList = 8*16 + 1 }},
+		{"PhysNProbe", func(g *vlr.GenConfig) { g.PhysNProbe = 0 }},
+		{"PhysNProbe", func(g *vlr.GenConfig) { g.PhysNProbe = 9 }},
+		{"Dim", func(g *vlr.GenConfig) { g.Dim = 12 }},
+	} {
+		gen := base
+		tc.mod(&gen)
+		_, err := vlr.NewWorkloadWithGen(vlr.WikiAll, gen)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: error %v, want one naming %s", gen, err, tc.field)
+		}
+	}
+	if _, err := vlr.NewWorkloadWithGen(vlr.WikiAll, base); err != nil {
+		t.Fatalf("valid %+v rejected: %v", base, err)
+	}
+}
+
 func TestPublicSpecs(t *testing.T) {
 	if vlr.WikiAll.Name != "Wiki-All" || vlr.Orcas1K.IndexBytes() < 39e9 {
 		t.Fatal("dataset specs not exported correctly")
