@@ -8,7 +8,8 @@ package vectorliterag_test
 //
 // Micro-benchmarks for the hot algorithmic paths (IVF search, LUT scan,
 // first-order-statistic integral, Algorithm 1 and the joint allocator
-// on a cold estimator, discrete-event throughput) follow at the bottom.
+// on a cold estimator, each retrieval engine configuration,
+// discrete-event throughput) follow at the bottom.
 
 import (
 	"fmt"
@@ -21,6 +22,7 @@ import (
 	"vectorliterag/internal/costmodel"
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/des"
+	"vectorliterag/internal/gpu"
 	"vectorliterag/internal/hitrate"
 	"vectorliterag/internal/hw"
 	"vectorliterag/internal/ivf"
@@ -29,11 +31,13 @@ import (
 	"vectorliterag/internal/partition"
 	"vectorliterag/internal/perfmodel"
 	"vectorliterag/internal/profiler"
+	"vectorliterag/internal/retrieval"
 	"vectorliterag/internal/rng"
 	"vectorliterag/internal/splitter"
 	"vectorliterag/internal/stats"
 	"vectorliterag/internal/tenant"
 	"vectorliterag/internal/vecmath"
+	"vectorliterag/internal/workload"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -458,6 +462,102 @@ func BenchmarkFleetRoundRobin(b *testing.B) { benchFleet(b, vlr.RoundRobin) }
 
 // BenchmarkFleetLeastLoaded measures the exchange-backed fleet path.
 func BenchmarkFleetLeastLoaded(b *testing.B) { benchFleet(b, vlr.LeastLoaded) }
+
+// BenchmarkRetrievalEngines drives each retrieval engine configuration
+// alone — a null forward, no LLM stage — on one fixed Poisson stream of
+// 2 000 requests at 200 req/s over the bench corpus, and reports
+// simulated requests per host second. Every configuration but cpu runs
+// the one Hybrid batch pipeline: single-tenant, precision-refined,
+// three tenants (priorities 2/0/1 over plans at 30/10/50 % coverage),
+// and the unpruned GPU baselines.
+func BenchmarkRetrievalEngines(b *testing.B) {
+	w, node := benchWorkload(b), hw.H100Node()
+	prof, err := profiler.CollectAccess(w, 2000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan := func(coverage float64) *splitter.Plan {
+		p, err := splitter.Build(prof, coverage, node.NumGPUs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
+	}
+	refined := plan(0.3)
+	deltas, err := profiler.SQRecallDeltas(prof)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prec, err := partition.AssignPrecision(partition.PrecisionInputs{
+		Prof: prof, Plan: refined, RecallDeltas: deltas,
+		SQRatio:       float64(w.Spec.Dim) / float64(w.Spec.CodeBytes),
+		SQBudgetBytes: refined.TotalBytes() / 2, NVMeColdShare: 0.2,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	refined.AttachPrecision(prec)
+	cpuModel, gm := costmodel.NewSearchModel(node.CPU, w.Spec), costmodel.GPUScanModel{GPU: node.GPU}
+	slots := []retrieval.TenantSlot{
+		{W: w, Plan: plan(0.3), CPUModel: cpuModel, Priority: 2},
+		{W: w, Plan: plan(0.1), CPUModel: cpuModel, Priority: 0},
+		{W: w, Plan: plan(0.5), CPUModel: cpuModel, Priority: 1},
+	}
+
+	// The stream: Poisson gaps and popularity-sampled queries, tenants
+	// round-robin (single-tenant engines clamp the stamp to tenant 0).
+	r := rng.New(11)
+	reqs := make([]*workload.Request, 2000)
+	var at des.Time
+	for i := range reqs {
+		at += des.Time(r.ExpFloat64() / 200 * 1e9)
+		reqs[i] = &workload.Request{ID: i, Query: w.Sample(r), Tenant: i % len(slots), ArrivalAt: at}
+	}
+
+	hybridOn := func(p *splitter.Plan) func(retrieval.Config, []*gpu.State) (retrieval.Engine, error) {
+		return func(cfg retrieval.Config, gpus []*gpu.State) (retrieval.Engine, error) {
+			return retrieval.NewHybrid(cfg, p, gpus, gm), nil
+		}
+	}
+	sharded := func(name string, p *splitter.Plan) func(retrieval.Config, []*gpu.State) (retrieval.Engine, error) {
+		return func(cfg retrieval.Config, gpus []*gpu.State) (retrieval.Engine, error) {
+			return retrieval.NewSharded(cfg, name, p, gpus, gm), nil
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		build func(retrieval.Config, []*gpu.State) (retrieval.Engine, error)
+	}{
+		{"cpu", func(cfg retrieval.Config, _ []*gpu.State) (retrieval.Engine, error) {
+			return retrieval.NewCPUOnly(cfg), nil
+		}},
+		{"hybrid", hybridOn(plan(0.3))},
+		{"hybrid-precision", hybridOn(refined)},
+		{"multitenant-3", func(cfg retrieval.Config, gpus []*gpu.State) (retrieval.Engine, error) {
+			return retrieval.NewMultiTenant(cfg, slots, gpus, gm)
+		}},
+		{"allgpu", sharded("ALL-GPU", plan(1))},
+		{"hedra", sharded("HedraRAG", plan(0.3))},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var sim des.Sim
+				cfg := retrieval.Config{Sim: &sim, W: w, CPUModel: cpuModel, NVMe: node.NVMe,
+					Forward: func(*workload.Request) {}}
+				e, err := c.build(cfg, gpu.NewStates(node))
+				if err != nil {
+					b.Fatal(err)
+				}
+				submit := func(a any) { e.Submit(a.(*workload.Request)) }
+				for _, req := range reqs {
+					sim.AtArg(req.ArrivalAt, submit, req)
+				}
+				sim.Run()
+			}
+			b.ReportMetric(float64(len(reqs)*b.N)/b.Elapsed().Seconds(), "req/s")
+		})
+	}
+}
 
 // BenchmarkBruteForceTopK measures the exact-search ground truth used
 // for recall validation.

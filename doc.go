@@ -26,11 +26,12 @@
 //
 // Serving is organized as a composable stage pipeline (internal/serve,
 // see ARCHITECTURE.md): Poisson arrivals feed an admission stage, then
-// a retrieval stage (one of the five engines), then a generation stage
-// wrapping the LLM cluster, ending in a metrics collector — all in
-// virtual time on a deterministic discrete-event simulator. Each
-// baseline system (CPU-Only, DED-GPU, ALL-GPU, vLiteRAG, HedraRAG) is
-// a declarative composition of those stages; internal/rag contributes
+// a retrieval stage (the hybrid engine or the CPU-only one), then a
+// generation stage wrapping the LLM cluster, ending in a metrics
+// collector — all in virtual time on a deterministic discrete-event
+// simulator. Each baseline system (CPU-Only, DED-GPU, ALL-GPU,
+// vLiteRAG, HedraRAG) is a declarative composition of those stages;
+// internal/rag contributes
 // only the per-system resource decision (GPU memory layout, engine
 // choice, LLM placement). The same pieces scale out: ServeCluster runs
 // N identical node pipelines behind a round-robin or least-loaded

@@ -166,7 +166,11 @@ func (d *decision) decide(opts *Options) (err error) {
 
 	case VLiteRAG, HedraRAG:
 		if opts.Plan != nil && opts.Kind == VLiteRAG {
-			// Serve an existing plan as-is ("build once, serve many").
+			// Serve an existing plan as-is ("build once, serve many"), on a
+			// node with one GPU per shard.
+			if opts.Plan.NumShards != opts.Node.NumGPUs {
+				return fmt.Errorf("rag: prebuilt plan has %d shards, node has %d GPUs", opts.Plan.NumShards, opts.Node.NumGPUs)
+			}
 			d.rho, d.plan = opts.Plan.Coverage, opts.Plan
 			return nil
 		}

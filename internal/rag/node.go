@@ -61,12 +61,8 @@ func singleSpec(opts *Options, d *decision, live retrieval.LiveCost) *nodeSpec {
 		switch opts.Kind {
 		case CPUOnly:
 			return retrieval.NewCPUOnly(cfg), nil
-		case AllGPU:
-			return retrieval.NewAllGPU(cfg, d.plan, gpus, gm), nil
-		case DedGPU:
-			return retrieval.NewDedGPU(cfg, d.plan, gpus, gm), nil
-		case HedraRAG:
-			return retrieval.NewHedra(cfg, d.plan, gpus, gm), nil
+		case AllGPU, DedGPU, HedraRAG:
+			return retrieval.NewSharded(cfg, string(opts.Kind), d.plan, gpus, gm), nil
 		}
 		h := retrieval.NewHybrid(cfg, d.plan, gpus, gm)
 		h.Dispatcher = !opts.DisableDispatcher

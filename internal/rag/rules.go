@@ -19,6 +19,7 @@ const (
 	fCompaction                      // the compaction controller of a live run
 	fFaults                          // a fault schedule or a Resilience config
 	fPrecision                       // the (tier, codec) refinement
+	fPrebuilt                        // a prebuilt split plan (Options.Plan)
 	fOverload                        // bounded admission and the brownout controller
 )
 
@@ -41,6 +42,7 @@ var rules = []struct {
 	{fAdaptive | fBaseline, "rag: adaptive serving requires the hot-swappable vLiteRAG runtime, got %s"},
 	{fCompaction | fBaseline, "rag: compaction needs the hot-swappable vLiteRAG runtime, got %s"},
 	{fPrecision | fBaseline, "rag: precision refinement applies to vLiteRAG only, not %s"},
+	{fPrebuilt | fBaseline, "rag: a prebuilt plan serves vLiteRAG only, not %s"},
 }
 
 // reject returns the first rule the feature set trips, or nil.
@@ -72,5 +74,6 @@ func (opts *Options) check(topology feature) error {
 		when(opts.Kind != VLiteRAG, fBaseline)|
 		when(opts.resilient(), fFaults)|
 		when(opts.Precision != nil, fPrecision)|
+		when(opts.Plan != nil, fPrebuilt)|
 		when(opts.Overload != nil, fOverload), opts.Kind)
 }

@@ -8,6 +8,7 @@ import (
 
 	"vectorliterag/internal/fault"
 	"vectorliterag/internal/serve"
+	"vectorliterag/internal/splitter"
 )
 
 // quickOpts is baseOpts shrunk to the shortest run that still serves
@@ -96,6 +97,7 @@ func TestFeatureCompatibility(t *testing.T) {
 		{"RunAdaptive(HedraRAG)", adaptive(func(o *Options) { o.Kind = HedraRAG }), "adaptive serving requires the hot-swappable vLiteRAG runtime, got HedraRAG"},
 		{"RunLive(compaction,CPU-Only)", live(compaction, func(o *Options) { o.Kind = CPUOnly }), "compaction needs the hot-swappable vLiteRAG runtime, got CPU-Only"},
 		{"RunLive(ingest,CPU-Only)", live(ingest, func(o *Options) { o.Kind = CPUOnly }), ""},
+		{"Run(HedraRAG)+prebuilt", run(func(o *Options) { o.Kind, o.Plan = HedraRAG, &splitter.Plan{} }), "a prebuilt plan serves vLiteRAG only, not HedraRAG"},
 		{"RunAdaptive+precision", adaptive(func(o *Options) { o.Precision = &PrecisionOptions{} }), ""},
 		{"RunLive(compaction)+precision", live(compaction, func(o *Options) { o.Precision = &PrecisionOptions{} }), ""},
 		{"RunCluster+faults+precision", cluster(func(o *Options) { o.Faults, o.Precision = crash, &PrecisionOptions{} }), ""},

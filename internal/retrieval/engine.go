@@ -1,25 +1,23 @@
 // Package retrieval implements the runtime retrieval engines compared
-// in the paper's evaluation (§V, §VI):
+// in the paper's evaluation (§V, §VI). There are two:
 //
-//	CPUOnly   — vanilla Faiss-CPU IVF fast scan; whole batch completes
-//	            together.
-//	AllGPU    — sharded Faiss-GPU IVF across every GPU
-//	            (IndexIVFShards semantics: every shard launches thread
-//	            blocks for the full nprobe, resident or not).
-//	DedGPU    — Faiss-GPU IVF on dedicated retrieval GPUs; the LLM
-//	            keeps the rest.
-//	Hybrid    — VectorLiteRAG's distributed pipeline (§IV-B): CPU
-//	            coarse quantization, mapping-table routing with probe
-//	            pruning, GPU shards for hot clusters, CPU scan for cold
-//	            misses, and a dynamic dispatcher that promotes
-//	            early-finishing queries.
-//	Hedra     — HedraRAG's runtime: hot-cluster caching chosen by
-//	            throughput balancing, IndexIVFShards-style unpruned
-//	            probing, no dispatcher.
+//	Hybrid   — VectorLiteRAG's distributed pipeline (§IV-B): CPU coarse
+//	           quantization, mapping-table routing with probe pruning,
+//	           GPU shard kernels for hot clusters beside the CPU scan of
+//	           cold misses, and a dynamic dispatcher that promotes
+//	           early-finishing queries. Single-tenant serving is its
+//	           N = 1 case (NewHybrid), multi-tenant serving the general
+//	           one (NewMultiTenant), and the GPU baselines — ALL-GPU,
+//	           DED-GPU and HedraRAG — a configuration of it (NewSharded):
+//	           IndexIVFShards semantics, where every shard launches
+//	           thread blocks for the full nprobe, resident or not, and
+//	           no dispatcher.
+//	CPUOnly  — vanilla Faiss-CPU IVF fast scan; the whole batch
+//	           completes together.
 //
-// All engines use on-demand dynamic batching (§VI-B): a new batch is
-// formed from everything queued the moment the previous search
-// completes, so batch size adapts to the arrival rate.
+// Both use on-demand dynamic batching (§VI-B): a new batch is formed
+// from everything queued the moment the previous search completes, so
+// batch size adapts to the arrival rate.
 package retrieval
 
 import (
@@ -53,8 +51,8 @@ type Engine interface {
 // (§IV-B3): an engine whose split plan can be replaced while serving.
 // While a shard is marked refreshing its clusters divert to the CPU
 // path, and SetPlan atomically installs the freshly built plan once its
-// shards have loaded. Of the five engines only the hybrid (vLiteRAG)
-// runtime supports it.
+// shards have loaded. It acts on tenant 0 of the Hybrid engine; the
+// serving layer enables it for single-tenant vLiteRAG only.
 type HotSwapper interface {
 	Engine
 	Plan() *splitter.Plan
@@ -99,30 +97,6 @@ type RecallReporter interface {
 	RecallGain() float64
 }
 
-// scanBytes prices one query's scan over the given clusters through
-// the live overlay when one is installed.
-func (c *Config) scanBytes(q dataset.QueryID, clusters []int) int64 {
-	if c.Live != nil {
-		return c.Live.ScanBytes(q, clusters)
-	}
-	return c.W.ScanBytes(q, clusters)
-}
-
-// scanBytesFull is scanBytes over a query's full probe set.
-func (c *Config) scanBytesFull(q dataset.QueryID) int64 {
-	if c.Live != nil {
-		return c.Live.ScanBytesAll(q)
-	}
-	return c.W.ScanBytesAll(q)
-}
-
-func (c *Config) maxBatch() int {
-	if c.MaxBatch <= 0 {
-		return 64
-	}
-	return c.MaxBatch
-}
-
 // batcher implements the shared dynamic-batching queue: subclass
 // engines provide run(batch) and call done() when the search pipeline
 // can accept the next batch.
@@ -148,9 +122,6 @@ type batcher struct {
 	forwardOne   func(any)
 	forwardGroup func(any)
 	freeGroups   []*fwdGroup
-	// scanBuf backs scanBytesAll; per-query scan work is consumed
-	// synchronously inside run, so one buffer serves every batch.
-	scanBuf []int64
 	// freeBatches is the batch-slice free list.
 	freeBatches [][]*workload.Request
 	// Degraded-bandwidth episode (fault injection): while slowUntil is
@@ -173,14 +144,6 @@ func (b *batcher) SetSlowdown(factor float64, until des.Time) {
 func (b *batcher) slowAt(d des.Time) des.Time {
 	if b.slowFactor > 1 && b.cfg.Sim.Now() < b.slowUntil {
 		return des.Time(float64(d) * b.slowFactor)
-	}
-	return d
-}
-
-// slowDur is slowAt over time.Duration operands.
-func (b *batcher) slowDur(d time.Duration) time.Duration {
-	if b.slowFactor > 1 && b.cfg.Sim.Now() < b.slowUntil {
-		return time.Duration(float64(d) * b.slowFactor)
 	}
 	return d
 }
@@ -228,6 +191,16 @@ func (b *batcher) forwardOneReq(a any) {
 	b.cfg.Forward(req)
 }
 
+// forwardAll completes the given queries at the current instant, in
+// order.
+func (b *batcher) forwardAll(reqs []*workload.Request) {
+	now := b.cfg.Sim.Now()
+	for _, req := range reqs {
+		req.SearchDone = now
+		b.cfg.Forward(req)
+	}
+}
+
 // fwdGroup carries the requests of one coalesced completion event;
 // the slices recycle through a free list.
 type fwdGroup struct {
@@ -243,11 +216,7 @@ type fwdGroup struct {
 // order.
 func (b *batcher) forwardGroupReqs(a any) {
 	g := a.(*fwdGroup)
-	now := b.cfg.Sim.Now()
-	for _, req := range g.reqs {
-		req.SearchDone = now
-		b.cfg.Forward(req)
-	}
+	b.forwardAll(g.reqs)
 	clear(g.reqs)
 	g.reqs = g.reqs[:0]
 	b.freeGroups = append(b.freeGroups, g)
@@ -326,10 +295,7 @@ func (b *batcher) takeBatch(n int) []*workload.Request {
 // request in it has been forwarded. Entries are cleared so the free
 // list does not retain (pooled, recyclable) requests.
 func (b *batcher) releaseBatch(batch []*workload.Request) {
-	batch = batch[:cap(batch)]
-	for i := range batch {
-		batch[i] = nil
-	}
+	clear(batch[:cap(batch)])
 	b.freeBatches = append(b.freeBatches, batch[:0])
 }
 
@@ -337,10 +303,11 @@ func (b *batcher) kick() {
 	if b.busy || len(b.queue) == 0 {
 		return
 	}
-	n := len(b.queue)
-	if m := b.cfg.maxBatch(); n > m {
-		n = m
+	n, m := len(b.queue), b.cfg.MaxBatch
+	if m <= 0 {
+		m = 64
 	}
+	n = min(n, m)
 	batch := append(b.takeBatch(n), b.queue[:n]...)
 	b.queue = append(b.queue[:0], b.queue[n:]...)
 	b.busy = true
@@ -384,39 +351,20 @@ func servedHitRate(total, miss int64) float64 {
 	if total <= 0 {
 		return 0
 	}
-	hr := 1 - float64(miss)/float64(total)
-	if hr < 0 {
-		return 0
-	}
-	if hr > 1 {
-		return 1
-	}
-	return hr
+	return min(max(1-float64(miss)/float64(total), 0), 1)
 }
 
-// scanBytesAll returns each query's full scan work and the batch total.
-// The per-query slice is reused across batches; callers must consume it
-// before the next batch forms.
-func (b *batcher) scanBytesAll(batch []*workload.Request) (per []int64, total int64) {
-	if cap(b.scanBuf) < len(batch) {
-		b.scanBuf = make([]int64, len(batch))
-	}
-	per = b.scanBuf[:len(batch)]
-	for i, req := range batch {
-		per[i] = b.cfg.scanBytesFull(req.Query)
-		total += per[i]
-	}
-	return per, total
-}
-
-// CPUOnly is the Faiss-CPU fast-scan baseline.
+// CPUOnly is the Faiss-CPU fast-scan baseline. It forwards the batch and
+// frees the pipeline in one event after CQ, LUT and the merge, so unlike
+// a zero-coverage Hybrid its busy period includes the merge.
 type CPUOnly struct {
 	batcher
+	slot TenantSlot
 }
 
 // NewCPUOnly constructs the CPU-only engine.
 func NewCPUOnly(cfg Config) *CPUOnly {
-	e := &CPUOnly{batcher{cfg: cfg}}
+	e := &CPUOnly{batcher: batcher{cfg: cfg}, slot: cfg.slot(nil)}
 	e.init(e.runBatch)
 	return e
 }
@@ -426,17 +374,15 @@ func (e *CPUOnly) Name() string { return "CPU-Only" }
 
 func (e *CPUOnly) runBatch(batch []*workload.Request) {
 	b := len(batch)
+	var total int64
 	for _, req := range batch {
 		req.HitRate = 0 // nothing is GPU-resident
+		total += e.slot.scanBytes(req.Query, degradeProbes(e.slot.W.Probes(req.Query), req.Degrade))
 	}
-	_, total := e.scanBytesAll(batch)
-	t := e.slowDur(e.cfg.CPUModel.CQTime(b)+e.cfg.CPUModel.LUTTime(total, b)) + mergeCost
-	e.cfg.Sim.After(t, func() {
-		now := e.cfg.Sim.Now()
-		for _, req := range batch {
-			req.SearchDone = now
-			e.cfg.Forward(req)
-		}
+	sim := e.cfg.Sim
+	t := e.slowAt(des.Time(e.cfg.CPUModel.CQTime(b) + e.cfg.CPUModel.LUTTime(total, b)))
+	sim.At(sim.Now()+t+des.Time(mergeCost), func() {
+		e.forwardAll(batch)
 		e.releaseBatch(batch)
 		e.done()
 	})

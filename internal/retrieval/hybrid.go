@@ -1,85 +1,185 @@
 package retrieval
 
 import (
+	"fmt"
+
 	"vectorliterag/internal/costmodel"
+	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/des"
 	"vectorliterag/internal/gpu"
 	"vectorliterag/internal/splitter"
 	"vectorliterag/internal/workload"
 )
 
-// Hybrid is VectorLiteRAG's distributed retrieval pipeline (§IV-B).
-//
-// Per batch: coarse quantization runs on the CPU; the router consults
-// the mapping tables to split each query's probes into per-shard
-// resident sets (pruned — only blocks for resident clusters launch)
-// and a CPU remainder; GPU shard kernels and the CPU cold scan run
-// concurrently; the dynamic dispatcher promotes a query the moment its
-// own clusters are fully scanned instead of waiting for the batch.
-type Hybrid struct {
-	batcher
-	plan     *splitter.Plan
-	gpus     []*gpu.State // gpus[g] hosts plan.Shards[g]
-	gpuModel costmodel.GPUScanModel
+// TenantSlot is one tenant's runtime state inside the engine: its
+// corpus, its split plan (the slice of GPU memory the joint allocator
+// granted it), and the CPU cost model fitted to its corpus geometry.
+type TenantSlot struct {
+	W        *dataset.Workload
+	Plan     *splitter.Plan
+	CPUModel costmodel.SearchModel
+	// Live, when set, overlays this tenant's streaming-ingest scan costs
+	// on W's frozen tables; nil means the tenant's corpus is frozen.
+	// Per-slot because each tenant mutates (or doesn't) independently.
+	Live LiveCost
+	// Priority orders the shared CPU cold scan within a batch (lower
+	// scans first): the CPU serializes miss work, and the §IV-B2
+	// callback mechanism completes each query at its prefix, so putting
+	// a gold query's misses ahead of a bronze burst's is the engine-
+	// level half of tier-aware preemption ordering. Ties keep batch
+	// (arrival) order.
+	Priority int
 	// blockScale converts one physical probed cluster into its logical
 	// thread-block count (NProbe/PhysNProbe — the two-scale probe
-	// normalization, see dataset.Workload).
+	// normalization, see dataset.Workload), per tenant because the probe
+	// geometry is a corpus property. Zero on an unpruned engine, whose
+	// blocks do not depend on residency.
 	blockScale int
+}
+
+// slot is the single tenant a Config describes.
+func (c *Config) slot(plan *splitter.Plan) TenantSlot {
+	return TenantSlot{W: c.W, Plan: plan, CPUModel: c.CPUModel, Live: c.Live}
+}
+
+// scanBytes prices a scan over clusters through the tenant's live
+// overlay when one is installed.
+func (s *TenantSlot) scanBytes(q dataset.QueryID, clusters []int) int64 {
+	if s.Live != nil {
+		return s.Live.ScanBytes(q, clusters)
+	}
+	return s.W.ScanBytes(q, clusters)
+}
+
+// scanBytesFull is scanBytes over the query's full probe set.
+func (s *TenantSlot) scanBytesFull(q dataset.QueryID) int64 {
+	if s.Live != nil {
+		return s.Live.ScanBytesAll(q)
+	}
+	return s.W.ScanBytesAll(q)
+}
+
+// Hybrid is VectorLiteRAG's distributed retrieval pipeline (§IV-B) over
+// N ≥ 1 tenants sharing one node, and — configured by NewSharded — the
+// GPU baselines' runtime.
+//
+// Per batch: coarse quantization runs on the CPU; each query routes
+// through its own tenant's mapping tables into per-GPU resident sets
+// (pruned — only blocks for resident clusters launch) and a CPU
+// remainder; one shard kernel per GPU scans every tenant's resident
+// clusters there while the CPU scans the cold misses; the dynamic
+// dispatcher promotes a query the moment its own clusters are fully
+// scanned instead of waiting for the batch. A single CPU forms the
+// batches from the (scheduler-metered) shared queue, so one tenant's
+// burst inflates every tenant's batch — exactly the interference the
+// FairScheduler's admission metering bounds. CPU stages serialize, so
+// the batch pays the sum of per-tenant sub-batch costs, each priced
+// with the owning tenant's model.
+type Hybrid struct {
+	batcher
+	name     string
+	slots    []TenantSlot
+	gpus     []*gpu.State // gpus[g] hosts shard g of every slot's plan
+	gpuModel costmodel.GPUScanModel
 	// Dispatcher toggles early query promotion (the Fig. 14 ablation).
 	Dispatcher bool
-	// refreshing[g] marks shard g as mid-reload: its clusters are
+	// unpruned prices every shard at the full nprobe per query, resident
+	// or not: the IndexIVFShards semantics of the GPU baselines (§IV-B1).
+	unpruned bool
+	// refreshing[g] marks GPU g's shard as mid-reload: its clusters are
 	// temporarily served by the CPU path (§IV-B3 service continuity).
 	refreshing []bool
-	// Per-batch routing work areas, reused across batches: every value
-	// is rewritten before use and consumed before runBatch returns (the
+	// Per-batch work areas, reused across batches: every value is
+	// rewritten before use and consumed before runBatch returns (the
 	// completion closures capture only scalars), so reuse cannot leak
 	// state between batches.
-	shardBytes  []int64
-	shardBlocks []int
-	cpuWork     []int64
-	cpuDone     []des.Time
-	route       splitter.RouteScratch
-	// sqBytes/sqBlocks are the per-shard SQ8 kernel work areas, used
-	// only when the plan carries a precision refinement.
+	shardBytes   []int64
+	shardBlocks  []int
+	cpuWork      []int64
+	cpuDone      []des.Time
+	perTenant    []int   // batch members per tenant
+	missByTenant []int64 // CPU miss bytes per tenant
+	scanOrder    []int   // batch indices in CPU scan order
+	route        splitter.RouteScratch
+	// sqBytes/sqBlocks are the per-GPU SQ8 kernel work areas, used only
+	// when some tenant's plan carries a precision refinement.
 	sqBytes  []int64
 	sqBlocks []int
-	// recallSum/recallN accumulate the served recall gain of
-	// SQ-upgraded clusters (work-weighted per query, see RecallGain).
+	// recallSum/recallN accumulate the served recall gain of SQ-upgraded
+	// clusters (work-weighted per query, see RecallGain).
 	recallSum float64
 	recallN   int
 }
 
-// NewHybrid wires the hybrid engine. The i-th shard of the plan must
-// reside on gpus[i].
+// NewHybrid wires the single-tenant vLiteRAG engine over cfg's corpus.
+// The i-th shard of the plan must reside on gpus[i].
 func NewHybrid(cfg Config, plan *splitter.Plan, gpus []*gpu.State, gm costmodel.GPUScanModel) *Hybrid {
+	return newHybrid(cfg, "vLiteRAG", []TenantSlot{cfg.slot(plan)}, gpus, gm, false)
+}
+
+// NewSharded wires a GPU baseline under the given name: ALL-GPU (the
+// whole index over every GPU, which also serve the LLM), DED-GPU (the
+// whole index over dedicated retrieval GPUs) or HedraRAG (a partial
+// hot-cluster cache chosen by throughput balancing, misses on the CPU).
+// All run IndexIVFShards semantics: no probe pruning, no dispatcher.
+func NewSharded(cfg Config, name string, plan *splitter.Plan, gpus []*gpu.State, gm costmodel.GPUScanModel) *Hybrid {
+	return newHybrid(cfg, name, []TenantSlot{cfg.slot(plan)}, gpus, gm, true)
+}
+
+// NewMultiTenant wires the engine over N tenants. Every slot's plan
+// must have one shard per GPU in gpus; slot order defines tenant IDs (a
+// request's Tenant field indexes slots).
+func NewMultiTenant(cfg Config, slots []TenantSlot, gpus []*gpu.State, gm costmodel.GPUScanModel) (*Hybrid, error) {
+	if len(slots) == 0 {
+		return nil, fmt.Errorf("retrieval: multi-tenant engine needs at least one tenant slot")
+	}
+	for i := range slots {
+		if slots[i].W == nil || slots[i].Plan == nil {
+			return nil, fmt.Errorf("retrieval: tenant slot %d missing workload or plan", i)
+		}
+		if slots[i].Plan.NumShards != len(gpus) {
+			return nil, fmt.Errorf("retrieval: tenant slot %d has %d shards for %d GPUs",
+				i, slots[i].Plan.NumShards, len(gpus))
+		}
+	}
+	return newHybrid(cfg, fmt.Sprintf("multi-tenant(%d)", len(slots)), slots, gpus, gm, false), nil
+}
+
+func newHybrid(cfg Config, name string, slots []TenantSlot, gpus []*gpu.State, gm costmodel.GPUScanModel, unpruned bool) *Hybrid {
 	e := &Hybrid{
 		batcher:    batcher{cfg: cfg},
-		plan:       plan,
+		name:       name,
+		slots:      append([]TenantSlot(nil), slots...),
 		gpus:       gpus,
 		gpuModel:   gm,
-		blockScale: cfg.W.Spec.NProbe / cfg.W.Gen.PhysNProbe,
-		Dispatcher: true,
-		refreshing: make([]bool, plan.NumShards),
+		Dispatcher: !unpruned,
+		unpruned:   unpruned,
+		refreshing: make([]bool, len(gpus)),
+	}
+	if !unpruned {
+		for i := range e.slots {
+			e.slots[i].blockScale = e.slots[i].W.Spec.NProbe / e.slots[i].W.Gen.PhysNProbe
+		}
 	}
 	e.init(e.runBatch)
 	return e
 }
 
 // Name implements Engine.
-func (e *Hybrid) Name() string { return "vLiteRAG" }
+func (e *Hybrid) Name() string { return e.name }
 
-// Plan returns the currently serving split plan.
-func (e *Hybrid) Plan() *splitter.Plan { return e.plan }
+// Plan returns the currently serving split plan of tenant 0.
+func (e *Hybrid) Plan() *splitter.Plan { return e.slots[0].Plan }
 
-// SetPlan atomically switches to a freshly built plan (the final step
-// of an adaptive index update). Refresh flags reset, and the GPU
-// states' resident-shard accounting follows the new plan. KV pools are
-// sized at LLM-instance construction, so a swap assumes the new plan
+// SetPlan atomically switches tenant 0 to a freshly built plan (the
+// final step of an adaptive index update). Refresh flags reset, and the
+// GPU states' resident-shard accounting follows the new plan. KV pools
+// are sized at LLM-instance construction, so a swap assumes the new plan
 // fits the same memory envelope — which Algorithm 1 guarantees by
 // construction (it partitions against the same MemKV bound).
 func (e *Hybrid) SetPlan(plan *splitter.Plan) {
-	e.plan = plan
-	e.refreshing = make([]bool, plan.NumShards)
+	e.slots[0].Plan = plan
+	clear(e.refreshing)
 	for g := range plan.ShardBytes {
 		if g < len(e.gpus) {
 			e.gpus[g].ShardBytes = plan.ShardBytes[g]
@@ -101,8 +201,8 @@ func (e *Hybrid) ShardRefreshing(g int) bool {
 }
 
 // RecallGain implements RecallReporter: the mean per-query modeled
-// recall gain from SQ8-upgraded clusters, zero on plans without a
-// precision refinement.
+// recall gain from SQ8-upgraded clusters, zero when no tenant's plan
+// carries a precision refinement.
 func (e *Hybrid) RecallGain() float64 {
 	if e.recallN == 0 {
 		return 0
@@ -110,36 +210,65 @@ func (e *Hybrid) RecallGain() float64 {
 	return e.recallSum / float64(e.recallN)
 }
 
+// slot resolves a request's tenant, clamping strays to tenant 0 the
+// same way the FairScheduler does.
+func (e *Hybrid) slot(req *workload.Request) int {
+	if req.Tenant < 0 || req.Tenant >= len(e.slots) {
+		return 0
+	}
+	return req.Tenant
+}
+
 func (e *Hybrid) runBatch(batch []*workload.Request) {
 	sim := e.cfg.Sim
-	w := e.cfg.W
 	b := len(batch)
-	cq := e.cfg.CPUModel.CQTime(b)
-	tCQ := sim.Now() + e.slowAt(des.Time(cq))
 
-	// Route every query through the mapping tables. A precision-refined
-	// plan splits resident clusters by codec — PQ clusters feed the LUT
-	// kernel, SQ8 clusters the streaming kernel (pq.ScanSQ's modeled
-	// counterpart) — and tallies the NVMe-resident share of the CPU
-	// remainder; a nil refinement keeps the classic single-codec path
-	// byte for byte.
-	prec := e.plan.Prec
-	shardBytes := resize(&e.shardBytes, e.plan.NumShards)
-	shardBlocks := resize(&e.shardBlocks, e.plan.NumShards)
+	// Coarse quantization serializes on the CPU: each tenant's sub-batch
+	// is priced with its own model and the batch pays the sum.
+	perTenant := resize(&e.perTenant, len(e.slots))
+	for _, req := range batch {
+		perTenant[e.slot(req)]++
+	}
+	var cq des.Time
+	for t, n := range perTenant {
+		if n > 0 {
+			cq += des.Time(e.slots[t].CPUModel.CQTime(n))
+		}
+	}
+	tCQ := sim.Now() + e.slowAt(cq)
+
+	// Route every query through its tenant's mapping tables; shard g of
+	// every plan lives on GPU g, so per-GPU work accumulates across
+	// tenants. A precision-refined plan splits resident clusters by codec
+	// — PQ clusters feed the LUT kernel, SQ8 clusters the streaming
+	// kernel (pq.ScanSQ's modeled counterpart) — and tallies the
+	// NVMe-resident share of the CPU remainder; a nil refinement keeps the
+	// classic single-codec path byte for byte.
+	anyPrec := false
+	for i := range e.slots {
+		anyPrec = anyPrec || e.slots[i].Plan.Prec != nil
+	}
+	shardBytes := resize(&e.shardBytes, len(e.gpus))
+	shardBlocks := resize(&e.shardBlocks, len(e.gpus))
 	cpuWork := resize(&e.cpuWork, b)
+	missByTenant := resize(&e.missByTenant, len(e.slots))
 	var sqBytes []int64
 	var sqBlocks []int
 	var nvmeBytes int64
 	var nvmeClusters int
-	if prec != nil {
-		sqBytes = resize(&e.sqBytes, e.plan.NumShards)
-		sqBlocks = resize(&e.sqBlocks, e.plan.NumShards)
+	if anyPrec {
+		sqBytes = resize(&e.sqBytes, len(e.gpus))
+		sqBlocks = resize(&e.sqBlocks, len(e.gpus))
 	}
-	var missTotal int64
 	for i, req := range batch {
-		perShard, cpuClusters := e.plan.RouteInto(&e.route, degradeProbes(w.Probes(req.Query), req.Degrade))
+		s := &e.slots[e.slot(req)]
+		prec := s.Plan.Prec
+		perShard, cpuClusters := s.Plan.RouteInto(&e.route, degradeProbes(s.W.Probes(req.Query), req.Degrade))
 		var gain float64
 		for g, resident := range perShard {
+			if e.unpruned {
+				shardBlocks[g] += s.W.Spec.NProbe
+			}
 			if len(resident) == 0 {
 				continue
 			}
@@ -149,36 +278,36 @@ func (e *Hybrid) runBatch(batch []*workload.Request) {
 				continue
 			}
 			if prec == nil {
-				shardBytes[g] += e.cfg.scanBytes(req.Query, resident)
-				shardBlocks[g] += len(resident) * e.blockScale
+				shardBytes[g] += s.scanBytes(req.Query, resident)
+				shardBlocks[g] += len(resident) * s.blockScale
 				continue
 			}
 			for j, c := range resident {
-				bb := e.cfg.scanBytes(req.Query, resident[j:j+1])
+				bb := s.scanBytes(req.Query, resident[j:j+1])
 				// Brownout precision fallback: a ForcePQ request scans
 				// SQ8-upgraded clusters through the base PQ codec —
 				// cheaper bytes, no recall gain.
 				if prec.IsSQ(c) && !req.ForcePQ {
 					sqBytes[g] += int64(float64(bb) * prec.SQRatio)
-					sqBlocks[g] += e.blockScale
+					sqBlocks[g] += s.blockScale
 					gain += float64(bb) * prec.Delta(c)
 				} else {
 					shardBytes[g] += bb
-					shardBlocks[g] += e.blockScale
+					shardBlocks[g] += s.blockScale
 				}
 			}
 		}
 		if prec != nil {
 			for j, c := range cpuClusters {
 				if prec.IsNVMe(c) {
-					nvmeBytes += e.cfg.scanBytes(req.Query, cpuClusters[j:j+1])
+					nvmeBytes += s.scanBytes(req.Query, cpuClusters[j:j+1])
 					nvmeClusters++
 				}
 			}
 		}
-		cpuWork[i] = e.cfg.scanBytes(req.Query, cpuClusters)
-		missTotal += cpuWork[i]
-		full := e.cfg.scanBytesFull(req.Query)
+		cpuWork[i] = s.scanBytes(req.Query, cpuClusters)
+		missByTenant[e.slot(req)] += cpuWork[i]
+		full := s.scanBytesFull(req.Query)
 		req.HitRate = servedHitRate(full, cpuWork[i])
 		if prec != nil {
 			if full > 0 {
@@ -188,16 +317,16 @@ func (e *Hybrid) runBatch(batch []*workload.Request) {
 		}
 	}
 
-	// GPU shard kernels start once CQ delivers the cluster lists; a
-	// shard with both codecs launches the LUT kernel and the SQ8
-	// streaming kernel back to back.
+	// GPU shard kernels start once CQ delivers the cluster lists; one
+	// kernel per GPU covers every tenant's resident clusters there, with
+	// a second SQ8 streaming kernel when upgraded clusters landed on it.
 	gpuReady := tCQ
 	for g := range shardBytes {
 		var t des.Time
 		if shardBytes[g] != 0 || shardBlocks[g] != 0 {
 			t += des.Time(e.gpuModel.ShardScanTime(shardBytes[g], shardBlocks[g]))
 		}
-		if prec != nil && (sqBytes[g] != 0 || sqBlocks[g] != 0) {
+		if anyPrec && (sqBytes[g] != 0 || sqBlocks[g] != 0) {
 			t += des.Time(e.gpuModel.ShardScanTimeSQ(sqBytes[g], sqBlocks[g]))
 		}
 		if t == 0 {
@@ -210,19 +339,44 @@ func (e *Hybrid) runBatch(batch []*workload.Request) {
 		}
 	}
 
-	// CPU cold scan: clusters are processed grouped by query, in batch
-	// order, so query i's CPU portion completes at the prefix of its
-	// miss work (§IV-B2 callback mechanism).
-	cpuTotal := e.slowAt(des.Time(e.cfg.CPUModel.LUTTime(missTotal, b)))
-	if prec != nil && nvmeClusters > 0 {
-		// SSD-resident cold clusters are fetched into DRAM before the
-		// fast-scan kernel reaches them; the fetch extends the batch
-		// total and is attributed byte-proportionally like the scan.
+	// CPU cold scan: per-tenant miss work priced with the owning tenant's
+	// model, summed (the CPU serializes). SSD-resident cold clusters are
+	// fetched into DRAM before the fast-scan kernel reaches them; the
+	// fetch extends the batch total.
+	var missTotal int64
+	var cpuTotal des.Time
+	for t, miss := range missByTenant {
+		if miss > 0 {
+			cpuTotal += des.Time(e.slots[t].CPUModel.LUTTime(miss, perTenant[t]))
+			missTotal += miss
+		}
+	}
+	cpuTotal = e.slowAt(cpuTotal)
+	if anyPrec && nvmeClusters > 0 {
 		cpuTotal += e.slowAt(des.Time(costmodel.NVMeScanTime(e.cfg.NVMe, nvmeBytes, nvmeClusters)))
+	}
+	// Clusters are processed grouped by query, in tenant-priority order
+	// and batch order within a tier, so query i's CPU portion completes at
+	// the byte-proportional prefix of the miss work scanned before it
+	// (§IV-B2 callback mechanism). Insertion sort: stable, allocation-
+	// free, and batches are at most MaxBatch long.
+	scanOrder := resize(&e.scanOrder, b)
+	for i := range scanOrder {
+		scanOrder[i] = i
+	}
+	for i := 1; i < len(scanOrder); i++ {
+		v := scanOrder[i]
+		p := e.slots[e.slot(batch[v])].Priority
+		j := i - 1
+		for j >= 0 && e.slots[e.slot(batch[scanOrder[j]])].Priority > p {
+			scanOrder[j+1] = scanOrder[j]
+			j--
+		}
+		scanOrder[j+1] = v
 	}
 	cpuDone := resize(&e.cpuDone, b)
 	var prefix int64
-	for i := range batch {
+	for _, i := range scanOrder {
 		prefix += cpuWork[i]
 		if missTotal > 0 {
 			cpuDone[i] = tCQ + des.Time(float64(cpuTotal)*float64(prefix)/float64(missTotal))
@@ -241,13 +395,8 @@ func (e *Hybrid) runBatch(batch []*workload.Request) {
 		// clusters scanned.
 		e.dispatchCoalesced(batch, cpuDone, gpuReady)
 	} else {
-		at := batchEnd + des.Time(mergeCost)
-		sim.At(at, func() {
-			now := sim.Now()
-			for _, req := range batch {
-				req.SearchDone = now
-				e.cfg.Forward(req)
-			}
+		sim.At(batchEnd+des.Time(mergeCost), func() {
+			e.forwardAll(batch)
 			e.releaseBatch(batch)
 		})
 	}

@@ -113,6 +113,28 @@ func TestCPUOnlyBatchLatencyMatchesModel(t *testing.T) {
 	}
 }
 
+// TestCPUOnlyHonorsDegrade: the graceful-degradation stamp sheds probes
+// on the CPU-only engine as on every other, so a degraded batch scans
+// less and finishes sooner.
+func TestCPUOnlyHonorsDegrade(t *testing.T) {
+	run := func(degrade float64) des.Time {
+		f := setup(t)
+		e := NewCPUOnly(f.cfg)
+		reqs := f.requests(8)
+		f.sim.At(0, func() {
+			for _, r := range reqs {
+				r.Degrade = degrade
+				e.Submit(r)
+			}
+		})
+		f.sim.Run()
+		return reqs[len(reqs)-1].SearchDone
+	}
+	if shed, full := run(0.5), run(0); shed >= full {
+		t.Fatalf("Degrade 0.5 batch done at %d, not before the Degrade 0 batch at %d", shed, full)
+	}
+}
+
 func TestDynamicBatchingGrowsUnderBacklog(t *testing.T) {
 	f := setup(t)
 	e := NewCPUOnly(f.cfg)
@@ -306,7 +328,7 @@ func TestHybridZeroCoverageDegradesToCPU(t *testing.T) {
 func TestAllGPUFastButBusy(t *testing.T) {
 	f := setup(t)
 	plan := f.plan(t, 1.0, 8)
-	e := NewAllGPU(f.cfg, plan, f.gpus, f.gm)
+	e := NewSharded(f.cfg, "ALL-GPU", plan, f.gpus, f.gm)
 	reqs := f.requests(6)
 	f.sim.At(0, func() {
 		for _, r := range reqs {
@@ -351,7 +373,7 @@ func TestUnprunedProbingSlowerThanPruned(t *testing.T) {
 	f2 := setup(t)
 	plan2 := f2.plan(t, 0.3, 8)
 	reqsU := f2.requests(8)
-	he := NewHedra(f2.cfg, plan2, f2.gpus, f2.gm)
+	he := NewSharded(f2.cfg, "HedraRAG", plan2, f2.gpus, f2.gm)
 	f2.sim.At(0, func() {
 		for _, r := range reqsU {
 			he.Submit(r)
@@ -377,7 +399,7 @@ func TestUnprunedProbingSlowerThanPruned(t *testing.T) {
 func TestDedGPUName(t *testing.T) {
 	f := setup(t)
 	plan := f.plan(t, 1.0, 2)
-	e := NewDedGPU(f.cfg, plan, f.gpus[:2], f.gm)
+	e := NewSharded(f.cfg, "DED-GPU", plan, f.gpus[:2], f.gm)
 	if e.Name() != "DED-GPU" {
 		t.Fatalf("name = %q", e.Name())
 	}

@@ -170,6 +170,30 @@ func TestServeAndPrebuilt(t *testing.T) {
 	}
 }
 
+// TestPrebuiltPlanOnSmallerNode: a plan built for the 8-GPU default node
+// served on a 2-GPU node is refused with an error naming both counts by
+// every entry point that accepts Prebuilt, instead of indexing past the
+// node's GPUs mid-run.
+func TestPrebuiltPlanOnSmallerNode(t *testing.T) {
+	w := smallWorkload(t, vlr.Orcas1K)
+	sys, err := vlr.BuildSystem(vlr.SystemOptions{Workload: w, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := vlr.H100Node()
+	node.NumGPUs = 2
+	opts := vlr.ServeOptions{Workload: w, Node: node, Rate: 10, Seed: 1, Duration: 30 * time.Second, Prebuilt: sys}
+	const want = "prebuilt plan has 8 shards, node has 2 GPUs"
+	_, errServe := vlr.Serve(opts)
+	_, errCluster := vlr.ServeCluster(vlr.ClusterOptions{ServeOptions: opts, Replicas: 2})
+	_, errAdaptive := vlr.ServeAdaptive(vlr.AdaptiveServeOptions{ServeOptions: opts})
+	for name, err := range map[string]error{"Serve": errServe, "ServeCluster": errCluster, "ServeAdaptive": errAdaptive} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, want)
+		}
+	}
+}
+
 func TestServeCluster(t *testing.T) {
 	w := smallWorkload(t, vlr.Orcas1K)
 	rep, err := vlr.ServeCluster(vlr.ClusterOptions{
