@@ -1,5 +1,6 @@
-# Developer entry points. CI runs `make verify`, `make bench-smoke`,
-# `make examples-smoke`, `make fuzz-smoke`, and `make cover-check`.
+# Developer entry points. CI runs `make verify`, `make vet-arm64`,
+# `make bench-smoke`, `make examples-smoke`, `make fuzz-smoke`, and
+# `make cover-check`.
 
 GO ?= go
 
@@ -16,7 +17,7 @@ FUZZTIME ?= 5s
 # improves; never lower it to make CI pass.
 COVER_MIN ?= 81.0
 
-.PHONY: verify build test vet lint race bench bench-search bench-smoke scaling-smoke examples-smoke fuzz-smoke cover cover-check cover-ratchet fmt
+.PHONY: verify build test vet vet-arm64 lint race bench bench-search bench-smoke scaling-smoke examples-smoke fuzz-smoke cover cover-check cover-ratchet fmt
 
 verify: vet lint build race
 
@@ -28,6 +29,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Cross-vet for arm64: compile-checks every package (and its tests) for
+# the other 64-bit target. The bit pins are verified on amd64 only; Go
+# may fuse x*y+z into one FMA instruction on arm64, so there the schedule
+# is compile-checked but not pinned.
+vet-arm64:
+	GOARCH=arm64 $(GO) vet ./...
 
 # Static analysis beyond vet when the tool is on PATH; a quiet no-op
 # otherwise so verify works in hermetic containers without network
@@ -102,6 +110,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzScanSQIDsMasked$$' -fuzztime=$(FUZZTIME) ./internal/pq
 	$(GO) test -run=NONE -fuzz='^FuzzTopK$$' -fuzztime=$(FUZZTIME) ./internal/vecmath
 	$(GO) test -run=NONE -fuzz='^FuzzDotRows$$' -fuzztime=$(FUZZTIME) ./internal/vecmath
+	$(GO) test -run=NONE -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/fault
 
 # Per-package coverage plus the total.
 cover:

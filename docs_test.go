@@ -1,0 +1,163 @@
+package vectorliterag_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// docIdent matches a backticked `pkg.Name` or `pkg.Type.Member`.
+// Benchmark metric names share the dotted shape but are snake_case, so
+// a span with an underscore is not an identifier.
+var docIdent = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Za-z][A-Za-z0-9]*)(?:\\.([A-Za-z][A-Za-z0-9]*))?`")
+
+// TestDocIdentifiersResolve: every Go identifier README.md and
+// ARCHITECTURE.md name as `pkg.Name` or `pkg.Type.Member`, where pkg is
+// a package of this module, is declared in that package's source. Name
+// is a top-level name or, as shorthand, a method of one of the
+// package's types; Member is a field or method declared on Type.
+func TestDocIdentifiersResolve(t *testing.T) {
+	decls := moduleDecls(t)
+	checked := 0
+	for _, doc := range []string{"README.md", "ARCHITECTURE.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, m := range docIdent.FindAllStringSubmatch(line, -1) {
+				pkg, ok := decls[m[1]]
+				if !ok {
+					continue
+				}
+				checked++
+				if !pkg.resolves(m[2], m[3]) {
+					t.Errorf("%s:%d: %s is not declared in package %s", doc, i+1, m[0], m[1])
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no identifiers found in the docs; the pattern has drifted")
+	}
+}
+
+// pkgDecls is one package's declared names: top-level identifiers,
+// every method name, and for each type its fields and methods.
+type pkgDecls struct {
+	top     map[string]bool
+	methods map[string]bool
+	members map[string]map[string]bool
+}
+
+func (p *pkgDecls) resolves(name, member string) bool {
+	if member == "" {
+		return p.top[name] || p.methods[name]
+	}
+	return p.members[name][member]
+}
+
+func (p *pkgDecls) addMember(typ, member string) {
+	if p.members[typ] == nil {
+		p.members[typ] = map[string]bool{}
+	}
+	p.members[typ][member] = true
+}
+
+// moduleDecls parses every non-main package of the module (test files,
+// testdata and dot-directories excluded), keyed by package name.
+func moduleDecls(t *testing.T) map[string]*pkgDecls {
+	t.Helper()
+	out := map[string]*pkgDecls{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if f.Name.Name == "main" {
+			return nil
+		}
+		p := out[f.Name.Name]
+		if p == nil {
+			p = &pkgDecls{top: map[string]bool{}, methods: map[string]bool{}, members: map[string]map[string]bool{}}
+			out[f.Name.Name] = p
+		}
+		collectDecls(p, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func collectDecls(p *pkgDecls, f *ast.File) {
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				p.top[d.Name.Name] = true
+			} else {
+				p.methods[d.Name.Name] = true
+				p.addMember(receiverName(d.Recv.List[0].Type), d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						p.top[n.Name] = true
+					}
+				case *ast.TypeSpec:
+					p.top[s.Name.Name] = true
+					var fields *ast.FieldList
+					switch ty := s.Type.(type) {
+					case *ast.StructType:
+						fields = ty.Fields
+					case *ast.InterfaceType:
+						fields = ty.Methods
+					}
+					if fields == nil {
+						continue
+					}
+					for _, fl := range fields.List {
+						for _, n := range fl.Names {
+							p.addMember(s.Name.Name, n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// receiverName returns the type a method receiver names, through a
+// pointer.
+func receiverName(e ast.Expr) string {
+	if star, ok := e.(*ast.StarExpr); ok {
+		e = star.X
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}

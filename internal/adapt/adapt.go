@@ -35,6 +35,21 @@ import (
 	"vectorliterag/internal/workload"
 )
 
+const (
+	// calibrationReplay is the query count the *timing* of the profiling
+	// stage is priced at: the paper replays ~0.5 % of a 10M-query stream.
+	// It is deliberately larger than Config.ProfileQueries: the simulated
+	// system replays the paper-scale sample, while the laptop-scale
+	// substrate needs fewer draws for the same distribution.
+	calibrationReplay = 50000
+	// cooldownWindows suppresses triggers for this many monitor windows
+	// after a swap. Requests routed during the reload carry the CPU
+	// divert's low hit rates but only complete after the swap; without a
+	// settle window those stragglers would immediately re-trigger an
+	// identical rebuild.
+	cooldownWindows = 1
+)
+
 // Config tunes the controller.
 type Config struct {
 	// Monitor holds the drift-detection thresholds; a zero value falls
@@ -44,20 +59,8 @@ type Config struct {
 	// replays from the (drifted) live distribution (default 4000, the
 	// offline build's size).
 	ProfileQueries int
-	// CalibrationReplay is the query count the *timing* of the profiling
-	// stage is priced at (default 50000 — the paper replays ~0.5 % of a
-	// 10M-query stream). It is deliberately larger than ProfileQueries:
-	// the simulated system replays the paper-scale sample, while the
-	// laptop-scale substrate needs fewer draws for the same distribution.
-	CalibrationReplay int
 	// Epsilon is Algorithm 1's queuing factor for re-partitioning.
 	Epsilon float64
-	// CooldownWindows suppresses triggers for this many monitor windows
-	// after a swap (default 1, negative disables). Requests routed during
-	// the reload carry the CPU divert's low hit rates but only complete
-	// after the swap; without a settle window those stragglers would
-	// immediately re-trigger an identical rebuild.
-	CooldownWindows int
 	// EscalateSkew and EscalateResidual gate the cheap-compaction
 	// shortcut when a Compactor is bound: a trigger whose live
 	// cluster-size skew and insert residual-norm ratio are both below
@@ -85,13 +88,6 @@ func (c Config) profileQueries() int {
 	return c.ProfileQueries
 }
 
-func (c Config) calibrationReplay() int {
-	if c.CalibrationReplay <= 0 {
-		return 50000
-	}
-	return c.CalibrationReplay
-}
-
 func (c Config) escalateSkew() float64 {
 	if c.EscalateSkew == 0 {
 		return 2.0
@@ -104,16 +100,6 @@ func (c Config) escalateResidual() float64 {
 		return 2.5
 	}
 	return c.EscalateResidual
-}
-
-func (c Config) cooldownWindows() int {
-	if c.CooldownWindows < 0 {
-		return 0
-	}
-	if c.CooldownWindows == 0 {
-		return 1
-	}
-	return c.CooldownWindows
 }
 
 // Inputs wires the controller to a live pipeline: the shared simulator,
@@ -266,7 +252,7 @@ func (c *Controller) inCooldown() bool {
 	if c.windowsAtSwap < 0 {
 		return false
 	}
-	return c.mon.WindowsClosed()-c.windowsAtSwap <= c.cfg.cooldownWindows()
+	return c.mon.WindowsClosed()-c.windowsAtSwap <= cooldownWindows
 }
 
 // startRebuild kicks off one background update cycle at the current
@@ -293,7 +279,7 @@ func (c *Controller) startRebuild() {
 		OldRho:      c.in.Engine.Plan().Coverage,
 		OldExpected: c.mon.Expected(),
 	}
-	rec.Timing.Profiling = update.ProfilingTime(c.in.Node, c.in.W.Spec, c.cfg.calibrationReplay())
+	rec.Timing.Profiling = update.ProfilingTime(c.in.Node, c.in.W.Spec, calibrationReplay)
 	c.track(rec)
 	c.in.Sim.After(rec.Timing.Profiling, func() { c.profileDone(rec) })
 }

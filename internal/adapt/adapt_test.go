@@ -264,44 +264,32 @@ func TestControllerTriggersExactlyAtWindowEdge(t *testing.T) {
 	}
 }
 
-// TestControllerCooldownBoundaries: table-driven sweep of the post-swap
-// settle period — exactly CooldownWindows drifting windows are
-// suppressed, and the first window past the boundary re-triggers.
+// TestControllerCooldownBoundaries: exactly cooldownWindows drifting
+// windows after the swap are suppressed, and the first window past the
+// boundary re-triggers.
 func TestControllerCooldownBoundaries(t *testing.T) {
-	cases := []struct {
-		name       string
-		cooldown   int // Config.CooldownWindows (0 = default of 1, negative = disabled)
-		suppressed int // drifting windows ignored after the swap
-	}{
-		{"disabled", -1, 0},
-		{"default one window", 0, 1},
-		{"explicit one window", 1, 1},
-		{"two windows", 2, 2},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			f := setup(t, Config{CooldownWindows: tc.cooldown})
+	t.Run("default_one_window", func(t *testing.T) {
+		f := setup(t, Config{})
+		f.feedWindow(0.3, false)
+		f.sim.Run()
+		if len(f.ctrl.Rebuilds()) != 1 {
+			t.Fatalf("first cycle: %d records", len(f.ctrl.Rebuilds()))
+		}
+		for i := 0; i < cooldownWindows; i++ {
 			f.feedWindow(0.3, false)
-			f.sim.Run()
-			if len(f.ctrl.Rebuilds()) != 1 {
-				t.Fatalf("first cycle: %d records", len(f.ctrl.Rebuilds()))
+			if f.sim.Pending() != 0 {
+				t.Fatalf("drifting window %d inside the cooldown started a cycle", i+1)
 			}
-			for i := 0; i < tc.suppressed; i++ {
-				f.feedWindow(0.3, false)
-				if f.sim.Pending() != 0 {
-					t.Fatalf("drifting window %d inside the cooldown started a cycle", i+1)
-				}
-			}
-			f.feedWindow(0.3, false)
-			if f.sim.Pending() == 0 {
-				t.Fatal("first drifting window past the cooldown did not trigger")
-			}
-			f.sim.Run()
-			if got := len(f.ctrl.Rebuilds()); got != 2 {
-				t.Fatalf("expected the second cycle to complete, have %d records", got)
-			}
-		})
-	}
+		}
+		f.feedWindow(0.3, false)
+		if f.sim.Pending() == 0 {
+			t.Fatal("first drifting window past the cooldown did not trigger")
+		}
+		f.sim.Run()
+		if got := len(f.ctrl.Rebuilds()); got != 2 {
+			t.Fatalf("expected the second cycle to complete, have %d records", got)
+		}
+	})
 }
 
 // TestControllerBackToBackDriftEventsSingleCycle: a second drift signal

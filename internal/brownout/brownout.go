@@ -9,7 +9,7 @@
 // a ratio of measured stage latency to that tenant's stage budget.
 // Every Window observations the controller reads the p90 of those
 // ratios: a stage past its budget raises the ladder level, both stages
-// comfortably under it for RestoreWindows consecutive windows lowers
+// comfortably under it for restoreWindows consecutive windows lowers
 // it. The asymmetry — raise on one bad window, restore only after
 // several good ones — is the hysteresis that keeps the loop from
 // flapping at the budget boundary.
@@ -73,19 +73,22 @@ type StageBudget struct {
 	Generation time.Duration
 }
 
+const (
+	// restore is the ratio both stage p90s must stay under for a window
+	// to count toward restoration: comfortably inside the budget, not
+	// just barely under it.
+	restore = 0.7
+	// restoreWindows is how many consecutive good windows lower the
+	// level by one.
+	restoreWindows = 2
+)
+
 // Config tunes the controller. The zero value of every field selects a
 // sensible default, so Config{} is a working configuration.
 type Config struct {
 	// Window is the number of completed requests per monitoring window
 	// (default 64).
 	Window int
-	// Restore is the ratio both stage p90s must stay under for a window
-	// to count toward restoration (default 0.7 — comfortably inside the
-	// budget, not just barely under it).
-	Restore float64
-	// RestoreWindows is how many consecutive good windows lower the
-	// level by one (default 2).
-	RestoreWindows int
 	// MaxShed caps every stamped shed fraction after tier bias
 	// (default 0.6), so even the deepest brownout leaves a floor of
 	// retrieval quality.
@@ -97,20 +100,6 @@ func (c Config) window() int {
 		return 64
 	}
 	return c.Window
-}
-
-func (c Config) restore() float64 {
-	if c.Restore <= 0 {
-		return 0.7
-	}
-	return c.Restore
-}
-
-func (c Config) restoreWindows() int {
-	if c.RestoreWindows <= 0 {
-		return 2
-	}
-	return c.RestoreWindows
 }
 
 func (c Config) maxShed() float64 {
@@ -213,14 +202,14 @@ func (c *Controller) decide() {
 		if c.level < len(c.ladder)-1 {
 			c.setLevel(c.level + 1)
 		}
-	case retr < c.cfg.restore() && gen < c.cfg.restore():
+	case retr < restore && gen < restore:
 		c.okStreak++
-		if c.okStreak >= c.cfg.restoreWindows() && c.level > 0 {
+		if c.okStreak >= restoreWindows && c.level > 0 {
 			c.setLevel(c.level - 1)
 			c.okStreak = 0
 		}
 	default:
-		// In the dead band between Restore and 1: hold the level and
+		// In the dead band between restore and 1: hold the level and
 		// restart the good-window count.
 		c.okStreak = 0
 	}

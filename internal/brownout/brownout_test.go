@@ -92,12 +92,12 @@ func feedWindow(c *Controller, cfg Config, b StageBudget, ratio float64) {
 
 // TestControllerHysteresis drives the raise/restore loop directly: one
 // over-budget window raises the level, a single good window does not
-// restore it, RestoreWindows consecutive good ones lower it by exactly
-// one, and a dead-band window (between Restore and 1) both holds the
+// restore it, restoreWindows consecutive good ones lower it by exactly
+// one, and a dead-band window (between restore and 1) both holds the
 // level and resets the good-window streak.
 func TestControllerHysteresis(t *testing.T) {
 	b := StageBudget{Retrieval: 100 * time.Millisecond, Generation: 100 * time.Millisecond}
-	cfg := Config{Window: 8, Restore: 0.7, RestoreWindows: 2}
+	cfg := Config{Window: 8}
 	_, c := mustController(t, cfg, []StageBudget{b}, []float64{1})
 
 	feedWindow(c, cfg, b, 2.0)
@@ -116,7 +116,7 @@ func TestControllerHysteresis(t *testing.T) {
 	if c.Level() != 1 {
 		t.Fatalf("two good windows: level %d, want 1", c.Level())
 	}
-	// Dead band: under the raise threshold but over Restore — the level
+	// Dead band: under the raise threshold but over restore — the level
 	// holds and the streak restarts, so restoration needs two more
 	// clean windows, not one.
 	feedWindow(c, cfg, b, 0.85)
@@ -199,7 +199,7 @@ func TestObserveSkipsUnserved(t *testing.T) {
 // enter/exit transitions and includes the open interval.
 func TestTimeInBrownout(t *testing.T) {
 	b := StageBudget{Retrieval: 100 * time.Millisecond, Generation: 100 * time.Millisecond}
-	cfg := Config{Window: 2, RestoreWindows: 1}
+	cfg := Config{Window: 2}
 	sim, c := mustController(t, cfg, []StageBudget{b}, []float64{1})
 
 	feedWindow(c, cfg, b, 2.0) // enter brownout at t=0
@@ -207,7 +207,11 @@ func TestTimeInBrownout(t *testing.T) {
 		t.Fatalf("open interval: %v, want 5s", got)
 	}
 	// Exit at t=3s: the closed interval is banked and the clock stops.
-	sim.At(des.Time(3*time.Second), func() { feedWindow(c, cfg, b, 0.1) })
+	sim.At(des.Time(3*time.Second), func() {
+		for i := 0; i < restoreWindows; i++ {
+			feedWindow(c, cfg, b, 0.1)
+		}
+	})
 	for sim.Step() {
 	}
 	if c.Level() != 0 {

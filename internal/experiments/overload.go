@@ -11,7 +11,7 @@ import (
 
 // overloadQueueCap is the per-tenant admission bound shared by the
 // reject-only and brownout arms. Sized like the FairScheduler's
-// default inflight window: deep enough to absorb a burst, shallow
+// in-flight bound: deep enough to absorb a burst, shallow
 // enough that a queue this long already means the SLO is lost.
 const overloadQueueCap = 32
 

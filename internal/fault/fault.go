@@ -60,6 +60,13 @@ type Event struct {
 // does not matter; the Injector sorts deterministically.
 type Schedule []Event
 
+// maxFactor bounds a slowdown factor. A factor stretches one priced
+// service interval (a batch search, an LLM iteration) and the product is
+// converted back to an int64 des.Time; any interval under 100 days
+// (8.64e15 ns) stays below 2^63 ns at this bound, while a 1000x straggler
+// is already indistinguishable from a crash.
+const maxFactor = 1000
+
 // Validate checks every event against the run's replica count.
 func (s Schedule) Validate(replicas int) error {
 	for i, ev := range s {
@@ -77,8 +84,9 @@ func (s Schedule) Validate(replicas int) error {
 		if ev.Duration <= 0 {
 			return fmt.Errorf("fault: event %d: non-positive duration %v", i, ev.Duration)
 		}
-		if ev.Kind != Crash && ev.Factor < 1 {
-			return fmt.Errorf("fault: event %d: %s factor %.2f must be >= 1 (a service-time multiplier)", i, ev.Kind, ev.Factor)
+		// Written as a negated range so NaN fails it too.
+		if ev.Kind != Crash && !(ev.Factor >= 1 && ev.Factor <= maxFactor) {
+			return fmt.Errorf("fault: event %d: %s factor %g must be in [1, %d] (a service-time multiplier)", i, ev.Kind, ev.Factor, maxFactor)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -83,6 +84,53 @@ func TestValidate(t *testing.T) {
 			t.Errorf("case %d: expected validation error for %+v", i, s)
 		}
 	}
+}
+
+// FuzzParse: any input either fails to parse or round-trips through
+// String to an equal schedule, and every schedule Validate accepts has
+// finite slowdown factors within maxFactor.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"crash@20s:r0:10s",
+		"straggler@35s:r1:8s:x2.5",
+		"crash@20s:r0:10s,straggler@35s:r1:8s:x2.5,bandwidth@50s:r2:10s:x3",
+		"crash@30s:r0:20s,straggler@60s:r1:20s:x5",
+		"straggler@10s:r0:5s:xNaN",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := Parse(in)
+		if err != nil {
+			return
+		}
+		back, err := Parse(s.String())
+		if err != nil {
+			t.Fatalf("%q renders as %q, which does not parse: %v", in, s.String(), err)
+		}
+		if len(back) != len(s) {
+			t.Fatalf("%q round-trips to %d events, want %d", in, len(back), len(s))
+		}
+		replicas := 1
+		for i, ev := range s {
+			// Compare factors by bits so a NaN equals itself.
+			got := back[i]
+			if got.Kind != ev.Kind || got.Replica != ev.Replica || got.At != ev.At || got.Duration != ev.Duration ||
+				math.Float64bits(got.Factor) != math.Float64bits(ev.Factor) {
+				t.Fatalf("%q event %d round-trips to %+v, want %+v", in, i, got, ev)
+			}
+			replicas = max(replicas, ev.Replica+1)
+		}
+		if s.Validate(replicas) != nil {
+			return
+		}
+		for i, ev := range s {
+			if ev.Kind != Crash && (math.IsNaN(ev.Factor) || math.IsInf(ev.Factor, 0) || ev.Factor > maxFactor) {
+				t.Fatalf("%q event %d: Validate accepted factor %v", in, i, ev.Factor)
+			}
+		}
+	})
 }
 
 func TestRandomDeterministicAndValid(t *testing.T) {

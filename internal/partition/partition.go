@@ -22,6 +22,14 @@ import (
 
 	"vectorliterag/internal/hitrate"
 	"vectorliterag/internal/perfmodel"
+	"vectorliterag/internal/retrieval"
+)
+
+// Algorithm 1's bisection on rho stops once the bracket is narrower
+// than delta or after maxIters halvings (§IV-A3).
+const (
+	delta    = 1e-3
+	maxIters = 64
 )
 
 // Inputs collects everything Algorithm 1 consumes.
@@ -43,11 +51,6 @@ type Inputs struct {
 	// clusters occupy (hot clusters are bigger than average, so this is
 	// super-linear in rho).
 	IndexBytesAt func(rho float64) int64
-
-	// Delta is the bisection convergence threshold on rho (default 1e-3).
-	Delta float64
-	// MaxIters bounds the outer loop (default 64).
-	MaxIters int
 }
 
 // Result reports the chosen partitioning point and diagnostics.
@@ -73,14 +76,6 @@ func LatencyBounded(in Inputs) (Result, error) {
 	eps := in.Epsilon
 	if eps == 0 {
 		eps = 1
-	}
-	delta := in.Delta
-	if delta == 0 {
-		delta = 1e-3
-	}
-	maxIters := in.MaxIters
-	if maxIters == 0 {
-		maxIters = 64
 	}
 
 	tauS := time.Duration(float64(in.SLOSearch) / (1 + eps))
@@ -188,9 +183,6 @@ type HedraInputs struct {
 	MemKV        int64
 	Mu0          float64
 	IndexBytesAt func(rho float64) int64
-	// BatchCap is the retrieval batch bound HedraRAG measures at
-	// (paper §VI-D replicates it with batch sizes below 64).
-	BatchCap int
 }
 
 // Hedra implements HedraRAG's throughput-balancing allocation
@@ -211,24 +203,23 @@ func Hedra(in HedraInputs) (Result, error) {
 	if in.Perf == nil || in.Est == nil || in.IndexBytesAt == nil {
 		return Result{}, fmt.Errorf("partition: missing hedra inputs")
 	}
-	batch := in.BatchCap
-	if batch <= 0 {
-		batch = 64
-	}
-	retrieval := func(rho float64) float64 {
+	// HedraRAG measures at the retrieval engine's batch bound (paper §VI-D
+	// replicates it with batch sizes below 64).
+	const batch = retrieval.MaxBatch
+	retrievalRate := func(rho float64) float64 {
 		eta := in.Est.MeanHitRate(rho) // no tail-awareness: mean, not min
 		t := in.Perf.HybridTime(batch, eta)
 		return float64(batch) / t.Seconds()
 	}
 	llmFull := in.Mu0
-	if llmFull <= retrieval(0) {
+	if llmFull <= retrievalRate(0) {
 		// LLM is already the bottleneck: give it all the memory.
 		return Result{Rho: 0, MuLLM: llmFull, ExpectedBatch: batch, Feasible: true}, nil
 	}
 	// Retrieval-bound: the LLM needs only K* = MemKV * mu_bot/mu0 (the
 	// same linear memory-throughput estimate Algorithm 1 uses); the
 	// spare KV becomes cache.
-	muBot := retrieval(0)
+	muBot := retrievalRate(0)
 	spare := in.MemKV - int64(float64(in.MemKV)*muBot/in.Mu0)
 	// Convert spare bytes to coverage by inverting IndexBytesAt.
 	lo, hi := 0.0, 1.0

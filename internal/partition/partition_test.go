@@ -213,7 +213,6 @@ func TestHedraRetrievalBoundCachesAggressively(t *testing.T) {
 		Perf: f.perf, Est: f.est,
 		MemKV: 300 << 30, Mu0: 200, // retrieval-bound regime
 		IndexBytesAt: splitter.IndexBytesAt(f.prof),
-		BatchCap:     64,
 	}
 	res, err := Hedra(in)
 	if err != nil {
@@ -246,7 +245,6 @@ func TestHedraIgnoresLatencyObjective(t *testing.T) {
 		Perf: f.perf, Est: f.est,
 		MemKV: 300 << 30, Mu0: 200,
 		IndexBytesAt: splitter.IndexBytesAt(f.prof),
-		BatchCap:     64,
 	}
 	a, err := Hedra(in)
 	if err != nil {
@@ -285,7 +283,6 @@ func TestHedraLLMBoundKeepsIndexOnCPU(t *testing.T) {
 		Perf: f.perf, Est: f.est,
 		MemKV: 300 << 30, Mu0: 5, // LLM-bound
 		IndexBytesAt: splitter.IndexBytesAt(f.prof),
-		BatchCap:     64,
 	}
 	res, err := Hedra(in)
 	if err != nil {

@@ -100,7 +100,6 @@ func TestHedraOutputDomain(t *testing.T) {
 			Perf: f.perf, Est: f.est,
 			MemKV: 300 << 30, Mu0: mu0,
 			IndexBytesAt: f.inputs().IndexBytesAt,
-			BatchCap:     64,
 		}
 		res, err := Hedra(in)
 		if err != nil {

@@ -203,7 +203,6 @@ func (d *decision) decide(opts *Options) (err error) {
 				Perf: d.perf, Est: d.est,
 				MemKV: memKV, Mu0: d.mu0,
 				IndexBytesAt: splitter.IndexBytesAt(d.prof),
-				BatchCap:     opts.MaxBatch,
 			})
 			if err != nil {
 				return err

@@ -34,16 +34,22 @@ type nodeSpec struct {
 	// Forward; engine builds the run's retrieval engine from it.
 	cfg    retrieval.Config
 	engine func(cfg retrieval.Config, gpus []*gpu.State) (retrieval.Engine, error)
-	// classes, when non-nil, puts a FairScheduler of that lineup (and
-	// inflight bound) between admission and retrieval; overload, when
-	// non-nil, bounds its queues and optionally runs the brownout
-	// controller over budgets/bias (one entry per class).
+	// classes, when non-nil, puts a FairScheduler of that lineup between
+	// admission and retrieval; overload, when non-nil, bounds its queues
+	// and optionally runs the brownout controller over budgets/bias (one
+	// entry per class).
 	classes  []serve.TenantClass
-	inflight int
 	overload *OverloadOptions
 	budgets  []brownout.StageBudget
 	bias     []float64
 }
+
+// schedulerInflight bounds requests concurrently inside a FairScheduler's
+// metered section (admission to first token). It approximates the
+// Little's-law occupancy that sustains node throughput at SLO-scale
+// TTFT; anything beyond it would sit in downstream FIFO queues where
+// tier priority cannot act.
+const schedulerInflight = 32
 
 // singleSpec is the node of a single-corpus run: the decision's plan,
 // the engine its Kind names, and — only under overload control — a
@@ -51,7 +57,7 @@ type nodeSpec struct {
 func singleSpec(opts *Options, d *decision, live retrieval.LiveCost) *nodeSpec {
 	s := &nodeSpec{
 		node: opts.Node, model: opts.Model, nDed: d.nDed,
-		cfg: retrieval.Config{W: opts.W, CPUModel: d.cpuModel, Live: live, MaxBatch: opts.MaxBatch, NVMe: opts.Node.NVMe},
+		cfg: retrieval.Config{W: opts.W, CPUModel: d.cpuModel, Live: live, NVMe: opts.Node.NVMe},
 	}
 	if d.plan != nil {
 		s.plans = []*splitter.Plan{d.plan}
@@ -70,7 +76,6 @@ func singleSpec(opts *Options, d *decision, live retrieval.LiveCost) *nodeSpec {
 	}
 	if opts.Overload != nil {
 		s.classes = []serve.TenantClass{{Weight: 1, Priority: 0}}
-		s.inflight = 32
 		s.overload = opts.Overload
 		s.budgets = stageBudgets(opts.Overload, []time.Duration{opts.SLOSearch}, opts.SLOGen)
 		s.bias = []float64{1}
@@ -118,7 +123,7 @@ func (s *nodeSpec) build(sim *des.Sim, coll *serve.Collector, observers []serve.
 		tail = append(tail, coll.Done)
 	}
 	if s.classes != nil {
-		sched, err := serve.NewFairScheduler(s.classes, s.inflight)
+		sched, err := serve.NewFairScheduler(s.classes, schedulerInflight)
 		if err != nil {
 			return nil, err
 		}

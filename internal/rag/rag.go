@@ -79,8 +79,6 @@ type Options struct {
 	Epsilon float64
 	// DisableDispatcher turns off early query promotion (Fig. 14).
 	DisableDispatcher bool
-	// MaxBatch caps retrieval batches (default 64).
-	MaxBatch int
 	// ProfileQueries sizes the calibration sample (default 4000).
 	ProfileQueries int
 	// HedraCoverageOverride, when positive, pins HedraRAG's coverage

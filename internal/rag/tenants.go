@@ -53,14 +53,6 @@ type MultiTenantOptions struct {
 	Shape    workload.Shape
 	Seed     uint64
 
-	// MaxBatch caps retrieval batches (default 64).
-	MaxBatch int
-	// SchedulerInflight bounds requests concurrently inside the metered
-	// section (admission to first token). The default of 32
-	// approximates the Little's-law occupancy that sustains node
-	// throughput at SLO-scale TTFT; anything beyond it would sit in
-	// downstream FIFO queues where tier priority cannot act.
-	SchedulerInflight int
 	// SharedQueue disables the FairScheduler — the baseline where every
 	// tenant's arrivals share one unmetered queue into the retrieval
 	// engine. The joint allocation is unchanged, isolating what
@@ -68,9 +60,6 @@ type MultiTenantOptions struct {
 	SharedQueue bool
 	// Epsilon is the queuing factor of the joint allocator (default 1).
 	Epsilon float64
-	// FloorFrac is the guaranteed fraction of each tenant's minimum
-	// feasible slice (default 0.25, see tenant.Inputs).
-	FloorFrac float64
 	// ProfileQueries sizes each tenant's calibration sample (default
 	// 4000).
 	ProfileQueries int
@@ -210,12 +199,6 @@ func (opts *MultiTenantOptions) normalizeMT() (slos []time.Duration, err error) 
 	if opts.Shape == (workload.Shape{}) {
 		opts.Shape = workload.DefaultShape()
 	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 64
-	}
-	if opts.SchedulerInflight <= 0 {
-		opts.SchedulerInflight = 32
-	}
 	if opts.SLOGen == 0 {
 		slo, err := GenSLO(opts.Node, opts.Model, opts.Shape)
 		if err != nil {
@@ -281,11 +264,6 @@ func decideTenants(opts *MultiTenantOptions) (*tenantDecision, error) {
 		Tenants: inputs,
 		MemKV:   nodeKVBytes(opts.Node, opts.Model),
 		Mu0:     mu0,
-	}
-	// This layer keeps zero-means-default semantics; the tenant package
-	// itself honors explicit zeros through its pointer fields.
-	if opts.FloorFrac != 0 {
-		ti.FloorFrac = tenant.Float(opts.FloorFrac)
 	}
 	// Precision refinement: per-tenant recall deltas by hot rank feed the
 	// allocator's upgrade pass. The allocator prices every upgrade at the
@@ -393,7 +371,7 @@ func attachTenantPrecision(opts *MultiTenantOptions, prof *profiler.AccessProfil
 func tenantSpec(opts *MultiTenantOptions, d *tenantDecision) *nodeSpec {
 	s := &nodeSpec{
 		node: opts.Node, model: opts.Model, plans: d.plans,
-		cfg: retrieval.Config{MaxBatch: opts.MaxBatch, NVMe: opts.Node.NVMe},
+		cfg: retrieval.Config{NVMe: opts.Node.NVMe},
 	}
 	slots := make([]retrieval.TenantSlot, len(opts.Tenants))
 	sloSearch := make([]time.Duration, len(opts.Tenants))
@@ -408,7 +386,6 @@ func tenantSpec(opts *MultiTenantOptions, d *tenantDecision) *nodeSpec {
 	s.engine = func(cfg retrieval.Config, gpus []*gpu.State) (retrieval.Engine, error) {
 		return retrieval.NewMultiTenant(cfg, slots, gpus, costmodel.GPUScanModel{GPU: opts.Node.GPU})
 	}
-	s.inflight = opts.SchedulerInflight
 	if opts.Overload != nil {
 		s.overload = opts.Overload
 		s.budgets = stageBudgets(opts.Overload, sloSearch, opts.SLOGen)

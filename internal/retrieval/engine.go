@@ -35,6 +35,10 @@ import (
 // query's completion (top-k heap merge across CPU and GPU partials).
 const mergeCost = 200 * time.Microsecond
 
+// MaxBatch caps dynamic batch size: the bound the paper's HedraRAG
+// comparison also uses (§VI-D).
+const MaxBatch = 64
+
 // Engine is a retrieval stage: requests go in, and Forward fires for
 // each request when its search results are merged. Engines record each
 // request's served work-weighted hit rate on Request.HitRate at routing
@@ -79,9 +83,6 @@ type Config struct {
 	// Live, when set, overlays streaming-ingest scan costs on W's frozen
 	// tables; nil means the corpus is frozen.
 	Live LiveCost
-	// MaxBatch caps dynamic batch size (default 64, the bound the
-	// paper's HedraRAG comparison also uses).
-	MaxBatch int
 	// NVMe is the node's SSD model, consulted only when a plan carries
 	// a precision refinement with NVMe-demoted clusters; the zero value
 	// is fine otherwise.
@@ -303,11 +304,7 @@ func (b *batcher) kick() {
 	if b.busy || len(b.queue) == 0 {
 		return
 	}
-	n, m := len(b.queue), b.cfg.MaxBatch
-	if m <= 0 {
-		m = 64
-	}
-	n = min(n, m)
+	n := min(len(b.queue), MaxBatch)
 	batch := append(b.takeBatch(n), b.queue[:n]...)
 	b.queue = append(b.queue[:0], b.queue[n:]...)
 	b.busy = true

@@ -161,19 +161,19 @@ func TestDynamicBatchingGrowsUnderBacklog(t *testing.T) {
 
 func TestMaxBatchCap(t *testing.T) {
 	f := setup(t)
-	f.cfg.MaxBatch = 8
 	e := NewCPUOnly(f.cfg)
-	reqs := f.requests(20)
+	n := 3 * MaxBatch
+	reqs := f.requests(n)
 	f.sim.At(0, func() {
 		for _, r := range reqs {
 			e.Submit(r)
 		}
 	})
 	f.sim.Run()
-	if len(f.done) != 20 {
+	if len(f.done) != n {
 		t.Fatalf("forwarded %d", len(f.done))
 	}
-	if e.AvgBatch() > 8 {
+	if e.AvgBatch() > MaxBatch {
 		t.Fatalf("avg batch %v exceeds cap", e.AvgBatch())
 	}
 }

@@ -47,21 +47,14 @@ type ResilienceConfig struct {
 
 	// Degrade enables the graceful-degradation controller: while some
 	// replicas are down, dispatched requests carry a Degrade fraction
-	// proportional to the lost capacity, and retrieval sheds that
-	// fraction of nprobe depth.
+	// equal to the lost capacity share, capped at degradeMax, and
+	// retrieval sheds that fraction of nprobe depth.
 	Degrade bool
-
-	// DegradeMax caps the shed fraction (default 0.5 when Degrade is
-	// set): even with most replicas down, at least 1-DegradeMax of the
-	// probe depth survives.
-	DegradeMax float64
-
-	// DegradeBias scales the shed fraction per tenant, indexed by
-	// workload.Request.Tenant — give bronze tenants a bias > 1 and gold
-	// < 1 so bronze sheds depth before gold does. Missing entries mean
-	// bias 1.
-	DegradeBias []float64
 }
+
+// degradeMax caps the graceful-degradation shed fraction: even with
+// most replicas down, at least half the probe depth survives.
+const degradeMax = 0.5
 
 // normalized fills defaults and validates the config.
 func (c ResilienceConfig) normalized() (ResilienceConfig, error) {
@@ -77,12 +70,6 @@ func (c ResilienceConfig) normalized() (ResilienceConfig, error) {
 	}
 	if c.Backoff == 0 {
 		c.Backoff = 50 * time.Millisecond
-	}
-	if c.Degrade && c.DegradeMax == 0 {
-		c.DegradeMax = 0.5
-	}
-	if c.DegradeMax < 0 || c.DegradeMax > 1 {
-		return c, fmt.Errorf("serve: DegradeMax %.2f out of [0,1]", c.DegradeMax)
 	}
 	return c, nil
 }
@@ -284,18 +271,7 @@ func (r *ResilientRouter) stampDegrade(req *workload.Request) {
 		return
 	}
 	down := float64(len(r.reps)-r.nUp) / float64(len(r.reps))
-	bias := 1.0
-	if t := req.Tenant; t >= 0 && t < len(r.cfg.DegradeBias) {
-		bias = r.cfg.DegradeBias[t]
-	}
-	d := down * bias
-	if d > r.cfg.DegradeMax {
-		d = r.cfg.DegradeMax
-	}
-	if d < 0 {
-		d = 0
-	}
-	req.Degrade = d
+	req.Degrade = min(down, degradeMax)
 }
 
 // hedgeDelay returns the current backup-fire delay: the fixed

@@ -225,14 +225,14 @@ func TestResilientDegradeStamp(t *testing.T) {
 		seen = append(seen, req.Degrade)
 		return 10 * time.Millisecond
 	}
-	cfg := ResilienceConfig{Policy: RoundRobin, Degrade: true, DegradeMax: 0.5}
+	cfg := ResilienceConfig{Policy: RoundRobin, Degrade: true}
 	h := newResilientHarness(t, &sim, cfg, 4, svc)
 	h.arriveAt(0) // full capacity: degrade 0
 	sim.At(des.Time(20*time.Millisecond), func() { h.router.Crash(1) })
 	h.arriveAt(des.Time(30 * time.Millisecond)) // 1 of 4 down: degrade 0.25
 	sim.At(des.Time(40*time.Millisecond), func() { h.router.Crash(2) })
 	sim.At(des.Time(41*time.Millisecond), func() { h.router.Crash(3) })
-	h.arriveAt(des.Time(50 * time.Millisecond)) // 3 of 4 down: capped at 0.5
+	h.arriveAt(des.Time(50 * time.Millisecond)) // 3 of 4 down: capped at degradeMax
 	sim.At(des.Time(60*time.Millisecond), func() {
 		h.router.Recover(1)
 		h.router.Recover(2)
@@ -240,7 +240,7 @@ func TestResilientDegradeStamp(t *testing.T) {
 	})
 	h.arriveAt(des.Time(70 * time.Millisecond)) // healed: degrade 0
 	sim.RunUntil(des.Time(time.Second))
-	want := []float64{0, 0.25, 0.5, 0}
+	want := []float64{0, 0.25, degradeMax, 0}
 	if len(seen) != len(want) {
 		t.Fatalf("saw %d dispatches, want %d", len(seen), len(want))
 	}

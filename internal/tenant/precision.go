@@ -26,14 +26,11 @@ type PrecisionOptions struct {
 	// by the profiler. Deltas are clamped at zero: SQ8 never loses
 	// recall to PQ under this model.
 	RecallDelta [][]float64
-	// RecallWeight converts recall points into score units when ranking
-	// upgrade candidates (default 1).
-	RecallWeight float64
 }
 
 // upgradePrecision spends the budget the placement rounds left over on
 // PQ→SQ8 upgrades, hottest-first within each tenant, ordered across
-// tenants by Tier.Weight() × RecallWeight × recall delta per extra
+// tenants by Tier.Weight() × recall delta per extra
 // byte. Ties break toward the higher tier, then the lower tenant
 // index, then the hotter rank, so the result is deterministic.
 // It mutates res in place and returns the total recall gain bought
@@ -42,10 +39,6 @@ func upgradePrecision(in Inputs, res *Result, ks []int) float64 {
 	po := in.Precision
 	if po == nil || po.SQBytesRatio <= 1 {
 		return 0
-	}
-	rw := po.RecallWeight
-	if rw == 0 {
-		rw = 1
 	}
 	extra := po.SQBytesRatio - 1
 	// next[i] is the hottest not-yet-upgraded rank of tenant i;
@@ -76,7 +69,7 @@ func upgradePrecision(in Inputs, res *Result, ks []int) float64 {
 				next[i]++
 				continue
 			}
-			score := float64(t.Tier.Weight()) * rw * delta / float64(max64(step, 1))
+			score := float64(t.Tier.Weight()) * delta / float64(max64(step, 1))
 			if best < 0 || score > bestScore+1e-15 ||
 				(score > bestScore-1e-15 && t.Tier.Priority() < in.Tenants[best].Tier.Priority()) {
 				best, bestScore, bestBytes = i, score, step

@@ -76,8 +76,7 @@ func (t Tier) Priority() int {
 
 // BrownoutBias returns the tier's multiplier on brownout shed
 // fractions: under overload the controller sheds quality from bronze
-// first and gold last, mirroring how DegradeBias biases capacity-loss
-// degradation. Monotone down the tier order, so at any ladder level a
+// first and gold last. Monotone down the tier order, so at any ladder level a
 // lower tier never holds a better knob setting than a higher one.
 func (t Tier) BrownoutBias() float64 {
 	switch t {
@@ -198,6 +197,17 @@ type Result struct {
 	RecallGain float64
 }
 
+const (
+	// floorFrac is the fraction of each tenant's minimum feasible bytes
+	// guaranteed as a floor before weighted allocation. Floors scale down
+	// proportionally when they exceed the budget.
+	floorFrac = 0.25
+	// kvHeadroom multiplies the aggregate rate when reserving KV
+	// capacity: the generation stage must retain throughput for every
+	// tenant's stream plus slack for bursts.
+	kvHeadroom = 1.05
+)
+
 // Inputs parameterizes JointAllocate.
 type Inputs struct {
 	Tenants []Input
@@ -205,18 +215,6 @@ type Inputs struct {
 	// Mu0 the bare LLM throughput (both as in partition.Inputs).
 	MemKV int64
 	Mu0   float64
-	// FloorFrac is the fraction of each tenant's minimum feasible bytes
-	// guaranteed as a floor before weighted allocation. Nil selects the
-	// default 0.25; an explicit zero disables floors entirely. Negative
-	// values are rejected. Floors scale down proportionally when they
-	// exceed the budget.
-	FloorFrac *float64
-	// KVHeadroom multiplies the aggregate rate when reserving KV
-	// capacity. Nil selects the default 1.05 (the generation stage must
-	// retain throughput for every tenant's stream plus slack for
-	// bursts); an explicit zero reserves no KV at all, leaving the
-	// whole pool to the index. Negative values are rejected.
-	KVHeadroom *float64
 	// Precision, when non-nil, lets the greedy choose per-cluster
 	// (tier, codec) pairs: after the placement rounds converge, leftover
 	// budget upgrades each tenant's hottest placed clusters from PQ to
@@ -225,10 +223,6 @@ type Inputs struct {
 	// placement-only allocation bit for bit.
 	Precision *PrecisionOptions
 }
-
-// Float is a convenience for the optional fields of Inputs:
-// Float(0.25) is an explicit FloorFrac.
-func Float(v float64) *float64 { return &v }
 
 // scoreAt evaluates the attainment proxy for tenant in at k hot
 // clusters: min(1, tau_s / hybridTime(batch, etaMin(k))), with the
@@ -271,9 +265,9 @@ func feasibleClusters(in Input, aggregate float64) int {
 //
 // Phase 0 — KV reserve: generation is shared, so the index budget is
 // what MemKV leaves after reserving the (linear-model) capacity for the
-// aggregate arrival rate: budget = MemKV · (1 − headroom·ΣRate/Mu0).
+// aggregate arrival rate: budget = MemKV · (1 − kvHeadroom·ΣRate/Mu0).
 //
-// Phase 1 — floors: every tenant is granted FloorFrac of its minimum
+// Phase 1 — floors: every tenant is granted floorFrac of its minimum
 // feasible bytes (the smallest hot set whose modeled hybrid latency
 // meets its own tau_s), scaled down proportionally if the floors alone
 // exceed the budget.
@@ -306,30 +300,16 @@ func JointAllocate(in Inputs) (Result, error) {
 		}
 		aggregate += t.Rate
 	}
-	headroom := 1.05
-	if in.KVHeadroom != nil {
-		headroom = *in.KVHeadroom
-		if headroom < 0 {
-			return Result{}, fmt.Errorf("tenant: negative KVHeadroom %v", headroom)
-		}
-	}
-	floorFrac := 0.25
-	if in.FloorFrac != nil {
-		floorFrac = *in.FloorFrac
-		if floorFrac < 0 {
-			return Result{}, fmt.Errorf("tenant: negative FloorFrac %v", floorFrac)
-		}
-	}
 
 	res := Result{AggregateRate: aggregate}
-	kvNeeded := headroom * aggregate / in.Mu0
+	kvNeeded := kvHeadroom * aggregate / in.Mu0
 	if kvNeeded >= 1 {
 		// Generation demand alone consumes the whole KV pool: every
 		// tenant would silently get a zero-byte index budget, which is
 		// not an allocation but an overload. Refuse explicitly.
 		return Result{}, fmt.Errorf(
 			"tenant: infeasible: aggregate generation demand %.1f req/s (with %.2fx headroom) meets or exceeds LLM capacity %.1f req/s; no HBM remains for any index",
-			aggregate, headroom, in.Mu0)
+			aggregate, kvHeadroom, in.Mu0)
 	}
 	res.BudgetBytes = int64(float64(in.MemKV) * (1 - kvNeeded))
 

@@ -130,7 +130,7 @@ func TestJointAllocateTierOrderUnderScarcity(t *testing.T) {
 	// Budget only fits a fraction of the combined feasible sets.
 	full := tenants[0].PrefixBytes[len(tenants[0].PrefixBytes)-1]
 	memKV := full // budget = a slice of one tenant's full index
-	res, err := JointAllocate(Inputs{Tenants: tenants, MemKV: memKV, Mu0: 1000, FloorFrac: Float(0.1)})
+	res, err := JointAllocate(Inputs{Tenants: tenants, MemKV: memKV, Mu0: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,47 +192,6 @@ func TestJointAllocateOverloadIsAnError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "infeasible") {
 		t.Errorf("overload error does not say infeasible: %v", err)
-	}
-}
-
-func TestJointAllocateExplicitZeroOptions(t *testing.T) {
-	tenants := threeTenants(t)
-	// An explicit FloorFrac of zero disables floors — it must not be
-	// silently replaced by the 0.25 default.
-	res, err := JointAllocate(Inputs{Tenants: tenants, MemKV: 8 << 30, Mu0: 60, FloorFrac: Float(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range res.Allocations {
-		if a.FloorBytes != 0 {
-			t.Errorf("%s: explicit FloorFrac 0 still granted floor %d", a.Name, a.FloorBytes)
-		}
-	}
-	// An explicit KVHeadroom of zero reserves for the bare rate: the
-	// budget must be strictly larger than under the 1.05 default.
-	def, err := JointAllocate(Inputs{Tenants: tenants, MemKV: 8 << 30, Mu0: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare, err := JointAllocate(Inputs{Tenants: tenants, MemKV: 8 << 30, Mu0: 60, KVHeadroom: Float(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.BudgetBytes <= def.BudgetBytes {
-		t.Errorf("explicit KVHeadroom 0 budget %d not above default-headroom budget %d",
-			bare.BudgetBytes, def.BudgetBytes)
-	}
-	// kvNeeded = 0·ΣRate/Mu0 = 0: an explicit zero headroom reserves no
-	// KV at all, so the budget is the whole pool.
-	if want := int64(8 << 30); bare.BudgetBytes != want {
-		t.Errorf("zero-headroom budget %d, want %d", bare.BudgetBytes, want)
-	}
-	// Negative option values are errors, not defaults.
-	if _, err := JointAllocate(Inputs{Tenants: tenants, MemKV: 8 << 30, Mu0: 60, FloorFrac: Float(-0.1)}); err == nil {
-		t.Error("negative FloorFrac accepted")
-	}
-	if _, err := JointAllocate(Inputs{Tenants: tenants, MemKV: 8 << 30, Mu0: 60, KVHeadroom: Float(-1)}); err == nil {
-		t.Error("negative KVHeadroom accepted")
 	}
 }
 

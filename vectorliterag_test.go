@@ -507,6 +507,42 @@ func TestPublicHelpers(t *testing.T) {
 	}
 }
 
+// TestServeClusterRejectsBadFaultFactors: a slowdown factor that is not
+// finite, or large enough to overflow a stretched service interval,
+// parses (the grammar is fine) but fails Validate, and ServeCluster
+// refuses the storm before it runs.
+func TestServeClusterRejectsBadFaultFactors(t *testing.T) {
+	w := smallWorkload(t, vlr.Orcas1K)
+	for _, tc := range []struct {
+		faults string
+		valid  bool
+	}{
+		{"straggler@10s:r0:5s:x1000", true},
+		{"straggler@10s:r0:5s:xNaN", false},
+		{"bandwidth@10s:r0:5s:x+Inf", false},
+		{"straggler@10s:r0:5s:x1e300", false},
+		{"bandwidth@10s:r1:5s:x1000.5", false},
+	} {
+		s, err := vlr.ParseFaults(tc.faults)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.faults, err)
+		}
+		if err := s.Validate(2); (err == nil) != tc.valid {
+			t.Errorf("%s: Validate(2) = %v, want valid=%v", tc.faults, err, tc.valid)
+		}
+		if tc.valid {
+			continue
+		}
+		_, err = vlr.ServeCluster(vlr.ClusterOptions{
+			ServeOptions: vlr.ServeOptions{Workload: w, Rate: 10, Seed: 1, Duration: 30 * time.Second},
+			Faults:       tc.faults,
+		})
+		if err == nil || !strings.Contains(err.Error(), "factor") {
+			t.Errorf("%s: ServeCluster error %v, want one naming the factor", tc.faults, err)
+		}
+	}
+}
+
 // TestRunExperimentCSV: every registered experiment exports CSV through
 // the public entry point — each table a blank-line-separated block that
 // parses back with a header row and uniform width.
