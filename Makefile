@@ -69,13 +69,14 @@ bench-search:
 # One-iteration compile-and-run of the search kernel, build-layer
 # (blocked dot kernel, k-means assignment and training, dataset build),
 # decision-path (Eq. 2 integral, Algorithm 1, joint allocator),
-# retrieval-engine (each engine configuration alone) and fleet
-# (link-free round-robin, exchange-backed least-loaded) benchmarks, then
+# retrieval-engine (each engine configuration alone), fleet (link-free
+# round-robin, exchange-backed least-loaded), fleet-sized summary and
+# resilient fault-storm benchmarks, then
 # every registered experiment at quick scale through the CLI's CSV path
 # (one link step: each artifact's runner, its report, and the export of
 # every table); CI runs this so none of them can rot.
 bench-smoke:
-	$(GO) test -run=NONE -bench='Search|DotRows|KMeansAssign|KMeansTrain|DatasetBuild|ExpectedMin|LatencyBounded|JointAllocate|RetrievalEngines|FleetRoundRobin|FleetLeastLoaded' -benchtime=1x ./...
+	$(GO) test -run=NONE -bench='Search|DotRows|KMeansAssign|KMeansTrain|DatasetBuild|ExpectedMin|LatencyBounded|JointAllocate|RetrievalEngines|FleetRoundRobin|FleetLeastLoaded|Summarize|ResilientStorm' -benchtime=1x ./...
 	$(GO) run ./cmd/vliterag run -exp all -quick -csv >/dev/null
 
 # Wall-clock scaling verdict for Workers: on a 16-replica round-robin
@@ -97,7 +98,7 @@ examples-smoke:
 	done
 
 # Run each native fuzz target briefly (seed corpora are checked in
-# under testdata/fuzz). CI runs this so the targets cannot rot; local
+# under testdata/fuzz, or added in the target with f.Add). CI runs this so the targets cannot rot; local
 # deep fuzzing just raises FUZZTIME.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzScanCodes$$' -fuzztime=$(FUZZTIME) ./internal/pq
@@ -111,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzTopK$$' -fuzztime=$(FUZZTIME) ./internal/vecmath
 	$(GO) test -run=NONE -fuzz='^FuzzDotRows$$' -fuzztime=$(FUZZTIME) ./internal/vecmath
 	$(GO) test -run=NONE -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/fault
+	$(GO) test -run=NONE -fuzz='^FuzzQuantiles$$' -fuzztime=$(FUZZTIME) ./internal/stats
 
 # Per-package coverage plus the total.
 cover:

@@ -28,6 +28,7 @@ import (
 	"vectorliterag/internal/ivf"
 	"vectorliterag/internal/kmeans"
 	"vectorliterag/internal/llm"
+	"vectorliterag/internal/metrics"
 	"vectorliterag/internal/partition"
 	"vectorliterag/internal/perfmodel"
 	"vectorliterag/internal/profiler"
@@ -329,12 +330,15 @@ func BenchmarkLUTScan(b *testing.B) {
 }
 
 // BenchmarkExpectedMin measures the Eq. 2 first-order-statistic
-// integral that the partitioning algorithm evaluates repeatedly.
+// integral that the partitioning algorithm evaluates repeatedly, on a
+// warm grid spread over every core, as the hit-rate estimator runs it.
 func BenchmarkExpectedMin(b *testing.B) {
 	beta := stats.Beta{Alpha: 4.2, Beta: 1.7}
+	g := stats.NewMinGrid(0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = beta.ExpectedMin(8)
+		_ = g.ExpectedMin(beta, 8)
 	}
 }
 
@@ -353,17 +357,31 @@ type decisionInputs struct {
 
 var benchD *decisionInputs
 
+var benchOrcasW *dataset.Workload
+
+// benchOrcas is default ORCAS-1K, the corpus the serving benchmark and
+// the CLI run on.
+func benchOrcas(b *testing.B) *dataset.Workload {
+	b.Helper()
+	if benchOrcasW == nil {
+		w, err := dataset.Build(dataset.Orcas1K, dataset.DefaultGen())
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchOrcasW = w
+	}
+	return benchOrcasW
+}
+
 func benchDecision(b *testing.B) *decisionInputs {
 	b.Helper()
 	if benchD != nil {
 		return benchD
 	}
 	node, model := hw.H100Node(), llm.Qwen3_32B
-	w, err := dataset.Build(dataset.Orcas1K, dataset.DefaultGen())
-	if err != nil {
-		b.Fatal(err)
-	}
+	w := benchOrcas(b)
 	d := &decisionInputs{}
+	var err error
 	if d.prof, err = profiler.CollectAccess(w, 4000, 2); err != nil {
 		b.Fatal(err)
 	}
@@ -445,6 +463,64 @@ func benchFleet(b *testing.B, policy vlr.RoutePolicy) {
 		ServeOptions: vlr.ServeOptions{Workload: w, Rate: 320, Duration: 40 * time.Second,
 			Drain: 30 * time.Second, NetDelay: time.Millisecond, Seed: 1},
 		Replicas: 16, Policy: policy,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := vlr.ServeCluster(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += rep.Summary.N
+	}
+}
+
+// BenchmarkSummarize measures one warm Summarizer pass over 230 000
+// records, the size of a 64-replica fleet's global summary: the means
+// in collection order and four percentiles of each latency by
+// selection.
+func BenchmarkSummarize(b *testing.B) {
+	r := rng.New(1)
+	reqs := make([]workload.Request, 230_000)
+	for i := range reqs {
+		ms := func(mean float64) des.Time { return des.Time(r.ExpFloat64() * mean * 1e6) }
+		q := &reqs[i]
+		q.ArrivalAt = des.Time(i) * des.Time(time.Millisecond)
+		q.SearchStart = q.ArrivalAt + ms(20)
+		q.SearchDone = q.SearchStart + ms(60)
+		q.LLMStart = q.SearchDone + ms(5)
+		q.FirstToken = q.LLMStart + ms(150)
+		q.Done = q.FirstToken + ms(4000)
+	}
+	var a metrics.Summarizer
+	a.Summarize(reqs, time.Second, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += a.Summarize(reqs, time.Second, 0).N
+	}
+}
+
+// BenchmarkResilientStorm measures the serving benchmark's
+// cluster-faults run: vLiteRAG on default ORCAS-1K, three replicas at
+// twice the bare LLM capacity behind the resilient router (least-loaded,
+// 20 s timeouts, two retries, auto hedging, degradation), with replica
+// 0 crashing for 10 s and replica 1 straggling 3x for 8 s.
+func BenchmarkResilientStorm(b *testing.B) {
+	w := benchOrcas(b)
+	mu, err := vlr.Capacity(vlr.H100Node(), vlr.Qwen3_32B)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const win = 120 * time.Second
+	opts := vlr.ClusterOptions{
+		ServeOptions: vlr.ServeOptions{Workload: w, System: vlr.VLiteRAG, Rate: 2 * mu,
+			Duration: win, Drain: win, Seed: 1},
+		Replicas: 3,
+		Faults:   fmt.Sprintf("crash@%v:r0:10s,straggler@%v:r1:8s:x3", win/6, win*7/24),
+		Resilience: &vlr.ResilienceConfig{Policy: vlr.LeastLoaded, Timeout: 20 * time.Second,
+			MaxRetries: 2, Backoff: 100 * time.Millisecond,
+			HedgeDelay: 2 * time.Second, HedgeAuto: true, Degrade: true},
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -25,7 +25,6 @@ package brownout
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"vectorliterag/internal/des"
@@ -217,8 +216,9 @@ func (c *Controller) decide() {
 
 func (c *Controller) p90(sample []float64) float64 {
 	c.scratch = append(c.scratch[:0], sample...)
-	sort.Float64s(c.scratch)
-	return stats.PercentileSorted(c.scratch, 0.90)
+	var p90 [1]float64
+	stats.SelectPercentiles(c.scratch, []float64{0.90}, p90[:])
+	return p90[0]
 }
 
 // setLevel moves the ladder level and keeps the time-in-brownout

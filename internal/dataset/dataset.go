@@ -117,6 +117,7 @@ type Workload struct {
 	blobSpread    float64
 	centers       []float32
 	popByTemplate []float64 // draw probability per template
+	distortion    distortionSlot
 }
 
 type template struct {

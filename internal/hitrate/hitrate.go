@@ -41,7 +41,8 @@ type Estimator struct {
 	// One float64 a point, at most (nlist+1) × batch sizes seen.
 	mu           sync.Mutex
 	minHit       map[point]float64
-	integrations int // Beta.ExpectedMin calls made; tests fence it
+	grid         *stats.MinGrid // built at the first integral, reused under mu
+	integrations int            // Eq. 2 integrals made; tests fence it
 }
 
 // point is one argument of Eq. 2: hot clusters cached, batch size.
@@ -177,7 +178,9 @@ func (e *Estimator) MinHitRate(coverage float64, batch int) float64 {
 
 // minHitRateAt is MinHitRate by hot-cluster count, read through the
 // minHit table. The lock is held across the integration, so concurrent
-// callers of one point wait for the first and none integrates it again.
+// callers of one point wait for the first and none integrates it again,
+// and the one grid is never shared by two integrals; each integral
+// spreads its grid points over every core instead.
 func (e *Estimator) minHitRateAt(clusters, batch int) float64 {
 	if batch < 1 {
 		batch = 1
@@ -193,7 +196,10 @@ func (e *Estimator) minHitRateAt(clusters, batch int) float64 {
 		// Degenerate: all-or-nothing coverage.
 		return e.meanCurve[clusters]
 	}
-	v := b.ExpectedMin(batch)
+	if e.grid == nil {
+		e.grid = stats.NewMinGrid(0)
+	}
+	v := e.grid.ExpectedMin(b, batch)
 	e.integrations++
 	e.minHit[at] = v
 	return v

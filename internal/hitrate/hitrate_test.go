@@ -350,3 +350,26 @@ func TestEstimatorSharedAcrossGoroutines(t *testing.T) {
 		t.Errorf("%d integrations for %d distinct points", calls, points)
 	}
 }
+
+// TestWarmIntegralAllocatesNothing: once the estimator's grid exists, an
+// Eq. 2 integral — grid points spread over every core, folded in order —
+// allocates nothing, as the serial loop before it did not.
+func TestWarmIntegralAllocatesNothing(t *testing.T) {
+	e, _ := buildEstimator(t, dataset.Orcas1K)
+	clusters, batch := e.nlist/4, 16
+	e.minHitRateAt(clusters, batch) // builds the grid
+	before := e.integrations
+	at := point{clusters, batch}
+	allocs := testing.AllocsPerRun(20, func() {
+		e.mu.Lock()
+		delete(e.minHit, at)
+		e.mu.Unlock()
+		e.minHitRateAt(clusters, batch)
+	})
+	if e.integrations-before < 20 {
+		t.Fatalf("%d integrals ran; the point must not be degenerate", e.integrations-before)
+	}
+	if allocs != 0 {
+		t.Fatalf("a warm integral allocated %v objects, want 0", allocs)
+	}
+}

@@ -1,11 +1,9 @@
 package metrics
 
 import (
-	"slices"
 	"time"
 
 	"vectorliterag/internal/des"
-	"vectorliterag/internal/stats"
 	"vectorliterag/internal/workload"
 )
 
@@ -55,18 +53,7 @@ func SummarizeFreshness(muts []workload.Mutation, slo time.Duration, cutoff des.
 	if f.Inserts > 0 {
 		f.Attainment = float64(ok) / float64(f.Inserts)
 	}
-	if len(tts) == 0 {
-		return f
-	}
-	mean := stats.Mean(tts)
-	slices.Sort(tts)
-	f.TTS = Quantiles{
-		Mean: time.Duration(mean),
-		P50:  time.Duration(stats.PercentileSorted(tts, 0.50)),
-		P90:  time.Duration(stats.PercentileSorted(tts, 0.90)),
-		P95:  time.Duration(stats.PercentileSorted(tts, 0.95)),
-		P99:  time.Duration(stats.PercentileSorted(tts, 0.99)),
-	}
+	f.TTS = quantiles(tts)
 	return f
 }
 

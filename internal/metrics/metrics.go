@@ -12,7 +12,6 @@
 package metrics
 
 import (
-	"slices"
 	"time"
 
 	"vectorliterag/internal/des"
@@ -45,7 +44,7 @@ type Summary struct {
 }
 
 // Summarizer aggregates runs into Summaries while reusing its sample
-// and sort scratch across calls — the allocation-free aggregation path
+// scratch across calls — the allocation-free aggregation path
 // a collector holds for the lifetime of a run (and across runs).
 type Summarizer struct {
 	ttft, e2e, search []float64
@@ -175,21 +174,26 @@ func TenantGoodput(reqs []workload.Request, slos []time.Duration, cutoff, horizo
 	return float64(ok) / window
 }
 
+// summaryPs are the percentiles a Quantiles reports, ascending.
+var summaryPs = []float64{0.50, 0.90, 0.95, 0.99}
+
 // quantiles computes the five-number summary: the mean over the sample
 // in collection order (bit-compatible with the historical float
-// summation order), then the percentiles from the sample sorted in
-// place — it is the summarizer's scratch, and nothing reads it again.
+// summation order), then the percentiles by selection, which reorders
+// the sample in place — it is the caller's scratch, and nothing reads
+// it again.
 func quantiles(sample []float64) Quantiles {
 	if len(sample) == 0 {
 		return Quantiles{}
 	}
 	mean := stats.Mean(sample)
-	slices.Sort(sample)
+	var p [4]float64
+	stats.SelectPercentiles(sample, summaryPs, p[:])
 	return Quantiles{
 		Mean: time.Duration(mean),
-		P50:  time.Duration(stats.PercentileSorted(sample, 0.50)),
-		P90:  time.Duration(stats.PercentileSorted(sample, 0.90)),
-		P95:  time.Duration(stats.PercentileSorted(sample, 0.95)),
-		P99:  time.Duration(stats.PercentileSorted(sample, 0.99)),
+		P50:  time.Duration(p[0]),
+		P90:  time.Duration(p[1]),
+		P95:  time.Duration(p[2]),
+		P99:  time.Duration(p[3]),
 	}
 }

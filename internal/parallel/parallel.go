@@ -51,40 +51,68 @@ func For(n, workers int, body func(start, end int)) {
 	if n <= 0 {
 		return
 	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		body(0, n)
+	if min(Workers(workers), n) <= 1 {
+		body(0, n) // before NewLoop: one worker allocates nothing
 		return
 	}
-	chunk := chunkSize(n, w)
-	nChunks := (n + chunk - 1) / chunk
-	if w > nChunks {
-		w = nChunks
+	NewLoop(body).Run(n, workers)
+}
+
+// Loop is For for a body that runs many times: the fan-out state (chunk
+// counter, wait group, the worker function the helpers start) is built
+// once, so each Run allocates nothing. The calling goroutine works
+// through chunks beside the helpers. A Loop runs one Run at a time.
+type Loop struct {
+	body             func(start, end int)
+	n, chunk, chunks int
+	next             atomic.Int64
+	wg               sync.WaitGroup
+	helper           func() // drain, then Done; `go l.helper()` allocates nothing
+}
+
+// NewLoop prepares body for repeated Runs.
+func NewLoop(body func(start, end int)) *Loop {
+	l := &Loop{body: body}
+	l.helper = func() {
+		l.drain()
+		l.wg.Done()
 	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= nChunks {
-					return
-				}
-				start := i * chunk
-				end := start + chunk
-				if end > n {
-					end = n
-				}
-				body(start, end)
-			}
-		}()
+	return l
+}
+
+// Run is For(n, workers, body) on the Loop's body: the same chunks,
+// each run once, on at most the given number of workers.
+func (l *Loop) Run(n, workers int) {
+	if n <= 0 {
+		return
 	}
-	wg.Wait()
+	w := min(Workers(workers), n)
+	if w <= 1 {
+		l.body(0, n)
+		return
+	}
+	l.n, l.chunk = n, chunkSize(n, w)
+	l.chunks = (n + l.chunk - 1) / l.chunk
+	w = min(w, l.chunks)
+	l.next.Store(0)
+	l.wg.Add(w - 1)
+	for g := 1; g < w; g++ {
+		go l.helper()
+	}
+	l.drain()
+	l.wg.Wait()
+}
+
+// drain runs chunks until none is left.
+func (l *Loop) drain() {
+	for {
+		i := int(l.next.Add(1)) - 1
+		if i >= l.chunks {
+			return
+		}
+		start := i * l.chunk
+		l.body(start, min(start+l.chunk, l.n))
+	}
 }
 
 // ForEach runs body(i) for every i in [0, n) on the given number of

@@ -87,3 +87,30 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 		t.Fatalf("tiny For covered %d of 5", count)
 	}
 }
+
+// TestLoopReusedAcrossRuns: one Loop runs many times at changing sizes
+// and worker counts, covering each index once per Run, and a Run
+// allocates nothing — the helpers start from a function built once.
+func TestLoopReusedAcrossRuns(t *testing.T) {
+	var visits []int32
+	l := NewLoop(func(start, end int) {
+		for i := start; i < end; i++ {
+			atomic.AddInt32(&visits[i], 1)
+		}
+	})
+	for _, n := range []int{1, 63, 64, 1999, 10_000} {
+		for _, workers := range []int{1, 2, 7, 0} {
+			visits = make([]int32, n)
+			l.Run(n, workers)
+			for i, v := range visits {
+				if v != 1 {
+					t.Fatalf("n=%d workers=%d: index %d visited %d times", n, workers, i, v)
+				}
+			}
+		}
+	}
+	visits = make([]int32, 1999)
+	if allocs := testing.AllocsPerRun(50, func() { l.Run(1999, 4) }); allocs != 0 {
+		t.Fatalf("a Run allocated %v objects, want 0", allocs)
+	}
+}

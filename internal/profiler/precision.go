@@ -1,10 +1,6 @@
 package profiler
 
-import (
-	"fmt"
-
-	"vectorliterag/internal/pq"
-)
+import "fmt"
 
 // MaxSQRecallGain caps the modeled per-cluster recall gain (in recall
 // points) of storing a cluster as SQ8 instead of PQ. SQ8 keeps one
@@ -15,78 +11,28 @@ import (
 // which is where this cap sits.
 const MaxSQRecallGain = 0.05
 
-// sqDeltaSampleVecs bounds the per-cluster member sample the
-// distortion comparison reads.
-const sqDeltaSampleVecs = 32
-
 // SQRecallDeltas estimates, per physical cluster, the recall gain (in
 // recall points, 0..MaxSQRecallGain) from storing that cluster's
 // vectors as SQ8 codes instead of PQ codes.
 //
-// The estimate is a distortion comparison on the physical corpus: for
-// a deterministic stride-sample of each cluster's members, the squared
-// reconstruction error under the index's trained PQ codebooks and
-// under an SQ8 quantizer trained on the same corpus. A cluster's delta
-// scales with how much of the PQ distortion SQ8 removes, relative to
-// the corpus-mean PQ distortion — clusters the PQ codebooks already
+// The estimate reads the workload's codec distortion
+// (dataset.Workload.Distortion, measured once per corpus): a cluster's
+// delta scales with how much of the PQ distortion SQ8 removes, relative
+// to the corpus-mean PQ distortion — clusters the PQ codebooks already
 // represent well have little recall to win back, while clusters far
 // from the codebook centers (where PQ's subspace centroids are
-// stretched) gain the most. The asymmetric LUT distance of a vector to
-// its own code is exactly its squared reconstruction error, so both
-// codecs are measured by the same kernels the scans use.
-//
-// The result is deterministic: sampling is by fixed stride in
-// inverted-list order and every accumulation runs in cluster order.
+// stretched) gain the most.
 func SQRecallDeltas(p *AccessProfile) ([]float64, error) {
-	w := p.W
-	dim := w.Index.Dim()
-	sq, err := pq.TrainSQ(w.Data, dim)
+	d, err := p.W.Distortion()
 	if err != nil {
 		return nil, fmt.Errorf("profiler: %w", err)
 	}
-	quant := w.Index.Quantizer()
-	nlist := w.Index.NList()
-
-	var lut pq.LUT
-	pqCode := make([]byte, quant.CodeSize())
-	sqCode := make([]byte, sq.CodeSize())
-	msePQ := make([]float64, nlist)
-	mseSQ := make([]float64, nlist)
-	var meanPQ float64
-	var sampled int
-	for c := 0; c < nlist; c++ {
-		ids := w.Index.ClusterIDs(c)
-		if len(ids) == 0 {
-			continue
-		}
-		stride := len(ids)/sqDeltaSampleVecs + 1
-		var ePQ, eSQ float64
-		n := 0
-		for j := 0; j < len(ids); j += stride {
-			v := w.Data[int(ids[j])*dim : (int(ids[j])+1)*dim]
-			quant.Encode(v, pqCode)
-			quant.BuildLUTInto(v, &lut)
-			ePQ += float64(lut.Distance(pqCode))
-			sq.Encode(v, sqCode)
-			eSQ += float64(sq.Distance(v, sqCode))
-			n++
-		}
-		msePQ[c] = ePQ / float64(n)
-		mseSQ[c] = eSQ / float64(n)
-		meanPQ += ePQ
-		sampled += n
-	}
-	if sampled == 0 {
-		return nil, fmt.Errorf("profiler: empty index")
-	}
-	meanPQ /= float64(sampled)
-
-	deltas := make([]float64, nlist)
+	deltas := make([]float64, len(d.PQ))
 	for c := range deltas {
-		if msePQ[c] <= 0 {
+		if d.PQ[c] <= 0 {
 			continue
 		}
-		rel := (msePQ[c] - mseSQ[c]) / meanPQ
+		rel := (d.PQ[c] - d.SQ[c]) / d.MeanPQ
 		if rel < 0 {
 			rel = 0
 		}

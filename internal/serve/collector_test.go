@@ -64,17 +64,19 @@ func TestCollectorStreamsRecordsThroughPooling(t *testing.T) {
 
 // TestCollectorSummarizeReusesScratch guards the allocation-free
 // aggregation path: repeated Summarize calls on a warm collector do
-// not allocate per call.
+// not allocate per call — the latencies vary, so every percentile is a
+// real selection over reused scratch.
 func TestCollectorSummarizeReusesScratch(t *testing.T) {
 	c := NewCollector()
-	for i := 0; i < 256; i++ {
+	for i := 0; i < 4096; i++ {
 		r := &workload.Request{ID: i, ArrivalAt: des.Time(i) * 1000}
 		c.Admit(r)
-		r.SearchStart = r.ArrivalAt + 10
-		r.SearchDone = r.ArrivalAt + 20
-		r.LLMStart = r.ArrivalAt + 30
-		r.FirstToken = r.ArrivalAt + 40
-		r.Done = r.ArrivalAt + 50
+		d := des.Time(i*7919%1000 + 1)
+		r.SearchStart = r.ArrivalAt + d
+		r.SearchDone = r.ArrivalAt + 2*d
+		r.LLMStart = r.ArrivalAt + 2*d + 10
+		r.FirstToken = r.ArrivalAt + 3*d + 20
+		r.Done = r.ArrivalAt + 4*d + 30
 		c.Done(r)
 	}
 	c.Summarize(time.Second, 0) // size the scratch

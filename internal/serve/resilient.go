@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"vectorliterag/internal/des"
@@ -134,7 +133,7 @@ type ResilientRouter struct {
 	next int // round-robin cursor
 
 	attempts map[*workload.Request]*attempt
-	liveOn   [][]*workload.Request // per-replica dispatch-ordered copies
+	liveOn   []liveList // per-replica dispatch-ordered copies
 
 	samples  []float64  // clean first-attempt latencies (seconds) for HedgeAuto
 	scratch  []float64  // reusable quantile scratch
@@ -176,7 +175,7 @@ func NewResilientRouter(sim *des.Sim, cfg ResilienceConfig, replicas []*Replica,
 		up:       up,
 		nUp:      len(replicas),
 		attempts: make(map[*workload.Request]*attempt),
-		liveOn:   make([][]*workload.Request, len(replicas)),
+		liveOn:   make([]liveList, len(replicas)),
 	}, nil
 }
 
@@ -253,7 +252,7 @@ func (r *ResilientRouter) dispatch(att *attempt) {
 	rep := r.reps[i]
 	rep.inflight++
 	rep.submitted++
-	r.liveOn[i] = append(r.liveOn[i], req)
+	r.liveOn[i].push(req)
 	seq := att.seq
 	if r.cfg.Timeout > 0 {
 		r.sim.After(r.cfg.Timeout, func() { r.onTimeout(att, seq) })
@@ -286,12 +285,12 @@ func (r *ResilientRouter) hedgeDelay() time.Duration {
 		return d
 	}
 	r.scratch = append(r.scratch[:0], r.samples...)
-	sort.Float64s(r.scratch)
 	// Interpolated quantile, not scratch[(len*95)/100]: that index is
 	// the sample *maximum* at the 20-sample warmup boundary, which made
 	// the auto delay track the slowest clean attempt instead of the p95.
-	p95 := stats.PercentileSorted(r.scratch, 0.95)
-	if auto := time.Duration(p95 * float64(time.Second)); auto > d {
+	var p95 [1]float64
+	stats.SelectPercentiles(r.scratch, []float64{0.95}, p95[:])
+	if auto := time.Duration(p95[0] * float64(time.Second)); auto > d {
 		return auto
 	}
 	return d
@@ -395,7 +394,7 @@ func (r *ResilientRouter) onHedge(att *attempt, seq uint64) {
 	rep := r.reps[i]
 	rep.inflight++
 	rep.submitted++
-	r.liveOn[i] = append(r.liveOn[i], cp)
+	r.liveOn[i].push(cp)
 	r.stats.Hedged++
 	rep.pipe.Submit(cp)
 }
@@ -404,7 +403,7 @@ func (r *ResilientRouter) onHedge(att *attempt, seq uint64) {
 // callers that must build replica pipelines *before* the router exists
 // can wire a late-bound closure as each terminal sink.
 func (r *ResilientRouter) Complete(i int, req *workload.Request) {
-	r.removeLive(i, req)
+	r.liveOn[i].remove(req)
 	r.reps[i].Release(req)
 	att, ok := r.attempts[req]
 	if !ok {
@@ -437,19 +436,6 @@ func (r *ResilientRouter) Complete(i int, req *workload.Request) {
 	r.pool.Put(req)
 }
 
-// removeLive drops req from replica i's dispatch-order list.
-func (r *ResilientRouter) removeLive(i int, req *workload.Request) {
-	list := r.liveOn[i]
-	for k, q := range list {
-		if q == req {
-			copy(list[k:], list[k+1:])
-			list[len(list)-1] = nil
-			r.liveOn[i] = list[:len(list)-1]
-			return
-		}
-	}
-}
-
 // Crash takes replica i out of the candidate set and fails over its
 // in-flight primaries (in dispatch order, so the failover sequence is
 // deterministic). Hedge copies on the crashed replica are dropped;
@@ -466,9 +452,11 @@ func (r *ResilientRouter) Crash(i int) {
 	crashID := len(r.crashAt)
 	r.crashAt = append(r.crashAt, r.sim.Now())
 	r.healedBy = append(r.healedBy, r.sim.Now()-1)
-	list := r.liveOn[i]
-	r.liveOn[i] = nil
-	for _, req := range list {
+	// The crashed replica is out of the candidate set, so failing over
+	// dispatches nothing onto the list being walked.
+	list := &r.liveOn[i]
+	for k := range list.n {
+		req := list.at(k)
 		att, ok := r.attempts[req]
 		if !ok {
 			continue // already a ghost; it drains regardless
@@ -482,9 +470,7 @@ func (r *ResilientRouter) Crash(i int) {
 		r.stats.FailedOver++
 		r.retry(att, true)
 	}
-	if cap(list) > 0 {
-		r.liveOn[i] = list[:0]
-	}
+	list.reset()
 }
 
 // Recover returns replica i to the candidate set.
@@ -494,4 +480,68 @@ func (r *ResilientRouter) Recover(i int) {
 	}
 	r.up[i] = true
 	r.nUp++
+}
+
+// liveList is one replica's in-flight copies in dispatch order, held in
+// a ring so that a completion shifts only the shorter side of the
+// removed entry. Completions arrive in nearly FIFO order, so that side
+// is usually short, and the ring reuses its buffer instead of losing
+// capacity at the front.
+type liveList struct {
+	buf     []*workload.Request
+	head, n int
+}
+
+// slot maps list position k in [0, n] to its index in buf.
+func (l *liveList) slot(k int) int {
+	j := l.head + k
+	if j >= len(l.buf) {
+		j -= len(l.buf)
+	}
+	return j
+}
+
+func (l *liveList) at(k int) *workload.Request { return l.buf[l.slot(k)] }
+
+func (l *liveList) push(req *workload.Request) {
+	if l.n == len(l.buf) {
+		grown := make([]*workload.Request, max(8, 2*l.n))
+		for k := range l.n {
+			grown[k] = l.at(k)
+		}
+		l.buf, l.head = grown, 0
+	}
+	l.buf[l.slot(l.n)] = req
+	l.n++
+}
+
+// remove drops req, keeping the others in dispatch order; a copy that
+// is not on the list is ignored.
+func (l *liveList) remove(req *workload.Request) {
+	k := 0
+	for k < l.n && l.at(k) != req {
+		k++
+	}
+	if k == l.n {
+		return
+	}
+	if k < l.n-1-k {
+		for ; k > 0; k-- { // shift the head side one step back
+			l.buf[l.slot(k)] = l.at(k - 1)
+		}
+		l.buf[l.head] = nil
+		l.head = l.slot(1)
+	} else {
+		for ; k < l.n-1; k++ { // shift the tail side one step forward
+			l.buf[l.slot(k)] = l.at(k + 1)
+		}
+		l.buf[l.slot(k)] = nil
+	}
+	l.n--
+}
+
+// reset empties the list, keeping its buffer.
+func (l *liveList) reset() {
+	clear(l.buf)
+	l.head, l.n = 0, 0
 }

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"vectorliterag/internal/des"
+	"vectorliterag/internal/rng"
 	"vectorliterag/internal/workload"
 )
 
@@ -97,7 +99,7 @@ func (h *resilientHarness) settled(t *testing.T) {
 		if rep.Inflight() != 0 {
 			t.Errorf("replica %d inflight gauge %d after drain", i, rep.Inflight())
 		}
-		if len(h.router.liveOn[i]) != 0 {
+		if h.router.liveOn[i].n != 0 {
 			t.Errorf("replica %d liveOn list non-empty after drain", i)
 		}
 	}
@@ -405,4 +407,90 @@ func TestHedgeAutoDelayIsInterpolatedP95(t *testing.T) {
 	if got := r.hedgeDelay(); got != time.Second {
 		t.Fatalf("pre-warmup pure auto: %v, want 1s", got)
 	}
+}
+
+// TestLiveListMatchesSliceReference: random pushes and removals —
+// mostly near the front, as completions arrive, some anywhere, some of
+// copies never pushed — leave the ring holding exactly what a plain
+// slice with copy-down removal holds, in the same order, and the ring
+// never grows past twice its peak length.
+func TestLiveListMatchesSliceReference(t *testing.T) {
+	r := rng.New(3)
+	reqs := make([]workload.Request, 16384)
+	var l liveList
+	var ref []*workload.Request
+	next, peak := 0, 0
+	for step := 0; step < 20000; step++ {
+		switch {
+		case next < len(reqs) && (len(ref) == 0 || r.Intn(100) < 52):
+			l.push(&reqs[next])
+			ref = append(ref, &reqs[next])
+			next++
+		case len(ref) == 0:
+			continue
+		case r.Intn(10) == 0: // a copy not on the list
+			l.remove(&workload.Request{})
+		default:
+			k := r.Intn(min(len(ref), 3)) // nearly FIFO
+			if r.Intn(4) == 0 {
+				k = r.Intn(len(ref))
+			}
+			l.remove(ref[k])
+			ref = append(ref[:k], ref[k+1:]...)
+		}
+		peak = max(peak, len(ref))
+		if l.n != len(ref) {
+			t.Fatalf("step %d: ring holds %d, reference %d", step, l.n, len(ref))
+		}
+		for k, q := range ref {
+			if l.at(k) != q {
+				t.Fatalf("step %d: position %d holds request %p, reference %p", step, k, l.at(k), q)
+			}
+		}
+	}
+	if len(l.buf) > max(8, 2*peak) {
+		t.Errorf("ring buffer %d for a peak of %d", len(l.buf), peak)
+	}
+	l.reset()
+	if l.n != 0 || slices.ContainsFunc(l.buf, func(q *workload.Request) bool { return q != nil }) {
+		t.Errorf("reset left %d entries", l.n)
+	}
+}
+
+// TestResilientCrashFailsOverInDispatchOrder: completions leave replica
+// 0's in-flight list out of order; the crash must then fail the
+// survivors over in the order they were dispatched.
+func TestResilientCrashFailsOverInDispatchOrder(t *testing.T) {
+	var sim des.Sim
+	cfg := ResilienceConfig{Policy: RoundRobin, Timeout: 10 * time.Second, MaxRetries: 2}
+	crashAt := des.Time(40*time.Millisecond + 500*time.Microsecond)
+	// Replica 0 finishes ids 0, 2, 8 and 14 before the crash and still
+	// holds 4, 6, 10, 12, 16 and 18.
+	svc := func(id int) time.Duration { return time.Duration(id*11%17+1) * 4 * time.Millisecond }
+	var failedOver []int
+	h := newResilientHarness(t, &sim, cfg, 2, func(rep int, req *workload.Request) time.Duration {
+		if rep == 1 && sim.Now() == crashAt {
+			failedOver = append(failedOver, req.ID)
+		}
+		return svc(req.ID)
+	})
+	// Round-robin sends the even ids to replica 0, one a millisecond.
+	var want []int
+	for id := 0; id < 20; id++ {
+		at := des.Time(time.Duration(id) * time.Millisecond)
+		h.arriveAt(at)
+		if id%2 == 0 && at+des.Time(svc(id)) > crashAt {
+			want = append(want, id)
+		}
+	}
+	sim.At(crashAt, func() { h.router.Crash(0) })
+	sim.RunUntil(des.Time(5 * time.Second))
+
+	if len(want) < 4 || len(want) == 10 {
+		t.Fatalf("fixture: %d of 10 replica-0 requests live at the crash; want some done, several live", len(want))
+	}
+	if !slices.Equal(failedOver, want) {
+		t.Fatalf("failed over %v, want dispatch order %v", failedOver, want)
+	}
+	h.settled(t)
 }

@@ -9,6 +9,8 @@ package stats
 import (
 	"fmt"
 	"math"
+
+	"vectorliterag/internal/parallel"
 )
 
 // Beta is a Beta(alpha, beta) distribution on [0, 1]. The paper models
@@ -74,30 +76,69 @@ func (b Beta) CDF(x float64) float64 {
 //
 // whose integrand is bounded in [0,1] everywhere. n must be >= 1;
 // n = 1 reduces to the distribution mean.
-func (b Beta) ExpectedMin(n int) float64 {
+//
+// It is the one-shot form of MinGrid.ExpectedMin on one worker.
+func (b Beta) ExpectedMin(n int) float64 { return NewMinGrid(1).ExpectedMin(b, n) }
+
+// minSteps is the Simpson grid of ExpectedMin (even).
+const minSteps = 2000
+
+// MinGrid is ExpectedMin's reusable quadrature: the grid of integrand
+// values and the loop that fills its interior points on a worker pool.
+// Each point is independent, so any worker count fills the same values;
+// the Simpson sum then folds them in index order on one goroutine, so
+// the result is bit-identical at every worker count. Once built, an
+// integral allocates nothing. A MinGrid runs one integral at a time.
+type MinGrid struct {
+	workers int
+	loop    *parallel.Loop
+	cdf     incBeta // the integral in progress
+	n       float64
+	f       [minSteps]float64 // f[i] = integrand at i/minSteps, interior i
+}
+
+// NewMinGrid returns a grid that integrates on the given number of
+// workers (non-positive = one per CPU core).
+func NewMinGrid(workers int) *MinGrid {
+	g := &MinGrid{workers: workers}
+	g.loop = parallel.NewLoop(g.fill)
+	return g
+}
+
+// ExpectedMin returns b.ExpectedMin(n), evaluated on the grid.
+func (g *MinGrid) ExpectedMin(b Beta, n int) float64 {
 	if n <= 1 {
 		return b.Mean()
 	}
-	const steps = 2000 // even
-	h := 1.0 / steps
-	cdf := newIncBeta(b.Alpha, b.Beta) // once per integral, not per grid point
-	f := func(x float64) float64 {
-		surv := 1 - cdf.at(x)
-		if surv <= 0 {
-			return 0
-		}
-		return math.Pow(surv, float64(n))
-	}
-	sum := f(0) + f(1)
-	for i := 1; i < steps; i++ {
-		x := float64(i) * h
+	const h = 1.0 / minSteps
+	g.cdf, g.n = newIncBeta(b.Alpha, b.Beta), float64(n) // once per integral, not per grid point
+	sum := g.at(0) + g.at(1)
+	g.loop.Run(minSteps-1, g.workers)
+	for i := 1; i < minSteps; i++ {
 		if i%2 == 1 {
-			sum += 4 * f(x)
+			sum += 4 * g.f[i]
 		} else {
-			sum += 2 * f(x)
+			sum += 2 * g.f[i]
 		}
 	}
 	return sum * h / 3
+}
+
+// fill evaluates interior grid points 1+start ... end.
+func (g *MinGrid) fill(start, end int) {
+	const h = 1.0 / minSteps
+	for i := start + 1; i <= end; i++ {
+		g.f[i] = g.at(float64(i) * h)
+	}
+}
+
+// at is the survival-form integrand (1 - F(x))^n.
+func (g *MinGrid) at(x float64) float64 {
+	surv := 1 - g.cdf.at(x)
+	if surv <= 0 {
+		return 0
+	}
+	return math.Pow(surv, g.n)
 }
 
 // logBetaFn returns ln B(a, b) = lnΓ(a) + lnΓ(b) − lnΓ(a+b).

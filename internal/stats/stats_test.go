@@ -236,6 +236,30 @@ func TestExpectedMinBitIdenticalToReference(t *testing.T) {
 	t.Logf("%d (mean, variance, n) points bit-equal", points)
 }
 
+// TestMinGridBitIdenticalAcrossWorkers: the grid's points are filled on
+// a worker pool but folded in index order, so any worker count — and a
+// grid reused integral after integral — gives the reference's bits.
+func TestMinGridBitIdenticalAcrossWorkers(t *testing.T) {
+	cases := []struct {
+		alpha, beta float64
+		n           int
+	}{
+		{0.3, 0.4, 2}, {0.5, 3, 8}, {4, 0.6, 16}, {0.9, 0.9, 64},
+		{1, 1, 5}, {4.2, 1.7, 8}, {25, 2, 256}, {2, 40, 3},
+	}
+	for _, workers := range []int{1, 2, 8} {
+		g := NewMinGrid(workers)
+		for _, c := range cases {
+			b := Beta{Alpha: c.alpha, Beta: c.beta}
+			got, want := g.ExpectedMin(b, c.n), refExpectedMin(b, c.n)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("workers %d: Beta(%v, %v) n=%d: %v (%#x), reference %v (%#x)",
+					workers, c.alpha, c.beta, c.n, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
 func TestPercentile(t *testing.T) {
 	s := []float64{1, 2, 3, 4, 5}
 	if got := Percentile(s, 0.5); got != 3 {

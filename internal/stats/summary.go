@@ -3,6 +3,8 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -12,38 +14,137 @@ import (
 // everything, so one NaN sorts to an arbitrary position and silently
 // corrupts every quantile read from the sample.
 func Percentile(sample []float64, p float64) float64 {
-	s := append([]float64(nil), sample...)
-	sort.Float64s(s)
-	return PercentileSorted(s, p)
+	var out [1]float64
+	SelectPercentiles(slices.Clone(sample), []float64{p}, out[:])
+	return out[0]
 }
 
 // PercentileSorted is Percentile over an already ascending-sorted
-// sample — the allocation-free path: callers that need several
-// quantiles sort one reusable scratch copy and read them all from it.
-// It panics on an empty sample and on NaN sample values.
+// sample. It panics on an empty sample and on NaN sample values.
 func PercentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
+	checkSample(sorted)
+	lo, hi, frac := rank(p, len(sorted))
+	return lerp(sorted[lo], sorted[hi], frac)
+}
+
+// SelectPercentiles sets out[i] to PercentileSorted(sorted, ps[i]),
+// where sorted is sample in ascending order, without sorting: it
+// reorders sample in place only as far as selection needs to put each
+// order statistic it reads in its sorted position — a three-way
+// quickselect for the lower one, and the minimum of everything to its
+// right for its interpolation partner. ps must be ascending, so every
+// selection runs on what is right of the last. It panics on an empty
+// sample, on NaN sample values, and on descending ps.
+func SelectPercentiles(sample, ps, out []float64) {
+	checkSample(sample)
+	n := len(sample)
+	done := 0 // sample[:done] holds the done smallest values
+	for i, p := range ps {
+		if i > 0 && p < ps[i-1] {
+			panic(fmt.Sprintf("stats: percentile %v after %v: not ascending", p, ps[i-1]))
+		}
+		lo, hi, frac := rank(p, n)
+		if lo >= done {
+			selectKth(sample[done:], lo-done)
+			done = lo + 1
+		}
+		if hi >= done { // hi == lo+1 == done: the minimum of the rest
+			m := hi
+			for j := hi + 1; j < n; j++ {
+				if sample[j] < sample[m] {
+					m = j
+				}
+			}
+			sample[hi], sample[m] = sample[m], sample[hi]
+			done = hi + 1
+		}
+		out[i] = lerp(sample[lo], sample[hi], frac)
+	}
+}
+
+// checkSample panics on an empty sample or a NaN in it.
+func checkSample(sample []float64) {
+	if len(sample) == 0 {
 		panic("stats: Percentile of empty sample")
 	}
-	for i, v := range sorted {
+	for i, v := range sample {
 		if math.IsNaN(v) {
 			panic(fmt.Sprintf("stats: NaN at sample index %d poisons every quantile", i))
 		}
 	}
+}
+
+// rank places the p-quantile of n ascending values between order
+// statistics lo and hi (equal, or hi = lo+1) at fraction frac of the way.
+func rank(p float64, n int) (lo, hi int, frac float64) {
 	if p <= 0 {
-		return sorted[0]
+		return 0, 0, 0
 	}
 	if p >= 1 {
-		return sorted[len(sorted)-1]
+		return n - 1, n - 1, 0
 	}
-	pos := p * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
+	pos := p * float64(n-1)
+	lo, hi = int(math.Floor(pos)), int(math.Ceil(pos))
+	return lo, hi, pos - float64(lo)
+}
+
+// lerp interpolates between the order statistics rank chose; frac is 0
+// exactly when they are one and the same.
+func lerp(a, b, frac float64) float64 {
+	if frac == 0 {
+		return a
 	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return a*(1-frac) + b*frac
+}
+
+// selectKth reorders s so that s[k] holds the k-th smallest value, with
+// nothing greater before it and nothing smaller after it. Pivots are the
+// median of the window's ends and middle, which keeps sorted and
+// reverse-sorted input linear; a window still open after 4·log2(n)
+// rounds is sorted instead, bounding adversarial input at n·log n.
+func selectKth(s []float64, k int) {
+	lo, hi := 0, len(s)-1
+	for rounds := 4 * bits.Len(uint(len(s))); lo < hi; rounds-- {
+		if rounds == 0 {
+			slices.Sort(s[lo : hi+1])
+			return
+		}
+		pivot := median3(s[lo], s[lo+(hi-lo)/2], s[hi])
+		// Three-way partition: [lo, lt) < pivot, [lt, gt] == pivot,
+		// (gt, hi] > pivot, so runs of duplicates settle in one round.
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch v := s[i]; {
+			case v < pivot:
+				s[lt], s[i] = v, s[lt]
+				lt++
+				i++
+			case v > pivot:
+				s[gt], s[i] = v, s[gt]
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return
+		}
+	}
+}
+
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	return max(a, b)
 }
 
 // Mean returns the arithmetic mean; 0 for an empty sample.
