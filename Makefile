@@ -101,13 +101,9 @@ examples-smoke:
 # under testdata/fuzz, or added in the target with f.Add). CI runs this so the targets cannot rot; local
 # deep fuzzing just raises FUZZTIME.
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz='^FuzzScanCodes$$' -fuzztime=$(FUZZTIME) ./internal/pq
 	$(GO) test -run=NONE -fuzz='^FuzzScanCodesIDs$$' -fuzztime=$(FUZZTIME) ./internal/pq
-	$(GO) test -run=NONE -fuzz='^FuzzScanCodesMasked$$' -fuzztime=$(FUZZTIME) ./internal/pq
 	$(GO) test -run=NONE -fuzz='^FuzzScanCodesIDsMasked$$' -fuzztime=$(FUZZTIME) ./internal/pq
-	$(GO) test -run=NONE -fuzz='^FuzzScanSQ$$' -fuzztime=$(FUZZTIME) ./internal/pq
 	$(GO) test -run=NONE -fuzz='^FuzzScanSQIDs$$' -fuzztime=$(FUZZTIME) ./internal/pq
-	$(GO) test -run=NONE -fuzz='^FuzzScanSQMasked$$' -fuzztime=$(FUZZTIME) ./internal/pq
 	$(GO) test -run=NONE -fuzz='^FuzzScanSQIDsMasked$$' -fuzztime=$(FUZZTIME) ./internal/pq
 	$(GO) test -run=NONE -fuzz='^FuzzTopK$$' -fuzztime=$(FUZZTIME) ./internal/vecmath
 	$(GO) test -run=NONE -fuzz='^FuzzDotRows$$' -fuzztime=$(FUZZTIME) ./internal/vecmath

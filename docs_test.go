@@ -2,6 +2,7 @@ package vectorliterag_test
 
 import (
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -17,13 +18,29 @@ import (
 // a span with an underscore is not an identifier.
 var docIdent = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Za-z][A-Za-z0-9]*)(?:\\.([A-Za-z][A-Za-z0-9]*))?`")
 
+// docFile matches a backticked Go file reference, `name.go` or
+// `dir/name.go`, optionally with a `:line` suffix.
+var docFile = regexp.MustCompile("`([\\w./-]+\\.go)(?::[0-9]+)?`")
+
 // TestDocIdentifiersResolve: every Go identifier README.md and
-// ARCHITECTURE.md name as `pkg.Name` or `pkg.Type.Member`, where pkg is
-// a package of this module, is declared in that package's source. Name
-// is a top-level name or, as shorthand, a method of one of the
-// package's types; Member is a field or method declared on Type.
+// ARCHITECTURE.md name as `pkg.Name` or `pkg.Type.Member` resolves.
+// When pkg is a package of this module, Name is declared in its source:
+// a top-level name or, as shorthand, a method of one of the package's
+// types; Member is a field or method declared on Type. Otherwise pkg
+// must be a standard-library package, so a doc naming a package that
+// no longer exists fails. Every backticked `name.go` names a file in
+// the repository.
 func TestDocIdentifiersResolve(t *testing.T) {
 	decls := moduleDecls(t)
+	files := repoFiles(t)
+	std := map[string]bool{}
+	isStd := func(pkg string) bool {
+		if _, ok := std[pkg]; !ok {
+			p, err := build.Default.Import(pkg, "", build.FindOnly)
+			std[pkg] = err == nil && p.Goroot
+		}
+		return std[pkg]
+	}
 	checked := 0
 	for _, doc := range []string{"README.md", "ARCHITECTURE.md"} {
 		text, err := os.ReadFile(doc)
@@ -31,14 +48,23 @@ func TestDocIdentifiersResolve(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, line := range strings.Split(string(text), "\n") {
+			for _, m := range docFile.FindAllStringSubmatch(line, -1) {
+				checked++
+				if !files[m[1]] {
+					t.Errorf("%s:%d: %s names no file in the repository", doc, i+1, m[0])
+				}
+			}
 			for _, m := range docIdent.FindAllStringSubmatch(line, -1) {
-				pkg, ok := decls[m[1]]
-				if !ok {
-					continue
+				if (m[2] == "go" && m[3] == "") || m[0] == "`pkg.Name`" || m[0] == "`pkg.Type.Member`" {
+					continue // a file reference, or the pattern naming itself
 				}
 				checked++
-				if !pkg.resolves(m[2], m[3]) {
-					t.Errorf("%s:%d: %s is not declared in package %s", doc, i+1, m[0], m[1])
+				if pkg, ok := decls[m[1]]; ok {
+					if !pkg.resolves(m[2], m[3]) {
+						t.Errorf("%s:%d: %s is not declared in package %s", doc, i+1, m[0], m[1])
+					}
+				} else if !isStd(m[1]) {
+					t.Errorf("%s:%d: %s names %s, neither a package of this module nor of the standard library", doc, i+1, m[0], m[1])
 				}
 			}
 		}
@@ -46,6 +72,36 @@ func TestDocIdentifiersResolve(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no identifiers found in the docs; the pattern has drifted")
 	}
+}
+
+// repoFiles returns every Go file of the repository under its
+// slash-separated path and under each path suffix (so `name.go` and
+// `pkg/name.go` both resolve), dot-directories excluded.
+func repoFiles(t *testing.T) map[string]bool {
+	t.Helper()
+	out := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") {
+			parts := strings.Split(filepath.ToSlash(path), "/")
+			for i := range parts {
+				out[strings.Join(parts[i:], "/")] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // pkgDecls is one package's declared names: top-level identifiers,

@@ -1,16 +1,17 @@
 // Package adapt is the online control plane of the adaptive runtime
 // index update (paper §IV-B3), run *inside* a serving pipeline on the
 // simulator's timeline. A Controller observes every completed request
-// on the collector path and feeds an update.Monitor; when a window
+// on the collector path and feeds its drift monitor; when a window
 // closes with SLO attainment below threshold AND the observed hit rates
 // diverging from the model's expectation, it schedules a background
 // rebuild as a chain of simulated events — re-profiling the live query
 // stream, re-running Algorithm 1, re-splitting, and reloading each GPU
-// shard over PCIe, each stage priced by the update package's cost
-// model. While a shard reloads, the hybrid engine diverts its clusters
-// to the CPU path (service never pauses); once every shard has loaded,
-// the controller atomically swaps the new plan in and re-anchors the
-// monitor's expectation, closing the loop.
+// shard over PCIe, each stage priced by costmodel (EstimateRebuild sums
+// the same terms for a plan offline: the bars of Fig. 9). While a shard
+// reloads, the hybrid engine diverts its clusters to the CPU path
+// (service never pauses); once every shard has loaded, the controller
+// atomically swaps the new plan in and re-anchors the monitor's
+// expectation, closing the loop.
 //
 // The whole cycle runs in virtual time on the same deterministic event
 // loop as the data plane, so adaptive runs are reproducible bit for bit
@@ -20,8 +21,10 @@ package adapt
 
 import (
 	"fmt"
+	"math"
 	"time"
 
+	"vectorliterag/internal/costmodel"
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/des"
 	"vectorliterag/internal/hitrate"
@@ -31,7 +34,6 @@ import (
 	"vectorliterag/internal/profiler"
 	"vectorliterag/internal/retrieval"
 	"vectorliterag/internal/splitter"
-	"vectorliterag/internal/update"
 	"vectorliterag/internal/workload"
 )
 
@@ -50,11 +52,138 @@ const (
 	cooldownWindows = 1
 )
 
+// MonitorConfig sets the drift-detection thresholds. Zero fields take
+// the defaults; NewController rejects a negative window and thresholds
+// outside [0, 1].
+type MonitorConfig struct {
+	// WindowRequests is how many requests a window holds before the
+	// counters reset (default 2000: the paper resets every few minutes
+	// or few thousand requests).
+	WindowRequests int
+	// SLOThreshold: an update may trigger when windowed SLO attainment
+	// falls below this (default 0.9).
+	SLOThreshold float64
+	// HitRateDivergence: and the observed mean hit rate deviates from the
+	// expectation by more than this (default 0.1).
+	HitRateDivergence float64
+}
+
+// withDefaults validates c and fills its zero fields: the one place the
+// monitor's defaults live. Errors name the offending field.
+func (c MonitorConfig) withDefaults() (MonitorConfig, error) {
+	if c.WindowRequests < 0 {
+		return c, fmt.Errorf("adapt: MonitorConfig.WindowRequests = %d, want >= 0 (0 takes the default)", c.WindowRequests)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"SLOThreshold", c.SLOThreshold}, {"HitRateDivergence", c.HitRateDivergence}} {
+		if !(f.v >= 0 && f.v <= 1) { // NaN fails both comparisons
+			return c, fmt.Errorf("adapt: MonitorConfig.%s = %v, want a finite value in [0, 1]", f.name, f.v)
+		}
+	}
+	if c.WindowRequests == 0 {
+		c.WindowRequests = 2000
+	}
+	if c.SLOThreshold == 0 {
+		c.SLOThreshold = 0.9
+	}
+	if c.HitRateDivergence == 0 {
+		c.HitRateDivergence = 0.1
+	}
+	return c, nil
+}
+
+// monitor is the router's drift rule. It accumulates served hit rates
+// and SLO outcomes over a window of requests; a window that closes with
+// attainment below threshold AND the mean hit rate diverging from the
+// model's expectation signals drift. Either alone does not: missed SLOs
+// at on-model hit rates put the bottleneck elsewhere, and off-model hit
+// rates with healthy SLOs make the plan stale but harmless.
+type monitor struct {
+	cfg      MonitorConfig
+	expected float64 // model-expected mean hit rate of the installed plan
+	n        int     // requests in the open window
+	hitSum   float64
+	sloOK    int
+	windows  int // windows closed so far
+}
+
+// record registers one served request's hit rate and SLO outcome and
+// reports whether it closed a window with drift detected.
+func (m *monitor) record(hitRate float64, metSLO bool) bool {
+	m.n++
+	m.hitSum += hitRate
+	if metSLO {
+		m.sloOK++
+	}
+	if m.n < m.cfg.WindowRequests {
+		return false
+	}
+	attain := float64(m.sloOK) / float64(m.n)
+	mean := m.hitSum / float64(m.n)
+	m.windows++
+	m.reset()
+	return attain < m.cfg.SLOThreshold && math.Abs(mean-m.expected) > m.cfg.HitRateDivergence
+}
+
+// reset discards the open window without closing it.
+func (m *monitor) reset() { m.n, m.hitSum, m.sloOK = 0, 0, 0 }
+
+// RebuildTiming is the stage breakdown of one update cycle — the bars
+// of paper Fig. 9.
+type RebuildTiming struct {
+	Profiling time.Duration // replaying calibration queries
+	Algorithm time.Duration // latency-bounded partitioning
+	Splitting time.Duration // shard materialization + mapping tables
+	Loading   time.Duration // host-to-device shard transfer
+}
+
+// Total returns the end-to-end rebuild time.
+func (t RebuildTiming) Total() time.Duration {
+	return t.Profiling + t.Algorithm + t.Splitting + t.Loading
+}
+
+// Validate checks a timing against the paper's deployability claims:
+// the full cycle completes within ~a minute and per-shard loading
+// within ten seconds.
+func (t RebuildTiming) Validate() error {
+	if t.Total() > 2*time.Minute {
+		return fmt.Errorf("adapt: rebuild %v exceeds the paper's <1min envelope by >2x", t.Total())
+	}
+	if t.Loading > 10*time.Second {
+		return fmt.Errorf("adapt: shard loading %v exceeds 10s", t.Loading)
+	}
+	return nil
+}
+
+// EstimateRebuild prices one update cycle that installs plan on node,
+// with the stage terms a Controller charges a live cycle: the
+// calibrationReplay profiling replay, algorithmIters bisection steps of
+// Algorithm 1, the split, and the shard loads.
+func EstimateRebuild(node hw.Node, spec dataset.Spec, plan *splitter.Plan, algorithmIters int) RebuildTiming {
+	return RebuildTiming{
+		Profiling: costmodel.ProfilingTime(node.CPU, spec, calibrationReplay),
+		Algorithm: costmodel.AlgorithmTime(algorithmIters),
+		Splitting: costmodel.SplitTime(node.CPU, plan.TotalBytes()),
+		Loading:   loadingTime(node.GPU, plan),
+	}
+}
+
+// loadingTime prices the shard loads: every shard transfers over PCIe
+// concurrently, so the slowest gates the cycle.
+func loadingTime(gpu hw.GPU, plan *splitter.Plan) time.Duration {
+	var t time.Duration
+	for _, b := range plan.ShardBytes {
+		t = max(t, costmodel.ShardLoadTime(gpu, b))
+	}
+	return t
+}
+
 // Config tunes the controller.
 type Config struct {
-	// Monitor holds the drift-detection thresholds; a zero value falls
-	// back to update.DefaultMonitorConfig.
-	Monitor update.MonitorConfig
+	// Monitor holds the drift-detection thresholds.
+	Monitor MonitorConfig
 	// ProfileQueries is the calibration sample the in-loop re-profiling
 	// replays from the (drifted) live distribution (default 4000, the
 	// offline build's size).
@@ -132,7 +261,7 @@ type RebuildRecord struct {
 	AlgoDoneAt    des.Time
 	SplitDoneAt   des.Time
 	SwappedAt     des.Time // zero when the cycle aborted
-	Timing        update.RebuildTiming
+	Timing        RebuildTiming
 	OldRho        float64
 	NewRho        float64
 	OldExpected   float64
@@ -163,7 +292,7 @@ type Compactor interface {
 type Controller struct {
 	cfg Config
 	in  Inputs
-	mon *update.Monitor
+	mon monitor
 
 	rebuilding bool
 	cycles     int
@@ -197,9 +326,11 @@ func NewController(cfg Config, in Inputs) (*Controller, error) {
 	if in.Perf == nil {
 		return nil, fmt.Errorf("adapt: nil performance model")
 	}
-	c := &Controller{cfg: cfg, in: in, windowsAtSwap: -1}
-	c.mon = update.NewMonitor(cfg.Monitor, in.Expected)
-	return c, nil
+	mon, err := cfg.Monitor.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	return &Controller{cfg: cfg, in: in, mon: monitor{cfg: mon, expected: in.Expected}, windowsAtSwap: -1}, nil
 }
 
 // Bind attaches the hot-swappable engine (post-compose).
@@ -209,9 +340,6 @@ func (c *Controller) Bind(eng retrieval.HotSwapper) { c.in.Engine = eng }
 // triggers whose drift trackers sit below the escalation thresholds
 // run a cheap compaction instead of a full rebuild.
 func (c *Controller) BindCompactor(comp Compactor) { c.compactor = comp }
-
-// Monitor exposes the drift monitor (tests and diagnostics).
-func (c *Controller) Monitor() *update.Monitor { return c.mon }
 
 // Rebuilds returns every update cycle the controller ran, in trigger
 // order.
@@ -241,7 +369,7 @@ func (c *Controller) Observed() int { return c.observed }
 func (c *Controller) Observe(req *workload.Request) {
 	c.observed++
 	met := req.FirstToken > 0 && time.Duration(req.TTFT()) <= c.in.SLOTotal
-	if c.mon.Record(req.HitRate, met) && !c.rebuilding && !c.inCooldown() {
+	if c.mon.record(req.HitRate, met) && !c.rebuilding && !c.inCooldown() {
 		c.startRebuild()
 	}
 }
@@ -252,7 +380,7 @@ func (c *Controller) inCooldown() bool {
 	if c.windowsAtSwap < 0 {
 		return false
 	}
-	return c.mon.WindowsClosed()-c.windowsAtSwap <= cooldownWindows
+	return c.mon.windows-c.windowsAtSwap <= cooldownWindows
 }
 
 // startRebuild kicks off one background update cycle at the current
@@ -277,9 +405,9 @@ func (c *Controller) startRebuild() {
 	rec := RebuildRecord{
 		TriggeredAt: c.in.Sim.Now(),
 		OldRho:      c.in.Engine.Plan().Coverage,
-		OldExpected: c.mon.Expected(),
+		OldExpected: c.mon.expected,
 	}
-	rec.Timing.Profiling = update.ProfilingTime(c.in.Node, c.in.W.Spec, calibrationReplay)
+	rec.Timing.Profiling = costmodel.ProfilingTime(c.in.Node.CPU, c.in.W.Spec, calibrationReplay)
 	c.track(rec)
 	c.in.Sim.After(rec.Timing.Profiling, func() { c.profileDone(rec) })
 }
@@ -294,7 +422,7 @@ func (c *Controller) startCompaction() {
 	rec := RebuildRecord{
 		TriggeredAt:    c.in.Sim.Now(),
 		OldRho:         c.in.Engine.Plan().Coverage,
-		OldExpected:    c.mon.Expected(),
+		OldExpected:    c.mon.expected,
 		Compaction:     true,
 		CompactionTime: c.compactor.CompactionCost(),
 	}
@@ -310,11 +438,7 @@ func (c *Controller) compactDone(rec RebuildRecord) {
 	rec.SwappedAt = c.in.Sim.Now()
 	c.compactor.Compact()
 	c.compactedLast = true
-	c.mon.ResetWindow()
-	c.windowsAtSwap = c.mon.WindowsClosed()
-	c.rebuilds = append(c.rebuilds, rec)
-	c.pending = nil
-	c.rebuilding = false
+	c.settle(rec)
 }
 
 // track snapshots the in-flight cycle's latest state.
@@ -354,7 +478,7 @@ func (c *Controller) profileDone(rec RebuildRecord) {
 	rec.Iterations = part.Iterations
 	rec.NewRho = part.Rho
 	rec.NewExpected = est.MeanHitRate(part.Rho)
-	rec.Timing.Algorithm = update.AlgorithmTime(part.Iterations)
+	rec.Timing.Algorithm = costmodel.AlgorithmTime(part.Iterations)
 	c.track(rec)
 	c.in.Sim.After(rec.Timing.Algorithm, func() { c.algoDone(rec, prof) })
 }
@@ -367,7 +491,7 @@ func (c *Controller) algoDone(rec RebuildRecord, prof *profiler.AccessProfile) {
 		c.abort(rec, "split", err)
 		return
 	}
-	rec.Timing.Splitting = update.SplittingTime(c.in.Node, plan)
+	rec.Timing.Splitting = costmodel.SplitTime(c.in.Node.CPU, plan.TotalBytes())
 	c.track(rec)
 	c.in.Sim.After(rec.Timing.Splitting, func() { c.splitDone(rec, plan) })
 }
@@ -378,13 +502,10 @@ func (c *Controller) algoDone(rec RebuildRecord, prof *profiler.AccessProfile) {
 // swap; loads run concurrently and the slowest gates the swap.
 func (c *Controller) splitDone(rec RebuildRecord, plan *splitter.Plan) {
 	rec.SplitDoneAt = c.in.Sim.Now()
-	loads := update.LoadingTimes(c.in.Node, plan)
-	for g := range loads {
+	for g := range plan.ShardBytes {
 		c.in.Engine.SetShardRefreshing(g, true)
-		if loads[g] > rec.Timing.Loading {
-			rec.Timing.Loading = loads[g]
-		}
 	}
+	rec.Timing.Loading = loadingTime(c.in.Node.GPU, plan)
 	c.track(rec)
 	c.in.Sim.After(rec.Timing.Loading, func() { c.swap(rec, plan) })
 }
@@ -396,12 +517,18 @@ func (c *Controller) swap(rec RebuildRecord, plan *splitter.Plan) {
 	rec.SwappedAt = c.in.Sim.Now()
 	c.in.Engine.SetPlan(plan)
 	c.compactedLast = false
-	c.mon.SetExpected(rec.NewExpected)
-	// Drop the partial window: it mixes old-plan observations (including
-	// the reload's CPU diverts) that would otherwise re-trigger against
-	// the new expectation.
-	c.mon.ResetWindow()
-	c.windowsAtSwap = c.mon.WindowsClosed()
+	c.mon.expected = rec.NewExpected
+	c.settle(rec)
+}
+
+// settle closes a cycle that changed what serves (a swap or a
+// compaction). The monitor drops its partial window, which mixes
+// observations from before the change (including a reload's CPU
+// diverts) that would otherwise re-trigger against the new state, and
+// the cooldown starts.
+func (c *Controller) settle(rec RebuildRecord) {
+	c.mon.reset()
+	c.windowsAtSwap = c.mon.windows
 	c.rebuilds = append(c.rebuilds, rec)
 	c.pending = nil
 	c.rebuilding = false

@@ -13,7 +13,6 @@ import (
 	"vectorliterag/internal/profiler"
 	"vectorliterag/internal/retrieval"
 	"vectorliterag/internal/splitter"
-	"vectorliterag/internal/update"
 	"vectorliterag/internal/workload"
 )
 
@@ -55,7 +54,7 @@ func setup(t *testing.T, cfg Config) *fixture {
 	}, plan, gpu.NewStates(node), costmodel.GPUScanModel{GPU: node.GPU})
 
 	if cfg.Monitor.WindowRequests == 0 {
-		cfg.Monitor = update.MonitorConfig{WindowRequests: 50, SLOThreshold: 0.9, HitRateDivergence: 0.1}
+		cfg.Monitor = MonitorConfig{WindowRequests: 50, SLOThreshold: 0.9, HitRateDivergence: 0.1}
 	}
 	if cfg.ProfileQueries == 0 {
 		cfg.ProfileQueries = 800
@@ -102,8 +101,8 @@ func TestControllerFullCycle(t *testing.T) {
 
 	// Walk the simulated cycle. Once splitting completes, every shard
 	// must be diverting to the CPU path until the swap.
-	profT := update.ProfilingTime(f.node, f.w.Spec, 50000)
-	algoT := update.AlgorithmTime(1) // lower bound; step past profiling+a bit
+	profT := costmodel.ProfilingTime(f.node.CPU, f.w.Spec, calibrationReplay)
+	algoT := costmodel.AlgorithmTime(1) // lower bound; step past profiling+a bit
 	f.sim.RunUntil(int64(profT) + int64(algoT)/2)
 	if got := len(f.ctrl.Rebuilds()); got != 0 {
 		t.Fatalf("cycle finished implausibly early: %d records", got)
@@ -133,12 +132,32 @@ func TestControllerFullCycle(t *testing.T) {
 			t.Fatalf("shard %d still refreshing after swap", g)
 		}
 	}
-	if f.ctrl.Monitor().Expected() != rec.NewExpected {
-		t.Fatalf("monitor expectation %v not re-anchored to %v",
-			f.ctrl.Monitor().Expected(), rec.NewExpected)
+	if f.ctrl.mon.expected != rec.NewExpected {
+		t.Fatalf("monitor expectation %v not re-anchored to %v", f.ctrl.mon.expected, rec.NewExpected)
 	}
 	if rec.NewRho <= 0 || rec.NewRho > 1 {
 		t.Fatalf("new coverage %v outside (0,1]", rec.NewRho)
+	}
+}
+
+// TestEstimateRebuildMatchesControllerCycle: the offline Fig. 9
+// estimate for the plan a cycle installed is, stage by stage, what the
+// controller charged that cycle on the timeline.
+func TestEstimateRebuildMatchesControllerCycle(t *testing.T) {
+	f := setup(t, Config{})
+	f.feedWindow(0.3, false)
+	f.sim.Run()
+	recs := f.ctrl.Rebuilds()
+	if len(recs) != 1 || recs[0].Aborted != "" {
+		t.Fatalf("want one completed cycle, got %+v", recs)
+	}
+	rec := recs[0]
+	want := EstimateRebuild(f.node, f.w.Spec, f.eng.Plan(), rec.Iterations)
+	if want.Splitting <= 0 || want.Loading <= 0 {
+		t.Fatalf("degenerate estimate %+v", want)
+	}
+	if rec.Timing != want {
+		t.Fatalf("controller charged %+v, EstimateRebuild prices the installed plan at %+v", rec.Timing, want)
 	}
 }
 
@@ -193,7 +212,7 @@ func TestControllerCooldownSuppressesEcho(t *testing.T) {
 	}
 	// After a clean window the cooldown is spent; sustained drift
 	// triggers again.
-	f.feedWindow(f.ctrl.Monitor().Expected(), true)
+	f.feedWindow(f.ctrl.mon.expected, true)
 	f.feedWindow(0.3, false)
 	f.sim.Run()
 	if got := len(f.ctrl.Rebuilds()); got != 2 {
@@ -356,7 +375,7 @@ func TestControllerCompactsBelowEscalationThresholds(t *testing.T) {
 	// Past the skew threshold the same trigger escalates to the full
 	// rebuild. The post-compaction cooldown costs one clean window.
 	comp.skew = 5
-	f.feedWindow(f.ctrl.Monitor().Expected(), true)
+	f.feedWindow(f.ctrl.mon.expected, true)
 	f.feedWindow(0.3, false)
 	f.sim.Run()
 	recs = f.ctrl.Rebuilds()
@@ -388,7 +407,7 @@ func TestControllerEscalatesOnRepeatTrigger(t *testing.T) {
 
 	// Cooldown window, then the drift recurs: trackers still read
 	// "overlay", but compaction already had its chance.
-	f.feedWindow(f.ctrl.Monitor().Expected(), true)
+	f.feedWindow(f.ctrl.mon.expected, true)
 	f.feedWindow(0.3, false)
 	f.sim.Run()
 	recs := f.ctrl.Rebuilds()
@@ -400,7 +419,7 @@ func TestControllerEscalatesOnRepeatTrigger(t *testing.T) {
 	}
 
 	// The full rebuild re-arms the shortcut for the next drift episode.
-	f.feedWindow(f.ctrl.Monitor().Expected(), true)
+	f.feedWindow(f.ctrl.mon.expected, true)
 	f.feedWindow(0.3, false)
 	f.sim.Run()
 	recs = f.ctrl.Rebuilds()

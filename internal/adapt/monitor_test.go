@@ -1,4 +1,4 @@
-package update
+package adapt
 
 import (
 	"testing"
@@ -10,32 +10,49 @@ import (
 	"vectorliterag/internal/splitter"
 )
 
+// newMonitor returns a monitor with the given window, the default
+// thresholds, and the given expectation.
+func newMonitor(window int, expected float64) *monitor {
+	return &monitor{cfg: MonitorConfig{WindowRequests: window, SLOThreshold: 0.9, HitRateDivergence: 0.1}, expected: expected}
+}
+
+// TestMonitorConfigDefaults: the zero config takes the paper's
+// defaults, and each zero field fills on its own. Invalid values are
+// rejected through the public API (TestMonitorConfigRejected).
+func TestMonitorConfigDefaults(t *testing.T) {
+	got, err := MonitorConfig{}.withDefaults()
+	if err != nil || got != (MonitorConfig{WindowRequests: 2000, SLOThreshold: 0.9, HitRateDivergence: 0.1}) {
+		t.Fatalf("zero config filled to %+v (%v)", got, err)
+	}
+	got, err = MonitorConfig{WindowRequests: 50, SLOThreshold: 0.5}.withDefaults()
+	if err != nil || got != (MonitorConfig{WindowRequests: 50, SLOThreshold: 0.5, HitRateDivergence: 0.1}) {
+		t.Fatalf("partial config filled to %+v (%v)", got, err)
+	}
+}
+
 func TestMonitorNoDriftNoTrigger(t *testing.T) {
-	m := NewMonitor(MonitorConfig{WindowRequests: 100, SLOThreshold: 0.9, HitRateDivergence: 0.1}, 0.8)
+	m := newMonitor(100, 0.8)
 	for i := 0; i < 500; i++ {
-		if m.Record(0.8, true) {
+		if m.record(0.8, true) {
 			t.Fatal("healthy traffic triggered an update")
 		}
 	}
-	if m.Triggers() != 0 {
-		t.Fatalf("triggers = %d", m.Triggers())
+	if m.windows != 5 {
+		t.Fatalf("windows closed = %d, want 5", m.windows)
 	}
 }
 
 func TestMonitorDriftTriggers(t *testing.T) {
-	m := NewMonitor(MonitorConfig{WindowRequests: 100, SLOThreshold: 0.9, HitRateDivergence: 0.1}, 0.8)
-	fired := false
+	m := newMonitor(100, 0.8)
+	triggers := 0
 	// Observed hit rate collapses to 0.4 and SLO attainment to ~0.5.
 	for i := 0; i < 100; i++ {
-		if m.Record(0.4, i%2 == 0) {
-			fired = true
+		if m.record(0.4, i%2 == 0) {
+			triggers++
 		}
 	}
-	if !fired {
-		t.Fatal("drift did not trigger within one window")
-	}
-	if m.Triggers() != 1 {
-		t.Fatalf("triggers = %d", m.Triggers())
+	if triggers != 1 {
+		t.Fatalf("triggers = %d, want 1 within one window", triggers)
 	}
 }
 
@@ -43,9 +60,9 @@ func TestMonitorSLOAloneInsufficient(t *testing.T) {
 	// Both conditions must hold (paper: attainment below threshold AND
 	// hit rates diverging): bad SLO with on-model hit rates means the
 	// bottleneck is elsewhere, so no index rebuild.
-	m := NewMonitor(MonitorConfig{WindowRequests: 100, SLOThreshold: 0.9, HitRateDivergence: 0.1}, 0.8)
+	m := newMonitor(100, 0.8)
 	for i := 0; i < 300; i++ {
-		if m.Record(0.8, false) {
+		if m.record(0.8, false) {
 			t.Fatal("SLO misses without hit-rate drift triggered a rebuild")
 		}
 	}
@@ -55,41 +72,38 @@ func TestMonitorDivergenceAloneInsufficient(t *testing.T) {
 	// The mirror case: hit rates far off the model but every request
 	// meeting its SLO means the plan is stale yet harmless — rebuilding
 	// would spend a cycle for no attainment gain.
-	m := NewMonitor(MonitorConfig{WindowRequests: 100, SLOThreshold: 0.9, HitRateDivergence: 0.1}, 0.8)
+	m := newMonitor(100, 0.8)
 	for i := 0; i < 300; i++ {
-		if m.Record(0.3, true) {
+		if m.record(0.3, true) {
 			t.Fatal("hit-rate divergence with healthy SLOs triggered a rebuild")
 		}
-	}
-	if m.Triggers() != 0 {
-		t.Fatalf("triggers = %d", m.Triggers())
 	}
 }
 
 func TestMonitorWindowResetDiscardsPartial(t *testing.T) {
-	m := NewMonitor(MonitorConfig{WindowRequests: 100, SLOThreshold: 0.9, HitRateDivergence: 0.1}, 0.8)
+	m := newMonitor(100, 0.8)
 	// 99 drifting observations — one short of a window — then an
 	// explicit reset: the poison must not carry into the next window.
 	for i := 0; i < 99; i++ {
-		if m.Record(0.3, false) {
+		if m.record(0.3, false) {
 			t.Fatal("triggered before the window closed")
 		}
 	}
-	if m.Window() != 99 {
-		t.Fatalf("window holds %d requests, want 99", m.Window())
+	if m.n != 99 {
+		t.Fatalf("window holds %d requests, want 99", m.n)
 	}
-	m.ResetWindow()
-	if m.Window() != 0 {
-		t.Fatalf("window not cleared: %d", m.Window())
+	m.reset()
+	if m.n != 0 {
+		t.Fatalf("window not cleared: %d", m.n)
 	}
 	// A fresh window of healthy traffic closes clean.
 	for i := 0; i < 100; i++ {
-		if m.Record(0.8, true) {
+		if m.record(0.8, true) {
 			t.Fatal("healthy window after reset triggered")
 		}
 	}
-	if m.WindowsClosed() != 1 {
-		t.Fatalf("windows closed = %d, want 1 (the reset window must not count)", m.WindowsClosed())
+	if m.windows != 1 {
+		t.Fatalf("windows closed = %d, want 1 (the reset window must not count)", m.windows)
 	}
 }
 
@@ -98,47 +112,44 @@ func TestMonitorSetExpectedSuppressesRetrigger(t *testing.T) {
 	// Re-anchoring the expectation must stop the monitor from treating
 	// the new normal as divergence, even while attainment is still
 	// recovering from the backlog.
-	m := NewMonitor(MonitorConfig{WindowRequests: 100, SLOThreshold: 0.9, HitRateDivergence: 0.1}, 0.8)
-	fired := false
+	m := newMonitor(100, 0.8)
+	triggers := 0
 	for i := 0; i < 100; i++ {
-		if m.Record(0.4, i%2 == 0) {
-			fired = true
+		if m.record(0.4, i%2 == 0) {
+			triggers++
 		}
 	}
-	if !fired {
-		t.Fatal("drift window did not trigger")
+	if triggers != 1 {
+		t.Fatalf("drift window triggered %d times, want 1", triggers)
 	}
 	// The swap: new plan serves hit rates near 0.45; expectation follows.
-	m.SetExpected(0.45)
-	m.ResetWindow()
+	m.expected = 0.45
+	m.reset()
 	for i := 0; i < 400; i++ {
 		// Attainment still poor while the queue drains, but hit rates are
 		// on-model for the new plan: no re-trigger.
-		if m.Record(0.44, i%3 != 0) {
-			t.Fatal("on-model window after SetExpected re-triggered")
+		if m.record(0.44, i%3 != 0) {
+			t.Fatal("on-model window after re-anchoring re-triggered")
 		}
-	}
-	if m.Triggers() != 1 {
-		t.Fatalf("triggers = %d, want 1", m.Triggers())
-	}
-	if m.Expected() != 0.45 {
-		t.Fatalf("expected = %v", m.Expected())
 	}
 }
 
 func TestMonitorWindowResets(t *testing.T) {
-	m := NewMonitor(MonitorConfig{WindowRequests: 50, SLOThreshold: 0.9, HitRateDivergence: 0.1}, 0.8)
+	m := newMonitor(50, 0.8)
 	// One drifting window, then healthy windows: only one trigger.
+	triggers := 0
 	for i := 0; i < 50; i++ {
-		m.Record(0.3, false)
+		if m.record(0.3, false) {
+			triggers++
+		}
 	}
 	for i := 0; i < 200; i++ {
-		if m.Record(0.8, true) {
+		if m.record(0.8, true) {
 			t.Fatal("healthy window after reset triggered")
 		}
 	}
-	if m.Triggers() != 1 {
-		t.Fatalf("triggers = %d", m.Triggers())
+	if triggers != 1 {
+		t.Fatalf("triggers = %d", triggers)
 	}
 }
 
@@ -159,8 +170,8 @@ func TestRebuildTimingWithinPaperEnvelope(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tm := EstimateRebuild(hw.H100Node(), spec, plan, 50000, 12)
-		if err := Validate(tm); err != nil {
+		tm := EstimateRebuild(hw.H100Node(), spec, plan, 12)
+		if err := tm.Validate(); err != nil {
 			t.Errorf("%s: %v (timing %+v)", spec.Name, err, tm)
 		}
 		if tm.Profiling <= 0 || tm.Algorithm <= 0 || tm.Splitting <= 0 || tm.Loading <= 0 {
@@ -180,8 +191,8 @@ func TestRebuildScalesWithIndexSize(t *testing.T) {
 	p2, _ := profiler.CollectAccess(w2, 2000, 3)
 	plan1, _ := splitter.Build(p1, 0.2, 8)
 	plan2, _ := splitter.Build(p2, 0.2, 8)
-	t1 := EstimateRebuild(hw.H100Node(), dataset.WikiAll, plan1, 50000, 12)
-	t2 := EstimateRebuild(hw.H100Node(), dataset.Orcas2K, plan2, 50000, 12)
+	t1 := EstimateRebuild(hw.H100Node(), dataset.WikiAll, plan1, 12)
+	t2 := EstimateRebuild(hw.H100Node(), dataset.Orcas2K, plan2, 12)
 	if t2.Loading <= t1.Loading {
 		t.Fatalf("bigger index should load slower: %v vs %v", t2.Loading, t1.Loading)
 	}
@@ -191,10 +202,10 @@ func TestRebuildScalesWithIndexSize(t *testing.T) {
 }
 
 func TestValidateRejectsSlowRebuild(t *testing.T) {
-	if err := Validate(RebuildTiming{Profiling: 3 * time.Minute}); err == nil {
+	if err := (RebuildTiming{Profiling: 3 * time.Minute}).Validate(); err == nil {
 		t.Fatal("3-minute rebuild accepted")
 	}
-	if err := Validate(RebuildTiming{Loading: 30 * time.Second}); err == nil {
+	if err := (RebuildTiming{Loading: 30 * time.Second}).Validate(); err == nil {
 		t.Fatal("30s shard load accepted")
 	}
 }

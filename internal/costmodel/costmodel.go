@@ -2,7 +2,9 @@
 // scanned, clusters probed, batch sizes) into virtual time on the
 // modeled hardware. It is the timing half of the two-scale design
 // (see ARCHITECTURE.md): the physical index supplies *what* is scanned, this
-// package decides *how long* it takes at paper scale.
+// package decides *how long* it takes at paper scale. It also prices
+// the update path: the stages of one rebuild cycle (Fig. 9) and the
+// live-ingest operations.
 //
 // Structure of the CPU model (paper §IV-A1): IVF search latency is
 // dominated by coarse quantization (CQ) and LUT operations. Both are
@@ -222,6 +224,58 @@ func SplitTime(c hw.CPU, bytes int64) time.Duration {
 	}
 	// Read + write pass at half the machine bandwidth.
 	return dur(float64(2*bytes) / (c.MemBWBytes / 2))
+}
+
+// ProfilingTime prices the profiling stage of an update cycle (Fig. 9
+// "Profiling"): replaying queries through coarse quantization in large
+// batches on the host.
+func ProfilingTime(c hw.CPU, spec dataset.Spec, queries int) time.Duration {
+	const profBatch = 64
+	batches := (queries + profBatch - 1) / profBatch
+	return time.Duration(batches) * NewSearchModel(c, spec).CQTime(profBatch)
+}
+
+// AlgorithmTime prices the latency-bounded partitioning stage (Fig. 9
+// "Algorithm"): each bisection step evaluates the hit-rate integral and
+// the perf model, dominated by the first-order-statistic quadrature
+// (~50 ms wall per step in the original system, which converges in
+// under a minute).
+func AlgorithmTime(iters int) time.Duration {
+	return 2*time.Second + time.Duration(iters)*100*time.Millisecond
+}
+
+// InsertTime prices applying one live insert at logical scale: routing
+// the vector through coarse quantization (one single-query CQ pass, the
+// same centroid scan a query pays) plus the append-buffer write.
+func InsertTime(c hw.CPU, spec dataset.Spec) time.Duration {
+	return NewSearchModel(c, spec).CQTime(1) + time.Millisecond
+}
+
+// DeleteTime prices applying one live delete: an ID lookup plus a
+// tombstone bit set, constant host work independent of scale.
+func DeleteTime() time.Duration { return time.Millisecond }
+
+// ReencodeTime prices folding pending raw vectors into PQ codes: the
+// encoder streams each raw vector against the per-subspace codebooks,
+// whose distance computations cost several passes' worth of memory
+// traffic over the raw bytes rather than one. logicalVectors is the
+// pending count at paper scale.
+func ReencodeTime(c hw.CPU, spec dataset.Spec, logicalVectors int64) time.Duration {
+	const base = 5 * time.Millisecond // scheduling + list splice
+	if logicalVectors <= 0 {
+		return base
+	}
+	const encodePasses = 8
+	raw := logicalVectors * int64(spec.Dim) * 4
+	return base + SplitTime(c, raw*encodePasses)
+}
+
+// CompactionTime prices one cheap-compaction cycle: re-encode the
+// pending buffers plus an incremental rewrite that drops purged
+// tombstoned codes from the affected lists, the per-cluster maintenance
+// action that substitutes for a full re-partition while skew stays low.
+func CompactionTime(c hw.CPU, spec dataset.Spec, pendingLogical, purgedLogical int64) time.Duration {
+	return ReencodeTime(c, spec, pendingLogical) + SplitTime(c, purgedLogical*int64(spec.CodeBytes))
 }
 
 func dur(sec float64) time.Duration {

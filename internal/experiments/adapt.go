@@ -8,7 +8,6 @@ import (
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/metrics"
 	"vectorliterag/internal/rag"
-	"vectorliterag/internal/update"
 	"vectorliterag/internal/workload"
 )
 
@@ -66,7 +65,7 @@ func Adapt(cfg Config) (*Report, error) {
 	for _, rb := range adaptive.Rebuilds {
 		if rb.Aborted != "" {
 			validateErr = "aborted: " + rb.Aborted
-		} else if err := update.Validate(rb.Timing); err != nil && validateErr == "" {
+		} else if err := rb.Timing.Validate(); err != nil && validateErr == "" {
 			validateErr = err.Error()
 		}
 	}

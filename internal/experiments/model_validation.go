@@ -3,6 +3,7 @@ package experiments
 import (
 	"time"
 
+	"vectorliterag/internal/adapt"
 	"vectorliterag/internal/costmodel"
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/hitrate"
@@ -12,7 +13,6 @@ import (
 	"vectorliterag/internal/profiler"
 	"vectorliterag/internal/rng"
 	"vectorliterag/internal/splitter"
-	"vectorliterag/internal/update"
 )
 
 // Fig9 reproduces Fig. 9: time to rebuild the GPU index shards with
@@ -70,8 +70,7 @@ func Fig9(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			// The paper's update path replays ~50k calibration queries.
-			timing := update.EstimateRebuild(node, c.spec, plan, 50000, part.Iterations)
+			timing := adapt.EstimateRebuild(node, c.spec, plan, part.Iterations)
 			t.Add(c.spec.Name, slo, part.Rho, timing.Profiling, timing.Algorithm,
 				timing.Splitting, timing.Loading, timing.Total())
 		}

@@ -3,9 +3,9 @@ package ingest
 import (
 	"time"
 
+	"vectorliterag/internal/costmodel"
 	"vectorliterag/internal/des"
 	"vectorliterag/internal/hw"
-	"vectorliterag/internal/update"
 	"vectorliterag/internal/workload"
 )
 
@@ -65,8 +65,8 @@ type Ingester struct {
 func New(cfg Config) *Ingester {
 	ing := &Ingester{
 		sim: cfg.Sim, store: cfg.Store, node: cfg.Node,
-		insertCost:    update.InsertTime(cfg.Node, cfg.Store.w.Spec),
-		deleteCost:    update.DeleteTime(),
+		insertCost:    costmodel.InsertTime(cfg.Node.CPU, cfg.Store.w.Spec),
+		deleteCost:    costmodel.DeleteTime(),
 		reencodeEvery: cfg.ReencodeEvery,
 		horizon:       cfg.Horizon,
 	}
@@ -95,7 +95,7 @@ func (ing *Ingester) kick() {
 	}
 	if ing.reencodePending {
 		ing.busy = true
-		ing.sim.After(update.ReencodeTime(ing.node, ing.store.w.Spec, ing.store.PendingLogical()), ing.finishReencode)
+		ing.sim.After(costmodel.ReencodeTime(ing.node.CPU, ing.store.w.Spec, ing.store.PendingLogical()), ing.finishReencode)
 		return
 	}
 	if ing.head >= len(ing.queue) {
@@ -179,7 +179,7 @@ func (ing *Ingester) ResidualRatio() float64 { return ing.store.ResidualRatio() 
 // CompactionCost prices a compaction cycle at current pending/purge
 // volumes.
 func (ing *Ingester) CompactionCost() time.Duration {
-	return update.CompactionTime(ing.node, ing.store.w.Spec, ing.store.PendingLogical(), ing.store.PurgeableLogical())
+	return costmodel.CompactionTime(ing.node.CPU, ing.store.w.Spec, ing.store.PendingLogical(), ing.store.PurgeableLogical())
 }
 
 // Compact folds and purges the store.

@@ -38,8 +38,9 @@ func fuzzLUT(data []byte) (lut *LUT, codes []byte, k int, ok bool) {
 }
 
 // refScan is the naive reference: every candidate fully evaluated with
-// Distance and pushed in index order — the semantics ScanCodes'
-// unrolling and early abandonment must preserve bit for bit.
+// Distance and pushed in list order — the semantics ScanCodesIDs'
+// unrolling, early abandonment and M=8 fast path must preserve bit for
+// bit.
 func refScan(lut *LUT, codes []byte, push func(i int, d float32)) {
 	cs := lut.M
 	for i := 0; i*cs < len(codes); i++ {
@@ -60,27 +61,6 @@ func neighborsEqual(t *testing.T, got, want []vecmath.Neighbor) {
 	}
 }
 
-// FuzzScanCodes: the unrolled early-abandon block scan must fill the
-// collector bit-identically to a full naive evaluation, for any table
-// contents, code block, M, and k.
-func FuzzScanCodes(f *testing.F) {
-	f.Add([]byte("\x03\x02the quick brown fox jumps over the lazy dog"))
-	f.Add([]byte("\x07\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
-	f.Add([]byte("\x0b\x08\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8\xf7\xf6\xf5\xf4\xf3\xf2\xf1\xf0"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		lut, codes, k, ok := fuzzLUT(data)
-		if !ok {
-			t.Skip()
-		}
-		const base = 37
-		want := vecmath.NewTopK(k)
-		refScan(lut, codes, func(i int, d float32) { want.Push(base+i, d) })
-		got := vecmath.NewTopK(k)
-		lut.ScanCodes(codes, base, got)
-		neighborsEqual(t, got.Sorted(), want.Sorted())
-	})
-}
-
 // fuzzMask derives a positional tombstone bitmap over n candidates
 // from the same fuzz bytes that built the table, so the fuzzer steers
 // which positions die. The mask is sized exactly ceil(n/64) words —
@@ -99,48 +79,25 @@ func fuzzMask(data []byte, n int) []uint64 {
 	return dead
 }
 
+// fuzzIDs returns n non-monotone candidate IDs, so ordering bugs cannot
+// hide behind list positions.
+func fuzzIDs(n int) []int32 {
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32((i*2654435761 + 11) % 100003)
+	}
+	return ids
+}
+
 func isDead(dead []uint64, i int) bool {
 	return dead[uint(i)>>6]&(1<<(uint(i)&63)) != 0
 }
 
-// FuzzScanCodesMasked: the tombstone-masked block scan must fill the
-// collector bit-identically to a naive masked full evaluation — every
-// live candidate fully evaluated and pushed in index order, every dead
-// one skipped — for any table contents, mask, M, and k.
-func FuzzScanCodesMasked(f *testing.F) {
-	f.Add([]byte("\x03\x02the quick brown fox jumps over the lazy dog"))
-	f.Add([]byte("\x07\x03sixty zippers were quickly picked from the woven jute bag"))
-	f.Add([]byte("\x0b\x08\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8\xf7\xf6\xf5\xf4\xf3\xf2\xf1\xf0"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		lut, codes, k, ok := fuzzLUT(data)
-		if !ok {
-			t.Skip()
-		}
-		n := len(codes) / lut.M
-		dead := fuzzMask(data, n)
-		const base = 37
-		want := vecmath.NewTopK(k)
-		refScan(lut, codes, func(i int, d float32) {
-			if !isDead(dead, i) {
-				want.Push(base+i, d)
-			}
-		})
-		got := vecmath.NewTopK(k)
-		lut.ScanCodesMasked(codes, base, dead, got)
-		neighborsEqual(t, got.Sorted(), want.Sorted())
-		// An all-zero mask must be indistinguishable from no mask.
-		clear(dead)
-		want.Reset(k)
-		refScan(lut, codes, func(i int, d float32) { want.Push(base+i, d) })
-		got.Reset(k)
-		lut.ScanCodesMasked(codes, base, dead, got)
-		neighborsEqual(t, got.Sorted(), want.Sorted())
-	})
-}
-
 // FuzzScanCodesIDsMasked: the tombstone-masked inverted-list scan
 // (including the M=8 specialized kernel) must match the naive masked
-// reference bit for bit.
+// reference bit for bit — every live candidate fully evaluated and
+// pushed in list order, every dead one skipped — and an all-zero mask
+// must equal no mask.
 func FuzzScanCodesIDsMasked(f *testing.F) {
 	// M=8 seeds exercise scanIDs8Masked, the specialized hot path.
 	f.Add([]byte("\x07\x03pack my box with five dozen liquor jugs"))
@@ -152,10 +109,7 @@ func FuzzScanCodesIDsMasked(f *testing.F) {
 			t.Skip()
 		}
 		n := len(codes) / lut.M
-		ids := make([]int32, n)
-		for i := range ids {
-			ids[i] = int32((i*2654435761 + 11) % 100003)
-		}
+		ids := fuzzIDs(n)
 		dead := fuzzMask(data, n)
 		want := vecmath.NewTopK(k)
 		refScan(lut, codes, func(i int, d float32) {
@@ -164,6 +118,13 @@ func FuzzScanCodesIDsMasked(f *testing.F) {
 			}
 		})
 		got := vecmath.NewTopK(k)
+		lut.ScanCodesIDsMasked(codes, ids, dead, got)
+		neighborsEqual(t, got.Sorted(), want.Sorted())
+		// An all-zero mask must be indistinguishable from no mask.
+		clear(dead)
+		want.Reset(k)
+		refScan(lut, codes, func(i int, d float32) { want.Push(int(ids[i]), d) })
+		got.Reset(k)
 		lut.ScanCodesIDsMasked(codes, ids, dead, got)
 		neighborsEqual(t, got.Sorted(), want.Sorted())
 	})
@@ -203,35 +164,14 @@ func fuzzSQ(data []byte) (q *ScalarQuantizer, query []float32, codes []byte, k i
 }
 
 // refScanSQ is the naive float reference: every candidate fully
-// evaluated with ScalarQuantizer.Distance and pushed in index order —
-// the semantics ScanSQ's unrolling and early abandonment must preserve
-// bit for bit.
+// evaluated with ScalarQuantizer.Distance and pushed in list order —
+// the semantics ScanSQIDs' unrolling and early abandonment must
+// preserve bit for bit.
 func refScanSQ(q *ScalarQuantizer, query []float32, codes []byte, push func(i int, d float32)) {
 	cs := q.Dim
 	for i := 0; i*cs < len(codes); i++ {
 		push(i, q.Distance(query, codes[i*cs:(i+1)*cs]))
 	}
-}
-
-// FuzzScanSQ: the early-abandon SQ8 block scan must fill the collector
-// bit-identically to a naive full evaluation, for any quantizer
-// ranges, query, code block, dim, and k.
-func FuzzScanSQ(f *testing.F) {
-	f.Add([]byte("\x03\x02the quick brown fox jumps over the lazy dog"))
-	f.Add([]byte("\x0f\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
-	f.Add([]byte("\x0b\x08\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8\xf7\xf6\xf5\xf4\xf3\xf2\xf1\xf0"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		q, query, codes, k, ok := fuzzSQ(data)
-		if !ok {
-			t.Skip()
-		}
-		const base = 37
-		want := vecmath.NewTopK(k)
-		refScanSQ(q, query, codes, func(i int, d float32) { want.Push(base+i, d) })
-		got := vecmath.NewTopK(k)
-		q.ScanSQ(query, codes, base, got)
-		neighborsEqual(t, got.Sorted(), want.Sorted())
-	})
 }
 
 // FuzzScanSQIDs: the inverted-list SQ8 scan must match the naive
@@ -245,11 +185,7 @@ func FuzzScanSQIDs(f *testing.F) {
 			t.Skip()
 		}
 		n := len(codes) / q.Dim
-		ids := make([]int32, n)
-		for i := range ids {
-			// Non-monotone IDs so ordering bugs cannot hide.
-			ids[i] = int32((i*2654435761 + 11) % 100003)
-		}
+		ids := fuzzIDs(n)
 		want := vecmath.NewTopK(k)
 		refScanSQ(q, query, codes, func(i int, d float32) { want.Push(int(ids[i]), d) })
 		got := vecmath.NewTopK(k)
@@ -258,43 +194,9 @@ func FuzzScanSQIDs(f *testing.F) {
 	})
 }
 
-// FuzzScanSQMasked: the tombstone-masked SQ8 block scan must fill the
-// collector bit-identically to a naive masked full evaluation — every
-// live candidate fully evaluated and pushed in index order, every dead
-// one skipped — and an all-zero mask must equal no mask.
-func FuzzScanSQMasked(f *testing.F) {
-	f.Add([]byte("\x03\x02the quick brown fox jumps over the lazy dog"))
-	f.Add([]byte("\x07\x03sixty zippers were quickly picked from the woven jute bag"))
-	f.Add([]byte("\x0b\x08\xff\xfe\xfd\xfc\xfb\xfa\xf9\xf8\xf7\xf6\xf5\xf4\xf3\xf2\xf1\xf0"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		q, query, codes, k, ok := fuzzSQ(data)
-		if !ok {
-			t.Skip()
-		}
-		n := len(codes) / q.Dim
-		dead := fuzzMask(data, n)
-		const base = 37
-		want := vecmath.NewTopK(k)
-		refScanSQ(q, query, codes, func(i int, d float32) {
-			if !isDead(dead, i) {
-				want.Push(base+i, d)
-			}
-		})
-		got := vecmath.NewTopK(k)
-		q.ScanSQMasked(query, codes, base, dead, got)
-		neighborsEqual(t, got.Sorted(), want.Sorted())
-		// An all-zero mask must be indistinguishable from no mask.
-		clear(dead)
-		want.Reset(k)
-		refScanSQ(q, query, codes, func(i int, d float32) { want.Push(base+i, d) })
-		got.Reset(k)
-		q.ScanSQMasked(query, codes, base, dead, got)
-		neighborsEqual(t, got.Sorted(), want.Sorted())
-	})
-}
-
 // FuzzScanSQIDsMasked: the tombstone-masked inverted-list SQ8 scan
-// must match the naive masked reference bit for bit.
+// must match the naive masked reference bit for bit, and an all-zero
+// mask must equal no mask.
 func FuzzScanSQIDsMasked(f *testing.F) {
 	f.Add([]byte("\x07\x03pack my box with five dozen liquor jugs"))
 	f.Add([]byte("\x04\x05abcdefghijklmnopqrstuvwxyz0123456789"))
@@ -304,10 +206,7 @@ func FuzzScanSQIDsMasked(f *testing.F) {
 			t.Skip()
 		}
 		n := len(codes) / q.Dim
-		ids := make([]int32, n)
-		for i := range ids {
-			ids[i] = int32((i*2654435761 + 11) % 100003)
-		}
+		ids := fuzzIDs(n)
 		dead := fuzzMask(data, n)
 		want := vecmath.NewTopK(k)
 		refScanSQ(q, query, codes, func(i int, d float32) {
@@ -316,6 +215,13 @@ func FuzzScanSQIDsMasked(f *testing.F) {
 			}
 		})
 		got := vecmath.NewTopK(k)
+		q.ScanSQIDsMasked(query, codes, ids, dead, got)
+		neighborsEqual(t, got.Sorted(), want.Sorted())
+		// An all-zero mask must be indistinguishable from no mask.
+		clear(dead)
+		want.Reset(k)
+		refScanSQ(q, query, codes, func(i int, d float32) { want.Push(int(ids[i]), d) })
+		got.Reset(k)
 		q.ScanSQIDsMasked(query, codes, ids, dead, got)
 		neighborsEqual(t, got.Sorted(), want.Sorted())
 	})
@@ -334,11 +240,7 @@ func FuzzScanCodesIDs(f *testing.F) {
 			t.Skip()
 		}
 		n := len(codes) / lut.M
-		ids := make([]int32, n)
-		for i := range ids {
-			// Non-monotone IDs so ordering bugs cannot hide.
-			ids[i] = int32((i*2654435761 + 11) % 100003)
-		}
+		ids := fuzzIDs(n)
 		want := vecmath.NewTopK(k)
 		refScan(lut, codes, func(i int, d float32) { want.Push(int(ids[i]), d) })
 		got := vecmath.NewTopK(k)

@@ -271,58 +271,14 @@ func (t *LUT) distanceAbandon(code []byte, bound float32) (float32, bool) {
 	return sum, sum < bound
 }
 
-// ScanCodes computes distances for a contiguous block of codes (each
-// CodeSize bytes) and pushes them into the collector with indices
-// base+0, base+1, ...  This is the hot loop that fast-scan
-// implementations vectorize with SIMD shuffles; here it is a 4-way
-// unrolled scalar loop with early abandonment against the collector's
-// current k-th best. Both transforms preserve the collector's contents
-// bit-exactly: distances accumulate in the same subspace order, pushes
-// happen in the same index order, and abandoned candidates are exactly
-// those a full evaluation would have rejected.
-func (t *LUT) ScanCodes(codes []byte, base int, top *vecmath.TopK) {
-	cs := t.M
-	n := len(codes) / cs
-	i := 0
-	// Fill phase: no k-th best exists yet, so every candidate is pushed.
-	for ; i < n; i++ {
-		if _, full := top.Worst(); full {
-			break
-		}
-		top.Push(base+i, t.Distance(codes[i*cs:(i+1)*cs]))
-	}
-	// Steady phase, 4-way unrolled. The abandon bound is the k-th best
-	// before each group of four; it only shrinks as pushes land, so
-	// abandoning against the slightly stale bound is conservative and
-	// the heap contents stay bit-identical to a full evaluation.
-	for ; i+4 <= n; i += 4 {
-		bound, _ := top.Worst()
-		if d, ok := t.distanceAbandon(codes[i*cs:(i+1)*cs], bound); ok {
-			top.Push(base+i, d)
-		}
-		if d, ok := t.distanceAbandon(codes[(i+1)*cs:(i+2)*cs], bound); ok {
-			top.Push(base+i+1, d)
-		}
-		if d, ok := t.distanceAbandon(codes[(i+2)*cs:(i+3)*cs], bound); ok {
-			top.Push(base+i+2, d)
-		}
-		if d, ok := t.distanceAbandon(codes[(i+3)*cs:(i+4)*cs], bound); ok {
-			top.Push(base+i+3, d)
-		}
-	}
-	for ; i < n; i++ {
-		bound, _ := top.Worst()
-		if d, ok := t.distanceAbandon(codes[i*cs:(i+1)*cs], bound); ok {
-			top.Push(base+i, d)
-		}
-	}
-}
-
-// ScanCodesIDs is ScanCodes for an inverted list: candidate i is pushed
-// under ids[i] instead of base+i. The loop is kept as a specialized
-// copy (rather than sharing an index-mapping closure with ScanCodes)
-// because an indirect call per candidate is measurable at this loop's
-// grain.
+// ScanCodesIDs computes ADC distances for one inverted list's codes
+// (CodeSize bytes each) and pushes candidate i under ids[i]. It is the
+// loop fast-scan implementations vectorize with SIMD shuffles; here a
+// fill phase pushes until the collector is full, then a 4-way unrolled
+// loop abandons candidates early against the k-th best, read once per
+// group (it only shrinks, so a stale bound is conservative), and M=8
+// takes the inlined scanIDs8. The collector ends bit-identical to a
+// full evaluation in list order.
 func (t *LUT) ScanCodesIDs(codes []byte, ids []int32, top *vecmath.TopK) {
 	if t.M == 8 {
 		t.scanIDs8(codes, ids, top)
@@ -360,52 +316,14 @@ func (t *LUT) ScanCodesIDs(codes []byte, ids []int32, top *vecmath.TopK) {
 	}
 }
 
-// ScanCodesMasked is ScanCodes with a positional tombstone bitmap: bit
-// i of dead (dead[i/64]>>(i%64)&1) marks candidate position i as
-// deleted, and masked positions are skipped without evaluation. A nil
-// or empty bitmap falls through to the unmasked scan. Live candidates
-// see the identical accumulate/abandon/push sequence as a naive masked
-// full evaluation, so the collector's contents match bit for bit. The
-// scan allocates nothing; dead must cover at least ceil(n/64) words
-// when non-empty.
-func (t *LUT) ScanCodesMasked(codes []byte, base int, dead []uint64, top *vecmath.TopK) {
-	if len(dead) == 0 {
-		t.ScanCodes(codes, base, top)
-		return
-	}
-	cs := t.M
-	n := len(codes) / cs
-	i := 0
-	// Fill phase: every live candidate is pushed until the heap fills.
-	for ; i < n; i++ {
-		if dead[uint(i)>>6]&(1<<(uint(i)&63)) != 0 {
-			continue
-		}
-		if _, full := top.Worst(); full {
-			break
-		}
-		top.Push(base+i, t.Distance(codes[i*cs:(i+1)*cs]))
-	}
-	// Steady phase: abandon against the current k-th best, exactly as
-	// the unmasked scan does for the remainder loop. The 4-way unroll is
-	// not worth carrying here — the mask test already breaks the
-	// straight-line accumulate path — and per-candidate bound reads only
-	// tighten the abandon bound, which never changes the heap contents.
-	for ; i < n; i++ {
-		if dead[uint(i)>>6]&(1<<(uint(i)&63)) != 0 {
-			continue
-		}
-		bound, _ := top.Worst()
-		if d, ok := t.distanceAbandon(codes[i*cs:(i+1)*cs], bound); ok {
-			top.Push(base+i, d)
-		}
-	}
-}
-
 // ScanCodesIDsMasked is ScanCodesIDs with a positional tombstone
-// bitmap (see ScanCodesMasked for the mask contract): masked list
-// positions are skipped, live ones push under ids[i]. The M=8 fast
-// path keeps its hoisted LUT rows and midpoint abandon.
+// bitmap: bit i of dead (dead[i/64]>>(i%64)&1) marks list position i
+// deleted, and masked positions are skipped unevaluated. An empty
+// bitmap falls through to the unmasked scan; a non-empty one covers at
+// least ceil(n/64) words. The collector ends bit-identical to a naive
+// masked full evaluation, and nothing is allocated. The generic steady
+// phase skips the unroll (the mask test already breaks the straight
+// line); the M=8 path keeps its hoisted rows and midpoint abandon.
 func (t *LUT) ScanCodesIDsMasked(codes []byte, ids []int32, dead []uint64, top *vecmath.TopK) {
 	if len(dead) == 0 {
 		t.ScanCodesIDs(codes, ids, top)

@@ -16,6 +16,16 @@ func randomMatrix(r *rng.Rand, n, dim int) []float32 {
 	return m
 }
 
+// positional returns the IDs 0..n-1, so a scan pushes each candidate
+// under its position in the code block.
+func positional(n int) []int32 {
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
+}
+
 func trainSmall(t *testing.T, r *rng.Rand, n, dim, m, k int) (*Quantizer, []float32) {
 	t.Helper()
 	data := randomMatrix(r, n, dim)
@@ -111,7 +121,7 @@ func TestScanCodesFindsNearest(t *testing.T) {
 	query := append([]float32(nil), data[17*8:18*8]...)
 	lut := q.BuildLUT(query)
 	top := vecmath.NewTopK(5)
-	lut.ScanCodes(codes, 0, top)
+	lut.ScanCodesIDs(codes, positional(n), top)
 	res := top.Sorted()
 	found := false
 	for _, nb := range res {
@@ -121,18 +131,6 @@ func TestScanCodesFindsNearest(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("self vector not in top-5 under ADC: %+v", res)
-	}
-}
-
-func TestScanCodesBaseOffset(t *testing.T) {
-	r := rng.New(5)
-	q, data := trainSmall(t, r, 400, 8, 2, 16)
-	codes := q.Encode(data[:8], nil)
-	lut := q.BuildLUT(data[:8])
-	top := vecmath.NewTopK(1)
-	lut.ScanCodes(codes, 1000, top)
-	if got := top.Sorted()[0].Index; got != 1000 {
-		t.Fatalf("base offset ignored: index %d", got)
 	}
 }
 
@@ -182,6 +180,7 @@ func TestPQRecallOnClusteredData(t *testing.T) {
 	for i := 0; i < n; i++ {
 		codes = append(codes, q.Encode(data[i*dim:(i+1)*dim], nil)...)
 	}
+	ids := positional(n)
 	recallSum := 0.0
 	const queries = 20
 	for qi := 0; qi < queries; qi++ {
@@ -193,7 +192,7 @@ func TestPQRecallOnClusteredData(t *testing.T) {
 		truth := vecmath.BruteForceTopK(query, data, dim, 10)
 		lut := q.BuildLUT(query)
 		top := vecmath.NewTopK(10)
-		lut.ScanCodes(codes, 0, top)
+		lut.ScanCodesIDs(codes, ids, top)
 		got := top.Sorted()
 		gotSet := map[int]bool{}
 		for _, nb := range got {
@@ -259,35 +258,6 @@ func TestScanCodesIDsMatchesReference(t *testing.T) {
 				if g[i] != w[i] {
 					t.Fatalf("M=%d k=%d rank %d: %+v vs reference %+v", m, k, i, g[i], w[i])
 				}
-			}
-		}
-	}
-}
-
-// TestScanCodesMatchesReference covers the contiguous-ID variant the
-// same way.
-func TestScanCodesMatchesReference(t *testing.T) {
-	r := rng.New(12)
-	q, data := trainSmall(t, r, 500, 8, 8, 16)
-	n := 200
-	codes := make([]byte, 0, n*q.CodeSize())
-	for i := 0; i < n; i++ {
-		codes = append(codes, q.Encode(data[(i%500)*8:(i%500)*8+8], nil)...)
-	}
-	query := randomMatrix(r, 1, 8)
-	lut := q.BuildLUT(query)
-	for _, k := range []int{2, 10, 77} {
-		got := vecmath.NewTopK(k)
-		want := vecmath.NewTopK(k)
-		lut.ScanCodes(codes, 50, got)
-		cs := lut.M
-		for i := 0; i*cs < len(codes); i++ {
-			want.Push(50+i, lut.Distance(codes[i*cs:(i+1)*cs]))
-		}
-		g, w := got.Sorted(), want.Sorted()
-		for i := range g {
-			if g[i] != w[i] {
-				t.Fatalf("k=%d rank %d: %+v vs reference %+v", k, i, g[i], w[i])
 			}
 		}
 	}

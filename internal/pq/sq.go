@@ -1,10 +1,6 @@
 package pq
 
-import (
-	"fmt"
-
-	"vectorliterag/internal/vecmath"
-)
+import "fmt"
 
 // ScalarQuantizer implements scalar quantization (SQ8), the simpler
 // compression the paper contrasts with PQ (§II-A: "scalar quantization
@@ -93,13 +89,4 @@ func (q *ScalarQuantizer) Distance(query []float32, code []byte) float32 {
 		sum += diff * diff
 	}
 	return sum
-}
-
-// ScanCodes scans a contiguous code block, pushing candidates with
-// indices base+i — the SQ counterpart of LUT.ScanCodes.
-func (q *ScalarQuantizer) ScanCodes(query []float32, codes []byte, base int, top *vecmath.TopK) {
-	cs := q.Dim
-	for i := 0; i*cs < len(codes); i++ {
-		top.Push(base+i, q.Distance(query, codes[i*cs:(i+1)*cs]))
-	}
 }

@@ -96,7 +96,7 @@ func TestSQScanFindsNearest(t *testing.T) {
 	}
 	query := data[33*8 : 34*8]
 	top := vecmath.NewTopK(5)
-	q.ScanCodes(query, codes, 0, top)
+	q.ScanSQIDs(query, codes, positional(400), top)
 	res := top.Sorted()
 	if res[0].Index != 33 {
 		t.Fatalf("self not ranked first: %+v", res)

@@ -2,16 +2,14 @@ package pq
 
 import "vectorliterag/internal/vecmath"
 
-// Optimized SQ8 scan kernels — the scalar-quantized counterparts of
-// LUT.ScanCodes and friends. They exist for the mixed-precision hot
-// tier: clusters stored as SQ8 are scanned straight from their byte
-// codes (no per-query LUT build), which on a real GPU is a gather-free
-// streaming kernel running near DRAM bandwidth. Here the kernels carry
-// the same contract as the PQ family: candidate distances accumulate
-// in dimension order exactly as ScalarQuantizer.Distance does, pushes
-// happen in the same index order as the naive ScanCodes, and early
+// SQ8 scan kernels for the mixed-precision hot tier: clusters stored as
+// SQ8 are scanned straight from their byte codes (no per-query LUT
+// build), which on a real GPU is a gather-free streaming kernel running
+// near DRAM bandwidth. They keep the PQ kernels' contract: candidate
+// distances accumulate in dimension order exactly as
+// ScalarQuantizer.Distance does, pushes happen in list order, and early
 // abandonment only skips candidates a full evaluation would have
-// rejected — so the collector's final contents are bit-identical to a
+// rejected, so the collector's final contents are bit-identical to a
 // naive full scan (the fuzz targets pin this).
 
 // distanceSQAbandon accumulates the asymmetric SQ distance for one
@@ -44,50 +42,13 @@ func (q *ScalarQuantizer) distanceSQAbandon(query []float32, code []byte, bound 
 	return sum, sum < bound
 }
 
-// ScanSQ scans a contiguous SQ8 code block, pushing candidates with
-// indices base+i — the optimized replacement for the naive ScanCodes:
-// a fill phase while the collector is short, then early abandonment
-// against the collector's k-th best. The abandon bound is read once
-// per group of four candidates; it only shrinks as pushes land, so
-// abandoning against the slightly stale bound is conservative and the
-// collector's contents stay bit-identical to a full evaluation.
-func (q *ScalarQuantizer) ScanSQ(query []float32, codes []byte, base int, top *vecmath.TopK) {
-	cs := q.Dim
-	n := len(codes) / cs
-	i := 0
-	// Fill phase: no k-th best exists yet, so every candidate is pushed.
-	for ; i < n; i++ {
-		if _, full := top.Worst(); full {
-			break
-		}
-		top.Push(base+i, q.Distance(query, codes[i*cs:(i+1)*cs]))
-	}
-	for ; i+4 <= n; i += 4 {
-		bound, _ := top.Worst()
-		if d, ok := q.distanceSQAbandon(query, codes[i*cs:(i+1)*cs], bound); ok {
-			top.Push(base+i, d)
-		}
-		if d, ok := q.distanceSQAbandon(query, codes[(i+1)*cs:(i+2)*cs], bound); ok {
-			top.Push(base+i+1, d)
-		}
-		if d, ok := q.distanceSQAbandon(query, codes[(i+2)*cs:(i+3)*cs], bound); ok {
-			top.Push(base+i+2, d)
-		}
-		if d, ok := q.distanceSQAbandon(query, codes[(i+3)*cs:(i+4)*cs], bound); ok {
-			top.Push(base+i+3, d)
-		}
-	}
-	for ; i < n; i++ {
-		bound, _ := top.Worst()
-		if d, ok := q.distanceSQAbandon(query, codes[i*cs:(i+1)*cs], bound); ok {
-			top.Push(base+i, d)
-		}
-	}
-}
-
-// ScanSQIDs is ScanSQ for an inverted list: candidate i is pushed
-// under ids[i] instead of base+i. Kept as a specialized copy rather
-// than an index-mapping closure, matching ScanCodesIDs.
+// ScanSQIDs scans the SQ8 codes of one inverted list, pushing
+// candidate i under ids[i]: a fill phase while the collector is short,
+// then early abandonment against the collector's k-th best. The abandon
+// bound is read once per group of four candidates; it only shrinks as
+// pushes land, so abandoning against the slightly stale bound is
+// conservative and the collector's contents stay bit-identical to a
+// full evaluation.
 func (q *ScalarQuantizer) ScanSQIDs(query []float32, codes []byte, ids []int32, top *vecmath.TopK) {
 	cs := q.Dim
 	n := len(codes) / cs
@@ -121,46 +82,10 @@ func (q *ScalarQuantizer) ScanSQIDs(query []float32, codes []byte, ids []int32, 
 	}
 }
 
-// ScanSQMasked is ScanSQ with a positional tombstone bitmap: bit i of
-// dead (dead[i/64]>>(i%64)&1) marks candidate position i as deleted,
-// and masked positions are skipped without evaluation — the contract
-// streaming-ingest tombstones rely on, identical to ScanCodesMasked's.
-// A nil or empty bitmap falls through to the unmasked scan. Live
-// candidates see the identical accumulate/abandon/push sequence as a
-// naive masked full evaluation. The mask test already breaks the
-// straight-line accumulate path, so the steady phase skips the 4-way
-// unroll, exactly as the PQ masked scans do.
-func (q *ScalarQuantizer) ScanSQMasked(query []float32, codes []byte, base int, dead []uint64, top *vecmath.TopK) {
-	if len(dead) == 0 {
-		q.ScanSQ(query, codes, base, top)
-		return
-	}
-	cs := q.Dim
-	n := len(codes) / cs
-	i := 0
-	for ; i < n; i++ {
-		if dead[uint(i)>>6]&(1<<(uint(i)&63)) != 0 {
-			continue
-		}
-		if _, full := top.Worst(); full {
-			break
-		}
-		top.Push(base+i, q.Distance(query, codes[i*cs:(i+1)*cs]))
-	}
-	for ; i < n; i++ {
-		if dead[uint(i)>>6]&(1<<(uint(i)&63)) != 0 {
-			continue
-		}
-		bound, _ := top.Worst()
-		if d, ok := q.distanceSQAbandon(query, codes[i*cs:(i+1)*cs], bound); ok {
-			top.Push(base+i, d)
-		}
-	}
-}
-
-// ScanSQIDsMasked is ScanSQIDs with a positional tombstone bitmap (see
-// ScanSQMasked for the mask contract): masked list positions are
-// skipped, live ones push under ids[i].
+// ScanSQIDsMasked is ScanSQIDs under ScanCodesIDsMasked's tombstone
+// bitmap contract: masked list positions are skipped unevaluated, the
+// collector ends bit-identical to a naive masked full evaluation, and
+// the steady phase skips the unroll as the PQ masked scan does.
 func (q *ScalarQuantizer) ScanSQIDsMasked(query []float32, codes []byte, ids []int32, dead []uint64, top *vecmath.TopK) {
 	if len(dead) == 0 {
 		q.ScanSQIDs(query, codes, ids, top)

@@ -3,7 +3,6 @@ package rag
 import (
 	"vectorliterag/internal/adapt"
 	"vectorliterag/internal/des"
-	"vectorliterag/internal/update"
 )
 
 // AdaptiveOptions configures an adaptive vLiteRAG run: the usual
@@ -14,8 +13,9 @@ type AdaptiveOptions struct {
 	// Monitor holds the drift-detection thresholds. A zero
 	// WindowRequests derives a window of roughly ten seconds of traffic
 	// at the nominal rate (min 100 requests) — the paper's "every few
-	// thousand requests" scaled to this substrate's run lengths.
-	Monitor update.MonitorConfig
+	// thousand requests" scaled to this substrate's run lengths; the
+	// controller fills the other zero fields and rejects invalid ones.
+	Monitor adapt.MonitorConfig
 }
 
 // AdaptiveResult extends a run result with the control-plane record:
@@ -44,7 +44,7 @@ type AdaptiveResult struct {
 // not the machine. It returns the model-expected mean hit rate of the
 // installed plan, the monitor's first anchor. The caller binds the
 // engine (and the compactor) once the pipeline exists.
-func newAdaptController(sim *des.Sim, opts *Options, d *decision, mon update.MonitorConfig, io *IngestOptions) (*adapt.Controller, float64, error) {
+func newAdaptController(sim *des.Sim, opts *Options, d *decision, mon adapt.MonitorConfig, io *IngestOptions) (*adapt.Controller, float64, error) {
 	if err := d.fit(); err != nil {
 		return nil, 0, err
 	}
@@ -54,10 +54,6 @@ func newAdaptController(sim *des.Sim, opts *Options, d *decision, mon update.Mon
 			return nil, 0, err
 		}
 	}
-	// Fill each unset monitor field independently, so a caller pinning
-	// only the window (or only a threshold) still gets working defaults
-	// for the rest.
-	def := update.DefaultMonitorConfig()
 	if mon.WindowRequests == 0 {
 		// Roughly ten seconds of traffic. With a schedule driving
 		// arrivals, Rate is only a label (and may be far off the real
@@ -69,12 +65,6 @@ func newAdaptController(sim *des.Sim, opts *Options, d *decision, mon update.Mon
 			rate = opts.RateSchedule.MaxRate()
 		}
 		mon.WindowRequests = max(int(rate*10), 100)
-	}
-	if mon.SLOThreshold == 0 {
-		mon.SLOThreshold = def.SLOThreshold
-	}
-	if mon.HitRateDivergence == 0 {
-		mon.HitRateDivergence = def.HitRateDivergence
 	}
 	cfg := adapt.Config{
 		Monitor:        mon,

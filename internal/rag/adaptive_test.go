@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"vectorliterag/internal/adapt"
 	"vectorliterag/internal/dataset"
-	"vectorliterag/internal/update"
 	"vectorliterag/internal/workload"
 )
 
@@ -80,7 +80,7 @@ func TestAdaptiveRecoversFromDrift(t *testing.T) {
 	if rb.Aborted != "" {
 		t.Fatalf("rebuild aborted: %s", rb.Aborted)
 	}
-	if err := update.Validate(rb.Timing); err != nil {
+	if err := rb.Timing.Validate(); err != nil {
 		t.Fatalf("rebuild timing outside the paper's envelope: %v", err)
 	}
 	if rb.TriggeredAt < int64(45*time.Second) {
@@ -169,7 +169,7 @@ func TestAdaptiveDeterministic(t *testing.T) {
 // detection).
 func TestAdaptivePartialMonitorConfigGetsDefaults(t *testing.T) {
 	opts := driftOpts(t, 28)
-	opts.Monitor = update.MonitorConfig{WindowRequests: 280}
+	opts.Monitor = adapt.MonitorConfig{WindowRequests: 280}
 	res, err := RunAdaptive(opts)
 	if err != nil {
 		t.Fatal(err)

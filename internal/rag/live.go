@@ -10,7 +10,6 @@ import (
 	"vectorliterag/internal/metrics"
 	"vectorliterag/internal/rng"
 	"vectorliterag/internal/serve"
-	"vectorliterag/internal/update"
 	"vectorliterag/internal/workload"
 )
 
@@ -89,7 +88,7 @@ type LiveOptions struct {
 	// Monitor tunes the compaction controller's drift detection (used
 	// only when Ingest.Compaction is set); zero fields derive defaults
 	// exactly as RunAdaptive does.
-	Monitor update.MonitorConfig
+	Monitor adapt.MonitorConfig
 }
 
 // LiveResult extends a run result with the ingest-side record.
@@ -138,7 +137,7 @@ func RunLive(opts LiveOptions) (*LiveResult, error) {
 		return nil, err
 	}
 	var io *IngestOptions
-	var mon *update.MonitorConfig
+	var mon *adapt.MonitorConfig
 	if opts.Ingest.active() {
 		io = &opts.Ingest
 		if io.Compaction {

@@ -8,7 +8,6 @@ import (
 	"vectorliterag/internal/ingest"
 	"vectorliterag/internal/retrieval"
 	"vectorliterag/internal/serve"
-	"vectorliterag/internal/update"
 	"vectorliterag/internal/workload"
 )
 
@@ -44,7 +43,7 @@ type single struct {
 // sources start beside the arrivals). mon attaches the adapt
 // controller; ingest the streaming-ingest subsystem, which the
 // controller — when both are set — also drives as its compactor.
-func runSingle(opts Options, mon *update.MonitorConfig, io *IngestOptions) (*single, error) {
+func runSingle(opts Options, mon *adapt.MonitorConfig, io *IngestOptions) (*single, error) {
 	if err := opts.check(fSingleNode |
 		when(io != nil, fIngest) |
 		when(io != nil && mon != nil, fCompaction) |

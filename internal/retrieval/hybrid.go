@@ -241,7 +241,7 @@ func (e *Hybrid) runBatch(batch []*workload.Request) {
 	// every plan lives on GPU g, so per-GPU work accumulates across
 	// tenants. A precision-refined plan splits resident clusters by codec
 	// — PQ clusters feed the LUT kernel, SQ8 clusters the streaming
-	// kernel (pq.ScanSQ's modeled counterpart) — and tallies the
+	// kernel (pq.ScanSQIDs' modeled counterpart) — and tallies the
 	// NVMe-resident share of the CPU remainder; a nil refinement keeps the
 	// classic single-codec path byte for byte.
 	anyPrec := false

@@ -16,7 +16,6 @@ import (
 	"vectorliterag/internal/serve"
 	"vectorliterag/internal/splitter"
 	"vectorliterag/internal/tenant"
-	"vectorliterag/internal/update"
 	"vectorliterag/internal/workload"
 )
 
@@ -46,7 +45,7 @@ type (
 	// PartitionResult reports Algorithm 1's decision and diagnostics.
 	PartitionResult = partition.Result
 	// RebuildTiming is the stage breakdown of an online index update.
-	RebuildTiming = update.RebuildTiming
+	RebuildTiming = adapt.RebuildTiming
 	// DriftEvent schedules a mid-run popularity rotation (query drift).
 	DriftEvent = dataset.DriftEvent
 	// RateSchedule drives arrivals as a time-varying (inhomogeneous
@@ -55,7 +54,7 @@ type (
 	RateSchedule = workload.Schedule
 	// MonitorConfig sets the adaptive controller's drift-detection
 	// thresholds.
-	MonitorConfig = update.MonitorConfig
+	MonitorConfig = adapt.MonitorConfig
 	// RebuildRecord is one background update cycle the adaptive
 	// controller ran (trigger, stage timings, swap, coverage change).
 	RebuildRecord = adapt.RebuildRecord
@@ -264,7 +263,7 @@ func BuildSystem(opts SystemOptions) (*BuiltSystem, error) {
 		Mu0:         d.Mu0,
 		MeanHitRate: d.MeanHitRate,
 		TailHitRate: d.Partition.EtaMin,
-		Rebuild:     update.EstimateRebuild(opts.Node, opts.Workload.Spec, d.Plan, 50000, d.Partition.Iterations),
+		Rebuild:     adapt.EstimateRebuild(opts.Node, opts.Workload.Spec, d.Plan, d.Partition.Iterations),
 	}, nil
 }
 
@@ -438,7 +437,9 @@ func Serve(opts ServeOptions) (*Report, error) {
 type AdaptiveServeOptions struct {
 	ServeOptions
 	// Monitor tunes drift detection. A zero WindowRequests derives a
-	// window of ~10 seconds of traffic at the nominal rate.
+	// window of ~10 seconds of traffic at the nominal rate, and zero
+	// thresholds take the defaults; a negative window or a threshold
+	// outside [0, 1] is an error.
 	Monitor MonitorConfig
 	// TimelineBucket sets the attainment-over-time resolution of the
 	// report (default 30s).

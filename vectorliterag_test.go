@@ -481,6 +481,38 @@ func TestServeLiveAPI(t *testing.T) {
 	}
 }
 
+// TestMonitorConfigRejected: a negative window, or a threshold that is
+// not a finite value in [0, 1], is an error naming the field from both
+// entry points that run the drift monitor — never a silent fallback to
+// the defaults or a threshold that can never (or always) trigger.
+func TestMonitorConfigRejected(t *testing.T) {
+	w := smallWorkload(t, vlr.Orcas1K)
+	opts := vlr.ServeOptions{Workload: w, Rate: 15, Seed: 1, Duration: 30 * time.Second, Drain: 10 * time.Second}
+	for _, tc := range []struct {
+		field string
+		mon   vlr.MonitorConfig
+	}{
+		{"WindowRequests", vlr.MonitorConfig{WindowRequests: -1, SLOThreshold: 0.5}},
+		{"SLOThreshold", vlr.MonitorConfig{SLOThreshold: math.NaN()}},
+		{"SLOThreshold", vlr.MonitorConfig{SLOThreshold: 1.5}},
+		{"HitRateDivergence", vlr.MonitorConfig{HitRateDivergence: -0.2}},
+		{"HitRateDivergence", vlr.MonitorConfig{HitRateDivergence: math.Inf(1)}},
+	} {
+		_, err := vlr.ServeAdaptive(vlr.AdaptiveServeOptions{ServeOptions: opts, Monitor: tc.mon})
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("ServeAdaptive %+v: error %v, want one naming %s", tc.mon, err, tc.field)
+		}
+		_, err = vlr.ServeLive(vlr.LiveServeOptions{
+			ServeOptions: opts,
+			Ingest:       vlr.LiveIngestOptions{InsertRate: 2, Compaction: true},
+			Monitor:      tc.mon,
+		})
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("ServeLive %+v: error %v, want one naming %s", tc.mon, err, tc.field)
+		}
+	}
+}
+
 func TestPublicHelpers(t *testing.T) {
 	if got := vlr.Systems(); len(got) != 4 {
 		t.Fatalf("Systems() = %v", got)
