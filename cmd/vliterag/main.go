@@ -213,112 +213,75 @@ func ratePattern(pattern string, rate float64, dur time.Duration) (vlr.RateSched
 
 func serveCmd(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	system := fs.String("system", "vLiteRAG", "CPU-Only|DED-GPU|ALL-GPU|vLiteRAG|HedraRAG")
-	ds := fs.String("dataset", "orcas1k", "wikiall|orcas1k|orcas2k")
-	model := fs.String("model", "qwen3-32b", "llama3-8b|qwen3-32b|llama3-70b")
-	rate := fs.Float64("rate", 30, "arrival rate (req/s; cluster-wide when -replicas > 1)")
-	dur := fs.Duration("duration", 120*time.Second, "virtual arrival window")
-	seed := fs.Uint64("seed", 1, "random seed")
-	replicas := fs.Int("replicas", 1, "independent node pipelines behind the front-end router")
-	policy := fs.String("policy", "least-loaded", "cluster routing policy (round-robin|least-loaded)")
-	workers := fs.Int("workers", runtime.NumCPU(), "worker goroutines for sharded cluster/tenant runs (wall-clock only; 1 = sequential)")
-	netDelay := fs.Duration("netdelay", 0, "modeled front<->replica network transit; >0 selects the parallel sharded engine (default 1ms when -workers > 1)")
-	adaptive := fs.Bool("adapt", false, "vLiteRAG with in-loop drift detection and background index rebuilds")
-	tenants := fs.Int("tenants", 0, "serve N SLO-tiered tenants sharing the node (joint HBM allocation + fair scheduling)")
-	tiers := fs.String("tiers", "gold,silver,bronze", "comma-separated tier per tenant, cycled to -tenants (gold|silver|bronze)")
-	sharedQueue := fs.Bool("shared-queue", false, "multi-tenant baseline: one unmetered queue instead of the FairScheduler")
-	driftAt := fs.Duration("drift-at", 0, "inject a popularity rotation at this virtual time (0 = no drift)")
-	driftRotate := fs.Int("drift-rotate", 0, "rotation size in templates (0 = a third of the template pool)")
-	pattern := fs.String("rate-pattern", "constant", "arrival process: constant|ramp|burst|diurnal")
-	slo := fs.Duration("slo", 0, "search SLO override (default: dataset's Table-I value)")
-	faults := fs.String("faults", "", "scripted failure storm, e.g. crash@20s:r0:10s,straggler@35s:r1:8s:x3 (needs -replicas > 1)")
-	retry := fs.Int("retry", 0, "max re-dispatches per request after a timeout or crash (resilient cluster runs)")
-	hedgeMS := fs.Int("hedge-ms", 0, "fire a backup copy this many ms after dispatch; -1 derives the delay from the running p95")
-	timeoutMS := fs.Int("timeout-ms", 0, "per-attempt deadline in ms; expired attempts retry until -retry is exhausted")
-	degrade := fs.Bool("degrade", false, "shed retrieval depth proportionally to lost capacity while replicas are down")
-	ingest := fs.Bool("ingest", false, "stream live corpus mutations (inserts + deletes) onto the serving timeline")
-	ingestRate := fs.Float64("ingest-rate", 4, "insert rate in vectors/s (with -ingest)")
-	deleteRate := fs.Float64("delete-rate", 1, "delete rate in vectors/s (with -ingest)")
-	reencodeEvery := fs.Duration("reencode-every", 25*time.Second, "background PQ re-encode cadence (with -ingest)")
-	queueCap := fs.Int("queue-cap", 0, "bound each tenant's admission queue, rejecting arrivals past it (with -tenants; 0 = default 64 when -brownout is on)")
-	brownout := fs.Bool("brownout", false, "closed-loop overload control: shed retrieval quality (nprobe, rerank depth, SQ8 precision) when a stage overruns its latency budget (with -tenants)")
-	stageBudgets := fs.String("stage-budgets", "", "per-stage latency budgets as <retrieval>:<generation>, e.g. 350ms:600ms (with -brownout; default: each tenant's own SLOs)")
-	precision := fs.Bool("precision", false, "vLiteRAG joint placement x precision: SQ8-upgrade hot clusters within leftover HBM, demote coldest clusters to the modeled NVMe tier")
-	sqBudget := fs.Float64("sq-budget", 0, "SQ8 upgrade budget as a fraction of leftover HBM (with -precision; 0 = default 0.10)")
-	nvmeShare := fs.Float64("nvme-share", 0, "coldest access share demoted to NVMe (with -precision; 0 = default 0.02)")
+	var f serveFlags
+	fs.StringVar(&f.system, "system", "vLiteRAG", "CPU-Only|DED-GPU|ALL-GPU|vLiteRAG|HedraRAG")
+	fs.StringVar(&f.dataset, "dataset", "orcas1k", "wikiall|orcas1k|orcas2k")
+	fs.StringVar(&f.model, "model", "qwen3-32b", "llama3-8b|qwen3-32b|llama3-70b")
+	fs.Float64Var(&f.rate, "rate", 30, "arrival rate (req/s; cluster-wide when -replicas > 1)")
+	fs.DurationVar(&f.dur, "duration", 120*time.Second, "virtual arrival window")
+	fs.Uint64Var(&f.seed, "seed", 1, "random seed")
+	fs.IntVar(&f.replicas, "replicas", 1, "independent node pipelines behind the front-end router")
+	fs.StringVar(&f.policy, "policy", "least-loaded", "cluster routing policy (round-robin|least-loaded)")
+	fs.IntVar(&f.workers, "workers", runtime.NumCPU(), "worker goroutines for sharded cluster/tenant runs (wall-clock only; 1 = sequential)")
+	fs.DurationVar(&f.netDelay, "netdelay", 0, "modeled front<->replica network transit (needs -replicas > 1); >0 selects the parallel sharded engine (default 1ms when -workers > 1)")
+	fs.BoolVar(&f.adaptive, "adapt", false, "vLiteRAG with in-loop drift detection and background index rebuilds")
+	fs.IntVar(&f.tenants, "tenants", 0, "serve N SLO-tiered tenants sharing the node (joint HBM allocation + fair scheduling)")
+	fs.StringVar(&f.tiers, "tiers", "gold,silver,bronze", "comma-separated tier per tenant, cycled to -tenants (gold|silver|bronze)")
+	fs.BoolVar(&f.sharedQueue, "shared-queue", false, "multi-tenant baseline: one unmetered queue instead of the FairScheduler (with -tenants)")
+	fs.DurationVar(&f.driftAt, "drift-at", 0, "inject a popularity rotation at this virtual time (0 = no drift)")
+	fs.IntVar(&f.driftRotate, "drift-rotate", 0, "rotation size in templates (0 = a third of the template pool)")
+	fs.StringVar(&f.pattern, "rate-pattern", "constant", "arrival process: constant|ramp|burst|diurnal")
+	fs.DurationVar(&f.slo, "slo", 0, "search SLO override (default: dataset's Table-I value)")
+	fs.StringVar(&f.faults, "faults", "", "scripted failure storm, e.g. crash@20s:r0:10s,straggler@35s:r1:8s:x3 (needs -replicas > 1)")
+	fs.IntVar(&f.retry, "retry", 0, "max re-dispatches per request after a timeout or crash (resilient cluster runs)")
+	fs.IntVar(&f.hedgeMS, "hedge-ms", 0, "fire a backup copy this many ms after dispatch; -1 derives the delay from the running p95")
+	fs.IntVar(&f.timeoutMS, "timeout-ms", 0, "per-attempt deadline in ms; expired attempts retry until -retry is exhausted")
+	fs.BoolVar(&f.degrade, "degrade", false, "shed retrieval depth proportionally to lost capacity while replicas are down")
+	fs.BoolVar(&f.ingest, "ingest", false, "stream live corpus mutations (inserts + deletes) onto the serving timeline")
+	fs.Float64Var(&f.ingestRate, "ingest-rate", 4, "insert rate in vectors/s (with -ingest)")
+	fs.Float64Var(&f.deleteRate, "delete-rate", 1, "delete rate in vectors/s (with -ingest)")
+	fs.DurationVar(&f.reencodeEvery, "reencode-every", 25*time.Second, "background PQ re-encode cadence (with -ingest)")
+	fs.IntVar(&f.queueCap, "queue-cap", 0, "bound each admission queue (one per tenant with -tenants), rejecting arrivals past it (0 = default 64 when -brownout is on)")
+	fs.BoolVar(&f.brownout, "brownout", false, "closed-loop overload control: shed retrieval quality (nprobe, rerank depth, SQ8 precision) when a stage overruns its latency budget")
+	fs.StringVar(&f.stageBudgets, "stage-budgets", "", "per-stage latency budgets as <retrieval>:<generation>, e.g. 350ms:600ms (with -brownout; default: the run's, or each tenant's, own SLOs)")
+	fs.BoolVar(&f.precision, "precision", false, "vLiteRAG joint placement x precision: SQ8-upgrade hot clusters within leftover HBM, demote coldest clusters to the modeled NVMe tier")
+	fs.Float64Var(&f.sqBudget, "sq-budget", 0, "SQ8 upgrade budget as a fraction of leftover HBM (with -precision; 0 = default 0.10)")
+	fs.Float64Var(&f.nvmeShare, "nvme-share", 0, "coldest access share demoted to NVMe (with -precision; 0 = default 0.02)")
 	prof := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	timeoutSet, ingestTuned, capSet := false, false, false
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
+	fs.Visit(func(fl *flag.Flag) {
+		switch fl.Name {
 		case "timeout-ms":
-			timeoutSet = true
+			f.timeoutSet = true
 		case "ingest-rate", "delete-rate", "reencode-every":
-			ingestTuned = true
+			f.ingestTuned = true
 		case "queue-cap":
-			capSet = true
+			f.capSet = true
 		}
 	})
-	ing := ingestFlags{
-		on:            *ingest,
-		insertRate:    *ingestRate,
-		deleteRate:    *deleteRate,
-		reencodeEvery: *reencodeEvery,
-		tuned:         ingestTuned,
-	}
-	bo := brownoutFlags{
-		on:          *brownout,
-		queueCap:    *queueCap,
-		capSet:      capSet,
-		budgets:     *stageBudgets,
-		tenants:     *tenants,
-		sharedQueue: *sharedQueue,
-	}
-	if err := validateServeFlags(*rate, *replicas, *workers, *timeoutMS, timeoutSet, ing, bo); err != nil {
+	if err := validateServeFlags(f); err != nil {
 		return err
 	}
-	resilience, err := resilienceFromFlags(*faults, *retry, *hedgeMS, *timeoutMS, *degrade, *replicas)
+	resilience, err := resilienceFromFlags(f)
 	if err != nil {
 		return err
 	}
-	spec, err := datasetByName(*ds)
+	spec, err := datasetByName(f.dataset)
 	if err != nil {
 		return err
 	}
-	m, node, err := modelByName(*model)
+	m, node, err := modelByName(f.model)
 	if err != nil {
 		return err
 	}
-	sched, err := ratePattern(*pattern, *rate, *dur)
+	sched, err := ratePattern(f.pattern, f.rate, f.dur)
 	if err != nil {
 		return err
 	}
-	if *adaptive && *replicas > 1 {
-		return fmt.Errorf("-adapt serves a single adaptive pipeline; drop -replicas")
-	}
-	if *adaptive && vlr.System(*system) != vlr.VLiteRAG {
-		return fmt.Errorf("-adapt requires the hot-swappable vLiteRAG runtime, not %s", *system)
-	}
-	if *tenants > 0 && *adaptive {
-		return fmt.Errorf("-tenants is its own serving mode; drop -adapt")
-	}
-	if *ingest && *replicas > 1 {
-		return fmt.Errorf("-ingest streams mutations into a single live pipeline; drop -replicas")
-	}
-	if *ingest && *tenants > 0 {
-		return fmt.Errorf("-tenants is its own serving mode; drop -ingest")
-	}
-	if *precision && vlr.System(*system) != vlr.VLiteRAG {
-		return fmt.Errorf("-precision refines the vLiteRAG placement, not %s", *system)
-	}
-	if (*sqBudget != 0 || *nvmeShare != 0) && !*precision {
-		return fmt.Errorf("-sq-budget/-nvme-share tune the -precision refinement; add -precision")
-	}
-	if *tenants > 0 {
-		return serveTenants(*tenants, *tiers, *sharedQueue, spec, m, node, *rate, *dur, *seed, *pattern, *slo,
-			*replicas, *workers, *netDelay, vlr.RoutePolicy(*policy), bo, prof)
+	if f.tenants > 0 {
+		return serveTenants(f, spec, m, node, prof)
 	}
 	if err := prof.start(); err != nil {
 		return err
@@ -334,31 +297,29 @@ func serveCmd(args []string) error {
 		return err
 	}
 	var drift []vlr.DriftEvent
-	if *driftAt > 0 {
-		rot := *driftRotate
+	if f.driftAt > 0 {
+		rot := f.driftRotate
 		if rot == 0 {
 			rot = w.DefaultDriftRotation()
 		}
-		drift = []vlr.DriftEvent{{At: *driftAt, Rotate: rot}}
-		fmt.Printf("drift: popularity rotates by %d templates at t=%v\n", rot, *driftAt)
+		drift = []vlr.DriftEvent{{At: f.driftAt, Rotate: rot}}
+		fmt.Printf("drift: popularity rotates by %d templates at t=%v\n", rot, f.driftAt)
 	}
 	so := vlr.ServeOptions{
-		Workload: w, System: vlr.System(*system), Rate: *rate,
-		Node: node, Model: m, Duration: *dur, Seed: *seed,
-		SLOSearch: *slo, Drift: drift, RateSchedule: sched,
-		Workers: *workers, NetDelay: *netDelay,
-	}
-	if *precision {
-		so.Precision = &vlr.PrecisionOptions{SQBudgetFrac: *sqBudget, NVMeColdShare: *nvmeShare}
+		Workload: w, System: vlr.System(f.system), Rate: f.rate,
+		Node: node, Model: m, Duration: f.dur, Seed: f.seed,
+		SLOSearch: f.slo, Drift: drift, RateSchedule: sched,
+		Workers: f.workers, NetDelay: f.netDelay,
+		Precision: f.precisionOptions(), Overload: f.overloadOptions(),
 	}
 	var rep *vlr.Report
 	var perReplica []vlr.ReplicaReport
 	var adaptRep *vlr.AdaptiveReport
 	var resRep *vlr.ResilienceReport
 	var liveRep *vlr.LiveReport
-	label := *system
+	label := f.system
 	switch {
-	case *ingest:
+	case f.ingest:
 		// -adapt alongside -ingest selects the drift-compaction arm: the
 		// adaptive controller answers drift with a cheap re-encode +
 		// tombstone purge, escalating to the full re-partition only past
@@ -366,37 +327,37 @@ func serveCmd(args []string) error {
 		liveRep, err = vlr.ServeLive(vlr.LiveServeOptions{
 			ServeOptions: so,
 			Ingest: vlr.LiveIngestOptions{
-				InsertRate:    *ingestRate,
-				DeleteRate:    *deleteRate,
-				ReencodeEvery: *reencodeEvery,
-				Compaction:    *adaptive,
+				InsertRate:    f.ingestRate,
+				DeleteRate:    f.deleteRate,
+				ReencodeEvery: f.reencodeEvery,
+				Compaction:    f.adaptive,
 			},
 		})
 		if err != nil {
 			return err
 		}
 		rep = &liveRep.Report
-		label = fmt.Sprintf("%s (live ingest)", *system)
-		if *adaptive {
-			label = fmt.Sprintf("%s (live ingest + compaction)", *system)
+		label = fmt.Sprintf("%s (live ingest)", f.system)
+		if f.adaptive {
+			label = fmt.Sprintf("%s (live ingest + compaction)", f.system)
 		}
-	case *adaptive:
+	case f.adaptive:
 		adaptRep, err = vlr.ServeAdaptive(vlr.AdaptiveServeOptions{ServeOptions: so})
 		if err != nil {
 			return err
 		}
 		rep = &adaptRep.Report
 		label = "vLiteRAG (adaptive)"
-	case *replicas > 1:
+	case f.replicas > 1:
 		cr, err := vlr.ServeCluster(vlr.ClusterOptions{
-			ServeOptions: so, Replicas: *replicas, Policy: vlr.RoutePolicy(*policy),
-			Faults: *faults, Resilience: resilience,
+			ServeOptions: so, Replicas: f.replicas, Policy: vlr.RoutePolicy(f.policy),
+			Faults: f.faults, Resilience: resilience,
 		})
 		if err != nil {
 			return err
 		}
 		rep, perReplica, resRep = &cr.Report, cr.PerReplica, cr.Resilience
-		label = fmt.Sprintf("%s x%d (%s)", *system, *replicas, cr.Policy)
+		label = fmt.Sprintf("%s x%d (%s)", f.system, f.replicas, cr.Policy)
 	default:
 		rep, err = vlr.Serve(so)
 		if err != nil {
@@ -404,17 +365,18 @@ func serveCmd(args []string) error {
 		}
 	}
 	s := rep.Summary
-	fmt.Printf("%s | %s | %s @ %.1f req/s (SLO %v)\n", label, spec.Name, m.Name, *rate, rep.SLOTotal)
+	fmt.Printf("%s | %s | %s @ %.1f req/s (SLO %v)\n", label, spec.Name, m.Name, f.rate, rep.SLOTotal)
 	fmt.Printf("  SLO attainment  %.3f  (%d requests, %d unserved)\n", s.Attainment, s.N, s.Unserved)
 	fmt.Printf("  TTFT            p50 %v  p90 %v  p95 %v\n", s.TTFT.P50, s.TTFT.P90, s.TTFT.P95)
 	fmt.Printf("  E2E             mean %v  p90 %v\n", s.E2E.Mean, s.E2E.P90)
 	fmt.Printf("  breakdown       queue %v  search %v  llm-wait %v  prefill %v\n",
 		s.Breakdown.Queueing, s.Breakdown.Search, s.Breakdown.LLMWait, s.Breakdown.Prefill)
 	fmt.Printf("  retrieval       rho %.3f  avg batch %.1f\n", rep.Rho, rep.AvgBatch)
-	if *precision {
+	if f.precision {
 		fmt.Printf("  precision       %d SQ8 clusters  %d NVMe clusters  recall gain +%.3f pts\n",
 			rep.SQClusters, rep.NVMeClusters, 100*rep.RecallGain)
 	}
+	printOverload(rep.Overload)
 	for i, r := range perReplica {
 		if resRep != nil {
 			// Resilient runs report per-replica routing only: retries and
@@ -440,6 +402,19 @@ func serveCmd(args []string) error {
 		printLive(liveRep)
 	}
 	return nil
+}
+
+// printOverload renders an overload report; nil prints nothing.
+func printOverload(ov *vlr.OverloadReport) {
+	if ov == nil {
+		return
+	}
+	fmt.Printf("  overload: queue cap %d  rejected %d total", ov.QueueCap, ov.RejectedTotal)
+	if ov.Brownout {
+		fmt.Printf("  brownout max level %d  %.0f%% of run browned out  mean shed %.2f",
+			ov.MaxLevel, 100*ov.BrownoutShare, ov.MeanShed)
+	}
+	fmt.Println()
 }
 
 // printLive renders the ingest-side record of a live-corpus run:
@@ -472,13 +447,12 @@ func printLive(rep *vlr.LiveReport) {
 // split across tenants in proportion to tier weight. A non-constant
 // -rate-pattern drives the last (lowest-listed) tenant's arrivals —
 // the "bursty bronze neighbor" demo — while the others stay steady.
-func serveTenants(n int, tiers string, sharedQueue bool, spec vlr.Spec, m vlr.ModelSpec, node vlr.Node,
-	rate float64, dur time.Duration, seed uint64, pattern string, slo time.Duration,
-	replicas, workers int, netDelay time.Duration, policy vlr.RoutePolicy, bo brownoutFlags, prof *profiler) error {
-	if strings.TrimSpace(tiers) == "" {
+func serveTenants(f serveFlags, spec vlr.Spec, m vlr.ModelSpec, node vlr.Node, prof *profiler) error {
+	if strings.TrimSpace(f.tiers) == "" {
 		return fmt.Errorf("-tiers is empty")
 	}
-	names := strings.Split(tiers, ",")
+	n, rate := f.tenants, f.rate
+	names := strings.Split(f.tiers, ",")
 	if err := prof.start(); err != nil {
 		return err
 	}
@@ -510,7 +484,7 @@ func serveTenants(n int, tiers string, sharedQueue bool, spec vlr.Spec, m vlr.Mo
 			Tier:      parsed[i],
 			Workload:  w,
 			Rate:      share,
-			SLOSearch: slo,
+			SLOSearch: f.slo,
 		}
 	}
 	// The rate pattern drives only the last tenant, re-anchored at that
@@ -521,11 +495,11 @@ func serveTenants(n int, tiers string, sharedQueue bool, spec vlr.Spec, m vlr.Mo
 	// provisioning, not a tenant fluctuating within its own share.
 	share := specs[n-1].Rate
 	var sched vlr.RateSchedule
-	if strings.EqualFold(pattern, "burst") {
+	if strings.EqualFold(f.pattern, "burst") {
 		sched = vlr.BurstRate(share, rate*1.5, 60*time.Second, 15*time.Second)
 	} else {
 		var err error
-		sched, err = ratePattern(pattern, share, dur)
+		sched, err = ratePattern(f.pattern, share, f.dur)
 		if err != nil {
 			return err
 		}
@@ -535,19 +509,12 @@ func serveTenants(n int, tiers string, sharedQueue bool, spec vlr.Spec, m vlr.Mo
 	}
 	mto := vlr.MultiTenantServeOptions{
 		Tenants: specs, Node: node, Model: m,
-		Duration: dur, Seed: seed, SharedQueue: sharedQueue,
+		Duration: f.dur, Seed: f.seed, SharedQueue: f.sharedQueue,
+		Precision: f.precisionOptions(), Overload: f.overloadOptions(),
 	}
-	if bo.on || bo.capSet {
-		ov := &vlr.OverloadOptions{QueueCap: bo.queueCap, Brownout: bo.on}
-		if bo.budgets != "" {
-			// Validated in validateServeFlags; parse errors cannot reach here.
-			ov.RetrievalBudget, ov.GenerationBudget, _ = parseStageBudgets(bo.budgets)
-		}
-		mto.Overload = ov
-	}
-	if replicas > 1 {
-		mto.Replicas, mto.Policy = replicas, policy
-		mto.Workers, mto.NetDelay = workers, netDelay
+	if f.replicas > 1 {
+		mto.Replicas, mto.Policy = f.replicas, vlr.RoutePolicy(f.policy)
+		mto.Workers, mto.NetDelay = f.workers, f.netDelay
 	}
 	rep, err := vlr.ServeTenants(mto)
 	if err != nil {
@@ -574,15 +541,11 @@ func serveTenants(n int, tiers string, sharedQueue bool, spec vlr.Spec, m vlr.Mo
 		}
 		fmt.Println()
 	}
-	if ov := rep.Overload; ov != nil {
-		fmt.Printf("  overload: queue cap %d  rejected %d total", ov.QueueCap, ov.RejectedTotal)
-		if ov.Brownout {
-			fmt.Printf("  brownout max level %d  %.0f%% of run browned out  mean shed %.2f",
-				ov.MaxLevel, 100*ov.BrownoutShare, ov.MeanShed)
-		}
-		fmt.Println()
-	}
+	printOverload(rep.Overload)
 	fmt.Printf("  aggregate attainment %.3f  Jain fairness %.3f\n", rep.Attainment, rep.Fairness)
+	if f.precision {
+		fmt.Printf("  precision: recall gain +%.3f pts\n", 100*rep.RecallGain)
+	}
 	fmt.Printf("  HBM: index budget %.1f GB, used %.1f GB; LLM throughput %.1f -> %.1f req/s\n",
 		float64(rep.BudgetBytes)/1e9, float64(rep.UsedBytes)/1e9, rep.Mu0, rep.MuLLM)
 	return nil

@@ -8,31 +8,50 @@ import (
 	vlr "vectorliterag"
 )
 
-// ingestFlags carries the streaming-ingest flag group into validation.
-// tuned records whether any tuning flag (-ingest-rate, -delete-rate,
-// -reencode-every) was explicitly given, so tuning without -ingest is
-// rejected instead of silently ignored — the same explicit-vs-default
-// distinction timeoutSet draws for -timeout-ms.
-type ingestFlags struct {
-	on            bool
-	insertRate    float64
-	deleteRate    float64
-	reencodeEvery time.Duration
-	tuned         bool
+// serveFlags is the serve subcommand's parsed flag set. timeoutSet,
+// ingestTuned and capSet record whether -timeout-ms, an ingest tuning
+// flag (-ingest-rate, -delete-rate, -reencode-every) or -queue-cap was
+// given explicitly: an explicit zero deadline or cap, or tuning without
+// -ingest, is rejected, while a flag never given keeps its default.
+type serveFlags struct {
+	system, dataset, model, policy, tiers, pattern, faults, stageBudgets string
+
+	rate, ingestRate, deleteRate, sqBudget, nvmeShare float64
+	dur, netDelay, driftAt, slo, reencodeEvery        time.Duration
+	seed                                              uint64
+
+	replicas, workers, tenants, driftRotate, retry, hedgeMS, timeoutMS, queueCap int
+
+	adaptive, sharedQueue, degrade, ingest, brownout, precision bool
+	timeoutSet, ingestTuned, capSet                             bool
 }
 
-// brownoutFlags carries the overload-control flag group into
-// validation. capSet records whether -queue-cap was explicitly given
-// (an explicit 0 is rejected, the flag never being given means "use
-// the default bound"), tenants/sharedQueue echo the serving mode so
-// the group can insist on the FairScheduler's per-tenant queues.
-type brownoutFlags struct {
-	on          bool
-	queueCap    int
-	capSet      bool
-	budgets     string // raw -stage-budgets value
-	tenants     int
-	sharedQueue bool
+// resilient reports whether any flag of the failure-handling group is
+// set.
+func (f serveFlags) resilient() bool {
+	return f.faults != "" || f.retry != 0 || f.hedgeMS != 0 || f.timeoutMS != 0 || f.degrade
+}
+
+// precisionOptions is the -precision group, or nil without -precision.
+func (f serveFlags) precisionOptions() *vlr.PrecisionOptions {
+	if !f.precision {
+		return nil
+	}
+	return &vlr.PrecisionOptions{SQBudgetFrac: f.sqBudget, NVMeColdShare: f.nvmeShare}
+}
+
+// overloadOptions is the overload-control group, or nil when neither
+// -brownout nor -queue-cap was given.
+func (f serveFlags) overloadOptions() *vlr.OverloadOptions {
+	if !f.brownout && !f.capSet {
+		return nil
+	}
+	ov := &vlr.OverloadOptions{QueueCap: f.queueCap, Brownout: f.brownout}
+	if f.stageBudgets != "" {
+		// Validated in validateServeFlags; parse errors cannot reach here.
+		ov.RetrievalBudget, ov.GenerationBudget, _ = parseStageBudgets(f.stageBudgets)
+	}
+	return ov
 }
 
 // parseStageBudgets splits a -stage-budgets value of the form
@@ -55,52 +74,60 @@ func parseStageBudgets(s string) (retr, gen time.Duration, err error) {
 	return retr, gen, nil
 }
 
-// validateServeFlags rejects nonsensical serve parameters up front, in
-// the style of serve.ResolvePolicy's error: name the knob, echo the bad
-// value, state what is accepted. timeoutSet distinguishes an explicit
-// -timeout-ms 0 (rejected — a zero deadline would fail everything) from
-// the flag never being given (timeouts simply stay off).
-func validateServeFlags(rate float64, replicas, workers, timeoutMS int, timeoutSet bool, ing ingestFlags, bo brownoutFlags) error {
-	if rate <= 0 {
-		return fmt.Errorf("serve: -rate must be positive (have %g)", rate)
-	}
-	if replicas <= 0 {
-		return fmt.Errorf("serve: -replicas must be positive (have %d)", replicas)
-	}
-	if workers <= 0 {
-		return fmt.Errorf("serve: -workers must be positive (have %d)", workers)
-	}
-	if timeoutSet && timeoutMS <= 0 {
-		return fmt.Errorf("serve: -timeout-ms must be positive (have %d)", timeoutMS)
-	}
-	if ing.tuned && !ing.on {
+// validateServeFlags rejects nonsensical serve parameters and flag
+// combinations up front, in the style of serve.ResolvePolicy's error:
+// name the knob, echo the bad value, state what is accepted — so no
+// flag is parsed and then silently ignored by the mode that runs.
+func validateServeFlags(f serveFlags) error {
+	vlite := vlr.System(f.system) == vlr.VLiteRAG
+	switch {
+	case f.rate <= 0:
+		return fmt.Errorf("serve: -rate must be positive (have %g)", f.rate)
+	case f.replicas <= 0:
+		return fmt.Errorf("serve: -replicas must be positive (have %d)", f.replicas)
+	case f.workers <= 0:
+		return fmt.Errorf("serve: -workers must be positive (have %d)", f.workers)
+	case f.timeoutSet && f.timeoutMS <= 0:
+		return fmt.Errorf("serve: -timeout-ms must be positive (have %d)", f.timeoutMS)
+	case f.netDelay > 0 && f.replicas == 1:
+		return fmt.Errorf("serve: -netdelay models the front<->replica network; add -replicas > 1")
+	case f.adaptive && f.replicas > 1:
+		return fmt.Errorf("serve: -adapt serves a single adaptive pipeline; drop -replicas")
+	case f.adaptive && !vlite:
+		return fmt.Errorf("serve: -adapt requires the hot-swappable vLiteRAG runtime, not %s", f.system)
+	case f.ingest && f.replicas > 1:
+		return fmt.Errorf("serve: -ingest streams mutations into a single live pipeline; drop -replicas")
+	case f.tenants > 0 && (f.adaptive || f.ingest):
+		return fmt.Errorf("serve: -tenants is its own serving mode; drop -adapt/-ingest")
+	case f.tenants > 0 && f.driftAt > 0:
+		return fmt.Errorf("serve: -drift-at rotates one corpus's popularity; a -tenants lineup has none to drift")
+	case f.tenants > 0 && f.resilient():
+		return fmt.Errorf("serve: -faults/-retry/-hedge-ms/-timeout-ms/-degrade drive the single-corpus resilient cluster; drop them with -tenants")
+	case f.sharedQueue && f.tenants <= 0:
+		return fmt.Errorf("serve: -shared-queue is the multi-tenant baseline; add -tenants")
+	case f.precision && !vlite:
+		return fmt.Errorf("serve: -precision refines the vLiteRAG placement, not %s", f.system)
+	case (f.sqBudget != 0 || f.nvmeShare != 0) && !f.precision:
+		return fmt.Errorf("serve: -sq-budget/-nvme-share tune the -precision refinement; add -precision")
+	case f.ingestTuned && !f.ingest:
 		return fmt.Errorf("serve: -ingest-rate/-delete-rate/-reencode-every tune the mutation stream and need -ingest")
-	}
-	if ing.on {
-		if ing.insertRate < 0 {
-			return fmt.Errorf("serve: -ingest-rate must be non-negative (have %g)", ing.insertRate)
-		}
-		if ing.deleteRate < 0 {
-			return fmt.Errorf("serve: -delete-rate must be non-negative (have %g)", ing.deleteRate)
-		}
-		if ing.reencodeEvery <= 0 {
-			return fmt.Errorf("serve: -reencode-every must be positive (have %v)", ing.reencodeEvery)
-		}
-	}
-	if bo.capSet && bo.queueCap <= 0 {
-		return fmt.Errorf("serve: -queue-cap must be positive (have %d); omit the flag for the default bound", bo.queueCap)
-	}
-	if bo.budgets != "" && !bo.on {
+	case f.ingest && f.ingestRate < 0:
+		return fmt.Errorf("serve: -ingest-rate must be non-negative (have %g)", f.ingestRate)
+	case f.ingest && f.deleteRate < 0:
+		return fmt.Errorf("serve: -delete-rate must be non-negative (have %g)", f.deleteRate)
+	case f.ingest && f.reencodeEvery <= 0:
+		return fmt.Errorf("serve: -reencode-every must be positive (have %v)", f.reencodeEvery)
+	case f.capSet && f.queueCap <= 0:
+		return fmt.Errorf("serve: -queue-cap must be positive (have %d); omit the flag for the default bound", f.queueCap)
+	case f.stageBudgets != "" && !f.brownout:
 		return fmt.Errorf("serve: -stage-budgets tunes the brownout controller's per-stage latency budgets; add -brownout")
-	}
-	if (bo.on || bo.capSet) && bo.tenants <= 0 {
-		return fmt.Errorf("serve: -brownout/-queue-cap bound the per-tenant admission queues and need -tenants")
-	}
-	if (bo.on || bo.capSet) && bo.sharedQueue {
+	case (f.brownout || f.capSet) && f.replicas > 1 && f.tenants <= 0:
+		return fmt.Errorf("serve: -brownout/-queue-cap meter one node or a -tenants lineup; a -replicas cluster degrades through -degrade instead")
+	case (f.brownout || f.capSet) && f.sharedQueue:
 		return fmt.Errorf("serve: -shared-queue has no per-tenant queues to bound; drop -brownout/-queue-cap")
 	}
-	if bo.budgets != "" {
-		if _, _, err := parseStageBudgets(bo.budgets); err != nil {
+	if f.stageBudgets != "" {
+		if _, _, err := parseStageBudgets(f.stageBudgets); err != nil {
 			return err
 		}
 	}
@@ -111,25 +138,25 @@ func validateServeFlags(rate float64, replicas, workers, timeoutMS int, timeoutS
 // ResilienceConfig, or nil when none of its flags is set. The resilient
 // path needs spare replicas to fail over to, so any flag in the group
 // requires -replicas > 1.
-func resilienceFromFlags(faults string, retry, hedgeMS, timeoutMS int, degrade bool, replicas int) (*vlr.ResilienceConfig, error) {
-	if faults == "" && retry == 0 && hedgeMS == 0 && timeoutMS == 0 && !degrade {
+func resilienceFromFlags(f serveFlags) (*vlr.ResilienceConfig, error) {
+	if !f.resilient() {
 		return nil, nil
 	}
-	if replicas < 2 {
-		return nil, fmt.Errorf("serve: -faults/-retry/-hedge-ms/-timeout-ms/-degrade need replicas to fail over to (have -replicas %d, want > 1)", replicas)
+	if f.replicas < 2 {
+		return nil, fmt.Errorf("serve: -faults/-retry/-hedge-ms/-timeout-ms/-degrade need replicas to fail over to (have -replicas %d, want > 1)", f.replicas)
 	}
-	if retry < 0 {
-		return nil, fmt.Errorf("serve: -retry must be non-negative (have %d)", retry)
+	if f.retry < 0 {
+		return nil, fmt.Errorf("serve: -retry must be non-negative (have %d)", f.retry)
 	}
 	rc := &vlr.ResilienceConfig{
-		MaxRetries: retry,
-		Timeout:    time.Duration(timeoutMS) * time.Millisecond,
-		Degrade:    degrade,
+		MaxRetries: f.retry,
+		Timeout:    time.Duration(f.timeoutMS) * time.Millisecond,
+		Degrade:    f.degrade,
 	}
 	switch {
-	case hedgeMS > 0:
-		rc.HedgeDelay = time.Duration(hedgeMS) * time.Millisecond
-	case hedgeMS < 0:
+	case f.hedgeMS > 0:
+		rc.HedgeDelay = time.Duration(f.hedgeMS) * time.Millisecond
+	case f.hedgeMS < 0:
 		rc.HedgeAuto = true
 	}
 	return rc, nil

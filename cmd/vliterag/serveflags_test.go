@@ -7,70 +7,71 @@ import (
 )
 
 func TestValidateServeFlags(t *testing.T) {
+	// base is the flag set of a plain single-node run; each row changes
+	// what it names.
+	base := serveFlags{system: "vLiteRAG", rate: 30, replicas: 1, workers: 8, reencodeEvery: 25 * time.Second}
 	cases := []struct {
-		name       string
-		rate       float64
-		replicas   int
-		workers    int
-		timeoutMS  int
-		timeoutSet bool
-		ingest     ingestFlags
-		brownout   brownoutFlags
-		wantErr    string // substring; "" means valid
+		name    string
+		mod     func(f *serveFlags)
+		wantErr string // substring; "" means valid
 	}{
-		{name: "defaults", rate: 30, replicas: 1, workers: 8},
-		{name: "zero rate", rate: 0, replicas: 1, workers: 8, wantErr: "-rate"},
-		{name: "negative rate", rate: -5, replicas: 1, workers: 8, wantErr: "-rate"},
-		{name: "zero replicas", rate: 30, replicas: 0, workers: 8, wantErr: "-replicas"},
-		{name: "negative replicas", rate: 30, replicas: -2, workers: 8, wantErr: "-replicas"},
-		{name: "zero workers", rate: 30, replicas: 2, workers: 0, wantErr: "-workers"},
-		{name: "negative workers", rate: 30, replicas: 2, workers: -1, wantErr: "-workers"},
-		{name: "explicit zero timeout", rate: 30, replicas: 2, workers: 8, timeoutMS: 0, timeoutSet: true, wantErr: "-timeout-ms"},
-		{name: "negative timeout", rate: 30, replicas: 2, workers: 8, timeoutMS: -100, timeoutSet: true, wantErr: "-timeout-ms"},
-		{name: "unset timeout default", rate: 30, replicas: 2, workers: 8, timeoutMS: 0, timeoutSet: false},
-		{name: "valid timeout", rate: 30, replicas: 2, workers: 8, timeoutMS: 8000, timeoutSet: true},
-		{name: "valid ingest", rate: 30, replicas: 1, workers: 8,
-			ingest: ingestFlags{on: true, insertRate: 4, deleteRate: 1, reencodeEvery: 25 * time.Second, tuned: true}},
-		{name: "ingest zero rates", rate: 30, replicas: 1, workers: 8,
-			ingest: ingestFlags{on: true, reencodeEvery: 25 * time.Second}},
-		{name: "ingest tuning without -ingest", rate: 30, replicas: 1, workers: 8,
-			ingest: ingestFlags{insertRate: 4, reencodeEvery: 25 * time.Second, tuned: true}, wantErr: "-ingest"},
-		{name: "negative insert rate", rate: 30, replicas: 1, workers: 8,
-			ingest: ingestFlags{on: true, insertRate: -4, reencodeEvery: 25 * time.Second}, wantErr: "-ingest-rate"},
-		{name: "negative delete rate", rate: 30, replicas: 1, workers: 8,
-			ingest: ingestFlags{on: true, deleteRate: -1, reencodeEvery: 25 * time.Second}, wantErr: "-delete-rate"},
-		{name: "zero reencode interval", rate: 30, replicas: 1, workers: 8,
-			ingest: ingestFlags{on: true, insertRate: 4}, wantErr: "-reencode-every"},
-		{name: "negative reencode interval", rate: 30, replicas: 1, workers: 8,
-			ingest: ingestFlags{on: true, insertRate: 4, reencodeEvery: -time.Second}, wantErr: "-reencode-every"},
-		{name: "brownout with tenants", rate: 30, replicas: 1, workers: 8,
-			brownout: brownoutFlags{on: true, tenants: 3}},
-		{name: "queue cap with tenants", rate: 30, replicas: 1, workers: 8,
-			brownout: brownoutFlags{queueCap: 32, capSet: true, tenants: 3}},
-		{name: "full brownout group", rate: 30, replicas: 1, workers: 8,
-			brownout: brownoutFlags{on: true, queueCap: 32, capSet: true, budgets: "350ms:600ms", tenants: 3}},
-		{name: "explicit zero queue cap", rate: 30, replicas: 1, workers: 8,
-			brownout: brownoutFlags{queueCap: 0, capSet: true, tenants: 3}, wantErr: "-queue-cap"},
-		{name: "negative queue cap", rate: 30, replicas: 1, workers: 8,
-			brownout: brownoutFlags{queueCap: -4, capSet: true, tenants: 3}, wantErr: "-queue-cap"},
-		{name: "brownout without tenants", rate: 30, replicas: 1, workers: 8,
-			brownout: brownoutFlags{on: true}, wantErr: "-tenants"},
-		{name: "queue cap without tenants", rate: 30, replicas: 1, workers: 8,
-			brownout: brownoutFlags{queueCap: 32, capSet: true}, wantErr: "-tenants"},
-		{name: "brownout on the shared queue", rate: 30, replicas: 1, workers: 8,
-			brownout: brownoutFlags{on: true, tenants: 3, sharedQueue: true}, wantErr: "-shared-queue"},
-		{name: "stage budgets without brownout", rate: 30, replicas: 1, workers: 8,
-			brownout: brownoutFlags{budgets: "350ms:600ms", tenants: 3}, wantErr: "-brownout"},
-		{name: "stage budgets missing a stage", rate: 30, replicas: 1, workers: 8,
-			brownout: brownoutFlags{on: true, budgets: "350ms", tenants: 3}, wantErr: "-stage-budgets"},
-		{name: "stage budgets unparsable", rate: 30, replicas: 1, workers: 8,
-			brownout: brownoutFlags{on: true, budgets: "fast:slow", tenants: 3}, wantErr: "-stage-budgets"},
-		{name: "stage budgets non-positive", rate: 30, replicas: 1, workers: 8,
-			brownout: brownoutFlags{on: true, budgets: "350ms:-1s", tenants: 3}, wantErr: "-stage-budgets"},
+		{"defaults", func(f *serveFlags) {}, ""},
+		{"zero rate", func(f *serveFlags) { f.rate = 0 }, "-rate"},
+		{"negative rate", func(f *serveFlags) { f.rate = -5 }, "-rate"},
+		{"zero replicas", func(f *serveFlags) { f.replicas = 0 }, "-replicas"},
+		{"negative replicas", func(f *serveFlags) { f.replicas = -2 }, "-replicas"},
+		{"zero workers", func(f *serveFlags) { f.replicas, f.workers = 2, 0 }, "-workers"},
+		{"negative workers", func(f *serveFlags) { f.replicas, f.workers = 2, -1 }, "-workers"},
+		{"explicit zero timeout", func(f *serveFlags) { f.replicas, f.timeoutSet = 2, true }, "-timeout-ms"},
+		{"negative timeout", func(f *serveFlags) { f.replicas, f.timeoutMS, f.timeoutSet = 2, -100, true }, "-timeout-ms"},
+		{"unset timeout default", func(f *serveFlags) { f.replicas = 2 }, ""},
+		{"valid timeout", func(f *serveFlags) { f.replicas, f.timeoutMS, f.timeoutSet = 2, 8000, true }, ""},
+		{"valid ingest", func(f *serveFlags) { f.ingest, f.ingestRate, f.deleteRate, f.ingestTuned = true, 4, 1, true }, ""},
+		{"ingest zero rates", func(f *serveFlags) { f.ingest = true }, ""},
+		{"ingest tuning without -ingest", func(f *serveFlags) { f.ingestRate, f.ingestTuned = 4, true }, "-ingest"},
+		{"negative insert rate", func(f *serveFlags) { f.ingest, f.ingestRate = true, -4 }, "-ingest-rate"},
+		{"negative delete rate", func(f *serveFlags) { f.ingest, f.deleteRate = true, -1 }, "-delete-rate"},
+		{"zero reencode interval", func(f *serveFlags) { f.ingest, f.ingestRate, f.reencodeEvery = true, 4, 0 }, "-reencode-every"},
+		{"negative reencode interval", func(f *serveFlags) { f.ingest, f.ingestRate, f.reencodeEvery = true, 4, -time.Second }, "-reencode-every"},
+		{"brownout with tenants", func(f *serveFlags) { f.brownout, f.tenants = true, 3 }, ""},
+		{"queue cap with tenants", func(f *serveFlags) { f.queueCap, f.capSet, f.tenants = 32, true, 3 }, ""},
+		{"full brownout group", func(f *serveFlags) {
+			f.brownout, f.queueCap, f.capSet, f.stageBudgets, f.tenants = true, 32, true, "350ms:600ms", 3
+		}, ""},
+		{"explicit zero queue cap", func(f *serveFlags) { f.capSet, f.tenants = true, 3 }, "-queue-cap"},
+		{"negative queue cap", func(f *serveFlags) { f.queueCap, f.capSet, f.tenants = -4, true, 3 }, "-queue-cap"},
+		// A single node serves the overload group itself.
+		{"brownout without tenants", func(f *serveFlags) { f.brownout = true }, ""},
+		{"queue cap without tenants", func(f *serveFlags) { f.queueCap, f.capSet = 32, true }, ""},
+		{"brownout on a cluster", func(f *serveFlags) { f.brownout, f.replicas = true, 2 }, "-degrade"},
+		{"brownout on a tenant fleet", func(f *serveFlags) { f.brownout, f.replicas, f.tenants = true, 2, 3 }, ""},
+		{"brownout on the shared queue", func(f *serveFlags) { f.brownout, f.tenants, f.sharedQueue = true, 3, true }, "-shared-queue"},
+		{"stage budgets without brownout", func(f *serveFlags) { f.stageBudgets, f.tenants = "350ms:600ms", 3 }, "-brownout"},
+		{"stage budgets missing a stage", func(f *serveFlags) { f.brownout, f.stageBudgets = true, "350ms" }, "-stage-budgets"},
+		{"stage budgets unparsable", func(f *serveFlags) { f.brownout, f.stageBudgets = true, "fast:slow" }, "-stage-budgets"},
+		{"stage budgets non-positive", func(f *serveFlags) { f.brownout, f.stageBudgets = true, "350ms:-1s" }, "-stage-budgets"},
+		// Mode checks: each combination a mode cannot honor.
+		{"adapt with replicas", func(f *serveFlags) { f.adaptive, f.replicas = true, 2 }, "-adapt"},
+		{"adapt on a baseline", func(f *serveFlags) { f.adaptive, f.system = true, "CPU-Only" }, "-adapt"},
+		{"adapt with tenants", func(f *serveFlags) { f.adaptive, f.tenants = true, 3 }, "-tenants"},
+		{"ingest with replicas", func(f *serveFlags) { f.ingest, f.replicas = true, 2 }, "-ingest"},
+		{"ingest with tenants", func(f *serveFlags) { f.ingest, f.tenants = true, 3 }, "-tenants"},
+		{"precision on a baseline", func(f *serveFlags) { f.precision, f.system = true, "ALL-GPU" }, "-precision"},
+		{"sq budget without precision", func(f *serveFlags) { f.sqBudget = 0.2 }, "-precision"},
+		{"nvme share without precision", func(f *serveFlags) { f.nvmeShare = 0.05 }, "-precision"},
+		{"precision with tenants", func(f *serveFlags) { f.precision, f.sqBudget, f.tenants = true, 0.2, 3 }, ""},
+		{"shared queue without tenants", func(f *serveFlags) { f.sharedQueue = true }, "-tenants"},
+		{"drift with tenants", func(f *serveFlags) { f.driftAt, f.tenants = time.Minute, 3 }, "-drift-at"},
+		{"faults with tenants", func(f *serveFlags) { f.faults, f.replicas, f.tenants = "crash@10s:r0:5s", 2, 3 }, "-tenants"},
+		{"degrade with tenants", func(f *serveFlags) { f.degrade, f.replicas, f.tenants = true, 2, 3 }, "-tenants"},
+		{"netdelay on one node", func(f *serveFlags) { f.netDelay = time.Millisecond }, "-netdelay"},
+		{"netdelay on a cluster", func(f *serveFlags) { f.netDelay, f.replicas = time.Millisecond, 4 }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateServeFlags(tc.rate, tc.replicas, tc.workers, tc.timeoutMS, tc.timeoutSet, tc.ingest, tc.brownout)
+			f := base
+			tc.mod(&f)
+			err := validateServeFlags(f)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -89,21 +90,21 @@ func TestValidateServeFlags(t *testing.T) {
 
 func TestResilienceFromFlags(t *testing.T) {
 	// No resilience flags → nil config, any replica count.
-	if rc, err := resilienceFromFlags("", 0, 0, 0, false, 1); err != nil || rc != nil {
+	if rc, err := resilienceFromFlags(serveFlags{replicas: 1}); err != nil || rc != nil {
 		t.Fatalf("bare flags: got %v, %v; want nil, nil", rc, err)
 	}
 	// Any resilience flag on a single replica is rejected.
-	if _, err := resilienceFromFlags("crash@10s:r0:5s", 0, 0, 0, false, 1); err == nil {
+	if _, err := resilienceFromFlags(serveFlags{faults: "crash@10s:r0:5s", replicas: 1}); err == nil {
 		t.Fatal("-faults with -replicas 1 accepted")
 	}
-	if _, err := resilienceFromFlags("", 2, 0, 0, false, 1); err == nil {
+	if _, err := resilienceFromFlags(serveFlags{retry: 2, replicas: 1}); err == nil {
 		t.Fatal("-retry with -replicas 1 accepted")
 	}
-	if _, err := resilienceFromFlags("", -1, 0, 0, false, 2); err == nil {
+	if _, err := resilienceFromFlags(serveFlags{retry: -1, replicas: 2}); err == nil {
 		t.Fatal("negative -retry accepted")
 	}
 	// Full group translates faithfully.
-	rc, err := resilienceFromFlags("crash@10s:r0:5s", 2, 500, 8000, true, 3)
+	rc, err := resilienceFromFlags(serveFlags{faults: "crash@10s:r0:5s", retry: 2, hedgeMS: 500, timeoutMS: 8000, degrade: true, replicas: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestResilienceFromFlags(t *testing.T) {
 		t.Fatalf("config %+v does not match flags", rc)
 	}
 	// Negative hedge selects the p95-derived delay.
-	rc, err = resilienceFromFlags("", 1, -1, 0, false, 2)
+	rc, err = resilienceFromFlags(serveFlags{retry: 1, hedgeMS: -1, replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

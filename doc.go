@@ -31,11 +31,14 @@
 // collector — all in virtual time on a deterministic discrete-event
 // simulator. Each baseline system (CPU-Only, DED-GPU, ALL-GPU,
 // vLiteRAG, HedraRAG) is a declarative composition of those stages;
-// internal/rag contributes
-// only the per-system resource decision (GPU memory layout, engine
-// choice, LLM placement). The same pieces scale out: ServeCluster runs
-// N identical node pipelines behind a round-robin or least-loaded
-// front-end router.
+// internal/rag contributes the per-system resource decision (GPU memory
+// layout, engine choice, LLM placement) and one entry point that serves
+// it on any combination of corpus (one workload or a tenant lineup),
+// topology (one node or replicas behind a router) and control planes —
+// validated against one rules table before any work. Every Serve*
+// function below is one such combination: ServeCluster runs N identical
+// node pipelines behind a round-robin or least-loaded front-end router,
+// ServeTenants shares nodes between SLO-tiered tenants.
 //
 // A control plane rides on the data plane (internal/adapt, paper
 // §IV-B3): ServeAdaptive attaches a drift monitor to the collector
@@ -77,6 +80,13 @@
 //	        Replicas:     2,
 //	})
 //	fmt.Printf("cluster attainment %.2f at 60 req/s\n", cl.Summary.Attainment)
+//
+//	// Past capacity: bound the node's admission queue and shed quality.
+//	ov, _ := vectorliterag.Serve(vectorliterag.ServeOptions{
+//	        Workload: w, Rate: 45,
+//	        Overload: &vectorliterag.OverloadOptions{QueueCap: 32, Brownout: true},
+//	})
+//	fmt.Printf("rejected %d, brownout level %d\n", ov.Overload.RejectedTotal, ov.Overload.MaxLevel)
 //
 // The runnable programs under examples/ demonstrate the full API, and
 // cmd/vliterag regenerates every table and figure of the paper's

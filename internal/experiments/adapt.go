@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"vectorliterag/internal/adapt"
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/metrics"
 	"vectorliterag/internal/rag"
@@ -41,14 +42,15 @@ func Adapt(cfg Config) (*Report, error) {
 		driftAt   = 45 * time.Second
 	)
 	rotate := w.DefaultDriftRotation()
-	var adaptive *rag.AdaptiveResult
-	var static *rag.Result
+	var adaptive, static *rag.Result
 	err = cfg.sweep(grid{dep: dep, spec: dataset.Orcas2K, rates: []float64{rate}, base: func(o *rag.Options) {
 		o.Duration, o.Drain = duration, 120*time.Second
 		o.SLOSearch = sloSearch
 		o.Drift = []dataset.DriftEvent{{At: driftAt, Rotate: rotate}}
 	}}, func(_ string, o rag.Options) (err error) {
-		if adaptive, err = rag.RunAdaptive(rag.AdaptiveOptions{Options: o}); err != nil {
+		ad := o
+		ad.Monitor = &adapt.MonitorConfig{}
+		if adaptive, err = rag.Run(ad); err != nil {
 			return fmt.Errorf("adaptive arm: %w", err)
 		}
 		if static, err = rag.Run(o); err != nil {
@@ -60,9 +62,10 @@ func Adapt(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
+	ctrl := adaptive.Adapt
 	// validateErr is non-empty when a rebuild broke the paper's envelope.
 	validateErr := ""
-	for _, rb := range adaptive.Rebuilds {
+	for _, rb := range ctrl.Rebuilds {
 		if rb.Aborted != "" {
 			validateErr = "aborted: " + rb.Aborted
 		} else if err := rb.Timing.Validate(); err != nil && validateErr == "" {
@@ -75,11 +78,11 @@ func Adapt(cfg Config) (*Report, error) {
 	rep := &Report{}
 	rep.Table(dataCol("expected_hit"), dataCol("rebuilds"), dataCol("validate_err"),
 		dataCol("static_post"), dataCol("adaptive_post")).
-		Add(adaptive.ExpectedHitRate, len(adaptive.Rebuilds), validateErr, staticPost, adaptivePost)
+		Add(ctrl.ExpectedHitRate, len(ctrl.Rebuilds), validateErr, staticPost, adaptivePost)
 	rep.Printf("Online adaptation: %s + %s @ %.0f req/s, SLO_search %v\n",
 		dataset.Orcas2K.Name, dep.Model.Name, rate, sloSearch)
 	rep.Printf("popularity rotates by %d templates at t=%v; expected hit rate %.3f\n\n",
-		rotate, driftAt, adaptive.ExpectedHitRate)
+		rotate, driftAt, ctrl.ExpectedHitRate)
 	t := rep.Table(
 		col("window", "%v", "window_start_s", "%.0f"),
 		col("static att", "%.3f", "static_attainment", ""),
@@ -97,7 +100,7 @@ func Adapt(cfg Config) (*Report, error) {
 		if in(driftAt) {
 			events = append(events, "drift")
 		}
-		for j, rb := range adaptive.Rebuilds {
+		for j, rb := range ctrl.Rebuilds {
 			if in(time.Duration(rb.TriggeredAt)) {
 				events = append(events, fmt.Sprintf("trigger#%d", j+1))
 			}
@@ -110,11 +113,11 @@ func Adapt(cfg Config) (*Report, error) {
 	}
 
 	rep.Printf("\nrebuild timeline:\n")
-	if len(adaptive.Rebuilds) == 0 {
+	if len(ctrl.Rebuilds) == 0 {
 		rep.Printf("  (none triggered)\n")
 	}
 	round := func(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
-	for i, rb := range adaptive.Rebuilds {
+	for i, rb := range ctrl.Rebuilds {
 		if rb.Aborted != "" {
 			rep.Printf("  #%d triggered %v, ABORTED (%s)\n", i+1, round(time.Duration(rb.TriggeredAt)), rb.Aborted)
 			continue
@@ -128,7 +131,7 @@ func Adapt(cfg Config) (*Report, error) {
 		rep.Printf("  WARNING: %s\n", validateErr)
 	}
 	rep.Printf("\npost-drift attainment: static %.3f, adaptive %.3f", staticPost, adaptivePost)
-	if adaptivePost > staticPost && len(adaptive.Rebuilds) > 0 && validateErr == "" {
+	if adaptivePost > staticPost && len(ctrl.Rebuilds) > 0 && validateErr == "" {
 		rep.Printf("  (recovered within the run ✓)")
 	}
 	rep.Printf("\n")

@@ -46,7 +46,8 @@ func Cluster(cfg Config) (*Report, error) {
 		}
 		err := cfg.sweep(grid{dep: dep, spec: dataset.Orcas1K, rates: []float64{perNode * float64(n)}, arms: policies},
 			func(policy string, o rag.Options) error {
-				r, err := rag.RunCluster(o, n, serve.Policy(policy))
+				o.Replicas, o.Policy = n, serve.Policy(policy)
+				r, err := rag.Run(o)
 				if err != nil {
 					return err
 				}

@@ -99,9 +99,12 @@ func Faults(cfg Config) (*Report, error) {
 	)
 	err = cfg.sweep(grid{
 		dep: dep, spec: dataset.Orcas1K, rates: []float64{rate}, arms: faultsArms(),
-		base: func(o *rag.Options) { o.Duration, o.Faults = duration, storm },
+		base: func(o *rag.Options) {
+			o.Duration, o.Faults = duration, storm
+			o.Replicas, o.Policy = replicas, serve.LeastLoaded
+		},
 	}, func(name string, o rag.Options) error {
-		r, err := rag.RunCluster(o, replicas, serve.LeastLoaded)
+		r, err := rag.Run(o)
 		if err != nil {
 			return err
 		}

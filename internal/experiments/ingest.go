@@ -3,6 +3,7 @@ package experiments
 import (
 	"time"
 
+	"vectorliterag/internal/adapt"
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/rag"
 	"vectorliterag/internal/workload"
@@ -43,18 +44,18 @@ func Ingest(cfg Config) (*Report, error) {
 		ReencodeEvery: 12 * time.Second, FreshnessSLO: 500 * time.Millisecond,
 	}
 	drift := dataset.DriftEvent{At: duration / 4, Rotate: w.DefaultDriftRotation()}
-	arms := []arm[rag.LiveOptions]{
-		{name: "frozen"},
-		{"streaming", func(o *rag.LiveOptions) { o.Ingest = streams }},
-		{"streaming+compaction", func(o *rag.LiveOptions) {
-			o.Ingest = streams
-			o.Ingest.Compaction = true
+	arms := []arm[rag.Options]{
+		{"frozen", func(o *rag.Options) { o.Ingest = &rag.IngestOptions{} }},
+		{"streaming", func(o *rag.Options) { o.Ingest = &streams }},
+		{"streaming+compaction", func(o *rag.Options) {
+			io := streams
 			// The insert stream tracks the drifted query distribution by
 			// design, so the cumulative residual carries a ~2.5-2.7x floor
 			// after the rotation; keep the threshold above it so the first
 			// trigger takes the cheap compaction and escalation comes from
 			// the repeat-trigger rule, not the tracker floor.
-			o.Ingest.EscalateResidual = 3.0
+			io.EscalateResidual = 3.0
+			o.Ingest, o.Monitor = &io, &adapt.MonitorConfig{}
 		}},
 	}
 	rep := &Report{}
@@ -92,26 +93,28 @@ func Ingest(cfg Config) (*Report, error) {
 		o.SLOSearch = 150 * time.Millisecond
 		o.Drift = []dataset.DriftEvent{drift}
 	}}, func(_ string, o rag.Options) error {
-		return eachArm(rag.LiveOptions{Options: o}, arms, func(name string, lo rag.LiveOptions) error {
-			r, err := rag.RunLive(lo)
+		return eachArm(o, arms, func(name string, o rag.Options) error {
+			r, err := rag.Run(o)
 			if err != nil {
 				return err
 			}
-			f := r.Freshness
+			live, f := r.Live, r.Live.Freshness
 			var tts50, tts99, fresh any = "-", "-", "-"
 			if f.Inserts > 0 {
 				tts50, tts99, fresh = f.TTS.P50, f.TTS.P99, f.Attainment
 			}
 			rebuilds := 0
-			for _, rb := range r.Rebuilds {
-				if !rb.Compaction && rb.Aborted == "" {
-					rebuilds++
+			if r.Adapt != nil {
+				for _, rb := range r.Adapt.Rebuilds {
+					if !rb.Compaction && rb.Aborted == "" {
+						rebuilds++
+					}
 				}
 			}
 			t.Add(name, r.Summary.Attainment, r.Summary.N, r.Summary.TTFT.P90,
 				tts50, f.TTS.P50, tts99, f.TTS.P99, fresh, f.Attainment,
-				f.Inserts, f.Deletes, f.Pending, r.Reencodes, r.Compactions, rebuilds,
-				r.SizeSkew, r.ResidualRatio)
+				f.Inserts, f.Deletes, f.Pending, live.Reencodes, live.Compactions, rebuilds,
+				live.SizeSkew, live.ResidualRatio)
 			return nil
 		})
 	})

@@ -21,9 +21,9 @@ const overloadQueueCap = 32
 // of provisioned capacity, i.e. sustained ≈1.5× overload rather than
 // the tenants experiment's transient burst. Precision upgrades are on
 // in every arm so the brownout ladder's SQ8→PQ rung has recall to
-// give back, and the run is pinned to the sharded engine (explicit
+// give back, and the run is pinned to a one-replica fleet (explicit
 // NetDelay) so worker count provably never moves the schedule.
-func overloadOpts(cfg Config, rampOver time.Duration) (rag.MultiTenantOptions, error) {
+func overloadOpts(cfg Config, rampOver time.Duration) (rag.Options, error) {
 	duration := 240 * time.Second
 	if cfg.Quick {
 		duration = 90 * time.Second
@@ -38,7 +38,7 @@ func overloadOpts(cfg Config, rampOver time.Duration) (rag.MultiTenantOptions, e
 	}
 	opts.Precision = &rag.PrecisionOptions{}
 	opts.Warmup = 20 * time.Second
-	opts.NetDelay = rag.DefaultNetDelay
+	opts.Replicas, opts.NetDelay = 1, rag.DefaultNetDelay
 	opts.Workers = cfg.workers
 	return opts, nil
 }
@@ -112,16 +112,16 @@ func Overload(cfg Config) (*Report, error) {
 		csvCol("time_in_brownout_s", ""),
 		csvCol("mean_shed", ""),
 	)
-	err = eachArm(opts, []arm[rag.MultiTenantOptions]{
+	err = eachArm(opts, []arm[rag.Options]{
 		{name: "naive-queue"},
-		{"reject-only", func(o *rag.MultiTenantOptions) {
+		{"reject-only", func(o *rag.Options) {
 			o.Overload = &rag.OverloadOptions{QueueCap: overloadQueueCap}
 		}},
-		{"brownout", func(o *rag.MultiTenantOptions) {
+		{"brownout", func(o *rag.Options) {
 			o.Overload = &rag.OverloadOptions{QueueCap: overloadQueueCap, Brownout: true}
 		}},
-	}, func(name string, o rag.MultiTenantOptions) error {
-		r, err := rag.RunMultiTenant(o)
+	}, func(name string, o rag.Options) error {
+		r, err := rag.Run(o)
 		if err != nil {
 			return err
 		}

@@ -56,14 +56,16 @@ func Precision(cfg Config) (*Report, error) {
 	)
 	err = cfg.sweep(grid{
 		dep: dep, spec: dataset.Orcas1K, rates: scaled(muCluster, fracs),
-		base: func(o *rag.Options) { o.NetDelay = rag.DefaultNetDelay },
+		base: func(o *rag.Options) {
+			o.Replicas, o.Policy, o.NetDelay = replicas, serve.RoundRobin, rag.DefaultNetDelay
+		},
 		arms: []arm[rag.Options]{
 			{"hbm-only", func(o *rag.Options) { o.Kind = rag.AllGPU }},
 			{name: "placement"},
 			{"placement+precision", func(o *rag.Options) { o.Precision = &rag.PrecisionOptions{} }},
 		},
 	}, func(name string, o rag.Options) error {
-		r, err := rag.RunCluster(o, replicas, serve.RoundRobin)
+		r, err := rag.Run(o)
 		if err != nil {
 			return err
 		}

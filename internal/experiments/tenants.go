@@ -15,17 +15,17 @@ import (
 // rates. Per-tenant search SLOs are the tenants' contracts (gold pays
 // for 350 ms at 95 %, silver 500 ms at 85 %, bronze 300 ms at best
 // effort). Each study adds its own rate schedules.
-func (cfg Config) threeTenants(duration time.Duration) (rag.MultiTenantOptions, error) {
+func (cfg Config) threeTenants(duration time.Duration) (rag.Options, error) {
 	dep := qwenH100()
 	goldW, err := WorkloadFor(dataset.Orcas1K)
 	if err != nil {
-		return rag.MultiTenantOptions{}, err
+		return rag.Options{}, err
 	}
 	silverW, err := WorkloadFor(dataset.WikiAll)
 	if err != nil {
-		return rag.MultiTenantOptions{}, err
+		return rag.Options{}, err
 	}
-	return rag.MultiTenantOptions{
+	return rag.Options{
 		Node: dep.Node, Model: dep.Model,
 		Tenants: []rag.TenantConfig{
 			{Name: "gold", Tier: tenant.Gold, W: goldW, Rate: 9, SLOSearch: 350 * time.Millisecond},
@@ -76,11 +76,11 @@ func Tenants(cfg Config) (*Report, error) {
 		col("peak queue", "", "peak_queue", ""),
 		csvCol("jain_fairness", ""),
 	)
-	err = eachArm(opts, []arm[rag.MultiTenantOptions]{
+	err = eachArm(opts, []arm[rag.Options]{
 		{name: "fair"},
-		{"shared-queue", func(o *rag.MultiTenantOptions) { o.SharedQueue = true }},
-	}, func(name string, o rag.MultiTenantOptions) error {
-		r, err := rag.RunMultiTenant(o)
+		{"shared-queue", func(o *rag.Options) { o.SharedQueue = true }},
+	}, func(name string, o rag.Options) error {
+		r, err := rag.Run(o)
 		if err != nil {
 			return err
 		}

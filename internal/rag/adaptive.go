@@ -5,29 +5,17 @@ import (
 	"vectorliterag/internal/des"
 )
 
-// AdaptiveOptions configures an adaptive vLiteRAG run: the usual
-// serving options (typically with a Drift trace and/or RateSchedule so
-// there is something to adapt to) plus the controller's knobs.
-type AdaptiveOptions struct {
-	Options
-	// Monitor holds the drift-detection thresholds. A zero
-	// WindowRequests derives a window of roughly ten seconds of traffic
-	// at the nominal rate (min 100 requests) — the paper's "every few
-	// thousand requests" scaled to this substrate's run lengths; the
-	// controller fills the other zero fields and rejects invalid ones.
-	Monitor adapt.MonitorConfig
-}
-
-// AdaptiveResult extends a run result with the control-plane record:
-// every rebuild the controller executed and the expectation it started
-// from. Rho reports the *initial* plan's coverage; each rebuild record
-// carries the coverage it moved to.
-type AdaptiveResult struct {
-	Result
+// AdaptReport is the adapt controller's record: every rebuild it
+// executed and the expectation it started from. Result.Rho reports the
+// *initial* plan's coverage; each rebuild record carries the coverage
+// it moved to.
+type AdaptReport struct {
 	// ExpectedHitRate is the model-expected mean hit rate of the initial
 	// plan (the monitor's first anchor).
 	ExpectedHitRate float64
-	Rebuilds        []adapt.RebuildRecord
+	// Rebuilds holds the completed cycles; on a live corpus compaction
+	// cycles carry Compaction == true.
+	Rebuilds []adapt.RebuildRecord
 	// Pending is a rebuild still in flight when the clock stopped (its
 	// remaining stages lay past duration+drain), or nil. Shards it left
 	// refreshing explain a hit-rate dip at the tail of the timeline.
@@ -37,20 +25,20 @@ type AdaptiveResult struct {
 }
 
 // newAdaptController builds the in-loop adaptation controller for a
-// single-node run — the re-partitioning plane of RunAdaptive and, with
-// io set, the compaction plane of a live run — on the models the
-// decision was made from: the controller re-measures only the access
-// profile across cycles, because drift moves the query distribution,
-// not the machine. It returns the model-expected mean hit rate of the
-// installed plan, the monitor's first anchor. The caller binds the
-// engine (and the compactor) once the pipeline exists.
+// single-node run — the re-partitioning plane and, with io set, the
+// compaction plane of a live run — on the models the decision was made
+// from: the controller re-measures only the access profile across
+// cycles, because drift moves the query distribution, not the machine.
+// It returns the model-expected mean hit rate of the installed plan,
+// the monitor's first anchor. The caller binds the engine (and the
+// compactor) once the pipeline exists.
 func newAdaptController(sim *des.Sim, opts *Options, d *decision, mon adapt.MonitorConfig, io *IngestOptions) (*adapt.Controller, float64, error) {
 	if err := d.fit(); err != nil {
 		return nil, 0, err
 	}
 	if d.mu0 == 0 { // a prebuilt plan skipped the capacity measurement
 		var err error
-		if d.mu0, err = bareCapacity(opts.Node, opts.Model, opts.Node.NumGPUs, opts.Shape); err != nil {
+		if d.mu0, err = BareCapacity(opts.Node, opts.Model, opts.Shape); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -88,32 +76,4 @@ func newAdaptController(sim *des.Sim, opts *Options, d *decision, mon adapt.Moni
 		Seed:      opts.Seed + 13,
 	})
 	return ctrl, expected, err
-}
-
-// RunAdaptive executes one adaptive evaluation point: a vLiteRAG
-// pipeline with the adapt.Controller attached to the collector path,
-// serving a (typically non-stationary) workload in virtual time. When
-// drift trips the monitor, the controller re-profiles the live
-// distribution, re-runs Algorithm 1, re-splits, reloads shards in the
-// background (mid-reload queries divert to the CPU path), and swaps the
-// new plan in — all as simulated events, inside the same run.
-//
-// The static counterpart for an A/B under the identical trace is plain
-// Run with the same Options (same Seed, Drift, RateSchedule): its plan
-// is decided once, pre-drift, and never changes.
-func RunAdaptive(opts AdaptiveOptions) (*AdaptiveResult, error) {
-	if opts.Kind == "" {
-		opts.Kind = VLiteRAG
-	}
-	run, err := runSingle(opts.Options, &opts.Monitor, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &AdaptiveResult{
-		Result:          run.Result,
-		ExpectedHitRate: run.expected,
-		Rebuilds:        run.ctrl.Rebuilds(),
-		Pending:         run.ctrl.Pending(),
-		Observed:        run.ctrl.Observed(),
-	}, nil
 }

@@ -13,12 +13,12 @@ import (
 // driftOpts is the shared §IV-B3 scenario: steady traffic with one
 // mid-run popularity rotation large enough to strand the initial hot
 // set, under a search SLO tight enough that the stale plan's CPU
-// detours matter.
-func driftOpts(t *testing.T, rate float64) AdaptiveOptions {
+// detours matter. It attaches no controller: the static arm.
+func driftOpts(t *testing.T, rate float64) Options {
 	t.Helper()
 	w := testW(t)
 	rot := w.DefaultDriftRotation()
-	o := AdaptiveOptions{Options: baseOpts(t, VLiteRAG, rate)}
+	o := baseOpts(t, VLiteRAG, rate)
 	o.Duration = 240 * time.Second
 	o.Drain = 120 * time.Second
 	o.SLOSearch = 100 * time.Millisecond
@@ -28,6 +28,13 @@ func driftOpts(t *testing.T, rate float64) AdaptiveOptions {
 
 // meanHitFrom averages the served hit rate over requests arriving at or
 // after the cutoff.
+// adaptive is o with the adapt controller attached at default
+// thresholds.
+func adaptive(o Options) Options {
+	o.Monitor = &adapt.MonitorConfig{}
+	return o
+}
+
 func meanHitFrom(res *Result, from time.Duration) float64 {
 	n, sum := 0, 0.0
 	for _, r := range res.Requests {
@@ -63,20 +70,20 @@ func postDriftAttainment(res *Result, from time.Duration, slo time.Duration) flo
 func TestAdaptiveRecoversFromDrift(t *testing.T) {
 	opts := driftOpts(t, 28)
 
-	adaptive, err := RunAdaptive(opts)
+	ad, err := Run(adaptive(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	static, err := Run(opts.Options)
+	static, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if len(adaptive.Rebuilds) != 1 {
+	if len(ad.Adapt.Rebuilds) != 1 {
 		t.Fatalf("want exactly one rebuild (echo triggers suppressed), got %d: %+v",
-			len(adaptive.Rebuilds), adaptive.Rebuilds)
+			len(ad.Adapt.Rebuilds), ad.Adapt.Rebuilds)
 	}
-	rb := adaptive.Rebuilds[0]
+	rb := ad.Adapt.Rebuilds[0]
 	if rb.Aborted != "" {
 		t.Fatalf("rebuild aborted: %s", rb.Aborted)
 	}
@@ -99,18 +106,18 @@ func TestAdaptiveRecoversFromDrift(t *testing.T) {
 	// plan keeps missing. The stale plan's post-drift hit rate on this
 	// workload is ~0.55; the fresh plan restores ~0.93.
 	from := time.Duration(rb.SwappedAt)
-	adHit := meanHitFrom(&adaptive.Result, from)
+	adHit := meanHitFrom(ad, from)
 	stHit := meanHitFrom(static, from)
 	if adHit < stHit+0.2 {
 		t.Fatalf("post-swap hit rate %.3f not well above static %.3f", adHit, stHit)
 	}
-	if adHit < adaptive.ExpectedHitRate-0.1 {
+	if adHit < ad.Adapt.ExpectedHitRate-0.1 {
 		t.Fatalf("post-swap hit rate %.3f never returned to expectation %.3f",
-			adHit, adaptive.ExpectedHitRate)
+			adHit, ad.Adapt.ExpectedHitRate)
 	}
 	// And attainment must not be worse than the static arm's over the
 	// post-drift interval.
-	adAtt := postDriftAttainment(&adaptive.Result, 45*time.Second, adaptive.SLOTotal)
+	adAtt := postDriftAttainment(ad, 45*time.Second, ad.SLOTotal)
 	stAtt := postDriftAttainment(static, 45*time.Second, static.SLOTotal)
 	if adAtt < stAtt {
 		t.Fatalf("adaptive post-drift attainment %.3f below static %.3f", adAtt, stAtt)
@@ -122,15 +129,14 @@ func TestAdaptiveRecoversFromDrift(t *testing.T) {
 }
 
 func TestAdaptiveNoDriftNoRebuild(t *testing.T) {
-	o := AdaptiveOptions{Options: baseOpts(t, VLiteRAG, 12)}
-	res, err := RunAdaptive(o)
+	res, err := Run(adaptive(baseOpts(t, VLiteRAG, 12)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rebuilds) != 0 {
-		t.Fatalf("stationary workload triggered %d rebuilds: %+v", len(res.Rebuilds), res.Rebuilds)
+	if len(res.Adapt.Rebuilds) != 0 {
+		t.Fatalf("stationary workload triggered %d rebuilds: %+v", len(res.Adapt.Rebuilds), res.Adapt.Rebuilds)
 	}
-	if res.Observed == 0 {
+	if res.Adapt.Observed == 0 {
 		t.Fatal("monitor observed no requests")
 	}
 }
@@ -140,27 +146,27 @@ func TestAdaptiveNoDriftNoRebuild(t *testing.T) {
 // rebuild timings, and final summary — even with an inhomogeneous
 // arrival process layered on top of the drift trace.
 func TestAdaptiveDeterministic(t *testing.T) {
-	mk := func() AdaptiveOptions {
+	mk := func() Options {
 		o := driftOpts(t, 12)
 		o.RateSchedule = workload.Bursts(12, 16, 60*time.Second, 10*time.Second)
-		return o
+		return adaptive(o)
 	}
-	a, err := RunAdaptive(mk())
+	a, err := Run(mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunAdaptive(mk())
+	b, err := Run(mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Rebuilds, b.Rebuilds) {
-		t.Fatalf("rebuild records differ:\n%+v\nvs\n%+v", a.Rebuilds, b.Rebuilds)
+	if !reflect.DeepEqual(a.Adapt, b.Adapt) {
+		t.Fatalf("controller records differ:\n%+v\nvs\n%+v", a.Adapt, b.Adapt)
 	}
 	if a.Summary != b.Summary {
 		t.Fatalf("summaries differ:\n%+v\nvs\n%+v", a.Summary, b.Summary)
 	}
-	if a.Generated != b.Generated || a.Observed != b.Observed {
-		t.Fatalf("counters differ: %d/%d vs %d/%d", a.Generated, a.Observed, b.Generated, b.Observed)
+	if a.Generated != b.Generated {
+		t.Fatalf("arrival counts differ: %d vs %d", a.Generated, b.Generated)
 	}
 }
 
@@ -169,12 +175,12 @@ func TestAdaptiveDeterministic(t *testing.T) {
 // detection).
 func TestAdaptivePartialMonitorConfigGetsDefaults(t *testing.T) {
 	opts := driftOpts(t, 28)
-	opts.Monitor = adapt.MonitorConfig{WindowRequests: 280}
-	res, err := RunAdaptive(opts)
+	opts.Monitor = &adapt.MonitorConfig{WindowRequests: 280}
+	res, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rebuilds) == 0 {
+	if len(res.Adapt.Rebuilds) == 0 {
 		t.Fatal("window-only monitor config disabled drift detection")
 	}
 }
@@ -185,24 +191,23 @@ func TestAdaptiveReportsPendingRebuild(t *testing.T) {
 	opts := driftOpts(t, 28)
 	opts.Duration = 70 * time.Second // trigger ~58s; the ~42s cycle cannot finish
 	opts.Drain = 10 * time.Second
-	res, err := RunAdaptive(opts)
+	res, err := Run(adaptive(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rebuilds) != 0 {
-		t.Fatalf("cycle implausibly completed: %+v", res.Rebuilds)
+	if len(res.Adapt.Rebuilds) != 0 {
+		t.Fatalf("cycle implausibly completed: %+v", res.Adapt.Rebuilds)
 	}
-	if res.Pending == nil {
+	if res.Adapt.Pending == nil {
 		t.Fatal("in-flight rebuild dropped from the report")
 	}
-	if res.Pending.TriggeredAt < int64(45*time.Second) {
-		t.Fatalf("pending trigger at %v, before the drift", time.Duration(res.Pending.TriggeredAt))
+	if res.Adapt.Pending.TriggeredAt < int64(45*time.Second) {
+		t.Fatalf("pending trigger at %v, before the drift", time.Duration(res.Adapt.Pending.TriggeredAt))
 	}
 }
 
 func TestAdaptiveRejectsNonHybrid(t *testing.T) {
-	o := AdaptiveOptions{Options: baseOpts(t, CPUOnly, 10)}
-	if _, err := RunAdaptive(o); err == nil {
+	if _, err := Run(adaptive(baseOpts(t, CPUOnly, 10))); err == nil {
 		t.Fatal("non-hybrid system accepted for adaptive serving")
 	}
 }

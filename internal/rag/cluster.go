@@ -14,30 +14,14 @@ import (
 	"vectorliterag/internal/workload"
 )
 
-// ReplicaResult reports one replica's share of a cluster run.
+// ReplicaResult reports one replica's share of a routed run. Summary
+// is zero where the replica kept no record of its own: on a lineup
+// (no single SLO) and under the resilient router.
 type ReplicaResult struct {
 	Submitted int
 	Summary   metrics.Summary
 	AvgBatch  float64
 	LLMGPUs   int
-}
-
-// ClusterResult is one multi-replica evaluation point: the aggregate
-// metrics over every request plus the per-replica breakdown.
-type ClusterResult struct {
-	Result
-	Policy     serve.Policy
-	PerReplica []ReplicaResult
-	// Workers and NetDelay echo the execution configuration of a fleet
-	// run (zero on the single-timeline path): how many worker goroutines
-	// executed the replica timelines — a wall-clock knob only, never
-	// visible in the schedule — and the modeled network transit.
-	Workers  int
-	NetDelay time.Duration
-	// Resilience reports the failure-handling addendum of a resilient
-	// run (nil on fault-free runs, which never build the resilient
-	// router).
-	Resilience *ResilienceReport
 }
 
 // ResilienceReport is the failure-handling addendum of a resilient
@@ -63,104 +47,45 @@ func (r *ResilienceReport) String() string {
 		r.Goodput, r.Stats.Retried, r.Stats.FailedOver, r.Stats.Hedged, r.Stats.HedgeWins, r.Stats.TimedOut, r.Stats.Failed, r.Stats.Ghosts, r.Stats.Crashes)
 }
 
-// DefaultNetDelay is the modeled front-end↔replica network transit a
-// run gets when it asks for parallelism (Workers > 1) without choosing
-// a NetDelay explicitly. One millisecond is a realistic same-datacenter
-// RTT half and, as the conservative lookahead, wide enough that shards
-// execute thousands of events per synchronization window.
+// DefaultNetDelay is the modeled front-end↔replica network transit of
+// a routed lineup, and of a routed single corpus that asks for
+// parallelism (Workers > 1), when no NetDelay is chosen explicitly. One
+// millisecond is a realistic same-datacenter RTT half and, as the
+// conservative lookahead, wide enough that shards execute thousands of
+// events per synchronization window.
 const DefaultNetDelay = time.Millisecond
-
-// RunCluster executes one evaluation point on N independent node
-// pipelines behind a front-end router. The resource decision is made
-// once (the replicas are identical nodes) and instantiated per replica
-// with its own GPU states, retrieval engine, and LLM cluster; a single
-// Poisson stream feeds the router, so rate is the cluster-wide arrival
-// rate.
-//
-// Every engine shares the node builder and the tally; they differ only
-// in the timeline, chosen from Options.Faults, Options.NetDelay and the
-// policy. Faults or a Resilience config put every replica and the
-// failure-aware router on one simulator, whatever Workers says. A zero
-// NetDelay keeps the plain router and its replicas on one instantaneous
-// simulator. A positive NetDelay runs a fleet: link-free under
-// round-robin (or with one replica) — arrivals routed up front, each
-// replica alone on its timeline, Workers of them at a time — and on the
-// sharded exchange (des.Group) under least-loaded, whose routing needs
-// the completion notices while it runs.
-func RunCluster(opts Options, replicas int, policy serve.Policy) (*ClusterResult, error) {
-	return runCluster(opts, replicas, policy, newFleet)
-}
 
 // fleetBuilder is newFleet's signature: the seam through which the
 // differential tests put a run on the engine newFleet would not pick.
 type fleetBuilder func(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.Duration, expect int) (*fleet, error)
 
-func runCluster(opts Options, replicas int, policy serve.Policy, build fleetBuilder) (*ClusterResult, error) {
-	if replicas <= 0 {
-		return nil, fmt.Errorf("rag: need at least one replica, got %d", replicas)
-	}
-	if opts.NetDelay < 0 {
-		return nil, fmt.Errorf("rag: negative NetDelay %v", opts.NetDelay)
-	}
-	if err := opts.check(fCluster); err != nil {
-		return nil, err
-	}
-	// Resolve the policy before the expensive profiling/decision work so
-	// a typo fails fast.
-	policy, err := serve.ResolvePolicy(policy)
-	if err != nil {
-		return nil, err
-	}
-	if opts.resilient() {
-		if err := opts.Faults.Validate(replicas); err != nil {
-			return nil, err
-		}
-	} else if opts.NetDelay == 0 && opts.Workers > 1 {
-		// Workers > 1 needs shards to spread over; sharding needs a
-		// positive network delay for lookahead, so asking for parallelism
-		// opts into the modeled network.
-		opts.NetDelay = DefaultNetDelay
-	}
-	d, err := offline(&opts)
-	if err != nil {
-		return nil, err
-	}
-	spec := singleSpec(&opts, d, nil)
-	if opts.NetDelay > 0 && !opts.resilient() {
-		return runClusterSharded(&opts, d, spec, replicas, policy, build)
-	}
-	return runClusterShared(&opts, d, spec, replicas, policy)
-}
-
-// runClusterShared runs the router and every replica on one simulator.
-// The plain router gives each replica its own collector beside the
-// global one. The resilient router settles every completion itself
-// (collector, release, pool) and keeps the only record: retries and
-// hedges would register one logical request with several replica
-// collectors, and superseded (pool-recycled) copies would leave
-// dangling live pointers behind, so per-replica reporting is limited to
-// routing counts there.
-func runClusterShared(opts *Options, d *decision, spec *nodeSpec, replicas int, policy serve.Policy) (*ClusterResult, error) {
+// shared runs the router and every replica on one simulator. The plain
+// router gives each replica its own collector beside the global one.
+// The resilient router settles every completion itself (collector,
+// release, pool) and keeps the only record: retries and hedges would
+// register one logical request with several replica collectors, and
+// superseded (pool-recycled) copies would leave dangling live pointers
+// behind, so per-replica reporting is limited to routing counts there.
+func (c *corpus) shared(opts *Options) (*served, error) {
 	resilient := opts.resilient()
 	var sim des.Sim
 	pool := &workload.Pool{}
-	expect := expectedArrivals(opts.Rate, opts.RateSchedule, opts.Duration)
 	coll := serve.NewCollector()
-	coll.Reserve(expect)
+	coll.Reserve(c.expect)
 	// The resilient router can only be built after the replica pipelines
 	// exist, so each terminal sink late-binds through this variable.
 	var rr *serve.ResilientRouter
-	reps := make([]*serve.Replica, replicas)
-	nodes := make([]*node, replicas)
+	reps := make([]*serve.Replica, opts.Replicas)
+	nodes := make([]*node, opts.Replicas)
 	for i := range reps {
 		rep := serve.NewReplica()
 		var err error
 		if resilient {
-			nodes[i], err = spec.build(&sim, nil, nil, func(req *workload.Request) { rr.Complete(i, req) })
+			nodes[i], err = c.spec.build(&sim, nil, nil, func(req *workload.Request) { rr.Complete(i, req) })
 		} else {
 			own := serve.NewCollector()
-			own.Reserve(replicaShare(expect, replicas))
-			nodes[i], err = spec.build(&sim, own, []serve.Sink{coll.Done, rep.Release}, pool.Release)
+			own.Reserve(replicaShare(c.expect, opts.Replicas))
+			nodes[i], err = c.spec.build(&sim, own, []serve.Sink{coll.Done, rep.Release}, pool.Release)
 		}
 		if err != nil {
 			return nil, err
@@ -174,7 +99,7 @@ func runClusterShared(opts *Options, d *decision, spec *nodeSpec, replicas int, 
 		if opts.Resilience != nil {
 			rcfg = *opts.Resilience
 		}
-		rcfg.Policy = policy
+		rcfg.Policy = opts.Policy
 		var err error
 		if rr, err = serve.NewResilientRouter(&sim, rcfg, reps, coll, pool); err != nil {
 			return nil, err
@@ -195,7 +120,7 @@ func runClusterShared(opts *Options, d *decision, spec *nodeSpec, replicas int, 
 			},
 		})
 	} else {
-		router, err := serve.NewRouter(policy, reps)
+		router, err := serve.NewRouter(opts.Policy, reps)
 		if err != nil {
 			return nil, err
 		}
@@ -205,55 +130,26 @@ func runClusterShared(opts *Options, d *decision, spec *nodeSpec, replicas int, 
 	if err != nil {
 		return nil, err
 	}
-	defer installDrift(&sim, opts)()
-	arr := arrivalsFor(opts.W, opts.Rate, opts.RateSchedule, opts.Shape, opts.Seed+7, pool)
-	front.Run(arr, opts.Duration, opts.Drain)
+	defer c.feed(&sim, pool, front.Submit)()
+	sim.RunUntil(des.Time(opts.Duration + opts.Drain))
 
-	submitted := make([]int, replicas)
-	for i, rep := range reps {
-		submitted[i] = rep.Submitted()
-	}
-	res := tallyCluster(opts, d, policy, coll.Requests(), nodes, submitted)
+	warmup := des.Time(opts.Warmup)
+	s := &served{records: coll.Requests(), nodes: nodes, submitted: make([]int, opts.Replicas), sums: make([]metrics.Summary, opts.Replicas)}
 	for i, n := range nodes {
+		s.submitted[i] = reps[i].Submitted()
 		if n.coll != nil {
-			res.PerReplica[i].Summary = n.coll.Summarize(d.sloTotal, des.Time(opts.Warmup))
+			s.sums[i] = n.coll.Summarize(c.slo, warmup)
 		}
 	}
 	if resilient {
-		res.Resilience = &ResilienceReport{
+		s.resilience = &ResilienceReport{
 			Faults:     opts.Faults,
 			Stats:      rr.Stats(),
-			Goodput:    metrics.Goodput(res.Requests, d.sloTotal, des.Time(opts.Warmup), des.Time(opts.Duration)),
+			Goodput:    metrics.Goodput(s.records, c.slo, warmup, des.Time(opts.Duration)),
 			Recoveries: rr.Recoveries(),
 		}
 	}
-	return res, nil
-}
-
-// runClusterSharded runs the replicas as a fleet behind a front with a
-// modeled network, on whichever engine build puts behind it.
-func runClusterSharded(opts *Options, d *decision, spec *nodeSpec, replicas int, policy serve.Policy, build fleetBuilder) (*ClusterResult, error) {
-	f, err := build(spec, replicas, policy, opts.NetDelay, expectedArrivals(opts.Rate, opts.RateSchedule, opts.Duration))
-	if err != nil {
-		return nil, err
-	}
-	// Drift rotates popularity on the front timeline, where the only
-	// reader (arrival sampling) lives; replica timelines never touch the
-	// rotation, so the trace stays race-free under parallel execution.
-	defer installDrift(f.FrontSim(), opts)()
-	arr := arrivalsFor(opts.W, opts.Rate, opts.RateSchedule, opts.Shape, opts.Seed+7, f.pool)
-	arr.Start(f.FrontSim(), des.Time(opts.Duration), f.Submit)
-	sums := make([]metrics.Summary, len(f.nodes))
-	records, submitted, workers := f.run(des.Time(opts.Duration+opts.Drain), opts.Workers, func(i int, n *node) {
-		sums[i] = n.coll.Summarize(d.sloTotal, des.Time(opts.Warmup))
-	})
-
-	res := tallyCluster(opts, d, policy, records, f.nodes, submitted)
-	for i := range sums {
-		res.PerReplica[i].Summary = sums[i]
-	}
-	res.Workers, res.NetDelay = workers, opts.NetDelay
-	return res, nil
+	return s, nil
 }
 
 // fleet is R replicas of one node spec behind a front that owns
@@ -301,24 +197,17 @@ type lane struct {
 	_    [64]byte
 }
 
-// newFleet builds the fleet on the engine its routing needs. expect is
-// the arrival count the run should not exceed (a sizing hint: a low one
-// costs reallocation, never correctness).
+// newFleet builds the fleet on the engine its routing needs, for the
+// validated options of a routed run: at least one replica, a resolved
+// policy, a positive network delay. expect is the arrival count the run
+// should not exceed (a sizing hint: a low one costs reallocation, never
+// correctness).
 func newFleet(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.Duration, expect int) (*fleet, error) {
-	policy, err := serve.ResolvePolicy(policy)
-	if err != nil {
-		return nil, err
-	}
-	if replicas <= 0 {
-		return nil, fmt.Errorf("rag: fleet needs at least one replica, got %d", replicas)
-	}
-	if netDelay <= 0 {
-		return nil, fmt.Errorf("rag: fleet needs a positive network delay, got %v", netDelay)
-	}
 	if policy == serve.LeastLoaded && replicas > 1 {
 		return newExchangeFleet(spec, replicas, policy, netDelay, expect)
 	}
 	f := &fleet{pool: &workload.Pool{}, nodes: make([]*node, replicas), netDelay: des.Time(netDelay)}
+	var err error
 	for i := range f.nodes {
 		// Round-robin deals arrival k to lane k mod R, so the hint splits
 		// exactly. Nobody takes the request after the collector: it lives

@@ -71,17 +71,6 @@ func profileSample(n int) int {
 	return n
 }
 
-// offline runs the offline half of a single-corpus run — validation and
-// defaults, access profiling, the per-kind resource decision — and
-// leaves opts ready for composition.
-func offline(opts *Options) (*decision, error) {
-	sloTotal, err := opts.normalize()
-	if err != nil {
-		return nil, err
-	}
-	return profileAndDecide(opts, sloTotal)
-}
-
 // profileAndDecide profiles the workload and makes the per-kind
 // resource decision. opts must carry its Shape and SLOSearch.
 func profileAndDecide(opts *Options, sloTotal time.Duration) (*decision, error) {
@@ -177,7 +166,7 @@ func (d *decision) decide(opts *Options) (err error) {
 		if err := d.fit(); err != nil {
 			return err
 		}
-		if d.mu0, err = bareCapacity(opts.Node, opts.Model, opts.Node.NumGPUs, opts.Shape); err != nil {
+		if d.mu0, err = BareCapacity(opts.Node, opts.Model, opts.Shape); err != nil {
 			return err
 		}
 		memKV := nodeKVBytes(opts.Node, opts.Model)

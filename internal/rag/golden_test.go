@@ -80,7 +80,7 @@ func TestRunClusterBalancesAndScales(t *testing.T) {
 	// Two replicas at double the cluster-wide rate should hold roughly
 	// the single-node operating point.
 	opts := baseOpts(t, VLiteRAG, 24)
-	cl, err := RunCluster(opts, 2, "")
+	cl, err := Run(routed(opts, 2, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +117,10 @@ func TestRunClusterBalancesAndScales(t *testing.T) {
 }
 
 func TestRunClusterValidation(t *testing.T) {
-	if _, err := RunCluster(baseOpts(t, VLiteRAG, 10), 0, ""); err == nil {
-		t.Fatal("zero replicas accepted")
+	if _, err := Run(routed(baseOpts(t, VLiteRAG, 10), -1, "")); err == nil {
+		t.Fatal("negative replicas accepted")
 	}
-	if _, err := RunCluster(baseOpts(t, VLiteRAG, 10), 2, "bogus"); err == nil {
+	if _, err := Run(routed(baseOpts(t, VLiteRAG, 10), 2, "bogus")); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }
@@ -130,7 +130,7 @@ func TestRunClusterSingleReplicaMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := RunCluster(baseOpts(t, AllGPU, 12), 1, "round-robin")
+	cl, err := Run(routed(baseOpts(t, AllGPU, 12), 1, "round-robin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +144,11 @@ func TestRunClusterSingleReplicaMatchesRun(t *testing.T) {
 }
 
 func TestClusterDeterministic(t *testing.T) {
-	a, err := RunCluster(baseOpts(t, VLiteRAG, 24), 2, "least-loaded")
+	a, err := Run(routed(baseOpts(t, VLiteRAG, 24), 2, "least-loaded"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCluster(baseOpts(t, VLiteRAG, 24), 2, "least-loaded")
+	b, err := Run(routed(baseOpts(t, VLiteRAG, 24), 2, "least-loaded"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,11 @@ import (
 // that cannot observe replica state gets no des.Group and no
 // serve.Exchange; least-loaded over several replicas keeps both.
 func TestLinkFreeEngineChoice(t *testing.T) {
-	o := shardedClusterOpts(t, 1, 1)
-	d, err := offline(&o)
+	o := routed(shardedClusterOpts(t, 1, 1), 2, "")
+	if err := o.validate(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := profileAndDecide(&o, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,9 +33,8 @@ func TestLinkFreeEngineChoice(t *testing.T) {
 		{serve.RoundRobin, 2, true},
 		{serve.RoundRobin, 7, true},
 		{serve.LeastLoaded, 1, true},
-		{"", 1, true}, // the default policy is least-loaded
 		{serve.LeastLoaded, 2, false},
-		{"", 3, false},
+		{serve.LeastLoaded, 3, false},
 	} {
 		f, err := newFleet(spec, tc.replicas, tc.policy, time.Millisecond, 100)
 		if err != nil {
@@ -45,20 +47,11 @@ func TestLinkFreeEngineChoice(t *testing.T) {
 			t.Errorf("policy %q x%d: built %d nodes", tc.policy, tc.replicas, len(f.nodes))
 		}
 	}
-	for _, bad := range []struct {
-		policy   serve.Policy
-		replicas int
-		delay    time.Duration
-	}{{"bogus", 2, time.Millisecond}, {serve.RoundRobin, 0, time.Millisecond}, {serve.RoundRobin, 2, 0}} {
-		if _, err := newFleet(spec, bad.replicas, bad.policy, bad.delay, 100); err == nil {
-			t.Errorf("newFleet(%q, x%d, %v) accepted", bad.policy, bad.replicas, bad.delay)
-		}
-	}
 }
 
 // sameClusterRun fails unless two cluster runs agree on everything the
 // schedule determines.
-func sameClusterRun(t *testing.T, label string, got, want *ClusterResult) {
+func sameClusterRun(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if g, w := recordsDigest(got.Requests), recordsDigest(want.Requests); g != w || len(got.Requests) != len(want.Requests) {
 		t.Fatalf("%s: %d records digest %x, exchange %d records digest %x", label, len(got.Requests), g, len(want.Requests), w)
@@ -114,7 +107,7 @@ func TestLinkFreeMatchesExchange(t *testing.T) {
 			for _, replicas := range []int{1, 2, 3, 7} {
 				o := shardedClusterOpts(t, seed, 1)
 				v.mod(&o)
-				want, err := runCluster(o, replicas, serve.RoundRobin, newExchangeFleet)
+				want, err := run(routed(o, replicas, serve.RoundRobin), newExchangeFleet)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -131,7 +124,7 @@ func TestLinkFreeMatchesExchange(t *testing.T) {
 				}
 				for _, workers := range []int{1, 2, 4} {
 					o.Workers = workers
-					got, err := RunCluster(o, replicas, serve.RoundRobin)
+					got, err := Run(routed(o, replicas, serve.RoundRobin))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -150,11 +143,12 @@ func TestLinkFreeMatchesExchange(t *testing.T) {
 // must match the exchange it would otherwise have run on.
 func TestLinkFreeSingleReplicaAnyPolicy(t *testing.T) {
 	o := shardedClusterOpts(t, 2, 2)
-	want, err := runCluster(o, 1, serve.LeastLoaded, newExchangeFleet)
+	o = routed(o, 1, serve.LeastLoaded)
+	want, err := run(o, newExchangeFleet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunCluster(o, 1, serve.LeastLoaded)
+	got, err := Run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +175,7 @@ func TestLinkFreeTenantsMatchExchange(t *testing.T) {
 					o.Overload = &OverloadOptions{QueueCap: 4, Brownout: true}
 					o.Tenants[2].RateSchedule = workload.Bursts(4, 80*float64(replicas), 10*time.Second, 4*time.Second)
 				}
-				want, err := runMultiTenant(o, newExchangeFleet)
+				want, err := run(o, newExchangeFleet)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -190,7 +184,7 @@ func TestLinkFreeTenantsMatchExchange(t *testing.T) {
 				}
 				for _, workers := range []int{1, 2, 4} {
 					o.Workers = workers
-					got, err := RunMultiTenant(o)
+					got, err := Run(o)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -204,8 +198,8 @@ func TestLinkFreeTenantsMatchExchange(t *testing.T) {
 					if got.Fairness != want.Fairness || got.Attainment != want.Attainment || got.AvgBatch != want.AvgBatch {
 						t.Fatalf("%s: aggregates diverged", label)
 					}
-					if !reflect.DeepEqual(got.PerReplicaSubmitted, want.PerReplicaSubmitted) {
-						t.Fatalf("%s: split %v, exchange %v", label, got.PerReplicaSubmitted, want.PerReplicaSubmitted)
+					if !reflect.DeepEqual(got.PerReplica, want.PerReplica) {
+						t.Fatalf("%s: split %+v, exchange %+v", label, got.PerReplica, want.PerReplica)
 					}
 					if !reflect.DeepEqual(got.Overload, want.Overload) {
 						t.Fatalf("%s: overload report diverged\n got %+v\nwant %+v", label, got.Overload, want.Overload)

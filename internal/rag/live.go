@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"vectorliterag/internal/adapt"
 	"vectorliterag/internal/des"
 	"vectorliterag/internal/ingest"
 	"vectorliterag/internal/metrics"
@@ -16,7 +15,9 @@ import (
 // IngestOptions configures the streaming-ingest side of a live run:
 // insert/delete mutation streams multiplexed onto the serving
 // timeline, the background re-encode cadence, and the freshness SLO
-// the run is judged against.
+// the run is judged against. The streams feed a serial ingest station
+// (inserts into append buffers, deletes into tombstones), and every
+// scan is priced through the live overlay.
 type IngestOptions struct {
 	// InsertRate and DeleteRate are constant mutation rates in
 	// mutations/second. A schedule below overrides the matching constant
@@ -35,67 +36,51 @@ type IngestOptions struct {
 	ReencodeEvery time.Duration
 	// FreshnessSLO is the time-to-searchable budget (default 500ms).
 	FreshnessSLO time.Duration
-	// Compaction attaches the adaptive controller's cheap-compaction
-	// action: drift triggers below the escalation thresholds run a
+	// EscalateSkew / EscalateResidual tune the compaction controller a
+	// Monitor attaches: drift triggers below these thresholds run a
 	// re-encode + tombstone purge instead of a full Algorithm-1
-	// re-partition. Requires the vLiteRAG runtime.
-	Compaction bool
-	// EscalateSkew / EscalateResidual tune the controller's
-	// compaction-vs-rebuild thresholds (zero keeps the adapt package
-	// defaults; negative disables the compaction shortcut). Runs whose
-	// insert stream tracks a drifting query distribution carry an
-	// elevated residual floor by construction and may want the residual
-	// threshold above it.
+	// re-partition (zero keeps the adapt package defaults; negative
+	// disables the compaction shortcut). Runs whose insert stream tracks
+	// a drifting query distribution carry an elevated residual floor by
+	// construction and may want the residual threshold above it.
 	EscalateSkew     float64
 	EscalateResidual float64
 }
 
-// active reports whether any mutation stream is configured.
-func (io *IngestOptions) active() bool {
-	return io.InsertRate > 0 || io.DeleteRate > 0 ||
-		io.InsertSchedule != nil || io.DeleteSchedule != nil
-}
-
-// validate rejects malformed ingest knobs and fills defaults.
-func (io *IngestOptions) validate() error {
-	if io.InsertRate < 0 || io.DeleteRate < 0 {
-		return fmt.Errorf("rag: negative ingest rate (insert %v, delete %v)", io.InsertRate, io.DeleteRate)
+// normalized validates the options and returns a private copy with the
+// defaults filled in (see PrecisionOptions.normalized). A nil receiver
+// stays nil.
+func (io *IngestOptions) normalized() (*IngestOptions, error) {
+	if io == nil {
+		return nil, nil
 	}
-	if io.ReencodeEvery < 0 {
-		return fmt.Errorf("rag: negative re-encode interval %v", io.ReencodeEvery)
+	q := *io
+	if q.InsertRate < 0 || q.DeleteRate < 0 {
+		return nil, fmt.Errorf("rag: negative ingest rate (insert %v, delete %v)", q.InsertRate, q.DeleteRate)
 	}
-	for _, s := range []workload.Schedule{io.InsertSchedule, io.DeleteSchedule} {
+	if q.ReencodeEvery < 0 {
+		return nil, fmt.Errorf("rag: negative re-encode interval %v", q.ReencodeEvery)
+	}
+	for _, s := range []workload.Schedule{q.InsertSchedule, q.DeleteSchedule} {
 		if s != nil {
 			if err := workload.ValidateSchedule(s); err != nil {
-				return fmt.Errorf("rag: %w", err)
+				return nil, fmt.Errorf("rag: %w", err)
 			}
 		}
 	}
-	if io.ReencodeEvery == 0 {
-		io.ReencodeEvery = 25 * time.Second
+	if q.ReencodeEvery == 0 {
+		q.ReencodeEvery = 25 * time.Second
 	}
-	if io.FreshnessSLO == 0 {
-		io.FreshnessSLO = 500 * time.Millisecond
+	if q.FreshnessSLO == 0 {
+		q.FreshnessSLO = 500 * time.Millisecond
 	}
-	return nil
+	return &q, nil
 }
 
-// LiveOptions configures a live-corpus run: the usual serving options
-// plus the mutation streams.
-type LiveOptions struct {
-	Options
-	Ingest IngestOptions
-	// Monitor tunes the compaction controller's drift detection (used
-	// only when Ingest.Compaction is set); zero fields derive defaults
-	// exactly as RunAdaptive does.
-	Monitor adapt.MonitorConfig
-}
-
-// LiveResult extends a run result with the ingest-side record.
-type LiveResult struct {
-	Result
+// LiveReport is the ingest side of a live-corpus run.
+type LiveReport struct {
 	// Freshness summarizes time-to-searchable over the mutation log
-	// (warmup excluded), against Ingest.FreshnessSLO.
+	// (warmup excluded), against FreshnessSLO.
 	Freshness metrics.Freshness
 	// FreshnessSLO echoes the budget the summary was computed against.
 	FreshnessSLO time.Duration
@@ -109,59 +94,6 @@ type LiveResult struct {
 	// SizeSkew and ResidualRatio are the drift trackers' final readings.
 	SizeSkew      float64
 	ResidualRatio float64
-	// Rebuilds holds the compaction controller's cycle records (empty
-	// without Compaction); compaction cycles carry Compaction == true.
-	Rebuilds []adapt.RebuildRecord
-}
-
-// RunLive executes one live-corpus evaluation point: the serving
-// pipeline of Run with a streaming-ingest subsystem sharing its DES
-// timeline. Mutation streams feed a serial ingest station that routes
-// inserts into per-cluster append buffers and resolves deletes into
-// tombstones; the retrieval engines price every scan through the live
-// overlay (raw pending costs dominate until the periodic re-encode
-// folds them into PQ appends); and with Compaction set, the adaptive
-// controller answers drift triggers with a cheap re-encode + purge,
-// escalating to the full Algorithm-1 re-partition only past the skew
-// thresholds.
-//
-// With no ingest configured the run is exactly Run — same events, same
-// bytes — so frozen-corpus results are unchanged by construction.
-// Everything schedules on the one shared timeline, so results are
-// bit-identical for any Workers value, like every other run mode.
-func RunLive(opts LiveOptions) (*LiveResult, error) {
-	if opts.Kind == "" {
-		opts.Kind = VLiteRAG
-	}
-	if err := opts.Ingest.validate(); err != nil {
-		return nil, err
-	}
-	var io *IngestOptions
-	var mon *adapt.MonitorConfig
-	if opts.Ingest.active() {
-		io = &opts.Ingest
-		if io.Compaction {
-			mon = &opts.Monitor
-		}
-	}
-	run, err := runSingle(opts.Options, mon, io)
-	if err != nil {
-		return nil, err
-	}
-	res := &LiveResult{Result: run.Result, FreshnessSLO: opts.Ingest.FreshnessSLO}
-	if io == nil {
-		return res, nil
-	}
-	res.Mutations = run.ing.Log()
-	res.Reencodes = run.ing.Reencodes()
-	res.Compactions = run.ing.Compactions()
-	res.SizeSkew = run.store.SizeSkew()
-	res.ResidualRatio = run.store.ResidualRatio()
-	res.Freshness = metrics.SummarizeFreshness(res.Mutations, io.FreshnessSLO, run.warmup)
-	if run.ctrl != nil {
-		res.Rebuilds = run.ctrl.Rebuilds()
-	}
-	return res, nil
 }
 
 // startIngest puts the streaming-ingest subsystem on a run's timeline:
@@ -190,4 +122,18 @@ func startIngest(sim *des.Sim, opts *Options, io *IngestOptions) (*ingest.Store,
 	source(workload.MutInsert, io.InsertRate, io.InsertSchedule, 21)
 	source(workload.MutDelete, io.DeleteRate, io.DeleteSchedule, 22)
 	return store, ing, aux
+}
+
+// liveReport reads the ingest side back once the run has drained; a
+// frozen corpus (ing nil) reports only the budget.
+func liveReport(opts *Options, store *ingest.Store, ing *ingest.Ingester) *LiveReport {
+	rep := &LiveReport{FreshnessSLO: opts.Ingest.FreshnessSLO}
+	if ing == nil {
+		return rep
+	}
+	rep.Mutations = ing.Log()
+	rep.Reencodes, rep.Compactions = ing.Reencodes(), ing.Compactions()
+	rep.SizeSkew, rep.ResidualRatio = store.SizeSkew(), store.ResidualRatio()
+	rep.Freshness = metrics.SummarizeFreshness(rep.Mutations, rep.FreshnessSLO, des.Time(opts.Warmup))
+	return rep
 }

@@ -13,7 +13,6 @@ import (
 	"vectorliterag/internal/retrieval"
 	"vectorliterag/internal/serve"
 	"vectorliterag/internal/splitter"
-	"vectorliterag/internal/workload"
 )
 
 // nodeSpec is everything about a serving node that is the same for
@@ -205,34 +204,18 @@ func nodeRows(nodes []*node, weights []int, tp int) (rows []ReplicaResult, avgBa
 	return rows, avgBatch, recallGain, llmGPUs
 }
 
-// tally turns what a single-corpus run left behind — the decision, the
-// global record set (arrival order, one per admitted request), the
-// built nodes and how much traffic each took — into its Result, plus
-// the per-replica rows a routed run reports.
-func tally(opts *Options, d *decision, records []workload.Request, nodes []*node, weights []int) (Result, []ReplicaResult) {
-	res := Result{
+// tally turns what a single-corpus run left behind — the decision and
+// whatever its topology served — into its Result.
+func tally(opts *Options, d *decision, s *served) *Result {
+	res := &Result{
 		Kind: opts.Kind, Rate: opts.Rate, SLOTotal: d.sloTotal,
 		Rho: d.rho, PlanBytes: d.planBytes, Mu0: d.mu0, Partition: d.partition,
-		Requests:  records,
-		Generated: len(records),
-		Summary:   metrics.Summarize(records, d.sloTotal, des.Time(opts.Warmup)),
+		Summary: metrics.Summarize(s.records, d.sloTotal, des.Time(opts.Warmup)),
 	}
-	var rows []ReplicaResult
-	rows, res.AvgBatch, res.RecallGain, res.LLMGPUs = nodeRows(nodes, weights, opts.Model.TP)
+	s.tally(opts, res)
 	if d.plan != nil && d.plan.Prec != nil {
 		res.SQClusters = d.plan.Prec.SQClusters
 		res.NVMeClusters = d.plan.Prec.NVMeClusters
 	}
-	if opts.Overload != nil {
-		res.Overload = overloadReport(opts.Overload, nodes, 1, opts.Duration+opts.Drain)
-	}
-	return res, rows
-}
-
-// tallyCluster is tally for a routed run. Each replica's own summary is
-// the caller's to fill in, where the node kept a collector.
-func tallyCluster(opts *Options, d *decision, policy serve.Policy, records []workload.Request, nodes []*node, submitted []int) *ClusterResult {
-	res := &ClusterResult{Policy: policy}
-	res.Result, res.PerReplica = tally(opts, d, records, nodes, submitted)
 	return res
 }

@@ -79,7 +79,7 @@ func TestRunOverloadSingleNode(t *testing.T) {
 func TestRunMultiTenantOverload(t *testing.T) {
 	mt := mtOpts(t)
 	mt.Overload = &OverloadOptions{QueueCap: 8, Brownout: true}
-	res, err := RunMultiTenant(mt)
+	res, err := Run(mt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestRunMultiTenantOverloadSharded(t *testing.T) {
 	mt := mtOpts(t)
 	mt.Overload = &OverloadOptions{QueueCap: 8, Brownout: true}
 	mt.Replicas, mt.Workers = 2, 2
-	res, err := RunMultiTenant(mt)
+	res, err := Run(mt)
 	if err != nil {
 		t.Fatal(err)
 	}

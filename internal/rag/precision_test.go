@@ -85,7 +85,7 @@ func TestRunPrecisionValidation(t *testing.T) {
 func TestRunClusterPrecisionAggregates(t *testing.T) {
 	opts := baseOpts(t, VLiteRAG, 20)
 	opts.Precision = &PrecisionOptions{}
-	res, err := RunCluster(opts, 2, "round-robin")
+	res, err := Run(routed(opts, 2, "round-robin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestRunClusterPrecisionAggregates(t *testing.T) {
 	sharded := opts
 	sharded.NetDelay = DefaultNetDelay
 	sharded.Workers = 2
-	sr, err := RunCluster(sharded, 2, "round-robin")
+	sr, err := Run(routed(sharded, 2, "round-robin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestRunClusterPrecisionAggregates(t *testing.T) {
 }
 
 func TestRunMultiTenantPrecision(t *testing.T) {
-	plain, err := RunMultiTenant(mtOpts(t))
+	plain, err := Run(mtOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRunMultiTenantPrecision(t *testing.T) {
 	}
 	opts := mtOpts(t)
 	opts.Precision = &PrecisionOptions{}
-	res, err := RunMultiTenant(opts)
+	res, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestRunMultiTenantPrecision(t *testing.T) {
 	// Invalid precision options are rejected up front.
 	bad := mtOpts(t)
 	bad.Precision = &PrecisionOptions{SQBudgetFrac: -1}
-	if _, err := RunMultiTenant(bad); err == nil {
+	if _, err := Run(bad); err == nil {
 		t.Error("negative SQBudgetFrac accepted")
 	}
 }

@@ -5,6 +5,12 @@
 // as a stage pipeline on internal/serve (arrivals → admission →
 // retrieval → generation → collector, all in virtual time). It also
 // owns the memoized capacity measurements every experiment shares.
+//
+// Run is the one serving entry point. Its Options name a corpus (one
+// workload, or a tenant lineup), a topology (one node, or replicas
+// behind a router) and the control planes attached to it; Options.validate
+// checks the combination against the rules table before any work, and
+// the Result carries one optional section per topology or plane used.
 package rag
 
 import (
@@ -12,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"vectorliterag/internal/adapt"
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/fault"
 	"vectorliterag/internal/gpu"
@@ -45,12 +52,23 @@ func Kinds() []Kind { return []Kind{CPUOnly, DedGPU, AllGPU, VLiteRAG} }
 // enumeration ablation and coverage studies iterate over.
 func AllKinds() []Kind { return []Kind{CPUOnly, DedGPU, AllGPU, VLiteRAG, HedraRAG} }
 
-// Options configures one run.
+// Options configures one run: a corpus, a topology and the control
+// planes attached to it.
 type Options struct {
 	Node  hw.Node
 	Model llm.ModelSpec
-	W     *dataset.Workload
-	Kind  Kind
+
+	// The corpus is either one workload — W served by the Kind system
+	// (default vLiteRAG) at Rate — or, when Tenants is non-nil, a lineup
+	// of tenants with their own corpora, rates and tiers sharing every
+	// node under the joint allocator; W, Rate, RateSchedule, Drift and
+	// SLOSearch then stay unset. SharedQueue swaps a lineup's
+	// FairScheduler for one unmetered queue (the baseline that isolates
+	// what scheduling alone buys).
+	W           *dataset.Workload
+	Kind        Kind
+	Tenants     []TenantConfig
+	SharedQueue bool
 
 	Rate     float64       // arrival rate, requests/second
 	Duration time.Duration // arrival window in virtual time (default 120s)
@@ -90,50 +108,51 @@ type Options struct {
 	// A prebuilt plan carries (or omits) its own precision refinement;
 	// Precision is not re-applied to it.
 	Plan *splitter.Plan
-	// Precision, when non-nil for VLiteRAG, extends Algorithm 1's
-	// placement decision with the joint (tier, codec) refinement: hot
-	// clusters upgraded from PQ to SQ8 within a bounded HBM budget, and
-	// the coldest CPU-resident clusters demoted to the modeled NVMe
-	// tier. Nil preserves the classic all-PQ, two-tier placement bit for
-	// bit. Rejected for every other Kind — the baselines have no
-	// placement decision to refine.
+	// Precision, when non-nil, extends the placement decision (Algorithm
+	// 1, or a lineup's joint allocator) with the (tier, codec)
+	// refinement: hot clusters upgraded from PQ to SQ8 within a bounded
+	// HBM budget, and the coldest CPU-resident clusters demoted to the
+	// modeled NVMe tier. Nil preserves the classic all-PQ, two-tier
+	// placement bit for bit. Rejected for every other Kind — the
+	// baselines have no placement decision to refine.
 	Precision *PrecisionOptions
 	// Overload, when non-nil, puts a bounded admission queue (and
-	// optionally the brownout controller) in front of the pipeline: the
-	// single-tenant form of the multi-tenant overload control, with one
-	// queue, full tier bias, and the run's own stage SLOs as budgets.
-	// Nil keeps the unmetered pipeline byte for byte. Supported on
-	// single-node Run only — cluster runs route through the resilient
-	// front end, whose degradation machinery overload control would
-	// fight.
+	// optionally the brownout controller) in front of each node: on a
+	// single corpus one queue with the run's own stage SLOs as budgets,
+	// on a lineup one per tenant, biased by tier. Nil keeps the unmetered
+	// pipeline byte for byte. A routed single corpus refuses it: its
+	// resilient front end degrades instead, and the two would fight.
 	Overload *OverloadOptions
 
-	// Workers selects how many worker goroutines a fleet run (RunCluster
-	// with NetDelay > 0) spreads its replica timelines over (0 = one per
-	// GOMAXPROCS). It changes wall-clock only: the merged schedule is
-	// bit-identical for any value. On the link-free path (round-robin,
-	// or one replica) the timelines never meet, so a worker more is
-	// never slower; on the exchange (least-loaded) workers meet at a
-	// barrier every NetDelay. Workers > 1 turns the fleet on by
-	// defaulting NetDelay; single-node Run ignores it entirely.
+	// Replicas > 0 serves the corpus on that many identical nodes behind
+	// a front-end router (zero: one node, no router). The decision is
+	// made once and instantiated per replica; Rate is cluster-wide. A
+	// lineup's joint allocation is sized for each node's 1/R share of
+	// every tenant's traffic, and a routed lineup always runs as a fleet.
+	Replicas int
+	// Policy is the router's rule (default least-loaded). It is resolved
+	// on every run, so a typo fails even where nothing is routed.
+	Policy serve.Policy
+	// Workers selects how many worker goroutines a fleet spreads its
+	// replica timelines over (0 = one per GOMAXPROCS). It changes
+	// wall-clock only: the merged schedule is bit-identical for any
+	// value. On a routed single corpus Workers > 1 turns the fleet on by
+	// defaulting NetDelay; a single node has one timeline and ignores it.
 	Workers int
 	// NetDelay is the modeled front-end↔replica network transit of a
-	// cluster run. Zero keeps the single-timeline cluster semantics
-	// (router and replicas share one instantaneous simulator). A
-	// positive value runs the replicas as a fleet (see fleet): requests
-	// reach replicas one NetDelay after routing in either engine; under
-	// least-loaded, completion notices return one NetDelay later and
-	// that delay is the lookahead window conservative synchronization
-	// runs on, while round-robin needs no notice, link or window at all.
+	// routed run; a single node has no network and refuses it. A positive
+	// value runs the replicas as a fleet (see fleet), whose conservative
+	// synchronization uses it as lookahead. Zero keeps a routed single
+	// corpus on one instantaneous simulator; a routed lineup defaults it
+	// to DefaultNetDelay.
 	NetDelay time.Duration
-
-	// Faults is the failure storm injected into a cluster run: replica
-	// crashes, straggler episodes, degraded-bandwidth episodes — all
-	// deterministic virtual-time events. A non-empty schedule (or a
-	// non-nil Resilience) switches RunCluster to the resilient serving
-	// path; empty and nil leave every existing path untouched,
-	// byte-for-byte. Single-node Run rejects fault schedules — failures
-	// need replicas to fail over to.
+	// Faults is the failure storm injected into a routed single corpus:
+	// replica crashes, straggler episodes, degraded-bandwidth episodes —
+	// all deterministic virtual-time events. A non-empty schedule (or a
+	// non-nil Resilience) puts every replica and the failure-aware router
+	// on one simulator, whatever Workers and NetDelay say; empty and nil
+	// leave every other path untouched, byte for byte. A single node has
+	// no replica to fail over to and refuses both.
 	Faults fault.Schedule
 	// Resilience configures the failure-aware front end (health-tracked
 	// failover, timeouts with bounded retry, hedged requests, graceful
@@ -142,6 +161,23 @@ type Options struct {
 	// but health tracking disabled — crashes still fail over in-flight
 	// work, but nothing retries on slowness.
 	Resilience *serve.ResilienceConfig
+
+	// Monitor, when non-nil, attaches the adapt controller to a
+	// single-node vLiteRAG run: drift detection on the completion stream
+	// and, on a trigger, the background re-profile → re-partition →
+	// re-split → reload cycle and plan swap (paper §IV-B3); the same
+	// Options without it is the static arm of an A/B. Beside an active
+	// Ingest the controller answers drift with the cheap compaction
+	// first. A zero WindowRequests derives a window of roughly ten
+	// seconds of traffic (min 100 requests); the controller fills the
+	// other zero fields and rejects invalid ones.
+	Monitor *adapt.MonitorConfig
+	// Ingest, when non-nil, describes the live corpus of a single-node
+	// run: insert/delete streams sharing the serving timeline (see
+	// IngestOptions). With no stream configured the run is exactly the
+	// frozen one — same events, same bytes — and reports an empty Live
+	// section.
+	Ingest *IngestOptions
 }
 
 // PrecisionOptions configures the placement x precision refinement.
@@ -190,9 +226,19 @@ func (opts *Options) resilient() bool {
 	return len(opts.Faults) > 0 || opts.Resilience != nil
 }
 
+// streams returns the run's live-ingest streams, or nil on a frozen
+// corpus (no Ingest, or one with no stream configured).
+func (opts *Options) streams() *IngestOptions {
+	io := opts.Ingest
+	if io == nil || (io.InsertRate <= 0 && io.DeleteRate <= 0 && io.InsertSchedule == nil && io.DeleteSchedule == nil) {
+		return nil
+	}
+	return io
+}
+
 // checkDeployment rejects a node/model pair no engine can be built on —
 // a zero or partly filled struct would otherwise reach a division by
-// TP or by the per-token KV bytes. Every entry point that normalizes
+// TP or by the per-token KV bytes. Every entry point that validates
 // options or measures a deployment calls it first.
 func checkDeployment(node hw.Node, model llm.ModelSpec) error {
 	if node.NumGPUs < 1 {
@@ -202,51 +248,6 @@ func checkDeployment(node hw.Node, model llm.ModelSpec) error {
 		return fmt.Errorf("rag: %w", err)
 	}
 	return nil
-}
-
-// normalize fills defaults and derives the total SLO; it leaves opts
-// ready for composition.
-func (opts *Options) normalize() (sloTotal time.Duration, err error) {
-	if opts.W == nil {
-		return 0, fmt.Errorf("rag: nil workload")
-	}
-	if err := checkDeployment(opts.Node, opts.Model); err != nil {
-		return 0, err
-	}
-	if opts.RateSchedule != nil {
-		if err := workload.ValidateSchedule(opts.RateSchedule); err != nil {
-			return 0, fmt.Errorf("rag: %w", err)
-		}
-	} else if opts.Rate <= 0 {
-		return 0, fmt.Errorf("rag: non-positive rate %v", opts.Rate)
-	}
-	if err := dataset.ValidateDrift(opts.Drift); err != nil {
-		return 0, fmt.Errorf("rag: %w", err)
-	}
-	if opts.Precision, err = opts.Precision.normalized(); err != nil {
-		return 0, err
-	}
-	if opts.Overload, err = opts.Overload.normalized(); err != nil {
-		return 0, err
-	}
-	if opts.Duration == 0 {
-		opts.Duration = 120 * time.Second
-	}
-	if opts.Warmup == 0 {
-		opts.Warmup = 20 * time.Second
-	}
-	if opts.Drain == 0 {
-		opts.Drain = 120 * time.Second
-	}
-	opts.decisionDefaults()
-	if opts.SLOGen == 0 {
-		slo, err := GenSLO(opts.Node, opts.Model, opts.Shape)
-		if err != nil {
-			return 0, err
-		}
-		opts.SLOGen = slo
-	}
-	return opts.SLOSearch + opts.SLOGen, nil
 }
 
 // decisionDefaults fills the defaults the offline decision reads.
@@ -259,7 +260,11 @@ func (opts *Options) decisionDefaults() {
 	}
 }
 
-// Result is one evaluation point.
+// Result is one evaluation point. The fields up to Overload hold the
+// records and node readings every run reports and a single corpus's
+// decision and summary (zero on a lineup, whose tenant rows carry their
+// own); a run fills the sections below them only for the topology and
+// control planes it used.
 type Result struct {
 	Kind     Kind
 	Rate     float64
@@ -290,6 +295,35 @@ type Result struct {
 	// Overload reports the admission-control and brownout outcome (nil
 	// on runs without Options.Overload).
 	Overload *OverloadReport
+
+	// The routed-run section (zero with Replicas == 0): the resolved
+	// policy and each replica's share. Workers and NetDelay echo a
+	// fleet's execution configuration (zero on the single-timeline
+	// path): how many worker goroutines ran the replica timelines — a
+	// wall-clock knob only, never visible in the schedule — and the
+	// modeled network transit. Resilience is the failure-handling
+	// addendum of a resilient run.
+	Policy     serve.Policy
+	PerReplica []ReplicaResult
+	Workers    int
+	NetDelay   time.Duration
+	Resilience *ResilienceReport
+
+	// Adapt is the adapt controller's record (nil without Monitor); Live
+	// the ingest side of a live corpus (nil without Ingest).
+	Adapt *AdaptReport
+	Live  *LiveReport
+
+	// The tenant rows (zero on a single corpus): each tenant's share
+	// against its own SLO, Jain's index over their attainments, the
+	// request-weighted aggregate attainment, and the joint allocator's
+	// index budget, spend and the LLM throughput left beside it.
+	Tenants     []TenantResult
+	Fairness    float64
+	Attainment  float64
+	BudgetBytes int64
+	UsedBytes   int64
+	MuLLM       float64
 }
 
 // capCache memoizes bare LLM capacity per deployment, since every rate
@@ -299,21 +333,21 @@ var capCache = struct {
 	m map[string]float64
 }{m: map[string]float64{}}
 
-// bareCapacity measures (or recalls) the standalone LLM throughput for
-// a node/model/shape deployment over nGPUs.
-func bareCapacity(node hw.Node, model llm.ModelSpec, nGPUs int, shape workload.Shape) (float64, error) {
+// BareCapacity measures (or recalls) the standalone LLM throughput of a
+// node/model/shape deployment over all of the node's GPUs (the vertical
+// dashed lines of Fig. 11).
+func BareCapacity(node hw.Node, model llm.ModelSpec, shape workload.Shape) (float64, error) {
 	if err := checkDeployment(node, model); err != nil {
 		return 0, err
 	}
-	key := fmt.Sprintf("%s|%s|%d|%d/%d", node.Name, model.Name, nGPUs, shape.InputTokens, shape.OutputTokens)
+	key := fmt.Sprintf("%s|%s|%d|%d/%d", node.Name, model.Name, node.NumGPUs, shape.InputTokens, shape.OutputTokens)
 	capCache.Lock()
 	v, ok := capCache.m[key]
 	capCache.Unlock()
 	if ok {
 		return v, nil
 	}
-	states := gpu.NewStates(node)
-	mu, err := llm.MeasureCapacity(node, model, states[:nGPUs], shape, llm.DefaultEngineConfig())
+	mu, err := llm.MeasureCapacity(node, model, gpu.NewStates(node), shape, llm.DefaultEngineConfig())
 	if err != nil {
 		return 0, err
 	}
@@ -321,12 +355,6 @@ func bareCapacity(node hw.Node, model llm.ModelSpec, nGPUs int, shape workload.S
 	capCache.m[key] = mu
 	capCache.Unlock()
 	return mu, nil
-}
-
-// BareCapacity exposes the memoized standalone LLM throughput (the
-// vertical dashed lines of Fig. 11).
-func BareCapacity(node hw.Node, model llm.ModelSpec, shape workload.Shape) (float64, error) {
-	return bareCapacity(node, model, node.NumGPUs, shape)
 }
 
 // genSLOCache memoizes the measured generation-stage SLO.

@@ -7,6 +7,7 @@ import (
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/hw"
 	"vectorliterag/internal/llm"
+	"vectorliterag/internal/serve"
 	"vectorliterag/internal/workload"
 )
 
@@ -33,6 +34,12 @@ func baseOpts(t *testing.T, kind Kind, rate float64) Options {
 		Kind: kind, Rate: rate, Seed: 1,
 		Duration: 60 * time.Second, Warmup: 10 * time.Second, Drain: 90 * time.Second,
 	}
+}
+
+// routed is o served on replicas nodes behind a policy router.
+func routed(o Options, replicas int, policy serve.Policy) Options {
+	o.Replicas, o.Policy = replicas, policy
+	return o
 }
 
 func TestRunValidation(t *testing.T) {

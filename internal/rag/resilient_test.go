@@ -35,7 +35,7 @@ func stormOpts(t *testing.T) Options {
 }
 
 func TestResilientClusterStorm(t *testing.T) {
-	res, err := RunCluster(stormOpts(t), 3, serve.LeastLoaded)
+	res, err := Run(routed(stormOpts(t), 3, serve.LeastLoaded))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +81,10 @@ func TestResilientClusterStorm(t *testing.T) {
 // identical storms produce bit-identical artifacts for any Workers
 // value (the resilient path always runs the single shared timeline).
 func TestResilientDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) *ClusterResult {
+	run := func(workers int) *Result {
 		o := stormOpts(t)
 		o.Workers = workers
-		res, err := RunCluster(o, 3, serve.LeastLoaded)
+		res, err := Run(routed(o, 3, serve.LeastLoaded))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestResilientDeterministicAcrossWorkers(t *testing.T) {
 func TestFaultFreeResilientCompletes(t *testing.T) {
 	o := baseOpts(t, VLiteRAG, 20)
 	o.Resilience = &serve.ResilienceConfig{Timeout: time.Minute, MaxRetries: 1}
-	res, err := RunCluster(o, 2, serve.LeastLoaded)
+	res, err := Run(routed(o, 2, serve.LeastLoaded))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,13 +134,13 @@ func TestResilientValidation(t *testing.T) {
 	// RunCluster rejects schedules naming replicas the run doesn't have.
 	o2 := baseOpts(t, VLiteRAG, 10)
 	o2.Faults = fault.Schedule{{Kind: fault.Crash, Replica: 5, At: time.Second, Duration: time.Second}}
-	if _, err := RunCluster(o2, 2, serve.LeastLoaded); err == nil {
+	if _, err := Run(routed(o2, 2, serve.LeastLoaded)); err == nil {
 		t.Fatal("RunCluster accepted an out-of-range replica")
 	}
 	// And bad resilience configs.
 	o3 := baseOpts(t, VLiteRAG, 10)
 	o3.Resilience = &serve.ResilienceConfig{MaxRetries: -1}
-	if _, err := RunCluster(o3, 2, serve.LeastLoaded); err == nil {
+	if _, err := Run(routed(o3, 2, serve.LeastLoaded)); err == nil {
 		t.Fatal("RunCluster accepted negative MaxRetries")
 	}
 }

@@ -3,20 +3,30 @@ package rag
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"time"
+
+	"vectorliterag/internal/dataset"
+	"vectorliterag/internal/serve"
+	"vectorliterag/internal/tenant"
+	"vectorliterag/internal/workload"
 )
 
-// feature is one axis a serving call combines: the topology its entry
-// point runs on, or a control plane its options switch on.
+// feature is one axis a run's Options combine: the corpus, the
+// topology, or a control plane.
 type feature uint
 
 const (
-	fSingleNode  feature = 1 << iota // one node, no router: Run, RunAdaptive, RunLive
-	fCluster                         // replicas behind a router: RunCluster, any engine
+	fCorpus      feature = 1 << iota // one workload
+	fTenants                         // a tenant lineup
+	fSingleNode                      // one node, no router (Replicas == 0)
+	fRouted                          // replicas behind a router
+	fNetDelay                        // a modeled front↔replica network
 	fSharedQueue                     // the multi-tenant baseline without the FairScheduler
 	fBaseline                        // Kind is not vLiteRAG
-	fAdaptive                        // the re-partitioning controller of RunAdaptive
-	fIngest                          // live mutation streams (RunLive with ingest configured)
-	fCompaction                      // the compaction controller of a live run
+	fAdaptive                        // the re-partitioning controller (Monitor on a frozen corpus)
+	fIngest                          // live mutation streams
+	fCompaction                      // the compaction controller (Monitor beside live streams)
 	fFaults                          // a fault schedule or a Resilience config
 	fPrecision                       // the (tier, codec) refinement
 	fPrebuilt                        // a prebuilt split plan (Options.Plan)
@@ -24,21 +34,30 @@ const (
 )
 
 // rules is the one table of feature combinations the package refuses.
-// Every entry point consults it before doing any work, so an option a
-// mode cannot honor is named up front instead of silently ignored. The
-// first matching row wins, so the more specific combination comes
-// first. A row that includes fBaseline formats the offending Kind into
-// its message.
+// validate consults it before doing any work, so an option a run cannot
+// honor is named up front instead of silently ignored. The first
+// matching row wins, so the more specific combination comes first. A
+// row that includes fBaseline formats the offending Kind into its
+// message.
 var rules = []struct {
 	both feature
 	msg  string
 }{
+	{fTenants | fBaseline, "rag: a tenant lineup serves on the vLiteRAG multi-tenant runtime, not %s"},
+	{fTenants | fIngest, "rag: live ingest streams into one corpus; a tenant lineup has none to mutate"},
+	{fTenants | fAdaptive, "rag: the adapt controller re-plans one corpus; a tenant lineup is jointly allocated"},
+	{fTenants | fFaults, "rag: fault injection and resilience run on a routed single corpus; a tenant fleet has no resilient router"},
+	{fTenants | fPrebuilt, "rag: a prebuilt plan is one corpus's placement; a tenant lineup is jointly allocated"},
+	{fCorpus | fSharedQueue, "rag: SharedQueue is the multi-tenant baseline; it needs Tenants"},
 	{fOverload | fSharedQueue, "rag: overload control needs the fair scheduler's per-tenant queues; it cannot bound the shared-queue baseline"},
-	{fOverload | fCluster, "rag: overload control runs on single-node Run and multi-tenant serving; cluster runs degrade through the resilient front end instead"},
+	{fOverload | fCorpus | fRouted, "rag: overload control runs on a single node or a tenant lineup; a routed single corpus degrades through the resilient front end instead"},
 	{fOverload | fIngest, "rag: overload control is not wired into the live-ingest pipeline; drop Overload or run without ingest"},
 	{fOverload | fAdaptive, "rag: overload control and the adaptive replan controller would fight over the same latency signal; run one or the other"},
-	{fFaults | fIngest, "rag: live ingest runs single-node — fault injection needs RunCluster"},
-	{fFaults | fSingleNode, "rag: fault injection and resilience need replicas to fail over to — use RunCluster"},
+	{fFaults | fIngest, "rag: live ingest runs single-node — fault injection needs Replicas"},
+	{fIngest | fRouted, "rag: live ingest runs single-node; drop Replicas"},
+	{fAdaptive | fRouted, "rag: the adapt controller re-plans a single node; drop Replicas"},
+	{fNetDelay | fSingleNode, "rag: NetDelay models the front↔replica network of a routed run; a single node has none — set Replicas"},
+	{fFaults | fSingleNode, "rag: fault injection and resilience need replicas to fail over to — set Replicas"},
 	{fAdaptive | fBaseline, "rag: adaptive serving requires the hot-swappable vLiteRAG runtime, got %s"},
 	{fCompaction | fBaseline, "rag: compaction needs the hot-swappable vLiteRAG runtime, got %s"},
 	{fPrecision | fBaseline, "rag: precision refinement applies to vLiteRAG only, not %s"},
@@ -67,13 +86,144 @@ func when(on bool, f feature) feature {
 	return 0
 }
 
-// check consults the rule table for a single-corpus run on the given
-// topology (plus whichever control planes the entry point attaches).
-func (opts *Options) check(topology feature) error {
-	return reject(topology|
-		when(opts.Kind != VLiteRAG, fBaseline)|
-		when(opts.resilient(), fFaults)|
-		when(opts.Precision != nil, fPrecision)|
-		when(opts.Plan != nil, fPrebuilt)|
-		when(opts.Overload != nil, fOverload), opts.Kind)
+// features derives the run's feature set from its options alone.
+func (opts *Options) features() feature {
+	tenants, routed, live := opts.Tenants != nil, opts.Replicas > 0, opts.streams() != nil
+	return when(!tenants, fCorpus) | when(tenants, fTenants) |
+		when(!routed, fSingleNode) | when(routed, fRouted) |
+		when(opts.NetDelay > 0, fNetDelay) |
+		when(opts.SharedQueue, fSharedQueue) |
+		when(opts.Kind != VLiteRAG, fBaseline) |
+		when(opts.Monitor != nil && !live, fAdaptive) |
+		when(live, fIngest) |
+		when(opts.Monitor != nil && live, fCompaction) |
+		when(opts.resilient(), fFaults) |
+		when(opts.Precision != nil, fPrecision) |
+		when(opts.Plan != nil, fPrebuilt) |
+		when(opts.Overload != nil, fOverload)
+}
+
+// validate is the one place a run's options are checked: it rejects
+// malformed values and every combination the rules table refuses, and
+// fills the defaults the run reads — on private copies of the caller's
+// lineup and option structs, which a caller may share across concurrent
+// runs. It measures, profiles and simulates nothing, so every error
+// surfaces before any work.
+func (opts *Options) validate() (err error) {
+	if err := checkDeployment(opts.Node, opts.Model); err != nil {
+		return err
+	}
+	if opts.Replicas < 0 {
+		return fmt.Errorf("rag: negative Replicas %d", opts.Replicas)
+	}
+	if opts.NetDelay < 0 {
+		return fmt.Errorf("rag: negative NetDelay %v", opts.NetDelay)
+	}
+	if opts.Kind == "" {
+		opts.Kind = VLiteRAG
+	}
+	if !slices.Contains(AllKinds(), opts.Kind) {
+		return fmt.Errorf("rag: unknown kind %q", opts.Kind)
+	}
+	if opts.Ingest, err = opts.Ingest.normalized(); err != nil {
+		return err
+	}
+	if err := reject(opts.features(), opts.Kind); err != nil {
+		return err
+	}
+	if opts.Policy, err = serve.ResolvePolicy(opts.Policy); err != nil {
+		return err
+	}
+	if err := opts.Faults.Validate(opts.Replicas); err != nil {
+		return err
+	}
+	if opts.Precision, err = opts.Precision.normalized(); err != nil {
+		return err
+	}
+	if opts.Overload, err = opts.Overload.normalized(); err != nil {
+		return err
+	}
+	if opts.Tenants != nil {
+		err = opts.validateTenants()
+	} else {
+		err = opts.validateCorpus()
+	}
+	if err != nil {
+		return err
+	}
+	if opts.Duration == 0 {
+		opts.Duration = 120 * time.Second
+	}
+	if opts.Warmup == 0 {
+		opts.Warmup = 20 * time.Second
+	}
+	if opts.Drain == 0 {
+		opts.Drain = 120 * time.Second
+	}
+	if opts.Shape == (workload.Shape{}) {
+		opts.Shape = workload.DefaultShape()
+	}
+	// A routed lineup always runs as a fleet; a routed single corpus
+	// opts into one when asked for parallelism (shards need a positive
+	// delay for lookahead) unless it runs resilient.
+	if opts.Replicas > 0 && opts.NetDelay == 0 &&
+		(opts.Tenants != nil || (opts.Workers > 1 && !opts.resilient())) {
+		opts.NetDelay = DefaultNetDelay
+	}
+	return nil
+}
+
+// validateCorpus checks a single corpus and fills its search SLO.
+func (opts *Options) validateCorpus() error {
+	if opts.W == nil {
+		return fmt.Errorf("rag: nil workload")
+	}
+	if opts.RateSchedule != nil {
+		if err := workload.ValidateSchedule(opts.RateSchedule); err != nil {
+			return fmt.Errorf("rag: %w", err)
+		}
+	} else if opts.Rate <= 0 {
+		return fmt.Errorf("rag: non-positive rate %v", opts.Rate)
+	}
+	if err := dataset.ValidateDrift(opts.Drift); err != nil {
+		return fmt.Errorf("rag: %w", err)
+	}
+	opts.decisionDefaults()
+	return nil
+}
+
+// validateTenants checks a lineup and fills each tenant's defaults on a
+// private copy.
+func (opts *Options) validateTenants() error {
+	if opts.W != nil || opts.Rate != 0 || opts.RateSchedule != nil || opts.Drift != nil || opts.SLOSearch != 0 {
+		return errors.New("rag: a tenant lineup brings its own corpora, rates and search SLOs; leave W, Rate, RateSchedule, Drift and SLOSearch unset")
+	}
+	if len(opts.Tenants) == 0 {
+		return fmt.Errorf("rag: no tenants")
+	}
+	opts.Tenants = slices.Clone(opts.Tenants)
+	for i := range opts.Tenants {
+		tc := &opts.Tenants[i]
+		if tc.W == nil {
+			return fmt.Errorf("rag: tenant %d (%s) has no workload", i, tc.Name)
+		}
+		if tc.Rate <= 0 {
+			return fmt.Errorf("rag: tenant %d (%s) non-positive rate %v", i, tc.Name, tc.Rate)
+		}
+		if tc.RateSchedule != nil {
+			if err := workload.ValidateSchedule(tc.RateSchedule); err != nil {
+				return fmt.Errorf("rag: tenant %d (%s): %w", i, tc.Name, err)
+			}
+		}
+		if _, err := tenant.ParseTier(string(tc.Tier)); err != nil {
+			return fmt.Errorf("rag: tenant %d (%s): %w", i, tc.Name, err)
+		}
+		if tc.Name == "" {
+			tc.Name = fmt.Sprintf("tenant-%d", i)
+		}
+		if tc.SLOSearch == 0 {
+			tc.SLOSearch = tc.W.Spec.SLOSearch
+		}
+	}
+	return nil
 }

@@ -1,11 +1,13 @@
 package rag
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"vectorliterag/internal/adapt"
 	"vectorliterag/internal/fault"
 	"vectorliterag/internal/serve"
 	"vectorliterag/internal/splitter"
@@ -20,47 +22,42 @@ func quickOpts(t *testing.T, kind Kind) Options {
 	return o
 }
 
-func quickMT(t *testing.T) MultiTenantOptions {
+func quickMT(t *testing.T) Options {
 	o := mtOpts(t)
 	o.Duration, o.Warmup, o.Drain = 20*time.Second, 5*time.Second, 30*time.Second
 	o.ProfileQueries = 1000
 	return o
 }
 
-// TestFeatureCompatibility is the one table of entry point × feature
+// TestFeatureCompatibility is the end-to-end table of topology × feature
 // pairs: each either runs or is rejected up front with its pinned
-// message, never silently ignored. Every row of the rule table must be
-// reached by some case here.
+// message, never silently ignored.
 func TestFeatureCompatibility(t *testing.T) {
 	crash := fault.Schedule{{Kind: fault.Crash, Replica: 0, At: 5 * time.Second, Duration: 2 * time.Second}}
 	overload := &OverloadOptions{QueueCap: 16}
-	ingest := IngestOptions{InsertRate: 4}
-	compaction := IngestOptions{InsertRate: 4, Compaction: true}
+	ingest := &IngestOptions{InsertRate: 4}
+	monitor := &adapt.MonitorConfig{}
 
 	run := func(mut func(*Options)) func() error {
 		return func() error { o := quickOpts(t, VLiteRAG); mut(&o); _, err := Run(o); return err }
 	}
 	cluster := func(mut func(*Options)) func() error {
-		return func() error { o := quickOpts(t, VLiteRAG); mut(&o); _, err := RunCluster(o, 2, ""); return err }
+		return run(func(o *Options) { o.Replicas = 2; mut(o) })
 	}
 	adaptive := func(mut func(*Options)) func() error {
-		return func() error {
-			o := AdaptiveOptions{Options: quickOpts(t, VLiteRAG)}
-			mut(&o.Options)
-			_, err := RunAdaptive(o)
-			return err
-		}
+		return run(func(o *Options) { o.Monitor = monitor; mut(o) })
 	}
-	live := func(io IngestOptions, mut func(*Options)) func() error {
-		return func() error {
-			o := LiveOptions{Options: quickOpts(t, VLiteRAG), Ingest: io}
-			mut(&o.Options)
-			_, err := RunLive(o)
-			return err
-		}
+	live := func(io *IngestOptions, compaction bool, mut func(*Options)) func() error {
+		return run(func(o *Options) {
+			o.Ingest = io
+			if compaction {
+				o.Monitor = monitor
+			}
+			mut(o)
+		})
 	}
-	tenants := func(mut func(*MultiTenantOptions)) func() error {
-		return func() error { o := quickMT(t); mut(&o); _, err := RunMultiTenant(o); return err }
+	tenants := func(mut func(*Options)) func() error {
+		return func() error { o := quickMT(t); mut(&o); _, err := Run(o); return err }
 	}
 	plain := func(*Options) {}
 
@@ -69,50 +66,53 @@ func TestFeatureCompatibility(t *testing.T) {
 		call func() error
 		want string // error substring; "" means the pair runs
 	}{
-		// Overload control: single-node Run and multi-tenant serving only.
+		// Overload control: a single node or a tenant lineup only.
 		{"Run+overload", run(func(o *Options) { o.Overload = overload }), ""},
-		{"RunCluster+overload", cluster(func(o *Options) { o.Overload = overload }), "overload control runs on single-node Run"},
-		{"RunCluster(NetDelay)+overload", cluster(func(o *Options) { o.Overload, o.NetDelay = overload, time.Millisecond }), "overload control runs on single-node Run"},
-		{"RunAdaptive+overload", adaptive(func(o *Options) { o.Overload = overload }), "overload control and the adaptive replan controller"},
-		{"RunLive(ingest)+overload", live(ingest, func(o *Options) { o.Overload = overload }), "overload control is not wired into the live-ingest pipeline"},
-		{"RunLive(compaction)+overload", live(compaction, func(o *Options) { o.Overload = overload }), "overload control is not wired into the live-ingest pipeline"},
-		{"RunLive(frozen)+overload", live(IngestOptions{}, func(o *Options) { o.Overload = overload }), ""},
-		{"RunMultiTenant+overload", tenants(func(o *MultiTenantOptions) { o.Overload = overload }), ""},
-		{"RunMultiTenant(replicas)+overload", tenants(func(o *MultiTenantOptions) { o.Overload, o.Replicas = overload, 2 }), ""},
-		{"RunMultiTenant(shared-queue)+overload", tenants(func(o *MultiTenantOptions) { o.Overload, o.SharedQueue = overload, true }), "shared-queue"},
+		{"routed+overload", cluster(func(o *Options) { o.Overload = overload }), "overload control runs on a single node or a tenant lineup"},
+		{"routed(NetDelay)+overload", cluster(func(o *Options) { o.Overload, o.NetDelay = overload, time.Millisecond }), "overload control runs on a single node or a tenant lineup"},
+		{"adaptive+overload", adaptive(func(o *Options) { o.Overload = overload }), "overload control and the adaptive replan controller"},
+		{"live+overload", live(ingest, false, func(o *Options) { o.Overload = overload }), "overload control is not wired into the live-ingest pipeline"},
+		{"live(compaction)+overload", live(ingest, true, func(o *Options) { o.Overload = overload }), "overload control is not wired into the live-ingest pipeline"},
+		{"live(frozen)+overload", live(&IngestOptions{}, false, func(o *Options) { o.Overload = overload }), ""},
+		{"tenants+overload", tenants(func(o *Options) { o.Overload = overload }), ""},
+		{"tenants(replicas)+overload", tenants(func(o *Options) { o.Overload, o.Replicas = overload, 2 }), ""},
+		{"tenants(shared-queue)+overload", tenants(func(o *Options) { o.Overload, o.SharedQueue = overload, true }), "shared-queue"},
 
 		// Faults and resilience need replicas to fail over to.
 		{"Run+faults", run(func(o *Options) { o.Faults = crash }), "need replicas to fail over to"},
 		{"Run+resilience", run(func(o *Options) { o.Resilience = &serve.ResilienceConfig{} }), "need replicas to fail over to"},
-		{"RunAdaptive+faults", adaptive(func(o *Options) { o.Faults = crash }), "need replicas to fail over to"},
-		{"RunLive(ingest)+faults", live(ingest, func(o *Options) { o.Faults = crash }), "live ingest runs single-node"},
-		{"RunLive(frozen)+faults", live(IngestOptions{}, func(o *Options) { o.Faults = crash }), "need replicas to fail over to"},
-		{"RunCluster+faults", cluster(func(o *Options) { o.Faults = crash }), ""},
-		{"RunCluster(NetDelay)+faults", cluster(func(o *Options) { o.Faults, o.NetDelay = crash, time.Millisecond }), ""},
+		{"adaptive+faults", adaptive(func(o *Options) { o.Faults = crash }), "need replicas to fail over to"},
+		{"live+faults", live(ingest, false, func(o *Options) { o.Faults = crash }), "live ingest runs single-node"},
+		{"live(frozen)+faults", live(&IngestOptions{}, false, func(o *Options) { o.Faults = crash }), "need replicas to fail over to"},
+		{"routed+faults", cluster(func(o *Options) { o.Faults = crash }), ""},
+		{"routed(NetDelay)+faults", cluster(func(o *Options) { o.Faults, o.NetDelay = crash, time.Millisecond }), ""},
 
 		// The controllers and the precision refinement act on vLiteRAG's
 		// hot-swappable, partitioned placement.
 		{"Run(CPU-Only)+precision", run(func(o *Options) { o.Kind, o.Precision = CPUOnly, &PrecisionOptions{} }), "precision refinement applies to vLiteRAG only, not CPU-Only"},
-		{"RunCluster(ALL-GPU)+precision", cluster(func(o *Options) { o.Kind, o.Precision = AllGPU, &PrecisionOptions{} }), "precision refinement applies to vLiteRAG only, not ALL-GPU"},
-		{"RunAdaptive(HedraRAG)", adaptive(func(o *Options) { o.Kind = HedraRAG }), "adaptive serving requires the hot-swappable vLiteRAG runtime, got HedraRAG"},
-		{"RunLive(compaction,CPU-Only)", live(compaction, func(o *Options) { o.Kind = CPUOnly }), "compaction needs the hot-swappable vLiteRAG runtime, got CPU-Only"},
-		{"RunLive(ingest,CPU-Only)", live(ingest, func(o *Options) { o.Kind = CPUOnly }), ""},
+		{"routed(ALL-GPU)+precision", cluster(func(o *Options) { o.Kind, o.Precision = AllGPU, &PrecisionOptions{} }), "precision refinement applies to vLiteRAG only, not ALL-GPU"},
+		{"adaptive(HedraRAG)", adaptive(func(o *Options) { o.Kind = HedraRAG }), "adaptive serving requires the hot-swappable vLiteRAG runtime, got HedraRAG"},
+		{"live(compaction,CPU-Only)", live(ingest, true, func(o *Options) { o.Kind = CPUOnly }), "compaction needs the hot-swappable vLiteRAG runtime, got CPU-Only"},
+		{"live(ingest,CPU-Only)", live(ingest, false, func(o *Options) { o.Kind = CPUOnly }), ""},
 		{"Run(HedraRAG)+prebuilt", run(func(o *Options) { o.Kind, o.Plan = HedraRAG, &splitter.Plan{} }), "a prebuilt plan serves vLiteRAG only, not HedraRAG"},
-		{"RunAdaptive+precision", adaptive(func(o *Options) { o.Precision = &PrecisionOptions{} }), ""},
-		{"RunLive(compaction)+precision", live(compaction, func(o *Options) { o.Precision = &PrecisionOptions{} }), ""},
-		{"RunCluster+faults+precision", cluster(func(o *Options) { o.Faults, o.Precision = crash, &PrecisionOptions{} }), ""},
-		{"RunCluster(NetDelay)+precision", cluster(func(o *Options) { o.NetDelay, o.Precision = time.Millisecond, &PrecisionOptions{} }), ""},
+		{"adaptive+precision", adaptive(func(o *Options) { o.Precision = &PrecisionOptions{} }), ""},
+		{"live(compaction)+precision", live(ingest, true, func(o *Options) { o.Precision = &PrecisionOptions{} }), ""},
+		{"routed+faults+precision", cluster(func(o *Options) { o.Faults, o.Precision = crash, &PrecisionOptions{} }), ""},
+		{"routed(NetDelay)+precision", cluster(func(o *Options) { o.NetDelay, o.Precision = time.Millisecond, &PrecisionOptions{} }), ""},
 
-		// Topology knobs.
-		{"RunAdaptive", adaptive(plain), ""},
-		{"RunCluster(NetDelay<0)", cluster(func(o *Options) { o.NetDelay = -time.Millisecond }), "negative NetDelay"},
-		{"RunMultiTenant(NetDelay<0)", tenants(func(o *MultiTenantOptions) { o.NetDelay = -time.Millisecond }), "negative NetDelay"},
-		{"RunMultiTenant(replicas,bogus policy)", tenants(func(o *MultiTenantOptions) { o.Replicas, o.Policy = 2, "bogus" }), "unknown routing policy"},
-		{"RunMultiTenant(replicas,shared-queue)+precision", tenants(func(o *MultiTenantOptions) {
+		// Topology knobs, validated on every run whether or not it routes.
+		{"adaptive", adaptive(plain), ""},
+		{"Run(NetDelay)", run(func(o *Options) { o.NetDelay = 5 * time.Millisecond }), "a single node has none"},
+		{"routed(NetDelay<0)", cluster(func(o *Options) { o.NetDelay = -time.Millisecond }), "negative NetDelay"},
+		{"tenants(NetDelay<0)", tenants(func(o *Options) { o.NetDelay = -time.Millisecond }), "negative NetDelay"},
+		{"tenants(Replicas<0)", tenants(func(o *Options) { o.Replicas = -3 }), "negative Replicas"},
+		{"tenants(bogus policy)", tenants(func(o *Options) { o.Policy = "bogus" }), "unknown routing policy"},
+		{"tenants(replicas,bogus policy)", tenants(func(o *Options) { o.Replicas, o.Policy = 2, "bogus" }), "unknown routing policy"},
+		{"tenants+W", tenants(func(o *Options) { o.W = testW(t) }), "leave W, Rate"},
+		{"tenants(replicas,shared-queue)+precision", tenants(func(o *Options) {
 			o.Replicas, o.SharedQueue, o.Precision = 2, true, &PrecisionOptions{}
 		}), ""},
 	}
-	reached := make([]bool, len(rules))
 	for _, tc := range cases {
 		err := tc.call()
 		switch {
@@ -121,15 +121,109 @@ func TestFeatureCompatibility(t *testing.T) {
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: error %v does not contain %q", tc.name, err, tc.want)
 		}
-		for i, r := range rules {
-			if err != nil && strings.HasPrefix(err.Error(), strings.SplitN(r.msg, "%s", 2)[0]) {
-				reached[i] = true
+	}
+}
+
+// TestValidateIsPureAndTotal walks every subset of twelve option axes
+// through validate alone — no decision, no simulation. No combination
+// panics; every error is a row of the rules table; the combinations one
+// Options newly makes representable are each refused by a row; and
+// every row is reached.
+func TestValidateIsPureAndTotal(t *testing.T) {
+	const (
+		aTenants = 1 << iota
+		aReplicas
+		aNetDelay
+		aFaults
+		aResilience
+		aMonitor
+		aIngest
+		aOverload
+		aPrecision
+		aPlan
+		aSharedQueue
+		aBaseline
+		axes = iota
+	)
+	corpus, lineup := quickOpts(t, VLiteRAG), quickMT(t)
+	crash := fault.Schedule{{Kind: fault.Crash, Replica: 0, At: 5 * time.Second, Duration: 2 * time.Second}}
+	msgs := make([]string, len(rules))
+	for i, r := range rules {
+		msgs[i] = r.msg
+		if r.both&fBaseline != 0 {
+			msgs[i] = fmt.Sprintf(r.msg, CPUOnly)
+		}
+	}
+	reached := make([]bool, len(rules))
+	for mask := 0; mask < 1<<axes; mask++ {
+		has := func(a int) bool { return mask&a != 0 }
+		o := corpus
+		if has(aTenants) {
+			o = lineup
+		}
+		if has(aReplicas) {
+			o.Replicas = 2
+		}
+		if has(aNetDelay) {
+			o.NetDelay = time.Millisecond
+		}
+		if has(aFaults) {
+			o.Faults = crash
+		}
+		if has(aResilience) {
+			o.Resilience = &serve.ResilienceConfig{}
+		}
+		if has(aMonitor) {
+			o.Monitor = &adapt.MonitorConfig{}
+		}
+		if has(aIngest) {
+			o.Ingest = &IngestOptions{InsertRate: 4}
+		}
+		if has(aOverload) {
+			o.Overload = &OverloadOptions{}
+		}
+		if has(aPrecision) {
+			o.Precision = &PrecisionOptions{}
+		}
+		if has(aPlan) {
+			o.Plan = &splitter.Plan{}
+		}
+		o.SharedQueue = has(aSharedQueue)
+		if has(aBaseline) {
+			o.Kind = CPUOnly
+		}
+		err := func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("panic: %v", r)
+				}
+			}()
+			return o.validate()
+		}()
+		row := -1
+		if err != nil {
+			for i, m := range msgs {
+				if err.Error() == m {
+					row = i
+				}
 			}
+			if row < 0 {
+				t.Errorf("mask %012b: %v is not a rules row", mask, err)
+				continue
+			}
+			reached[row] = true
+		}
+		tenants := has(aTenants)
+		newlyRepresentable := (tenants && (has(aMonitor) || has(aIngest) || has(aFaults) || has(aResilience) || has(aPlan) || has(aBaseline))) ||
+			(!tenants && has(aReplicas) && (has(aMonitor) || has(aIngest))) ||
+			(!tenants && has(aSharedQueue))
+		if newlyRepresentable && row < 0 {
+			t.Errorf("mask %012b: validate accepted a combination no entry point could express before", mask)
 		}
 	}
 	for i, r := range rules {
 		if !reached[i] {
-			t.Errorf("no case reaches the rule %q", r.msg)
+			t.Errorf("no combination reaches the rule %q", r.msg)
 		}
 	}
 }
@@ -145,20 +239,20 @@ func TestRunsLeaveOptionsAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.Overload = nil
-	if _, err := RunCluster(o, 2, ""); err != nil {
+	if _, err := Run(routed(o, 2, "")); err != nil {
 		t.Fatal(err)
 	}
 	mt := quickMT(t)
 	mt.Tenants[1].Name = "" // defaulted to "tenant-1" on the run's own copy
 	mt.Precision, mt.Overload = prec, over
 	before := append([]TenantConfig(nil), mt.Tenants...)
-	if _, err := RunMultiTenant(mt); err != nil {
+	if _, err := Run(mt); err != nil {
 		t.Fatal(err)
 	}
 	if *prec != (PrecisionOptions{}) || *over != (OverloadOptions{}) {
 		t.Errorf("runs wrote defaults through the caller's options: %+v %+v", *prec, *over)
 	}
 	if !reflect.DeepEqual(mt.Tenants, before) {
-		t.Errorf("RunMultiTenant wrote defaults into the caller's tenants:\n%+v\nwant\n%+v", mt.Tenants, before)
+		t.Errorf("Run wrote defaults into the caller's tenants:\n%+v\nwant\n%+v", mt.Tenants, before)
 	}
 }

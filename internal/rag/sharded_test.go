@@ -49,13 +49,13 @@ func shardedClusterOpts(t *testing.T, seed uint64, workers int) Options {
 func TestShardedClusterDeterministicAcrossWorkers(t *testing.T) {
 	for _, policy := range serve.Policies() {
 		for seed := uint64(1); seed <= 5; seed++ {
-			ref, err := RunCluster(shardedClusterOpts(t, seed, 1), 3, policy)
+			ref, err := Run(routed(shardedClusterOpts(t, seed, 1), 3, policy))
 			if err != nil {
 				t.Fatal(err)
 			}
 			refDigest := recordsDigest(ref.Requests)
 			for _, workers := range []int{2, 3, 8} {
-				res, err := RunCluster(shardedClusterOpts(t, seed, workers), 3, policy)
+				res, err := Run(routed(shardedClusterOpts(t, seed, workers), 3, policy))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -84,7 +84,7 @@ func TestShardedClusterDeterministicAcrossWorkers(t *testing.T) {
 // request — including any still in network transit at the deadline —
 // lands in exactly one slot.
 func TestShardedClusterMergesAllArrivals(t *testing.T) {
-	res, err := RunCluster(shardedClusterOpts(t, 1, 2), 3, serve.LeastLoaded)
+	res, err := Run(routed(shardedClusterOpts(t, 1, 2), 3, serve.LeastLoaded))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +118,14 @@ func TestShardedClusterDriftSafe(t *testing.T) {
 	o := shardedClusterOpts(t, 3, 4)
 	before := o.W.PopularityRotation()
 	o.Drift = []dataset.DriftEvent{{At: 8 * time.Second, Rotate: o.W.DefaultDriftRotation()}}
-	ref, err := RunCluster(o, 2, serve.RoundRobin)
+	ref, err := Run(routed(o, 2, serve.RoundRobin))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := o.W.PopularityRotation(); got != before {
 		t.Fatalf("rotation %d leaked out of the run (was %d)", got, before)
 	}
-	res, err := RunCluster(o, 2, serve.RoundRobin)
+	res, err := Run(routed(o, 2, serve.RoundRobin))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestRunIgnoresWorkers(t *testing.T) {
 	}
 }
 
-func shardedMTOpts(t *testing.T, seed uint64, workers int) MultiTenantOptions {
+func shardedMTOpts(t *testing.T, seed uint64, workers int) Options {
 	o := mtOpts(t)
 	o.Seed = seed
 	o.Duration = 20 * time.Second
@@ -169,16 +169,16 @@ func shardedMTOpts(t *testing.T, seed uint64, workers int) MultiTenantOptions {
 // fairness, and the per-replica split are worker-count invariant.
 func TestShardedTenantsDeterministicAcrossWorkers(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
-		ref, err := RunMultiTenant(shardedMTOpts(t, seed, 1))
+		ref, err := Run(shardedMTOpts(t, seed, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref.Replicas != 2 || len(ref.PerReplicaSubmitted) != 2 {
-			t.Fatalf("sharded tenants run not replicated: %+v", ref.PerReplicaSubmitted)
+		if len(ref.PerReplica) != 2 {
+			t.Fatalf("sharded tenants run not replicated: %+v", ref.PerReplica)
 		}
 		refDigest := recordsDigest(ref.Requests)
 		for _, workers := range []int{2, 8} {
-			res, err := RunMultiTenant(shardedMTOpts(t, seed, workers))
+			res, err := Run(shardedMTOpts(t, seed, workers))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,8 +194,8 @@ func TestShardedTenantsDeterministicAcrossWorkers(t *testing.T) {
 					t.Fatalf("seed=%d workers=%d: tenant %s diverged", seed, workers, ref.Tenants[i].Name)
 				}
 			}
-			for r := range ref.PerReplicaSubmitted {
-				if res.PerReplicaSubmitted[r] != ref.PerReplicaSubmitted[r] {
+			for r := range ref.PerReplica {
+				if res.PerReplica[r] != ref.PerReplica[r] {
 					t.Fatalf("seed=%d workers=%d: replica %d split diverged", seed, workers, r)
 				}
 			}
@@ -206,7 +206,7 @@ func TestShardedTenantsDeterministicAcrossWorkers(t *testing.T) {
 // TestShardedTenantsServeEveryTenant checks the replicated engine still
 // serves every tenant within its tier expectations at light load.
 func TestShardedTenantsServeEveryTenant(t *testing.T) {
-	res, err := RunMultiTenant(shardedMTOpts(t, 1, 2))
+	res, err := Run(shardedMTOpts(t, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestWorkerScalingSmoke(t *testing.T) {
 		best := time.Duration(1<<63 - 1)
 		for rep := 0; rep < 3; rep++ {
 			t0 := time.Now()
-			if _, err := RunCluster(o, 16, policy); err != nil {
+			if _, err := Run(routed(o, 16, policy)); err != nil {
 				t.Fatal(err)
 			}
 			best = min(best, time.Since(t0))

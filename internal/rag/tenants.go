@@ -8,8 +8,6 @@ import (
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/des"
 	"vectorliterag/internal/gpu"
-	"vectorliterag/internal/hw"
-	"vectorliterag/internal/llm"
 	"vectorliterag/internal/metrics"
 	"vectorliterag/internal/partition"
 	"vectorliterag/internal/profiler"
@@ -41,61 +39,6 @@ type TenantConfig struct {
 	SLOSearch time.Duration
 }
 
-// MultiTenantOptions configures one multi-tenant serving run.
-type MultiTenantOptions struct {
-	Node    hw.Node
-	Model   llm.ModelSpec
-	Tenants []TenantConfig
-
-	Duration time.Duration // arrival window (default 120s)
-	Warmup   time.Duration // excluded prefix (default 20s)
-	Drain    time.Duration // settling window (default 120s)
-	Shape    workload.Shape
-	Seed     uint64
-
-	// SharedQueue disables the FairScheduler — the baseline where every
-	// tenant's arrivals share one unmetered queue into the retrieval
-	// engine. The joint allocation is unchanged, isolating what
-	// scheduling alone buys.
-	SharedQueue bool
-	// Epsilon is the queuing factor of the joint allocator (default 1).
-	Epsilon float64
-	// ProfileQueries sizes each tenant's calibration sample (default
-	// 4000).
-	ProfileQueries int
-	// SLOGen overrides the measured generation-stage SLO.
-	SLOGen time.Duration
-	// Precision, when non-nil, extends the joint allocator with the
-	// (tier, codec) refinement: leftover HBM budget upgrades each
-	// tenant's hottest placed clusters from PQ to SQ8 (tier-weighted
-	// marginal recall per byte), and each tenant's coldest CPU-resident
-	// clusters demote to the modeled NVMe tier. Nil keeps the classic
-	// placement-only allocation bit for bit.
-	Precision *PrecisionOptions
-	// Overload, when non-nil, bounds each tenant's admission queue and
-	// optionally runs the brownout controller: per-tenant stage budgets
-	// from each tenant's own SLOs, shed fractions biased by tier so
-	// bronze sheds first and gold last. Requires the FairScheduler —
-	// rejected with SharedQueue. Nil keeps every path byte-identical.
-	Overload *OverloadOptions
-
-	// Replicas > 1 serves the tenants on R identical multi-tenant nodes
-	// behind a front-end router, as a fleet. Each node gets the full
-	// tenant lineup with its joint HBM allocation sized for a 1/R
-	// traffic share.
-	Replicas int
-	// Policy picks the router policy for replicated runs (default
-	// least-loaded).
-	Policy serve.Policy
-	// Workers and NetDelay mirror Options: worker goroutines for the
-	// replica timelines (wall-clock only; 0 = one per GOMAXPROCS) and the
-	// modeled front↔replica transit. Setting either (or Replicas > 1)
-	// runs the fleet — link-free with one replica or round-robin, on the
-	// sharded exchange otherwise; NetDelay defaults to DefaultNetDelay.
-	Workers  int
-	NetDelay time.Duration
-}
-
 // TenantResult is one tenant's share of a multi-tenant run.
 type TenantResult struct {
 	Name     string
@@ -115,110 +58,6 @@ type TenantResult struct {
 	Rejected int
 }
 
-// MultiTenantResult is one multi-tenant evaluation point.
-type MultiTenantResult struct {
-	Tenants []TenantResult
-	// Fairness is Jain's index over per-tenant SLO attainment.
-	Fairness float64
-	// Attainment is the request-weighted aggregate attainment.
-	Attainment float64
-	// RecallGain is the served mean per-query recall gain from SQ8
-	// upgrades across all tenants (zero without Precision).
-	RecallGain float64
-	Mu0        float64
-	MuLLM      float64
-	// BudgetBytes / UsedBytes are the joint allocator's index budget
-	// and spend.
-	BudgetBytes int64
-	UsedBytes   int64
-	AvgBatch    float64
-	LLMGPUs     int
-	SharedQueue bool
-	Generated   int
-	// Requests holds per-request records in arrival order (value
-	// snapshots from the streaming collector).
-	Requests []workload.Request
-
-	// Replicas, Workers, NetDelay, and PerReplicaSubmitted echo the
-	// sharded execution configuration (zero/nil on the single-node
-	// path); Workers changes wall-clock only, never the schedule.
-	Replicas            int
-	Workers             int
-	NetDelay            time.Duration
-	PerReplicaSubmitted []int
-
-	// Overload reports the admission-control and brownout outcome (nil
-	// without MultiTenantOptions.Overload).
-	Overload *OverloadReport
-}
-
-// normalizeMT fills defaults and validates the option set, returning
-// the per-tenant combined SLO budgets. Defaults land on private copies
-// of the tenant lineup and the refinement options, never in the
-// caller's memory.
-func (opts *MultiTenantOptions) normalizeMT() (slos []time.Duration, err error) {
-	if len(opts.Tenants) == 0 {
-		return nil, fmt.Errorf("rag: no tenants")
-	}
-	if err := checkDeployment(opts.Node, opts.Model); err != nil {
-		return nil, err
-	}
-	opts.Tenants = append([]TenantConfig(nil), opts.Tenants...)
-	for i := range opts.Tenants {
-		tc := &opts.Tenants[i]
-		if tc.W == nil {
-			return nil, fmt.Errorf("rag: tenant %d (%s) has no workload", i, tc.Name)
-		}
-		if tc.Rate <= 0 {
-			return nil, fmt.Errorf("rag: tenant %d (%s) non-positive rate %v", i, tc.Name, tc.Rate)
-		}
-		if tc.RateSchedule != nil {
-			if err := workload.ValidateSchedule(tc.RateSchedule); err != nil {
-				return nil, fmt.Errorf("rag: tenant %d (%s): %w", i, tc.Name, err)
-			}
-		}
-		if _, err := tenant.ParseTier(string(tc.Tier)); err != nil {
-			return nil, fmt.Errorf("rag: tenant %d (%s): %w", i, tc.Name, err)
-		}
-		if tc.Name == "" {
-			tc.Name = fmt.Sprintf("tenant-%d", i)
-		}
-		if tc.SLOSearch == 0 {
-			tc.SLOSearch = tc.W.Spec.SLOSearch
-		}
-	}
-	if opts.Duration == 0 {
-		opts.Duration = 120 * time.Second
-	}
-	if opts.Warmup == 0 {
-		opts.Warmup = 20 * time.Second
-	}
-	if opts.Drain == 0 {
-		opts.Drain = 120 * time.Second
-	}
-	if opts.Shape == (workload.Shape{}) {
-		opts.Shape = workload.DefaultShape()
-	}
-	if opts.SLOGen == 0 {
-		slo, err := GenSLO(opts.Node, opts.Model, opts.Shape)
-		if err != nil {
-			return nil, err
-		}
-		opts.SLOGen = slo
-	}
-	if opts.Precision, err = opts.Precision.normalized(); err != nil {
-		return nil, err
-	}
-	if opts.Overload, err = opts.Overload.normalized(); err != nil {
-		return nil, err
-	}
-	slos = make([]time.Duration, len(opts.Tenants))
-	for i := range opts.Tenants {
-		slos[i] = opts.Tenants[i].SLOSearch + opts.SLOGen
-	}
-	return slos, nil
-}
-
 // tenantDecision is the offline half of a multi-tenant run: per-tenant
 // models, the joint allocation, and the materialized split plans.
 type tenantDecision struct {
@@ -229,9 +68,12 @@ type tenantDecision struct {
 }
 
 // decideTenants profiles every tenant, runs the joint allocator, and
-// builds each tenant's split plan at its granted coverage.
-func decideTenants(opts *MultiTenantOptions) (*tenantDecision, error) {
-	mu0, err := bareCapacity(opts.Node, opts.Model, opts.Node.NumGPUs, opts.Shape)
+// builds each tenant's split plan at its granted coverage. Each node's
+// allocation is sized for its share of the traffic: the allocator sees
+// every tenant's rate divided by the node count, every other input
+// unchanged.
+func decideTenants(opts *Options, nodes int) (*tenantDecision, error) {
+	mu0, err := BareCapacity(opts.Node, opts.Model, opts.Shape)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +95,7 @@ func decideTenants(opts *MultiTenantOptions) (*tenantDecision, error) {
 			prefix[k+1] = prefix[k] + tc.W.ClusterBytes(c)
 		}
 		inputs[i] = tenant.Input{
-			Name: tc.Name, Tier: tc.Tier, Rate: tc.Rate,
+			Name: tc.Name, Tier: tc.Tier, Rate: tc.Rate / float64(nodes),
 			SLOSearch: tc.SLOSearch, Epsilon: opts.Epsilon,
 			Perf: perf, Est: est, PrefixBytes: prefix,
 		}
@@ -317,7 +159,7 @@ func decideTenants(opts *MultiTenantOptions) (*tenantDecision, error) {
 // upgrade pass advances through each tenant's hot ranks in order,
 // skipping zero-delta clusters without upgrading them, so the chosen
 // set is exactly the first SQClusters positive-delta hot ranks.
-func attachTenantPrecision(opts *MultiTenantOptions, prof *profiler.AccessProfile, plan *splitter.Plan, deltas []float64, al tenant.Allocation, idx int) error {
+func attachTenantPrecision(opts *Options, prof *profiler.AccessProfile, plan *splitter.Plan, deltas []float64, al tenant.Allocation, idx int) error {
 	ratio := float64(opts.Tenants[idx].W.Spec.Dim) / float64(opts.Tenants[idx].W.Spec.CodeBytes)
 	prec, err := partition.AssignPrecision(partition.PrecisionInputs{
 		Prof:          prof,
@@ -368,7 +210,7 @@ func attachTenantPrecision(opts *MultiTenantOptions, prof *profiler.AccessProfil
 // stage per tenant slot (the shared engine config carries no Workload
 // or CPUModel), and — unless SharedQueue — the FairScheduler over the
 // tenants' tiers, with each tenant's own SLOs as overload budgets.
-func tenantSpec(opts *MultiTenantOptions, d *tenantDecision) *nodeSpec {
+func tenantSpec(opts *Options, d *tenantDecision) *nodeSpec {
 	s := &nodeSpec{
 		node: opts.Node, model: opts.Model, plans: d.plans,
 		cfg: retrieval.Config{NVMe: opts.Node.NVMe},
@@ -393,115 +235,57 @@ func tenantSpec(opts *MultiTenantOptions, d *tenantDecision) *nodeSpec {
 	return s
 }
 
-// RunMultiTenant executes one multi-tenant evaluation point: N tenants
-// with their own corpora, rates, and SLO tiers share one node. The
-// joint allocator splits HBM across the tenants' GPU index caches
-// (reserving KV for the aggregate generation rate), every tenant's
-// arrivals multiplex onto one virtual timeline, and the FairScheduler
-// meters admission into the shared retrieval engine — unless
-// SharedQueue selects the unmetered baseline.
-//
-// Replicas > 1 (or a NetDelay, or Workers > 1) serves the lineup on R
-// identical multi-tenant nodes as a fleet behind one front, each with
-// its own GPU states, retrieval engine, LLM cluster, and fair
-// scheduler. The joint HBM allocation is made once per *replica* — each
-// node carries every tenant's index slice sized for its 1/R share of
-// that tenant's traffic — and reported rates stay nominal
-// (cluster-wide).
-func RunMultiTenant(opts MultiTenantOptions) (*MultiTenantResult, error) {
-	return runMultiTenant(opts, newFleet)
-}
-
-func runMultiTenant(opts MultiTenantOptions, build fleetBuilder) (*MultiTenantResult, error) {
-	if opts.NetDelay < 0 {
-		return nil, fmt.Errorf("rag: negative NetDelay %v", opts.NetDelay)
-	}
-	if err := reject(when(opts.SharedQueue, fSharedQueue)|when(opts.Overload != nil, fOverload), ""); err != nil {
-		return nil, err
-	}
-	sharded := opts.Replicas > 1 || opts.NetDelay > 0 || opts.Workers > 1
-	replicas := max(opts.Replicas, 1)
-	if sharded && opts.NetDelay == 0 {
-		opts.NetDelay = DefaultNetDelay
-	}
-	slos, err := opts.normalizeMT()
+// runTenants serves a lineup: N tenants with their own corpora, rates
+// and SLO tiers share every node. The joint allocator splits HBM across
+// the tenants' GPU index caches (reserving KV for the aggregate
+// generation rate), every tenant's arrivals multiplex onto one front,
+// and the FairScheduler meters admission into the shared retrieval
+// engine — unless SharedQueue selects the unmetered baseline. Reported
+// rates stay nominal (cluster-wide) on a routed lineup.
+func runTenants(opts *Options, build fleetBuilder) (*Result, error) {
+	d, err := decideTenants(opts, max(opts.Replicas, 1))
 	if err != nil {
 		return nil, err
 	}
-	// Size each node's allocation for its share of the traffic: the
-	// allocator sees per-replica rates, every other input unchanged.
-	scaled := opts
-	scaled.Tenants = append([]TenantConfig(nil), opts.Tenants...)
-	for i := range scaled.Tenants {
-		scaled.Tenants[i].Rate /= float64(replicas)
-	}
-	d, err := decideTenants(&scaled)
-	if err != nil {
-		return nil, err
-	}
-	spec := tenantSpec(&opts, d)
-
-	// startTenants starts every tenant's arrival source on a front
-	// simulator, feeding submit; seed is the engine's pinned seed rule.
-	startTenants := func(front *des.Sim, pool *workload.Pool, submit serve.Sink, seed func(i uint64) uint64) {
+	c := &corpus{spec: tenantSpec(opts, d), feed: func(front *des.Sim, pool *workload.Pool, submit serve.Sink) func() {
 		for i, tc := range opts.Tenants {
-			arr := arrivalsFor(tc.W, tc.Rate, tc.RateSchedule, opts.Shape, seed(uint64(i)), pool)
+			// On a fleet, stream splitting makes the front's multiplexed
+			// order a pure function of (Seed, tenant index), independent of
+			// worker count; one node keeps its own pinned seed rule.
+			seed := opts.Seed + 7 + 13*uint64(i)
+			if opts.Replicas > 0 {
+				seed = rng.Stream(opts.Seed+7, uint64(i))
+			}
+			arr := arrivalsFor(tc.W, tc.Rate, tc.RateSchedule, opts.Shape, seed, pool)
 			arr.SetTenant(i)
 			arr.Start(front, des.Time(opts.Duration), submit)
 		}
-	}
-	expect := 0
+		return func() {}
+	}}
 	for _, tc := range opts.Tenants {
-		expect += expectedArrivals(tc.Rate, tc.RateSchedule, opts.Duration)
+		c.expect += expectedArrivals(tc.Rate, tc.RateSchedule, opts.Duration)
 	}
-	res := &MultiTenantResult{SharedQueue: opts.SharedQueue}
-	var records []workload.Request
-	var nodes []*node
-	weights := []int{1}
-	if sharded {
-		f, err := build(spec, replicas, opts.Policy, opts.NetDelay, expect)
-		if err != nil {
-			return nil, err
-		}
-		// Stream splitting makes the front's multiplexed order a pure
-		// function of (Seed, tenant index), independent of worker count.
-		startTenants(f.FrontSim(), f.pool, f.Submit, func(i uint64) uint64 { return rng.Stream(opts.Seed+7, i) })
-		records, weights, res.Workers = f.run(des.Time(opts.Duration+opts.Drain), opts.Workers, nil)
-		nodes = f.nodes
-		res.Replicas, res.NetDelay, res.PerReplicaSubmitted = replicas, opts.NetDelay, weights
+	var s *served
+	if opts.Replicas > 0 {
+		s, err = c.fleet(opts, build)
 	} else {
-		var sim des.Sim
-		pool := &workload.Pool{}
-		coll := serve.NewCollector()
-		coll.Reserve(expect)
-		n, err := spec.build(&sim, coll, nil, pool.Release)
-		if err != nil {
-			return nil, err
-		}
-		startTenants(&sim, pool, n.pipe.Submit, func(i uint64) uint64 { return opts.Seed + 7 + 13*i })
-		sim.RunUntil(des.Time(opts.Duration + opts.Drain))
-		records, nodes = coll.Requests(), []*node{n}
+		s, err = c.node(new(des.Sim), opts, nil, nil)
 	}
-	tallyTenants(res, &opts, slos, d, records, nodes, weights)
-	return res, nil
+	if err != nil {
+		return nil, err
+	}
+	return tallyTenants(opts, d, s), nil
 }
 
-// tallyTenants fills a multi-tenant result from what the run left
-// behind: the allocation, the global record set (arrival order), the
-// built nodes and how much traffic each took.
-func tallyTenants(res *MultiTenantResult, opts *MultiTenantOptions, slos []time.Duration, d *tenantDecision, records []workload.Request, nodes []*node, weights []int) {
-	res.Mu0 = d.mu0
-	res.MuLLM = d.alloc.MuLLM
-	res.BudgetBytes = d.alloc.BudgetBytes
-	res.UsedBytes = d.alloc.UsedBytes
-	res.Generated = len(records)
-	res.Requests = records
-	_, res.AvgBatch, res.RecallGain, res.LLMGPUs = nodeRows(nodes, weights, opts.Model.TP)
-
-	// Per-tenant summaries against each tenant's own combined SLO.
+// tallyTenants turns what a lineup's topology served into its Result:
+// the allocation, and per-tenant summaries against each tenant's own
+// combined SLO.
+func tallyTenants(opts *Options, d *tenantDecision, s *served) *Result {
+	res := &Result{Mu0: d.mu0, MuLLM: d.alloc.MuLLM, BudgetBytes: d.alloc.BudgetBytes, UsedBytes: d.alloc.UsedBytes}
+	s.tally(opts, res)
 	// Records partition by tenant in arrival order.
 	byTenant := make([][]workload.Request, len(opts.Tenants))
-	for _, req := range records {
+	for _, req := range s.records {
 		t := req.Tenant
 		if t < 0 || t >= len(byTenant) {
 			t = 0
@@ -512,12 +296,13 @@ func tallyTenants(res *MultiTenantResult, opts *MultiTenantOptions, slos []time.
 	var okWeighted float64
 	var total int
 	for i, tc := range opts.Tenants {
-		sum := metrics.Summarize(byTenant[i], slos[i], des.Time(opts.Warmup))
+		slo := tc.SLOSearch + opts.SLOGen
+		sum := metrics.Summarize(byTenant[i], slo, des.Time(opts.Warmup))
 		tr := TenantResult{
 			Name: tc.Name, Tier: tc.Tier, Rate: tc.Rate,
-			SLOTotal: slos[i], Alloc: d.alloc.Allocations[i], Summary: sum,
+			SLOTotal: slo, Alloc: d.alloc.Allocations[i], Summary: sum,
 		}
-		for _, n := range nodes {
+		for _, n := range s.nodes {
 			if n.sched == nil {
 				continue
 			}
@@ -535,7 +320,5 @@ func tallyTenants(res *MultiTenantResult, opts *MultiTenantOptions, slos []time.
 	if total > 0 {
 		res.Attainment = okWeighted / float64(total)
 	}
-	if opts.Overload != nil {
-		res.Overload = overloadReport(opts.Overload, nodes, len(opts.Tenants), opts.Duration+opts.Drain)
-	}
+	return res
 }

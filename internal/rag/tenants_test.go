@@ -28,8 +28,8 @@ func testW2(t *testing.T) *dataset.Workload {
 	return secondW
 }
 
-func mtOpts(t *testing.T) MultiTenantOptions {
-	return MultiTenantOptions{
+func mtOpts(t *testing.T) Options {
+	return Options{
 		Node: hw.H100Node(), Model: llm.Qwen3_32B,
 		Tenants: []TenantConfig{
 			{Name: "gold", Tier: tenant.Gold, W: testW(t), Rate: 8},
@@ -43,7 +43,7 @@ func mtOpts(t *testing.T) MultiTenantOptions {
 }
 
 func TestRunMultiTenantServesEveryTenant(t *testing.T) {
-	res, err := RunMultiTenant(mtOpts(t))
+	res, err := Run(mtOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +83,11 @@ func TestRunMultiTenantServesEveryTenant(t *testing.T) {
 // summaries and fairness index — the determinism contract extended to
 // the multi-tenant path.
 func TestRunMultiTenantDeterministic(t *testing.T) {
-	a, err := RunMultiTenant(mtOpts(t))
+	a, err := Run(mtOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMultiTenant(mtOpts(t))
+	b, err := Run(mtOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,13 +110,13 @@ func TestRunMultiTenantDeterministic(t *testing.T) {
 // the FairScheduler must not leave gold worse off than the shared-queue
 // baseline leaves it.
 func TestRunMultiTenantSchedulerProtectsGold(t *testing.T) {
-	fair, err := RunMultiTenant(mtOpts(t))
+	fair, err := Run(mtOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	shared := mtOpts(t)
 	shared.SharedQueue = true
-	base, err := RunMultiTenant(shared)
+	base, err := Run(shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,22 +130,22 @@ func TestRunMultiTenantSchedulerProtectsGold(t *testing.T) {
 }
 
 func TestRunMultiTenantValidation(t *testing.T) {
-	if _, err := RunMultiTenant(MultiTenantOptions{Node: hw.H100Node(), Model: llm.Qwen3_32B}); err == nil {
+	if _, err := Run(Options{Node: hw.H100Node(), Model: llm.Qwen3_32B, Tenants: []TenantConfig{}}); err == nil {
 		t.Error("no tenants accepted")
 	}
 	o := mtOpts(t)
 	o.Tenants[0].Rate = 0
-	if _, err := RunMultiTenant(o); err == nil {
+	if _, err := Run(o); err == nil {
 		t.Error("zero-rate tenant accepted")
 	}
 	o = mtOpts(t)
 	o.Tenants[1].Tier = "platinum"
-	if _, err := RunMultiTenant(o); err == nil {
+	if _, err := Run(o); err == nil {
 		t.Error("unknown tier accepted")
 	}
 	o = mtOpts(t)
 	o.Tenants[2].W = nil
-	if _, err := RunMultiTenant(o); err == nil {
+	if _, err := Run(o); err == nil {
 		t.Error("nil workload accepted")
 	}
 }

@@ -321,9 +321,10 @@ type ServeOptions struct {
 	// round-robin routing (or with one replica) the replicas run
 	// independently of each other, so more workers are never slower;
 	// under least-loaded they synchronize once per NetDelay and more
-	// workers pay off only with cores to spare. Workers > 1 turns the
-	// modeled network on by defaulting NetDelay; single-node Serve
-	// ignores both fields.
+	// workers pay off only with cores to spare. On ServeCluster,
+	// Workers > 1 turns the modeled network on by defaulting NetDelay.
+	// Serve, ServeAdaptive and ServeLive run one node on one timeline and
+	// ignore Workers.
 	Workers int
 	// NetDelay is the modeled front-end↔replica network transit of a
 	// cluster run. Zero keeps the single-timeline cluster semantics. A
@@ -333,7 +334,9 @@ type ServeOptions struct {
 	// runs alone to the deadline; least-loaded routing reads completion
 	// notices one NetDelay stale, so front end and replicas advance
 	// together as shards of the parallel engine, with the delay as its
-	// conservative-synchronization lookahead.
+	// conservative-synchronization lookahead. A single node has no
+	// network: Serve, ServeAdaptive and ServeLive reject a positive
+	// NetDelay.
 	NetDelay time.Duration
 }
 
@@ -468,16 +471,17 @@ type AdaptiveReport struct {
 // shard reload priced in virtual time, CPU fallback for mid-reload
 // shards, and an atomic plan swap — all inside one simulated run.
 func ServeAdaptive(opts AdaptiveServeOptions) (*AdaptiveReport, error) {
-	ro := rag.AdaptiveOptions{Options: ragOptions(opts.ServeOptions), Monitor: opts.Monitor}
-	res, err := rag.RunAdaptive(ro)
+	ro := ragOptions(opts.ServeOptions)
+	ro.Monitor = &opts.Monitor
+	res, err := rag.Run(ro)
 	if err != nil {
 		return nil, err
 	}
 	return &AdaptiveReport{
-		Report:          reportFrom(&res.Result, timelineBucket(opts.TimelineBucket)),
-		ExpectedHitRate: res.ExpectedHitRate,
-		Rebuilds:        res.Rebuilds,
-		Pending:         res.Pending,
+		Report:          reportFrom(res, timelineBucket(opts.TimelineBucket)),
+		ExpectedHitRate: res.Adapt.ExpectedHitRate,
+		Rebuilds:        res.Adapt.Rebuilds,
+		Pending:         res.Adapt.Pending,
 	}, nil
 }
 
@@ -554,39 +558,45 @@ type LiveReport struct {
 // scan is priced through the live cost overlay. With no ingest
 // configured it is exactly Serve.
 func ServeLive(opts LiveServeOptions) (*LiveReport, error) {
-	lo := rag.LiveOptions{
-		Options: ragOptions(opts.ServeOptions),
-		Ingest: rag.IngestOptions{
-			InsertRate:       opts.Ingest.InsertRate,
-			DeleteRate:       opts.Ingest.DeleteRate,
-			InsertSchedule:   opts.Ingest.InsertSchedule,
-			DeleteSchedule:   opts.Ingest.DeleteSchedule,
-			ReencodeEvery:    opts.Ingest.ReencodeEvery,
-			FreshnessSLO:     opts.Ingest.FreshnessSLO,
-			Compaction:       opts.Ingest.Compaction,
-			EscalateSkew:     opts.Ingest.EscalateSkew,
-			EscalateResidual: opts.Ingest.EscalateResidual,
-		},
-		Monitor: opts.Monitor,
+	in := opts.Ingest
+	ro := ragOptions(opts.ServeOptions)
+	ro.Ingest = &rag.IngestOptions{
+		InsertRate:       in.InsertRate,
+		DeleteRate:       in.DeleteRate,
+		InsertSchedule:   in.InsertSchedule,
+		DeleteSchedule:   in.DeleteSchedule,
+		ReencodeEvery:    in.ReencodeEvery,
+		FreshnessSLO:     in.FreshnessSLO,
+		EscalateSkew:     in.EscalateSkew,
+		EscalateResidual: in.EscalateResidual,
 	}
-	res, err := rag.RunLive(lo)
+	// Compaction is the controller beside live streams; without a stream
+	// the run is exactly Serve.
+	if in.Compaction && (in.InsertRate > 0 || in.DeleteRate > 0 || in.InsertSchedule != nil || in.DeleteSchedule != nil) {
+		ro.Monitor = &opts.Monitor
+	}
+	res, err := rag.Run(ro)
 	if err != nil {
 		return nil, err
 	}
 	bucket := timelineBucket(opts.TimelineBucket)
-	rep := reportFrom(&res.Result, bucket)
-	metrics.AnnotateFreshness(rep.Timeline, res.Mutations, res.FreshnessSLO, bucket)
-	return &LiveReport{
+	rep := reportFrom(res, bucket)
+	live := res.Live
+	metrics.AnnotateFreshness(rep.Timeline, live.Mutations, live.FreshnessSLO, bucket)
+	lr := &LiveReport{
 		Report:        rep,
-		Freshness:     res.Freshness,
-		FreshnessSLO:  res.FreshnessSLO,
-		Mutations:     len(res.Mutations),
-		Reencodes:     res.Reencodes,
-		Compactions:   res.Compactions,
-		SizeSkew:      res.SizeSkew,
-		ResidualRatio: res.ResidualRatio,
-		Rebuilds:      res.Rebuilds,
-	}, nil
+		Freshness:     live.Freshness,
+		FreshnessSLO:  live.FreshnessSLO,
+		Mutations:     len(live.Mutations),
+		Reencodes:     live.Reencodes,
+		Compactions:   live.Compactions,
+		SizeSkew:      live.SizeSkew,
+		ResidualRatio: live.ResidualRatio,
+	}
+	if res.Adapt != nil {
+		lr.Rebuilds = res.Adapt.Rebuilds
+	}
+	return lr, nil
 }
 
 // ClusterOptions configures a multi-replica serving run: N identical
@@ -653,12 +663,13 @@ func ServeCluster(opts ClusterOptions) (*ClusterReport, error) {
 		ro.Faults = sched
 	}
 	ro.Resilience = opts.Resilience
-	res, err := rag.RunCluster(ro, opts.Replicas, opts.Policy)
+	ro.Replicas, ro.Policy = opts.Replicas, opts.Policy
+	res, err := rag.Run(ro)
 	if err != nil {
 		return nil, err
 	}
 	rep := &ClusterReport{
-		Report:     reportFrom(&res.Result, defaultTimelineBucket),
+		Report:     reportFrom(res, defaultTimelineBucket),
 		Policy:     res.Policy,
 		Workers:    res.Workers,
 		NetDelay:   res.NetDelay,
@@ -797,14 +808,25 @@ func ServeTenants(opts MultiTenantServeOptions) (*MultiTenantReport, error) {
 	if opts.Model.Params == 0 {
 		opts.Model = llm.Qwen3_32B
 	}
-	ro := rag.MultiTenantOptions{
+	ro := rag.Options{
 		Node: opts.Node, Model: opts.Model,
 		Duration: opts.Duration, Shape: opts.Shape, Seed: opts.Seed,
+		// Non-nil even when empty: a lineup, so an empty one is named.
+		Tenants:     make([]rag.TenantConfig, 0, len(opts.Tenants)),
 		SharedQueue: opts.SharedQueue,
 		Overload:    opts.Overload,
 		Precision:   opts.Precision,
 		Replicas:    opts.Replicas, Policy: opts.Policy,
 		Workers: opts.Workers, NetDelay: opts.NetDelay,
+	}
+	// The lineup is sharded when Replicas > 1, NetDelay > 0 or
+	// Workers > 1; rag routes it whenever Replicas > 0. A negative count
+	// passes through to be rejected.
+	if opts.Replicas == 0 || opts.Replicas == 1 {
+		ro.Replicas = 0
+		if opts.NetDelay > 0 || opts.Workers > 1 {
+			ro.Replicas = 1
+		}
 	}
 	for _, ts := range opts.Tenants {
 		ro.Tenants = append(ro.Tenants, rag.TenantConfig{
@@ -812,7 +834,7 @@ func ServeTenants(opts MultiTenantServeOptions) (*MultiTenantReport, error) {
 			Rate: ts.Rate, RateSchedule: ts.RateSchedule, SLOSearch: ts.SLOSearch,
 		})
 	}
-	res, err := rag.RunMultiTenant(ro)
+	res, err := rag.Run(ro)
 	if err != nil {
 		return nil, err
 	}
@@ -825,8 +847,8 @@ func ServeTenants(opts MultiTenantServeOptions) (*MultiTenantReport, error) {
 		BudgetBytes: res.BudgetBytes,
 		UsedBytes:   res.UsedBytes,
 		AvgBatch:    res.AvgBatch,
-		SharedQueue: res.SharedQueue,
-		Replicas:    res.Replicas,
+		SharedQueue: opts.SharedQueue,
+		Replicas:    len(res.PerReplica),
 		Workers:     res.Workers,
 		NetDelay:    res.NetDelay,
 		Overload:    res.Overload,

@@ -227,6 +227,36 @@ func TestServeCluster(t *testing.T) {
 	}
 }
 
+// TestTopologyOptionsRejected: a topology option the run cannot honor
+// is an error naming it — never a replica count clamped to one, a
+// policy left unresolved because nothing routes, or a network delay a
+// single node silently drops.
+func TestTopologyOptionsRejected(t *testing.T) {
+	w := smallWorkload(t, vlr.Orcas1K)
+	lineup := []vlr.TenantSpec{{Name: "a", Tier: vlr.GoldTier, Workload: w, Rate: 3}}
+	for _, tc := range []struct {
+		name, want string
+		call       func() error
+	}{
+		{"ServeTenants Replicas -3", "Replicas", func() error {
+			_, err := vlr.ServeTenants(vlr.MultiTenantServeOptions{Tenants: lineup, Replicas: -3})
+			return err
+		}},
+		{"ServeTenants Policy bogus", "policy", func() error {
+			_, err := vlr.ServeTenants(vlr.MultiTenantServeOptions{Tenants: lineup, Policy: "bogus"})
+			return err
+		}},
+		{"Serve NetDelay 5ms", "NetDelay", func() error {
+			_, err := vlr.Serve(vlr.ServeOptions{Workload: w, Rate: 5, NetDelay: 5 * time.Millisecond})
+			return err
+		}},
+	} {
+		if err := tc.call(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %s", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestServeClusterReportsPrecision: the cluster entry point carries the
 // precision refinement's outcome into its report, on the plain router
 // and behind the resilient one.
