@@ -1,6 +1,9 @@
-# Developer entry points. CI runs `make verify`, `make vet-arm64`,
-# `make bench-smoke`, `make examples-smoke`, `make fuzz-smoke`, and
-# `make cover-check`.
+# Developer entry points. CI runs, in order: `make vet`, `make
+# vet-arm64`, `make lint`, `make build`, `make race-engines`, the race
+# test suite with a coverage profile and `make cover-ratchet` on it,
+# `make fuzz-smoke`, `make bench-smoke`, `make scaling-smoke` and `make
+# examples-smoke`. `make verify` bundles vet, lint, build and race for a
+# local run.
 
 GO ?= go
 
@@ -17,7 +20,7 @@ FUZZTIME ?= 5s
 # improves; never lower it to make CI pass.
 COVER_MIN ?= 81.0
 
-.PHONY: verify build test vet vet-arm64 lint race bench bench-search bench-smoke scaling-smoke examples-smoke fuzz-smoke cover cover-check cover-ratchet fmt
+.PHONY: verify build test vet vet-arm64 lint race race-engines bench bench-search bench-smoke scaling-smoke examples-smoke fuzz-smoke cover cover-check cover-ratchet fmt
 
 verify: vet lint build race
 
@@ -51,11 +54,13 @@ lint:
 # race in des.Group, in the link-free fleet or in the per-point k-means
 # bounds written from parallel.For chunks should fail in seconds, not
 # behind the whole sweep.
-race:
+race: race-engines
+	$(GO) test -race ./...
+
+race-engines:
 	$(GO) test -race -count=1 ./internal/des
 	$(GO) test -race -count=1 ./internal/rag -run 'Sharded|LinkFree'
 	$(GO) test -race -count=1 ./internal/kmeans ./internal/pq ./internal/ivf
-	$(GO) test -race ./...
 
 # Full micro-benchmark sweep (one iteration each; sanity, not timing).
 bench:

@@ -392,11 +392,8 @@ func benchDecision(b *testing.B) *decisionInputs {
 	if d.mu0, err = vlr.Capacity(node, model); err != nil {
 		b.Fatal(err)
 	}
-	d.memKV = (node.GPU.UsableMem() - model.WeightBytesPerGPU()) * int64(node.NumGPUs/model.TP*model.TP)
-	d.prefix = make([]int64, len(d.prof.HotOrder)+1)
-	for k, c := range d.prof.HotOrder {
-		d.prefix[k+1] = d.prefix[k] + w.ClusterBytes(c)
-	}
+	d.memKV = model.NodeKVBytes(node)
+	d.prefix = splitter.PrefixBytes(d.prof)
 	benchD = d
 	return d
 }
@@ -566,7 +563,7 @@ func BenchmarkRetrievalEngines(b *testing.B) {
 	}
 	prec, err := partition.AssignPrecision(partition.PrecisionInputs{
 		Prof: prof, Plan: refined, RecallDeltas: deltas,
-		SQRatio:       float64(w.Spec.Dim) / float64(w.Spec.CodeBytes),
+		SQRatio:       splitter.SQRatio(w.Spec),
 		SQBudgetBytes: refined.TotalBytes() / 2, NVMeColdShare: 0.2,
 	})
 	if err != nil {

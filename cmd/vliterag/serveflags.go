@@ -105,6 +105,8 @@ func validateServeFlags(f serveFlags) error {
 		return fmt.Errorf("serve: -faults/-retry/-hedge-ms/-timeout-ms/-degrade drive the single-corpus resilient cluster; drop them with -tenants")
 	case f.sharedQueue && f.tenants <= 0:
 		return fmt.Errorf("serve: -shared-queue is the multi-tenant baseline; add -tenants")
+	case f.adaptive && f.precision:
+		return fmt.Errorf("serve: -adapt rebuilds an all-PQ plan and would drop the -precision refinement; run one or the other")
 	case f.precision && !vlite:
 		return fmt.Errorf("serve: -precision refines the vLiteRAG placement, not %s", f.system)
 	case (f.sqBudget != 0 || f.nvmeShare != 0) && !f.precision:

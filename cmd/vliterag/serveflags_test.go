@@ -56,6 +56,7 @@ func TestValidateServeFlags(t *testing.T) {
 		{"adapt with tenants", func(f *serveFlags) { f.adaptive, f.tenants = true, 3 }, "-tenants"},
 		{"ingest with replicas", func(f *serveFlags) { f.ingest, f.replicas = true, 2 }, "-ingest"},
 		{"ingest with tenants", func(f *serveFlags) { f.ingest, f.tenants = true, 3 }, "-tenants"},
+		{"adapt with precision", func(f *serveFlags) { f.adaptive, f.precision = true, true }, "-precision"},
 		{"precision on a baseline", func(f *serveFlags) { f.precision, f.system = true, "ALL-GPU" }, "-precision"},
 		{"sq budget without precision", func(f *serveFlags) { f.sqBudget = 0.2 }, "-precision"},
 		{"nvme share without precision", func(f *serveFlags) { f.nvmeShare = 0.05 }, "-precision"},

@@ -45,7 +45,7 @@ func main() {
 		}
 		// Memory the partitioning leaves for KV on each GPU.
 		perGPUShard := float64(sys.PlanBytes) / float64(node.NumGPUs)
-		kvGB := (float64(node.GPU.UsableMem()) - float64(model.WeightBytesPerGPU()) - perGPUShard) / 1e9
+		kvGB := (float64(model.KVBytesPerGPU(node.GPU)) - perGPUShard) / 1e9
 
 		rep, err := vlr.Serve(vlr.ServeOptions{
 			Workload: w, System: vlr.VLiteRAG, Rate: 30,

@@ -129,7 +129,7 @@ func Fig16(cfg Config) (*Report, error) {
 		}, single(func(_ string, _ rag.Options, r *rag.Result) {
 			weights := float64(dep.Model.WeightBytesPerGPU())
 			perGPUShard := float64(r.PlanBytes) / float64(dep.Node.NumGPUs)
-			kv := float64(dep.Node.GPU.UsableMem()) - weights - perGPUShard
+			kv := float64(dep.Model.KVBytesPerGPU(dep.Node.GPU)) - perGPUShard
 			split.Add(sloMS, perGPUShard/1e9, weights/1e9, kv/1e9, r.Rho)
 		}))
 		if err != nil {

@@ -82,7 +82,7 @@ func Fig4(cfg Config) (*Report, error) {
 	if cfg.Quick {
 		fracs = []float64{0.1, 0.4, 1.0}
 	}
-	baselineFree := node.GPU.UsableMem() - model.WeightBytesPerGPU()
+	baselineFree := model.KVBytesPerGPU(node.GPU)
 	throughput := make([]float64, len(fracs))
 	for i, f := range fracs {
 		states := gpu.NewStates(node)

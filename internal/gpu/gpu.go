@@ -64,13 +64,3 @@ func StretchForContention(now des.Time, d des.Time, busyUntil des.Time, f float6
 	}
 	return window + (d - workInWindow)
 }
-
-// MemoryFree returns bytes available for KV cache after the reserve and
-// the resident shard.
-func (s *State) MemoryFree(weightBytesOnGPU int64) int64 {
-	free := s.Spec.UsableMem() - weightBytesOnGPU - s.ShardBytes
-	if free < 0 {
-		return 0
-	}
-	return free
-}

@@ -61,18 +61,3 @@ func TestStretchForContention(t *testing.T) {
 		prev = got
 	}
 }
-
-func TestMemoryFree(t *testing.T) {
-	s := &State{Spec: hw.H100()}
-	free := s.MemoryFree(0)
-	if free != hw.H100().UsableMem() {
-		t.Fatalf("free = %d", free)
-	}
-	s.ShardBytes = 10 << 30
-	if got := s.MemoryFree(0); got != free-(10<<30) {
-		t.Fatalf("shard not deducted: %d", got)
-	}
-	if got := s.MemoryFree(free * 2); got != 0 {
-		t.Fatalf("negative free not clamped: %d", got)
-	}
-}

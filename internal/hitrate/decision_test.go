@@ -1,6 +1,7 @@
 package hitrate_test
 
 import (
+	"slices"
 	"testing"
 
 	"vectorliterag/internal/costmodel"
@@ -21,8 +22,8 @@ import (
 // decision procedures revisit the same few (cluster count, batch)
 // points of Eq. 2 dozens of times, and each may be integrated once.
 
-// defaultDecision assembles what rag.Decide hands Algorithm 1 for
-// default ORCAS-1K at Seed 1 (H100 node, Qwen3-32B), on a cold
+// defaultDecision assembles what rag.Decide hands Algorithm 1 for a
+// default workload at Seed 1 (H100 node, Qwen3-32B), on a cold
 // estimator from newEst.
 type defaultDecision struct {
 	prof   *profiler.AccessProfile
@@ -32,10 +33,10 @@ type defaultDecision struct {
 	prefix []int64 // bytes of the k hottest clusters
 }
 
-func newDefaultDecision(t *testing.T) defaultDecision {
+func newDefaultDecision(t *testing.T, spec dataset.Spec) defaultDecision {
 	t.Helper()
 	node, model := hw.H100Node(), llm.Qwen3_32B
-	w, err := dataset.Build(dataset.Orcas1K, dataset.DefaultGen())
+	w, err := dataset.Build(spec, dataset.DefaultGen())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +51,8 @@ func newDefaultDecision(t *testing.T) defaultDecision {
 	if d.mu0, err = rag.BareCapacity(node, model, workload.DefaultShape()); err != nil {
 		t.Fatal(err)
 	}
-	d.memKV = (node.GPU.UsableMem() - model.WeightBytesPerGPU()) * int64(node.NumGPUs/model.TP*model.TP)
-	d.prefix = make([]int64, len(d.prof.HotOrder)+1)
-	for k, c := range d.prof.HotOrder {
-		d.prefix[k+1] = d.prefix[k] + w.ClusterBytes(c)
-	}
+	d.memKV = model.NodeKVBytes(node)
+	d.prefix = splitter.PrefixBytes(d.prof)
 	return d
 }
 
@@ -68,7 +66,7 @@ func (d defaultDecision) newEst(t *testing.T) *hitrate.Estimator {
 }
 
 func TestDecisionsIntegrateEachPointOnce(t *testing.T) {
-	d := newDefaultDecision(t)
+	d := newDefaultDecision(t, dataset.Orcas1K)
 
 	// Algorithm 1: 9 outer iterations × 2 roundings × a 7-step bisect
 	// made 135 integrals over 14 distinct points before the table.
@@ -111,6 +109,65 @@ func TestDecisionsIntegrateEachPointOnce(t *testing.T) {
 			if calls == 0 || calls != points {
 				t.Errorf("JointAllocate, tenant %d: %d integrations over %d distinct points", i, calls, points)
 			}
+		}
+	}
+}
+
+// TestOneTenantJointAllocateVsAlgorithm1 is the differential check
+// between the two allocators: tenant.JointAllocate with one tenant
+// against partition.LatencyBounded on the three Table-I workloads, at
+// 0.4, 0.7 and 0.9 of the bare LLM capacity. They do not agree, by
+// design: the joint allocator sizes its batch from the arrival rate,
+// round(tau_s * rate), where Algorithm 1 sizes it from the throughput
+// its placement leaves, tau_s * mu_LLM(rho). Below capacity the joint
+// batch is the smaller one, so a smaller hot set meets the same budget
+// and the joint allocator caches no more than Algorithm 1; a higher rate
+// grows its batch, so its coverage does not fall as the rate rises.
+func TestOneTenantJointAllocateVsAlgorithm1(t *testing.T) {
+	fracs := []float64{0.4, 0.7, 0.9}
+	for _, tc := range []struct {
+		spec  dataset.Spec
+		alg1  int   // Algorithm 1's hot clusters
+		joint []int // the joint allocator's, per rate fraction
+	}{
+		{dataset.WikiAll, 14, []int{8, 12, 14}},
+		{dataset.Orcas1K, 13, []int{12, 13, 13}},
+		{dataset.Orcas2K, 27, []int{19, 24, 26}},
+	} {
+		d := newDefaultDecision(t, tc.spec)
+		nlist := float64(len(d.prof.Counts))
+		res, err := partition.LatencyBounded(partition.Inputs{
+			SLOSearch: tc.spec.SLOSearch, Perf: d.perf, Est: d.newEst(t),
+			MemKV: d.memKV, Mu0: d.mu0, IndexBytesAt: splitter.IndexBytesAt(d.prof),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		alg1 := int(res.Rho * nlist)
+		var joint []int
+		for _, f := range fracs {
+			al, err := tenant.JointAllocate(tenant.Inputs{
+				Tenants: []tenant.Input{{
+					Name: tc.spec.Name, Tier: tenant.Gold, Rate: f * d.mu0,
+					SLOSearch: tc.spec.SLOSearch, Perf: d.perf, Est: d.newEst(t), PrefixBytes: d.prefix,
+				}},
+				MemKV: d.memKV, Mu0: d.mu0,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := al.Allocations[0].Clusters
+			if k > alg1 {
+				t.Errorf("%s at %.1f mu0: joint caches %d clusters, more than Algorithm 1's %d", tc.spec.Name, f, k, alg1)
+			}
+			if len(joint) > 0 && k < joint[len(joint)-1] {
+				t.Errorf("%s: joint coverage fell from %d to %d clusters as the rate rose to %.1f mu0", tc.spec.Name, joint[len(joint)-1], k, f)
+			}
+			joint = append(joint, k)
+		}
+		t.Logf("%s: Algorithm 1 %d/%v, joint %v/%v at %v mu0", tc.spec.Name, alg1, nlist, joint, nlist, fracs)
+		if alg1 != tc.alg1 || !slices.Equal(joint, tc.joint) {
+			t.Errorf("%s: Algorithm 1 %d, joint %v clusters; pinned %d, %v", tc.spec.Name, alg1, joint, tc.alg1, tc.joint)
 		}
 	}
 }

@@ -143,14 +143,12 @@ func NewInstance(sim *des.Sim, node hw.Node, spec ModelSpec, gpus []*gpu.State, 
 	inst.kvPerTokenF = float64(spec.KVBytesPerToken())
 	inst.bwTotal = node.GPU.MemBWBytes * float64(spec.TP)
 	inst.prefillAggOps = node.GPU.TFLOPs * 1e12 * float64(spec.TP) * cfg.ComputeEfficiency
-	// KV pool: the minimum free memory across the instance's GPUs bounds
-	// the per-GPU KV share (paged KV is allocated symmetrically under TP).
+	// KV pool: the minimum free memory across the instance's GPUs — the
+	// baseline KV bytes less the resident index shard — bounds the
+	// per-GPU KV share (paged KV is allocated symmetrically under TP).
 	perGPU := int64(1) << 62
 	for _, g := range gpus {
-		free := g.MemoryFree(spec.WeightBytesPerGPU())
-		if free < perGPU {
-			perGPU = free
-		}
+		perGPU = min(perGPU, max(spec.KVBytesPerGPU(g.Spec)-g.ShardBytes, 0))
 	}
 	pool := perGPU * int64(spec.TP)
 	inst.kvCapacityTokens = pool / spec.KVBytesPerToken()

@@ -30,6 +30,51 @@ func TestWeightBytes(t *testing.T) {
 	}
 }
 
+// TestKVBytesPerGPU: the one HBM baseline. The decision's MemKV and the
+// engine's pool both start from it, a resident shard is deducted from
+// the pool, and every difference clamps at zero.
+func TestKVBytesPerGPU(t *testing.T) {
+	h100 := hw.H100()
+	base := Qwen3_32B.KVBytesPerGPU(h100)
+	if base != h100.UsableMem()-Qwen3_32B.WeightBytesPerGPU() {
+		t.Fatalf("baseline KV/GPU = %d", base)
+	}
+	oversized := Llama3_70B
+	oversized.TP = 1
+	if got := oversized.KVBytesPerGPU(hw.L40S()); got != 0 {
+		t.Fatalf("negative baseline not clamped: %d", got)
+	}
+	node := hw.H100Node()
+	if got := Qwen3_32B.NodeKVBytes(node); got != base*int64(node.NumGPUs) {
+		t.Fatalf("node MemKV = %d", got)
+	}
+	node.NumGPUs = 3 // one GPU left over by TP=2 holds no KV
+	if got := Qwen3_32B.NodeKVBytes(node); got != 2*base {
+		t.Fatalf("node MemKV over whole instances = %d", got)
+	}
+	if f := KVFraction(100, 25); f != 0.75 {
+		t.Fatalf("KVFraction(100, 25) = %v", f)
+	}
+	if f := KVFraction(100, 150); f != 0 {
+		t.Fatalf("KVFraction past the pool = %v, want 0", f)
+	}
+
+	states := gpu.NewStates(hw.H100Node())[:Qwen3_32B.TP]
+	states[1].ShardBytes = 10 << 30
+	var sim des.Sim
+	inst, err := NewInstance(&sim, hw.H100Node(), Qwen3_32B, states, DefaultEngineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (base - 10<<30) * int64(Qwen3_32B.TP) / Qwen3_32B.KVBytesPerToken(); inst.kvCapacityTokens != want {
+		t.Fatalf("pool %d tokens, want %d (the fullest GPU bounds the share)", inst.kvCapacityTokens, want)
+	}
+	states[1].ShardBytes = 2 * base
+	if _, err := NewInstance(&sim, hw.H100Node(), Qwen3_32B, states, DefaultEngineConfig()); err == nil {
+		t.Fatal("an instance with no KV space left was built")
+	}
+}
+
 func newIdleStates(node hw.Node) []*gpu.State { return gpu.NewStates(node) }
 
 func TestInstanceRejectsWrongGPUCount(t *testing.T) {

@@ -8,7 +8,11 @@
 // partitioning and compute contention).
 package llm
 
-import "fmt"
+import (
+	"fmt"
+
+	"vectorliterag/internal/hw"
+)
 
 // ModelSpec describes one served model.
 type ModelSpec struct {
@@ -40,6 +44,29 @@ func (m ModelSpec) WeightBytes() int64 { return m.Params * int64(m.BytesElem) }
 
 // WeightBytesPerGPU returns each GPU's share under TP sharding.
 func (m ModelSpec) WeightBytesPerGPU() int64 { return m.WeightBytes() / int64(m.TP) }
+
+// KVBytesPerGPU returns the HBM one GPU of spec g leaves to the KV pool
+// with no index loaded: usable memory less the GPU's weight share, never
+// negative. It is the one baseline both NewInstance's pool and the
+// partitioners' MemKV start from.
+func (m ModelSpec) KVBytesPerGPU(g hw.GPU) int64 {
+	return max(g.UsableMem()-m.WeightBytesPerGPU(), 0)
+}
+
+// NodeKVBytes returns the node-wide baseline KV capacity over the GPUs
+// whole instances occupy — the MemKV input of Algorithm 1, the HedraRAG
+// rule and the joint allocator.
+func (m ModelSpec) NodeKVBytes(node hw.Node) int64 {
+	return m.KVBytesPerGPU(node.GPU) * int64(node.NumGPUs/m.TP*m.TP)
+}
+
+// KVFraction is the linear KV→throughput model every partitioner prices
+// index bytes with: the share of the bare LLM throughput left when
+// indexBytes of a memKV pool hold index (the true curve is convex, so
+// linear is a lower bound — paper §IV-A3).
+func KVFraction(memKV, indexBytes int64) float64 {
+	return max(float64(memKV-indexBytes)/float64(memKV), 0)
+}
 
 // KVBytesPerToken returns KV-cache bytes per token across the whole
 // model: 2 (K and V) x layers x kvHeads x headDim x elemBytes.

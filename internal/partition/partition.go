@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"vectorliterag/internal/hitrate"
+	"vectorliterag/internal/llm"
 	"vectorliterag/internal/perfmodel"
 	"vectorliterag/internal/retrieval"
 )
@@ -86,9 +87,8 @@ func LatencyBounded(in Inputs) (Result, error) {
 	for iter := 0; iter < maxIters && hi-lo > delta; iter++ {
 		res.Iterations = iter + 1
 		rhoM := (lo + hi) / 2
-		// Conservative linear estimate of throughput lost to index memory
-		// (the true curve is convex, so linear is a lower bound — §IV-A3).
-		mu := in.Mu0 * kvFraction(in.MemKV, in.IndexBytesAt(rhoM))
+		// Conservative linear estimate of throughput lost to index memory.
+		mu := in.Mu0 * llm.KVFraction(in.MemKV, in.IndexBytesAt(rhoM))
 		if mu <= 0 {
 			// This much index leaves no KV at all; shrink.
 			hi = rhoM
@@ -106,21 +106,13 @@ func LatencyBounded(in Inputs) (Result, error) {
 	}
 	res.Rho = rho
 	res.IndexBytes = in.IndexBytesAt(rho)
-	res.MuLLM = in.Mu0 * kvFraction(in.MemKV, res.IndexBytes)
+	res.MuLLM = in.Mu0 * llm.KVFraction(in.MemKV, res.IndexBytes)
 	// Final feasibility verdict: does the chosen index leave the LLM any
 	// KV cache, and does the configuration actually meet the budget under
 	// Eq. 1 at the planned batch size?
 	res.Feasible = res.IndexBytes < in.MemKV &&
 		in.Perf.HybridTime(res.ExpectedBatch, res.EtaMin) <= tauS+tauS/20
 	return res, nil
-}
-
-func kvFraction(memKV, indexBytes int64) float64 {
-	f := float64(memKV-indexBytes) / float64(memKV)
-	if f < 0 {
-		return 0
-	}
-	return f
 }
 
 // inferPartition is Algorithm 1's INFERPARTITION: expected batch size
@@ -234,7 +226,7 @@ func Hedra(in HedraInputs) (Result, error) {
 	rho := lo
 	return Result{
 		Rho: rho, IndexBytes: in.IndexBytesAt(rho),
-		MuLLM:         in.Mu0 * kvFraction(in.MemKV, in.IndexBytesAt(rho)),
+		MuLLM:         in.Mu0 * llm.KVFraction(in.MemKV, in.IndexBytesAt(rho)),
 		ExpectedBatch: batch,
 		EtaMin:        in.Est.MeanHitRate(rho), Feasible: true,
 	}, nil

@@ -8,6 +8,7 @@ import (
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/hitrate"
 	"vectorliterag/internal/hw"
+	"vectorliterag/internal/llm"
 	"vectorliterag/internal/perfmodel"
 	"vectorliterag/internal/profiler"
 	"vectorliterag/internal/splitter"
@@ -152,7 +153,7 @@ func TestIndexThatDoesNotFitIsInfeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := in.Mu0 * kvFraction(in.MemKV, in.IndexBytesAt(res.Rho)); !res.Feasible || res.MuLLM != want {
+	if want := in.Mu0 * llm.KVFraction(in.MemKV, in.IndexBytesAt(res.Rho)); !res.Feasible || res.MuLLM != want {
 		t.Errorf("default fixture: feasible %v, MuLLM %v, want true, %v", res.Feasible, res.MuLLM, want)
 	}
 }

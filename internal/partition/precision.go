@@ -49,24 +49,29 @@ type PrecisionInputs struct {
 // Ties break toward lower cluster IDs, so the assignment is
 // deterministic for a fixed profile.
 func AssignPrecision(in PrecisionInputs) (*splitter.Precision, error) {
+	if err := in.check(); err != nil {
+		return nil, err
+	}
+	return MaterializePrecision(in, pickSQ(in))
+}
+
+func (in PrecisionInputs) check() error {
 	if in.Prof == nil || in.Plan == nil {
-		return nil, fmt.Errorf("partition: missing precision inputs")
+		return fmt.Errorf("partition: missing precision inputs")
 	}
 	if in.SQRatio <= 1 {
-		return nil, fmt.Errorf("partition: SQRatio %v must exceed 1 (SQ8 codes are larger than PQ)", in.SQRatio)
+		return fmt.Errorf("partition: SQRatio %v must exceed 1 (SQ8 codes are larger than PQ)", in.SQRatio)
 	}
 	if in.NVMeColdShare < 0 || in.NVMeColdShare >= 1 {
-		return nil, fmt.Errorf("partition: NVMeColdShare %v outside [0,1)", in.NVMeColdShare)
+		return fmt.Errorf("partition: NVMeColdShare %v outside [0,1)", in.NVMeColdShare)
 	}
-	nlist := len(in.Prof.Counts)
-	prec := &splitter.Precision{
-		SQ:      make([]bool, nlist),
-		NVMe:    make([]bool, nlist),
-		Deltas:  append([]float64(nil), in.RecallDeltas...),
-		SQRatio: in.SQRatio,
-	}
+	return nil
+}
 
-	// SQ upgrades: score = access-weighted recall delta per extra byte.
+// pickSQ is AssignPrecision's greedy SQ8 pick: placed clusters with a
+// positive delta, by access-weighted recall delta per extra byte, taken
+// while SQBudgetBytes lasts.
+func pickSQ(in PrecisionInputs) []int {
 	type cand struct {
 		c     int
 		score float64
@@ -77,7 +82,7 @@ func AssignPrecision(in PrecisionInputs) (*splitter.Precision, error) {
 		if c >= len(in.RecallDeltas) || in.RecallDeltas[c] <= 0 || in.Prof.Counts[c] == 0 {
 			continue
 		}
-		extra := int64(float64(in.Prof.W.ClusterBytes(c)) * (in.SQRatio - 1))
+		extra := splitter.SQUpgradeBytes(in.Prof.W.ClusterBytes(c), in.SQRatio)
 		if extra <= 0 {
 			continue
 		}
@@ -93,15 +98,39 @@ func AssignPrecision(in PrecisionInputs) (*splitter.Precision, error) {
 		}
 		return cands[a].c < cands[b].c
 	})
+	var sq []int
 	budget := in.SQBudgetBytes
 	for _, cd := range cands {
 		if cd.extra > budget {
 			continue // a smaller, lower-ranked cluster may still fit
 		}
 		budget -= cd.extra
-		prec.SQ[cd.c] = true
+		sq = append(sq, cd.c)
+	}
+	return sq
+}
+
+// MaterializePrecision is the one step every precision path ends in: it
+// builds the refinement of in.Plan for a chosen SQ8 set — marks the set
+// (each upgrade priced by splitter.SQUpgradeBytes), demotes the NVMe
+// suffix, and estimates the recall gain. Algorithm 1's path hands it
+// the greedy pick; a lineup hands it the clusters the joint allocator
+// upgraded. SQBudgetBytes is not read: the set is already chosen.
+func MaterializePrecision(in PrecisionInputs, sq []int) (*splitter.Precision, error) {
+	if err := in.check(); err != nil {
+		return nil, err
+	}
+	nlist := len(in.Prof.Counts)
+	prec := &splitter.Precision{
+		SQ:      make([]bool, nlist),
+		NVMe:    make([]bool, nlist),
+		Deltas:  append([]float64(nil), in.RecallDeltas...),
+		SQRatio: in.SQRatio,
+	}
+	for _, c := range sq {
+		prec.SQ[c] = true
 		prec.SQClusters++
-		prec.SQExtraBytes += cd.extra
+		prec.SQExtraBytes += splitter.SQUpgradeBytes(in.Prof.W.ClusterBytes(c), in.SQRatio)
 	}
 
 	// NVMe demotion: coldest-first suffix of the hot order (everything

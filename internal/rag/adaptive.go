@@ -71,7 +71,7 @@ func newAdaptController(sim *des.Sim, opts *Options, d *decision, mon adapt.Moni
 		SLOSearch: opts.SLOSearch,
 		Perf:      d.perf,
 		Mu0:       d.mu0,
-		MemKV:     nodeKVBytes(opts.Node, opts.Model),
+		MemKV:     opts.Model.NodeKVBytes(opts.Node),
 		Expected:  expected,
 		Seed:      opts.Seed + 13,
 	})

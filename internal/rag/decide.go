@@ -40,26 +40,19 @@ type decision struct {
 	perf     *perfmodel.Model
 }
 
-// fitModels fits the two models Algorithm 1 consumes: the hit-rate
-// estimator over an access profile and the CPU search-latency model.
-func fitModels(prof *profiler.AccessProfile, cpuModel costmodel.SearchModel) (*hitrate.Estimator, *perfmodel.Model, error) {
-	est, err := hitrate.NewEstimator(prof)
-	if err != nil {
-		return nil, nil, err
-	}
-	perf, err := perfmodel.Fit(profiler.ProfileLatency(cpuModel, profiler.DefaultBatches()))
-	if err != nil {
-		return nil, nil, err
-	}
-	return est, perf, nil
-}
-
-// fit fills the decision's models once: the partitioned kinds fit them
-// while deciding, the prebuilt-plan path only if a controller asks.
+// fit fills the decision's models once: the hit-rate estimator over
+// the access profile and the CPU search-latency model, the two inputs of
+// Algorithm 1 and the joint allocator. The partitioned kinds and every
+// tenant fit them while deciding, the prebuilt-plan path only if a
+// controller asks.
 func (d *decision) fit() (err error) {
-	if d.est == nil {
-		d.est, d.perf, err = fitModels(d.prof, d.cpuModel)
+	if d.est != nil {
+		return nil
 	}
+	if d.est, err = hitrate.NewEstimator(d.prof); err != nil {
+		return err
+	}
+	d.perf, err = perfmodel.Fit(profiler.ProfileLatency(d.cpuModel, profiler.DefaultBatches()))
 	return err
 }
 
@@ -74,11 +67,11 @@ func profileSample(n int) int {
 // profileAndDecide profiles the workload and makes the per-kind
 // resource decision. opts must carry its Shape and SLOSearch.
 func profileAndDecide(opts *Options, sloTotal time.Duration) (*decision, error) {
-	prof, err := profiler.CollectAccess(opts.W, profileSample(opts.ProfileQueries), opts.Seed+1)
+	d, err := profileCorpus(opts, opts.W, opts.Seed+1)
 	if err != nil {
 		return nil, err
 	}
-	d := &decision{sloTotal: sloTotal, prof: prof, cpuModel: costmodel.NewSearchModel(opts.Node.CPU, opts.W.Spec)}
+	d.sloTotal = sloTotal
 	if err := d.decide(opts); err != nil {
 		return nil, err
 	}
@@ -86,6 +79,41 @@ func profileAndDecide(opts *Options, sloTotal time.Duration) (*decision, error) 
 		d.planBytes = d.plan.TotalBytes()
 	}
 	return d, nil
+}
+
+// profileCorpus opens the per-corpus step a single corpus and every
+// tenant of a lineup share — profile, CPU model, fit, plan, precision:
+// the access profile over a calibration sample and the CPU search model
+// of the corpus geometry. fit and place are the rest of the step.
+func profileCorpus(opts *Options, w *dataset.Workload, seed uint64) (*decision, error) {
+	prof, err := profiler.CollectAccess(w, profileSample(opts.ProfileQueries), seed)
+	if err != nil {
+		return nil, err
+	}
+	return &decision{prof: prof, cpuModel: costmodel.NewSearchModel(opts.Node.CPU, w.Spec)}, nil
+}
+
+// place closes the per-corpus step: the split plan at coverage rho over
+// the node's GPUs and, when refine is non-nil, the (tier, codec)
+// refinement refine materializes on it — Algorithm 1's greedy pick, or
+// the SQ8 set a lineup's joint allocator bought. Either way it ends in
+// partition.MaterializePrecision, whose extra bytes fold into the plan's
+// shard accounting, so the KV pool downstream pays for them.
+func (d *decision) place(opts *Options, rho float64, refine func(partition.PrecisionInputs) (*splitter.Precision, error)) (err error) {
+	d.rho = rho
+	if d.plan, err = splitter.Build(d.prof, rho, opts.Node.NumGPUs); err != nil || refine == nil {
+		return err
+	}
+	prec, err := refine(partition.PrecisionInputs{
+		Prof: d.prof, Plan: d.plan,
+		SQRatio:       splitter.SQRatio(d.prof.W.Spec),
+		NVMeColdShare: opts.Precision.NVMeColdShare,
+	})
+	if err != nil {
+		return err
+	}
+	d.plan.AttachPrecision(prec)
+	return nil
 }
 
 // Decision is the outcome of the offline half alone, for callers that
@@ -133,9 +161,7 @@ func (d *decision) decide(opts *Options) (err error) {
 		return nil
 
 	case AllGPU:
-		d.rho = 1
-		d.plan, err = splitter.Build(d.prof, 1.0, opts.Node.NumGPUs)
-		return err
+		return d.place(opts, 1, nil)
 
 	case DedGPU:
 		perGPU := opts.Node.GPU.UsableMem()
@@ -169,77 +195,44 @@ func (d *decision) decide(opts *Options) (err error) {
 		if d.mu0, err = BareCapacity(opts.Node, opts.Model, opts.Shape); err != nil {
 			return err
 		}
-		memKV := nodeKVBytes(opts.Node, opts.Model)
-		if opts.Kind == VLiteRAG {
-			part, err := partition.LatencyBounded(partition.Inputs{
-				SLOSearch:    opts.SLOSearch,
-				Epsilon:      opts.Epsilon,
-				Perf:         d.perf,
-				Est:          d.est,
-				MemKV:        memKV,
-				Mu0:          d.mu0,
-				IndexBytesAt: splitter.IndexBytesAt(d.prof),
-			})
-			if err != nil {
-				return err
-			}
-			d.partition = &part
-			d.rho = part.Rho
-		} else if opts.HedraCoverageOverride > 0 {
-			d.rho = opts.HedraCoverageOverride
-		} else {
-			part, err := partition.Hedra(partition.HedraInputs{
-				Perf: d.perf, Est: d.est,
-				MemKV: memKV, Mu0: d.mu0,
-				IndexBytesAt: splitter.IndexBytesAt(d.prof),
-			})
-			if err != nil {
-				return err
-			}
-			d.partition = &part
-			d.rho = part.Rho
+		if opts.Kind == HedraRAG && opts.HedraCoverageOverride > 0 {
+			return d.place(opts, opts.HedraCoverageOverride, nil)
 		}
-		if d.plan, err = splitter.Build(d.prof, d.rho, opts.Node.NumGPUs); err != nil {
+		memKV := opts.Model.NodeKVBytes(opts.Node)
+		var part partition.Result
+		var refine func(partition.PrecisionInputs) (*splitter.Precision, error)
+		if opts.Kind == VLiteRAG {
+			part, err = partition.LatencyBounded(partition.Inputs{
+				SLOSearch: opts.SLOSearch, Epsilon: opts.Epsilon,
+				Perf: d.perf, Est: d.est, MemKV: memKV, Mu0: d.mu0,
+				IndexBytesAt: splitter.IndexBytesAt(d.prof),
+			})
+			if opts.Precision != nil {
+				// The upgrades spend a fraction of the HBM the placement
+				// left between the plan and the KV bound.
+				refine = func(in partition.PrecisionInputs) (p *splitter.Precision, err error) {
+					if in.RecallDeltas, err = profiler.SQRecallDeltas(d.prof); err != nil {
+						return nil, err
+					}
+					in.SQBudgetBytes = int64(opts.Precision.SQBudgetFrac * float64(max(memKV-in.Plan.TotalBytes(), 0)))
+					return partition.AssignPrecision(in)
+				}
+			}
+		} else {
+			part, err = partition.Hedra(partition.HedraInputs{
+				Perf: d.perf, Est: d.est, MemKV: memKV, Mu0: d.mu0,
+				IndexBytesAt: splitter.IndexBytesAt(d.prof),
+			})
+		}
+		if err != nil {
 			return err
 		}
-		if opts.Kind == VLiteRAG && opts.Precision != nil {
-			return attachPrecision(opts, d.prof, d.plan, memKV)
-		}
-		return nil
+		d.partition = &part
+		return d.place(opts, part.Rho, refine)
 
 	default:
 		return fmt.Errorf("rag: unknown kind %q", opts.Kind)
 	}
-}
-
-// attachPrecision runs the (tier, codec) refinement on a freshly built
-// vLiteRAG plan: per-cluster SQ8 recall deltas from the profile, the
-// upgrade budget as a fraction of the HBM the placement loop left to
-// the KV pool, and the greedy assignment of partition.AssignPrecision.
-// The refinement's extra bytes fold into the plan's shard accounting,
-// so the KV pool downstream pays for them.
-func attachPrecision(opts *Options, prof *profiler.AccessProfile, plan *splitter.Plan, memKV int64) error {
-	deltas, err := profiler.SQRecallDeltas(prof)
-	if err != nil {
-		return err
-	}
-	leftover := memKV - plan.TotalBytes()
-	if leftover < 0 {
-		leftover = 0
-	}
-	prec, err := partition.AssignPrecision(partition.PrecisionInputs{
-		Prof:          prof,
-		Plan:          plan,
-		RecallDeltas:  deltas,
-		SQRatio:       float64(opts.W.Spec.Dim) / float64(opts.W.Spec.CodeBytes),
-		SQBudgetBytes: int64(opts.Precision.SQBudgetFrac * float64(leftover)),
-		NVMeColdShare: opts.Precision.NVMeColdShare,
-	})
-	if err != nil {
-		return err
-	}
-	plan.AttachPrecision(prec)
-	return nil
 }
 
 // arrivalsFor returns one corpus's pipeline source, drawing requests

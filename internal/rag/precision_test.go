@@ -1,6 +1,12 @@
 package rag
 
-import "testing"
+import (
+	"testing"
+
+	"vectorliterag/internal/hw"
+	"vectorliterag/internal/llm"
+	"vectorliterag/internal/tenant"
+)
 
 func TestRunPrecisionEndToEnd(t *testing.T) {
 	plain, err := Run(baseOpts(t, VLiteRAG, 12))
@@ -141,5 +147,43 @@ func TestRunMultiTenantPrecision(t *testing.T) {
 	bad.Precision = &PrecisionOptions{SQBudgetFrac: -1}
 	if _, err := Run(bad); err == nil {
 		t.Error("negative SQBudgetFrac accepted")
+	}
+}
+
+// TestLineupPrecisionNeverUnderBills: on a mixed-geometry lineup the
+// joint allocator prices every SQ8 upgrade at the largest tenant ratio
+// (ORCAS 1K's 4.0) while each plan folds in its own (Wiki-All's
+// 768/204), so the allocator's spend covers the plans' HBM, with a gap
+// exactly on the tenant whose ratio is smaller.
+func TestLineupPrecisionNeverUnderBills(t *testing.T) {
+	o := Options{
+		Node: hw.H100Node(), Model: llm.Qwen3_32B, Seed: 1,
+		Tenants: []TenantConfig{
+			{Name: "orcas", Tier: tenant.Gold, W: testW(t), Rate: 8},
+			{Name: "wiki", Tier: tenant.Silver, W: testW2(t), Rate: 6},
+		},
+		Precision: &PrecisionOptions{},
+	}
+	if err := o.validate(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := decideTenants(&o, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var planned int64
+	for i, c := range d.corpora {
+		al := d.alloc.Allocations[i]
+		gap := al.Bytes - c.plan.TotalBytes()
+		planned += c.plan.TotalBytes()
+		switch name := o.Tenants[i].Name; {
+		case name == "wiki" && (al.SQClusters == 0 || gap <= 0):
+			t.Errorf("wiki: %d upgrades billed %d bytes over its plan; want upgrades and a positive gap", al.SQClusters, gap)
+		case name == "orcas" && gap != 0:
+			t.Errorf("orcas: billed %d bytes over its plan at its own ratio; want 0", gap)
+		}
+	}
+	if d.alloc.UsedBytes < planned {
+		t.Fatalf("allocator spent %d bytes, the plans hold %d", d.alloc.UsedBytes, planned)
 	}
 }

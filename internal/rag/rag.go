@@ -114,7 +114,8 @@ type Options struct {
 	// HBM budget, and the coldest CPU-resident clusters demoted to the
 	// modeled NVMe tier. Nil preserves the classic all-PQ, two-tier
 	// placement bit for bit. Rejected for every other Kind — the
-	// baselines have no placement decision to refine.
+	// baselines have no placement decision to refine — and beside
+	// Monitor, whose rebuilds place an all-PQ plan.
 	Precision *PrecisionOptions
 	// Overload, when non-nil, puts a bounded admission queue (and
 	// optionally the brownout controller) in front of each node: on a
@@ -385,15 +386,4 @@ func GenSLO(node hw.Node, model llm.ModelSpec, shape workload.Shape) (time.Durat
 	genSLOCache.m[key] = slo
 	genSLOCache.Unlock()
 	return slo, nil
-}
-
-// nodeKVBytes returns the node-wide baseline KV capacity with no index
-// loaded — the MemKV input of Algorithm 1.
-func nodeKVBytes(node hw.Node, model llm.ModelSpec) int64 {
-	perGPU := node.GPU.UsableMem() - model.WeightBytesPerGPU()
-	if perGPU < 0 {
-		perGPU = 0
-	}
-	used := (node.NumGPUs / model.TP) * model.TP
-	return perGPU * int64(used)
 }

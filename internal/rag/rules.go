@@ -62,6 +62,8 @@ var rules = []struct {
 	{fCompaction | fBaseline, "rag: compaction needs the hot-swappable vLiteRAG runtime, got %s"},
 	{fPrecision | fBaseline, "rag: precision refinement applies to vLiteRAG only, not %s"},
 	{fPrebuilt | fBaseline, "rag: a prebuilt plan serves vLiteRAG only, not %s"},
+	{fAdaptive | fPrecision, "rag: the adapt controller rebuilds an all-PQ plan and would drop the precision refinement; run one or the other"},
+	{fCompaction | fPrecision, "rag: compaction escalates to an adapt rebuild, which would drop the precision refinement; run one or the other"},
 }
 
 // reject returns the first rule the feature set trips, or nil.

@@ -95,8 +95,9 @@ func TestFeatureCompatibility(t *testing.T) {
 		{"live(compaction,CPU-Only)", live(ingest, true, func(o *Options) { o.Kind = CPUOnly }), "compaction needs the hot-swappable vLiteRAG runtime, got CPU-Only"},
 		{"live(ingest,CPU-Only)", live(ingest, false, func(o *Options) { o.Kind = CPUOnly }), ""},
 		{"Run(HedraRAG)+prebuilt", run(func(o *Options) { o.Kind, o.Plan = HedraRAG, &splitter.Plan{} }), "a prebuilt plan serves vLiteRAG only, not HedraRAG"},
-		{"adaptive+precision", adaptive(func(o *Options) { o.Precision = &PrecisionOptions{} }), ""},
-		{"live(compaction)+precision", live(ingest, true, func(o *Options) { o.Precision = &PrecisionOptions{} }), ""},
+		{"adaptive+precision", adaptive(func(o *Options) { o.Precision = &PrecisionOptions{} }), "the adapt controller rebuilds an all-PQ plan and would drop the precision refinement"},
+		{"live(compaction)+precision", live(ingest, true, func(o *Options) { o.Precision = &PrecisionOptions{} }), "compaction escalates to an adapt rebuild, which would drop the precision refinement"},
+		{"live+precision", live(ingest, false, func(o *Options) { o.Precision = &PrecisionOptions{} }), ""},
 		{"routed+faults+precision", cluster(func(o *Options) { o.Faults, o.Precision = crash, &PrecisionOptions{} }), ""},
 		{"routed(NetDelay)+precision", cluster(func(o *Options) { o.NetDelay, o.Precision = time.Millisecond, &PrecisionOptions{} }), ""},
 

@@ -58,151 +58,87 @@ type TenantResult struct {
 	Rejected int
 }
 
-// tenantDecision is the offline half of a multi-tenant run: per-tenant
-// models, the joint allocation, and the materialized split plans.
+// tenantDecision is the offline half of a multi-tenant run: the joint
+// allocation and, per tenant, the corpus step's profile, models and
+// placed plan.
 type tenantDecision struct {
-	alloc     tenant.Result
-	plans     []*splitter.Plan
-	cpuModels []costmodel.SearchModel
-	mu0       float64
+	alloc   tenant.Result
+	corpora []*decision
+	mu0     float64
 }
 
-// decideTenants profiles every tenant, runs the joint allocator, and
-// builds each tenant's split plan at its granted coverage. Each node's
-// allocation is sized for its share of the traffic: the allocator sees
-// every tenant's rate divided by the node count, every other input
-// unchanged.
+// decideTenants runs the per-corpus step a single corpus takes on every
+// tenant, with the joint allocator in Algorithm 1's place: profile and
+// fit each tenant, allocate, then place each plan at its granted
+// coverage. Each node's allocation is sized for its share of the
+// traffic: the allocator sees every tenant's rate divided by the node
+// count, every other input unchanged.
 func decideTenants(opts *Options, nodes int) (*tenantDecision, error) {
 	mu0, err := BareCapacity(opts.Node, opts.Model, opts.Shape)
 	if err != nil {
 		return nil, err
 	}
-	d := &tenantDecision{mu0: mu0}
-	inputs := make([]tenant.Input, len(opts.Tenants))
-	profs := make([]*profiler.AccessProfile, len(opts.Tenants))
+	td := &tenantDecision{mu0: mu0}
+	in := tenant.Inputs{MemKV: opts.Model.NodeKVBytes(opts.Node), Mu0: mu0}
+	// Precision: per-tenant recall deltas by hot rank feed the allocator's
+	// upgrade pass, which prices every upgrade at the largest tenant
+	// ratio, so mixed-geometry lineups are billed conservatively.
+	deltas := make([][]float64, len(opts.Tenants))
+	if opts.Precision != nil {
+		in.Precision = &tenant.PrecisionOptions{}
+	}
 	for i, tc := range opts.Tenants {
-		prof, err := profiler.CollectAccess(tc.W, profileSample(opts.ProfileQueries), opts.Seed+1+101*uint64(i))
+		d, err := profileCorpus(opts, tc.W, opts.Seed+1+101*uint64(i))
+		if err == nil {
+			err = d.fit()
+		}
+		if err == nil && in.Precision != nil {
+			deltas[i], err = profiler.SQRecallDeltas(d.prof)
+			in.Precision.RecallDelta = append(in.Precision.RecallDelta, d.prof.RecallDeltasByRank(deltas[i]))
+			in.Precision.SQBytesRatio = max(in.Precision.SQBytesRatio, splitter.SQRatio(tc.W.Spec))
+		}
 		if err != nil {
 			return nil, fmt.Errorf("rag: tenant %s: %w", tc.Name, err)
 		}
-		cm := costmodel.NewSearchModel(opts.Node.CPU, tc.W.Spec)
-		est, perf, err := fitModels(prof, cm)
-		if err != nil {
-			return nil, fmt.Errorf("rag: tenant %s: %w", tc.Name, err)
-		}
-		prefix := make([]int64, len(prof.Counts)+1)
-		for k, c := range prof.HotOrder {
-			prefix[k+1] = prefix[k] + tc.W.ClusterBytes(c)
-		}
-		inputs[i] = tenant.Input{
+		in.Tenants = append(in.Tenants, tenant.Input{
 			Name: tc.Name, Tier: tc.Tier, Rate: tc.Rate / float64(nodes),
 			SLOSearch: tc.SLOSearch, Epsilon: opts.Epsilon,
-			Perf: perf, Est: est, PrefixBytes: prefix,
-		}
-		profs[i] = prof
-		d.cpuModels = append(d.cpuModels, cm)
+			Perf: d.perf, Est: d.est, PrefixBytes: splitter.PrefixBytes(d.prof),
+		})
+		td.corpora = append(td.corpora, d)
 	}
-	ti := tenant.Inputs{
-		Tenants: inputs,
-		MemKV:   nodeKVBytes(opts.Node, opts.Model),
-		Mu0:     mu0,
-	}
-	// Precision refinement: per-tenant recall deltas by hot rank feed the
-	// allocator's upgrade pass. The allocator prices every upgrade at the
-	// largest tenant ratio, so mixed-geometry lineups are billed
-	// conservatively.
-	var deltas [][]float64
-	if opts.Precision != nil {
-		deltas = make([][]float64, len(opts.Tenants))
-		byRank := make([][]float64, len(opts.Tenants))
-		var maxRatio float64
-		for i, tc := range opts.Tenants {
-			dl, err := profiler.SQRecallDeltas(profs[i])
-			if err != nil {
-				return nil, fmt.Errorf("rag: tenant %s: %w", tc.Name, err)
-			}
-			deltas[i] = dl
-			byRank[i] = profs[i].RecallDeltasByRank(dl)
-			if r := float64(tc.W.Spec.Dim) / float64(tc.W.Spec.CodeBytes); r > maxRatio {
-				maxRatio = r
-			}
-		}
-		ti.Precision = &tenant.PrecisionOptions{
-			SQBytesRatio: maxRatio,
-			RecallDelta:  byRank,
-		}
-	}
-	alloc, err := tenant.JointAllocate(ti)
-	if err != nil {
+	if td.alloc, err = tenant.JointAllocate(in); err != nil {
 		return nil, err
 	}
-	d.alloc = alloc
-	for i := range opts.Tenants {
-		plan, err := splitter.Build(profs[i], alloc.Allocations[i].Rho, opts.Node.NumGPUs)
-		if err != nil {
-			return nil, fmt.Errorf("rag: tenant %s: %w", opts.Tenants[i].Name, err)
-		}
+	for i, d := range td.corpora {
+		var refine func(partition.PrecisionInputs) (*splitter.Precision, error)
 		if opts.Precision != nil {
-			if err := attachTenantPrecision(opts, profs[i], plan, deltas[i], alloc.Allocations[i], i); err != nil {
-				return nil, fmt.Errorf("rag: tenant %s: %w", opts.Tenants[i].Name, err)
+			refine = func(pi partition.PrecisionInputs) (*splitter.Precision, error) {
+				pi.RecallDeltas = deltas[i]
+				return partition.MaterializePrecision(pi, upgraded(pi, td.alloc.Allocations[i].SQClusters))
 			}
 		}
-		d.plans = append(d.plans, plan)
+		if err := d.place(opts, td.alloc.Allocations[i].Rho, refine); err != nil {
+			return nil, fmt.Errorf("rag: tenant %s: %w", opts.Tenants[i].Name, err)
+		}
 	}
-	return d, nil
+	return td, nil
 }
 
-// attachTenantPrecision materializes the joint allocator's codec
-// decision on one tenant's plan: the NVMe demotion runs the shared
-// coldest-suffix rule (partition.AssignPrecision with a zero SQ
-// budget), then the allocator's chosen SQ set overlays it. The
-// upgrade pass advances through each tenant's hot ranks in order,
-// skipping zero-delta clusters without upgrading them, so the chosen
-// set is exactly the first SQClusters positive-delta hot ranks.
-func attachTenantPrecision(opts *Options, prof *profiler.AccessProfile, plan *splitter.Plan, deltas []float64, al tenant.Allocation, idx int) error {
-	ratio := float64(opts.Tenants[idx].W.Spec.Dim) / float64(opts.Tenants[idx].W.Spec.CodeBytes)
-	prec, err := partition.AssignPrecision(partition.PrecisionInputs{
-		Prof:          prof,
-		Plan:          plan,
-		RecallDeltas:  deltas,
-		SQRatio:       ratio,
-		SQBudgetBytes: 0,
-		NVMeColdShare: opts.Precision.NVMeColdShare,
-	})
-	if err != nil {
-		return err
-	}
-	left := al.SQClusters
-	for _, c := range prof.HotOrder {
-		if left == 0 {
+// upgraded is the SQ8 set the joint allocator bought one tenant. Its
+// upgrade pass walks the tenant's hot ranks in order, skipping
+// zero-delta clusters, so the set is the first n positive-delta
+// clusters of the placed hot set in hot order.
+func upgraded(in partition.PrecisionInputs, n int) (sq []int) {
+	for _, c := range in.Prof.HotOrder {
+		if len(sq) == n || !in.Plan.IsHot(c) {
 			break
 		}
-		if !plan.IsHot(c) {
-			break
-		}
-		if c >= len(deltas) || deltas[c] <= 0 {
-			continue
-		}
-		prec.SQ[c] = true
-		prec.SQClusters++
-		prec.SQExtraBytes += int64(float64(prof.W.ClusterBytes(c)) * (ratio - 1))
-		left--
-	}
-	// Planning-time gain estimate over the final SQ set (AssignPrecision
-	// computed it before the overlay).
-	var gain, work float64
-	for c := range prec.SQ {
-		w := float64(prof.Counts[c]) * float64(prof.W.ClusterBytes(c))
-		work += w
-		if prec.SQ[c] {
-			gain += w * deltas[c]
+		if c < len(in.RecallDeltas) && in.RecallDeltas[c] > 0 {
+			sq = append(sq, c)
 		}
 	}
-	if work > 0 {
-		prec.RecallGain = gain / work
-	}
-	plan.AttachPrecision(prec)
-	return nil
+	return sq
 }
 
 // tenantSpec is the node of a multi-tenant run: every tenant's plan
@@ -211,14 +147,13 @@ func attachTenantPrecision(opts *Options, prof *profiler.AccessProfile, plan *sp
 // or CPUModel), and — unless SharedQueue — the FairScheduler over the
 // tenants' tiers, with each tenant's own SLOs as overload budgets.
 func tenantSpec(opts *Options, d *tenantDecision) *nodeSpec {
-	s := &nodeSpec{
-		node: opts.Node, model: opts.Model, plans: d.plans,
-		cfg: retrieval.Config{NVMe: opts.Node.NVMe},
-	}
+	s := &nodeSpec{node: opts.Node, model: opts.Model, cfg: retrieval.Config{NVMe: opts.Node.NVMe}}
 	slots := make([]retrieval.TenantSlot, len(opts.Tenants))
 	sloSearch := make([]time.Duration, len(opts.Tenants))
 	for i, tc := range opts.Tenants {
-		slots[i] = retrieval.TenantSlot{W: tc.W, Plan: d.plans[i], CPUModel: d.cpuModels[i], Priority: tc.Tier.Priority()}
+		c := d.corpora[i]
+		s.plans = append(s.plans, c.plan)
+		slots[i] = retrieval.TenantSlot{W: tc.W, Plan: c.plan, CPUModel: c.cpuModel, Priority: tc.Tier.Priority()}
 		sloSearch[i] = tc.SLOSearch
 		if !opts.SharedQueue {
 			s.classes = append(s.classes, serve.TenantClass{Weight: tc.Tier.Weight(), Priority: tc.Tier.Priority()})

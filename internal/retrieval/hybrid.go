@@ -172,19 +172,15 @@ func (e *Hybrid) Name() string { return e.name }
 func (e *Hybrid) Plan() *splitter.Plan { return e.slots[0].Plan }
 
 // SetPlan atomically switches tenant 0 to a freshly built plan (the
-// final step of an adaptive index update). Refresh flags reset, and the
-// GPU states' resident-shard accounting follows the new plan. KV pools
-// are sized at LLM-instance construction, so a swap assumes the new plan
-// fits the same memory envelope — which Algorithm 1 guarantees by
-// construction (it partitions against the same MemKV bound).
+// final step of an adaptive index update) and resets the refresh flags.
+// KV pools are sized once, when the LLM instances are built from the
+// GPU states' initial shard bytes, and a swap leaves both alone: it
+// assumes the new plan fits the same memory envelope, which Algorithm 1
+// guarantees by construction (it partitions against the same MemKV
+// bound).
 func (e *Hybrid) SetPlan(plan *splitter.Plan) {
 	e.slots[0].Plan = plan
 	clear(e.refreshing)
-	for g := range plan.ShardBytes {
-		if g < len(e.gpus) {
-			e.gpus[g].ShardBytes = plan.ShardBytes[g]
-		}
-	}
 }
 
 // SetShardRefreshing marks shard g as being reloaded; while set, its

@@ -1,5 +1,7 @@
 package splitter
 
+import "vectorliterag/internal/dataset"
+
 // Precision is the per-cluster (tier, codec) refinement layered on a
 // Plan by the joint placement x precision optimization: the hottest
 // GPU-resident clusters upgraded from PQ to SQ8 codes (more HBM, a
@@ -34,6 +36,20 @@ type Precision struct {
 	// RecallGain is the planning-time, work-share-weighted estimate of
 	// the mean per-query recall gain.
 	RecallGain float64
+}
+
+// SQRatio is SQ8 bytes per PQ byte for a corpus geometry: SQ8 stores
+// Dim bytes per vector against PQ's CodeBytes.
+func SQRatio(spec dataset.Spec) float64 {
+	return float64(spec.Dim) / float64(spec.CodeBytes)
+}
+
+// SQUpgradeBytes is the price of one PQ→SQ8 upgrade: the HBM a cluster
+// of pqBytes PQ codes takes beyond its PQ footprint at the given ratio.
+// The greedy pick, the joint allocator, the materialized refinement and
+// the shard accounting all charge this.
+func SQUpgradeBytes(pqBytes int64, ratio float64) int64 {
+	return int64(float64(pqBytes) * (ratio - 1))
 }
 
 // IsSQ reports whether cluster c is stored as SQ8. Safe on nil.
@@ -71,7 +87,7 @@ func (pl *Plan) AttachPrecision(prec *Precision) {
 			continue
 		}
 		if loc, ok := pl.Mapping[c]; ok {
-			pl.ShardBytes[loc.Shard] += int64(float64(pl.W.ClusterBytes(c)) * (prec.SQRatio - 1))
+			pl.ShardBytes[loc.Shard] += SQUpgradeBytes(pl.W.ClusterBytes(c), prec.SQRatio)
 		}
 	}
 }

@@ -153,10 +153,7 @@ func (p *Plan) RouteInto(s *RouteScratch, probes []int) (perShard [][]int, cpu [
 // are larger than average, so the curve is super-linear at small rho.
 func IndexBytesAt(p *profiler.AccessProfile) func(rho float64) int64 {
 	nlist := len(p.Counts)
-	prefix := make([]int64, nlist+1)
-	for i, c := range p.HotOrder {
-		prefix[i+1] = prefix[i] + p.W.ClusterBytes(c)
-	}
+	prefix := PrefixBytes(p)
 	return func(rho float64) int64 {
 		if rho <= 0 {
 			return 0
@@ -170,4 +167,15 @@ func IndexBytesAt(p *profiler.AccessProfile) func(rho float64) int64 {
 		}
 		return prefix[k]
 	}
+}
+
+// PrefixBytes returns, for every k, the resident bytes of the profile's
+// k hottest clusters (PrefixBytes(p)[0] = 0): MemIndex at cluster
+// granularity, the form the joint allocator steps through.
+func PrefixBytes(p *profiler.AccessProfile) []int64 {
+	prefix := make([]int64, len(p.Counts)+1)
+	for i, c := range p.HotOrder {
+		prefix[i+1] = prefix[i] + p.W.ClusterBytes(c)
+	}
+	return prefix
 }

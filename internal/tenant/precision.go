@@ -1,5 +1,7 @@
 package tenant
 
+import "vectorliterag/internal/splitter"
+
 // Precision extension of the joint allocator: after the placement
 // greedy converges, leftover HBM budget upgrades each tenant's hottest
 // placed clusters from PQ codes to SQ8 — the (tier, codec) half of the
@@ -18,8 +20,8 @@ package tenant
 type PrecisionOptions struct {
 	// SQBytesRatio is SQ8 bytes per vector over PQ bytes per vector
 	// (Spec.Dim / Spec.CodeBytes at logical scale; ~4x for the paper's
-	// datasets). Upgrading a cluster costs (ratio − 1) × its PQ bytes
-	// of extra HBM. Values ≤ 1 disable the pass.
+	// datasets). An upgrade costs splitter.SQUpgradeBytes of its PQ
+	// bytes. Values ≤ 1 disable the pass.
 	SQBytesRatio float64
 	// RecallDelta[i][r] is tenant i's estimated recall gain (SQ8 minus
 	// PQ, in recall points) for its rank-r hottest cluster, as measured
@@ -40,16 +42,11 @@ func upgradePrecision(in Inputs, res *Result, ks []int) float64 {
 	if po == nil || po.SQBytesRatio <= 1 {
 		return 0
 	}
-	extra := po.SQBytesRatio - 1
 	// next[i] is the hottest not-yet-upgraded rank of tenant i;
 	// upgrades proceed in rank order because recall deltas are
 	// attributed per hot rank and hotter clusters are probed more.
 	next := make([]int, len(in.Tenants))
 	var totalGain float64
-	var aggregate float64
-	for _, t := range in.Tenants {
-		aggregate += t.Rate
-	}
 	for {
 		best, bestScore := -1, 0.0
 		var bestBytes int64
@@ -58,7 +55,7 @@ func upgradePrecision(in Inputs, res *Result, ks []int) float64 {
 			if r >= ks[i] || r >= len(po.RecallDelta[i]) {
 				continue
 			}
-			step := int64(float64(t.PrefixBytes[r+1]-t.PrefixBytes[r]) * extra)
+			step := splitter.SQUpgradeBytes(t.PrefixBytes[r+1]-t.PrefixBytes[r], po.SQBytesRatio)
 			if step <= 0 || res.UsedBytes+step > res.BudgetBytes {
 				continue
 			}
@@ -69,7 +66,7 @@ func upgradePrecision(in Inputs, res *Result, ks []int) float64 {
 				next[i]++
 				continue
 			}
-			score := float64(t.Tier.Weight()) * delta / float64(max64(step, 1))
+			score := float64(t.Tier.Weight()) * delta / float64(max(step, 1))
 			if best < 0 || score > bestScore+1e-15 ||
 				(score > bestScore-1e-15 && t.Tier.Priority() < in.Tenants[best].Tier.Priority()) {
 				best, bestScore, bestBytes = i, score, step
@@ -85,7 +82,7 @@ func upgradePrecision(in Inputs, res *Result, ks []int) float64 {
 		res.Allocations[best].SQBytes += bestBytes
 		res.Allocations[best].Bytes += bestBytes
 		res.Allocations[best].RecallGain += po.RecallDelta[best][r]
-		totalGain += po.RecallDelta[best][r] * t.Rate / aggregate
+		totalGain += po.RecallDelta[best][r] * t.Rate / res.AggregateRate
 		next[best]++
 	}
 	return totalGain

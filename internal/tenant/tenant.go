@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"vectorliterag/internal/hitrate"
+	"vectorliterag/internal/llm"
 	"vectorliterag/internal/perfmodel"
 )
 
@@ -366,7 +367,7 @@ func JointAllocate(in Inputs) (Result, error) {
 			if gain <= 0 {
 				continue
 			}
-			perByte := float64(t.Tier.Weight()) * gain / float64(max64(step, 1))
+			perByte := float64(t.Tier.Weight()) * gain / float64(max(step, 1))
 			if best < 0 || perByte > bestGain+1e-15 ||
 				(perByte > bestGain-1e-15 && t.Tier.Priority() < in.Tenants[best].Tier.Priority()) {
 				best, bestGain = i, perByte
@@ -401,21 +402,6 @@ func JointAllocate(in Inputs) (Result, error) {
 	// Precision pass: spend what placement left over on PQ→SQ8 upgrades
 	// (no-op and bit-identical without Inputs.Precision).
 	res.RecallGain = upgradePrecision(in, &res, ks)
-	res.MuLLM = in.Mu0 * kvFraction(in.MemKV, res.UsedBytes)
+	res.MuLLM = in.Mu0 * llm.KVFraction(in.MemKV, res.UsedBytes)
 	return res, nil
-}
-
-func kvFraction(memKV, indexBytes int64) float64 {
-	f := float64(memKV-indexBytes) / float64(memKV)
-	if f < 0 {
-		return 0
-	}
-	return f
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -297,7 +297,8 @@ type ServeOptions struct {
 	// refinement (VLiteRAG only): the hottest placed clusters upgrade
 	// from PQ to SQ8 codes within a bounded HBM budget and the coldest
 	// CPU-resident clusters demote to the modeled NVMe tier. Nil keeps
-	// the classic all-PQ, two-tier placement bit for bit.
+	// the classic all-PQ, two-tier placement bit for bit. ServeAdaptive
+	// and a compacting ServeLive refuse it: their rebuilds would drop it.
 	Precision *PrecisionOptions
 	// Overload, when non-nil, meters the pipeline through a bounded
 	// admission queue and (with Brownout set) the quality-shedding
