@@ -22,6 +22,13 @@ var docIdent = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Za-z][A-Za-z0-9]*)(?:
 // `dir/name.go`, optionally with a `:line` suffix.
 var docFile = regexp.MustCompile("`([\\w./-]+\\.go)(?::[0-9]+)?`")
 
+// docMake matches a backticked `make <target>`.
+var docMake = regexp.MustCompile("`make ([\\w.-]+)`")
+
+// makeRule matches a rule line of the Makefile and captures its
+// target; a variable assignment (`X := y`) is not a rule.
+var makeRule = regexp.MustCompile(`(?m)^([\w.-]+):(?:[^=]|$)`)
+
 // TestDocIdentifiersResolve: every Go identifier README.md and
 // ARCHITECTURE.md name as `pkg.Name` or `pkg.Type.Member` resolves.
 // When pkg is a package of this module, Name is declared in its source:
@@ -29,10 +36,12 @@ var docFile = regexp.MustCompile("`([\\w./-]+\\.go)(?::[0-9]+)?`")
 // types; Member is a field or method declared on Type. Otherwise pkg
 // must be a standard-library package, so a doc naming a package that
 // no longer exists fails. Every backticked `name.go` names a file in
-// the repository.
+// the repository, and every backticked `make <target>` a rule of the
+// Makefile.
 func TestDocIdentifiersResolve(t *testing.T) {
 	decls := moduleDecls(t)
 	files := repoFiles(t)
+	targets := makeTargets(t)
 	std := map[string]bool{}
 	isStd := func(pkg string) bool {
 		if _, ok := std[pkg]; !ok {
@@ -54,6 +63,12 @@ func TestDocIdentifiersResolve(t *testing.T) {
 					t.Errorf("%s:%d: %s names no file in the repository", doc, i+1, m[0])
 				}
 			}
+			for _, m := range docMake.FindAllStringSubmatch(line, -1) {
+				checked++
+				if !targets[m[1]] {
+					t.Errorf("%s:%d: %s names no Makefile target", doc, i+1, m[0])
+				}
+			}
 			for _, m := range docIdent.FindAllStringSubmatch(line, -1) {
 				if (m[2] == "go" && m[3] == "") || m[0] == "`pkg.Name`" || m[0] == "`pkg.Type.Member`" {
 					continue // a file reference, or the pattern naming itself
@@ -72,6 +87,20 @@ func TestDocIdentifiersResolve(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no identifiers found in the docs; the pattern has drifted")
 	}
+}
+
+// makeTargets returns the targets the Makefile defines rules for.
+func makeTargets(t *testing.T) map[string]bool {
+	t.Helper()
+	text, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]bool{}
+	for _, m := range makeRule.FindAllStringSubmatch(string(text), -1) {
+		out[m[1]] = true
+	}
+	return out
 }
 
 // repoFiles returns every Go file of the repository under its

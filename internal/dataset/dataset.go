@@ -105,7 +105,7 @@ type Workload struct {
 	Gen  GenConfig
 
 	Index *ivf.Index
-	Data  []float32 // physical corpus, row-major
+	Data  []float32 // physical corpus, row-major; Index trains PQ on it at first use
 
 	templates     []template
 	pop           *rng.Zipf
@@ -147,8 +147,9 @@ func (gc GenConfig) validate() error {
 	return nil
 }
 
-// Build generates the corpus, trains the physical index, precomputes
-// template probe lists, and derives the logical-scale calibration.
+// Build generates the corpus, builds the physical index (its PQ
+// codebooks train on first use), precomputes template probe lists, and
+// derives the logical-scale calibration.
 func Build(spec Spec, gc GenConfig) (*Workload, error) {
 	if err := gc.validate(); err != nil {
 		return nil, err

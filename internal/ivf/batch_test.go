@@ -57,6 +57,30 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestSearchBatchTrainsOnce: an untrained index whose first read is a
+// four-worker SearchBatch, so that every worker races to train PQ,
+// answers exactly as a twin trained before its first search.
+func TestSearchBatchTrainsOnce(t *testing.T) {
+	data, fresh := buildBatchIndex(t, 4)
+	_, twin := buildBatchIndex(t, 4)
+	twin.Quantizer()
+	if PQTrained(fresh) || !PQTrained(twin) {
+		t.Fatalf("trained before the batch: fresh %v, twin %v", PQTrained(fresh), PQTrained(twin))
+	}
+	queries := data[:64*16]
+	got, err := fresh.SearchBatch(queries, 4, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := twin.SearchBatch(queries, 4, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi := range want {
+		sameNeighbors(t, "first batch", got[qi], want[qi])
+	}
+}
+
 func TestSearchBatchRejectsRaggedInput(t *testing.T) {
 	_, ix := buildBatchIndex(t, 1)
 	if _, err := ix.SearchBatch(make([]float32, 17), 4, 5); err == nil {

@@ -40,12 +40,13 @@ func TestBuildDigestPinned(t *testing.T) {
 		for _, c := range ix.centroids {
 			u32(math.Float32bits(c))
 		}
-		for _, l := range ix.lists {
-			u32(uint32(len(l.ids)))
-			for _, id := range l.ids {
+		for c := 0; c < ix.NList(); c++ {
+			ids := ix.ClusterIDs(c)
+			u32(uint32(len(ids)))
+			for _, id := range ids {
 				u32(uint32(id))
 			}
-			h.Write(l.codes)
+			h.Write(ix.ClusterCodes(c)) // trains PQ on the first list
 		}
 		// Queries: corpus rows pushed off their cluster by noise, so probe
 		// order and the scan's abandon decisions both matter.

@@ -4,7 +4,10 @@
 // Construction: a coarse quantizer (k-means centroids) partitions the
 // database into nlist clusters; each database vector is assigned to its
 // nearest centroid and stored in that cluster's inverted list as a PQ
-// code. Search proceeds in the three stages of the paper's Figure 2:
+// code. Build trains only the coarse quantizer and fills the lists'
+// IDs: the partitioner reads nothing else. The PQ codebooks train, and
+// the codes fill, on the first call that reads them (see trainPQ).
+// Search proceeds in the three stages of the paper's Figure 2:
 //
 //  1. coarse quantization (CQ): rank clusters by centroid distance and
 //     keep the top nprobe;
@@ -19,8 +22,8 @@
 // Query-time execution is allocation-free in steady state: a
 // SearchScratch owns the LUT buffer, top-k heap storage, probe list,
 // and result slice, and is threaded through SearchInto /
-// SearchClustersInto (Search and SearchClusters wrap them over an
-// internal scratch pool). SearchBatch amortizes scratch reuse across a
+// SearchClustersInto (Search wraps SearchInto over an internal scratch
+// pool). SearchBatch amortizes scratch reuse across a
 // batch and fans out over the internal/parallel pool with the
 // repository's bit-identical determinism contract: results match a
 // sequential per-query loop exactly for any worker count.
@@ -29,7 +32,6 @@ package ivf
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"vectorliterag/internal/kmeans"
@@ -52,17 +54,23 @@ type BuildConfig struct {
 	Workers int
 }
 
-// Index is a trained IVF-PQ index.
+// Index is an IVF-PQ index.
 type Index struct {
 	dim       int
 	nlist     int
 	centroids []float32 // nlist x dim
 	centNorms []float32 // per-centroid squared norms for decomposed CQ
-	quant     *pq.Quantizer
 	lists     []list
 	nvecs     int
-	workers   int // build-time worker-pool size, reused by Recall/SearchBatch
+	workers   int // build-time worker-pool size, reused by SearchBatch
 	scratch   sync.Pool
+
+	// The PQ half, trained by trainPQ on first use: pqData is Build's
+	// corpus (not a copy) until then, quant and the lists' codes after.
+	pqOnce sync.Once
+	pqCfg  pq.Config
+	pqData []float32
+	quant  *pq.Quantizer
 }
 
 type list struct {
@@ -70,8 +78,11 @@ type list struct {
 	codes []byte
 }
 
-// Build trains the coarse quantizer and PQ codebooks on the data and
-// populates the inverted lists. data is row-major with cfg.Dim columns.
+// Build trains the coarse quantizer on the data and fills the inverted
+// lists' IDs. data is row-major with cfg.Dim columns; the index keeps a
+// reference to it, which the caller must not modify, until the PQ
+// codebooks train on first use. The PQ config is validated here, so
+// that training cannot fail.
 func Build(data []float32, cfg BuildConfig) (*Index, error) {
 	if cfg.Dim <= 0 || len(data) == 0 || len(data)%cfg.Dim != 0 {
 		return nil, fmt.Errorf("ivf: bad data length %d for dim %d", len(data), cfg.Dim)
@@ -80,36 +91,64 @@ func Build(data []float32, cfg BuildConfig) (*Index, error) {
 	if cfg.NList <= 0 || cfg.NList > n {
 		return nil, fmt.Errorf("ivf: nlist %d invalid for %d vectors", cfg.NList, n)
 	}
+	// PQ is trained on residuals-free raw vectors (IVFPQ "by_residual=false"
+	// mode), which keeps LUT semantics simple: one LUT per query serves
+	// every cluster. It does not depend on the coarse quantizer, so when
+	// it trains does not change its bits.
+	pqCfg := pq.Config{Dim: cfg.Dim, M: cfg.PQM, K: cfg.PQK, Iters: cfg.TrainIters, Seed: cfg.Seed + 1, Workers: cfg.Workers}
+	if err := pqCfg.Validate(data); err != nil {
+		return nil, fmt.Errorf("ivf: pq: %w", err)
+	}
 	coarse, err := kmeans.Train(data, kmeans.Config{K: cfg.NList, Dim: cfg.Dim, MaxIters: cfg.TrainIters, Seed: cfg.Seed, Workers: cfg.Workers})
 	if err != nil {
 		return nil, fmt.Errorf("ivf: coarse quantizer: %w", err)
-	}
-	// PQ is trained on residuals-free raw vectors (IVFPQ "by_residual=false"
-	// mode), which keeps LUT semantics simple: one LUT per query serves
-	// every cluster. Training on the whole corpus yields every vector's
-	// code (Encode's, bit for bit), so there is no encode pass.
-	quant, codes, err := pq.TrainEncode(data, pq.Config{Dim: cfg.Dim, M: cfg.PQM, K: cfg.PQK, Iters: cfg.TrainIters, Seed: cfg.Seed + 1, Workers: cfg.Workers})
-	if err != nil {
-		return nil, fmt.Errorf("ivf: pq: %w", err)
 	}
 	ix := &Index{
 		dim:       cfg.Dim,
 		nlist:     cfg.NList,
 		centroids: coarse.Centroids,
 		centNorms: vecmath.RowNorms(coarse.Centroids, cfg.Dim, nil),
-		quant:     quant,
 		lists:     make([]list, cfg.NList),
 		nvecs:     n,
 		workers:   cfg.Workers,
+		pqCfg:     pqCfg,
+		pqData:    data,
 	}
 	// Fill the inverted lists in index order.
-	cs := quant.CodeSize()
-	for i := 0; i < n; i++ {
-		c := coarse.Assignments[i]
+	for i, c := range coarse.Assignments {
 		ix.lists[c].ids = append(ix.lists[c].ids, int32(i))
-		ix.lists[c].codes = append(ix.lists[c].codes, codes[i*cs:(i+1)*cs]...)
 	}
 	return ix, nil
+}
+
+// trained returns the trained product quantizer, training it and
+// filling every list's codes on the first call. Later calls cost one
+// atomic load.
+func (ix *Index) trained() *pq.Quantizer {
+	ix.pqOnce.Do(ix.trainPQ)
+	return ix.quant
+}
+
+// trainPQ trains the PQ codebooks on Build's corpus and fills each
+// list's codes in list order. Training on the whole corpus yields every
+// vector's code (Encode's, bit for bit), so there is no encode pass.
+// Build validated the config, so an error here is a broken invariant.
+func (ix *Index) trainPQ() {
+	quant, codes, err := pq.TrainEncode(ix.pqData, ix.pqCfg)
+	if err != nil {
+		panic(fmt.Sprintf("ivf: pq training failed on a config Build validated: %v", err))
+	}
+	cs := quant.CodeSize()
+	arena := make([]byte, 0, len(codes))
+	for c := range ix.lists {
+		l := &ix.lists[c]
+		start := len(arena)
+		for _, id := range l.ids {
+			arena = append(arena, codes[int(id)*cs:(int(id)+1)*cs]...)
+		}
+		l.codes = arena[start:len(arena):len(arena)]
+	}
+	ix.quant, ix.pqData = quant, nil
 }
 
 // Dim returns the vector dimensionality.
@@ -121,8 +160,8 @@ func (ix *Index) NList() int { return ix.nlist }
 // NVectors returns the number of indexed vectors.
 func (ix *Index) NVectors() int { return ix.nvecs }
 
-// CodeSize returns bytes per stored PQ code.
-func (ix *Index) CodeSize() int { return ix.quant.CodeSize() }
+// CodeSize returns bytes per stored PQ code. It does not train PQ.
+func (ix *Index) CodeSize() int { return ix.pqCfg.M }
 
 // ClusterSize returns the number of vectors in cluster c.
 func (ix *Index) ClusterSize(c int) int { return len(ix.lists[c].ids) }
@@ -139,7 +178,7 @@ func (ix *Index) ClusterSizes() []int {
 // Quantizer exposes the trained product quantizer so a live-corpus
 // layer can encode freshly inserted vectors into the same code space
 // as the built lists.
-func (ix *Index) Quantizer() *pq.Quantizer { return ix.quant }
+func (ix *Index) Quantizer() *pq.Quantizer { return ix.trained() }
 
 // ClusterIDs returns cluster c's inverted-list vector IDs. The slice
 // is the index's own storage — callers must treat it as read-only.
@@ -148,7 +187,10 @@ func (ix *Index) ClusterIDs(c int) []int32 { return ix.lists[c].ids }
 // ClusterCodes returns cluster c's PQ codes (ClusterSize(c) ×
 // CodeSize() bytes). The slice is the index's own storage — callers
 // must treat it as read-only.
-func (ix *Index) ClusterCodes(c int) []byte { return ix.lists[c].codes }
+func (ix *Index) ClusterCodes(c int) []byte {
+	ix.trained()
+	return ix.lists[c].codes
+}
 
 // NearestCentroid returns the cluster whose centroid is closest to v —
 // the routing step for a live insert. It uses the same norm-decomposed
@@ -172,6 +214,7 @@ func (ix *Index) CentroidResidual2(v []float32, c int) float32 {
 // over the inverted list: candidates whose bit is set in dead are
 // skipped (an empty bitmap scans everything).
 func (ix *Index) ScanClusterMasked(lut *pq.LUT, cluster int, dead []uint64, top *vecmath.TopK) {
+	ix.trained()
 	l := &ix.lists[cluster]
 	lut.ScanCodesIDsMasked(l.codes, l.ids, dead, top)
 }
@@ -255,12 +298,13 @@ func (ix *Index) Probe(query []float32, nprobe int) []int {
 
 // BuildLUT precomputes the query's distance lookup table (stage 2).
 func (ix *Index) BuildLUT(query []float32) *pq.LUT {
-	return ix.quant.BuildLUT(query)
+	return ix.trained().BuildLUT(query)
 }
 
 // ScanCluster scans one inverted list with the given LUT, pushing
 // candidates into top (stage 3 for a single cluster).
 func (ix *Index) ScanCluster(lut *pq.LUT, cluster int, top *vecmath.TopK) {
+	ix.trained()
 	l := &ix.lists[cluster]
 	lut.ScanCodesIDs(l.codes, l.ids, top)
 }
@@ -281,7 +325,7 @@ func (ix *Index) SearchClustersInto(s *SearchScratch, query []float32, clusters 
 }
 
 func (ix *Index) searchProbed(s *SearchScratch, query []float32, clusters []int, k int) []vecmath.Neighbor {
-	ix.quant.BuildLUTInto(query, &s.lut)
+	ix.trained().BuildLUTInto(query, &s.lut)
 	s.top.Reset(k)
 	for _, c := range clusters {
 		ix.ScanCluster(&s.lut, c, &s.top)
@@ -298,18 +342,6 @@ func (ix *Index) searchProbed(s *SearchScratch, query []float32, clusters []int,
 func (ix *Index) Search(query []float32, nprobe, k int) []vecmath.Neighbor {
 	s := ix.getScratch()
 	res := ix.SearchInto(s, query, nprobe, k)
-	out := make([]vecmath.Neighbor, len(res))
-	copy(out, res)
-	ix.putScratch(s)
-	return out
-}
-
-// SearchClusters scans only the listed clusters (after an external
-// Probe), which is how the hybrid engine computes the CPU-resident part
-// of a query. The result is freshly allocated and owned by the caller.
-func (ix *Index) SearchClusters(query []float32, clusters []int, k int) []vecmath.Neighbor {
-	s := ix.getScratch()
-	res := ix.SearchClustersInto(s, query, clusters, k)
 	out := make([]vecmath.Neighbor, len(res))
 	copy(out, res)
 	ix.putScratch(s)
@@ -340,56 +372,6 @@ func (ix *Index) SearchBatch(queries []float32, nprobe, k int) ([][]vecmath.Neig
 		ix.putScratch(s)
 	})
 	return out, nil
-}
-
-// Recall computes the fraction of brute-force top-k ground truth
-// recovered by the index at the given nprobe, averaged over the queries
-// (row-major). It is the quality metric used in place of the paper's
-// NDCG@50.
-func (ix *Index) Recall(data, queries []float32, nprobe, k int) float64 {
-	nq := len(queries) / ix.dim
-	if nq == 0 {
-		return 0
-	}
-	// Row norms of the corpus are computed once and shared read-only
-	// across workers, so the brute-force pass costs one dot product per
-	// row; each worker chunk clones the forcer for its own query scratch.
-	bfShared := vecmath.NewBruteForcer(data, ix.dim)
-	// Per-query recalls compute concurrently; the mean folds in query
-	// order so the result matches a sequential run exactly.
-	perQuery := make([]float64, nq)
-	parallel.For(nq, ix.workers, func(start, end int) {
-		bf := bfShared.Clone()
-		s := ix.getScratch()
-		truth := make([]vecmath.Neighbor, 0, k)
-		truthIDs := make([]int, 0, k)
-		for qi := start; qi < end; qi++ {
-			q := queries[qi*ix.dim : (qi+1)*ix.dim]
-			truth = bf.AppendTopK(truth[:0], q, k)
-			got := ix.SearchInto(s, q, nprobe, k)
-			// Membership via a reusable sorted-ID slice instead of a
-			// per-query map allocation.
-			truthIDs = truthIDs[:0]
-			for _, nb := range truth {
-				truthIDs = append(truthIDs, nb.Index)
-			}
-			sort.Ints(truthIDs)
-			hit := 0
-			for _, nb := range got {
-				j := sort.SearchInts(truthIDs, nb.Index)
-				if j < len(truthIDs) && truthIDs[j] == nb.Index {
-					hit++
-				}
-			}
-			perQuery[qi] = float64(hit) / float64(k)
-		}
-		ix.putScratch(s)
-	})
-	sum := 0.0
-	for _, v := range perQuery {
-		sum += v
-	}
-	return sum / float64(nq)
 }
 
 // HotClusters returns cluster IDs sorted by the supplied access counts,

@@ -45,8 +45,8 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(make([]float32, 8), BuildConfig{Dim: 2, NList: 10, PQM: 2, PQK: 4}); err == nil {
 		t.Fatal("nlist > n accepted")
 	}
-	// More codewords than a byte code addresses: pq.Train's error must
-	// reach the caller.
+	// More codewords than a byte code addresses: Build rejects it,
+	// though PQ trains only on first use.
 	data, _ := clusteredData(rng.New(1), 4, 80, 4, 0.5)
 	if _, err := Build(data, BuildConfig{Dim: 4, NList: 2, PQM: 2, PQK: 257, TrainIters: 1}); err == nil {
 		t.Fatal("PQK 257 accepted")

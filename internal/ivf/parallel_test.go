@@ -33,8 +33,11 @@ func TestParallelBuildBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(par.centroids, seq.centroids) {
 			t.Fatalf("workers=%d: coarse centroids differ", workers)
 		}
-		if !reflect.DeepEqual(par.lists, seq.lists) {
-			t.Fatalf("workers=%d: inverted lists differ", workers)
+		for c := 0; c < seq.NList(); c++ {
+			if !reflect.DeepEqual(par.ClusterIDs(c), seq.ClusterIDs(c)) ||
+				!reflect.DeepEqual(par.ClusterCodes(c), seq.ClusterCodes(c)) {
+				t.Fatalf("workers=%d: inverted list %d differs", workers, c)
+			}
 		}
 		// Same codebooks → same LUTs → same search results.
 		q := data[:dim]

@@ -53,31 +53,45 @@ func Train(data []float32, cfg Config) (*Quantizer, error) {
 	return q, err
 }
 
+// Validate reports why cfg cannot train on the row-major matrix data,
+// or nil when TrainEncode will succeed on it. A K of 0 is the default
+// 256. A caller that trains later calls it when it commits to cfg.
+func (cfg Config) Validate(data []float32) error {
+	k := cfg.K
+	if k == 0 {
+		k = lutStride
+	}
+	if cfg.Dim <= 0 || cfg.M <= 0 {
+		return fmt.Errorf("pq: non-positive dim %d or M %d", cfg.Dim, cfg.M)
+	}
+	if k < 0 || k > lutStride {
+		return fmt.Errorf("pq: K=%d codewords outside [1, %d]: a code is one byte per subspace", k, lutStride)
+	}
+	if cfg.Dim%cfg.M != 0 {
+		return fmt.Errorf("pq: M=%d does not divide dim=%d", cfg.M, cfg.Dim)
+	}
+	if len(data) == 0 || len(data)%cfg.Dim != 0 {
+		return fmt.Errorf("pq: bad training matrix length %d for dim %d", len(data), cfg.Dim)
+	}
+	if n := len(data) / cfg.Dim; n < k {
+		return fmt.Errorf("pq: %d training vectors < K=%d codewords", n, k)
+	}
+	return nil
+}
+
 // TrainEncode is Train that also returns the code of every training
 // vector (row-major, CodeSize bytes each). A subspace's final k-means
 // assignment is the argmin Encode takes against the trained codebook —
 // the same scores over the same codeword norms — so the codes are
 // Encode's, bit for bit, without a second pass over the data.
 func TrainEncode(data []float32, cfg Config) (*Quantizer, []byte, error) {
+	if err := cfg.Validate(data); err != nil {
+		return nil, nil, err
+	}
 	if cfg.K == 0 {
-		cfg.K = 256
-	}
-	if cfg.Dim <= 0 || cfg.M <= 0 {
-		return nil, nil, fmt.Errorf("pq: non-positive dim %d or M %d", cfg.Dim, cfg.M)
-	}
-	if cfg.K < 0 || cfg.K > lutStride {
-		return nil, nil, fmt.Errorf("pq: K=%d codewords outside [1, %d]: a code is one byte per subspace", cfg.K, lutStride)
-	}
-	if cfg.Dim%cfg.M != 0 {
-		return nil, nil, fmt.Errorf("pq: M=%d does not divide dim=%d", cfg.M, cfg.Dim)
-	}
-	if len(data) == 0 || len(data)%cfg.Dim != 0 {
-		return nil, nil, fmt.Errorf("pq: bad training matrix length %d for dim %d", len(data), cfg.Dim)
+		cfg.K = lutStride
 	}
 	n := len(data) / cfg.Dim
-	if n < cfg.K {
-		return nil, nil, fmt.Errorf("pq: %d training vectors < K=%d codewords", n, cfg.K)
-	}
 	subDim := cfg.Dim / cfg.M
 	q := &Quantizer{Dim: cfg.Dim, M: cfg.M, K: cfg.K, subDim: subDim, codebooks: make([][]float32, cfg.M)}
 	// Subspaces are independent trainings with their own seeds, so they
