@@ -51,15 +51,17 @@ lint:
 	fi
 
 # The parallel engines and the pruned build go first, uncached: a data
-# race in des.Group, in the link-free fleet or in the per-point k-means
-# bounds written from parallel.For chunks should fail in seconds, not
-# behind the whole sweep.
+# race in des.Group, in either fleet engine — whose replicas write
+# disjoint records of one shared array while the exchange's front reads
+# the next arrival's — or in the per-point k-means bounds written from
+# parallel.For chunks should fail in seconds, not behind the whole sweep.
 race: race-engines
 	$(GO) test -race ./...
 
 race-engines:
 	$(GO) test -race -count=1 ./internal/des
-	$(GO) test -race -count=1 ./internal/rag -run 'Sharded|LinkFree'
+	$(GO) test -race -count=1 ./internal/serve -run 'Exchange'
+	$(GO) test -race -count=1 ./internal/rag -run 'Sharded|LinkFree|FleetWrites'
 	$(GO) test -race -count=1 ./internal/kmeans ./internal/pq ./internal/ivf
 
 # Full micro-benchmark sweep (one iteration each; sanity, not timing).

@@ -11,8 +11,9 @@
 // in index order (see internal/parallel).
 //
 // Both loops skip work they can prove would change nothing (Hamerly's
-// bound, made exact). After a full scan a point keeps a float64 lower
-// bound l on its distance to every centroid but its own: cut by the
+// bound, made exact). A point keeps a float64 lower bound l on its
+// distance to every centroid but its own (0 until its first scan; the
+// first pass starts from the seeding's nearest pick): cut by the
 // largest other-centroid move after each update, raised to 2·half[a] − u
 // (half[a] is half the gap from its centroid to the nearest other). A
 // pass recomputes only the assigned score s and scans all centroids only
@@ -64,8 +65,9 @@ func Train(data []float32, cfg Config) (*Result, error) {
 }
 
 // skips counts the distance computations the bounds proved unnecessary:
-// seed per (point, k-means++ pick) pair, assign per (point, Lloyd pass).
-type skips struct{ seed, assign int64 }
+// seed per (point, k-means++ pick) pair, assign per (point, Lloyd pass),
+// first the first pass's share of assign.
+type skips struct{ seed, assign, first int64 }
 
 func train(data []float32, cfg Config) (*Result, skips, error) {
 	if cfg.Dim <= 0 {
@@ -90,8 +92,10 @@ func train(data []float32, cfg Config) (*Result, skips, error) {
 	mg := newMargin(dim)
 	xn := rowNorms64(data, dim) // ‖x_i‖, for the bounds
 
-	centroids, seedSkips := seedPlusPlus(data, xn, dim, k, cfg.Workers, r, mg)
-	assign := make([]int, n)
+	// The seeding leaves every point at its nearest pick, which is where
+	// the first pass starts: with l = 0 and no moves yet, the bounded path
+	// confirms it wherever half the gap to the next centroid vouches.
+	centroids, assign, seedSkips := seedPlusPlus(data, xn, dim, k, cfg.Workers, r, mg)
 	dists := make([]float32, n)
 	counts := make([]int, k)
 	inertia := 0.0
@@ -108,10 +112,11 @@ func train(data []float32, cfg Config) (*Result, skips, error) {
 	var skipped atomic.Int64
 
 	// assignAll computes each vector's nearest centroid (and distance) on
-	// the worker pool; per-vector writes keep it exact under parallelism.
-	// The first pass scans everything; later ones only where the bound
-	// cannot vouch for the current assignment.
-	assignAll := func(first bool) {
+	// the worker pool, scanning only where the bound cannot vouch for the
+	// current assignment; per-vector writes keep it exact under
+	// parallelism. It returns how many points the bound vouched for.
+	assignAll := func() int64 {
+		before := skipped.Load()
 		vecmath.RowNorms(centroids, dim, centNorms)
 		maxNorm := geometry(centroids, dim, half)
 		cut, cutOwn, mover := largestMoves(moves)
@@ -121,23 +126,21 @@ func train(data []float32, cfg Config) (*Result, skips, error) {
 				v := data[i*dim : (i+1)*dim]
 				e := mg.of(xn[i], maxNorm)
 				xx := xn[i] * xn[i]
-				if !first {
-					a := assign[i]
-					s := centNorms[a] - 2*vecmath.Dot(v, centroids[a*dim:(a+1)*dim])
-					u2 := xx + float64(s) + e
-					l := lower[i] - cut
-					if a == mover {
-						l = lower[i] - cutOwn
-					}
-					if t := 2*half[a] - math.Sqrt(u2); t > l {
-						l = t
-					}
-					if l > 0 && l*l-u2 > 2*e {
-						lower[i] = l
-						dists[i] = sqDist(dataNorms[i], s)
-						pruned++
-						continue
-					}
+				a := assign[i]
+				s := centNorms[a] - 2*vecmath.Dot(v, centroids[a*dim:(a+1)*dim])
+				u2 := xx + float64(s) + e
+				l := lower[i] - cut
+				if a == mover {
+					l = lower[i] - cutOwn
+				}
+				if t := 2*half[a] - math.Sqrt(u2); t > l {
+					l = t
+				}
+				if l > 0 && l*l-u2 > 2*e {
+					lower[i] = l
+					dists[i] = sqDist(dataNorms[i], s)
+					pruned++
+					continue
 				}
 				j, score, second := vecmath.ArgminNormScore(v, centroids, centNorms, dim)
 				assign[i] = j
@@ -146,11 +149,15 @@ func train(data []float32, cfg Config) (*Result, skips, error) {
 			}
 			skipped.Add(pruned)
 		})
+		return skipped.Load() - before
 	}
 
+	var first int64
 	for iter := 0; iter < iters; iter++ {
 		// Assignment step (parallel).
-		assignAll(iter == 0)
+		if pruned := assignAll(); iter == 0 {
+			first = pruned
+		}
 		// Update step: accumulate in index order so the float32 sums match
 		// the single-threaded fold bit for bit.
 		inertia = 0
@@ -180,13 +187,13 @@ func train(data []float32, cfg Config) (*Result, skips, error) {
 		centroids = next
 	}
 	// Final assignment against the last centroid update.
-	assignAll(false)
+	assignAll()
 	inertia = 0
 	for i := 0; i < n; i++ {
 		inertia += float64(dists[i])
 	}
 	return &Result{Centroids: centroids, Assignments: assign, Inertia: inertia},
-		skips{seed: seedSkips, assign: skipped.Load()}, nil
+		skips{seed: seedSkips, assign: skipped.Load(), first: first}, nil
 }
 
 // sqDist is the squared distance ArgminNormScore's caller reconstructs:
@@ -289,9 +296,10 @@ func largestMoves(moves []float64) (top, second float64, mover int) {
 // importantly here — deterministic, well-spread clusters. The
 // min-distance table updates run on the worker pool (per-element
 // writes); the weighted draw scans the table sequentially, so the picks
-// are worker-count independent. It also returns how many (point, pick)
-// distances the bound skipped.
-func seedPlusPlus(data []float32, xn []float64, dim, k, workers int, r *rng.Rand, mg margin) ([]float32, int64) {
+// are worker-count independent. It also returns each point's nearest
+// pick (the first among equals) and how many (point, pick) distances the
+// bound skipped.
+func seedPlusPlus(data []float32, xn []float64, dim, k, workers int, r *rng.Rand, mg margin) ([]float32, []int, int64) {
 	n := len(xn)
 	centroids := make([]float32, k*dim)
 	first := r.Intn(n)
@@ -376,5 +384,5 @@ func seedPlusPlus(data []float32, xn []float64, dim, k, workers int, r *rng.Rand
 			skipped.Add(pruned)
 		})
 	}
-	return centroids, skipped.Load()
+	return centroids, near, skipped.Load()
 }

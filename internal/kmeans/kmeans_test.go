@@ -223,7 +223,7 @@ func TestSeedPlusPlusMatchesPerRowReference(t *testing.T) {
 		copy(data[tc.dim:2*tc.dim], data[:tc.dim])
 		want := seedNaive(data, tc.n, tc.dim, tc.k, rng.New(9))
 		for _, workers := range []int{1, 3} {
-			got, _ := seedPlusPlus(data, rowNorms64(data, tc.dim), tc.dim, tc.k, workers, rng.New(9), newMargin(tc.dim))
+			got, _, _ := seedPlusPlus(data, rowNorms64(data, tc.dim), tc.dim, tc.k, workers, rng.New(9), newMargin(tc.dim))
 			for i := range want {
 				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 					t.Fatalf("n %d dim %d workers %d: seed centroid %d differs from the per-row reference", tc.n, tc.dim, workers, i/tc.dim)
@@ -335,13 +335,42 @@ func TestTrainMatchesNaive(t *testing.T) {
 			}
 			if workers == 1 {
 				n := len(tc.data) / tc.dim
-				t.Logf("%s: skipped %.2f of seeding and %.2f of later-pass distances", tc.name,
-					float64(sk.seed)/float64(max(1, (tc.k-1)*n)), float64(sk.assign)/float64(cfg.MaxIters*n))
+				t.Logf("%s: skipped %.2f of seeding and %.2f of Lloyd-pass distances", tc.name,
+					float64(sk.seed)/float64(max(1, (tc.k-1)*n)), float64(sk.assign)/float64((cfg.MaxIters+1)*n))
 			}
 			// K = 1 has no pick after the first to skip.
 			if tc.mustSkip && (sk.assign == 0 || tc.k > 1 && sk.seed == 0) {
 				t.Fatalf("%s, workers %d: bounds skipped %d seeding and %d assignment distances", tc.name, workers, sk.seed, sk.assign)
 			}
+		}
+	}
+}
+
+// TestFirstPassStartsFromSeeding: the first Lloyd pass starts from the
+// seeding's nearest picks, so on a blob corpus the bound already vouches
+// for most points before any centroid has moved (a pass that scanned
+// every point would count zero), and the result stays the naive one.
+func TestFirstPassStartsFromSeeding(t *testing.T) {
+	data := mixture(32, 64, 32, 14)
+	cfg := Config{K: 32, Dim: 32, MaxIters: 4, Seed: 3}
+	want := trainNaive(data, cfg)
+	for _, workers := range []int{1, 3} {
+		cfg.Workers = workers
+		got, sk, err := train(data, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := int64(len(data) / cfg.Dim)
+		if sk.first <= n/2 || sk.first > sk.assign {
+			t.Fatalf("workers %d: the first pass skipped %d of %d points (%d over all passes)", workers, sk.first, n, sk.assign)
+		}
+		for i := range want.Assignments {
+			if got.Assignments[i] != want.Assignments[i] {
+				t.Fatalf("workers %d: vector %d assigned %d, naive %d", workers, i, got.Assignments[i], want.Assignments[i])
+			}
+		}
+		if math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) {
+			t.Fatalf("workers %d: inertia %v, naive %v", workers, got.Inertia, want.Inertia)
 		}
 	}
 }

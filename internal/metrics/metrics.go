@@ -47,7 +47,7 @@ type Summary struct {
 // scratch across calls — the allocation-free aggregation path
 // a collector holds for the lifetime of a run (and across runs).
 type Summarizer struct {
-	ttft, e2e, search []float64
+	buf []float64
 }
 
 // Summarize filters to requests that arrived at or after cutoff (warmup
@@ -57,55 +57,44 @@ type Summarizer struct {
 // backlog is a failure, not missing data — but are excluded from the
 // latency percentiles.
 func (a *Summarizer) Summarize(reqs []workload.Request, slo time.Duration, cutoff des.Time) Summary {
-	// No sample can outgrow the record count: size the scratch once
-	// instead of regrowing it append by append.
-	if n := len(reqs); cap(a.ttft) < n {
-		buf := make([]float64, 3*n)
-		a.ttft, a.e2e, a.search = buf[:0:n], buf[n:n:2*n], buf[2*n:2*n:3*n]
-	}
-	a.ttft = a.ttft[:0]
-	a.e2e = a.e2e[:0]
-	a.search = a.search[:0]
+	return a.SummarizeIDs(reqs, nil, slo, cutoff)
+}
+
+// SummarizeIDs is Summarize over the records reqs[ids[0]], reqs[ids[1]],
+// ... in that order — one replica's share of a fleet's arrival-ordered
+// array, read where it lies. A nil ids means every record, in order.
+//
+// The three latency sets are sampled one after another into one
+// scratch buffer, each read and released before the next is taken, so
+// the scratch is one float per record rather than three.
+func (a *Summarizer) SummarizeIDs(reqs []workload.Request, ids []int32, slo time.Duration, cutoff des.Time) Summary {
 	var sumQ, sumS, sumW, sumP float64
 	ok := 0
-	n := 0
-	unserved := 0
-	for i := range reqs {
-		r := &reqs[i]
-		if r.ArrivalAt < cutoff {
-			continue
-		}
-		n++
-		if r.FirstToken == 0 {
-			unserved++
-			continue
-		}
+	ttft, n := a.sample(reqs, ids, cutoff, func(r *workload.Request) (des.Time, bool) {
 		t := r.TTFT()
-		a.ttft = append(a.ttft, float64(t))
 		if time.Duration(t) <= slo {
 			ok++
 		}
-		if r.Done > 0 {
-			a.e2e = append(a.e2e, float64(r.E2E()))
-		}
-		a.search = append(a.search, float64(r.SearchLatency()))
 		sumQ += float64(r.QueueingDelay())
 		sumS += float64(r.SearchLatency())
 		sumW += float64(r.LLMStart - r.SearchDone)
 		sumP += float64(r.FirstToken - r.LLMStart)
-	}
-	s := Summary{N: n, Unserved: unserved}
+		return t, true
+	})
+	served := len(ttft)
+	s := Summary{N: n, Unserved: n - served}
 	if n == 0 {
 		return s
 	}
 	s.Attainment = float64(ok) / float64(n)
-	served := n - unserved
 	if served == 0 {
 		return s
 	}
-	s.TTFT = quantiles(a.ttft)
-	s.E2E = quantiles(a.e2e)
-	s.Search = quantiles(a.search)
+	s.TTFT = quantiles(ttft)
+	e2e, _ := a.sample(reqs, ids, cutoff, func(r *workload.Request) (des.Time, bool) { return r.E2E(), r.Done > 0 })
+	s.E2E = quantiles(e2e)
+	search, _ := a.sample(reqs, ids, cutoff, func(r *workload.Request) (des.Time, bool) { return r.SearchLatency(), true })
+	s.Search = quantiles(search)
 	fs := float64(served)
 	s.Breakdown = Breakdown{
 		Queueing: time.Duration(sumQ / fs),
@@ -114,6 +103,41 @@ func (a *Summarizer) Summarize(reqs []workload.Request, slo time.Duration, cutof
 		Prefill:  time.Duration(sumP / fs),
 	}
 	return s
+}
+
+// sample walks the records SummarizeIDs reads, in order, and returns in
+// the scratch buffer of(r) for every one that arrived at or after cutoff
+// and produced a first token, where of reports a value, along with how
+// many arrived at or after cutoff. The sample is valid until the next
+// call.
+func (a *Summarizer) sample(reqs []workload.Request, ids []int32, cutoff des.Time, of func(*workload.Request) (des.Time, bool)) (sample []float64, n int) {
+	m := len(reqs)
+	if ids != nil {
+		m = len(ids)
+	}
+	// No sample can outgrow the record count: size the scratch once
+	// instead of regrowing it append by append.
+	if cap(a.buf) < m {
+		a.buf = make([]float64, 0, m)
+	}
+	sample = a.buf[:0]
+	for i := 0; i < m; i++ {
+		r := &reqs[i]
+		if ids != nil {
+			r = &reqs[ids[i]]
+		}
+		if r.ArrivalAt < cutoff {
+			continue
+		}
+		n++
+		if r.FirstToken == 0 {
+			continue
+		}
+		if v, ok := of(r); ok {
+			sample = append(sample, float64(v))
+		}
+	}
+	return sample, n
 }
 
 // Summarize is the one-shot form of Summarizer.Summarize.

@@ -76,6 +76,39 @@ func TestSummarizeAllUnserved(t *testing.T) {
 	}
 }
 
+// TestSummarizeIDsMatchesGathered: summarizing records through an ID
+// list is, bit for bit, summarizing those records gathered in ID order —
+// served, stuck and undone ones, across the warmup cut, on a reused
+// Summarizer whose scratch a larger call sized first.
+func TestSummarizeIDsMatchesGathered(t *testing.T) {
+	ms := int64(time.Millisecond)
+	reqs := make([]workload.Request, 200)
+	for i := range reqs {
+		a := int64(i) * 3 * ms
+		d := int64(i*7919%97+1) * ms
+		reqs[i] = mkReq(a, a+d, a+2*d, a+2*d+ms, a+3*d, a+5*d)
+		switch i % 11 {
+		case 3:
+			reqs[i].FirstToken, reqs[i].Done = 0, 0 // stuck before its first token
+		case 5:
+			reqs[i].Done = 0 // still decoding
+		}
+	}
+	var ids []int32
+	var gathered []workload.Request
+	for i := 0; i < 150; i++ {
+		id := int32(i * 7 % 200)
+		ids = append(ids, id)
+		gathered = append(gathered, reqs[id])
+	}
+	var a Summarizer
+	a.Summarize(reqs, 150*time.Millisecond, 0)
+	got := a.SummarizeIDs(reqs, ids, 150*time.Millisecond, 60*ms)
+	if want := Summarize(gathered, 150*time.Millisecond, 60*ms); got != want || got.Unserved == 0 || got.E2E.P50 == 0 {
+		t.Fatalf("by ID %+v\n gathered %+v", got, want)
+	}
+}
+
 func TestBreakdownSumsToTTFT(t *testing.T) {
 	ms := int64(time.Millisecond)
 	r := mkReq(0, 30*ms, 90*ms, 100*ms, 250*ms, 900*ms)

@@ -119,6 +119,13 @@ func (l *Loop) drain() {
 // workers. It is For with a per-element body; use it when each item is
 // heavy (e.g. one k-means training per PQ subspace).
 func ForEach(n, workers int, body func(i int)) {
+	ForEachWorker(n, workers, func(_, i int) { body(i) })
+}
+
+// ForEachWorker is ForEach that also tells body which worker runs item
+// i: w is in [0, min(workers, n)), and no two items run on one w at
+// once, so body may reuse per-worker scratch indexed by w.
+func ForEachWorker(n, workers int, body func(w, i int)) {
 	if n <= 0 {
 		return
 	}
@@ -128,7 +135,7 @@ func ForEach(n, workers int, body func(i int)) {
 	}
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			body(i)
+			body(0, i)
 		}
 		return
 	}
@@ -143,7 +150,7 @@ func ForEach(n, workers int, body func(i int)) {
 				if i >= n {
 					return
 				}
-				body(i)
+				body(g, i)
 			}
 		}()
 	}

@@ -76,6 +76,33 @@ func TestForEach(t *testing.T) {
 	}
 }
 
+// TestForEachWorker: every item runs once, on a worker index below the
+// resolved worker count, and no two items share a worker at once — so
+// per-worker scratch indexed by w is never written concurrently.
+func TestForEachWorker(t *testing.T) {
+	for _, workers := range []int{1, 3, 8} {
+		const n = 500
+		visits := make([]int32, n)
+		busy := make([]int32, workers)
+		ForEachWorker(n, workers, func(w, i int) {
+			if w < 0 || w >= workers {
+				t.Errorf("workers=%d: item %d ran on worker %d", workers, i, w)
+				return
+			}
+			if atomic.AddInt32(&busy[w], 1) != 1 {
+				t.Errorf("workers=%d: worker %d ran two items at once", workers, w)
+			}
+			atomic.AddInt32(&visits[i], 1)
+			atomic.AddInt32(&busy[w], -1)
+		})
+		for i, v := range visits {
+			if v != 1 {
+				t.Fatalf("workers=%d: index %d visited %d times", workers, i, v)
+			}
+		}
+	}
+}
+
 func TestEmptyAndTinyInputs(t *testing.T) {
 	For(0, 4, func(int, int) { t.Fatal("body called for n=0") })
 	ForEach(0, 4, func(int) { t.Fatal("body called for n=0") })

@@ -60,12 +60,12 @@ const DefaultNetDelay = time.Millisecond
 type fleetBuilder func(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.Duration, expect int) (*fleet, error)
 
 // shared runs the router and every replica on one simulator. The plain
-// router gives each replica its own collector beside the global one.
-// The resilient router settles every completion itself (collector,
-// release, pool) and keeps the only record: retries and hedges would
-// register one logical request with several replica collectors, and
-// superseded (pool-recycled) copies would leave dangling live pointers
-// behind, so per-replica reporting is limited to routing counts there.
+// router gives each replica an ID list into the global collector's
+// records, which the request's arrival index keys. The resilient router
+// settles every completion itself (collector, release, pool) and keeps
+// the only record: retries and hedges would register one logical
+// request with several replicas, so per-replica reporting is limited to
+// routing counts there.
 func (c *corpus) shared(opts *Options) (*served, error) {
 	resilient := opts.resilient()
 	var sim des.Sim
@@ -84,7 +84,7 @@ func (c *corpus) shared(opts *Options) (*served, error) {
 			nodes[i], err = c.spec.build(&sim, nil, nil, func(req *workload.Request) { rr.Complete(i, req) })
 		} else {
 			own := serve.NewCollector()
-			own.Reserve(replicaShare(c.expect, opts.Replicas))
+			own.InPlace(c.expect/opts.Replicas + 1)
 			nodes[i], err = c.spec.build(&sim, own, []serve.Sink{coll.Done, rep.Release}, pool.Release)
 		}
 		if err != nil {
@@ -135,10 +135,11 @@ func (c *corpus) shared(opts *Options) (*served, error) {
 
 	warmup := des.Time(opts.Warmup)
 	s := &served{records: coll.Requests(), nodes: nodes, submitted: make([]int, opts.Replicas), sums: make([]metrics.Summary, opts.Replicas)}
+	var agg metrics.Summarizer
 	for i, n := range nodes {
 		s.submitted[i] = reps[i].Submitted()
 		if n.coll != nil {
-			s.sums[i] = n.coll.Summarize(c.slo, warmup)
+			s.sums[i] = agg.SummarizeIDs(s.records, n.coll.IDs(), c.slo, warmup)
 		}
 	}
 	if resilient {
@@ -153,48 +154,51 @@ func (c *corpus) shared(opts *Options) (*served, error) {
 }
 
 // fleet is R replicas of one node spec behind a front that owns
-// arrivals, routing and the request pool, one modeled network delay
-// away from every replica, each replica on a timeline of its own with
-// its own collector. The caller starts its arrival sources (and drift
-// events) on FrontSim, feeding Submit at each request's arrival instant,
-// and then calls run. Which of two engines executes that contract is
-// decided by newFleet from the routing policy and the replica count
-// alone, and no caller can tell the difference:
+// arrivals and routing, one modeled network delay away from every
+// replica, each replica on a timeline of its own. The caller starts its
+// arrival sources (and drift events) on the front timeline, feeding
+// Submit at each request's arrival instant, and then calls run.
+//
+// Both engines share phase 1: the front runs alone and appends each
+// arrival, by value, to one arrival-ordered array — the run's only copy
+// of a request. Replicas then serve the array's records in place, and
+// their collectors keep ID lists into it, so the array is the global
+// record set when phase 2 ends: a request still on the wire at the
+// deadline reads as it left the front (admitted but unserved, as the
+// single-timeline collector reports one stuck between router and
+// replica), one mid-pipeline reads its state at the deadline. Which
+// engine runs phase 2 is decided by newFleet from the routing policy and
+// the replica count alone, and no caller can tell the difference:
 //
 //   - Routing that reads replica state (least-loaded over several
-//     replicas) needs the completion notices while it routes, so front
-//     and replicas advance together as shards of a des.Group behind a
+//     replicas) needs the completion notices while it routes, so the
+//     exchange's front shard replays the array (replay) and front and
+//     replicas advance together as shards of a des.Group behind a
 //     serve.Exchange (x).
 //   - Routing that cannot observe replica state (round-robin, or a lone
 //     replica under any policy) makes the front's choices a pure
-//     function of the arrival stream. No link, window or barrier is
-//     built: the front runs alone and deals each arrival, by value, into
-//     its replica's lane; then every lane runs to the deadline by itself
-//     on internal/parallel, fed under the shard delivery rule
-//     (des.Sim.RunFed), which makes its schedule the one the exchange
-//     would have produced, event for event.
+//     function of the arrival stream: arrival k goes to replica k mod R.
+//     No link, window or barrier is built: every replica runs to the
+//     deadline by itself on internal/parallel, fed its arrivals under
+//     the shard delivery rule (des.Sim.RunFed), which makes its schedule
+//     the one the exchange would have produced, event for event.
 type fleet struct {
-	pool  *workload.Pool
-	nodes []*node
-
-	x *serve.Exchange // nil on the link-free path
+	pool    *workload.Pool
+	nodes   []*node
+	records []workload.Request // every arrival in front order; ID = index
 
 	front    des.Sim
 	netDelay des.Time
-	lanes    []*lane
-	arrivals int
+	x        *serve.Exchange // nil on the link-free path
+	lanes    []*lane         // nil on the exchange path
 }
 
-// lane is one link-free replica's timeline and its inbox: the front
-// appends the replica's arrivals in routing order, and the replica then
-// serves them in place — its collector adopts the array — so a record
-// is written once and never copied until the final merge. Lanes are
-// allocated one by one and padded: workers advance different lanes at
-// once, and two simulators on one cache line serialize them.
+// lane is one link-free replica's timeline. Lanes are allocated one by
+// one and padded: workers advance different lanes at once, and two
+// simulators on one cache line serialize them.
 type lane struct {
-	sim  des.Sim
-	reqs []workload.Request
-	_    [64]byte
+	sim des.Sim
+	_   [64]byte
 }
 
 // newFleet builds the fleet on the engine its routing needs, for the
@@ -206,15 +210,12 @@ func newFleet(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.D
 	if policy == serve.LeastLoaded && replicas > 1 {
 		return newExchangeFleet(spec, replicas, policy, netDelay, expect)
 	}
-	f := &fleet{pool: &workload.Pool{}, nodes: make([]*node, replicas), netDelay: des.Time(netDelay)}
-	var err error
+	f := newFront(replicas, netDelay, expect)
 	for i := range f.nodes {
-		// Round-robin deals arrival k to lane k mod R, so the hint splits
-		// exactly. Nobody takes the request after the collector: it lives
-		// in the lane's array and is never recycled.
-		l := &lane{reqs: make([]workload.Request, 0, expect/replicas+1)}
-		f.lanes = append(f.lanes, l)
-		if f.nodes[i], err = spec.build(&l.sim, serve.NewCollector(), nil, func(*workload.Request) {}); err != nil {
+		// Nobody takes a request after the collector: it lives in the
+		// array and is never recycled.
+		f.lanes = append(f.lanes, &lane{})
+		if err := f.build(spec, i, &f.lanes[i].sim, func(*workload.Request) {}); err != nil {
 			return nil, err
 		}
 	}
@@ -223,21 +224,19 @@ func newFleet(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.D
 
 // newExchangeFleet builds the fleet on the sharded exchange whatever the
 // policy (newFleet picks it for feedback routing only; the differential
-// tests run round-robin through it as the reference).
+// tests run round-robin through it as the reference). Without a pool a
+// completion notice only decrements the front's gauge.
 func newExchangeFleet(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.Duration, expect int) (*fleet, error) {
-	f := &fleet{pool: &workload.Pool{}, nodes: make([]*node, replicas)}
+	f := newFront(replicas, netDelay, expect)
 	var err error
-	if f.x, err = serve.NewExchange(policy, replicas, netDelay, netDelay, f.pool); err != nil {
+	if f.x, err = serve.NewExchange(policy, replicas, netDelay, netDelay, nil); err != nil {
 		return nil, err
 	}
 	for i := range f.nodes {
-		// Each replica records (or rejects) on its own timeline and then
-		// ships the request home with the notice, so overload control is
-		// per replica and the merged schedule stays a pure function of
+		// Each replica admits (or rejects) on its own timeline, so overload
+		// control is per replica and the schedule stays a pure function of
 		// the options for any worker count.
-		coll := serve.NewCollector()
-		coll.Reserve(replicaShare(expect, replicas))
-		if f.nodes[i], err = spec.build(f.x.ReplicaSim(i), coll, nil, f.x.NoticeSink(i)); err != nil {
+		if err := f.build(spec, i, f.x.ReplicaSim(i), f.x.NoticeSink(i)); err != nil {
 			return nil, err
 		}
 		f.x.BindReplica(i, f.nodes[i].pipe.Submit)
@@ -245,101 +244,102 @@ func newExchangeFleet(spec *nodeSpec, replicas int, policy serve.Policy, netDela
 	return f, nil
 }
 
-// replicaShare sizes one replica's collector from the fleet-wide hint
-// when routing is load-dependent: an even share plus an eighth.
-func replicaShare(expect, replicas int) int {
-	return expect/replicas + expect/(8*replicas) + 16
+// newFront returns a fleet with its front and its record array, sized to
+// expect, and no replicas built yet.
+func newFront(replicas int, netDelay time.Duration, expect int) *fleet {
+	return &fleet{pool: &workload.Pool{}, nodes: make([]*node, replicas),
+		records: make([]workload.Request, 0, expect), netDelay: des.Time(netDelay)}
 }
 
-// FrontSim returns the front timeline: arrival sources and drift events
-// go here.
-func (f *fleet) FrontSim() *des.Sim {
-	if f.x != nil {
-		return f.x.FrontSim()
-	}
-	return &f.front
+// build instantiates replica i on sim, its collector an ID list into the
+// record array sized to an even share.
+func (f *fleet) build(spec *nodeSpec, i int, sim *des.Sim, next serve.Sink) (err error) {
+	coll := serve.NewCollector()
+	coll.InPlace(cap(f.records)/len(f.nodes) + 1)
+	f.nodes[i], err = spec.build(sim, coll, nil, next)
+	return err
 }
 
-// Submit routes one arrival — the sink the arrival sources feed. It
-// restamps the request ID with the global arrival index, so per-replica
-// records merge back into front arrival order even when several
-// generators multiplex onto the front timeline. On the link-free path
-// the request is copied into its lane and the pooled object recycled at
-// once; its transit ends one network delay after its arrival instant.
+// Submit takes one arrival — the sink the arrival sources feed. It
+// restamps the request ID with the global arrival index, the record's
+// place in the array, even when several generators multiplex onto the
+// front timeline, appends the request and recycles the pooled object.
 func (f *fleet) Submit(req *workload.Request) {
-	if f.x != nil {
-		f.x.Submit(req)
-		return
-	}
-	req.ID = f.arrivals
-	l := f.lanes[f.arrivals%len(f.lanes)]
-	f.arrivals++
-	l.reqs = append(l.reqs, *req)
+	req.ID = len(f.records)
+	f.records = append(f.records, *req)
 	f.pool.Put(req)
 }
 
-// run executes the fleet to the deadline and gathers the run: the
-// global per-request record set in front arrival order, the requests
-// routed to each replica, and the worker count used. after, when
-// non-nil, sees each replica once its timeline has finished (on the
-// link-free path from the goroutine that ran it, so per-replica
-// aggregation is part of the parallel phase). Every routed request
-// carries its global arrival index as its ID, so per-replica records
-// scatter straight into one slice; requests still in network transit
-// when the clock stopped never reached a collector and are reported as
-// they left the front — admitted but unserved, exactly how the
-// single-timeline collector reports a request stuck between router and
-// replica at the deadline.
-func (f *fleet) run(deadline des.Time, workers int, after func(i int, n *node)) (records []workload.Request, submitted []int, used int) {
-	if after == nil {
-		after = func(int, *node) {}
-	}
-	submitted = make([]int, len(f.nodes))
-	put := func(rec *workload.Request) {
-		if rec.ID >= 0 && rec.ID < len(records) {
-			records[rec.ID] = *rec
+// run executes the fleet to the deadline and reports the requests routed
+// to each replica, each replica's own summary against slo (zero when slo
+// is) and the worker count used. The summaries are read from the
+// goroutine that ran the replica, where the link-free engine has one,
+// through one metrics.Summarizer per worker.
+func (f *fleet) run(deadline des.Time, workers int, slo time.Duration, warmup des.Time) (submitted []int, sums []metrics.Summary, used int) {
+	// Phase 1: the front alone. Every arrival lands in the array.
+	f.front.RunUntil(deadline)
+	submitted, sums = make([]int, len(f.nodes)), make([]metrics.Summary, len(f.nodes))
+	var aggs []metrics.Summarizer
+	summarize := func(w, i int) {
+		if slo > 0 {
+			sums[i] = aggs[w].SummarizeIDs(f.records, f.nodes[i].coll.IDs(), slo, warmup)
 		}
 	}
+	// Phase 2: the replicas serve the array in place.
 	if f.x != nil {
 		used = shardWorkers(workers, len(f.nodes)+1)
+		aggs = make([]metrics.Summarizer, used)
+		f.replay()
 		f.x.Run(deadline, used)
-		records = make([]workload.Request, f.x.Arrivals())
-		for i, n := range f.nodes {
+		for i := range submitted {
 			submitted[i] = f.x.Submitted(i)
-			recs := n.coll.Requests()
-			for j := range recs {
-				put(&recs[j])
-			}
-			after(i, n)
 		}
-		f.x.DrainArrivals(put)
-		return records, submitted, used
+		parallel.ForEachWorker(len(f.nodes), used, summarize)
+		return submitted, sums, used
 	}
-
-	// Phase 1: the front alone. Every arrival lands in its lane.
-	f.front.RunUntil(deadline)
-	// Phase 2: each replica alone, fed its lane. The lane's length is the
-	// replica's exact admission count, and the array it will report.
-	used = shardWorkers(workers, len(f.lanes))
-	parallel.ForEach(len(f.lanes), used, func(i int) {
-		l, n := f.lanes[i], f.nodes[i]
-		n.coll.Adopt(l.reqs)
-		in := des.NewInbox(func(arg any) { n.pipe.Submit(arg.(*workload.Request)) }, len(l.reqs))
-		for j := range l.reqs {
-			in.Post(l.reqs[j].ArrivalAt+f.netDelay, &l.reqs[j])
+	r, n := len(f.lanes), len(f.records)
+	used = shardWorkers(workers, r)
+	aggs = make([]metrics.Summarizer, used)
+	// Each worker feeds its lanes through one inbox, emptied between them:
+	// what a lane leaves undelivered is still on the wire at the deadline.
+	ins := make([]*des.Inbox, used)
+	deliver := func(arg any) {
+		req := arg.(*workload.Request)
+		f.nodes[req.ID%r].pipe.Submit(req)
+	}
+	parallel.ForEachWorker(r, used, func(w, i int) {
+		if ins[w] == nil {
+			ins[w] = des.NewInbox(deliver, n/r+1)
 		}
-		l.sim.RunFed(deadline, in)
-		after(i, n)
+		in := ins[w]
+		for k := i; k < n; k += r {
+			in.Post(f.records[k].ArrivalAt+f.netDelay, &f.records[k])
+		}
+		f.lanes[i].sim.RunFed(deadline, in)
+		in.Drain(func(des.Time, any) {})
+		submitted[i] = (n - i + r - 1) / r
+		summarize(w, i)
 	})
-	// Phase 3: one array in arrival order, the undelivered tails included.
-	records = make([]workload.Request, f.arrivals)
-	for i, l := range f.lanes {
-		submitted[i] = len(l.reqs)
-		for j := range l.reqs {
-			put(&l.reqs[j])
+	return submitted, sums, used
+}
+
+// replay arms the exchange's front shard with the array: one handler
+// routes every arrival of an instant, in array order, and then arms the
+// next instant's. A completion notice stamped at an instant thus lands
+// after every arrival of that instant, as it did behind the generator
+// events that were queued before it.
+func (f *fleet) replay() {
+	front, k := f.x.FrontSim(), 0
+	var fire func()
+	fire = func() {
+		for now := front.Now(); k < len(f.records) && f.records[k].ArrivalAt == now; k++ {
+			f.x.Submit(&f.records[k])
+		}
+		if k < len(f.records) {
+			front.At(f.records[k].ArrivalAt, fire)
 		}
 	}
-	return records, submitted, used
+	front.At(0, fire)
 }
 
 // shardWorkers resolves the Workers option for the given number of

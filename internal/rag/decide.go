@@ -252,8 +252,9 @@ func arrivalsFor(w *dataset.Workload, rate float64, sched workload.Schedule, sha
 
 // expectedArrivals is the request count the stream arrivalsFor builds
 // will almost never exceed over an arrival window: the Poisson mean
-// plus four standard deviations. Collectors and fleet lanes are sized
-// to it before the run; falling short only costs a reallocation.
+// plus four standard deviations. Collectors and a fleet's record array
+// are sized to it before the run; falling short only costs a
+// reallocation.
 func expectedArrivals(rate float64, sched workload.Schedule, window time.Duration) int {
 	mean := rate * window.Seconds()
 	if sched != nil {

@@ -119,10 +119,11 @@ func runSingle(opts *Options, d *decision) (*Result, error) {
 
 // corpus is what a run serves as every topology sees it: the node spec
 // each replica instantiates, the arrival-count hint collectors and
-// lanes are sized to, the SLO a replica's own summary is read against
-// (zero for a lineup, which has no single SLO), and the feed that starts
-// the run's sources on the timeline owning arrivals (a node's own, or a
-// fleet's front) and returns the hook that undoes its drift trace.
+// record arrays are sized to, the SLO a replica's own summary is read
+// against (zero for a lineup, which has no single SLO), and the feed
+// that starts the run's sources on the timeline owning arrivals (a
+// node's own, or a fleet's front) and returns the hook that undoes its
+// drift trace.
 type corpus struct {
 	spec   *nodeSpec
 	expect int
@@ -183,24 +184,21 @@ func (c *corpus) node(sim *des.Sim, opts *Options, observers []serve.Sink, bind 
 }
 
 // fleet serves the corpus on opts.Replicas replicas on the fleet engine
-// build picks, reading each replica's own summary (where the corpus has
-// one SLO) from the goroutine that ran it.
+// build picks, with each replica's own summary where the corpus has one
+// SLO.
 func (c *corpus) fleet(opts *Options, build fleetBuilder) (*served, error) {
 	f, err := build(c.spec, opts.Replicas, opts.Policy, opts.NetDelay, c.expect)
 	if err != nil {
 		return nil, err
 	}
 	// Drift rotates popularity on the front timeline, where the only
-	// reader (arrival sampling) lives; replica timelines never touch the
-	// rotation, so the trace stays race-free under parallel execution.
-	defer c.feed(f.FrontSim(), f.pool, f.Submit)()
+	// reader (arrival sampling) lives and which finishes before any
+	// replica starts, so the trace stays race-free under parallel
+	// execution.
+	defer c.feed(&f.front, f.pool, f.Submit)()
 	s := &served{nodes: f.nodes}
-	var after func(int, *node)
-	if c.slo > 0 {
-		s.sums = make([]metrics.Summary, opts.Replicas)
-		after = func(i int, n *node) { s.sums[i] = n.coll.Summarize(c.slo, des.Time(opts.Warmup)) }
-	}
-	s.records, s.submitted, s.workers = f.run(des.Time(opts.Duration+opts.Drain), opts.Workers, after)
+	s.submitted, s.sums, s.workers = f.run(des.Time(opts.Duration+opts.Drain), opts.Workers, c.slo, des.Time(opts.Warmup))
+	s.records = f.records
 	return s, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"vectorliterag/internal/des"
+	"vectorliterag/internal/metrics"
 	"vectorliterag/internal/workload"
 )
 
@@ -121,42 +122,36 @@ func TestCollectorReserve(t *testing.T) {
 	}
 }
 
-// TestCollectorAdopt: an adopted array is the record set — requests are
-// admitted in its order, served where they lie, and whatever was never
-// admitted stays outside every view.
-func TestCollectorAdopt(t *testing.T) {
+// TestCollectorInPlace: an in-place collector is an ID list — it keeps
+// the admitted IDs in admission order, copies nothing, and the records
+// are read where their owner keeps them.
+func TestCollectorInPlace(t *testing.T) {
 	reqs := make([]workload.Request, 4)
 	for i := range reqs {
 		reqs[i] = workload.Request{ID: i, ArrivalAt: des.Time(100 * i)}
 	}
 	c := NewCollector()
-	c.Adopt(reqs)
-	if c.Admitted() != 0 || len(c.Requests()) != 0 {
-		t.Fatal("adopting admitted something")
+	c.InPlace(2)
+	if c.Admitted() != 0 || len(c.IDs()) != 0 {
+		t.Fatal("an empty in-place collector admitted something")
 	}
-	c.Admit(&reqs[0])
-	c.Admit(&reqs[1])
 	c.Admit(&reqs[2])
-	reqs[0].FirstToken, reqs[0].Done = 40, 90
-	c.Done(&reqs[0])
-	reqs[1].FirstToken = 150 // in flight: no refresh needed, the record is the request
-	c.Abandon(&reqs[2])      // a rejection: nothing to freeze
+	c.Admit(&reqs[0])
+	c.Admit(&reqs[3])
+	reqs[2].FirstToken, reqs[2].Done = 240, 290
+	c.Done(&reqs[2])
+	reqs[0].FirstToken = 50 // in flight: no refresh needed, the record is the request
+	c.Abandon(&reqs[3])     // a rejection: nothing to freeze
 
-	recs := c.Requests()
-	if len(recs) != 3 || c.Admitted() != 3 || c.Completed() != 1 {
-		t.Fatalf("records=%d admitted=%d completed=%d", len(recs), c.Admitted(), c.Completed())
+	if ids := c.IDs(); len(ids) != 3 || ids[0] != 2 || ids[1] != 0 || ids[2] != 3 {
+		t.Fatalf("IDs %v, want admission order [2 0 3]", ids)
 	}
-	if &recs[1] != &reqs[1] || recs[0].Done != 90 || recs[1].FirstToken != 150 || recs[2].FirstToken != 0 {
-		t.Fatalf("records are not the adopted requests: %+v", recs)
+	if c.Admitted() != 3 || c.Completed() != 1 || len(c.Requests()) != 0 {
+		t.Fatalf("admitted=%d completed=%d records=%d: an in-place collector keeps no copies",
+			c.Admitted(), c.Completed(), len(c.Requests()))
 	}
-	if s := c.Summarize(time.Second, 0); s.N != 3 || s.Unserved != 1 {
+	var agg metrics.Summarizer
+	if s := agg.SummarizeIDs(reqs, c.IDs(), time.Second, 0); s.N != 3 || s.Unserved != 1 {
 		t.Fatalf("summary N=%d unserved=%d, want 3 and the rejected one", s.N, s.Unserved)
 	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("admitting out of array order went unnoticed")
-		}
-	}()
-	c.Admit(&reqs[0])
 }

@@ -27,10 +27,11 @@ import (
 // count, which is what keeps the merged schedule bit-identical from
 // workers=1 to workers=N.
 //
-// Completed requests return to the front-owned pool via the notice
-// link, preserving the allocation-free pooled request lifecycle: after
-// the in-flight ramp, arrivals reuse requests the notices brought
-// home.
+// Given a pool, completed requests return to it via the notice link,
+// preserving the allocation-free pooled request lifecycle: after the
+// in-flight ramp, arrivals reuse requests the notices brought home.
+// Without one (a fleet whose requests live in one array) a notice only
+// decrements its replica's gauge.
 type Exchange struct {
 	group  *des.Group
 	front  *des.Shard
@@ -103,9 +104,6 @@ func NewExchange(policy Policy, replicas int, netDelay, feedbackDelay time.Durat
 	return x, nil
 }
 
-// Group returns the underlying shard group.
-func (x *Exchange) Group() *des.Group { return x.group }
-
 // FrontSim returns the front shard's simulator — where arrivals,
 // drift events, and routing execute.
 func (x *Exchange) FrontSim() *des.Sim { return &x.front.Sim }
@@ -113,9 +111,6 @@ func (x *Exchange) FrontSim() *des.Sim { return &x.front.Sim }
 // ReplicaSim returns replica i's simulator; build that replica's
 // pipeline on it.
 func (x *Exchange) ReplicaSim(i int) *des.Sim { return &x.reps[i].Sim }
-
-// Replicas returns the replica count.
-func (x *Exchange) Replicas() int { return len(x.reps) }
 
 // BindReplica installs replica i's pipeline head; forwarded requests
 // enter it when their network transit ends.
@@ -136,26 +131,31 @@ func (x *Exchange) NoticeSink(i int) Sink {
 }
 
 // Submit routes one arrival — the front pipeline's head. It restamps
-// the request ID with the global arrival index (so per-replica records
-// merge back into front arrival order even when several generators
-// multiplex onto the front timeline), picks a replica with the same
+// the request ID with the global arrival index (so records can be kept
+// in front arrival order even when several generators multiplex onto
+// the front timeline), picks a replica with the same
 // scan and round-robin tie-break as Router.Submit, and puts the
 // request on the wire.
 func (x *Exchange) Submit(req *workload.Request) {
 	req.ID = x.arrivals
 	x.arrivals++
-	n := len(x.fwd)
-	pick := x.next % n
+	pick := x.next
 	if x.policy == LeastLoaded {
-		best := x.inflight[pick]
-		for k := 1; k < n; k++ {
-			c := (x.next + k) % n
-			if x.inflight[c] < best {
-				best, pick = x.inflight[c], c
+		// From the cursor round the ring, first strictly smaller load wins.
+		for c := x.next + 1; c < len(x.inflight); c++ {
+			if x.inflight[c] < x.inflight[pick] {
+				pick = c
+			}
+		}
+		for c := 0; c < x.next; c++ {
+			if x.inflight[c] < x.inflight[pick] {
+				pick = c
 			}
 		}
 	}
-	x.next++
+	if x.next++; x.next == len(x.fwd) {
+		x.next = 0
+	}
 	x.inflight[pick]++
 	x.submitted[pick]++
 	x.fwd[pick].Send(x.front.Sim.Now()+x.netDelay, req)
@@ -176,14 +176,4 @@ func (x *Exchange) Inflight(i int) int { return x.inflight[i] }
 // value; workers ≤ 1 stays on the calling goroutine.
 func (x *Exchange) Run(deadline des.Time, workers int) {
 	x.group.Run(deadline, workers)
-}
-
-// DrainArrivals hands over requests that were still in network transit
-// toward a replica when the clock stopped (routed inside the last
-// netDelay of the run). Call after Run; the merge step records them as
-// admitted-but-unserved, as the single-timeline collector did.
-func (x *Exchange) DrainArrivals(fn func(*workload.Request)) {
-	for _, l := range x.fwd {
-		l.Drain(func(_ des.Time, arg any) { fn(arg.(*workload.Request)) })
-	}
 }

@@ -147,42 +147,19 @@ func TestExchangeRestampAndRecycle(t *testing.T) {
 	}
 }
 
-// TestExchangeDrainArrivals checks requests still in network transit
-// at the deadline come back out for the record merge.
-func TestExchangeDrainArrivals(t *testing.T) {
-	x, err := NewExchange(RoundRobin, 2, time.Millisecond, time.Millisecond, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		x.BindReplica(i, func(*workload.Request) {})
-	}
-	front := x.FrontSim()
-	reqs := []*workload.Request{{}, {}, {}}
-	front.At(0, func() { x.Submit(reqs[0]) })
-	// These two are routed within the last netDelay before the deadline,
-	// so their transit outlives the clock.
-	front.At(des.Time(9500*time.Microsecond), func() { x.Submit(reqs[1]); x.Submit(reqs[2]) })
-	x.Run(des.Time(10*time.Millisecond), 1)
-	var stranded []int
-	x.DrainArrivals(func(r *workload.Request) { stranded = append(stranded, r.ID) })
-	if len(stranded) != 2 {
-		t.Fatalf("drained %v, want the 2 in-transit requests", stranded)
-	}
-}
-
-// TestExchangeDrainArrivalsEarlyTermination terminates a busy sharded
-// run mid-storm — arrivals still flowing, replicas mid-service,
-// notices in feedback transit — and checks the accounting invariant
-// the record merge depends on: every routed request is either delivered
-// to exactly one replica head or comes back out of DrainArrivals,
-// never both, never neither. The stranded set must also be identical
-// for any worker count, like every other observable of the exchange.
-func TestExchangeDrainArrivalsEarlyTermination(t *testing.T) {
+// TestExchangeEarlyTermination terminates a busy sharded run mid-storm
+// — arrivals still flowing, replicas mid-service, notices in feedback
+// transit — and checks the accounting invariant a fleet's in-place
+// record array depends on: every routed request is either delivered to
+// exactly one replica head or was routed within the last network delay
+// and is still on the wire, never both, never neither. The stranded set
+// must also be identical for any worker count, like every other
+// observable of the exchange.
+func TestExchangeEarlyTermination(t *testing.T) {
 	const deadline = des.Time(50 * time.Millisecond)
+	const net = 2 * time.Millisecond
 	run := func(workers int) (delivered map[int]int, stranded []int, arrivals int) {
-		pool := &workload.Pool{}
-		x, err := NewExchange(RoundRobin, 3, 2*time.Millisecond, 2*time.Millisecond, pool)
+		x, err := NewExchange(RoundRobin, 3, net, net, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,19 +183,27 @@ func TestExchangeDrainArrivalsEarlyTermination(t *testing.T) {
 			})
 		}
 		front := x.FrontSim()
-		n := 0
+		var routed []*workload.Request
 		var arrive func()
 		arrive = func() {
-			req := pool.Get()
+			req := &workload.Request{ArrivalAt: front.Now()}
 			x.Submit(req)
-			n++
-			if n < 100 {
+			routed = append(routed, req)
+			if len(routed) < 100 {
 				front.After(time.Millisecond, arrive)
 			}
 		}
 		front.At(0, arrive)
 		x.Run(deadline, workers)
-		x.DrainArrivals(func(r *workload.Request) { stranded = append(stranded, r.ID) })
+		for _, req := range routed {
+			_, ok := delivered[req.ID]
+			if onWire := req.ArrivalAt+des.Time(net) > deadline; onWire == ok {
+				t.Errorf("request %d routed at %d: delivered %v, on the wire %v", req.ID, req.ArrivalAt, ok, onWire)
+			}
+			if !ok {
+				stranded = append(stranded, req.ID)
+			}
+		}
 		return delivered, stranded, x.Arrivals()
 	}
 
@@ -229,18 +214,8 @@ func TestExchangeDrainArrivalsEarlyTermination(t *testing.T) {
 	if arrivals >= 100 {
 		t.Fatalf("all %d arrivals routed; the cut is not early", arrivals)
 	}
-	seen := map[int]bool{}
-	for _, id := range stranded {
-		if _, dup := delivered[id]; dup {
-			t.Errorf("request %d both delivered and drained", id)
-		}
-		if seen[id] {
-			t.Errorf("request %d drained twice", id)
-		}
-		seen[id] = true
-	}
 	if len(delivered)+len(stranded) != arrivals {
-		t.Fatalf("delivered %d + drained %d != routed %d: requests lost at termination",
+		t.Fatalf("delivered %d + stranded %d != routed %d: requests lost at termination",
 			len(delivered), len(stranded), arrivals)
 	}
 	for _, workers := range []int{2, 4} {

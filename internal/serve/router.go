@@ -102,19 +102,23 @@ func NewRouter(policy Policy, replicas []*Replica) (*Router, error) {
 // Submit implements Stage: it picks a replica per the policy and hands
 // the request to that replica's pipeline.
 func (r *Router) Submit(req *workload.Request) {
-	n := len(r.replicas)
-	pick := r.next % n
+	pick := r.next
 	if r.policy == LeastLoaded {
-		best := r.replicas[pick]
-		for i := 1; i < n; i++ {
-			cand := r.replicas[(r.next+i)%n]
-			if cand.inflight < best.inflight {
-				best = cand
-				pick = (r.next + i) % n
+		// From the cursor round the ring, first strictly smaller load wins.
+		for c := r.next + 1; c < len(r.replicas); c++ {
+			if r.replicas[c].inflight < r.replicas[pick].inflight {
+				pick = c
+			}
+		}
+		for c := 0; c < r.next; c++ {
+			if r.replicas[c].inflight < r.replicas[pick].inflight {
+				pick = c
 			}
 		}
 	}
-	r.next++
+	if r.next++; r.next == len(r.replicas) {
+		r.next = 0
+	}
 	rep := r.replicas[pick]
 	rep.inflight++
 	rep.submitted++

@@ -2,11 +2,13 @@ package serve
 
 import (
 	"testing"
+	"time"
 
 	"vectorliterag/internal/workload"
 )
 
-// TestRouterLeastLoadedTieBreaking pins the tie-break rule: the
+// TestRouterLeastLoadedTieBreaking pins the tie-break rule, on the
+// Router and on the Exchange's front: the
 // least-loaded scan starts at the rotation cursor and takes the first
 // strictly-smaller load, so equal replicas share round-robin and a
 // uniquely lighter replica wins regardless of cursor position. Each
@@ -65,8 +67,30 @@ func TestRouterLeastLoadedTieBreaking(t *testing.T) {
 					t.Fatalf("pick sequence %v, want %v", seen, tc.want)
 				}
 			}
+			// The exchange's front applies the same scan to its gauges.
+			x, err := NewExchange(LeastLoaded, len(tc.inflights), time.Millisecond, time.Millisecond, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(x.inflight, tc.inflights)
+			for i, want := range tc.want {
+				x.Submit(&workload.Request{})
+				if got := x.Inflight(want); got != tc.inflights[want]+count(tc.want[:i+1], want) {
+					t.Fatalf("exchange submit %d: replica %d gauge %d, want the router's pick sequence %v", i, want, got, tc.want)
+				}
+			}
 		})
 	}
+}
+
+// count returns how many times v occurs in s.
+func count(s []int, v int) (n int) {
+	for _, x := range s {
+		if x == v {
+			n++
+		}
+	}
+	return n
 }
 
 // heldReplica is a replica whose pipeline records the routed replica

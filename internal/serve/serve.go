@@ -154,14 +154,15 @@ func (p *Pipeline) RunAux(arr *Arrivals, duration, drain time.Duration, aux ...A
 // stops reports exactly the fields it had then, as it did before
 // pooling existed.
 //
-// A collector that adopted its record array (Adopt) skips all of that:
-// the requests are served where they will be reported, so a record is
-// always its request's current state and nothing is copied or tracked.
+// An in-place collector (InPlace) skips all of that: the requests are
+// served where their owner reports them, so it keeps only the IDs it
+// admitted and nothing is copied or tracked.
 type Collector struct {
 	records   []workload.Request  // per-request snapshots, arrival order
 	live      []*workload.Request // non-nil until the request finalizes
 	idx       map[*workload.Request]int32
-	inPlace   bool // records are the request objects themselves (Adopt)
+	ids       []int32 // in place: the admitted requests' IDs, admission order
+	inPlace   bool
 	completed int
 	agg       metrics.Summarizer
 }
@@ -181,22 +182,24 @@ func (c *Collector) Reserve(n int) {
 	}
 }
 
-// Adopt makes reqs — every request this collector will ever admit, in
-// admission order, owned by the caller and never recycled — the record
-// array itself: admission i must present &reqs[i], and from then on the
-// record and the live request are one object. Call before any Admit.
-func (c *Collector) Adopt(reqs []workload.Request) {
-	c.records, c.inPlace = reqs[:0], true
+// InPlace turns the collector into an ID list: its requests live, never
+// recycled, in an array their owner indexes by Request.ID and reports
+// from, so the collector records only which IDs it admitted (IDs), in
+// admission order, and copies, tracks and re-reads nothing. n sizes the
+// list. Call before any Admit.
+func (c *Collector) InPlace(n int) {
+	c.ids, c.inPlace = make([]int32, 0, n), true
 }
+
+// IDs returns an in-place collector's admitted request IDs in admission
+// order.
+func (c *Collector) IDs() []int32 { return c.ids }
 
 // Admit records a request entering the system (wired into the Admission
 // stage, so the record order equals the arrival order).
 func (c *Collector) Admit(req *workload.Request) {
 	if c.inPlace {
-		c.records = c.records[:len(c.records)+1]
-		if req != &c.records[len(c.records)-1] {
-			panic("serve: adopted collector admitted out of order")
-		}
+		c.ids = append(c.ids, int32(req.ID))
 		return
 	}
 	i := int32(len(c.records))
@@ -255,20 +258,23 @@ func (c *Collector) refresh() {
 	}
 }
 
-// Requests returns every admitted request's record in arrival order.
+// Requests returns every admitted request's record in arrival order
+// (none in place: the owner's array is the record).
 func (c *Collector) Requests() []workload.Request {
 	c.refresh()
 	return c.records
 }
 
 // Admitted returns the number of requests that entered the system.
-func (c *Collector) Admitted() int { return len(c.records) }
+func (c *Collector) Admitted() int { return len(c.records) + len(c.ids) }
 
 // Completed returns the number of requests that finished generation.
 func (c *Collector) Completed() int { return c.completed }
 
 // Summarize aggregates the paper's serving metrics over the admitted
-// requests, reusing the collector's aggregation scratch.
+// requests, reusing the collector's aggregation scratch. An in-place
+// collector has no records: its owner summarizes IDs instead
+// (metrics.Summarizer.SummarizeIDs).
 func (c *Collector) Summarize(sloTotal time.Duration, warmup des.Time) metrics.Summary {
 	c.refresh()
 	return c.agg.Summarize(c.records, sloTotal, warmup)

@@ -90,8 +90,8 @@ func (r *Request) SearchLatency() des.Time { return r.SearchDone - r.SearchStart
 // population) the run allocates no further requests — the pooled
 // request lifecycle of the allocation-free serving core.
 //
-// A Pool is single-goroutine, like the simulator it serves. In a
-// parallel sharded run the pool belongs to the *front* shard's
+// A Pool is single-goroutine, like the simulator it serves. Behind a
+// serve.Exchange given a pool, the pool belongs to the *front* shard's
 // timeline: arrivals draw from it there, ownership of each request
 // travels to a replica shard with its forward message, and the
 // completion notice carries it home again, where the exchange returns
