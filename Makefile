@@ -51,17 +51,19 @@ lint:
 	fi
 
 # The parallel engines and the pruned build go first, uncached: a data
-# race in des.Group, in either fleet engine — whose replicas write
-# disjoint records of one shared array while the exchange's front reads
-# the next arrival's — or in the per-point k-means bounds written from
+# race in des.Group, in the fleet's lanes — which write disjoint records
+# of one shared array while, under least-loaded, every worker reads the
+# next arrivals' to route them and the notices its peers published at
+# the round's barrier — or in the per-point k-means bounds written from
 # parallel.For chunks should fail in seconds, not behind the whole sweep.
+# The least-loaded differential tests run 2 and 4 workers.
 race: race-engines
 	$(GO) test -race ./...
 
 race-engines:
 	$(GO) test -race -count=1 ./internal/des
 	$(GO) test -race -count=1 ./internal/serve -run 'Exchange'
-	$(GO) test -race -count=1 ./internal/rag -run 'Sharded|LinkFree|FleetWrites'
+	$(GO) test -race -count=1 ./internal/rag -run 'Sharded|LinkFree|FleetWrites|LeastLoaded|NoticeAt|LoadIndex'
 	$(GO) test -race -count=1 ./internal/kmeans ./internal/pq ./internal/ivf
 
 # Full micro-benchmark sweep (one iteration each; sanity, not timing).
@@ -76,8 +78,8 @@ bench-search:
 # One-iteration compile-and-run of the search kernel, build-layer
 # (blocked dot kernel, k-means assignment and training, dataset build),
 # decision-path (Eq. 2 integral, Algorithm 1, joint allocator),
-# retrieval-engine (each engine configuration alone), fleet (link-free
-# round-robin, exchange-backed least-loaded), fleet-sized summary and
+# retrieval-engine (each engine configuration alone), fleet (round-robin
+# lanes alone, least-loaded lanes in rounds), fleet-sized summary and
 # resilient fault-storm benchmarks, then
 # every registered experiment at quick scale through the CLI's CSV path
 # (one link step: each artifact's runner, its report, and the export of
@@ -89,8 +91,9 @@ bench-smoke:
 # Wall-clock scaling verdict for Workers: on a 16-replica round-robin
 # run (the link-free fleet), every core together must not be more than
 # 15% slower than one worker (any host with >=2 CPUs), and must be >=1.5x
-# faster on hosts with >=4. The least-loaded ratio (des.Group) is logged
-# beside it and gates nothing. Needs a quiet host, so it is its own
+# faster on hosts with >=4. The least-loaded ratio (lanes in rounds) and
+# the least-loaded lanes-to-exchange wall ratio are logged beside it and
+# gate nothing. Needs a quiet host, so it is its own
 # target rather than part of `race`/`test`.
 scaling-smoke:
 	SCALING_SMOKE=1 $(GO) test ./internal/rag -run TestWorkerScalingSmoke -v -count=1

@@ -452,8 +452,9 @@ func BenchmarkJointAllocate(b *testing.B) {
 
 // benchFleet times one 16-replica ServeCluster run with a modeled
 // network (320 req/s over a short window, every core) under the given
-// routing policy. The policy picks the engine: round-robin runs the
-// link-free fleet, least-loaded the sharded exchange on des.Group.
+// routing policy. The policy picks how the fleet's lanes run: each alone
+// to the deadline under round-robin, in rounds two network delays wide
+// under least-loaded.
 func benchFleet(b *testing.B, policy vlr.RoutePolicy) {
 	w := benchWorkload(b)
 	opts := vlr.ClusterOptions{
@@ -530,10 +531,10 @@ func BenchmarkResilientStorm(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetRoundRobin measures the link-free fleet path.
+// BenchmarkFleetRoundRobin measures the fleet with its lanes run alone.
 func BenchmarkFleetRoundRobin(b *testing.B) { benchFleet(b, vlr.RoundRobin) }
 
-// BenchmarkFleetLeastLoaded measures the exchange-backed fleet path.
+// BenchmarkFleetLeastLoaded measures the fleet with its lanes in rounds.
 func BenchmarkFleetLeastLoaded(b *testing.B) { benchFleet(b, vlr.LeastLoaded) }
 
 // BenchmarkRetrievalEngines drives each retrieval engine configuration

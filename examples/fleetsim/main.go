@@ -1,10 +1,10 @@
 // Fleet-scale parallel simulation: a replica fleet behind a
-// least-loaded front end, simulated on the parallel sharded engine.
-// Each replica's pipeline (admission → retrieval → generation) runs on
-// its own shard timeline; the front end owns arrivals and routing; and
-// the only coupling is request/completion-notice messages carrying a
-// 1 ms modeled network transit — which doubles as the lookahead window
-// conservative synchronization runs on.
+// least-loaded front end, simulated in parallel. Each replica's pipeline
+// (admission → retrieval → generation) runs on its own timeline; the
+// front end owns arrivals and routing; and the only coupling is
+// request/completion-notice messages carrying a 1 ms modeled network
+// transit — which bounds how far the replicas may run between two
+// synchronizations (two transits, one round trip through the front).
 //
 // The demonstration is the engine's core guarantee: the run executes
 // twice, once sequentially (-workers 1) and once spread over worker

@@ -20,9 +20,10 @@ func NewInbox(deliver func(any), n int) *Inbox {
 	return &Inbox{deliver: deliver, pending: make([]Msg, 0, n)}
 }
 
-// Post appends a message stamped at to an inbox that is not attached to
-// a running Sim. Messages are delivered in Post order: one stamped
-// earlier than its predecessor waits behind it.
+// Post appends a message stamped at to an inbox whose Sim is not
+// executing (before RunFed, or between Feed calls). Messages are
+// delivered in Post order: one stamped earlier than its predecessor
+// waits behind it.
 func (b *Inbox) Post(at Time, arg any) { b.push(Msg{at, arg}) }
 
 // Len returns the number of undelivered messages.
@@ -109,9 +110,20 @@ func feed(sim *Sim, in []*Inbox, minHead *Time, last Time) Time {
 // over links while it executed. Messages stamped past the deadline stay
 // in their inbox (Len, Drain).
 func (s *Sim) RunFed(deadline Time, in ...*Inbox) {
-	minHead := headMin(in)
-	feed(s, in, &minHead, deadline)
+	s.Feed(deadline, in...)
 	if s.now < deadline {
 		s.now = deadline
 	}
+}
+
+// Feed is the incremental form of RunFed: it fires every event at or
+// before last under the same delivery rule, leaves the clock at the last
+// event fired, and returns the earliest instant at which anything can
+// still happen — the next local event or an inbox head, math.MaxInt64
+// when there is neither. Messages may be posted between calls as long as
+// each is stamped after the last call's bound; a run cut into such calls
+// is the run RunFed makes with every message posted up front.
+func (s *Sim) Feed(last Time, in ...*Inbox) Time {
+	minHead := headMin(in)
+	return feed(s, in, &minHead, last)
 }

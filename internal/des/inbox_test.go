@@ -172,6 +172,57 @@ func TestRunFedMatchesLink(t *testing.T) {
 	}
 }
 
+// TestFeedInChunksMatchesRunFed is the contract least-loaded fleet lanes
+// run on: a receiver advanced by Feed in short rounds, each message
+// posted only once the previous round's bound is behind its stamp, logs
+// what RunFed logs with the whole stream posted up front, and each
+// round reports the earliest instant left without moving the clock past
+// the last event it fired.
+func TestFeedInChunksMatchesRunFed(t *testing.T) {
+	const deadline = Time(180)
+	for seed := uint64(1); seed <= 40; seed++ {
+		gen := receiver{state: seed * 131}
+		var stamps []Time
+		for at := Time(0); len(stamps) < 60; {
+			at += Time(5 * gen.rnd(3))
+			stamps = append(stamps, at+Time(gen.rnd(2)))
+		}
+		ids := make([]int, len(stamps))
+		for i := range ids {
+			ids[i] = i
+		}
+
+		var whole Sim
+		ref := receiver{sim: &whole}
+		ref.start(seed)
+		in := NewInbox(ref.deliver, 0)
+		for i, at := range stamps {
+			in.Post(at, &ids[i])
+		}
+		whole.RunFed(deadline, in)
+
+		var cut Sim
+		got := receiver{sim: &cut}
+		got.start(seed)
+		in = NewInbox(got.deliver, 0)
+		k := 0
+		for last := Time(-1); last < deadline; {
+			for ; k < len(stamps) && stamps[k] <= last+8; k++ {
+				in.Post(stamps[k], &ids[k])
+			}
+			fired, before := len(got.log), cut.Now()
+			last = min(last+1+Time(gen.rnd(8)), deadline)
+			next := cut.Feed(last, in)
+			if next <= last || cut.Now() > last || (len(got.log) == fired && cut.Now() != before) {
+				t.Fatalf("seed %d: a round through %d reports %d next and moved the clock %d → %d", seed, last, next, before, cut.Now())
+			}
+		}
+		if !reflect.DeepEqual(ref.log, got.log) {
+			t.Fatalf("seed %d: rounds and one run diverged\n rounds %v\n run    %v", seed, got.log, ref.log)
+		}
+	}
+}
+
 // TestRunFedNoInbox: with nothing to feed, RunFed is RunUntil.
 func TestRunFedNoInbox(t *testing.T) {
 	var sim Sim

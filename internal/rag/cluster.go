@@ -1,8 +1,14 @@
 package rag
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"vectorliterag/internal/des"
@@ -51,12 +57,13 @@ func (r *ResilienceReport) String() string {
 // a routed lineup, and of a routed single corpus that asks for
 // parallelism (Workers > 1), when no NetDelay is chosen explicitly. One
 // millisecond is a realistic same-datacenter RTT half and, as the
-// conservative lookahead, wide enough that shards execute thousands of
-// events per synchronization window.
+// half-width of a least-loaded round, wide enough that a round's event
+// work outweighs its barrier.
 const DefaultNetDelay = time.Millisecond
 
 // fleetBuilder is newFleet's signature: the seam through which the
-// differential tests put a run on the engine newFleet would not pick.
+// differential tests put a run on the reference engine, the sharded
+// exchange newFleet no longer builds.
 type fleetBuilder func(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.Duration, expect int) (*fleet, error)
 
 // shared runs the router and every replica on one simulator. The plain
@@ -155,33 +162,35 @@ func (c *corpus) shared(opts *Options) (*served, error) {
 
 // fleet is R replicas of one node spec behind a front that owns
 // arrivals and routing, one modeled network delay away from every
-// replica, each replica on a timeline of its own. The caller starts its
-// arrival sources (and drift events) on the front timeline, feeding
-// Submit at each request's arrival instant, and then calls run.
+// replica, each replica on a timeline of its own — a lane. The caller
+// starts its arrival sources (and drift events) on the front timeline,
+// feeding Submit at each request's arrival instant, and then calls run.
 //
-// Both engines share phase 1: the front runs alone and appends each
-// arrival, by value, to one arrival-ordered array — the run's only copy
-// of a request. Replicas then serve the array's records in place, and
-// their collectors keep ID lists into it, so the array is the global
-// record set when phase 2 ends: a request still on the wire at the
-// deadline reads as it left the front (admitted but unserved, as the
-// single-timeline collector reports one stuck between router and
-// replica), one mid-pipeline reads its state at the deadline. Which
-// engine runs phase 2 is decided by newFleet from the routing policy and
-// the replica count alone, and no caller can tell the difference:
+// Phase 1: the front runs alone and appends each arrival, by value, to
+// one arrival-ordered array — the run's only copy of a request. Phase 2:
+// the lanes serve the array's records in place, and their collectors
+// keep ID lists into it, so the array is the global record set when
+// phase 2 ends: a request still on the wire at the deadline reads as it
+// left the front (admitted but unserved, as the single-timeline
+// collector reports one stuck between router and replica), one
+// mid-pipeline reads its state at the deadline. Each lane is fed its
+// arrivals stamped arrival + NetDelay under the delivery rule of a
+// des.Group link (des.Sim.Feed), so its schedule is the one the sharded
+// exchange (des.Group + serve.Exchange, the engine this one replaced and
+// the differential tests' reference) produced, event for event. How
+// phase 2 routes is decided by newFleet from the routing policy and the
+// replica count alone, and no caller can tell the difference:
 //
-//   - Routing that reads replica state (least-loaded over several
-//     replicas) needs the completion notices while it routes, so the
-//     exchange's front shard replays the array (replay) and front and
-//     replicas advance together as shards of a des.Group behind a
-//     serve.Exchange (x).
 //   - Routing that cannot observe replica state (round-robin, or a lone
 //     replica under any policy) makes the front's choices a pure
-//     function of the arrival stream: arrival k goes to replica k mod R.
-//     No link, window or barrier is built: every replica runs to the
-//     deadline by itself on internal/parallel, fed its arrivals under
-//     the shard delivery rule (des.Sim.RunFed), which makes its schedule
-//     the one the exchange would have produced, event for event.
+//     function of the arrival stream: arrival k goes to replica k mod R,
+//     and every lane runs to the deadline by itself (alone).
+//   - Least-loaded over several replicas reads the in-flight gauges that
+//     completion notices decrement, one NetDelay after each completion.
+//     The fleet is a star — a request travels one hop to its replica and
+//     its notice one hop back — so the routing of arrival a depends only
+//     on completions before a − NetDelay, and the lanes advance in rounds
+//     at least 2·NetDelay wide with one barrier each (rounds).
 type fleet struct {
 	pool    *workload.Pool
 	nodes   []*node
@@ -189,57 +198,55 @@ type fleet struct {
 
 	front    des.Sim
 	netDelay des.Time
-	x        *serve.Exchange // nil on the link-free path
-	lanes    []*lane         // nil on the exchange path
+	lanes    []*lane
+
+	// phase2 serves the array to the deadline on used workers, calls
+	// summarize for each replica on the worker that ran it, and returns
+	// how many requests each replica was routed.
+	phase2 func(deadline des.Time, used int, summarize func(w, i int)) (submitted []int)
 }
 
-// lane is one link-free replica's timeline. Lanes are allocated one by
-// one and padded: workers advance different lanes at once, and two
-// simulators on one cache line serialize them.
+// lane is one replica's timeline. Lanes are allocated one by one and
+// padded: workers advance different lanes at once, and two simulators on
+// one cache line serialize them.
 type lane struct {
 	sim des.Sim
-	_   [64]byte
+	// Under least-loaded only: the lane's own inbox of routed arrivals,
+	// and the worker whose notice buffer its completions append to.
+	in *des.Inbox
+	w  *router
+	_  [64]byte
 }
 
-// newFleet builds the fleet on the engine its routing needs, for the
-// validated options of a routed run: at least one replica, a resolved
-// policy, a positive network delay. expect is the arrival count the run
-// should not exceed (a sizing hint: a low one costs reallocation, never
-// correctness).
+// newFleet builds the fleet for the validated options of a routed run:
+// at least one replica, a resolved policy, a positive network delay.
+// expect is the arrival count the run should not exceed (a sizing hint:
+// a low one costs reallocation, never correctness).
 func newFleet(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.Duration, expect int) (*fleet, error) {
-	if policy == serve.LeastLoaded && replicas > 1 {
-		return newExchangeFleet(spec, replicas, policy, netDelay, expect)
-	}
 	f := newFront(replicas, netDelay, expect)
+	f.phase2 = f.alone
+	feedback := policy == serve.LeastLoaded && replicas > 1
+	if feedback {
+		f.phase2 = f.rounds
+	}
 	for i := range f.nodes {
+		l := &lane{}
+		f.lanes = append(f.lanes, l)
 		// Nobody takes a request after the collector: it lives in the
-		// array and is never recycled.
-		f.lanes = append(f.lanes, &lane{})
-		if err := f.build(spec, i, &f.lanes[i].sim, func(*workload.Request) {}); err != nil {
+		// array and is never recycled. Under least-loaded the front hears
+		// of it one network delay later.
+		next := func(*workload.Request) {}
+		if feedback {
+			l.in = des.NewInbox(func(arg any) { f.nodes[i].pipe.Submit(arg.(*workload.Request)) }, 0)
+			next = func(*workload.Request) {
+				if w := l.w; !w.mute {
+					w.notes[w.p] = append(w.notes[w.p], notice{at: l.sim.Now() + f.netDelay, lane: i})
+				}
+			}
+		}
+		if err := f.build(spec, i, &l.sim, next); err != nil {
 			return nil, err
 		}
-	}
-	return f, nil
-}
-
-// newExchangeFleet builds the fleet on the sharded exchange whatever the
-// policy (newFleet picks it for feedback routing only; the differential
-// tests run round-robin through it as the reference). Without a pool a
-// completion notice only decrements the front's gauge.
-func newExchangeFleet(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.Duration, expect int) (*fleet, error) {
-	f := newFront(replicas, netDelay, expect)
-	var err error
-	if f.x, err = serve.NewExchange(policy, replicas, netDelay, netDelay, nil); err != nil {
-		return nil, err
-	}
-	for i := range f.nodes {
-		// Each replica admits (or rejects) on its own timeline, so overload
-		// control is per replica and the schedule stays a pure function of
-		// the options for any worker count.
-		if err := f.build(spec, i, f.x.ReplicaSim(i), f.x.NoticeSink(i)); err != nil {
-			return nil, err
-		}
-		f.x.BindReplica(i, f.nodes[i].pipe.Submit)
 	}
 	return f, nil
 }
@@ -273,35 +280,31 @@ func (f *fleet) Submit(req *workload.Request) {
 // run executes the fleet to the deadline and reports the requests routed
 // to each replica, each replica's own summary against slo (zero when slo
 // is) and the worker count used. The summaries are read from the
-// goroutine that ran the replica, where the link-free engine has one,
-// through one metrics.Summarizer per worker.
+// goroutine that ran the replica, through one metrics.Summarizer per
+// worker.
 func (f *fleet) run(deadline des.Time, workers int, slo time.Duration, warmup des.Time) (submitted []int, sums []metrics.Summary, used int) {
 	// Phase 1: the front alone. Every arrival lands in the array.
 	f.front.RunUntil(deadline)
-	submitted, sums = make([]int, len(f.nodes)), make([]metrics.Summary, len(f.nodes))
-	var aggs []metrics.Summarizer
+	used = shardWorkers(workers, len(f.nodes))
+	sums = make([]metrics.Summary, len(f.nodes))
+	aggs := make([]metrics.Summarizer, used)
 	summarize := func(w, i int) {
 		if slo > 0 {
 			sums[i] = aggs[w].SummarizeIDs(f.records, f.nodes[i].coll.IDs(), slo, warmup)
 		}
 	}
 	// Phase 2: the replicas serve the array in place.
-	if f.x != nil {
-		used = shardWorkers(workers, len(f.nodes)+1)
-		aggs = make([]metrics.Summarizer, used)
-		f.replay()
-		f.x.Run(deadline, used)
-		for i := range submitted {
-			submitted[i] = f.x.Submitted(i)
-		}
-		parallel.ForEachWorker(len(f.nodes), used, summarize)
-		return submitted, sums, used
-	}
+	return f.phase2(deadline, used, summarize), sums, used
+}
+
+// alone is phase 2 for routing blind to replica state: every lane runs
+// to the deadline by itself on internal/parallel, fed arrivals i, i + R,
+// i + 2R, … Each worker feeds its lanes through one inbox, emptied
+// between them: what a lane leaves undelivered is still on the wire at
+// the deadline.
+func (f *fleet) alone(deadline des.Time, used int, summarize func(w, i int)) []int {
 	r, n := len(f.lanes), len(f.records)
-	used = shardWorkers(workers, r)
-	aggs = make([]metrics.Summarizer, used)
-	// Each worker feeds its lanes through one inbox, emptied between them:
-	// what a lane leaves undelivered is still on the wire at the deadline.
+	submitted := make([]int, r)
 	ins := make([]*des.Inbox, used)
 	deliver := func(arg any) {
 		req := arg.(*workload.Request)
@@ -320,32 +323,267 @@ func (f *fleet) run(deadline des.Time, workers int, slo time.Duration, warmup de
 		submitted[i] = (n - i + r - 1) / r
 		summarize(w, i)
 	})
-	return submitted, sums, used
+	return submitted
 }
 
-// replay arms the exchange's front shard with the array: one handler
-// routes every arrival of an instant, in array order, and then arms the
-// next instant's. A completion notice stamped at an instant thus lands
-// after every arrival of that instant, as it did behind the generator
-// events that were queued before it.
-func (f *fleet) replay() {
-	front, k := f.x.FrontSim(), 0
-	var fire func()
-	fire = func() {
-		for now := front.Now(); k < len(f.records) && f.records[k].ArrivalAt == now; k++ {
-			f.x.Submit(&f.records[k])
-		}
-		if k < len(f.records) {
-			front.At(f.records[k].ArrivalAt, fire)
+// never is later than every instant: routing up to it routes every
+// arrival left, and des.Sim.Feed reports it when nothing is left.
+const never = des.Time(math.MaxInt64)
+
+// barrierSpins is how many times a worker polls a peer at a round's
+// barrier before it starts yielding its P between polls: a round is a
+// few microseconds of event work, so a peer with a P of its own arrives
+// well inside the budget. With more workers than Ps the budget is zero,
+// since a spinning worker would hold the P its peer needs.
+const barrierSpins = 1 << 12
+
+// rounds is phase 2 under least-loaded. Each worker owns a contiguous
+// block of lanes and keeps its own copy of the front's routing state: it
+// routes every arrival, the same way as every other worker, and posts
+// only to its own lanes. A round with origin X starts when every lane
+// has fired every event before X and every arrival before X − L (L the
+// network delay) is routed:
+//
+//   - Route the arrivals before X + L in array order, each after every
+//     completion notice stamped before it. A notice is stamped L after
+//     its completion, so one stamped before X + L reports a completion
+//     before X, which every lane has fired. One stamped exactly at an
+//     arrival's instant counts after all of that instant's arrivals, as
+//     it did behind the exchange's replay handler.
+//   - Run each own lane through U + L − 1, U ≥ X + L being the first
+//     arrival left unrouted: an arrival reaches its lane L after the
+//     front, so everything due by then was routed above.
+//   - Meet at the barrier, which publishes each worker's notices. The
+//     next origin is U + L, so a round is at least 2L wide, and wider
+//     when the next arrival is late.
+//
+// Once every arrival is routed, or a round reaches the deadline, the
+// lanes run to the deadline and the rounds end. Arrivals left then are
+// stamped past the deadline: they are routed — so counted — from the
+// last round's notices and stay on the wire, as on the exchange.
+func (f *fleet) rounds(deadline des.Time, used int, summarize func(w, i int)) []int {
+	r, n := len(f.lanes), len(f.records)
+	rs := make([]*router, used)
+	for w := range rs {
+		first, end := w*r/used, (w+1)*r/used
+		rs[w] = &router{load: newLoadIndex(r), first: first, next: make([]des.Time, end-first)}
+		for _, l := range f.lanes[first:end] {
+			l.w = rs[w]
 		}
 	}
-	front.At(0, fire)
+	spins := barrierSpins
+	if used > runtime.GOMAXPROCS(0) {
+		spins = 0
+	}
+	work := func(w int) {
+		rt := rs[w]
+		for k, x := 0, des.Time(0); ; k++ {
+			if k > 0 {
+				rt.gather(rs, rt.p)
+			}
+			rt.p = k & 1
+			rt.notes[rt.p] = rt.notes[rt.p][:0]
+			rt.route(f, x+f.netDelay)
+			last := deadline
+			if rt.k < n {
+				last = min(deadline, f.records[rt.k].ArrivalAt+f.netDelay-1)
+			}
+			// With every arrival routed nothing reads a notice again, and a
+			// drain's worth of them would only grow the buffer.
+			rt.mute = rt.k == n
+			rt.advance(f, last)
+			if last == deadline {
+				break
+			}
+			rt.barrier(rs, k, spins)
+			x = last + 1
+		}
+		for i := range rt.next {
+			summarize(w, rt.first+i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < used; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
+	rt := rs[0]
+	if rt.k < n {
+		rt.gather(rs, rt.p)
+		rt.route(f, never)
+	}
+	return rt.load.submitted
+}
+
+// notice is a completion notice: a request of lane finished, and the
+// front hears of it at at, one network delay later.
+type notice struct {
+	at   des.Time
+	lane int
+}
+
+// router is one worker of a least-loaded fleet: its copy of the front's
+// routing state, the earliest instant anything can happen on each lane
+// it runs, and the notices it publishes at each round's barrier.
+type router struct {
+	load  loadIndex
+	k     int        // the next arrival to route
+	first int        // its lanes are first, first+1, …, first+len(next)-1
+	next  []des.Time // per own lane: the next event or inbox head
+	batch []notice   // the notices being applied, by stamp
+	p     int        // this round's parity: the notes slot its lanes fill
+	mute  bool       // its lanes stop sending notices
+	_     [64]byte
+
+	// Published at the barrier, in slots that alternate by round parity:
+	// a fast worker filling round k+1's never touches what a slow one
+	// still reads of round k.
+	notes [2][]notice
+	done  atomic.Int64 // rounds finished
+	_     [56]byte
+}
+
+// gather collects every worker's notices of parity p into the batch,
+// sorted by stamp. Notices of one stamp only decrement gauges, so their
+// order among themselves does not matter.
+func (rt *router) gather(rs []*router, p int) {
+	rt.batch = rt.batch[:0]
+	for _, o := range rs {
+		rt.batch = append(rt.batch, o.notes[p]...)
+	}
+	slices.SortFunc(rt.batch, func(a, b notice) int { return cmp.Compare(a.at, b.at) })
+}
+
+// route routes the arrivals before end, applying each batched notice
+// before the first arrival stamped after it and the rest at the end, and
+// posts those picked for its own lanes, stamped arrival + network delay.
+func (rt *router) route(f *fleet, end des.Time) {
+	j := 0
+	for ; rt.k < len(f.records) && f.records[rt.k].ArrivalAt < end; rt.k++ {
+		req := &f.records[rt.k]
+		for ; j < len(rt.batch) && rt.batch[j].at < req.ArrivalAt; j++ {
+			rt.load.move(rt.batch[j].lane, -1)
+		}
+		pick := rt.load.pick()
+		if i := pick - rt.first; i >= 0 && i < len(rt.next) {
+			at := req.ArrivalAt + f.netDelay
+			f.lanes[pick].in.Post(at, req)
+			rt.next[i] = min(rt.next[i], at)
+		}
+	}
+	for ; j < len(rt.batch); j++ {
+		rt.load.move(rt.batch[j].lane, -1)
+	}
+}
+
+// advance runs every own lane with something due through last.
+func (rt *router) advance(f *fleet, last des.Time) {
+	for i, at := range rt.next {
+		if at <= last {
+			l := f.lanes[rt.first+i]
+			rt.next[i] = l.sim.Feed(last, l.in)
+		}
+	}
+}
+
+// barrier marks round k finished, which publishes its notices, and
+// waits until every worker has done the same.
+func (rt *router) barrier(rs []*router, k int, spins int) {
+	rt.done.Store(int64(k + 1))
+	for _, o := range rs {
+		for spin := 0; o.done.Load() <= int64(k); spin++ {
+			if spin >= spins {
+				runtime.Gosched()
+			}
+		}
+	}
+}
+
+// loadIndex is the least-loaded front's routing state: each replica's
+// in-flight gauge, the ring cursor, how many requests each replica was
+// routed, and, per gauge level, the set of replicas at it as a bitset.
+// A pick — from the cursor round the ring, the first replica at the
+// minimum gauge, which is the rule of serve.Router and serve.Exchange —
+// then reads one level's words instead of every gauge.
+type loadIndex struct {
+	gauge     []int
+	words     int      // bitset words per level
+	level     []uint64 // level[g*words:][:words]: the replicas whose gauge is g
+	count     []int    // count[g]: how many there are
+	min       int      // the smallest gauge
+	cursor    int
+	submitted []int
+}
+
+func newLoadIndex(r int) loadIndex {
+	x := loadIndex{gauge: make([]int, r), words: (r + 63) / 64, count: []int{r}, submitted: make([]int, r)}
+	x.level = make([]uint64, x.words)
+	for i := range r {
+		x.level[i/64] |= 1 << (i % 64)
+	}
+	return x
+}
+
+// move changes replica i's gauge by d, ±1.
+func (x *loadIndex) move(i, d int) {
+	g := x.gauge[i]
+	x.level[g*x.words+i/64] &^= 1 << (i % 64)
+	x.count[g]--
+	if g += d; g == len(x.count) {
+		x.level = append(x.level, make([]uint64, x.words)...)
+		x.count = append(x.count, 0)
+	}
+	x.level[g*x.words+i/64] |= 1 << (i % 64)
+	x.count[g]++
+	x.gauge[i] = g
+	if g < x.min {
+		x.min = g
+	} else if x.count[x.min] == 0 {
+		x.min++
+	}
+}
+
+// pick routes one request: it returns the first replica at the minimum
+// gauge from the cursor round the ring, raises its gauge and advances
+// the cursor by one.
+func (x *loadIndex) pick() int {
+	n, c := x.words, x.cursor
+	set := x.level[x.min*n:][:n]
+	if x.cursor++; x.cursor == len(x.gauge) {
+		x.cursor = 0
+	}
+	// The cursor's word from its bit on, the words after it round the
+	// ring, and last the cursor's word below its bit. The minimum level is
+	// never empty, so the scan ends by then.
+	w, below := c/64, uint64(1)<<(c%64)-1
+	p := -1
+	for k := 0; p < 0; k++ {
+		v := (w + k) % n
+		m := set[v]
+		switch k {
+		case 0:
+			m &^= below
+		case n:
+			m &= below
+		}
+		if m != 0 {
+			p = v*64 + bits.TrailingZeros64(m)
+		}
+	}
+	x.move(p, 1)
+	x.submitted[p]++
+	return p
 }
 
 // shardWorkers resolves the Workers option for the given number of
 // timelines: zero or negative means one worker per P — GOMAXPROCS, not
-// the core count, because exchange workers meet at a barrier every
-// window and only spin against each other when they outnumber the Ps of
+// the core count, because least-loaded workers meet at a barrier every
+// round and only spin against each other when they outnumber the Ps of
 // a CPU-limited container — and there is never more than one per
 // timeline.
 func shardWorkers(n, shards int) int {

@@ -11,12 +11,12 @@ import (
 	"vectorliterag/internal/workload"
 )
 
-// TestFleetWritesEachRequestOnce is the fleet's footprint fence: on both
-// engines — round-robin runs link-free, least-loaded on the exchange — a
-// whole Run, decision included, allocates at most one request record
-// plus 64 bytes per admitted request. The arrival-ordered array is the
-// only copy of a request: any second one — a per-replica record, a
-// merged array — adds a full record per request and fails it.
+// TestFleetWritesEachRequestOnce is the fleet's footprint fence: under
+// both policies — round-robin runs each lane alone, least-loaded runs the
+// lanes in rounds — a whole Run, decision included, allocates at most one
+// request record plus 64 bytes per admitted request. The arrival-ordered
+// array is the only copy of a request: any second one — a per-replica
+// record, a merged array — adds a full record per request and fails it.
 // The run is long enough that the decision, measured on a run of the
 // same options cut to one second, is under a tenth of the total.
 func TestFleetWritesEachRequestOnce(t *testing.T) {

@@ -41,9 +41,9 @@ func shardedClusterOpts(t *testing.T, seed uint64, workers int) Options {
 }
 
 // TestShardedClusterDeterministicAcrossWorkers is the fleet's property
-// test: for every seed and routing policy — so on both engines, the
-// link-free fleet under round-robin and the exchange under least-loaded
-// — the merged schedule — every request record, the aggregate summary,
+// test: for every seed and routing policy — so both ways the lanes run,
+// alone under round-robin and in rounds under least-loaded — the merged
+// schedule — every request record, the aggregate summary,
 // and the per-replica breakdown — is bit-identical whether the
 // timelines execute on 1, 2, 3, or 8 worker goroutines.
 func TestShardedClusterDeterministicAcrossWorkers(t *testing.T) {
@@ -260,11 +260,13 @@ func TestShardWorkersResolution(t *testing.T) {
 // 16-replica round-robin run — the link-free fleet — on every core
 // against the same run on one worker. More workers must never cost more
 // than 15 % wall on any multi-core host, and on a host with at least 4
-// cores they must buy 1.5x. The least-loaded ratio (the exchange on
-// des.Group, one barrier per millisecond window) is logged beside it and
-// gates nothing: PR 14 and PR 21 measured it below 1 on two vCPUs, and
-// that is the coordinator's cost, not a regression. It needs quiet
-// neighbors, so it runs only when SCALING_SMOKE=1 is exported (the
+// cores they must buy 1.5x. The least-loaded ratio (lanes in rounds of
+// at least two milliseconds, one barrier each) is logged beside it and
+// gates nothing: a 16-replica round holds little work, so a barrier's
+// cost is its coordinator's, not a regression. So is the least-loaded wall of
+// the lanes against the exchange they replaced (des.Group, one barrier
+// per millisecond window), the differential tests' reference. It needs
+// quiet neighbors, so it runs only when SCALING_SMOKE=1 is exported (the
 // dedicated CI step) — never as part of plain `go test`.
 func TestWorkerScalingSmoke(t *testing.T) {
 	if os.Getenv("SCALING_SMOKE") != "1" {
@@ -274,7 +276,7 @@ func TestWorkerScalingSmoke(t *testing.T) {
 	if cpus < 2 {
 		t.Skipf("GOMAXPROCS is %d; scaling smoke needs >= 2", cpus)
 	}
-	wall := func(policy serve.Policy, workers int) time.Duration {
+	wall := func(policy serve.Policy, workers int, build fleetBuilder) time.Duration {
 		o := baseOpts(t, CPUOnly, 400)
 		o.Duration = 600 * time.Second
 		o.Warmup = 60 * time.Second
@@ -284,18 +286,21 @@ func TestWorkerScalingSmoke(t *testing.T) {
 		best := time.Duration(1<<63 - 1)
 		for rep := 0; rep < 3; rep++ {
 			t0 := time.Now()
-			if _, err := Run(routed(o, 16, policy)); err != nil {
+			if _, err := run(routed(o, 16, policy), build); err != nil {
 				t.Fatal(err)
 			}
 			best = min(best, time.Since(t0))
 		}
 		return best
 	}
-	w1, all := wall(serve.RoundRobin, 1), wall(serve.RoundRobin, 0)
+	w1, all := wall(serve.RoundRobin, 1, newFleet), wall(serve.RoundRobin, 0, newFleet)
 	speedup := float64(w1) / float64(all)
-	t.Logf("scaling smoke, round-robin (link-free): 1 worker %v, %d workers %v, speedup %.2fx", w1, cpus, all, speedup)
-	ll1, llAll := wall(serve.LeastLoaded, 1), wall(serve.LeastLoaded, 0)
-	t.Logf("scaling smoke, least-loaded (des.Group, not gated): 1 worker %v, %d workers %v, speedup %.2fx", ll1, cpus, llAll, float64(ll1)/float64(llAll))
+	t.Logf("scaling smoke, round-robin (lanes alone): 1 worker %v, %d workers %v, speedup %.2fx", w1, cpus, all, speedup)
+	ll1, llAll := wall(serve.LeastLoaded, 1, newFleet), wall(serve.LeastLoaded, 0, newFleet)
+	t.Logf("scaling smoke, least-loaded (lanes in rounds, not gated): 1 worker %v, %d workers %v, speedup %.2fx", ll1, cpus, llAll, float64(ll1)/float64(llAll))
+	x1, xAll := wall(serve.LeastLoaded, 1, newExchangeFleet), wall(serve.LeastLoaded, 0, newExchangeFleet)
+	t.Logf("scaling smoke, least-loaded lanes / exchange wall (not gated): 1 worker %.2f (%v / %v), %d workers %.2f (%v / %v)",
+		float64(ll1)/float64(x1), ll1, x1, cpus, float64(llAll)/float64(xAll), llAll, xAll)
 	if float64(all) > 1.15*float64(w1) {
 		t.Fatalf("%d workers are slower than one: %v vs %v (%.2fx)", cpus, all, w1, speedup)
 	}

@@ -210,12 +210,19 @@ func (r *Rand) Perm(n int) []int {
 }
 
 // Zipf samples integers in [0, n) with probability proportional to
-// 1/(i+1)^s. It precomputes the CDF once; draws are O(log n). The
+// 1/(i+1)^s. It precomputes the CDF once, plus a guide table that cuts
+// [0, 1) into n equal buckets: a draw u binary-searches only the CDF
+// entries its bucket can land on, O(1) expected instead of O(log n),
+// and returns exactly what a search of the whole CDF returns. The
 // sampler holds no random state of its own — the caller supplies the
 // stream at draw time, so one table can serve many independent,
 // reproducible streams.
 type Zipf struct {
 	cdf []float64
+	// guide[j] is the answer for the smallest u that int(u·n) puts in
+	// bucket j or later, and guide[n] is n-1. Answers grow with u, so a
+	// draw in bucket j lands in [guide[j], guide[j+1]].
+	guide []int32
 }
 
 // NewZipf builds a Zipf sampler over n items with exponent s >= 0.
@@ -233,13 +240,36 @@ func NewZipf(n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{cdf: cdf}
+	z := &Zipf{cdf: cdf, guide: make([]int32, n+1)}
+	fn := float64(n)
+	i := 0
+	for j := 0; j < n; j++ {
+		// The smallest u that Draw puts in bucket j or later: j/n, nudged
+		// over the rounding of u·n so that no u of the bucket is below it.
+		u := float64(j) / fn
+		for u > 0 && int(math.Nextafter(u, 0)*fn) >= j {
+			u = math.Nextafter(u, 0)
+		}
+		for int(u*fn) < j {
+			u = math.Nextafter(u, 1)
+		}
+		for i < n-1 && cdf[i] < u {
+			i++
+		}
+		z.guide[j] = int32(i)
+	}
+	z.guide[n] = int32(n - 1)
+	return z
 }
 
 // Draw returns the next Zipf-distributed index using r's stream.
-func (z *Zipf) Draw(r *Rand) int {
-	u := r.Float64()
-	lo, hi := 0, len(z.cdf)-1
+func (z *Zipf) Draw(r *Rand) int { return z.index(r.Float64()) }
+
+// index maps u in [0, 1) to the first index whose CDF entry is ≥ u (the
+// last index if none is), searching only u's guide bucket.
+func (z *Zipf) index(u float64) int {
+	j := int(u * float64(len(z.cdf)))
+	lo, hi := int(z.guide[j]), int(z.guide[j+1])
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if z.cdf[mid] < u {

@@ -246,6 +246,58 @@ func TestZipfUniformWhenSZero(t *testing.T) {
 	}
 }
 
+// TestZipfGuideMatchesFullSearch pins the guide table as a pure speed-up:
+// for random draws and for every u within two ulps of a bucket edge j/n —
+// where the rounding of u·n decides the bucket — the guided search
+// returns what a binary search over the whole CDF returns, including on
+// the uniform table, whose CDF entries sit on the edges themselves.
+func TestZipfGuideMatchesFullSearch(t *testing.T) {
+	full := func(cdf []float64, u float64) int {
+		lo, hi := 0, len(cdf)-1
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if cdf[mid] < u {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return lo
+	}
+	draws := 1 << 17
+	if testing.Short() {
+		draws = 1 << 13
+	}
+	for _, n := range []int{1, 2, 3, 50, 1000, 4096, 100000} {
+		for _, s := range []float64{0, 0.9, 1.1} {
+			z := NewZipf(n, s)
+			check := func(u float64) {
+				if got, want := z.index(u), full(z.cdf, u); got != want {
+					t.Fatalf("n=%d s=%v u=%v (bits %x): guided %d, full search %d", n, s, u, math.Float64bits(u), got, want)
+				}
+			}
+			r := New(uint64(n) + 7)
+			for i := 0; i < draws; i++ {
+				check(r.Float64())
+			}
+			for j := 0; j <= n; j++ {
+				edge := float64(j) / float64(n)
+				lo, hi := edge, edge
+				for k := 0; k < 3; k++ {
+					if lo >= 0 && lo < 1 {
+						check(lo)
+					}
+					if hi < 1 {
+						check(hi)
+					}
+					lo, hi = math.Nextafter(lo, -1), math.Nextafter(hi, 2)
+				}
+			}
+			check(math.Nextafter(1, 0))
+		}
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
