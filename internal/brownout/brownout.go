@@ -18,8 +18,8 @@
 // FairScheduler's OnDispatch hook), biased per tenant so bronze sheds
 // before silver before gold. The rungs reuse existing downstream
 // machinery: Probe rides workload.Request.Degrade (the resilient
-// router's nprobe-shed path), K rides Request.KShed plus a Shape
-// mutation the LLM engine prices, and DropSQ rides Request.ForcePQ
+// router's nprobe-shed path), K rides a Shape mutation the LLM
+// engine prices, and DropSQ rides Request.ForcePQ
 // (the PR 9 per-cluster codec dispatch, run through the base PQ codec).
 package brownout
 
@@ -249,7 +249,6 @@ func (c *Controller) Stamp(req *workload.Request) {
 		req.Degrade = probe
 	}
 	if k > 0 {
-		req.KShed = k
 		req.Shape = shedShape(req.Shape, k)
 	}
 	if dropSQ {

@@ -150,7 +150,7 @@ func TestStampAppliesRung(t *testing.T) {
 
 	clean := &workload.Request{Shape: workload.DefaultShape()}
 	c.Stamp(clean)
-	if clean.Degrade != 0 || clean.KShed != 0 || clean.ForcePQ || c.StampedRequests() != 0 {
+	if clean.Degrade != 0 || clean.Shape != workload.DefaultShape() || clean.ForcePQ || c.StampedRequests() != 0 {
 		t.Fatalf("level 0 stamped the request: %+v", clean)
 	}
 
@@ -159,10 +159,11 @@ func TestStampAppliesRung(t *testing.T) {
 	}
 	req := &workload.Request{Shape: workload.DefaultShape()}
 	c.Stamp(req)
-	if req.Degrade == 0 || req.KShed == 0 || !req.ForcePQ {
-		t.Fatalf("deepest rung left knobs unstamped: %+v", req)
-	}
 	def := workload.DefaultShape()
+	_, k, _ := c.Sheds(req.Tenant, c.Level())
+	if req.Degrade == 0 || k == 0 || req.Shape != shedShape(def, k) || !req.ForcePQ {
+		t.Fatalf("deepest rung left knobs unstamped (k shed %v): %+v", k, req)
+	}
 	if req.Shape.TopK >= def.TopK || req.Shape.InputTokens >= def.InputTokens {
 		t.Fatalf("shape did not shrink: %+v vs %+v", req.Shape, def)
 	}

@@ -280,7 +280,7 @@ func hashName(s string) uint64 {
 }
 
 // QueryID identifies a drawn query by its template.
-type QueryID int
+type QueryID int32
 
 // Sample draws a query according to template popularity.
 func (w *Workload) Sample(r *rng.Rand) QueryID {

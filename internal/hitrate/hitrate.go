@@ -144,12 +144,6 @@ func (e *Estimator) Variance(mean float64) float64 {
 // SigmaMax2 exposes the profiled peak variance.
 func (e *Estimator) SigmaMax2() float64 { return e.sigmaMax2 }
 
-// BetaAt instantiates the Beta hit-rate distribution for a coverage.
-// Degenerate means (0 or 1) are reported via ok=false.
-func (e *Estimator) BetaAt(coverage float64) (stats.Beta, bool) {
-	return e.betaAt(e.Clusters(coverage))
-}
-
 func (e *Estimator) betaAt(clusters int) (stats.Beta, bool) {
 	mean := e.meanCurve[clusters]
 	if mean <= 1e-9 || mean >= 1-1e-9 {

@@ -42,15 +42,17 @@ func DefaultEngineConfig() EngineConfig {
 // The loop is allocation-free in steady state and does O(1) work per
 // iteration plus O(1) per completion — not O(running sequences):
 // because every running decode gains exactly one token per iteration,
-// an entry's completion iteration is known the moment it joins the
-// decode set, so running entries live in a completion time-wheel
-// (buckets keyed by completion tick) instead of being swept every
-// iteration. The aggregate context size advances in bulk (+running per
-// tick), reproducing the per-entry bookkeeping of the sweep version
-// bit for bit: same completion instants, same completion order (join
-// order within a tick), same decode-step durations. Entries are stored
-// by value, the waiting queue compacts its backing array instead of
-// re-slicing it away, the prefill-completion set is tracked as a count
+// an entry's completion tick is known the moment it joins the decode
+// set, so running entries sit in a ring ordered by completion tick
+// (join order within a tick) and each step compares only the head with
+// the clock instead of sweeping every entry. A uniform OutputTokens
+// makes every join an append; mixed lengths insert from the tail. The
+// aggregate context size advances in bulk (+running per tick),
+// reproducing the per-entry bookkeeping of the sweep version bit for
+// bit: same completion instants, same completion order, same
+// decode-step durations. Entries are stored by value, the waiting
+// queue and the ring compact their backing arrays instead of re-slicing
+// them away, the prefill-completion set is tracked as a count
 // (completed prefills are always a FIFO prefix of prefilling), and the
 // two scheduler callbacks (iterate, and the post-iteration step) are
 // bound once at construction instead of captured per event.
@@ -70,13 +72,11 @@ type Instance struct {
 	sumCtx     int64   // total context tokens across running entries
 	busy       bool
 
-	// The decode set, as a completion time-wheel: wheel[t & mask] holds
-	// the entries whose last token lands on decode tick t, in join
-	// order. nRunning counts entries across all buckets; tick is the
-	// current decode iteration number. The wheel has more slots than
-	// the largest per-entry decode length, so bucket and tick can never
-	// collide between two generations of entries.
-	wheel    [][]finEntry
+	// The decode set: run[rHead:] ordered by completion tick, join
+	// order within a tick. nRunning counts its entries; tick is the
+	// current decode iteration number.
+	run      []finEntry
+	rHead    int
 	tick     int64
 	nRunning int
 
@@ -115,19 +115,18 @@ type Instance struct {
 
 type entry struct {
 	req            *workload.Request
-	generated      int
 	prefillPending int   // prompt tokens not yet processed
 	outTokens      int   // decode target, cached off req.Shape
 	reserved       int64 // KV tokens reserved at admission
 }
 
-// finEntry is a decoding request parked in the completion wheel until
-// the tick its last token lands on.
+// finEntry is a decoding request in the ring until the tick its last
+// token lands on.
 type finEntry struct {
-	req       *workload.Request
-	inTokens  int   // prompt length, for the context-sum release
-	genAtDone int   // generated count at completion (normally outTokens)
-	reserved  int64 // KV tokens to release
+	req      *workload.Request
+	done     int64 // completion tick
+	ctx      int64 // context tokens at completion, for the context-sum release
+	reserved int64 // KV tokens to release
 }
 
 // NewInstance builds an instance over the given GPUs (len must equal
@@ -261,67 +260,30 @@ func (in *Instance) iterate() {
 	in.sim.After(time.Duration(stretched), in.stepFn)
 }
 
-// park inserts a freshly prefilled entry into the completion wheel.
-// The entry joined decoding with one token already emitted, gains one
-// per subsequent tick, and completes on the first tick where generated
+// park inserts a freshly prefilled entry into the ring. The entry
+// joined decoding with one token already emitted, gains one per
+// subsequent tick, and completes on the first tick where its count
 // reaches outTokens — ticks = max(1, outTokens-1) from now (even a
 // 1-token request survives one decode tick, exactly as the sweep
-// version's post-increment check behaved).
+// version's post-increment check behaved). It goes after every entry
+// due no later, so a tick's finishers stay in join order.
 func (in *Instance) park(e *entry) {
-	ticks := e.outTokens - 1
-	if ticks < 1 {
-		ticks = 1
+	ticks := max(e.outTokens-1, 1)
+	if in.rHead > 0 && len(in.run) == cap(in.run) {
+		n := copy(in.run, in.run[in.rHead:])
+		clear(in.run[n:])
+		in.run = in.run[:n]
+		in.rHead = 0
 	}
-	if ticks >= len(in.wheel) {
-		in.growWheel(ticks + 1)
+	f := finEntry{req: e.req, done: in.tick + int64(ticks),
+		ctx: int64(e.req.Shape.InputTokens + 1 + ticks), reserved: e.reserved}
+	in.run = append(in.run, f)
+	i := len(in.run) - 1
+	for ; i > in.rHead && in.run[i-1].done > f.done; i-- {
+		in.run[i] = in.run[i-1]
 	}
-	done := in.tick + int64(ticks)
-	slot := int(done & int64(len(in.wheel)-1))
-	in.wheel[slot] = append(in.wheel[slot], finEntry{
-		req:       e.req,
-		inTokens:  e.req.Shape.InputTokens,
-		genAtDone: 1 + ticks,
-		reserved:  e.reserved,
-	})
+	in.run[i] = f
 	in.nRunning++
-}
-
-// growWheel resizes the wheel to the smallest power of two with at least
-// need slots — one more than the parking entry's ticks is all the
-// no-collision argument asks, so a run of one OutputTokens allocates its
-// wheel once, at the exact size, on the first park — re-bucketing parked
-// entries. Buckets are relocated wholesale: within
-// a bucket join order is preserved, and distinct buckets cannot merge
-// because the new size also exceeds every parked entry's remaining
-// lookahead. Fresh slots are carved out of one flat backing array with
-// a few entries of capacity each, so filling the wheel the first time
-// costs two allocations, not one per slot.
-func (in *Instance) growWheel(need int) {
-	size := 256
-	for size < need {
-		size *= 2
-	}
-	old := in.wheel
-	oldMask := int64(len(old) - 1)
-	in.wheel = make([][]finEntry, size)
-	const slotCap = 4
-	backing := make([]finEntry, size*slotCap)
-	for i := range in.wheel {
-		in.wheel[i] = backing[i*slotCap : i*slotCap : (i+1)*slotCap]
-	}
-	if len(old) == 0 {
-		return
-	}
-	// Parked entries complete within len(old) ticks of now; walk the
-	// next len(old) ticks in order and move each bucket to its slot
-	// under the new mask.
-	for dt := int64(0); dt < int64(len(old)); dt++ {
-		t := in.tick + dt
-		b := old[t&oldMask]
-		if len(b) > 0 {
-			in.wheel[t&int64(size-1)] = b
-		}
-	}
 }
 
 // step applies the iteration scheduled by iterate: decode tokens land,
@@ -330,28 +292,31 @@ func (in *Instance) growWheel(need int) {
 func (in *Instance) step() {
 	now := in.sim.Now()
 	// Decode side: every running request gains a token — in bulk, since
-	// they advance in lockstep — and this tick's wheel bucket holds
-	// exactly the requests whose last token just landed, in join order.
+	// they advance in lockstep — and the ring's head holds exactly the
+	// requests whose last token just landed, in join order.
 	in.tick++
 	in.tokensOut += int64(in.nRunning)
 	in.sumCtx += int64(in.nRunning)
-	if len(in.wheel) > 0 {
-		slot := int(in.tick & int64(len(in.wheel)-1))
-		bucket := in.wheel[slot]
-		if len(bucket) > 0 {
-			in.nRunning -= len(bucket)
-			for i := range bucket {
-				e := &bucket[i]
-				e.req.Done = now
-				in.kvUsedTokens -= e.reserved
-				in.sumCtx -= int64(e.inTokens + e.genAtDone)
-				in.completed++
-				if in.onDone != nil {
-					in.onDone(e.req)
-				}
+	h := in.rHead
+	for in.rHead < len(in.run) && in.run[in.rHead].done == in.tick {
+		in.rHead++
+	}
+	if due := in.run[h:in.rHead]; len(due) > 0 {
+		in.nRunning -= len(due)
+		for i := range due {
+			e := &due[i]
+			e.req.Done = now
+			in.kvUsedTokens -= e.reserved
+			in.sumCtx -= e.ctx
+			in.completed++
+			if in.onDone != nil {
+				in.onDone(e.req)
 			}
-			clear(bucket)
-			in.wheel[slot] = bucket[:0]
+		}
+		clear(due)
+		if in.rHead == len(in.run) {
+			in.run = in.run[:0]
+			in.rHead = 0
 		}
 	}
 	// Prefill side: fully prefilled requests emit their first token
@@ -361,7 +326,6 @@ func (in *Instance) step() {
 		for i := range in.prefilling[:k] {
 			e := &in.prefilling[i]
 			e.req.FirstToken = now
-			e.generated = 1
 			in.tokensOut++
 			in.sumCtx += int64(e.req.Shape.InputTokens + 1)
 			in.park(e)

@@ -298,48 +298,6 @@ func TestSLOGenTable(t *testing.T) {
 	}
 }
 
-// TestWheelSizedToOutputTokens: the completion wheel is sized from the
-// output length it is asked to hold — exactly one slot per tick of the
-// longest parked decode, rounded to a power of two — and regrows only
-// for a longer request. Every request must still emit exactly its
-// OutputTokens: a bucket collision would complete one on another's tick.
-func TestWheelSizedToOutputTokens(t *testing.T) {
-	run := func(lengths []int, wantSlots int) {
-		t.Helper()
-		var sim des.Sim
-		node := hw.L40SNode()
-		inst, err := NewInstance(&sim, node, Llama3_8B, newIdleStates(node)[:1], DefaultEngineConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want int64
-		for i, out := range lengths {
-			req := &workload.Request{ID: i, Shape: workload.Shape{InputTokens: 64, OutputTokens: out, TopK: 5}}
-			want += int64(out)
-			// Staggered, so requests of every length join a wheel that is
-			// already turning.
-			sim.At(des.Time(i)*des.Time(40*time.Millisecond), func() { inst.Submit(req) })
-		}
-		sim.Run()
-		if len(inst.wheel) != wantSlots {
-			t.Errorf("lengths %v: wheel has %d slots, want %d", lengths, len(inst.wheel), wantSlots)
-		}
-		if inst.tokensOut != want || inst.Completed() != int64(len(lengths)) {
-			t.Errorf("lengths %v: %d tokens from %d requests, want %d from %d", lengths, inst.tokensOut, inst.Completed(), want, len(lengths))
-		}
-		if inst.kvUsedTokens != 0 || inst.sumCtx != 0 || inst.nRunning != 0 {
-			t.Errorf("lengths %v: leak: kv=%d ctx=%d running=%d", lengths, inst.kvUsedTokens, inst.sumCtx, inst.nRunning)
-		}
-	}
-	uniform := make([]int, 40)
-	for i := range uniform {
-		uniform[i] = 256
-	}
-	run(uniform, 256)                                        // the default shape: 255 ticks fit 256 slots
-	run([]int{257, 257, 257}, 512)                           // one tick more does not
-	run([]int{16, 256, 16, 257, 600, 2, 300, 600, 16}, 1024) // regrowth with entries parked
-}
-
 func TestModelSpecValidate(t *testing.T) {
 	for _, m := range []ModelSpec{Llama3_8B, Qwen3_32B, Llama3_70B} {
 		if err := m.Validate(); err != nil {

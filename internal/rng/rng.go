@@ -108,56 +108,6 @@ func (r *Rand) ExpFloat64() float64 {
 	}
 }
 
-// Poisson returns a Poisson variate with the given mean. For large means
-// it uses the PTRS transformed-rejection method; for small means,
-// Knuth's product method.
-func (r *Rand) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean < 30 {
-		l := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	// PTRS (Hörmann 1993).
-	b := 0.931 + 2.53*math.Sqrt(mean)
-	a := -0.059 + 0.02483*b
-	invAlpha := 1.1239 + 1.1328/(b-3.4)
-	vr := 0.9277 - 3.6224/(b-2)
-	for {
-		u := r.Float64() - 0.5
-		v := r.Float64()
-		us := 0.5 - math.Abs(u)
-		k := math.Floor((2*a/us+b)*u + mean + 0.43)
-		if us >= 0.07 && v <= vr {
-			return int(k)
-		}
-		if k < 0 || (us < 0.013 && v > us) {
-			continue
-		}
-		if math.Log(v*invAlpha/(a/(us*us)+b)) <= k*math.Log(mean)-mean-logFactorial(k) {
-			return int(k)
-		}
-	}
-}
-
-func logFactorial(k float64) float64 {
-	return lgamma(k + 1)
-}
-
-func lgamma(x float64) float64 {
-	v, _ := math.Lgamma(x)
-	return v
-}
-
 // Gamma returns a Gamma(shape, 1) variate using Marsaglia–Tsang.
 func (r *Rand) Gamma(shape float64) float64 {
 	if shape <= 0 {

@@ -127,35 +127,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestPoissonMeanSmall(t *testing.T) {
-	testPoissonMean(t, 4.5)
-}
-
-func TestPoissonMeanLarge(t *testing.T) {
-	testPoissonMean(t, 120)
-}
-
-func testPoissonMean(t *testing.T, mean float64) {
-	t.Helper()
-	r := New(23)
-	const n = 50000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += float64(r.Poisson(mean))
-	}
-	got := sum / n
-	if math.Abs(got-mean)/mean > 0.02 {
-		t.Fatalf("Poisson(%v) sample mean = %v", mean, got)
-	}
-}
-
-func TestPoissonZeroMean(t *testing.T) {
-	r := New(1)
-	if v := r.Poisson(0); v != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", v)
-	}
-}
-
 func TestGammaMean(t *testing.T) {
 	for _, shape := range []float64{0.5, 1, 2.5, 9} {
 		r := New(29)

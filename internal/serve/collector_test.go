@@ -54,7 +54,7 @@ func TestCollectorStreamsRecordsThroughPooling(t *testing.T) {
 
 	// Summaries see the same view: one served-and-done, one served but
 	// stuck (still counted, still in the TTFT percentile set).
-	s := c.Summarize(time.Second, des.Time(0))
+	s := metrics.Summarize(c.Requests(), time.Second, des.Time(0))
 	if s.N != 2 || s.Unserved != 0 {
 		t.Fatalf("summary N=%d unserved=%d", s.N, s.Unserved)
 	}
@@ -64,9 +64,10 @@ func TestCollectorStreamsRecordsThroughPooling(t *testing.T) {
 }
 
 // TestCollectorSummarizeReusesScratch guards the allocation-free
-// aggregation path: repeated Summarize calls on a warm collector do
-// not allocate per call — the latencies vary, so every percentile is a
-// real selection over reused scratch.
+// aggregation path: re-reading a warm collector's records and
+// summarizing them with a warm Summarizer allocates nothing — the
+// latencies vary, so every percentile is a real selection over reused
+// scratch.
 func TestCollectorSummarizeReusesScratch(t *testing.T) {
 	c := NewCollector()
 	for i := 0; i < 4096; i++ {
@@ -80,9 +81,10 @@ func TestCollectorSummarizeReusesScratch(t *testing.T) {
 		r.Done = r.ArrivalAt + 4*d + 30
 		c.Done(r)
 	}
-	c.Summarize(time.Second, 0) // size the scratch
+	var agg metrics.Summarizer
+	agg.Summarize(c.Requests(), time.Second, 0) // size the scratch
 	allocs := testing.AllocsPerRun(50, func() {
-		c.Summarize(time.Second, 0)
+		agg.Summarize(c.Requests(), time.Second, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("Summarize allocated %.1f objects/op on a warm collector, want 0", allocs)

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"vectorliterag/internal/des"
-	"vectorliterag/internal/metrics"
 	"vectorliterag/internal/workload"
 )
 
@@ -164,7 +163,6 @@ type Collector struct {
 	ids       []int32 // in place: the admitted requests' IDs, admission order
 	inPlace   bool
 	completed int
-	agg       metrics.Summarizer
 }
 
 // NewCollector returns an empty collector.
@@ -270,12 +268,3 @@ func (c *Collector) Admitted() int { return len(c.records) + len(c.ids) }
 
 // Completed returns the number of requests that finished generation.
 func (c *Collector) Completed() int { return c.completed }
-
-// Summarize aggregates the paper's serving metrics over the admitted
-// requests, reusing the collector's aggregation scratch. An in-place
-// collector has no records: its owner summarizes IDs instead
-// (metrics.Summarizer.SummarizeIDs).
-func (c *Collector) Summarize(sloTotal time.Duration, warmup des.Time) metrics.Summary {
-	c.refresh()
-	return c.agg.Summarize(c.records, sloTotal, warmup)
-}

@@ -100,26 +100,20 @@ func (p *Plan) TotalBytes() int64 {
 	return sum
 }
 
-// Route splits a query's probe list into per-shard resident clusters
-// and the CPU-resident remainder — the router's mapping-table lookup
-// (paper §IV-B1). The returned shard lists index into plan.Shards.
-func (p *Plan) Route(probes []int) (perShard [][]int, cpu []int) {
-	var s RouteScratch
-	return p.RouteInto(&s, probes)
-}
-
 // RouteScratch holds RouteInto's reusable work areas. Engines route
-// every query of every batch, so the per-call slice allocations of
-// Route dominated the serving loop's allocation profile; a per-engine
-// scratch reduces routing to zero steady-state allocations. The
-// returned slices are valid until the next RouteInto call on the same
-// scratch.
+// every query of every batch, so per-call slice allocations would
+// dominate the serving loop's allocation profile; a per-engine scratch
+// reduces routing to zero steady-state allocations. The returned
+// slices are valid until the next RouteInto call on the same scratch.
 type RouteScratch struct {
 	perShard [][]int
 	cpu      []int
 }
 
-// RouteInto is Route writing into reusable scratch buffers.
+// RouteInto splits a query's probe list into per-shard resident
+// clusters and the CPU-resident remainder — the router's mapping-table
+// lookup (paper §IV-B1) — writing into s. The returned shard lists
+// index into plan.Shards.
 func (p *Plan) RouteInto(s *RouteScratch, probes []int) (perShard [][]int, cpu []int) {
 	if cap(s.perShard) < p.NumShards {
 		grown := make([][]int, p.NumShards)

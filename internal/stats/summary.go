@@ -19,16 +19,9 @@ func Percentile(sample []float64, p float64) float64 {
 	return out[0]
 }
 
-// PercentileSorted is Percentile over an already ascending-sorted
-// sample. It panics on an empty sample and on NaN sample values.
-func PercentileSorted(sorted []float64, p float64) float64 {
-	checkSample(sorted)
-	lo, hi, frac := rank(p, len(sorted))
-	return lerp(sorted[lo], sorted[hi], frac)
-}
-
-// SelectPercentiles sets out[i] to PercentileSorted(sorted, ps[i]),
-// where sorted is sample in ascending order, without sorting: it
+// SelectPercentiles sets out[i] to the ps[i]-quantile of sample,
+// interpolated between the order statistics a full sort would put at
+// its rank, without sorting: it
 // reorders sample in place only as far as selection needs to put each
 // order statistic it reads in its sorted position — a three-way
 // quickselect for the lower one, and the minimum of everything to its

@@ -24,9 +24,12 @@ func DefaultShape() Shape { return Shape{InputTokens: 1024, OutputTokens: 256, T
 
 // Request is one end-to-end RAG request flowing through retrieval and
 // generation. Timestamps are virtual; zero means "not reached yet".
+//
+// The layout is part of the contract: a fleet run holds one Request per
+// arrival, so Query and ForcePQ share the last word and the struct
+// stays at 112 bytes (TestRequestFootprint).
 type Request struct {
 	ID    int
-	Query dataset.QueryID
 	Shape Shape
 	// Tenant identifies which tenant's stream the request belongs to in
 	// a multi-tenant run (0 in single-tenant runs, where it is unused).
@@ -49,12 +52,14 @@ type Request struct {
 	// value on every non-resilient path — changes nothing.
 	Degrade float64
 
-	// KShed is the brownout ladder's second rung: the fraction by which
-	// this request's rerank depth (Shape.TopK) and context-dependent
-	// input tokens were reduced at dispatch. The Shape mutation is what
-	// the LLM engine prices; KShed records the fraction for reporting.
-	// Zero everywhere outside a brownout.
-	KShed float64
+	// HitRate is the work-weighted fraction of this query's scan bytes
+	// actually served from GPU-resident clusters, recorded by the
+	// retrieval engine when the request's batch is routed. It is the
+	// per-request observation the paper's runtime monitor accumulates
+	// (§IV-B3); mid-reload CPU diverts therefore show up as misses.
+	HitRate float64
+
+	Query dataset.QueryID // the drawn query template
 
 	// ForcePQ is the brownout ladder's last rung: when set, clusters the
 	// precision refinement upgraded to SQ8 are scanned through their
@@ -62,13 +67,6 @@ type Request struct {
 	// exchange for the cheaper scan. False everywhere outside a deep
 	// brownout; meaningless (and ignored) without a precision plan.
 	ForcePQ bool
-
-	// HitRate is the work-weighted fraction of this query's scan bytes
-	// actually served from GPU-resident clusters, recorded by the
-	// retrieval engine when the request's batch is routed. It is the
-	// per-request observation the paper's runtime monitor accumulates
-	// (§IV-B3); mid-reload CPU diverts therefore show up as misses.
-	HitRate float64
 }
 
 // TTFT returns time-to-first-token; callers must only use it after
@@ -90,14 +88,7 @@ func (r *Request) SearchLatency() des.Time { return r.SearchDone - r.SearchStart
 // population) the run allocates no further requests — the pooled
 // request lifecycle of the allocation-free serving core.
 //
-// A Pool is single-goroutine, like the simulator it serves. Behind a
-// serve.Exchange given a pool, the pool belongs to the *front* shard's
-// timeline: arrivals draw from it there, ownership of each request
-// travels to a replica shard with its forward message, and the
-// completion notice carries it home again, where the exchange returns
-// it to the pool. At most one shard touches a request at any instant —
-// the message links hand off ownership, never share it — so the pool
-// needs no locking even with many worker goroutines executing shards.
+// A Pool is single-goroutine, like the simulator it serves.
 type Pool struct {
 	free []*Request
 	news int

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/des"
@@ -91,6 +92,15 @@ func TestGeneratorDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("arrival times differ across identical runs")
 		}
+	}
+}
+
+// TestRequestFootprint pins the record size: a fleet run keeps one
+// Request per arrival, so every word here is paid a quarter million
+// times per pass.
+func TestRequestFootprint(t *testing.T) {
+	if n := unsafe.Sizeof(Request{}); n > 112 {
+		t.Fatalf("Request is %d bytes, want at most 112", n)
 	}
 }
 
