@@ -69,7 +69,8 @@ func TestDecisionsIntegrateEachPointOnce(t *testing.T) {
 	d := newDefaultDecision(t, dataset.Orcas1K)
 
 	// Algorithm 1: 9 outer iterations × 2 roundings × a 7-step bisect
-	// made 135 integrals over 14 distinct points before the table.
+	// made 135 integrals over 14 distinct points before the table, and
+	// the table 14 passes before each pass stored (k, B−1) beside (k, B).
 	est := d.newEst(t)
 	res, err := partition.LatencyBounded(partition.Inputs{
 		SLOSearch: dataset.Orcas1K.SLOSearch, Perf: d.perf, Est: est,
@@ -81,10 +82,10 @@ func TestDecisionsIntegrateEachPointOnce(t *testing.T) {
 	if res.Rho != 0.1015625 || res.Iterations != 9 {
 		t.Fatalf("not the default ORCAS-1K decision: rho %v after %d iterations", res.Rho, res.Iterations)
 	}
-	calls, points := est.Integrations()
-	t.Logf("LatencyBounded: %d integrations over %d points", calls, points)
-	if calls != points || calls > 20 {
-		t.Errorf("LatencyBounded made %d integrations over %d distinct points; want each once and at most 20", calls, points)
+	passes, values, points := est.Integrations()
+	t.Logf("LatencyBounded: %d passes, %d values over %d points", passes, values, points)
+	if values != points || passes > 8 {
+		t.Errorf("LatencyBounded made %d passes, %d values over %d distinct points; want each point once and at most 8 passes", passes, values, points)
 	}
 
 	// The joint allocator, three tenants on one shared estimator and on
@@ -105,9 +106,9 @@ func TestDecisionsIntegrateEachPointOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, est := range ests {
-			calls, points := est.Integrations()
-			if calls == 0 || calls != points {
-				t.Errorf("JointAllocate, tenant %d: %d integrations over %d distinct points", i, calls, points)
+			passes, values, points := est.Integrations()
+			if passes == 0 || values != points {
+				t.Errorf("JointAllocate, tenant %d: %d passes, %d values over %d distinct points", i, passes, values, points)
 			}
 		}
 	}

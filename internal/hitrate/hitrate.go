@@ -39,10 +39,11 @@ type Estimator struct {
 	// allocator's greedy revisit the same few points dozens of times, so
 	// each is integrated once for the estimator's lifetime (one profile).
 	// One float64 a point, at most (nlist+1) × batch sizes seen.
-	mu           sync.Mutex
-	minHit       map[point]float64
-	grid         *stats.MinGrid // built at the first integral, reused under mu
-	integrations int            // Eq. 2 integrals made; tests fence it
+	mu     sync.Mutex
+	minHit map[point]float64
+	grid   *stats.MinGrid // built at the first integral, reused under mu
+	passes int            // CDF passes over the grid; tests fence them
+	values int            // Eq. 2 values those passes made, one or two each
 }
 
 // point is one argument of Eq. 2: hot clusters cached, batch size.
@@ -175,28 +176,40 @@ func (e *Estimator) MinHitRate(coverage float64, batch int) float64 {
 // callers of one point wait for the first and none integrates it again,
 // and the one grid is never shared by two integrals; each integral
 // spreads its grid points over every core instead.
+//
+// The pass that integrates (k, B) also stores (k, B−1) when that is
+// missing: the CDF of the k-cluster Beta does not depend on the batch
+// size, and Algorithm 1 bisects the two roundings ⌈B⌉ and ⌊B⌋ over the
+// same cluster counts.
 func (e *Estimator) minHitRateAt(clusters, batch int) float64 {
-	if batch < 1 {
-		batch = 1
-	}
-	at := point{clusters, batch}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if v, ok := e.minHit[at]; ok {
-		return v
-	}
 	b, ok := e.betaAt(clusters)
 	if !ok {
 		// Degenerate: all-or-nothing coverage.
 		return e.meanCurve[clusters]
 	}
+	if batch <= 1 {
+		return b.Mean() // the minimum of one draw: no integral
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if v, ok := e.minHit[point{clusters, batch}]; ok {
+		return v
+	}
+	ns, out := [2]int{batch, batch - 1}, [2]float64{}
+	pass := ns[:1]
+	if _, ok := e.minHit[point{clusters, batch - 1}]; !ok && batch > 2 {
+		pass = ns[:]
+	}
 	if e.grid == nil {
 		e.grid = stats.NewMinGrid(0)
 	}
-	v := e.grid.ExpectedMin(b, batch)
-	e.integrations++
-	e.minHit[at] = v
-	return v
+	e.grid.ExpectedMins(b, pass, out[:len(pass)])
+	e.passes++
+	for j, n := range pass {
+		e.minHit[point{clusters, n}] = out[j]
+		e.values++
+	}
+	return out[0]
 }
 
 // CoverageForMinHitRate is the paper's HitRate2Coverage: the smallest

@@ -274,8 +274,8 @@ func TestMinHitRateTableIsTransparent(t *testing.T) {
 			t.Errorf("MinHitRate(%v, %d): first %v, from table %v, fresh estimator %v", pr.cov, pr.batch, pr.first, again, want)
 		}
 	}
-	if calls, points := warm.Integrations(); calls != points || calls > len(probes) {
-		t.Errorf("%d integrations for %d distinct points over %d probes", calls, points, len(probes))
+	if passes, values, points := warm.Integrations(); values != points || passes > len(probes) {
+		t.Errorf("%d passes integrated %d values for %d distinct points over %d probes", passes, values, points, len(probes))
 	}
 }
 
@@ -346,30 +346,52 @@ func TestEstimatorSharedAcrossGoroutines(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if calls, points := shared.Integrations(); calls != points {
-		t.Errorf("%d integrations for %d distinct points", calls, points)
+	if _, values, points := shared.Integrations(); values != points {
+		t.Errorf("%d values integrated for %d distinct points", values, points)
 	}
 }
 
 // TestWarmIntegralAllocatesNothing: once the estimator's grid exists, an
-// Eq. 2 integral — grid points spread over every core, folded in order —
-// allocates nothing, as the serial loop before it did not.
+// Eq. 2 pass — grid points spread over every core, folded in order, both
+// batch roundings stored — allocates nothing, as the serial loop before
+// it did not.
 func TestWarmIntegralAllocatesNothing(t *testing.T) {
 	e, _ := buildEstimator(t, dataset.Orcas1K)
 	clusters, batch := e.nlist/4, 16
 	e.minHitRateAt(clusters, batch) // builds the grid
-	before := e.integrations
-	at := point{clusters, batch}
+	passes, values := e.passes, e.values
 	allocs := testing.AllocsPerRun(20, func() {
 		e.mu.Lock()
-		delete(e.minHit, at)
+		delete(e.minHit, point{clusters, batch})
+		delete(e.minHit, point{clusters, batch - 1})
 		e.mu.Unlock()
 		e.minHitRateAt(clusters, batch)
 	})
-	if e.integrations-before < 20 {
-		t.Fatalf("%d integrals ran; the point must not be degenerate", e.integrations-before)
+	if e.passes-passes < 20 || e.values-values != 2*(e.passes-passes) {
+		t.Fatalf("%d passes made %d values; want paired passes at a non-degenerate point", e.passes-passes, e.values-values)
 	}
 	if allocs != 0 {
-		t.Fatalf("a warm integral allocated %v objects, want 0", allocs)
+		t.Fatalf("a warm paired pass allocated %v objects, want 0", allocs)
+	}
+}
+
+// TestBatchOfOneIntegratesNothing: the minimum of one draw is the Beta's
+// mean, so batch sizes <= 1 build no grid, make no pass and fill no
+// table entry.
+func TestBatchOfOneIntegratesNothing(t *testing.T) {
+	e, _ := buildEstimator(t, dataset.Orcas1K)
+	for _, batch := range []int{1, 0, -3} {
+		for _, cov := range []float64{0.1, 0.5, 0.9} {
+			b, ok := e.BetaAt(cov)
+			if !ok {
+				t.Fatalf("coverage %v is degenerate", cov)
+			}
+			if got := e.MinHitRate(cov, batch); math.Float64bits(got) != math.Float64bits(b.Mean()) {
+				t.Errorf("MinHitRate(%v, %d) = %v, want the Beta mean %v", cov, batch, got, b.Mean())
+			}
+		}
+	}
+	if passes, values, points := e.Integrations(); e.grid != nil || passes+values+points != 0 {
+		t.Errorf("batch <= 1 built a grid (%v) or made %d passes, %d values, %d table points", e.grid != nil, passes, values, points)
 	}
 }

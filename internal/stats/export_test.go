@@ -1,5 +1,7 @@
 package stats
 
+import "math"
+
 // PercentileSorted is Percentile over an already ascending-sorted
 // sample: the sort-then-interpolate reference SelectPercentiles must
 // match bit for bit. It panics on an empty sample and on NaN sample
@@ -8,4 +10,36 @@ func PercentileSorted(sorted []float64, p float64) float64 {
 	checkSample(sorted)
 	lo, hi, frac := rank(p, len(sorted))
 	return lerp(sorted[lo], sorted[hi], frac)
+}
+
+// CDF evaluates the cumulative distribution at x via the regularized
+// incomplete beta function I_x(alpha, beta).
+func (b Beta) CDF(x float64) float64 { return RegIncBeta(b.Alpha, b.Beta, x) }
+
+// RegIncBeta is the regularized incomplete beta function I_x(a, b) at
+// any x, by the continued fraction the grid evaluates at its points.
+func RegIncBeta(a, b, x float64) float64 {
+	if x <= 0 {
+		return 0
+	}
+	if x >= 1 {
+		return 1
+	}
+	f := newIncBeta(a, b)
+	front := math.Exp(a*math.Log(x) + b*math.Log(1-x) - f.lnB)
+	if x < f.split {
+		return front * betaCF(a, b, x) / a
+	}
+	return 1 - front*betaCF(b, a, 1-x)/b
+}
+
+// ExpectedMin returns E[min of n iid draws] (Eq. 2) on a one-worker
+// grid; n = 1 reduces to the distribution mean.
+func (b Beta) ExpectedMin(n int) float64 { return NewMinGrid(1).ExpectedMin(b, n) }
+
+// ExpectedMin is ExpectedMins for one batch size.
+func (g *MinGrid) ExpectedMin(b Beta, n int) float64 {
+	var out [1]float64
+	g.ExpectedMins(b, []int{n}, out[:])
+	return out[0]
 }

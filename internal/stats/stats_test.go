@@ -260,6 +260,115 @@ func TestMinGridBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestExpectedMinsBitIdenticalToReference: one pass serves one or two
+// batch sizes, and each value has the reference's bits at any worker
+// count; a batch size <= 1 is the mean, alone or beside an integral.
+func TestExpectedMinsBitIdenticalToReference(t *testing.T) {
+	betas := []Beta{{0.3, 0.4}, {0.5, 3}, {4, 0.6}, {4.2, 1.7}, {25, 2}, {2, 40}}
+	sets := [][]int{{8}, {2}, {1}, {16, 15}, {3, 2}, {2, 1}, {1, 7}, {64, 256}}
+	for _, workers := range []int{1, 2, 8} {
+		g := NewMinGrid(workers)
+		for _, b := range betas {
+			for _, ns := range sets {
+				out := make([]float64, len(ns))
+				g.ExpectedMins(b, ns, out)
+				for j, n := range ns {
+					if want := refExpectedMin(b, n); math.Float64bits(out[j]) != math.Float64bits(want) {
+						t.Errorf("workers %d: Beta(%v, %v) ExpectedMins(%v)[%d] = %v, reference %v",
+							workers, b.Alpha, b.Beta, ns, j, out[j], want)
+					}
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("ExpectedMins of three batch sizes did not panic")
+		}
+	}()
+	NewMinGrid(1).ExpectedMins(betas[0], []int{2, 3, 4}, make([]float64, 3))
+}
+
+// TestBetaCF2BitEqualToBetaCF: each lane of the interleaved fraction
+// has betaCF's bits, whichever lane stops first. The lanes cover the
+// grid points either side of the symmetric-form switch, the tiny clamps
+// on d (initial: (a+b)x = a+1; in the loop: x = 3/(b+2) at a = 1) and
+// on c (a = 0, b = -1, x = 1 makes the first term -1), and fractions
+// that exhaust cfMaxIter.
+func TestBetaCF2BitEqualToBetaCF(t *testing.T) {
+	type lane struct{ a, b, x float64 }
+	lanes := []lane{
+		{1, 3, 0.5}, {1, 4, 0.5}, {0, -1, 1}, // the clamps
+		{1e6, 1e6, 0.5}, {4e5, 6e5, 0.4}, // cfMaxIter runs out
+		{2, 5, 1e-6}, {0.3, 0.4, 0.2}, // converge in a few steps
+	}
+	for _, b := range []Beta{{4.2, 1.7}, {0.3, 0.4}, {25, 2}, {2, 40}, {0.9, 0.9}} {
+		f := newIncBeta(b.Alpha, b.Beta)
+		i := int(f.split * minSteps) // x_i < split <= x_{i+1}
+		for _, k := range []int{i, i + 1} {
+			a, bb, x, _ := f.args(k)
+			lanes = append(lanes, lane{a, bb, x})
+		}
+	}
+	for _, l0 := range lanes {
+		for _, l1 := range lanes {
+			got0, got1 := betaCF2(l0.a, l0.b, l0.x, l1.a, l1.b, l1.x)
+			want0, want1 := betaCF(l0.a, l0.b, l0.x), betaCF(l1.a, l1.b, l1.x)
+			if math.Float64bits(got0) != math.Float64bits(want0) || math.Float64bits(got1) != math.Float64bits(want1) {
+				t.Errorf("betaCF2(%v, %v) = %v, %v; betaCF gives %v, %v", l0, l1, got0, got1, want0, want1)
+			}
+		}
+	}
+}
+
+// TestPowPairBitEqualToPow: the shared squarings give math.Pow's bits for
+// both exponents, on results from 1 down through the subnormals to an
+// underflow, exponents whose bit lengths differ, and the bases powPair
+// hands to math.Pow.
+func TestPowPairBitEqualToPow(t *testing.T) {
+	xs := []float64{0.999999999, 0.97, 0.5, 0.3, 1e-3, 1e-30, 1e-200, 1e-300, 5e-324,
+		math.Nextafter(1, 0), 0, 1, math.NaN(), math.Inf(1)}
+	ns := []float64{2, 3, 7, 8, 15, 16, 64, 255, 256, 1023, 1 << 20}
+	for _, x := range xs {
+		for _, n0 := range ns {
+			for _, n1 := range ns {
+				got0, got1 := powPair(x, n0, n1)
+				want0, want1 := math.Pow(x, n0), math.Pow(x, n1)
+				if math.Float64bits(got0) != math.Float64bits(want0) || math.Float64bits(got1) != math.Float64bits(want1) {
+					t.Errorf("powPair(%v, %v, %v) = %v, %v; math.Pow gives %v, %v", x, n0, n1, got0, got1, want0, want1)
+				}
+			}
+		}
+	}
+}
+
+// FuzzExpectedMin: over the estimator's moment range, alpha < 1 and
+// beta < 1 included, one pass for n and n-1 has the reference's bits.
+func FuzzExpectedMin(f *testing.F) {
+	f.Add(0.5, 0.2, uint16(8))
+	f.Add(0.02, 0.999, uint16(2)) // alpha and beta < 1
+	f.Add(0.98, 0.9, uint16(64))  // beta < 1
+	f.Add(0.3, 0.001, uint16(300))
+	f.Fuzz(func(t *testing.T, mean, frac float64, n uint16) {
+		if !(mean > 1e-9 && mean < 1-1e-9 && frac > 0 && frac < 1) {
+			t.Skip()
+		}
+		b, err := NewBetaFromMoments(mean, frac*mean*(1-mean))
+		if err != nil {
+			t.Skip()
+		}
+		ns := []int{int(n%512) + 1, int(n % 512)}
+		var out [2]float64
+		NewMinGrid(2).ExpectedMins(b, ns, out[:])
+		for j, n := range ns {
+			if want := refExpectedMin(b, n); math.Float64bits(out[j]) != math.Float64bits(want) {
+				t.Fatalf("Beta(%v, %v) n=%d: %v (%#x), reference %v (%#x)",
+					b.Alpha, b.Beta, n, out[j], math.Float64bits(out[j]), want, math.Float64bits(want))
+			}
+		}
+	})
+}
+
 func TestPercentile(t *testing.T) {
 	s := []float64{1, 2, 3, 4, 5}
 	if got := Percentile(s, 0.5); got != 3 {
