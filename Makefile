@@ -78,14 +78,15 @@ bench-search:
 # One-iteration compile-and-run of the search kernel, build-layer
 # (blocked dot kernel, k-means assignment and training, dataset build),
 # decision-path (Eq. 2 integral, Algorithm 1, joint allocator),
-# retrieval-engine (each engine configuration alone), fleet (round-robin
-# lanes alone, least-loaded lanes in rounds), fleet-sized summary and
-# resilient fault-storm benchmarks, then
+# retrieval-engine (each engine configuration alone), single-node serve
+# (one sweep-scale Serve call), fleet (round-robin lanes alone,
+# least-loaded lanes in rounds), fleet-sized summary and resilient
+# fault-storm benchmarks, then
 # every registered experiment at quick scale through the CLI's CSV path
 # (one link step: each artifact's runner, its report, and the export of
 # every table); CI runs this so none of them can rot.
 bench-smoke:
-	$(GO) test -run=NONE -bench='Search|DotRows|KMeansAssign|KMeansTrain|DatasetBuild|ExpectedMin|LatencyBounded|JointAllocate|RetrievalEngines|FleetRoundRobin|FleetLeastLoaded|Summarize|ResilientStorm' -benchtime=1x ./...
+	$(GO) test -run=NONE -bench='Search|DotRows|KMeansAssign|KMeansTrain|DatasetBuild|ExpectedMin|LatencyBounded|JointAllocate|RetrievalEngines|Serve$$|FleetRoundRobin|FleetLeastLoaded|Summarize|ResilientStorm' -benchtime=1x ./...
 	$(GO) run ./cmd/vliterag run -exp all -quick -csv >/dev/null
 
 # Wall-clock scaling verdict for Workers: on a 16-replica round-robin

@@ -532,6 +532,30 @@ func BenchmarkResilientStorm(b *testing.B) {
 	}
 }
 
+// BenchmarkServe measures one single-node Serve call at the scale of a
+// serving-sweep point: vLiteRAG on default ORCAS-1K at 0.8 of the bare
+// LLM capacity, a 120 s arrival window and a 120 s drain, decision
+// included. Its bytes and allocations per call are the single-node
+// path's footprint.
+func BenchmarkServe(b *testing.B) {
+	w := benchOrcas(b)
+	mu, err := vlr.Capacity(vlr.H100Node(), vlr.Qwen3_32B)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := vlr.ServeOptions{Workload: w, System: vlr.VLiteRAG, Rate: 0.8 * mu,
+		Duration: 120 * time.Second, Drain: 120 * time.Second, Seed: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := vlr.Serve(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += rep.Summary.N
+	}
+}
+
 // BenchmarkFleetRoundRobin measures the fleet with its lanes run alone.
 func BenchmarkFleetRoundRobin(b *testing.B) { benchFleet(b, vlr.RoundRobin) }
 

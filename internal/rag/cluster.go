@@ -67,18 +67,16 @@ const DefaultNetDelay = time.Millisecond
 type fleetBuilder func(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.Duration, expect int) (*fleet, error)
 
 // shared runs the router and every replica on one simulator. The plain
-// router gives each replica an ID list into the global collector's
-// records, which the request's arrival index keys. The resilient router
-// settles every completion itself (collector, release, pool) and keeps
-// the only record: retries and hedges would register one logical
-// request with several replicas, so per-replica reporting is limited to
-// routing counts there.
+// router serves every arrival where it lies in one arena, the run's
+// record set, and gives each replica an ID list into it, which the
+// request's arrival index keys. The resilient router settles every
+// completion itself (collector, release, pool) and keeps the only
+// record, copied out of pooled requests: retries and hedges clone one
+// logical request onto several replicas, so per-replica reporting is
+// limited to routing counts there.
 func (c *corpus) shared(opts *Options) (*served, error) {
 	resilient := opts.resilient()
 	var sim des.Sim
-	pool := &workload.Pool{}
-	coll := serve.NewCollector()
-	coll.Reserve(c.expect)
 	// The resilient router can only be built after the replica pipelines
 	// exist, so each terminal sink late-binds through this variable.
 	var rr *serve.ResilientRouter
@@ -92,7 +90,7 @@ func (c *corpus) shared(opts *Options) (*served, error) {
 		} else {
 			own := serve.NewCollector()
 			own.InPlace(c.expect/opts.Replicas + 1)
-			nodes[i], err = c.spec.build(&sim, own, []serve.Sink{coll.Done, rep.Release}, pool.Release)
+			nodes[i], err = c.spec.build(&sim, own, nil, rep.Release)
 		}
 		if err != nil {
 			return nil, err
@@ -100,8 +98,15 @@ func (c *corpus) shared(opts *Options) (*served, error) {
 		rep.Bind(nodes[i].pipe)
 		reps[i] = rep
 	}
-	var route serve.Sink
+	var (
+		submit  serve.Sink
+		alloc   func() *workload.Request
+		records func() []workload.Request
+	)
 	if resilient {
+		pool := &workload.Pool{}
+		coll := serve.NewCollector()
+		coll.Reserve(c.expect)
 		rcfg := serve.ResilienceConfig{}
 		if opts.Resilience != nil {
 			rcfg = *opts.Resilience
@@ -111,7 +116,11 @@ func (c *corpus) shared(opts *Options) (*served, error) {
 		if rr, err = serve.NewResilientRouter(&sim, rcfg, reps, coll, pool); err != nil {
 			return nil, err
 		}
-		route = rr.Submit
+		front, err := serve.Compose(&sim, rr.Submit, serve.Admit(coll))
+		if err != nil {
+			return nil, err
+		}
+		submit, alloc, records = front.Submit, pool.Get, coll.Requests
 		// Wire the storm: health events hit the router; slowdown episodes
 		// hit the affected replica's engines directly.
 		fault.Install(&sim, opts.Faults, fault.Hooks{
@@ -131,17 +140,14 @@ func (c *corpus) shared(opts *Options) (*served, error) {
 		if err != nil {
 			return nil, err
 		}
-		route = router.Submit
+		arena := workload.NewArena(c.expect)
+		submit, alloc, records = router.Submit, arena.New, arena.Records
 	}
-	front, err := serve.Compose(&sim, route, serve.Admit(coll))
-	if err != nil {
-		return nil, err
-	}
-	defer c.feed(&sim, pool, front.Submit)()
+	defer c.feed(&sim, alloc, submit)()
 	sim.RunUntil(des.Time(opts.Duration + opts.Drain))
 
 	warmup := des.Time(opts.Warmup)
-	s := &served{records: coll.Requests(), nodes: nodes, submitted: make([]int, opts.Replicas), sums: make([]metrics.Summary, opts.Replicas)}
+	s := &served{records: records(), nodes: nodes, submitted: make([]int, opts.Replicas), sums: make([]metrics.Summary, opts.Replicas)}
 	var agg metrics.Summarizer
 	for i, n := range nodes {
 		s.submitted[i] = reps[i].Submitted()
@@ -166,8 +172,9 @@ func (c *corpus) shared(opts *Options) (*served, error) {
 // starts its arrival sources (and drift events) on the front timeline,
 // feeding Submit at each request's arrival instant, and then calls run.
 //
-// Phase 1: the front runs alone and appends each arrival, by value, to
-// one arrival-ordered array — the run's only copy of a request. Phase 2:
+// Phase 1: the front runs alone, its arrival sources allocating each
+// arrival into one arena — the run's only copy of a request — and the
+// arena becomes one arrival-ordered array when phase 1 ends. Phase 2:
 // the lanes serve the array's records in place, and their collectors
 // keep ID lists into it, so the array is the global record set when
 // phase 2 ends: a request still on the wire at the deadline reads as it
@@ -192,9 +199,11 @@ func (c *corpus) shared(opts *Options) (*served, error) {
 //     on completions before a − NetDelay, and the lanes advance in rounds
 //     at least 2·NetDelay wide with one barrier each (rounds).
 type fleet struct {
-	pool    *workload.Pool
+	arena   *workload.Arena
+	arrived int // arrivals so far: the next one's ID
+	share   int // the arrivals a replica's ID list is sized to
 	nodes   []*node
-	records []workload.Request // every arrival in front order; ID = index
+	records []workload.Request // every arrival in front order, from phase 2 on; ID = index
 
 	front    des.Sim
 	netDelay des.Time
@@ -251,30 +260,29 @@ func newFleet(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.D
 	return f, nil
 }
 
-// newFront returns a fleet with its front and its record array, sized to
+// newFront returns a fleet with its front and its arena, sized to
 // expect, and no replicas built yet.
 func newFront(replicas int, netDelay time.Duration, expect int) *fleet {
-	return &fleet{pool: &workload.Pool{}, nodes: make([]*node, replicas),
-		records: make([]workload.Request, 0, expect), netDelay: des.Time(netDelay)}
+	return &fleet{arena: workload.NewArena(expect), share: expect/replicas + 1,
+		nodes: make([]*node, replicas), netDelay: des.Time(netDelay)}
 }
 
 // build instantiates replica i on sim, its collector an ID list into the
 // record array sized to an even share.
 func (f *fleet) build(spec *nodeSpec, i int, sim *des.Sim, next serve.Sink) (err error) {
 	coll := serve.NewCollector()
-	coll.InPlace(cap(f.records)/len(f.nodes) + 1)
+	coll.InPlace(f.share)
 	f.nodes[i], err = spec.build(sim, coll, nil, next)
 	return err
 }
 
-// Submit takes one arrival — the sink the arrival sources feed. It
-// restamps the request ID with the global arrival index, the record's
-// place in the array, even when several generators multiplex onto the
-// front timeline, appends the request and recycles the pooled object.
+// Submit takes one arrival — the sink the arrival sources feed — which
+// already lies in the arena's latest slot. It restamps the request ID
+// with the global arrival index, the slot's place in the arena, even
+// when several generators multiplex onto the front timeline.
 func (f *fleet) Submit(req *workload.Request) {
-	req.ID = len(f.records)
-	f.records = append(f.records, *req)
-	f.pool.Put(req)
+	req.ID = f.arrived
+	f.arrived++
 }
 
 // run executes the fleet to the deadline and reports the requests routed
@@ -283,8 +291,10 @@ func (f *fleet) Submit(req *workload.Request) {
 // goroutine that ran the replica, through one metrics.Summarizer per
 // worker.
 func (f *fleet) run(deadline des.Time, workers int, slo time.Duration, warmup des.Time) (submitted []int, sums []metrics.Summary, used int) {
-	// Phase 1: the front alone. Every arrival lands in the array.
+	// Phase 1: the front alone. Every arrival lands in the arena, whose
+	// chunks nothing addresses until phase 2.
 	f.front.RunUntil(deadline)
+	f.records = f.arena.Records()
 	used = shardWorkers(workers, len(f.nodes))
 	sums = make([]metrics.Summary, len(f.nodes))
 	aggs := make([]metrics.Summarizer, used)

@@ -236,25 +236,25 @@ func (d *decision) decide(opts *Options) (err error) {
 }
 
 // arrivalsFor returns one corpus's pipeline source, drawing requests
-// from pool (into which the terminal sink must release them): the
+// from alloc (a run's arena, or the resilient router's pool): the
 // constant-rate Poisson stream, or the inhomogeneous (thinned) stream
 // when a rate schedule is set.
-func arrivalsFor(w *dataset.Workload, rate float64, sched workload.Schedule, shape workload.Shape, seed uint64, pool *workload.Pool) *serve.Arrivals {
+func arrivalsFor(w *dataset.Workload, rate float64, sched workload.Schedule, shape workload.Shape, seed uint64, alloc func() *workload.Request) *serve.Arrivals {
 	var arr *serve.Arrivals
 	if sched != nil {
 		arr = serve.NewScheduledArrivals(w, sched, shape, seed)
 	} else {
 		arr = serve.NewArrivals(w, rate, shape, seed)
 	}
-	arr.SetPool(pool)
+	arr.SetAlloc(alloc)
 	return arr
 }
 
 // expectedArrivals is the request count the stream arrivalsFor builds
 // will almost never exceed over an arrival window: the Poisson mean
-// plus four standard deviations. Collectors and a fleet's record array
-// are sized to it before the run; falling short only costs a
-// reallocation.
+// plus four standard deviations. A run's arena and its collectors are
+// sized to it before the run; falling short only costs another arena
+// chunk, or a regrown ID list.
 func expectedArrivals(rate float64, sched workload.Schedule, window time.Duration) int {
 	mean := rate * window.Seconds()
 	if sched != nil {

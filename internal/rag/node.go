@@ -92,13 +92,15 @@ type node struct {
 }
 
 // build instantiates one replica of the spec on sim: fresh GPU states
-// with the shard bytes applied, admission into coll (skipped when coll
-// is nil — the resilient router keeps the only record), the optional
-// scheduler and overload rig, retrieval, generation. A completed
-// request is recorded, shown to the brownout monitor and then to each
-// observer, and finally handed to next, which takes ownership of it
-// (the pool release, a completion notice, a router) and so must come
-// last; a rejected one is frozen in the record and handed to next.
+// with the shard bytes applied, admission into coll (an in-place
+// collector, or nil where the replica keeps no record of its own: a
+// lone node, whose arena is the record, and the resilient router's
+// replicas), the optional scheduler and overload rig, retrieval,
+// generation. A completed request is counted by coll, shown to the
+// brownout monitor and then to each observer, and finally handed to
+// next, which may take ownership of it (the resilient router) and so
+// must come last; a rejected one is handed to next alone. A nil next
+// takes nothing.
 func (s *nodeSpec) build(sim *des.Sim, coll *serve.Collector, observers []serve.Sink, next serve.Sink) (*node, error) {
 	states := gpu.NewStates(s.node)
 	split := len(states) - s.nDed
@@ -129,7 +131,7 @@ func (s *nodeSpec) build(sim *des.Sim, coll *serve.Collector, observers []serve.
 		n.sched = sched
 		builders = append(builders, serve.Scheduled(sched))
 		if s.overload != nil {
-			sched.SetAdmission(s.overload.QueueCap, serve.Tee(coll.Abandon, next))
+			sched.SetAdmission(s.overload.QueueCap, next)
 		}
 		if s.overload != nil && s.overload.Brownout {
 			n.brown, err = brownout.NewController(sim, brownout.Config{
@@ -143,7 +145,11 @@ func (s *nodeSpec) build(sim *des.Sim, coll *serve.Collector, observers []serve.
 			tail = append(tail, n.brown.Observe)
 		}
 	}
-	terminal := serve.Tee(append(append(tail, observers...), next)...)
+	tail = append(tail, observers...)
+	if next != nil {
+		tail = append(tail, next)
+	}
+	terminal := serve.Tee(tail...)
 
 	cfg := s.cfg
 	cfg.Sim = sim

@@ -271,9 +271,10 @@ type Result struct {
 	Rate     float64
 	SLOTotal time.Duration
 	Summary  metrics.Summary
-	// Requests holds the per-request records in arrival order — value
-	// snapshots from the streaming collector, not the pooled (recycled)
-	// live objects.
+	// Requests holds the per-request records in arrival order: the
+	// run's arena itself, where every request was served, or — under the
+	// resilient router — the copying collector's value snapshots of its
+	// pooled requests.
 	Requests []workload.Request
 
 	// Rho is the GPU cache coverage the system chose (1 for ALL/DED-GPU,

@@ -62,12 +62,12 @@ func run(opts Options, build fleetBuilder) (*Result, error) {
 	return tally(&opts, d, s), nil
 }
 
-// runSingle serves a single corpus on one node, one collector, one
+// runSingle serves a single corpus on one node, one arena, one
 // timeline. Control planes attach at the three points the pipeline
 // offers: the engine (a live-cost overlay at construction, the
 // HotSwapper a controller re-plans through), the terminal tee (a
-// controller observes each completion before the pool recycles it) and
-// the timeline itself (mutation sources start beside the arrivals).
+// controller observes each completion) and the timeline itself
+// (mutation sources start beside the arrivals).
 // Monitor attaches the adapt controller; live Ingest streams the
 // streaming-ingest subsystem, which the controller — when both are set
 // — also drives as its compactor.
@@ -118,17 +118,17 @@ func runSingle(opts *Options, d *decision) (*Result, error) {
 }
 
 // corpus is what a run serves as every topology sees it: the node spec
-// each replica instantiates, the arrival-count hint collectors and
-// record arrays are sized to, the SLO a replica's own summary is read
+// each replica instantiates, the arrival-count hint arenas and
+// collectors are sized to, the SLO a replica's own summary is read
 // against (zero for a lineup, which has no single SLO), and the feed
 // that starts the run's sources on the timeline owning arrivals (a
-// node's own, or a fleet's front) and returns the hook that undoes its
-// drift trace.
+// node's own, or a fleet's front), drawing their requests from alloc,
+// and returns the hook that undoes its drift trace.
 type corpus struct {
 	spec   *nodeSpec
 	expect int
 	slo    time.Duration
-	feed   func(front *des.Sim, pool *workload.Pool, submit serve.Sink) (restore func())
+	feed   func(front *des.Sim, alloc func() *workload.Request, submit serve.Sink) (restore func())
 }
 
 // corpus returns the single corpus of a decided run. Its feed schedules,
@@ -139,9 +139,9 @@ func (opts *Options) corpus(d *decision, live retrieval.LiveCost, aux []serve.Au
 		spec:   singleSpec(opts, d, live),
 		expect: expectedArrivals(opts.Rate, opts.RateSchedule, opts.Duration),
 		slo:    d.sloTotal,
-		feed: func(front *des.Sim, pool *workload.Pool, submit serve.Sink) func() {
+		feed: func(front *des.Sim, alloc func() *workload.Request, submit serve.Sink) func() {
 			restore := installDrift(front, opts)
-			arr := arrivalsFor(opts.W, opts.Rate, opts.RateSchedule, opts.Shape, opts.Seed+7, pool)
+			arr := arrivalsFor(opts.W, opts.Rate, opts.RateSchedule, opts.Shape, opts.Seed+7, alloc)
 			for _, a := range aux {
 				a.Start(front, des.Time(opts.Duration))
 			}
@@ -165,22 +165,22 @@ type served struct {
 	resilience *ResilienceReport
 }
 
-// node serves the corpus on one node on sim. bind, when non-nil, sees
-// the built node before the first event.
+// node serves the corpus on one node on sim. Every arrival is allocated
+// into one arena and served where it lies, so the arena, in arrival
+// order, is the run's record set, and the node keeps no collector.
+// bind, when non-nil, sees the built node before the first event.
 func (c *corpus) node(sim *des.Sim, opts *Options, observers []serve.Sink, bind func(*node)) (*served, error) {
-	pool := &workload.Pool{}
-	coll := serve.NewCollector()
-	coll.Reserve(c.expect)
-	n, err := c.spec.build(sim, coll, observers, pool.Release)
+	n, err := c.spec.build(sim, nil, observers, nil)
 	if err != nil {
 		return nil, err
 	}
 	if bind != nil {
 		bind(n)
 	}
-	defer c.feed(sim, pool, n.pipe.Submit)()
+	arena := workload.NewArena(c.expect)
+	defer c.feed(sim, arena.New, n.pipe.Submit)()
 	sim.RunUntil(des.Time(opts.Duration + opts.Drain))
-	return &served{records: coll.Requests(), nodes: []*node{n}, submitted: []int{1}}, nil
+	return &served{records: arena.Records(), nodes: []*node{n}, submitted: []int{1}}, nil
 }
 
 // fleet serves the corpus on opts.Replicas replicas on the fleet engine
@@ -195,7 +195,7 @@ func (c *corpus) fleet(opts *Options, build fleetBuilder) (*served, error) {
 	// reader (arrival sampling) lives and which finishes before any
 	// replica starts, so the trace stays race-free under parallel
 	// execution.
-	defer c.feed(&f.front, f.pool, f.Submit)()
+	defer c.feed(&f.front, f.arena.New, f.Submit)()
 	s := &served{nodes: f.nodes}
 	s.submitted, s.sums, s.workers = f.run(des.Time(opts.Duration+opts.Drain), opts.Workers, c.slo, des.Time(opts.Warmup))
 	s.records = f.records

@@ -182,7 +182,7 @@ func runTenants(opts *Options, build fleetBuilder) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &corpus{spec: tenantSpec(opts, d), feed: func(front *des.Sim, pool *workload.Pool, submit serve.Sink) func() {
+	c := &corpus{spec: tenantSpec(opts, d), feed: func(front *des.Sim, alloc func() *workload.Request, submit serve.Sink) func() {
 		for i, tc := range opts.Tenants {
 			// On a fleet, stream splitting makes the front's multiplexed
 			// order a pure function of (Seed, tenant index), independent of
@@ -191,7 +191,7 @@ func runTenants(opts *Options, build fleetBuilder) (*Result, error) {
 			if opts.Replicas > 0 {
 				seed = rng.Stream(opts.Seed+7, uint64(i))
 			}
-			arr := arrivalsFor(tc.W, tc.Rate, tc.RateSchedule, opts.Shape, seed, pool)
+			arr := arrivalsFor(tc.W, tc.Rate, tc.RateSchedule, opts.Shape, seed, alloc)
 			arr.SetTenant(i)
 			arr.Start(front, des.Time(opts.Duration), submit)
 		}
@@ -218,21 +218,27 @@ func runTenants(opts *Options, build fleetBuilder) (*Result, error) {
 func tallyTenants(opts *Options, d *tenantDecision, s *served) *Result {
 	res := &Result{Mu0: d.mu0, MuLLM: d.alloc.MuLLM, BudgetBytes: d.alloc.BudgetBytes, UsedBytes: d.alloc.UsedBytes}
 	s.tally(opts, res)
-	// Records partition by tenant in arrival order.
-	byTenant := make([][]workload.Request, len(opts.Tenants))
-	for _, req := range s.records {
-		t := req.Tenant
+	// Records partition by tenant in arrival order, as ID lists into the
+	// record array. A list is never nil: SummarizeIDs reads nil as every
+	// record.
+	byTenant := make([][]int32, len(opts.Tenants))
+	for t := range byTenant {
+		byTenant[t] = []int32{}
+	}
+	for i := range s.records {
+		t := s.records[i].Tenant
 		if t < 0 || t >= len(byTenant) {
 			t = 0
 		}
-		byTenant[t] = append(byTenant[t], req)
+		byTenant[t] = append(byTenant[t], int32(i))
 	}
 	atts := make([]float64, len(opts.Tenants))
 	var okWeighted float64
 	var total int
+	var agg metrics.Summarizer
 	for i, tc := range opts.Tenants {
 		slo := tc.SLOSearch + opts.SLOGen
-		sum := metrics.Summarize(byTenant[i], slo, des.Time(opts.Warmup))
+		sum := agg.SummarizeIDs(s.records, byTenant[i], slo, des.Time(opts.Warmup))
 		tr := TenantResult{
 			Name: tc.Name, Tier: tc.Tier, Rate: tc.Rate,
 			SLOTotal: slo, Alloc: d.alloc.Allocations[i], Summary: sum,

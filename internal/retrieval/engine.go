@@ -103,13 +103,12 @@ type RecallReporter interface {
 // can accept the next batch.
 //
 // Batch slices cycle through a small free list instead of being
-// allocated per batch: runBatch implementations return each slice with
-// releaseBatch once its requests have been forwarded (steady state
-// holds at most two — one in service, one completing). Engines also
-// pre-bind their completion callbacks (doneFn, and a forward-one hook
-// where they promote queries individually) so the per-batch and
-// per-request events schedule through des.Sim without closure
-// allocations.
+// allocated per batch: runBatch implementations snapshot a batch's
+// requests into the completion events' recycled groups (takeGroup) and
+// return the slice with releaseBatch at once. Engines also pre-bind
+// their completion callbacks (doneFn, and the forward-one and
+// forward-group hooks) so the per-batch and per-request events schedule
+// through des.Sim without closure allocations.
 type batcher struct {
 	cfg     Config
 	queue   []*workload.Request
@@ -294,7 +293,7 @@ func (b *batcher) takeBatch(n int) []*workload.Request {
 
 // releaseBatch returns a batch slice to the free list once every
 // request in it has been forwarded. Entries are cleared so the free
-// list does not retain (pooled, recyclable) requests.
+// list does not retain requests (pooled ones are recycled).
 func (b *batcher) releaseBatch(batch []*workload.Request) {
 	clear(batch[:cap(batch)])
 	b.freeBatches = append(b.freeBatches, batch[:0])
@@ -357,12 +356,19 @@ func servedHitRate(total, miss int64) float64 {
 type CPUOnly struct {
 	batcher
 	slot TenantSlot
+	// finish is the batch's one completion event, pre-bound: forward the
+	// group, then free the pipeline.
+	finish func(any)
 }
 
 // NewCPUOnly constructs the CPU-only engine.
 func NewCPUOnly(cfg Config) *CPUOnly {
 	e := &CPUOnly{batcher: batcher{cfg: cfg}, slot: cfg.slot(nil)}
 	e.init(e.runBatch)
+	e.finish = func(g any) {
+		e.forwardGroupReqs(g)
+		e.done()
+	}
 	return e
 }
 
@@ -378,9 +384,6 @@ func (e *CPUOnly) runBatch(batch []*workload.Request) {
 	}
 	sim := e.cfg.Sim
 	t := e.slowAt(des.Time(e.cfg.CPUModel.CQTime(b) + e.cfg.CPUModel.LUTTime(total, b)))
-	sim.At(sim.Now()+t+des.Time(mergeCost), func() {
-		e.forwardAll(batch)
-		e.releaseBatch(batch)
-		e.done()
-	})
+	sim.AtArg(sim.Now()+t+des.Time(mergeCost), e.finish, e.takeGroup(batch))
+	e.releaseBatch(batch)
 }

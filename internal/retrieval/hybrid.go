@@ -391,10 +391,8 @@ func (e *Hybrid) runBatch(batch []*workload.Request) {
 		// clusters scanned.
 		e.dispatchCoalesced(batch, cpuDone, gpuReady)
 	} else {
-		sim.At(batchEnd+des.Time(mergeCost), func() {
-			e.forwardAll(batch)
-			e.releaseBatch(batch)
-		})
+		sim.AtArg(batchEnd+des.Time(mergeCost), e.forwardGroup, e.takeGroup(batch))
+		e.releaseBatch(batch)
 	}
 	// The pipeline accepts the next batch when both tiers are free.
 	sim.At(batchEnd, e.doneFn)

@@ -62,9 +62,10 @@ type FairScheduler struct {
 	// rejected at the door instead of enqueued — a rejected request costs
 	// ~0 service time, a queued-then-timed-out one occupies the node
 	// while it ages past its SLO (the metastable regime of faults.go,
-	// reproducible from pure load). Rejections flow to the reject sink
-	// (typically Collector.Abandon so they surface as unserved) and never
-	// touch the in-flight accounting. Caps are per-tenant by
+	// reproducible from pure load). A rejected request's record never
+	// gets a first token, so it surfaces as unserved; rejections also
+	// flow to the reject sink, when set, and never touch the in-flight
+	// accounting. Caps are per-tenant by
 	// construction: one tenant filling its queue cannot cause another's
 	// rejection.
 	queueCap   int

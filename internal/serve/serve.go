@@ -30,8 +30,12 @@ import (
 // and terminal collectors are both Sinks.
 type Sink func(*workload.Request)
 
-// Tee fans one request out to several sinks in order.
+// Tee fans one request out to several sinks in order. A lone sink is
+// returned as it is.
 func Tee(sinks ...Sink) Sink {
+	if len(sinks) == 1 {
+		return sinks[0]
+	}
 	return func(req *workload.Request) {
 		for _, s := range sinks {
 			s(req)
@@ -141,21 +145,23 @@ func (p *Pipeline) RunAux(arr *Arrivals, duration, drain time.Duration, aux ...A
 	p.Sim.RunUntil(des.Time(duration + drain))
 }
 
-// Collector is the pipeline's terminal sink: it streams every admitted
-// request into a compact per-request record (arrival order) and
-// summarizes the run's metrics once the simulation drains.
+// Collector records which requests a pipeline admitted. It has two
+// modes, one per way a run holds its requests.
 //
-// Records are *values*: Done copies the request's final timestamps into
-// its record, after which the pooled request object is free to be
-// recycled by a later arrival. Requests still in flight stay live (the
-// pool never sees them), and their current state is re-read at
-// aggregation time — so a request stuck mid-generation when the clock
-// stops reports exactly the fields it had then, as it did before
-// pooling existed.
+// In place (InPlace), the mode of every routed replica but the
+// resilient router's: the requests live in an arrival-ordered arena
+// (workload.Arena) their owner indexes by Request.ID, are served where
+// they lie and are never recycled, so the collector keeps only the IDs
+// it admitted and copies, tracks and re-reads nothing.
 //
-// An in-place collector (InPlace) skips all of that: the requests are
-// served where their owner reports them, so it keeps only the IDs it
-// admitted and nothing is copied or tracked.
+// Copying, the mode beneath the resilient router, whose retry and hedge
+// clones come from a recycling workload.Pool: Admit streams every
+// admitted request into a compact per-request *value* record (arrival
+// order), and Done copies the request's final timestamps into it, after
+// which the pooled object is free to be recycled by a later arrival.
+// Requests still in flight stay live (the pool never sees them) and are
+// re-read at aggregation time, so a request stuck mid-generation when
+// the clock stops reports exactly the fields it had then.
 type Collector struct {
 	records   []workload.Request  // per-request snapshots, arrival order
 	live      []*workload.Request // non-nil until the request finalizes
@@ -181,10 +187,10 @@ func (c *Collector) Reserve(n int) {
 }
 
 // InPlace turns the collector into an ID list: its requests live, never
-// recycled, in an array their owner indexes by Request.ID and reports
-// from, so the collector records only which IDs it admitted (IDs), in
-// admission order, and copies, tracks and re-reads nothing. n sizes the
-// list. Call before any Admit.
+// recycled, in an arrival-ordered arena their owner indexes by
+// Request.ID and reports from, so the collector records only which IDs
+// it admitted (IDs), in admission order. n sizes the list. Call before
+// any Admit.
 func (c *Collector) InPlace(n int) {
 	c.ids, c.inPlace = make([]int32, 0, n), true
 }
@@ -208,9 +214,13 @@ func (c *Collector) Admit(req *workload.Request) {
 
 // Done finalizes a completed request's record (wired into the terminal
 // sink, upstream of the pool release). The map delete/re-insert cycle
-// reuses bucket memory, so steady state allocates nothing.
+// reuses bucket memory, so steady state allocates nothing. In place it
+// only counts the completion.
 func (c *Collector) Done(req *workload.Request) {
 	c.completed++
+	if c.inPlace {
+		return
+	}
 	if i, ok := c.idx[req]; ok {
 		c.records[i] = *req
 		c.live[i] = nil
@@ -262,9 +272,3 @@ func (c *Collector) Requests() []workload.Request {
 	c.refresh()
 	return c.records
 }
-
-// Admitted returns the number of requests that entered the system.
-func (c *Collector) Admitted() int { return len(c.records) + len(c.ids) }
-
-// Completed returns the number of requests that finished generation.
-func (c *Collector) Completed() int { return c.completed }

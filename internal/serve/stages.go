@@ -41,10 +41,11 @@ func (a *Arrivals) Count() int { return a.gen.Count() }
 // (multi-tenant runs start one source per tenant on a shared timeline).
 func (a *Arrivals) SetTenant(id int) { a.gen.Tenant = id }
 
-// SetPool installs the request pool the source draws from; the
+// SetAlloc installs the allocator the source draws its requests from:
+// a workload.Arena's New, or a workload.Pool's Get — then the
 // pipeline's terminal sink must release completed requests back into
-// it (wire workload.Pool.Release last in the terminal Tee).
-func (a *Arrivals) SetPool(p *workload.Pool) { a.gen.Pool = p }
+// the pool (wire workload.Pool.Release last in the terminal Tee).
+func (a *Arrivals) SetAlloc(alloc func() *workload.Request) { a.gen.Alloc = alloc }
 
 // Admission is the front-door dispatch stage: it registers every
 // arriving request with the collector and forwards it downstream. In a

@@ -82,11 +82,66 @@ func (r *Request) QueueingDelay() des.Time { return r.SearchStart - r.ArrivalAt 
 // SearchLatency is the retrieval service time (batch start to forward).
 func (r *Request) SearchLatency() des.Time { return r.SearchDone - r.SearchStart }
 
-// Pool recycles Request objects across a serving run. Arrival
-// generators draw from it and the pipeline's terminal sink returns
-// completed requests, so after a short ramp (the peak in-flight
-// population) the run allocates no further requests — the pooled
-// request lifecycle of the allocation-free serving core.
+// Arena is a run's arrival-ordered record store: each arrival is
+// allocated into the next slot and served where it lies, and the slots,
+// read after the run, are the run's records. A slot is never recycled,
+// and it never moves while the run can still reach it: when the first
+// chunk is full another one opens, and Records joins the chunks only
+// once, when the run is over.
+//
+// An Arena is single-goroutine while it allocates, like the simulator
+// it feeds.
+type Arena struct {
+	full  [][]Request // earlier chunks, each filled to capacity
+	chunk []Request   // the chunk being filled
+}
+
+// NewArena returns an arena whose first chunk holds n requests. A run
+// sizes it to the arrivals it expects; a low n costs an extra chunk,
+// never correctness.
+func NewArena(n int) *Arena { return &Arena{chunk: make([]Request, 0, max(n, 1))} }
+
+// New returns the next slot, zeroed: the allocator arrival generators
+// draw from (Generator.Alloc).
+func (a *Arena) New() *Request {
+	if len(a.chunk) == cap(a.chunk) {
+		a.full = append(a.full, a.chunk)
+		a.chunk = make([]Request, 0, a.Len())
+	}
+	a.chunk = a.chunk[:len(a.chunk)+1]
+	return &a.chunk[len(a.chunk)-1]
+}
+
+// Len returns how many requests the arena holds.
+func (a *Arena) Len() int {
+	n := len(a.chunk)
+	for _, c := range a.full {
+		n += len(c)
+	}
+	return n
+}
+
+// Records returns every request in allocation order. With one chunk
+// that is the chunk itself; otherwise the chunks are joined, once, into
+// the arena's only chunk, which moves every slot: call it when nothing
+// holds a slot's address any more.
+func (a *Arena) Records() []Request {
+	if len(a.full) > 0 {
+		all := make([]Request, 0, a.Len())
+		for _, c := range a.full {
+			all = append(all, c...)
+		}
+		a.full, a.chunk = nil, append(all, a.chunk...)
+	}
+	return a.chunk
+}
+
+// Pool recycles Request objects across a serving run whose requests are
+// copied out of the pooled objects (the resilient router's retry and
+// hedge clones, serve.Collector's copying mode): an arrival generator
+// draws from it and the terminal sink returns completed requests, so
+// after a short ramp (the peak in-flight population) the run allocates
+// no further requests. Every other run allocates into an Arena.
 //
 // A Pool is single-goroutine, like the simulator it serves.
 type Pool struct {
@@ -140,9 +195,13 @@ type Generator struct {
 	// Tenant stamps every emitted request (multi-tenant runs multiplex
 	// one generator per tenant onto a shared simulator timeline).
 	Tenant int
-	// Pool, when non-nil, supplies request objects instead of the heap;
-	// a run's terminal sink releases completed requests back into it.
-	Pool *Pool
+	// Alloc, when non-nil, supplies each arrival's request object — an
+	// Arena's New, or a Pool's Get when the run's terminal sink releases
+	// completed requests back into it. Pool is the same seam spelled as a
+	// pool, read only when Alloc is nil; without either, every arrival is
+	// a new heap object.
+	Alloc func() *Request
+	Pool  *Pool
 
 	r      *rng.Rand
 	nextID int
@@ -173,7 +232,7 @@ func NewScheduledGenerator(w *dataset.Workload, sched Schedule, shape Shape, see
 // invoking submit for each new request at its arrival time. The loop
 // pre-binds one step callback and reschedules it, so steady-state
 // arrival scheduling performs no allocation beyond the requests
-// themselves (none at all with a Pool installed).
+// themselves (none at all from a warm Pool or a sized Arena).
 func (g *Generator) Start(sim *des.Sim, until des.Time, submit func(*Request)) {
 	g.sim, g.until, g.submit = sim, until, submit
 	if g.Sched != nil {
@@ -235,13 +294,16 @@ func (g *Generator) scheduleThinned(from des.Time) {
 	}
 }
 
-// emit materializes one request at the current instant, from the pool
-// when one is installed.
+// emit materializes one request at the current instant, from the
+// installed allocator.
 func (g *Generator) emit() {
 	var req *Request
-	if g.Pool != nil {
+	switch {
+	case g.Alloc != nil:
+		req = g.Alloc()
+	case g.Pool != nil:
 		req = g.Pool.Get()
-	} else {
+	default:
 		req = &Request{}
 	}
 	req.ID = g.nextID
