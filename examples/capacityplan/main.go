@@ -53,6 +53,7 @@ func main() {
 		rep, err := vlr.Serve(vlr.ServeOptions{
 			Workload: w, System: vlr.VLiteRAG, Rate: targetRate,
 			Node: node, Model: model, Seed: 1, Duration: duration,
+			Prebuilt: sys, // serve the decision just built instead of re-deciding
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -50,6 +50,7 @@ func main() {
 		rep, err := vlr.Serve(vlr.ServeOptions{
 			Workload: w, System: vlr.VLiteRAG, Rate: 30,
 			Node: node, Model: model, SLOSearch: slo, Seed: 1, Duration: duration,
+			Prebuilt: sys, // serve the decision just built instead of re-deciding
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -326,6 +326,9 @@ func NewController(cfg Config, in Inputs) (*Controller, error) {
 	if in.Perf == nil {
 		return nil, fmt.Errorf("adapt: nil performance model")
 	}
+	if !(in.Mu0 > 0) {
+		return nil, fmt.Errorf("adapt: non-positive bare LLM throughput Mu0 %v", in.Mu0)
+	}
 	mon, err := cfg.Monitor.withDefaults()
 	if err != nil {
 		return nil, err

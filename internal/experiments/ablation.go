@@ -45,9 +45,9 @@ func Ablations(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	// Runtime ablation: the first arm finds vLiteRAG's coverage (vlRho),
-	// the last runs the unpruned/undispatched runtime at that exact
-	// coverage.
+	// Runtime ablation: the first arm makes vLiteRAG's decision (vl),
+	// the last serves that very decision on the unpruned/undispatched
+	// runtime, so both run at the same coverage.
 	rep.Printf("\nAblation B: runtime pipeline at equal coverage\n")
 	runtimeT := rep.Table(
 		col("pipeline", "", "pipeline", ""),
@@ -55,17 +55,15 @@ func Ablations(cfg Config) (*Report, error) {
 		col("avg search", "%.0fms", "search_mean_s", ""),
 		col("TTFT p90", "%.0fms", "ttft_p90_s", ""),
 	)
-	var vlRho float64
+	var vl *rag.Decision
 	point.arms = []arm[rag.Options]{
 		{name: "router+dispatcher (vLiteRAG)"},
 		{"no dispatcher", func(o *rag.Options) { o.DisableDispatcher = true }},
-		{"unpruned probes, no dispatcher", func(o *rag.Options) {
-			o.Kind, o.HedraCoverageOverride = rag.HedraRAG, vlRho
-		}},
+		{"unpruned probes, no dispatcher", func(o *rag.Options) { o.Kind, o.Decision = rag.HedraRAG, vl }},
 	}
-	err = cfg.sweep(point, single(func(pipeline string, _ rag.Options, r *rag.Result) {
-		if vlRho == 0 {
-			vlRho = r.Rho
+	err = cfg.sweep(point, single(func(pipeline string, o rag.Options, r *rag.Result) {
+		if vl == nil {
+			vl = o.Decision
 		}
 		runtimeT.Add(pipeline, r.Summary.Attainment, r.Summary.Breakdown.Search, r.Summary.TTFT.P90)
 	}))

@@ -8,12 +8,12 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/hw"
 	"vectorliterag/internal/llm"
+	"vectorliterag/internal/memo"
 	"vectorliterag/internal/rag"
 	"vectorliterag/internal/workload"
 )
@@ -31,28 +31,33 @@ type Config struct {
 	workers int
 }
 
-// workload cache: physical index construction dominates experiment
-// setup, and every figure reuses the same three datasets.
-var wlCache = struct {
-	sync.Mutex
-	m map[string]*dataset.Workload
-}{m: map[string]*dataset.Workload{}}
+// workloads and decisions are built once per process: physical index
+// construction dominates experiment setup, and every figure reuses the
+// same three datasets and the decisions made on them.
+var (
+	workloads memo.Cache[*dataset.Workload]
+	decisions memo.Cache[*rag.Decision]
+)
 
 // WorkloadFor builds (or recalls) the default physical realization of a
 // spec.
 func WorkloadFor(spec dataset.Spec) (*dataset.Workload, error) {
 	key := fmt.Sprintf("%s|%.2f|%.2f|%d", spec.Name, spec.SkewS, spec.QueryNoise, spec.NProbe)
-	wlCache.Lock()
-	defer wlCache.Unlock()
-	if w, ok := wlCache.m[key]; ok {
-		return w, nil
-	}
-	w, err := dataset.Build(spec, dataset.DefaultGen())
-	if err != nil {
-		return nil, err
-	}
-	wlCache.m[key] = w
-	return w, nil
+	return workloads.Get(key, func() (*dataset.Workload, error) { return dataset.Build(spec, dataset.DefaultGen()) })
+}
+
+// decisionFor makes (or recalls) the decision a single-corpus run of o
+// would make for itself. A decision reads no arrival rate and no
+// run-time plane, so the key is o with those fields cleared (and the
+// precision options by value): a field added to rag.Options splits the
+// cache until it is cleared here, and never merges two decisions.
+func decisionFor(o rag.Options) (*rag.Decision, error) {
+	k := o
+	k.Rate, k.Duration, k.Warmup, k.Drain, k.RateSchedule, k.Drift = 0, 0, 0, 0, nil, nil
+	k.SLOGen, k.DisableDispatcher, k.Overload, k.Monitor, k.Ingest, k.Precision = 0, false, nil, nil, nil, nil
+	k.Replicas, k.Policy, k.Workers, k.NetDelay, k.Faults, k.Resilience = 0, "", 0, 0, nil, nil
+	key := fmt.Sprintf("%+v|%+v", k, o.Precision)
+	return decisions.Get(key, func() (*rag.Decision, error) { return rag.Decide(o) })
 }
 
 // deployment pairs each model with its node, as in the paper (§V-A:
@@ -157,7 +162,9 @@ type grid struct {
 // grid system by system, rate by rate, arm by arm, hands each point's
 // options to run, and names the point that failed. An arm's mutation is
 // applied last, after the grid's base, so it may override anything —
-// the system included.
+// the system included. A single corpus's point serves the decision
+// decisionFor recalls, so each (system, arm) decides at most once, at
+// its first rate; an arm that sets its own Decision is left alone.
 func (cfg Config) sweep(g grid, run func(arm string, o rag.Options) error) error {
 	w, err := WorkloadFor(g.spec)
 	if err != nil {
@@ -170,8 +177,14 @@ func (cfg Config) sweep(g grid, run func(arm string, o rag.Options) error) error
 	if arms == nil {
 		arms = []arm[rag.Options]{{}}
 	}
-	point := func(name string, o rag.Options) error {
-		if err := run(name, o); err != nil {
+	point := func(name string, o rag.Options) (err error) {
+		if o.Decision == nil && o.Tenants == nil {
+			o.Decision, err = decisionFor(o)
+		}
+		if err == nil {
+			err = run(name, o)
+		}
+		if err != nil {
 			return fmt.Errorf("%s @%.1f rps: %w", o.Kind, o.Rate, err)
 		}
 		return nil

@@ -117,20 +117,14 @@ func Fig16(cfg Config) (*Report, error) {
 			base:  func(o *rag.Options) { o.SLOSearch = slo },
 		}, single(func(_ string, o rag.Options, r *rag.Result) {
 			curves.Add(sloMS, string(o.Kind), o.Rate, r.Summary.TTFT.P95, r.Summary.TTFT.P90)
-		}))
-		if err != nil {
-			return nil, err
-		}
-		// Compute the Table-II memory split from a single partitioned run
-		// (quick-length at either scale: only the decision is read).
-		err = cfg.sweep(grid{
-			dep: dep, spec: dataset.Orcas1K, rates: rates[:1],
-			base: func(o *rag.Options) { o.SLOSearch, o.Duration = slo, runDuration(true) },
-		}, single(func(_ string, _ rag.Options, r *rag.Result) {
-			weights := float64(dep.Model.WeightBytesPerGPU())
-			perGPUShard := float64(r.PlanBytes) / float64(dep.Node.NumGPUs)
-			kv := float64(dep.Model.KVBytesPerGPU(dep.Node.GPU)) - perGPUShard
-			split.Add(sloMS, perGPUShard/1e9, weights/1e9, kv/1e9, r.Rho)
+			if o.Kind == rag.VLiteRAG && o.Rate == rates[0] {
+				// The Table-II memory split reads vLiteRAG's decision,
+				// which every rate shares.
+				weights := float64(dep.Model.WeightBytesPerGPU())
+				perGPUShard := float64(r.PlanBytes) / float64(dep.Node.NumGPUs)
+				kv := float64(dep.Model.KVBytesPerGPU(dep.Node.GPU)) - perGPUShard
+				split.Add(sloMS, perGPUShard/1e9, weights/1e9, kv/1e9, r.Rho)
+			}
 		}))
 		if err != nil {
 			return nil, err

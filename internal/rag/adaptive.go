@@ -3,6 +3,7 @@ package rag
 import (
 	"vectorliterag/internal/adapt"
 	"vectorliterag/internal/des"
+	"vectorliterag/internal/hitrate"
 )
 
 // AdaptReport is the adapt controller's record: every rebuild it
@@ -29,18 +30,23 @@ type AdaptReport struct {
 // compaction plane of a live run — on the models the decision was made
 // from: the controller re-measures only the access profile across
 // cycles, because drift moves the query distribution, not the machine.
-// It returns the model-expected mean hit rate of the installed plan,
+// A decision written as a literal carries no models; the controller
+// then fits its own the way Decide would, and the decision stays as it
+// is. It returns the model-expected mean hit rate of the installed plan,
 // the monitor's first anchor. The caller binds the engine (and the
 // compactor) once the pipeline exists.
-func newAdaptController(sim *des.Sim, opts *Options, d *decision, mon adapt.MonitorConfig, io *IngestOptions) (*adapt.Controller, float64, error) {
-	if err := d.fit(); err != nil {
-		return nil, 0, err
-	}
-	if d.mu0 == 0 { // a prebuilt plan skipped the capacity measurement
-		var err error
-		if d.mu0, err = BareCapacity(opts.Node, opts.Model, opts.Shape); err != nil {
+func newAdaptController(sim *des.Sim, opts *Options, d *Decision, mon adapt.MonitorConfig, io *IngestOptions) (*adapt.Controller, float64, error) {
+	perf, expected := d.perf, d.MeanHitRate
+	if perf == nil {
+		prof, err := collect(opts, opts.W, opts.Seed+1)
+		if err != nil {
 			return nil, 0, err
 		}
+		var est *hitrate.Estimator
+		if est, perf, err = fitModels(prof, opts.Node.CPU); err != nil {
+			return nil, 0, err
+		}
+		expected = est.MeanHitRate(d.Rho)
 	}
 	if mon.WindowRequests == 0 {
 		// Roughly ten seconds of traffic. With a schedule driving
@@ -62,15 +68,14 @@ func newAdaptController(sim *des.Sim, opts *Options, d *decision, mon adapt.Moni
 	if io != nil {
 		cfg.EscalateSkew, cfg.EscalateResidual = io.EscalateSkew, io.EscalateResidual
 	}
-	expected := d.est.MeanHitRate(d.rho)
 	ctrl, err := adapt.NewController(cfg, adapt.Inputs{
 		Sim:       sim,
 		W:         opts.W,
 		Node:      opts.Node,
-		SLOTotal:  d.sloTotal,
+		SLOTotal:  opts.sloTotal(),
 		SLOSearch: opts.SLOSearch,
-		Perf:      d.perf,
-		Mu0:       d.mu0,
+		Perf:      perf,
+		Mu0:       d.Mu0,
 		MemKV:     opts.Model.NodeKVBytes(opts.Node),
 		Expected:  expected,
 		Seed:      opts.Seed + 13,

@@ -89,7 +89,7 @@ func TestArenaOverflowKeepsRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		o.SLOGen = slo
-		d, err := profileAndDecide(o, o.SLOSearch+o.SLOGen)
+		d, err := decide(o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ func TestLinkFreeEngineChoice(t *testing.T) {
 	if err := o.validate(); err != nil {
 		t.Fatal(err)
 	}
-	d, err := profileAndDecide(&o, 0)
+	d, err := decide(&o)
 	if err != nil {
 		t.Fatal(err)
 	}

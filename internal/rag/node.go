@@ -53,13 +53,13 @@ const schedulerInflight = 32
 // singleSpec is the node of a single-corpus run: the decision's plan,
 // the engine its Kind names, and — only under overload control — a
 // single-class scheduler with the run's own stage SLOs as budgets.
-func singleSpec(opts *Options, d *decision, live retrieval.LiveCost) *nodeSpec {
+func singleSpec(opts *Options, d *Decision, live retrieval.LiveCost) *nodeSpec {
 	s := &nodeSpec{
 		node: opts.Node, model: opts.Model, nDed: d.nDed,
-		cfg: retrieval.Config{W: opts.W, CPUModel: d.cpuModel, Live: live, NVMe: opts.Node.NVMe},
+		cfg: retrieval.Config{W: opts.W, CPUModel: costmodel.NewSearchModel(opts.Node.CPU, opts.W.Spec), Live: live, NVMe: opts.Node.NVMe},
 	}
-	if d.plan != nil {
-		s.plans = []*splitter.Plan{d.plan}
+	if d.Plan != nil {
+		s.plans = []*splitter.Plan{d.Plan}
 	}
 	gm := costmodel.GPUScanModel{GPU: opts.Node.GPU}
 	s.engine = func(cfg retrieval.Config, gpus []*gpu.State) (retrieval.Engine, error) {
@@ -67,9 +67,9 @@ func singleSpec(opts *Options, d *decision, live retrieval.LiveCost) *nodeSpec {
 		case CPUOnly:
 			return retrieval.NewCPUOnly(cfg), nil
 		case AllGPU, DedGPU, HedraRAG:
-			return retrieval.NewSharded(cfg, string(opts.Kind), d.plan, gpus, gm), nil
+			return retrieval.NewSharded(cfg, string(opts.Kind), d.Plan, gpus, gm), nil
 		}
-		h := retrieval.NewHybrid(cfg, d.plan, gpus, gm)
+		h := retrieval.NewHybrid(cfg, d.Plan, gpus, gm)
 		h.Dispatcher = !opts.DisableDispatcher
 		return h, nil
 	}
@@ -212,16 +212,16 @@ func nodeRows(nodes []*node, weights []int, tp int) (rows []ReplicaResult, avgBa
 
 // tally turns what a single-corpus run left behind — the decision and
 // whatever its topology served — into its Result.
-func tally(opts *Options, d *decision, s *served) *Result {
+func tally(opts *Options, d *Decision, s *served) *Result {
 	res := &Result{
-		Kind: opts.Kind, Rate: opts.Rate, SLOTotal: d.sloTotal,
-		Rho: d.rho, PlanBytes: d.planBytes, Mu0: d.mu0, Partition: d.partition,
-		Summary: metrics.Summarize(s.records, d.sloTotal, des.Time(opts.Warmup)),
+		Kind: opts.Kind, Rate: opts.Rate, SLOTotal: opts.sloTotal(),
+		Rho: d.Rho, PlanBytes: d.PlanBytes, Mu0: d.Mu0, Partition: d.Partition,
+		Summary: metrics.Summarize(s.records, opts.sloTotal(), des.Time(opts.Warmup)),
 	}
 	s.tally(opts, res)
-	if d.plan != nil && d.plan.Prec != nil {
-		res.SQClusters = d.plan.Prec.SQClusters
-		res.NVMeClusters = d.plan.Prec.NVMeClusters
+	if d.refined() {
+		res.SQClusters = d.Plan.Prec.SQClusters
+		res.NVMeClusters = d.Plan.Prec.NVMeClusters
 	}
 	return res
 }

@@ -174,8 +174,8 @@ func TestLineupPrecisionNeverUnderBills(t *testing.T) {
 	var planned int64
 	for i, c := range d.corpora {
 		al := d.alloc.Allocations[i]
-		gap := al.Bytes - c.plan.TotalBytes()
-		planned += c.plan.TotalBytes()
+		gap := al.Bytes - c.Plan.TotalBytes()
+		planned += c.Plan.TotalBytes()
 		switch name := o.Tenants[i].Name; {
 		case name == "wiki" && (al.SQClusters == 0 || gap <= 0):
 			t.Errorf("wiki: %d upgrades billed %d bytes over its plan; want upgrades and a positive gap", al.SQClusters, gap)

@@ -15,7 +15,6 @@ package rag
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"vectorliterag/internal/adapt"
@@ -24,10 +23,10 @@ import (
 	"vectorliterag/internal/gpu"
 	"vectorliterag/internal/hw"
 	"vectorliterag/internal/llm"
+	"vectorliterag/internal/memo"
 	"vectorliterag/internal/metrics"
 	"vectorliterag/internal/partition"
 	"vectorliterag/internal/serve"
-	"vectorliterag/internal/splitter"
 	"vectorliterag/internal/workload"
 )
 
@@ -93,21 +92,20 @@ type Options struct {
 	// the way the paper derives Table I: the deployment's own TTFT
 	// measured at the model's throughput limit (P90 at 2/3 capacity).
 	SLOGen time.Duration
-	// Epsilon is the queuing factor of Algorithm 1 (default 1).
+	// Epsilon is the queuing factor of Algorithm 1 (default 1; negative
+	// and NaN values are rejected).
 	Epsilon float64
 	// DisableDispatcher turns off early query promotion (Fig. 14).
 	DisableDispatcher bool
-	// ProfileQueries sizes the calibration sample (default 4000).
+	// ProfileQueries sizes the calibration sample (default 4000;
+	// negative values are rejected).
 	ProfileQueries int
-	// HedraCoverageOverride, when positive, pins HedraRAG's coverage
-	// instead of running its balancing rule (for §VI-D replication).
-	HedraCoverageOverride float64
-	// Plan, when set for VLiteRAG, serves an existing split plan as-is
-	// instead of re-profiling and re-partitioning — "build once, serve
-	// many", and the way a stale plan is represented in drift studies.
-	// A prebuilt plan carries (or omits) its own precision refinement;
-	// Precision is not re-applied to it.
-	Plan *splitter.Plan
+	// Decision, when non-nil, is served as-is instead of deciding —
+	// decide once, serve many — on the Kind it was made for, or on
+	// HedraRAG's unpruned runtime when it is a vLiteRAG decision without
+	// precision refinement. A tenant lineup refuses one. Precision is not
+	// re-applied to it.
+	Decision *Decision
 	// Precision, when non-nil, extends the placement decision (Algorithm
 	// 1, or a lineup's joint allocator) with the (tier, codec)
 	// refinement: hot clusters upgraded from PQ to SQ8 within a bounded
@@ -251,15 +249,8 @@ func checkDeployment(node hw.Node, model llm.ModelSpec) error {
 	return nil
 }
 
-// decisionDefaults fills the defaults the offline decision reads.
-func (opts *Options) decisionDefaults() {
-	if opts.Shape == (workload.Shape{}) {
-		opts.Shape = workload.DefaultShape()
-	}
-	if opts.SLOSearch == 0 {
-		opts.SLOSearch = opts.W.Spec.SLOSearch
-	}
-}
+// sloTotal is a single corpus's combined SLO, search plus generation.
+func (opts *Options) sloTotal() time.Duration { return opts.SLOSearch + opts.SLOGen }
 
 // Result is one evaluation point. The fields up to Overload hold the
 // records and node readings every run reports and a single corpus's
@@ -328,12 +319,13 @@ type Result struct {
 	MuLLM       float64
 }
 
-// capCache memoizes bare LLM capacity per deployment, since every rate
-// point of a sweep shares it.
-var capCache = struct {
-	sync.Mutex
-	m map[string]float64
-}{m: map[string]float64{}}
+// capacities and genSLOs memoize the two deployment measurements per
+// deployment, since every rate point of a sweep — and every decision —
+// shares them.
+var (
+	capacities memo.Cache[float64]
+	genSLOs    memo.Cache[time.Duration]
+)
 
 // BareCapacity measures (or recalls) the standalone LLM throughput of a
 // node/model/shape deployment over all of the node's GPUs (the vertical
@@ -343,27 +335,10 @@ func BareCapacity(node hw.Node, model llm.ModelSpec, shape workload.Shape) (floa
 		return 0, err
 	}
 	key := fmt.Sprintf("%s|%s|%d|%d/%d", node.Name, model.Name, node.NumGPUs, shape.InputTokens, shape.OutputTokens)
-	capCache.Lock()
-	v, ok := capCache.m[key]
-	capCache.Unlock()
-	if ok {
-		return v, nil
-	}
-	mu, err := llm.MeasureCapacity(node, model, gpu.NewStates(node), shape, llm.DefaultEngineConfig())
-	if err != nil {
-		return 0, err
-	}
-	capCache.Lock()
-	capCache.m[key] = mu
-	capCache.Unlock()
-	return mu, nil
+	return capacities.Get(key, func() (float64, error) {
+		return llm.MeasureCapacity(node, model, gpu.NewStates(node), shape, llm.DefaultEngineConfig())
+	})
 }
-
-// genSLOCache memoizes the measured generation-stage SLO.
-var genSLOCache = struct {
-	sync.Mutex
-	m map[string]time.Duration
-}{m: map[string]time.Duration{}}
 
 // GenSLO returns the measured generation-stage TTFT SLO for a
 // deployment (Table I methodology on this substrate).
@@ -372,19 +347,7 @@ func GenSLO(node hw.Node, model llm.ModelSpec, shape workload.Shape) (time.Durat
 		return 0, err
 	}
 	key := fmt.Sprintf("%s|%s|%d/%d", node.Name, model.Name, shape.InputTokens, shape.OutputTokens)
-	genSLOCache.Lock()
-	v, ok := genSLOCache.m[key]
-	genSLOCache.Unlock()
-	if ok {
-		return v, nil
-	}
-	states := gpu.NewStates(node)
-	slo, err := llm.MeasureGenSLO(node, model, states, shape, llm.DefaultEngineConfig(), 2.0/3.0)
-	if err != nil {
-		return 0, err
-	}
-	genSLOCache.Lock()
-	genSLOCache.m[key] = slo
-	genSLOCache.Unlock()
-	return slo, nil
+	return genSLOs.Get(key, func() (time.Duration, error) {
+		return llm.MeasureGenSLO(node, model, gpu.NewStates(node), shape, llm.DefaultEngineConfig(), 2.0/3.0)
+	})
 }

@@ -1,6 +1,7 @@
 package rag
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -53,6 +54,24 @@ func TestRunValidation(t *testing.T) {
 	o = baseOpts(t, Kind("bogus"), 10)
 	if _, err := Run(o); err == nil {
 		t.Fatal("unknown kind accepted")
+	}
+	// The decision's own inputs are refused by Run and Decide alike: a
+	// negative or NaN queuing factor once bought τ_s past the SLO (or a
+	// negative one), and a negative sample size silently became 4000.
+	for _, bad := range []func(*Options){
+		func(o *Options) { o.Epsilon = -1 },
+		func(o *Options) { o.Epsilon = -0.5 },
+		func(o *Options) { o.Epsilon = math.NaN() },
+		func(o *Options) { o.ProfileQueries = -1 },
+	} {
+		o := baseOpts(t, VLiteRAG, 10)
+		bad(&o)
+		if _, err := Run(o); err == nil {
+			t.Errorf("Run accepted Epsilon %v, ProfileQueries %d", o.Epsilon, o.ProfileQueries)
+		}
+		if _, err := Decide(o); err == nil {
+			t.Errorf("Decide accepted Epsilon %v, ProfileQueries %d", o.Epsilon, o.ProfileQueries)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package rag
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -29,7 +30,8 @@ const (
 	fCompaction                      // the compaction controller (Monitor beside live streams)
 	fFaults                          // a fault schedule or a Resilience config
 	fPrecision                       // the (tier, codec) refinement
-	fPrebuilt                        // a prebuilt split plan (Options.Plan)
+	fDecision                        // a decision served as-is (Options.Decision)
+	fMismatch                        // a decision made for a Kind this run cannot serve it on
 	fOverload                        // bounded admission and the brownout controller
 )
 
@@ -47,7 +49,7 @@ var rules = []struct {
 	{fTenants | fIngest, "rag: live ingest streams into one corpus; a tenant lineup has none to mutate"},
 	{fTenants | fAdaptive, "rag: the adapt controller re-plans one corpus; a tenant lineup is jointly allocated"},
 	{fTenants | fFaults, "rag: fault injection and resilience run on a routed single corpus; a tenant fleet has no resilient router"},
-	{fTenants | fPrebuilt, "rag: a prebuilt plan is one corpus's placement; a tenant lineup is jointly allocated"},
+	{fTenants | fDecision, "rag: a decision is one corpus's placement; a tenant lineup is jointly allocated"},
 	{fCorpus | fSharedQueue, "rag: SharedQueue is the multi-tenant baseline; it needs Tenants"},
 	{fOverload | fSharedQueue, "rag: overload control needs the fair scheduler's per-tenant queues; it cannot bound the shared-queue baseline"},
 	{fOverload | fCorpus | fRouted, "rag: overload control runs on a single node or a tenant lineup; a routed single corpus degrades through the resilient front end instead"},
@@ -61,7 +63,7 @@ var rules = []struct {
 	{fAdaptive | fBaseline, "rag: adaptive serving requires the hot-swappable vLiteRAG runtime, got %s"},
 	{fCompaction | fBaseline, "rag: compaction needs the hot-swappable vLiteRAG runtime, got %s"},
 	{fPrecision | fBaseline, "rag: precision refinement applies to vLiteRAG only, not %s"},
-	{fPrebuilt | fBaseline, "rag: a prebuilt plan serves vLiteRAG only, not %s"},
+	{fMismatch, "rag: a run serves a decision on the Kind it was made for; only HedraRAG's runtime may serve a vLiteRAG decision, and only one without precision refinement"},
 	{fAdaptive | fPrecision, "rag: the adapt controller rebuilds an all-PQ plan and would drop the precision refinement; run one or the other"},
 	{fCompaction | fPrecision, "rag: compaction escalates to an adapt rebuild, which would drop the precision refinement; run one or the other"},
 }
@@ -90,7 +92,7 @@ func when(on bool, f feature) feature {
 
 // features derives the run's feature set from its options alone.
 func (opts *Options) features() feature {
-	tenants, routed, live := opts.Tenants != nil, opts.Replicas > 0, opts.streams() != nil
+	tenants, routed, live, d := opts.Tenants != nil, opts.Replicas > 0, opts.streams() != nil, opts.Decision
 	return when(!tenants, fCorpus) | when(tenants, fTenants) |
 		when(!routed, fSingleNode) | when(routed, fRouted) |
 		when(opts.NetDelay > 0, fNetDelay) |
@@ -100,8 +102,9 @@ func (opts *Options) features() feature {
 		when(live, fIngest) |
 		when(opts.Monitor != nil && live, fCompaction) |
 		when(opts.resilient(), fFaults) |
-		when(opts.Precision != nil, fPrecision) |
-		when(opts.Plan != nil, fPrebuilt) |
+		when(opts.Precision != nil || (d != nil && d.refined()), fPrecision) |
+		when(d != nil, fDecision) |
+		when(d != nil && !d.serves(opts.Kind), fMismatch) |
 		when(opts.Overload != nil, fOverload)
 }
 
@@ -112,7 +115,7 @@ func (opts *Options) features() feature {
 // runs. It measures, profiles and simulates nothing, so every error
 // surfaces before any work.
 func (opts *Options) validate() (err error) {
-	if err := checkDeployment(opts.Node, opts.Model); err != nil {
+	if err := opts.validateDecision(); err != nil {
 		return err
 	}
 	if opts.Replicas < 0 {
@@ -120,12 +123,6 @@ func (opts *Options) validate() (err error) {
 	}
 	if opts.NetDelay < 0 {
 		return fmt.Errorf("rag: negative NetDelay %v", opts.NetDelay)
-	}
-	if opts.Kind == "" {
-		opts.Kind = VLiteRAG
-	}
-	if !slices.Contains(AllKinds(), opts.Kind) {
-		return fmt.Errorf("rag: unknown kind %q", opts.Kind)
 	}
 	if opts.Ingest, err = opts.Ingest.normalized(); err != nil {
 		return err
@@ -137,9 +134,6 @@ func (opts *Options) validate() (err error) {
 		return err
 	}
 	if err := opts.Faults.Validate(opts.Replicas); err != nil {
-		return err
-	}
-	if opts.Precision, err = opts.Precision.normalized(); err != nil {
 		return err
 	}
 	if opts.Overload, err = opts.Overload.normalized(); err != nil {
@@ -162,9 +156,6 @@ func (opts *Options) validate() (err error) {
 	if opts.Drain == 0 {
 		opts.Drain = 120 * time.Second
 	}
-	if opts.Shape == (workload.Shape{}) {
-		opts.Shape = workload.DefaultShape()
-	}
 	// A routed lineup always runs as a fleet; a routed single corpus
 	// opts into one when asked for parallelism (shards need a positive
 	// delay for lookahead) unless it runs resilient.
@@ -175,11 +166,38 @@ func (opts *Options) validate() (err error) {
 	return nil
 }
 
-// validateCorpus checks a single corpus and fills its search SLO.
-func (opts *Options) validateCorpus() error {
-	if opts.W == nil {
-		return fmt.Errorf("rag: nil workload")
+// validateDecision checks and defaults what a decision reads — the
+// deployment, the corpus, the Kind, the request shape, the search SLO,
+// Algorithm 1's queuing factor, the calibration sample and the
+// precision refinement (on a private copy). Run validates through it and
+// Decide decides through it, so the two accept the same inputs.
+func (opts *Options) validateDecision() (err error) {
+	if err := checkDeployment(opts.Node, opts.Model); err != nil {
+		return err
 	}
+	if opts.Tenants == nil {
+		if opts.W == nil {
+			return fmt.Errorf("rag: nil workload")
+		}
+		opts.SLOSearch = cmp.Or(opts.SLOSearch, opts.W.Spec.SLOSearch)
+	}
+	opts.Shape = cmp.Or(opts.Shape, workload.DefaultShape())
+	opts.Kind = cmp.Or(opts.Kind, VLiteRAG)
+	if !slices.Contains(AllKinds(), opts.Kind) {
+		return fmt.Errorf("rag: unknown kind %q", opts.Kind)
+	}
+	if !(opts.Epsilon >= 0) {
+		return fmt.Errorf("rag: queuing factor Epsilon %v is negative or NaN", opts.Epsilon)
+	}
+	if opts.ProfileQueries < 0 {
+		return fmt.Errorf("rag: negative ProfileQueries %d", opts.ProfileQueries)
+	}
+	opts.Precision, err = opts.Precision.normalized()
+	return err
+}
+
+// validateCorpus checks a single corpus and the decision it serves.
+func (opts *Options) validateCorpus() error {
 	if opts.RateSchedule != nil {
 		if err := workload.ValidateSchedule(opts.RateSchedule); err != nil {
 			return fmt.Errorf("rag: %w", err)
@@ -190,7 +208,14 @@ func (opts *Options) validateCorpus() error {
 	if err := dataset.ValidateDrift(opts.Drift); err != nil {
 		return fmt.Errorf("rag: %w", err)
 	}
-	opts.decisionDefaults()
+	if d := opts.Decision; d != nil {
+		switch {
+		case d.Plan == nil && d.Kind != CPUOnly:
+			return fmt.Errorf("rag: the %s decision carries no plan", d.Kind)
+		case d.Plan != nil && d.nDed == 0 && d.Plan.NumShards != opts.Node.NumGPUs:
+			return fmt.Errorf("rag: prebuilt plan has %d shards, node has %d GPUs", d.Plan.NumShards, opts.Node.NumGPUs)
+		}
+	}
 	return nil
 }
 

@@ -94,7 +94,7 @@ func TestFeatureCompatibility(t *testing.T) {
 		{"adaptive(HedraRAG)", adaptive(func(o *Options) { o.Kind = HedraRAG }), "adaptive serving requires the hot-swappable vLiteRAG runtime, got HedraRAG"},
 		{"live(compaction,CPU-Only)", live(ingest, true, func(o *Options) { o.Kind = CPUOnly }), "compaction needs the hot-swappable vLiteRAG runtime, got CPU-Only"},
 		{"live(ingest,CPU-Only)", live(ingest, false, func(o *Options) { o.Kind = CPUOnly }), ""},
-		{"Run(HedraRAG)+prebuilt", run(func(o *Options) { o.Kind, o.Plan = HedraRAG, &splitter.Plan{} }), "a prebuilt plan serves vLiteRAG only, not HedraRAG"},
+		{"Run(CPU-Only)+vLiteRAG decision", run(func(o *Options) { o.Kind, o.Decision = CPUOnly, &Decision{Kind: VLiteRAG, Plan: &splitter.Plan{}} }), "a run serves a decision on the Kind it was made for"},
 		{"adaptive+precision", adaptive(func(o *Options) { o.Precision = &PrecisionOptions{} }), "the adapt controller rebuilds an all-PQ plan and would drop the precision refinement"},
 		{"live(compaction)+precision", live(ingest, true, func(o *Options) { o.Precision = &PrecisionOptions{} }), "compaction escalates to an adapt rebuild, which would drop the precision refinement"},
 		{"live+precision", live(ingest, false, func(o *Options) { o.Precision = &PrecisionOptions{} }), ""},
@@ -110,6 +110,7 @@ func TestFeatureCompatibility(t *testing.T) {
 		{"tenants(bogus policy)", tenants(func(o *Options) { o.Policy = "bogus" }), "unknown routing policy"},
 		{"tenants(replicas,bogus policy)", tenants(func(o *Options) { o.Replicas, o.Policy = 2, "bogus" }), "unknown routing policy"},
 		{"tenants+W", tenants(func(o *Options) { o.W = testW(t) }), "leave W, Rate"},
+		{"tenants+decision", tenants(func(o *Options) { o.Decision = &Decision{Kind: VLiteRAG, Plan: &splitter.Plan{}} }), "a tenant lineup is jointly allocated"},
 		{"tenants(replicas,shared-queue)+precision", tenants(func(o *Options) {
 			o.Replicas, o.SharedQueue, o.Precision = 2, true, &PrecisionOptions{}
 		}), ""},
@@ -141,7 +142,7 @@ func TestValidateIsPureAndTotal(t *testing.T) {
 		aIngest
 		aOverload
 		aPrecision
-		aPlan
+		aDecision
 		aSharedQueue
 		aBaseline
 		axes = iota
@@ -186,8 +187,8 @@ func TestValidateIsPureAndTotal(t *testing.T) {
 		if has(aPrecision) {
 			o.Precision = &PrecisionOptions{}
 		}
-		if has(aPlan) {
-			o.Plan = &splitter.Plan{}
+		if has(aDecision) {
+			o.Decision = &Decision{Kind: VLiteRAG, Plan: &splitter.Plan{NumShards: corpus.Node.NumGPUs}}
 		}
 		o.SharedQueue = has(aSharedQueue)
 		if has(aBaseline) {
@@ -215,7 +216,7 @@ func TestValidateIsPureAndTotal(t *testing.T) {
 			reached[row] = true
 		}
 		tenants := has(aTenants)
-		newlyRepresentable := (tenants && (has(aMonitor) || has(aIngest) || has(aFaults) || has(aResilience) || has(aPlan) || has(aBaseline))) ||
+		newlyRepresentable := (tenants && (has(aMonitor) || has(aIngest) || has(aFaults) || has(aResilience) || has(aDecision) || has(aBaseline))) ||
 			(!tenants && has(aReplicas) && (has(aMonitor) || has(aIngest))) ||
 			(!tenants && has(aSharedQueue))
 		if newlyRepresentable && row < 0 {

@@ -13,14 +13,14 @@ import (
 )
 
 // Run executes one evaluation point: it validates the options, makes
-// the resource decision once (per Kind for a single corpus — Algorithm 1
-// for vLiteRAG — or the joint allocator for a tenant lineup), composes
-// the serving pipeline (admission → retrieval → generation → collector)
-// on every node of the topology the options name, with the control
-// planes they attach, and drives arrivals through it in virtual time.
-// The topologies differ only in the timeline: one node alone; replicas
-// and router on one simulator (resilient, or a zero NetDelay); or a
-// fleet (see fleet).
+// the resource decision once unless Options.Decision brings one (per
+// Kind for a single corpus — Algorithm 1 for vLiteRAG — or the joint
+// allocator for a tenant lineup), composes the serving pipeline
+// (admission → retrieval → generation → collector) on every node of the
+// topology the options name, with the control planes they attach, and
+// drives arrivals through it in virtual time. The topologies differ
+// only in the timeline: one node alone; replicas and router on one
+// simulator (resilient, or a zero NetDelay); or a fleet (see fleet).
 func Run(opts Options) (*Result, error) {
 	return run(opts, newFleet)
 }
@@ -42,7 +42,10 @@ func run(opts Options, build fleetBuilder) (*Result, error) {
 	if opts.Tenants != nil {
 		return runTenants(&opts, build)
 	}
-	d, err := profileAndDecide(&opts, opts.SLOSearch+opts.SLOGen)
+	d, err := opts.Decision, error(nil)
+	if d == nil {
+		d, err = decide(&opts)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +74,7 @@ func run(opts Options, build fleetBuilder) (*Result, error) {
 // Monitor attaches the adapt controller; live Ingest streams the
 // streaming-ingest subsystem, which the controller — when both are set
 // — also drives as its compactor.
-func runSingle(opts *Options, d *decision) (*Result, error) {
+func runSingle(opts *Options, d *Decision) (*Result, error) {
 	var sim des.Sim
 	var (
 		store *ingest.Store
@@ -134,11 +137,11 @@ type corpus struct {
 // corpus returns the single corpus of a decided run. Its feed schedules,
 // in pinned order, the drift trace, any aux sources (live mutation
 // streams) and the arrival stream.
-func (opts *Options) corpus(d *decision, live retrieval.LiveCost, aux []serve.Aux) *corpus {
+func (opts *Options) corpus(d *Decision, live retrieval.LiveCost, aux []serve.Aux) *corpus {
 	return &corpus{
 		spec:   singleSpec(opts, d, live),
 		expect: expectedArrivals(opts.Rate, opts.RateSchedule, opts.Duration),
-		slo:    d.sloTotal,
+		slo:    opts.sloTotal(),
 		feed: func(front *des.Sim, alloc func() *workload.Request, submit serve.Sink) func() {
 			restore := installDrift(front, opts)
 			arr := arrivalsFor(opts.W, opts.Rate, opts.RateSchedule, opts.Shape, opts.Seed+7, alloc)

@@ -63,7 +63,7 @@ type TenantResult struct {
 // placed plan.
 type tenantDecision struct {
 	alloc   tenant.Result
-	corpora []*decision
+	corpora []*Decision
 	mu0     float64
 }
 
@@ -88,9 +88,10 @@ func decideTenants(opts *Options, nodes int) (*tenantDecision, error) {
 		in.Precision = &tenant.PrecisionOptions{}
 	}
 	for i, tc := range opts.Tenants {
-		d, err := profileCorpus(opts, tc.W, opts.Seed+1+101*uint64(i))
+		d := &Decision{Kind: VLiteRAG}
+		d.prof, err = collect(opts, tc.W, opts.Seed+1+101*uint64(i))
 		if err == nil {
-			err = d.fit()
+			d.est, d.perf, err = fitModels(d.prof, opts.Node.CPU)
 		}
 		if err == nil && in.Precision != nil {
 			deltas[i], err = profiler.SQRecallDeltas(d.prof)
@@ -152,8 +153,8 @@ func tenantSpec(opts *Options, d *tenantDecision) *nodeSpec {
 	sloSearch := make([]time.Duration, len(opts.Tenants))
 	for i, tc := range opts.Tenants {
 		c := d.corpora[i]
-		s.plans = append(s.plans, c.plan)
-		slots[i] = retrieval.TenantSlot{W: tc.W, Plan: c.plan, CPUModel: c.cpuModel, Priority: tc.Tier.Priority()}
+		s.plans = append(s.plans, c.Plan)
+		slots[i] = retrieval.TenantSlot{W: tc.W, Plan: c.Plan, CPUModel: costmodel.NewSearchModel(opts.Node.CPU, tc.W.Spec), Priority: tc.Tier.Priority()}
 		sloSearch[i] = tc.SLOSearch
 		if !opts.SharedQueue {
 			s.classes = append(s.classes, serve.TenantClass{Weight: tc.Tier.Weight(), Priority: tc.Tier.Priority()})

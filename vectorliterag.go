@@ -232,21 +232,22 @@ type BuiltSystem struct {
 	Rebuild RebuildTiming
 }
 
+// deployment fills the paper's middle configuration — the H100 node,
+// Qwen3-32B — where node or model is left zero.
+func deployment(node Node, model ModelSpec) (Node, ModelSpec) {
+	if node.NumGPUs == 0 {
+		node = hw.H100Node()
+	}
+	if model.Params == 0 {
+		model = llm.Qwen3_32B
+	}
+	return node, model
+}
+
 // BuildSystem runs the full offline pipeline of paper §IV-A: profile →
 // estimate → model → partition → split.
 func BuildSystem(opts SystemOptions) (*BuiltSystem, error) {
-	if opts.Workload == nil {
-		return nil, fmt.Errorf("vectorliterag: nil workload")
-	}
-	if opts.Node.NumGPUs == 0 {
-		opts.Node = hw.H100Node()
-	}
-	if opts.Model.Params == 0 {
-		opts.Model = llm.Qwen3_32B
-	}
-	if opts.ProfileQueries < 0 {
-		return nil, fmt.Errorf("vectorliterag: negative ProfileQueries %d", opts.ProfileQueries)
-	}
+	opts.Node, opts.Model = deployment(opts.Node, opts.Model)
 	d, err := rag.Decide(rag.Options{
 		Node: opts.Node, Model: opts.Model, W: opts.Workload, Kind: rag.VLiteRAG,
 		SLOSearch: opts.SLOSearch, Epsilon: opts.Epsilon,
@@ -289,9 +290,10 @@ type ServeOptions struct {
 	SLOSearch, SLOGen time.Duration
 	// DisableDispatcher turns off early query promotion (ablation).
 	DisableDispatcher bool
-	// Prebuilt serves a previously built system's split plan as-is
-	// (VLiteRAG only) instead of re-profiling and re-partitioning. This
-	// is how a *stale* plan is evaluated after workload drift.
+	// Prebuilt serves a previously built system's decision as-is instead
+	// of re-profiling and re-partitioning: on VLiteRAG, or on HedraRAG's
+	// unpruned runtime at the same coverage. This is how a *stale* plan
+	// is evaluated after workload drift.
 	Prebuilt *BuiltSystem
 	// Precision, when non-nil, turns on the joint placement × precision
 	// refinement (VLiteRAG only): the hottest placed clusters upgrade
@@ -370,12 +372,7 @@ const defaultTimelineBucket = 30 * time.Second
 // ragOptions fills defaults and translates the public options into the
 // internal composition layer's.
 func ragOptions(opts ServeOptions) rag.Options {
-	if opts.Node.NumGPUs == 0 {
-		opts.Node = hw.H100Node()
-	}
-	if opts.Model.Params == 0 {
-		opts.Model = llm.Qwen3_32B
-	}
+	opts.Node, opts.Model = deployment(opts.Node, opts.Model)
 	if opts.System == "" {
 		opts.System = rag.VLiteRAG
 	}
@@ -388,8 +385,12 @@ func ragOptions(opts ServeOptions) rag.Options {
 		Drift: opts.Drift, RateSchedule: opts.RateSchedule,
 		Workers: opts.Workers, NetDelay: opts.NetDelay,
 	}
-	if opts.Prebuilt != nil {
-		ro.Plan = opts.Prebuilt.Plan
+	if sys := opts.Prebuilt; sys != nil {
+		part := sys.Partition
+		ro.Decision = &rag.Decision{
+			Kind: rag.VLiteRAG, Rho: sys.Rho, Plan: sys.Plan, PlanBytes: sys.PlanBytes,
+			Partition: &part, Mu0: sys.Mu0, MeanHitRate: sys.MeanHitRate,
+		}
 	}
 	ro.Precision = opts.Precision
 	ro.Overload = opts.Overload
@@ -803,12 +804,7 @@ type MultiTenantReport struct {
 // shared retrieval engine with weighted round-robin and tier-aware
 // preemption ordering.
 func ServeTenants(opts MultiTenantServeOptions) (*MultiTenantReport, error) {
-	if opts.Node.NumGPUs == 0 {
-		opts.Node = hw.H100Node()
-	}
-	if opts.Model.Params == 0 {
-		opts.Model = llm.Qwen3_32B
-	}
+	opts.Node, opts.Model = deployment(opts.Node, opts.Model)
 	ro := rag.Options{
 		Node: opts.Node, Model: opts.Model,
 		Duration: opts.Duration, Shape: opts.Shape, Seed: opts.Seed,

@@ -90,6 +90,17 @@ func TestBuildSystemDefaults(t *testing.T) {
 	if _, err := vlr.BuildSystem(vlr.SystemOptions{}); err == nil {
 		t.Fatal("nil workload accepted")
 	}
+	for _, bad := range []vlr.SystemOptions{
+		{Workload: w, Seed: 1, Epsilon: -1},
+		{Workload: w, Seed: 1, Epsilon: -2},
+		{Workload: w, Seed: 1, Epsilon: -0.5},
+		{Workload: w, Seed: 1, Epsilon: math.NaN()},
+		{Workload: w, Seed: 1, ProfileQueries: -5},
+	} {
+		if _, err := vlr.BuildSystem(bad); err == nil {
+			t.Errorf("BuildSystem accepted Epsilon %v, ProfileQueries %d", bad.Epsilon, bad.ProfileQueries)
+		}
+	}
 }
 
 // TestBuildSystemIsTheServedDecision pins Algorithm 1's outcome on the
