@@ -670,21 +670,45 @@ func BenchmarkBruteForceTopK(b *testing.B) {
 	}
 }
 
-// BenchmarkDESEventLoop measures raw simulator event throughput.
+// BenchmarkDESEventLoop measures raw simulator event throughput. In
+// "chain" one event reschedules itself, so the min register serves
+// every push and the heap is never touched; in "pending16" sixteen
+// interleaved chains keep about sixteen events pending, so nearly every
+// event is pushed into and popped out of the heap.
 func BenchmarkDESEventLoop(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var sim des.Sim
-		n := 0
-		var tick func()
-		tick = func() {
-			n++
-			if n < 1000 {
-				sim.After(1000, tick)
+	b.Run("chain", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var sim des.Sim
+			n := 0
+			var tick func()
+			tick = func() {
+				n++
+				if n < 1000 {
+					sim.After(1000, tick)
+				}
 			}
+			sim.At(0, tick)
+			sim.Run()
 		}
-		sim.At(0, tick)
-		sim.Run()
-	}
+	})
+	b.Run("pending16", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var sim des.Sim
+			n := 0
+			for k := 0; k < 16; k++ {
+				step := time.Duration(1000 + 37*k)
+				var tick func()
+				tick = func() {
+					n++
+					if n < 1000 {
+						sim.After(step, tick)
+					}
+				}
+				sim.At(des.Time(k), tick)
+			}
+			sim.Run()
+		}
+	})
 }
 
 // BenchmarkHotClusters measures the profiler's hot-order sort.

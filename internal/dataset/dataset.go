@@ -122,7 +122,8 @@ type Workload struct {
 
 type template struct {
 	vec    []float32
-	probes []int // physical cluster IDs, most similar first
+	probes []int     // physical cluster IDs, most similar first
+	shares []float64 // shares[j]: probes[j]'s share of the template's scan bytes
 }
 
 // pqM is the physical index's PQ subspace count (code bytes per vector).
@@ -243,16 +244,31 @@ func Build(spec Spec, gc GenConfig) (*Workload, error) {
 	}
 	w.kappa = spec.ScanShare() / avgShare
 
-	// Each template's full-probe scan work is fixed at build time; the
-	// engines read it per request per batch, so precompute it (same
-	// accumulation order as ScanBytes, hence bit-identical).
+	// Each template's full-probe scan work, and each probe's share of
+	// it, are fixed at build time. The engines read the first per
+	// request per batch (same accumulation order as ScanBytes, hence
+	// bit-identical); the hit-rate estimator gathers the second per
+	// profile query instead of dividing again. One flat array backs
+	// every template's shares; a template with no scan bytes has
+	// all-zero shares.
 	w.scanTotal = make([]int64, gc.Templates)
-	for t, tpl := range w.templates {
+	shares := make([]float64, 0, gc.Templates*gc.PhysNProbe)
+	for t := range w.templates {
+		tpl := &w.templates[t]
 		var b float64
 		for _, c := range tpl.probes {
 			b += float64(w.clusterBytes[c])
 		}
 		w.scanTotal[t] = int64(b * w.kappa)
+		start := len(shares)
+		for _, c := range tpl.probes {
+			share := 0.0
+			if b != 0 {
+				share = float64(w.clusterBytes[c]) / b
+			}
+			shares = append(shares, share)
+		}
+		tpl.shares = shares[start:len(shares):len(shares)]
 	}
 	return w, nil
 }
@@ -308,6 +324,12 @@ func (w *Workload) PopularityRotation() int { return w.popRotation }
 // returned slice is shared; callers must not mutate it.
 func (w *Workload) Probes(q QueryID) []int { return w.templates[q].probes }
 
+// ProbeShares returns, for each probe of the query in Probes order, its
+// cluster's share of the query's scan bytes (all zero when the query
+// scans nothing). The returned slice is shared; callers must not mutate
+// it.
+func (w *Workload) ProbeShares(q QueryID) []float64 { return w.templates[q].shares }
+
 // QueryVector materializes an embedding for the query (template plus
 // fresh noise), for use in real-scan validation paths.
 func (w *Workload) QueryVector(q QueryID, r *rng.Rand) []float32 {
@@ -355,7 +377,14 @@ func (w *Workload) ScanBytes(q QueryID, clusters []int) int64 {
 	for _, c := range clusters {
 		b += float64(w.clusterBytes[c])
 	}
-	return int64(b * w.kappa)
+	return w.ScanCost(b)
+}
+
+// ScanCost converts a sum of ClusterBytes, accumulated in the order the
+// clusters are scanned, into logical bytes of LUT-scan work: the
+// probe-width normalization ScanBytes applies to its own sum.
+func (w *Workload) ScanCost(clusterBytes float64) int64 {
+	return int64(clusterBytes * w.kappa)
 }
 
 // ScanBytesAll returns the logical bytes of LUT-scan work over the

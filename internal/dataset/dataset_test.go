@@ -148,6 +148,28 @@ func TestWorkHitRatePartial(t *testing.T) {
 	}
 }
 
+// TestProbeSharesMatchDivision pins the build-time share table to the
+// per-query division it replaces, bit for bit: each probe's cluster
+// bytes over the query's total, summed in probe order.
+func TestProbeSharesMatchDivision(t *testing.T) {
+	w := buildWorkload(t, WikiAll, smallGen())
+	for q := QueryID(0); int(q) < w.Templates(); q++ {
+		probes, shares := w.Probes(q), w.ProbeShares(q)
+		if len(shares) != len(probes) {
+			t.Fatalf("template %d: %d shares for %d probes", q, len(shares), len(probes))
+		}
+		var total float64
+		for _, c := range probes {
+			total += float64(w.ClusterBytes(c))
+		}
+		for j, c := range probes {
+			if want := float64(w.ClusterBytes(c)) / total; math.Float64bits(shares[j]) != math.Float64bits(want) {
+				t.Fatalf("template %d probe %d: share %v, want %v", q, j, shares[j], want)
+			}
+		}
+	}
+}
+
 func TestAccessCountsMatchProbes(t *testing.T) {
 	w := buildWorkload(t, WikiAll, smallGen())
 	queries := []QueryID{0, 0, 1}

@@ -30,10 +30,13 @@ type Time = int64
 
 // Sim is the event loop. The zero value is ready to use.
 //
-// The heap is stored as two parallel arrays: a dense key array (16
-// bytes per event — what every sift comparison touches, so a node's
-// four children span at most two cache lines) and a payload array with
-// the callbacks. Sift swaps move both; comparisons touch only keys.
+// The heap sifts keys only: key is a 4-ary min-heap of 24-byte,
+// pointer-free (at, seq, slot) keys, so a sift moves no payload and
+// stores no pointer (no GC write barrier), and a node's four children
+// sit in 96 contiguous bytes. The callbacks live in slab, indexed by
+// a key's slot: a payload is written once when its event enters the
+// heap and read and cleared once when it leaves, and its slot goes back
+// on the free list for the next push.
 //
 // In front of the heap sits a one-event min register: fKey/fPay hold
 // the global minimum whenever fOK is set. The dominant scheduling
@@ -50,15 +53,18 @@ type Sim struct {
 	fPay evPay
 	fOK  bool
 	key  []evKey // 4-ary min-heap ordered by (at, seq)
-	pay  []evPay // pay[i] belongs to key[i]
+	slab []evPay // slab[k.slot] is the payload of heap key k
+	free []int32 // slab slots no heap key names
 	seq  uint64
 }
 
 // evKey is an event's heap key: (at, seq) is unique, so the pop order
-// is a strict total order.
+// is a strict total order. slot names the event's payload in Sim.slab
+// while the key is in the heap; the min register ignores it.
 type evKey struct {
-	at  Time
-	seq uint64
+	at   Time
+	seq  uint64
+	slot int32
 }
 
 // evPay is one scheduled callback: either a plain thunk (fn) or a
@@ -122,10 +128,18 @@ func (s *Sim) push(at Time, p evPay) {
 	s.heapPush(k, p)
 }
 
-// heapPush appends and sifts into the 4-ary heap.
+// heapPush parks the payload in a free slab slot and sifts its key
+// into the 4-ary heap.
 func (s *Sim) heapPush(k evKey, p evPay) {
+	if n := len(s.free); n > 0 {
+		k.slot = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.slab[k.slot] = p
+	} else {
+		k.slot = int32(len(s.slab))
+		s.slab = append(s.slab, p)
+	}
 	s.key = append(s.key, k)
-	s.pay = append(s.pay, p)
 	s.up(len(s.key) - 1)
 }
 
@@ -142,8 +156,7 @@ func (s *Sim) Step() bool {
 			return false
 		}
 		at = s.key[0].at
-		p = s.pay[0]
-		s.pop()
+		p = s.pop()
 	}
 	s.now = at
 	if p.fn != nil {
@@ -154,18 +167,21 @@ func (s *Sim) Step() bool {
 	return true
 }
 
-// pop removes the root, restoring the heap. The vacated tail slot is
-// zeroed so the backing array does not retain callback references.
-func (s *Sim) pop() {
+// pop removes the root, restoring the heap, and returns its payload.
+// The payload's slab slot is cleared, so the slab retains no callback
+// references, and freed for reuse.
+func (s *Sim) pop() evPay {
+	slot := s.key[0].slot
+	p := s.slab[slot]
+	s.slab[slot] = evPay{}
+	s.free = append(s.free, slot)
 	n := len(s.key) - 1
 	s.key[0] = s.key[n]
-	s.pay[0] = s.pay[n]
-	s.pay[n] = evPay{}
 	s.key = s.key[:n]
-	s.pay = s.pay[:n]
 	if n > 0 {
 		s.down(0)
 	}
+	return p
 }
 
 // lessKey orders events by (at, seq) — a strict total order, since seq
@@ -179,28 +195,28 @@ func lessKey(a, b evKey) bool {
 
 // up sifts element i toward the root of the 4-ary heap by hole
 // percolation: beaten parents move down into the hole and the sifted
-// element lands once, halving the writes of swap-based sifting while
+// key lands once, halving the writes of swap-based sifting while
 // producing the identical final layout.
 func (s *Sim) up(i int) {
-	key, pay := s.key, s.pay
-	k, p := key[i], pay[i]
+	key := s.key
+	k := key[i]
 	for i > 0 {
 		par := (i - 1) / 4
 		if !lessKey(k, key[par]) {
 			break
 		}
-		key[i], pay[i] = key[par], pay[par]
+		key[i] = key[par]
 		i = par
 	}
-	key[i], pay[i] = k, p
+	key[i] = k
 }
 
 // down sifts element i toward the leaves of the 4-ary heap (hole
 // percolation, see up).
 func (s *Sim) down(i int) {
-	key, pay := s.key, s.pay
+	key := s.key
 	n := len(key)
-	k, p := key[i], pay[i]
+	k := key[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
@@ -220,10 +236,10 @@ func (s *Sim) down(i int) {
 		if !lessKey(bk, k) {
 			break
 		}
-		key[i], pay[i] = bk, pay[best]
+		key[i] = bk
 		i = best
 	}
-	key[i], pay[i] = k, p
+	key[i] = k
 }
 
 // nextAt returns the earliest pending event time; ok is false when no

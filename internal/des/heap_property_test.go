@@ -60,25 +60,19 @@ func TestHeapDrainsIdenticalToContainerHeap(t *testing.T) {
 				heap.Push(ref, refEvent{at: at, seq: refSeq, id: ev})
 			}
 		}
-		drainRef := func(upto Time) {
-			for ref.Len() > 0 && (*ref)[0].at <= upto {
-				ev := heap.Pop(ref).(refEvent)
-				want = append(want, ev.id)
-			}
-		}
 		schedule(1 + r.Intn(64))
 		for s.Pending() > 0 {
 			// Partial drain to a random horizon, then schedule more — the
 			// pattern real pipelines produce (events scheduling events).
 			horizon := s.Now() + Time(r.Intn(8))
 			s.RunUntil(horizon)
-			drainRef(horizon)
+			drainRef(ref, horizon, &want, -1)
 			if r.Intn(3) == 0 && id < 4096 {
 				schedule(r.Intn(32))
 			}
 		}
 		s.Run()
-		drainRef(1 << 62)
+		drainRef(ref, 1<<62, &want, -1)
 		if len(got) != len(want) || len(got) != id {
 			t.Fatalf("trial %d: drained %d events, reference %d, scheduled %d",
 				trial, len(got), len(want), id)
@@ -90,4 +84,99 @@ func TestHeapDrainsIdenticalToContainerHeap(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestHeapSlotReuseDrainsIdentical holds a small working set pending
+// for thousands of events, so nearly every push lands in a slab slot a
+// popped event just freed. Each event carries its own ID through the
+// arg word and the fire order must still match the reference event for
+// event: a slot handed to two live events, or a key naming another
+// event's slot, delivers the wrong ID. The slab never outgrows the
+// high-water mark of pending events.
+func TestHeapSlotReuseDrainsIdentical(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		r := rand.New(rand.NewSource(int64(1000 + trial)))
+		var s Sim
+		ref := &refHeap{}
+		var refSeq uint64
+		var got, want []int
+		ids := make([]int, 0, 8192)
+		fire := func(a any) { got = append(got, *a.(*int)) }
+		highWater := 0
+		schedule := func(n int) {
+			for i := 0; i < n; i++ {
+				at := s.Now() + Time(r.Intn(32))
+				ids = append(ids, len(ids))
+				s.AtArg(at, fire, &ids[len(ids)-1])
+				refSeq++
+				heap.Push(ref, refEvent{at: at, seq: refSeq, id: len(ids) - 1})
+			}
+			highWater = max(highWater, s.Pending())
+		}
+		working := 4 + r.Intn(28)
+		schedule(working)
+		for len(ids) < cap(ids) {
+			// Fire one event, then top the working set back up.
+			at, _ := s.nextAt()
+			s.Step()
+			drainRef(ref, at, &want, 1)
+			schedule(min(working-s.Pending(), cap(ids)-len(ids)))
+		}
+		s.Run()
+		drainRef(ref, 1<<62, &want, -1)
+		if len(got) != len(ids) || len(want) != len(ids) {
+			t.Fatalf("trial %d: fired %d, reference %d, scheduled %d", trial, len(got), len(want), len(ids))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: fire order diverges at %d: sim=%d ref=%d", trial, i, got[i], want[i])
+			}
+		}
+		if len(s.slab) > highWater {
+			t.Fatalf("trial %d: slab grew to %d slots for at most %d pending events", trial, len(s.slab), highWater)
+		}
+	}
+}
+
+// drainRef pops up to n reference events due by upto (all of them for
+// n < 0) onto out.
+func drainRef(ref *refHeap, upto Time, out *[]int, n int) {
+	for ref.Len() > 0 && (*ref)[0].at <= upto && n != 0 {
+		*out = append(*out, heap.Pop(ref).(refEvent).id)
+		n--
+	}
+}
+
+// TestPoppedSlotHoldsNoCallback checks that a fired event leaves no
+// callback or argument behind: every free slab slot is zero, so the
+// slab keeps nothing reachable once its events have run.
+func TestPoppedSlotHoldsNoCallback(t *testing.T) {
+	var s Sim
+	r := rand.New(rand.NewSource(7))
+	arg := &struct{ n int }{}
+	for i := 0; i < 200; i++ {
+		s.AtArg(Time(r.Intn(100)), countEvent, arg)
+		s.At(Time(r.Intn(100)), countPlain)
+	}
+	check := func(when string) {
+		t.Helper()
+		for _, slot := range s.free {
+			if p := s.slab[slot]; p.fn != nil || p.argFn != nil || p.arg != nil {
+				t.Fatalf("%s: free slot %d still holds a callback", when, slot)
+			}
+		}
+		if !s.fOK && (s.fPay.fn != nil || s.fPay.argFn != nil || s.fPay.arg != nil) {
+			t.Fatalf("%s: empty min register still holds a callback", when)
+		}
+	}
+	s.RunUntil(50)
+	if len(s.free) == 0 {
+		t.Fatal("no slab slot freed after a partial drain")
+	}
+	check("partial drain")
+	s.Run()
+	if len(s.free) != len(s.slab) {
+		t.Fatalf("drained: %d of %d slab slots free", len(s.free), len(s.slab))
+	}
+	check("full drain")
 }

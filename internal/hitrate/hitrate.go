@@ -22,6 +22,7 @@ import (
 	"math"
 	"sync"
 
+	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/profiler"
 	"vectorliterag/internal/stats"
 )
@@ -60,19 +61,14 @@ func NewEstimator(p *profiler.AccessProfile) (*Estimator, error) {
 	e := &Estimator{nlist: nlist, minHit: make(map[point]float64)}
 
 	// contrib[c]: how much promoting cluster c adds to the mean
-	// work-weighted hit rate, averaged over the training queries.
+	// work-weighted hit rate, averaged over the training queries. The
+	// per-probe shares are the workload's build-time table, gathered in
+	// query order.
 	contrib := make([]float64, nlist)
 	for _, q := range p.Queries {
-		probes := p.W.Probes(q)
-		var total float64
-		for _, c := range probes {
-			total += float64(p.W.ClusterBytes(c))
-		}
-		if total == 0 {
-			continue
-		}
-		for _, c := range probes {
-			contrib[c] += float64(p.W.ClusterBytes(c)) / total
+		shares := p.W.ProbeShares(q)
+		for j, c := range p.W.Probes(q) {
+			contrib[c] += shares[j]
 		}
 	}
 	nq := float64(len(p.Queries))
@@ -108,12 +104,18 @@ func NewEstimator(p *profiler.AccessProfile) (*Estimator, error) {
 }
 
 // EmpiricalVariance measures the per-query hit-rate variance with the
-// top-k clusters cached, over the profile's training queries.
+// top-k clusters cached, over the profile's training queries. A query's
+// hit rate depends on its template alone, so each template's is
+// computed once and the rates are filled in query order.
 func (e *Estimator) EmpiricalVariance(p *profiler.AccessProfile, k int) float64 {
 	mask := p.HotMask(k)
+	byTemplate := make([]float64, p.W.Templates())
+	for t := range byTemplate {
+		byTemplate[t] = p.W.WorkHitRate(dataset.QueryID(t), mask)
+	}
 	rates := make([]float64, len(p.Queries))
 	for i, q := range p.Queries {
-		rates[i] = p.W.WorkHitRate(q, mask)
+		rates[i] = byTemplate[q]
 	}
 	return stats.Variance(rates)
 }

@@ -8,6 +8,7 @@ import (
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/profiler"
 	"vectorliterag/internal/rng"
+	"vectorliterag/internal/stats"
 )
 
 func buildEstimator(t *testing.T, spec dataset.Spec) (*Estimator, *profiler.AccessProfile) {
@@ -117,6 +118,76 @@ func TestVarianceModelTracksEmpirical(t *testing.T) {
 		}
 		if mod/emp > 3.0 || emp/mod > 3.0 {
 			t.Fatalf("coverage %v (mean %.2f): model var %.4g vs empirical %.4g", frac, mean, mod, emp)
+		}
+	}
+}
+
+// referenceEstimate is NewEstimator's offline half priced query by
+// query: each profile query divides its clusters' bytes by its own
+// probe-order total, and the variance at the half-mean coverage walks
+// WorkHitRate per query. The estimator gathers build-time shares and
+// per-template rates instead, and must land on the same bits.
+func referenceEstimate(p *profiler.AccessProfile) (meanCurve []float64, sigmaMax2 float64) {
+	nlist := len(p.Counts)
+	contrib := make([]float64, nlist)
+	for _, q := range p.Queries {
+		probes := p.W.Probes(q)
+		var total float64
+		for _, c := range probes {
+			total += float64(p.W.ClusterBytes(c))
+		}
+		if total == 0 {
+			continue
+		}
+		for _, c := range probes {
+			contrib[c] += float64(p.W.ClusterBytes(c)) / total
+		}
+	}
+	nq := float64(len(p.Queries))
+	meanCurve = make([]float64, nlist+1)
+	for k := 1; k <= nlist; k++ {
+		meanCurve[k] = meanCurve[k-1] + contrib[p.HotOrder[k-1]]/nq
+	}
+	if meanCurve[nlist] > 0 {
+		scale := 1 / meanCurve[nlist]
+		for k := range meanCurve {
+			meanCurve[k] *= scale
+		}
+	}
+	kHalf, best := 1, math.Inf(1)
+	for k := 1; k < nlist; k++ {
+		if d := math.Abs(meanCurve[k] - 0.5); d < best {
+			best, kHalf = d, k
+		}
+	}
+	mask := p.HotMask(kHalf)
+	rates := make([]float64, len(p.Queries))
+	for i, q := range p.Queries {
+		rates[i] = p.W.WorkHitRate(q, mask)
+	}
+	sigmaMax2 = stats.Variance(rates)
+	if sigmaMax2 <= 0 {
+		sigmaMax2 = 1e-4
+	}
+	return meanCurve, sigmaMax2
+}
+
+// TestEstimatorMatchesPerQueryReference is the bit-identity proof of the
+// estimator's shared per-template work, on all three dataset specs.
+func TestEstimatorMatchesPerQueryReference(t *testing.T) {
+	for _, spec := range []dataset.Spec{dataset.WikiAll, dataset.Orcas1K, dataset.Orcas2K} {
+		e, p := buildEstimator(t, spec)
+		curve, s2 := referenceEstimate(p)
+		if len(e.meanCurve) != len(curve) {
+			t.Fatalf("%s: mean curve has %d points, reference %d", spec.Name, len(e.meanCurve), len(curve))
+		}
+		for k := range curve {
+			if math.Float64bits(e.meanCurve[k]) != math.Float64bits(curve[k]) {
+				t.Fatalf("%s: meanCurve[%d] = %v, reference %v", spec.Name, k, e.meanCurve[k], curve[k])
+			}
+		}
+		if math.Float64bits(e.SigmaMax2()) != math.Float64bits(s2) {
+			t.Fatalf("%s: SigmaMax2 = %v, reference %v", spec.Name, e.SigmaMax2(), s2)
 		}
 	}
 }

@@ -82,7 +82,7 @@ func TestInsertLifecycle(t *testing.T) {
 	if len(res) == 0 || res[0].Index != int(m.ID) {
 		t.Fatalf("inserted vector not top result while pending: %+v", res)
 	}
-	rawCost := s.ScanBytes(0, []int{c})
+	rawDelta := s.Delta(c)
 	if enc := s.Reencode(); enc != 1 {
 		t.Fatalf("reencode folded %d vectors, want 1", enc)
 	}
@@ -93,10 +93,8 @@ func TestInsertLifecycle(t *testing.T) {
 	if !contains(res, int(m.ID)) {
 		t.Fatalf("inserted vector lost after re-encode: %+v", res)
 	}
-	encCost := s.ScanBytes(0, []int{c})
-	frozen := w.ScanBytes(0, []int{c})
-	if !(encCost < rawCost && encCost > frozen) {
-		t.Fatalf("scan cost did not step down at fold: frozen %d, raw %d, encoded %d", frozen, rawCost, encCost)
+	if encDelta := s.Delta(c); !(encDelta < rawDelta && encDelta > 0) {
+		t.Fatalf("scan cost delta did not step down at fold: raw %v, encoded %v", rawDelta, encDelta)
 	}
 }
 
@@ -126,16 +124,15 @@ func TestDeleteLifecycle(t *testing.T) {
 		t.Fatalf("tombstoned base vector still returned: %+v", res)
 	}
 	// Tombstones are not free until purged.
-	clusters := []int{m.Cluster}
-	if got, want := s.ScanBytes(0, clusters), w.ScanBytes(0, clusters); got != want {
-		t.Fatalf("unpurged tombstone changed scan cost: %d vs %d", got, want)
+	if d := s.Delta(m.Cluster); d != 0 {
+		t.Fatalf("unpurged tombstone changed scan cost by %v", d)
 	}
 	_, purged := s.Compact()
 	if purged != 1 {
 		t.Fatalf("compaction purged %d, want 1", purged)
 	}
-	if got, want := s.ScanBytes(0, clusters), w.ScanBytes(0, clusters); got >= want {
-		t.Fatalf("purge did not reduce scan cost: %d vs frozen %d", got, want)
+	if d := s.Delta(m.Cluster); d >= 0 {
+		t.Fatalf("purge did not reduce scan cost: delta %v", d)
 	}
 
 	// Delete a pending insert: the append-buffer scan must honor it.

@@ -337,16 +337,10 @@ func isSet(bits []uint64, i int) bool {
 	return int(w) < len(bits) && bits[w]&(1<<(uint(i)&63)) != 0
 }
 
-// ScanBytes implements retrieval.LiveCost: the frozen scan cost over
-// the probed clusters plus each cluster's live delta (raw pending
-// bytes, encoded appends, not-yet-purged tombstones).
-func (s *Store) ScanBytes(q dataset.QueryID, clusters []int) int64 {
-	var d float64
-	for _, c := range clusters {
-		d += s.delta[c]
-	}
-	return s.w.ScanBytes(q, clusters) + int64(d)
-}
+// Delta implements retrieval.LiveCost: cluster c's live scan-byte
+// delta over its frozen cost (raw pending bytes, encoded appends,
+// not-yet-purged tombstones).
+func (s *Store) Delta(c int) float64 { return s.delta[c] }
 
 // ScanBytesAll implements retrieval.LiveCost for the full probe set.
 func (s *Store) ScanBytesAll(q dataset.QueryID) int64 {

@@ -14,24 +14,18 @@ import (
 )
 
 // fakeLive is a deterministic streaming-ingest overlay: every cluster
-// carries a fixed integer delta, so ScanBytes over a query's full probe
-// list equals ScanBytesAll exactly, as on ingest.Store.
+// carries a fixed integer delta, so pricing a query's full probe list
+// equals ScanBytesAll exactly, as on ingest.Store.
 type fakeLive struct{ w *dataset.Workload }
 
-func (l fakeLive) delta(clusters []int) int64 {
-	var d int64
-	for _, c := range clusters {
-		d += int64(c%5) * 4096
-	}
-	return d
-}
-
-func (l fakeLive) ScanBytes(q dataset.QueryID, clusters []int) int64 {
-	return l.w.ScanBytes(q, clusters) + l.delta(clusters)
-}
+func (l fakeLive) Delta(c int) float64 { return float64(c%5) * 4096 }
 
 func (l fakeLive) ScanBytesAll(q dataset.QueryID) int64 {
-	return l.w.ScanBytesAll(q) + l.delta(l.w.Probes(q))
+	var d float64
+	for _, c := range l.w.Probes(q) {
+		d += l.Delta(c)
+	}
+	return l.w.ScanBytesAll(q) + int64(d)
 }
 
 // fresh returns a copy of the fixture with its own timeline, GPU states

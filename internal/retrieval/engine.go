@@ -67,10 +67,14 @@ type HotSwapper interface {
 // LiveCost prices scan work against a live (mutating) corpus overlay:
 // the frozen Workload tables plus per-cluster deltas for raw pending
 // appends, encoded appends, and unpurged tombstones (see
-// internal/ingest.Store). A nil LiveCost keeps engines on the frozen
-// Workload path, bit-identical to a build without streaming ingest.
+// internal/ingest.Store). Delta is cluster c's delta in logical scan
+// bytes; an engine sums the deltas of each routed cluster list in probe
+// order, beside that list's frozen bytes, and adds the sum truncated to
+// whole bytes. ScanBytesAll is the live cost of a query's full probe
+// set. A nil LiveCost keeps engines on the frozen Workload path,
+// bit-identical to a build without streaming ingest.
 type LiveCost interface {
-	ScanBytes(q dataset.QueryID, clusters []int) int64
+	Delta(c int) float64
 	ScanBytesAll(q dataset.QueryID) int64
 }
 
@@ -380,7 +384,7 @@ func (e *CPUOnly) runBatch(batch []*workload.Request) {
 	var total int64
 	for _, req := range batch {
 		req.HitRate = 0 // nothing is GPU-resident
-		total += e.slot.scanBytes(req.Query, degradeProbes(e.slot.W.Probes(req.Query), req.Degrade))
+		total += e.slot.scanBytes(degradeProbes(e.slot.W.Probes(req.Query), req.Degrade))
 	}
 	sim := e.cfg.Sim
 	t := e.slowAt(des.Time(e.cfg.CPUModel.CQTime(b) + e.cfg.CPUModel.LUTTime(total, b)))

@@ -42,13 +42,28 @@ func (c *Config) slot(plan *splitter.Plan) TenantSlot {
 	return TenantSlot{W: c.W, Plan: plan, CPUModel: c.CPUModel, Live: c.Live}
 }
 
+// delta returns cluster c's live scan-byte delta through the tenant's
+// overlay, zero on a frozen corpus.
+func (s *TenantSlot) delta(c int) float64 {
+	if s.Live == nil {
+		return 0
+	}
+	return s.Live.Delta(c)
+}
+
+// cost prices a routed cluster list from its ClusterBytes sum and its
+// live delta sum, each accumulated in probe order.
+func (s *TenantSlot) cost(b, d float64) int64 { return s.W.ScanCost(b) + int64(d) }
+
 // scanBytes prices a scan over clusters through the tenant's live
 // overlay when one is installed.
-func (s *TenantSlot) scanBytes(q dataset.QueryID, clusters []int) int64 {
-	if s.Live != nil {
-		return s.Live.ScanBytes(q, clusters)
+func (s *TenantSlot) scanBytes(clusters []int) int64 {
+	var b, d float64
+	for _, c := range clusters {
+		b += float64(s.W.ClusterBytes(c))
+		d += s.delta(c)
 	}
-	return s.W.ScanBytes(q, clusters)
+	return s.cost(b, d)
 }
 
 // scanBytesFull is scanBytes over the query's full probe set.
@@ -100,7 +115,9 @@ type Hybrid struct {
 	perTenant    []int   // batch members per tenant
 	missByTenant []int64 // CPU miss bytes per tenant
 	scanOrder    []int   // batch indices in CPU scan order
-	route        splitter.RouteScratch
+	// tiers sums one query's routed clusters: tiers[0] the CPU's,
+	// tiers[g+1] GPU g's. price zeroes each entry once it is read.
+	tiers []tierSum
 	// sqBytes/sqBlocks are the per-GPU SQ8 kernel work areas, used only
 	// when some tenant's plan carries a precision refinement.
 	sqBytes  []int64
@@ -233,85 +250,13 @@ func (e *Hybrid) runBatch(batch []*workload.Request) {
 	}
 	tCQ := sim.Now() + e.slowAt(cq)
 
-	// Route every query through its tenant's mapping tables; shard g of
-	// every plan lives on GPU g, so per-GPU work accumulates across
-	// tenants. A precision-refined plan splits resident clusters by codec
-	// — PQ clusters feed the LUT kernel, SQ8 clusters the streaming
-	// kernel (pq.ScanSQIDs' modeled counterpart) — and tallies the
-	// NVMe-resident share of the CPU remainder; a nil refinement keeps the
-	// classic single-codec path byte for byte.
 	anyPrec := false
 	for i := range e.slots {
 		anyPrec = anyPrec || e.slots[i].Plan.Prec != nil
 	}
-	shardBytes := resize(&e.shardBytes, len(e.gpus))
-	shardBlocks := resize(&e.shardBlocks, len(e.gpus))
-	cpuWork := resize(&e.cpuWork, b)
-	missByTenant := resize(&e.missByTenant, len(e.slots))
-	var sqBytes []int64
-	var sqBlocks []int
-	var nvmeBytes int64
-	var nvmeClusters int
-	if anyPrec {
-		sqBytes = resize(&e.sqBytes, len(e.gpus))
-		sqBlocks = resize(&e.sqBlocks, len(e.gpus))
-	}
-	for i, req := range batch {
-		s := &e.slots[e.slot(req)]
-		prec := s.Plan.Prec
-		perShard, cpuClusters := s.Plan.RouteInto(&e.route, degradeProbes(s.W.Probes(req.Query), req.Degrade))
-		var gain float64
-		for g, resident := range perShard {
-			if e.unpruned {
-				shardBlocks[g] += s.W.Spec.NProbe
-			}
-			if len(resident) == 0 {
-				continue
-			}
-			if e.refreshing[g] {
-				// Mid-reload shard: divert to the CPU path.
-				cpuClusters = append(cpuClusters, resident...)
-				continue
-			}
-			if prec == nil {
-				shardBytes[g] += s.scanBytes(req.Query, resident)
-				shardBlocks[g] += len(resident) * s.blockScale
-				continue
-			}
-			for j, c := range resident {
-				bb := s.scanBytes(req.Query, resident[j:j+1])
-				// Brownout precision fallback: a ForcePQ request scans
-				// SQ8-upgraded clusters through the base PQ codec —
-				// cheaper bytes, no recall gain.
-				if prec.IsSQ(c) && !req.ForcePQ {
-					sqBytes[g] += int64(float64(bb) * prec.SQRatio)
-					sqBlocks[g] += s.blockScale
-					gain += float64(bb) * prec.Delta(c)
-				} else {
-					shardBytes[g] += bb
-					shardBlocks[g] += s.blockScale
-				}
-			}
-		}
-		if prec != nil {
-			for j, c := range cpuClusters {
-				if prec.IsNVMe(c) {
-					nvmeBytes += s.scanBytes(req.Query, cpuClusters[j:j+1])
-					nvmeClusters++
-				}
-			}
-		}
-		cpuWork[i] = s.scanBytes(req.Query, cpuClusters)
-		missByTenant[e.slot(req)] += cpuWork[i]
-		full := s.scanBytesFull(req.Query)
-		req.HitRate = servedHitRate(full, cpuWork[i])
-		if prec != nil {
-			if full > 0 {
-				e.recallSum += gain / float64(full)
-			}
-			e.recallN++
-		}
-	}
+	nvmeBytes, nvmeClusters := e.price(batch, anyPrec)
+	shardBytes, shardBlocks, sqBytes, sqBlocks := e.shardBytes, e.shardBlocks, e.sqBytes, e.sqBlocks
+	cpuWork, missByTenant := e.cpuWork, e.missByTenant
 
 	// GPU shard kernels start once CQ delivers the cluster lists; one
 	// kernel per GPU covers every tenant's resident clusters there, with
@@ -396,4 +341,138 @@ func (e *Hybrid) runBatch(batch []*workload.Request) {
 	}
 	// The pipeline accepts the next batch when both tiers are free.
 	sim.At(batchEnd, e.doneFn)
+}
+
+// tierSum is one query's clusters routed to one tier, the CPU or a GPU
+// shard, summed in probe order.
+type tierSum struct {
+	bytes, delta float64 // ClusterBytes and live deltas
+	n            int     // clusters
+}
+
+// price routes every query of the batch through its tenant's mapping
+// tables (paper §IV-B1) and prices it. Shard g of every plan lives on
+// GPU g, so per-GPU work accumulates across tenants. It fills the
+// per-GPU kernel work (shardBytes and shardBlocks; sqBytes and sqBlocks
+// when anyPrec), each query's CPU miss work and served hit rate, the
+// per-tenant miss totals and the served recall gain, and returns the
+// NVMe-tier bytes and cluster count of the CPU remainder.
+//
+// One pass over a query's probe list sums each tier's bytes, live
+// deltas and cluster count, indexed by the plan's dense shard table, so
+// it takes no branch on where a cluster lives. A precision-refined plan
+// splits resident clusters by codec — PQ clusters feed the LUT kernel,
+// SQ8 clusters the streaming kernel (pq.ScanSQIDs' modeled counterpart)
+// — cluster by cluster, and tallies the NVMe-resident share of the CPU
+// remainder. A mid-reload shard's clusters divert to the CPU path.
+//
+// Every float sum runs in the order of pricing each routed list on its
+// own: a tier's bytes and deltas in probe order; the clusters diverted
+// from mid-reload shards after the CPU-resident ones, shard by shard;
+// the recall gain shard by shard, then in probe order. The last two
+// take a second walk over the probes, and only when they are nonzero.
+func (e *Hybrid) price(batch []*workload.Request, anyPrec bool) (nvmeBytes int64, nvmeClusters int) {
+	shardBytes := resize(&e.shardBytes, len(e.gpus))
+	shardBlocks := resize(&e.shardBlocks, len(e.gpus))
+	if cap(e.tiers) < len(e.gpus)+1 {
+		e.tiers = make([]tierSum, len(e.gpus)+1)
+	}
+	tiers := e.tiers[:len(e.gpus)+1]
+	cpuWork := resize(&e.cpuWork, len(batch))
+	missByTenant := resize(&e.missByTenant, len(e.slots))
+	var sqBytes []int64
+	var sqBlocks []int
+	if anyPrec {
+		sqBytes = resize(&e.sqBytes, len(e.gpus))
+		sqBlocks = resize(&e.sqBlocks, len(e.gpus))
+	}
+	for i, req := range batch {
+		t := e.slot(req)
+		s := &e.slots[t]
+		w, plan, prec := s.W, s.Plan, s.Plan.Prec
+		probes := degradeProbes(w.Probes(req.Query), req.Degrade)
+		for _, c := range probes {
+			tier := &tiers[plan.ShardOf(c)+1]
+			tier.bytes += float64(w.ClusterBytes(c))
+			tier.delta += s.delta(c)
+			tier.n++
+		}
+		cpuBytes, cpuDelta := tiers[0].bytes, tiers[0].delta
+		tiers[0] = tierSum{}
+		diverted := false
+		for g := range shardBytes {
+			tier := &tiers[g+1]
+			if e.unpruned {
+				shardBlocks[g] += w.Spec.NProbe
+			}
+			switch {
+			case tier.n == 0:
+			case e.refreshing[g]:
+				diverted = true
+			case prec == nil:
+				shardBytes[g] += s.cost(tier.bytes, tier.delta)
+				shardBlocks[g] += tier.n * s.blockScale
+			}
+			*tier = tierSum{}
+		}
+		sq := false
+		if prec != nil {
+			for _, c := range probes {
+				g := plan.ShardOf(c)
+				bb := s.cost(float64(w.ClusterBytes(c)), s.delta(c))
+				switch {
+				case g < 0:
+					if prec.IsNVMe(c) {
+						nvmeBytes += bb
+						nvmeClusters++
+					}
+				case e.refreshing[g]:
+					// Diverted: the shard-order walk below prices it.
+				case prec.IsSQ(c) && !req.ForcePQ:
+					sqBytes[g] += int64(float64(bb) * prec.SQRatio)
+					sqBlocks[g] += s.blockScale
+					sq = true
+				default:
+					// PQ codes; also the brownout precision fallback: a
+					// ForcePQ request scans SQ8-upgraded clusters through
+					// the base PQ codec — cheaper bytes, no recall gain.
+					shardBytes[g] += bb
+					shardBlocks[g] += s.blockScale
+				}
+			}
+		}
+		var gain float64
+		if diverted || sq {
+			for g, refreshing := range e.refreshing {
+				for _, c := range probes {
+					if plan.ShardOf(c) != g {
+						continue
+					}
+					b, d := float64(w.ClusterBytes(c)), s.delta(c)
+					switch {
+					case refreshing:
+						cpuBytes += b
+						cpuDelta += d
+						if prec.IsNVMe(c) {
+							nvmeBytes += s.cost(b, d)
+							nvmeClusters++
+						}
+					case prec.IsSQ(c) && !req.ForcePQ:
+						gain += float64(s.cost(b, d)) * prec.Delta(c)
+					}
+				}
+			}
+		}
+		cpuWork[i] = s.cost(cpuBytes, cpuDelta)
+		missByTenant[t] += cpuWork[i]
+		full := s.scanBytesFull(req.Query)
+		req.HitRate = servedHitRate(full, cpuWork[i])
+		if prec != nil {
+			if full > 0 {
+				e.recallSum += gain / float64(full)
+			}
+			e.recallN++
+		}
+	}
+	return nvmeBytes, nvmeClusters
 }

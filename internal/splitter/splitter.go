@@ -35,9 +35,9 @@ type Plan struct {
 	Prec    *Precision
 	hotMask []bool // fast membership test
 	// shardOf is the dense routing table: shardOf[c] is the hosting
-	// shard + 1, or 0 for CPU-resident clusters. RouteInto consults it
+	// shard + 1, or 0 for CPU-resident clusters. ShardOf consults it
 	// instead of Mapping — cluster IDs are small and dense, and the
-	// routing loop runs for every probe of every query of every batch.
+	// engines' router looks up every probe of every query of every batch.
 	shardOf []int32
 	W       *dataset.Workload
 }
@@ -100,47 +100,9 @@ func (p *Plan) TotalBytes() int64 {
 	return sum
 }
 
-// RouteScratch holds RouteInto's reusable work areas. Engines route
-// every query of every batch, so per-call slice allocations would
-// dominate the serving loop's allocation profile; a per-engine scratch
-// reduces routing to zero steady-state allocations. The returned
-// slices are valid until the next RouteInto call on the same scratch.
-type RouteScratch struct {
-	perShard [][]int
-	cpu      []int
-}
-
-// RouteInto splits a query's probe list into per-shard resident
-// clusters and the CPU-resident remainder — the router's mapping-table
-// lookup (paper §IV-B1) — writing into s. The returned shard lists
-// index into plan.Shards.
-func (p *Plan) RouteInto(s *RouteScratch, probes []int) (perShard [][]int, cpu []int) {
-	if cap(s.perShard) < p.NumShards {
-		grown := make([][]int, p.NumShards)
-		copy(grown, s.perShard)
-		s.perShard = grown
-	}
-	perShard = s.perShard[:p.NumShards]
-	for i := range perShard {
-		perShard[i] = perShard[i][:0]
-	}
-	s.cpu = s.cpu[:0]
-	for _, c := range probes {
-		if uint(c) < uint(len(p.shardOf)) {
-			if g := p.shardOf[c]; g > 0 {
-				perShard[g-1] = append(perShard[g-1], c)
-				continue
-			}
-		} else if loc, ok := p.Mapping[c]; ok {
-			// Out-of-range IDs (hand-built plans in tests) fall back to
-			// the map.
-			perShard[loc.Shard] = append(perShard[loc.Shard], c)
-			continue
-		}
-		s.cpu = append(s.cpu, c)
-	}
-	return perShard, s.cpu
-}
+// ShardOf returns the shard hosting cluster c, or -1 when c is
+// CPU-resident — the router's mapping-table lookup (paper §IV-B1).
+func (p *Plan) ShardOf(c int) int { return int(p.shardOf[c]) - 1 }
 
 // IndexBytesAt returns a closure mapping coverage to resident bytes for
 // this profile — the MemIndex(rho) term of Algorithm 1. Hot clusters

@@ -120,23 +120,10 @@ func TestHotMaskConsistent(t *testing.T) {
 func TestRouteSplitsProbes(t *testing.T) {
 	p := profile(t)
 	plan, _ := Build(p, 0.3, 4)
-	probes := p.W.Probes(0)
-	perShard, cpu := plan.Route(probes)
-	total := len(cpu)
-	for g, list := range perShard {
-		for _, c := range list {
-			if plan.Mapping[c].Shard != g {
-				t.Fatalf("cluster %d routed to wrong shard %d", c, g)
-			}
-		}
-		total += len(list)
-	}
-	if total != len(probes) {
-		t.Fatalf("routing lost probes: %d vs %d", total, len(probes))
-	}
-	for _, c := range cpu {
-		if plan.IsHot(c) {
-			t.Fatalf("hot cluster %d routed to CPU", c)
+	for c := range plan.HotMask() {
+		g := plan.ShardOf(c)
+		if loc, hot := plan.Mapping[c]; hot != plan.IsHot(c) || hot && g != loc.Shard || !hot && g != -1 {
+			t.Fatalf("cluster %d (hot %v) routed to shard %d, mapping %+v", c, plan.IsHot(c), g, loc)
 		}
 	}
 }
@@ -150,14 +137,10 @@ func TestZeroCoveragePlan(t *testing.T) {
 	if len(plan.HotClusters) != 0 || plan.TotalBytes() != 0 {
 		t.Fatal("zero coverage plan not empty")
 	}
-	perShard, cpu := plan.Route(p.W.Probes(1))
-	for _, s := range perShard {
-		if len(s) != 0 {
-			t.Fatal("zero coverage routed work to GPU")
+	for _, c := range p.W.Probes(1) {
+		if g := plan.ShardOf(c); g != -1 {
+			t.Fatalf("zero coverage routed cluster %d to shard %d", c, g)
 		}
-	}
-	if len(cpu) != len(p.W.Probes(1)) {
-		t.Fatal("zero coverage lost CPU probes")
 	}
 }
 
