@@ -78,7 +78,8 @@ bench-search:
 
 # One-iteration compile-and-run of the search kernel, build-layer
 # (blocked dot kernel, k-means assignment and training, dataset build),
-# decision-path (Eq. 2 integral, Algorithm 1, joint allocator),
+# decision-path (Eq. 2 integral, Algorithm 1 on ORCAS-1K and Wiki-All,
+# joint allocator),
 # retrieval-engine (each engine configuration alone), single-node serve
 # (one sweep-scale Serve call), fleet (round-robin lanes alone,
 # least-loaded lanes in rounds), fleet-sized summary and resilient
@@ -122,6 +123,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/fault
 	$(GO) test -run=NONE -fuzz='^FuzzQuantiles$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run=NONE -fuzz='^FuzzExpectedMin$$' -fuzztime=$(FUZZTIME) ./internal/stats
+	$(GO) test -run=NONE -fuzz='^FuzzMinBelow$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run=NONE -fuzz='^FuzzCompletionOrder$$' -fuzztime=$(FUZZTIME) ./internal/llm
 
 # Per-package coverage plus the total.

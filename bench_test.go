@@ -344,10 +344,10 @@ func BenchmarkExpectedMin(b *testing.B) {
 }
 
 // decisionInputs is what Algorithm 1 and the joint allocator consume
-// for default ORCAS-1K on the default node, everything but the
-// hit-rate estimator: the decision benchmarks build a cold one per
-// iteration, outside the timer, because the estimator remembers every
-// Eq. 2 point it has integrated.
+// for a Table-I workload (default ORCAS-1K) on the default node,
+// everything but the hit-rate estimator: the decision benchmarks build a
+// cold one per iteration, outside the timer, because the estimator
+// remembers every Eq. 2 point it has integrated or bounded.
 type decisionInputs struct {
 	prof   *profiler.AccessProfile
 	perf   *perfmodel.Model
@@ -356,7 +356,7 @@ type decisionInputs struct {
 	prefix []int64
 }
 
-var benchD *decisionInputs
+var benchD = map[string]*decisionInputs{}
 
 var benchOrcasW *dataset.Workload
 
@@ -374,15 +374,23 @@ func benchOrcas(b *testing.B) *dataset.Workload {
 	return benchOrcasW
 }
 
-func benchDecision(b *testing.B) *decisionInputs {
+func benchDecision(b *testing.B) *decisionInputs { return benchDecisionFor(b, dataset.Orcas1K) }
+
+// benchDecisionFor is benchDecision's inputs for any Table-I workload.
+func benchDecisionFor(b *testing.B, spec dataset.Spec) *decisionInputs {
 	b.Helper()
-	if benchD != nil {
-		return benchD
+	if d := benchD[spec.Name]; d != nil {
+		return d
 	}
 	node, model := hw.H100Node(), llm.Qwen3_32B
 	w := benchOrcas(b)
-	d := &decisionInputs{}
 	var err error
+	if spec.Name != dataset.Orcas1K.Name {
+		if w, err = dataset.Build(spec, dataset.DefaultGen()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	d := &decisionInputs{}
 	if d.prof, err = profiler.CollectAccess(w, 4000, 2); err != nil {
 		b.Fatal(err)
 	}
@@ -395,7 +403,7 @@ func benchDecision(b *testing.B) *decisionInputs {
 	}
 	d.memKV = model.NodeKVBytes(node)
 	d.prefix = splitter.PrefixBytes(d.prof)
-	benchD = d
+	benchD[spec.Name] = d
 	return d
 }
 
@@ -410,18 +418,24 @@ func (d *decisionInputs) coldEstimator(b *testing.B) *hitrate.Estimator {
 	return est
 }
 
-// BenchmarkLatencyBounded measures one cold run of Algorithm 1.
+// BenchmarkLatencyBounded measures one cold run of Algorithm 1 on
+// default ORCAS-1K and on Wiki-All, whose serving calls make the
+// slowest decisions.
 func BenchmarkLatencyBounded(b *testing.B) {
-	d := benchDecision(b)
-	bytesAt := splitter.IndexBytesAt(d.prof)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := partition.LatencyBounded(partition.Inputs{
-			SLOSearch: dataset.Orcas1K.SLOSearch, Perf: d.perf, Est: d.coldEstimator(b),
-			MemKV: d.memKV, Mu0: d.mu0, IndexBytesAt: bytesAt,
-		}); err != nil {
-			b.Fatal(err)
-		}
+	for _, spec := range []dataset.Spec{dataset.Orcas1K, dataset.WikiAll} {
+		b.Run(spec.Name, func(b *testing.B) {
+			d := benchDecisionFor(b, spec)
+			bytesAt := splitter.IndexBytesAt(d.prof)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := partition.LatencyBounded(partition.Inputs{
+					SLOSearch: spec.SLOSearch, Perf: d.perf, Est: d.coldEstimator(b),
+					MemKV: d.memKV, Mu0: d.mu0, IndexBytesAt: bytesAt,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

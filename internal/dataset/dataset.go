@@ -83,7 +83,7 @@ type GenConfig struct {
 	Templates  int // query template pool size
 	Seed       uint64
 	// Workers sizes the index-training/probing worker pool; non-positive
-	// means one per CPU core. The built workload is bit-identical for
+	// means one per P (GOMAXPROCS). The built workload is bit-identical for
 	// any value.
 	Workers int
 }

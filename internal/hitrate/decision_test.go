@@ -1,8 +1,10 @@
 package hitrate_test
 
 import (
+	"math"
 	"slices"
 	"testing"
+	"time"
 
 	"vectorliterag/internal/costmodel"
 	"vectorliterag/internal/dataset"
@@ -23,7 +25,7 @@ import (
 // points of Eq. 2 dozens of times, and each may be integrated once.
 
 // defaultDecision assembles what rag.Decide hands Algorithm 1 for a
-// default workload at Seed 1 (H100 node, Qwen3-32B), on a cold
+// default workload (H100 node, Qwen3-32B, profile seed 2), on a cold
 // estimator from newEst.
 type defaultDecision struct {
 	prof   *profiler.AccessProfile
@@ -35,13 +37,21 @@ type defaultDecision struct {
 
 func newDefaultDecision(t *testing.T, spec dataset.Spec) defaultDecision {
 	t.Helper()
-	node, model := hw.H100Node(), llm.Qwen3_32B
 	w, err := dataset.Build(spec, dataset.DefaultGen())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newDecision(t, w, llm.Qwen3_32B, 2)
+}
+
+// newDecision is defaultDecision's inputs for any workload, model and
+// profile seed.
+func newDecision(t *testing.T, w *dataset.Workload, model llm.ModelSpec, seed uint64) defaultDecision {
+	t.Helper()
+	node := hw.H100Node()
 	d := defaultDecision{}
-	if d.prof, err = profiler.CollectAccess(w, 4000, 2); err != nil {
+	var err error
+	if d.prof, err = profiler.CollectAccess(w, 4000, seed); err != nil {
 		t.Fatal(err)
 	}
 	d.perf, err = perfmodel.Fit(profiler.ProfileLatency(costmodel.NewSearchModel(node.CPU, w.Spec), profiler.DefaultBatches()))
@@ -54,6 +64,19 @@ func newDefaultDecision(t *testing.T, spec dataset.Spec) defaultDecision {
 	d.memKV = model.NodeKVBytes(node)
 	d.prefix = splitter.PrefixBytes(d.prof)
 	return d
+}
+
+// latencyBounded runs Algorithm 1 on est.
+func (d defaultDecision) latencyBounded(t *testing.T, slo time.Duration, est *hitrate.Estimator) partition.Result {
+	t.Helper()
+	res, err := partition.LatencyBounded(partition.Inputs{
+		SLOSearch: slo, Perf: d.perf, Est: est,
+		MemKV: d.memKV, Mu0: d.mu0, IndexBytesAt: splitter.IndexBytesAt(d.prof),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func (d defaultDecision) newEst(t *testing.T) *hitrate.Estimator {
@@ -70,22 +93,19 @@ func TestDecisionsIntegrateEachPointOnce(t *testing.T) {
 
 	// Algorithm 1: 9 outer iterations × 2 roundings × a 7-step bisect
 	// made 135 integrals over 14 distinct points before the table, and
-	// the table 14 passes before each pass stored (k, B−1) beside (k, B).
+	// 8 passes (15 992 continued fractions) once each pass stored
+	// (k, B−1) beside (k, B). The bisections now compare against Eq. 2
+	// on a few grid points; the one exact pass is the result's EtaMin.
 	est := d.newEst(t)
-	res, err := partition.LatencyBounded(partition.Inputs{
-		SLOSearch: dataset.Orcas1K.SLOSearch, Perf: d.perf, Est: est,
-		MemKV: d.memKV, Mu0: d.mu0, IndexBytesAt: splitter.IndexBytesAt(d.prof),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := d.latencyBounded(t, dataset.Orcas1K.SLOSearch, est)
 	if res.Rho != 0.1015625 || res.Iterations != 9 {
 		t.Fatalf("not the default ORCAS-1K decision: rho %v after %d iterations", res.Rho, res.Iterations)
 	}
-	passes, values, points := est.Integrations()
-	t.Logf("LatencyBounded: %d passes, %d values over %d points", passes, values, points)
-	if values != points || passes > 8 {
-		t.Errorf("LatencyBounded made %d passes, %d values over %d distinct points; want each point once and at most 8 passes", passes, values, points)
+	passes, values, points, cfs := est.Integrations()
+	t.Logf("LatencyBounded: %d passes, %d values over %d points, %d continued fractions", passes, values, points, cfs)
+	if values != points || passes > 2 || cfs > maxDecisionCFs {
+		t.Errorf("LatencyBounded made %d passes, %d values over %d distinct points and %d continued fractions; want each point once, at most 2 passes and %d fractions",
+			passes, values, points, cfs, maxDecisionCFs)
 	}
 
 	// The joint allocator, three tenants on one shared estimator and on
@@ -106,12 +126,52 @@ func TestDecisionsIntegrateEachPointOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, est := range ests {
-			passes, values, points := est.Integrations()
+			passes, values, points, _ := est.Integrations()
 			if passes == 0 || values != points {
 				t.Errorf("JointAllocate, tenant %d: %d passes, %d values over %d distinct points", i, passes, values, points)
 			}
 		}
 	}
+}
+
+// maxDecisionCFs fences the default ORCAS-1K decision's continued
+// fractions: measured at 2 572, one exact pass (1 999) and 573 from the
+// bisections' comparisons.
+const maxDecisionCFs = 2600
+
+// TestComparisonsDecideAsExactSearch is the bit-identity proof of the
+// comparison path: Algorithm 1 on an estimator whose bisections compare
+// against Eq. 2 returns the Result, bit for bit, of one whose bisections
+// integrate every probe, over the three Table-I workloads, both models
+// and sixteen profile seeds.
+func TestComparisonsDecideAsExactSearch(t *testing.T) {
+	var cfs, exactCFs int
+	for _, spec := range []dataset.Spec{dataset.WikiAll, dataset.Orcas1K, dataset.Orcas2K} {
+		w, err := dataset.Build(spec, dataset.DefaultGen())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, model := range []llm.ModelSpec{llm.Qwen3_32B, llm.Llama3_8B} {
+			for seed := uint64(1); seed <= 16; seed++ {
+				d := newDecision(t, w, model, seed)
+				est := d.newEst(t)
+				exact, err := hitrate.NewExactEstimator(d.prof)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, want := d.latencyBounded(t, spec.SLOSearch, est), d.latencyBounded(t, spec.SLOSearch, exact)
+				if got != want || math.Float64bits(got.Rho) != math.Float64bits(want.Rho) ||
+					math.Float64bits(got.MuLLM) != math.Float64bits(want.MuLLM) ||
+					math.Float64bits(got.EtaMin) != math.Float64bits(want.EtaMin) {
+					t.Errorf("%s, %s, seed %d: comparisons decided %+v, exact search %+v", spec.Name, model.Name, seed, got, want)
+				}
+				_, _, _, n := est.Integrations()
+				_, _, _, m := exact.Integrations()
+				cfs, exactCFs = cfs+n, exactCFs+m
+			}
+		}
+	}
+	t.Logf("96 decisions: %d continued fractions, %d by exact search", cfs, exactCFs)
 }
 
 // TestOneTenantJointAllocateVsAlgorithm1 is the differential check
@@ -137,13 +197,7 @@ func TestOneTenantJointAllocateVsAlgorithm1(t *testing.T) {
 	} {
 		d := newDefaultDecision(t, tc.spec)
 		nlist := float64(len(d.prof.Counts))
-		res, err := partition.LatencyBounded(partition.Inputs{
-			SLOSearch: tc.spec.SLOSearch, Perf: d.perf, Est: d.newEst(t),
-			MemKV: d.memKV, Mu0: d.mu0, IndexBytesAt: splitter.IndexBytesAt(d.prof),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := d.latencyBounded(t, tc.spec.SLOSearch, d.newEst(t))
 		alg1 := int(res.Rho * nlist)
 		var joint []int
 		for _, f := range fracs {

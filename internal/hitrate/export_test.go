@@ -1,6 +1,9 @@
 package hitrate
 
-import "vectorliterag/internal/stats"
+import (
+	"vectorliterag/internal/profiler"
+	"vectorliterag/internal/stats"
+)
 
 // BetaAt instantiates the Beta hit-rate distribution for a coverage.
 // Degenerate means (0 or 1) are reported via ok=false.
@@ -8,12 +11,33 @@ func (e *Estimator) BetaAt(coverage float64) (stats.Beta, bool) {
 	return e.betaAt(e.Clusters(coverage))
 }
 
-// Integrations reports how many CDF passes e has made over its grid,
-// how many Eq. 2 values those passes evaluated (one or two each) and
-// how many distinct (cluster count, batch) points its table holds; the
-// last two are equal when no point was integrated twice.
-func (e *Estimator) Integrations() (passes, values, points int) {
+// Integrations reports how many exact CDF passes e has made over its
+// grid, how many Eq. 2 values those passes evaluated (one or two each),
+// how many distinct (cluster count, batch) points its table holds exact
+// values for — the last two are equal when no point was integrated
+// twice — and how many continued fractions its passes and comparisons
+// evaluated.
+func (e *Estimator) Integrations() (passes, values, points, cfs int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.passes, e.values, len(e.minHit)
+	for _, v := range e.minHit {
+		if v.exact() {
+			points++
+		}
+	}
+	if e.grid != nil {
+		cfs = e.grid.CFs()
+	}
+	return e.passes, e.values, points, cfs
+}
+
+// NewExactEstimator is NewEstimator for the differential tests'
+// reference: its CoverageForMinHitRate integrates every probe, as it
+// did before the bisections compared.
+func NewExactEstimator(p *profiler.AccessProfile) (*Estimator, error) {
+	e, err := NewEstimator(p)
+	if err == nil {
+		e.exactSearch = true
+	}
+	return e, err
 }

@@ -14,7 +14,10 @@
 //
 // and computes the expected batch minimum via the first-order-statistic
 // integral (Eq. 2). Inverting the relation numerically yields
-// HitRate2Coverage, the primitive the partitioning algorithm calls.
+// HitRate2Coverage, the primitive the partitioning algorithm calls; its
+// bisection only compares each probe's Eq. 2 value with the target, so
+// it bounds the integral from a few grid points instead of computing it
+// (stats.MinGrid.MinBelow), with the same answer bit for bit.
 package hitrate
 
 import (
@@ -34,21 +37,34 @@ type Estimator struct {
 	meanCurve []float64 // meanCurve[k] = mean work-weighted hit rate with top-k hot
 	sigmaMax2 float64   // empirical variance at mean ≈ 0.5
 
-	// minHit remembers every Eq. 2 integral this estimator has evaluated.
-	// The value depends on the profile, the hot-cluster count and the
-	// batch size alone, and Algorithm 1's nested bisections and the joint
-	// allocator's greedy revisit the same few points dozens of times, so
-	// each is integrated once for the estimator's lifetime (one profile).
-	// One float64 a point, at most (nlist+1) × batch sizes seen.
+	// minHit remembers what this estimator has learned of every Eq. 2
+	// integral it was asked about: the exact value, or the tightest
+	// interval a comparison proved. The value depends on the profile, the
+	// hot-cluster count and the batch size alone, and Algorithm 1's
+	// nested bisections and the joint allocator's greedy revisit the same
+	// few points dozens of times, so each is integrated at most once for
+	// the estimator's lifetime (one profile), and a bound is reused
+	// whenever it already answers. Two float64s a point, at most
+	// (nlist+1) × batch sizes seen.
 	mu     sync.Mutex
-	minHit map[point]float64
+	minHit map[point]bound
 	grid   *stats.MinGrid // built at the first integral, reused under mu
-	passes int            // CDF passes over the grid; tests fence them
-	values int            // Eq. 2 values those passes made, one or two each
+	passes int            // exact CDF passes over the grid; tests fence them
+	values int            // exact Eq. 2 values those passes made, one or two each
+
+	// exactSearch makes every bisection probe integrate: the
+	// differential tests' reference (NewExactEstimator).
+	exactSearch bool
 }
 
 // point is one argument of Eq. 2: hot clusters cached, batch size.
 type point struct{ clusters, batch int }
+
+// bound holds an Eq. 2 value within [lo, hi]; lo == hi is the exact
+// value. Either way, v < eta when hi < eta and v >= eta when lo >= eta.
+type bound struct{ lo, hi float64 }
+
+func (b bound) exact() bool { return b.lo == b.hi }
 
 // NewEstimator builds the estimator from an access profile. It
 // precomputes the coverage→mean curve incrementally and profiles
@@ -58,7 +74,7 @@ func NewEstimator(p *profiler.AccessProfile) (*Estimator, error) {
 	if nlist == 0 || len(p.Queries) == 0 {
 		return nil, fmt.Errorf("hitrate: empty access profile")
 	}
-	e := &Estimator{nlist: nlist, minHit: make(map[point]float64)}
+	e := &Estimator{nlist: nlist, minHit: make(map[point]bound)}
 
 	// contrib[c]: how much promoting cluster c adds to the mean
 	// work-weighted hit rate, averaged over the training queries. The
@@ -177,12 +193,12 @@ func (e *Estimator) MinHitRate(coverage float64, batch int) float64 {
 // minHit table. The lock is held across the integration, so concurrent
 // callers of one point wait for the first and none integrates it again,
 // and the one grid is never shared by two integrals; each integral
-// spreads its grid points over every core instead.
+// spreads its grid points over the worker pool instead.
 //
-// The pass that integrates (k, B) also stores (k, B−1) when that is
-// missing: the CDF of the k-cluster Beta does not depend on the batch
-// size, and Algorithm 1 bisects the two roundings ⌈B⌉ and ⌊B⌋ over the
-// same cluster counts.
+// The pass that integrates (k, B) also stores (k, B−1) when its exact
+// value is missing: the CDF of the k-cluster Beta does not depend on the
+// batch size, and Algorithm 1 reads the two roundings ⌈B⌉ and ⌊B⌋ at
+// the same cluster counts.
 func (e *Estimator) minHitRateAt(clusters, batch int) float64 {
 	b, ok := e.betaAt(clusters)
 	if !ok {
@@ -194,24 +210,66 @@ func (e *Estimator) minHitRateAt(clusters, batch int) float64 {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if v, ok := e.minHit[point{clusters, batch}]; ok {
-		return v
+	if v, ok := e.minHit[point{clusters, batch}]; ok && v.exact() {
+		return v.lo
 	}
 	ns, out := [2]int{batch, batch - 1}, [2]float64{}
 	pass := ns[:1]
-	if _, ok := e.minHit[point{clusters, batch - 1}]; !ok && batch > 2 {
+	if v, ok := e.minHit[point{clusters, batch - 1}]; !(ok && v.exact()) && batch > 2 {
 		pass = ns[:]
 	}
-	if e.grid == nil {
-		e.grid = stats.NewMinGrid(0)
-	}
-	e.grid.ExpectedMins(b, pass, out[:len(pass)])
+	e.gridLocked().ExpectedMins(b, pass, out[:len(pass)])
 	e.passes++
 	for j, n := range pass {
-		e.minHit[point{clusters, n}] = out[j]
+		e.minHit[point{clusters, n}] = bound{out[j], out[j]}
 		e.values++
 	}
 	return out[0]
+}
+
+// minHitRateBelow reports minHitRateAt(clusters, batch) < eta, with the
+// same answer bit for bit, from the table's bound when that decides it
+// and otherwise from a grid comparison, which evaluates only the grid
+// points the answer needs and leaves a tighter bound in the table.
+func (e *Estimator) minHitRateBelow(clusters, batch int, eta float64) bool {
+	if e.exactSearch {
+		return e.minHitRateAt(clusters, batch) < eta
+	}
+	b, ok := e.betaAt(clusters)
+	if !ok {
+		return e.meanCurve[clusters] < eta
+	}
+	if batch <= 1 {
+		return b.Mean() < eta
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	p := point{clusters, batch}
+	v, seen := e.minHit[p]
+	switch {
+	case seen && v.hi < eta:
+		return true
+	case seen && v.lo >= eta:
+		return false
+	}
+	below, lo, hi := e.gridLocked().MinBelow(b, batch, eta)
+	if lo == hi {
+		e.passes++
+		e.values++
+	} else if seen {
+		lo, hi = max(lo, v.lo), min(hi, v.hi)
+	}
+	e.minHit[p] = bound{lo, hi}
+	return below
+}
+
+// gridLocked returns the estimator's grid, built on first use; e.mu is
+// held.
+func (e *Estimator) gridLocked() *stats.MinGrid {
+	if e.grid == nil {
+		e.grid = stats.NewMinGrid(0)
+	}
+	return e.grid
 }
 
 // CoverageForMinHitRate is the paper's HitRate2Coverage: the smallest
@@ -219,6 +277,10 @@ func (e *Estimator) minHitRateAt(clusters, batch int) float64 {
 // second return value is false when even full coverage cannot reach it
 // (the caller then knows the SLO is infeasible at this batch size):
 // etaMin above 1, or a profile whose queries did no work at all.
+//
+// The bisection only asks which side of etaMin each probe's Eq. 2 value
+// falls on, so it compares (minHitRateBelow) rather than integrates:
+// most probes are far from etaMin and a few grid points settle them.
 func (e *Estimator) CoverageForMinHitRate(etaMin float64, batch int) (float64, bool) {
 	if etaMin <= 0 {
 		return 0, true
@@ -236,7 +298,7 @@ func (e *Estimator) CoverageForMinHitRate(etaMin float64, batch int) (float64, b
 	lo, hi := 0, e.nlist
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if e.minHitRateAt(mid, batch) < etaMin {
+		if e.minHitRateBelow(mid, batch, etaMin) {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -345,7 +345,7 @@ func TestMinHitRateTableIsTransparent(t *testing.T) {
 			t.Errorf("MinHitRate(%v, %d): first %v, from table %v, fresh estimator %v", pr.cov, pr.batch, pr.first, again, want)
 		}
 	}
-	if passes, values, points := warm.Integrations(); values != points || passes > len(probes) {
+	if passes, values, points, _ := warm.Integrations(); values != points || passes > len(probes) {
 		t.Errorf("%d passes integrated %d values for %d distinct points over %d probes", passes, values, points, len(probes))
 	}
 }
@@ -417,7 +417,7 @@ func TestEstimatorSharedAcrossGoroutines(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if _, values, points := shared.Integrations(); values != points {
+	if _, values, points, _ := shared.Integrations(); values != points {
 		t.Errorf("%d values integrated for %d distinct points", values, points)
 	}
 }
@@ -446,6 +446,30 @@ func TestWarmIntegralAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestWarmComparisonAllocatesNothing: a bisection probe on a warm grid —
+// a comparison that evaluates a few grid points and leaves a bound in
+// the table — allocates nothing either.
+func TestWarmComparisonAllocatesNothing(t *testing.T) {
+	e, _ := buildEstimator(t, dataset.Orcas1K)
+	clusters, batch := e.nlist/4, 16
+	eta := e.minHitRateAt(clusters, batch) + 0.05 // builds the grid
+	passes, cfs := e.passes, e.grid.CFs()
+	allocs := testing.AllocsPerRun(20, func() {
+		e.mu.Lock()
+		delete(e.minHit, point{clusters, batch})
+		e.mu.Unlock()
+		if !e.minHitRateBelow(clusters, batch, eta) {
+			t.Fatalf("Eq. 2 at (%d, %d) is not below %v", clusters, batch, eta)
+		}
+	})
+	if e.passes != passes || e.grid.CFs() == cfs {
+		t.Fatalf("%d passes and %d continued fractions for 21 comparisons; want bounds, not passes", e.passes-passes, e.grid.CFs()-cfs)
+	}
+	if allocs != 0 {
+		t.Fatalf("a warm comparison allocated %v objects, want 0", allocs)
+	}
+}
+
 // TestBatchOfOneIntegratesNothing: the minimum of one draw is the Beta's
 // mean, so batch sizes <= 1 build no grid, make no pass and fill no
 // table entry.
@@ -462,7 +486,7 @@ func TestBatchOfOneIntegratesNothing(t *testing.T) {
 			}
 		}
 	}
-	if passes, values, points := e.Integrations(); e.grid != nil || passes+values+points != 0 {
+	if passes, values, points, _ := e.Integrations(); e.grid != nil || passes+values+points != 0 {
 		t.Errorf("batch <= 1 built a grid (%v) or made %d passes, %d values, %d table points", e.grid != nil, passes, values, points)
 	}
 }

@@ -49,7 +49,7 @@ type BuildConfig struct {
 	TrainIters int
 	Seed       uint64
 	// Workers sizes the training worker pool; non-positive
-	// means one per CPU core. The built index is bit-identical for any
+	// means one per P (GOMAXPROCS). The built index is bit-identical for any
 	// value (deterministic chunking; see internal/parallel).
 	Workers int
 }

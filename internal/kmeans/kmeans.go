@@ -45,7 +45,7 @@ type Config struct {
 	MaxIters int // Lloyd iterations; default 15
 	Seed     uint64
 	// Workers sizes the assignment/seeding worker pool; non-positive
-	// means one per CPU core. Results are identical for any value.
+	// means one per P (GOMAXPROCS). Results are identical for any value.
 	Workers int
 }
 

@@ -19,12 +19,13 @@ import (
 )
 
 // Workers resolves a worker-count knob: non-positive means one worker
-// per CPU core.
+// per P — GOMAXPROCS, not the core count, because helpers beyond the Ps
+// a CPU-limited process may run only queue behind one another.
 func Workers(n int) int {
 	if n > 0 {
 		return n
 	}
-	return runtime.NumCPU()
+	return runtime.GOMAXPROCS(0)
 }
 
 // chunkSize picks a grain that amortizes scheduling overhead while
@@ -43,7 +44,7 @@ func chunkSize(n, workers int) int {
 }
 
 // For runs body(start, end) over the half-open chunks of [0, n) on the
-// given number of workers (non-positive = NumCPU). Chunk boundaries are
+// given number of workers (non-positive = GOMAXPROCS, see Workers). Chunk boundaries are
 // a pure function of n and workers only through the grain heuristic —
 // body must only write to outputs indexed by [start, end), which makes
 // the overall result independent of scheduling order.

@@ -10,9 +10,13 @@ func TestWorkers(t *testing.T) {
 	if Workers(3) != 3 {
 		t.Fatalf("Workers(3) = %d", Workers(3))
 	}
-	for _, n := range []int{0, -1} {
-		if Workers(n) != runtime.NumCPU() {
-			t.Fatalf("Workers(%d) = %d, want NumCPU %d", n, Workers(n), runtime.NumCPU())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, -1} {
+			if Workers(n) != procs {
+				t.Fatalf("GOMAXPROCS=%d: Workers(%d) = %d, want GOMAXPROCS", procs, n, Workers(n))
+			}
 		}
 	}
 }

@@ -66,7 +66,11 @@ type Result struct {
 	Feasible      bool // false when rho misses the budget or its index leaves no KV cache
 }
 
-// LatencyBounded runs Algorithm 1.
+// LatencyBounded runs Algorithm 1. Its inner bisections compare Eq. 2
+// against the hit rate each budget requires
+// (hitrate.Estimator.CoverageForMinHitRate), which bounds the integral
+// from a few grid points; the one exact Eq. 2 value it needs is the
+// result's EtaMin, integrated once after the outer loop.
 func LatencyBounded(in Inputs) (Result, error) {
 	if in.Perf == nil || in.Est == nil || in.IndexBytesAt == nil {
 		return Result{}, fmt.Errorf("partition: missing model inputs")
@@ -94,7 +98,7 @@ func LatencyBounded(in Inputs) (Result, error) {
 			hi = rhoM
 			continue
 		}
-		rho, res.ExpectedBatch, res.EtaMin = inferPartition(in, tauS, mu)
+		rho, res.ExpectedBatch = inferPartition(in, tauS, mu)
 		if rho > rhoM {
 			lo = rho
 			if lo > hi {
@@ -103,6 +107,11 @@ func LatencyBounded(in Inputs) (Result, error) {
 		} else {
 			hi = rhoM
 		}
+	}
+	if res.ExpectedBatch > 0 {
+		// The last placement INFERPARTITION chose is the result: its
+		// batch minimum is the one exact Eq. 2 value the search reads.
+		res.EtaMin = in.Est.MinHitRate(rho, res.ExpectedBatch)
 	}
 	res.Rho = rho
 	res.IndexBytes = in.IndexBytesAt(rho)
@@ -118,8 +127,10 @@ func LatencyBounded(in Inputs) (Result, error) {
 // inferPartition is Algorithm 1's INFERPARTITION: expected batch size
 // B = tau_s * mu, evaluated with both roundings; each rounding yields a
 // required hit rate (via Eq. 1) and thus a coverage; the smaller
-// coverage wins because it uses less GPU memory.
-func inferPartition(in Inputs, tauS time.Duration, mu float64) (rho float64, batch int, etaMin float64) {
+// coverage wins because it uses less GPU memory. Each coverage comes
+// from a bisection that only compares Eq. 2 against the required hit
+// rate; LatencyBounded integrates the winner's once, after its loop.
+func inferPartition(in Inputs, tauS time.Duration, mu float64) (rho float64, batch int) {
 	bReal := tauS.Seconds() * mu
 
 	// Rounding up: latency budget stays tau_s, batch is larger, so more
@@ -145,9 +156,9 @@ func inferPartition(in Inputs, tauS time.Duration, mu float64) (rho float64, bat
 	rho2 := coverageFor(in.Est, eta2, b2)
 
 	if rho1 <= rho2 {
-		return rho1, b1, in.Est.MinHitRate(rho1, b1)
+		return rho1, b1
 	}
-	return rho2, b2, in.Est.MinHitRate(rho2, b2)
+	return rho2, b2
 }
 
 func coverageFor(est *hitrate.Estimator, eta float64, batch int) float64 {

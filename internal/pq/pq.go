@@ -41,7 +41,7 @@ type Config struct {
 	Iters int
 	Seed  uint64
 	// Workers sizes the training worker pool (subspaces train
-	// concurrently); non-positive means one per CPU core. Each subspace
+	// concurrently); non-positive means one per P (GOMAXPROCS). Each subspace
 	// trains from its own seed, so results are identical for any value.
 	Workers int
 }

@@ -591,14 +591,10 @@ func (x *loadIndex) pick() int {
 }
 
 // shardWorkers resolves the Workers option for the given number of
-// timelines: zero or negative means one worker per P — GOMAXPROCS, not
-// the core count, because least-loaded workers meet at a barrier every
-// round and only spin against each other when they outnumber the Ps of
-// a CPU-limited container — and there is never more than one per
-// timeline.
+// timelines: zero or negative means parallel.Workers's one per P —
+// least-loaded workers meet at a barrier every round and would only spin
+// against each other if they outnumbered the Ps — and there is never
+// more than one per timeline.
 func shardWorkers(n, shards int) int {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return min(n, shards)
+	return min(parallel.Workers(n), shards)
 }

@@ -83,8 +83,13 @@ var gridLogs = sync.OnceValue(func() *[minSteps][2]float64 {
 // Simpson grid. Each interior point is independent, so a worker pool
 // fills them and any worker count fills the same values; the Simpson
 // sum then folds them in index order on one goroutine, so the result is
-// bit-identical at every worker count. Once built, an integral
-// allocates nothing. A MinGrid runs one pass at a time.
+// bit-identical at every worker count.
+//
+// A caller that only needs to know which side of a threshold the
+// integral falls on asks MinBelow, which evaluates the few grid points
+// the answer needs and bounds the rest (see MinBelow). Once built, a
+// grid allocates nothing. A MinGrid runs one pass or comparison at a
+// time.
 type MinGrid struct {
 	workers int
 	loop    *parallel.Loop
@@ -93,10 +98,17 @@ type MinGrid struct {
 	ns      int                   // batch sizes in the pass, 1 or 2
 	n       [2]float64            // their exponents
 	f       [2][minSteps]float64  // f[j][i] = (1 - F(i/minSteps))^n[j], interior i
+	cfs     int                   // continued fractions evaluated; tests fence them
+
+	// A comparison's state: the blocks still to split, widest bound
+	// first, and the bounds' running sums (see MinBelow).
+	heap                [minHeap]block
+	nheap               int
+	known, lower, upper float64
 }
 
 // NewMinGrid returns a grid that integrates on the given number of
-// workers (non-positive = one per CPU core).
+// workers (non-positive = parallel.Workers's default, one per P).
 func NewMinGrid(workers int) *MinGrid {
 	g := &MinGrid{workers: workers, logs: gridLogs()}
 	g.loop = parallel.NewLoop(g.fill)
@@ -125,7 +137,7 @@ func (g *MinGrid) ExpectedMins(b Beta, ns []int, out []float64) {
 		return
 	}
 	g.cdf = newIncBeta(b.Alpha, b.Beta) // once per pass, not per grid point
-	g.loop.Run(minSteps-1, g.workers)
+	g.pass()
 	k := 0
 	for j, n := range ns {
 		if n > 1 {
@@ -133,6 +145,223 @@ func (g *MinGrid) ExpectedMins(b Beta, ns []int, out []float64) {
 			k++
 		}
 	}
+}
+
+// CFs reports how many continued fractions g has evaluated: minSteps−1
+// per pass, and the points each comparison evaluated.
+func (g *MinGrid) CFs() int { return g.cfs }
+
+// pass evaluates every interior grid point of the distribution in g.cdf
+// on the worker pool.
+func (g *MinGrid) pass() {
+	g.loop.Run(minSteps-1, g.workers)
+	g.cfs += minSteps - 1
+}
+
+// A comparison's constants. A computed grid value (1-F)^n differs from
+// the exact one by at most n·ε_CF, ε_CF ≈ 1e-12 being the continued
+// fraction's accuracy. The exact integrand never increases, so a point
+// not evaluated lies within 2n·ε_CF of the range its evaluated
+// neighbours span, and the Simpson weights times h/3 sum to 1: the sum
+// simpson() would return lies within 2n·ε_CF, plus the running sums'
+// rounding (~1e-13), of the bounds. For n <= minBoundBatch that is
+// under 1.3e-10, far inside minDelta, so bounds that clear η by
+// minDelta decide simpson() < η exactly.
+const (
+	minDelta      = 1e-8
+	minBoundBatch = 64
+	// minStride spaces the points a comparison evaluates first, and
+	// minBudget is how many it evaluates before it makes the full pass.
+	minStride = 128
+	minBudget = 256
+	// minHeap holds the blocks the first points leave, and one more per
+	// point after them.
+	minHeap = minBudget + minSteps/minStride + 2
+)
+
+// block is a run of unevaluated grid points strictly between evaluated
+// points l and r, keyed by how far it holds the bounds apart.
+type block struct {
+	gap  float64
+	l, r int32
+}
+
+// MinBelow reports whether E[min of n draws of b] — ExpectedMin's value,
+// bit for bit — is below eta, and returns an interval [lo, hi] that
+// value is proven to lie in: lo == hi when it was computed exactly.
+//
+// It evaluates every minStride-th grid point, then repeatedly evaluates
+// the midpoints of the two blocks of unevaluated points that hold the
+// bounds furthest apart, until the bounds clear eta by minDelta. An
+// unevaluated point's value lies between its evaluated neighbours',
+// because (1-F)^n never increases. Bounds that never clear eta — after
+// minBudget points, for n > minBoundBatch, or when a continued fraction
+// ran out of steps and so voided ε_CF — give way to a full pass and the
+// exact Simpson sum. A batch size <= 1 is the distribution mean.
+func (g *MinGrid) MinBelow(b Beta, n int, eta float64) (below bool, lo, hi float64) {
+	if n <= 1 {
+		m := b.Mean()
+		return m < eta, m, m
+	}
+	g.ns, g.n[0] = 1, float64(n)
+	g.cdf = newIncBeta(b.Alpha, b.Beta)
+	if n <= minBoundBatch {
+		if lo, hi, ok := g.bound(eta); ok {
+			return hi < eta, lo, hi
+		}
+	}
+	g.pass()
+	v := simpson(&g.f[0])
+	return v < eta, v, v
+}
+
+// bound runs MinBelow's refinement and returns the bounds, widened by
+// minDelta, once they clear eta; ok is false when they do not.
+func (g *MinGrid) bound(eta float64) (lo, hi float64, ok bool) {
+	const h3 = 1.0 / minSteps / 3
+	g.nheap, g.lower, g.upper = 0, 0, 0
+	g.known = 1 // (1 - F(0))^n, Simpson weight 1; the far end is 0
+	start := g.cfs
+	for i := minStride; i < minSteps; i += 2 * minStride {
+		j := i + minStride
+		if j >= minSteps {
+			j = i // one point left
+		}
+		if !g.eval(i, j) {
+			return 0, 0, false
+		}
+	}
+	l := 0
+	for r := minStride; r < minSteps; r += minStride {
+		g.known += g.weighted(r)
+		g.addBlock(l, r)
+		l = r
+	}
+	g.addBlock(l, minSteps)
+	for {
+		lo, hi = (g.known+g.lower)*h3-minDelta, (g.known+g.upper)*h3+minDelta
+		if hi < eta || lo >= eta {
+			return lo, hi, true
+		}
+		if g.nheap == 0 || g.cfs-start >= minBudget {
+			return 0, 0, false
+		}
+		b0 := g.pop()
+		b1 := b0
+		if g.nheap > 0 {
+			b1 = g.pop()
+		}
+		m0, m1 := int(b0.l+b0.r)/2, int(b1.l+b1.r)/2
+		if !g.eval(m0, m1) {
+			return 0, 0, false
+		}
+		g.split(b0, m0)
+		if m1 != m0 {
+			g.split(b1, m1)
+		}
+	}
+}
+
+// eval evaluates grid points i and j (j == i: one point) for the
+// comparison in progress and reports whether every continued fraction
+// converged.
+func (g *MinGrid) eval(i, j int) bool {
+	if i == j {
+		g.cfs++
+		return g.point(i)
+	}
+	g.cfs += 2
+	return g.point2(i, j)
+}
+
+// weighted is interior grid point i's term of the Simpson sum: its
+// weight (4 at odd, 2 at even points) times its value.
+func (g *MinGrid) weighted(i int) float64 {
+	return float64(2+2*(i&1)) * g.f[0][i]
+}
+
+// at is the integrand at grid point i, the two end points included.
+func (g *MinGrid) at(i int) float64 {
+	switch i {
+	case 0:
+		return 1
+	case minSteps:
+		return 0
+	}
+	return g.f[0][i]
+}
+
+// weights is the Simpson weight of the grid points strictly between l
+// and r: 2 each, and 2 more at each odd one.
+func weights(l, r int) float64 {
+	return float64(2*(r-l-1) + 2*(r/2-(l+1)/2))
+}
+
+// addBlock adds the unevaluated points strictly between l and r to the
+// bounds — at their neighbours' values, r's below and l's above — and
+// queues the block for a split if it holds the bounds apart.
+func (g *MinGrid) addBlock(l, r int) {
+	w := weights(l, r)
+	fl, fr := g.at(l), g.at(r)
+	g.lower += w * fr
+	g.upper += w * fl
+	if gap := w * (fl - fr); gap > 0 {
+		g.push(block{gap: gap, l: int32(l), r: int32(r)})
+	}
+}
+
+// split replaces block b by the two halves either side of its newly
+// evaluated point m.
+func (g *MinGrid) split(b block, m int) {
+	l, r := int(b.l), int(b.r)
+	w := weights(l, r)
+	g.lower -= w * g.at(r)
+	g.upper -= w * g.at(l)
+	g.known += g.weighted(m)
+	g.addBlock(l, m)
+	g.addBlock(m, r)
+}
+
+// push and pop keep g.heap[:g.nheap] a max-heap on gap.
+func (g *MinGrid) push(b block) {
+	h := g.heap[:g.nheap+1]
+	i := g.nheap
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].gap >= b.gap {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = b
+	g.nheap++
+}
+
+func (g *MinGrid) pop() block {
+	h := g.heap[:g.nheap]
+	top, last := h[0], h[len(h)-1]
+	h = h[:len(h)-1]
+	g.nheap--
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].gap > h[c].gap {
+			c++
+		}
+		if last.gap >= h[c].gap {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if len(h) > 0 {
+		h[i] = last
+	}
+	return top
 }
 
 // simpson is the Simpson sum of one integrand, folded in index order.
@@ -153,16 +382,31 @@ func simpson(f *[minSteps]float64) float64 {
 func (g *MinGrid) fill(start, end int) {
 	i := start + 1
 	for ; i < end; i += 2 {
-		a0, b0, x0, flip0 := g.cdf.args(i)
-		a1, b1, x1, flip1 := g.cdf.args(i + 1)
-		cf0, cf1 := betaCF2(a0, b0, x0, a1, b1, x1)
-		g.store(i, g.cdf.value(g.logs, i, a0, cf0, flip0))
-		g.store(i+1, g.cdf.value(g.logs, i+1, a1, cf1, flip1))
+		g.point2(i, i+1)
 	}
 	if i == end {
-		a, b, x, flip := g.cdf.args(i)
-		g.store(i, g.cdf.value(g.logs, i, a, betaCF(a, b, x), flip))
+		g.point(i)
 	}
+}
+
+// point2 evaluates grid points i and j through one interleaved pair of
+// continued fractions, and reports whether both converged.
+func (g *MinGrid) point2(i, j int) bool {
+	a0, b0, x0, flip0 := g.cdf.args(i)
+	a1, b1, x1, flip1 := g.cdf.args(j)
+	cf0, cf1, ok := betaCF2(a0, b0, x0, a1, b1, x1)
+	g.store(i, g.cdf.value(g.logs, i, a0, cf0, flip0))
+	g.store(j, g.cdf.value(g.logs, j, a1, cf1, flip1))
+	return ok
+}
+
+// point evaluates grid point i, and reports whether its continued
+// fraction converged.
+func (g *MinGrid) point(i int) bool {
+	a, b, x, flip := g.cdf.args(i)
+	cf, ok := betaCF(a, b, x)
+	g.store(i, g.cdf.value(g.logs, i, a, cf, flip))
+	return ok
 }
 
 // store sets grid point i of each batch size's integrand from F there.
@@ -272,17 +516,19 @@ const (
 	cfTiny    = 1e-300
 )
 
-// betaCF is the continued fraction of I_x(a, b) by Lentz's method.
-func betaCF(a, b, x float64) float64 {
+// betaCF is the continued fraction of I_x(a, b) by Lentz's method, and
+// whether it converged within cfMaxIter steps.
+func betaCF(a, b, x float64) (float64, bool) {
 	d := cfStart(a, b, x)
 	return cfRun(a, b, x, 1, 1, d, d)
 }
 
-// betaCF2 is betaCF at two arguments at once. The two recurrences are
-// independent, so interleaving them keeps both dependency chains in
-// flight. Each lane runs cfRun's step in cfRun's order and stops on its
-// own test, so each result has betaCF's bits.
-func betaCF2(a0, b0, x0, a1, b1, x1 float64) (float64, float64) {
+// betaCF2 is betaCF at two arguments at once, and whether both
+// converged. The two recurrences are independent, so interleaving them
+// keeps both dependency chains in flight. Each lane runs cfRun's step in
+// cfRun's order and stops on its own test, so each result has betaCF's
+// bits.
+func betaCF2(a0, b0, x0, a1, b1, x1 float64) (float64, float64, bool) {
 	d0, d1 := cfStart(a0, b0, x0), cfStart(a1, b1, x1)
 	c0, h0, c1, h1 := 1.0, d0, 1.0, d1
 	for m := 1; m <= cfMaxIter; m++ {
@@ -297,16 +543,17 @@ func betaCF2(a0, b0, x0, a1, b1, x1 float64) (float64, float64) {
 		h0 *= del0
 		h1 *= del1
 		if done0, done1 := math.Abs(del0-1) < cfEps, math.Abs(del1-1) < cfEps; done0 || done1 {
+			ok0, ok1 := true, true
 			if !done0 {
-				h0 = cfRun(a0, b0, x0, m+1, c0, d0, h0)
+				h0, ok0 = cfRun(a0, b0, x0, m+1, c0, d0, h0)
 			}
 			if !done1 {
-				h1 = cfRun(a1, b1, x1, m+1, c1, d1, h1)
+				h1, ok1 = cfRun(a1, b1, x1, m+1, c1, d1, h1)
 			}
-			break
+			return h0, h1, ok0 && ok1
 		}
 	}
-	return h0, h1
+	return h0, h1, false
 }
 
 // cfStart is Lentz's d (and h) before betaCF's first step.
@@ -320,8 +567,9 @@ func cfStart(a, b, x float64) float64 {
 
 // cfRun continues betaCF's fraction from step m in state (c, d, h) until
 // a step changes h by less than cfEps or the steps run out, and returns
-// h. Each step folds the fraction's even and odd terms.
-func cfRun(a, b, x float64, m int, c, d, h float64) float64 {
+// h and whether the fraction converged. Each step folds the fraction's
+// even and odd terms.
+func cfRun(a, b, x float64, m int, c, d, h float64) (float64, bool) {
 	for ; m <= cfMaxIter; m++ {
 		fm, m2 := float64(m), float64(2*m)
 		c, d = cfTerm(fm*(b-fm)*x/((a-1+m2)*(a+m2)), c, d)
@@ -330,10 +578,10 @@ func cfRun(a, b, x float64, m int, c, d, h float64) float64 {
 		del := d * c
 		h *= del
 		if math.Abs(del-1) < cfEps {
-			break
+			return h, true
 		}
 	}
-	return h
+	return h, false
 }
 
 // cfTerm folds one term aa into Lentz's c and d; d comes back inverted.

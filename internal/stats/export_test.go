@@ -28,9 +28,15 @@ func RegIncBeta(a, b, x float64) float64 {
 	f := newIncBeta(a, b)
 	front := math.Exp(a*math.Log(x) + b*math.Log(1-x) - f.lnB)
 	if x < f.split {
-		return front * betaCF(a, b, x) / a
+		return front * cf(a, b, x) / a
 	}
-	return 1 - front*betaCF(b, a, 1-x)/b
+	return 1 - front*cf(b, a, 1-x)/b
+}
+
+// cf is betaCF's value, whether or not the fraction converged.
+func cf(a, b, x float64) float64 {
+	h, _ := betaCF(a, b, x)
+	return h
 }
 
 // ExpectedMin returns E[min of n iid draws] (Eq. 2) on a one-worker

@@ -196,9 +196,9 @@ func refRegIncBeta(a, b, x float64) float64 {
 	lnFront := a*math.Log(x) + b*math.Log(1-x) - logBetaFn(a, b)
 	front := math.Exp(lnFront)
 	if x < (a+1)/(a+b+2) {
-		return front * betaCF(a, b, x) / a
+		return front * cf(a, b, x) / a
 	}
-	return 1 - front*betaCF(b, a, 1-x)/b
+	return 1 - front*cf(b, a, 1-x)/b
 }
 
 // TestExpectedMinBitIdenticalToReference: Algorithm 1's decisions, the
@@ -290,7 +290,8 @@ func TestExpectedMinsBitIdenticalToReference(t *testing.T) {
 }
 
 // TestBetaCF2BitEqualToBetaCF: each lane of the interleaved fraction
-// has betaCF's bits, whichever lane stops first. The lanes cover the
+// has betaCF's bits, whichever lane stops first, and the pair reports
+// convergence exactly when both of betaCF's runs do. The lanes cover the
 // grid points either side of the symmetric-form switch, the tiny clamps
 // on d (initial: (a+b)x = a+1; in the loop: x = 3/(b+2) at a = 1) and
 // on c (a = 0, b = -1, x = 1 makes the first term -1), and fractions
@@ -312,10 +313,14 @@ func TestBetaCF2BitEqualToBetaCF(t *testing.T) {
 	}
 	for _, l0 := range lanes {
 		for _, l1 := range lanes {
-			got0, got1 := betaCF2(l0.a, l0.b, l0.x, l1.a, l1.b, l1.x)
-			want0, want1 := betaCF(l0.a, l0.b, l0.x), betaCF(l1.a, l1.b, l1.x)
-			if math.Float64bits(got0) != math.Float64bits(want0) || math.Float64bits(got1) != math.Float64bits(want1) {
-				t.Errorf("betaCF2(%v, %v) = %v, %v; betaCF gives %v, %v", l0, l1, got0, got1, want0, want1)
+			got0, got1, ok := betaCF2(l0.a, l0.b, l0.x, l1.a, l1.b, l1.x)
+			want0, ok0 := betaCF(l0.a, l0.b, l0.x)
+			want1, ok1 := betaCF(l1.a, l1.b, l1.x)
+			if math.Float64bits(got0) != math.Float64bits(want0) || math.Float64bits(got1) != math.Float64bits(want1) || ok != (ok0 && ok1) {
+				t.Errorf("betaCF2(%v, %v) = %v, %v, converged %v; betaCF gives %v, %v, converged %v, %v", l0, l1, got0, got1, ok, want0, want1, ok0, ok1)
+			}
+			if (l0 == lane{1e6, 1e6, 0.5}) && ok0 {
+				t.Errorf("betaCF(%v) reports convergence; it runs out of steps", l0)
 			}
 		}
 	}
@@ -366,6 +371,104 @@ func FuzzExpectedMin(f *testing.F) {
 					b.Alpha, b.Beta, n, out[j], math.Float64bits(out[j]), want, math.Float64bits(want))
 			}
 		}
+	})
+}
+
+// checkMinBelow holds one comparison to its definition: the answer is
+// want < eta, where want is the reference integral, the interval holds
+// want, and an interval of one point is want's bits. It reports whether
+// the comparison was decided by bounds, short of a full pass.
+func checkMinBelow(t *testing.T, g *MinGrid, b Beta, n int, want, eta float64) (bounded bool) {
+	t.Helper()
+	cfs := g.CFs()
+	below, lo, hi := g.MinBelow(b, n, eta)
+	if below != (want < eta) || !(lo <= want && want <= hi) ||
+		(lo == hi && math.Float64bits(lo) != math.Float64bits(want)) {
+		t.Errorf("Beta(%v, %v) n=%d: MinBelow(%v) = %v in [%v, %v]; reference %v (%#x)",
+			b.Alpha, b.Beta, n, eta, below, lo, hi, want, math.Float64bits(want))
+	}
+	return g.CFs()-cfs < minSteps-1
+}
+
+// TestMinBelowMatchesSimpson is the comparison's differential test: on
+// random Betas — alpha and beta from 0.05 to 2 000, so both below 1 and
+// near 10³ — and batch sizes 2 to 64, MinBelow answers simpson() < eta
+// for eta at the integral, within minDelta/2, 1e-7 and 1e-3 of it either
+// side, and drawn at random.
+func TestMinBelowMatchesSimpson(t *testing.T) {
+	r := rng.New(43)
+	logUniform := func() float64 { return math.Exp(math.Log(0.05) + r.Float64()*math.Log(2000/0.05)) }
+	betas := []Beta{{0.05, 0.05}, {0.3, 900}, {900, 0.3}, {1000, 1000}, {1200, 800}, {4.2, 1.7}}
+	for len(betas) < 120 {
+		betas = append(betas, Beta{logUniform(), logUniform()})
+	}
+	bounded, exact := 0, 0
+	g := NewMinGrid(2)
+	for i, b := range betas {
+		for _, n := range []int{2, 3 + i%61, 64} {
+			want := refExpectedMin(b, n)
+			for _, eta := range []float64{want, want + minDelta/2, want - minDelta/2, want + 1e-7, want - 1e-7,
+				want + 1e-3, want - 1e-3, r.Float64(), r.Float64()} {
+				if checkMinBelow(t, g, b, n, want, eta) {
+					bounded++
+				} else {
+					exact++
+				}
+			}
+		}
+	}
+	t.Logf("%d comparisons decided by bounds, %d by a full pass", bounded, exact)
+	if bounded < exact {
+		t.Errorf("only %d of %d comparisons decided by bounds", bounded, bounded+exact)
+	}
+}
+
+// TestMinBelowFallsBackWhenFractionStalls: a continued fraction that
+// runs out of steps voids the accuracy the bounds rest on, so the
+// comparison makes the full pass even where its bounds would clear eta
+// at once. Beta(5.12e5, 4.88e5) stalls at the first-evaluated point
+// 1024, at its mean; Beta(1e6, 1e6) at 1000, which the refinement
+// reaches on its way to the step.
+func TestMinBelowFallsBackWhenFractionStalls(t *testing.T) {
+	for _, tc := range []struct {
+		b     Beta
+		stall int
+		off   float64 // eta - E[min]
+	}{
+		{Beta{5.12e5, 4.88e5}, 1024, 0.3},
+		{Beta{1e6, 1e6}, 1000, 1e-3},
+	} {
+		if a, b, x, _ := newIncBeta(tc.b.Alpha, tc.b.Beta).args(tc.stall); func() bool { _, ok := betaCF(a, b, x); return ok }() {
+			t.Fatalf("%v: the fraction at grid point %d converges; the test needs one that stalls", tc.b, tc.stall)
+		}
+		g := NewMinGrid(1)
+		want := refExpectedMin(tc.b, 8)
+		if checkMinBelow(t, g, tc.b, 8, want, want+tc.off) {
+			t.Errorf("%v: decided by bounds after %d fractions, past a stalled one", tc.b, g.CFs())
+		}
+	}
+}
+
+// FuzzMinBelow: over the estimator's moment range and batch sizes 2 to
+// 64, a comparison at any offset from the integral answers as the
+// reference does.
+func FuzzMinBelow(f *testing.F) {
+	f.Add(0.5, 0.2, uint8(8), 0.0)
+	f.Add(0.02, 0.999, uint8(2), minDelta/2) // alpha and beta < 1
+	f.Add(0.98, 0.9, uint8(62), -minDelta/2)
+	f.Add(0.7, 0.001, uint8(30), 1e-7) // alpha, beta near 10³
+	f.Add(0.4, 0.05, uint8(5), -1e-3)
+	f.Fuzz(func(t *testing.T, mean, frac float64, n uint8, off float64) {
+		if !(mean > 1e-9 && mean < 1-1e-9 && frac > 0 && frac < 1 && math.Abs(off) <= 1) {
+			t.Skip()
+		}
+		b, err := NewBetaFromMoments(mean, frac*mean*(1-mean))
+		if err != nil {
+			t.Skip()
+		}
+		batch := 2 + int(n)%63
+		want := refExpectedMin(b, batch)
+		checkMinBelow(t, NewMinGrid(2), b, batch, want, want+off)
 	})
 }
 
