@@ -1,9 +1,9 @@
 # Developer entry points. CI runs, in order: `make vet`, `make
-# vet-arm64`, `make lint`, `make build`, `make race-engines`, the race
-# test suite with a coverage profile and `make cover-ratchet` on it,
-# `make fuzz-smoke`, `make bench-smoke`, `make scaling-smoke` and `make
-# examples-smoke`. `make verify` bundles vet, lint, build and race for a
-# local run.
+# vet-arm64`, `make lint`, `make build`, `make census`, `make
+# race-engines`, the race test suite with a coverage profile and `make
+# cover-ratchet` on it, `make fuzz-smoke`, `make bench-smoke`, `make
+# scaling-smoke` and `make examples-smoke`. `make verify` bundles vet,
+# lint, build and race for a local run.
 
 GO ?= go
 
@@ -20,12 +20,20 @@ FUZZTIME ?= 5s
 # improves; never lower it to make CI pass.
 COVER_MIN ?= 81.0
 
-.PHONY: verify build test vet vet-arm64 lint race race-engines bench bench-search bench-smoke scaling-smoke examples-smoke fuzz-smoke cover cover-check cover-ratchet fmt
+.PHONY: verify build census test vet vet-arm64 lint race race-engines bench bench-search bench-smoke scaling-smoke examples-smoke fuzz-smoke cover cover-check cover-ratchet fmt
 
 verify: vet lint build race
 
 build:
 	$(GO) build ./...
+
+# Reachability census (tools/census): exported internal/ names nothing
+# reaches and *Options/*Config fields nothing sets, minus the reasoned
+# entries of tools/census/allowlist.txt. It type-checks the module and
+# the standard library from source, so it is its own CI step rather
+# than part of `go test ./...`.
+census:
+	$(GO) run ./tools/census
 
 test:
 	$(GO) test ./...

@@ -222,8 +222,8 @@ func serveCmd(args []string) error {
 	fs.Uint64Var(&f.seed, "seed", 1, "random seed")
 	fs.IntVar(&f.replicas, "replicas", 1, "independent node pipelines behind the front-end router")
 	fs.StringVar(&f.policy, "policy", "least-loaded", "cluster routing policy (round-robin|least-loaded)")
-	fs.IntVar(&f.workers, "workers", runtime.NumCPU(), "worker goroutines for sharded cluster/tenant runs (wall-clock only; 1 = sequential)")
-	fs.DurationVar(&f.netDelay, "netdelay", 0, "modeled front<->replica network transit (needs -replicas > 1); >0 selects the parallel sharded engine (default 1ms when -workers > 1)")
+	fs.IntVar(&f.workers, "workers", 0, "worker goroutines for sharded cluster/tenant runs (wall-clock only; 0 = one per GOMAXPROCS, 1 = sequential)")
+	fs.DurationVar(&f.netDelay, "netdelay", 0, "modeled front<->replica network transit (needs -replicas > 1); >0 selects the parallel sharded engine (a replicated tenant run defaults to 1ms)")
 	fs.BoolVar(&f.adaptive, "adapt", false, "vLiteRAG with in-loop drift detection and background index rebuilds")
 	fs.IntVar(&f.tenants, "tenants", 0, "serve N SLO-tiered tenants sharing the node (joint HBM allocation + fair scheduling)")
 	fs.StringVar(&f.tiers, "tiers", "gold,silver,bronze", "comma-separated tier per tenant, cycled to -tenants (gold|silver|bronze)")

@@ -85,8 +85,8 @@ func validateServeFlags(f serveFlags) error {
 		return fmt.Errorf("serve: -rate must be positive (have %g)", f.rate)
 	case f.replicas <= 0:
 		return fmt.Errorf("serve: -replicas must be positive (have %d)", f.replicas)
-	case f.workers <= 0:
-		return fmt.Errorf("serve: -workers must be positive (have %d)", f.workers)
+	case f.workers < 0:
+		return fmt.Errorf("serve: -workers must not be negative (have %d)", f.workers)
 	case f.timeoutSet && f.timeoutMS <= 0:
 		return fmt.Errorf("serve: -timeout-ms must be positive (have %d)", f.timeoutMS)
 	case f.netDelay > 0 && f.replicas == 1:

@@ -20,7 +20,7 @@ func TestValidateServeFlags(t *testing.T) {
 		{"negative rate", func(f *serveFlags) { f.rate = -5 }, "-rate"},
 		{"zero replicas", func(f *serveFlags) { f.replicas = 0 }, "-replicas"},
 		{"negative replicas", func(f *serveFlags) { f.replicas = -2 }, "-replicas"},
-		{"zero workers", func(f *serveFlags) { f.replicas, f.workers = 2, 0 }, "-workers"},
+		{"zero workers", func(f *serveFlags) { f.replicas, f.workers = 2, 0 }, ""}, // one per GOMAXPROCS
 		{"negative workers", func(f *serveFlags) { f.replicas, f.workers = 2, -1 }, "-workers"},
 		{"explicit zero timeout", func(f *serveFlags) { f.replicas, f.timeoutSet = 2, true }, "-timeout-ms"},
 		{"negative timeout", func(f *serveFlags) { f.replicas, f.timeoutMS, f.timeoutSet = 2, -100, true }, "-timeout-ms"},

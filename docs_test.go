@@ -1,6 +1,7 @@
 package vectorliterag_test
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/build"
 	"go/parser"
@@ -15,8 +16,14 @@ import (
 
 // docIdent matches a backticked `pkg.Name` or `pkg.Type.Member`.
 // Benchmark metric names share the dotted shape but are snake_case, so
-// a span with an underscore is not an identifier.
+// a span with an underscore is not an identifier; docMetric matches
+// those.
 var docIdent = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Za-z][A-Za-z0-9]*)(?:\\.([A-Za-z][A-Za-z0-9]*))?`")
+
+// docMetric matches a backticked `pkg.metric_name` (or
+// `pkg.layer.metric_name`): lowercase dotted segments after a package
+// name, with an underscore after the first dot.
+var docMetric = regexp.MustCompile("`([a-z][a-z0-9]*(?:\\.[a-z][a-z0-9_]*)+)`")
 
 // docFile matches a backticked Go file reference, `name.go` or
 // `dir/name.go`, optionally with a `:line` suffix.
@@ -30,7 +37,9 @@ var docMake = regexp.MustCompile("`make ([\\w.-]+)`")
 var makeRule = regexp.MustCompile(`(?m)^([\w.-]+):(?:[^=]|$)`)
 
 // TestDocIdentifiersResolve: every Go identifier README.md and
-// ARCHITECTURE.md name as `pkg.Name` or `pkg.Type.Member` resolves.
+// ARCHITECTURE.md name as `pkg.Name` or `pkg.Type.Member` resolves, and
+// so does every benchmark metric they name as `pkg.metric_name`: it is
+// an end-to-end or per-layer metric BENCHMARK.json declares.
 // When pkg is a package of this module, Name is declared in its source:
 // a top-level name or, as shorthand, a method of one of the package's
 // types; Member is a field or method declared on Type. Otherwise pkg
@@ -42,6 +51,7 @@ func TestDocIdentifiersResolve(t *testing.T) {
 	decls := moduleDecls(t)
 	files := repoFiles(t)
 	targets := makeTargets(t)
+	metrics := benchmarkMetrics(t)
 	std := map[string]bool{}
 	isStd := func(pkg string) bool {
 		if _, ok := std[pkg]; !ok {
@@ -61,6 +71,15 @@ func TestDocIdentifiersResolve(t *testing.T) {
 				checked++
 				if !files[m[1]] {
 					t.Errorf("%s:%d: %s names no file in the repository", doc, i+1, m[0])
+				}
+			}
+			for _, m := range docMetric.FindAllStringSubmatch(line, -1) {
+				if _, rest, _ := strings.Cut(m[1], "."); !strings.Contains(rest, "_") {
+					continue // an identifier or a file name, not a metric
+				}
+				checked++
+				if !metrics[m[1]] {
+					t.Errorf("%s:%d: %s is no metric BENCHMARK.json declares", doc, i+1, m[0])
 				}
 			}
 			for _, m := range docMake.FindAllStringSubmatch(line, -1) {
@@ -87,6 +106,28 @@ func TestDocIdentifiersResolve(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no identifiers found in the docs; the pattern has drifted")
 	}
+}
+
+// benchmarkMetrics returns the end-to-end and per-layer metric names
+// BENCHMARK.json declares.
+func benchmarkMetrics(t *testing.T) map[string]bool {
+	t.Helper()
+	text, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decl struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(text, &decl); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]bool{}
+	for _, m := range append(decl.EndToEnd, decl.PerLayer...) {
+		out[m.Name] = true
+	}
+	return out
 }
 
 // makeTargets returns the targets the Makefile defines rules for.

@@ -42,7 +42,7 @@ func main() {
 	}
 	ingest := vlr.LiveIngestOptions{
 		InsertRate: 4, DeleteRate: 1,
-		ReencodeEvery: 12 * time.Second, FreshnessSLO: 500 * time.Millisecond,
+		ReencodeEvery: 12 * time.Second,
 	}
 	fmt.Printf("diurnal load around 20 req/s; 4 inserts/s + 1 deletes/s; popularity rotates by %d templates at t=%v\n\n",
 		rot, duration/4)

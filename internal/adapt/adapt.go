@@ -40,9 +40,9 @@ import (
 const (
 	// calibrationReplay is the query count the *timing* of the profiling
 	// stage is priced at: the paper replays ~0.5 % of a 10M-query stream.
-	// It is deliberately larger than Config.ProfileQueries: the simulated
-	// system replays the paper-scale sample, while the laptop-scale
-	// substrate needs fewer draws for the same distribution.
+	// It is deliberately larger than profiler.CalibrationQueries: the
+	// simulated system replays the paper-scale sample, while the
+	// laptop-scale substrate needs fewer draws for the same distribution.
 	calibrationReplay = 50000
 	// cooldownWindows suppresses triggers for this many monitor windows
 	// after a swap. Requests routed during the reload carry the CPU
@@ -50,46 +50,35 @@ const (
 	// settle window those stragglers would immediately re-trigger an
 	// identical rebuild.
 	cooldownWindows = 1
+	// sloThreshold and hitRateDivergence are the drift rule: an update
+	// may trigger when windowed SLO attainment falls below sloThreshold
+	// and the observed mean hit rate deviates from the expectation by
+	// more than hitRateDivergence.
+	sloThreshold      = 0.9
+	hitRateDivergence = 0.1
+	// escalateSkew is the live cluster-size skew past which a drift
+	// trigger escalates from compaction to the full rebuild (see
+	// Config.EscalateResidual).
+	escalateSkew = 2.0
 )
 
-// MonitorConfig sets the drift-detection thresholds. Zero fields take
-// the defaults; NewController rejects a negative window and thresholds
-// outside [0, 1].
+// MonitorConfig sizes the drift-detection window. NewController rejects
+// a negative window.
 type MonitorConfig struct {
 	// WindowRequests is how many requests a window holds before the
 	// counters reset (default 2000: the paper resets every few minutes
 	// or few thousand requests).
 	WindowRequests int
-	// SLOThreshold: an update may trigger when windowed SLO attainment
-	// falls below this (default 0.9).
-	SLOThreshold float64
-	// HitRateDivergence: and the observed mean hit rate deviates from the
-	// expectation by more than this (default 0.1).
-	HitRateDivergence float64
 }
 
 // withDefaults validates c and fills its zero fields: the one place the
-// monitor's defaults live. Errors name the offending field.
+// monitor's defaults live.
 func (c MonitorConfig) withDefaults() (MonitorConfig, error) {
 	if c.WindowRequests < 0 {
 		return c, fmt.Errorf("adapt: MonitorConfig.WindowRequests = %d, want >= 0 (0 takes the default)", c.WindowRequests)
 	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"SLOThreshold", c.SLOThreshold}, {"HitRateDivergence", c.HitRateDivergence}} {
-		if !(f.v >= 0 && f.v <= 1) { // NaN fails both comparisons
-			return c, fmt.Errorf("adapt: MonitorConfig.%s = %v, want a finite value in [0, 1]", f.name, f.v)
-		}
-	}
 	if c.WindowRequests == 0 {
 		c.WindowRequests = 2000
-	}
-	if c.SLOThreshold == 0 {
-		c.SLOThreshold = 0.9
-	}
-	if c.HitRateDivergence == 0 {
-		c.HitRateDivergence = 0.1
 	}
 	return c, nil
 }
@@ -124,7 +113,7 @@ func (m *monitor) record(hitRate float64, metSLO bool) bool {
 	mean := m.hitSum / float64(m.n)
 	m.windows++
 	m.reset()
-	return attain < m.cfg.SLOThreshold && math.Abs(mean-m.expected) > m.cfg.HitRateDivergence
+	return attain < sloThreshold && math.Abs(mean-m.expected) > hitRateDivergence
 }
 
 // reset discards the open window without closing it.
@@ -182,17 +171,17 @@ func loadingTime(gpu hw.GPU, plan *splitter.Plan) time.Duration {
 
 // Config tunes the controller.
 type Config struct {
-	// Monitor holds the drift-detection thresholds.
+	// Monitor sizes the drift-detection window.
 	Monitor MonitorConfig
 	// ProfileQueries is the calibration sample the in-loop re-profiling
-	// replays from the (drifted) live distribution (default 4000, the
-	// offline build's size).
+	// replays from the (drifted) live distribution: the offline
+	// decision's size.
 	ProfileQueries int
 	// Epsilon is Algorithm 1's queuing factor for re-partitioning.
 	Epsilon float64
-	// EscalateSkew and EscalateResidual gate the cheap-compaction
-	// shortcut when a Compactor is bound: a trigger whose live
-	// cluster-size skew and insert residual-norm ratio are both below
+	// EscalateResidual and escalateSkew gate the cheap-compaction
+	// shortcut when a Compactor is bound: a trigger whose insert
+	// residual-norm ratio and live cluster-size skew are both below
 	// these thresholds runs a compaction cycle (re-encode + tombstone
 	// purge) instead of the full Algorithm-1 re-partition — the drift is
 	// in the overlay volume, not the partition geometry. Past either
@@ -200,28 +189,13 @@ type Config struct {
 	// trigger recurring right after a compaction (the cheap cycle
 	// demonstrably didn't clear the drift — without that rule the
 	// controller would compact forever against partition-geometry
-	// drift). Defaults 2.0 and 2.5; the residual default sits above the
+	// drift). Defaults 2.5 and 2.0; the residual default sits above the
 	// ~1.7x floor in-distribution inserts carry (fresh vectors always
 	// land farther from their centroids than the corpus the quantizer
 	// was trained on), so residual escalation indicates genuinely
-	// out-of-distribution inserts. Negative disables the shortcut
-	// entirely.
-	EscalateSkew     float64
+	// out-of-distribution inserts. A negative EscalateResidual disables
+	// the shortcut entirely.
 	EscalateResidual float64
-}
-
-func (c Config) profileQueries() int {
-	if c.ProfileQueries <= 0 {
-		return 4000
-	}
-	return c.ProfileQueries
-}
-
-func (c Config) escalateSkew() float64 {
-	if c.EscalateSkew == 0 {
-		return 2.0
-	}
-	return c.EscalateSkew
 }
 
 func (c Config) escalateResidual() float64 {
@@ -397,8 +371,8 @@ func (c *Controller) startRebuild() {
 		return // never bound: observe-only mode
 	}
 	if c.compactor != nil && !c.compactedLast &&
-		c.cfg.escalateSkew() > 0 && c.cfg.escalateResidual() > 0 &&
-		c.compactor.SizeSkew() < c.cfg.escalateSkew() &&
+		c.cfg.escalateResidual() > 0 &&
+		c.compactor.SizeSkew() < escalateSkew &&
 		c.compactor.ResidualRatio() < c.cfg.escalateResidual() {
 		c.startCompaction()
 		return
@@ -455,7 +429,7 @@ func (c *Controller) track(rec RebuildRecord) {
 func (c *Controller) profileDone(rec RebuildRecord) {
 	rec.ProfileDoneAt = c.in.Sim.Now()
 	seed := c.in.Seed + 7919*uint64(c.cycles) // fresh, reproducible sample per cycle
-	prof, err := profiler.CollectAccess(c.in.W, c.cfg.profileQueries(), seed)
+	prof, err := profiler.CollectAccess(c.in.W, c.cfg.ProfileQueries, seed)
 	if err != nil {
 		c.abort(rec, "profile", err)
 		return

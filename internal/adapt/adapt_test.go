@@ -54,7 +54,7 @@ func setup(t *testing.T, cfg Config) *fixture {
 	}, plan, gpu.NewStates(node), costmodel.GPUScanModel{GPU: node.GPU})
 
 	if cfg.Monitor.WindowRequests == 0 {
-		cfg.Monitor = MonitorConfig{WindowRequests: 50, SLOThreshold: 0.9, HitRateDivergence: 0.1}
+		cfg.Monitor = MonitorConfig{WindowRequests: 50}
 	}
 	if cfg.ProfileQueries == 0 {
 		cfg.ProfileQueries = 800

@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -10,23 +11,24 @@ import (
 	"vectorliterag/internal/splitter"
 )
 
-// newMonitor returns a monitor with the given window, the default
-// thresholds, and the given expectation.
+// newMonitor returns a monitor with the given window and expectation.
 func newMonitor(window int, expected float64) *monitor {
-	return &monitor{cfg: MonitorConfig{WindowRequests: window, SLOThreshold: 0.9, HitRateDivergence: 0.1}, expected: expected}
+	return &monitor{cfg: MonitorConfig{WindowRequests: window}, expected: expected}
 }
 
-// TestMonitorConfigDefaults: the zero config takes the paper's
-// defaults, and each zero field fills on its own. Invalid values are
-// rejected through the public API (TestMonitorConfigRejected).
+// TestMonitorConfigDefaults: the zero window takes the paper's default,
+// a set one stays, and a negative one is rejected.
 func TestMonitorConfigDefaults(t *testing.T) {
 	got, err := MonitorConfig{}.withDefaults()
-	if err != nil || got != (MonitorConfig{WindowRequests: 2000, SLOThreshold: 0.9, HitRateDivergence: 0.1}) {
+	if err != nil || got != (MonitorConfig{WindowRequests: 2000}) {
 		t.Fatalf("zero config filled to %+v (%v)", got, err)
 	}
-	got, err = MonitorConfig{WindowRequests: 50, SLOThreshold: 0.5}.withDefaults()
-	if err != nil || got != (MonitorConfig{WindowRequests: 50, SLOThreshold: 0.5, HitRateDivergence: 0.1}) {
-		t.Fatalf("partial config filled to %+v (%v)", got, err)
+	got, err = MonitorConfig{WindowRequests: 50}.withDefaults()
+	if err != nil || got != (MonitorConfig{WindowRequests: 50}) {
+		t.Fatalf("set window filled to %+v (%v)", got, err)
+	}
+	if _, err := (MonitorConfig{WindowRequests: -1}).withDefaults(); err == nil || !strings.Contains(err.Error(), "WindowRequests") {
+		t.Fatalf("negative window: err = %v, want one naming WindowRequests", err)
 	}
 }
 

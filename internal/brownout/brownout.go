@@ -309,9 +309,6 @@ func (c *Controller) clamp(t int) int {
 	return t
 }
 
-// Level returns the current ladder level.
-func (c *Controller) Level() int { return c.level }
-
 // MaxLevel returns the deepest level the run reached.
 func (c *Controller) MaxLevel() int { return c.maxLevel }
 
@@ -336,9 +333,3 @@ func (c *Controller) TimeInBrownout(now des.Time) time.Duration {
 	}
 	return d
 }
-
-// NumLevels returns the ladder depth (level 0 included).
-func (c *Controller) NumLevels() int { return len(c.ladder) }
-
-// MaxShed returns the effective shed cap.
-func (c *Controller) MaxShed() float64 { return c.cfg.maxShed() }

@@ -360,9 +360,6 @@ func (w *Workload) InsertVector(r *rng.Rand) []float32 {
 // Templates returns the number of query templates.
 func (w *Workload) Templates() int { return len(w.templates) }
 
-// TemplateProbability returns the draw probability of template t.
-func (w *Workload) TemplateProbability(t int) float64 { return w.popByTemplate[t] }
-
 // ClusterBytes returns the logical storage bytes of physical cluster c.
 func (w *Workload) ClusterBytes(c int) int64 { return w.clusterBytes[c] }
 

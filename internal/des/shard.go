@@ -115,9 +115,6 @@ type Shard struct {
 	minHead Time    // lower bound on the heads of the inbound links
 }
 
-// ID returns the shard's index in its group (creation order).
-func (s *Shard) ID() int { return s.id }
-
 // Link is a one-way FIFO message channel between two shards with a
 // minimum delay: every Send must be timestamped at least delay past
 // the sender's current virtual time. The smallest delay in a group is
@@ -131,9 +128,6 @@ type Link struct {
 	// during Run.
 	in Inbox
 }
-
-// Delay returns the link's minimum delay (its lookahead).
-func (l *Link) Delay() Time { return l.delay }
 
 // Send queues a message for delivery on the destination shard at
 // virtual time at. It must be called from the source shard's event
@@ -153,11 +147,6 @@ func (l *Link) Send(at Time, arg any) {
 	w.box[l.to] = append(w.box[l.to], mail{l, Msg{at, arg}})
 	w.sentMin = min(w.sentMin, at)
 }
-
-// Drain consumes every message still undelivered after Run — messages
-// timestamped past the deadline, "in the network" when the clock
-// stopped — in send order. Call only after Run has returned.
-func (l *Link) Drain(fn func(at Time, arg any)) { l.in.Drain(fn) }
 
 // worker is one goroutine's share of a Run: the shards it owns and what
 // it publishes to the other workers at each barrier.
@@ -200,9 +189,6 @@ func (g *Group) AddShard() *Shard {
 	g.shards = append(g.shards, s)
 	return s
 }
-
-// Shards returns the group's shards in creation order.
-func (g *Group) Shards() []*Shard { return g.shards }
 
 // Connect wires a one-way link from src to dst with the given minimum
 // delay (must be positive — zero lookahead cannot make conservative

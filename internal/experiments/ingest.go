@@ -41,7 +41,7 @@ func Ingest(cfg Config) (*Report, error) {
 	}
 	streams := rag.IngestOptions{
 		InsertRate: 4, DeleteRate: 1, // mutations/s
-		ReencodeEvery: 12 * time.Second, FreshnessSLO: 500 * time.Millisecond,
+		ReencodeEvery: 12 * time.Second,
 	}
 	drift := dataset.DriftEvent{At: duration / 4, Rotate: w.DefaultDriftRotation()}
 	arms := []arm[rag.Options]{
@@ -58,14 +58,9 @@ func Ingest(cfg Config) (*Report, error) {
 			o.Ingest, o.Monitor = &io, &adapt.MonitorConfig{}
 		}},
 	}
-	rep := &Report{}
-	rep.Printf("Streaming ingest: vLiteRAG, %s + %s, diurnal load around %.1f req/s\n",
-		dataset.Orcas2K.Name, dep.Model.Name, rate)
-	rep.Printf("mutations: %.0f inserts/s + %.0f deletes/s, re-encode every %v, freshness SLO %v\n",
-		streams.InsertRate, streams.DeleteRate, streams.ReencodeEvery, streams.FreshnessSLO)
-	rep.Printf("identical arrivals per arm, popularity rotates by %d templates at t=%v; only the corpus regime differs\n\n",
-		drift.Rotate, drift.At)
-	t := rep.Table(
+	// The table fills before the header prints: the header quotes the
+	// freshness SLO the runs report.
+	t := &Table{Cols: []Col{
 		col("arm", "", "arm", ""),
 		col("attainment", "%.3f", "attainment", ""),
 		csvCol("requests", ""),
@@ -86,7 +81,8 @@ func Ingest(cfg Config) (*Report, error) {
 		col("rebuilds", "", "rebuilds", ""), // completed full re-partitions (escalated triggers)
 		csvCol("size_skew", ""),             // live cluster-size skew at run end
 		csvCol("residual_ratio", ""),        // insert residual norm over the corpus baseline
-	)
+	}}
+	var freshnessSLO time.Duration
 	err = cfg.sweep(grid{dep: dep, spec: dataset.Orcas2K, rates: []float64{rate}, base: func(o *rag.Options) {
 		o.RateSchedule = workload.Diurnal(rate, 0.4*rate, duration)
 		o.Duration, o.Drain = duration, 120*time.Second
@@ -99,6 +95,7 @@ func Ingest(cfg Config) (*Report, error) {
 				return err
 			}
 			live, f := r.Live, r.Live.Freshness
+			freshnessSLO = live.FreshnessSLO
 			var tts50, tts99, fresh any = "-", "-", "-"
 			if f.Inserts > 0 {
 				tts50, tts99, fresh = f.TTS.P50, f.TTS.P99, f.Attainment
@@ -121,6 +118,14 @@ func Ingest(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	rep := &Report{}
+	rep.Printf("Streaming ingest: vLiteRAG, %s + %s, diurnal load around %.1f req/s\n",
+		dataset.Orcas2K.Name, dep.Model.Name, rate)
+	rep.Printf("mutations: %.0f inserts/s + %.0f deletes/s, re-encode every %v, freshness SLO %v\n",
+		streams.InsertRate, streams.DeleteRate, streams.ReencodeEvery, freshnessSLO)
+	rep.Printf("identical arrivals per arm, popularity rotates by %d templates at t=%v; only the corpus regime differs\n\n",
+		drift.Rotate, drift.At)
+	rep.add(t)
 	frozen, live, comp := t.Row("arm", "frozen"), t.Row("arm", "streaming"), t.Row("arm", "streaming+compaction")
 	if frozenAtt, liveAtt := frozen.Float("attainment"), live.Float("attainment"); frozenAtt > 0 {
 		rep.Printf("\nstreaming holds %.1f%% of the frozen arm's attainment with %d live mutations",

@@ -45,7 +45,7 @@ func Fig9(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		prof, err := profiler.CollectAccess(w, 4000, cfg.Seed+9)
+		prof, err := profiler.CollectAccess(w, profiler.CalibrationQueries, cfg.Seed+9)
 		if err != nil {
 			return nil, err
 		}
@@ -107,7 +107,7 @@ func Fig10(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		prof, err := profiler.CollectAccess(w, 4000, cfg.Seed+101)
+		prof, err := profiler.CollectAccess(w, profiler.CalibrationQueries, cfg.Seed+101)
 		if err != nil {
 			return nil, err
 		}

@@ -139,11 +139,10 @@ func (r Row) cell(name string) any {
 }
 
 // Typed accessors; the column must hold that type.
-func (r Row) Float(name string) float64     { return r.cell(name).(float64) }
-func (r Row) Int(name string) int           { return r.cell(name).(int) }
-func (r Row) Dur(name string) time.Duration { return r.cell(name).(time.Duration) }
-func (r Row) Str(name string) string        { return r.cell(name).(string) }
-func (r Row) Bool(name string) bool         { return r.cell(name).(bool) }
+func (r Row) Float(name string) float64 { return r.cell(name).(float64) }
+func (r Row) Int(name string) int       { return r.cell(name).(int) }
+func (r Row) Str(name string) string    { return r.cell(name).(string) }
+func (r Row) Bool(name string) bool     { return r.cell(name).(bool) }
 
 // face formats what one face shows: the header row, then every data
 // row. The header row is nil when no column shows on that face.
@@ -228,9 +227,6 @@ func (r *Report) add(t *Table) *Table {
 	r.tables = append(r.tables, t)
 	return t
 }
-
-// Tab returns the report's i-th table.
-func (r *Report) Tab(i int) *Table { return r.tables[i] }
 
 // Render returns the text face.
 func (r *Report) Render() string {

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"vectorliterag/internal/des"
-	"vectorliterag/internal/rng"
 )
 
 // Kind is a failure mode.
@@ -111,7 +110,7 @@ func (s Schedule) String() string {
 //
 // e.g. "crash@20s:r0:10s,straggler@35s:r1:8s:x2.5,bandwidth@50s:r2:10s:x3".
 // The factor is required for straggler/bandwidth and rejected for
-// crash. Use Random for seeded storms.
+// crash.
 func Parse(s string) (Schedule, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -185,30 +184,6 @@ func parseEvent(part string) (Event, error) {
 		return bad("too many fields")
 	}
 	return ev, nil
-}
-
-// Random generates a seeded failure storm: n episodes with kinds drawn
-// uniformly, replicas drawn uniformly, onsets uniform over the middle
-// [10%, 80%] of the horizon, durations uniform in [5%, 15%] of the
-// horizon, and slowdown factors uniform in [1.5, 4). The same
-// (seed, replicas, horizon, n) always produces the same storm.
-func Random(seed uint64, replicas int, horizon time.Duration, n int) Schedule {
-	r := rng.New(rng.Stream(seed, 0xFA17))
-	h := float64(horizon)
-	out := make(Schedule, 0, n)
-	for i := 0; i < n; i++ {
-		ev := Event{
-			Kind:     Kinds()[r.Intn(3)],
-			Replica:  r.Intn(replicas),
-			At:       time.Duration(h * (0.10 + 0.70*r.Float64())),
-			Duration: time.Duration(h * (0.05 + 0.10*r.Float64())),
-		}
-		if ev.Kind != Crash {
-			ev.Factor = 1.5 + 2.5*r.Float64()
-		}
-		out = append(out, ev)
-	}
-	return out
 }
 
 // Hooks are the serving-layer entry points the Injector drives. Any

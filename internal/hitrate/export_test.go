@@ -41,3 +41,6 @@ func NewExactEstimator(p *profiler.AccessProfile) (*Estimator, error) {
 	}
 	return e, err
 }
+
+// SigmaMax2 exposes the profiled peak variance.
+func (e *Estimator) SigmaMax2() float64 { return e.sigmaMax2 }

@@ -160,9 +160,6 @@ func (e *Estimator) Variance(mean float64) float64 {
 	return 4 * e.sigmaMax2 * mean * (1 - mean)
 }
 
-// SigmaMax2 exposes the profiled peak variance.
-func (e *Estimator) SigmaMax2() float64 { return e.sigmaMax2 }
-
 func (e *Estimator) betaAt(clusters int) (stats.Beta, bool) {
 	mean := e.meanCurve[clusters]
 	if mean <= 1e-9 || mean >= 1-1e-9 {

@@ -161,9 +161,6 @@ func (ing *Ingester) Reencodes() int { return ing.reencodes }
 // Compactions reports controller-driven compaction cycles applied.
 func (ing *Ingester) Compactions() int { return ing.compactions }
 
-// Queued reports mutations still waiting at the station.
-func (ing *Ingester) Queued() int { return len(ing.queue) - ing.head }
-
 // The adapt.Compactor surface: drift trackers plus the cheap
 // compaction action. CompactionCost prices the cycle from current
 // store state; Compact applies it (the controller models the cost on

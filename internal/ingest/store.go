@@ -408,12 +408,6 @@ func (s *Store) PurgeableLogical() int64 {
 	return int64(float64(n) * s.logicalPerVec)
 }
 
-// Inserts and Deletes report applied mutation counts.
-func (s *Store) Inserts() int { return s.inserts }
-
-// Deletes reports applied delete count.
-func (s *Store) Deletes() int { return s.deletes }
-
 // SizeSkew returns the live partition's max/mean cluster size relative
 // to the built partition's — 1.0 at build time, growing as mutations
 // concentrate. It is the re-partition escalation signal: a partition

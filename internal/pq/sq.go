@@ -67,16 +67,6 @@ func (q *ScalarQuantizer) Encode(v []float32, dst []byte) []byte {
 	return dst
 }
 
-// Decode reconstructs the approximate vector.
-func (q *ScalarQuantizer) Decode(code []byte) []float32 {
-	out := make([]float32, q.Dim)
-	for d, c := range code {
-		t := float32(c) / 255
-		out[d] = q.min[d] + t*(q.max[d]-q.min[d])
-	}
-	return out
-}
-
 // Distance returns the approximate squared L2 distance between a query
 // and one code (asymmetric: exact query vs decoded code, computed
 // without materializing the decode).

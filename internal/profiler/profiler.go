@@ -9,7 +9,6 @@ package profiler
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"vectorliterag/internal/costmodel"
@@ -27,6 +26,10 @@ type AccessProfile struct {
 	// in which the splitter promotes clusters to the GPU tier.
 	HotOrder []int
 }
+
+// CalibrationQueries is the size of the calibration sample an offline
+// decision profiles and an online rebuild re-profiles.
+const CalibrationQueries = 4000
 
 // CollectAccess replays n training queries through coarse quantization
 // and tallies cluster accesses. The paper reports that sampling ~0.5 %
@@ -60,34 +63,6 @@ func (p *AccessProfile) HotMask(k int) []bool {
 		mask[c] = true
 	}
 	return mask
-}
-
-// AccessCDF returns the cumulative access share carried by the top-k
-// clusters, for k = 1..nlist — the curve of paper Fig. 5 weighted by
-// distance computations (accesses x cluster size).
-func (p *AccessProfile) AccessCDF() []float64 {
-	weights := make([]float64, len(p.Counts))
-	for c, cnt := range p.Counts {
-		weights[c] = float64(cnt) * float64(p.W.Index.ClusterSize(c))
-	}
-	// CDF over the hot order (which sorts by raw count; re-sort by weight
-	// for the figure's definition).
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	order := make([]float64, len(weights))
-	copy(order, weights)
-	sort.Sort(sort.Reverse(sort.Float64Slice(order)))
-	cum := 0.0
-	out := make([]float64, len(order))
-	for i, w := range order {
-		cum += w
-		if total > 0 {
-			out[i] = cum / total
-		}
-	}
-	return out
 }
 
 // LatencySample is one profiled (batch size, stage latency) point.

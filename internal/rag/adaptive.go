@@ -62,11 +62,11 @@ func newAdaptController(sim *des.Sim, opts *Options, d *Decision, mon adapt.Moni
 	}
 	cfg := adapt.Config{
 		Monitor:        mon,
-		ProfileQueries: opts.ProfileQueries,
+		ProfileQueries: opts.profileQueries(),
 		Epsilon:        opts.Epsilon,
 	}
 	if io != nil {
-		cfg.EscalateSkew, cfg.EscalateResidual = io.EscalateSkew, io.EscalateResidual
+		cfg.EscalateResidual = io.EscalateResidual
 	}
 	ctrl, err := adapt.NewController(cfg, adapt.Inputs{
 		Sim:       sim,

@@ -54,8 +54,7 @@ func (r *ResilienceReport) String() string {
 }
 
 // DefaultNetDelay is the modeled front-end↔replica network transit of
-// a routed lineup, and of a routed single corpus that asks for
-// parallelism (Workers > 1), when no NetDelay is chosen explicitly. One
+// a routed lineup when no NetDelay is chosen explicitly. One
 // millisecond is a realistic same-datacenter RTT half and, as the
 // half-width of a least-loaded round, wide enough that a round's event
 // work outweighs its barrier.

@@ -61,10 +61,16 @@ func (d *Decision) refined() bool { return d.Plan != nil && d.Plan.Prec != nil }
 
 // collect opens the per-corpus step a single corpus and every tenant of
 // a lineup share — profile, fit, plan, precision: the access profile of
-// w over the calibration sample (ProfileQueries, default 4000) drawn
-// from seed. fitModels and place are the rest of the step.
+// w over the calibration sample drawn from seed. fitModels and place
+// are the rest of the step.
 func collect(opts *Options, w *dataset.Workload, seed uint64) (*profiler.AccessProfile, error) {
-	return profiler.CollectAccess(w, cmp.Or(opts.ProfileQueries, 4000), seed)
+	return profiler.CollectAccess(w, opts.profileQueries(), seed)
+}
+
+// profileQueries is the calibration sample's size: ProfileQueries, or
+// profiler.CalibrationQueries when zero.
+func (opts *Options) profileQueries() int {
+	return cmp.Or(opts.ProfileQueries, profiler.CalibrationQueries)
 }
 
 // fitModels fits the two inputs of Algorithm 1 and the joint allocator

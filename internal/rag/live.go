@@ -12,38 +12,33 @@ import (
 	"vectorliterag/internal/workload"
 )
 
+// freshnessSLO is the time-to-searchable budget a live run's
+// freshness is judged against.
+const freshnessSLO = 500 * time.Millisecond
+
 // IngestOptions configures the streaming-ingest side of a live run:
-// insert/delete mutation streams multiplexed onto the serving
-// timeline, the background re-encode cadence, and the freshness SLO
-// the run is judged against. The streams feed a serial ingest station
-// (inserts into append buffers, deletes into tombstones), and every
-// scan is priced through the live overlay.
+// insert/delete mutation streams multiplexed onto the serving timeline
+// and the background re-encode cadence. The streams feed a serial
+// ingest station (inserts into append buffers, deletes into
+// tombstones), and every scan is priced through the live overlay.
 type IngestOptions struct {
 	// InsertRate and DeleteRate are constant mutation rates in
-	// mutations/second. A schedule below overrides the matching constant
-	// rate (which then only labels the run), mirroring Options.Rate vs
-	// RateSchedule.
+	// mutations/second.
 	InsertRate float64
 	DeleteRate float64
-	// InsertSchedule / DeleteSchedule drive the streams as inhomogeneous
-	// Poisson processes (ramps, bursts, diurnal cycles).
-	InsertSchedule workload.Schedule
-	DeleteSchedule workload.Schedule
 	// ReencodeEvery is the background fold cadence: pending raw vectors
 	// re-encode into PQ appends every such interval (default 25s). The
 	// fold occupies the ingest station for its modeled encode time, so
 	// an aggressive cadence under heavy ingest is the metastable regime.
 	ReencodeEvery time.Duration
-	// FreshnessSLO is the time-to-searchable budget (default 500ms).
-	FreshnessSLO time.Duration
-	// EscalateSkew / EscalateResidual tune the compaction controller a
-	// Monitor attaches: drift triggers below these thresholds run a
-	// re-encode + tombstone purge instead of a full Algorithm-1
-	// re-partition (zero keeps the adapt package defaults; negative
-	// disables the compaction shortcut). Runs whose insert stream tracks
-	// a drifting query distribution carry an elevated residual floor by
-	// construction and may want the residual threshold above it.
-	EscalateSkew     float64
+	// EscalateResidual tunes the compaction controller a Monitor
+	// attaches: drift triggers below it (and below the adapt package's
+	// skew threshold) run a re-encode + tombstone purge instead of a
+	// full Algorithm-1 re-partition (zero keeps the adapt default;
+	// negative disables the compaction shortcut). Runs whose insert
+	// stream tracks a drifting query distribution carry an elevated
+	// residual floor by construction and may want the threshold above
+	// it.
 	EscalateResidual float64
 }
 
@@ -61,18 +56,8 @@ func (io *IngestOptions) normalized() (*IngestOptions, error) {
 	if q.ReencodeEvery < 0 {
 		return nil, fmt.Errorf("rag: negative re-encode interval %v", q.ReencodeEvery)
 	}
-	for _, s := range []workload.Schedule{q.InsertSchedule, q.DeleteSchedule} {
-		if s != nil {
-			if err := workload.ValidateSchedule(s); err != nil {
-				return nil, fmt.Errorf("rag: %w", err)
-			}
-		}
-	}
 	if q.ReencodeEvery == 0 {
 		q.ReencodeEvery = 25 * time.Second
-	}
-	if q.FreshnessSLO == 0 {
-		q.FreshnessSLO = 500 * time.Millisecond
 	}
 	return &q, nil
 }
@@ -113,21 +98,21 @@ func startIngest(sim *des.Sim, opts *Options, io *IngestOptions) (*ingest.Store,
 		Horizon:       des.Time(opts.Duration + opts.Drain),
 	})
 	var aux []serve.Aux
-	source := func(kind workload.MutationKind, rate float64, sched workload.Schedule, stream uint64) {
-		if rate > 0 || sched != nil {
-			g := workload.NewMutationGen(opts.W, kind, rate, sched, 0, rng.Stream(opts.Seed, stream))
+	source := func(kind workload.MutationKind, rate float64, stream uint64) {
+		if rate > 0 {
+			g := workload.NewMutationGen(opts.W, kind, rate, 0, rng.Stream(opts.Seed, stream))
 			aux = append(aux, serve.AuxFunc(func(s *des.Sim, until des.Time) { g.Start(s, until, ing.Submit) }))
 		}
 	}
-	source(workload.MutInsert, io.InsertRate, io.InsertSchedule, 21)
-	source(workload.MutDelete, io.DeleteRate, io.DeleteSchedule, 22)
+	source(workload.MutInsert, io.InsertRate, 21)
+	source(workload.MutDelete, io.DeleteRate, 22)
 	return store, ing, aux
 }
 
 // liveReport reads the ingest side back once the run has drained; a
 // frozen corpus (ing nil) reports only the budget.
 func liveReport(opts *Options, store *ingest.Store, ing *ingest.Ingester) *LiveReport {
-	rep := &LiveReport{FreshnessSLO: opts.Ingest.FreshnessSLO}
+	rep := &LiveReport{FreshnessSLO: freshnessSLO}
 	if ing == nil {
 		return rep
 	}

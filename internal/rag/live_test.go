@@ -3,8 +3,6 @@ package rag
 import (
 	"testing"
 	"time"
-
-	"vectorliterag/internal/workload"
 )
 
 func liveOpts(t *testing.T, rate float64) Options {
@@ -120,7 +118,6 @@ func TestRunLiveValidation(t *testing.T) {
 	}{
 		{"negative insert rate", IngestOptions{InsertRate: -1}},
 		{"negative re-encode interval", IngestOptions{InsertRate: 4, ReencodeEvery: -time.Second}},
-		{"invalid mutation schedule", IngestOptions{InsertSchedule: workload.ConstantSchedule{Rate: 0}}}, // zero max rate
 	} {
 		opts := liveOpts(t, 12)
 		opts.Ingest = &tc.io
@@ -129,8 +126,9 @@ func TestRunLiveValidation(t *testing.T) {
 		}
 	}
 	opts := liveOpts(t, 12)
+	opts.Ingest.ReencodeEvery = 0
 	caller, want := opts.Ingest, *opts.Ingest
-	if err := opts.validate(); err != nil || opts.Ingest.FreshnessSLO != 500*time.Millisecond || *caller != want {
+	if err := opts.validate(); err != nil || opts.Ingest.ReencodeEvery != 25*time.Second || *caller != want {
 		t.Fatalf("validate: %v; filled %+v, caller's copy now %+v", err, *opts.Ingest, *caller)
 	}
 }

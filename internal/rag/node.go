@@ -134,10 +134,7 @@ func (s *nodeSpec) build(sim *des.Sim, coll *serve.Collector, observers []serve.
 			sched.SetAdmission(s.overload.QueueCap, next)
 		}
 		if s.overload != nil && s.overload.Brownout {
-			n.brown, err = brownout.NewController(sim, brownout.Config{
-				Window:  s.overload.Window,
-				MaxShed: s.overload.MaxShed,
-			}, s.budgets, s.bias)
+			n.brown, err = brownout.NewController(sim, brownout.Config{}, s.budgets, s.bias)
 			if err != nil {
 				return nil, err
 			}

@@ -29,11 +29,6 @@ type OverloadOptions struct {
 	// GenerationBudget overrides the generation-stage budget (default:
 	// the run's SLOGen). Measured SearchDone → FirstToken.
 	GenerationBudget time.Duration
-	// Window is the controller's monitoring window in completed
-	// requests (default 64).
-	Window int
-	// MaxShed caps every stamped shed fraction (default 0.6).
-	MaxShed float64
 }
 
 // normalized validates the options and returns a private copy with the
@@ -53,12 +48,6 @@ func (o *OverloadOptions) normalized() (*OverloadOptions, error) {
 	if q.RetrievalBudget < 0 || q.GenerationBudget < 0 {
 		return nil, fmt.Errorf("rag: negative overload stage budget %v/%v",
 			q.RetrievalBudget, q.GenerationBudget)
-	}
-	if q.Window < 0 {
-		return nil, fmt.Errorf("rag: negative overload Window %d", q.Window)
-	}
-	if q.MaxShed < 0 || q.MaxShed >= 1 {
-		return nil, fmt.Errorf("rag: overload MaxShed %v outside [0,1)", q.MaxShed)
 	}
 	return &q, nil
 }

@@ -14,14 +14,10 @@ func TestOverloadOptionsNormalize(t *testing.T) {
 	}{
 		{name: "zero value", o: OverloadOptions{}},
 		{name: "full set", o: OverloadOptions{QueueCap: 16, Brownout: true,
-			RetrievalBudget: 300 * time.Millisecond, GenerationBudget: 500 * time.Millisecond,
-			Window: 32, MaxShed: 0.5}},
+			RetrievalBudget: 300 * time.Millisecond, GenerationBudget: 500 * time.Millisecond}},
 		{name: "negative queue cap", o: OverloadOptions{QueueCap: -1}, wantErr: "QueueCap"},
 		{name: "negative retrieval budget", o: OverloadOptions{RetrievalBudget: -time.Second}, wantErr: "budget"},
 		{name: "negative generation budget", o: OverloadOptions{GenerationBudget: -time.Second}, wantErr: "budget"},
-		{name: "negative window", o: OverloadOptions{Window: -5}, wantErr: "Window"},
-		{name: "shed of one", o: OverloadOptions{MaxShed: 1}, wantErr: "MaxShed"},
-		{name: "negative shed", o: OverloadOptions{MaxShed: -0.2}, wantErr: "MaxShed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -97,8 +97,8 @@ type Options struct {
 	Epsilon float64
 	// DisableDispatcher turns off early query promotion (Fig. 14).
 	DisableDispatcher bool
-	// ProfileQueries sizes the calibration sample (default 4000;
-	// negative values are rejected).
+	// ProfileQueries sizes the calibration sample (default
+	// profiler.CalibrationQueries; negative values are rejected).
 	ProfileQueries int
 	// Decision, when non-nil, is served as-is instead of deciding —
 	// decide once, serve many — on the Kind it was made for, or on
@@ -135,8 +135,8 @@ type Options struct {
 	// Workers selects how many worker goroutines a fleet spreads its
 	// replica timelines over (0 = one per GOMAXPROCS). It changes
 	// wall-clock only: the merged schedule is bit-identical for any
-	// value. On a routed single corpus Workers > 1 turns the fleet on by
-	// defaulting NetDelay; a single node has one timeline and ignores it.
+	// value, and only NetDelay decides whether a run is a fleet. A single
+	// node has one timeline and ignores it.
 	Workers int
 	// NetDelay is the modeled front-end↔replica network transit of a
 	// routed run; a single node has no network and refuses it. A positive
@@ -229,7 +229,7 @@ func (opts *Options) resilient() bool {
 // corpus (no Ingest, or one with no stream configured).
 func (opts *Options) streams() *IngestOptions {
 	io := opts.Ingest
-	if io == nil || (io.InsertRate <= 0 && io.DeleteRate <= 0 && io.InsertSchedule == nil && io.DeleteSchedule == nil) {
+	if io == nil || (io.InsertRate <= 0 && io.DeleteRate <= 0) {
 		return nil
 	}
 	return io

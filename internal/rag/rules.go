@@ -157,10 +157,8 @@ func (opts *Options) validate() (err error) {
 		opts.Drain = 120 * time.Second
 	}
 	// A routed lineup always runs as a fleet; a routed single corpus
-	// opts into one when asked for parallelism (shards need a positive
-	// delay for lookahead) unless it runs resilient.
-	if opts.Replicas > 0 && opts.NetDelay == 0 &&
-		(opts.Tenants != nil || (opts.Workers > 1 && !opts.resilient())) {
+	// runs as one only when NetDelay asks for it.
+	if opts.Replicas > 0 && opts.NetDelay == 0 && opts.Tenants != nil {
 		opts.NetDelay = DefaultNetDelay
 	}
 	return nil

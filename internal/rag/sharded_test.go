@@ -152,6 +152,28 @@ func TestRunIgnoresWorkers(t *testing.T) {
 	}
 }
 
+// TestRoutedWorkersNeverPickTheEngine: without a NetDelay a routed
+// single corpus stays on one simulator whatever Workers says, so its
+// schedule is one at every worker count.
+func TestRoutedWorkersNeverPickTheEngine(t *testing.T) {
+	var want uint64
+	for _, workers := range []int{1, 2, 8} {
+		o := routed(shardedClusterOpts(t, 1, workers), 3, serve.RoundRobin)
+		o.NetDelay = 0
+		res, err := Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := recordsDigest(res.Requests)
+		if workers == 1 {
+			want = got
+		}
+		if got != want || res.NetDelay != 0 {
+			t.Fatalf("workers=%d: digest %x vs %x at one worker, NetDelay %v", workers, got, want, res.NetDelay)
+		}
+	}
+}
+
 func shardedMTOpts(t *testing.T, seed uint64, workers int) Options {
 	o := mtOpts(t)
 	o.Seed = seed

@@ -32,13 +32,6 @@ func New(seed uint64) *Rand {
 	return r
 }
 
-// Split derives an independent generator from this one. Use it to give
-// each subsystem its own stream so that adding draws in one place does
-// not perturb another.
-func (r *Rand) Split() *Rand {
-	return New(r.Uint64() ^ 0xd1b54a32d192ed03)
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly distributed bits.
@@ -230,6 +223,3 @@ func (z *Zipf) index(u float64) int {
 	}
 	return lo
 }
-
-// N returns the number of items the sampler draws from.
-func (z *Zipf) N() int { return len(z.cdf) }

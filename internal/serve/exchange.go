@@ -161,15 +161,8 @@ func (x *Exchange) Submit(req *workload.Request) {
 	x.fwd[pick].Send(x.front.Sim.Now()+x.netDelay, req)
 }
 
-// Arrivals returns how many requests have been routed.
-func (x *Exchange) Arrivals() int { return x.arrivals }
-
 // Submitted returns how many requests were routed to replica i.
 func (x *Exchange) Submitted(i int) int { return x.submitted[i] }
-
-// Inflight returns the front's (notice-delayed) in-flight gauge for
-// replica i.
-func (x *Exchange) Inflight(i int) int { return x.inflight[i] }
 
 // Run executes every shard to the deadline on the given number of
 // worker goroutines. The result is bit-identical for any workers

@@ -311,18 +311,5 @@ func (s *FairScheduler) better(i, j int) bool {
 	return i < j
 }
 
-// Inflight returns the requests currently inside the metered section.
-func (s *FairScheduler) Inflight() int { return s.inflight }
-
-// Cap returns tenant t's per-tenant slot cap.
-func (s *FairScheduler) Cap(t int) int { return s.caps[t] }
-
-// QueueLen returns tenant t's current queue depth.
-func (s *FairScheduler) QueueLen(t int) int { return s.queues[t].len() }
-
 // PeakQueue returns tenant t's queue high-water mark.
 func (s *FairScheduler) PeakQueue(t int) int { return s.peakQueue[t] }
-
-// Dispatched returns how many of tenant t's requests were sent
-// downstream.
-func (s *FairScheduler) Dispatched(t int) int { return s.dispatched[t] }

@@ -184,9 +184,6 @@ func (r *ResilientRouter) Name() string {
 	return fmt.Sprintf("resilient-router(%s,%d)", r.cfg.Policy, len(r.reps))
 }
 
-// Replicas returns the routed replicas.
-func (r *ResilientRouter) Replicas() []*Replica { return r.reps }
-
 // Stats returns the run's resilience counters.
 func (r *ResilientRouter) Stats() ResilienceStats { return r.stats }
 

@@ -53,9 +53,6 @@ func NewReplica() *Replica { return &Replica{} }
 // pipeline's terminal sink can reference Release).
 func (r *Replica) Bind(pipe *Pipeline) { r.pipe = pipe }
 
-// Pipeline returns the replica's pipeline.
-func (r *Replica) Pipeline() *Pipeline { return r.pipe }
-
 // Release records one request leaving the replica (generation done).
 // The gauge is guarded against underflow: resilience paths can route a
 // completion to Release after the request was already failed over away
@@ -67,9 +64,6 @@ func (r *Replica) Release(*workload.Request) {
 		r.inflight--
 	}
 }
-
-// Inflight returns the number of requests admitted but not completed.
-func (r *Replica) Inflight() int { return r.inflight }
 
 // Submitted returns the number of requests routed to this replica.
 func (r *Replica) Submitted() int { return r.submitted }
@@ -129,6 +123,3 @@ func (r *Router) Submit(req *workload.Request) {
 func (r *Router) Name() string {
 	return fmt.Sprintf("router(%s,%d)", r.policy, len(r.replicas))
 }
-
-// Replicas returns the routed replicas.
-func (r *Router) Replicas() []*Replica { return r.replicas }

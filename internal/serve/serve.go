@@ -20,7 +20,6 @@ package serve
 
 import (
 	"fmt"
-	"time"
 
 	"vectorliterag/internal/des"
 	"vectorliterag/internal/workload"
@@ -90,9 +89,6 @@ func Compose(sim *des.Sim, terminal Sink, builders ...Builder) (*Pipeline, error
 // Submit feeds a request into the pipeline's first stage.
 func (p *Pipeline) Submit(req *workload.Request) { p.head(req) }
 
-// Stages returns the pipeline's stages, upstream first.
-func (p *Pipeline) Stages() []Stage { return p.stages }
-
 // Retrieval returns the pipeline's retrieval stage, or nil.
 func (p *Pipeline) Retrieval() *Retrieval {
 	for _, st := range p.stages {
@@ -113,12 +109,6 @@ func (p *Pipeline) Generation() *Generation {
 	return nil
 }
 
-// Run drives the arrival source into the pipeline for the given virtual
-// window and then lets the simulation drain.
-func (p *Pipeline) Run(arr *Arrivals, duration, drain time.Duration) {
-	p.RunAux(arr, duration, drain)
-}
-
 // Aux is an auxiliary event source started alongside the request
 // arrivals — e.g. a streaming-ingest mutation generator. Start must
 // schedule the source's events on sim, bounded by the until horizon.
@@ -131,19 +121,6 @@ type AuxFunc func(sim *des.Sim, until des.Time)
 
 // Start implements Aux.
 func (f AuxFunc) Start(sim *des.Sim, until des.Time) { f(sim, until) }
-
-// RunAux is Run with auxiliary sources sharing the pipeline's timeline:
-// each aux source starts before the first arrival fires, bounded by the
-// same generation horizon, and the drain window lets both request and
-// aux events settle. With no aux sources it is exactly Run — same event
-// sequence, bit-identical results.
-func (p *Pipeline) RunAux(arr *Arrivals, duration, drain time.Duration, aux ...Aux) {
-	for _, a := range aux {
-		a.Start(p.Sim, des.Time(duration))
-	}
-	arr.Start(p.Sim, des.Time(duration), p.Submit)
-	p.Sim.RunUntil(des.Time(duration + drain))
-}
 
 // Collector records which requests a pipeline admitted. It has two
 // modes, one per way a run holds its requests.

@@ -34,9 +34,6 @@ func (a *Arrivals) Start(sim *des.Sim, until des.Time, into Sink) {
 	a.gen.Start(sim, until, into)
 }
 
-// Count returns how many requests the source has emitted so far.
-func (a *Arrivals) Count() int { return a.gen.Count() }
-
 // SetTenant stamps every request this source emits with the tenant ID
 // (multi-tenant runs start one source per tenant on a shared timeline).
 func (a *Arrivals) SetTenant(id int) { a.gen.Tenant = id }

@@ -88,9 +88,6 @@ func Build(p *profiler.AccessProfile, coverage float64, numShards int) (*Plan, e
 // IsHot reports whether cluster c is GPU-resident.
 func (p *Plan) IsHot(c int) bool { return p.hotMask[c] }
 
-// HotMask returns the shared membership mask (read-only).
-func (p *Plan) HotMask() []bool { return p.hotMask }
-
 // TotalBytes returns the GPU memory the plan occupies across shards.
 func (p *Plan) TotalBytes() int64 {
 	var sum int64

@@ -49,3 +49,25 @@ func (g *MinGrid) ExpectedMin(b Beta, n int) float64 {
 	g.ExpectedMins(b, []int{n}, out[:])
 	return out[0]
 }
+
+// InverseMonotone solves Eval(x) = y for x assuming the model is
+// non-decreasing, by bisection over [xs[0], hi]. Returns ok=false if y
+// is below the model's minimum.
+func (p *PiecewiseLinear) InverseMonotone(y, hi float64) (float64, bool) {
+	if y < p.ys[0] {
+		return 0, false
+	}
+	lo := p.xs[0]
+	if p.Eval(hi) < y {
+		return hi, false
+	}
+	for i := 0; i < 80; i++ {
+		mid := (lo + hi) / 2
+		if p.Eval(mid) < y {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2, true
+}

@@ -64,28 +64,6 @@ func (p *PiecewiseLinear) Eval(x float64) float64 {
 	return y0 + frac*(y1-y0)
 }
 
-// InverseMonotone solves Eval(x) = y for x assuming the model is
-// non-decreasing, by bisection over [xs[0], hi]. Returns ok=false if y
-// is below the model's minimum.
-func (p *PiecewiseLinear) InverseMonotone(y, hi float64) (float64, bool) {
-	if y < p.ys[0] {
-		return 0, false
-	}
-	lo := p.xs[0]
-	if p.Eval(hi) < y {
-		return hi, false
-	}
-	for i := 0; i < 80; i++ {
-		mid := (lo + hi) / 2
-		if p.Eval(mid) < y {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, true
-}
-
 // FitPiecewiseLinear builds a model directly from sample points (one
 // knot per unique x, averaging duplicate x observations). It is how the
 // profiler turns measured (batch size, latency) pairs into a model.

@@ -276,9 +276,6 @@ func (t *TopK) Reset(k int) {
 	}
 }
 
-// K returns the collector's capacity k.
-func (t *TopK) K() int { return t.k }
-
 // Push offers a candidate. It is kept only if it beats the current k-th
 // best (or the collector is not yet full).
 func (t *TopK) Push(index int, dist float32) {

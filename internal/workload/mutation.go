@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"time"
-
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/des"
 	"vectorliterag/internal/rng"
@@ -55,18 +53,14 @@ type Mutation struct {
 // set.
 func (m *Mutation) TimeToSearchable() des.Time { return m.AppliedAt - m.ArrivalAt }
 
-// MutationGen produces a Poisson stream of one mutation kind, mirroring
-// Generator: a constant rate, or an inhomogeneous stream realized by
-// Lewis thinning when a Schedule is installed. Insert payloads are
+// MutationGen produces a constant-rate Poisson stream of one mutation
+// kind, mirroring Generator. Insert payloads are
 // drawn from the workload's insert distribution with the generator's
 // private RNG, so the stream is a pure function of its seed.
 type MutationGen struct {
 	Kind       MutationKind
 	RatePerSec float64
 	W          *dataset.Workload
-	// Sched, when non-nil, overrides RatePerSec with a time-varying
-	// rate.
-	Sched Schedule
 	// Tenant stamps every emitted mutation.
 	Tenant int
 
@@ -76,30 +70,20 @@ type MutationGen struct {
 	sim    *des.Sim
 	until  des.Time
 	submit func(*Mutation)
-	rmax   float64
 	step   func()
 }
 
 // NewMutationGen returns an open-loop mutation source. rate is
-// mutations per second of virtual time; a non-nil sched overrides it.
-func NewMutationGen(w *dataset.Workload, kind MutationKind, rate float64, sched Schedule, tenant int, seed uint64) *MutationGen {
-	return &MutationGen{Kind: kind, RatePerSec: rate, W: w, Sched: sched, Tenant: tenant, r: rng.New(seed)}
+// mutations per second of virtual time.
+func NewMutationGen(w *dataset.Workload, kind MutationKind, rate float64, tenant int, seed uint64) *MutationGen {
+	return &MutationGen{Kind: kind, RatePerSec: rate, W: w, Tenant: tenant, r: rng.New(seed)}
 }
 
 // Start schedules mutations on the simulator until the given deadline,
 // invoking submit for each at its arrival time. Like Generator.Start,
-// one pre-bound step callback self-reschedules; with a Schedule the
-// rejected thinning candidates are walked inline, so the accepted
-// arrival times and the RNG draw sequence match an event-per-candidate
-// realization exactly.
+// one pre-bound step callback self-reschedules.
 func (g *MutationGen) Start(sim *des.Sim, until des.Time, submit func(*Mutation)) {
 	g.sim, g.until, g.submit = sim, until, submit
-	if g.Sched != nil {
-		g.rmax = g.Sched.MaxRate()
-		g.step = g.thinnedStep
-		g.scheduleThinned(0)
-		return
-	}
 	if g.RatePerSec <= 0 {
 		return
 	}
@@ -118,25 +102,6 @@ func (g *MutationGen) constStep() {
 	}
 }
 
-func (g *MutationGen) thinnedStep() {
-	g.emit()
-	g.scheduleThinned(g.sim.Now())
-}
-
-func (g *MutationGen) scheduleThinned(from des.Time) {
-	t := from
-	for {
-		t += des.Time(g.r.ExpFloat64() / g.rmax * 1e9)
-		if t > g.until {
-			return
-		}
-		if g.r.Float64()*g.rmax <= g.Sched.RateAt(time.Duration(t)) {
-			g.sim.At(t, g.step)
-			return
-		}
-	}
-}
-
 // emit materializes one mutation at the current instant.
 func (g *MutationGen) emit() {
 	m := &Mutation{Seq: g.next, Kind: g.Kind, Tenant: g.Tenant, ArrivalAt: g.sim.Now()}
@@ -148,6 +113,3 @@ func (g *MutationGen) emit() {
 	}
 	g.submit(m)
 }
-
-// Count returns how many mutations have been generated so far.
-func (g *MutationGen) Count() int { return g.next }

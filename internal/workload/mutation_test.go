@@ -3,7 +3,6 @@ package workload
 import (
 	"math"
 	"testing"
-	"time"
 
 	"vectorliterag/internal/des"
 )
@@ -24,7 +23,7 @@ func TestMutationTimeToSearchable(t *testing.T) {
 func TestMutationGenRate(t *testing.T) {
 	w := testWorkload(t)
 	var sim des.Sim
-	g := NewMutationGen(w, MutInsert, 50, nil, 0, 3)
+	g := NewMutationGen(w, MutInsert, 50, 0, 3)
 	count := 0
 	g.Start(&sim, des.Time(60*1e9), func(m *Mutation) { count++ })
 	sim.Run()
@@ -40,8 +39,8 @@ func TestMutationGenRate(t *testing.T) {
 func TestMutationGenPayloads(t *testing.T) {
 	w := testWorkload(t)
 	var sim des.Sim
-	ins := NewMutationGen(w, MutInsert, 40, nil, 2, 7)
-	del := NewMutationGen(w, MutDelete, 40, nil, 2, 8)
+	ins := NewMutationGen(w, MutInsert, 40, 2, 7)
+	del := NewMutationGen(w, MutDelete, 40, 2, 8)
 	var muts []*Mutation
 	collect := func(m *Mutation) { muts = append(muts, m) }
 	ins.Start(&sim, des.Time(2*1e9), collect)
@@ -76,7 +75,7 @@ func TestMutationGenDeterministic(t *testing.T) {
 	w := testWorkload(t)
 	run := func() []des.Time {
 		var sim des.Sim
-		g := NewMutationGen(w, MutDelete, 30, nil, 0, 11)
+		g := NewMutationGen(w, MutDelete, 30, 0, 11)
 		var at []des.Time
 		g.Start(&sim, des.Time(10*1e9), func(m *Mutation) { at = append(at, m.ArrivalAt) })
 		sim.Run()
@@ -93,33 +92,10 @@ func TestMutationGenDeterministic(t *testing.T) {
 	}
 }
 
-func TestMutationGenSchedule(t *testing.T) {
-	w := testWorkload(t)
-	var sim des.Sim
-	// Ramp 0 -> 80 over 60s: the stream must thin toward the start.
-	g := NewMutationGen(w, MutInsert, 0, Ramp(0, 80, 60*time.Second), 0, 5)
-	first, second := 0, 0
-	g.Start(&sim, des.Time(60*1e9), func(m *Mutation) {
-		if m.ArrivalAt < 30e9 {
-			first++
-		} else {
-			second++
-		}
-	})
-	sim.Run()
-	if first+second == 0 {
-		t.Fatal("scheduled stream generated nothing")
-	}
-	// Expect ~600 vs ~1800; demand a clear imbalance.
-	if float64(second) < 1.5*float64(first) {
-		t.Fatalf("ramp not reflected: %d first half vs %d second half", first, second)
-	}
-}
-
 func TestMutationGenZeroRate(t *testing.T) {
 	w := testWorkload(t)
 	var sim des.Sim
-	g := NewMutationGen(w, MutInsert, 0, nil, 0, 1)
+	g := NewMutationGen(w, MutInsert, 0, 0, 1)
 	g.Start(&sim, des.Time(60*1e9), func(m *Mutation) { t.Fatal("zero-rate stream emitted") })
 	sim.Run()
 	if g.Count() != 0 {
@@ -130,13 +106,11 @@ func TestMutationGenZeroRate(t *testing.T) {
 func TestMutationGenStopsAtDeadline(t *testing.T) {
 	w := testWorkload(t)
 	var last des.Time
-	for _, sched := range []Schedule{nil, Constant(100)} {
-		var sim des.Sim
-		g := NewMutationGen(w, MutDelete, 100, sched, 0, 9)
-		g.Start(&sim, des.Time(1e9), func(m *Mutation) { last = m.ArrivalAt })
-		sim.Run()
-		if last > 1e9 {
-			t.Fatalf("sched %v: arrival after deadline: %d", sched, last)
-		}
+	var sim des.Sim
+	g := NewMutationGen(w, MutDelete, 100, 0, 9)
+	g.Start(&sim, des.Time(1e9), func(m *Mutation) { last = m.ArrivalAt })
+	sim.Run()
+	if last > 1e9 {
+		t.Fatalf("arrival after deadline: %d", last)
 	}
 }

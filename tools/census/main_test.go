@@ -1,0 +1,29 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestCensusFixture: in testdata/mod, a func only a test calls, a func
+// reached only from it, a method no interface names and an option field
+// nothing sets are the findings; the allowlist excuses them only with a
+// reason, and a stale entry fails too.
+func TestCensusFixture(t *testing.T) {
+	excuse := "lib.Dead kept\nlib.DeadChain kept\nlib.T.Extra kept\nlib.Options.Unset kept\n"
+	for _, tc := range []struct {
+		allow string
+		code  int
+		want  string
+	}{
+		{"", 1, "unreached lib.Dead\nunreached lib.DeadChain\nunreached lib.T.Extra\nunset lib.Options.Unset\ncensus: 4 problem(s)"},
+		{"# why each stays\n\n" + excuse, 0, "census: clean (4 allowlisted)\n"},
+		{strings.Replace(excuse, "lib.Dead kept", "lib.Dead", 1), 1, "allowlist entry without a reason: lib.Dead\ncensus: 1 problem(s)"},
+		{excuse + "lib.Used kept\n", 1, "stale allowlist entry: lib.Used\ncensus: 1 problem(s)"},
+	} {
+		var out strings.Builder
+		if code := run("testdata/mod", tc.allow, &out); code != tc.code || !strings.HasPrefix(out.String(), tc.want) {
+			t.Errorf("allowlist %q: exit %d, output:\n%s\nwant exit %d, output starting:\n%s", tc.allow, code, out.String(), tc.code, tc.want)
+		}
+	}
+}

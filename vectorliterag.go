@@ -52,9 +52,6 @@ type (
 	// Poisson) stream; build one with ConstantRate, RampRate, BurstRate,
 	// or DiurnalRate.
 	RateSchedule = workload.Schedule
-	// MonitorConfig sets the adaptive controller's drift-detection
-	// thresholds.
-	MonitorConfig = adapt.MonitorConfig
 	// RebuildRecord is one background update cycle the adaptive
 	// controller ran (trigger, stage timings, swap, coverage change).
 	RebuildRecord = adapt.RebuildRecord
@@ -72,8 +69,8 @@ type (
 	// FaultEvent is one scripted failure: a replica crash, a straggler
 	// episode (LLM slowdown), or a bandwidth episode (retrieval slowdown).
 	FaultEvent = fault.Event
-	// FaultSchedule is a deterministic failure storm injected into a
-	// cluster run; build one with ParseFaults or RandomFaults.
+	// FaultSchedule is the deterministic failure storm a faulted cluster
+	// run injected, as its ResilienceReport echoes it.
 	FaultSchedule = fault.Schedule
 	// ResilienceConfig tunes the cluster front end's failure handling:
 	// per-request timeouts, bounded-backoff retries, hedged requests, and
@@ -107,17 +104,6 @@ const (
 	StragglerFault = fault.Straggler
 	BandwidthFault = fault.Bandwidth
 )
-
-// ParseFaults parses a fault-schedule string — comma-separated events of
-// the form kind@onset:rN:duration[:xFactor], e.g.
-// "crash@20s:r0:10s,straggler@35s:r1:8s:x3".
-func ParseFaults(s string) (FaultSchedule, error) { return fault.Parse(s) }
-
-// RandomFaults draws n seeded random fault events across the replicas
-// within the horizon. The same seed always yields the same storm.
-func RandomFaults(seed uint64, replicas int, horizon time.Duration, n int) FaultSchedule {
-	return fault.Random(seed, replicas, horizon, n)
-}
 
 // Rate-schedule constructors for non-stationary workloads.
 var (
@@ -208,11 +194,7 @@ type SystemOptions struct {
 	Model ModelSpec
 	// SLOSearch defaults to the workload's per-dataset target (Table I).
 	SLOSearch time.Duration
-	// Epsilon is Algorithm 1's queuing factor (default 1).
-	Epsilon float64
-	// ProfileQueries sizes the calibration sample (default 4000).
-	ProfileQueries int
-	Seed           uint64
+	Seed      uint64
 }
 
 // BuiltSystem is the outcome of hybrid index construction: the
@@ -250,8 +232,7 @@ func BuildSystem(opts SystemOptions) (*BuiltSystem, error) {
 	opts.Node, opts.Model = deployment(opts.Node, opts.Model)
 	d, err := rag.Decide(rag.Options{
 		Node: opts.Node, Model: opts.Model, W: opts.Workload, Kind: rag.VLiteRAG,
-		SLOSearch: opts.SLOSearch, Epsilon: opts.Epsilon,
-		ProfileQueries: opts.ProfileQueries, Seed: opts.Seed,
+		SLOSearch: opts.SLOSearch, Seed: opts.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -283,13 +264,8 @@ type ServeOptions struct {
 	// requests, pending mutations, an in-flight background rebuild —
 	// can finish (default 120 s).
 	Drain time.Duration
-	// Shape defaults to the paper's 1024/256 geometry.
-	Shape Shape
-	// SLOSearch overrides the dataset SLO; SLOGen overrides the measured
-	// generation SLO.
-	SLOSearch, SLOGen time.Duration
-	// DisableDispatcher turns off early query promotion (ablation).
-	DisableDispatcher bool
+	// SLOSearch overrides the dataset SLO.
+	SLOSearch time.Duration
 	// Prebuilt serves a previously built system's decision as-is instead
 	// of re-profiling and re-partitioning: on VLiteRAG, or on HedraRAG's
 	// unpruned runtime at the same coverage. This is how a *stale* plan
@@ -318,16 +294,15 @@ type ServeOptions struct {
 	// time-varying arrival process (ramps, bursts, diurnal cycles).
 	RateSchedule RateSchedule
 
-	// Workers spreads a *cluster* run's replica timelines over N worker
-	// goroutines (0 = one per GOMAXPROCS). It is a wall-clock knob only: the
-	// merged schedule is bit-identical for every value. Under
-	// round-robin routing (or with one replica) the replicas run
-	// independently of each other, so more workers are never slower;
+	// Workers spreads a networked cluster run's replica timelines over N
+	// worker goroutines (0 = one per GOMAXPROCS). It is a wall-clock knob
+	// only: the merged schedule is bit-identical for every value, and
+	// only NetDelay decides whether the replicas get timelines of their
+	// own. Under round-robin routing (or with one replica) the replicas
+	// run independently of each other, so more workers are never slower;
 	// under least-loaded they synchronize once per NetDelay and more
-	// workers pay off only with cores to spare. On ServeCluster,
-	// Workers > 1 turns the modeled network on by defaulting NetDelay.
-	// Serve, ServeAdaptive and ServeLive run one node on one timeline and
-	// ignore Workers.
+	// workers pay off only with cores to spare. Serve, ServeAdaptive and
+	// ServeLive run one node on one timeline and ignore Workers.
 	Workers int
 	// NetDelay is the modeled front-end↔replica network transit of a
 	// cluster run. Zero keeps the single-timeline cluster semantics. A
@@ -357,17 +332,17 @@ type Report struct {
 	RecallGain   float64
 	SQClusters   int
 	NVMeClusters int
-	// Timeline is the attainment-over-time series at 30-second windows
-	// (ServeAdaptive honors its TimelineBucket override) — flat for a
-	// stationary run, and the degradation/recovery curve under drift.
+	// Timeline is the attainment-over-time series at 30-second windows —
+	// flat for a stationary run, and the degradation/recovery curve under
+	// drift.
 	Timeline []AttainmentWindow
 	// Overload reports the admission-control and brownout outcome (nil
 	// without ServeOptions.Overload).
 	Overload *OverloadReport
 }
 
-// defaultTimelineBucket is the Report.Timeline resolution.
-const defaultTimelineBucket = 30 * time.Second
+// timelineBucket is the Report.Timeline resolution.
+const timelineBucket = 30 * time.Second
 
 // ragOptions fills defaults and translates the public options into the
 // internal composition layer's.
@@ -379,9 +354,7 @@ func ragOptions(opts ServeOptions) rag.Options {
 	ro := rag.Options{
 		Node: opts.Node, Model: opts.Model, W: opts.Workload,
 		Kind: opts.System, Rate: opts.Rate, Duration: opts.Duration,
-		Drain: opts.Drain,
-		Shape: opts.Shape, SLOSearch: opts.SLOSearch, SLOGen: opts.SLOGen,
-		DisableDispatcher: opts.DisableDispatcher, Seed: opts.Seed,
+		Drain: opts.Drain, SLOSearch: opts.SLOSearch, Seed: opts.Seed,
 		Drift: opts.Drift, RateSchedule: opts.RateSchedule,
 		Workers: opts.Workers, NetDelay: opts.NetDelay,
 	}
@@ -397,19 +370,10 @@ func ragOptions(opts ServeOptions) rag.Options {
 	return ro
 }
 
-// timelineBucket resolves a caller's TimelineBucket override.
-func timelineBucket(override time.Duration) time.Duration {
-	if override <= 0 {
-		return defaultTimelineBucket
-	}
-	return override
-}
-
-// reportFrom projects a run result onto the public report, with the
-// attainment timeline at the given resolution. Every single-summary
-// Serve* builds its Report here, so no entry point can drop a field the
-// others carry.
-func reportFrom(res *rag.Result, bucket time.Duration) Report {
+// reportFrom projects a run result onto the public report. Every
+// single-summary Serve* builds its Report here, so no entry point can
+// drop a field the others carry.
+func reportFrom(res *rag.Result) Report {
 	return Report{
 		Summary:      res.Summary,
 		SLOTotal:     res.SLOTotal,
@@ -419,7 +383,7 @@ func reportFrom(res *rag.Result, bucket time.Duration) Report {
 		RecallGain:   res.RecallGain,
 		SQClusters:   res.SQClusters,
 		NVMeClusters: res.NVMeClusters,
-		Timeline:     metrics.Timeline(res.Requests, res.SLOTotal, bucket),
+		Timeline:     metrics.Timeline(res.Requests, res.SLOTotal, timelineBucket),
 		Overload:     res.Overload,
 	}
 }
@@ -431,24 +395,16 @@ func Serve(opts ServeOptions) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := reportFrom(res, defaultTimelineBucket)
+	rep := reportFrom(res)
 	return &rep, nil
 }
 
 // AdaptiveServeOptions configures an adaptive vLiteRAG serving run:
-// the usual options (typically with Drift and/or a RateSchedule so
-// there is something to adapt to) plus the in-loop controller's
-// drift-detection thresholds.
+// the usual options, typically with Drift and/or a RateSchedule so
+// there is something to adapt to. The controller's drift-detection
+// window holds roughly ten seconds of traffic at the nominal rate.
 type AdaptiveServeOptions struct {
 	ServeOptions
-	// Monitor tunes drift detection. A zero WindowRequests derives a
-	// window of ~10 seconds of traffic at the nominal rate, and zero
-	// thresholds take the defaults; a negative window or a threshold
-	// outside [0, 1] is an error.
-	Monitor MonitorConfig
-	// TimelineBucket sets the attainment-over-time resolution of the
-	// report (default 30s).
-	TimelineBucket time.Duration
 }
 
 // AdaptiveReport is the outcome of one adaptive serving run: the usual
@@ -474,13 +430,13 @@ type AdaptiveReport struct {
 // shards, and an atomic plan swap — all inside one simulated run.
 func ServeAdaptive(opts AdaptiveServeOptions) (*AdaptiveReport, error) {
 	ro := ragOptions(opts.ServeOptions)
-	ro.Monitor = &opts.Monitor
+	ro.Monitor = &adapt.MonitorConfig{}
 	res, err := rag.Run(ro)
 	if err != nil {
 		return nil, err
 	}
 	return &AdaptiveReport{
-		Report:          reportFrom(res, timelineBucket(opts.TimelineBucket)),
+		Report:          reportFrom(res),
 		ExpectedHitRate: res.Adapt.ExpectedHitRate,
 		Rebuilds:        res.Adapt.Rebuilds,
 		Pending:         res.Adapt.Pending,
@@ -488,30 +444,25 @@ func ServeAdaptive(opts AdaptiveServeOptions) (*AdaptiveReport, error) {
 }
 
 // LiveIngestOptions configures the streaming-ingest side of a live
-// serving run: insert/delete mutation streams on the serving timeline,
-// the background re-encode cadence, and the freshness SLO.
+// serving run: insert/delete mutation streams on the serving timeline
+// and the background re-encode cadence. Freshness is judged against a
+// 500 ms time-to-searchable budget, which LiveReport echoes.
 type LiveIngestOptions struct {
 	// InsertRate and DeleteRate are constant mutation rates in
 	// mutations per virtual second.
 	InsertRate float64
 	DeleteRate float64
-	// InsertSchedule / DeleteSchedule drive the streams as time-varying
-	// (inhomogeneous Poisson) processes, overriding the constant rates.
-	InsertSchedule RateSchedule
-	DeleteSchedule RateSchedule
 	// ReencodeEvery is the background fold cadence: pending raw-vector
 	// appends re-encode into PQ codes every such interval (default 25s).
 	ReencodeEvery time.Duration
-	// FreshnessSLO is the time-to-searchable budget (default 500ms).
-	FreshnessSLO time.Duration
 	// Compaction lets the adaptive controller answer drift triggers
 	// with a cheap re-encode + tombstone purge, escalating to the full
-	// re-partition only past the skew thresholds (VLiteRAG only).
+	// re-partition only past the skew and residual thresholds (VLiteRAG
+	// only).
 	Compaction bool
-	// EscalateSkew / EscalateResidual tune the compaction-vs-rebuild
-	// thresholds (zero keeps the defaults; negative disables the
+	// EscalateResidual tunes the compaction-vs-rebuild residual
+	// threshold (zero keeps the default; negative disables the
 	// compaction shortcut).
-	EscalateSkew     float64
 	EscalateResidual float64
 }
 
@@ -519,12 +470,6 @@ type LiveIngestOptions struct {
 type LiveServeOptions struct {
 	ServeOptions
 	Ingest LiveIngestOptions
-	// Monitor tunes the compaction controller's drift detection (only
-	// used with Ingest.Compaction).
-	Monitor MonitorConfig
-	// TimelineBucket sets the attainment-over-time resolution (default
-	// 30s).
-	TimelineBucket time.Duration
 }
 
 // LiveReport is the outcome of one live-corpus serving run: the usual
@@ -565,26 +510,21 @@ func ServeLive(opts LiveServeOptions) (*LiveReport, error) {
 	ro.Ingest = &rag.IngestOptions{
 		InsertRate:       in.InsertRate,
 		DeleteRate:       in.DeleteRate,
-		InsertSchedule:   in.InsertSchedule,
-		DeleteSchedule:   in.DeleteSchedule,
 		ReencodeEvery:    in.ReencodeEvery,
-		FreshnessSLO:     in.FreshnessSLO,
-		EscalateSkew:     in.EscalateSkew,
 		EscalateResidual: in.EscalateResidual,
 	}
 	// Compaction is the controller beside live streams; without a stream
 	// the run is exactly Serve.
-	if in.Compaction && (in.InsertRate > 0 || in.DeleteRate > 0 || in.InsertSchedule != nil || in.DeleteSchedule != nil) {
-		ro.Monitor = &opts.Monitor
+	if in.Compaction && (in.InsertRate > 0 || in.DeleteRate > 0) {
+		ro.Monitor = &adapt.MonitorConfig{}
 	}
 	res, err := rag.Run(ro)
 	if err != nil {
 		return nil, err
 	}
-	bucket := timelineBucket(opts.TimelineBucket)
-	rep := reportFrom(res, bucket)
+	rep := reportFrom(res)
 	live := res.Live
-	metrics.AnnotateFreshness(rep.Timeline, live.Mutations, live.FreshnessSLO, bucket)
+	metrics.AnnotateFreshness(rep.Timeline, live.Mutations, live.FreshnessSLO, timelineBucket)
 	lr := &LiveReport{
 		Report:        rep,
 		Freshness:     live.Freshness,
@@ -611,14 +551,13 @@ type ClusterOptions struct {
 	// Policy selects the router's dispatch rule (default LeastLoaded).
 	Policy RoutePolicy
 
-	// Faults injects a scripted failure storm, written in the ParseFaults
-	// grammar. FaultSchedule does the same with a pre-built schedule and
-	// takes precedence. Either turns the run resilient: the front end
-	// tracks replica health and fails crashed work over, governed by
-	// Resilience. Empty storms with a nil Resilience run the plain
-	// fault-free router, byte-identical to before this field existed.
-	Faults        string
-	FaultSchedule FaultSchedule
+	// Faults injects a scripted failure storm: comma-separated events of
+	// the form kind@onset:rN:duration[:xFactor], e.g.
+	// "crash@20s:r0:10s,straggler@35s:r1:8s:x3". A storm turns the run
+	// resilient: the front end tracks replica health and fails crashed
+	// work over, governed by Resilience. An empty storm with a nil
+	// Resilience runs the plain fault-free router.
+	Faults string
 	// Resilience tunes timeouts, retries, hedging, and degradation. Nil
 	// under a storm means defaults (generous timeout, failover only).
 	Resilience *ResilienceConfig
@@ -656,8 +595,7 @@ func ServeCluster(opts ClusterOptions) (*ClusterReport, error) {
 		opts.Replicas = 2
 	}
 	ro := ragOptions(opts.ServeOptions)
-	ro.Faults = opts.FaultSchedule
-	if len(ro.Faults) == 0 && opts.Faults != "" {
+	if opts.Faults != "" {
 		sched, err := fault.Parse(opts.Faults)
 		if err != nil {
 			return nil, fmt.Errorf("vectorliterag: %w", err)
@@ -671,7 +609,7 @@ func ServeCluster(opts ClusterOptions) (*ClusterReport, error) {
 		return nil, err
 	}
 	rep := &ClusterReport{
-		Report:     reportFrom(res, defaultTimelineBucket),
+		Report:     reportFrom(res),
 		Policy:     res.Policy,
 		Workers:    res.Workers,
 		NetDelay:   res.NetDelay,
@@ -712,7 +650,6 @@ type MultiTenantServeOptions struct {
 	Model ModelSpec
 	// Duration is the virtual arrival window (default 120 s).
 	Duration time.Duration
-	Shape    Shape
 	Seed     uint64
 	// SharedQueue disables the FairScheduler: every tenant's arrivals
 	// share one unmetered queue into the retrieval engine (the
@@ -742,7 +679,7 @@ type MultiTenantServeOptions struct {
 	Policy RoutePolicy
 	// Workers and NetDelay mirror ServeOptions: worker goroutines for
 	// the replica timelines (wall-clock only) and the modeled network
-	// transit. Setting either — or Replicas > 1 — puts the tenants'
+	// transit. Setting NetDelay — or Replicas > 1 — puts the tenants'
 	// nodes behind that network.
 	Workers  int
 	NetDelay time.Duration
@@ -807,7 +744,7 @@ func ServeTenants(opts MultiTenantServeOptions) (*MultiTenantReport, error) {
 	opts.Node, opts.Model = deployment(opts.Node, opts.Model)
 	ro := rag.Options{
 		Node: opts.Node, Model: opts.Model,
-		Duration: opts.Duration, Shape: opts.Shape, Seed: opts.Seed,
+		Duration: opts.Duration, Seed: opts.Seed,
 		// Non-nil even when empty: a lineup, so an empty one is named.
 		Tenants:     make([]rag.TenantConfig, 0, len(opts.Tenants)),
 		SharedQueue: opts.SharedQueue,
@@ -816,12 +753,12 @@ func ServeTenants(opts MultiTenantServeOptions) (*MultiTenantReport, error) {
 		Replicas:    opts.Replicas, Policy: opts.Policy,
 		Workers: opts.Workers, NetDelay: opts.NetDelay,
 	}
-	// The lineup is sharded when Replicas > 1, NetDelay > 0 or
-	// Workers > 1; rag routes it whenever Replicas > 0. A negative count
-	// passes through to be rejected.
+	// The lineup is sharded when Replicas > 1 or NetDelay > 0; rag
+	// routes it whenever Replicas > 0. A negative count passes through
+	// to be rejected.
 	if opts.Replicas == 0 || opts.Replicas == 1 {
 		ro.Replicas = 0
-		if opts.NetDelay > 0 || opts.Workers > 1 {
+		if opts.NetDelay > 0 {
 			ro.Replicas = 1
 		}
 	}
