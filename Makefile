@@ -65,14 +65,15 @@ lint:
 # the round's barrier — or in the per-point k-means bounds written from
 # parallel.For chunks should fail in seconds, not behind the whole sweep.
 # The least-loaded differential tests run 2 and 4 workers. One shared
-# rag.Decision also serves two runs at once: no run may write it.
+# rag.Decision also serves two runs at once: no run may write it; and
+# every lane of a fleet reads its run's one price table.
 race: race-engines
 	$(GO) test -race ./...
 
 race-engines:
 	$(GO) test -race -count=1 ./internal/des
 	$(GO) test -race -count=1 ./internal/serve -run 'Exchange'
-	$(GO) test -race -count=1 ./internal/rag -run 'Sharded|LinkFree|FleetWrites|LeastLoaded|NoticeAt|LoadIndex|OneDecisionServesManyRuns'
+	$(GO) test -race -count=1 ./internal/rag -run 'Sharded|LinkFree|FleetWrites|LeastLoaded|NoticeAt|LoadIndex|OneDecisionServesManyRuns|SharePriceTable'
 	$(GO) test -race -count=1 ./internal/kmeans ./internal/pq ./internal/ivf
 
 # Full micro-benchmark sweep (one iteration each; sanity, not timing).

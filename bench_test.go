@@ -685,44 +685,34 @@ func BenchmarkBruteForceTopK(b *testing.B) {
 }
 
 // BenchmarkDESEventLoop measures raw simulator event throughput. In
-// "chain" one event reschedules itself, so the min register serves
-// every push and the heap is never touched; in "pending16" sixteen
-// interleaved chains keep about sixteen events pending, so nearly every
-// event is pushed into and popped out of the heap.
+// "chain" one event reschedules itself; in "pendingN" N interleaved
+// chains keep about N events pending: eight is the serving pipeline's
+// depth, which the sorted front holds whole, and sixteen its capacity.
 func BenchmarkDESEventLoop(b *testing.B) {
-	b.Run("chain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var sim des.Sim
-			n := 0
+	b.Run("chain", func(b *testing.B) { benchDESChains(b, 1) })
+	b.Run("pending8", func(b *testing.B) { benchDESChains(b, 8) })
+	b.Run("pending16", func(b *testing.B) { benchDESChains(b, 16) })
+}
+
+// benchDESChains fires 1000 events per iteration from k self-
+// rescheduling chains with distinct periods.
+func benchDESChains(b *testing.B, k int) {
+	for i := 0; i < b.N; i++ {
+		var sim des.Sim
+		n := 0
+		for c := 0; c < k; c++ {
+			step := time.Duration(1000 + 37*c)
 			var tick func()
 			tick = func() {
 				n++
 				if n < 1000 {
-					sim.After(1000, tick)
+					sim.After(step, tick)
 				}
 			}
-			sim.At(0, tick)
-			sim.Run()
+			sim.At(des.Time(c), tick)
 		}
-	})
-	b.Run("pending16", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var sim des.Sim
-			n := 0
-			for k := 0; k < 16; k++ {
-				step := time.Duration(1000 + 37*k)
-				var tick func()
-				tick = func() {
-					n++
-					if n < 1000 {
-						sim.After(step, tick)
-					}
-				}
-				sim.At(des.Time(k), tick)
-			}
-			sim.Run()
-		}
-	})
+		sim.Run()
+	}
 }
 
 // BenchmarkHotClusters measures the profiler's hot-order sort.

@@ -21,7 +21,6 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"vectorliterag/internal/ivf"
@@ -394,27 +393,26 @@ func (w *Workload) ScanBytesAll(q QueryID) int64 {
 // Kappa exposes the probe-width normalizer (for tests and docs).
 func (w *Workload) Kappa() float64 { return w.kappa }
 
-// AccessCounts replays queries through coarse quantization and counts
-// per-cluster accesses — the profiling measurement behind Fig. 5.
-// Tallies are integers, so per-chunk partial counts sum exactly
-// regardless of worker count.
+// AccessCounts counts per-cluster accesses over a query sample — the
+// profiling measurement behind Fig. 5 — from the templates' probe
+// lists, precomputed at build time: it counts how often each template
+// occurs in the sample, then adds that multiplicity to every cluster the
+// template probes. Tallies are integers, so the counts equal a per-query
+// count exactly.
 func (w *Workload) AccessCounts(queries []QueryID) []int64 {
-	nlist := w.Index.NList()
-	counts := make([]int64, nlist)
-	var mu sync.Mutex
-	parallel.For(len(queries), w.Gen.Workers, func(start, end int) {
-		part := make([]int64, nlist)
-		for _, q := range queries[start:end] {
-			for _, c := range w.templates[q].probes {
-				part[c]++
-			}
+	mult := make([]int64, len(w.templates))
+	for _, q := range queries {
+		mult[q]++
+	}
+	counts := make([]int64, w.Index.NList())
+	for q, m := range mult {
+		if m == 0 {
+			continue
 		}
-		mu.Lock()
-		for c, n := range part {
-			counts[c] += n
+		for _, c := range w.templates[q].probes {
+			counts[c] += m
 		}
-		mu.Unlock()
-	})
+	}
 	return counts
 }
 

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"vectorliterag/internal/ivf"
@@ -180,6 +181,31 @@ func TestAccessCountsMatchProbes(t *testing.T) {
 	}
 	if want := int64(3 * w.Gen.PhysNProbe); total != want {
 		t.Fatalf("total accesses %d, want %d", total, want)
+	}
+}
+
+// TestAccessCountsMatchPerQueryCount checks the multiplicity tally
+// against counting every query's probes one by one, on random samples
+// of random sizes (empty, one query, many repeats, every template).
+func TestAccessCountsMatchPerQueryCount(t *testing.T) {
+	w := buildWorkload(t, Orcas1K, smallGen())
+	r := rng.New(21)
+	for trial := 0; trial < 40; trial++ {
+		queries := w.SampleMany(r, []int{0, 1, 7, 300, 5000}[trial%5])
+		if trial%7 == 6 {
+			for q := range w.Templates() {
+				queries = append(queries, QueryID(q))
+			}
+		}
+		want := make([]int64, w.Index.NList())
+		for _, q := range queries {
+			for _, c := range w.Probes(q) {
+				want[c]++
+			}
+		}
+		if got := w.AccessCounts(queries); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%d queries): counts %v, per-query count %v", trial, len(queries), got, want)
+		}
 	}
 }
 

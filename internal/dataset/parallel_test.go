@@ -39,7 +39,7 @@ func TestParallelBuildBitIdentical(t *testing.T) {
 			t.Fatalf("template %d probe list differs", i)
 		}
 	}
-	// Replayed access counts — the profiler's parallel tally — agree.
+	// Access counts over the same sample agree.
 	r1, r2 := rng.New(11), rng.New(11)
 	qs1 := seq.SampleMany(r1, 2000)
 	qs2 := par.SampleMany(r2, 2000)

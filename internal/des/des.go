@@ -6,13 +6,13 @@
 // in scheduling order (FIFO), which makes multi-component pipelines
 // deterministic without fragile epsilon offsets.
 //
-// The event queue is a hand-rolled 4-ary min-heap over concrete event
-// structs: no container/heap interface boxing, no per-push allocation.
-// Because every event's (at, seq) key is unique, the heap's pop order
-// is a strict total order — identical for any correct heap arity —
-// which is what keeps the golden serving artifacts bit-stable across
-// queue implementations (heap_property_test.go pins this against a
-// container/heap reference).
+// The event queue is a sorted front of a few keys ahead of a hand-
+// rolled 4-ary min-heap over concrete event structs: no container/heap
+// interface boxing, no per-push allocation. Because every event's
+// (at, seq) key is unique, the pop order is a strict total order —
+// identical for any correct priority queue — which is what keeps the
+// golden serving artifacts bit-stable across queue implementations
+// (heap_property_test.go pins this against a container/heap reference).
 //
 // Scheduling itself can also be allocation-free: the hot paths of the
 // serving pipeline pre-bind one callback per component at construction
@@ -30,37 +30,50 @@ type Time = int64
 
 // Sim is the event loop. The zero value is ready to use.
 //
+// Pending events sit in two tiers. The front is a sorted ring of up to
+// frontCap events, keys and callbacks side by side, every one of them
+// earlier than any event in the heap behind it. A pop takes the front's
+// head; a push earlier than the front's maximum inserts from the tail,
+// shifting only the events later than it, and when the front is full
+// its maximum moves into the heap (where it becomes the root). A push
+// later than the front's maximum appends to the front while there is
+// room and the key still precedes the heap's root, and goes into the
+// heap otherwise. The serving pipeline keeps only a handful of events
+// pending — decode iterations, batch completions, the next arrival — so
+// they never sift, while deep queues (resilient timers, a thousand-
+// event probe) keep the heap's logarithmic cost. The front is an
+// implementation detail of the priority queue: the (at, seq) pop order
+// is identical with or without it.
+//
 // The heap sifts keys only: key is a 4-ary min-heap of 24-byte,
 // pointer-free (at, seq, slot) keys, so a sift moves no payload and
 // stores no pointer (no GC write barrier), and a node's four children
-// sit in 96 contiguous bytes. The callbacks live in slab, indexed by
-// a key's slot: a payload is written once when its event enters the
-// heap and read and cleared once when it leaves, and its slot goes back
-// on the free list for the next push.
-//
-// In front of the heap sits a one-event min register: fKey/fPay hold
-// the global minimum whenever fOK is set. The dominant scheduling
-// pattern of the serving pipeline — an event handler scheduling its
-// own successor as the next-soonest thing in the system (LLM decode
-// iterations, dispatcher promotions) — then bypasses the heap
-// entirely: the push lands in the register and the next Step fires it
-// with zero sift work. Misses cost one extra key comparison. The
-// register is an implementation detail of the priority queue: the
-// (at, seq) pop order is identical with or without it.
+// sit in 96 contiguous bytes. The callbacks live in slab, indexed by a
+// key's slot: a payload is written once when its event enters the heap
+// and read and cleared once when it leaves, and its slot goes back on
+// the free list for the next push.
 type Sim struct {
-	now  Time
-	fKey evKey
-	fPay evPay
-	fOK  bool
-	key  []evKey // 4-ary min-heap ordered by (at, seq)
-	slab []evPay // slab[k.slot] is the payload of heap key k
-	free []int32 // slab slots no heap key names
-	seq  uint64
+	now   Time
+	front [frontCap]evKey // ring: front[(head+i)&frontMask] for i < nf, ascending
+	fpay  [frontCap]evPay // fpay[j] is the payload of front[j]
+	head  int
+	nf    int
+	key   []evKey // 4-ary min-heap ordered by (at, seq)
+	slab  []evPay // slab[k.slot] is the payload of heap key k
+	free  []int32 // slab slots no heap key names
+	seq   uint64
 }
 
-// evKey is an event's heap key: (at, seq) is unique, so the pop order
-// is a strict total order. slot names the event's payload in Sim.slab
-// while the key is in the heap; the min register ignores it.
+// frontCap bounds the sorted front; a power of two, so ring indices
+// wrap with frontMask.
+const (
+	frontCap  = 16
+	frontMask = frontCap - 1
+)
+
+// evKey is an event's ordering key: (at, seq) is unique, so the pop
+// order is a strict total order. slot names the event's payload in
+// Sim.slab while the key is in the heap; the front ignores it.
 type evKey struct {
 	at   Time
 	seq  uint64
@@ -105,27 +118,42 @@ func (s *Sim) AfterArg(d time.Duration, fn func(any), arg any) {
 	s.push(s.now+int64(d), evPay{argFn: fn, arg: arg})
 }
 
-// push clamps past deadlines, stamps the FIFO tie-break, and places
-// the event: into the min register when it is the new global minimum,
-// into the heap otherwise (displacing a beaten register holder back
-// into the heap).
+// push clamps past deadlines, stamps the FIFO tie-break and places the
+// event: into the front when it precedes the front's maximum (evicting
+// a full front's maximum into the heap) or when the front has room and
+// it precedes the heap's root, into the heap otherwise.
 func (s *Sim) push(at Time, p evPay) {
 	if at < s.now {
 		at = s.now
 	}
 	s.seq++
 	k := evKey{at: at, seq: s.seq}
-	if s.fOK {
-		if lessKey(k, s.fKey) {
-			s.heapPush(s.fKey, s.fPay)
-			s.fKey, s.fPay = k, p
-			return
+	switch {
+	case s.nf > 0 && lessKey(k, s.front[(s.head+s.nf-1)&frontMask]):
+		if s.nf == frontCap {
+			// The insertion below overwrites the vacated position.
+			s.nf--
+			i := (s.head + s.nf) & frontMask
+			s.heapPush(s.front[i], s.fpay[i])
 		}
-	} else if len(s.key) == 0 || lessKey(k, s.key[0]) {
-		s.fKey, s.fPay, s.fOK = k, p, true
-		return
+		j := s.nf
+		for ; j > 0; j-- {
+			prev, i := (s.head+j-1)&frontMask, (s.head+j)&frontMask
+			if !lessKey(k, s.front[prev]) {
+				break
+			}
+			s.front[i], s.fpay[i] = s.front[prev], s.fpay[prev]
+		}
+		i := (s.head + j) & frontMask
+		s.front[i], s.fpay[i] = k, p
+		s.nf++
+	case s.nf < frontCap && (len(s.key) == 0 || lessKey(k, s.key[0])):
+		i := (s.head + s.nf) & frontMask
+		s.front[i], s.fpay[i] = k, p
+		s.nf++
+	default:
+		s.heapPush(k, p)
 	}
-	s.heapPush(k, p)
 }
 
 // heapPush parks the payload in a free slab slot and sifts its key
@@ -147,16 +175,17 @@ func (s *Sim) heapPush(k evKey, p evPay) {
 func (s *Sim) Step() bool {
 	var at Time
 	var p evPay
-	if s.fOK {
-		at, p = s.fKey.at, s.fPay
-		s.fOK = false
-		s.fPay = evPay{}
-	} else {
-		if len(s.key) == 0 {
-			return false
-		}
+	switch {
+	case s.nf > 0:
+		at, p = s.front[s.head].at, s.fpay[s.head]
+		s.fpay[s.head] = evPay{}
+		s.head = (s.head + 1) & frontMask
+		s.nf--
+	case len(s.key) > 0:
 		at = s.key[0].at
 		p = s.pop()
+	default:
+		return false
 	}
 	s.now = at
 	if p.fn != nil {
@@ -167,9 +196,9 @@ func (s *Sim) Step() bool {
 	return true
 }
 
-// pop removes the root, restoring the heap, and returns its payload.
-// The payload's slab slot is cleared, so the slab retains no callback
-// references, and freed for reuse.
+// pop removes the heap's root, restoring the heap, and returns its
+// payload. The payload's slab slot is cleared, so the slab retains no
+// callback references, and freed for reuse.
 func (s *Sim) pop() evPay {
 	slot := s.key[0].slot
 	p := s.slab[slot]
@@ -245,8 +274,8 @@ func (s *Sim) down(i int) {
 // nextAt returns the earliest pending event time; ok is false when no
 // events remain.
 func (s *Sim) nextAt() (Time, bool) {
-	if s.fOK {
-		return s.fKey.at, true
+	if s.nf > 0 {
+		return s.front[s.head].at, true
 	}
 	if len(s.key) > 0 {
 		return s.key[0].at, true
@@ -278,9 +307,5 @@ func (s *Sim) Run() {
 
 // Pending returns the number of queued events.
 func (s *Sim) Pending() int {
-	n := len(s.key)
-	if s.fOK {
-		n++
-	}
-	return n
+	return s.nf + len(s.key)
 }

@@ -37,103 +37,135 @@ func (h *refHeap) Pop() interface{} {
 	return x
 }
 
+// depths are the pending-event levels the drain tests hold: a lone
+// event, the serving pipeline's handful, one past the sorted front's
+// capacity, and a deep queue that lives mostly in the heap.
+var depths = []int{1, 8, frontCap + 1, 300}
+
 // TestHeapDrainsIdenticalToContainerHeap schedules random interleaved
 // batches — heavy on duplicate timestamps — into the simulator and the
-// reference heap, interleaving partial drains with further scheduling,
-// and checks the fire order matches event for event.
+// reference heap, interleaving partial drains with further scheduling
+// back up to each depth, plus same-instant bursts that overflow the
+// sorted front, and checks the fire order matches event for event.
 func TestHeapDrainsIdenticalToContainerHeap(t *testing.T) {
-	for trial := 0; trial < 50; trial++ {
-		r := rand.New(rand.NewSource(int64(trial)))
-		var s Sim
-		ref := &refHeap{}
-		var refSeq uint64
-		var got, want []int
-		id := 0
-		schedule := func(n int) {
-			for i := 0; i < n; i++ {
-				// Small timestamp range forces plenty of exact ties.
-				at := s.Now() + Time(r.Intn(16))
+	for _, depth := range depths {
+		for trial := 0; trial < 30; trial++ {
+			r := rand.New(rand.NewSource(int64(trial)))
+			var s Sim
+			ref := &refHeap{}
+			var refSeq uint64
+			var got, want []int
+			id := 0
+			add := func(at Time) {
 				ev := id
 				id++
 				s.At(at, func() { got = append(got, ev) })
 				refSeq++
 				heap.Push(ref, refEvent{at: at, seq: refSeq, id: ev})
 			}
-		}
-		schedule(1 + r.Intn(64))
-		for s.Pending() > 0 {
-			// Partial drain to a random horizon, then schedule more — the
-			// pattern real pipelines produce (events scheduling events).
-			horizon := s.Now() + Time(r.Intn(8))
-			s.RunUntil(horizon)
-			drainRef(ref, horizon, &want, -1)
-			if r.Intn(3) == 0 && id < 4096 {
-				schedule(r.Intn(32))
+			schedule := func(n int) {
+				for i := 0; i < n; i++ {
+					// Small timestamp range forces plenty of exact ties.
+					add(s.Now() + Time(r.Intn(16)))
+				}
 			}
-		}
-		s.Run()
-		drainRef(ref, 1<<62, &want, -1)
-		if len(got) != len(want) || len(got) != id {
-			t.Fatalf("trial %d: drained %d events, reference %d, scheduled %d",
-				trial, len(got), len(want), id)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: fire order diverges at %d: sim=%d ref=%d",
-					trial, i, got[i], want[i])
+			schedule(depth)
+			for s.Pending() > 0 {
+				// Partial drain to a random horizon, then schedule more — the
+				// pattern real pipelines produce (events scheduling events).
+				horizon := s.Now() + Time(r.Intn(8))
+				s.RunUntil(horizon)
+				drainRef(ref, horizon, &want, -1)
+				if id >= 4096 {
+					continue
+				}
+				switch r.Intn(4) {
+				case 0:
+					// A same-instant burst: more keys than the front holds,
+					// each one later than every pending key at that instant.
+					at := s.Now() + Time(r.Intn(4))
+					for i := 0; i < frontCap+1+r.Intn(frontCap); i++ {
+						add(at)
+					}
+				case 1, 2:
+					schedule(max(depth-s.Pending(), 0) + r.Intn(4))
+				}
+			}
+			s.Run()
+			drainRef(ref, 1<<62, &want, -1)
+			if len(got) != len(want) || len(got) != id {
+				t.Fatalf("depth %d trial %d: drained %d events, reference %d, scheduled %d",
+					depth, trial, len(got), len(want), id)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("depth %d trial %d: fire order diverges at %d: sim=%d ref=%d",
+						depth, trial, i, got[i], want[i])
+				}
 			}
 		}
 	}
 }
 
-// TestHeapSlotReuseDrainsIdentical holds a small working set pending
-// for thousands of events, so nearly every push lands in a slab slot a
-// popped event just freed. Each event carries its own ID through the
-// arg word and the fire order must still match the reference event for
-// event: a slot handed to two live events, or a key naming another
-// event's slot, delivers the wrong ID. The slab never outgrows the
-// high-water mark of pending events.
+// TestHeapSlotReuseDrainsIdentical holds a working set of pending
+// events at each depth for thousands of events, so nearly every push
+// lands in a slab slot a popped event just freed. Each event carries
+// its own ID through the arg word and the fire order must still match
+// the reference event for event: a slot handed to two live events, or a
+// key naming another event's slot, delivers the wrong ID. The slab never
+// outgrows the high-water mark of pending events.
 func TestHeapSlotReuseDrainsIdentical(t *testing.T) {
-	for trial := 0; trial < 20; trial++ {
-		r := rand.New(rand.NewSource(int64(1000 + trial)))
-		var s Sim
-		ref := &refHeap{}
-		var refSeq uint64
-		var got, want []int
-		ids := make([]int, 0, 8192)
-		fire := func(a any) { got = append(got, *a.(*int)) }
-		highWater := 0
-		schedule := func(n int) {
-			for i := 0; i < n; i++ {
-				at := s.Now() + Time(r.Intn(32))
+	for _, depth := range depths {
+		for trial := 0; trial < 10; trial++ {
+			r := rand.New(rand.NewSource(int64(1000 + trial)))
+			var s Sim
+			ref := &refHeap{}
+			var refSeq uint64
+			var got, want []int
+			ids := make([]int, 0, 8192)
+			fire := func(a any) { got = append(got, *a.(*int)) }
+			highWater := 0
+			add := func(at Time) {
 				ids = append(ids, len(ids))
 				s.AtArg(at, fire, &ids[len(ids)-1])
 				refSeq++
 				heap.Push(ref, refEvent{at: at, seq: refSeq, id: len(ids) - 1})
 			}
-			highWater = max(highWater, s.Pending())
-		}
-		working := 4 + r.Intn(28)
-		schedule(working)
-		for len(ids) < cap(ids) {
-			// Fire one event, then top the working set back up.
-			at, _ := s.nextAt()
-			s.Step()
-			drainRef(ref, at, &want, 1)
-			schedule(min(working-s.Pending(), cap(ids)-len(ids)))
-		}
-		s.Run()
-		drainRef(ref, 1<<62, &want, -1)
-		if len(got) != len(ids) || len(want) != len(ids) {
-			t.Fatalf("trial %d: fired %d, reference %d, scheduled %d", trial, len(got), len(want), len(ids))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: fire order diverges at %d: sim=%d ref=%d", trial, i, got[i], want[i])
+			schedule := func(n int) {
+				for i := 0; i < n; i++ {
+					add(s.Now() + Time(r.Intn(32)))
+				}
+				highWater = max(highWater, s.Pending())
 			}
-		}
-		if len(s.slab) > highWater {
-			t.Fatalf("trial %d: slab grew to %d slots for at most %d pending events", trial, len(s.slab), highWater)
+			schedule(depth)
+			for len(ids) < cap(ids) {
+				// Fire one event, then top the working set back up; now and
+				// then a same-instant burst overflows the front.
+				at, _ := s.nextAt()
+				s.Step()
+				drainRef(ref, at, &want, 1)
+				if r.Intn(64) == 0 {
+					burst := min(frontCap+1+r.Intn(frontCap), cap(ids)-len(ids))
+					for i := 0; i < burst; i++ {
+						add(s.Now())
+					}
+					highWater = max(highWater, s.Pending())
+				}
+				schedule(min(max(depth-s.Pending(), 0), cap(ids)-len(ids)))
+			}
+			s.Run()
+			drainRef(ref, 1<<62, &want, -1)
+			if len(got) != len(ids) || len(want) != len(ids) {
+				t.Fatalf("depth %d trial %d: fired %d, reference %d, scheduled %d", depth, trial, len(got), len(want), len(ids))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("depth %d trial %d: fire order diverges at %d: sim=%d ref=%d", depth, trial, i, got[i], want[i])
+				}
+			}
+			if len(s.slab) > highWater {
+				t.Fatalf("depth %d trial %d: slab grew to %d slots for at most %d pending events", depth, trial, len(s.slab), highWater)
+			}
 		}
 	}
 }
@@ -165,13 +197,27 @@ func TestPoppedSlotHoldsNoCallback(t *testing.T) {
 				t.Fatalf("%s: free slot %d still holds a callback", when, slot)
 			}
 		}
-		if !s.fOK && (s.fPay.fn != nil || s.fPay.argFn != nil || s.fPay.arg != nil) {
-			t.Fatalf("%s: empty min register still holds a callback", when)
+		// The sorted front's clause: a ring position past its pending keys
+		// holds no callback, and each pending key's position holds one.
+		for i := 0; i < frontCap; i++ {
+			p := s.fpay[(s.head+i)&frontMask]
+			if empty := p.fn == nil && p.argFn == nil && p.arg == nil; empty != (i >= s.nf) {
+				t.Fatalf("%s: front position %d of %d pending: holds a callback %v", when, i, s.nf, !empty)
+			}
+		}
+		if live := len(s.slab) - len(s.free); live != len(s.key) {
+			t.Fatalf("%s: %d slab slots hold callbacks for %d events in the heap", when, live, len(s.key))
 		}
 	}
 	s.RunUntil(50)
 	if len(s.free) == 0 {
 		t.Fatal("no slab slot freed after a partial drain")
+	}
+	for i := 0; i < 3; i++ {
+		s.AtArg(s.Now()+Time(i), countEvent, arg)
+	}
+	if s.nf == 0 {
+		t.Fatal("no event pending in the front after a partial drain")
 	}
 	check("partial drain")
 	s.Run()

@@ -60,6 +60,11 @@ func singleSpec(opts *Options, d *Decision, live retrieval.LiveCost) *nodeSpec {
 	}
 	if d.Plan != nil {
 		s.plans = []*splitter.Plan{d.Plan}
+		if live == nil {
+			// Priced once per run: every replica's engine reads this one
+			// table, and the shared decision stays untouched.
+			s.cfg.Prices = retrieval.NewPriceTable(opts.W, d.Plan)
+		}
 	}
 	gm := costmodel.GPUScanModel{GPU: opts.Node.GPU}
 	s.engine = func(cfg retrieval.Config, gpus []*gpu.State) (retrieval.Engine, error) {

@@ -79,6 +79,39 @@ func TestShardedClusterDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestFleetLanesSharePriceTable: a fleet's run prices its plan once —
+// the node spec's one table, which every lane's engine reads while the
+// workers run the lanes concurrently (the race detector watches those
+// reads) — and serves record for record what a sequential run whose
+// lanes each build a table of their own serves, under both policies:
+// lanes alone (round-robin) and lanes in rounds (least-loaded).
+func TestFleetLanesSharePriceTable(t *testing.T) {
+	for _, policy := range serve.Policies() {
+		built := false
+		shared, err := run(routed(shardedClusterOpts(t, 3, 4), 6, policy),
+			func(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.Duration, expect int) (*fleet, error) {
+				built = spec.cfg.Prices != nil
+				return newFleet(spec, replicas, policy, netDelay, expect)
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		own, err := run(routed(shardedClusterOpts(t, 3, 1), 6, policy),
+			func(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.Duration, expect int) (*fleet, error) {
+				s := *spec
+				s.cfg.Prices = nil
+				return newFleet(&s, replicas, policy, netDelay, expect)
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !built {
+			t.Fatalf("%s: the run's node spec built no price table", policy)
+		}
+		sameClusterRun(t, string(policy)+" shared table", shared, own)
+	}
+}
+
 // TestShardedClusterMergesAllArrivals pins the record merge: the
 // restamped IDs are the dense front arrival order, every routed
 // request — including any still in network transit at the deadline —

@@ -145,7 +145,8 @@ func upgraded(in partition.PrecisionInputs, n int) (sq []int) {
 // tenantSpec is the node of a multi-tenant run: every tenant's plan
 // stacked on one set of GPUs, the multi-tenant engine pricing each
 // stage per tenant slot (the shared engine config carries no Workload
-// or CPUModel), and — unless SharedQueue — the FairScheduler over the
+// or CPUModel; every replica reads the slots' one set of price tables),
+// and — unless SharedQueue — the FairScheduler over the
 // tenants' tiers, with each tenant's own SLOs as overload budgets.
 func tenantSpec(opts *Options, d *tenantDecision) *nodeSpec {
 	s := &nodeSpec{node: opts.Node, model: opts.Model, cfg: retrieval.Config{NVMe: opts.Node.NVMe}}
@@ -154,7 +155,8 @@ func tenantSpec(opts *Options, d *tenantDecision) *nodeSpec {
 	for i, tc := range opts.Tenants {
 		c := d.corpora[i]
 		s.plans = append(s.plans, c.Plan)
-		slots[i] = retrieval.TenantSlot{W: tc.W, Plan: c.Plan, CPUModel: costmodel.NewSearchModel(opts.Node.CPU, tc.W.Spec), Priority: tc.Tier.Priority()}
+		slots[i] = retrieval.TenantSlot{W: tc.W, Plan: c.Plan, CPUModel: costmodel.NewSearchModel(opts.Node.CPU, tc.W.Spec), Priority: tc.Tier.Priority(),
+			Prices: retrieval.NewPriceTable(tc.W, c.Plan)}
 		sloSearch[i] = tc.SLOSearch
 		if !opts.SharedQueue {
 			s.classes = append(s.classes, serve.TenantClass{Weight: tc.Tier.Weight(), Priority: tc.Tier.Priority()})

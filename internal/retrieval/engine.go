@@ -91,6 +91,10 @@ type Config struct {
 	// a precision refinement with NVMe-demoted clusters; the zero value
 	// is fine otherwise.
 	NVMe hw.NVMe
+	// Prices is the single-tenant engines' TenantSlot.Prices: the price
+	// table of the plan they are built with, shared by every replica of a
+	// run; nil makes each engine build its own.
+	Prices *PriceTable
 }
 
 // RecallReporter is implemented by engines that serve mixed-precision
@@ -352,6 +356,15 @@ func servedHitRate(total, miss int64) float64 {
 		return 0
 	}
 	return min(max(1-float64(miss)/float64(total), 0), 1)
+}
+
+// recallShare converts a query's served recall gain into its share per
+// byte of total scan work, zero when the query scans nothing.
+func recallShare(gain float64, total int64) float64 {
+	if total <= 0 {
+		return 0
+	}
+	return gain / float64(total)
 }
 
 // CPUOnly is the Faiss-CPU fast-scan baseline. It forwards the batch and

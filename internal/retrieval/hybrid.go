@@ -2,6 +2,7 @@ package retrieval
 
 import (
 	"fmt"
+	"slices"
 
 	"vectorliterag/internal/costmodel"
 	"vectorliterag/internal/dataset"
@@ -29,6 +30,11 @@ type TenantSlot struct {
 	// level half of tier-aware preemption ordering. Ties keep batch
 	// (arrival) order.
 	Priority int
+	// Prices, when set, is Plan's price table over W (NewPriceTable),
+	// which every engine serving the plan may share; an engine builds its
+	// own when it is nil or names another plan, and keeps none while Live
+	// is set.
+	Prices *PriceTable
 	// blockScale converts one physical probed cluster into its logical
 	// thread-block count (NProbe/PhysNProbe — the two-scale probe
 	// normalization, see dataset.Workload), per tenant because the probe
@@ -39,7 +45,18 @@ type TenantSlot struct {
 
 // slot is the single tenant a Config describes.
 func (c *Config) slot(plan *splitter.Plan) TenantSlot {
-	return TenantSlot{W: c.W, Plan: plan, CPUModel: c.CPUModel, Live: c.Live}
+	return TenantSlot{W: c.W, Plan: plan, CPUModel: c.CPUModel, Live: c.Live, Prices: c.Prices}
+}
+
+// usePrices makes the slot's price table its plan's, building one on a
+// frozen corpus unless the slot already holds it.
+func (s *TenantSlot) usePrices() {
+	switch {
+	case s.Live != nil:
+		s.Prices = nil
+	case !s.Prices.serves(s.W, s.Plan):
+		s.Prices = NewPriceTable(s.W, s.Plan)
+	}
 }
 
 // delta returns cluster c's live scan-byte delta through the tenant's
@@ -108,20 +125,15 @@ type Hybrid struct {
 	// rewritten before use and consumed before runBatch returns (the
 	// completion closures capture only scalars), so reuse cannot leak
 	// state between batches.
-	shardBytes   []int64
-	shardBlocks  []int
+	work         kernelWork
 	cpuWork      []int64
 	cpuDone      []des.Time
 	perTenant    []int   // batch members per tenant
 	missByTenant []int64 // CPU miss bytes per tenant
 	scanOrder    []int   // batch indices in CPU scan order
-	// tiers sums one query's routed clusters: tiers[0] the CPU's,
-	// tiers[g+1] GPU g's. price zeroes each entry once it is read.
+	// tiers sums one walked query's routed clusters: tiers[0] the CPU's,
+	// tiers[g+1] GPU g's; walk zeroes each entry once it is read.
 	tiers []tierSum
-	// sqBytes/sqBlocks are the per-GPU SQ8 kernel work areas, used only
-	// when some tenant's plan carries a precision refinement.
-	sqBytes  []int64
-	sqBlocks []int
 	// recallSum/recallN accumulate the served recall gain of SQ-upgraded
 	// clusters (work-weighted per query, see RecallGain).
 	recallSum float64
@@ -172,11 +184,14 @@ func newHybrid(cfg Config, name string, slots []TenantSlot, gpus []*gpu.State, g
 		Dispatcher: !unpruned,
 		unpruned:   unpruned,
 		refreshing: make([]bool, len(gpus)),
+		tiers:      make([]tierSum, len(gpus)+1),
 	}
-	if !unpruned {
-		for i := range e.slots {
-			e.slots[i].blockScale = e.slots[i].W.Spec.NProbe / e.slots[i].W.Gen.PhysNProbe
+	for i := range e.slots {
+		s := &e.slots[i]
+		if !unpruned {
+			s.blockScale = s.W.Spec.NProbe / s.W.Gen.PhysNProbe
 		}
+		s.usePrices()
 	}
 	e.init(e.runBatch)
 	return e
@@ -197,6 +212,7 @@ func (e *Hybrid) Plan() *splitter.Plan { return e.slots[0].Plan }
 // bound).
 func (e *Hybrid) SetPlan(plan *splitter.Plan) {
 	e.slots[0].Plan = plan
+	e.slots[0].usePrices()
 	clear(e.refreshing)
 }
 
@@ -254,8 +270,9 @@ func (e *Hybrid) runBatch(batch []*workload.Request) {
 	for i := range e.slots {
 		anyPrec = anyPrec || e.slots[i].Plan.Prec != nil
 	}
-	nvmeBytes, nvmeClusters := e.price(batch, anyPrec)
-	shardBytes, shardBlocks, sqBytes, sqBlocks := e.shardBytes, e.shardBlocks, e.sqBytes, e.sqBlocks
+	e.price(batch, anyPrec)
+	k := &e.work
+	shardBytes, shardBlocks, sqBytes, sqBlocks := k.bytes, k.blocks, k.sqBytes, k.sqBlocks
 	cpuWork, missByTenant := e.cpuWork, e.missByTenant
 
 	// GPU shard kernels start once CQ delivers the cluster lists; one
@@ -293,8 +310,8 @@ func (e *Hybrid) runBatch(batch []*workload.Request) {
 		}
 	}
 	cpuTotal = e.slowAt(cpuTotal)
-	if anyPrec && nvmeClusters > 0 {
-		cpuTotal += e.slowAt(des.Time(costmodel.NVMeScanTime(e.cfg.NVMe, nvmeBytes, nvmeClusters)))
+	if anyPrec && k.nvmeClusters > 0 {
+		cpuTotal += e.slowAt(des.Time(costmodel.NVMeScanTime(e.cfg.NVMe, k.nvmeBytes, k.nvmeClusters)))
 	}
 	// Clusters are processed grouped by query, in tenant-priority order
 	// and batch order within a tier, so query i's CPU portion completes at
@@ -343,136 +360,43 @@ func (e *Hybrid) runBatch(batch []*workload.Request) {
 	sim.At(batchEnd, e.doneFn)
 }
 
-// tierSum is one query's clusters routed to one tier, the CPU or a GPU
-// shard, summed in probe order.
-type tierSum struct {
-	bytes, delta float64 // ClusterBytes and live deltas
-	n            int     // clusters
-}
-
-// price routes every query of the batch through its tenant's mapping
-// tables (paper §IV-B1) and prices it. Shard g of every plan lives on
-// GPU g, so per-GPU work accumulates across tenants. It fills the
-// per-GPU kernel work (shardBytes and shardBlocks; sqBytes and sqBlocks
-// when anyPrec), each query's CPU miss work and served hit rate, the
-// per-tenant miss totals and the served recall gain, and returns the
-// NVMe-tier bytes and cluster count of the CPU remainder.
-//
-// One pass over a query's probe list sums each tier's bytes, live
-// deltas and cluster count, indexed by the plan's dense shard table, so
-// it takes no branch on where a cluster lives. A precision-refined plan
-// splits resident clusters by codec — PQ clusters feed the LUT kernel,
-// SQ8 clusters the streaming kernel (pq.ScanSQIDs' modeled counterpart)
-// — cluster by cluster, and tallies the NVMe-resident share of the CPU
-// remainder. A mid-reload shard's clusters divert to the CPU path.
-//
-// Every float sum runs in the order of pricing each routed list on its
-// own: a tier's bytes and deltas in probe order; the clusters diverted
-// from mid-reload shards after the CPU-resident ones, shard by shard;
-// the recall gain shard by shard, then in probe order. The last two
-// take a second walk over the probes, and only when they are nonzero.
-func (e *Hybrid) price(batch []*workload.Request, anyPrec bool) (nvmeBytes int64, nvmeClusters int) {
-	shardBytes := resize(&e.shardBytes, len(e.gpus))
-	shardBlocks := resize(&e.shardBlocks, len(e.gpus))
-	if cap(e.tiers) < len(e.gpus)+1 {
-		e.tiers = make([]tierSum, len(e.gpus)+1)
-	}
-	tiers := e.tiers[:len(e.gpus)+1]
+// price prices every query of the batch and adds them up in batch
+// order. Shard g of every plan lives on GPU g, so per-GPU work
+// accumulates across tenants. It fills the per-GPU kernel and NVMe work
+// (e.work; its SQ8 half when anyPrec), each query's CPU miss work and
+// served hit rate, the per-tenant miss totals and the served recall
+// gain. A query on a frozen corpus adds its template's row of the
+// plan's price table when no shard is mid-reload and the request
+// neither sheds probes (Degrade) nor forces PQ; any other query walks
+// its probe list. Both give the same work, bit for bit.
+func (e *Hybrid) price(batch []*workload.Request, anyPrec bool) {
+	k := &e.work
+	k.reset(len(e.gpus), anyPrec)
 	cpuWork := resize(&e.cpuWork, len(batch))
 	missByTenant := resize(&e.missByTenant, len(e.slots))
-	var sqBytes []int64
-	var sqBlocks []int
-	if anyPrec {
-		sqBytes = resize(&e.sqBytes, len(e.gpus))
-		sqBlocks = resize(&e.sqBlocks, len(e.gpus))
-	}
+	refreshing := slices.Contains(e.refreshing, true)
 	for i, req := range batch {
 		t := e.slot(req)
 		s := &e.slots[t]
-		w, plan, prec := s.W, s.Plan, s.Plan.Prec
-		probes := degradeProbes(w.Probes(req.Query), req.Degrade)
-		for _, c := range probes {
-			tier := &tiers[plan.ShardOf(c)+1]
-			tier.bytes += float64(w.ClusterBytes(c))
-			tier.delta += s.delta(c)
-			tier.n++
-		}
-		cpuBytes, cpuDelta := tiers[0].bytes, tiers[0].delta
-		tiers[0] = tierSum{}
-		diverted := false
-		for g := range shardBytes {
-			tier := &tiers[g+1]
-			if e.unpruned {
-				shardBlocks[g] += w.Spec.NProbe
-			}
-			switch {
-			case tier.n == 0:
-			case e.refreshing[g]:
-				diverted = true
-			case prec == nil:
-				shardBytes[g] += s.cost(tier.bytes, tier.delta)
-				shardBlocks[g] += tier.n * s.blockScale
-			}
-			*tier = tierSum{}
-		}
-		sq := false
-		if prec != nil {
-			for _, c := range probes {
-				g := plan.ShardOf(c)
-				bb := s.cost(float64(w.ClusterBytes(c)), s.delta(c))
-				switch {
-				case g < 0:
-					if prec.IsNVMe(c) {
-						nvmeBytes += bb
-						nvmeClusters++
-					}
-				case e.refreshing[g]:
-					// Diverted: the shard-order walk below prices it.
-				case prec.IsSQ(c) && !req.ForcePQ:
-					sqBytes[g] += int64(float64(bb) * prec.SQRatio)
-					sqBlocks[g] += s.blockScale
-					sq = true
-				default:
-					// PQ codes; also the brownout precision fallback: a
-					// ForcePQ request scans SQ8-upgraded clusters through
-					// the base PQ codec — cheaper bytes, no recall gain.
-					shardBytes[g] += bb
-					shardBlocks[g] += s.blockScale
-				}
+		if e.unpruned {
+			for g := range k.blocks {
+				k.blocks[g] += s.W.Spec.NProbe
 			}
 		}
-		var gain float64
-		if diverted || sq {
-			for g, refreshing := range e.refreshing {
-				for _, c := range probes {
-					if plan.ShardOf(c) != g {
-						continue
-					}
-					b, d := float64(w.ClusterBytes(c)), s.delta(c)
-					switch {
-					case refreshing:
-						cpuBytes += b
-						cpuDelta += d
-						if prec.IsNVMe(c) {
-							nvmeBytes += s.cost(b, d)
-							nvmeClusters++
-						}
-					case prec.IsSQ(c) && !req.ForcePQ:
-						gain += float64(s.cost(b, d)) * prec.Delta(c)
-					}
-				}
-			}
+		var hit, share float64
+		if s.Prices != nil && !refreshing && req.Degrade <= 0 && !req.ForcePQ {
+			cpuWork[i], hit, share = s.Prices.add(req.Query, s.blockScale, k)
+		} else {
+			var gain float64
+			cpuWork[i], gain = walk(s, degradeProbes(s.W.Probes(req.Query), req.Degrade), req.ForcePQ, e.refreshing, e.tiers, k)
+			full := s.scanBytesFull(req.Query)
+			hit, share = servedHitRate(full, cpuWork[i]), recallShare(gain, full)
 		}
-		cpuWork[i] = s.cost(cpuBytes, cpuDelta)
 		missByTenant[t] += cpuWork[i]
-		full := s.scanBytesFull(req.Query)
-		req.HitRate = servedHitRate(full, cpuWork[i])
-		if prec != nil {
-			if full > 0 {
-				e.recallSum += gain / float64(full)
-			}
+		req.HitRate = hit
+		if s.Plan.Prec != nil {
+			e.recallSum += share
 			e.recallN++
 		}
 	}
-	return nvmeBytes, nvmeClusters
 }

@@ -39,8 +39,9 @@ func checkSelect(t *testing.T, name string, sample, ps []float64) {
 // TestSelectPercentilesMatchesSort: selection reads the same order
 // statistics the sort would and interpolates them the same way, at the
 // summary's percentiles and at the ends, on every input shape that
-// stresses a quickselect — tiny samples, a fleet-sized one, heavy
-// duplicates, already sorted and reverse-sorted runs.
+// stresses a quickselect — tiny samples, windows around the insertion-
+// sort cutoff, a run-sized and a fleet-sized one, heavy duplicates,
+// all-equal values, already sorted, reverse-sorted and organ-pipe runs.
 func TestSelectPercentilesMatchesSort(t *testing.T) {
 	psSets := [][]float64{
 		{0.50, 0.90, 0.95, 0.99},
@@ -49,7 +50,7 @@ func TestSelectPercentilesMatchesSort(t *testing.T) {
 		{-1, 2},
 	}
 	r := rng.New(11)
-	for _, n := range []int{1, 2, 3, 100, 230_000} {
+	for _, n := range []int{1, 2, 3, 15, 16, 17, 100, 3_700, 230_000} {
 		shapes := map[string][]float64{}
 		uniform := make([]float64, n)
 		dups := make([]float64, n)
@@ -66,6 +67,16 @@ func TestSelectPercentilesMatchesSort(t *testing.T) {
 		desc := slices.Clone(asc)
 		slices.Reverse(desc)
 		shapes["reverse-sorted"] = desc
+		pipe := make([]float64, n)
+		for i := range pipe {
+			pipe[i] = float64(min(i, n-1-i))
+		}
+		shapes["organ-pipe"] = pipe
+		equal := make([]float64, n)
+		for i := range equal {
+			equal[i] = 1.5e6
+		}
+		shapes["all-equal"] = equal
 		for name, s := range shapes {
 			for _, ps := range psSets {
 				checkSelect(t, name, s, ps)

@@ -23,7 +23,7 @@ func Percentile(sample []float64, p float64) float64 {
 // interpolated between the order statistics a full sort would put at
 // its rank, without sorting: it
 // reorders sample in place only as far as selection needs to put each
-// order statistic it reads in its sorted position — a three-way
+// order statistic it reads in its sorted position — a two-way
 // quickselect for the lower one, and the minimum of everything to its
 // right for its interpolation partner. ps must be ascending, so every
 // selection runs on what is right of the last. It panics on an empty
@@ -91,42 +91,54 @@ func lerp(a, b, frac float64) float64 {
 }
 
 // selectKth reorders s so that s[k] holds the k-th smallest value, with
-// nothing greater before it and nothing smaller after it. Pivots are the
-// median of the window's ends and middle, which keeps sorted and
-// reverse-sorted input linear; a window still open after 4·log2(n)
-// rounds is sorted instead, bounding adversarial input at n·log n.
+// nothing greater before it and nothing smaller after it. Each round
+// splits the window with a two-way (Hoare) partition around the median
+// of its ends and middle, which keeps sorted and reverse-sorted input
+// linear and halves a run of duplicates, whose equal keys stop both
+// scans; a window shorter than 16 is insertion-sorted, and one still
+// open after 4·log2(n) rounds is sorted instead, bounding adversarial
+// input at n·log n.
 func selectKth(s []float64, k int) {
 	lo, hi := 0, len(s)-1
-	for rounds := 4 * bits.Len(uint(len(s))); lo < hi; rounds-- {
+	for rounds := 4 * bits.Len(uint(len(s))); hi-lo >= 15; rounds-- {
 		if rounds == 0 {
 			slices.Sort(s[lo : hi+1])
 			return
 		}
 		pivot := median3(s[lo], s[lo+(hi-lo)/2], s[hi])
-		// Three-way partition: [lo, lt) < pivot, [lt, gt] == pivot,
-		// (gt, hi] > pivot, so runs of duplicates settle in one round.
-		lt, i, gt := lo, lo, hi
-		for i <= gt {
-			switch v := s[i]; {
-			case v < pivot:
-				s[lt], s[i] = v, s[lt]
-				lt++
+		// The pivot is one of the window's values, so both scans stop
+		// inside it, and after the first swap each stops at the value the
+		// other just placed: [lo, j] <= pivot, (j, i) == pivot and
+		// [i, hi] >= pivot, with both sides shorter than the window.
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < pivot {
 				i++
-			case v > pivot:
-				s[gt], s[i] = v, s[gt]
-				gt--
-			default:
+			}
+			for s[j] > pivot {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
 				i++
+				j--
 			}
 		}
 		switch {
-		case k < lt:
-			hi = lt - 1
-		case k > gt:
-			lo = gt + 1
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
 		default:
 			return
 		}
+	}
+	for i := lo + 1; i <= hi; i++ {
+		v, j := s[i], i
+		for ; j > lo && s[j-1] > v; j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = v
 	}
 }
 
