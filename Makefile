@@ -28,8 +28,9 @@ build:
 	$(GO) build ./...
 
 # Reachability census (tools/census): exported internal/ names nothing
-# reaches and *Options/*Config fields nothing sets, minus the reasoned
-# entries of tools/census/allowlist.txt. It type-checks the module and
+# reaches, *Options/*Config fields nothing sets and unexported internal/
+# fields nothing reads, minus the reasoned entries of
+# tools/census/allowlist.txt. It type-checks the module and
 # the standard library from source, so it is its own CI step rather
 # than part of `go test ./...`.
 census:

@@ -335,11 +335,10 @@ func BenchmarkLUTScan(b *testing.B) {
 func BenchmarkExpectedMin(b *testing.B) {
 	beta := stats.Beta{Alpha: 4.2, Beta: 1.7}
 	g := stats.NewMinGrid(0)
-	var out [1]float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.ExpectedMins(beta, []int{8}, out[:])
+		g.ExpectedMin(beta, 8)
 	}
 }
 

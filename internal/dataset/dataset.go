@@ -112,9 +112,7 @@ type Workload struct {
 	clusterBytes  []int64 // logical storage bytes per physical cluster
 	scanTotal     []int64 // per-template full-probe scan bytes (ScanBytesAll)
 	kappa         float64 // probe-width normalizer (see Build)
-	totalVectors  int
 	blobSpread    float64
-	centers       []float32
 	popByTemplate []float64 // draw probability per template
 	distortion    distortionSlot
 }
@@ -179,7 +177,7 @@ func Build(spec Spec, gc GenConfig) (*Workload, error) {
 	}
 	w := &Workload{
 		Spec: spec, Gen: gc, Index: ix, Data: data,
-		totalVectors: n, blobSpread: spread, centers: centers,
+		blobSpread: spread,
 	}
 
 	// Query templates: each anchored at a convex mixture of a "home"

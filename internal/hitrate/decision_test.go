@@ -92,20 +92,19 @@ func TestDecisionsIntegrateEachPointOnce(t *testing.T) {
 	d := newDefaultDecision(t, dataset.Orcas1K)
 
 	// Algorithm 1: 9 outer iterations × 2 roundings × a 7-step bisect
-	// made 135 integrals over 14 distinct points before the table, and
-	// 8 passes (15 992 continued fractions) once each pass stored
-	// (k, B−1) beside (k, B). The bisections now compare against Eq. 2
-	// on a few grid points; the one exact pass is the result's EtaMin.
+	// made 135 integrals over 14 distinct points before the table. The
+	// bisections now compare against Eq. 2 on a few grid points; the
+	// one exact pass is the result's EtaMin.
 	est := d.newEst(t)
 	res := d.latencyBounded(t, dataset.Orcas1K.SLOSearch, est)
 	if res.Rho != 0.1015625 || res.Iterations != 9 {
 		t.Fatalf("not the default ORCAS-1K decision: rho %v after %d iterations", res.Rho, res.Iterations)
 	}
-	passes, values, points, cfs := est.Integrations()
-	t.Logf("LatencyBounded: %d passes, %d values over %d points, %d continued fractions", passes, values, points, cfs)
-	if values != points || passes > 2 || cfs > maxDecisionCFs {
-		t.Errorf("LatencyBounded made %d passes, %d values over %d distinct points and %d continued fractions; want each point once, at most 2 passes and %d fractions",
-			passes, values, points, cfs, maxDecisionCFs)
+	passes, points, cfs := est.Integrations()
+	t.Logf("LatencyBounded: %d passes over %d points, %d continued fractions", passes, points, cfs)
+	if passes != points || passes > 2 || cfs > maxDecisionCFs {
+		t.Errorf("LatencyBounded made %d passes over %d distinct points and %d continued fractions; want each point once, at most 2 passes and %d fractions",
+			passes, points, cfs, maxDecisionCFs)
 	}
 
 	// The joint allocator, three tenants on one shared estimator and on
@@ -126,9 +125,9 @@ func TestDecisionsIntegrateEachPointOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, est := range ests {
-			passes, values, points, _ := est.Integrations()
-			if passes == 0 || values != points {
-				t.Errorf("JointAllocate, tenant %d: %d passes, %d values over %d distinct points", i, passes, values, points)
+			passes, points, _ := est.Integrations()
+			if passes == 0 || passes != points {
+				t.Errorf("JointAllocate, tenant %d: %d passes over %d distinct points", i, passes, points)
 			}
 		}
 	}
@@ -165,8 +164,8 @@ func TestComparisonsDecideAsExactSearch(t *testing.T) {
 					math.Float64bits(got.EtaMin) != math.Float64bits(want.EtaMin) {
 					t.Errorf("%s, %s, seed %d: comparisons decided %+v, exact search %+v", spec.Name, model.Name, seed, got, want)
 				}
-				_, _, _, n := est.Integrations()
-				_, _, _, m := exact.Integrations()
+				_, _, n := est.Integrations()
+				_, _, m := exact.Integrations()
 				cfs, exactCFs = cfs+n, exactCFs+m
 			}
 		}

@@ -12,12 +12,10 @@ func (e *Estimator) BetaAt(coverage float64) (stats.Beta, bool) {
 }
 
 // Integrations reports how many exact CDF passes e has made over its
-// grid, how many Eq. 2 values those passes evaluated (one or two each),
-// how many distinct (cluster count, batch) points its table holds exact
-// values for — the last two are equal when no point was integrated
-// twice — and how many continued fractions its passes and comparisons
-// evaluated.
-func (e *Estimator) Integrations() (passes, values, points, cfs int) {
+// grid, how many distinct (cluster count, batch) points its table holds
+// exact values for — equal when no point was integrated twice — and
+// how many continued fractions its passes and comparisons evaluated.
+func (e *Estimator) Integrations() (passes, points, cfs int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, v := range e.minHit {
@@ -28,7 +26,7 @@ func (e *Estimator) Integrations() (passes, values, points, cfs int) {
 	if e.grid != nil {
 		cfs = e.grid.CFs()
 	}
-	return e.passes, e.values, points, cfs
+	return e.passes, points, cfs
 }
 
 // NewExactEstimator is NewEstimator for the differential tests'

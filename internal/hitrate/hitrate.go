@@ -50,7 +50,6 @@ type Estimator struct {
 	minHit map[point]bound
 	grid   *stats.MinGrid // built at the first integral, reused under mu
 	passes int            // exact CDF passes over the grid; tests fence them
-	values int            // exact Eq. 2 values those passes made, one or two each
 
 	// exactSearch makes every bisection probe integrate: the
 	// differential tests' reference (NewExactEstimator).
@@ -191,11 +190,6 @@ func (e *Estimator) MinHitRate(coverage float64, batch int) float64 {
 // callers of one point wait for the first and none integrates it again,
 // and the one grid is never shared by two integrals; each integral
 // spreads its grid points over the worker pool instead.
-//
-// The pass that integrates (k, B) also stores (k, B−1) when its exact
-// value is missing: the CDF of the k-cluster Beta does not depend on the
-// batch size, and Algorithm 1 reads the two roundings ⌈B⌉ and ⌊B⌋ at
-// the same cluster counts.
 func (e *Estimator) minHitRateAt(clusters, batch int) float64 {
 	b, ok := e.betaAt(clusters)
 	if !ok {
@@ -207,21 +201,14 @@ func (e *Estimator) minHitRateAt(clusters, batch int) float64 {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if v, ok := e.minHit[point{clusters, batch}]; ok && v.exact() {
+	p := point{clusters, batch}
+	if v, ok := e.minHit[p]; ok && v.exact() {
 		return v.lo
 	}
-	ns, out := [2]int{batch, batch - 1}, [2]float64{}
-	pass := ns[:1]
-	if v, ok := e.minHit[point{clusters, batch - 1}]; !(ok && v.exact()) && batch > 2 {
-		pass = ns[:]
-	}
-	e.gridLocked().ExpectedMins(b, pass, out[:len(pass)])
+	v := e.gridLocked().ExpectedMin(b, batch)
 	e.passes++
-	for j, n := range pass {
-		e.minHit[point{clusters, n}] = bound{out[j], out[j]}
-		e.values++
-	}
-	return out[0]
+	e.minHit[p] = bound{v, v}
+	return v
 }
 
 // minHitRateBelow reports minHitRateAt(clusters, batch) < eta, with the
@@ -252,7 +239,6 @@ func (e *Estimator) minHitRateBelow(clusters, batch int, eta float64) bool {
 	below, lo, hi := e.gridLocked().MinBelow(b, batch, eta)
 	if lo == hi {
 		e.passes++
-		e.values++
 	} else if seen {
 		lo, hi = max(lo, v.lo), min(hi, v.hi)
 	}

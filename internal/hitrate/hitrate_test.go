@@ -345,8 +345,8 @@ func TestMinHitRateTableIsTransparent(t *testing.T) {
 			t.Errorf("MinHitRate(%v, %d): first %v, from table %v, fresh estimator %v", pr.cov, pr.batch, pr.first, again, want)
 		}
 	}
-	if passes, values, points, _ := warm.Integrations(); values != points || passes > len(probes) {
-		t.Errorf("%d passes integrated %d values for %d distinct points over %d probes", passes, values, points, len(probes))
+	if passes, points, _ := warm.Integrations(); passes != points || passes > len(probes) {
+		t.Errorf("%d passes integrated %d distinct points over %d probes", passes, points, len(probes))
 	}
 }
 
@@ -417,32 +417,46 @@ func TestEstimatorSharedAcrossGoroutines(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if _, values, points, _ := shared.Integrations(); values != points {
-		t.Errorf("%d values integrated for %d distinct points", values, points)
+	if passes, points, _ := shared.Integrations(); passes != points {
+		t.Errorf("%d passes integrated %d distinct points", passes, points)
 	}
 }
 
 // TestWarmIntegralAllocatesNothing: once the estimator's grid exists, an
-// Eq. 2 pass — grid points spread over every core, folded in order, both
-// batch roundings stored — allocates nothing, as the serial loop before
-// it did not.
+// Eq. 2 pass — grid points spread over every core, folded in order, the
+// value stored — allocates nothing, as the serial loop before it did
+// not.
 func TestWarmIntegralAllocatesNothing(t *testing.T) {
 	e, _ := buildEstimator(t, dataset.Orcas1K)
 	clusters, batch := e.nlist/4, 16
 	e.minHitRateAt(clusters, batch) // builds the grid
-	passes, values := e.passes, e.values
+	passes := e.passes
 	allocs := testing.AllocsPerRun(20, func() {
 		e.mu.Lock()
 		delete(e.minHit, point{clusters, batch})
-		delete(e.minHit, point{clusters, batch - 1})
 		e.mu.Unlock()
 		e.minHitRateAt(clusters, batch)
 	})
-	if e.passes-passes < 20 || e.values-values != 2*(e.passes-passes) {
-		t.Fatalf("%d passes made %d values; want paired passes at a non-degenerate point", e.passes-passes, e.values-values)
+	if e.passes-passes < 20 {
+		t.Fatalf("%d passes in 21 runs; want one pass a run at a non-degenerate point", e.passes-passes)
 	}
 	if allocs != 0 {
-		t.Fatalf("a warm paired pass allocated %v objects, want 0", allocs)
+		t.Fatalf("a warm pass allocated %v objects, want 0", allocs)
+	}
+}
+
+// TestOnePointIntegratesOnePoint: Eq. 2 at (k, B) on a cold estimator
+// makes one pass and stores that one exact value; (k, B−1) stays
+// unknown until something asks for it.
+func TestOnePointIntegratesOnePoint(t *testing.T) {
+	e, _ := buildEstimator(t, dataset.Orcas1K)
+	cov, batch := 0.25, 16
+	e.MinHitRate(cov, batch)
+	if passes, points, _ := e.Integrations(); passes != 1 || points != 1 {
+		t.Errorf("MinHitRate(%v, %d) on a cold estimator: %d passes, %d exact table points; want 1 and 1", cov, batch, passes, points)
+	}
+	if v, ok := e.minHit[point{e.Clusters(cov), batch - 1}]; ok {
+		t.Errorf("(k, B−1) holds %v without being asked for", v)
 	}
 }
 
@@ -486,7 +500,7 @@ func TestBatchOfOneIntegratesNothing(t *testing.T) {
 			}
 		}
 	}
-	if passes, values, points, _ := e.Integrations(); e.grid != nil || passes+values+points != 0 {
-		t.Errorf("batch <= 1 built a grid (%v) or made %d passes, %d values, %d table points", e.grid != nil, passes, values, points)
+	if passes, points, _ := e.Integrations(); e.grid != nil || passes+points != 0 {
+		t.Errorf("batch <= 1 built a grid (%v) or made %d passes, %d table points", e.grid != nil, passes, points)
 	}
 }

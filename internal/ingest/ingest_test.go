@@ -210,7 +210,7 @@ func TestIngesterStation(t *testing.T) {
 	store := NewStore(w)
 	horizon := des.Time(60 * time.Second)
 	ing := New(Config{Sim: &sim, Store: store, Node: hw.H100Node(), ReencodeEvery: 10 * time.Second, Horizon: horizon})
-	gen := workload.NewMutationGen(w, workload.MutInsert, 2.0, 0, rng.Stream(1, 100))
+	gen := workload.NewMutationGen(w, workload.MutInsert, 2.0, rng.Stream(1, 100))
 	gen.Start(&sim, horizon, ing.Submit)
 	sim.RunUntil(horizon + des.Time(30*time.Second))
 	log := ing.Log()
@@ -248,8 +248,8 @@ func TestIngestDeterminism(t *testing.T) {
 		store := NewStore(w)
 		horizon := des.Time(30 * time.Second)
 		ing := New(Config{Sim: &sim, Store: store, Node: hw.H100Node(), ReencodeEvery: 7 * time.Second, Horizon: horizon})
-		ins := workload.NewMutationGen(w, workload.MutInsert, 3.0, 0, rng.Stream(seed, 100))
-		del := workload.NewMutationGen(w, workload.MutDelete, 1.0, 0, rng.Stream(seed, 101))
+		ins := workload.NewMutationGen(w, workload.MutInsert, 3.0, rng.Stream(seed, 100))
+		del := workload.NewMutationGen(w, workload.MutDelete, 1.0, rng.Stream(seed, 101))
 		ins.Start(&sim, horizon, ing.Submit)
 		del.Start(&sim, horizon, ing.Submit)
 		sim.RunUntil(horizon + des.Time(10*time.Second))
@@ -285,8 +285,8 @@ func TestIngesterCompactorSurface(t *testing.T) {
 	store := NewStore(w)
 	horizon := des.Time(20 * time.Second)
 	ing := New(Config{Sim: &sim, Store: store, Node: hw.H100Node(), ReencodeEvery: time.Hour, Horizon: horizon})
-	ins := workload.NewMutationGen(w, workload.MutInsert, 4.0, 0, rng.Stream(3, 100))
-	del := workload.NewMutationGen(w, workload.MutDelete, 1.0, 0, rng.Stream(3, 101))
+	ins := workload.NewMutationGen(w, workload.MutInsert, 4.0, rng.Stream(3, 100))
+	del := workload.NewMutationGen(w, workload.MutDelete, 1.0, rng.Stream(3, 101))
 	ins.Start(&sim, horizon, ing.Submit)
 	del.Start(&sim, horizon, ing.Submit)
 	sim.RunUntil(horizon + des.Time(10*time.Second))

@@ -6,9 +6,8 @@
 // Aggregation operates over []workload.Request *values* — the compact
 // per-request records the streaming serve.Collector accumulates — so
 // summarizing never needs the live (pooled, recycled) request objects.
-// The Summarizer and TimelineInto forms reuse scratch buffers across
-// calls; the package-level functions are one-shot conveniences over
-// them.
+// The Summarizer form reuses scratch buffers across calls; the
+// package-level functions are one-shot conveniences over it.
 package metrics
 
 import (

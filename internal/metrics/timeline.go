@@ -27,7 +27,7 @@ type Window struct {
 
 	// Unexported accumulators, folded into the exported fields when the
 	// bucketing pass finalizes; keeping them inline is what lets
-	// TimelineInto aggregate without per-window side slices.
+	// Timeline aggregate without per-window side slices.
 	ok, served, freshOK int
 	hitSum              float64
 }
@@ -38,13 +38,6 @@ type Window struct {
 // time zero through the last arrival; empty windows are kept so the
 // series has no gaps.
 func Timeline(reqs []workload.Request, slo time.Duration, width time.Duration) []Window {
-	return TimelineInto(nil, reqs, slo, width)
-}
-
-// TimelineInto is Timeline writing into dst's backing array when it is
-// large enough — the allocation-free path for callers that rebuild the
-// series repeatedly (dst may be nil or a previous result).
-func TimelineInto(dst []Window, reqs []workload.Request, slo time.Duration, width time.Duration) []Window {
 	if width <= 0 || len(reqs) == 0 {
 		return nil
 	}
@@ -54,13 +47,9 @@ func TimelineInto(dst []Window, reqs []workload.Request, slo time.Duration, widt
 			last = reqs[i].ArrivalAt
 		}
 	}
-	n := int(last/des.Time(width)) + 1
-	if cap(dst) < n {
-		dst = make([]Window, n)
-	}
-	wins := dst[:n]
+	wins := make([]Window, int(last/des.Time(width))+1)
 	for i := range wins {
-		wins[i] = Window{Start: time.Duration(i) * width}
+		wins[i].Start = time.Duration(i) * width
 	}
 	for i := range reqs {
 		r := &reqs[i]

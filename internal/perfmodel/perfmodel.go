@@ -98,10 +98,3 @@ func secs(s float64) time.Duration {
 	}
 	return time.Duration(s * float64(time.Second))
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -100,7 +100,7 @@ func startIngest(sim *des.Sim, opts *Options, io *IngestOptions) (*ingest.Store,
 	var aux []serve.Aux
 	source := func(kind workload.MutationKind, rate float64, stream uint64) {
 		if rate > 0 {
-			g := workload.NewMutationGen(opts.W, kind, rate, 0, rng.Stream(opts.Seed, stream))
+			g := workload.NewMutationGen(opts.W, kind, rate, rng.Stream(opts.Seed, stream))
 			aux = append(aux, serve.AuxFunc(func(s *des.Sim, until des.Time) { g.Start(s, until, ing.Submit) }))
 		}
 	}

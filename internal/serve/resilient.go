@@ -97,7 +97,6 @@ type attempt struct {
 	primary    *workload.Request
 	hedge      *workload.Request
 	primaryRep int
-	hedgeRep   int
 	tries      int    // dispatches consumed (first attempt = 1)
 	seq        uint64 // bumped on retry/completion/failure; fences timers
 	crashID    int    // index of the crash that failed this attempt over, or -1
@@ -385,7 +384,6 @@ func (r *ResilientRouter) onHedge(att *attempt, seq uint64) {
 	}
 	cp := r.clone(att.primary)
 	att.hedge = cp
-	att.hedgeRep = i
 	r.attempts[cp] = att
 	r.stampDegrade(cp)
 	rep := r.reps[i]

@@ -55,7 +55,6 @@ type Builder func(next Sink) (Stage, error)
 
 // Pipeline is a linear chain of stages ending in a terminal sink.
 type Pipeline struct {
-	Sim    *des.Sim
 	stages []Stage // upstream first
 	head   Sink
 }
@@ -83,7 +82,7 @@ func Compose(sim *des.Sim, terminal Sink, builders ...Builder) (*Pipeline, error
 		stages[i] = st
 		next = st.Submit
 	}
-	return &Pipeline{Sim: sim, stages: stages, head: next}, nil
+	return &Pipeline{stages: stages, head: next}, nil
 }
 
 // Submit feeds a request into the pipeline's first stage.

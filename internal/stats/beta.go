@@ -95,9 +95,8 @@ type MinGrid struct {
 	loop    *parallel.Loop
 	logs    *[minSteps][2]float64 // gridLogs
 	cdf     incBeta               // the pass in progress
-	ns      int                   // batch sizes in the pass, 1 or 2
-	n       [2]float64            // their exponents
-	f       [2][minSteps]float64  // f[j][i] = (1 - F(i/minSteps))^n[j], interior i
+	n       float64               // its batch size, the integrand's exponent
+	f       [minSteps]float64     // f[i] = (1 - F(i/minSteps))^n, interior i
 	cfs     int                   // continued fractions evaluated; tests fence them
 
 	// A comparison's state: the blocks still to split, widest bound
@@ -115,36 +114,17 @@ func NewMinGrid(workers int) *MinGrid {
 	return g
 }
 
-// ExpectedMins sets out[j] to E[min of ns[j] draws of b] for one or two
-// batch sizes, from one pass of the continued fraction over the grid:
-// F(x) does not depend on n, only the power does. A batch size <= 1 is
-// the distribution mean and costs nothing. ns and out have equal
-// lengths; neither is retained.
-func (g *MinGrid) ExpectedMins(b Beta, ns []int, out []float64) {
-	if len(ns) > len(g.n) || len(out) != len(ns) {
-		panic(fmt.Sprintf("stats: ExpectedMins of %d batch sizes into %d values", len(ns), len(out)))
+// ExpectedMin returns E[min of n draws of b] from one pass of the
+// continued fraction over the grid. A batch size <= 1 is the
+// distribution mean and costs nothing.
+func (g *MinGrid) ExpectedMin(b Beta, n int) float64 {
+	if n <= 1 {
+		return b.Mean()
 	}
-	g.ns = 0
-	for j, n := range ns {
-		if n > 1 {
-			g.n[g.ns] = float64(n)
-			g.ns++
-		} else {
-			out[j] = b.Mean()
-		}
-	}
-	if g.ns == 0 {
-		return
-	}
+	g.n = float64(n)
 	g.cdf = newIncBeta(b.Alpha, b.Beta) // once per pass, not per grid point
 	g.pass()
-	k := 0
-	for j, n := range ns {
-		if n > 1 {
-			out[j] = simpson(&g.f[k])
-			k++
-		}
-	}
+	return simpson(&g.f)
 }
 
 // CFs reports how many continued fractions g has evaluated: minSteps−1
@@ -199,19 +179,13 @@ type block struct {
 // ran out of steps and so voided ε_CF — give way to a full pass and the
 // exact Simpson sum. A batch size <= 1 is the distribution mean.
 func (g *MinGrid) MinBelow(b Beta, n int, eta float64) (below bool, lo, hi float64) {
-	if n <= 1 {
-		m := b.Mean()
-		return m < eta, m, m
-	}
-	g.ns, g.n[0] = 1, float64(n)
-	g.cdf = newIncBeta(b.Alpha, b.Beta)
-	if n <= minBoundBatch {
+	if 1 < n && n <= minBoundBatch {
+		g.n, g.cdf = float64(n), newIncBeta(b.Alpha, b.Beta)
 		if lo, hi, ok := g.bound(eta); ok {
 			return hi < eta, lo, hi
 		}
 	}
-	g.pass()
-	v := simpson(&g.f[0])
+	v := g.ExpectedMin(b, n)
 	return v < eta, v, v
 }
 
@@ -277,7 +251,7 @@ func (g *MinGrid) eval(i, j int) bool {
 // weighted is interior grid point i's term of the Simpson sum: its
 // weight (4 at odd, 2 at even points) times its value.
 func (g *MinGrid) weighted(i int) float64 {
-	return float64(2+2*(i&1)) * g.f[0][i]
+	return float64(2+2*(i&1)) * g.f[i]
 }
 
 // at is the integrand at grid point i, the two end points included.
@@ -288,7 +262,7 @@ func (g *MinGrid) at(i int) float64 {
 	case minSteps:
 		return 0
 	}
-	return g.f[0][i]
+	return g.f[i]
 }
 
 // weights is the Simpson weight of the grid points strictly between l
@@ -409,59 +383,14 @@ func (g *MinGrid) point(i int) bool {
 	return ok
 }
 
-// store sets grid point i of each batch size's integrand from F there.
+// store sets grid point i of the integrand from F there.
 func (g *MinGrid) store(i int, cdf float64) {
 	surv := 1 - cdf
-	switch {
-	case surv <= 0:
-		g.f[0][i], g.f[1][i] = 0, 0
-	case g.ns == 1:
-		g.f[0][i] = math.Pow(surv, g.n[0])
-	default:
-		g.f[0][i], g.f[1][i] = powPair(surv, g.n[0], g.n[1])
+	if surv <= 0 {
+		g.f[i] = 0
+		return
 	}
-}
-
-// powPair is math.Pow(x, n0) and math.Pow(x, n1) for integer exponents
-// n0, n1 >= 2 with math.Pow's bits. For such exponents math.Pow squares
-// the mantissa of x once per exponent bit, multiplying in the squares
-// the exponent's set bits select and tallying powers of two apart; the
-// two exponents share the squarings, so one loop serves both. x outside
-// (0, 1) takes math.Pow itself.
-func powPair(x, n0, n1 float64) (float64, float64) {
-	if !(x > 0 && x < 1) {
-		return math.Pow(x, n0), math.Pow(x, n1)
-	}
-	a0, a1, e0, e1 := 1.0, 1.0, 0, 0
-	x1, xe := math.Frexp(x)
-	for i0, i1 := int64(n0), int64(n1); i0 != 0 || i1 != 0; i0, i1 = i0>>1, i1>>1 {
-		if xe < -1<<12 || 1<<12 < xe {
-			// Any square still to come underflows: math.Pow adds this
-			// one's power of two and stops.
-			if i0 != 0 {
-				e0 += xe
-			}
-			if i1 != 0 {
-				e1 += xe
-			}
-			break
-		}
-		if i0&1 == 1 {
-			a0 *= x1
-			e0 += xe
-		}
-		if i1&1 == 1 {
-			a1 *= x1
-			e1 += xe
-		}
-		x1 *= x1
-		xe <<= 1
-		if x1 < .5 {
-			x1 += x1
-			xe--
-		}
-	}
-	return math.Ldexp(a0, e0), math.Ldexp(a1, e1)
+	g.f[i] = math.Pow(surv, g.n)
 }
 
 // logBetaFn returns ln B(a, b) = lnΓ(a) + lnΓ(b) − lnΓ(a+b).

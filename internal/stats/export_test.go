@@ -43,13 +43,6 @@ func cf(a, b, x float64) float64 {
 // grid; n = 1 reduces to the distribution mean.
 func (b Beta) ExpectedMin(n int) float64 { return NewMinGrid(1).ExpectedMin(b, n) }
 
-// ExpectedMin is ExpectedMins for one batch size.
-func (g *MinGrid) ExpectedMin(b Beta, n int) float64 {
-	var out [1]float64
-	g.ExpectedMins(b, []int{n}, out[:])
-	return out[0]
-}
-
 // InverseMonotone solves Eval(x) = y for x assuming the model is
 // non-decreasing, by bisection over [xs[0], hi]. Returns ok=false if y
 // is below the model's minimum.

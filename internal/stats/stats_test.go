@@ -238,7 +238,8 @@ func TestExpectedMinBitIdenticalToReference(t *testing.T) {
 
 // TestMinGridBitIdenticalAcrossWorkers: the grid's points are filled on
 // a worker pool but folded in index order, so any worker count — and a
-// grid reused integral after integral — gives the reference's bits.
+// grid reused integral after integral — gives the reference's bits. A
+// batch size <= 1 is the mean, between integrals too.
 func TestMinGridBitIdenticalAcrossWorkers(t *testing.T) {
 	cases := []struct {
 		alpha, beta float64
@@ -246,6 +247,7 @@ func TestMinGridBitIdenticalAcrossWorkers(t *testing.T) {
 	}{
 		{0.3, 0.4, 2}, {0.5, 3, 8}, {4, 0.6, 16}, {0.9, 0.9, 64},
 		{1, 1, 5}, {4.2, 1.7, 8}, {25, 2, 256}, {2, 40, 3},
+		{0.3, 0.4, 1}, {4.2, 1.7, 15}, {4, 0.6, 1}, {2, 40, 2},
 	}
 	for _, workers := range []int{1, 2, 8} {
 		g := NewMinGrid(workers)
@@ -258,35 +260,6 @@ func TestMinGridBitIdenticalAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestExpectedMinsBitIdenticalToReference: one pass serves one or two
-// batch sizes, and each value has the reference's bits at any worker
-// count; a batch size <= 1 is the mean, alone or beside an integral.
-func TestExpectedMinsBitIdenticalToReference(t *testing.T) {
-	betas := []Beta{{0.3, 0.4}, {0.5, 3}, {4, 0.6}, {4.2, 1.7}, {25, 2}, {2, 40}}
-	sets := [][]int{{8}, {2}, {1}, {16, 15}, {3, 2}, {2, 1}, {1, 7}, {64, 256}}
-	for _, workers := range []int{1, 2, 8} {
-		g := NewMinGrid(workers)
-		for _, b := range betas {
-			for _, ns := range sets {
-				out := make([]float64, len(ns))
-				g.ExpectedMins(b, ns, out)
-				for j, n := range ns {
-					if want := refExpectedMin(b, n); math.Float64bits(out[j]) != math.Float64bits(want) {
-						t.Errorf("workers %d: Beta(%v, %v) ExpectedMins(%v)[%d] = %v, reference %v",
-							workers, b.Alpha, b.Beta, ns, j, out[j], want)
-					}
-				}
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("ExpectedMins of three batch sizes did not panic")
-		}
-	}()
-	NewMinGrid(1).ExpectedMins(betas[0], []int{2, 3, 4}, make([]float64, 3))
 }
 
 // TestBetaCF2BitEqualToBetaCF: each lane of the interleaved fraction
@@ -326,29 +299,9 @@ func TestBetaCF2BitEqualToBetaCF(t *testing.T) {
 	}
 }
 
-// TestPowPairBitEqualToPow: the shared squarings give math.Pow's bits for
-// both exponents, on results from 1 down through the subnormals to an
-// underflow, exponents whose bit lengths differ, and the bases powPair
-// hands to math.Pow.
-func TestPowPairBitEqualToPow(t *testing.T) {
-	xs := []float64{0.999999999, 0.97, 0.5, 0.3, 1e-3, 1e-30, 1e-200, 1e-300, 5e-324,
-		math.Nextafter(1, 0), 0, 1, math.NaN(), math.Inf(1)}
-	ns := []float64{2, 3, 7, 8, 15, 16, 64, 255, 256, 1023, 1 << 20}
-	for _, x := range xs {
-		for _, n0 := range ns {
-			for _, n1 := range ns {
-				got0, got1 := powPair(x, n0, n1)
-				want0, want1 := math.Pow(x, n0), math.Pow(x, n1)
-				if math.Float64bits(got0) != math.Float64bits(want0) || math.Float64bits(got1) != math.Float64bits(want1) {
-					t.Errorf("powPair(%v, %v, %v) = %v, %v; math.Pow gives %v, %v", x, n0, n1, got0, got1, want0, want1)
-				}
-			}
-		}
-	}
-}
-
 // FuzzExpectedMin: over the estimator's moment range, alpha < 1 and
-// beta < 1 included, one pass for n and n-1 has the reference's bits.
+// beta < 1 included, a pass for n and then one for n-1 on the same
+// grid have the reference's bits.
 func FuzzExpectedMin(f *testing.F) {
 	f.Add(0.5, 0.2, uint16(8))
 	f.Add(0.02, 0.999, uint16(2)) // alpha and beta < 1
@@ -362,13 +315,12 @@ func FuzzExpectedMin(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		ns := []int{int(n%512) + 1, int(n % 512)}
-		var out [2]float64
-		NewMinGrid(2).ExpectedMins(b, ns, out[:])
-		for j, n := range ns {
-			if want := refExpectedMin(b, n); math.Float64bits(out[j]) != math.Float64bits(want) {
+		g := NewMinGrid(2)
+		for _, n := range []int{int(n%512) + 1, int(n % 512)} {
+			got := g.ExpectedMin(b, n)
+			if want := refExpectedMin(b, n); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("Beta(%v, %v) n=%d: %v (%#x), reference %v (%#x)",
-					b.Alpha, b.Beta, n, out[j], math.Float64bits(out[j]), want, math.Float64bits(want))
+					b.Alpha, b.Beta, n, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
 		}
 	})

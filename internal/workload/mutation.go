@@ -26,9 +26,8 @@ func (k MutationKind) String() string {
 // Mutation is one live-corpus write flowing through the ingest
 // pipeline. Timestamps are virtual; zero means "not reached yet".
 type Mutation struct {
-	Seq    int
-	Kind   MutationKind
-	Tenant int
+	Seq  int
+	Kind MutationKind
 
 	// Vec is the insert payload (nil for deletes), drawn from the
 	// workload's drift-rotated insert distribution at arrival time.
@@ -61,8 +60,6 @@ type MutationGen struct {
 	Kind       MutationKind
 	RatePerSec float64
 	W          *dataset.Workload
-	// Tenant stamps every emitted mutation.
-	Tenant int
 
 	r    *rng.Rand
 	next int
@@ -75,8 +72,8 @@ type MutationGen struct {
 
 // NewMutationGen returns an open-loop mutation source. rate is
 // mutations per second of virtual time.
-func NewMutationGen(w *dataset.Workload, kind MutationKind, rate float64, tenant int, seed uint64) *MutationGen {
-	return &MutationGen{Kind: kind, RatePerSec: rate, W: w, Tenant: tenant, r: rng.New(seed)}
+func NewMutationGen(w *dataset.Workload, kind MutationKind, rate float64, seed uint64) *MutationGen {
+	return &MutationGen{Kind: kind, RatePerSec: rate, W: w, r: rng.New(seed)}
 }
 
 // Start schedules mutations on the simulator until the given deadline,
@@ -104,7 +101,7 @@ func (g *MutationGen) constStep() {
 
 // emit materializes one mutation at the current instant.
 func (g *MutationGen) emit() {
-	m := &Mutation{Seq: g.next, Kind: g.Kind, Tenant: g.Tenant, ArrivalAt: g.sim.Now()}
+	m := &Mutation{Seq: g.next, Kind: g.Kind, ArrivalAt: g.sim.Now()}
 	g.next++
 	if g.Kind == MutInsert {
 		m.Vec = g.W.InsertVector(g.r)

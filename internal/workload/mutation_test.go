@@ -23,7 +23,7 @@ func TestMutationTimeToSearchable(t *testing.T) {
 func TestMutationGenRate(t *testing.T) {
 	w := testWorkload(t)
 	var sim des.Sim
-	g := NewMutationGen(w, MutInsert, 50, 0, 3)
+	g := NewMutationGen(w, MutInsert, 50, 3)
 	count := 0
 	g.Start(&sim, des.Time(60*1e9), func(m *Mutation) { count++ })
 	sim.Run()
@@ -39,8 +39,8 @@ func TestMutationGenRate(t *testing.T) {
 func TestMutationGenPayloads(t *testing.T) {
 	w := testWorkload(t)
 	var sim des.Sim
-	ins := NewMutationGen(w, MutInsert, 40, 2, 7)
-	del := NewMutationGen(w, MutDelete, 40, 2, 8)
+	ins := NewMutationGen(w, MutInsert, 40, 7)
+	del := NewMutationGen(w, MutDelete, 40, 8)
 	var muts []*Mutation
 	collect := func(m *Mutation) { muts = append(muts, m) }
 	ins.Start(&sim, des.Time(2*1e9), collect)
@@ -52,9 +52,6 @@ func TestMutationGenPayloads(t *testing.T) {
 			t.Fatalf("%v seq %d out of order (want %d)", m.Kind, m.Seq, seq[m.Kind])
 		}
 		seq[m.Kind]++
-		if m.Tenant != 2 {
-			t.Fatalf("tenant tag lost: %d", m.Tenant)
-		}
 		switch m.Kind {
 		case MutInsert:
 			if len(m.Vec) == 0 {
@@ -75,7 +72,7 @@ func TestMutationGenDeterministic(t *testing.T) {
 	w := testWorkload(t)
 	run := func() []des.Time {
 		var sim des.Sim
-		g := NewMutationGen(w, MutDelete, 30, 0, 11)
+		g := NewMutationGen(w, MutDelete, 30, 11)
 		var at []des.Time
 		g.Start(&sim, des.Time(10*1e9), func(m *Mutation) { at = append(at, m.ArrivalAt) })
 		sim.Run()
@@ -95,7 +92,7 @@ func TestMutationGenDeterministic(t *testing.T) {
 func TestMutationGenZeroRate(t *testing.T) {
 	w := testWorkload(t)
 	var sim des.Sim
-	g := NewMutationGen(w, MutInsert, 0, 0, 1)
+	g := NewMutationGen(w, MutInsert, 0, 1)
 	g.Start(&sim, des.Time(60*1e9), func(m *Mutation) { t.Fatal("zero-rate stream emitted") })
 	sim.Run()
 	if g.Count() != 0 {
@@ -107,7 +104,7 @@ func TestMutationGenStopsAtDeadline(t *testing.T) {
 	w := testWorkload(t)
 	var last des.Time
 	var sim des.Sim
-	g := NewMutationGen(w, MutDelete, 100, 0, 9)
+	g := NewMutationGen(w, MutDelete, 100, 9)
 	g.Start(&sim, des.Time(1e9), func(m *Mutation) { last = m.ArrivalAt })
 	sim.Run()
 	if last > 1e9 {

@@ -1,11 +1,13 @@
 // Command census reports exported names of internal/ packages that no
 // code reached from a main, an init or the root package's API refers
-// to, and exported fields of exported *Options/*Config structs that no
-// reached code outside their package assigns or names in a literal.
-// Tests do not count; a method is also reached through its type when an
-// interface declares its name. Run it from the module root (`make
-// census`); it fails on findings allowlist.txt does not give a reason
-// for, and on stale allowlist entries.
+// to, exported fields of exported *Options/*Config structs that no
+// reached code outside their package assigns or names in a literal, and
+// unexported fields of internal/ structs that code only assigns or
+// names in a literal, never reads. Tests do not count; a method is also
+// reached through its type when an interface declares its name. Run it
+// from the module root (`make census`); it fails on findings
+// allowlist.txt does not give a reason for, and on stale allowlist
+// entries.
 package main
 
 import (
@@ -139,6 +141,16 @@ func census(root string) (map[string]string, error) {
 		return nil, err
 	}
 
+	// A field's reads are its uses less its sets.
+	reads := map[*types.Var]int{}
+	count := func(objs []types.Object, n int) {
+		for _, o := range objs {
+			if v, ok := o.(*types.Var); ok && v.IsField() {
+				reads[v.Origin()] += n
+			}
+		}
+	}
+
 	// Roots: main, init, blank declarations and the root package's API.
 	declOf, methods := map[types.Object]*decl{}, map[types.Object][]types.Object{}
 	var queue []types.Object
@@ -147,6 +159,8 @@ func census(root string) (map[string]string, error) {
 		for _, f := range fs {
 			for _, fd := range f.Decls {
 				d := scan(info, fd)
+				count(d.uses, 1)
+				count(d.sets, -1)
 				var ids []*ast.Ident
 				switch fd := fd.(type) {
 				case *ast.FuncDecl:
@@ -220,17 +234,23 @@ func census(root string) (map[string]string, error) {
 			name += tn.Name() + "."
 		}
 		name += o.Name()
-		if o.Exported() && !reached[o] && strings.Contains(o.Pkg().Path()+"/", "/internal/") {
+		internal := strings.Contains(o.Pkg().Path()+"/", "/internal/")
+		if o.Exported() && !reached[o] && internal {
 			findings[name] = "unreached"
 		}
 		tn, _ := o.(*types.TypeName)
 		st, ok := o.Type().Underlying().(*types.Struct)
-		if ok && tn != nil && !tn.IsAlias() && o.Exported() && reached[o] &&
-			(strings.HasSuffix(o.Name(), "Options") || strings.HasSuffix(o.Name(), "Config")) {
-			for i := range st.NumFields() {
-				if f := st.Field(i); f.Exported() && !setOutside[f] {
-					findings[name+"."+f.Name()] = "unset"
-				}
+		if !ok || tn == nil || tn.IsAlias() {
+			continue
+		}
+		options := strings.HasSuffix(o.Name(), "Options") || strings.HasSuffix(o.Name(), "Config")
+		for i := range st.NumFields() {
+			f := st.Field(i)
+			if options && o.Exported() && reached[o] && f.Exported() && !setOutside[f] {
+				findings[name+"."+f.Name()] = "unset"
+			}
+			if internal && !f.Exported() && !f.Embedded() && f.Name() != "_" && reads[f] <= 0 {
+				findings[name+"."+f.Name()] = "write-only"
 			}
 		}
 	}
@@ -238,7 +258,8 @@ func census(root string) (map[string]string, error) {
 }
 
 // run prints every finding the allowlist does not excuse and every
-// malformed or stale entry, and returns 1 if it printed anything.
+// malformed or stale entry, and returns 1 if it printed anything. An
+// entry ending in ".*" excuses every finding under that prefix.
 func run(root, allow string, w io.Writer) int {
 	findings, err := census(root)
 	if err != nil {
@@ -252,12 +273,19 @@ func run(root, allow string, w io.Writer) int {
 			continue
 		}
 		name, reason, _ := strings.Cut(line, " ")
+		prefix, wild := strings.CutSuffix(name, ".*")
+		excused := 0
+		for f := range findings {
+			if f == name || wild && strings.HasPrefix(f, prefix+".") {
+				delete(findings, f)
+				excused++
+			}
+		}
 		if strings.TrimSpace(reason) == "" {
 			bad = append(bad, "allowlist entry without a reason: "+name)
-		} else if findings[name] == "" {
+		} else if excused == 0 {
 			bad = append(bad, "stale allowlist entry: "+name)
 		}
-		delete(findings, name)
 	}
 	for name, kind := range findings {
 		bad = append(bad, kind+" "+name)

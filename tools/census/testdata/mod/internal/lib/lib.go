@@ -25,3 +25,14 @@ func (T) Name() string { return "t" }
 
 // Extra is a method no interface declares and nothing calls.
 func (T) Extra() int { return 2 }
+
+// counter has a field Count reads and one only a test reads: Count
+// names it in a literal and assigns it.
+type counter struct{ n, last int }
+
+// Count is reached from main.
+func Count() int {
+	c := counter{last: 1}
+	c.last = 2
+	return c.n
+}
