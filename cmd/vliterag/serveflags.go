@@ -1,18 +1,22 @@
 package main
 
 import (
+	"cmp"
+	"flag"
 	"fmt"
 	"strings"
 	"time"
 
 	vlr "vectorliterag"
+	"vectorliterag/internal/adapt"
+	"vectorliterag/internal/fault"
+	"vectorliterag/internal/rag"
 )
 
-// serveFlags is the serve subcommand's parsed flag set. timeoutSet,
-// ingestTuned and capSet record whether -timeout-ms, an ingest tuning
-// flag (-ingest-rate, -delete-rate, -reencode-every) or -queue-cap was
-// given explicitly: an explicit zero deadline or cap, or tuning without
-// -ingest, is rejected, while a flag never given keeps its default.
+// serveFlags is the serve subcommand's parsed flag set. set names the
+// flags given explicitly: an explicit zero deadline or cap, or a tuning
+// flag without the mode it tunes, is refused, while a flag never given
+// keeps its default.
 type serveFlags struct {
 	system, dataset, model, policy, tiers, pattern, faults, stageBudgets string
 
@@ -23,35 +27,60 @@ type serveFlags struct {
 	replicas, workers, tenants, driftRotate, retry, hedgeMS, timeoutMS, queueCap int
 
 	adaptive, sharedQueue, degrade, ingest, brownout, precision bool
-	timeoutSet, ingestTuned, capSet                             bool
+
+	set  map[string]bool
+	prof *profiler
 }
 
-// resilient reports whether any flag of the failure-handling group is
-// set.
-func (f serveFlags) resilient() bool {
-	return f.faults != "" || f.retry != 0 || f.hedgeMS != 0 || f.timeoutMS != 0 || f.degrade
+// serveFlagSet defines the serve subcommand's flags, bound to the
+// returned serveFlags. serveCmd and the tests build the set here alone.
+func serveFlagSet(errs flag.ErrorHandling) (*flag.FlagSet, *serveFlags) {
+	fs := flag.NewFlagSet("serve", errs)
+	f := &serveFlags{prof: profileFlags(fs)}
+	fs.StringVar(&f.system, "system", "vLiteRAG", "CPU-Only|DED-GPU|ALL-GPU|vLiteRAG|HedraRAG")
+	fs.StringVar(&f.dataset, "dataset", "orcas1k", "wikiall|orcas1k|orcas2k")
+	fs.StringVar(&f.model, "model", "qwen3-32b", "llama3-8b|qwen3-32b|llama3-70b")
+	fs.Float64Var(&f.rate, "rate", 30, "arrival rate (req/s; cluster-wide when -replicas > 1)")
+	fs.DurationVar(&f.dur, "duration", 120*time.Second, "virtual arrival window")
+	fs.Uint64Var(&f.seed, "seed", 1, "random seed")
+	fs.IntVar(&f.replicas, "replicas", 1, "independent node pipelines behind the front-end router")
+	fs.StringVar(&f.policy, "policy", "", "cluster routing policy (round-robin|least-loaded; default least-loaded)")
+	fs.IntVar(&f.workers, "workers", 0, "worker goroutines for sharded cluster/tenant runs (wall-clock only; 0 = one per GOMAXPROCS, 1 = sequential)")
+	fs.DurationVar(&f.netDelay, "netdelay", 0, "modeled front<->replica network transit (needs -replicas > 1); >0 selects the parallel sharded engine (a replicated tenant run defaults to 1ms)")
+	fs.BoolVar(&f.adaptive, "adapt", false, "vLiteRAG with in-loop drift detection and background index rebuilds")
+	fs.IntVar(&f.tenants, "tenants", 0, "serve N SLO-tiered tenants sharing the node (joint HBM allocation + fair scheduling)")
+	fs.StringVar(&f.tiers, "tiers", "gold,silver,bronze", "comma-separated tier per tenant, cycled to -tenants (gold|silver|bronze)")
+	fs.BoolVar(&f.sharedQueue, "shared-queue", false, "multi-tenant baseline: one unmetered queue instead of the FairScheduler (with -tenants)")
+	fs.DurationVar(&f.driftAt, "drift-at", 0, "inject a popularity rotation at this virtual time (0 = no drift)")
+	fs.IntVar(&f.driftRotate, "drift-rotate", 0, "rotation size in templates (with -drift-at; 0 = a third of the template pool)")
+	fs.StringVar(&f.pattern, "rate-pattern", "constant", "arrival process: constant|ramp|burst|diurnal")
+	fs.DurationVar(&f.slo, "slo", 0, "search SLO override (default: dataset's Table-I value)")
+	fs.StringVar(&f.faults, "faults", "", "scripted failure storm, e.g. crash@20s:r0:10s,straggler@35s:r1:8s:x3 (needs -replicas > 1)")
+	fs.IntVar(&f.retry, "retry", 0, "max re-dispatches per request after a timeout or crash (resilient cluster runs)")
+	fs.IntVar(&f.hedgeMS, "hedge-ms", 0, "fire a backup copy this many ms after dispatch; -1 derives the delay from the running p95")
+	fs.IntVar(&f.timeoutMS, "timeout-ms", 0, "per-attempt deadline in ms; expired attempts retry until -retry is exhausted")
+	fs.BoolVar(&f.degrade, "degrade", false, "shed retrieval depth proportionally to lost capacity while replicas are down")
+	fs.BoolVar(&f.ingest, "ingest", false, "stream live corpus mutations (inserts + deletes) onto the serving timeline")
+	fs.Float64Var(&f.ingestRate, "ingest-rate", 4, "insert rate in vectors/s (with -ingest)")
+	fs.Float64Var(&f.deleteRate, "delete-rate", 1, "delete rate in vectors/s (with -ingest)")
+	fs.DurationVar(&f.reencodeEvery, "reencode-every", 25*time.Second, "background PQ re-encode cadence (with -ingest)")
+	fs.IntVar(&f.queueCap, "queue-cap", 0, "bound each admission queue (one per tenant with -tenants), rejecting arrivals past it (0 = default 64 when -brownout is on)")
+	fs.BoolVar(&f.brownout, "brownout", false, "closed-loop overload control: shed retrieval quality (nprobe, rerank depth, SQ8 precision) when a stage overruns its latency budget")
+	fs.StringVar(&f.stageBudgets, "stage-budgets", "", "per-stage latency budgets as <retrieval>:<generation>, e.g. 350ms:600ms (with -brownout; default: the run's, or each tenant's, own SLOs)")
+	fs.BoolVar(&f.precision, "precision", false, "vLiteRAG joint placement x precision: SQ8-upgrade hot clusters within leftover HBM, demote coldest clusters to the modeled NVMe tier")
+	fs.Float64Var(&f.sqBudget, "sq-budget", 0, "SQ8 upgrade budget as a fraction of leftover HBM (with -precision; 0 = default 0.10)")
+	fs.Float64Var(&f.nvmeShare, "nvme-share", 0, "coldest access share demoted to NVMe (with -precision; 0 = default 0.02)")
+	return fs, f
 }
 
-// precisionOptions is the -precision group, or nil without -precision.
-func (f serveFlags) precisionOptions() *vlr.PrecisionOptions {
-	if !f.precision {
-		return nil
+// parse parses args into f and records which flags were given.
+func (f *serveFlags) parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	return &vlr.PrecisionOptions{SQBudgetFrac: f.sqBudget, NVMeColdShare: f.nvmeShare}
-}
-
-// overloadOptions is the overload-control group, or nil when neither
-// -brownout nor -queue-cap was given.
-func (f serveFlags) overloadOptions() *vlr.OverloadOptions {
-	if !f.brownout && !f.capSet {
-		return nil
-	}
-	ov := &vlr.OverloadOptions{QueueCap: f.queueCap, Brownout: f.brownout}
-	if f.stageBudgets != "" {
-		// Validated in validateServeFlags; parse errors cannot reach here.
-		ov.RetrievalBudget, ov.GenerationBudget, _ = parseStageBudgets(f.stageBudgets)
-	}
-	return ov
+	f.set = map[string]bool{}
+	fs.Visit(func(fl *flag.Flag) { f.set[fl.Name] = true })
+	return nil
 }
 
 // parseStageBudgets splits a -stage-budgets value of the form
@@ -74,78 +103,48 @@ func parseStageBudgets(s string) (retr, gen time.Duration, err error) {
 	return retr, gen, nil
 }
 
-// validateServeFlags rejects nonsensical serve parameters and flag
-// combinations up front, in the style of serve.ResolvePolicy's error:
-// name the knob, echo the bad value, state what is accepted — so no
-// flag is parsed and then silently ignored by the mode that runs.
-func validateServeFlags(f serveFlags) error {
-	vlite := vlr.System(f.system) == vlr.VLiteRAG
+// validateServeFlags refuses what the flags alone say is wrong: a flag
+// whose own value no run accepts, or a tuning flag given without the
+// mode it tunes, so no flag is parsed and then silently ignored. Which
+// modes combine is rag's rules table's to say: rag.Run refuses the
+// options before any work.
+func validateServeFlags(f *serveFlags) error {
 	switch {
 	case f.rate <= 0:
 		return fmt.Errorf("serve: -rate must be positive (have %g)", f.rate)
 	case f.replicas <= 0:
 		return fmt.Errorf("serve: -replicas must be positive (have %d)", f.replicas)
-	case f.workers < 0:
-		return fmt.Errorf("serve: -workers must not be negative (have %d)", f.workers)
-	case f.timeoutSet && f.timeoutMS <= 0:
+	case f.tenants < 0:
+		return fmt.Errorf("serve: -tenants must not be negative (have %d)", f.tenants)
+	case f.set["timeout-ms"] && f.timeoutMS <= 0:
 		return fmt.Errorf("serve: -timeout-ms must be positive (have %d)", f.timeoutMS)
-	case f.netDelay > 0 && f.replicas == 1:
-		return fmt.Errorf("serve: -netdelay models the front<->replica network; add -replicas > 1")
-	case f.adaptive && f.replicas > 1:
-		return fmt.Errorf("serve: -adapt serves a single adaptive pipeline; drop -replicas")
-	case f.adaptive && !vlite:
-		return fmt.Errorf("serve: -adapt requires the hot-swappable vLiteRAG runtime, not %s", f.system)
-	case f.ingest && f.replicas > 1:
-		return fmt.Errorf("serve: -ingest streams mutations into a single live pipeline; drop -replicas")
-	case f.tenants > 0 && (f.adaptive || f.ingest):
-		return fmt.Errorf("serve: -tenants is its own serving mode; drop -adapt/-ingest")
-	case f.tenants > 0 && f.driftAt > 0:
-		return fmt.Errorf("serve: -drift-at rotates one corpus's popularity; a -tenants lineup has none to drift")
-	case f.tenants > 0 && f.resilient():
-		return fmt.Errorf("serve: -faults/-retry/-hedge-ms/-timeout-ms/-degrade drive the single-corpus resilient cluster; drop them with -tenants")
-	case f.sharedQueue && f.tenants <= 0:
-		return fmt.Errorf("serve: -shared-queue is the multi-tenant baseline; add -tenants")
-	case f.adaptive && f.precision:
-		return fmt.Errorf("serve: -adapt rebuilds an all-PQ plan and would drop the -precision refinement; run one or the other")
-	case f.precision && !vlite:
-		return fmt.Errorf("serve: -precision refines the vLiteRAG placement, not %s", f.system)
+	case f.reencodeEvery <= 0:
+		return fmt.Errorf("serve: -reencode-every must be positive (have %v)", f.reencodeEvery)
+	case f.set["queue-cap"] && f.queueCap <= 0:
+		return fmt.Errorf("serve: -queue-cap must be positive (have %d); omit the flag for the default bound", f.queueCap)
 	case (f.sqBudget != 0 || f.nvmeShare != 0) && !f.precision:
 		return fmt.Errorf("serve: -sq-budget/-nvme-share tune the -precision refinement; add -precision")
-	case f.ingestTuned && !f.ingest:
+	case (f.set["ingest-rate"] || f.set["delete-rate"] || f.set["reencode-every"]) && !f.ingest:
 		return fmt.Errorf("serve: -ingest-rate/-delete-rate/-reencode-every tune the mutation stream and need -ingest")
-	case f.ingest && f.ingestRate < 0:
-		return fmt.Errorf("serve: -ingest-rate must be non-negative (have %g)", f.ingestRate)
-	case f.ingest && f.deleteRate < 0:
-		return fmt.Errorf("serve: -delete-rate must be non-negative (have %g)", f.deleteRate)
-	case f.ingest && f.reencodeEvery <= 0:
-		return fmt.Errorf("serve: -reencode-every must be positive (have %v)", f.reencodeEvery)
-	case f.capSet && f.queueCap <= 0:
-		return fmt.Errorf("serve: -queue-cap must be positive (have %d); omit the flag for the default bound", f.queueCap)
 	case f.stageBudgets != "" && !f.brownout:
 		return fmt.Errorf("serve: -stage-budgets tunes the brownout controller's per-stage latency budgets; add -brownout")
-	case (f.brownout || f.capSet) && f.replicas > 1 && f.tenants <= 0:
-		return fmt.Errorf("serve: -brownout/-queue-cap meter one node or a -tenants lineup; a -replicas cluster degrades through -degrade instead")
-	case (f.brownout || f.capSet) && f.sharedQueue:
-		return fmt.Errorf("serve: -shared-queue has no per-tenant queues to bound; drop -brownout/-queue-cap")
+	case f.set["drift-rotate"] && f.driftAt == 0:
+		return fmt.Errorf("serve: -drift-rotate sizes the rotation -drift-at injects; add -drift-at")
+	case f.set["tiers"] && f.tenants == 0:
+		return fmt.Errorf("serve: -tiers names the tiers of a -tenants lineup; add -tenants")
 	}
 	if f.stageBudgets != "" {
-		if _, _, err := parseStageBudgets(f.stageBudgets); err != nil {
-			return err
-		}
+		_, _, err := parseStageBudgets(f.stageBudgets)
+		return err
 	}
 	return nil
 }
 
 // resilienceFromFlags translates the failure-handling flag group into a
-// ResilienceConfig, or nil when none of its flags is set. The resilient
-// path needs spare replicas to fail over to, so any flag in the group
-// requires -replicas > 1.
-func resilienceFromFlags(f serveFlags) (*vlr.ResilienceConfig, error) {
-	if !f.resilient() {
+// ResilienceConfig, or nil when none of its flags is set.
+func resilienceFromFlags(f *serveFlags) (*vlr.ResilienceConfig, error) {
+	if f.faults == "" && f.retry == 0 && f.hedgeMS == 0 && f.timeoutMS == 0 && !f.degrade {
 		return nil, nil
-	}
-	if f.replicas < 2 {
-		return nil, fmt.Errorf("serve: -faults/-retry/-hedge-ms/-timeout-ms/-degrade need replicas to fail over to (have -replicas %d, want > 1)", f.replicas)
 	}
 	if f.retry < 0 {
 		return nil, fmt.Errorf("serve: -retry must be non-negative (have %d)", f.retry)
@@ -162,4 +161,83 @@ func resilienceFromFlags(f serveFlags) (*vlr.ResilienceConfig, error) {
 		rc.HedgeAuto = true
 	}
 	return rc, nil
+}
+
+// options is the one run the validated flags describe, on the corpus w:
+// served alone or, with -tenants, by every tenant of a tier-weighted
+// lineup. What the flags leave unset rag defaults.
+func (f *serveFlags) options(w *vlr.Workload) (rag.Options, error) {
+	m, node, err := modelByName(f.model)
+	if err != nil {
+		return rag.Options{}, err
+	}
+	o := rag.Options{
+		Node: node, Model: m, Kind: vlr.System(f.system),
+		Duration: f.dur, Seed: f.seed, SharedQueue: f.sharedQueue,
+		Policy: vlr.RoutePolicy(f.policy), Workers: f.workers, NetDelay: f.netDelay,
+	}
+	if o.Faults, err = fault.Parse(f.faults); err != nil {
+		return rag.Options{}, fmt.Errorf("serve: -faults: %w", err)
+	}
+	if o.Resilience, err = resilienceFromFlags(f); err != nil {
+		return rag.Options{}, err
+	}
+	if f.replicas > 1 {
+		o.Replicas = f.replicas
+	}
+	if f.driftAt != 0 {
+		o.Drift = []vlr.DriftEvent{{At: f.driftAt, Rotate: cmp.Or(f.driftRotate, w.DefaultDriftRotation())}}
+	}
+	if f.precision {
+		o.Precision = &vlr.PrecisionOptions{SQBudgetFrac: f.sqBudget, NVMeColdShare: f.nvmeShare}
+	}
+	if f.brownout || f.set["queue-cap"] {
+		o.Overload = &vlr.OverloadOptions{QueueCap: f.queueCap, Brownout: f.brownout}
+		if f.stageBudgets != "" {
+			// Validated in validateServeFlags; parse errors cannot reach here.
+			o.Overload.RetrievalBudget, o.Overload.GenerationBudget, _ = parseStageBudgets(f.stageBudgets)
+		}
+	}
+	if f.ingest {
+		o.Ingest = &rag.IngestOptions{InsertRate: f.ingestRate, DeleteRate: f.deleteRate, ReencodeEvery: f.reencodeEvery}
+	}
+	// -adapt beside -ingest is the compaction controller, which needs a
+	// stream to compact: without one the run is the frozen corpus.
+	if f.adaptive && (!f.ingest || f.ingestRate > 0 || f.deleteRate > 0) {
+		o.Monitor = &adapt.MonitorConfig{}
+	}
+	if f.tenants == 0 {
+		o.W, o.Rate, o.SLOSearch = w, f.rate, f.slo
+		o.RateSchedule, err = ratePattern(f.pattern, f.rate, f.rate, f.dur)
+		return o, err
+	}
+	o.Tenants, err = f.lineup(w)
+	return o, err
+}
+
+// lineup is the -tenants lineup on the corpus w: tiers cycled from the
+// -tiers list, the total -rate split across tenants in proportion to
+// tier weight. A non-constant -rate-pattern drives the last
+// (lowest-listed) tenant's arrivals, anchored at that tenant's own
+// share so its baseline matches what the joint allocator provisioned it
+// for, while the others stay steady: the "bursty bronze neighbor" demo.
+func (f *serveFlags) lineup(w *vlr.Workload) ([]rag.TenantConfig, error) {
+	names := strings.Split(f.tiers, ",")
+	tenants := make([]rag.TenantConfig, f.tenants)
+	total := 0
+	for i := range tenants {
+		tier, err := vlr.ParseTier(strings.TrimSpace(names[i%len(names)]))
+		if err != nil {
+			return nil, err
+		}
+		tenants[i] = rag.TenantConfig{Name: fmt.Sprintf("%s-%d", tier, i), Tier: tier, W: w, SLOSearch: f.slo}
+		total += tier.Weight()
+	}
+	for i := range tenants {
+		tenants[i].Rate = f.rate * float64(tenants[i].Tier.Weight()) / float64(total)
+	}
+	last := &tenants[len(tenants)-1]
+	var err error
+	last.RateSchedule, err = ratePattern(f.pattern, last.Rate, f.rate, f.dur)
+	return tenants, err
 }

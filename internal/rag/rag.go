@@ -175,7 +175,8 @@ type Options struct {
 	// run: insert/delete streams sharing the serving timeline (see
 	// IngestOptions). With no stream configured the run is exactly the
 	// frozen one — same events, same bytes — and reports an empty Live
-	// section.
+	// section. A routed run or a tenant lineup refuses it, streams or
+	// not.
 	Ingest *IngestOptions
 }
 

@@ -2,6 +2,7 @@ package rag
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -72,6 +73,38 @@ func TestRunValidation(t *testing.T) {
 		if _, err := Decide(o); err == nil {
 			t.Errorf("Decide accepted Epsilon %v, ProfileQueries %d", o.Epsilon, o.ProfileQueries)
 		}
+	}
+	// Negative windows, SLOs and worker counts are refused before any
+	// work: a negative Duration or Drain once served N=0 without an
+	// error, a negative SLOGen served at attainment 0, and a negative
+	// SLOSearch was judged against a total SLO below the generation
+	// one.
+	for _, bad := range []struct {
+		name string
+		mut  func(*Options)
+	}{
+		{"Duration", func(o *Options) { o.Duration = -10 * time.Second }},
+		{"Warmup", func(o *Options) { o.Warmup = -time.Second }},
+		{"Drain", func(o *Options) { o.Drain = -200 * time.Second }},
+		{"SLOSearch", func(o *Options) { o.SLOSearch = -50 * time.Millisecond }},
+		{"SLOGen", func(o *Options) { o.SLOGen = -50 * time.Millisecond }},
+		{"Workers", func(o *Options) { o.Workers = -1 }},
+		{"routed Workers", func(o *Options) { o.Replicas, o.Workers = 2, -1 }},
+	} {
+		o := baseOpts(t, AllGPU, 10)
+		bad.mut(&o)
+		if _, err := Run(o); err == nil || !strings.Contains(err.Error(), "negative "+strings.TrimPrefix(bad.name, "routed ")) {
+			t.Errorf("Run with a negative %s: error %v", bad.name, err)
+		}
+	}
+	if _, err := Decide(Options{Node: hw.H100Node(), Model: llm.Qwen3_32B, W: testW(t), SLOSearch: -time.Millisecond}); err == nil {
+		t.Error("Decide accepted a negative SLOSearch")
+	}
+	mt := mtOpts(t)
+	mt.Tenants = append([]TenantConfig(nil), mt.Tenants...)
+	mt.Tenants[1].SLOSearch = -50 * time.Millisecond
+	if _, err := Run(mt); err == nil || !strings.Contains(err.Error(), "negative SLOSearch") {
+		t.Errorf("Run with a tenant's negative SLOSearch: error %v", err)
 	}
 }
 

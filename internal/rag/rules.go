@@ -27,6 +27,7 @@ const (
 	fBaseline                        // Kind is not vLiteRAG
 	fAdaptive                        // the re-partitioning controller (Monitor on a frozen corpus)
 	fIngest                          // live mutation streams
+	fLiveCorpus                      // an Ingest section, with or without streams
 	fCompaction                      // the compaction controller (Monitor beside live streams)
 	fFaults                          // a fault schedule or a Resilience config
 	fPrecision                       // the (tier, codec) refinement
@@ -46,7 +47,7 @@ var rules = []struct {
 	msg  string
 }{
 	{fTenants | fBaseline, "rag: a tenant lineup serves on the vLiteRAG multi-tenant runtime, not %s"},
-	{fTenants | fIngest, "rag: live ingest streams into one corpus; a tenant lineup has none to mutate"},
+	{fTenants | fLiveCorpus, "rag: live ingest streams into one corpus; a tenant lineup has none to mutate"},
 	{fTenants | fAdaptive, "rag: the adapt controller re-plans one corpus; a tenant lineup is jointly allocated"},
 	{fTenants | fFaults, "rag: fault injection and resilience run on a routed single corpus; a tenant fleet has no resilient router"},
 	{fTenants | fDecision, "rag: a decision is one corpus's placement; a tenant lineup is jointly allocated"},
@@ -56,7 +57,7 @@ var rules = []struct {
 	{fOverload | fIngest, "rag: overload control is not wired into the live-ingest pipeline; drop Overload or run without ingest"},
 	{fOverload | fAdaptive, "rag: overload control and the adaptive replan controller would fight over the same latency signal; run one or the other"},
 	{fFaults | fIngest, "rag: live ingest runs single-node — fault injection needs Replicas"},
-	{fIngest | fRouted, "rag: live ingest runs single-node; drop Replicas"},
+	{fLiveCorpus | fRouted, "rag: live ingest runs single-node; drop Replicas"},
 	{fAdaptive | fRouted, "rag: the adapt controller re-plans a single node; drop Replicas"},
 	{fNetDelay | fSingleNode, "rag: NetDelay models the front↔replica network of a routed run; a single node has none — set Replicas"},
 	{fFaults | fSingleNode, "rag: fault injection and resilience need replicas to fail over to — set Replicas"},
@@ -100,6 +101,7 @@ func (opts *Options) features() feature {
 		when(opts.Kind != VLiteRAG, fBaseline) |
 		when(opts.Monitor != nil && !live, fAdaptive) |
 		when(live, fIngest) |
+		when(opts.Ingest != nil, fLiveCorpus) |
 		when(opts.Monitor != nil && live, fCompaction) |
 		when(opts.resilient(), fFaults) |
 		when(opts.Precision != nil || (d != nil && d.refined()), fPrecision) |
@@ -123,6 +125,17 @@ func (opts *Options) validate() (err error) {
 	}
 	if opts.NetDelay < 0 {
 		return fmt.Errorf("rag: negative NetDelay %v", opts.NetDelay)
+	}
+	for _, w := range []struct {
+		name string
+		v    time.Duration
+	}{{"Duration", opts.Duration}, {"Warmup", opts.Warmup}, {"Drain", opts.Drain}, {"SLOGen", opts.SLOGen}} {
+		if w.v < 0 {
+			return fmt.Errorf("rag: negative %s %v", w.name, w.v)
+		}
+	}
+	if opts.Workers < 0 {
+		return fmt.Errorf("rag: negative Workers %d", opts.Workers)
 	}
 	if opts.Ingest, err = opts.Ingest.normalized(); err != nil {
 		return err
@@ -172,6 +185,9 @@ func (opts *Options) validate() (err error) {
 func (opts *Options) validateDecision() (err error) {
 	if err := checkDeployment(opts.Node, opts.Model); err != nil {
 		return err
+	}
+	if opts.SLOSearch < 0 {
+		return fmt.Errorf("rag: negative SLOSearch %v", opts.SLOSearch)
 	}
 	if opts.Tenants == nil {
 		if opts.W == nil {
@@ -234,6 +250,9 @@ func (opts *Options) validateTenants() error {
 		}
 		if tc.Rate <= 0 {
 			return fmt.Errorf("rag: tenant %d (%s) non-positive rate %v", i, tc.Name, tc.Rate)
+		}
+		if tc.SLOSearch < 0 {
+			return fmt.Errorf("rag: tenant %d (%s) negative SLOSearch %v", i, tc.Name, tc.SLOSearch)
 		}
 		if tc.RateSchedule != nil {
 			if err := workload.ValidateSchedule(tc.RateSchedule); err != nil {

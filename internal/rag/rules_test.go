@@ -84,6 +84,8 @@ func TestFeatureCompatibility(t *testing.T) {
 		{"adaptive+faults", adaptive(func(o *Options) { o.Faults = crash }), "need replicas to fail over to"},
 		{"live+faults", live(ingest, false, func(o *Options) { o.Faults = crash }), "live ingest runs single-node"},
 		{"live(frozen)+faults", live(&IngestOptions{}, false, func(o *Options) { o.Faults = crash }), "need replicas to fail over to"},
+		{"routed+live(frozen)", cluster(func(o *Options) { o.Ingest = &IngestOptions{} }), "live ingest runs single-node; drop Replicas"},
+		{"tenants+live(frozen)", tenants(func(o *Options) { o.Ingest = &IngestOptions{} }), "a tenant lineup has none to mutate"},
 		{"routed+faults", cluster(func(o *Options) { o.Faults = crash }), ""},
 		{"routed(NetDelay)+faults", cluster(func(o *Options) { o.Faults, o.NetDelay = crash, time.Millisecond }), ""},
 
