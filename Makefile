@@ -66,15 +66,16 @@ lint:
 # the round's barrier — or in the per-point k-means bounds written from
 # parallel.For chunks should fail in seconds, not behind the whole sweep.
 # The least-loaded differential tests run 2 and 4 workers. One shared
-# rag.Decision also serves two runs at once: no run may write it; and
-# every lane of a fleet reads its run's one price table.
+# rag.Decision also serves two runs at once: no run may write it;
+# every lane of a fleet reads its run's one price table; and the
+# scheduler-bound test runs a two-replica lineup on two workers' lanes.
 race: race-engines
 	$(GO) test -race ./...
 
 race-engines:
 	$(GO) test -race -count=1 ./internal/des
 	$(GO) test -race -count=1 ./internal/serve -run 'Exchange'
-	$(GO) test -race -count=1 ./internal/rag -run 'Sharded|LinkFree|FleetWrites|LeastLoaded|NoticeAt|LoadIndex|OneDecisionServesManyRuns|SharePriceTable'
+	$(GO) test -race -count=1 ./internal/rag -run 'Sharded|LinkFree|FleetWrites|LeastLoaded|NoticeAt|LoadIndex|OneDecisionServesManyRuns|SharePriceTable|MeteredSectionBounded'
 	$(GO) test -race -count=1 ./internal/kmeans ./internal/pq ./internal/ivf
 
 # Full micro-benchmark sweep (one iteration each; sanity, not timing).

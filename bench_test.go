@@ -631,9 +631,9 @@ func BenchmarkRetrievalEngines(b *testing.B) {
 			return retrieval.NewHybrid(cfg, p, gpus, gm), nil
 		}
 	}
-	sharded := func(name string, p *splitter.Plan) func(retrieval.Config, []*gpu.State) (retrieval.Engine, error) {
+	sharded := func(p *splitter.Plan) func(retrieval.Config, []*gpu.State) (retrieval.Engine, error) {
 		return func(cfg retrieval.Config, gpus []*gpu.State) (retrieval.Engine, error) {
-			return retrieval.NewSharded(cfg, name, p, gpus, gm), nil
+			return retrieval.NewSharded(cfg, p, gpus, gm), nil
 		}
 	}
 	for _, c := range []struct {
@@ -648,8 +648,8 @@ func BenchmarkRetrievalEngines(b *testing.B) {
 		{"multitenant-3", func(cfg retrieval.Config, gpus []*gpu.State) (retrieval.Engine, error) {
 			return retrieval.NewMultiTenant(cfg, slots, gpus, gm)
 		}},
-		{"allgpu", sharded("ALL-GPU", plan(1))},
-		{"hedra", sharded("HedraRAG", plan(0.3))},
+		{"allgpu", sharded(plan(1))},
+		{"hedra", sharded(plan(0.3))},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

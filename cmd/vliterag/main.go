@@ -316,8 +316,12 @@ func printLive(res *rag.Result) {
 	f := live.Freshness
 	fmt.Printf("  ingest          %d inserts  %d deletes  %d pending raw  %d re-encodes  %d compactions\n",
 		f.Inserts, f.Deletes, f.Pending, live.Reencodes, live.Compactions)
-	fmt.Printf("  freshness       TTS p50 %v  p99 %v  attainment %.3f (SLO %v)\n",
-		f.TTS.P50.Round(time.Millisecond), f.TTS.P99.Round(time.Millisecond), f.Attainment, live.FreshnessSLO)
+	// With no insert counted there is nothing to be fresh: "-", not 0.
+	var tts50, tts99, att any = "-", "-", "-"
+	if f.Inserts > 0 {
+		tts50, tts99, att = f.TTS.P50.Round(time.Millisecond), f.TTS.P99.Round(time.Millisecond), fmt.Sprintf("%.3f", f.Attainment)
+	}
+	fmt.Printf("  freshness       TTS p50 %v  p99 %v  attainment %v (SLO %v)\n", tts50, tts99, att, live.FreshnessSLO)
 	fmt.Printf("  drift           size skew %.2f  residual ratio %.2f\n", live.SizeSkew, live.ResidualRatio)
 	if res.Adapt != nil {
 		for i, rb := range res.Adapt.Rebuilds {
@@ -334,8 +338,12 @@ func printLive(res *rag.Result) {
 	metrics.AnnotateFreshness(timeline, live.Mutations, live.FreshnessSLO, timelineBucket)
 	fmt.Println("  attainment over time (window: requests / freshness):")
 	for _, w := range timeline {
-		fmt.Printf("    %-8v att %.3f  fresh %.3f  (%d reqs, %d inserts)\n",
-			w.Start, w.Attainment, w.FreshAttainment, w.N, w.Inserts)
+		fresh := "-"
+		if w.Inserts > 0 {
+			fresh = fmt.Sprintf("%.3f", w.FreshAttainment)
+		}
+		fmt.Printf("    %-8v att %.3f  fresh %-5s  (%d reqs, %d inserts)\n",
+			w.Start, w.Attainment, fresh, w.N, w.Inserts)
 	}
 }
 

@@ -24,13 +24,13 @@
 //
 // # Architecture
 //
-// Serving is organized as a composable stage pipeline (internal/serve,
-// see ARCHITECTURE.md): Poisson arrivals feed an admission stage, then
-// a retrieval stage (the hybrid engine or the CPU-only one), then a
-// generation stage wrapping the LLM cluster, ending in a metrics
+// Serving runs each node as a fixed chain of stations (see
+// ARCHITECTURE.md): Poisson arrivals enter by admission, then the
+// optional fair scheduler, then a retrieval engine (the hybrid engine
+// or the CPU-only one), then the LLM cluster, ending in a metrics
 // collector — all in virtual time on a deterministic discrete-event
 // simulator. Each baseline system (CPU-Only, DED-GPU, ALL-GPU,
-// vLiteRAG, HedraRAG) is a declarative composition of those stages;
+// vLiteRAG, HedraRAG) is one configuration of those stations;
 // internal/rag contributes the per-system resource decision (GPU memory
 // layout, engine choice, LLM placement) and one entry point that serves
 // it on any combination of corpus (one workload or a tenant lineup),

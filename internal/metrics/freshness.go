@@ -13,7 +13,9 @@ import (
 // of inserts met the freshness SLO. Mutations never applied by
 // measurement time count as violations (a stuck write is a failure,
 // not missing data) but are excluded from the percentiles, exactly
-// like unserved requests in Summarize.
+// like unserved requests in Summarize. With no insert counted,
+// Attainment and TTS stay 0: an empty set, which a report should print
+// as "-" rather than as total failure.
 type Freshness struct {
 	Inserts    int       // counted insert mutations
 	Deletes    int       // counted delete mutations

@@ -21,7 +21,8 @@ type Window struct {
 
 	// Freshness columns, filled by AnnotateFreshness on live-ingest
 	// runs (zero on frozen runs): inserts arriving in the window and
-	// the fraction of them searchable within the freshness SLO.
+	// the fraction of them searchable within the freshness SLO, left 0
+	// in a window with no inserts (an empty set: print it as "-").
 	Inserts         int
 	FreshAttainment float64
 

@@ -34,7 +34,7 @@ type AdaptReport struct {
 // then fits its own the way Decide would, and the decision stays as it
 // is. It returns the model-expected mean hit rate of the installed plan,
 // the monitor's first anchor. The caller binds the engine (and the
-// compactor) once the pipeline exists.
+// compactor) once the node exists.
 func newAdaptController(sim *des.Sim, opts *Options, d *Decision, mon adapt.MonitorConfig, io *IngestOptions) (*adapt.Controller, float64, error) {
 	perf, expected := d.perf, d.MeanHitRate
 	if perf == nil {

@@ -76,7 +76,7 @@ type fleetBuilder func(spec *nodeSpec, replicas int, policy serve.Policy, netDel
 func (c *corpus) shared(opts *Options) (*served, error) {
 	resilient := opts.resilient()
 	var sim des.Sim
-	// The resilient router can only be built after the replica pipelines
+	// The resilient router can only be built after the replica nodes
 	// exist, so each terminal sink late-binds through this variable.
 	var rr *serve.ResilientRouter
 	reps := make([]*serve.Replica, opts.Replicas)
@@ -94,7 +94,7 @@ func (c *corpus) shared(opts *Options) (*served, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep.Bind(nodes[i].pipe)
+		rep.Bind(nodes[i].submit)
 		reps[i] = rep
 	}
 	var (
@@ -115,21 +115,17 @@ func (c *corpus) shared(opts *Options) (*served, error) {
 		if rr, err = serve.NewResilientRouter(&sim, rcfg, reps, coll, pool); err != nil {
 			return nil, err
 		}
-		front, err := serve.Compose(&sim, rr.Submit, serve.Admit(coll))
-		if err != nil {
-			return nil, err
-		}
-		submit, alloc, records = front.Submit, pool.Get, coll.Requests
+		submit, alloc, records = admit(coll, rr.Submit), pool.Get, coll.Requests
 		// Wire the storm: health events hit the router; slowdown episodes
 		// hit the affected replica's engines directly.
 		fault.Install(&sim, opts.Faults, fault.Hooks{
 			Crash:   rr.Crash,
 			Recover: rr.Recover,
 			SlowLLM: func(r int, f float64, until des.Time) {
-				nodes[r].pipe.Generation().Cluster.SetSlowdown(f, until)
+				nodes[r].llm.SetSlowdown(f, until)
 			},
 			SlowRetrieval: func(r int, f float64, until des.Time) {
-				if s, ok := nodes[r].pipe.Retrieval().Engine.(retrieval.Slowdowner); ok {
+				if s, ok := nodes[r].eng.(retrieval.Slowdowner); ok {
 					s.SetSlowdown(f, until)
 				}
 			},
@@ -245,7 +241,7 @@ func newFleet(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.D
 		// of it one network delay later.
 		next := func(*workload.Request) {}
 		if feedback {
-			l.in = des.NewInbox(func(arg any) { f.nodes[i].pipe.Submit(arg.(*workload.Request)) }, 0)
+			l.in = des.NewInbox(func(arg any) { f.nodes[i].submit(arg.(*workload.Request)) }, 0)
 			next = func(*workload.Request) {
 				if w := l.w; !w.mute {
 					w.notes[w.p] = append(w.notes[w.p], notice{at: l.sim.Now() + f.netDelay, lane: i})
@@ -317,7 +313,7 @@ func (f *fleet) alone(deadline des.Time, used int, summarize func(w, i int)) []i
 	ins := make([]*des.Inbox, used)
 	deliver := func(arg any) {
 		req := arg.(*workload.Request)
-		f.nodes[req.ID%r].pipe.Submit(req)
+		f.nodes[req.ID%r].submit(req)
 	}
 	parallel.ForEachWorker(r, used, func(w, i int) {
 		if ins[w] == nil {

@@ -14,7 +14,6 @@ import (
 	"vectorliterag/internal/partition"
 	"vectorliterag/internal/perfmodel"
 	"vectorliterag/internal/profiler"
-	"vectorliterag/internal/serve"
 	"vectorliterag/internal/splitter"
 	"vectorliterag/internal/workload"
 )
@@ -205,18 +204,18 @@ func decide(opts *Options) (*Decision, error) {
 	return d, nil
 }
 
-// arrivalsFor returns one corpus's pipeline source, drawing requests
+// arrivalsFor returns one corpus's arrival source, drawing requests
 // from alloc (a run's arena, or the resilient router's pool): the
 // constant-rate Poisson stream, or the inhomogeneous (thinned) stream
 // when a rate schedule is set.
-func arrivalsFor(w *dataset.Workload, rate float64, sched workload.Schedule, shape workload.Shape, seed uint64, alloc func() *workload.Request) *serve.Arrivals {
-	var arr *serve.Arrivals
+func arrivalsFor(w *dataset.Workload, rate float64, sched workload.Schedule, shape workload.Shape, seed uint64, alloc func() *workload.Request) *workload.Generator {
+	var arr *workload.Generator
 	if sched != nil {
-		arr = serve.NewScheduledArrivals(w, sched, shape, seed)
+		arr = workload.NewScheduledGenerator(w, sched, shape, seed)
 	} else {
-		arr = serve.NewArrivals(w, rate, shape, seed)
+		arr = workload.NewGenerator(w, rate, shape, seed)
 	}
-	arr.SetAlloc(alloc)
+	arr.Alloc = alloc
 	return arr
 }
 
@@ -236,8 +235,13 @@ func expectedArrivals(rate float64, sched workload.Schedule, window time.Duratio
 // installDrift schedules the drift trace's popularity rotations on the
 // virtual timeline and returns a restore hook that resets the workload
 // to its pre-run rotation, so one run's drift cannot leak into the
-// next (static and adaptive arms replay the identical trace).
+// next (static and adaptive arms replay the identical trace). A run
+// without drift leaves the workload alone, restore included: runs on
+// one workload may then share it from several goroutines.
 func installDrift(sim *des.Sim, opts *Options) (restore func()) {
+	if len(opts.Drift) == 0 {
+		return func() {}
+	}
 	initial := opts.W.PopularityRotation()
 	for _, ev := range opts.Drift {
 		ev := ev

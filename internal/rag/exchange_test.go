@@ -27,7 +27,7 @@ func newExchangeFleet(spec *nodeSpec, replicas int, policy serve.Policy, netDela
 		if err := f.build(spec, i, x.ReplicaSim(i), x.NoticeSink(i)); err != nil {
 			return nil, err
 		}
-		x.BindReplica(i, f.nodes[i].pipe.Submit)
+		x.BindReplica(i, f.nodes[i].submit)
 	}
 	f.phase2 = func(deadline des.Time, used int, summarize func(w, i int)) []int {
 		replay(x, f.records)

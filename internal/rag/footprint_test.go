@@ -81,19 +81,7 @@ func TestArenaOverflowKeepsRecords(t *testing.T) {
 	base.ProfileQueries = 1000
 	// tiny returns o's decided corpus with its arena sized to one request.
 	tiny := func(o *Options) *corpus {
-		if err := o.validate(); err != nil {
-			t.Fatal(err)
-		}
-		slo, err := GenSLO(o.Node, o.Model, o.Shape)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.SLOGen = slo
-		d, err := decide(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := o.corpus(d, nil, nil)
+		c := decidedCorpus(t, o)
 		c.expect = 1
 		return c
 	}

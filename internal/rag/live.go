@@ -8,7 +8,6 @@ import (
 	"vectorliterag/internal/ingest"
 	"vectorliterag/internal/metrics"
 	"vectorliterag/internal/rng"
-	"vectorliterag/internal/serve"
 	"vectorliterag/internal/workload"
 )
 
@@ -88,7 +87,7 @@ type LiveReport struct {
 // so the request stream (Seed+7) and the profiling sample (Seed+1) are
 // untouched — the frozen half of a frozen-vs-live A/B replays
 // identically.
-func startIngest(sim *des.Sim, opts *Options, io *IngestOptions) (*ingest.Store, *ingest.Ingester, []serve.Aux) {
+func startIngest(sim *des.Sim, opts *Options, io *IngestOptions) (*ingest.Store, *ingest.Ingester, []func(*des.Sim, des.Time)) {
 	store := ingest.NewStore(opts.W)
 	ing := ingest.New(ingest.Config{
 		Sim:           sim,
@@ -97,11 +96,11 @@ func startIngest(sim *des.Sim, opts *Options, io *IngestOptions) (*ingest.Store,
 		ReencodeEvery: io.ReencodeEvery,
 		Horizon:       des.Time(opts.Duration + opts.Drain),
 	})
-	var aux []serve.Aux
+	var aux []func(*des.Sim, des.Time)
 	source := func(kind workload.MutationKind, rate float64, stream uint64) {
 		if rate > 0 {
 			g := workload.NewMutationGen(opts.W, kind, rate, rng.Stream(opts.Seed, stream))
-			aux = append(aux, serve.AuxFunc(func(s *des.Sim, until des.Time) { g.Start(s, until, ing.Submit) }))
+			aux = append(aux, func(s *des.Sim, until des.Time) { g.Start(s, until, ing.Submit) })
 		}
 	}
 	source(workload.MutInsert, io.InsertRate, 21)

@@ -13,6 +13,7 @@ import (
 	"vectorliterag/internal/retrieval"
 	"vectorliterag/internal/serve"
 	"vectorliterag/internal/splitter"
+	"vectorliterag/internal/workload"
 )
 
 // nodeSpec is everything about a serving node that is the same for
@@ -72,7 +73,7 @@ func singleSpec(opts *Options, d *Decision, live retrieval.LiveCost) *nodeSpec {
 		case CPUOnly:
 			return retrieval.NewCPUOnly(cfg), nil
 		case AllGPU, DedGPU, HedraRAG:
-			return retrieval.NewSharded(cfg, string(opts.Kind), d.Plan, gpus, gm), nil
+			return retrieval.NewSharded(cfg, d.Plan, gpus, gm), nil
 		}
 		h := retrieval.NewHybrid(cfg, d.Plan, gpus, gm)
 		h.Dispatcher = !opts.DisableDispatcher
@@ -87,13 +88,18 @@ func singleSpec(opts *Options, d *Decision, live retrieval.LiveCost) *nodeSpec {
 	return s
 }
 
-// node is one built replica: its pipeline plus the pieces the tally
-// reads back after the run (nil where the spec had none).
+// node is one built replica: its stations, wired front to back —
+// submit (the head arrivals enter by: admission into coll, then the
+// scheduler, then the engine), the retrieval engine, the LLM cluster —
+// plus the pieces the tally reads back after the run (nil where the
+// spec had none).
 type node struct {
-	pipe  *serve.Pipeline
-	coll  *serve.Collector
-	sched *serve.FairScheduler
-	brown *brownout.Controller
+	submit serve.Sink
+	eng    retrieval.Engine
+	llm    *llm.Cluster
+	coll   *serve.Collector
+	sched  *serve.FairScheduler
+	brown  *brownout.Controller
 }
 
 // build instantiates one replica of the spec on sim: fresh GPU states
@@ -122,28 +128,24 @@ func (s *nodeSpec) build(sim *des.Sim, coll *serve.Collector, observers []serve.
 	}
 
 	n := &node{coll: coll}
-	var builders []serve.Builder
 	var tail []serve.Sink
 	if coll != nil {
-		builders = append(builders, serve.Admit(coll))
 		tail = append(tail, coll.Done)
 	}
+	var err error
 	if s.classes != nil {
-		sched, err := serve.NewFairScheduler(s.classes, schedulerInflight)
-		if err != nil {
+		if n.sched, err = serve.NewFairScheduler(s.classes, schedulerInflight); err != nil {
 			return nil, err
 		}
-		n.sched = sched
-		builders = append(builders, serve.Scheduled(sched))
 		if s.overload != nil {
-			sched.SetAdmission(s.overload.QueueCap, next)
+			n.sched.SetAdmission(s.overload.QueueCap, next)
 		}
 		if s.overload != nil && s.overload.Brownout {
 			n.brown, err = brownout.NewController(sim, brownout.Config{}, s.budgets, s.bias)
 			if err != nil {
 				return nil, err
 			}
-			sched.SetOnDispatch(n.brown.Stamp)
+			n.sched.SetOnDispatch(n.brown.Stamp)
 			tail = append(tail, n.brown.Observe)
 		}
 	}
@@ -151,36 +153,47 @@ func (s *nodeSpec) build(sim *des.Sim, coll *serve.Collector, observers []serve.
 	if next != nil {
 		tail = append(tail, next)
 	}
-	terminal := serve.Tee(tail...)
 
-	cfg := s.cfg
-	cfg.Sim = sim
-	// Compose builds back to front: generation first, so the engine's
-	// Forward hook points at a live cluster.
-	builders = append(builders,
-		serve.RetrievalStage(func(forward serve.Sink) (retrieval.Engine, error) {
-			cfg.Forward = forward
-			return s.engine(cfg, idxStates)
-		}),
-		serve.GenerationStage(func() (*llm.Cluster, error) {
-			return llm.NewCluster(sim, s.node, s.model, llmStates, llm.DefaultEngineConfig())
-		}))
-	pipe, err := serve.Compose(sim, terminal, builders...)
-	if err != nil {
+	// Back to front: generation first, so the engine's Forward hook
+	// points at a live cluster.
+	if n.llm, err = llm.NewCluster(sim, s.node, s.model, llmStates, llm.DefaultEngineConfig()); err != nil {
 		return nil, err
 	}
+	cfg := s.cfg
+	cfg.Sim, cfg.Forward = sim, n.llm.Submit
+	if n.eng, err = s.engine(cfg, idxStates); err != nil {
+		return nil, err
+	}
+	n.submit = n.eng.Submit
+	var firstToken serve.Sink
 	if n.sched != nil {
+		if _, err := serve.Scheduled(n.sched)(n.eng.Submit); err != nil {
+			return nil, err
+		}
+		n.submit = n.sched.Submit
 		// The scheduler meters the TTFT-relevant section — retrieval
 		// queue, search, LLM wait, prefill — releasing the slot at first
 		// token rather than at completion: decode proceeds concurrently
 		// for many requests inside the LLM and must not hold admission
 		// slots, while anything queued beyond the bound would sit in
-		// downstream FIFO queues where tier priority cannot act. The
-		// completion sink installed by Compose is re-installed unchanged.
-		pipe.Generation().Cluster.SetCallbacks(n.sched.Release, terminal)
+		// downstream FIFO queues where tier priority cannot act.
+		firstToken = n.sched.Release
 	}
-	n.pipe = pipe
+	if coll != nil {
+		n.submit = admit(coll, n.submit)
+	}
+	n.llm.SetCallbacks(firstToken, serve.Tee(tail...))
 	return n, nil
+}
+
+// admit is the front door of a replica or of the resilient router: it
+// registers each arriving request with coll, in arrival order, before
+// handing it to next.
+func admit(coll *serve.Collector, next serve.Sink) serve.Sink {
+	return func(req *workload.Request) {
+		coll.Admit(req)
+		next(req)
+	}
 }
 
 // nodeRows reads back each node's share of a run — the traffic routed to
@@ -194,14 +207,14 @@ func nodeRows(nodes []*node, weights []int, tp int) (rows []ReplicaResult, avgBa
 	for i, n := range nodes {
 		rr := ReplicaResult{
 			Submitted: weights[i],
-			AvgBatch:  n.pipe.Retrieval().AvgBatch(),
-			LLMGPUs:   n.pipe.Generation().GPUs(tp),
+			AvgBatch:  n.eng.AvgBatch(),
+			LLMGPUs:   len(n.llm.Instances) * tp,
 		}
 		rows = append(rows, rr)
 		total += rr.Submitted
 		llmGPUs += rr.LLMGPUs
 		batchSum += rr.AvgBatch * float64(rr.Submitted)
-		if g, ok := n.pipe.Retrieval().Engine.(retrieval.RecallReporter); ok {
+		if g, ok := n.eng.(retrieval.RecallReporter); ok {
 			gainSum += g.RecallGain() * float64(rr.Submitted)
 		}
 	}

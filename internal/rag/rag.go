@@ -2,8 +2,9 @@
 // it makes the system-level resource decision the paper's §V baseline
 // configurations differ in — GPU memory layout, which GPUs serve the
 // LLM, and which retrieval engine runs — and instantiates that decision
-// as a stage pipeline on internal/serve (arrivals → admission →
-// retrieval → generation → collector, all in virtual time). It also
+// as a node wired station by station (arrivals → admission →
+// scheduler → retrieval → generation → collector, all in virtual
+// time). It also
 // owns the memoized capacity measurements every experiment shares.
 //
 // Run is the one serving entry point. Its Options name a corpus (one

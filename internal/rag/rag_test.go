@@ -38,6 +38,25 @@ func baseOpts(t *testing.T, kind Kind, rate float64) Options {
 	}
 }
 
+// decidedCorpus validates o, fills its generation SLO and returns the
+// single corpus of its decision, as Run would serve it.
+func decidedCorpus(t *testing.T, o *Options) *corpus {
+	t.Helper()
+	if err := o.validate(); err != nil {
+		t.Fatal(err)
+	}
+	slo, err := GenSLO(o.Node, o.Model, o.Shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.SLOGen = slo
+	d, err := decide(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o.corpus(d, nil, nil)
+}
+
 // routed is o served on replicas nodes behind a policy router.
 func routed(o Options, replicas int, policy serve.Policy) Options {
 	o.Replicas, o.Policy = replicas, policy

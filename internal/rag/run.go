@@ -15,7 +15,7 @@ import (
 // Run executes one evaluation point: it validates the options, makes
 // the resource decision once unless Options.Decision brings one (per
 // Kind for a single corpus — Algorithm 1 for vLiteRAG — or the joint
-// allocator for a tenant lineup), composes the serving pipeline
+// allocator for a tenant lineup), wires the serving stations
 // (admission → retrieval → generation → collector) on every node of the
 // topology the options name, with the control planes they attach, and
 // drives arrivals through it in virtual time. The topologies differ
@@ -66,7 +66,7 @@ func run(opts Options, build fleetBuilder) (*Result, error) {
 }
 
 // runSingle serves a single corpus on one node, one arena, one
-// timeline. Control planes attach at the three points the pipeline
+// timeline. Control planes attach at the three points the node
 // offers: the engine (a live-cost overlay at construction, the
 // HotSwapper a controller re-plans through), the terminal tee (a
 // controller observes each completion) and the timeline itself
@@ -80,7 +80,7 @@ func runSingle(opts *Options, d *Decision) (*Result, error) {
 		store *ingest.Store
 		ing   *ingest.Ingester
 		live  retrieval.LiveCost
-		aux   []serve.Aux
+		aux   []func(*des.Sim, des.Time)
 	)
 	io := opts.streams()
 	if io != nil {
@@ -101,7 +101,7 @@ func runSingle(opts *Options, d *Decision) (*Result, error) {
 		if ctrl != nil {
 			// The rules admit a controller on vLiteRAG alone, whose hybrid
 			// engine hot-swaps.
-			ctrl.Bind(n.pipe.Retrieval().Engine.(retrieval.HotSwapper))
+			ctrl.Bind(n.eng.(retrieval.HotSwapper))
 			if ing != nil {
 				ctrl.BindCompactor(ing)
 			}
@@ -137,7 +137,7 @@ type corpus struct {
 // corpus returns the single corpus of a decided run. Its feed schedules,
 // in pinned order, the drift trace, any aux sources (live mutation
 // streams) and the arrival stream.
-func (opts *Options) corpus(d *Decision, live retrieval.LiveCost, aux []serve.Aux) *corpus {
+func (opts *Options) corpus(d *Decision, live retrieval.LiveCost, aux []func(*des.Sim, des.Time)) *corpus {
 	return &corpus{
 		spec:   singleSpec(opts, d, live),
 		expect: expectedArrivals(opts.Rate, opts.RateSchedule, opts.Duration),
@@ -146,7 +146,7 @@ func (opts *Options) corpus(d *Decision, live retrieval.LiveCost, aux []serve.Au
 			restore := installDrift(front, opts)
 			arr := arrivalsFor(opts.W, opts.Rate, opts.RateSchedule, opts.Shape, opts.Seed+7, alloc)
 			for _, a := range aux {
-				a.Start(front, des.Time(opts.Duration))
+				a(front, des.Time(opts.Duration))
 			}
 			arr.Start(front, des.Time(opts.Duration), submit)
 			return restore
@@ -181,7 +181,7 @@ func (c *corpus) node(sim *des.Sim, opts *Options, observers []serve.Sink, bind 
 		bind(n)
 	}
 	arena := workload.NewArena(c.expect)
-	defer c.feed(sim, arena.New, n.pipe.Submit)()
+	defer c.feed(sim, arena.New, n.submit)()
 	sim.RunUntil(des.Time(opts.Duration + opts.Drain))
 	return &served{records: arena.Records(), nodes: []*node{n}, submitted: []int{1}}, nil
 }

@@ -195,7 +195,7 @@ func runTenants(opts *Options, build fleetBuilder) (*Result, error) {
 				seed = rng.Stream(opts.Seed+7, uint64(i))
 			}
 			arr := arrivalsFor(tc.W, tc.Rate, tc.RateSchedule, opts.Shape, seed, alloc)
-			arr.SetTenant(i)
+			arr.Tenant = i
 			arr.Start(front, des.Time(opts.Duration), submit)
 		}
 		return func() {}

@@ -88,13 +88,13 @@ func stampDegrade(_ *testing.T, _ *fixture, _ Engine, reqs []*workload.Request) 
 
 func digestScenarios() []digestScenario {
 	allGPU := func(t *testing.T, f *fixture) Engine {
-		return NewSharded(f.cfg, "ALL-GPU", f.plan(t, 1, f.node.NumGPUs), f.gpus, f.gm)
+		return NewSharded(f.cfg, f.plan(t, 1, f.node.NumGPUs), f.gpus, f.gm)
 	}
 	dedGPU := func(t *testing.T, f *fixture) Engine {
-		return NewSharded(f.cfg, "DED-GPU", f.plan(t, 1, 2), f.gpus[6:], f.gm)
+		return NewSharded(f.cfg, f.plan(t, 1, 2), f.gpus[6:], f.gm)
 	}
 	hedra := func(t *testing.T, f *fixture) Engine {
-		return NewSharded(f.cfg, "HedraRAG", f.plan(t, 0.4, f.node.NumGPUs), f.gpus, f.gm)
+		return NewSharded(f.cfg, f.plan(t, 0.4, f.node.NumGPUs), f.gpus, f.gm)
 	}
 	return []digestScenario{
 		{name: "cpu", build: func(_ *testing.T, f *fixture) Engine { return NewCPUOnly(f.cfg) }},

@@ -46,7 +46,6 @@ const MaxBatch = 64
 // the adaptive monitor consumes.
 type Engine interface {
 	Submit(req *workload.Request)
-	Name() string
 	// AvgBatch reports the mean batch size formed so far (Fig. 14).
 	AvgBatch() float64
 }
@@ -388,9 +387,6 @@ func NewCPUOnly(cfg Config) *CPUOnly {
 	}
 	return e
 }
-
-// Name implements Engine.
-func (e *CPUOnly) Name() string { return "CPU-Only" }
 
 func (e *CPUOnly) runBatch(batch []*workload.Request) {
 	b := len(batch)

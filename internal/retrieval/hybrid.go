@@ -109,7 +109,6 @@ func (s *TenantSlot) scanBytesFull(q dataset.QueryID) int64 {
 // with the owning tenant's model.
 type Hybrid struct {
 	batcher
-	name     string
 	slots    []TenantSlot
 	gpus     []*gpu.State // gpus[g] hosts shard g of every slot's plan
 	gpuModel costmodel.GPUScanModel
@@ -143,16 +142,16 @@ type Hybrid struct {
 // NewHybrid wires the single-tenant vLiteRAG engine over cfg's corpus.
 // The i-th shard of the plan must reside on gpus[i].
 func NewHybrid(cfg Config, plan *splitter.Plan, gpus []*gpu.State, gm costmodel.GPUScanModel) *Hybrid {
-	return newHybrid(cfg, "vLiteRAG", []TenantSlot{cfg.slot(plan)}, gpus, gm, false)
+	return newHybrid(cfg, []TenantSlot{cfg.slot(plan)}, gpus, gm, false)
 }
 
-// NewSharded wires a GPU baseline under the given name: ALL-GPU (the
-// whole index over every GPU, which also serve the LLM), DED-GPU (the
-// whole index over dedicated retrieval GPUs) or HedraRAG (a partial
-// hot-cluster cache chosen by throughput balancing, misses on the CPU).
-// All run IndexIVFShards semantics: no probe pruning, no dispatcher.
-func NewSharded(cfg Config, name string, plan *splitter.Plan, gpus []*gpu.State, gm costmodel.GPUScanModel) *Hybrid {
-	return newHybrid(cfg, name, []TenantSlot{cfg.slot(plan)}, gpus, gm, true)
+// NewSharded wires a GPU baseline: ALL-GPU (the whole index over every
+// GPU, which also serve the LLM), DED-GPU (the whole index over
+// dedicated retrieval GPUs) or HedraRAG (a partial hot-cluster cache
+// chosen by throughput balancing, misses on the CPU). All run
+// IndexIVFShards semantics: no probe pruning, no dispatcher.
+func NewSharded(cfg Config, plan *splitter.Plan, gpus []*gpu.State, gm costmodel.GPUScanModel) *Hybrid {
+	return newHybrid(cfg, []TenantSlot{cfg.slot(plan)}, gpus, gm, true)
 }
 
 // NewMultiTenant wires the engine over N tenants. Every slot's plan
@@ -171,13 +170,12 @@ func NewMultiTenant(cfg Config, slots []TenantSlot, gpus []*gpu.State, gm costmo
 				i, slots[i].Plan.NumShards, len(gpus))
 		}
 	}
-	return newHybrid(cfg, fmt.Sprintf("multi-tenant(%d)", len(slots)), slots, gpus, gm, false), nil
+	return newHybrid(cfg, slots, gpus, gm, false), nil
 }
 
-func newHybrid(cfg Config, name string, slots []TenantSlot, gpus []*gpu.State, gm costmodel.GPUScanModel, unpruned bool) *Hybrid {
+func newHybrid(cfg Config, slots []TenantSlot, gpus []*gpu.State, gm costmodel.GPUScanModel, unpruned bool) *Hybrid {
 	e := &Hybrid{
 		batcher:    batcher{cfg: cfg},
-		name:       name,
 		slots:      append([]TenantSlot(nil), slots...),
 		gpus:       gpus,
 		gpuModel:   gm,
@@ -196,9 +194,6 @@ func newHybrid(cfg Config, name string, slots []TenantSlot, gpus []*gpu.State, g
 	e.init(e.runBatch)
 	return e
 }
-
-// Name implements Engine.
-func (e *Hybrid) Name() string { return e.name }
 
 // Plan returns the currently serving split plan of tenant 0.
 func (e *Hybrid) Plan() *splitter.Plan { return e.slots[0].Plan }

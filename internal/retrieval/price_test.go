@@ -232,12 +232,12 @@ func TestOnePassPricingMatchesRoutedLists(t *testing.T) {
 		cfg.Live = live
 		gpus := gpu.NewStates(f.node)[:shards]
 		var e *Hybrid
-		tenants := 1
+		tenants, label := 1, "vLiteRAG"
 		switch r.Intn(4) {
 		case 0:
-			e = NewSharded(cfg, "ALL-GPU", plan(), gpus, f.gm)
+			e, label = NewSharded(cfg, plan(), gpus, f.gm), "unpruned"
 		case 1:
-			tenants = 3
+			tenants, label = 3, "3 tenants"
 			slots := make([]TenantSlot, tenants)
 			for i := range slots {
 				slots[i] = TenantSlot{W: f.w, Plan: plan(), CPUModel: f.cfg.CPUModel, Priority: i}
@@ -267,7 +267,7 @@ func TestOnePassPricingMatchesRoutedLists(t *testing.T) {
 			want := refPrice(e, batch)
 			if got := onePass(e, batch); !samePricing(got, want) {
 				t.Fatalf("trial %d batch %d (%s, %d shards): one-pass pricing\n%+v\nrouted lists\n%+v",
-					trial, batchNo, e.Name(), shards, got, want)
+					trial, batchNo, label, shards, got, want)
 			}
 		}
 	}
@@ -374,12 +374,14 @@ func TestPriceTableRowsMatchWalk(t *testing.T) {
 }
 
 // randEngine builds one of the engines over random plans — vLiteRAG, an
-// unpruned baseline, or three tenants — twice from the same plans: the
-// first prices from tables, the second has them removed and walks.
-func randEngine(t *testing.T, r *rand.Rand, f *fixture) (tabled, walking *Hybrid, tenants int) {
+// unpruned baseline, or three tenants, which label names — twice from
+// the same plans: the first prices from tables, the second has them
+// removed and walks.
+func randEngine(t *testing.T, r *rand.Rand, f *fixture) (tabled, walking *Hybrid, tenants int, label string) {
 	shards := 1 + r.Intn(f.node.NumGPUs)
 	gpus := gpu.NewStates(f.node)[:shards]
 	kind := r.Intn(3)
+	label = []string{"vLiteRAG", "unpruned", "3 tenants"}[kind]
 	tenants = 1
 	if kind == 2 {
 		tenants = 3
@@ -393,7 +395,7 @@ func randEngine(t *testing.T, r *rand.Rand, f *fixture) (tabled, walking *Hybrid
 		case 0:
 			return NewHybrid(f.cfg, plans[0], gpus, f.gm)
 		case 1:
-			return NewSharded(f.cfg, "ALL-GPU", plans[0], gpus, f.gm)
+			return NewSharded(f.cfg, plans[0], gpus, f.gm)
 		}
 		slots := make([]TenantSlot, tenants)
 		for i := range slots {
@@ -408,11 +410,11 @@ func randEngine(t *testing.T, r *rand.Rand, f *fixture) (tabled, walking *Hybrid
 	tabled, walking = build(), build()
 	for i := range walking.slots {
 		if tabled.slots[i].Prices == nil {
-			t.Fatalf("%s: tenant %d has no price table", tabled.Name(), i)
+			t.Fatalf("%s: tenant %d has no price table", label, i)
 		}
 		walking.slots[i].Prices = nil
 	}
-	return tabled, walking, tenants
+	return tabled, walking, tenants, label
 }
 
 // randBatch draws a batch of frozen-corpus requests over tenants; with
@@ -450,7 +452,7 @@ func TestPriceTableMatchesWalkInBatches(t *testing.T) {
 	f := setup(t)
 	for trial := 0; trial < 150; trial++ {
 		r := rand.New(rand.NewSource(int64(trial)))
-		tabled, walking, tenants := randEngine(t, r, f)
+		tabled, walking, tenants, label := randEngine(t, r, f)
 		for batchNo := 0; batchNo < 4; batchNo++ {
 			if r.Intn(4) == 0 {
 				g := r.Intn(len(tabled.gpus))
@@ -461,7 +463,7 @@ func TestPriceTableMatchesWalkInBatches(t *testing.T) {
 			batch := randBatch(r, f, tenants, r.Intn(2) == 0)
 			got, want := onePass(tabled, batch), onePass(walking, cloneBatch(batch))
 			if !samePricing(got, want) {
-				t.Fatalf("trial %d batch %d (%s): with tables\n%+v\nwalking\n%+v", trial, batchNo, tabled.Name(), got, want)
+				t.Fatalf("trial %d batch %d (%s): with tables\n%+v\nwalking\n%+v", trial, batchNo, label, got, want)
 			}
 		}
 	}
@@ -492,11 +494,11 @@ func TestDynamicStateTakesTheWalk(t *testing.T) {
 	f := setup(t)
 	for trial := 0; trial < 40; trial++ {
 		r := rand.New(rand.NewSource(int64(trial)))
-		e, _, tenants := randEngine(t, r, f)
+		e, _, tenants, label := randEngine(t, r, f)
 		poison(e)
 		plain := randBatch(r, f, tenants, false)
 		if samePricing(onePass(e, cloneBatch(plain)), refPrice(e, plain)) {
-			t.Fatalf("trial %d (%s): a plain batch was not priced from the table", trial, e.Name())
+			t.Fatalf("trial %d (%s): a plain batch was not priced from the table", trial, label)
 		}
 		degraded, forced := cloneBatch(plain), cloneBatch(plain)
 		for i := range plain {
@@ -505,12 +507,12 @@ func TestDynamicStateTakesTheWalk(t *testing.T) {
 		}
 		for name, batch := range map[string][]*workload.Request{"Degrade": degraded, "ForcePQ": forced} {
 			if want := refPrice(e, batch); !samePricing(onePass(e, batch), want) {
-				t.Fatalf("trial %d (%s): a %s batch was priced from the table", trial, e.Name(), name)
+				t.Fatalf("trial %d (%s): a %s batch was priced from the table", trial, label, name)
 			}
 		}
 		e.SetShardRefreshing(r.Intn(len(e.gpus)), true)
 		if want := refPrice(e, plain); !samePricing(onePass(e, plain), want) {
-			t.Fatalf("trial %d (%s): a batch beside a reloading shard was priced from the table", trial, e.Name())
+			t.Fatalf("trial %d (%s): a batch beside a reloading shard was priced from the table", trial, label)
 		}
 	}
 
@@ -532,9 +534,9 @@ func TestEnginesShareTheConfiguredTable(t *testing.T) {
 	plan, other := f.plan(t, 0.3, 8), f.plan(t, 0.6, 8)
 	cfg := f.cfg
 	cfg.Prices = NewPriceTable(f.w, plan)
-	for _, e := range []*Hybrid{NewHybrid(cfg, plan, f.gpus, f.gm), NewHybrid(cfg, plan, f.gpus, f.gm), NewSharded(cfg, "ALL-GPU", plan, f.gpus, f.gm)} {
+	for i, e := range []*Hybrid{NewHybrid(cfg, plan, f.gpus, f.gm), NewHybrid(cfg, plan, f.gpus, f.gm), NewSharded(cfg, plan, f.gpus, f.gm)} {
 		if e.slots[0].Prices != cfg.Prices {
-			t.Fatalf("%s built its own table beside the configured one", e.Name())
+			t.Fatalf("engine %d of [vLiteRAG vLiteRAG unpruned] built its own table beside the configured one", i)
 		}
 	}
 	if e := NewHybrid(cfg, other, f.gpus, f.gm); e.slots[0].Prices == cfg.Prices || !e.slots[0].Prices.serves(f.w, other) {

@@ -328,7 +328,7 @@ func TestHybridZeroCoverageDegradesToCPU(t *testing.T) {
 func TestAllGPUFastButBusy(t *testing.T) {
 	f := setup(t)
 	plan := f.plan(t, 1.0, 8)
-	e := NewSharded(f.cfg, "ALL-GPU", plan, f.gpus, f.gm)
+	e := NewSharded(f.cfg, plan, f.gpus, f.gm)
 	reqs := f.requests(6)
 	f.sim.At(0, func() {
 		for _, r := range reqs {
@@ -373,7 +373,7 @@ func TestUnprunedProbingSlowerThanPruned(t *testing.T) {
 	f2 := setup(t)
 	plan2 := f2.plan(t, 0.3, 8)
 	reqsU := f2.requests(8)
-	he := NewSharded(f2.cfg, "HedraRAG", plan2, f2.gpus, f2.gm)
+	he := NewSharded(f2.cfg, plan2, f2.gpus, f2.gm)
 	f2.sim.At(0, func() {
 		for _, r := range reqsU {
 			he.Submit(r)
@@ -396,13 +396,12 @@ func TestUnprunedProbingSlowerThanPruned(t *testing.T) {
 	}
 }
 
-func TestDedGPUName(t *testing.T) {
+// TestDedGPUServesOnTwoGPUs: the whole index on two dedicated GPUs
+// serves and forwards every request.
+func TestDedGPUServesOnTwoGPUs(t *testing.T) {
 	f := setup(t)
 	plan := f.plan(t, 1.0, 2)
-	e := NewSharded(f.cfg, "DED-GPU", plan, f.gpus[:2], f.gm)
-	if e.Name() != "DED-GPU" {
-		t.Fatalf("name = %q", e.Name())
-	}
+	e := NewSharded(f.cfg, plan, f.gpus[:2], f.gm)
 	reqs := f.requests(3)
 	f.sim.At(0, func() {
 		for _, r := range reqs {

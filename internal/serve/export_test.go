@@ -6,9 +6,6 @@ func (c *Collector) Admitted() int { return len(c.records) + len(c.ids) }
 // Completed returns the number of requests that finished generation.
 func (c *Collector) Completed() int { return c.completed }
 
-// Stages returns the pipeline's stages, upstream first.
-func (p *Pipeline) Stages() []Stage { return p.stages }
-
 // Inflight returns the number of requests admitted but not completed.
 func (r *Replica) Inflight() int { return r.inflight }
 

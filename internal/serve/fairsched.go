@@ -223,11 +223,6 @@ func (s *FairScheduler) Submit(req *workload.Request) {
 	s.dispatch()
 }
 
-// Name implements Stage.
-func (s *FairScheduler) Name() string {
-	return fmt.Sprintf("fair-scheduler(%d tenants)", len(s.classes))
-}
-
 // Release records one request leaving the metered section and refills
 // the freed slot from the queues. The request identifies whose slot
 // frees; wire it into the boundary where requests exit the section.

@@ -31,8 +31,8 @@ func newSched(t *testing.T, classes []TenantClass, maxInflight int) *schedFixtur
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Name() == "" {
-		t.Fatal("scheduler stage has no name")
+	if st != Stage(s) {
+		t.Fatal("Scheduled built a stage other than the scheduler")
 	}
 	return f
 }

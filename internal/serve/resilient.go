@@ -154,8 +154,8 @@ func NewResilientRouter(sim *des.Sim, cfg ResilienceConfig, replicas []*Replica,
 		return nil, fmt.Errorf("serve: router needs at least one replica")
 	}
 	for i, r := range replicas {
-		if r == nil || r.pipe == nil {
-			return nil, fmt.Errorf("serve: replica %d has no pipeline bound", i)
+		if r == nil || r.submit == nil {
+			return nil, fmt.Errorf("serve: replica %d has no node bound", i)
 		}
 	}
 	if coll == nil || pool == nil {
@@ -178,11 +178,6 @@ func NewResilientRouter(sim *des.Sim, cfg ResilienceConfig, replicas []*Replica,
 	}, nil
 }
 
-// Name implements Stage.
-func (r *ResilientRouter) Name() string {
-	return fmt.Sprintf("resilient-router(%s,%d)", r.cfg.Policy, len(r.reps))
-}
-
 // Stats returns the run's resilience counters.
 func (r *ResilientRouter) Stats() ResilienceStats { return r.stats }
 
@@ -198,7 +193,7 @@ func (r *ResilientRouter) Recoveries() []time.Duration {
 	return out
 }
 
-// Submit implements Stage: the entry point for fresh arrivals.
+// Submit is the entry point for fresh arrivals.
 func (r *ResilientRouter) Submit(req *workload.Request) {
 	att := &attempt{primary: req, tries: 1, crashID: -1, pending: true}
 	r.attempts[req] = att
@@ -256,7 +251,7 @@ func (r *ResilientRouter) dispatch(att *attempt) {
 	if r.cfg.hedging() && att.hedge == nil && att.tries == 1 {
 		r.sim.After(r.hedgeDelay(), func() { r.onHedge(att, seq) })
 	}
-	rep.pipe.Submit(req)
+	rep.submit(req)
 }
 
 // stampDegrade writes the graceful-degradation fraction for the
@@ -391,7 +386,7 @@ func (r *ResilientRouter) onHedge(att *attempt, seq uint64) {
 	rep.submitted++
 	r.liveOn[i].push(cp)
 	r.stats.Hedged++
-	rep.pipe.Submit(cp)
+	rep.submit(cp)
 }
 
 // Complete settles one copy finishing on replica i. It is exported so

@@ -19,8 +19,6 @@ type svcStage struct {
 	next Sink
 }
 
-func (s *svcStage) Name() string { return "svc" }
-
 func (s *svcStage) Submit(req *workload.Request) {
 	d := s.svc(s.rep, req)
 	s.sim.After(d, func() {
@@ -35,11 +33,11 @@ func (s *svcStage) Submit(req *workload.Request) {
 }
 
 // resilientHarness wires n fake replicas behind a ResilientRouter plus
-// the admission front the rag layer composes.
+// the admission front the rag layer puts before it.
 type resilientHarness struct {
 	sim    *des.Sim
 	router *ResilientRouter
-	front  *Pipeline
+	front  Sink
 	coll   *Collector
 	pool   *workload.Pool
 	nextID int
@@ -53,25 +51,17 @@ func newResilientHarness(t *testing.T, sim *des.Sim, cfg ResilienceConfig, n int
 	reps := make([]*Replica, n)
 	for i := range reps {
 		i := i
-		rep := NewReplica()
-		pipe, err := Compose(sim,
-			func(req *workload.Request) { router.Complete(i, req) },
-			func(next Sink) (Stage, error) {
-				return &svcStage{sim: sim, rep: i, svc: svc, next: next}, nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep.Bind(pipe)
-		reps[i] = rep
+		st := &svcStage{sim: sim, rep: i, svc: svc, next: func(req *workload.Request) { router.Complete(i, req) }}
+		reps[i] = NewReplica()
+		reps[i].Bind(st.Submit)
 	}
 	router, err := NewResilientRouter(sim, cfg, reps, coll, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	front, err := Compose(sim, router.Submit, Admit(coll))
-	if err != nil {
-		t.Fatal(err)
+	front := func(req *workload.Request) {
+		coll.Admit(req)
+		router.Submit(req)
 	}
 	return &resilientHarness{sim: sim, router: router, front: front, coll: coll, pool: pool}
 }
@@ -84,7 +74,7 @@ func (h *resilientHarness) arriveAt(at des.Time) {
 		req := h.pool.Get()
 		req.ID = id
 		req.ArrivalAt = h.sim.Now()
-		h.front.Submit(req)
+		h.front(req)
 	})
 }
 

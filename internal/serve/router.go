@@ -7,7 +7,7 @@ import (
 )
 
 // Policy selects how the front-end router spreads requests across
-// replica pipelines.
+// replica nodes.
 type Policy string
 
 // The supported routing policies.
@@ -36,22 +36,23 @@ func ResolvePolicy(p Policy) (Policy, error) {
 	}
 }
 
-// Replica is one node-local pipeline behind the router, with the
-// in-flight accounting the least-loaded policy reads.
+// Replica is one node behind the router, with the in-flight accounting
+// the least-loaded policy reads.
 type Replica struct {
-	pipe      *Pipeline
+	submit    Sink
 	inflight  int
 	submitted int
 }
 
-// NewReplica wraps a pipeline for placement behind a router. Wire
-// Release as (part of) the pipeline's terminal sink so completions
+// NewReplica returns an unbound replica for placement behind a router.
+// Wire Release as (part of) the node's terminal sink so completions
 // decrement the in-flight gauge.
 func NewReplica() *Replica { return &Replica{} }
 
-// Bind attaches the replica's pipeline (built after the replica so the
-// pipeline's terminal sink can reference Release).
-func (r *Replica) Bind(pipe *Pipeline) { r.pipe = pipe }
+// Bind attaches the sink the replica's node takes requests by (the node
+// is built after the replica so its terminal sink can reference
+// Release).
+func (r *Replica) Bind(submit Sink) { r.submit = submit }
 
 // Release records one request leaving the replica (generation done).
 // The gauge is guarded against underflow: resilience paths can route a
@@ -68,8 +69,8 @@ func (r *Replica) Release(*workload.Request) {
 // Submitted returns the number of requests routed to this replica.
 func (r *Replica) Submitted() int { return r.submitted }
 
-// Router is the cluster front end: a Stage that fans requests out to N
-// replica pipelines. With one replica it degenerates to a pass-through.
+// Router is the cluster front end: it fans requests out to N replica
+// nodes. With one replica it degenerates to a pass-through.
 type Router struct {
 	policy   Policy
 	replicas []*Replica
@@ -86,15 +87,15 @@ func NewRouter(policy Policy, replicas []*Replica) (*Router, error) {
 		return nil, fmt.Errorf("serve: router needs at least one replica")
 	}
 	for i, r := range replicas {
-		if r == nil || r.pipe == nil {
-			return nil, fmt.Errorf("serve: replica %d has no pipeline bound", i)
+		if r == nil || r.submit == nil {
+			return nil, fmt.Errorf("serve: replica %d has no node bound", i)
 		}
 	}
 	return &Router{policy: policy, replicas: replicas}, nil
 }
 
-// Submit implements Stage: it picks a replica per the policy and hands
-// the request to that replica's pipeline.
+// Submit picks a replica per the policy and hands the request to that
+// replica's node.
 func (r *Router) Submit(req *workload.Request) {
 	pick := r.next
 	if r.policy == LeastLoaded {
@@ -116,10 +117,5 @@ func (r *Router) Submit(req *workload.Request) {
 	rep := r.replicas[pick]
 	rep.inflight++
 	rep.submitted++
-	rep.pipe.Submit(req)
-}
-
-// Name implements Stage.
-func (r *Router) Name() string {
-	return fmt.Sprintf("router(%s,%d)", r.policy, len(r.replicas))
+	rep.submit(req)
 }

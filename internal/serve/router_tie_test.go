@@ -93,12 +93,11 @@ func count(s []int, v int) (n int) {
 	return n
 }
 
-// heldReplica is a replica whose pipeline records the routed replica
-// ID and never completes, freezing each submit's in-flight increment.
+// heldReplica is a replica whose node records the routed replica ID
+// and never completes, freezing each submit's in-flight increment.
 func heldReplica(t *testing.T, seen *[]int, id int) *Replica {
 	t.Helper()
 	rep := NewReplica()
-	pipe := &Pipeline{head: func(req *workload.Request) { *seen = append(*seen, id) }}
-	rep.Bind(pipe)
+	rep.Bind(func(*workload.Request) { *seen = append(*seen, id) })
 	return rep
 }

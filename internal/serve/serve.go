@@ -1,21 +1,18 @@
-// Package serve is the composable serving-pipeline layer: it models a
-// RAG deployment as an explicit chain of stages over the discrete-event
-// simulator — an Arrivals source, an Admission stage, a retrieval
-// stage, a Generation stage wrapping the LLM cluster, and a Collector
-// sink — the stage-graph framing RAG-Stack and HedraRAG use for RAG
-// serving, applied to this reproduction's simulator substrate.
+// Package serve holds the serving layer's stations and the cluster
+// front ends over the discrete-event simulator: the Collector that
+// records which requests a node admitted, the FairScheduler that meters
+// admission into a node's retrieval engine, and the routers that fan
+// requests out to replica nodes — Router (round-robin or least-loaded),
+// the failure-aware ResilientRouter, and the sharded Exchange, the
+// differential tests' reference.
 //
-// Each baseline system (CPU-Only, DED-GPU, ALL-GPU, vLiteRAG, HedraRAG)
-// is a declarative composition of these stages; internal/rag supplies
-// the per-system resource layout (GPU memory split, engine choice, LLM
-// placement) and delegates execution here. Multi-node scenarios reuse
-// the same pieces: a Router stage fans requests out to N independent
-// replica pipelines under a round-robin or least-loaded policy.
-//
-// Construction runs back-to-front: Compose builds the last stage first
-// and hands each stage its downstream neighbor's Submit as the forward
-// hook, which is exactly the wiring the retrieval engines need (their
-// Forward callback is fixed at construction).
+// A node is a fixed chain (§IV-B): admission, the optional scheduler,
+// the retrieval engine, the LLM cluster. internal/rag wires each node
+// by hand, back to front, from its Sinks: each station is built with
+// its downstream neighbour's entry point as its forward hook, which is
+// exactly the wiring the retrieval engines need (their Forward callback
+// is fixed at construction). Compose and its Stage/Builder/Pipeline
+// remain only for the fair-scheduler probe of the benchmark harness.
 package serve
 
 import (
@@ -25,8 +22,8 @@ import (
 	"vectorliterag/internal/workload"
 )
 
-// Sink consumes a request at the current virtual instant. Stage outputs
-// and terminal collectors are both Sinks.
+// Sink consumes a request at the current virtual instant. Station entry
+// points and terminal collectors are both Sinks.
 type Sink func(*workload.Request)
 
 // Tee fans one request out to several sinks in order. A lone sink is
@@ -42,21 +39,20 @@ func Tee(sinks ...Sink) Sink {
 	}
 }
 
-// Stage is one station of the serving pipeline: requests enter through
+// Stage is one station of a composed pipeline: requests enter through
 // Submit and leave through the downstream sink the stage was built
 // with. Stages schedule their service time on the shared simulator.
 type Stage interface {
 	Submit(req *workload.Request)
-	Name() string
 }
 
 // Builder constructs a stage bound to its downstream sink.
 type Builder func(next Sink) (Stage, error)
 
-// Pipeline is a linear chain of stages ending in a terminal sink.
+// Pipeline is a linear chain of stages ending in a terminal sink, held
+// by its head.
 type Pipeline struct {
-	stages []Stage // upstream first
-	head   Sink
+	head Sink
 }
 
 // Compose builds a pipeline from stage builders, back to front, so each
@@ -73,53 +69,18 @@ func Compose(sim *des.Sim, terminal Sink, builders ...Builder) (*Pipeline, error
 	if next == nil {
 		next = func(*workload.Request) {}
 	}
-	stages := make([]Stage, len(builders))
 	for i := len(builders) - 1; i >= 0; i-- {
 		st, err := builders[i](next)
 		if err != nil {
 			return nil, fmt.Errorf("serve: stage %d: %w", i, err)
 		}
-		stages[i] = st
 		next = st.Submit
 	}
-	return &Pipeline{stages: stages, head: next}, nil
+	return &Pipeline{head: next}, nil
 }
 
 // Submit feeds a request into the pipeline's first stage.
 func (p *Pipeline) Submit(req *workload.Request) { p.head(req) }
-
-// Retrieval returns the pipeline's retrieval stage, or nil.
-func (p *Pipeline) Retrieval() *Retrieval {
-	for _, st := range p.stages {
-		if r, ok := st.(*Retrieval); ok {
-			return r
-		}
-	}
-	return nil
-}
-
-// Generation returns the pipeline's generation stage, or nil.
-func (p *Pipeline) Generation() *Generation {
-	for _, st := range p.stages {
-		if g, ok := st.(*Generation); ok {
-			return g
-		}
-	}
-	return nil
-}
-
-// Aux is an auxiliary event source started alongside the request
-// arrivals — e.g. a streaming-ingest mutation generator. Start must
-// schedule the source's events on sim, bounded by the until horizon.
-type Aux interface {
-	Start(sim *des.Sim, until des.Time)
-}
-
-// AuxFunc adapts a function to the Aux interface.
-type AuxFunc func(sim *des.Sim, until des.Time)
-
-// Start implements Aux.
-func (f AuxFunc) Start(sim *des.Sim, until des.Time) { f(sim, until) }
 
 // Collector records which requests a pipeline admitted. It has two
 // modes, one per way a run holds its requests.
@@ -175,8 +136,9 @@ func (c *Collector) InPlace(n int) {
 // order.
 func (c *Collector) IDs() []int32 { return c.ids }
 
-// Admit records a request entering the system (wired into the Admission
-// stage, so the record order equals the arrival order).
+// Admit records a request entering the system (wired into a node's or
+// the resilient router's front door, so the record order equals the
+// arrival order).
 func (c *Collector) Admit(req *workload.Request) {
 	if c.inPlace {
 		c.ids = append(c.ids, int32(req.ID))

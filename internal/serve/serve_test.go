@@ -13,20 +13,23 @@ import (
 // recording the order it saw them in.
 type delayStage struct {
 	sim   *des.Sim
-	name  string
 	delay time.Duration
 	seen  []int
 	next  Sink
 }
 
-func delay(sim *des.Sim, name string, d time.Duration, log *[]string) Builder {
+// delay builds a delayStage, logging the build and, when built is
+// non-nil, handing the stage to it.
+func delay(sim *des.Sim, name string, d time.Duration, log *[]string, built func(*delayStage)) Builder {
 	return func(next Sink) (Stage, error) {
 		*log = append(*log, "built:"+name)
-		return &delayStage{sim: sim, name: name, delay: d, next: next}, nil
+		s := &delayStage{sim: sim, delay: d, next: next}
+		if built != nil {
+			built(s)
+		}
+		return s, nil
 	}
 }
-
-func (s *delayStage) Name() string { return s.name }
 
 func (s *delayStage) Submit(req *workload.Request) {
 	s.seen = append(s.seen, req.ID)
@@ -37,9 +40,9 @@ func TestComposeBuildsBackToFront(t *testing.T) {
 	var sim des.Sim
 	var log []string
 	_, err := Compose(&sim, nil,
-		delay(&sim, "a", time.Millisecond, &log),
-		delay(&sim, "b", time.Millisecond, &log),
-		delay(&sim, "c", time.Millisecond, &log),
+		delay(&sim, "a", time.Millisecond, &log, nil),
+		delay(&sim, "b", time.Millisecond, &log, nil),
+		delay(&sim, "c", time.Millisecond, &log, nil),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -70,10 +73,11 @@ func TestPipelineFlowsThroughStagesInOrder(t *testing.T) {
 	var sim des.Sim
 	var log []string
 	var done []int
+	var a, b *delayStage
 	terminal := func(req *workload.Request) { done = append(done, req.ID) }
 	pipe, err := Compose(&sim, terminal,
-		delay(&sim, "a", 1*time.Millisecond, &log),
-		delay(&sim, "b", 2*time.Millisecond, &log),
+		delay(&sim, "a", 1*time.Millisecond, &log, func(s *delayStage) { a = s }),
+		delay(&sim, "b", 2*time.Millisecond, &log, func(s *delayStage) { b = s }),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -86,8 +90,6 @@ func TestPipelineFlowsThroughStagesInOrder(t *testing.T) {
 	if len(done) != 3 {
 		t.Fatalf("terminal saw %d requests, want 3", len(done))
 	}
-	a := pipe.Stages()[0].(*delayStage)
-	b := pipe.Stages()[1].(*delayStage)
 	if len(a.seen) != 3 || len(b.seen) != 3 {
 		t.Fatalf("stage traffic a=%v b=%v", a.seen, b.seen)
 	}
@@ -122,21 +124,16 @@ func TestCollectorCounts(t *testing.T) {
 	}
 }
 
-// sinkReplica builds a replica whose pipeline is a single pass-through
-// stage feeding Release, so inflight returns to zero at completion.
+// sinkReplica builds a replica whose node is a single pass-through
+// station feeding Release, so inflight returns to zero at completion.
 func sinkReplica(t *testing.T, sim *des.Sim, seen *[]int, id int) *Replica {
 	t.Helper()
 	rep := NewReplica()
-	pipe, err := Compose(sim, rep.Release, func(next Sink) (Stage, error) {
-		return &delayStage{sim: sim, name: fmt.Sprintf("rep%d", id), next: func(req *workload.Request) {
-			*seen = append(*seen, id)
-			next(req)
-		}}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep.Bind(pipe)
+	st := &delayStage{sim: sim, next: func(req *workload.Request) {
+		*seen = append(*seen, id)
+		rep.Release(req)
+	}}
+	rep.Bind(st.Submit)
 	return rep
 }
 
@@ -209,8 +206,8 @@ func TestRouterValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Name() == "" || len(r.Replicas()) != 1 {
-		t.Fatalf("router introspection broken: %q", r.Name())
+	if len(r.Replicas()) != 1 {
+		t.Fatalf("router holds %d replicas, want 1", len(r.Replicas()))
 	}
 }
 
