@@ -67,15 +67,16 @@ lint:
 # parallel.For chunks should fail in seconds, not behind the whole sweep.
 # The least-loaded differential tests run 2 and 4 workers. One shared
 # rag.Decision also serves two runs at once: no run may write it;
-# every lane of a fleet reads its run's one price table; and the
-# scheduler-bound test runs a two-replica lineup on two workers' lanes.
+# every lane of a fleet reads its run's one price table; the
+# scheduler-bound test runs a two-replica lineup on two workers' lanes;
+# and a fleet's run and replica summaries read the array on its workers.
 race: race-engines
 	$(GO) test -race ./...
 
 race-engines:
 	$(GO) test -race -count=1 ./internal/des
 	$(GO) test -race -count=1 ./internal/serve -run 'Exchange'
-	$(GO) test -race -count=1 ./internal/rag -run 'Sharded|LinkFree|FleetWrites|LeastLoaded|NoticeAt|LoadIndex|OneDecisionServesManyRuns|SharePriceTable|MeteredSectionBounded'
+	$(GO) test -race -count=1 ./internal/rag -run 'Sharded|LinkFree|FleetWrites|FleetSummaries|LeastLoaded|NoticeAt|LoadIndex|OneDecisionServesManyRuns|SharePriceTable|MeteredSectionBounded'
 	$(GO) test -race -count=1 ./internal/kmeans ./internal/pq ./internal/ivf
 
 # Full micro-benchmark sweep (one iteration each; sanity, not timing).

@@ -42,19 +42,15 @@ func Timeline(reqs []workload.Request, slo time.Duration, width time.Duration) [
 	if width <= 0 || len(reqs) == 0 {
 		return nil
 	}
-	var last des.Time
-	for i := range reqs {
-		if reqs[i].ArrivalAt > last {
-			last = reqs[i].ArrivalAt
-		}
-	}
-	wins := make([]Window, int(last/des.Time(width))+1)
-	for i := range wins {
-		wins[i].Start = time.Duration(i) * width
-	}
+	// One walk: the series grows to each arrival's window as it is
+	// bucketed, so it ends at the last arrival's.
+	var wins []Window
 	for i := range reqs {
 		r := &reqs[i]
 		b := int(r.ArrivalAt / des.Time(width))
+		for len(wins) <= b {
+			wins = append(wins, Window{Start: time.Duration(len(wins)) * width})
+		}
 		wins[b].N++
 		if r.FirstToken == 0 {
 			wins[b].Unserved++

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"vectorliterag/internal/des"
-	"vectorliterag/internal/parallel"
 	"vectorliterag/internal/serve"
 	"vectorliterag/internal/workload"
 )
@@ -29,14 +28,13 @@ func newExchangeFleet(spec *nodeSpec, replicas int, policy serve.Policy, netDela
 		}
 		x.BindReplica(i, f.nodes[i].submit)
 	}
-	f.phase2 = func(deadline des.Time, used int, summarize func(w, i int)) []int {
+	f.phase2 = func(deadline des.Time, used int) []int {
 		replay(x, f.records)
 		x.Run(deadline, used)
 		submitted := make([]int, replicas)
 		for i := range submitted {
 			submitted[i] = x.Submitted(i)
 		}
-		parallel.ForEachWorker(replicas, used, summarize)
 		return submitted
 	}
 	return f, nil

@@ -9,7 +9,6 @@ import (
 	"vectorliterag/internal/gpu"
 	"vectorliterag/internal/hw"
 	"vectorliterag/internal/llm"
-	"vectorliterag/internal/metrics"
 	"vectorliterag/internal/retrieval"
 	"vectorliterag/internal/serve"
 	"vectorliterag/internal/splitter"
@@ -231,7 +230,7 @@ func tally(opts *Options, d *Decision, s *served) *Result {
 	res := &Result{
 		Kind: opts.Kind, Rate: opts.Rate, SLOTotal: opts.sloTotal(),
 		Rho: d.Rho, PlanBytes: d.PlanBytes, Mu0: d.Mu0, Partition: d.Partition,
-		Summary: metrics.Summarize(s.records, opts.sloTotal(), des.Time(opts.Warmup)),
+		Summary: s.summary,
 	}
 	s.tally(opts, res)
 	if d.refined() {

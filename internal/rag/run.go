@@ -156,13 +156,15 @@ func (opts *Options) corpus(d *Decision, live retrieval.LiveCost, aux []func(*de
 
 // served is what a topology leaves behind for the tally: the global
 // record set in arrival order (one per admitted request), the built
-// nodes and how much traffic each took, each replica's own summary
-// where it kept one, the fleet's worker count (zero off a fleet) and a
-// resilient run's addendum.
+// nodes and how much traffic each took, the run's summary against the
+// corpus SLO (zero for a lineup), each replica's own where it kept one,
+// the fleet's worker count (zero off a fleet) and a resilient run's
+// addendum.
 type served struct {
 	records    []workload.Request
 	nodes      []*node
 	submitted  []int
+	summary    metrics.Summary
 	sums       []metrics.Summary
 	workers    int
 	resilience *ResilienceReport
@@ -183,12 +185,16 @@ func (c *corpus) node(sim *des.Sim, opts *Options, observers []serve.Sink, bind 
 	arena := workload.NewArena(c.expect)
 	defer c.feed(sim, arena.New, n.submit)()
 	sim.RunUntil(des.Time(opts.Duration + opts.Drain))
-	return &served{records: arena.Records(), nodes: []*node{n}, submitted: []int{1}}, nil
+	s := &served{records: arena.Records(), nodes: []*node{n}, submitted: []int{1}}
+	if c.slo > 0 {
+		s.summary = metrics.Summarize(s.records, c.slo, des.Time(opts.Warmup))
+	}
+	return s, nil
 }
 
 // fleet serves the corpus on opts.Replicas replicas on the fleet engine
-// build picks, with each replica's own summary where the corpus has one
-// SLO.
+// build picks, with the run's and each replica's own summary where the
+// corpus has one SLO.
 func (c *corpus) fleet(opts *Options, build fleetBuilder) (*served, error) {
 	f, err := build(c.spec, opts.Replicas, opts.Policy, opts.NetDelay, c.expect)
 	if err != nil {
@@ -199,10 +205,7 @@ func (c *corpus) fleet(opts *Options, build fleetBuilder) (*served, error) {
 	// replica starts, so the trace stays race-free under parallel
 	// execution.
 	defer c.feed(&f.front, f.arena.New, f.Submit)()
-	s := &served{nodes: f.nodes}
-	s.submitted, s.sums, s.workers = f.run(des.Time(opts.Duration+opts.Drain), opts.Workers, c.slo, des.Time(opts.Warmup))
-	s.records = f.records
-	return s, nil
+	return f.run(des.Time(opts.Duration+opts.Drain), opts.Workers, c.slo, des.Time(opts.Warmup)), nil
 }
 
 // tally folds what a topology left behind into the fields every run

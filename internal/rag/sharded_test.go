@@ -5,10 +5,13 @@ import (
 	"hash/fnv"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"vectorliterag/internal/dataset"
+	"vectorliterag/internal/des"
+	"vectorliterag/internal/metrics"
 	"vectorliterag/internal/serve"
 	"vectorliterag/internal/workload"
 )
@@ -74,6 +77,64 @@ func TestShardedClusterDeterministicAcrossWorkers(t *testing.T) {
 							policy, seed, workers, i)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestFleetSummariesMatchRecords pins the summaries a fleet takes on its
+// workers once the lanes end: under both policies, at several replica
+// and worker counts, the run's summary is the one the record array
+// gives, every arrival is routed to some replica, and the replicas'
+// served requests add up to the run's, since every served request lies
+// in exactly one replica's ID list.
+func TestFleetSummariesMatchRecords(t *testing.T) {
+	for _, policy := range serve.Policies() {
+		for _, replicas := range []int{3, 7} {
+			for _, workers := range []int{1, 2, 3, 8} {
+				o := routed(shardedClusterOpts(t, 2, workers), replicas, policy)
+				res, err := Run(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s x%d workers=%d", policy, replicas, workers)
+				if want := metrics.Summarize(res.Requests, res.SLOTotal, des.Time(o.Warmup)); res.Summary != want {
+					t.Fatalf("%s: run summary\n got %+v\nwant %+v", label, res.Summary, want)
+				}
+				submitted, served := 0, 0
+				for _, r := range res.PerReplica {
+					submitted += r.Submitted
+					served += r.Summary.N - r.Summary.Unserved
+				}
+				if submitted != res.Generated {
+					t.Errorf("%s: replicas were routed %d requests, the run generated %d", label, submitted, res.Generated)
+				}
+				if want := res.Summary.N - res.Summary.Unserved; served != want || want == 0 {
+					t.Errorf("%s: replicas served %d requests past warmup, the run %d", label, served, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSpreadLaneOrder: the order lanes run alone in is a permutation of
+// the lanes, and index order on one worker.
+func TestSpreadLaneOrder(t *testing.T) {
+	for r := 1; r <= 70; r++ {
+		for used := 1; used <= 8; used++ {
+			order := spread(r, used)
+			seen := make([]bool, r)
+			for _, i := range order {
+				if i < 0 || i >= r || seen[i] {
+					t.Fatalf("spread(%d, %d) = %v: not a permutation of 0…%d", r, used, order, r-1)
+				}
+				seen[i] = true
+			}
+			if len(order) != r {
+				t.Fatalf("spread(%d, %d) = %v: %d lanes, want %d", r, used, order, len(order), r)
+			}
+			if used == 1 && !slices.IsSorted(order) {
+				t.Fatalf("spread(%d, 1) = %v, want index order", r, order)
 			}
 		}
 	}
