@@ -27,8 +27,8 @@
 // Serving runs each node as a fixed chain of stations (see
 // ARCHITECTURE.md): Poisson arrivals enter by admission, then the
 // optional fair scheduler, then a retrieval engine (the hybrid engine
-// or the CPU-only one), then the LLM cluster, ending in a metrics
-// collector — all in virtual time on a deterministic discrete-event
+// or the CPU-only one), then the LLM cluster, each request's record its
+// arrival's slot in one arena — all in virtual time on a deterministic discrete-event
 // simulator. Each baseline system (CPU-Only, DED-GPU, ALL-GPU,
 // vLiteRAG, HedraRAG) is one configuration of those stations;
 // internal/rag contributes the per-system resource decision (GPU memory
@@ -41,7 +41,7 @@
 // ServeTenants shares nodes between SLO-tiered tenants.
 //
 // A control plane rides on the data plane (internal/adapt, paper
-// §IV-B3): ServeAdaptive attaches a drift monitor to the collector
+// §IV-B3): ServeAdaptive attaches a drift monitor to the completion
 // path and, when windowed SLO attainment drops while observed hit
 // rates diverge from the model, rebuilds the hybrid index in the
 // background — re-profile, re-partition, re-split, reload shards over

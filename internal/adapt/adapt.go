@@ -1,7 +1,7 @@
 // Package adapt is the online control plane of the adaptive runtime
 // index update (paper §IV-B3), run *inside* a serving pipeline on the
 // simulator's timeline. A Controller observes every completed request
-// on the collector path and feeds its drift monitor; when a window
+// on the completion path and feeds its drift monitor; when a window
 // closes with SLO attainment below threshold AND the observed hit rates
 // diverging from the model's expectation, it schedules a background
 // rebuild as a chain of simulated events — re-profiling the live query
@@ -337,7 +337,7 @@ func (c *Controller) Pending() *RebuildRecord {
 // Observed returns how many completed requests fed the monitor.
 func (c *Controller) Observed() int { return c.observed }
 
-// Observe is the collector-path hook: wire it (via serve.Tee) into the
+// Observe is the completion-path hook: wire it (via serve.Tee) into the
 // pipeline's terminal sink so every completed request reports its
 // served hit rate and SLO outcome. A request that never produced a
 // first token cannot reach this sink; its violation is still charged to

@@ -1,10 +1,10 @@
 // Package brownout implements closed-loop overload control for the
 // serving pipeline: per-stage latency budgets, a windowed monitor on
-// the collector path, and a fixed knob-shedding ladder that trades
+// the completion path, and a fixed knob-shedding ladder that trades
 // retrieval quality for availability when a stage overruns its budget.
 //
 // The control loop runs entirely on the DES timeline. Completed
-// requests are observed where the collector records them (wired via
+// requests are observed at the node's terminal sink (wired via
 // serve.Tee, the same pattern adapt.Controller uses); each closes out
 // a ratio of measured stage latency to that tenant's stage budget.
 // Every Window observations the controller reads the p90 of those
@@ -171,7 +171,7 @@ func NewController(sim *des.Sim, cfg Config, budgets []StageBudget, bias []float
 }
 
 // Observe feeds one completed request into the monitor — wire it into
-// the collector-path Tee. Requests that never produced a first token
+// the node's terminal Tee. Requests that never produced a first token
 // (rejected, failed) carry no stage latencies and are skipped; their
 // damage shows up through the latencies of the requests that did
 // complete around them.

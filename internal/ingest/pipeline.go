@@ -151,8 +151,7 @@ func (ing *Ingester) onFinishReencode() {
 	ing.kick()
 }
 
-// Log returns the applied-mutation records (value snapshots, like a
-// collector's request records).
+// Log returns the applied-mutation records (value snapshots).
 func (ing *Ingester) Log() []workload.Mutation { return ing.log }
 
 // Reencodes reports completed background folds.

@@ -3,11 +3,11 @@
 // budget), TTFT and end-to-end latency percentiles, and the TTFT stage
 // breakdown of Fig. 12 (queuing delay, vector search, prefill).
 //
-// Aggregation operates over []workload.Request *values* — the compact
-// per-request records the streaming serve.Collector accumulates — so
-// summarizing never needs the live (pooled, recycled) request objects.
-// The Summarizer form reuses scratch buffers across calls; the
-// package-level functions are one-shot conveniences over it.
+// Aggregation operates over []workload.Request *values* — a run's
+// arrival-ordered records, one per arrival — read after the run, whole
+// or through an ID list (one replica's share). The Summarizer form
+// reuses scratch buffers across calls; the package-level functions are
+// one-shot conveniences over it.
 package metrics
 
 import (
@@ -43,8 +43,8 @@ type Summary struct {
 }
 
 // Summarizer aggregates runs into Summaries while reusing its sample
-// scratch across calls — the allocation-free aggregation path
-// a collector holds for the lifetime of a run (and across runs).
+// scratch across calls — the allocation-free aggregation path a run
+// holds while it summarizes itself and its replicas.
 type Summarizer struct {
 	buf []float64
 }
@@ -56,20 +56,26 @@ type Summarizer struct {
 // backlog is a failure, not missing data — but are excluded from the
 // latency percentiles.
 func (a *Summarizer) Summarize(reqs []workload.Request, slo time.Duration, cutoff des.Time) Summary {
-	return a.SummarizeIDs(reqs, nil, slo, cutoff)
+	return a.summarize(reqs, nil, true, slo, cutoff)
 }
 
 // SummarizeIDs is Summarize over the records reqs[ids[0]], reqs[ids[1]],
-// ... in that order — one replica's share of a fleet's arrival-ordered
-// array, read where it lies. A nil ids means every record, in order.
+// ... in that order — one replica's share of a run's arrival-ordered
+// records, read where they lie. An empty or nil ids is no record at all.
+func (a *Summarizer) SummarizeIDs(reqs []workload.Request, ids []int32, slo time.Duration, cutoff des.Time) Summary {
+	return a.summarize(reqs, ids, false, slo, cutoff)
+}
+
+// summarize reads every record of reqs when all is set, and otherwise
+// the records ids names.
 //
 // The three latency sets are sampled one after another into one
 // scratch buffer, each read and released before the next is taken, so
 // the scratch is one float per record rather than three.
-func (a *Summarizer) SummarizeIDs(reqs []workload.Request, ids []int32, slo time.Duration, cutoff des.Time) Summary {
+func (a *Summarizer) summarize(reqs []workload.Request, ids []int32, all bool, slo time.Duration, cutoff des.Time) Summary {
 	var sumQ, sumS, sumW, sumP float64
 	ok := 0
-	ttft, n := a.sample(reqs, ids, cutoff, func(r *workload.Request) (des.Time, bool) {
+	ttft, n := a.sample(reqs, ids, all, cutoff, func(r *workload.Request) (des.Time, bool) {
 		t := r.TTFT()
 		if time.Duration(t) <= slo {
 			ok++
@@ -90,9 +96,9 @@ func (a *Summarizer) SummarizeIDs(reqs []workload.Request, ids []int32, slo time
 		return s
 	}
 	s.TTFT = quantiles(ttft)
-	e2e, _ := a.sample(reqs, ids, cutoff, func(r *workload.Request) (des.Time, bool) { return r.E2E(), r.Done > 0 })
+	e2e, _ := a.sample(reqs, ids, all, cutoff, func(r *workload.Request) (des.Time, bool) { return r.E2E(), r.Done > 0 })
 	s.E2E = quantiles(e2e)
-	search, _ := a.sample(reqs, ids, cutoff, func(r *workload.Request) (des.Time, bool) { return r.SearchLatency(), true })
+	search, _ := a.sample(reqs, ids, all, cutoff, func(r *workload.Request) (des.Time, bool) { return r.SearchLatency(), true })
 	s.Search = quantiles(search)
 	fs := float64(served)
 	s.Breakdown = Breakdown{
@@ -104,15 +110,15 @@ func (a *Summarizer) SummarizeIDs(reqs []workload.Request, ids []int32, slo time
 	return s
 }
 
-// sample walks the records SummarizeIDs reads, in order, and returns in
+// sample walks the records summarize reads, in order, and returns in
 // the scratch buffer of(r) for every one that arrived at or after cutoff
 // and produced a first token, where of reports a value, along with how
 // many arrived at or after cutoff. The sample is valid until the next
 // call.
-func (a *Summarizer) sample(reqs []workload.Request, ids []int32, cutoff des.Time, of func(*workload.Request) (des.Time, bool)) (sample []float64, n int) {
-	m := len(reqs)
-	if ids != nil {
-		m = len(ids)
+func (a *Summarizer) sample(reqs []workload.Request, ids []int32, all bool, cutoff des.Time, of func(*workload.Request) (des.Time, bool)) (sample []float64, n int) {
+	m := len(ids)
+	if all {
+		m = len(reqs)
 	}
 	// No sample can outgrow the record count: size the scratch once
 	// instead of regrowing it append by append.
@@ -122,7 +128,7 @@ func (a *Summarizer) sample(reqs []workload.Request, ids []int32, cutoff des.Tim
 	sample = a.buf[:0]
 	for i := 0; i < m; i++ {
 		r := &reqs[i]
-		if ids != nil {
+		if !all {
 			r = &reqs[ids[i]]
 		}
 		if r.ArrivalAt < cutoff {

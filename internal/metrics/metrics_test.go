@@ -118,3 +118,42 @@ func TestBreakdownSumsToTTFT(t *testing.T) {
 		t.Fatalf("breakdown sum %v != mean TTFT %v", sum, s.TTFT.Mean)
 	}
 }
+
+// TestSummarizeIDsNoneIsEmpty: an ID list with no entry — nil or empty —
+// summarizes no record, whatever the records hold.
+func TestSummarizeIDsNoneIsEmpty(t *testing.T) {
+	ms := int64(time.Millisecond)
+	reqs := []workload.Request{mkReq(0, ms, 2*ms, 3*ms, 10*ms, 20*ms), {ArrivalAt: 5}}
+	var a Summarizer
+	for _, ids := range [][]int32{nil, {}} {
+		if s := a.SummarizeIDs(reqs, ids, time.Second, 0); s != (Summary{}) {
+			t.Fatalf("ids %#v: summary %+v, want none", ids, s)
+		}
+	}
+}
+
+// TestSummarizerReusesScratch guards the allocation-free aggregation
+// path: summarizing a run's records, whole and through an ID list, with
+// a warm Summarizer allocates nothing — the latencies vary, so every
+// percentile is a real selection over reused scratch.
+func TestSummarizerReusesScratch(t *testing.T) {
+	reqs := make([]workload.Request, 4096)
+	ids := make([]int32, 0, len(reqs)/3)
+	for i := range reqs {
+		a := int64(i) * 1000
+		d := int64(i*7919%1000 + 1)
+		reqs[i] = mkReq(a, a+d, a+2*d, a+2*d+10, a+3*d+20, a+4*d+30)
+		if i%3 == 1 {
+			ids = append(ids, int32(i))
+		}
+	}
+	var agg Summarizer
+	agg.Summarize(reqs, time.Second, 0) // size the scratch
+	allocs := testing.AllocsPerRun(50, func() {
+		agg.Summarize(reqs, time.Second, 0)
+		agg.SummarizeIDs(reqs, ids, time.Second, 0)
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm Summarizer allocated %.1f objects per pass, want 0", allocs)
+	}
+}

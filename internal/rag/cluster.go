@@ -65,14 +65,13 @@ const DefaultNetDelay = time.Millisecond
 // exchange newFleet no longer builds.
 type fleetBuilder func(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.Duration, expect int) (*fleet, error)
 
-// shared runs the router and every replica on one simulator. The plain
-// router serves every arrival where it lies in one arena, the run's
-// record set, and gives each replica an ID list into it, which the
-// request's arrival index keys. The resilient router settles every
-// completion itself (collector, release, pool) and keeps the only
-// record, copied out of pooled requests: retries and hedges clone one
-// logical request onto several replicas, so per-replica reporting is
-// limited to routing counts there.
+// shared runs the router and every replica on one simulator. Every
+// arrival is allocated into one arena, the run's record set. The plain
+// router serves each where it lies and gives each replica an ID list
+// into it, which the request's arrival index keys. The resilient router
+// dispatches pooled copies and writes each request's outcome back into
+// its slot: retries and hedges clone one logical request onto several
+// replicas, so per-replica reporting is limited to routing counts there.
 func (c *corpus) shared(opts *Options) (*served, error) {
 	resilient := opts.resilient()
 	var sim des.Sim
@@ -85,11 +84,9 @@ func (c *corpus) shared(opts *Options) (*served, error) {
 		rep := serve.NewReplica()
 		var err error
 		if resilient {
-			nodes[i], err = c.spec.build(&sim, nil, nil, func(req *workload.Request) { rr.Complete(i, req) })
+			nodes[i], err = c.spec.build(&sim, 0, nil, func(req *workload.Request) { rr.Complete(i, req) })
 		} else {
-			own := serve.NewCollector()
-			own.InPlace(c.expect/opts.Replicas + 1)
-			nodes[i], err = c.spec.build(&sim, own, nil, rep.Release)
+			nodes[i], err = c.spec.build(&sim, c.expect/opts.Replicas+1, nil, rep.Release)
 		}
 		if err != nil {
 			return nil, err
@@ -97,25 +94,18 @@ func (c *corpus) shared(opts *Options) (*served, error) {
 		rep.Bind(nodes[i].submit)
 		reps[i] = rep
 	}
-	var (
-		submit  serve.Sink
-		alloc   func() *workload.Request
-		records func() []workload.Request
-	)
+	var submit serve.Sink
 	if resilient {
-		pool := &workload.Pool{}
-		coll := serve.NewCollector()
-		coll.Reserve(c.expect)
 		rcfg := serve.ResilienceConfig{}
 		if opts.Resilience != nil {
 			rcfg = *opts.Resilience
 		}
 		rcfg.Policy = opts.Policy
 		var err error
-		if rr, err = serve.NewResilientRouter(&sim, rcfg, reps, coll, pool); err != nil {
+		if rr, err = serve.NewResilientRouter(&sim, rcfg, reps); err != nil {
 			return nil, err
 		}
-		submit, alloc, records = admit(coll, rr.Submit), pool.Get, coll.Requests
+		submit = rr.Submit
 		// Wire the storm: health events hit the router; slowdown episodes
 		// hit the affected replica's engines directly.
 		fault.Install(&sim, opts.Faults, fault.Hooks{
@@ -135,23 +125,26 @@ func (c *corpus) shared(opts *Options) (*served, error) {
 		if err != nil {
 			return nil, err
 		}
-		arena := workload.NewArena(c.expect)
-		submit, alloc, records = router.Submit, arena.New, arena.Records
+		submit = router.Submit
 	}
-	defer c.feed(&sim, alloc, submit)()
+	arena := workload.NewArena(c.expect)
+	defer c.feed(&sim, arena.New, submit)()
 	sim.RunUntil(des.Time(opts.Duration + opts.Drain))
+	if rr != nil {
+		// Before the arena joins its chunks: the router still holds slots.
+		rr.Settle()
+	}
 
 	warmup := des.Time(opts.Warmup)
-	s := &served{records: records(), nodes: nodes, submitted: make([]int, opts.Replicas), sums: make([]metrics.Summary, opts.Replicas)}
+	s := &served{records: arena.Records(), nodes: nodes, submitted: make([]int, opts.Replicas), sums: make([]metrics.Summary, opts.Replicas)}
 	// The run's summary first: its scratch, one float per record, then
-	// serves every replica's.
+	// serves every replica's (none under the resilient router, whose
+	// replicas keep no ID list).
 	var agg metrics.Summarizer
 	s.summary = agg.Summarize(s.records, c.slo, warmup)
 	for i, n := range nodes {
 		s.submitted[i] = reps[i].Submitted()
-		if n.coll != nil {
-			s.sums[i] = agg.SummarizeIDs(s.records, n.coll.IDs(), c.slo, warmup)
-		}
+		s.sums[i] = agg.SummarizeIDs(s.records, n.ids, c.slo, warmup)
 	}
 	if resilient {
 		s.resilience = &ResilienceReport{
@@ -173,14 +166,14 @@ func (c *corpus) shared(opts *Options) (*served, error) {
 // Phase 1: the front runs alone, its arrival sources allocating each
 // arrival into one arena — the run's only copy of a request — and the
 // arena becomes one arrival-ordered array when phase 1 ends. Phase 2:
-// the lanes serve the array's records in place, and their collectors
-// keep ID lists into it, so the array is the global record set when
-// phase 2 ends: a request still on the wire at the deadline reads as it
-// left the front (admitted but unserved, as the single-timeline
-// collector reports one stuck between router and replica), one
-// mid-pipeline reads its state at the deadline. Each lane is fed its
-// arrivals stamped arrival + NetDelay under the delivery rule of a
-// des.Group link (des.Sim.Feed), so its schedule is the one the sharded
+// the lanes serve the array's records in place, and their nodes keep ID
+// lists into it, so the array is the global record set when phase 2
+// ends: a request still on the wire at the deadline reads as it left the
+// front (admitted but unserved, as the single-timeline router reports
+// one stuck between router and replica), one mid-pipeline reads its
+// state at the deadline. Each lane is fed its arrivals stamped
+// arrival + NetDelay under the delivery rule of a des.Group link
+// (des.Sim.Feed), so its schedule is the one the sharded
 // exchange (des.Group + serve.Exchange, the engine this one replaced and
 // the differential tests' reference) produced, event for event. How
 // phase 2 routes is decided by newFleet from the routing policy and the
@@ -239,10 +232,10 @@ func newFleet(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.D
 	for i := range f.nodes {
 		l := &lane{}
 		f.lanes = append(f.lanes, l)
-		// Nobody takes a request after the collector: it lives in the
-		// array and is never recycled. Under least-loaded the front hears
-		// of it one network delay later.
-		next := func(*workload.Request) {}
+		// Nobody takes a completed request: it lives in the array and is
+		// never recycled. Under least-loaded the front hears of it one
+		// network delay later.
+		var next serve.Sink
 		if feedback {
 			l.in = des.NewInbox(func(arg any) { f.nodes[i].submit(arg.(*workload.Request)) }, 0)
 			next = func(*workload.Request) {
@@ -265,12 +258,10 @@ func newFront(replicas int, netDelay time.Duration, expect int) *fleet {
 		nodes: make([]*node, replicas), netDelay: des.Time(netDelay)}
 }
 
-// build instantiates replica i on sim, its collector an ID list into the
-// record array sized to an even share.
+// build instantiates replica i on sim, its ID list into the record
+// array sized to an even share.
 func (f *fleet) build(spec *nodeSpec, i int, sim *des.Sim, next serve.Sink) (err error) {
-	coll := serve.NewCollector()
-	coll.InPlace(f.share)
-	f.nodes[i], err = spec.build(sim, coll, nil, next)
+	f.nodes[i], err = spec.build(sim, f.share, nil, next)
 	return err
 }
 
@@ -306,7 +297,7 @@ func (f *fleet) run(deadline des.Time, workers int, slo time.Duration, warmup de
 				s.summary = aggs[w].Summarize(f.records, slo, warmup)
 				return
 			}
-			s.sums[i-1] = aggs[w].SummarizeIDs(f.records, f.nodes[i-1].coll.IDs(), slo, warmup)
+			s.sums[i-1] = aggs[w].SummarizeIDs(f.records, f.nodes[i-1].ids, slo, warmup)
 		})
 	}
 	return s
@@ -348,7 +339,7 @@ func (f *fleet) alone(deadline des.Time, used int) []int {
 // …, skipping those past the last. Workers take lanes in this order as
 // they free up, so the lanes running at one time sit about h apart and
 // no two workers write neighbouring per-lane objects (newFleet builds a
-// replica's engine, LLM cluster and collector right after its
+// replica's engine, LLM cluster and ID list right after its
 // neighbour's): on 64 replicas and 2 vCPUs, two workers ran phase 2
 // 1.95× as fast as one, against 1.5× in index order. On one worker it
 // is index order.

@@ -221,8 +221,8 @@ func arrivalsFor(w *dataset.Workload, rate float64, sched workload.Schedule, sha
 
 // expectedArrivals is the request count the stream arrivalsFor builds
 // will almost never exceed over an arrival window: the Poisson mean
-// plus four standard deviations. A run's arena and its collectors are
-// sized to it before the run; falling short only costs another arena
+// plus four standard deviations. A run's arena and its replicas' ID
+// lists are sized to it before the run; falling short only costs another arena
 // chunk, or a regrown ID list.
 func expectedArrivals(rate float64, sched workload.Schedule, window time.Duration) int {
 	mean := rate * window.Seconds()

@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"vectorliterag/internal/des"
+	"vectorliterag/internal/fault"
 	"vectorliterag/internal/serve"
 	"vectorliterag/internal/workload"
 )
@@ -69,12 +70,27 @@ func TestNodeWritesEachRequestOnce(t *testing.T) {
 	bytesPerRequest(t, "one node", o, float64(unsafe.Sizeof(workload.Request{})+64))
 }
 
+// TestResilientWritesEachRequestOnce is the same fence on the resilient
+// router under a storm — a crash and a straggler, with retries, hedging
+// and degradation on: each arrival's slot is its record, and the copies
+// the router dispatches come from its pool, so a long run still
+// allocates at most one request record plus 64 bytes per admitted
+// request.
+func TestResilientWritesEachRequestOnce(t *testing.T) {
+	o := routed(stormOpts(t), 3, serve.LeastLoaded)
+	o.Duration = 800 * time.Second
+	bytesPerRequest(t, "resilient storm x3", o, float64(unsafe.Sizeof(workload.Request{})+64))
+}
+
 // TestArenaOverflowKeepsRecords: a run whose arrivals overflow the
 // arena — sized to one request, so every arrival past the first opens or
 // fills another chunk — returns the records of a normally sized run on
-// every topology that serves from an arena: one node, the one-timeline
-// router, and a fleet under both policies. A slot that moved while its
-// request was in flight would leave a stale record behind.
+// every topology: one node, the one-timeline router, the resilient
+// router under a crash and a straggler with retries and hedging on, and
+// a fleet under both policies. A slot that moved while its request was
+// in flight would leave a stale record behind; so would a resilient
+// run's requests still in flight at the deadline if the router wrote
+// them back after the arena joined its chunks.
 func TestArenaOverflowKeepsRecords(t *testing.T) {
 	base := baseOpts(t, VLiteRAG, 24)
 	base.Duration, base.Warmup, base.Drain = 20*time.Second, 5*time.Second, 40*time.Second
@@ -107,6 +123,23 @@ func TestArenaOverflowKeepsRecords(t *testing.T) {
 	o = sh
 	s, err = tiny(&o).shared(&o)
 	check("one timeline", sh, s.records, err)
+
+	// A drain too short for the last arrivals, so some are in flight when
+	// the clock stops.
+	storm := routed(base, 3, serve.LeastLoaded)
+	storm.Drain = 500 * time.Millisecond
+	faults, err := fault.Parse("crash@6s:r0:5s,straggler@15s:r1:6s:x3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	storm.Faults = faults
+	storm.Resilience = &serve.ResilienceConfig{Timeout: 3 * time.Second, MaxRetries: 2, HedgeDelay: 2 * time.Second, Degrade: true}
+	o = storm
+	s, err = tiny(&o).shared(&o)
+	if err == nil && (s.resilience.Stats.FailedOver == 0 || s.resilience.Stats.Hedged == 0 || s.summary.Unserved == 0) {
+		t.Fatalf("resilient: stats %+v, %d unserved: want failovers, hedges and requests in flight at the deadline", s.resilience.Stats, s.summary.Unserved)
+	}
+	check("resilient", storm, s.records, err)
 
 	for _, policy := range serve.Policies() {
 		fl := routed(base, 3, policy)

@@ -102,7 +102,7 @@ func TestSchedulerMeteredSectionBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, n := range f.nodes {
-		check(fmt.Sprintf("lineup, replica %d of 2", i), res.Requests, n.coll.IDs())
+		check(fmt.Sprintf("lineup, replica %d of 2", i), res.Requests, n.ids)
 	}
 
 	// One corpus under overload control, served on one node as Run

@@ -88,30 +88,33 @@ func singleSpec(opts *Options, d *Decision, live retrieval.LiveCost) *nodeSpec {
 }
 
 // node is one built replica: its stations, wired front to back —
-// submit (the head arrivals enter by: admission into coll, then the
-// scheduler, then the engine), the retrieval engine, the LLM cluster —
-// plus the pieces the tally reads back after the run (nil where the
-// spec had none).
+// submit (the head arrivals enter by: admission, then the scheduler,
+// then the engine), the retrieval engine, the LLM cluster — plus the
+// pieces the tally reads back after the run (nil where the spec had
+// none): among them ids, the IDs it admitted in admission order, which
+// index the run's arrival-ordered records.
 type node struct {
 	submit serve.Sink
 	eng    retrieval.Engine
 	llm    *llm.Cluster
-	coll   *serve.Collector
+	ids    []int32
 	sched  *serve.FairScheduler
 	brown  *brownout.Controller
 }
 
 // build instantiates one replica of the spec on sim: fresh GPU states
-// with the shard bytes applied, admission into coll (an in-place
-// collector, or nil where the replica keeps no record of its own: a
-// lone node, whose arena is the record, and the resilient router's
-// replicas), the optional scheduler and overload rig, retrieval,
-// generation. A completed request is counted by coll, shown to the
-// brownout monitor and then to each observer, and finally handed to
-// next, which may take ownership of it (the resilient router) and so
-// must come last; a rejected one is handed to next alone. A nil next
-// takes nothing.
-func (s *nodeSpec) build(sim *des.Sim, coll *serve.Collector, observers []serve.Sink, next serve.Sink) (*node, error) {
+// with the shard bytes applied, admission (for share > 0, into ids sized
+// to share: a plain router's replica; a lone node and the resilient
+// router's replicas keep none), the optional scheduler and overload rig,
+// retrieval, generation. A completed request is shown to the brownout
+// monitor and then to each observer, and finally handed to next, which
+// may take ownership of it (the resilient router) and so must come last;
+// a rejected one is handed to next alone. A nil next takes nothing.
+func (s *nodeSpec) build(sim *des.Sim, share int, observers []serve.Sink, next serve.Sink) (*node, error) {
+	n := &node{}
+	if share > 0 {
+		n.ids = make([]int32, 0, share)
+	}
 	states := gpu.NewStates(s.node)
 	split := len(states) - s.nDed
 	idxStates, llmStates := states, states
@@ -126,11 +129,7 @@ func (s *nodeSpec) build(sim *des.Sim, coll *serve.Collector, observers []serve.
 		}
 	}
 
-	n := &node{coll: coll}
 	var tail []serve.Sink
-	if coll != nil {
-		tail = append(tail, coll.Done)
-	}
 	var err error
 	if s.classes != nil {
 		if n.sched, err = serve.NewFairScheduler(s.classes, schedulerInflight); err != nil {
@@ -178,21 +177,15 @@ func (s *nodeSpec) build(sim *des.Sim, coll *serve.Collector, observers []serve.
 		// downstream FIFO queues where tier priority cannot act.
 		firstToken = n.sched.Release
 	}
-	if coll != nil {
-		n.submit = admit(coll, n.submit)
+	if share > 0 {
+		head := n.submit
+		n.submit = func(req *workload.Request) {
+			n.ids = append(n.ids, int32(req.ID))
+			head(req)
+		}
 	}
 	n.llm.SetCallbacks(firstToken, serve.Tee(tail...))
 	return n, nil
-}
-
-// admit is the front door of a replica or of the resilient router: it
-// registers each arriving request with coll, in arrival order, before
-// handing it to next.
-func admit(coll *serve.Collector, next serve.Sink) serve.Sink {
-	return func(req *workload.Request) {
-		coll.Admit(req)
-		next(req)
-	}
 }
 
 // nodeRows reads back each node's share of a run — the traffic routed to

@@ -3,8 +3,8 @@
 // configurations differ in — GPU memory layout, which GPUs serve the
 // LLM, and which retrieval engine runs — and instantiates that decision
 // as a node wired station by station (arrivals → admission →
-// scheduler → retrieval → generation → collector, all in virtual
-// time). It also
+// scheduler → retrieval → generation, all in virtual time, each
+// request's record its arrival's slot in one arena). It also
 // owns the memoized capacity measurements every experiment shares.
 //
 // Run is the one serving entry point. Its Options name a corpus (one
@@ -265,9 +265,8 @@ type Result struct {
 	SLOTotal time.Duration
 	Summary  metrics.Summary
 	// Requests holds the per-request records in arrival order: the
-	// run's arena itself, where every request was served, or — under the
-	// resilient router — the copying collector's value snapshots of its
-	// pooled requests.
+	// run's arena itself, where every request was served or — under the
+	// resilient router — where the router wrote each request's outcome.
 	Requests []workload.Request
 
 	// Rho is the GPU cache coverage the system chose (1 for ALL/DED-GPU,

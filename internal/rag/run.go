@@ -16,7 +16,7 @@ import (
 // the resource decision once unless Options.Decision brings one (per
 // Kind for a single corpus — Algorithm 1 for vLiteRAG — or the joint
 // allocator for a tenant lineup), wires the serving stations
-// (admission → retrieval → generation → collector) on every node of the
+// (admission → retrieval → generation) on every node of the
 // topology the options name, with the control planes they attach, and
 // drives arrivals through it in virtual time. The topologies differ
 // only in the timeline: one node alone; replicas and router on one
@@ -121,8 +121,8 @@ func runSingle(opts *Options, d *Decision) (*Result, error) {
 }
 
 // corpus is what a run serves as every topology sees it: the node spec
-// each replica instantiates, the arrival-count hint arenas and
-// collectors are sized to, the SLO a replica's own summary is read
+// each replica instantiates, the arrival-count hint arenas and ID
+// lists are sized to, the SLO a replica's own summary is read
 // against (zero for a lineup, which has no single SLO), and the feed
 // that starts the run's sources on the timeline owning arrivals (a
 // node's own, or a fleet's front), drawing their requests from alloc,
@@ -172,10 +172,10 @@ type served struct {
 
 // node serves the corpus on one node on sim. Every arrival is allocated
 // into one arena and served where it lies, so the arena, in arrival
-// order, is the run's record set, and the node keeps no collector.
+// order, is the run's record set, and the node keeps no ID list.
 // bind, when non-nil, sees the built node before the first event.
 func (c *corpus) node(sim *des.Sim, opts *Options, observers []serve.Sink, bind func(*node)) (*served, error) {
-	n, err := c.spec.build(sim, nil, observers, nil)
+	n, err := c.spec.build(sim, 0, observers, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -117,6 +117,37 @@ func TestFleetSummariesMatchRecords(t *testing.T) {
 	}
 }
 
+// TestIdleReplicasReportNothing: on a routed run with more replicas than
+// arrivals, every replica routed nothing reports an empty summary — on
+// one timeline and on a fleet, under both policies — and the busy ones
+// together report the run.
+func TestIdleReplicasReportNothing(t *testing.T) {
+	for _, netDelay := range []time.Duration{0, time.Millisecond} {
+		for _, policy := range serve.Policies() {
+			o := routed(shardedClusterOpts(t, 1, 2), 12, policy)
+			o.NetDelay, o.Rate, o.Duration, o.Warmup = netDelay, 0.5, 8*time.Second, 0
+			res, err := Run(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s, net delay %v: %d arrivals", policy, netDelay, res.Generated)
+			if res.Generated == 0 || res.Generated >= len(res.PerReplica) {
+				t.Fatalf("%s on %d replicas: want fewer arrivals than replicas, and some", label, len(res.PerReplica))
+			}
+			n := 0
+			for i, r := range res.PerReplica {
+				if r.Submitted == 0 && r.Summary != (metrics.Summary{}) {
+					t.Errorf("%s: idle replica %d reports %+v", label, i, r.Summary)
+				}
+				n += r.Summary.N
+			}
+			if n != res.Summary.N {
+				t.Errorf("%s: replicas report %d requests, the run %d", label, n, res.Summary.N)
+			}
+		}
+	}
+}
+
 // TestSpreadLaneOrder: the order lanes run alone in is a permutation of
 // the lanes, and index order on one worker.
 func TestSpreadLaneOrder(t *testing.T) {

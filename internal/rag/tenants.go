@@ -222,12 +222,8 @@ func tallyTenants(opts *Options, d *tenantDecision, s *served) *Result {
 	res := &Result{Mu0: d.mu0, MuLLM: d.alloc.MuLLM, BudgetBytes: d.alloc.BudgetBytes, UsedBytes: d.alloc.UsedBytes}
 	s.tally(opts, res)
 	// Records partition by tenant in arrival order, as ID lists into the
-	// record array. A list is never nil: SummarizeIDs reads nil as every
-	// record.
+	// record array.
 	byTenant := make([][]int32, len(opts.Tenants))
-	for t := range byTenant {
-		byTenant[t] = []int32{}
-	}
 	for i := range s.records {
 		t := s.records[i].Tenant
 		if t < 0 || t >= len(byTenant) {

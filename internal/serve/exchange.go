@@ -117,7 +117,7 @@ func (x *Exchange) ReplicaSim(i int) *des.Sim { return &x.reps[i].Sim }
 func (x *Exchange) BindReplica(i int, head Sink) { x.heads[i] = head }
 
 // NoticeSink returns the sink replica i's pipeline must invoke as its
-// terminal stage (after its collector snapshot): it ships the
+// terminal stage: it ships the
 // completed request back to the front, one feedback delay later. The
 // replica must not touch the request afterwards — ownership moves back
 // to the front shard with the message.

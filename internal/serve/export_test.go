@@ -1,11 +1,5 @@
 package serve
 
-// Admitted returns the number of requests that entered the system.
-func (c *Collector) Admitted() int { return len(c.records) + len(c.ids) }
-
-// Completed returns the number of requests that finished generation.
-func (c *Collector) Completed() int { return c.completed }
-
 // Inflight returns the number of requests admitted but not completed.
 func (r *Replica) Inflight() int { return r.inflight }
 

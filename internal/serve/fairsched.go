@@ -169,8 +169,7 @@ func NewFairScheduler(classes []TenantClass, maxInflight int) (*FairScheduler, e
 
 // Scheduled wraps an existing scheduler as a pipeline stage builder,
 // binding its downstream sink. The scheduler object is created up front
-// (like a Collector) so the retrieval stage's forward hook can also
-// reference Release.
+// so the retrieval stage's forward hook can also reference Release.
 func Scheduled(s *FairScheduler) Builder {
 	return func(next Sink) (Stage, error) {
 		if s == nil {

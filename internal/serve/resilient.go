@@ -88,12 +88,14 @@ type ResilienceStats struct {
 	Crashes    int // crash episodes observed
 }
 
-// attempt is the router's per-request control block: the currently
+// attempt is the router's per-request control block: the request's
+// record (its arrival's slot, which no replica ever sees), the currently
 // authoritative copy (primary), an optional racing backup (hedge), and
 // the fencing state that lets timers fire harmlessly after the world
 // has moved on (DES events cannot be cancelled, so every timer captures
 // the seq it was armed under and no-ops on mismatch).
 type attempt struct {
+	rec        *workload.Request
 	primary    *workload.Request
 	hedge      *workload.Request
 	primaryRep int
@@ -106,6 +108,14 @@ type attempt struct {
 	pending bool
 }
 
+// timer is an armed timeout or hedge: its attempt and the seq it was
+// armed under. Fired timers and finished attempts are reused; a stale
+// timer stays harmless after its attempt is, since seq only grows.
+type timer struct {
+	att *attempt
+	seq uint64
+}
+
 // ResilientRouter is the failure-aware cluster front end: a Router that
 // additionally tracks replica health (crashed replicas leave the
 // candidate set and their in-flight requests fail over), enforces
@@ -113,19 +123,22 @@ type attempt struct {
 // hedged backups, and stamps graceful-degradation fractions while
 // capacity is down.
 //
+// It dispatches only copies from its own pool: the arrival's slot is the
+// request's record, and the router writes the outcome into it — the
+// winner, the failed primary, or the primary at the deadline (Settle).
+//
 // Superseded copies are never yanked out of their pipelines — the
 // simulator cannot cancel events — they finish as *ghosts*: their
 // terminal completion finds no attempt entry and quietly returns the
 // object to the pool. All bookkeeping that must not see ghosts (the
-// collector, latency samples, recovery tracking) is therefore keyed by
+// records, latency samples, recovery tracking) is therefore keyed by
 // the attempts map, and per-replica in-flight lists are ordered slices,
 // never map iterations, keeping every run bit-reproducible.
 type ResilientRouter struct {
 	sim  *des.Sim
 	cfg  ResilienceConfig
 	reps []*Replica
-	pool *workload.Pool
-	coll *Collector
+	pool workload.Pool
 
 	up   []bool
 	nUp  int
@@ -134,7 +147,12 @@ type ResilientRouter struct {
 	attempts map[*workload.Request]*attempt
 	liveOn   []liveList // per-replica dispatch-ordered copies
 
-	samples  []float64  // clean first-attempt latencies (seconds) for HedgeAuto
+	spareAtts   []*attempt
+	spareTimers []*timer
+	// onTimeout and onHedge, bound once: arming a timer allocates nothing.
+	timeoutFn, hedgeFn func(any)
+
+	samples  []float64  // HedgeAuto only: clean first-attempt latencies (seconds)
 	scratch  []float64  // reusable quantile scratch
 	crashAt  []des.Time // per-crash onset
 	healedBy []des.Time // per-crash last failed-over completion
@@ -143,9 +161,8 @@ type ResilientRouter struct {
 }
 
 // NewResilientRouter builds the failure-aware front end over bound
-// replicas. coll must be the front collector that admitted the
-// requests; pool receives every finished or superseded copy.
-func NewResilientRouter(sim *des.Sim, cfg ResilienceConfig, replicas []*Replica, coll *Collector, pool *workload.Pool) (*ResilientRouter, error) {
+// replicas.
+func NewResilientRouter(sim *des.Sim, cfg ResilienceConfig, replicas []*Replica) (*ResilientRouter, error) {
 	cfg, err := cfg.normalized()
 	if err != nil {
 		return nil, err
@@ -158,24 +175,21 @@ func NewResilientRouter(sim *des.Sim, cfg ResilienceConfig, replicas []*Replica,
 			return nil, fmt.Errorf("serve: replica %d has no node bound", i)
 		}
 	}
-	if coll == nil || pool == nil {
-		return nil, fmt.Errorf("serve: resilient router needs a collector and a pool")
-	}
 	up := make([]bool, len(replicas))
 	for i := range up {
 		up[i] = true
 	}
-	return &ResilientRouter{
+	r := &ResilientRouter{
 		sim:      sim,
 		cfg:      cfg,
 		reps:     replicas,
-		pool:     pool,
-		coll:     coll,
 		up:       up,
 		nUp:      len(replicas),
 		attempts: make(map[*workload.Request]*attempt),
 		liveOn:   make([]liveList, len(replicas)),
-	}, nil
+	}
+	r.timeoutFn, r.hedgeFn = r.onTimeout, r.onHedge
+	return r, nil
 }
 
 // Stats returns the run's resilience counters.
@@ -193,11 +207,43 @@ func (r *ResilientRouter) Recoveries() []time.Duration {
 	return out
 }
 
-// Submit is the entry point for fresh arrivals.
-func (r *ResilientRouter) Submit(req *workload.Request) {
-	att := &attempt{primary: req, tries: 1, crashID: -1, pending: true}
-	r.attempts[req] = att
+// Submit is the entry point for fresh arrivals. rec is the request's
+// record: the router keeps it, dispatches a copy as the first attempt,
+// and writes the request's outcome back into it, so rec must stay put
+// until the run is over and Settle has run.
+func (r *ResilientRouter) Submit(rec *workload.Request) {
+	att := reuse(&r.spareAtts)
+	*att = attempt{rec: rec, primary: r.clone(rec), tries: 1, seq: att.seq, crashID: -1, pending: true}
+	r.attempts[att.primary] = att
 	r.dispatch(att)
+}
+
+// arm schedules fire (timeoutFn or hedgeFn) for att d from now, fenced
+// by the attempt's current seq.
+func (r *ResilientRouter) arm(d time.Duration, fire func(any), att *attempt) {
+	tm := reuse(&r.spareTimers)
+	*tm = timer{att: att, seq: att.seq}
+	r.sim.AfterArg(d, fire, tm)
+}
+
+// fired spares a timer that fired and returns its attempt, and whether
+// the attempt is still where it was when the timer was armed.
+func (r *ResilientRouter) fired(arg any) (*attempt, bool) {
+	tm := arg.(*timer)
+	att, current := tm.att, tm.att.seq == tm.seq
+	*tm = timer{}
+	r.spareTimers = append(r.spareTimers, tm)
+	return att, current
+}
+
+// Settle writes every request still in flight into its record as its
+// primary stands now; each writes only its own slot, so the map's order
+// cannot show. Call it once the run is over, before anything moves the
+// records.
+func (r *ResilientRouter) Settle() {
+	for _, att := range r.attempts {
+		*att.rec = *att.primary
+	}
 }
 
 // pick selects a healthy replica per the policy, skipping exclude
@@ -244,12 +290,11 @@ func (r *ResilientRouter) dispatch(att *attempt) {
 	rep.inflight++
 	rep.submitted++
 	r.liveOn[i].push(req)
-	seq := att.seq
 	if r.cfg.Timeout > 0 {
-		r.sim.After(r.cfg.Timeout, func() { r.onTimeout(att, seq) })
+		r.arm(r.cfg.Timeout, r.timeoutFn, att)
 	}
 	if r.cfg.hedging() && att.hedge == nil && att.tries == 1 {
-		r.sim.After(r.hedgeDelay(), func() { r.onHedge(att, seq) })
+		r.arm(r.hedgeDelay(), r.hedgeFn, att)
 	}
 	rep.submit(req)
 }
@@ -288,8 +333,9 @@ func (r *ResilientRouter) hedgeDelay() time.Duration {
 }
 
 // onTimeout fires when an attempt's per-dispatch deadline expires.
-func (r *ResilientRouter) onTimeout(att *attempt, seq uint64) {
-	if att.seq != seq {
+func (r *ResilientRouter) onTimeout(arg any) {
+	att, current := r.fired(arg)
+	if !current {
 		return // completed, retried, or failed in the meantime
 	}
 	r.stats.TimedOut++
@@ -314,7 +360,6 @@ func (r *ResilientRouter) retry(att *attempt, immediate bool) {
 	} else {
 		delete(r.attempts, old) // in-flight somewhere: drains as a ghost
 	}
-	r.coll.Replace(old, cp)
 	att.primary = cp
 	att.pending = true
 	r.attempts[cp] = att
@@ -334,10 +379,11 @@ func (r *ResilientRouter) retry(att *attempt, immediate bool) {
 	})
 }
 
-// clone draws a pooled copy carrying the request's identity; the
-// timeline fields restart so the copy flows through its pipeline like a
-// fresh submission (ArrivalAt is preserved — latency is end-to-end from
-// the user's perspective, retries included).
+// clone draws a pooled copy carrying the request's identity — the five
+// fields an arrival generator sets; the timeline fields restart so the
+// copy flows through its pipeline like a fresh submission (ArrivalAt is
+// preserved — latency is end-to-end from the user's perspective,
+// retries included).
 func (r *ResilientRouter) clone(old *workload.Request) *workload.Request {
 	cp := r.pool.Get()
 	cp.ID = old.ID
@@ -353,24 +399,23 @@ func (r *ResilientRouter) clone(old *workload.Request) *workload.Request {
 func (r *ResilientRouter) fail(att *attempt) {
 	r.stats.Failed++
 	att.seq++
-	r.coll.Abandon(att.primary)
+	*att.rec = *att.primary
+	delete(r.attempts, att.primary)
 	if att.pending {
-		delete(r.attempts, att.primary)
 		r.pool.Put(att.primary)
-	} else {
-		delete(r.attempts, att.primary)
 	}
 	if att.hedge != nil {
 		delete(r.attempts, att.hedge)
-		att.hedge = nil
 	}
+	r.spareAtts = append(r.spareAtts, att)
 }
 
 // onHedge fires the backup copy on a healthy replica other than the
 // primary's. Skipped when the attempt has moved on, a hedge already
 // exists, or no second replica is available.
-func (r *ResilientRouter) onHedge(att *attempt, seq uint64) {
-	if att.seq != seq || att.hedge != nil || att.pending {
+func (r *ResilientRouter) onHedge(arg any) {
+	att, current := r.fired(arg)
+	if !current || att.hedge != nil || att.pending {
 		return
 	}
 	i := r.pick(att.primaryRep)
@@ -406,8 +451,6 @@ func (r *ResilientRouter) Complete(i int, req *workload.Request) {
 	isHedge := req == att.hedge
 	if isHedge {
 		r.stats.HedgeWins++
-		// The collector tracks the primary; hand its record the winner.
-		r.coll.Replace(att.primary, req)
 		delete(r.attempts, att.primary)
 		if att.pending {
 			r.pool.Put(att.primary) // retry copy awaiting backoff, on no replica
@@ -416,14 +459,15 @@ func (r *ResilientRouter) Complete(i int, req *workload.Request) {
 	} else if att.hedge != nil {
 		delete(r.attempts, att.hedge) // drains as a ghost
 	}
-	r.coll.Done(req)
+	*att.rec = *req
 	if att.crashID >= 0 && r.healedBy[att.crashID] < r.sim.Now() {
 		r.healedBy[att.crashID] = r.sim.Now()
 	}
-	if att.tries == 1 && !isHedge {
+	if r.cfg.HedgeAuto && att.tries == 1 && !isHedge {
 		r.samples = append(r.samples, float64(req.Done-req.ArrivalAt)/float64(time.Second))
 	}
 	r.pool.Put(req)
+	r.spareAtts = append(r.spareAtts, att)
 }
 
 // Crash takes replica i out of the candidate set and fails over its
@@ -534,4 +578,15 @@ func (l *liveList) remove(req *workload.Request) {
 func (l *liveList) reset() {
 	clear(l.buf)
 	l.head, l.n = 0, 0
+}
+
+// reuse pops the last of spares, or returns a new T when there is none.
+func reuse[T any](spares *[]*T) *T {
+	n := len(*spares)
+	if n == 0 {
+		return new(T)
+	}
+	t := (*spares)[n-1]
+	*spares = (*spares)[:n-1]
+	return t
 }

@@ -10,8 +10,9 @@ import (
 	"vectorliterag/internal/workload"
 )
 
-// svcStage is a one-stage fake replica: it "serves" each request after
-// a per-replica virtual delay and stamps its completion fields.
+// svcStage is a one-stage fake replica: it stamps a copy's dispatch
+// instant as its search start, "serves" it after a per-replica virtual
+// delay and stamps its completion fields.
 type svcStage struct {
 	sim  *des.Sim
 	rep  int
@@ -20,10 +21,10 @@ type svcStage struct {
 }
 
 func (s *svcStage) Submit(req *workload.Request) {
+	req.SearchStart = s.sim.Now()
 	d := s.svc(s.rep, req)
 	s.sim.After(d, func() {
 		now := s.sim.Now()
-		req.SearchStart = req.ArrivalAt
 		req.SearchDone = now
 		req.LLMStart = now
 		req.FirstToken = now
@@ -32,21 +33,18 @@ func (s *svcStage) Submit(req *workload.Request) {
 	})
 }
 
-// resilientHarness wires n fake replicas behind a ResilientRouter plus
-// the admission front the rag layer puts before it.
+// resilientHarness wires n fake replicas behind a ResilientRouter and
+// allocates each arrival into an arena, as the rag layer does: the
+// arena's slots are the run's records.
 type resilientHarness struct {
 	sim    *des.Sim
 	router *ResilientRouter
-	front  Sink
-	coll   *Collector
-	pool   *workload.Pool
+	arena  *workload.Arena
 	nextID int
 }
 
 func newResilientHarness(t *testing.T, sim *des.Sim, cfg ResilienceConfig, n int, svc func(rep int, req *workload.Request) time.Duration) *resilientHarness {
 	t.Helper()
-	pool := &workload.Pool{}
-	coll := NewCollector()
 	var router *ResilientRouter
 	reps := make([]*Replica, n)
 	for i := range reps {
@@ -55,27 +53,44 @@ func newResilientHarness(t *testing.T, sim *des.Sim, cfg ResilienceConfig, n int
 		reps[i] = NewReplica()
 		reps[i].Bind(st.Submit)
 	}
-	router, err := NewResilientRouter(sim, cfg, reps, coll, pool)
+	router, err := NewResilientRouter(sim, cfg, reps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := func(req *workload.Request) {
-		coll.Admit(req)
-		router.Submit(req)
-	}
-	return &resilientHarness{sim: sim, router: router, front: front, coll: coll, pool: pool}
+	// A small first chunk: most runs overflow it, so a record the router
+	// wrote through a moved slot would show.
+	return &resilientHarness{sim: sim, router: router, arena: workload.NewArena(8)}
 }
 
-// arriveAt schedules one arrival at the given instant.
+// arriveAt schedules one arrival at the given instant. Arrivals must be
+// scheduled in time order for a record's ID to be its index.
 func (h *resilientHarness) arriveAt(at des.Time) {
 	id := h.nextID
 	h.nextID++
 	h.sim.At(at, func() {
-		req := h.pool.Get()
-		req.ID = id
-		req.ArrivalAt = h.sim.Now()
-		h.front(req)
+		rec := h.arena.New()
+		rec.ID = id
+		rec.ArrivalAt = h.sim.Now()
+		h.router.Submit(rec)
 	})
+}
+
+// records settles the router and returns every arrival's record in
+// arrival order. Call it once, when the run is over.
+func (h *resilientHarness) records() []workload.Request {
+	h.router.Settle()
+	return h.arena.Records()
+}
+
+// completed counts the records of requests that finished.
+func completed(recs []workload.Request) int {
+	n := 0
+	for i := range recs {
+		if recs[i].Done != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // settled asserts the run left no dangling control blocks or replica
@@ -109,7 +124,8 @@ func TestResilientCrashFailover(t *testing.T) {
 	h.arriveAt(des.Time(60 * time.Millisecond)) // while 0 is down -> must go to 1
 	sim.RunUntil(des.Time(5 * time.Second))
 
-	if got := h.coll.Completed(); got != 3 {
+	reqs := h.records()
+	if got := completed(reqs); got != 3 {
 		t.Fatalf("completed %d, want 3", got)
 	}
 	st := h.router.Stats()
@@ -123,7 +139,6 @@ func TestResilientCrashFailover(t *testing.T) {
 	}
 	// Request 0 failed over at 50ms and redispatched immediately; its
 	// record must show a completion at 150ms, not the doomed 100ms.
-	reqs := h.coll.Requests()
 	if got := time.Duration(reqs[0].Done); got != 150*time.Millisecond {
 		t.Fatalf("failed-over request finished at %v, want 150ms", got)
 	}
@@ -157,30 +172,90 @@ func TestResilientTimeoutRetryAndExhaustion(t *testing.T) {
 	if st.TimedOut != 1 || st.Retried != 1 {
 		t.Fatalf("stats %+v: want 1 timeout, 1 retry", st)
 	}
-	if h.coll.Completed() != 1 {
-		t.Fatalf("completed %d, want 1", h.coll.Completed())
+	recs := h.records()
+	if completed(recs) != 1 {
+		t.Fatalf("completed %d, want 1", completed(recs))
 	}
 	// timeout 100ms + backoff 10ms + service 20ms
-	if got := time.Duration(h.coll.Requests()[0].Done); got != 130*time.Millisecond {
+	if got := time.Duration(recs[0].Done); got != 130*time.Millisecond {
 		t.Fatalf("retried request finished at %v, want 130ms", got)
 	}
+}
 
-	// Exhaustion: every replica is a black hole.
-	var sim2 des.Sim
-	h2 := newResilientHarness(t, &sim2, ResilienceConfig{Policy: RoundRobin, Timeout: 50 * time.Millisecond, MaxRetries: 1, Backoff: 10 * time.Millisecond},
+// TestResilientFailedRecordStaysUnserved: a request whose retries run
+// out keeps the record of its last attempt as it stood when it failed —
+// unserved — even when both attempts later drain as ghosts and stamp
+// their completions onto their own copies.
+func TestResilientFailedRecordStaysUnserved(t *testing.T) {
+	var sim des.Sim
+	h := newResilientHarness(t, &sim, ResilienceConfig{Policy: RoundRobin, Timeout: 50 * time.Millisecond, MaxRetries: 1, Backoff: 10 * time.Millisecond},
 		2, func(int, *workload.Request) time.Duration { return time.Hour })
-	h2.arriveAt(0)
-	sim2.RunUntil(des.Time(time.Minute))
-	st2 := h2.router.Stats()
-	if st2.Failed != 1 {
-		t.Fatalf("stats %+v: want 1 failed", st2)
+	h.arriveAt(0)
+	sim.RunUntil(des.Time(3 * time.Hour))
+	st := h.router.Stats()
+	if st.Failed != 1 || st.Ghosts != 2 {
+		t.Fatalf("stats %+v: want 1 failed, and both attempts drained as ghosts", st)
 	}
-	if h2.coll.Completed() != 0 {
-		t.Fatalf("completed %d, want 0", h2.coll.Completed())
+	recs := h.records()
+	if completed(recs) != 0 {
+		t.Fatalf("completed %d, want 0", completed(recs))
 	}
-	rec := h2.coll.Requests()[0]
-	if rec.FirstToken != 0 {
-		t.Fatalf("abandoned request has FirstToken %d, want 0 (counts unserved)", rec.FirstToken)
+	// timeout 50ms + backoff 10ms: the retry was dispatched at 60ms.
+	if rec := recs[0]; rec.FirstToken != 0 || rec.Done != 0 || time.Duration(rec.SearchStart) != 60*time.Millisecond {
+		t.Fatalf("abandoned record %+v, want the retry's state at the failure (search start 60ms, no first token)", rec)
+	}
+	h.settled(t)
+}
+
+// TestResilientRecordSurvivesRecycling: a completed request's copy goes
+// back to the router's pool and serves the next arrival; the first
+// record keeps its own timestamps.
+func TestResilientRecordSurvivesRecycling(t *testing.T) {
+	var sim des.Sim
+	h := newResilientHarness(t, &sim, ResilienceConfig{Policy: RoundRobin}, 1, func(_ int, req *workload.Request) time.Duration {
+		if req.ID == 0 {
+			return 100 * time.Millisecond
+		}
+		return time.Hour
+	})
+	h.arriveAt(0)
+	h.arriveAt(des.Time(200 * time.Millisecond))
+	sim.RunUntil(des.Time(time.Second))
+	if got := h.router.pool.Allocated(); got != 1 {
+		t.Fatalf("the pool built %d copies, want 1: the second arrival must reuse the first's", got)
+	}
+	recs := h.records()
+	ms := des.Time(time.Millisecond)
+	if r := recs[0]; r.ID != 0 || r.ArrivalAt != 0 || r.SearchStart != 0 || r.FirstToken != 100*ms || r.Done != 100*ms {
+		t.Fatalf("completed record corrupted by recycling: %+v", r)
+	}
+	if r := recs[1]; r.ID != 1 || r.ArrivalAt != 200*ms || r.SearchStart != 200*ms || r.FirstToken != 0 {
+		t.Fatalf("in-flight record %+v, want its own arrival and dispatch at 200ms", r)
+	}
+}
+
+// TestResilientInFlightRecordAtDeadline: a request still in flight when
+// the clock stops reports its current attempt's state at that instant —
+// the retry it was failed over to, not the first attempt it left behind.
+func TestResilientInFlightRecordAtDeadline(t *testing.T) {
+	var sim des.Sim
+	svc := func(rep int, req *workload.Request) time.Duration {
+		if rep == 0 {
+			return time.Hour
+		}
+		return time.Second
+	}
+	cfg := ResilienceConfig{Policy: RoundRobin, Timeout: 500 * time.Millisecond, MaxRetries: 2, Backoff: 10 * time.Millisecond}
+	h := newResilientHarness(t, &sim, cfg, 2, svc)
+	h.arriveAt(0)
+	sim.RunUntil(des.Time(800 * time.Millisecond))
+	if st := h.router.Stats(); st.TimedOut != 1 || st.Retried != 1 {
+		t.Fatalf("stats %+v: want 1 timeout, 1 retry", st)
+	}
+	// timeout 500ms + backoff 10ms: the retry runs on replica 1 from 510ms.
+	rec := h.records()[0]
+	if rec.ID != 0 || rec.ArrivalAt != 0 || time.Duration(rec.SearchStart) != 510*time.Millisecond || rec.FirstToken != 0 {
+		t.Fatalf("in-flight record %+v, want the retry's state at the deadline (search start 510ms, no first token)", rec)
 	}
 }
 
@@ -203,9 +278,11 @@ func TestResilientHedgeWins(t *testing.T) {
 	if st.Ghosts != 1 {
 		t.Fatalf("ghosts %d, want 1 (the losing primary)", st.Ghosts)
 	}
-	// Hedge fired at 100ms, served in 20ms.
-	if got := time.Duration(h.coll.Requests()[0].Done); got != 120*time.Millisecond {
-		t.Fatalf("hedged request finished at %v, want 120ms", got)
+	// Hedge fired at 100ms, served in 20ms; the losing primary drained
+	// at 1s without touching the record.
+	ms := des.Time(time.Millisecond)
+	if rec := h.records()[0]; rec.SearchStart != 100*ms || rec.FirstToken != 120*ms || rec.Done != 120*ms {
+		t.Fatalf("hedge-won record %+v, want the hedge's timestamps (dispatched 100ms, done 120ms)", rec)
 	}
 	h.settled(t)
 }
@@ -277,47 +354,6 @@ func TestReplicaReleaseGuard(t *testing.T) {
 	}
 }
 
-func TestCollectorReplaceAndAbandon(t *testing.T) {
-	c := NewCollector()
-	a := &workload.Request{ID: 7, ArrivalAt: 10}
-	c.Admit(a)
-	b := &workload.Request{ID: 7, ArrivalAt: 10}
-	c.Replace(a, b)
-	// After Replace the collector must follow b, not a.
-	b.FirstToken = 99
-	b.Done = 100
-	c.Done(b)
-	if c.Completed() != 1 {
-		t.Fatalf("completed %d, want 1", c.Completed())
-	}
-	if got := c.Requests()[0].Done; got != 100 {
-		t.Fatalf("record Done %d, want 100 (the replacement's state)", got)
-	}
-	// Done on the superseded pointer must be a no-op for the record.
-	a.Done = 55
-	c.Done(a)
-	if got := c.Requests()[0].Done; got != 100 {
-		t.Fatalf("superseded pointer overwrote the record: Done %d", got)
-	}
-
-	// Abandon freezes the record unserved without counting a completion.
-	c2 := NewCollector()
-	r := &workload.Request{ID: 1, ArrivalAt: 5}
-	c2.Admit(r)
-	c2.Abandon(r)
-	r.FirstToken = 42 // late mutation must not leak into the record
-	rec := c2.Requests()[0]
-	if rec.FirstToken != 0 {
-		t.Fatalf("abandoned record FirstToken %d, want 0", rec.FirstToken)
-	}
-	if c2.Completed() != 0 {
-		t.Fatalf("abandon counted a completion")
-	}
-	if c2.Admitted() != 1 {
-		t.Fatalf("admitted %d, want 1", c2.Admitted())
-	}
-}
-
 // TestResilientDeterministic pins that two identical storm runs produce
 // identical completion records and counters.
 func TestResilientDeterministic(t *testing.T) {
@@ -336,7 +372,7 @@ func TestResilientDeterministic(t *testing.T) {
 		sim.At(des.Time(600*time.Millisecond), func() { h.router.Crash(2) })
 		sim.At(des.Time(800*time.Millisecond), func() { h.router.Recover(2) })
 		sim.RunUntil(des.Time(time.Minute))
-		return append([]workload.Request(nil), h.coll.Requests()...), h.router.Stats()
+		return h.records(), h.router.Stats()
 	}
 	r1, s1 := run()
 	r2, s2 := run()
@@ -483,4 +519,69 @@ func TestResilientCrashFailsOverInDispatchOrder(t *testing.T) {
 		t.Fatalf("failed over %v, want dispatch order %v", failedOver, want)
 	}
 	h.settled(t)
+}
+
+// FuzzResilientRecords drives 64 arrivals, one every 4 ms, through three
+// fake replicas under any resilience configuration and one crash and
+// recovery, and stops the clock at any instant after the last arrival.
+// The run must leave exactly one record per arrival, in arrival order
+// with its identity and arrival instant kept, every finished record's
+// first token between its arrival and its completion, and no more
+// failures than unserved records.
+func FuzzResilientRecords(f *testing.F) {
+	f.Add(uint16(200), uint8(2), uint16(10), uint16(150), false, true, uint16(100), uint16(200), uint8(0), uint16(600))
+	f.Add(uint16(60), uint8(1), uint16(0), uint16(0), true, false, uint16(20), uint16(400), uint8(1), uint16(150))
+	f.Add(uint16(0), uint8(0), uint16(0), uint16(40), false, false, uint16(0), uint16(0), uint8(2), uint16(2000))
+	f.Add(uint16(30), uint8(3), uint16(90), uint16(25), true, true, uint16(250), uint16(499), uint8(2), uint16(1))
+	f.Fuzz(func(t *testing.T, timeoutMs uint16, retries uint8, backoffMs, hedgeMs uint16, hedgeAuto, degrade bool, crashMs, downMs uint16, crashRep uint8, untilMs uint16) {
+		const n, gap = 64, 4 * time.Millisecond
+		ms := func(v uint16, mod int) time.Duration { return time.Duration(int(v)%mod) * time.Millisecond }
+		cfg := ResilienceConfig{
+			Policy:     LeastLoaded,
+			Timeout:    ms(timeoutMs, 500),
+			MaxRetries: int(retries % 4),
+			Backoff:    ms(backoffMs, 100),
+			HedgeDelay: ms(hedgeMs, 300),
+			HedgeAuto:  hedgeAuto,
+			Degrade:    degrade,
+		}
+		var sim des.Sim
+		// Replica 2 straggles at three times the others' service time.
+		h := newResilientHarness(t, &sim, cfg, 3, func(rep int, req *workload.Request) time.Duration {
+			d := time.Duration(30+7*(req.ID%5)) * time.Millisecond
+			if rep == 2 {
+				d *= 3
+			}
+			return d
+		})
+		for i := range n {
+			h.arriveAt(des.Time(time.Duration(i) * gap))
+		}
+		crash, rep := des.Time(ms(crashMs, 500)), int(crashRep%3)
+		sim.At(crash, func() { h.router.Crash(rep) })
+		sim.At(crash+des.Time(ms(downMs, 500)+time.Millisecond), func() { h.router.Recover(rep) })
+		sim.RunUntil(des.Time((n-1)*gap + ms(untilMs, 2000)))
+
+		recs := h.records()
+		if len(recs) != n {
+			t.Fatalf("%d records for %d arrivals", len(recs), n)
+		}
+		unserved := 0
+		for i := range recs {
+			r := &recs[i]
+			if r.ID != i || r.ArrivalAt != des.Time(time.Duration(i)*gap) {
+				t.Fatalf("record %d is request %d arriving at %d", i, r.ID, r.ArrivalAt)
+			}
+			if r.FirstToken == 0 {
+				unserved++
+				continue
+			}
+			if r.Done != 0 && (r.FirstToken < r.ArrivalAt || r.Done < r.FirstToken) {
+				t.Fatalf("record %d: arrival %d, first token %d, done %d", i, r.ArrivalAt, r.FirstToken, r.Done)
+			}
+		}
+		if st := h.router.Stats(); st.Failed > unserved {
+			t.Fatalf("%d failed requests but %d unserved records", st.Failed, unserved)
+		}
+	})
 }

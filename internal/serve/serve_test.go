@@ -110,20 +110,6 @@ func TestTee(t *testing.T) {
 	}
 }
 
-func TestCollectorCounts(t *testing.T) {
-	c := NewCollector()
-	r := &workload.Request{ID: 1}
-	c.Admit(r)
-	c.Admit(&workload.Request{ID: 2})
-	c.Done(r)
-	if c.Admitted() != 2 || c.Completed() != 1 {
-		t.Fatalf("admitted %d completed %d", c.Admitted(), c.Completed())
-	}
-	if len(c.Requests()) != 2 || c.Requests()[0].ID != 1 {
-		t.Fatalf("request log %v", c.Requests())
-	}
-}
-
 // sinkReplica builds a replica whose node is a single pass-through
 // station feeding Release, so inflight returns to zero at completion.
 func sinkReplica(t *testing.T, sim *des.Sim, seen *[]int, id int) *Replica {

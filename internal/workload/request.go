@@ -136,12 +136,12 @@ func (a *Arena) Records() []Request {
 	return a.chunk
 }
 
-// Pool recycles Request objects across a serving run whose requests are
-// copied out of the pooled objects (the resilient router's retry and
-// hedge clones, serve.Collector's copying mode): an arrival generator
-// draws from it and the terminal sink returns completed requests, so
-// after a short ramp (the peak in-flight population) the run allocates
-// no further requests. Every other run allocates into an Arena.
+// Pool recycles Request objects whose contents are copied out before
+// they are released — the resilient router's attempt copies, each
+// written back into its request's Arena slot: a user draws from it and
+// the terminal sink returns finished objects, so after a short ramp
+// (the peak in-flight population) no further requests are allocated.
+// A run's records themselves live in an Arena.
 //
 // A Pool is single-goroutine, like the simulator it serves.
 type Pool struct {
