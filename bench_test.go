@@ -6,10 +6,10 @@ package vectorliterag_test
 // the simulated substrate in quick mode. Run the full-scale versions
 // with `go run ./cmd/vliterag run -exp <id>`.
 //
-// Micro-benchmarks for the hot algorithmic paths (IVF search, LUT scan,
-// first-order-statistic integral, Algorithm 1 and the joint allocator
-// on a cold estimator, each retrieval engine configuration,
-// discrete-event throughput) follow at the bottom.
+// Micro-benchmarks for the hot algorithmic paths (IVF search, live-store
+// search, LUT scan, first-order-statistic integral, Algorithm 1 and the
+// joint allocator on a cold estimator, each retrieval engine
+// configuration, discrete-event throughput) follow at the bottom.
 
 import (
 	"fmt"
@@ -25,6 +25,7 @@ import (
 	"vectorliterag/internal/gpu"
 	"vectorliterag/internal/hitrate"
 	"vectorliterag/internal/hw"
+	"vectorliterag/internal/ingest"
 	"vectorliterag/internal/ivf"
 	"vectorliterag/internal/kmeans"
 	"vectorliterag/internal/llm"
@@ -204,6 +205,35 @@ func BenchmarkIVFProbe(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = w.Index.Probe(q, 8)
+	}
+}
+
+// BenchmarkLiveStoreSearch measures the live three-stage search through
+// ingest.Store on a warm store holding encoded appends, pending raw
+// vectors and tombstones, so the masked base scan, the masked append
+// scan and the brute-force pending scan all run. A warm store returns
+// its result in a slice it reuses, so the search allocates nothing.
+func BenchmarkLiveStoreSearch(b *testing.B) {
+	w := benchWorkload(b)
+	r := rng.New(4)
+	s := ingest.NewStore(w)
+	insert := func(n int) {
+		for i := 0; i < n; i++ {
+			s.Insert(&workload.Mutation{Kind: workload.MutInsert, Vec: w.InsertVector(r)})
+		}
+	}
+	insert(256)
+	s.Reencode()
+	insert(256)
+	for i := 0; i < 64; i++ {
+		s.Delete(&workload.Mutation{Kind: workload.MutDelete, Pick: r.Uint64()})
+	}
+	q := w.QueryVector(0, r)
+	s.Search(q, 8, 25)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = s.Search(q, 8, 25)
 	}
 }
 

@@ -285,7 +285,7 @@ func printCorpus(f *serveFlags, spec vlr.Spec, o *rag.Options, res *rag.Result) 
 		fmt.Printf("  resilience      goodput %.2f req/s  retried %d (failover %d)  hedged %d (wins %d)  timed out %d  failed %d\n",
 			rr.Goodput, st.Retried, st.FailedOver, st.Hedged, st.HedgeWins, st.TimedOut, st.Failed)
 		for i, d := range rr.Recoveries {
-			fmt.Printf("  crash %d         time to recover %v\n", i+1, d.Round(time.Millisecond))
+			fmt.Printf("  crash %d         %s\n", i+1, recoveryText(d))
 		}
 	}
 	switch {
@@ -294,6 +294,16 @@ func printCorpus(f *serveFlags, spec vlr.Spec, o *rag.Options, res *rag.Result) 
 	case res.Adapt != nil:
 		printAdaptive(res)
 	}
+}
+
+// recoveryText renders one crash's time to recover, to the millisecond.
+// A negative duration is a crash none of whose failed-over requests
+// completed, which a rounded "0s" would read as instant recovery.
+func recoveryText(d time.Duration) string {
+	if d < 0 {
+		return "never recovered"
+	}
+	return "time to recover " + d.Round(time.Millisecond).String()
 }
 
 // printOverload renders an overload report; nil prints nothing.

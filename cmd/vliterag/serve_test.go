@@ -196,3 +196,23 @@ func TestServeMatchesPublicAPI(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveryText: a crash whose failovers all completed prints its
+// time to recover to the millisecond; one none of whose failovers
+// completed (a negative duration) prints "never recovered", not the
+// "0s" that rounding −1 ns gives.
+func TestRecoveryText(t *testing.T) {
+	for _, c := range []struct {
+		d    time.Duration
+		want string
+	}{
+		{1234567890, "time to recover 1.235s"},
+		{400 * time.Microsecond, "time to recover 0s"},
+		{-1, "never recovered"},
+		{-3 * time.Second, "never recovered"},
+	} {
+		if got := recoveryText(c.d); got != c.want {
+			t.Errorf("recoveryText(%v) = %q, want %q", c.d, got, c.want)
+		}
+	}
+}

@@ -39,9 +39,9 @@ type Rung struct {
 	// Probe is the nprobe shed fraction, stamped onto Request.Degrade —
 	// the cheapest quality knob, shed first.
 	Probe float64
-	// K is the rerank-depth shed fraction: Shape.TopK and the
-	// context-dependent input tokens shrink by this fraction, cutting
-	// both retrieval rerank work and LLM prefill cost.
+	// K is the rerank-depth shed fraction: the context-dependent input
+	// tokens (the reranked documents' share of Shape.InputTokens) shrink
+	// by this fraction, cutting LLM prefill cost.
 	K float64
 	// DropSQ, the last resort, scans SQ8-upgraded clusters through
 	// their base PQ codec (ForcePQ), giving back the precision
@@ -284,20 +284,14 @@ func clampShed(v, max float64) float64 {
 	return v
 }
 
-// shedShape shrinks the request's rerank depth and the context-
-// dependent share of its input tokens by fraction k. The first
-// qBaseTokens input tokens model the question itself and survive any
-// shed; what shrinks is the retrieved context, in proportion to the
-// documents no longer reranked into it.
+// shedShape shrinks the context-dependent share of the request's input
+// tokens by fraction k. The first qBaseTokens input tokens model the
+// question itself and survive any shed; what shrinks is the retrieved
+// context, in proportion to the documents no longer reranked into it.
 func shedShape(s workload.Shape, k float64) workload.Shape {
 	const qBaseTokens = 64
-	if s.TopK > 0 {
-		if s.TopK = int(float64(s.TopK) * (1 - k)); s.TopK < 1 {
-			s.TopK = 1
-		}
-	}
 	if s.InputTokens > qBaseTokens {
-		s.InputTokens = qBaseTokens + int(float64(s.InputTokens-qBaseTokens)*(1-k))
+		s.InputTokens = qBaseTokens + int32(float64(s.InputTokens-qBaseTokens)*(1-k))
 	}
 	return s
 }

@@ -164,7 +164,7 @@ func TestStampAppliesRung(t *testing.T) {
 	if req.Degrade == 0 || k == 0 || req.Shape != shedShape(def, k) || !req.ForcePQ {
 		t.Fatalf("deepest rung left knobs unstamped (k shed %v): %+v", k, req)
 	}
-	if req.Shape.TopK >= def.TopK || req.Shape.InputTokens >= def.InputTokens {
+	if req.Shape.InputTokens >= def.InputTokens {
 		t.Fatalf("shape did not shrink: %+v vs %+v", req.Shape, def)
 	}
 	if req.Shape.OutputTokens != def.OutputTokens {

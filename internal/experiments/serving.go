@@ -148,11 +148,11 @@ func Fig14(cfg Config) (*Report, error) {
 // index.
 func Fig15(cfg Config) (*Report, error) {
 	shapes := []workload.Shape{
-		{InputTokens: 512, OutputTokens: 256, TopK: 25},
-		{InputTokens: 1024, OutputTokens: 256, TopK: 25},
-		{InputTokens: 2048, OutputTokens: 256, TopK: 25},
-		{InputTokens: 1024, OutputTokens: 128, TopK: 25},
-		{InputTokens: 1024, OutputTokens: 512, TopK: 25},
+		{InputTokens: 512, OutputTokens: 256},
+		{InputTokens: 1024, OutputTokens: 256},
+		{InputTokens: 2048, OutputTokens: 256},
+		{InputTokens: 1024, OutputTokens: 128},
+		{InputTokens: 1024, OutputTokens: 512},
 	}
 	deps := []deployment{deployments()[0], deployments()[2]} // 8B and 70B
 	fracs := []float64{0.4, 0.6, 0.8, 0.95, 1.05}

@@ -445,7 +445,7 @@ func rebuildSearch(s *Store, q []float32, nprobe, k int) []vecmath.Neighbor {
 			vecmath.NewBruteForcer(cl.pendVecs, s.dim).ScanMaskedInto(top, q, cl.pendIDs, cl.deadPend)
 		}
 	}
-	return top.Sorted()
+	return top.AppendSorted(nil)
 }
 
 // TestIncrementalNormsMatchRebuild: under a random interleave of
@@ -499,10 +499,11 @@ func TestIncrementalNormsMatchRebuild(t *testing.T) {
 	}
 }
 
-// TestStoreSearchAllocs: a search allocates its result slice and
-// nothing else — on a frozen store, on one whose pending buffers have
-// been folded away, and on one with raw vectors pending.
-func TestStoreSearchAllocs(t *testing.T) {
+// TestStoreSearchAllocatesNothing: a warm store's search allocates
+// nothing, its result included — on a frozen store, with raw vectors
+// pending, with the pending buffers folded into encoded appends, and
+// with pending, appended and tombstoned entries in the same lists.
+func TestStoreSearchAllocatesNothing(t *testing.T) {
 	w := testWorkload(t)
 	s := NewStore(w)
 	r := rng.New(29)
@@ -510,25 +511,50 @@ func TestStoreSearchAllocs(t *testing.T) {
 	check := func(state string) {
 		t.Helper()
 		s.Search(q, 8, 10) // warm the store's scratch
-		if allocs := testing.AllocsPerRun(50, func() { s.Search(q, 8, 10) }); allocs > 1 {
-			t.Fatalf("%s: Search allocates %.1f objects per query, want at most the result slice", state, allocs)
+		if allocs := testing.AllocsPerRun(50, func() { s.Search(q, 8, 10) }); allocs != 0 {
+			t.Fatalf("%s: Search allocates %.1f objects per query, want 0", state, allocs)
+		}
+	}
+	insert := func(n int) {
+		for i := 0; i < n; i++ {
+			s.Insert(&workload.Mutation{Kind: workload.MutInsert, Vec: w.InsertVector(r)})
+		}
+	}
+	kill := func(id int) {
+		t.Helper()
+		m := &workload.Mutation{Kind: workload.MutDelete, Pick: uint64(id)}
+		if !s.Delete(m) || int(m.ID) != id {
+			t.Fatalf("delete resolved to %d, want %d", m.ID, id)
 		}
 	}
 	check("frozen store")
-	for i := 0; i < 200; i++ {
-		s.Insert(&workload.Mutation{Kind: workload.MutInsert, Vec: w.InsertVector(r)})
-	}
-	s.Delete(&workload.Mutation{Kind: workload.MutDelete, Pick: uint64(w.Index.NVectors() + 5)})
+	insert(200)
+	kill(w.Index.NVectors() + 5)
 	check("raw vectors pending")
 	s.Reencode()
 	check("clean pending buffers")
+	insert(200)
+	mixed := false
+	for _, c := range w.Index.Probe(q, 8) {
+		if cl := &s.cl[c]; len(cl.appIDs) > 0 && len(cl.pendIDs) > 0 {
+			kill(int(w.Index.ClusterIDs(c)[0]))
+			kill(int(cl.appIDs[0]))
+			kill(int(cl.pendIDs[0]))
+			mixed = true
+			break
+		}
+	}
+	if !mixed {
+		t.Fatal("no probed list holds both encoded appends and pending vectors")
+	}
+	check("pending, appended and tombstoned")
 }
 
 // TestSearchAfterInsertAllocsFlat: the first search after an insert
 // used to re-derive (and re-allocate) the norm of every pending row of
 // each probed cluster — allocation linear in the buffer, quadratic
-// between re-encodes. Now it allocates the result slice whatever the
-// buffer holds.
+// between re-encodes. Now it allocates nothing, whatever the buffer
+// holds.
 func TestSearchAfterInsertAllocsFlat(t *testing.T) {
 	w := testWorkload(t)
 	r := rng.New(37)
@@ -558,8 +584,8 @@ func TestSearchAfterInsertAllocsFlat(t *testing.T) {
 	}
 	smallObj, smallBytes := perSearch(4)
 	bigObj, bigBytes := perSearch(4096)
-	if smallObj > 1 || bigObj > 1 {
-		t.Fatalf("search after insert allocates %d objects at 4 pending, %d at 4096; want at most 1", smallObj, bigObj)
+	if smallObj > 0 || bigObj > 0 {
+		t.Fatalf("search after insert allocates %d objects at 4 pending, %d at 4096; want none", smallObj, bigObj)
 	}
 	if bigBytes > smallBytes {
 		t.Fatalf("search after insert allocates %d B at 4096 pending vs %d B at 4: grows with the buffer", bigBytes, smallBytes)

@@ -111,10 +111,12 @@ type Store struct {
 	pendingTotal     int // live pending vectors across clusters
 	encScratch       []byte
 
-	// Search's reusable buffers: probe scratch, LUT and top-k heap.
+	// Search's reusable buffers: probe scratch, LUT, top-k heap and the
+	// result it returns.
 	scratch *ivf.SearchScratch
 	lut     pq.LUT
 	top     vecmath.TopK
+	res     []vecmath.Neighbor
 }
 
 // NewStore builds the live overlay for a workload. The workload and
@@ -358,8 +360,9 @@ func (s *Store) ScanBytesAll(q dataset.QueryID) int64 {
 // L2, commensurate with the LUT's approximate squared distances). It
 // is the correctness surface for the overlay (tests, examples); the
 // serving engines consume the Store through its cost-model methods.
-// Probe list, LUT and heap are the store's own and reused; the result
-// is freshly allocated and owned by the caller.
+// Probe list, LUT, heap and result are the store's own and reused, so a
+// warm store allocates nothing: the returned slice is valid until the
+// next Search, and a caller that keeps it longer clones it.
 func (s *Store) Search(q []float32, nprobe, k int) []vecmath.Neighbor {
 	probes := s.ix.ProbeInto(s.scratch, q, nprobe)
 	lut, top := &s.lut, &s.top
@@ -376,7 +379,8 @@ func (s *Store) Search(q []float32, nprobe, k int) []vecmath.Neighbor {
 			bf.ScanMaskedInto(top, q, cl.pendIDs, cl.deadPend)
 		}
 	}
-	return top.Sorted()
+	s.res = top.AppendSorted(s.res[:0])
+	return s.res
 }
 
 // Alive reports whether the vector ID is live (exists and is not

@@ -45,13 +45,13 @@ func (r *sweepRef) iterate() {
 	sim := r.p.sim
 	for len(r.waiting) > 0 {
 		e := r.waiting[0]
-		need := int64(e.req.Shape.InputTokens + e.req.Shape.OutputTokens)
+		need := int64(e.req.Shape.InputTokens) + int64(e.req.Shape.OutputTokens)
 		if len(r.running)+len(r.prefilling)+1 > r.p.cfg.MaxSeqs || r.kvUsed+need > r.p.kvCapacityTokens {
 			break
 		}
 		r.waiting = r.waiting[1:]
 		e.reserved = need
-		e.prefillPending = e.req.Shape.InputTokens
+		e.prefillPending = int(e.req.Shape.InputTokens)
 		e.req.LLMStart = sim.Now()
 		r.kvUsed += need
 		r.prefilling = append(r.prefilling, e)
@@ -92,10 +92,10 @@ func (r *sweepRef) iterate() {
 			e.generated++
 			r.tokensOut++
 			r.sumCtx++
-			if e.generated >= e.req.Shape.OutputTokens {
+			if e.generated >= int(e.req.Shape.OutputTokens) {
 				e.req.Done = now
 				r.kvUsed -= e.reserved
-				r.sumCtx -= int64(e.req.Shape.InputTokens + e.generated)
+				r.sumCtx -= int64(e.req.Shape.InputTokens) + int64(e.generated)
 				r.onDone(e.req)
 				continue
 			}
@@ -108,7 +108,7 @@ func (r *sweepRef) iterate() {
 			e.generated = 1
 			r.tokensOut++
 			r.running = append(r.running, e)
-			r.sumCtx += int64(e.req.Shape.InputTokens + 1)
+			r.sumCtx += int64(e.req.Shape.InputTokens) + 1
 		}
 		r.iterate()
 	})
@@ -159,7 +159,7 @@ func runScenario(t testing.TB, sc ringScenario, ref bool) (ringRun, *Instance) {
 	for i, o := range sc.outs {
 		at += sc.gaps[i]
 		req := &out.reqs[i]
-		*req = workload.Request{ID: i, Shape: workload.Shape{InputTokens: 96 + 37*(i%5), OutputTokens: o, TopK: 5}}
+		*req = workload.Request{ID: i, Shape: workload.Shape{InputTokens: int32(96 + 37*(i%5)), OutputTokens: int32(o)}}
 		sim.At(at, func() { submit(req) })
 	}
 	// A bounded horizon, so a ring that loses an entry fails the
@@ -269,12 +269,12 @@ func TestWarmRingAllocFree(t *testing.T) {
 		free = append(free, r)
 		finished++
 	}
-	lengths := []int{12, 3, 30, 1, 7, 19, 2, 12}
+	lengths := []int32{12, 3, 30, 1, 7, 19, 2, 12}
 	cycle := func() {
 		if n := len(free); n > 0 {
 			r := free[n-1]
 			free = free[:n-1]
-			*r = workload.Request{ID: joined, Shape: workload.Shape{InputTokens: 64, OutputTokens: lengths[joined%len(lengths)], TopK: 5}}
+			*r = workload.Request{ID: joined, Shape: workload.Shape{InputTokens: 64, OutputTokens: lengths[joined%len(lengths)]}}
 			joined++
 			inst.Submit(r)
 		}

@@ -195,7 +195,7 @@ func (in *Instance) iterate() {
 	// Admission: reserve KV for as many waiting requests as fit.
 	for in.wHead < len(in.waiting) {
 		e := in.waiting[in.wHead]
-		need := int64(e.req.Shape.InputTokens + e.req.Shape.OutputTokens)
+		need := int64(e.req.Shape.InputTokens) + int64(e.req.Shape.OutputTokens)
 		if in.nRunning+len(in.prefilling)+1 > in.cfg.MaxSeqs {
 			break
 		}
@@ -209,8 +209,8 @@ func (in *Instance) iterate() {
 			in.wHead = 0
 		}
 		e.reserved = need
-		e.prefillPending = e.req.Shape.InputTokens
-		e.outTokens = e.req.Shape.OutputTokens
+		e.prefillPending = int(e.req.Shape.InputTokens)
+		e.outTokens = int(e.req.Shape.OutputTokens)
 		e.req.LLMStart = in.sim.Now()
 		in.kvUsedTokens += need
 		in.prefilling = append(in.prefilling, e)
@@ -276,7 +276,7 @@ func (in *Instance) park(e *entry) {
 		in.rHead = 0
 	}
 	f := finEntry{req: e.req, done: in.tick + int64(ticks),
-		ctx: int64(e.req.Shape.InputTokens + 1 + ticks), reserved: e.reserved}
+		ctx: int64(e.req.Shape.InputTokens) + 1 + int64(ticks), reserved: e.reserved}
 	in.run = append(in.run, f)
 	i := len(in.run) - 1
 	for ; i > in.rHead && in.run[i-1].done > f.done; i-- {
@@ -327,7 +327,7 @@ func (in *Instance) step() {
 			e := &in.prefilling[i]
 			e.req.FirstToken = now
 			in.tokensOut++
-			in.sumCtx += int64(e.req.Shape.InputTokens + 1)
+			in.sumCtx += int64(e.req.Shape.InputTokens) + 1
 			in.park(e)
 			if in.onFirstToken != nil {
 				in.onFirstToken(e.req)

@@ -133,7 +133,7 @@ func TestKVAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shape := workload.Shape{InputTokens: 128, OutputTokens: 16, TopK: 5}
+	shape := workload.Shape{InputTokens: 128, OutputTokens: 16}
 	for i := 0; i < 10; i++ {
 		req := &workload.Request{ID: i, Shape: shape}
 		sim.At(0, func() { inst.Submit(req) })
@@ -214,7 +214,7 @@ func TestCapacityOrdering(t *testing.T) {
 
 func TestContentionStretchesIterations(t *testing.T) {
 	node := hw.L40SNode()
-	shape := workload.Shape{InputTokens: 512, OutputTokens: 64, TopK: 5}
+	shape := workload.Shape{InputTokens: 512, OutputTokens: 64}
 
 	run := func(contend bool) des.Time {
 		var sim des.Sim
@@ -255,7 +255,7 @@ func TestClusterLeastLoadedDispatch(t *testing.T) {
 	if len(cluster.Instances) != 8 {
 		t.Fatalf("instances = %d, want 8 (TP=1 on 8 GPUs)", len(cluster.Instances))
 	}
-	shape := workload.Shape{InputTokens: 64, OutputTokens: 4, TopK: 5}
+	shape := workload.Shape{InputTokens: 64, OutputTokens: 4}
 	sim.At(0, func() {
 		for i := 0; i < 16; i++ {
 			cluster.Submit(&workload.Request{ID: i, Shape: shape})

@@ -119,14 +119,14 @@ func FuzzScanCodesIDsMasked(f *testing.F) {
 		})
 		got := vecmath.NewTopK(k)
 		lut.ScanCodesIDsMasked(codes, ids, dead, got)
-		neighborsEqual(t, got.Sorted(), want.Sorted())
+		neighborsEqual(t, got.AppendSorted(nil), want.AppendSorted(nil))
 		// An all-zero mask must be indistinguishable from no mask.
 		clear(dead)
 		want.Reset(k)
 		refScan(lut, codes, func(i int, d float32) { want.Push(int(ids[i]), d) })
 		got.Reset(k)
 		lut.ScanCodesIDsMasked(codes, ids, dead, got)
-		neighborsEqual(t, got.Sorted(), want.Sorted())
+		neighborsEqual(t, got.AppendSorted(nil), want.AppendSorted(nil))
 	})
 }
 
@@ -190,7 +190,7 @@ func FuzzScanSQIDs(f *testing.F) {
 		refScanSQ(q, query, codes, func(i int, d float32) { want.Push(int(ids[i]), d) })
 		got := vecmath.NewTopK(k)
 		q.ScanSQIDs(query, codes, ids, got)
-		neighborsEqual(t, got.Sorted(), want.Sorted())
+		neighborsEqual(t, got.AppendSorted(nil), want.AppendSorted(nil))
 	})
 }
 
@@ -216,14 +216,14 @@ func FuzzScanSQIDsMasked(f *testing.F) {
 		})
 		got := vecmath.NewTopK(k)
 		q.ScanSQIDsMasked(query, codes, ids, dead, got)
-		neighborsEqual(t, got.Sorted(), want.Sorted())
+		neighborsEqual(t, got.AppendSorted(nil), want.AppendSorted(nil))
 		// An all-zero mask must be indistinguishable from no mask.
 		clear(dead)
 		want.Reset(k)
 		refScanSQ(q, query, codes, func(i int, d float32) { want.Push(int(ids[i]), d) })
 		got.Reset(k)
 		q.ScanSQIDsMasked(query, codes, ids, dead, got)
-		neighborsEqual(t, got.Sorted(), want.Sorted())
+		neighborsEqual(t, got.AppendSorted(nil), want.AppendSorted(nil))
 	})
 }
 
@@ -245,6 +245,6 @@ func FuzzScanCodesIDs(f *testing.F) {
 		refScan(lut, codes, func(i int, d float32) { want.Push(int(ids[i]), d) })
 		got := vecmath.NewTopK(k)
 		lut.ScanCodesIDs(codes, ids, got)
-		neighborsEqual(t, got.Sorted(), want.Sorted())
+		neighborsEqual(t, got.AppendSorted(nil), want.AppendSorted(nil))
 	})
 }

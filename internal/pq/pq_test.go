@@ -122,7 +122,7 @@ func TestScanCodesFindsNearest(t *testing.T) {
 	lut := q.BuildLUT(query)
 	top := vecmath.NewTopK(5)
 	lut.ScanCodesIDs(codes, positional(n), top)
-	res := top.Sorted()
+	res := top.AppendSorted(nil)
 	found := false
 	for _, nb := range res {
 		if nb.Index == 17 {
@@ -193,7 +193,7 @@ func TestPQRecallOnClusteredData(t *testing.T) {
 		lut := q.BuildLUT(query)
 		top := vecmath.NewTopK(10)
 		lut.ScanCodesIDs(codes, ids, top)
-		got := top.Sorted()
+		got := top.AppendSorted(nil)
 		gotSet := map[int]bool{}
 		for _, nb := range got {
 			gotSet[nb.Index] = true
@@ -250,7 +250,7 @@ func TestScanCodesIDsMatchesReference(t *testing.T) {
 			}
 			lut.ScanCodesIDs(codes, ids, got)
 			referenceScan(lut, codes, ids, want)
-			g, w := got.Sorted(), want.Sorted()
+			g, w := got.AppendSorted(nil), want.AppendSorted(nil)
 			if len(g) != len(w) {
 				t.Fatalf("M=%d k=%d: lengths differ %d vs %d", m, k, len(g), len(w))
 			}

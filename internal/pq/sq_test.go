@@ -97,7 +97,7 @@ func TestSQScanFindsNearest(t *testing.T) {
 	query := data[33*8 : 34*8]
 	top := vecmath.NewTopK(5)
 	q.ScanSQIDs(query, codes, positional(400), top)
-	res := top.Sorted()
+	res := top.AppendSorted(nil)
 	if res[0].Index != 33 {
 		t.Fatalf("self not ranked first: %+v", res)
 	}

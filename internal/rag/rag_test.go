@@ -93,11 +93,12 @@ func TestRunValidation(t *testing.T) {
 			t.Errorf("Decide accepted Epsilon %v, ProfileQueries %d", o.Epsilon, o.ProfileQueries)
 		}
 	}
-	// Negative windows, SLOs and worker counts are refused before any
-	// work: a negative Duration or Drain once served N=0 without an
-	// error, a negative SLOGen served at attainment 0, and a negative
+	// Negative windows, SLOs, worker and token counts are refused before
+	// any work: a negative Duration or Drain once served N=0 without an
+	// error, a negative SLOGen served at attainment 0, a negative
 	// SLOSearch was judged against a total SLO below the generation
-	// one.
+	// one, and a negative token count reached the LLM engine's KV and
+	// prefill accounting.
 	for _, bad := range []struct {
 		name string
 		mut  func(*Options)
@@ -109,6 +110,8 @@ func TestRunValidation(t *testing.T) {
 		{"SLOGen", func(o *Options) { o.SLOGen = -50 * time.Millisecond }},
 		{"Workers", func(o *Options) { o.Workers = -1 }},
 		{"routed Workers", func(o *Options) { o.Replicas, o.Workers = 2, -1 }},
+		{"token count", func(o *Options) { o.Shape = workload.Shape{InputTokens: -1, OutputTokens: 256} }},
+		{"token count", func(o *Options) { o.Shape = workload.Shape{InputTokens: 1024, OutputTokens: -256} }},
 	} {
 		o := baseOpts(t, AllGPU, 10)
 		bad.mut(&o)

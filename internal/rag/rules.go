@@ -196,6 +196,9 @@ func (opts *Options) validateDecision() (err error) {
 		opts.SLOSearch = cmp.Or(opts.SLOSearch, opts.W.Spec.SLOSearch)
 	}
 	opts.Shape = cmp.Or(opts.Shape, workload.DefaultShape())
+	if s := opts.Shape; s.InputTokens < 0 || s.OutputTokens < 0 {
+		return fmt.Errorf("rag: negative token count in Shape %+v", s)
+	}
 	opts.Kind = cmp.Or(opts.Kind, VLiteRAG)
 	if !slices.Contains(AllKinds(), opts.Kind) {
 		return fmt.Errorf("rag: unknown kind %q", opts.Kind)

@@ -53,7 +53,7 @@ func FuzzTopK(f *testing.F) {
 		}
 		worst, wasFull := top.Worst()
 
-		got := top.Sorted()
+		got := top.AppendSorted(nil)
 		// Reference: ascending sort of every pushed distance, truncated
 		// to k — the k smallest as a multiset.
 		want := append([]float32(nil), dists...)
@@ -90,7 +90,7 @@ func FuzzTopK(f *testing.F) {
 		for i, d := range dists {
 			top.Push(i, d)
 		}
-		again := top.Sorted()
+		again := top.AppendSorted(nil)
 		for i := range got {
 			if again[i] != got[i] {
 				t.Fatalf("reused collector diverged at %d: %+v vs %+v", i, again[i], got[i])

@@ -249,7 +249,7 @@ func TestScanMaskedIntoMatchesNaive(t *testing.T) {
 			}
 			got := NewTopK(n)
 			bf.ScanMaskedInto(got, q, ids, mask)
-			w, g := want.Sorted(), got.Sorted()
+			w, g := want.AppendSorted(nil), got.AppendSorted(nil)
 			if len(w) != len(g) {
 				t.Fatalf("n %d: %d rows pushed, want %d", n, len(g), len(w))
 			}

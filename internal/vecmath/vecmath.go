@@ -354,12 +354,6 @@ func (t *TopK) AppendSorted(dst []Neighbor) []Neighbor {
 	return dst
 }
 
-// Sorted drains the collector and returns neighbors in ascending
-// distance order. The collector is empty afterwards.
-func (t *TopK) Sorted() []Neighbor {
-	return t.AppendSorted(make([]Neighbor, 0, len(t.h)))
-}
-
 // BruteForceTopK scans the whole row-major matrix and returns the k
 // nearest rows to q in ascending distance order. It is the ground truth
 // used to validate the approximate index in tests and to compute
@@ -370,7 +364,7 @@ func BruteForceTopK(q []float32, rows []float32, dim, k int) []Neighbor {
 	for i := 0; i*dim < len(rows); i++ {
 		t.Push(i, SquaredL2(q, rows[i*dim:(i+1)*dim]))
 	}
-	return t.Sorted()
+	return t.AppendSorted(make([]Neighbor, 0, t.Len()))
 }
 
 // BruteForcer answers exact top-k queries over a fixed matrix using the

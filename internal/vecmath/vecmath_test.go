@@ -94,7 +94,7 @@ func TestTopKKeepsSmallest(t *testing.T) {
 	for i, d := range dists {
 		tk.Push(i, d)
 	}
-	got := tk.Sorted()
+	got := tk.AppendSorted(nil)
 	if len(got) != 3 {
 		t.Fatalf("TopK kept %d, want 3", len(got))
 	}
@@ -112,7 +112,7 @@ func TestTopKSortedAscending(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tk.Push(i, float32(r.Float64()))
 	}
-	got := tk.Sorted()
+	got := tk.AppendSorted(nil)
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i].Dist < got[j].Dist }) {
 		t.Fatalf("TopK.Sorted not ascending: %v", got)
 	}
@@ -125,7 +125,7 @@ func TestTopKFewerThanK(t *testing.T) {
 	if _, ok := tk.Worst(); ok {
 		t.Fatal("Worst reported full before k pushes")
 	}
-	if got := tk.Sorted(); len(got) != 2 {
+	if got := tk.AppendSorted(nil); len(got) != 2 {
 		t.Fatalf("Sorted len = %d, want 2", len(got))
 	}
 }
@@ -183,7 +183,7 @@ func TestTopKProperty(t *testing.T) {
 			dists[i] = float32(r.Float64())
 			tk.Push(i, dists[i])
 		}
-		kept := tk.Sorted()
+		kept := tk.AppendSorted(nil)
 		keptSet := map[int]bool{}
 		var maxKept float32
 		for _, n := range kept {
@@ -257,7 +257,7 @@ func TestTopKMatchesContainerHeapBitwise(t *testing.T) {
 		for i, d := range dists {
 			tk.Push(i, d)
 		}
-		got := tk.Sorted()
+		got := tk.AppendSorted(nil)
 		want := refTopK(k, func(add func(int, float32)) {
 			for i, d := range dists {
 				add(i, d)

@@ -12,22 +12,26 @@ import (
 	"vectorliterag/internal/rng"
 )
 
-// Shape is the token geometry of requests.
+// Shape is the token geometry of requests. Every request carries one,
+// so its counts are int32: a run holds a quarter million records, and
+// no prompt or generation comes near 2^31 tokens. The retrieval depth
+// (top-25 documents, §V-A) is not a field: a simulated search is priced
+// by the bytes it scans, whatever its k, so nothing read one.
 type Shape struct {
-	InputTokens  int
-	OutputTokens int
-	TopK         int // documents retrieved per query
+	InputTokens  int32
+	OutputTokens int32
 }
 
 // DefaultShape matches the paper's main evaluation setting.
-func DefaultShape() Shape { return Shape{InputTokens: 1024, OutputTokens: 256, TopK: 25} }
+func DefaultShape() Shape { return Shape{InputTokens: 1024, OutputTokens: 256} }
 
 // Request is one end-to-end RAG request flowing through retrieval and
 // generation. Timestamps are virtual; zero means "not reached yet".
 //
 // The layout is part of the contract: a fleet run holds one Request per
-// arrival, so Query and ForcePQ share the last word and the struct
-// stays at 112 bytes (TestRequestFootprint).
+// arrival, so Shape's two int32 counts fill one word, Query and ForcePQ
+// share the last, and the struct stays at 96 bytes
+// (TestRequestFootprint).
 type Request struct {
 	ID    int
 	Shape Shape

@@ -99,8 +99,8 @@ func TestGeneratorDeterministic(t *testing.T) {
 // Request per arrival, so every word here is paid a quarter million
 // times per pass.
 func TestRequestFootprint(t *testing.T) {
-	if n := unsafe.Sizeof(Request{}); n > 112 {
-		t.Fatalf("Request is %d bytes, want at most 112", n)
+	if n := unsafe.Sizeof(Request{}); n > 96 {
+		t.Fatalf("Request is %d bytes, want at most 96", n)
 	}
 }
 

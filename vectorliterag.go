@@ -166,8 +166,8 @@ func H100Node() Node { return hw.H100Node() }
 // L40SNode returns the 8xL40S evaluation node.
 func L40SNode() Node { return hw.L40SNode() }
 
-// DefaultShape is the paper's request geometry: 1024 input tokens,
-// 256 output tokens, top-25 documents.
+// DefaultShape is the paper's request geometry: 1024 input tokens and
+// 256 output tokens (the context of its top-25 documents).
 func DefaultShape() Shape { return workload.DefaultShape() }
 
 // NewWorkload builds a workload at the default laptop-scale physical

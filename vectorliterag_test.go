@@ -65,7 +65,7 @@ func TestPublicSpecs(t *testing.T) {
 	if vlr.H100Node().NumGPUs != 8 || vlr.L40SNode().NumGPUs != 8 {
 		t.Fatal("nodes not exported correctly")
 	}
-	if s := vlr.DefaultShape(); s.InputTokens != 1024 || s.OutputTokens != 256 || s.TopK != 25 {
+	if s := vlr.DefaultShape(); s.InputTokens != 1024 || s.OutputTokens != 256 {
 		t.Fatalf("default shape %+v", s)
 	}
 }
