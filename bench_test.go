@@ -497,8 +497,8 @@ func BenchmarkJointAllocate(b *testing.B) {
 // benchFleet times one 16-replica ServeCluster run with a modeled
 // network (320 req/s over a short window, every core) under the given
 // routing policy. The policy picks how the fleet's lanes run: each alone
-// to the deadline under round-robin, in rounds two network delays wide
-// under least-loaded.
+// to the deadline under round-robin, in rounds one minimum decode step
+// and two network delays wide under least-loaded.
 func benchFleet(b *testing.B, policy vlr.RoutePolicy) {
 	w := benchWorkload(b)
 	opts := vlr.ClusterOptions{
@@ -717,18 +717,26 @@ func BenchmarkBruteForceTopK(b *testing.B) {
 // "chain" one event reschedules itself; in "pendingN" N interleaved
 // chains keep about N events pending: eight is the serving pipeline's
 // depth, which the sorted front holds whole, and sixteen its capacity.
+// "burst" is sixteen chains behind one 48-event burst, which overflows
+// the front into the heap; once it drains, the chains run from the
+// front again.
 func BenchmarkDESEventLoop(b *testing.B) {
-	b.Run("chain", func(b *testing.B) { benchDESChains(b, 1) })
-	b.Run("pending8", func(b *testing.B) { benchDESChains(b, 8) })
-	b.Run("pending16", func(b *testing.B) { benchDESChains(b, 16) })
+	b.Run("chain", func(b *testing.B) { benchDESChains(b, 1, 0) })
+	b.Run("pending8", func(b *testing.B) { benchDESChains(b, 8, 0) })
+	b.Run("pending16", func(b *testing.B) { benchDESChains(b, 16, 0) })
+	b.Run("burst", func(b *testing.B) { benchDESChains(b, 16, 48) })
 }
 
 // benchDESChains fires 1000 events per iteration from k self-
-// rescheduling chains with distinct periods.
-func benchDESChains(b *testing.B, k int) {
+// rescheduling chains with distinct periods, plus burst events that
+// share one instant just after the chains start.
+func benchDESChains(b *testing.B, k, burst int) {
 	for i := 0; i < b.N; i++ {
 		var sim des.Sim
 		n := 0
+		for range burst {
+			sim.At(des.Time(k), func() {})
+		}
 		for c := 0; c < k; c++ {
 			step := time.Duration(1000 + 37*c)
 			var tick func()

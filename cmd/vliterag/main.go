@@ -259,10 +259,11 @@ func printCorpus(f *serveFlags, spec vlr.Spec, o *rag.Options, res *rag.Result) 
 	s := res.Summary
 	fmt.Printf("%s | %s | %s @ %.1f req/s (SLO %v)\n", label, spec.Name, o.Model.Name, f.rate, res.SLOTotal)
 	fmt.Printf("  SLO attainment  %.3f  (%d requests, %d unserved)\n", s.Attainment, s.N, s.Unserved)
-	fmt.Printf("  TTFT            p50 %v  p90 %v  p95 %v\n", s.TTFT.P50, s.TTFT.P90, s.TTFT.P95)
-	fmt.Printf("  E2E             mean %v  p90 %v\n", s.E2E.Mean, s.E2E.P90)
+	served, b := s.N > s.Unserved, s.Breakdown
+	fmt.Printf("  TTFT            p50 %v  p90 %v  p95 %v\n", latencies(served, s.TTFT.P50, s.TTFT.P90, s.TTFT.P95)...)
+	fmt.Printf("  E2E             mean %v  p90 %v\n", latencies(s.E2E != (metrics.Quantiles{}), s.E2E.Mean, s.E2E.P90)...)
 	fmt.Printf("  breakdown       queue %v  search %v  llm-wait %v  prefill %v\n",
-		s.Breakdown.Queueing, s.Breakdown.Search, s.Breakdown.LLMWait, s.Breakdown.Prefill)
+		latencies(served, b.Queueing, b.Search, b.LLMWait, b.Prefill)...)
 	fmt.Printf("  retrieval       rho %.3f  avg batch %.1f\n", res.Rho, res.AvgBatch)
 	if o.Precision != nil {
 		fmt.Printf("  precision       %d SQ8 clusters  %d NVMe clusters  recall gain +%.3f pts\n",
@@ -294,6 +295,20 @@ func printCorpus(f *serveFlags, spec vlr.Spec, o *rag.Options, res *rag.Result) 
 	case res.Adapt != nil:
 		printAdaptive(res)
 	}
+}
+
+// latencies renders the durations of one summary line, each as "-" when
+// the set they summarize has no sample: a summary leaves its fields at
+// zero then, which would read as instant service.
+func latencies(sampled bool, ds ...time.Duration) []any {
+	out := make([]any, len(ds))
+	for i, d := range ds {
+		out[i] = "-"
+		if sampled {
+			out[i] = d
+		}
+	}
+	return out
 }
 
 // recoveryText renders one crash's time to recover, to the millisecond.
@@ -407,7 +422,7 @@ func printLineup(f *serveFlags, spec vlr.Spec, m vlr.ModelSpec, res *rag.Result)
 		}
 		fmt.Printf("  %-10s %-6s rate %5.1f  rho %.3f  attainment %.3f (target %.2f %s)  TTFT p90 %v  peak queue %d",
 			tr.Name, tr.Tier, tr.Rate, tr.Alloc.Rho, tr.Summary.Attainment, target, met,
-			tr.Summary.TTFT.P90, tr.PeakQueue)
+			latencies(tr.Summary.N > tr.Summary.Unserved, tr.Summary.TTFT.P90)[0], tr.PeakQueue)
 		if res.Overload != nil {
 			fmt.Printf("  rejected %d", tr.Rejected)
 		}

@@ -216,3 +216,22 @@ func TestRecoveryText(t *testing.T) {
 		}
 	}
 }
+
+// TestLatencies: a summary line prints "-" for a set with no sample,
+// where the summary's zero fields would read as instant service, and
+// every value as it is otherwise, a genuine zero included.
+func TestLatencies(t *testing.T) {
+	for _, c := range []struct {
+		sampled bool
+		ds      []time.Duration
+		want    string
+	}{
+		{false, []time.Duration{0, 0}, "mean - p90 -"},
+		{true, []time.Duration{1500 * time.Millisecond, 2 * time.Second}, "mean 1.5s p90 2s"},
+		{true, []time.Duration{0, time.Millisecond}, "mean 0s p90 1ms"},
+	} {
+		if got := fmt.Sprintf("mean %v p90 %v", latencies(c.sampled, c.ds...)...); got != c.want {
+			t.Errorf("latencies(%v, %v) prints %q, want %q", c.sampled, c.ds, got, c.want)
+		}
+	}
+}

@@ -63,6 +63,7 @@ func TestValidateServeFlags(t *testing.T) {
 		{"negative timeout", "-replicas 2 -timeout-ms -100", "-timeout-ms"},
 		{"unset timeout default", "-replicas 2", ""},
 		{"valid timeout", "-replicas 2 -timeout-ms 8000", ""},
+		{"timeout under one generation", "-replicas 3 -retry 1 -timeout-ms 900 -rate 60", "rag: resilience Timeout 900ms expires before any attempt completes"},
 		{"negative retry", "-replicas 2 -retry -1", "-retry"},
 		{"faults on one node", "-faults crash@10s:r0:5s", "rag: fault injection and resilience need replicas"},
 		{"retry on one node", "-retry 2", "rag: fault injection and resilience need replicas"},

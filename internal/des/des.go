@@ -38,12 +38,14 @@ type Time = int64
 // its maximum moves into the heap (where it becomes the root). A push
 // later than the front's maximum appends to the front while there is
 // room and the key still precedes the heap's root, and goes into the
-// heap otherwise. The serving pipeline keeps only a handful of events
-// pending — decode iterations, batch completions, the next arrival — so
-// they never sift, while deep queues (resilient timers, a thousand-
-// event probe) keep the heap's logarithmic cost. The front is an
-// implementation detail of the priority queue: the (at, seq) pop order
-// is identical with or without it.
+// heap otherwise. When a pop empties the front and leaves at most
+// frontCap keys in the heap, they all move back into the front. The
+// serving pipeline keeps only a handful of events pending — decode
+// iterations, batch completions, the next arrival — so they never sift,
+// while deep queues (resilient timers, a thousand-event probe) keep the
+// heap's logarithmic cost. The front is an implementation detail of the
+// priority queue: the (at, seq) pop order is identical with or without
+// it.
 //
 // The heap sifts keys only: key is a 4-ary min-heap of 24-byte,
 // pointer-free (at, seq, slot) keys, so a sift moves no payload and
@@ -184,6 +186,9 @@ func (s *Sim) Step() bool {
 	case len(s.key) > 0:
 		at = s.key[0].at
 		p = s.pop()
+		if len(s.key) <= frontCap {
+			s.refill()
+		}
 	default:
 		return false
 	}
@@ -211,6 +216,19 @@ func (s *Sim) pop() evPay {
 		s.down(0)
 	}
 	return p
+}
+
+// refill moves a heap of at most frontCap keys, in pop order, into the
+// empty front. Without it a push later than the front's maximum goes to
+// the heap while the heap holds anything, so after one burst overflows
+// the front, periodic events would cycle through the heap for good.
+func (s *Sim) refill() {
+	for len(s.key) > 0 {
+		i := (s.head + s.nf) & frontMask
+		s.front[i] = s.key[0]
+		s.fpay[i] = s.pop()
+		s.nf++
+	}
 }
 
 // lessKey orders events by (at, seq) — a strict total order, since seq

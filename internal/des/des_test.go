@@ -104,3 +104,38 @@ func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 		t.Fatal("Step on empty sim returned true")
 	}
 }
+
+// TestDrainedHeapReturnsToFront: frontCap periodic chains fill the
+// sorted front, a 40-event burst behind them overflows into the heap,
+// and while the burst drains every chain push lands in the heap too.
+// Once the burst has fired, the heap's keys must be back in the front,
+// so no later chain push reaches the heap.
+func TestDrainedHeapReturnsToFront(t *testing.T) {
+	var s Sim
+	fired := 0
+	for c := range frontCap {
+		var tick func()
+		tick = func() {
+			fired++
+			if s.Now() < 10_000 {
+				s.After(100, tick)
+			}
+		}
+		s.At(Time(1+c), tick)
+	}
+	for range 40 {
+		s.At(50, func() {})
+	}
+	s.RunUntil(60)
+	if len(s.key) != 0 {
+		t.Fatalf("%d keys left in the heap once the burst drained", len(s.key))
+	}
+	for s.Step() {
+		if len(s.key) != 0 {
+			t.Fatalf("at %d: a chain push reached the heap (%d keys)", s.Now(), len(s.key))
+		}
+	}
+	if want := frontCap * 101; fired != want {
+		t.Fatalf("%d chain events fired, want %d", fired, want)
+	}
+}

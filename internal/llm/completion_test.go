@@ -1,6 +1,7 @@
 package llm
 
 import (
+	"maps"
 	"slices"
 	"testing"
 	"time"
@@ -128,6 +129,10 @@ type ringRun struct {
 	reqs      []workload.Request
 	order     []int // request IDs in completion order
 	tokensOut int64
+	// The ring engine's announcements: completions per instant, and the
+	// shortest notice any of them gave.
+	announced map[des.Time]int
+	minLead   des.Time
 }
 
 // runScenario drives a scenario through the ring engine (ref false) or
@@ -152,6 +157,11 @@ func runScenario(t testing.TB, sc ringScenario, ref bool) (ringRun, *Instance) {
 		submit = sw.Submit
 	} else {
 		inst.onDone = done
+		out.announced, out.minLead = map[des.Time]int{}, des.Time(time.Hour)
+		inst.onSchedule = func(end des.Time, n int) {
+			out.announced[end] += n
+			out.minLead = min(out.minLead, end-sim.Now())
+		}
 	}
 	sim.At(des.Time(300*time.Millisecond), func() { inst.SetSlowdown(1.7, sim.Now()+des.Time(400*time.Millisecond)) })
 	sim.At(des.Time(900*time.Millisecond), func() { states[0].MarkRetrievalBusy(sim.Now() + des.Time(250*time.Millisecond)) })
@@ -198,13 +208,26 @@ func checkAgainstSweep(t testing.TB, sc ringScenario) ringRun {
 	if inst.kvUsedTokens != 0 || inst.sumCtx != 0 || inst.nRunning != 0 {
 		t.Fatalf("ring leak at drain: kv=%d ctx=%d running=%d", inst.kvUsedTokens, inst.sumCtx, inst.nRunning)
 	}
+	// Every completion was announced when its iteration was scheduled,
+	// at its instant and at least one minimum decode step ahead.
+	done := map[des.Time]int{}
+	for i := range want.reqs {
+		done[want.reqs[i].Done]++
+	}
+	if !maps.Equal(got.announced, done) {
+		t.Fatalf("announced completions %v, sweep completed %v", got.announced, done)
+	}
+	if step := des.Time(MinDecodeStep(inst.node, inst.spec, inst.cfg)); got.minLead < step {
+		t.Fatalf("a completion announced %d ns ahead, under the minimum decode step %d", got.minLead, step)
+	}
 	return got
 }
 
 // TestRingMatchesSweep: the completion ring reproduces the per-entry
 // countdown it replaced on mixed output lengths (1 and 2 among them),
 // staggered joins that finish on a shared tick, a MaxSeqs bound that
-// keeps a queue waiting, a slowdown episode and a retrieval busy window.
+// keeps a queue waiting, a slowdown episode and a retrieval busy window,
+// and announces each completion when its iteration is scheduled.
 func TestRingMatchesSweep(t *testing.T) {
 	lengths := []int{256, 1, 40, 2, 17, 300, 3, 40, 1, 64, 2, 9, 128, 33, 5, 256, 1, 70}
 	sc := ringScenario{maxSeqs: 6}

@@ -108,6 +108,9 @@ type Instance struct {
 
 	onFirstToken func(*workload.Request)
 	onDone       func(*workload.Request)
+	// onSchedule, when set, hears of each iteration that completes
+	// requests as iterate schedules it (see announce).
+	onSchedule func(end des.Time, done int)
 
 	completed int64
 	tokensOut int64
@@ -258,6 +261,26 @@ func (in *Instance) iterate() {
 	stretched := in.stretch(d)
 
 	in.sim.After(time.Duration(stretched), in.stepFn)
+	if in.onSchedule != nil {
+		in.announce(in.sim.Now() + stretched)
+	}
+}
+
+// announce tells onSchedule that the iteration just scheduled, ending at
+// end, completes the ring entries due on the next tick, if there are
+// any. Those are exactly the requests step will complete at end: only
+// step parks entries, after its completions and before it re-enters
+// iterate, and nothing cancels a scheduled step. An iteration that
+// completes a request decodes, so it lasts at least MinDecodeStep: each
+// completion is announced that long before it happens.
+func (in *Instance) announce(end des.Time) {
+	n := 0
+	for i := in.rHead; i < len(in.run) && in.run[i].done == in.tick+1; i++ {
+		n++
+	}
+	if n > 0 {
+		in.onSchedule(end, n)
+	}
 }
 
 // park inserts a freshly prefilled entry into the ring. The entry
@@ -350,8 +373,23 @@ func (in *Instance) prefillTime(tokens int) time.Duration {
 // reads of every running sequence, across the instance's aggregate
 // memory bandwidth.
 func (in *Instance) decodeStepTime() time.Duration {
-	bytes := in.weightBytesF + float64(in.sumCtx)*in.kvPerTokenF
-	return in.cfg.DecodeBase + time.Duration(bytes/in.bwTotal*float64(time.Second))
+	return decodeTime(in.cfg.DecodeBase, in.weightBytesF+float64(in.sumCtx)*in.kvPerTokenF, in.bwTotal)
+}
+
+// decodeTime is a decode iteration that reads bytes at bandwidth bw.
+func decodeTime(base time.Duration, bytes, bw float64) time.Duration {
+	return base + time.Duration(bytes/bw*float64(time.Second))
+}
+
+// MinDecodeStep is the shortest iteration that decodes on an instance of
+// spec: DecodeBase plus one weight read over its TP GPUs, decodeStepTime
+// at an empty context. Every iteration that decodes lasts at least this
+// long — context only adds bytes, the rounding is monotone, and
+// contention and straggler episodes only stretch a step — so a request
+// needs at least max(OutputTokens−1, 1) of them between its first token
+// and its last. It is 11.05 ms for Qwen3-32B on two H100s.
+func MinDecodeStep(node hw.Node, spec ModelSpec, cfg EngineConfig) time.Duration {
+	return decodeTime(cfg.DecodeBase, float64(spec.WeightBytes()), node.GPU.MemBWBytes*float64(spec.TP))
 }
 
 // stretch applies retrieval-kernel contention: the iteration slows by
@@ -410,6 +448,15 @@ func (c *Cluster) SetCallbacks(onFirstToken, onDone func(*workload.Request)) {
 	for _, in := range c.Instances {
 		in.onFirstToken = onFirstToken
 		in.onDone = onDone
+	}
+}
+
+// SetOnSchedule installs fn on every instance: as an instance schedules
+// an iteration that completes requests, fn hears when it ends and how
+// many it completes, at least MinDecodeStep ahead (Instance.announce).
+func (c *Cluster) SetOnSchedule(fn func(end des.Time, done int)) {
+	for _, in := range c.Instances {
+		in.onSchedule = fn
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"vectorliterag/internal/des"
 	"vectorliterag/internal/fault"
+	"vectorliterag/internal/llm"
 	"vectorliterag/internal/metrics"
 	"vectorliterag/internal/parallel"
 	"vectorliterag/internal/retrieval"
@@ -55,9 +56,10 @@ func (r *ResilienceReport) String() string {
 
 // DefaultNetDelay is the modeled front-end↔replica network transit of
 // a routed lineup when no NetDelay is chosen explicitly. One
-// millisecond is a realistic same-datacenter RTT half and, as the
-// half-width of a least-loaded round, wide enough that a round's event
-// work outweighs its barrier.
+// millisecond is a realistic same-datacenter RTT half. A least-loaded
+// round spans at least one minimum decode step plus two of it (about
+// 13 ms for Qwen3-32B), wide enough that a round's event work outweighs
+// its barrier.
 const DefaultNetDelay = time.Millisecond
 
 // fleetBuilder is newFleet's signature: the seam through which the
@@ -187,8 +189,10 @@ func (c *corpus) shared(opts *Options) (*served, error) {
 //     completion notices decrement, one NetDelay after each completion.
 //     The fleet is a star — a request travels one hop to its replica and
 //     its notice one hop back — so the routing of arrival a depends only
-//     on completions before a − NetDelay, and the lanes advance in rounds
-//     at least 2·NetDelay wide with one barrier each (rounds).
+//     on completions before a − NetDelay. A lane knows of each
+//     completion one minimum decode step before it happens, so the lanes
+//     advance in rounds at least that step plus 2·NetDelay wide with one
+//     barrier each (rounds; 2·NetDelay under bounded admission).
 type fleet struct {
 	arena   *workload.Arena
 	arrived int // arrivals so far: the next one's ID
@@ -199,6 +203,11 @@ type fleet struct {
 	front    des.Sim
 	netDelay des.Time
 	lanes    []*lane
+	// reach is how far past its origin a least-loaded round routes (see
+	// rounds); onRound, when set, hears each round's origin and last
+	// instant.
+	reach   des.Time
+	onRound func(x, last des.Time)
 
 	// phase2 serves the array to the deadline on used workers and
 	// returns how many requests each replica was routed.
@@ -226,26 +235,45 @@ func newFleet(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.D
 	f := newFront(replicas, netDelay, expect)
 	f.phase2 = f.alone
 	feedback := policy == serve.LeastLoaded && replicas > 1
+	// A lane sends a completion's notice when the LLM iteration that ends
+	// with it is scheduled, at least one minimum decode step ahead, and a
+	// round routes that much further. No schedule foretells a rejection
+	// at admission, so under bounded admission each notice is sent as it
+	// happens and a round routes one network delay ahead.
+	announce := spec.overload == nil
 	if feedback {
 		f.phase2 = f.rounds
+		f.reach = f.netDelay
+		if announce {
+			f.reach += des.Time(llm.MinDecodeStep(spec.node, spec.model, llm.DefaultEngineConfig()))
+		}
 	}
 	for i := range f.nodes {
 		l := &lane{}
 		f.lanes = append(f.lanes, l)
 		// Nobody takes a completed request: it lives in the array and is
-		// never recycled. Under least-loaded the front hears of it one
-		// network delay later.
+		// never recycled. Under least-loaded the front hears of n
+		// completions at at one network delay later.
+		var notify func(at des.Time, n int)
 		var next serve.Sink
 		if feedback {
 			l.in = des.NewInbox(func(arg any) { f.nodes[i].submit(arg.(*workload.Request)) }, 0)
-			next = func(*workload.Request) {
+			notify = func(at des.Time, n int) {
 				if w := l.w; !w.mute {
-					w.notes[w.p] = append(w.notes[w.p], notice{at: l.sim.Now() + f.netDelay, lane: i})
+					for range n {
+						w.notes[w.p] = append(w.notes[w.p], notice{at: at + f.netDelay, lane: i})
+					}
 				}
+			}
+			if !announce {
+				next = func(*workload.Request) { notify(l.sim.Now(), 1) }
 			}
 		}
 		if err := f.build(spec, i, &l.sim, next); err != nil {
 			return nil, err
+		}
+		if feedback && announce {
+			f.nodes[i].llm.SetOnSchedule(notify)
 		}
 	}
 	return f, nil
@@ -370,22 +398,28 @@ const barrierSpins = 1 << 12
 // rounds is phase 2 under least-loaded. Each worker owns a contiguous
 // block of lanes and keeps its own copy of the front's routing state: it
 // routes every arrival, the same way as every other worker, and posts
-// only to its own lanes. A round with origin X starts when every lane
-// has fired every event before X and every arrival before X − L (L the
-// network delay) is routed:
+// only to its own lanes. A completion notice is stamped L (the network
+// delay) after its completion, and a lane sends it S before the
+// completion: S is llm.MinDecodeStep, as a lane announces each
+// completion when the LLM iteration that ends with it is scheduled, and
+// zero under bounded admission, whose rejections are sent as they happen
+// (newFleet). A round with origin X starts when every lane has fired
+// every event before X and every arrival before X − L is routed:
 //
-//   - Route the arrivals before X + L in array order, each after every
-//     completion notice stamped before it. A notice is stamped L after
-//     its completion, so one stamped before X + L reports a completion
-//     before X, which every lane has fired. One stamped exactly at an
-//     arrival's instant counts after all of that instant's arrivals, as
-//     it did behind the exchange's replay handler.
-//   - Run each own lane through U + L − 1, U ≥ X + L being the first
+//   - Route the arrivals before X + S + L (X + reach) in array order, each
+//     after every notice stamped before it. A notice stamped before
+//     X + S + L reports a completion before X + S, sent before X, so
+//     every lane has sent it. One stamped exactly at an arrival's
+//     instant counts after all of that instant's arrivals, as it did
+//     behind the exchange's replay handler. Notices stamped later wait
+//     for the next round.
+//   - Run each own lane through U + L − 1, U ≥ X + S + L being the first
 //     arrival left unrouted: an arrival reaches its lane L after the
 //     front, so everything due by then was routed above.
 //   - Meet at the barrier, which publishes each worker's notices. The
-//     next origin is U + L, so a round is at least 2L wide, and wider
-//     when the next arrival is late.
+//     next origin is U + L, so a round is at least S + 2L wide (13 ms
+//     for Qwen3-32B at the default 1 ms), and wider when the next
+//     arrival is late.
 //
 // Once every arrival is routed, or a round reaches the deadline, the
 // lanes run to the deadline and the rounds end. Arrivals left then are
@@ -413,10 +447,13 @@ func (f *fleet) rounds(deadline des.Time, used int) []int {
 			}
 			rt.p = k & 1
 			rt.notes[rt.p] = rt.notes[rt.p][:0]
-			rt.route(f, x+f.netDelay)
+			rt.route(f, x+f.reach)
 			last := deadline
 			if rt.k < n {
 				last = min(deadline, f.records[rt.k].ArrivalAt+f.netDelay-1)
+			}
+			if w == 0 && f.onRound != nil {
+				f.onRound(x, last)
 			}
 			// With every arrival routed nothing reads a notice again, and a
 			// drain's worth of them would only grow the buffer.
@@ -462,7 +499,7 @@ type router struct {
 	k     int        // the next arrival to route
 	first int        // its lanes are first, first+1, …, first+len(next)-1
 	next  []des.Time // per own lane: the next event or inbox head
-	batch []notice   // the notices being applied, by stamp
+	batch []notice   // the notices not yet applied, by stamp
 	p     int        // this round's parity: the notes slot its lanes fill
 	mute  bool       // its lanes stop sending notices
 	_     [64]byte
@@ -475,11 +512,11 @@ type router struct {
 	_     [56]byte
 }
 
-// gather collects every worker's notices of parity p into the batch,
-// sorted by stamp. Notices of one stamp only decrement gauges, so their
-// order among themselves does not matter.
+// gather adds every worker's notices of parity p to the batch, after
+// those the last route left, and sorts it by stamp. Notices of one stamp
+// only decrement gauges, so their order among themselves does not
+// matter.
 func (rt *router) gather(rs []*router, p int) {
-	rt.batch = rt.batch[:0]
 	for _, o := range rs {
 		rt.batch = append(rt.batch, o.notes[p]...)
 	}
@@ -487,8 +524,10 @@ func (rt *router) gather(rs []*router, p int) {
 }
 
 // route routes the arrivals before end, applying each batched notice
-// before the first arrival stamped after it and the rest at the end, and
-// posts those picked for its own lanes, stamped arrival + network delay.
+// before the first arrival stamped after it and the rest stamped before
+// end at the end, and posts those picked for its own lanes, stamped
+// arrival + network delay. It leaves the notices stamped at or after end
+// in the batch: the next round's arrivals may only see them in order.
 func (rt *router) route(f *fleet, end des.Time) {
 	j := 0
 	for ; rt.k < len(f.records) && f.records[rt.k].ArrivalAt < end; rt.k++ {
@@ -503,9 +542,10 @@ func (rt *router) route(f *fleet, end des.Time) {
 			rt.next[i] = min(rt.next[i], at)
 		}
 	}
-	for ; j < len(rt.batch); j++ {
+	for ; j < len(rt.batch) && rt.batch[j].at < end; j++ {
 		rt.load.move(rt.batch[j].lane, -1)
 	}
+	rt.batch = rt.batch[:copy(rt.batch, rt.batch[j:])]
 }
 
 // advance runs every own lane with something due through last.

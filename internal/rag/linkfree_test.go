@@ -8,6 +8,7 @@ import (
 
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/des"
+	"vectorliterag/internal/llm"
 	"vectorliterag/internal/serve"
 	"vectorliterag/internal/workload"
 )
@@ -85,8 +86,9 @@ func TestLinkFreeMatchesExchange(t *testing.T) {
 }
 
 // TestLeastLoadedLanesMatchExchange is the same differential test for
-// least-loaded routing, where the lanes advance in rounds two network
-// delays wide and route from completion notices: over the same
+// least-loaded routing, where the lanes advance in rounds one minimum
+// decode step and two network delays wide and route from completion
+// notices sent when each completion is scheduled: over the same
 // scenarios, replica counts up to 16 and worker counts from the default
 // to 4, every run must match the exchange record for record. It fails if
 // least-loaded never split the traffic differently from round-robin, so
@@ -211,6 +213,37 @@ func TestLinkFreeTenantsMatchExchange(t *testing.T) {
 // notice back like a completion, so overload steers the routing too.
 func TestLeastLoadedTenantsMatchExchange(t *testing.T) {
 	matchExchangeTenants(t, serve.LeastLoaded, []int{2, 3, 7})
+}
+
+// TestLeastLoadedRoundsSpanADecodeStep fences the rounds' horizon: a
+// lane announces each completion when the LLM iteration that ends with
+// it is scheduled, at least one minimum decode step ahead, so every
+// round but the last spans at least that step plus two network delays
+// (13.05 ms here, against 2 ms when notices were sent on completion).
+func TestLeastLoadedRoundsSpanADecodeStep(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		o := routed(shardedClusterOpts(t, 1, workers), 7, serve.LeastLoaded)
+		var rounds [][2]des.Time
+		res, err := run(o, func(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.Duration, expect int) (*fleet, error) {
+			f, err := newFleet(spec, replicas, policy, netDelay, expect)
+			if err == nil {
+				f.onRound = func(x, last des.Time) { rounds = append(rounds, [2]des.Time{x, last}) }
+			}
+			return f, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		width := des.Time(llm.MinDecodeStep(o.Node, o.Model, llm.DefaultEngineConfig()) + 2*o.NetDelay)
+		if len(rounds) < 2 {
+			t.Fatalf("workers=%d: %d rounds for %d arrivals", workers, len(rounds), len(res.Requests))
+		}
+		for k, r := range rounds[:len(rounds)-1] {
+			if span := r[1] + 1 - r[0]; span < width {
+				t.Fatalf("workers=%d: round %d [%d, %d] spans %d ns, under %d", workers, k, r[0], r[1], span, width)
+			}
+		}
+	}
 }
 
 // matchExchangeTenants runs the tenant lineup, with and without a tight

@@ -119,6 +119,20 @@ func TestRunValidation(t *testing.T) {
 			t.Errorf("Run with a negative %s: error %v", bad.name, err)
 		}
 	}
+	// A resilience timeout shorter than any attempt's decode timed out
+	// every attempt on healthy replicas: at 256 output tokens Qwen3-32B
+	// decodes 255 steps of at least 11.05 ms each, 2.82 s in all.
+	for _, tc := range []struct {
+		timeout time.Duration
+		refused bool
+	}{{900 * time.Millisecond, true}, {2818 * time.Millisecond, true}, {2819 * time.Millisecond, false}, {3 * time.Second, false}} {
+		o := routed(baseOpts(t, VLiteRAG, 10), 3, serve.LeastLoaded)
+		o.Resilience = &serve.ResilienceConfig{Timeout: tc.timeout, MaxRetries: 1}
+		err := o.validate()
+		if (err != nil) != tc.refused || (err != nil && !strings.Contains(err.Error(), "255 decode steps of Qwen3-32B take at least 2.81832069s")) {
+			t.Errorf("Timeout %v: error %v, want refused %v", tc.timeout, err, tc.refused)
+		}
+	}
 	if _, err := Decide(Options{Node: hw.H100Node(), Model: llm.Qwen3_32B, W: testW(t), SLOSearch: -time.Millisecond}); err == nil {
 		t.Error("Decide accepted a negative SLOSearch")
 	}

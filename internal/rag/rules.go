@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"vectorliterag/internal/dataset"
+	"vectorliterag/internal/llm"
 	"vectorliterag/internal/serve"
 	"vectorliterag/internal/tenant"
 	"vectorliterag/internal/workload"
@@ -149,6 +150,9 @@ func (opts *Options) validate() (err error) {
 	if err := opts.Faults.Validate(opts.Replicas); err != nil {
 		return err
 	}
+	if err := opts.validateTimeout(); err != nil {
+		return err
+	}
 	if opts.Overload, err = opts.Overload.normalized(); err != nil {
 		return err
 	}
@@ -173,6 +177,23 @@ func (opts *Options) validate() (err error) {
 	// runs as one only when NetDelay asks for it.
 	if opts.Replicas > 0 && opts.NetDelay == 0 && opts.Tenants != nil {
 		opts.NetDelay = DefaultNetDelay
+	}
+	return nil
+}
+
+// validateTimeout refuses a resilience timeout shorter than any attempt:
+// an attempt runs to its last token, and a request decodes for at least
+// max(OutputTokens−1, 1) iterations of at least llm.MinDecodeStep each,
+// so under that floor every attempt times out, on healthy replicas too.
+func (opts *Options) validateTimeout() error {
+	r := opts.Resilience
+	if r == nil || r.Timeout <= 0 {
+		return nil
+	}
+	steps := max(opts.Shape.OutputTokens-1, 1)
+	if floor := time.Duration(steps) * llm.MinDecodeStep(opts.Node, opts.Model, llm.DefaultEngineConfig()); r.Timeout < floor {
+		return fmt.Errorf("rag: resilience Timeout %v expires before any attempt completes: %d decode steps of %s take at least %v",
+			r.Timeout, steps, opts.Model.Name, floor)
 	}
 	return nil
 }
