@@ -288,6 +288,9 @@ func printCorpus(f *serveFlags, spec vlr.Spec, o *rag.Options, res *rag.Result) 
 		for i, d := range rr.Recoveries {
 			fmt.Printf("  crash %d         %s\n", i+1, recoveryText(d))
 		}
+		if hint := timeoutHint(rr.Goodput, st.TimedOut); hint != "" {
+			fmt.Printf("  hint            %s\n", hint)
+		}
 	}
 	switch {
 	case res.Live != nil:
@@ -319,6 +322,18 @@ func recoveryText(d time.Duration) string {
 		return "never recovered"
 	}
 	return "time to recover " + d.Round(time.Millisecond).String()
+}
+
+// timeoutHint explains a resilient run that timed attempts out and
+// served nothing within its SLO: the deadline runs to an attempt's last
+// token, so at a load where a whole generation outlasts it every attempt
+// expires, though the same deadline passes at a lower load. Any other
+// run gets no hint.
+func timeoutHint(goodput float64, timedOut int) string {
+	if goodput > 0 || timedOut == 0 {
+		return ""
+	}
+	return fmt.Sprintf("goodput 0 after %d timeouts: -timeout-ms runs to an attempt's last token, so it must outlast a whole generation at this load", timedOut)
 }
 
 // printOverload renders an overload report; nil prints nothing.

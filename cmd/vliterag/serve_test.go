@@ -217,6 +217,26 @@ func TestRecoveryText(t *testing.T) {
 	}
 }
 
+// TestTimeoutHint: a resilient run that timed attempts out and met no
+// SLO gets one line saying what -timeout-ms times; a run that served
+// something, or timed nothing out, gets none.
+func TestTimeoutHint(t *testing.T) {
+	for _, c := range []struct {
+		goodput  float64
+		timedOut int
+		want     string
+	}{
+		{0, 1316, "goodput 0 after 1316 timeouts: -timeout-ms runs to an attempt's last token, so it must outlast a whole generation at this load"},
+		{0.5, 1316, ""},
+		{0, 0, ""},
+		{12.3, 0, ""},
+	} {
+		if got := timeoutHint(c.goodput, c.timedOut); got != c.want {
+			t.Errorf("timeoutHint(%v, %d) = %q, want %q", c.goodput, c.timedOut, got, c.want)
+		}
+	}
+}
+
 // TestLatencies: a summary line prints "-" for a set with no sample,
 // where the summary's zero fields would read as instant service, and
 // every value as it is otherwise, a genuine zero included.

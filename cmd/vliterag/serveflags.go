@@ -58,7 +58,7 @@ func serveFlagSet(errs flag.ErrorHandling) (*flag.FlagSet, *serveFlags) {
 	fs.StringVar(&f.faults, "faults", "", "scripted failure storm, e.g. crash@20s:r0:10s,straggler@35s:r1:8s:x3 (needs -replicas > 1)")
 	fs.IntVar(&f.retry, "retry", 0, "max re-dispatches per request after a timeout or crash (resilient cluster runs)")
 	fs.IntVar(&f.hedgeMS, "hedge-ms", 0, "fire a backup copy this many ms after dispatch; -1 derives the delay from the running p95")
-	fs.IntVar(&f.timeoutMS, "timeout-ms", 0, "per-attempt deadline in ms; expired attempts retry until -retry is exhausted")
+	fs.IntVar(&f.timeoutMS, "timeout-ms", 0, "per-attempt deadline in ms, from dispatch to the attempt's last token; expired attempts retry until -retry is exhausted")
 	fs.BoolVar(&f.degrade, "degrade", false, "shed retrieval depth proportionally to lost capacity while replicas are down")
 	fs.BoolVar(&f.ingest, "ingest", false, "stream live corpus mutations (inserts + deletes) onto the serving timeline")
 	fs.Float64Var(&f.ingestRate, "ingest-rate", 4, "insert rate in vectors/s (with -ingest)")

@@ -129,7 +129,7 @@ func Overload(cfg Config) (*Report, error) {
 		for i, tr := range r.Tenants {
 			slos[i] = tr.SLOTotal
 		}
-		goodput := metrics.TenantGoodput(r.Requests, slos, des.Time(o.Warmup), des.Time(o.Duration))
+		goodput := metrics.Goodput(r.Requests, slos, des.Time(o.Warmup), des.Time(o.Duration))
 		ov := r.Overload
 		if ov == nil {
 			ov = &rag.OverloadReport{}

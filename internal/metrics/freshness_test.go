@@ -87,11 +87,20 @@ func TestGoodput(t *testing.T) {
 		{ArrivalAt: 0, FirstToken: des.Time(10 * time.Second), Done: des.Time(11 * time.Second)}, // SLO miss
 		{ArrivalAt: des.Time(time.Second)}, // never served
 	}
-	g := Goodput(reqs, slo, 0, des.Time(2*time.Second))
+	g := Goodput(reqs, []time.Duration{slo}, 0, des.Time(2*time.Second))
 	if g != 0.5 {
 		t.Fatalf("goodput = %v, want 0.5 (1 SLO-met request / 2s)", g)
 	}
-	if Goodput(reqs, slo, 0, 0) != 0 {
+	if Goodput(reqs, []time.Duration{slo}, 0, 0) != 0 {
 		t.Fatal("zero window must yield zero goodput")
+	}
+	// Each request is judged against its own tenant's budget, and one out
+	// of range against the first.
+	reqs[1].Tenant = 1
+	if g := Goodput(reqs, []time.Duration{slo, 20 * time.Second}, 0, des.Time(2*time.Second)); g != 1 {
+		t.Fatalf("tenant goodput = %v, want 1 (2 SLO-met requests / 2s)", g)
+	}
+	if g := Goodput(reqs, []time.Duration{20 * time.Second}, 0, des.Time(2*time.Second)); g != 1 {
+		t.Fatalf("out-of-range tenant goodput = %v, want 1 (judged against slos[0])", g)
 	}
 }

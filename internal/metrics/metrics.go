@@ -5,9 +5,8 @@
 //
 // Aggregation operates over []workload.Request *values* — a run's
 // arrival-ordered records, one per arrival — read after the run, whole
-// or through an ID list (one replica's share). The Summarizer form
-// reuses scratch buffers across calls; the package-level functions are
-// one-shot conveniences over it.
+// or through an ID list (one replica's share). A Summarizer reuses its
+// scratch buffer across calls.
 package metrics
 
 import (
@@ -145,43 +144,17 @@ func (a *Summarizer) sample(reqs []workload.Request, ids []int32, all bool, cuto
 	return sample, n
 }
 
-// Summarize is the one-shot form of Summarizer.Summarize.
-func Summarize(reqs []workload.Request, slo time.Duration, cutoff des.Time) Summary {
-	var a Summarizer
-	return a.Summarize(reqs, slo, cutoff)
-}
-
-// Goodput is the resilience headline number: SLO-meeting completions
-// per second of arrival window — requests that arrived in
-// [cutoff, horizon), eventually finished generation, and produced
-// their first token within slo. Failed, abandoned, and still-stuck
-// requests simply do not count, so goodput falls exactly by the work a
-// failure storm destroys.
-func Goodput(reqs []workload.Request, slo time.Duration, cutoff, horizon des.Time) float64 {
-	window := float64(horizon-cutoff) / float64(time.Second)
-	if window <= 0 {
-		return 0
-	}
-	ok := 0
-	for i := range reqs {
-		r := &reqs[i]
-		if r.ArrivalAt < cutoff || r.ArrivalAt >= horizon || r.FirstToken == 0 || r.Done == 0 {
-			continue
-		}
-		if time.Duration(r.TTFT()) <= slo {
-			ok++
-		}
-	}
-	return float64(ok) / window
-}
-
-// TenantGoodput is Goodput over a multi-tenant record stream: each
-// request is judged against its own tenant's combined TTFT budget
-// (slos indexed by Request.Tenant; out-of-range tenants use slos[0]).
-// The overload experiment's headline aggregates this across arms,
-// where a single shared SLO would mis-credit bronze completions
-// against gold's budget.
-func TenantGoodput(reqs []workload.Request, slos []time.Duration, cutoff, horizon des.Time) float64 {
+// Goodput is SLO-meeting completions per second of arrival window —
+// requests that arrived in [cutoff, horizon), eventually finished
+// generation, and produced their first token within their tenant's
+// combined TTFT budget: slos is indexed by Request.Tenant, and a tenant
+// out of range (a single corpus passes one budget) is judged against
+// slos[0]. Failed, abandoned, and still-stuck requests simply do not
+// count, so goodput falls exactly by the work a failure storm or an
+// overload destroys. It is the resilience headline, and the overload
+// experiment's across arms, where a single shared SLO would mis-credit
+// bronze completions against gold's budget.
+func Goodput(reqs []workload.Request, slos []time.Duration, cutoff, horizon des.Time) float64 {
 	window := float64(horizon-cutoff) / float64(time.Second)
 	if window <= 0 || len(slos) == 0 {
 		return 0

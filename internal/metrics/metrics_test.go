@@ -21,7 +21,7 @@ func TestSummarizeBasic(t *testing.T) {
 		mkReq(0, 20*ms, 80*ms, 90*ms, 500*ms, 2000*ms), // TTFT 500ms violation
 		mkReq(0, 10*ms, 40*ms, 50*ms, 300*ms, 1500*ms), // TTFT 300ms ok
 	}
-	s := Summarize(reqs, 400*time.Millisecond, 0)
+	s := new(Summarizer).Summarize(reqs, 400*time.Millisecond, 0)
 	if s.N != 3 || s.Unserved != 0 {
 		t.Fatalf("N=%d unserved=%d", s.N, s.Unserved)
 	}
@@ -40,7 +40,7 @@ func TestSummarizeWarmupCut(t *testing.T) {
 	ms := int64(time.Millisecond)
 	early := mkReq(0, 1*ms, 2*ms, 3*ms, 10*ms, 20*ms)
 	late := mkReq(100*ms, 101*ms, 102*ms, 103*ms, 900*ms, 1000*ms)
-	s := Summarize([]workload.Request{early, late}, 500*time.Millisecond, 50*ms)
+	s := new(Summarizer).Summarize([]workload.Request{early, late}, 500*time.Millisecond, 50*ms)
 	if s.N != 1 {
 		t.Fatalf("warmup cut kept %d", s.N)
 	}
@@ -53,7 +53,7 @@ func TestSummarizeUnservedCountAsViolations(t *testing.T) {
 	ms := int64(time.Millisecond)
 	served := mkReq(0, 1*ms, 2*ms, 3*ms, 100*ms, 200*ms)
 	stuck := workload.Request{ArrivalAt: 0} // never got a first token
-	s := Summarize([]workload.Request{served, stuck}, 500*time.Millisecond, 0)
+	s := new(Summarizer).Summarize([]workload.Request{served, stuck}, 500*time.Millisecond, 0)
 	if s.N != 2 || s.Unserved != 1 {
 		t.Fatalf("N=%d unserved=%d", s.N, s.Unserved)
 	}
@@ -63,14 +63,14 @@ func TestSummarizeUnservedCountAsViolations(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil, time.Second, 0)
+	s := new(Summarizer).Summarize(nil, time.Second, 0)
 	if s.N != 0 || s.Attainment != 0 {
 		t.Fatalf("empty summary %+v", s)
 	}
 }
 
 func TestSummarizeAllUnserved(t *testing.T) {
-	s := Summarize([]workload.Request{{ArrivalAt: 0}, {ArrivalAt: 5}}, time.Second, 0)
+	s := new(Summarizer).Summarize([]workload.Request{{ArrivalAt: 0}, {ArrivalAt: 5}}, time.Second, 0)
 	if s.N != 2 || s.Unserved != 2 || s.Attainment != 0 {
 		t.Fatalf("summary %+v", s)
 	}
@@ -104,7 +104,7 @@ func TestSummarizeIDsMatchesGathered(t *testing.T) {
 	var a Summarizer
 	a.Summarize(reqs, 150*time.Millisecond, 0)
 	got := a.SummarizeIDs(reqs, ids, 150*time.Millisecond, 60*ms)
-	if want := Summarize(gathered, 150*time.Millisecond, 60*ms); got != want || got.Unserved == 0 || got.E2E.P50 == 0 {
+	if want := new(Summarizer).Summarize(gathered, 150*time.Millisecond, 60*ms); got != want || got.Unserved == 0 || got.E2E.P50 == 0 {
 		t.Fatalf("by ID %+v\n gathered %+v", got, want)
 	}
 }
@@ -112,7 +112,7 @@ func TestSummarizeIDsMatchesGathered(t *testing.T) {
 func TestBreakdownSumsToTTFT(t *testing.T) {
 	ms := int64(time.Millisecond)
 	r := mkReq(0, 30*ms, 90*ms, 100*ms, 250*ms, 900*ms)
-	s := Summarize([]workload.Request{r}, time.Second, 0)
+	s := new(Summarizer).Summarize([]workload.Request{r}, time.Second, 0)
 	sum := s.Breakdown.Queueing + s.Breakdown.Search + s.Breakdown.LLMWait + s.Breakdown.Prefill
 	if sum != s.TTFT.Mean {
 		t.Fatalf("breakdown sum %v != mean TTFT %v", sum, s.TTFT.Mean)

@@ -67,44 +67,38 @@ const DefaultNetDelay = time.Millisecond
 // exchange newFleet no longer builds.
 type fleetBuilder func(spec *nodeSpec, replicas int, policy serve.Policy, netDelay time.Duration, expect int) (*fleet, error)
 
-// shared runs the router and every replica on one simulator. Every
+// shared runs the front and every replica on one simulator. Every
 // arrival is allocated into one arena, the run's record set. The plain
-// router serves each where it lies and gives each replica an ID list
-// into it, which the request's arrival index keys. The resilient router
-// dispatches pooled copies and writes each request's outcome back into
-// its slot: retries and hedges clone one logical request onto several
-// replicas, so per-replica reporting is limited to routing counts there.
+// front routes through a loadIndex, as a least-loaded fleet's workers
+// do, serves each request where it lies and gives each replica an ID
+// list into it, which the request's arrival index keys. The resilient
+// router dispatches pooled copies and writes each request's outcome back
+// into its slot: retries and hedges clone one logical request onto
+// several replicas, so per-replica reporting is limited to routing
+// counts there.
 func (c *corpus) shared(opts *Options) (*served, error) {
-	resilient := opts.resilient()
 	var sim des.Sim
+	s := &served{nodes: make([]*node, opts.Replicas)}
+	var submit serve.Sink
 	// The resilient router can only be built after the replica nodes
 	// exist, so each terminal sink late-binds through this variable.
 	var rr *serve.ResilientRouter
-	reps := make([]*serve.Replica, opts.Replicas)
-	nodes := make([]*node, opts.Replicas)
-	for i := range reps {
-		rep := serve.NewReplica()
-		var err error
-		if resilient {
-			nodes[i], err = c.spec.build(&sim, 0, nil, func(req *workload.Request) { rr.Complete(i, req) })
-		} else {
-			nodes[i], err = c.spec.build(&sim, c.expect/opts.Replicas+1, nil, rep.Release)
+	if opts.resilient() {
+		heads := make([]serve.Sink, opts.Replicas)
+		for i := range heads {
+			n, err := c.spec.build(&sim, 0, nil, func(req *workload.Request) { rr.Complete(i, req) })
+			if err != nil {
+				return nil, err
+			}
+			s.nodes[i], heads[i] = n, n.submit
 		}
-		if err != nil {
-			return nil, err
-		}
-		rep.Bind(nodes[i].submit)
-		reps[i] = rep
-	}
-	var submit serve.Sink
-	if resilient {
 		rcfg := serve.ResilienceConfig{}
 		if opts.Resilience != nil {
 			rcfg = *opts.Resilience
 		}
 		rcfg.Policy = opts.Policy
 		var err error
-		if rr, err = serve.NewResilientRouter(&sim, rcfg, reps); err != nil {
+		if rr, err = serve.NewResilientRouter(&sim, rcfg, heads); err != nil {
 			return nil, err
 		}
 		submit = rr.Submit
@@ -114,20 +108,31 @@ func (c *corpus) shared(opts *Options) (*served, error) {
 			Crash:   rr.Crash,
 			Recover: rr.Recover,
 			SlowLLM: func(r int, f float64, until des.Time) {
-				nodes[r].llm.SetSlowdown(f, until)
+				s.nodes[r].llm.SetSlowdown(f, until)
 			},
 			SlowRetrieval: func(r int, f float64, until des.Time) {
-				if s, ok := nodes[r].eng.(retrieval.Slowdowner); ok {
-					s.SetSlowdown(f, until)
+				if e, ok := s.nodes[r].eng.(retrieval.Slowdowner); ok {
+					e.SetSlowdown(f, until)
 				}
 			},
 		})
 	} else {
-		router, err := serve.NewRouter(opts.Policy, reps)
-		if err != nil {
-			return nil, err
+		// Round-robin never lowers a gauge, so the pick is the cursor:
+		// arrival k goes to replica k mod R. Nothing is rejected on a
+		// routed single corpus, so every decrement follows its own pick.
+		load := newLoadIndex(opts.Replicas)
+		for i := range s.nodes {
+			var next serve.Sink
+			if opts.Policy == serve.LeastLoaded {
+				next = func(*workload.Request) { load.move(i, -1) }
+			}
+			var err error
+			if s.nodes[i], err = c.spec.build(&sim, c.expect/opts.Replicas+1, nil, next); err != nil {
+				return nil, err
+			}
 		}
-		submit = router.Submit
+		submit = func(req *workload.Request) { s.nodes[load.pick()].submit(req) }
+		s.submitted = load.submitted
 	}
 	arena := workload.NewArena(c.expect)
 	defer c.feed(&sim, arena.New, submit)()
@@ -135,24 +140,17 @@ func (c *corpus) shared(opts *Options) (*served, error) {
 	if rr != nil {
 		// Before the arena joins its chunks: the router still holds slots.
 		rr.Settle()
+		s.submitted = make([]int, opts.Replicas)
+		for i := range s.submitted {
+			s.submitted[i] = rr.Submitted(i)
+		}
 	}
-
-	warmup := des.Time(opts.Warmup)
-	s := &served{records: arena.Records(), nodes: nodes, submitted: make([]int, opts.Replicas), sums: make([]metrics.Summary, opts.Replicas)}
-	// The run's summary first: its scratch, one float per record, then
-	// serves every replica's (none under the resilient router, whose
-	// replicas keep no ID list).
-	var agg metrics.Summarizer
-	s.summary = agg.Summarize(s.records, c.slo, warmup)
-	for i, n := range nodes {
-		s.submitted[i] = reps[i].Submitted()
-		s.sums[i] = agg.SummarizeIDs(s.records, n.ids, c.slo, warmup)
-	}
-	if resilient {
+	s.records = arena.Records()
+	if rr != nil {
 		s.resilience = &ResilienceReport{
 			Faults:     opts.Faults,
 			Stats:      rr.Stats(),
-			Goodput:    metrics.Goodput(s.records, c.slo, warmup, des.Time(opts.Duration)),
+			Goodput:    metrics.Goodput(s.records, []time.Duration{opts.sloTotal()}, des.Time(opts.Warmup), des.Time(opts.Duration)),
 			Recoveries: rr.Recoveries(),
 		}
 	}
@@ -303,31 +301,17 @@ func (f *fleet) Submit(req *workload.Request) {
 }
 
 // run executes the fleet to the deadline and returns what it served:
-// the record array, the requests routed to each replica, the worker
-// count used and, when slo is positive, the run's summary and each
-// replica's own against it (zero otherwise: a lineup has no single SLO).
-func (f *fleet) run(deadline des.Time, workers int, slo time.Duration, warmup des.Time) *served {
+// the record array, the requests routed to each replica and the worker
+// count used.
+func (f *fleet) run(deadline des.Time, workers int) *served {
 	// Phase 1: the front alone. Every arrival lands in the arena, whose
 	// chunks nothing addresses until phase 2.
 	f.front.RunUntil(deadline)
 	f.records = f.arena.Records()
-	s := &served{records: f.records, nodes: f.nodes, sums: make([]metrics.Summary, len(f.nodes))}
+	s := &served{records: f.records, nodes: f.nodes}
 	s.workers = shardWorkers(workers, len(f.nodes))
 	// Phase 2: the replicas serve the array in place.
 	s.submitted = f.phase2(deadline, s.workers)
-	if slo > 0 {
-		// Every lane has ended, so the summaries only read the array. The
-		// run's own, the longest, goes first; each worker's Summarizer
-		// keeps its scratch across the replicas it takes next.
-		aggs := make([]metrics.Summarizer, s.workers)
-		parallel.ForEachWorker(len(f.nodes)+1, s.workers, func(w, i int) {
-			if i == 0 {
-				s.summary = aggs[w].Summarize(f.records, slo, warmup)
-				return
-			}
-			s.sums[i-1] = aggs[w].SummarizeIDs(f.records, f.nodes[i-1].ids, slo, warmup)
-		})
-	}
 	return s
 }
 
@@ -571,12 +555,16 @@ func (rt *router) barrier(rs []*router, k int, spins int) {
 	}
 }
 
-// loadIndex is the least-loaded front's routing state: each replica's
-// in-flight gauge, the ring cursor, how many requests each replica was
-// routed, and, per gauge level, the set of replicas at it as a bitset.
-// A pick — from the cursor round the ring, the first replica at the
-// minimum gauge, which is the rule of serve.Router and serve.Exchange —
-// then reads one level's words instead of every gauge.
+// loadIndex is the routing state of every front without failure
+// handling: each worker of a least-loaded fleet keeps one (rounds), and
+// the single-timeline front routes through one under either policy
+// (shared). It holds each replica's in-flight gauge, the ring cursor,
+// how many requests each replica was routed, and, per gauge level, the
+// set of replicas at it as a bitset. A pick — from the cursor round the
+// ring, the first replica at the minimum gauge, the rule of
+// serve.Exchange and of serve.ResilientRouter over healthy replicas —
+// then reads one level's words instead of every gauge. With no gauge
+// ever lowered, the pick is the cursor: round-robin.
 type loadIndex struct {
 	gauge     []int
 	words     int      // bitset words per level

@@ -136,6 +136,9 @@ func TestArenaOverflowKeepsRecords(t *testing.T) {
 	storm.Resilience = &serve.ResilienceConfig{Timeout: 3 * time.Second, MaxRetries: 2, HedgeDelay: 2 * time.Second, Degrade: true}
 	o = storm
 	s, err = tiny(&o).shared(&o)
+	if err == nil {
+		s.summarize(o.sloTotal(), des.Time(o.Warmup))
+	}
 	if err == nil && (s.resilience.Stats.FailedOver == 0 || s.resilience.Stats.Hedged == 0 || s.summary.Unserved == 0) {
 		t.Fatalf("resilient: stats %+v, %d unserved: want failovers, hedges and requests in flight at the deadline", s.resilience.Stats, s.summary.Unserved)
 	}

@@ -2,6 +2,8 @@ package rag
 
 import (
 	"testing"
+
+	"vectorliterag/internal/serve"
 )
 
 // The pre-refactor rag.Run — the 200-line monolith that wired arrivals,
@@ -112,6 +114,37 @@ func TestRunClusterBalancesAndScales(t *testing.T) {
 		share := float64(rep.Submitted) / float64(total)
 		if share < 0.35 || share > 0.65 {
 			t.Errorf("replica %d share %.3f badly skewed", i, share)
+		}
+	}
+}
+
+// TestSharedRoutesByPolicy: the single-timeline front sends arrival k
+// to replica k mod R under round-robin, and under least-loaded leaves
+// that rotation once completions lower the gauges; either way each
+// replica's routed count is its ID list.
+func TestSharedRoutesByPolicy(t *testing.T) {
+	const r = 3
+	for _, policy := range serve.Policies() {
+		o := routed(baseOpts(t, AllGPU, 24), r, policy)
+		s, err := decidedCorpus(t, &o).shared(&o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rotation, total := true, 0
+		for i, n := range s.nodes {
+			for j, id := range n.ids {
+				rotation = rotation && int(id) == i+r*j
+			}
+			if s.submitted[i] != len(n.ids) {
+				t.Errorf("%s: replica %d routed %d, its ID list holds %d", policy, i, s.submitted[i], len(n.ids))
+			}
+			total += s.submitted[i]
+		}
+		if total != len(s.records) {
+			t.Errorf("%s: routed %d of %d arrivals", policy, total, len(s.records))
+		}
+		if rotation != (policy == serve.RoundRobin) {
+			t.Errorf("%s: routing is the k mod %d rotation: %v", policy, r, rotation)
 		}
 	}
 }

@@ -347,38 +347,45 @@ func TestNoticeAtArrivalInstantCountsAfter(t *testing.T) {
 }
 
 // TestLoadIndexPicksLikeScan: the bitset pick is the scan of
-// serve.Router and serve.Exchange — from the cursor round the ring, the
-// first strictly smaller gauge wins — over random picks and releases,
-// for replica counts on both sides of a 64-bit word.
+// serve.Exchange — from the cursor round the ring, the first strictly
+// smaller gauge wins — over random picks and releases, for replica
+// counts on both sides of a 64-bit word. Without releases, as on a
+// round-robin front, pick k is replica k mod R.
 func TestLoadIndexPicksLikeScan(t *testing.T) {
 	for _, r := range []int{1, 2, 3, 63, 64, 65, 130} {
-		x := newLoadIndex(r)
-		gauge, cursor := make([]int, r), 0
-		state := uint64(r)
-		rnd := func(n int) int {
-			state = state*6364136223846793005 + 1442695040888963407
-			return int((state >> 33) % uint64(n))
-		}
-		for op := 0; op < 20000; op++ {
-			if i := rnd(r); rnd(3) == 0 && gauge[i] > 0 {
-				gauge[i]--
-				x.move(i, -1)
-				continue
+		for _, releases := range []bool{true, false} {
+			x := newLoadIndex(r)
+			gauge, cursor, picks := make([]int, r), 0, 0
+			state := uint64(r)
+			rnd := func(n int) int {
+				state = state*6364136223846793005 + 1442695040888963407
+				return int((state >> 33) % uint64(n))
 			}
-			want := cursor
-			for k := 1; k < r; k++ {
-				if c := (cursor + k) % r; gauge[c] < gauge[want] {
-					want = c
+			for op := 0; op < 20000; op++ {
+				if i := rnd(r); rnd(3) == 0 && releases && gauge[i] > 0 {
+					gauge[i]--
+					x.move(i, -1)
+					continue
+				}
+				want := cursor
+				for k := 1; k < r; k++ {
+					if c := (cursor + k) % r; gauge[c] < gauge[want] {
+						want = c
+					}
+				}
+				if !releases && want != picks%r {
+					t.Fatalf("R=%d pick %d: the scan picks %d without releases, not %d", r, picks, want, picks%r)
+				}
+				cursor = (cursor + 1) % r
+				gauge[want]++
+				picks++
+				if got := x.pick(); got != want {
+					t.Fatalf("R=%d releases=%v op %d: picked %d, scan picks %d (gauges %v)", r, releases, op, got, want, gauge)
 				}
 			}
-			cursor = (cursor + 1) % r
-			gauge[want]++
-			if got := x.pick(); got != want {
-				t.Fatalf("R=%d op %d: picked %d, scan picks %d (gauges %v)", r, op, got, want, gauge)
+			if !reflect.DeepEqual(x.gauge, gauge) {
+				t.Fatalf("R=%d releases=%v: gauges %v, want %v", r, releases, x.gauge, gauge)
 			}
-		}
-		if !reflect.DeepEqual(x.gauge, gauge) {
-			t.Fatalf("R=%d: gauges %v, want %v", r, x.gauge, gauge)
 		}
 	}
 }

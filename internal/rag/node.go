@@ -218,8 +218,10 @@ func nodeRows(nodes []*node, weights []int, tp int) (rows []ReplicaResult, avgBa
 }
 
 // tally turns what a single-corpus run left behind — the decision and
-// whatever its topology served — into its Result.
+// whatever its topology served, summarized against the corpus SLO — into
+// its Result.
 func tally(opts *Options, d *Decision, s *served) *Result {
+	s.summarize(opts.sloTotal(), des.Time(opts.Warmup))
 	res := &Result{
 		Kind: opts.Kind, Rate: opts.Rate, SLOTotal: opts.sloTotal(),
 		Rho: d.Rho, PlanBytes: d.PlanBytes, Mu0: d.Mu0, Partition: d.Partition,

@@ -7,6 +7,7 @@ import (
 	"vectorliterag/internal/des"
 	"vectorliterag/internal/ingest"
 	"vectorliterag/internal/metrics"
+	"vectorliterag/internal/parallel"
 	"vectorliterag/internal/retrieval"
 	"vectorliterag/internal/serve"
 	"vectorliterag/internal/workload"
@@ -122,15 +123,13 @@ func runSingle(opts *Options, d *Decision) (*Result, error) {
 
 // corpus is what a run serves as every topology sees it: the node spec
 // each replica instantiates, the arrival-count hint arenas and ID
-// lists are sized to, the SLO a replica's own summary is read
-// against (zero for a lineup, which has no single SLO), and the feed
-// that starts the run's sources on the timeline owning arrivals (a
-// node's own, or a fleet's front), drawing their requests from alloc,
-// and returns the hook that undoes its drift trace.
+// lists are sized to, and the feed that starts the run's sources on the
+// timeline owning arrivals (a node's own, or a fleet's front), drawing
+// their requests from alloc, and returns the hook that undoes its drift
+// trace.
 type corpus struct {
 	spec   *nodeSpec
 	expect int
-	slo    time.Duration
 	feed   func(front *des.Sim, alloc func() *workload.Request, submit serve.Sink) (restore func())
 }
 
@@ -141,7 +140,6 @@ func (opts *Options) corpus(d *Decision, live retrieval.LiveCost, aux []func(*de
 	return &corpus{
 		spec:   singleSpec(opts, d, live),
 		expect: expectedArrivals(opts.Rate, opts.RateSchedule, opts.Duration),
-		slo:    opts.sloTotal(),
 		feed: func(front *des.Sim, alloc func() *workload.Request, submit serve.Sink) func() {
 			restore := installDrift(front, opts)
 			arr := arrivalsFor(opts.W, opts.Rate, opts.RateSchedule, opts.Shape, opts.Seed+7, alloc)
@@ -156,10 +154,11 @@ func (opts *Options) corpus(d *Decision, live retrieval.LiveCost, aux []func(*de
 
 // served is what a topology leaves behind for the tally: the global
 // record set in arrival order (one per admitted request), the built
-// nodes and how much traffic each took, the run's summary against the
-// corpus SLO (zero for a lineup), each replica's own where it kept one,
-// the fleet's worker count (zero off a fleet) and a resilient run's
-// addendum.
+// nodes and how much traffic each took, the fleet's worker count (zero
+// off a fleet) and a resilient run's addendum. A single corpus's tally
+// adds the run's summary against the corpus SLO and each replica's own
+// where it kept an ID list (summarize); a lineup has no single SLO and
+// takes neither.
 type served struct {
 	records    []workload.Request
 	nodes      []*node
@@ -185,16 +184,11 @@ func (c *corpus) node(sim *des.Sim, opts *Options, observers []serve.Sink, bind 
 	arena := workload.NewArena(c.expect)
 	defer c.feed(sim, arena.New, n.submit)()
 	sim.RunUntil(des.Time(opts.Duration + opts.Drain))
-	s := &served{records: arena.Records(), nodes: []*node{n}, submitted: []int{1}}
-	if c.slo > 0 {
-		s.summary = metrics.Summarize(s.records, c.slo, des.Time(opts.Warmup))
-	}
-	return s, nil
+	return &served{records: arena.Records(), nodes: []*node{n}, submitted: []int{1}}, nil
 }
 
 // fleet serves the corpus on opts.Replicas replicas on the fleet engine
-// build picks, with the run's and each replica's own summary where the
-// corpus has one SLO.
+// build picks.
 func (c *corpus) fleet(opts *Options, build fleetBuilder) (*served, error) {
 	f, err := build(c.spec, opts.Replicas, opts.Policy, opts.NetDelay, c.expect)
 	if err != nil {
@@ -205,7 +199,25 @@ func (c *corpus) fleet(opts *Options, build fleetBuilder) (*served, error) {
 	// replica starts, so the trace stays race-free under parallel
 	// execution.
 	defer c.feed(&f.front, f.arena.New, f.Submit)()
-	return f.run(des.Time(opts.Duration+opts.Drain), opts.Workers, c.slo, des.Time(opts.Warmup)), nil
+	return f.run(des.Time(opts.Duration+opts.Drain), opts.Workers), nil
+}
+
+// summarize fills the run's summary against slo and each node's own
+// over its ID list (zero for a node that keeps none), on the fleet's
+// workers or, off a fleet, on one. The run's summary, the longest, goes
+// first; each worker's Summarizer keeps its scratch across the nodes it
+// takes next.
+func (s *served) summarize(slo time.Duration, warmup des.Time) {
+	workers := max(s.workers, 1)
+	s.sums = make([]metrics.Summary, len(s.nodes))
+	aggs := make([]metrics.Summarizer, workers)
+	parallel.ForEachWorker(len(s.nodes)+1, workers, func(w, i int) {
+		if i == 0 {
+			s.summary = aggs[w].Summarize(s.records, slo, warmup)
+			return
+		}
+		s.sums[i-1] = aggs[w].SummarizeIDs(s.records, s.nodes[i-1].ids, slo, warmup)
+	})
 }
 
 // tally folds what a topology left behind into the fields every run

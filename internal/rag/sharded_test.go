@@ -98,7 +98,7 @@ func TestFleetSummariesMatchRecords(t *testing.T) {
 					t.Fatal(err)
 				}
 				label := fmt.Sprintf("%s x%d workers=%d", policy, replicas, workers)
-				if want := metrics.Summarize(res.Requests, res.SLOTotal, des.Time(o.Warmup)); res.Summary != want {
+				if want := new(metrics.Summarizer).Summarize(res.Requests, res.SLOTotal, des.Time(o.Warmup)); res.Summary != want {
 					t.Fatalf("%s: run summary\n got %+v\nwant %+v", label, res.Summary, want)
 				}
 				submitted, served := 0, 0

@@ -8,7 +8,7 @@ import (
 	"vectorliterag/internal/workload"
 )
 
-// Exchange is the Router recast as a cross-shard event exchange for
+// Exchange is a routing front recast as a cross-shard event exchange for
 // parallel sharded runs: the front shard owns arrivals, routing, and
 // the request pool; each replica pipeline lives on its own shard; and
 // the only coupling between timelines is two message links per
@@ -133,9 +133,9 @@ func (x *Exchange) NoticeSink(i int) Sink {
 // Submit routes one arrival — the front pipeline's head. It restamps
 // the request ID with the global arrival index (so records can be kept
 // in front arrival order even when several generators multiplex onto
-// the front timeline), picks a replica with the same
-// scan and round-robin tie-break as Router.Submit, and puts the
-// request on the wire.
+// the front timeline), picks a replica by the least-loaded scan with
+// its round-robin tie-break (or the cursor alone under round-robin),
+// and puts the request on the wire.
 func (x *Exchange) Submit(req *workload.Request) {
 	req.ID = x.arrivals
 	x.arrivals++

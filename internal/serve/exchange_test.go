@@ -76,8 +76,8 @@ func TestExchangeDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestExchangeRoutingInvariants checks the policies do what the
-// single-timeline Router does: round-robin splits exactly evenly, and
+// TestExchangeRoutingInvariants checks the policies do what a
+// single-timeline front does: round-robin splits exactly evenly, and
 // least-loaded keeps every replica busy within a fair share.
 func TestExchangeRoutingInvariants(t *testing.T) {
 	_, subs := exchangeRun(t, RoundRobin, 4, 2, 400)

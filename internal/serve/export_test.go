@@ -1,11 +1,5 @@
 package serve
 
-// Inflight returns the number of requests admitted but not completed.
-func (r *Replica) Inflight() int { return r.inflight }
-
-// Replicas returns the routed replicas.
-func (r *Router) Replicas() []*Replica { return r.replicas }
-
 // Inflight returns the requests currently inside the metered section.
 func (s *FairScheduler) Inflight() int { return s.inflight }
 

@@ -11,14 +11,17 @@ import (
 
 // ResilienceConfig selects the failure-handling behaviors of a
 // ResilientRouter. The zero value of each knob disables that behavior,
-// so the router degenerates gracefully toward the plain Router.
+// so with every knob at zero the router only routes, health-aware.
 type ResilienceConfig struct {
 	// Policy is the routing policy over *healthy* replicas.
 	Policy Policy
 
-	// Timeout is the per-attempt deadline: an attempt that has not
-	// completed Timeout after dispatch is retried (if budget remains)
-	// or failed. Zero disables timeouts — and with them retries.
+	// Timeout is the per-attempt deadline, and it runs from dispatch to
+	// the attempt's last token, not its first: an attempt that has not
+	// finished generating Timeout after dispatch is retried (if budget
+	// remains) or failed. Under load an attempt's whole generation can
+	// outlast a deadline that an idle replica meets, and then every
+	// attempt times out. Zero disables timeouts — and with them retries.
 	Timeout time.Duration
 
 	// MaxRetries bounds how many times a request may be re-dispatched
@@ -116,8 +119,8 @@ type timer struct {
 	seq uint64
 }
 
-// ResilientRouter is the failure-aware cluster front end: a Router that
-// additionally tracks replica health (crashed replicas leave the
+// ResilientRouter is the failure-aware cluster front end: it routes by
+// the policy over healthy replicas only (crashed replicas leave the
 // candidate set and their in-flight requests fail over), enforces
 // per-attempt timeouts with bounded exponential-backoff retries, races
 // hedged backups, and stamps graceful-degradation fractions while
@@ -137,7 +140,7 @@ type timer struct {
 type ResilientRouter struct {
 	sim  *des.Sim
 	cfg  ResilienceConfig
-	reps []*Replica
+	reps []replica
 	pool workload.Pool
 
 	up   []bool
@@ -160,33 +163,53 @@ type ResilientRouter struct {
 	stats ResilienceStats
 }
 
-// NewResilientRouter builds the failure-aware front end over bound
-// replicas.
-func NewResilientRouter(sim *des.Sim, cfg ResilienceConfig, replicas []*Replica) (*ResilientRouter, error) {
+// replica is one node behind the router: the head its node takes
+// requests by, and the in-flight accounting the least-loaded policy
+// reads.
+type replica struct {
+	submit    Sink
+	inflight  int
+	submitted int
+}
+
+// release records one copy leaving the replica. The gauge is guarded
+// against underflow: a completion can reach it after its copy was failed
+// over away (or after a crash reset the gauge), and a double release
+// must not drive the load signal negative — a negative gauge would make
+// the least-loaded policy prefer this replica forever.
+func (rep *replica) release() {
+	if rep.inflight > 0 {
+		rep.inflight--
+	}
+}
+
+// NewResilientRouter builds the failure-aware front end over one node
+// head per replica. A node's terminal sink reports back through
+// Complete, so the nodes may be built before the router.
+func NewResilientRouter(sim *des.Sim, cfg ResilienceConfig, heads []Sink) (*ResilientRouter, error) {
 	cfg, err := cfg.normalized()
 	if err != nil {
 		return nil, err
 	}
-	if len(replicas) == 0 {
+	if len(heads) == 0 {
 		return nil, fmt.Errorf("serve: router needs at least one replica")
 	}
-	for i, r := range replicas {
-		if r == nil || r.submit == nil {
+	reps := make([]replica, len(heads))
+	up := make([]bool, len(heads))
+	for i, h := range heads {
+		if h == nil {
 			return nil, fmt.Errorf("serve: replica %d has no node bound", i)
 		}
-	}
-	up := make([]bool, len(replicas))
-	for i := range up {
-		up[i] = true
+		reps[i].submit, up[i] = h, true
 	}
 	r := &ResilientRouter{
 		sim:      sim,
 		cfg:      cfg,
-		reps:     replicas,
+		reps:     reps,
 		up:       up,
-		nUp:      len(replicas),
+		nUp:      len(heads),
 		attempts: make(map[*workload.Request]*attempt),
-		liveOn:   make([]liveList, len(replicas)),
+		liveOn:   make([]liveList, len(heads)),
 	}
 	r.timeoutFn, r.hedgeFn = r.onTimeout, r.onHedge
 	return r, nil
@@ -194,6 +217,10 @@ func NewResilientRouter(sim *des.Sim, cfg ResilienceConfig, replicas []*Replica)
 
 // Stats returns the run's resilience counters.
 func (r *ResilientRouter) Stats() ResilienceStats { return r.stats }
+
+// Submitted returns how many copies were routed to replica i: first
+// attempts, retries and hedges alike.
+func (r *ResilientRouter) Submitted(i int) int { return r.reps[i].submitted }
 
 // Recoveries returns, per crash episode, the virtual time from the
 // crash instant to the completion of the last request failed over off
@@ -282,20 +309,25 @@ func (r *ResilientRouter) dispatch(att *attempt) {
 		r.retry(att, false)
 		return
 	}
-	req := att.primary
 	att.pending = false
 	att.primaryRep = i
-	r.stampDegrade(req)
-	rep := r.reps[i]
-	rep.inflight++
-	rep.submitted++
-	r.liveOn[i].push(req)
 	if r.cfg.Timeout > 0 {
 		r.arm(r.cfg.Timeout, r.timeoutFn, att)
 	}
 	if r.cfg.hedging() && att.hedge == nil && att.tries == 1 {
 		r.arm(r.hedgeDelay(), r.hedgeFn, att)
 	}
+	r.send(i, att.primary)
+}
+
+// send stamps a copy's degradation fraction, counts it in flight on
+// replica i and hands it to the replica's node.
+func (r *ResilientRouter) send(i int, req *workload.Request) {
+	r.stampDegrade(req)
+	rep := &r.reps[i]
+	rep.inflight++
+	rep.submitted++
+	r.liveOn[i].push(req)
 	rep.submit(req)
 }
 
@@ -425,13 +457,8 @@ func (r *ResilientRouter) onHedge(arg any) {
 	cp := r.clone(att.primary)
 	att.hedge = cp
 	r.attempts[cp] = att
-	r.stampDegrade(cp)
-	rep := r.reps[i]
-	rep.inflight++
-	rep.submitted++
-	r.liveOn[i].push(cp)
 	r.stats.Hedged++
-	rep.submit(cp)
+	r.send(i, cp)
 }
 
 // Complete settles one copy finishing on replica i. It is exported so
@@ -439,7 +466,7 @@ func (r *ResilientRouter) onHedge(arg any) {
 // can wire a late-bound closure as each terminal sink.
 func (r *ResilientRouter) Complete(i int, req *workload.Request) {
 	r.liveOn[i].remove(req)
-	r.reps[i].Release(req)
+	r.reps[i].release()
 	att, ok := r.attempts[req]
 	if !ok {
 		r.stats.Ghosts++

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,14 +47,12 @@ type resilientHarness struct {
 func newResilientHarness(t *testing.T, sim *des.Sim, cfg ResilienceConfig, n int, svc func(rep int, req *workload.Request) time.Duration) *resilientHarness {
 	t.Helper()
 	var router *ResilientRouter
-	reps := make([]*Replica, n)
-	for i := range reps {
-		i := i
+	heads := make([]Sink, n)
+	for i := range heads {
 		st := &svcStage{sim: sim, rep: i, svc: svc, next: func(req *workload.Request) { router.Complete(i, req) }}
-		reps[i] = NewReplica()
-		reps[i].Bind(st.Submit)
+		heads[i] = st.Submit
 	}
-	router, err := NewResilientRouter(sim, cfg, reps)
+	router, err := NewResilientRouter(sim, cfg, heads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +100,8 @@ func (h *resilientHarness) settled(t *testing.T) {
 		t.Errorf("%d attempts still tracked after drain", len(h.router.attempts))
 	}
 	for i, rep := range h.router.reps {
-		if rep.Inflight() != 0 {
-			t.Errorf("replica %d inflight gauge %d after drain", i, rep.Inflight())
+		if rep.inflight != 0 {
+			t.Errorf("replica %d inflight gauge %d after drain", i, rep.inflight)
 		}
 		if h.router.liveOn[i].n != 0 {
 			t.Errorf("replica %d liveOn list non-empty after drain", i)
@@ -148,8 +147,8 @@ func TestResilientCrashFailover(t *testing.T) {
 	}
 	// While replica 0 was down it must receive nothing; the third
 	// arrival landed on replica 1.
-	if h.router.reps[0].Submitted() != 1 || h.router.reps[1].Submitted() != 3 {
-		t.Fatalf("submitted = [%d %d], want [1 3]", h.router.reps[0].Submitted(), h.router.reps[1].Submitted())
+	if h.router.Submitted(0) != 1 || h.router.Submitted(1) != 3 {
+		t.Fatalf("submitted = [%d %d], want [1 3]", h.router.Submitted(0), h.router.Submitted(1))
 	}
 	h.settled(t)
 }
@@ -320,10 +319,10 @@ func TestResilientDegradeStamp(t *testing.T) {
 	}
 }
 
-// TestReplicaReleaseGuard pins satellite-hardening of the in-flight
-// gauge: release sequences that over-shoot (double release after a
-// failover, release on a replica that never admitted) must clamp at
-// zero instead of driving the least-loaded signal negative.
+// TestReplicaReleaseGuard pins the hardening of the in-flight gauge:
+// release sequences that over-shoot (double release after a failover,
+// release on a replica that never admitted) must clamp at zero instead
+// of driving the least-loaded signal negative.
 func TestReplicaReleaseGuard(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -339,18 +338,63 @@ func TestReplicaReleaseGuard(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep := NewReplica()
-			var req workload.Request
-			for i := 0; i < tc.admits; i++ {
-				rep.inflight++
-			}
+			rep := replica{inflight: tc.admits}
 			for i := 0; i < tc.releases; i++ {
-				rep.Release(&req)
+				rep.release()
 			}
-			if rep.Inflight() != tc.want {
-				t.Fatalf("inflight %d, want %d", rep.Inflight(), tc.want)
+			if rep.inflight != tc.want {
+				t.Fatalf("inflight %d, want %d", rep.inflight, tc.want)
 			}
 		})
+	}
+}
+
+// TestReplicaInflightAccounting: a dispatch raises its replica's gauge
+// and routed count, and the completion lowers the gauge again.
+func TestReplicaInflightAccounting(t *testing.T) {
+	var sim des.Sim
+	h := newResilientHarness(t, &sim, ResilienceConfig{Policy: LeastLoaded}, 1, func(int, *workload.Request) time.Duration {
+		return time.Millisecond
+	})
+	h.arriveAt(0)
+	sim.RunUntil(0)
+	if rep := h.router.reps[0]; rep.inflight != 1 || h.router.Submitted(0) != 1 {
+		t.Fatalf("after dispatch: inflight %d, submitted %d; want 1 and 1", rep.inflight, h.router.Submitted(0))
+	}
+	sim.Run()
+	if rep := h.router.reps[0]; rep.inflight != 0 || h.router.Submitted(0) != 1 {
+		t.Fatalf("after drain: inflight %d, submitted %d; want 0 and 1", rep.inflight, h.router.Submitted(0))
+	}
+}
+
+// TestResilientRouterValidation: the router refuses an unknown policy,
+// an empty replica set, a replica with no node head and negative knobs,
+// and resolves the empty policy to the default.
+func TestResilientRouterValidation(t *testing.T) {
+	head := func(*workload.Request) {}
+	for _, c := range []struct {
+		name  string
+		cfg   ResilienceConfig
+		heads []Sink
+		want  string
+	}{
+		{"unknown policy", ResilienceConfig{Policy: "bogus"}, []Sink{head}, "unknown routing policy"},
+		{"no replicas", ResilienceConfig{}, nil, "at least one replica"},
+		{"nil head", ResilienceConfig{}, []Sink{head, nil}, "replica 1 has no node bound"},
+		{"negative retries", ResilienceConfig{MaxRetries: -1}, []Sink{head}, "negative MaxRetries"},
+		{"negative timeout", ResilienceConfig{Timeout: -1}, []Sink{head}, "negative resilience durations"},
+		{"default policy", ResilienceConfig{}, []Sink{head}, ""},
+	} {
+		var sim des.Sim
+		r, err := NewResilientRouter(&sim, c.cfg, c.heads)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want == "" && r.cfg.Policy != LeastLoaded:
+			t.Errorf("%s: policy %q, want %q", c.name, r.cfg.Policy, LeastLoaded)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }
 

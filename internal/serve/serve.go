@@ -1,9 +1,10 @@
 // Package serve holds the serving layer's stations and the cluster
 // front ends over the discrete-event simulator: the FairScheduler that
-// meters admission into a node's retrieval engine, and the routers that
-// fan requests out to replica nodes — Router (round-robin or
-// least-loaded), the failure-aware ResilientRouter, and the sharded
-// Exchange, the differential tests' reference.
+// meters admission into a node's retrieval engine, the routing Policy,
+// and the two routers that fan requests out to replica nodes: the
+// failure-aware ResilientRouter and the sharded Exchange, the
+// differential tests' reference. A front without failure handling
+// routes through internal/rag's load index instead.
 //
 // A node is a fixed chain (§IV-B): admission, the optional scheduler,
 // the retrieval engine, the LLM cluster. internal/rag wires each node

@@ -109,108 +109,3 @@ func TestTee(t *testing.T) {
 		t.Fatalf("tee order %v", got)
 	}
 }
-
-// sinkReplica builds a replica whose node is a single pass-through
-// station feeding Release, so inflight returns to zero at completion.
-func sinkReplica(t *testing.T, sim *des.Sim, seen *[]int, id int) *Replica {
-	t.Helper()
-	rep := NewReplica()
-	st := &delayStage{sim: sim, next: func(req *workload.Request) {
-		*seen = append(*seen, id)
-		rep.Release(req)
-	}}
-	rep.Bind(st.Submit)
-	return rep
-}
-
-func TestRouterRoundRobin(t *testing.T) {
-	var sim des.Sim
-	var seen []int
-	reps := []*Replica{
-		sinkReplica(t, &sim, &seen, 0),
-		sinkReplica(t, &sim, &seen, 1),
-		sinkReplica(t, &sim, &seen, 2),
-	}
-	r, err := NewRouter(RoundRobin, reps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		r.Submit(&workload.Request{ID: i})
-	}
-	sim.Run()
-	want := []int{0, 1, 2, 0, 1, 2}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Fatalf("round-robin order %v, want %v", seen, want)
-		}
-	}
-}
-
-func TestRouterLeastLoaded(t *testing.T) {
-	var sim des.Sim
-	var seen []int
-	reps := []*Replica{
-		sinkReplica(t, &sim, &seen, 0),
-		sinkReplica(t, &sim, &seen, 1),
-	}
-	r, err := NewRouter(LeastLoaded, reps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pin three requests onto replica 0 by hand; the router must then
-	// prefer replica 1 until loads equalize.
-	reps[0].inflight = 3
-	r.Submit(&workload.Request{ID: 0})
-	r.Submit(&workload.Request{ID: 1})
-	r.Submit(&workload.Request{ID: 2})
-	sim.Run()
-	for _, id := range seen {
-		if id != 1 {
-			t.Fatalf("least-loaded sent to busy replica: %v", seen)
-		}
-	}
-	if reps[1].Submitted() != 3 {
-		t.Fatalf("replica 1 submitted %d, want 3", reps[1].Submitted())
-	}
-}
-
-func TestRouterValidation(t *testing.T) {
-	var sim des.Sim
-	var seen []int
-	rep := sinkReplica(t, &sim, &seen, 0)
-	if _, err := NewRouter("bogus", []*Replica{rep}); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-	if _, err := NewRouter(RoundRobin, nil); err == nil {
-		t.Fatal("empty replica set accepted")
-	}
-	if _, err := NewRouter(RoundRobin, []*Replica{NewReplica()}); err == nil {
-		t.Fatal("unbound replica accepted")
-	}
-	r, err := NewRouter("", []*Replica{rep})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Replicas()) != 1 {
-		t.Fatalf("router holds %d replicas, want 1", len(r.Replicas()))
-	}
-}
-
-func TestReplicaInflightAccounting(t *testing.T) {
-	var sim des.Sim
-	var seen []int
-	rep := sinkReplica(t, &sim, &seen, 0)
-	r, err := NewRouter(LeastLoaded, []*Replica{rep})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Submit(&workload.Request{ID: 0})
-	if rep.Inflight() != 1 {
-		t.Fatalf("inflight %d after submit", rep.Inflight())
-	}
-	sim.Run()
-	if rep.Inflight() != 0 {
-		t.Fatalf("inflight %d after drain", rep.Inflight())
-	}
-}

@@ -259,7 +259,7 @@ func TestTopologyOptionsRejected(t *testing.T) {
 }
 
 // TestServeClusterReportsPrecision: the cluster entry point carries the
-// precision refinement's outcome into its report, on the plain router
+// precision refinement's outcome into its report, on the plain front
 // and behind the resilient one.
 func TestServeClusterReportsPrecision(t *testing.T) {
 	w := smallWorkload(t, vlr.Orcas1K)
