@@ -11,10 +11,11 @@
 //	vliterag serve -replicas 16 -workers 8 -netdelay 1ms -rate 480
 //	    # parallel sharded cluster: N worker goroutines, bit-identical
 //	    # schedule for any -workers value
-//	vliterag serve -replicas 3 -rate 90 -faults crash@20s:r0:10s \
-//	    -retry 2 -timeout-ms 8000 -hedge-ms -1 -degrade
+//	vliterag serve -replicas 3 -rate 45 -faults crash@20s:r0:10s \
+//	    -retry 2 -timeout-ms 20000 -hedge-ms -1 -degrade
 //	    # failure storm with retries, auto-hedging, and graceful
-//	    # degradation under the capacity loss
+//	    # degradation under the capacity loss: nothing fails, and the
+//	    # crash's failovers finish within 10 s
 //	vliterag serve -adapt -dataset orcas2k -rate 20 -slo 150ms \
 //	    -drift-at 45s -duration 6m     # online adaptation under drift
 //	vliterag serve -tenants 3 -tiers gold,silver,bronze -rate 15 \

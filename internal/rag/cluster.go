@@ -69,13 +69,13 @@ type fleetBuilder func(spec *nodeSpec, replicas int, policy serve.Policy, netDel
 
 // shared runs the front and every replica on one simulator. Every
 // arrival is allocated into one arena, the run's record set. The plain
-// front routes through a loadIndex, as a least-loaded fleet's workers
-// do, serves each request where it lies and gives each replica an ID
-// list into it, which the request's arrival index keys. The resilient
-// router dispatches pooled copies and writes each request's outcome back
-// into its slot: retries and hedges clone one logical request onto
-// several replicas, so per-replica reporting is limited to routing
-// counts there.
+// front routes as a fleet's front does — least-loaded through a
+// loadIndex, round-robin arrival k to replica k mod R — serves each
+// request where it lies and gives each replica an ID list into it,
+// which the request's arrival index keys. The resilient router
+// dispatches pooled copies and writes each request's outcome back into
+// its slot: retries and hedges clone one logical request onto several
+// replicas, so per-replica reporting is limited to routing counts there.
 func (c *corpus) shared(opts *Options) (*served, error) {
 	var sim des.Sim
 	s := &served{nodes: make([]*node, opts.Replicas)}
@@ -117,10 +117,14 @@ func (c *corpus) shared(opts *Options) (*served, error) {
 			},
 		})
 	} else {
-		// Round-robin never lowers a gauge, so the pick is the cursor:
-		// arrival k goes to replica k mod R. Nothing is rejected on a
+		// Arrival k is the request with ID k. Nothing is rejected on a
 		// routed single corpus, so every decrement follows its own pick.
-		load := newLoadIndex(opts.Replicas)
+		var load loadIndex
+		submit = func(req *workload.Request) { s.nodes[req.ID%opts.Replicas].submit(req) }
+		if opts.Policy == serve.LeastLoaded {
+			load = newLoadIndex(opts.Replicas)
+			submit = func(req *workload.Request) { s.nodes[load.pick()].submit(req) }
+		}
 		for i := range s.nodes {
 			var next serve.Sink
 			if opts.Policy == serve.LeastLoaded {
@@ -131,8 +135,7 @@ func (c *corpus) shared(opts *Options) (*served, error) {
 				return nil, err
 			}
 		}
-		submit = func(req *workload.Request) { s.nodes[load.pick()].submit(req) }
-		s.submitted = load.submitted
+		s.submitted = load.submitted // round-robin's comes after the run
 	}
 	arena := workload.NewArena(c.expect)
 	defer c.feed(&sim, arena.New, submit)()
@@ -146,6 +149,9 @@ func (c *corpus) shared(opts *Options) (*served, error) {
 		}
 	}
 	s.records = arena.Records()
+	if s.submitted == nil {
+		s.submitted = rotation(len(s.records), opts.Replicas)
+	}
 	if rr != nil {
 		s.resilience = &ResilienceReport{
 			Faults:     opts.Faults,
@@ -323,7 +329,6 @@ func (f *fleet) run(deadline des.Time, workers int) *served {
 // at once are about R/used apart.
 func (f *fleet) alone(deadline des.Time, used int) []int {
 	r, n := len(f.lanes), len(f.records)
-	submitted := make([]int, r)
 	ins := make([]*des.Inbox, used)
 	deliver := func(arg any) {
 		req := arg.(*workload.Request)
@@ -341,9 +346,18 @@ func (f *fleet) alone(deadline des.Time, used int) []int {
 		}
 		f.lanes[i].sim.RunFed(deadline, in)
 		in.Drain(func(des.Time, any) {})
-		submitted[i] = (n - i + r - 1) / r
 	})
-	return submitted
+	return rotation(n, r)
+}
+
+// rotation returns how many of n arrivals each of r replicas is routed
+// when arrival k goes to replica k mod r.
+func rotation(n, r int) []int {
+	counts := make([]int, r)
+	for i := range counts {
+		counts[i] = (n - i + r - 1) / r
+	}
+	return counts
 }
 
 // spread is the order alone takes r lanes in on used workers: with
@@ -555,16 +569,15 @@ func (rt *router) barrier(rs []*router, k int, spins int) {
 	}
 }
 
-// loadIndex is the routing state of every front without failure
-// handling: each worker of a least-loaded fleet keeps one (rounds), and
-// the single-timeline front routes through one under either policy
-// (shared). It holds each replica's in-flight gauge, the ring cursor,
+// loadIndex is the least-loaded routing state of every front without
+// failure handling: each worker of a least-loaded fleet keeps one
+// (rounds), and the single-timeline front routes through one (shared).
+// It holds each replica's in-flight gauge, the ring cursor,
 // how many requests each replica was routed, and, per gauge level, the
 // set of replicas at it as a bitset. A pick — from the cursor round the
 // ring, the first replica at the minimum gauge, the rule of
 // serve.Exchange and of serve.ResilientRouter over healthy replicas —
-// then reads one level's words instead of every gauge. With no gauge
-// ever lowered, the pick is the cursor: round-robin.
+// then reads one level's words instead of every gauge.
 type loadIndex struct {
 	gauge     []int
 	words     int      // bitset words per level

@@ -349,8 +349,8 @@ func TestNoticeAtArrivalInstantCountsAfter(t *testing.T) {
 // TestLoadIndexPicksLikeScan: the bitset pick is the scan of
 // serve.Exchange — from the cursor round the ring, the first strictly
 // smaller gauge wins — over random picks and releases, for replica
-// counts on both sides of a 64-bit word. Without releases, as on a
-// round-robin front, pick k is replica k mod R.
+// counts on both sides of a 64-bit word. Without releases, pick k is
+// replica k mod R.
 func TestLoadIndexPicksLikeScan(t *testing.T) {
 	for _, r := range []int{1, 2, 3, 63, 64, 65, 130} {
 		for _, releases := range []bool{true, false} {

@@ -109,16 +109,16 @@ type RecallReporter interface {
 // engines provide run(batch) and call done() when the search pipeline
 // can accept the next batch.
 //
-// Batch slices cycle through a small free list instead of being
-// allocated per batch: runBatch implementations snapshot a batch's
-// requests into the completion events' recycled groups (takeGroup) and
-// return the slice with releaseBatch at once. Engines also pre-bind
-// their completion callbacks (doneFn, and the forward-one and
-// forward-group hooks) so the per-batch and per-request events schedule
-// through des.Sim without closure allocations.
+// Every batch is the one batch slice, refilled from the queue: run hands
+// its requests to completion events (takeGroup snapshots a run of them)
+// before it returns, and kick clears the slice then. Engines also
+// pre-bind their completion callbacks (doneFn, forwardOne, forwardGroup)
+// so the per-batch and per-request events schedule through des.Sim
+// without closure allocations.
 type batcher struct {
 	cfg     Config
 	queue   []*workload.Request
+	batch   []*workload.Request // the batch being run, empty between runs
 	busy    bool
 	batches int
 	total   int
@@ -129,8 +129,6 @@ type batcher struct {
 	forwardOne   func(any)
 	forwardGroup func(any)
 	freeGroups   []*fwdGroup
-	// freeBatches is the batch-slice free list.
-	freeBatches [][]*workload.Request
 	// Degraded-bandwidth episode (fault injection): while slowUntil is
 	// ahead of the clock, every service interval stretches by
 	// slowFactor. Inactive episodes skip the multiply entirely, so
@@ -198,16 +196,6 @@ func (b *batcher) forwardOneReq(a any) {
 	b.cfg.Forward(req)
 }
 
-// forwardAll completes the given queries at the current instant, in
-// order.
-func (b *batcher) forwardAll(reqs []*workload.Request) {
-	now := b.cfg.Sim.Now()
-	for _, req := range reqs {
-		req.SearchDone = now
-		b.cfg.Forward(req)
-	}
-}
-
 // fwdGroup carries the requests of one coalesced completion event;
 // the slices recycle through a free list.
 type fwdGroup struct {
@@ -223,7 +211,11 @@ type fwdGroup struct {
 // order.
 func (b *batcher) forwardGroupReqs(a any) {
 	g := a.(*fwdGroup)
-	b.forwardAll(g.reqs)
+	now := b.cfg.Sim.Now()
+	for _, req := range g.reqs {
+		req.SearchDone = now
+		b.cfg.Forward(req)
+	}
 	clear(g.reqs)
 	g.reqs = g.reqs[:0]
 	b.freeGroups = append(b.freeGroups, g)
@@ -232,9 +224,8 @@ func (b *batcher) forwardGroupReqs(a any) {
 // dispatchCoalesced schedules the dispatcher-mode completion events
 // for a batch: query i promotes at max(cpuDone[i], gpuReady)+mergeCost,
 // and runs of *consecutive* queries promoting at the same instant share
-// one coalesced event (order-preserving, see forwardGroupReqs). The
-// batch slice is fully consumed — events hold only requests or group
-// snapshots — so it is released before returning.
+// one coalesced event (order-preserving, see forwardGroupReqs). Events
+// hold only requests or group snapshots, never the batch slice.
 func (b *batcher) dispatchCoalesced(batch []*workload.Request, cpuDone []des.Time, gpuReady des.Time) {
 	sim := b.cfg.Sim
 	n := len(batch)
@@ -262,7 +253,6 @@ func (b *batcher) dispatchCoalesced(batch []*workload.Request, cpuDone []des.Tim
 		}
 		i = j
 	}
-	b.releaseBatch(batch)
 }
 
 // takeGroup snapshots a sub-batch into a recycled group descriptor.
@@ -284,43 +274,24 @@ func (b *batcher) Submit(req *workload.Request) {
 	b.kick()
 }
 
-// takeBatch returns a zero-length batch slice with capacity >= n from
-// the free list.
-func (b *batcher) takeBatch(n int) []*workload.Request {
-	if k := len(b.freeBatches); k > 0 {
-		s := b.freeBatches[k-1]
-		b.freeBatches[k-1] = nil
-		b.freeBatches = b.freeBatches[:k-1]
-		if cap(s) >= n {
-			return s[:0]
-		}
-	}
-	return make([]*workload.Request, 0, n)
-}
-
-// releaseBatch returns a batch slice to the free list once every
-// request in it has been forwarded. Entries are cleared so the free
-// list does not retain requests (pooled ones are recycled).
-func (b *batcher) releaseBatch(batch []*workload.Request) {
-	clear(batch[:cap(batch)])
-	b.freeBatches = append(b.freeBatches, batch[:0])
-}
-
 func (b *batcher) kick() {
 	if b.busy || len(b.queue) == 0 {
 		return
 	}
 	n := min(len(b.queue), MaxBatch)
-	batch := append(b.takeBatch(n), b.queue[:n]...)
+	b.batch = append(b.batch, b.queue[:n]...)
 	b.queue = append(b.queue[:0], b.queue[n:]...)
 	b.busy = true
 	b.batches++
 	b.total += n
 	now := b.cfg.Sim.Now()
-	for _, req := range batch {
+	for _, req := range b.batch {
 		req.SearchStart = now
 	}
-	b.run(batch)
+	b.run(b.batch)
+	// The slice must not keep requests alive: pooled ones are recycled.
+	clear(b.batch)
+	b.batch = b.batch[:0]
 }
 
 // done releases the engine for the next batch.
@@ -398,5 +369,4 @@ func (e *CPUOnly) runBatch(batch []*workload.Request) {
 	sim := e.cfg.Sim
 	t := e.slowAt(des.Time(e.cfg.CPUModel.CQTime(b) + e.cfg.CPUModel.LUTTime(total, b)))
 	sim.AtArg(sim.Now()+t+des.Time(mergeCost), e.finish, e.takeGroup(batch))
-	e.releaseBatch(batch)
 }

@@ -349,7 +349,6 @@ func (e *Hybrid) runBatch(batch []*workload.Request) {
 		e.dispatchCoalesced(batch, cpuDone, gpuReady)
 	} else {
 		sim.AtArg(batchEnd+des.Time(mergeCost), e.forwardGroup, e.takeGroup(batch))
-		e.releaseBatch(batch)
 	}
 	// The pipeline accepts the next batch when both tiers are free.
 	sim.At(batchEnd, e.doneFn)

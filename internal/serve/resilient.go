@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"vectorliterag/internal/des"
@@ -102,6 +104,7 @@ type attempt struct {
 	primary    *workload.Request
 	hedge      *workload.Request
 	primaryRep int
+	hedgeRep   int
 	tries      int    // dispatches consumed (first attempt = 1)
 	seq        uint64 // bumped on retry/completion/failure; fences timers
 	crashID    int    // index of the crash that failed this attempt over, or -1
@@ -109,11 +112,13 @@ type attempt struct {
 	// delay has not expired yet: it is on no replica, so superseding it
 	// releases it directly instead of letting it drain as a ghost.
 	pending bool
+	// Each copy's send stamp (sent), the order a crash fails copies over.
+	primarySent, hedgeSent uint64
 }
 
-// timer is an armed timeout or hedge: its attempt and the seq it was
-// armed under. Fired timers and finished attempts are reused; a stale
-// timer stays harmless after its attempt is, since seq only grows.
+// timer is an armed timeout, hedge or backoff: its attempt and the seq
+// it was armed under. Fired timers and finished attempts are reused; a
+// stale timer stays harmless after its attempt is, since seq only grows.
 type timer struct {
 	att *attempt
 	seq uint64
@@ -135,8 +140,9 @@ type timer struct {
 // terminal completion finds no attempt entry and quietly returns the
 // object to the pool. All bookkeeping that must not see ghosts (the
 // records, latency samples, recovery tracking) is therefore keyed by
-// the attempts map, and per-replica in-flight lists are ordered slices,
-// never map iterations, keeping every run bit-reproducible.
+// the attempts map. A crash finds its replica's copies there too and
+// fails them over in send order, never map order, keeping every run
+// bit-reproducible.
 type ResilientRouter struct {
 	sim  *des.Sim
 	cfg  ResilienceConfig
@@ -148,12 +154,12 @@ type ResilientRouter struct {
 	next int // round-robin cursor
 
 	attempts map[*workload.Request]*attempt
-	liveOn   []liveList // per-replica dispatch-ordered copies
+	sent     uint64 // copies sent so far: the next copy's send stamp
 
 	spareAtts   []*attempt
 	spareTimers []*timer
-	// onTimeout and onHedge, bound once: arming a timer allocates nothing.
-	timeoutFn, hedgeFn func(any)
+	// The timer callbacks, bound once: arming a timer allocates nothing.
+	timeoutFn, hedgeFn, backoffFn func(any)
 
 	samples  []float64  // HedgeAuto only: clean first-attempt latencies (seconds)
 	scratch  []float64  // reusable quantile scratch
@@ -172,11 +178,10 @@ type replica struct {
 	submitted int
 }
 
-// release records one copy leaving the replica. The gauge is guarded
-// against underflow: a completion can reach it after its copy was failed
-// over away (or after a crash reset the gauge), and a double release
-// must not drive the load signal negative — a negative gauge would make
-// the least-loaded policy prefer this replica forever.
+// release records one copy leaving the replica. Every completion, a
+// ghost's too, matches one send to this replica, but the gauge is still
+// guarded against underflow: a negative gauge would make the
+// least-loaded policy prefer this replica forever.
 func (rep *replica) release() {
 	if rep.inflight > 0 {
 		rep.inflight--
@@ -209,9 +214,8 @@ func NewResilientRouter(sim *des.Sim, cfg ResilienceConfig, heads []Sink) (*Resi
 		up:       up,
 		nUp:      len(heads),
 		attempts: make(map[*workload.Request]*attempt),
-		liveOn:   make([]liveList, len(heads)),
 	}
-	r.timeoutFn, r.hedgeFn = r.onTimeout, r.onHedge
+	r.timeoutFn, r.hedgeFn, r.backoffFn = r.onTimeout, r.onHedge, r.onBackoff
 	return r, nil
 }
 
@@ -245,8 +249,8 @@ func (r *ResilientRouter) Submit(rec *workload.Request) {
 	r.dispatch(att)
 }
 
-// arm schedules fire (timeoutFn or hedgeFn) for att d from now, fenced
-// by the attempt's current seq.
+// arm schedules fire (timeoutFn, hedgeFn or backoffFn) for att d from
+// now, fenced by the attempt's current seq.
 func (r *ResilientRouter) arm(d time.Duration, fire func(any), att *attempt) {
 	tm := reuse(&r.spareTimers)
 	*tm = timer{att: att, seq: att.seq}
@@ -310,7 +314,7 @@ func (r *ResilientRouter) dispatch(att *attempt) {
 		return
 	}
 	att.pending = false
-	att.primaryRep = i
+	att.primaryRep, att.primarySent = i, r.sent
 	if r.cfg.Timeout > 0 {
 		r.arm(r.cfg.Timeout, r.timeoutFn, att)
 	}
@@ -321,13 +325,13 @@ func (r *ResilientRouter) dispatch(att *attempt) {
 }
 
 // send stamps a copy's degradation fraction, counts it in flight on
-// replica i and hands it to the replica's node.
+// replica i and as sent, and hands it to the replica's node.
 func (r *ResilientRouter) send(i int, req *workload.Request) {
 	r.stampDegrade(req)
 	rep := &r.reps[i]
 	rep.inflight++
 	rep.submitted++
-	r.liveOn[i].push(req)
+	r.sent++
 	rep.submit(req)
 }
 
@@ -398,17 +402,19 @@ func (r *ResilientRouter) retry(att *attempt, immediate bool) {
 	att.tries++
 	att.seq++
 	r.stats.Retried++
-	seq := att.seq
 	if immediate {
 		r.dispatch(att)
 		return
 	}
-	backoff := r.cfg.Backoff << uint(att.tries-2)
-	r.sim.After(backoff, func() {
-		if att.seq == seq {
-			r.dispatch(att)
-		}
-	})
+	r.arm(r.cfg.Backoff<<uint(att.tries-2), r.backoffFn, att)
+}
+
+// onBackoff re-dispatches a retry once its backoff delay has expired,
+// unless the attempt has moved on in the meantime.
+func (r *ResilientRouter) onBackoff(arg any) {
+	if att, current := r.fired(arg); current {
+		r.dispatch(att)
+	}
 }
 
 // clone draws a pooled copy carrying the request's identity — the five
@@ -455,7 +461,7 @@ func (r *ResilientRouter) onHedge(arg any) {
 		return
 	}
 	cp := r.clone(att.primary)
-	att.hedge = cp
+	att.hedge, att.hedgeRep, att.hedgeSent = cp, i, r.sent
 	r.attempts[cp] = att
 	r.stats.Hedged++
 	r.send(i, cp)
@@ -465,7 +471,6 @@ func (r *ResilientRouter) onHedge(arg any) {
 // callers that must build replica pipelines *before* the router exists
 // can wire a late-bound closure as each terminal sink.
 func (r *ResilientRouter) Complete(i int, req *workload.Request) {
-	r.liveOn[i].remove(req)
 	r.reps[i].release()
 	att, ok := r.attempts[req]
 	if !ok {
@@ -497,12 +502,19 @@ func (r *ResilientRouter) Complete(i int, req *workload.Request) {
 	r.spareAtts = append(r.spareAtts, att)
 }
 
+// crashed is one copy on a crashed replica and its send stamp.
+type crashed struct {
+	sent uint64
+	req  *workload.Request
+}
+
 // Crash takes replica i out of the candidate set and fails over its
-// in-flight primaries (in dispatch order, so the failover sequence is
+// in-flight primaries (in send order, so the failover sequence is
 // deterministic). Hedge copies on the crashed replica are dropped;
 // their primaries race on alone. The replica's pipeline keeps draining
 // in virtual time — its completions arrive as ghosts, modeling
-// responses lost with the node.
+// responses lost with the node. A primary awaiting its backoff is on
+// no replica, and one sent to i before an earlier crash was superseded.
 func (r *ResilientRouter) Crash(i int) {
 	if !r.up[i] {
 		return
@@ -513,11 +525,20 @@ func (r *ResilientRouter) Crash(i int) {
 	crashID := len(r.crashAt)
 	r.crashAt = append(r.crashAt, r.sim.Now())
 	r.healedBy = append(r.healedBy, r.sim.Now()-1)
+	var doomed []crashed
+	for req, att := range r.attempts {
+		switch {
+		case req == att.hedge && att.hedgeRep == i:
+			doomed = append(doomed, crashed{att.hedgeSent, req})
+		case req == att.primary && !att.pending && att.primaryRep == i:
+			doomed = append(doomed, crashed{att.primarySent, req})
+		}
+	}
+	slices.SortFunc(doomed, func(a, b crashed) int { return cmp.Compare(a.sent, b.sent) })
 	// The crashed replica is out of the candidate set, so failing over
-	// dispatches nothing onto the list being walked.
-	list := &r.liveOn[i]
-	for k := range list.n {
-		req := list.at(k)
+	// sends nothing to it.
+	for _, d := range doomed {
+		req := d.req
 		att, ok := r.attempts[req]
 		if !ok {
 			continue // already a ghost; it drains regardless
@@ -531,7 +552,6 @@ func (r *ResilientRouter) Crash(i int) {
 		r.stats.FailedOver++
 		r.retry(att, true)
 	}
-	list.reset()
 }
 
 // Recover returns replica i to the candidate set.
@@ -541,70 +561,6 @@ func (r *ResilientRouter) Recover(i int) {
 	}
 	r.up[i] = true
 	r.nUp++
-}
-
-// liveList is one replica's in-flight copies in dispatch order, held in
-// a ring so that a completion shifts only the shorter side of the
-// removed entry. Completions arrive in nearly FIFO order, so that side
-// is usually short, and the ring reuses its buffer instead of losing
-// capacity at the front.
-type liveList struct {
-	buf     []*workload.Request
-	head, n int
-}
-
-// slot maps list position k in [0, n] to its index in buf.
-func (l *liveList) slot(k int) int {
-	j := l.head + k
-	if j >= len(l.buf) {
-		j -= len(l.buf)
-	}
-	return j
-}
-
-func (l *liveList) at(k int) *workload.Request { return l.buf[l.slot(k)] }
-
-func (l *liveList) push(req *workload.Request) {
-	if l.n == len(l.buf) {
-		grown := make([]*workload.Request, max(8, 2*l.n))
-		for k := range l.n {
-			grown[k] = l.at(k)
-		}
-		l.buf, l.head = grown, 0
-	}
-	l.buf[l.slot(l.n)] = req
-	l.n++
-}
-
-// remove drops req, keeping the others in dispatch order; a copy that
-// is not on the list is ignored.
-func (l *liveList) remove(req *workload.Request) {
-	k := 0
-	for k < l.n && l.at(k) != req {
-		k++
-	}
-	if k == l.n {
-		return
-	}
-	if k < l.n-1-k {
-		for ; k > 0; k-- { // shift the head side one step back
-			l.buf[l.slot(k)] = l.at(k - 1)
-		}
-		l.buf[l.head] = nil
-		l.head = l.slot(1)
-	} else {
-		for ; k < l.n-1; k++ { // shift the tail side one step forward
-			l.buf[l.slot(k)] = l.at(k + 1)
-		}
-		l.buf[l.slot(k)] = nil
-	}
-	l.n--
-}
-
-// reset empties the list, keeping its buffer.
-func (l *liveList) reset() {
-	clear(l.buf)
-	l.head, l.n = 0, 0
 }
 
 // reuse pops the last of spares, or returns a new T when there is none.

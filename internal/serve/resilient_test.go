@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"vectorliterag/internal/des"
-	"vectorliterag/internal/rng"
 	"vectorliterag/internal/workload"
 )
 
@@ -102,9 +101,6 @@ func (h *resilientHarness) settled(t *testing.T) {
 	for i, rep := range h.router.reps {
 		if rep.inflight != 0 {
 			t.Errorf("replica %d inflight gauge %d after drain", i, rep.inflight)
-		}
-		if h.router.liveOn[i].n != 0 {
-			t.Errorf("replica %d liveOn list non-empty after drain", i)
 		}
 	}
 }
@@ -479,57 +475,9 @@ func TestHedgeAutoDelayIsInterpolatedP95(t *testing.T) {
 	}
 }
 
-// TestLiveListMatchesSliceReference: random pushes and removals —
-// mostly near the front, as completions arrive, some anywhere, some of
-// copies never pushed — leave the ring holding exactly what a plain
-// slice with copy-down removal holds, in the same order, and the ring
-// never grows past twice its peak length.
-func TestLiveListMatchesSliceReference(t *testing.T) {
-	r := rng.New(3)
-	reqs := make([]workload.Request, 16384)
-	var l liveList
-	var ref []*workload.Request
-	next, peak := 0, 0
-	for step := 0; step < 20000; step++ {
-		switch {
-		case next < len(reqs) && (len(ref) == 0 || r.Intn(100) < 52):
-			l.push(&reqs[next])
-			ref = append(ref, &reqs[next])
-			next++
-		case len(ref) == 0:
-			continue
-		case r.Intn(10) == 0: // a copy not on the list
-			l.remove(&workload.Request{})
-		default:
-			k := r.Intn(min(len(ref), 3)) // nearly FIFO
-			if r.Intn(4) == 0 {
-				k = r.Intn(len(ref))
-			}
-			l.remove(ref[k])
-			ref = append(ref[:k], ref[k+1:]...)
-		}
-		peak = max(peak, len(ref))
-		if l.n != len(ref) {
-			t.Fatalf("step %d: ring holds %d, reference %d", step, l.n, len(ref))
-		}
-		for k, q := range ref {
-			if l.at(k) != q {
-				t.Fatalf("step %d: position %d holds request %p, reference %p", step, k, l.at(k), q)
-			}
-		}
-	}
-	if len(l.buf) > max(8, 2*peak) {
-		t.Errorf("ring buffer %d for a peak of %d", len(l.buf), peak)
-	}
-	l.reset()
-	if l.n != 0 || slices.ContainsFunc(l.buf, func(q *workload.Request) bool { return q != nil }) {
-		t.Errorf("reset left %d entries", l.n)
-	}
-}
-
-// TestResilientCrashFailsOverInDispatchOrder: completions leave replica
-// 0's in-flight list out of order; the crash must then fail the
-// survivors over in the order they were dispatched.
+// TestResilientCrashFailsOverInDispatchOrder: completions out of
+// dispatch order leave gaps among replica 0's live copies; the crash
+// must then fail the survivors over in the order they were dispatched.
 func TestResilientCrashFailsOverInDispatchOrder(t *testing.T) {
 	var sim des.Sim
 	cfg := ResilienceConfig{Policy: RoundRobin, Timeout: 10 * time.Second, MaxRetries: 2}
@@ -561,6 +509,63 @@ func TestResilientCrashFailsOverInDispatchOrder(t *testing.T) {
 	}
 	if !slices.Equal(failedOver, want) {
 		t.Fatalf("failed over %v, want dispatch order %v", failedOver, want)
+	}
+	h.settled(t)
+}
+
+// TestResilientCrashDropsHedgeOnCrashedReplica: the primary runs on
+// replica 0 and its hedge on replica 1 when replica 1 crashes. The hedge
+// is dropped, so the copy replica 1's pipeline finishes later drains as
+// a ghost, not as a hedge win, and the record is the primary's.
+func TestResilientCrashDropsHedgeOnCrashedReplica(t *testing.T) {
+	var sim des.Sim
+	svc := func(rep int, req *workload.Request) time.Duration {
+		if rep == 0 {
+			return 500 * time.Millisecond
+		}
+		return 20 * time.Millisecond
+	}
+	cfg := ResilienceConfig{Policy: RoundRobin, HedgeDelay: 100 * time.Millisecond}
+	h := newResilientHarness(t, &sim, cfg, 2, svc)
+	h.arriveAt(0)
+	sim.At(des.Time(110*time.Millisecond), func() { h.router.Crash(1) })
+	sim.RunUntil(des.Time(time.Minute))
+	if st := h.router.Stats(); st.Hedged != 1 || st.HedgeWins != 0 || st.Ghosts != 1 || st.FailedOver != 0 {
+		t.Fatalf("stats %+v: want 1 hedged, no hedge win, 1 ghost (the hedge), no failover", st)
+	}
+	ms := des.Time(time.Millisecond)
+	if rec := h.records()[0]; rec.SearchStart != 0 || rec.Done != 500*ms {
+		t.Fatalf("record %+v, want the primary's (dispatched 0, done 500ms)", rec)
+	}
+	h.settled(t)
+}
+
+// TestResilientCrashSkipsAttemptInBackoff: an attempt times out on
+// replica 0 and is waiting out its backoff, on no replica, when replica
+// 0 crashes. The crash must not fail it over again: it retries once,
+// after its backoff, and the crash has no failover to recover from.
+func TestResilientCrashSkipsAttemptInBackoff(t *testing.T) {
+	var sim des.Sim
+	svc := func(rep int, req *workload.Request) time.Duration {
+		if rep == 0 {
+			return time.Hour
+		}
+		return 20 * time.Millisecond
+	}
+	cfg := ResilienceConfig{Policy: RoundRobin, Timeout: 100 * time.Millisecond, MaxRetries: 2, Backoff: 50 * time.Millisecond}
+	h := newResilientHarness(t, &sim, cfg, 2, svc)
+	h.arriveAt(0)
+	// Timed out at 100ms, redispatched at 150ms: the crash falls between.
+	sim.At(des.Time(120*time.Millisecond), func() { h.router.Crash(0) })
+	sim.RunUntil(des.Time(2 * time.Hour))
+	if st := h.router.Stats(); st.TimedOut != 1 || st.Retried != 1 || st.FailedOver != 0 {
+		t.Fatalf("stats %+v: want 1 timeout, 1 retry, no failover", st)
+	}
+	if rec := h.records()[0]; time.Duration(rec.Done) != 170*time.Millisecond {
+		t.Fatalf("record done at %v, want 170ms (backoff to 150ms, served in 20ms)", time.Duration(rec.Done))
+	}
+	if rec := h.router.Recoveries(); len(rec) != 1 || rec[0] >= 0 {
+		t.Fatalf("recoveries %v, want one crash with nothing failed over", rec)
 	}
 	h.settled(t)
 }
