@@ -130,6 +130,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzScanCodesIDsMasked$$' -fuzztime=$(FUZZTIME) ./internal/pq
 	$(GO) test -run=NONE -fuzz='^FuzzScanSQIDs$$' -fuzztime=$(FUZZTIME) ./internal/pq
 	$(GO) test -run=NONE -fuzz='^FuzzScanSQIDsMasked$$' -fuzztime=$(FUZZTIME) ./internal/pq
+	$(GO) test -run=NONE -fuzz='^FuzzLowerBound$$' -fuzztime=$(FUZZTIME) ./internal/pq
 	$(GO) test -run=NONE -fuzz='^FuzzTopK$$' -fuzztime=$(FUZZTIME) ./internal/vecmath
 	$(GO) test -run=NONE -fuzz='^FuzzDotRows$$' -fuzztime=$(FUZZTIME) ./internal/vecmath
 	$(GO) test -run=NONE -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/fault

@@ -155,27 +155,77 @@ func benchWorkload(b *testing.B) *dataset.Workload {
 	return benchW
 }
 
+// searchCases are the (nprobe, k) settings the search benchmarks time:
+// a wide top-k on the bench index's 8 probes, and the benchmark
+// command's own search_read settings.
+var searchCases = []struct{ nprobe, k int }{{8, 25}, {16, 10}}
+
+// benchQueries returns one query per template of the bench workload.
+// A search skips the probed lists that cannot reach its top-k, and how
+// many it skips depends on the query, so the search benchmarks cycle
+// over these rather than time one query's pruning.
+func benchQueries(w *dataset.Workload, r *rng.Rand) [][]float32 {
+	qs := make([][]float32, w.Templates())
+	for i := range qs {
+		qs[i] = w.QueryVector(dataset.QueryID(i), r)
+	}
+	return qs
+}
+
 // BenchmarkIVFSearch measures a full three-stage IVF-PQ search.
 func BenchmarkIVFSearch(b *testing.B) {
 	w := benchWorkload(b)
-	r := rng.New(1)
-	q := w.QueryVector(0, r)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = w.Index.Search(q, 8, 25)
+	qs := benchQueries(w, rng.New(1))
+	for _, sc := range searchCases {
+		b.Run(fmt.Sprintf("nprobe=%d,k=%d", sc.nprobe, sc.k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = w.Index.Search(qs[i%len(qs)], sc.nprobe, sc.k)
+			}
+		})
 	}
 }
 
+var denseW *dataset.Workload
+
+// denseWorkload is one Gaussian blob cut into 64 lists. Each list's
+// codes use most of the codewords of every PQ subspace, so its codeword
+// mask marks most row minima and its bound seldom reaches the k-th
+// best: the corpus on which list skipping prunes almost nothing and
+// must cost almost nothing.
+func denseWorkload(b *testing.B) *dataset.Workload {
+	b.Helper()
+	if denseW == nil {
+		w, err := dataset.Build(dataset.Orcas1K, dataset.GenConfig{
+			NCenters: 1, PerCenter: 8192, Dim: 32,
+			PhysNList: 64, PhysNProbe: 8, Templates: 256, Seed: 3,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		denseW = w
+	}
+	return denseW
+}
+
 // BenchmarkIVFSearchScratch measures the allocation-free scratch path:
-// the same three-stage search with all buffers reused across calls.
+// the same three-stage search with all buffers reused across calls, on
+// the bench workload and (dense/) on denseWorkload.
 func BenchmarkIVFSearchScratch(b *testing.B) {
-	w := benchWorkload(b)
-	r := rng.New(1)
-	q := w.QueryVector(0, r)
-	s := w.Index.NewSearchScratch()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = w.Index.SearchInto(s, q, 8, 25)
+	for _, corpus := range []struct {
+		prefix string
+		w      *dataset.Workload
+	}{{"", benchWorkload(b)}, {"dense/", denseWorkload(b)}} {
+		w := corpus.w
+		w.Index.Quantizer() // trains the PQ codebooks outside the timed loops
+		qs := benchQueries(w, rng.New(1))
+		s := w.Index.NewSearchScratch()
+		for _, sc := range searchCases {
+			b.Run(fmt.Sprintf("%snprobe=%d,k=%d", corpus.prefix, sc.nprobe, sc.k), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					_ = w.Index.SearchInto(s, qs[i%len(qs)], sc.nprobe, sc.k)
+				}
+			})
+		}
 	}
 }
 
@@ -228,12 +278,16 @@ func BenchmarkLiveStoreSearch(b *testing.B) {
 	for i := 0; i < 64; i++ {
 		s.Delete(&workload.Mutation{Kind: workload.MutDelete, Pick: r.Uint64()})
 	}
-	q := w.QueryVector(0, r)
-	s.Search(q, 8, 25)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.Search(q, 8, 25)
+	qs := benchQueries(w, r)
+	for _, sc := range searchCases {
+		b.Run(fmt.Sprintf("nprobe=%d,k=%d", sc.nprobe, sc.k), func(b *testing.B) {
+			s.Search(qs[0], sc.nprobe, sc.k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = s.Search(qs[i%len(qs)], sc.nprobe, sc.k)
+			}
+		})
 	}
 }
 

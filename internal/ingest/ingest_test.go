@@ -3,12 +3,14 @@ package ingest
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/des"
 	"vectorliterag/internal/hw"
+	"vectorliterag/internal/pq"
 	"vectorliterag/internal/rng"
 	"vectorliterag/internal/vecmath"
 	"vectorliterag/internal/workload"
@@ -431,32 +433,47 @@ func TestDeleteFirstPositionThenSearch(t *testing.T) {
 // rebuildSearch is Store.Search as it was before the store kept its own
 // scratch and incremental pending norms: a copied probe list, a fresh
 // LUT and heap per query, and a BruteForcer rebuilt — every norm
-// re-derived — over each probed pending buffer.
-func rebuildSearch(s *Store, q []float32, nprobe, k int) []vecmath.Neighbor {
+// re-derived — over each probed pending buffer. It skips no list, and
+// counts the code lists (base and encoded appends) it scanned and those
+// of them that LUT.Prunes rules out, so a test can tell that the
+// store's pruning ran.
+func rebuildSearch(s *Store, q []float32, nprobe, k int) (res []vecmath.Neighbor, lists, prunable int) {
 	lut := s.ix.BuildLUT(q)
 	top := vecmath.NewTopK(k)
+	count := func(mask []uint64) {
+		lists++
+		if lut.Prunes(mask, top) {
+			prunable++
+		}
+	}
 	for _, c := range s.ix.Probe(q, nprobe) {
 		cl := &s.cl[c]
+		count(s.ix.ClusterMask(c))
 		s.ix.ScanClusterMasked(lut, c, cl.deadBase, top)
 		if len(cl.appIDs) > 0 {
+			count(cl.appMask)
 			lut.ScanCodesIDsMasked(cl.appCodes, cl.appIDs, cl.deadApp, top)
 		}
 		if len(cl.pendIDs) > 0 {
 			vecmath.NewBruteForcer(cl.pendVecs, s.dim).ScanMaskedInto(top, q, cl.pendIDs, cl.deadPend)
 		}
 	}
-	return top.AppendSorted(nil)
+	return top.AppendSorted(nil), lists, prunable
 }
 
 // TestIncrementalNormsMatchRebuild: under a random interleave of
 // inserts, deletes, searches, re-encodes and compactions, the store's
-// search — reused scratch, norms appended one row at a time — returns
-// exactly what the rebuild-everything search returns, and every pending
-// buffer's norm table stays in step with its rows.
+// search — reused scratch, norms appended one row at a time, code lists
+// pruned — returns exactly what the rebuild-everything search returns
+// at nprobe 8 and 16, every pending buffer's norm table stays in step
+// with its rows, and every encoded-append mask marks exactly its
+// codes. At least 30 % of the scanned code lists at nprobe 16 must be
+// skippable, or the comparison says nothing of pruning.
 func TestIncrementalNormsMatchRebuild(t *testing.T) {
 	w := testWorkload(t)
 	s := NewStore(w)
 	r := rng.New(23)
+	lists, prunable := 0, 0
 	hot := w.InsertVector(r) // re-inserted often, so one buffer grows long
 	for step := 0; step < 3000; step++ {
 		switch x := r.Intn(100); {
@@ -474,13 +491,19 @@ func TestIncrementalNormsMatchRebuild(t *testing.T) {
 				q = w.QueryVector(w.Sample(r), r)
 			}
 			k := 1 + r.Intn(20)
-			got, want := s.Search(q, 8, k), rebuildSearch(s, q, 8, k)
-			if len(got) != len(want) {
-				t.Fatalf("step %d: %d neighbors, rebuild search %d", step, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("step %d neighbor %d: got %+v, rebuild search %+v", step, i, got[i], want[i])
+			for _, nprobe := range []int{8, 16} {
+				got := s.Search(q, nprobe, k)
+				want, l, p := rebuildSearch(s, q, nprobe, k)
+				if nprobe == 16 {
+					lists, prunable = lists+l, prunable+p
+				}
+				if len(got) != len(want) {
+					t.Fatalf("step %d nprobe %d: %d neighbors, rebuild search %d", step, nprobe, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("step %d nprobe %d neighbor %d: got %+v, rebuild search %+v", step, nprobe, i, got[i], want[i])
+					}
 				}
 			}
 		case x < 99:
@@ -494,8 +517,20 @@ func TestIncrementalNormsMatchRebuild(t *testing.T) {
 				if len(cl.pendNorms) != len(cl.pendIDs) || len(cl.pendVecs) != len(cl.pendIDs)*s.dim {
 					t.Fatalf("step %d cluster %d: %d ids, %d norms, %d floats", step, c, len(cl.pendIDs), len(cl.pendNorms), len(cl.pendVecs))
 				}
+				if len(cl.appIDs) > 0 {
+					want := make([]uint64, pq.MaskLen(s.cs))
+					pq.MarkCodes(want, cl.appCodes, s.cs)
+					if !slices.Equal(cl.appMask, want) {
+						t.Fatalf("step %d cluster %d: append mask %x, its codes mark %x", step, c, cl.appMask, want)
+					}
+				}
 			}
 		}
+	}
+	share := float64(prunable) / float64(lists)
+	t.Logf("%d of %d code lists skippable at nprobe 16 (%.1f%%)", prunable, lists, 100*share)
+	if share < 0.30 {
+		t.Fatalf("only %.1f%% of code lists skippable: the comparison barely reaches the pruning", 100*share)
 	}
 }
 

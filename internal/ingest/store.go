@@ -64,9 +64,11 @@ type clusterState struct {
 	// compaction: still masked in scans, no longer billed.
 	purgedBase int
 
-	// Store-owned encoded appends (IDs + PQ codes) from past re-encodes.
+	// Store-owned encoded appends (IDs + PQ codes) from past re-encodes,
+	// and the codewords those codes use (pq.MarkCodes).
 	appIDs       []int32
 	appCodes     []byte
+	appMask      []uint64
 	deadApp      []uint64
 	deadAppCount int
 
@@ -280,6 +282,10 @@ func (s *Store) Reencode() int {
 			l.where, l.pos = locApp, int32(len(cl.appIDs))
 			cl.appIDs = append(cl.appIDs, id)
 			cl.appCodes = append(cl.appCodes, code...)
+			if cl.appMask == nil {
+				cl.appMask = make([]uint64, pq.MaskLen(s.cs))
+			}
+			pq.MarkCodes(cl.appMask, code, s.cs)
 			s.delta[c] += s.encPerVec - s.rawPerVec
 			encoded++
 		}
@@ -298,9 +304,10 @@ func (s *Store) Reencode() int {
 }
 
 // Compact is Reencode plus tombstone purge: encoded append lists are
-// rewritten without their dead entries, and base-list tombstones stop
-// being billed (the modeled list rewrite; scans still mask them). It
-// returns (encoded, purged) counts.
+// rewritten without their dead entries (their codeword masks remarked
+// from the survivors), and base-list tombstones stop being billed (the
+// modeled list rewrite; scans still mask them). It returns (encoded,
+// purged) counts.
 func (s *Store) Compact() (int, int) {
 	encoded := s.Reencode()
 	purged := 0
@@ -322,6 +329,8 @@ func (s *Store) Compact() (int, int) {
 			}
 			cl.appIDs = keepIDs
 			cl.appCodes = keepCodes
+			clear(cl.appMask)
+			pq.MarkCodes(cl.appMask, keepCodes, s.cs)
 			cl.deadApp = cl.deadApp[:0]
 			cl.deadAppCount = 0
 		}
@@ -357,7 +366,10 @@ func (s *Store) ScanBytesAll(q dataset.QueryID) int64 {
 // cluster a tombstone-masked PQ scan of the base list, a masked scan
 // of the encoded appends, and a BruteForcer scan of the raw pending
 // buffer — all merged into one TopK (brute distances are true squared
-// L2, commensurate with the LUT's approximate squared distances). It
+// L2, commensurate with the LUT's approximate squared distances). A
+// code list that LUT.Prunes proves cannot change the heap is skipped;
+// tombstones only remove codes, so a list's mask stays a superset. The
+// raw buffers are always scanned: no LUT bounds their true distances. It
 // is the correctness surface for the overlay (tests, examples); the
 // serving engines consume the Store through its cost-model methods.
 // Probe list, LUT, heap and result are the store's own and reused, so a
@@ -370,8 +382,10 @@ func (s *Store) Search(q []float32, nprobe, k int) []vecmath.Neighbor {
 	top.Reset(k)
 	for _, c := range probes {
 		cl := &s.cl[c]
-		s.ix.ScanClusterMasked(lut, c, cl.deadBase, top)
-		if len(cl.appIDs) > 0 {
+		if !lut.Prunes(s.ix.ClusterMask(c), top) {
+			s.ix.ScanClusterMasked(lut, c, cl.deadBase, top)
+		}
+		if len(cl.appIDs) > 0 && !lut.Prunes(cl.appMask, top) {
 			lut.ScanCodesIDsMasked(cl.appCodes, cl.appIDs, cl.deadApp, top)
 		}
 		if len(cl.pendIDs) > 0 {

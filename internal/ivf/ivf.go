@@ -13,7 +13,10 @@
 //     keep the top nprobe;
 //  2. LUT construction: precompute query-to-codeword partial distances;
 //  3. LUT scan: accumulate approximate distances over the candidate
-//     clusters' codes and keep the top-k.
+//     clusters' codes and keep the top-k. Once the top-k is full, a
+//     list whose codeword-mask bound reaches its k-th best is skipped
+//     (pq.LUT.Prunes): no code of it could enter, so the result is the
+//     full scan's, bit for bit.
 //
 // The stages are exposed separately (Probe / BuildLUT / ScanCluster) so
 // the hybrid CPU–GPU engine can route stage 3 per cluster, which is
@@ -76,6 +79,7 @@ type Index struct {
 type list struct {
 	ids   []int32
 	codes []byte
+	mask  []uint64 // the codewords its codes use (pq.MarkCodes)
 }
 
 // Build trains the coarse quantizer on the data and fills the inverted
@@ -130,9 +134,10 @@ func (ix *Index) trained() *pq.Quantizer {
 }
 
 // trainPQ trains the PQ codebooks on Build's corpus and fills each
-// list's codes in list order. Training on the whole corpus yields every
-// vector's code (Encode's, bit for bit), so there is no encode pass.
-// Build validated the config, so an error here is a broken invariant.
+// list's codes in list order, and its codeword mask from them. Training
+// on the whole corpus yields every vector's code (Encode's, bit for
+// bit), so there is no encode pass. Build validated the config, so an
+// error here is a broken invariant.
 func (ix *Index) trainPQ() {
 	quant, codes, err := pq.TrainEncode(ix.pqData, ix.pqCfg)
 	if err != nil {
@@ -140,6 +145,8 @@ func (ix *Index) trainPQ() {
 	}
 	cs := quant.CodeSize()
 	arena := make([]byte, 0, len(codes))
+	ml := pq.MaskLen(cs)
+	masks := make([]uint64, len(ix.lists)*ml)
 	for c := range ix.lists {
 		l := &ix.lists[c]
 		start := len(arena)
@@ -147,6 +154,8 @@ func (ix *Index) trainPQ() {
 			arena = append(arena, codes[int(id)*cs:(int(id)+1)*cs]...)
 		}
 		l.codes = arena[start:len(arena):len(arena)]
+		l.mask = masks[c*ml : (c+1)*ml : (c+1)*ml]
+		pq.MarkCodes(l.mask, l.codes, cs)
 	}
 	ix.quant, ix.pqData = quant, nil
 }
@@ -190,6 +199,15 @@ func (ix *Index) ClusterIDs(c int) []int32 { return ix.lists[c].ids }
 func (ix *Index) ClusterCodes(c int) []byte {
 	ix.trained()
 	return ix.lists[c].codes
+}
+
+// ClusterMask returns cluster c's codeword mask (pq.MaskLen(CodeSize())
+// words): the codewords its codes use, from which LUT.Prunes bounds
+// the distance of every code of the list from below. The slice is the
+// index's own storage — callers must treat it as read-only.
+func (ix *Index) ClusterMask(c int) []uint64 {
+	ix.trained()
+	return ix.lists[c].mask
 }
 
 // NearestCentroid returns the cluster whose centroid is closest to v —
@@ -324,11 +342,17 @@ func (ix *Index) SearchClustersInto(s *SearchScratch, query []float32, clusters 
 	return ix.searchProbed(s, query, clusters, k)
 }
 
+// searchProbed scans the clusters in order into a fresh top-k, skipping
+// a list once LUT.Prunes proves it cannot change the collector: the
+// result is the full scan's, bit for bit.
 func (ix *Index) searchProbed(s *SearchScratch, query []float32, clusters []int, k int) []vecmath.Neighbor {
 	ix.trained().BuildLUTInto(query, &s.lut)
 	s.top.Reset(k)
 	for _, c := range clusters {
-		ix.ScanCluster(&s.lut, c, &s.top)
+		l := &ix.lists[c]
+		if !s.lut.Prunes(l.mask, &s.top) {
+			s.lut.ScanCodesIDs(l.codes, l.ids, &s.top)
+		}
 	}
 	s.out = s.top.AppendSorted(s.out[:0])
 	return s.out

@@ -13,6 +13,8 @@ package pq
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"vectorliterag/internal/kmeans"
 	"vectorliterag/internal/parallel"
@@ -173,9 +175,14 @@ func (q *Quantizer) Decode(code []byte) []float32 {
 // compiler knows exactly, so indexing it with a code byte needs no
 // bounds check in the scan loops. Entries past K-1 are never addressed
 // by valid codes and hold whatever the reused buffer held.
+//
+// low[m] is the codeword of row m's smallest entry (the first, on a
+// tie), which lets lowerBound settle a row in one bit test when a
+// list's mask marks it.
 type LUT struct {
 	M, K int
 	tab  []float32
+	low  []uint8
 }
 
 // lutStride is the padded row length (max codewords addressable by a
@@ -193,7 +200,10 @@ func (q *Quantizer) BuildLUT(v []float32) *LUT {
 // backing buffer when it is large enough — the steady-state path of the
 // search scratch. Entries are computed with the norm decomposition
 // (|q_m|^2 - 2<q_m,c> + |c|^2 with precomputed codeword norms), which
-// replaces the subtract-square inner loop by a dot product.
+// replaces the subtract-square inner loop by a dot product. Each row's
+// smallest entry is noted in low as the row fills, without a branch:
+// entries are +0 or positive (|c|^2 is never -0), so their bits order
+// as their values, and the least of bits<<8|codeword names it.
 func (q *Quantizer) BuildLUTInto(v []float32, t *LUT) {
 	if len(v) != q.Dim {
 		panic(fmt.Sprintf("pq: LUT for vector of dim %d with quantizer dim %d", len(v), q.Dim))
@@ -204,8 +214,13 @@ func (q *Quantizer) BuildLUTInto(v []float32, t *LUT) {
 	} else {
 		t.tab = t.tab[:q.M*lutStride]
 	}
+	if cap(t.low) < q.M {
+		t.low = make([]uint8, q.M)
+	}
+	t.low = t.low[:q.M]
 	sd := q.subDim
 	for m := 0; m < q.M; m++ {
+		low := uint64(math.MaxUint64) // an entry's bits, then its codeword
 		qSub := v[m*sd : (m+1)*sd]
 		qn := vecmath.Norm2(qSub)
 		cb := q.codebooks[m]
@@ -235,6 +250,7 @@ func (q *Quantizer) BuildLUTInto(v []float32, t *LUT) {
 					e = 0
 				}
 				row[j] = e
+				low = min(low, uint64(math.Float32bits(e))<<8|uint64(j))
 			}
 		default:
 			// The products land in the LUT row itself, four codewords per
@@ -246,8 +262,10 @@ func (q *Quantizer) BuildLUTInto(v []float32, t *LUT) {
 					e = 0
 				}
 				row[j] = e
+				low = min(low, uint64(math.Float32bits(e))<<8|uint64(j))
 			}
 		}
+		t.low[m] = uint8(low)
 	}
 }
 
@@ -258,6 +276,71 @@ func (t *LUT) Distance(code []byte) float32 {
 		sum += t.tab[m*lutStride+int(code[m])]
 	}
 	return sum
+}
+
+// maskRow is the number of words a codeword mask spends on one
+// subspace: one bit per codeword a byte code can address.
+const maskRow = lutStride / 64
+
+// MaskLen returns the length of a codeword mask over m subspaces. Bit j
+// of subspace s (mask[s*4+j/64]>>(j%64)&1) marks codeword j as used by
+// some code of the list the mask describes.
+func MaskLen(m int) int { return m * maskRow }
+
+// MarkCodes sets in mask the bit of every codeword the codes (m bytes
+// each) use. A mask stays a valid superset when codes leave its list.
+func MarkCodes(mask []uint64, codes []byte, m int) {
+	for i := 0; i+m <= len(codes); i += m {
+		for s, c := range codes[i : i+m] {
+			mask[s*maskRow+int(c>>6)] |= 1 << (c & 63)
+		}
+	}
+}
+
+// lowerBound returns, for a list whose codeword mask is mask, a
+// distance no code of the list scans below: per subspace the smallest
+// entry among the marked codewords, the minima summed left to right.
+// Every scan kernel sums a code's entries left to right, and rounded
+// float addition is monotone, so the bound holds bit for bit with no
+// margin. A mask with no codeword marked bounds at +Inf.
+//
+// A row whose smallest entry is marked takes it after one bit test;
+// only the other rows visit their marked codewords. A list that uses
+// most codewords marks most row minima, so its bound costs little more
+// than M bit tests, though it can seldom prune.
+func (t *LUT) lowerBound(mask []uint64) float32 {
+	var sum float32
+	nw := (t.K + 63) >> 6 // the words a code below K can mark
+	for m := 0; m < t.M; m++ {
+		row := t.tab[m*lutStride : m*lutStride+lutStride]
+		words := mask[m*maskRow : m*maskRow+nw]
+		if a := t.low[m]; words[a>>6]>>(a&63)&1 != 0 {
+			sum += row[a]
+			continue
+		}
+		lo := float32(math.Inf(1))
+		for w, word := range words {
+			for ; word != 0; word &= word - 1 {
+				if e := row[(w<<6|bits.TrailingZeros64(word))&(lutStride-1)]; e < lo {
+					lo = e
+				}
+			}
+		}
+		sum += lo
+	}
+	return sum
+}
+
+// Prunes reports whether scanning a list whose codeword mask is mask
+// would leave top as it is: top is full and the list's lower bound
+// (per subspace the smallest entry among the marked codewords, summed
+// left to right as the kernels sum a code) reaches its k-th best. A
+// scan kernel pushes only a distance below the k-th best, and none of
+// the list's distances is, so a search may skip the list without
+// changing its result. Nothing is pruned before top fills.
+func (t *LUT) Prunes(mask []uint64, top *vecmath.TopK) bool {
+	worst, full := top.Worst()
+	return full && t.lowerBound(mask) >= worst
 }
 
 // distanceAbandon accumulates the distance for one code but gives up as
