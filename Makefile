@@ -94,8 +94,9 @@ bench-search:
 # joint allocator),
 # retrieval-engine (each engine configuration alone), single-node serve
 # (one sweep-scale Serve call), fleet (round-robin lanes alone,
-# least-loaded lanes in rounds), fleet-sized summary and resilient
-# fault-storm benchmarks, then
+# least-loaded lanes in rounds), summary (fleet-sized, one replica's
+# stride-64 share and a cold summarizer: `Summarize` selects all three)
+# and resilient fault-storm benchmarks, then
 # every registered experiment at quick scale through the CLI's CSV path
 # (one link step: each artifact's runner, its report, and the export of
 # every table); CI runs this so none of them can rot.
@@ -135,6 +136,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzDotRows$$' -fuzztime=$(FUZZTIME) ./internal/vecmath
 	$(GO) test -run=NONE -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/fault
 	$(GO) test -run=NONE -fuzz='^FuzzQuantiles$$' -fuzztime=$(FUZZTIME) ./internal/stats
+	$(GO) test -run=NONE -fuzz='^FuzzSummarize$$' -fuzztime=$(FUZZTIME) ./internal/metrics
 	$(GO) test -run=NONE -fuzz='^FuzzExpectedMin$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run=NONE -fuzz='^FuzzMinBelow$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run=NONE -fuzz='^FuzzCompletionOrder$$' -fuzztime=$(FUZZTIME) ./internal/llm

@@ -571,13 +571,17 @@ func benchFleet(b *testing.B, policy vlr.RoutePolicy) {
 	}
 }
 
-// BenchmarkSummarize measures one warm Summarizer pass over 230 000
-// records, the size of a 64-replica fleet's global summary: the means
-// in collection order and four percentiles of each latency by
-// selection.
+// BenchmarkSummarize measures summaries of 230 000 records, the size of
+// a 64-replica fleet's global summary: the means in collection order
+// and four percentiles of each latency, streamed. "all" is one warm
+// Summarizer pass over every record; "ids-stride64" one replica's share
+// of them (every 64th record, through SummarizeIDs); "cold" the whole
+// pass on a new Summarizer, whose B/op is the scratch one summary
+// allocates.
 func BenchmarkSummarize(b *testing.B) {
 	r := rng.New(1)
 	reqs := make([]workload.Request, 230_000)
+	var ids []int32
 	for i := range reqs {
 		ms := func(mean float64) des.Time { return des.Time(r.ExpFloat64() * mean * 1e6) }
 		q := &reqs[i]
@@ -587,14 +591,34 @@ func BenchmarkSummarize(b *testing.B) {
 		q.LLMStart = q.SearchDone + ms(5)
 		q.FirstToken = q.LLMStart + ms(150)
 		q.Done = q.FirstToken + ms(4000)
+		if i%64 == 0 {
+			ids = append(ids, int32(i))
+		}
 	}
-	var a metrics.Summarizer
-	a.Summarize(reqs, time.Second, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink += a.Summarize(reqs, time.Second, 0).N
-	}
+	b.Run("all", func(b *testing.B) {
+		var a metrics.Summarizer
+		a.Summarize(reqs, time.Second, 0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchSink += a.Summarize(reqs, time.Second, 0).N
+		}
+	})
+	b.Run("ids-stride64", func(b *testing.B) {
+		var a metrics.Summarizer
+		a.SummarizeIDs(reqs, ids, time.Second, 0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchSink += a.SummarizeIDs(reqs, ids, time.Second, 0).N
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink += new(metrics.Summarizer).Summarize(reqs, time.Second, 0).N
+		}
+	})
 }
 
 // BenchmarkResilientStorm measures the serving benchmark's

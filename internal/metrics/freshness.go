@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"vectorliterag/internal/des"
+	"vectorliterag/internal/stats"
 	"vectorliterag/internal/workload"
 )
 
@@ -30,32 +31,55 @@ type Freshness struct {
 // no searchability event — but Deletes are counted for reporting.
 func SummarizeFreshness(muts []workload.Mutation, slo time.Duration, cutoff des.Time) Freshness {
 	var f Freshness
-	var tts []float64
+	var sel stats.Selector
+	sel.Reset(1, len(muts), summaryPs)
 	ok := 0
-	for i := range muts {
-		m := &muts[i]
-		if m.ArrivalAt < cutoff {
-			continue
+	sum := 0.0
+	var tts [chunk]int64
+	for first := true; ; first = false {
+		k := 0
+		for i := range muts {
+			m := &muts[i]
+			if m.ArrivalAt < cutoff {
+				continue
+			}
+			if m.Kind == workload.MutDelete {
+				if first {
+					f.Deletes++
+				}
+				continue
+			}
+			if first {
+				f.Inserts++
+			}
+			if m.AppliedAt == 0 {
+				if first {
+					f.Pending++
+				}
+				continue
+			}
+			t := m.TimeToSearchable()
+			if first {
+				sum += float64(t)
+				if time.Duration(t) <= slo {
+					ok++
+				}
+			}
+			tts[k] = t
+			if k++; k == chunk {
+				sel.Observe(0, tts[:])
+				k = 0
+			}
 		}
-		if m.Kind == workload.MutDelete {
-			f.Deletes++
-			continue
-		}
-		f.Inserts++
-		if m.AppliedAt == 0 {
-			f.Pending++
-			continue
-		}
-		t := m.TimeToSearchable()
-		tts = append(tts, float64(t))
-		if time.Duration(t) <= slo {
-			ok++
+		sel.Observe(0, tts[:k])
+		if !sel.Next() {
+			break
 		}
 	}
 	if f.Inserts > 0 {
 		f.Attainment = float64(ok) / float64(f.Inserts)
 	}
-	f.TTS = quantiles(tts)
+	_, f.TTS = quantiles(&sel, 0, sum)
 	return f
 }
 

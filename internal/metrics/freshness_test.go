@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"vectorliterag/internal/des"
+	"vectorliterag/internal/rng"
 	"vectorliterag/internal/workload"
 )
 
@@ -39,6 +40,37 @@ func TestSummarizeFreshness(t *testing.T) {
 	}
 	if f.TTS.P99 < f.TTS.P50 || f.TTS.Mean <= 0 {
 		t.Fatalf("TTS quantiles inconsistent: %+v", f.TTS)
+	}
+}
+
+// TestFreshnessMatchesReference: the streamed time-to-searchable
+// summary equals the materialized one — the mean by stats.Mean and the
+// percentiles by stats.SelectPercentiles over the applied inserts in log
+// order — on a log large enough to refine, with deletes, pending
+// inserts and a run of equal times mixed in.
+func TestFreshnessMatchesReference(t *testing.T) {
+	r := rng.New(4)
+	muts := make([]workload.Mutation, 20_000)
+	var tts []float64
+	for i := range muts {
+		at := time.Duration(i) * time.Millisecond
+		d := time.Duration(r.ExpFloat64() * 3e7)
+		if i%4 == 0 {
+			d = 12 * time.Millisecond // a fixed re-encode wait
+		}
+		muts[i] = mut(at, d)
+		switch i % 9 {
+		case 3:
+			muts[i].Kind = workload.MutDelete
+		case 5:
+			muts[i].AppliedAt = 0
+		default:
+			tts = append(tts, float64(muts[i].TimeToSearchable()))
+		}
+	}
+	got := SummarizeFreshness(muts, 30*time.Millisecond, 0).TTS
+	if want := referenceQuantiles(tts); got != want {
+		t.Fatalf("TTS %+v, reference %+v", got, want)
 	}
 }
 

@@ -5,8 +5,9 @@
 //
 // Aggregation operates over []workload.Request *values* — a run's
 // arrival-ordered records, one per arrival — read after the run, whole
-// or through an ID list (one replica's share). A Summarizer reuses its
-// scratch buffer across calls.
+// or through an ID list (one replica's share). A Summarizer streams the
+// records through a stats.Selector, which keeps no per-record sample,
+// and reuses its scratch across calls.
 package metrics
 
 import (
@@ -41,11 +42,11 @@ type Summary struct {
 	Breakdown  Breakdown
 }
 
-// Summarizer aggregates runs into Summaries while reusing its sample
-// scratch across calls — the allocation-free aggregation path a run
-// holds while it summarizes itself and its replicas.
+// Summarizer aggregates runs into Summaries while reusing its
+// selection scratch across calls — the allocation-free aggregation path
+// a run holds while it summarizes itself and its replicas.
 type Summarizer struct {
-	buf []float64
+	sel stats.Selector
 }
 
 // Summarize filters to requests that arrived at or after cutoff (warmup
@@ -65,40 +66,101 @@ func (a *Summarizer) SummarizeIDs(reqs []workload.Request, ids []int32, slo time
 	return a.summarize(reqs, ids, false, slo, cutoff)
 }
 
+// The latency sets a summary streams through its Selector.
+const (
+	ttftSet = iota
+	e2eSet
+	searchSet
+	latencySets
+)
+
+// chunk is how many latencies of each set a walk hands the Selector at
+// once.
+const chunk = 256
+
+// observe hands one chunk of each latency set to sel.
+func observe(sel *stats.Selector, ttft, e2e, search []int64) {
+	sel.Observe(ttftSet, ttft)
+	sel.Observe(e2eSet, e2e)
+	sel.Observe(searchSet, search)
+}
+
 // summarize reads every record of reqs when all is set, and otherwise
-// the records ids names.
-//
-// The three latency sets are sampled one after another into one
-// scratch buffer, each read and released before the next is taken, so
-// the scratch is one float per record rather than three.
+// the records ids names, in walks the Selector asks for. The first
+// takes the counts, the attainment and the breakdown sums; every walk
+// streams each served record's three latencies, so no walk keeps a
+// per-record sample.
 func (a *Summarizer) summarize(reqs []workload.Request, ids []int32, all bool, slo time.Duration, cutoff des.Time) Summary {
-	var sumQ, sumS, sumW, sumP float64
+	m := len(ids)
+	if all {
+		m = len(reqs)
+	}
+	sel := &a.sel
+	sel.Reset(latencySets, m, summaryPs)
+	var s Summary
+	var sumT, sumE, sumS, sumQ, sumW, sumP float64 // in collection order
 	ok := 0
-	ttft, n := a.sample(reqs, ids, all, cutoff, func(r *workload.Request) (des.Time, bool) {
-		t := r.TTFT()
-		if time.Duration(t) <= slo {
-			ok++
+	// Latencies pass to the Selector a chunk at a time; TTFT and search
+	// fill together, E2E only for records done.
+	var ttft, search, e2e [chunk]int64
+	for first := true; ; first = false {
+		nt, ne := 0, 0
+		for i := 0; i < m; i++ {
+			r := &reqs[i]
+			if !all {
+				r = &reqs[ids[i]]
+			}
+			if r.ArrivalAt < cutoff {
+				continue
+			}
+			if first {
+				s.N++
+			}
+			if r.FirstToken == 0 {
+				continue
+			}
+			t, sl := r.TTFT(), r.SearchLatency()
+			if first {
+				if time.Duration(t) <= slo {
+					ok++
+				}
+				sumT += float64(t)
+				sumS += float64(sl)
+				sumQ += float64(r.QueueingDelay())
+				sumW += float64(r.LLMStart - r.SearchDone)
+				sumP += float64(r.FirstToken - r.LLMStart)
+				if r.Done > 0 {
+					sumE += float64(r.E2E())
+				}
+			}
+			ttft[nt], search[nt] = t, sl
+			nt++
+			if r.Done > 0 {
+				e2e[ne] = r.E2E()
+				ne++
+			}
+			if nt == chunk {
+				observe(sel, ttft[:], e2e[:ne], search[:])
+				nt, ne = 0, 0
+			}
 		}
-		sumQ += float64(r.QueueingDelay())
-		sumS += float64(r.SearchLatency())
-		sumW += float64(r.LLMStart - r.SearchDone)
-		sumP += float64(r.FirstToken - r.LLMStart)
-		return t, true
-	})
-	served := len(ttft)
-	s := Summary{N: n, Unserved: n - served}
-	if n == 0 {
+		observe(sel, ttft[:nt], e2e[:ne], search[:nt])
+		if !sel.Next() {
+			break
+		}
+	}
+	if s.N == 0 {
 		return s
 	}
-	s.Attainment = float64(ok) / float64(n)
+	s.Attainment = float64(ok) / float64(s.N)
+	var served int
+	served, s.TTFT = quantiles(sel, ttftSet, sumT)
+	s.Unserved = s.N - served
 	if served == 0 {
 		return s
 	}
-	s.TTFT = quantiles(ttft)
-	e2e, _ := a.sample(reqs, ids, all, cutoff, func(r *workload.Request) (des.Time, bool) { return r.E2E(), r.Done > 0 })
-	s.E2E = quantiles(e2e)
-	search, _ := a.sample(reqs, ids, all, cutoff, func(r *workload.Request) (des.Time, bool) { return r.SearchLatency(), true })
-	s.Search = quantiles(search)
+	_, s.E2E = quantiles(sel, e2eSet, sumE)
+	_, s.Search = quantiles(sel, searchSet, sumS)
 	fs := float64(served)
 	s.Breakdown = Breakdown{
 		Queueing: time.Duration(sumQ / fs),
@@ -107,41 +169,6 @@ func (a *Summarizer) summarize(reqs []workload.Request, ids []int32, all bool, s
 		Prefill:  time.Duration(sumP / fs),
 	}
 	return s
-}
-
-// sample walks the records summarize reads, in order, and returns in
-// the scratch buffer of(r) for every one that arrived at or after cutoff
-// and produced a first token, where of reports a value, along with how
-// many arrived at or after cutoff. The sample is valid until the next
-// call.
-func (a *Summarizer) sample(reqs []workload.Request, ids []int32, all bool, cutoff des.Time, of func(*workload.Request) (des.Time, bool)) (sample []float64, n int) {
-	m := len(ids)
-	if all {
-		m = len(reqs)
-	}
-	// No sample can outgrow the record count: size the scratch once
-	// instead of regrowing it append by append.
-	if cap(a.buf) < m {
-		a.buf = make([]float64, 0, m)
-	}
-	sample = a.buf[:0]
-	for i := 0; i < m; i++ {
-		r := &reqs[i]
-		if !all {
-			r = &reqs[ids[i]]
-		}
-		if r.ArrivalAt < cutoff {
-			continue
-		}
-		n++
-		if r.FirstToken == 0 {
-			continue
-		}
-		if v, ok := of(r); ok {
-			sample = append(sample, float64(v))
-		}
-	}
-	return sample, n
 }
 
 // Goodput is SLO-meeting completions per second of arrival window —
@@ -179,20 +206,18 @@ func Goodput(reqs []workload.Request, slos []time.Duration, cutoff, horizon des.
 // summaryPs are the percentiles a Quantiles reports, ascending.
 var summaryPs = []float64{0.50, 0.90, 0.95, 0.99}
 
-// quantiles computes the five-number summary: the mean over the sample
-// in collection order (bit-compatible with the historical float
-// summation order), then the percentiles by selection, which reorders
-// the sample in place — it is the caller's scratch, and nothing reads
-// it again.
-func quantiles(sample []float64) Quantiles {
-	if len(sample) == 0 {
-		return Quantiles{}
-	}
-	mean := stats.Mean(sample)
+// quantiles reads set's sample count and five-number summary off sel
+// after its last walk: the mean of the sample, whose sum the caller
+// took in collection order (the float adds stats.Mean makes), and the
+// percentiles stats.SelectPercentiles reads from the sample.
+func quantiles(sel *stats.Selector, set int, sum float64) (int, Quantiles) {
 	var p [4]float64
-	stats.SelectPercentiles(sample, summaryPs, p[:])
-	return Quantiles{
-		Mean: time.Duration(mean),
+	n := sel.Result(set, p[:])
+	if n == 0 {
+		return 0, Quantiles{}
+	}
+	return n, Quantiles{
+		Mean: time.Duration(sum / float64(n)),
 		P50:  time.Duration(p[0]),
 		P90:  time.Duration(p[1]),
 		P95:  time.Duration(p[2]),

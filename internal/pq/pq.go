@@ -224,27 +224,25 @@ func (q *Quantizer) BuildLUTInto(v []float32, t *LUT) {
 		qSub := v[m*sd : (m+1)*sd]
 		qn := vecmath.Norm2(qSub)
 		cb := q.codebooks[m]
-		// Slicing norms and row to exactly K entries lets the compiler
-		// drop the bounds checks inside the j < K fill loops.
-		norms := q.cbNorms[m][:q.K]
+		// Pinning norms to the row's length lets the prove pass drop
+		// the bounds checks on norms[j] inside the fill loops.
 		row := t.tab[m*lutStride : m*lutStride+q.K]
+		norms := q.cbNorms[m][:len(row)]
 		switch sd {
 		case 4:
 			// The dominant configuration (e.g. dim 32, M 8): the dot
 			// product is written out so the per-entry loop carries no
-			// inner-loop control flow, and the codebook is walked with a
-			// running offset against a length-pinned slice so the prove
-			// pass can drop the element bounds checks. Accumulation
-			// order matches the generic path exactly.
-			cb4 := cb[: q.K*4 : q.K*4]
+			// inner-loop control flow. The loop walks the codebook one
+			// codeword slice at a time and stops at the row's end, so the
+			// prove pass drops every element bounds check (check_bce
+			// reports none in the loop). Accumulation order matches the
+			// generic path exactly.
 			q0, q1, q2, q3 := qSub[0], qSub[1], qSub[2], qSub[3]
-			jj := 0
-			for j := range row {
-				dot := q0 * cb4[jj]
-				dot += q1 * cb4[jj+1]
-				dot += q2 * cb4[jj+2]
-				dot += q3 * cb4[jj+3]
-				jj += 4
+			for j, c := 0, cb[:q.K*4]; j < len(row) && len(c) >= 4; j, c = j+1, c[4:] {
+				dot := q0 * c[0]
+				dot += q1 * c[1]
+				dot += q2 * c[2]
+				dot += q3 * c[3]
 				e := qn - 2*dot + norms[j]
 				if e < 0 {
 					e = 0

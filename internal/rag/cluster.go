@@ -498,6 +498,7 @@ type router struct {
 	first int        // its lanes are first, first+1, …, first+len(next)-1
 	next  []des.Time // per own lane: the next event or inbox head
 	batch []notice   // the notices not yet applied, by stamp
+	spare []notice   // gather's merge target, swapped with batch
 	p     int        // this round's parity: the notes slot its lanes fill
 	mute  bool       // its lanes stop sending notices
 	_     [64]byte
@@ -511,14 +512,33 @@ type router struct {
 }
 
 // gather adds every worker's notices of parity p to the batch, after
-// those the last route left, and sorts it by stamp. Notices of one stamp
-// only decrement gauges, so their order among themselves does not
-// matter.
+// those the last route left, and orders it by stamp: it sorts only the
+// fresh notices and merges them into the carried ones, which are in
+// order already. Notices of one stamp only decrement gauges, so their
+// order among themselves does not matter.
 func (rt *router) gather(rs []*router, p int) {
+	carried := len(rt.batch)
 	for _, o := range rs {
 		rt.batch = append(rt.batch, o.notes[p]...)
 	}
-	slices.SortFunc(rt.batch, func(a, b notice) int { return cmp.Compare(a.at, b.at) })
+	old, fresh := rt.batch[:carried], rt.batch[carried:]
+	slices.SortFunc(fresh, func(a, b notice) int { return cmp.Compare(a.at, b.at) })
+	if carried == 0 || len(fresh) == 0 || old[carried-1].at <= fresh[0].at {
+		return
+	}
+	merged := rt.spare[:0]
+	i, j := 0, 0
+	for i < len(old) && j < len(fresh) {
+		if fresh[j].at < old[i].at {
+			merged = append(merged, fresh[j])
+			j++
+		} else {
+			merged = append(merged, old[i])
+			i++
+		}
+	}
+	merged = append(append(merged, old[i:]...), fresh[j:]...)
+	rt.batch, rt.spare = merged, rt.batch[:0]
 }
 
 // route routes the arrivals before end, applying each batched notice

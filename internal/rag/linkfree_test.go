@@ -1,8 +1,10 @@
 package rag
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -344,6 +346,69 @@ func TestNoticeAtArrivalInstantCountsAfter(t *testing.T) {
 	if !reflect.DeepEqual(rt.load.gauge, []int{2, 2}) || !reflect.DeepEqual(rt.next, []des.Time{1, 2}) {
 		t.Fatalf("gauges %v, lane heads %v; want [2 2] and [1 2]", rt.load.gauge, rt.next)
 	}
+}
+
+// TestGatherMergesLikeFullSort: merging each round's sorted fresh
+// notices into the carried batch orders it exactly as sorting the whole
+// batch did — the same stamps in order, the same lanes at each stamp —
+// over random rounds whose carried part is what a route left (a random
+// suffix), with stamps drawn from a narrow range so ties abound, on one
+// router whose two buffers swap round after round.
+func TestGatherMergesLikeFullSort(t *testing.T) {
+	state := uint64(7)
+	rnd := func(n int) int {
+		state = state*6364136223846793005 + 1442695040888963407
+		return int(state>>33) % n
+	}
+	rs := []*router{{}, {}, {}}
+	rt := rs[0]
+	for round := range 500 {
+		p := round % 2
+		base := des.Time(round * 4)
+		for _, o := range rs {
+			o.notes[p] = o.notes[p][:0]
+			for range rnd(12) {
+				o.notes[p] = append(o.notes[p], notice{at: base + des.Time(rnd(12)), lane: rnd(64)})
+			}
+		}
+		want := slices.Clone(rt.batch)
+		for _, o := range rs {
+			want = append(want, o.notes[p]...)
+		}
+		slices.SortFunc(want, func(a, b notice) int { return cmp.Compare(a.at, b.at) })
+		rt.gather(rs, p)
+		if !sameByStamp(rt.batch, want) {
+			t.Fatalf("round %d: merged %v, sorted %v", round, rt.batch, want)
+		}
+		rt.batch = rt.batch[:copy(rt.batch, rt.batch[rnd(len(rt.batch)+1):])]
+	}
+}
+
+// sameByStamp reports whether two stamp-ordered batches hold the same
+// stamps in order and the same lanes at each stamp.
+func sameByStamp(a, b []notice) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	lanes := func(s []notice) []int {
+		out := make([]int, len(s))
+		for i, n := range s {
+			out[i] = n.lane
+		}
+		slices.Sort(out)
+		return out
+	}
+	for i := 0; i < len(a); {
+		j := i
+		for j < len(a) && a[j].at == a[i].at {
+			j++
+		}
+		if b[i].at != a[i].at || (j < len(b) && b[j].at == a[i].at) || !slices.Equal(lanes(a[i:j]), lanes(b[i:j])) {
+			return false
+		}
+		i = j
+	}
+	return true
 }
 
 // TestLoadIndexPicksLikeScan: the bitset pick is the scan of

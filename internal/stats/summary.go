@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -98,7 +99,7 @@ func lerp(a, b, frac float64) float64 {
 // scans; a window shorter than 16 is insertion-sorted, and one still
 // open after 4·log2(n) rounds is sorted instead, bounding adversarial
 // input at n·log n.
-func selectKth(s []float64, k int) {
+func selectKth[T cmp.Ordered](s []T, k int) {
 	lo, hi := 0, len(s)-1
 	for rounds := 4 * bits.Len(uint(len(s))); hi-lo >= 15; rounds-- {
 		if rounds == 0 {
@@ -142,7 +143,7 @@ func selectKth(s []float64, k int) {
 	}
 }
 
-func median3(a, b, c float64) float64 {
+func median3[T cmp.Ordered](a, b, c T) T {
 	if a > b {
 		a, b = b, a
 	}
