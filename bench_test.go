@@ -1,10 +1,9 @@
 package vectorliterag_test
 
-// One benchmark per table and figure of the paper's evaluation
-// (the registry in internal/experiments): each bench regenerates the
-// corresponding artifact on
-// the simulated substrate in quick mode. Run the full-scale versions
-// with `go run ./cmd/vliterag run -exp <id>`.
+// One sub-benchmark per registered table and figure of the paper's
+// evaluation (the registry in internal/experiments): each regenerates
+// the corresponding artifact on the simulated substrate in quick mode.
+// Run the full-scale versions with `go run ./cmd/vliterag run -exp <id>`.
 //
 // Micro-benchmarks for the hot algorithmic paths (IVF search, live-store
 // search, LUT scan, first-order-statistic integral, Algorithm 1 and the
@@ -42,63 +41,21 @@ import (
 	"vectorliterag/internal/workload"
 )
 
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if _, err := vlr.RunExperiment(id, true); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiments regenerates every registered table and figure
+// (vlr.Experiments) at quick scale, one sub-benchmark per id:
+// `-bench 'Experiments/fig11'` runs Fig. 11's SLO attainment and
+// E2E latency grid alone.
+func BenchmarkExperiments(b *testing.B) {
+	for _, id := range vlr.Experiments() {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := vlr.RunExperiment(id, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-// BenchmarkFig3 regenerates Fig. 3 (IVF vs fast scan; stage breakdown).
-func BenchmarkFig3(b *testing.B) { benchExperiment(b, "fig3") }
-
-// BenchmarkFig4 regenerates Fig. 4 (CPU vs GPU search; KV vs throughput).
-func BenchmarkFig4(b *testing.B) { benchExperiment(b, "fig4") }
-
-// BenchmarkFig5 regenerates Fig. 5 (cluster access CDF).
-func BenchmarkFig5(b *testing.B) { benchExperiment(b, "fig5") }
-
-// BenchmarkFig6 regenerates Fig. 6 (hit-rate distribution vs coverage).
-func BenchmarkFig6(b *testing.B) { benchExperiment(b, "fig6") }
-
-// BenchmarkFig8 regenerates Fig. 8 (latency vs batch; variance parabola).
-func BenchmarkFig8(b *testing.B) { benchExperiment(b, "fig8") }
-
-// BenchmarkFig9 regenerates Fig. 9 (index rebuild timing).
-func BenchmarkFig9(b *testing.B) { benchExperiment(b, "fig9") }
-
-// BenchmarkFig10 regenerates Fig. 10 (model validation).
-func BenchmarkFig10(b *testing.B) { benchExperiment(b, "fig10") }
-
-// BenchmarkFig11 regenerates Fig. 11 (SLO attainment + E2E latency grid).
-func BenchmarkFig11(b *testing.B) { benchExperiment(b, "fig11") }
-
-// BenchmarkFig12 regenerates Fig. 12 (TTFT breakdown).
-func BenchmarkFig12(b *testing.B) { benchExperiment(b, "fig12") }
-
-// BenchmarkFig13 regenerates Fig. 13 (HedraRAG comparison).
-func BenchmarkFig13(b *testing.B) { benchExperiment(b, "fig13") }
-
-// BenchmarkFig14 regenerates Fig. 14 (dispatcher ablation).
-func BenchmarkFig14(b *testing.B) { benchExperiment(b, "fig14") }
-
-// BenchmarkFig15 regenerates Fig. 15 (input/output length ablation).
-func BenchmarkFig15(b *testing.B) { benchExperiment(b, "fig15") }
-
-// BenchmarkFig16 regenerates Fig. 16 + Table II (SLO sensitivity).
-func BenchmarkFig16(b *testing.B) { benchExperiment(b, "fig16") }
-
-// BenchmarkFig17 regenerates Fig. 17 (hardware-capacity robustness).
-func BenchmarkFig17(b *testing.B) { benchExperiment(b, "fig17") }
-
-// BenchmarkTable1 regenerates Table I (SLO targets).
-func BenchmarkTable1(b *testing.B) { benchExperiment(b, "tab1") }
-
-// BenchmarkTable2 regenerates Table II through the Fig. 16 runner (the
-// table is derived from the same SLO sweep).
-func BenchmarkTable2(b *testing.B) { benchExperiment(b, "fig16") }
 
 // --- Offline build ----------------------------------------------------
 
@@ -851,7 +808,3 @@ func BenchmarkWorkloadSample(b *testing.B) {
 		_ = w.Sample(r)
 	}
 }
-
-// BenchmarkAblations regenerates the design-choice ablations (queuing
-// factor and runtime pipeline).
-func BenchmarkAblations(b *testing.B) { benchExperiment(b, "ablations") }

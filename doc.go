@@ -88,7 +88,7 @@
 //	})
 //	fmt.Printf("rejected %d, brownout level %d\n", ov.Overload.RejectedTotal, ov.Overload.MaxLevel)
 //
-// The runnable programs under examples/ demonstrate the full API, and
-// cmd/vliterag regenerates every table and figure of the paper's
-// evaluation.
+// The package's Examples tour the full API, each with the output it
+// prints (go test -run <Name> -v . runs one), and cmd/vliterag
+// regenerates every table and figure of the paper's evaluation.
 package vectorliterag

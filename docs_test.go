@@ -32,6 +32,11 @@ var docFile = regexp.MustCompile("`([\\w./-]+\\.go)(?::[0-9]+)?`")
 // docMake matches a backticked `make <target>`.
 var docMake = regexp.MustCompile("`make ([\\w.-]+)`")
 
+// docExample matches an Example function's name as a doc cites it,
+// `Example`, `ExampleName` or `ExampleName_suffix`, in prose or in a
+// `go test -run` line; the plural "Examples" is not a name.
+var docExample = regexp.MustCompile(`\bExample(?:[A-Z][A-Za-z0-9]*)?(?:_[a-z][A-Za-z0-9]*)?\b`)
+
 // makeRule matches a rule line of the Makefile and captures its
 // target; a variable assignment (`X := y`) is not a rule.
 var makeRule = regexp.MustCompile(`(?m)^([\w.-]+):(?:[^=]|$)`)
@@ -45,10 +50,12 @@ var makeRule = regexp.MustCompile(`(?m)^([\w.-]+):(?:[^=]|$)`)
 // types; Member is a field or method declared on Type. Otherwise pkg
 // must be a standard-library package, so a doc naming a package that
 // no longer exists fails. Every backticked `name.go` names a file in
-// the repository, and every backticked `make <target>` a rule of the
-// Makefile.
+// the repository, every backticked `make <target>` a rule of the
+// Makefile, and every Example name an Example function of the root
+// package's tests.
 func TestDocIdentifiersResolve(t *testing.T) {
 	decls := moduleDecls(t)
+	examples := exampleFuncs(t)
 	files := repoFiles(t)
 	targets := makeTargets(t)
 	metrics := benchmarkMetrics(t)
@@ -82,6 +89,12 @@ func TestDocIdentifiersResolve(t *testing.T) {
 					t.Errorf("%s:%d: %s is no metric BENCHMARK.json declares", doc, i+1, m[0])
 				}
 			}
+			for _, name := range docExample.FindAllString(line, -1) {
+				checked++
+				if !examples[name] {
+					t.Errorf("%s:%d: %s is no Example function of the root package", doc, i+1, name)
+				}
+			}
 			for _, m := range docMake.FindAllStringSubmatch(line, -1) {
 				checked++
 				if !targets[m[1]] {
@@ -106,6 +119,55 @@ func TestDocIdentifiersResolve(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no identifiers found in the docs; the pattern has drifted")
 	}
+}
+
+// TestDocExampleNames: the doc check reads an Example name off a
+// `go test -run` line, anchored or not, and a misspelt name resolves to
+// no Example function.
+func TestDocExampleNames(t *testing.T) {
+	examples := exampleFuncs(t)
+	for line, want := range map[string]string{
+		"go test -run ExampleServeLive -v .":        "ExampleServeLive",
+		"go test -run 'ExampleServeCluster$' -v .":  "ExampleServeCluster",
+		"and `ExampleServeTenants_brownout`.":       "ExampleServeTenants_brownout",
+		"go test -run ExampleServeLiv -v .":         "ExampleServeLiv",
+		"the package's Examples tour the full API.": "",
+	} {
+		got := strings.Join(docExample.FindAllString(line, -1), " ")
+		if got != want {
+			t.Errorf("%q: read %q, want %q", line, got, want)
+		}
+	}
+	if examples["ExampleServeLiv"] {
+		t.Error("the misspelt ExampleServeLiv resolves to an Example function")
+	}
+}
+
+// exampleFuncs returns the Example functions the root package's test
+// files declare.
+func exampleFuncs(t *testing.T) map[string]bool {
+	t.Helper()
+	paths, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Example") {
+				out[fn.Name.Name] = true
+			}
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("no Example functions in the root package's tests")
+	}
+	return out
 }
 
 // benchmarkMetrics returns the end-to-end and per-layer metric names

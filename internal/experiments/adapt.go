@@ -7,9 +7,9 @@ import (
 
 	"vectorliterag/internal/adapt"
 	"vectorliterag/internal/dataset"
+	"vectorliterag/internal/des"
 	"vectorliterag/internal/metrics"
 	"vectorliterag/internal/rag"
-	"vectorliterag/internal/workload"
 )
 
 // adaptBucket is the timeline resolution.
@@ -72,8 +72,11 @@ func Adapt(cfg Config) (*Report, error) {
 			validateErr = err.Error()
 		}
 	}
-	staticPost := attainmentFrom(static.Requests, driftAt, static.SLOTotal)
-	adaptivePost := attainmentFrom(adaptive.Requests, driftAt, adaptive.SLOTotal)
+	// Post-drift attainment: the summary over arrivals at or after the
+	// drift, unserved requests counted as misses.
+	var sum metrics.Summarizer
+	staticPost := sum.Summarize(static.Requests, static.SLOTotal, des.Time(driftAt)).Attainment
+	adaptivePost := sum.Summarize(adaptive.Requests, adaptive.SLOTotal, des.Time(driftAt)).Attainment
 
 	rep := &Report{}
 	rep.Table(dataCol("expected_hit"), dataCol("rebuilds"), dataCol("validate_err"),
@@ -136,24 +139,4 @@ func Adapt(cfg Config) (*Report, error) {
 	}
 	rep.Printf("\n")
 	return rep, nil
-}
-
-// attainmentFrom computes SLO attainment over requests arriving at or
-// after the cutoff (unserved count as violations, as in Summarize).
-func attainmentFrom(reqs []workload.Request, from time.Duration, slo time.Duration) float64 {
-	n, ok := 0, 0
-	for i := range reqs {
-		r := &reqs[i]
-		if time.Duration(r.ArrivalAt) < from {
-			continue
-		}
-		n++
-		if r.FirstToken > 0 && time.Duration(r.TTFT()) <= slo {
-			ok++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(ok) / float64(n)
 }
