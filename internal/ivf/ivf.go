@@ -228,9 +228,10 @@ func (ix *Index) CentroidResidual2(v []float32, c int) float32 {
 	return vecmath.SquaredL2(v, ix.centroids[c*ix.dim:(c+1)*ix.dim])
 }
 
-// ScanClusterMasked is ScanCluster with a positional tombstone bitmap
-// over the inverted list: candidates whose bit is set in dead are
-// skipped (an empty bitmap scans everything).
+// ScanClusterMasked scans one inverted list with the given LUT under a
+// positional tombstone bitmap, pushing candidates into top: candidates
+// whose bit is set in dead are skipped (an empty bitmap scans
+// everything).
 func (ix *Index) ScanClusterMasked(lut *pq.LUT, cluster int, dead []uint64, top *vecmath.TopK) {
 	ix.trained()
 	l := &ix.lists[cluster]
@@ -322,9 +323,7 @@ func (ix *Index) BuildLUT(query []float32) *pq.LUT {
 // ScanCluster scans one inverted list with the given LUT, pushing
 // candidates into top (stage 3 for a single cluster).
 func (ix *Index) ScanCluster(lut *pq.LUT, cluster int, top *vecmath.TopK) {
-	ix.trained()
-	l := &ix.lists[cluster]
-	lut.ScanCodesIDs(l.codes, l.ids, top)
+	ix.ScanClusterMasked(lut, cluster, nil, top)
 }
 
 // SearchInto runs the full three-stage pipeline on the scratch and
@@ -351,7 +350,7 @@ func (ix *Index) searchProbed(s *SearchScratch, query []float32, clusters []int,
 	for _, c := range clusters {
 		l := &ix.lists[c]
 		if !s.lut.Prunes(l.mask, &s.top) {
-			s.lut.ScanCodesIDs(l.codes, l.ids, &s.top)
+			s.lut.ScanCodesIDsMasked(l.codes, l.ids, nil, &s.top)
 		}
 	}
 	s.out = s.top.AppendSorted(s.out[:0])

@@ -135,15 +135,15 @@ func fuzzBound(data []byte) (lut *LUT, codes []byte, ok bool) {
 
 // kernelDistances returns each code's distance as every scan kernel
 // computes it: Distance, distanceAbandon under an infinite bound, and
-// ScanCodesIDs and ScanCodesIDsMasked (an all-live bitmap) in their
-// fill phase (a collector larger than the block) and their steady phase
-// (one code into a full collector whose k-th best is +Inf).
+// ScanCodesIDsMasked with a nil mask and with an all-live bitmap, in
+// its fill phase (a collector larger than the block) and its steady
+// phase (one code into a full collector whose k-th best is +Inf).
 func kernelDistances(lut *LUT, codes []byte) [][]float32 {
 	inf := float32(math.Inf(1))
 	n := len(codes) / lut.M
 	live := make([]uint64, (n+63)/64)
 	scans := []func(codes []byte, ids []int32, top *vecmath.TopK){
-		lut.ScanCodesIDs,
+		func(codes []byte, ids []int32, top *vecmath.TopK) { lut.ScanCodesIDsMasked(codes, ids, nil, top) },
 		func(codes []byte, ids []int32, top *vecmath.TopK) { lut.ScanCodesIDsMasked(codes, ids, live, top) },
 	}
 	out := make([][]float32, n)
@@ -210,7 +210,7 @@ func FuzzLowerBound(f *testing.F) {
 		wantRes := want.AppendSorted(nil)
 		dead := fuzzMask(data, n)
 		for _, scan := range []func(top *vecmath.TopK){
-			func(top *vecmath.TopK) { lut.ScanCodesIDs(codes, fuzzIDs(n), top) },
+			func(top *vecmath.TopK) { lut.ScanCodesIDsMasked(codes, fuzzIDs(n), nil, top) },
 			func(top *vecmath.TopK) { lut.ScanCodesIDsMasked(codes, fuzzIDs(n), dead, top) },
 		} {
 			got := vecmath.NewTopK(k)

@@ -38,9 +38,9 @@ func fuzzLUT(data []byte) (lut *LUT, codes []byte, k int, ok bool) {
 }
 
 // refScan is the naive reference: every candidate fully evaluated with
-// Distance and pushed in list order — the semantics ScanCodesIDs'
-// unrolling, early abandonment and M=8 fast path must preserve bit for
-// bit.
+// Distance and handed to push in list order — the semantics
+// ScanCodesIDsMasked's early abandonment and M=8 fast path must
+// preserve bit for bit, push skipping the dead candidates.
 func refScan(lut *LUT, codes []byte, push func(i int, d float32)) {
 	cs := lut.M
 	for i := 0; i*cs < len(codes); i++ {
@@ -93,11 +93,34 @@ func isDead(dead []uint64, i int) bool {
 	return dead[uint(i)>>6]&(1<<(uint(i)&63)) != 0
 }
 
-// FuzzScanCodesIDsMasked: the tombstone-masked inverted-list scan
-// (including the M=8 specialized kernel) must match the naive masked
-// reference bit for bit — every live candidate fully evaluated and
-// pushed in list order, every dead one skipped — and an all-zero mask
-// must equal no mask.
+// FuzzScanCodesIDs: the inverted-list scan (including the M=8
+// specialized kernel) with a nil mask must match the naive plain
+// reference bit for bit.
+func FuzzScanCodesIDs(f *testing.F) {
+	// M=8 seeds exercise scanIDs8Masked, the specialized hot path.
+	f.Add([]byte("\x07\x03pack my box with five dozen liquor jugs"))
+	f.Add([]byte("\x07\x01\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f\x10"))
+	f.Add([]byte("\x04\x05abcdefghijklmnopqrstuvwxyz0123456789"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lut, codes, k, ok := fuzzLUT(data)
+		if !ok {
+			t.Skip()
+		}
+		n := len(codes) / lut.M
+		ids := fuzzIDs(n)
+		want := vecmath.NewTopK(k)
+		refScan(lut, codes, func(i int, d float32) { want.Push(int(ids[i]), d) })
+		got := vecmath.NewTopK(k)
+		lut.ScanCodesIDsMasked(codes, ids, nil, got)
+		neighborsEqual(t, got.AppendSorted(nil), want.AppendSorted(nil))
+	})
+}
+
+// FuzzScanCodesIDsMasked: the inverted-list scan (including the M=8
+// specialized kernel) must match the naive masked reference bit for
+// bit — every live candidate fully evaluated and pushed in list order,
+// every dead one skipped — and an all-zero mask must match the naive
+// plain reference.
 func FuzzScanCodesIDsMasked(f *testing.F) {
 	// M=8 seeds exercise scanIDs8Masked, the specialized hot path.
 	f.Add([]byte("\x07\x03pack my box with five dozen liquor jugs"))
@@ -120,7 +143,7 @@ func FuzzScanCodesIDsMasked(f *testing.F) {
 		got := vecmath.NewTopK(k)
 		lut.ScanCodesIDsMasked(codes, ids, dead, got)
 		neighborsEqual(t, got.AppendSorted(nil), want.AppendSorted(nil))
-		// An all-zero mask must be indistinguishable from no mask.
+		// An all-zero mask must scan every candidate.
 		clear(dead)
 		want.Reset(k)
 		refScan(lut, codes, func(i int, d float32) { want.Push(int(ids[i]), d) })
@@ -164,9 +187,9 @@ func fuzzSQ(data []byte) (q *ScalarQuantizer, query []float32, codes []byte, k i
 }
 
 // refScanSQ is the naive float reference: every candidate fully
-// evaluated with ScalarQuantizer.Distance and pushed in list order —
-// the semantics ScanSQIDs' unrolling and early abandonment must
-// preserve bit for bit.
+// evaluated with ScalarQuantizer.Distance and handed to push in list
+// order — the semantics ScanSQIDsMasked's early abandonment must
+// preserve bit for bit, push skipping the dead candidates.
 func refScanSQ(q *ScalarQuantizer, query []float32, codes []byte, push func(i int, d float32)) {
 	cs := q.Dim
 	for i := 0; i*cs < len(codes); i++ {
@@ -174,8 +197,8 @@ func refScanSQ(q *ScalarQuantizer, query []float32, codes []byte, push func(i in
 	}
 }
 
-// FuzzScanSQIDs: the inverted-list SQ8 scan must match the naive
-// reference bit for bit.
+// FuzzScanSQIDs: the inverted-list SQ8 scan with no mask must match
+// the naive plain reference bit for bit.
 func FuzzScanSQIDs(f *testing.F) {
 	f.Add([]byte("\x07\x03pack my box with five dozen liquor jugs"))
 	f.Add([]byte("\x04\x05abcdefghijklmnopqrstuvwxyz0123456789"))
@@ -194,9 +217,9 @@ func FuzzScanSQIDs(f *testing.F) {
 	})
 }
 
-// FuzzScanSQIDsMasked: the tombstone-masked inverted-list SQ8 scan
-// must match the naive masked reference bit for bit, and an all-zero
-// mask must equal no mask.
+// FuzzScanSQIDsMasked: the inverted-list SQ8 scan must match the naive
+// masked reference bit for bit, and an all-zero mask must match the
+// naive plain reference.
 func FuzzScanSQIDsMasked(f *testing.F) {
 	f.Add([]byte("\x07\x03pack my box with five dozen liquor jugs"))
 	f.Add([]byte("\x04\x05abcdefghijklmnopqrstuvwxyz0123456789"))
@@ -217,34 +240,12 @@ func FuzzScanSQIDsMasked(f *testing.F) {
 		got := vecmath.NewTopK(k)
 		q.ScanSQIDsMasked(query, codes, ids, dead, got)
 		neighborsEqual(t, got.AppendSorted(nil), want.AppendSorted(nil))
-		// An all-zero mask must be indistinguishable from no mask.
+		// An all-zero mask must scan every candidate.
 		clear(dead)
 		want.Reset(k)
 		refScanSQ(q, query, codes, func(i int, d float32) { want.Push(int(ids[i]), d) })
 		got.Reset(k)
 		q.ScanSQIDsMasked(query, codes, ids, dead, got)
-		neighborsEqual(t, got.AppendSorted(nil), want.AppendSorted(nil))
-	})
-}
-
-// FuzzScanCodesIDs: the inverted-list scan (including the M=8
-// specialized kernel) must match the naive reference bit for bit.
-func FuzzScanCodesIDs(f *testing.F) {
-	// M=8 seeds exercise scanIDs8, the specialized hot path.
-	f.Add([]byte("\x07\x03pack my box with five dozen liquor jugs"))
-	f.Add([]byte("\x07\x01\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f\x10"))
-	f.Add([]byte("\x04\x05abcdefghijklmnopqrstuvwxyz0123456789"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		lut, codes, k, ok := fuzzLUT(data)
-		if !ok {
-			t.Skip()
-		}
-		n := len(codes) / lut.M
-		ids := fuzzIDs(n)
-		want := vecmath.NewTopK(k)
-		refScan(lut, codes, func(i int, d float32) { want.Push(int(ids[i]), d) })
-		got := vecmath.NewTopK(k)
-		lut.ScanCodesIDs(codes, ids, got)
 		neighborsEqual(t, got.AppendSorted(nil), want.AppendSorted(nil))
 	})
 }

@@ -236,13 +236,15 @@ func (q *Quantizer) BuildLUTInto(v []float32, t *LUT) {
 			// codeword slice at a time and stops at the row's end, so the
 			// prove pass drops every element bounds check (check_bce
 			// reports none in the loop). Accumulation order matches the
-			// generic path exactly.
+			// generic path exactly. Each product is rounded by an explicit
+			// conversion, which forbids arm64 from fusing it into the add
+			// (amd64 never fuses), so the entries are the same bits on both.
 			q0, q1, q2, q3 := qSub[0], qSub[1], qSub[2], qSub[3]
 			for j, c := 0, cb[:q.K*4]; j < len(row) && len(c) >= 4; j, c = j+1, c[4:] {
-				dot := q0 * c[0]
-				dot += q1 * c[1]
-				dot += q2 * c[2]
-				dot += q3 * c[3]
+				dot := float32(q0 * c[0])
+				dot += float32(q1 * c[1])
+				dot += float32(q2 * c[2])
+				dot += float32(q3 * c[3])
 				e := qn - 2*dot + norms[j]
 				if e < 0 {
 					e = 0
@@ -366,73 +368,28 @@ func (t *LUT) distanceAbandon(code []byte, bound float32) (float32, bool) {
 	return sum, sum < bound
 }
 
-// ScanCodesIDs computes ADC distances for one inverted list's codes
-// (CodeSize bytes each) and pushes candidate i under ids[i]. It is the
-// loop fast-scan implementations vectorize with SIMD shuffles; here a
-// fill phase pushes until the collector is full, then a 4-way unrolled
-// loop abandons candidates early against the k-th best, read once per
-// group (it only shrinks, so a stale bound is conservative), and M=8
-// takes the inlined scanIDs8. The collector ends bit-identical to a
-// full evaluation in list order.
-func (t *LUT) ScanCodesIDs(codes []byte, ids []int32, top *vecmath.TopK) {
-	if t.M == 8 {
-		t.scanIDs8(codes, ids, top)
-		return
-	}
-	cs := t.M
-	n := len(codes) / cs
-	i := 0
-	for ; i < n; i++ {
-		if _, full := top.Worst(); full {
-			break
-		}
-		top.Push(int(ids[i]), t.Distance(codes[i*cs:(i+1)*cs]))
-	}
-	for ; i+4 <= n; i += 4 {
-		bound, _ := top.Worst()
-		if d, ok := t.distanceAbandon(codes[i*cs:(i+1)*cs], bound); ok {
-			top.Push(int(ids[i]), d)
-		}
-		if d, ok := t.distanceAbandon(codes[(i+1)*cs:(i+2)*cs], bound); ok {
-			top.Push(int(ids[i+1]), d)
-		}
-		if d, ok := t.distanceAbandon(codes[(i+2)*cs:(i+3)*cs], bound); ok {
-			top.Push(int(ids[i+2]), d)
-		}
-		if d, ok := t.distanceAbandon(codes[(i+3)*cs:(i+4)*cs], bound); ok {
-			top.Push(int(ids[i+3]), d)
-		}
-	}
-	for ; i < n; i++ {
-		bound, _ := top.Worst()
-		if d, ok := t.distanceAbandon(codes[i*cs:(i+1)*cs], bound); ok {
-			top.Push(int(ids[i]), d)
-		}
-	}
-}
-
-// ScanCodesIDsMasked is ScanCodesIDs with a positional tombstone
-// bitmap: bit i of dead (dead[i/64]>>(i%64)&1) marks list position i
-// deleted, and masked positions are skipped unevaluated. An empty
-// bitmap falls through to the unmasked scan; a non-empty one covers at
-// least ceil(n/64) words. The collector ends bit-identical to a naive
-// masked full evaluation, and nothing is allocated. The generic steady
-// phase skips the unroll (the mask test already breaks the straight
-// line); the M=8 path keeps its hoisted rows and midpoint abandon.
+// ScanCodesIDsMasked computes ADC distances for one inverted list's
+// codes (CodeSize bytes each) and pushes candidate i under ids[i],
+// skipping the list positions a tombstone bitmap marks deleted: bit i
+// of dead (dead[i/64]>>(i%64)&1) marks position i, a non-empty bitmap
+// covers at least ceil(n/64) words, and an empty one (nil, for a list
+// with no tombstones) masks nothing. It is the loop fast-scan
+// implementations vectorize with SIMD shuffles; here a fill phase
+// pushes until the collector is full, then each live candidate is
+// abandoned early against the k-th best, and M=8 takes the inlined
+// scanIDs8Masked. The collector ends bit-identical to a naive masked
+// full evaluation in list order, and nothing is allocated.
 func (t *LUT) ScanCodesIDsMasked(codes []byte, ids []int32, dead []uint64, top *vecmath.TopK) {
-	if len(dead) == 0 {
-		t.ScanCodesIDs(codes, ids, top)
-		return
-	}
 	if t.M == 8 {
 		t.scanIDs8Masked(codes, ids, dead, top)
 		return
 	}
+	masked := len(dead) > 0
 	cs := t.M
 	n := len(codes) / cs
 	i := 0
 	for ; i < n; i++ {
-		if dead[uint(i)>>6]&(1<<(uint(i)&63)) != 0 {
+		if masked && dead[uint(i)>>6]&(1<<(uint(i)&63)) != 0 {
 			continue
 		}
 		if _, full := top.Worst(); full {
@@ -441,7 +398,7 @@ func (t *LUT) ScanCodesIDsMasked(codes []byte, ids []int32, dead []uint64, top *
 		top.Push(int(ids[i]), t.Distance(codes[i*cs:(i+1)*cs]))
 	}
 	for ; i < n; i++ {
-		if dead[uint(i)>>6]&(1<<(uint(i)&63)) != 0 {
+		if masked && dead[uint(i)>>6]&(1<<(uint(i)&63)) != 0 {
 			continue
 		}
 		bound, _ := top.Worst()
@@ -451,63 +408,25 @@ func (t *LUT) ScanCodesIDsMasked(codes []byte, ids []int32, dead []uint64, top *
 	}
 }
 
-// scanIDs8Masked is scanIDs8 with the positional tombstone test folded
-// into both phases. Accumulation order and abandon decisions over the
-// surviving candidates are identical to the unmasked fast path, so a
-// masked scan matches a naive masked full evaluation bit for bit.
+// scanIDs8Masked is ScanCodesIDsMasked specialized to the dominant M=8
+// code size: the eight LUT rows are hoisted into locals (no m*K
+// multiply, no inner loop) and the early-abandon check sits inline at
+// the subspace midpoint. Accumulation order and abandon decisions over
+// the live candidates are identical to the generic path, so the
+// collector's contents match bit for bit.
 func (t *LUT) scanIDs8Masked(codes []byte, ids []int32, dead []uint64, top *vecmath.TopK) {
-	tab := t.tab[:8*lutStride]
-	t0, t1, t2, t3 := tab[0:256], tab[256:512], tab[512:768], tab[768:1024]
-	t4, t5, t6, t7 := tab[1024:1280], tab[1280:1536], tab[1536:1792], tab[1792:2048]
-	n := len(codes) / 8
-	i := 0
-	for ; i < n; i++ {
-		if dead[uint(i)>>6]&(1<<(uint(i)&63)) != 0 {
-			continue
-		}
-		if _, full := top.Worst(); full {
-			break
-		}
-		c := codes[i*8 : i*8+8 : i*8+8]
-		d := t0[c[0]] + t1[c[1]] + t2[c[2]] + t3[c[3]]
-		d = d + t4[c[4]] + t5[c[5]] + t6[c[6]] + t7[c[7]]
-		top.Push(int(ids[i]), d)
-	}
-	if i >= n {
-		return
-	}
-	bound, _ := top.Worst()
-	for ; i < n; i++ {
-		if dead[uint(i)>>6]&(1<<(uint(i)&63)) != 0 {
-			continue
-		}
-		c := codes[i*8 : i*8+8 : i*8+8]
-		d := t0[c[0]] + t1[c[1]] + t2[c[2]] + t3[c[3]]
-		if d >= bound {
-			continue
-		}
-		d = d + t4[c[4]] + t5[c[5]] + t6[c[6]] + t7[c[7]]
-		if d < bound {
-			top.Push(int(ids[i]), d)
-			bound, _ = top.Worst()
-		}
-	}
-}
-
-// scanIDs8 is ScanCodesIDs specialized to the dominant M=8 code size:
-// the eight LUT rows are hoisted into locals (no m*K multiply, no inner
-// loop) and the early-abandon check sits inline at the subspace
-// midpoint. Accumulation order and abandon decisions are identical to
-// the generic path, so the collector's contents match bit for bit.
-func (t *LUT) scanIDs8(codes []byte, ids []int32, top *vecmath.TopK) {
 	// Constant slice bounds give each row a compiler-known length of
 	// 256, so indexing with a code byte is provably in bounds.
 	tab := t.tab[:8*lutStride]
 	t0, t1, t2, t3 := tab[0:256], tab[256:512], tab[512:768], tab[768:1024]
 	t4, t5, t6, t7 := tab[1024:1280], tab[1280:1536], tab[1536:1792], tab[1792:2048]
+	masked := len(dead) > 0
 	n := len(codes) / 8
 	i := 0
 	for ; i < n; i++ {
+		if masked && dead[uint(i)>>6]&(1<<(uint(i)&63)) != 0 {
+			continue
+		}
 		if _, full := top.Worst(); full {
 			break
 		}
@@ -524,6 +443,9 @@ func (t *LUT) scanIDs8(codes []byte, ids []int32, top *vecmath.TopK) {
 	// without a load per candidate.
 	bound, _ := top.Worst()
 	for ; i < n; i++ {
+		if masked && dead[uint(i)>>6]&(1<<(uint(i)&63)) != 0 {
+			continue
+		}
 		c := codes[i*8 : i*8+8 : i*8+8]
 		d := t0[c[0]] + t1[c[1]] + t2[c[2]] + t3[c[3]]
 		if d >= bound {

@@ -121,7 +121,7 @@ func TestScanCodesFindsNearest(t *testing.T) {
 	query := append([]float32(nil), data[17*8:18*8]...)
 	lut := q.BuildLUT(query)
 	top := vecmath.NewTopK(5)
-	lut.ScanCodesIDs(codes, positional(n), top)
+	lut.ScanCodesIDsMasked(codes, positional(n), nil, top)
 	res := top.AppendSorted(nil)
 	found := false
 	for _, nb := range res {
@@ -192,7 +192,7 @@ func TestPQRecallOnClusteredData(t *testing.T) {
 		truth := vecmath.BruteForceTopK(query, data, dim, 10)
 		lut := q.BuildLUT(query)
 		top := vecmath.NewTopK(10)
-		lut.ScanCodesIDs(codes, ids, top)
+		lut.ScanCodesIDsMasked(codes, ids, nil, top)
 		got := top.AppendSorted(nil)
 		gotSet := map[int]bool{}
 		for _, nb := range got {
@@ -211,20 +211,11 @@ func TestPQRecallOnClusteredData(t *testing.T) {
 	}
 }
 
-// referenceScan is the pre-optimization scan semantics: every code's
-// full distance pushed in index order, no unrolling, no abandonment.
-func referenceScan(lut *LUT, codes []byte, ids []int32, top *vecmath.TopK) {
-	cs := lut.M
-	for i := 0; i*cs < len(codes); i++ {
-		top.Push(int(ids[i]), lut.Distance(codes[i*cs:(i+1)*cs]))
-	}
-}
-
 // TestScanCodesIDsMatchesReference asserts that early abandonment and
-// the unrolled/specialized loops never change the selected top-k: for
-// both the generic path and the M=8 fast path, across k values and
-// pre-seeded collector states, results are bit-identical to pushing
-// every full distance.
+// the specialized loop never change the selected top-k of an unmasked
+// scan: for both the generic path and the M=8 fast path, across k
+// values and pre-seeded collector states, results are bit-identical to
+// pushing every full distance (refScan).
 func TestScanCodesIDsMatchesReference(t *testing.T) {
 	r := rng.New(11)
 	for _, m := range []int{4, 8, 16} {
@@ -248,8 +239,8 @@ func TestScanCodesIDsMatchesReference(t *testing.T) {
 				got.Push(i, d)
 				want.Push(i, d)
 			}
-			lut.ScanCodesIDs(codes, ids, got)
-			referenceScan(lut, codes, ids, want)
+			lut.ScanCodesIDsMasked(codes, ids, nil, got)
+			refScan(lut, codes, func(i int, d float32) { want.Push(int(ids[i]), d) })
 			g, w := got.AppendSorted(nil), want.AppendSorted(nil)
 			if len(g) != len(w) {
 				t.Fatalf("M=%d k=%d: lengths differ %d vs %d", m, k, len(g), len(w))

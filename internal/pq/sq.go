@@ -62,21 +62,23 @@ func (q *ScalarQuantizer) Encode(v []float32, dst []byte) []byte {
 		if t > 1 {
 			t = 1
 		}
-		dst[d] = byte(t*255 + 0.5)
+		dst[d] = byte(float32(t*255) + 0.5)
 	}
 	return dst
 }
 
 // Distance returns the approximate squared L2 distance between a query
 // and one code (asymmetric: exact query vs decoded code, computed
-// without materializing the decode).
+// without materializing the decode). Each product is rounded by an
+// explicit conversion, which forbids arm64 from fusing it into the add
+// (amd64 never fuses), so a distance is the same bits on both.
 func (q *ScalarQuantizer) Distance(query []float32, code []byte) float32 {
 	var sum float32
 	for d := range query {
 		t := float32(code[d]) / 255
-		rec := q.min[d] + t*(q.max[d]-q.min[d])
+		rec := q.min[d] + float32(t*(q.max[d]-q.min[d]))
 		diff := query[d] - rec
-		sum += diff * diff
+		sum += float32(diff * diff)
 	}
 	return sum
 }

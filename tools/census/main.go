@@ -1,10 +1,11 @@
 // Command census reports exported names of internal/ packages that no
-// code reached from a main, an init or the root package's API refers
-// to, exported fields of exported *Options/*Config structs that no
-// reached code outside their package assigns or names in a literal, and
-// unexported fields of internal/ structs that code only assigns or
-// names in a literal, never reads. Tests do not count; a method is also
-// reached through its type when an interface declares its name. Run it
+// code reached from a main, an init, the root package's API or its
+// godoc Examples refers to, exported fields of exported *Options/*Config
+// structs that no reached code outside their package assigns or names
+// in a literal, and unexported fields of internal/ structs that code
+// only assigns or names in a literal, never reads. Other tests do not
+// count; a method is also reached through its type when an interface
+// declares its name. Run it
 // from the module root (`make census`); it fails on findings
 // allowlist.txt does not give a reason for, and on stale allowlist
 // entries.
@@ -99,6 +100,21 @@ func census(root string) (map[string]string, error) {
 	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
 	pkgs, files := map[string]*types.Package{}, map[*types.Package][]*ast.File{}
 	var load importerFunc
+	check := func(path, dir string, names []string) (*types.Package, error) {
+		var fs []*ast.File
+		for _, name := range names {
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
+			if err != nil {
+				return nil, err
+			}
+			fs = append(fs, f)
+		}
+		p, err := (&types.Config{Importer: load}).Check(path, fset, fs, info)
+		if err == nil {
+			files[p] = fs
+		}
+		return p, err
+	}
 	load = func(path string) (*types.Package, error) {
 		if path != module && !strings.HasPrefix(path, module+"/") {
 			return std.Import(path)
@@ -110,17 +126,9 @@ func census(root string) (map[string]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		var fs []*ast.File
-		for _, name := range bp.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
-			if err != nil {
-				return nil, err
-			}
-			fs = append(fs, f)
-		}
-		p, err := (&types.Config{Importer: load}).Check(path, fset, fs, info)
+		p, err := check(path, dir, bp.GoFiles)
 		if err == nil {
-			pkgs[path], files[p] = p, fs
+			pkgs[path] = p
 		}
 		return p, err
 	}
@@ -140,6 +148,13 @@ func census(root string) (map[string]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The root's external test package holds its godoc Examples.
+	var examples *types.Package
+	if bp, err := build.ImportDir(root, 0); err == nil && len(bp.XTestGoFiles) > 0 {
+		if examples, err = check(module+"_test", root, bp.XTestGoFiles); err != nil {
+			return nil, err
+		}
+	}
 
 	// A field's reads are its uses less its sets.
 	reads := map[*types.Var]int{}
@@ -151,11 +166,12 @@ func census(root string) (map[string]string, error) {
 		}
 	}
 
-	// Roots: main, init, blank declarations and the root package's API.
+	// Roots: main, init, blank declarations, the root package's API and
+	// its Examples.
 	declOf, methods := map[types.Object]*decl{}, map[types.Object][]types.Object{}
 	var queue []types.Object
 	for p, fs := range files {
-		library := p.Name() != "main" && !strings.Contains(p.Path()+"/", "/internal/")
+		library := p != examples && p.Name() != "main" && !strings.Contains(p.Path()+"/", "/internal/")
 		for _, f := range fs {
 			for _, fd := range f.Decls {
 				d := scan(info, fd)
@@ -165,7 +181,7 @@ func census(root string) (map[string]string, error) {
 				switch fd := fd.(type) {
 				case *ast.FuncDecl:
 					ids = []*ast.Ident{fd.Name}
-					if n := fd.Name.Name; fd.Recv == nil && (n == "init" || n == "main" && p.Name() == "main") {
+					if n := fd.Name.Name; fd.Recv == nil && (n == "init" || n == "main" && p.Name() == "main" || p == examples && strings.HasPrefix(n, "Example")) {
 						queue = append(queue, info.Defs[fd.Name])
 					}
 				case *ast.GenDecl:
@@ -194,6 +210,9 @@ func census(root string) (map[string]string, error) {
 	// A call through an interface reaches every method of its name.
 	iface := map[string]bool{"Error": true}
 	for p := range files {
+		if p == examples {
+			continue // tests do not count
+		}
 		for _, q := range append(p.Imports(), p) {
 			for _, name := range q.Scope().Names() {
 				if it, ok := q.Scope().Lookup(name).Type().Underlying().(*types.Interface); ok {

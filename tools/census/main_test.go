@@ -7,9 +7,11 @@ import (
 
 // TestCensusFixture: in testdata/mod, a func only a test calls, a func
 // reached only from it, a method no interface names, an option field
-// nothing sets and a field only a test reads are the findings; the
-// allowlist excuses them only with a reason, a ".*" entry excuses every
-// finding under its prefix, and a stale entry fails too.
+// only a non-Example function of the root's tests sets and a field only
+// a test reads are the findings; a field only the root's godoc Example
+// sets is not one. The allowlist excuses findings only with a reason, a
+// ".*" entry excuses every finding under its prefix, and a stale entry
+// fails too.
 func TestCensusFixture(t *testing.T) {
 	excuse := "lib.Dead kept\nlib.DeadChain kept\nlib.T.Extra kept\nlib.Options.Unset kept\nlib.counter.* kept\n"
 	for _, tc := range []struct {
@@ -22,6 +24,7 @@ func TestCensusFixture(t *testing.T) {
 		{strings.Replace(excuse, "lib.Dead kept", "lib.Dead", 1), 1, "allowlist entry without a reason: lib.Dead\ncensus: 1 problem(s)"},
 		{excuse + "lib.Used kept\n", 1, "stale allowlist entry: lib.Used\ncensus: 1 problem(s)"},
 		{excuse + "lib.T.* kept\n", 1, "stale allowlist entry: lib.T.*\ncensus: 1 problem(s)"},
+		{excuse + "lib.Options.Example kept\n", 1, "stale allowlist entry: lib.Options.Example\ncensus: 1 problem(s)"},
 	} {
 		var out strings.Builder
 		if code := run("testdata/mod", tc.allow, &out); code != tc.code || !strings.HasPrefix(out.String(), tc.want) {

@@ -1,9 +1,11 @@
 package lib
 
-// Options has one field a caller sets and one nothing sets.
+// Options has one field main sets, one only an Example sets and one
+// nothing else sets.
 type Options struct {
-	Set   int
-	Unset int
+	Set     int
+	Example int
+	Unset   int
 }
 
 // Used is reached from main; reading Unset does not set it.
