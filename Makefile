@@ -1,5 +1,5 @@
 # Developer entry points. CI runs, in order: `make vet`, `make
-# vet-arm64`, `make lint`, `make build`, `make census`, `make
+# vet-arm64`, `make fma-arm64`, `make lint`, `make build`, `make census`, `make
 # race-engines`, the race test suite with a coverage profile and `make
 # cover-ratchet` on it, `make fuzz-smoke`, `make bench-smoke` and `make
 # scaling-smoke`. The race test suite also runs the public API's godoc
@@ -21,7 +21,7 @@ FUZZTIME ?= 5s
 # improves; never lower it to make CI pass.
 COVER_MIN ?= 81.0
 
-.PHONY: verify build census test vet vet-arm64 lint race race-engines bench bench-search bench-smoke scaling-smoke fuzz-smoke cover cover-check cover-ratchet fmt
+.PHONY: verify build census test vet vet-arm64 fma-arm64 lint race race-engines bench bench-search bench-smoke scaling-smoke fuzz-smoke cover cover-check cover-ratchet fmt
 
 verify: vet lint build race
 
@@ -45,10 +45,23 @@ vet:
 
 # Cross-vet for arm64: compile-checks every package (and its tests) for
 # the other 64-bit target. The bit pins are verified on amd64 only; Go
-# may fuse x*y+z into one FMA instruction on arm64, so there the schedule
-# is compile-checked but not pinned.
+# may fuse x*y+z into one FMA instruction on arm64, which rounds once
+# where amd64 rounds twice, so there the schedule is compile-checked but
+# not pinned (fma-arm64 pins the kernels' part of it).
 vet-arm64:
 	GOARCH=arm64 $(GO) vet ./...
+
+# No fused multiply-add in the search kernels on arm64: compiles pq and
+# vecmath for arm64 with the assembly listing and fails on any fused
+# instruction, so their products round as on amd64. -a forces the
+# compile: a warm build cache would print no listing and pass unseen.
+FMA_PKGS = ./internal/pq ./internal/vecmath
+fma-arm64:
+	@listing=$$(GOARCH=arm64 $(GO) build -a -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$listing"; exit 1; }; \
+	if echo "$$listing" | grep -E '\bF(N?)M(ADD|SUB)[SD]\b'; then \
+		echo "FAIL: fused multiply-add above in $(FMA_PKGS) on arm64; wrap the product in float32(...)"; exit 1; \
+	fi; \
+	echo "no fused multiply-add in $(FMA_PKGS) on arm64"
 
 # Static analysis beyond vet when the tool is on PATH; a quiet no-op
 # otherwise so verify works in hermetic containers without network

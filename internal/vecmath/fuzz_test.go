@@ -122,9 +122,9 @@ func fuzzMatrix(data []byte) (q, rows []float32, dim int, ok bool) {
 }
 
 // FuzzDotRows: for any query and matrix, every DotRows output is Dot's
-// bits for that row, every SquaredL2Rows output SquaredL2's, and the
-// blocked ArgminNormScore picks the (index, score) a per-row Dot loop
-// picks.
+// bits for that row, on the AVX kernel and on the portable loop, every
+// SquaredL2Rows output SquaredL2's, and the blocked ArgminNormScore
+// picks the (index, score) a per-row Dot loop picks.
 func FuzzDotRows(f *testing.F) {
 	f.Add([]byte("\x03the five boxing wizards jump quickly over the lazy dog!"))
 	f.Add([]byte("\x00\x00\x00\x80\x3f\x00\x00\x80\x7f\x00\x00\x00\x00\x00\x00\xc0\x7f\x01\x00\x00\x00\x00\x00\x80\xff"))
@@ -134,26 +134,30 @@ func FuzzDotRows(f *testing.F) {
 			t.Skip()
 		}
 		n := len(rows) / dim
-		dots, l2s := make([]float32, n), make([]float32, n)
-		DotRows(q, rows, dim, dots)
+		l2s := make([]float32, n)
 		SquaredL2Rows(q, rows, dim, l2s)
 		for i := 0; i < n; i++ {
-			row := rows[i*dim : (i+1)*dim]
-			if want := Dot(q, row); !sameBits(dots[i], want) {
-				t.Fatalf("dim %d row %d of %d: DotRows %x, Dot %x", dim, i, n, math.Float32bits(dots[i]), math.Float32bits(want))
-			}
-			if want := SquaredL2(q, row); !sameBits(l2s[i], want) {
+			if want := SquaredL2(q, rows[i*dim:(i+1)*dim]); !sameBits(l2s[i], want) {
 				t.Fatalf("dim %d row %d of %d: SquaredL2Rows %x, SquaredL2 %x", dim, i, n, math.Float32bits(l2s[i]), math.Float32bits(want))
 			}
 		}
-		if n == 0 {
-			return
-		}
-		norms := RowNorms(rows, dim, nil)
-		wi, ws, w2 := naiveArgminNormScore(q, rows, norms, dim)
-		if gi, gs, g2 := ArgminNormScore(q, rows, norms, dim); gi != wi || !sameBits(gs, ws) || !sameBits(g2, w2) {
-			t.Fatalf("dim %d, %d rows: ArgminNormScore (%d, %x, %x), per-row loop (%d, %x, %x)", dim, n,
-				gi, math.Float32bits(gs), math.Float32bits(g2), wi, math.Float32bits(ws), math.Float32bits(w2))
-		}
+		dotPaths(func(path string) {
+			dots := make([]float32, n)
+			DotRows(q, rows, dim, dots)
+			for i := 0; i < n; i++ {
+				if want := Dot(q, rows[i*dim:(i+1)*dim]); !sameBits(dots[i], want) {
+					t.Fatalf("%s: dim %d row %d of %d: DotRows %x, Dot %x", path, dim, i, n, math.Float32bits(dots[i]), math.Float32bits(want))
+				}
+			}
+			if n == 0 {
+				return
+			}
+			norms := RowNorms(rows, dim, nil)
+			wi, ws, w2 := naiveArgminNormScore(q, rows, norms, dim)
+			if gi, gs, g2 := ArgminNormScore(q, rows, norms, dim); gi != wi || !sameBits(gs, ws) || !sameBits(g2, w2) {
+				t.Fatalf("%s: dim %d, %d rows: ArgminNormScore (%d, %x, %x), per-row loop (%d, %x, %x)", path, dim, n,
+					gi, math.Float32bits(gs), math.Float32bits(g2), wi, math.Float32bits(ws), math.Float32bits(w2))
+			}
+		})
 	})
 }

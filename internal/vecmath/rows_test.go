@@ -38,11 +38,13 @@ func sameBits(a, b float32) bool {
 	return math.Float32bits(a) == math.Float32bits(b) || (math.IsNaN(float64(a)) && math.IsNaN(float64(b)))
 }
 
-// rowsShapes is dims 1–67 × row counts 0–9, 128, 131: every remainder
-// of the four-row step and of Dot's own four-term unroll.
+// rowsShapes is dims 1–67 × row counts 0–9, 15–17, 23–25, 128, 131:
+// every remainder of the four-row step and of Dot's own four-term
+// unroll, and for the AVX kernel one group of eight, a pair of groups,
+// a pair plus one group, each with and without a Go tail after it.
 func rowsShapes(f func(dim, n int)) {
 	for dim := 1; dim <= 67; dim++ {
-		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 128, 131} {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 23, 24, 25, 128, 131} {
 			f(dim, n)
 		}
 	}
@@ -50,25 +52,54 @@ func rowsShapes(f func(dim, n int)) {
 
 // TestDotRowsMatchesDot: every output of the blocked kernel is the bits
 // Dot returns for that row, with and without special values in both
-// operands.
+// operands, on the AVX kernel and on the portable loop — and with rows
+// and out starting at odd element offsets, so the kernel's loads and
+// stores are unaligned and must write no element outside out.
 func TestDotRowsMatchesDot(t *testing.T) {
 	r := rng.New(31)
-	for _, withSpecials := range []bool{false, true} {
-		rowsShapes(func(dim, n int) {
-			q := make([]float32, dim)
-			rows := make([]float32, n*dim)
-			fillMixed(r, q, withSpecials)
-			fillMixed(r, rows, withSpecials)
-			out := make([]float32, n)
-			DotRows(q, rows, dim, out)
-			for i, got := range out {
-				if want := Dot(q, rows[i*dim:(i+1)*dim]); !sameBits(got, want) {
-					t.Fatalf("dim %d rows %d row %d: DotRows %x (%v), Dot %x (%v)", dim, n, i,
-						math.Float32bits(got), got, math.Float32bits(want), want)
+	check := func(path string, q, rows []float32, dim int, out []float32) {
+		t.Helper()
+		for i, got := range out {
+			if want := Dot(q, rows[i*dim:(i+1)*dim]); !sameBits(got, want) {
+				t.Fatalf("%s: dim %d rows %d row %d: DotRows %x (%v), Dot %x (%v)", path, dim, len(out), i,
+					math.Float32bits(got), got, math.Float32bits(want), want)
+			}
+		}
+	}
+	dotPaths(func(path string) {
+		for _, withSpecials := range []bool{false, true} {
+			rowsShapes(func(dim, n int) {
+				q := make([]float32, dim)
+				rows := make([]float32, n*dim)
+				fillMixed(r, q, withSpecials)
+				fillMixed(r, rows, withSpecials)
+				out := make([]float32, n)
+				DotRows(q, rows, dim, out)
+				check(path, q, rows, dim, out)
+			})
+		}
+		for _, dim := range []int{4, 8, 12, 64} {
+			for _, off := range []int{1, 3} {
+				const n = 25
+				q := make([]float32, dim)
+				rowsBuf := make([]float32, off+n*dim)
+				fillMixed(r, q, true)
+				fillMixed(r, rowsBuf, true)
+				rows := rowsBuf[off:]
+				outBuf := make([]float32, off+n+1)
+				const guard = 12345
+				for i := range outBuf {
+					outBuf[i] = guard
+				}
+				out := outBuf[off : off+n]
+				DotRows(q, rows, dim, out)
+				check(path, q, rows, dim, out)
+				if outBuf[off-1] != guard || outBuf[off+n] != guard {
+					t.Fatalf("%s: dim %d offset %d: DotRows wrote outside out", path, dim, off)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestSquaredL2RowsMatchesSquaredL2 is the same contract for the
@@ -145,13 +176,17 @@ func naiveArgminNormScore(q, rows, norms []float32, dim int) (int, float32, floa
 // equals the best) and with NaN scores (which never displace a winner,
 // and stay the answer only from row 0).
 func TestArgminNormScoreMatchesNaive(t *testing.T) {
+	dotPaths(func(path string) { testArgminNormScoreMatchesNaive(t, path) })
+}
+
+func testArgminNormScoreMatchesNaive(t *testing.T, path string) {
 	r := rng.New(33)
 	check := func(label string, q, rows, norms []float32, dim int) {
 		t.Helper()
 		wi, ws, w2 := naiveArgminNormScore(q, rows, norms, dim)
 		gi, gs, g2 := ArgminNormScore(q, rows, norms, dim)
 		if gi != wi || !sameBits(gs, ws) || !sameBits(g2, w2) {
-			t.Fatalf("%s: got (%d, %x, %x), naive (%d, %x, %x)", label,
+			t.Fatalf("%s, %s: got (%d, %x, %x), naive (%d, %x, %x)", path, label,
 				gi, math.Float32bits(gs), math.Float32bits(g2), wi, math.Float32bits(ws), math.Float32bits(w2))
 		}
 	}
@@ -188,7 +223,7 @@ func TestArgminNormScoreMatchesNaive(t *testing.T) {
 		rows[i] = float32(i%4) + 1
 	}
 	if i, _, _ := ArgminNormScore(rows[:4], rows, RowNorms(rows, 4, nil), 4); i != 0 {
-		t.Fatalf("all rows tied: winner %d, want 0", i)
+		t.Fatalf("%s: all rows tied: winner %d, want 0", path, i)
 	}
 }
 

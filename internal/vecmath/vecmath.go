@@ -13,9 +13,17 @@
 // a plain dot product.
 //
 // Every one-vector-against-many-rows loop runs on DotRows (or its
-// subtract-square twin SquaredL2Rows): four rows advance together, each
-// on its own sequential accumulator, so the result of every row is the
-// bits Dot would return while the four add chains overlap.
+// subtract-square twin SquaredL2Rows): several rows advance together,
+// each on its own sequential accumulator, so the result of every row is
+// the bits Dot would return while the add chains overlap. On amd64 with
+// AVX, DotRows runs eight rows to a YMM register in assembly
+// (dotrows_amd64.s), one row per lane; elsewhere, and for what the
+// kernel leaves, four rows advance in Go.
+//
+// Every product is rounded to float32 before it is added — an explicit
+// float32(x*y) conversion, which the Go spec forbids fusing into a
+// multiply-add — so the bits are the same on arm64, where Go would
+// otherwise emit FMA, as on amd64, where it never does.
 package vecmath
 
 import "math"
@@ -24,43 +32,44 @@ import "math"
 // The slices must have equal length. Pinning b's length to a's lets the
 // compiler drop the bounds check in the loop; the 4-way unroll keeps a
 // single sequential accumulator, so rounding is identical to the
-// one-term-per-iteration fold.
+// one-term-per-iteration fold: each square rounded, then added.
 func SquaredL2(a, b []float32) float32 {
 	b = b[:len(a)]
 	var sum float32
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
 		d0 := a[i] - b[i]
-		sum += d0 * d0
+		sum += float32(d0 * d0)
 		d1 := a[i+1] - b[i+1]
-		sum += d1 * d1
+		sum += float32(d1 * d1)
 		d2 := a[i+2] - b[i+2]
-		sum += d2 * d2
+		sum += float32(d2 * d2)
 		d3 := a[i+3] - b[i+3]
-		sum += d3 * d3
+		sum += float32(d3 * d3)
 	}
 	for ; i < len(a); i++ {
 		d := a[i] - b[i]
-		sum += d * d
+		sum += float32(d * d)
 	}
 	return sum
 }
 
 // Dot returns the inner product of a and b. The loop is 4-way unrolled
 // with a single sequential accumulator: identical rounding to the
-// one-term-per-iteration fold, just less loop overhead.
+// one-term-per-iteration fold (each product rounded, then added), just
+// less loop overhead.
 func Dot(a, b []float32) float32 {
 	b = b[:len(a)]
 	var sum float32
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
-		sum += a[i] * b[i]
-		sum += a[i+1] * b[i+1]
-		sum += a[i+2] * b[i+2]
-		sum += a[i+3] * b[i+3]
+		sum += float32(a[i] * b[i])
+		sum += float32(a[i+1] * b[i+1])
+		sum += float32(a[i+2] * b[i+2])
+		sum += float32(a[i+3] * b[i+3])
 	}
 	for ; i < len(a); i++ {
-		sum += a[i] * b[i]
+		sum += float32(a[i] * b[i])
 	}
 	return sum
 }
@@ -73,17 +82,20 @@ func Norm2(v []float32) float32 {
 // DotRows writes out[i] = Dot(q, row i) for every row of the row-major
 // matrix rows (dim columns): len(q) must be dim and len(out) the row
 // count. Dot's single accumulator makes a product one chain of dependent
-// adds; here four consecutive rows advance together, each on its own
-// sequential accumulator with Dot's expression shape (sum += q[j] *
-// row[j], j ascending), so every output is bit-for-bit Dot's — on a
-// platform that contracts x*y+z, both contract — and the four chains
-// overlap in the pipeline. Remainder rows go through Dot. It panics on a
+// adds; here several rows advance together, each on its own sequential
+// accumulator doing Dot's sequence (sum += float32(q[j] * row[j]), j
+// ascending: a rounded product, then a rounded add), so every output is
+// bit-for-bit Dot's and the chains overlap in the pipeline. On amd64
+// with AVX and dim a multiple of four, the leading multiple of eight
+// rows goes to the assembly kernel, each row one lane of a YMM
+// accumulator (VMULPS then VADDPS, no FMA); the rest advance four rows
+// at a time in Go, and remainder rows go through Dot. It panics on a
 // non-positive dim or mismatched lengths.
 func DotRows(q, rows []float32, dim int, out []float32) {
 	if dim <= 0 || len(q) != dim || len(rows) != len(out)*dim {
 		panic("vecmath: DotRows on non-positive dim or mismatched lengths")
 	}
-	i := 0
+	i := dotRowsKernel(q, rows, dim, out)
 	for ; i+4 <= len(out); i += 4 {
 		// Re-slicing each row to len(q) lets the compiler drop the bounds
 		// checks in the j loop.
@@ -94,10 +106,10 @@ func DotRows(q, rows []float32, dim int, out []float32) {
 		r3 := blk[3*dim : 4*dim][:len(q)]
 		var s0, s1, s2, s3 float32
 		for j, x := range q {
-			s0 += x * r0[j]
-			s1 += x * r1[j]
-			s2 += x * r2[j]
-			s3 += x * r3[j]
+			s0 += float32(x * r0[j])
+			s1 += float32(x * r1[j])
+			s2 += float32(x * r2[j])
+			s3 += float32(x * r3[j])
 		}
 		o := out[i : i+4 : i+4]
 		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
@@ -109,7 +121,7 @@ func DotRows(q, rows []float32, dim int, out []float32) {
 
 // SquaredL2Rows is DotRows for the subtract-square distance: out[i] =
 // SquaredL2(q, row i), bit for bit, four rows per step on one sequential
-// accumulator each. (SquaredL2 is exactly symmetric in its arguments —
+// accumulator each, in Go on every platform. (SquaredL2 is exactly symmetric in its arguments —
 // a-b and b-a differ only in sign, which the square drops — so callers
 // holding many vectors and one centre pass the centre as q.)
 func SquaredL2Rows(q, rows []float32, dim int, out []float32) {
@@ -126,13 +138,13 @@ func SquaredL2Rows(q, rows []float32, dim int, out []float32) {
 		var s0, s1, s2, s3 float32
 		for j, x := range q {
 			d0 := x - r0[j]
-			s0 += d0 * d0
+			s0 += float32(d0 * d0)
 			d1 := x - r1[j]
-			s1 += d1 * d1
+			s1 += float32(d1 * d1)
 			d2 := x - r2[j]
-			s2 += d2 * d2
+			s2 += float32(d2 * d2)
 			d3 := x - r3[j]
-			s3 += d3 * d3
+			s3 += float32(d3 * d3)
 		}
 		o := out[i : i+4 : i+4]
 		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
