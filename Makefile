@@ -147,6 +147,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzExpectedMin$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run=NONE -fuzz='^FuzzMinBelow$$' -fuzztime=$(FUZZTIME) ./internal/stats
 	$(GO) test -run=NONE -fuzz='^FuzzCompletionOrder$$' -fuzztime=$(FUZZTIME) ./internal/llm
+	$(GO) test -run=NONE -fuzz='^FuzzQueue$$' -fuzztime=$(FUZZTIME) ./internal/des
 	$(GO) test -run=NONE -fuzz='^FuzzResilientRecords$$' -fuzztime=$(FUZZTIME) ./internal/serve
 
 # Per-package coverage plus the total.

@@ -8,46 +8,31 @@ package des
 // no barrier, only its messages in send order.
 type Inbox struct {
 	deliver func(any)
-
-	// Undelivered messages in send order, from head on.
-	pending []Msg
-	head    int
+	pending Queue[Msg] // undelivered messages in send order
 }
 
 // NewInbox returns an empty inbox with room for n messages, delivering
 // to deliver.
 func NewInbox(deliver func(any), n int) *Inbox {
-	return &Inbox{deliver: deliver, pending: make([]Msg, 0, n)}
+	return &Inbox{deliver: deliver, pending: Queue[Msg]{items: make([]Msg, 0, n)}}
 }
 
 // Post appends a message stamped at to an inbox whose Sim is not
 // executing (before RunFed, or between Feed calls). Messages are
 // delivered in Post order: one stamped earlier than its predecessor
 // waits behind it.
-func (b *Inbox) Post(at Time, arg any) { b.push(Msg{at, arg}) }
+func (b *Inbox) Post(at Time, arg any) { b.pending.Push(Msg{at, arg}) }
 
 // Len returns the number of undelivered messages.
-func (b *Inbox) Len() int { return len(b.pending) - b.head }
-
-// push appends a message on the consumer side, first reclaiming the
-// delivered prefix once it is the larger part, so the slice stays as
-// long as the backlog and steady state allocates nothing.
-func (b *Inbox) push(m Msg) {
-	if b.head > len(b.pending)/2 {
-		b.pending = b.pending[:copy(b.pending, b.pending[b.head:])]
-		b.head = 0
-	}
-	b.pending = append(b.pending, m)
-}
+func (b *Inbox) Len() int { return b.pending.Len() }
 
 // Drain consumes every message still undelivered after the run, in send
 // order. Call only after the run has returned.
 func (b *Inbox) Drain(fn func(at Time, arg any)) {
-	for _, m := range b.pending[b.head:] {
+	for _, m := range b.pending.Items() {
 		fn(m.at, m.arg)
 	}
-	b.pending = b.pending[:0]
-	b.head = 0
+	b.pending.Drop(b.pending.Len())
 }
 
 // headMin returns the earliest head stamp over the inboxes, maxTime
@@ -55,8 +40,8 @@ func (b *Inbox) Drain(fn func(at Time, arg any)) {
 func headMin(in []*Inbox) Time {
 	lo := maxTime
 	for _, b := range in {
-		if b.head < len(b.pending) {
-			lo = min(lo, b.pending[b.head].at)
+		if b.pending.Len() > 0 {
+			lo = min(lo, b.pending.Items()[0].at)
 		}
 	}
 	return lo
@@ -83,16 +68,17 @@ func feed(sim *Sim, in []*Inbox, minHead *Time, last Time) Time {
 		if *minHead <= nt && *minHead <= last {
 			*minHead = maxTime
 			for _, b := range in {
-				for b.head < len(b.pending) {
-					m := &b.pending[b.head]
+				n := 0
+				for _, m := range b.pending.Items() {
 					if m.at > nt || m.at > last {
 						*minHead = min(*minHead, m.at)
 						break
 					}
 					sim.AtArg(m.at, b.deliver, m.arg)
-					b.head++
+					n++
 					nt = m.at
 				}
+				b.pending.Drop(n)
 			}
 		}
 		if nt > last {

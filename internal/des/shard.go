@@ -141,7 +141,7 @@ func (l *Link) Send(at Time, arg any) {
 	}
 	w := l.src.w
 	if w == nil { // outside Run nothing else is running
-		l.in.push(Msg{at, arg})
+		l.in.Post(at, arg)
 		return
 	}
 	w.box[l.to] = append(w.box[l.to], mail{l, Msg{at, arg}})
@@ -305,7 +305,7 @@ func (g *Group) work(w *worker, start Time) {
 					s.minHead = m.at
 					w.next[s.slot] = min(w.next[s.slot], m.at)
 				}
-				l.in.push(m.Msg)
+				l.in.pending.Push(m.Msg)
 			}
 		}
 	}

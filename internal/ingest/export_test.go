@@ -1,7 +1,7 @@
 package ingest
 
 // Queued reports mutations still waiting at the station.
-func (ing *Ingester) Queued() int { return len(ing.queue) - ing.head }
+func (ing *Ingester) Queued() int { return ing.queue.Len() }
 
 // Inserts and Deletes report applied mutation counts.
 func (s *Store) Inserts() int { return s.inserts }

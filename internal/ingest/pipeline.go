@@ -42,8 +42,7 @@ type Ingester struct {
 	insertCost time.Duration
 	deleteCost time.Duration
 
-	queue []*workload.Mutation
-	head  int
+	queue des.Queue[*workload.Mutation]
 	busy  bool
 
 	reencodeEvery   time.Duration
@@ -82,7 +81,7 @@ func New(cfg Config) *Ingester {
 // Submit enqueues a mutation at its arrival instant — wire it as the
 // MutationGen submit callback.
 func (ing *Ingester) Submit(m *workload.Mutation) {
-	ing.queue = append(ing.queue, m)
+	ing.queue.Push(m)
 	ing.kick()
 }
 
@@ -98,11 +97,11 @@ func (ing *Ingester) kick() {
 		ing.sim.After(costmodel.ReencodeTime(ing.node.CPU, ing.store.w.Spec, ing.store.PendingLogical()), ing.finishReencode)
 		return
 	}
-	if ing.head >= len(ing.queue) {
+	if ing.queue.Len() == 0 {
 		return
 	}
 	ing.busy = true
-	m := ing.queue[ing.head]
+	m := ing.queue.Items()[0]
 	if m.Kind == workload.MutInsert {
 		ing.sim.After(ing.insertCost, ing.finishMut)
 	} else {
@@ -113,14 +112,7 @@ func (ing *Ingester) kick() {
 // onFinishMut applies the head mutation at its service-completion
 // instant and records it in the log.
 func (ing *Ingester) onFinishMut() {
-	m := ing.queue[ing.head]
-	ing.queue[ing.head] = nil
-	ing.head++
-	if ing.head > 256 && ing.head*2 > len(ing.queue) {
-		n := copy(ing.queue, ing.queue[ing.head:])
-		ing.queue = ing.queue[:n]
-		ing.head = 0
-	}
+	m := ing.queue.Pop()
 	if m.Kind == workload.MutInsert {
 		ing.store.Insert(m)
 		m.AppliedAt = ing.sim.Now()

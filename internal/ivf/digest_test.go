@@ -13,10 +13,10 @@ import (
 // an experiment golden: FNV-1a over the coarse centroids, every
 // inverted list's ids and codes, and the ProbeInto / SearchInto results
 // of 64 fixed queries, for one small fixed-seed build per PQ sub-vector
-// width (dim 32 → sd 4, the hand-unrolled LUT arm; dim 64 → sd 8, the
-// generic one). The constants were recorded before the k-means, encode,
-// probe and LUT loops moved onto vecmath.DotRows; a kernel change that
-// alters one float32 rounding anywhere in build or search moves them.
+// width (dim 32 → sd 4; dim 64 → sd 8). The constants were recorded
+// before the k-means, encode, probe and LUT loops moved onto
+// vecmath.DotRows; a kernel change that alters one float32 rounding
+// anywhere in build or search moves them.
 func TestBuildDigestPinned(t *testing.T) {
 	for _, tc := range []struct {
 		dim  int

@@ -205,8 +205,8 @@ func checkAgainstSweep(t testing.TB, sc ringScenario) ringRun {
 		t.Fatalf("ring emitted %d tokens over %d completions, sweep %d over %d requests",
 			got.tokensOut, len(got.order), want.tokensOut, len(sc.outs))
 	}
-	if inst.kvUsedTokens != 0 || inst.sumCtx != 0 || inst.nRunning != 0 {
-		t.Fatalf("ring leak at drain: kv=%d ctx=%d running=%d", inst.kvUsedTokens, inst.sumCtx, inst.nRunning)
+	if inst.kvUsedTokens != 0 || inst.sumCtx != 0 || inst.run.Len() != 0 {
+		t.Fatalf("ring leak at drain: kv=%d ctx=%d running=%d", inst.kvUsedTokens, inst.sumCtx, inst.run.Len())
 	}
 	// Every completion was announced when its iteration was scheduled,
 	// at its instant and at least one minimum decode step ahead.
@@ -271,8 +271,8 @@ func FuzzCompletionOrder(f *testing.F) {
 
 // TestWarmRingAllocFree pins the steady state: once warm, an instance
 // allocates nothing per decode iteration while requests of mixed
-// lengths keep joining and finishing, and the ring's compaction never
-// regrows its backing array.
+// lengths keep joining and finishing: a queue that regrew its backing
+// array would show as an allocation.
 func TestWarmRingAllocFree(t *testing.T) {
 	var sim des.Sim
 	node := hw.L40SNode()
@@ -308,15 +308,11 @@ func TestWarmRingAllocFree(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		cycle()
 	}
-	ringCap := cap(inst.run)
 	j0, f0 := joined, finished
 	if allocs := testing.AllocsPerRun(500, cycle); allocs != 0 {
 		t.Fatalf("warm instance allocated %.2f objects per cycle, want 0", allocs)
 	}
 	if joined-j0 < 100 || finished-f0 < 100 {
 		t.Fatalf("only %d joins and %d completions while measured", joined-j0, finished-f0)
-	}
-	if cap(inst.run) != ringCap {
-		t.Fatalf("ring regrew from %d to %d entries while warm", ringCap, cap(inst.run))
 	}
 }

@@ -43,19 +43,17 @@ func DefaultEngineConfig() EngineConfig {
 // iteration plus O(1) per completion — not O(running sequences):
 // because every running decode gains exactly one token per iteration,
 // an entry's completion tick is known the moment it joins the decode
-// set, so running entries sit in a ring ordered by completion tick
-// (join order within a tick) and each step compares only the head with
+// set, so running entries sit in a queue ordered by completion tick
+// (join order within a tick) and each step compares only the front with
 // the clock instead of sweeping every entry. A uniform OutputTokens
 // makes every join an append; mixed lengths insert from the tail. The
 // aggregate context size advances in bulk (+running per tick),
 // reproducing the per-entry bookkeeping of the sweep version bit for
 // bit: same completion instants, same completion order, same
-// decode-step durations. Entries are stored by value, the waiting
-// queue and the ring compact their backing arrays instead of re-slicing
-// them away, the prefill-completion set is tracked as a count
-// (completed prefills are always a FIFO prefix of prefilling), and the
-// two scheduler callbacks (iterate, and the post-iteration step) are
-// bound once at construction instead of captured per event.
+// decode-step durations. The prefill-completion set is tracked as a
+// count (completed prefills are always a FIFO prefix of prefilling),
+// and the two scheduler callbacks (iterate, and the post-iteration
+// step) are bound once at construction instead of captured per event.
 type Instance struct {
 	sim  *des.Sim
 	spec ModelSpec
@@ -66,19 +64,15 @@ type Instance struct {
 	kvCapacityTokens int64
 	kvUsedTokens     int64
 
-	waiting    []entry // not yet admitted (no KV reserved)
-	wHead      int     // consumed prefix of waiting (compacted on append)
-	prefilling []entry // admitted, prompt tokens still being consumed
-	sumCtx     int64   // total context tokens across running entries
+	waiting    des.Queue[entry] // not yet admitted (no KV reserved)
+	prefilling des.Queue[entry] // admitted, prompt tokens still being consumed
+	sumCtx     int64            // total context tokens across running entries
 	busy       bool
 
-	// The decode set: run[rHead:] ordered by completion tick, join
-	// order within a tick. nRunning counts its entries; tick is the
-	// current decode iteration number.
-	run      []finEntry
-	rHead    int
-	tick     int64
-	nRunning int
+	// The decode set, ordered by completion tick, join order within a
+	// tick; tick is the current decode iteration number.
+	run  des.Queue[finEntry]
+	tick int64
 
 	// Per-iteration physics constants, precomputed at construction so
 	// the (very hot) iteration loop does no redundant spec math.
@@ -123,8 +117,8 @@ type entry struct {
 	reserved       int64 // KV tokens reserved at admission
 }
 
-// finEntry is a decoding request in the ring until the tick its last
-// token lands on.
+// finEntry is a decoding request in the decode set until the tick its
+// last token lands on.
 type finEntry struct {
 	req      *workload.Request
 	done     int64 // completion tick
@@ -162,7 +156,7 @@ func NewInstance(sim *des.Sim, node hw.Node, spec ModelSpec, gpus []*gpu.State, 
 
 // Load returns the number of requests queued or running.
 func (in *Instance) Load() int {
-	return len(in.waiting) - in.wHead + len(in.prefilling) + in.nRunning
+	return in.waiting.Len() + in.prefilling.Len() + in.run.Len()
 }
 
 // Completed returns the number of finished requests.
@@ -170,14 +164,7 @@ func (in *Instance) Completed() int64 { return in.completed }
 
 // Submit enqueues a request; the scheduling loop wakes if idle.
 func (in *Instance) Submit(req *workload.Request) {
-	if in.wHead > 0 && len(in.waiting) == cap(in.waiting) {
-		// Compact the consumed prefix away before append would grow the
-		// array: the queue stays allocation-free once warm.
-		n := copy(in.waiting, in.waiting[in.wHead:])
-		in.waiting = in.waiting[:n]
-		in.wHead = 0
-	}
-	in.waiting = append(in.waiting, entry{req: req})
+	in.waiting.Push(entry{req: req})
 	in.wake()
 }
 
@@ -196,30 +183,25 @@ func (in *Instance) wake() {
 // the decode read time and the prefill compute.
 func (in *Instance) iterate() {
 	// Admission: reserve KV for as many waiting requests as fit.
-	for in.wHead < len(in.waiting) {
-		e := in.waiting[in.wHead]
+	for in.waiting.Len() > 0 {
+		e := in.waiting.Items()[0]
 		need := int64(e.req.Shape.InputTokens) + int64(e.req.Shape.OutputTokens)
-		if in.nRunning+len(in.prefilling)+1 > in.cfg.MaxSeqs {
+		if in.run.Len()+in.prefilling.Len()+1 > in.cfg.MaxSeqs {
 			break
 		}
 		if in.kvUsedTokens+need > in.kvCapacityTokens {
 			break
 		}
-		in.waiting[in.wHead] = entry{}
-		in.wHead++
-		if in.wHead == len(in.waiting) {
-			in.waiting = in.waiting[:0]
-			in.wHead = 0
-		}
+		in.waiting.Pop()
 		e.reserved = need
 		e.prefillPending = int(e.req.Shape.InputTokens)
 		e.outTokens = int(e.req.Shape.OutputTokens)
 		e.req.LLMStart = in.sim.Now()
 		in.kvUsedTokens += need
-		in.prefilling = append(in.prefilling, e)
+		in.prefilling.Push(e)
 	}
 
-	if len(in.prefilling) == 0 && in.nRunning == 0 {
+	if in.prefilling.Len() == 0 && in.run.Len() == 0 {
 		in.busy = false
 		return
 	}
@@ -230,11 +212,12 @@ func (in *Instance) iterate() {
 	budget := in.cfg.MaxPrefillTokens
 	prefillTokens := 0
 	in.prefillDone = 0
-	for i := range in.prefilling {
+	prefilling := in.prefilling.Items()
+	for i := range prefilling {
 		if budget <= 0 {
 			break
 		}
-		e := &in.prefilling[i]
+		e := &prefilling[i]
 		take := e.prefillPending
 		if take > budget {
 			take = budget
@@ -249,7 +232,7 @@ func (in *Instance) iterate() {
 
 	// Iteration duration: decode reads + prefill compute.
 	var d time.Duration
-	if in.nRunning > 0 {
+	if in.run.Len() > 0 {
 		d += in.decodeStepTime()
 	}
 	if prefillTokens > 0 {
@@ -267,7 +250,7 @@ func (in *Instance) iterate() {
 }
 
 // announce tells onSchedule that the iteration just scheduled, ending at
-// end, completes the ring entries due on the next tick, if there are
+// end, completes the decode-set entries due on the next tick, if there are
 // any. Those are exactly the requests step will complete at end: only
 // step parks entries, after its completions and before it re-enters
 // iterate, and nothing cancels a scheduled step. An iteration that
@@ -275,7 +258,10 @@ func (in *Instance) iterate() {
 // completion is announced that long before it happens.
 func (in *Instance) announce(end des.Time) {
 	n := 0
-	for i := in.rHead; i < len(in.run) && in.run[i].done == in.tick+1; i++ {
+	for _, f := range in.run.Items() {
+		if f.done != in.tick+1 {
+			break
+		}
 		n++
 	}
 	if n > 0 {
@@ -283,7 +269,7 @@ func (in *Instance) announce(end des.Time) {
 	}
 }
 
-// park inserts a freshly prefilled entry into the ring. The entry
+// park inserts a freshly prefilled entry into the decode set. The entry
 // joined decoding with one token already emitted, gains one per
 // subsequent tick, and completes on the first tick where its count
 // reaches outTokens — ticks = max(1, outTokens-1) from now (even a
@@ -292,21 +278,15 @@ func (in *Instance) announce(end des.Time) {
 // due no later, so a tick's finishers stay in join order.
 func (in *Instance) park(e *entry) {
 	ticks := max(e.outTokens-1, 1)
-	if in.rHead > 0 && len(in.run) == cap(in.run) {
-		n := copy(in.run, in.run[in.rHead:])
-		clear(in.run[n:])
-		in.run = in.run[:n]
-		in.rHead = 0
-	}
 	f := finEntry{req: e.req, done: in.tick + int64(ticks),
 		ctx: int64(e.req.Shape.InputTokens) + 1 + int64(ticks), reserved: e.reserved}
-	in.run = append(in.run, f)
-	i := len(in.run) - 1
-	for ; i > in.rHead && in.run[i-1].done > f.done; i-- {
-		in.run[i] = in.run[i-1]
+	in.run.Push(f)
+	run := in.run.Items()
+	i := len(run) - 1
+	for ; i > 0 && run[i-1].done > f.done; i-- {
+		run[i] = run[i-1]
 	}
-	in.run[i] = f
-	in.nRunning++
+	run[i] = f
 }
 
 // step applies the iteration scheduled by iterate: decode tokens land,
@@ -315,19 +295,19 @@ func (in *Instance) park(e *entry) {
 func (in *Instance) step() {
 	now := in.sim.Now()
 	// Decode side: every running request gains a token — in bulk, since
-	// they advance in lockstep — and the ring's head holds exactly the
-	// requests whose last token just landed, in join order.
+	// they advance in lockstep — and the decode set's front holds
+	// exactly the requests whose last token just landed, in join order.
 	in.tick++
-	in.tokensOut += int64(in.nRunning)
-	in.sumCtx += int64(in.nRunning)
-	h := in.rHead
-	for in.rHead < len(in.run) && in.run[in.rHead].done == in.tick {
-		in.rHead++
+	in.tokensOut += int64(in.run.Len())
+	in.sumCtx += int64(in.run.Len())
+	run := in.run.Items()
+	n := 0
+	for n < len(run) && run[n].done == in.tick {
+		n++
 	}
-	if due := in.run[h:in.rHead]; len(due) > 0 {
-		in.nRunning -= len(due)
-		for i := range due {
-			e := &due[i]
+	if n > 0 {
+		for i := range run[:n] {
+			e := &run[i]
 			e.req.Done = now
 			in.kvUsedTokens -= e.reserved
 			in.sumCtx -= e.ctx
@@ -336,18 +316,15 @@ func (in *Instance) step() {
 				in.onDone(e.req)
 			}
 		}
-		clear(due)
-		if in.rHead == len(in.run) {
-			in.run = in.run[:0]
-			in.rHead = 0
-		}
+		in.run.Drop(n)
 	}
 	// Prefill side: fully prefilled requests emit their first token
 	// (the TTFT endpoint) and join the decode set.
 	if k := in.prefillDone; k > 0 {
 		in.prefillDone = 0
-		for i := range in.prefilling[:k] {
-			e := &in.prefilling[i]
+		done := in.prefilling.Items()[:k]
+		for i := range done {
+			e := &done[i]
 			e.req.FirstToken = now
 			in.tokensOut++
 			in.sumCtx += int64(e.req.Shape.InputTokens) + 1
@@ -356,8 +333,7 @@ func (in *Instance) step() {
 				in.onFirstToken(e.req)
 			}
 		}
-		n := copy(in.prefilling, in.prefilling[k:])
-		in.prefilling = in.prefilling[:n]
+		in.prefilling.Drop(k)
 	}
 	in.iterate()
 }

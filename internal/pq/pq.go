@@ -225,45 +225,19 @@ func (q *Quantizer) BuildLUTInto(v []float32, t *LUT) {
 		qn := vecmath.Norm2(qSub)
 		cb := q.codebooks[m]
 		// Pinning norms to the row's length lets the prove pass drop
-		// the bounds checks on norms[j] inside the fill loops.
+		// the bounds checks on norms[j] inside the fill loop.
 		row := t.tab[m*lutStride : m*lutStride+q.K]
 		norms := q.cbNorms[m][:len(row)]
-		switch sd {
-		case 4:
-			// The dominant configuration (e.g. dim 32, M 8): the dot
-			// product is written out so the per-entry loop carries no
-			// inner-loop control flow. The loop walks the codebook one
-			// codeword slice at a time and stops at the row's end, so the
-			// prove pass drops every element bounds check (check_bce
-			// reports none in the loop). Accumulation order matches the
-			// generic path exactly. Each product is rounded by an explicit
-			// conversion, which forbids arm64 from fusing it into the add
-			// (amd64 never fuses), so the entries are the same bits on both.
-			q0, q1, q2, q3 := qSub[0], qSub[1], qSub[2], qSub[3]
-			for j, c := 0, cb[:q.K*4]; j < len(row) && len(c) >= 4; j, c = j+1, c[4:] {
-				dot := float32(q0 * c[0])
-				dot += float32(q1 * c[1])
-				dot += float32(q2 * c[2])
-				dot += float32(q3 * c[3])
-				e := qn - 2*dot + norms[j]
-				if e < 0 {
-					e = 0
-				}
-				row[j] = e
-				low = min(low, uint64(math.Float32bits(e))<<8|uint64(j))
+		// The products land in the LUT row itself and are turned into
+		// entries in place.
+		vecmath.DotRows(qSub, cb[:q.K*sd], sd, row)
+		for j, dot := range row {
+			e := qn - 2*dot + norms[j]
+			if e < 0 {
+				e = 0
 			}
-		default:
-			// The products land in the LUT row itself, four codewords per
-			// step, and are turned into entries in place.
-			vecmath.DotRows(qSub, cb[:q.K*sd], sd, row)
-			for j, dot := range row {
-				e := qn - 2*dot + norms[j]
-				if e < 0 {
-					e = 0
-				}
-				row[j] = e
-				low = min(low, uint64(math.Float32bits(e))<<8|uint64(j))
-			}
+			row[j] = e
+			low = min(low, uint64(math.Float32bits(e))<<8|uint64(j))
 		}
 		t.low[m] = uint8(low)
 	}

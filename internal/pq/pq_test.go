@@ -282,9 +282,9 @@ func TestBuildLUTIntoReusesBuffer(t *testing.T) {
 
 // TestBuildLUTMatchesPerEntryFormula pins every LUT entry, bit for bit,
 // to the per-codeword expression qn - 2*Dot(q_m, c) + |c|^2 clamped at
-// zero, for the hand-unrolled sub-vector width 4, the generic arm on
-// the blocked kernel (8), and widths and codebook sizes that leave
-// remainder rows and remainder terms (3 with K=30, 5 with K=7).
+// zero, for sub-vector widths 4 and 8 on the blocked kernel, and widths
+// and codebook sizes that leave remainder rows and remainder terms (3
+// with K=30, 5 with K=7).
 func TestBuildLUTMatchesPerEntryFormula(t *testing.T) {
 	r := rng.New(14)
 	for _, tc := range []struct{ dim, m, k int }{{32, 8, 64}, {64, 8, 64}, {12, 4, 30}, {10, 2, 7}} {

@@ -117,7 +117,7 @@ type RecallReporter interface {
 // without closure allocations.
 type batcher struct {
 	cfg     Config
-	queue   []*workload.Request
+	queue   des.Queue[*workload.Request]
 	batch   []*workload.Request // the batch being run, empty between runs
 	busy    bool
 	batches int
@@ -270,17 +270,17 @@ func (b *batcher) takeGroup(reqs []*workload.Request) *fwdGroup {
 }
 
 func (b *batcher) Submit(req *workload.Request) {
-	b.queue = append(b.queue, req)
+	b.queue.Push(req)
 	b.kick()
 }
 
 func (b *batcher) kick() {
-	if b.busy || len(b.queue) == 0 {
+	if b.busy || b.queue.Len() == 0 {
 		return
 	}
-	n := min(len(b.queue), MaxBatch)
-	b.batch = append(b.batch, b.queue[:n]...)
-	b.queue = append(b.queue[:0], b.queue[n:]...)
+	n := min(b.queue.Len(), MaxBatch)
+	b.batch = append(b.batch, b.queue.Items()[:n]...)
+	b.queue.Drop(n)
 	b.busy = true
 	b.batches++
 	b.total += n

@@ -7,7 +7,7 @@ func (s *FairScheduler) Inflight() int { return s.inflight }
 func (s *FairScheduler) Cap(t int) int { return s.caps[t] }
 
 // QueueLen returns tenant t's current queue depth.
-func (s *FairScheduler) QueueLen(t int) int { return s.queues[t].len() }
+func (s *FairScheduler) QueueLen(t int) int { return s.queues[t].Len() }
 
 // Dispatched returns how many of tenant t's requests were sent
 // downstream.

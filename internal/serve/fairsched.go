@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 
+	"vectorliterag/internal/des"
 	"vectorliterag/internal/workload"
 )
 
@@ -46,7 +47,7 @@ type TenantClass struct {
 // trade weighted-fair-queueing makes with per-class limits.
 type FairScheduler struct {
 	classes     []TenantClass
-	queues      []reqRing
+	queues      []des.Queue[*workload.Request]
 	rem         []int // remaining quantum this round
 	lastServed  []int // dispatch serial of the tenant's latest dispatch
 	serial      int
@@ -77,48 +78,6 @@ type FairScheduler struct {
 	peakQueue  []int // per-tenant queue high-water marks (stats)
 }
 
-// reqRing is an allocation-free FIFO of requests: a power-of-two ring
-// that doubles on overflow and otherwise reuses its backing array
-// forever. The previous slice-of-slices queues re-sliced their heads
-// away (q = q[1:]), marching the backing array forward and forcing a
-// fresh allocation every time append caught up — one of the steady-
-// state allocation sources the serving-core rewrite removes.
-type reqRing struct {
-	buf        []*workload.Request
-	head, size int
-}
-
-func (q *reqRing) len() int { return q.size }
-
-func (q *reqRing) push(r *workload.Request) {
-	if q.size == len(q.buf) {
-		q.grow()
-	}
-	q.buf[(q.head+q.size)&(len(q.buf)-1)] = r
-	q.size++
-}
-
-func (q *reqRing) pop() *workload.Request {
-	r := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.size--
-	return r
-}
-
-func (q *reqRing) grow() {
-	n := len(q.buf) * 2
-	if n == 0 {
-		n = 8
-	}
-	buf := make([]*workload.Request, n)
-	for i := 0; i < q.size; i++ {
-		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
-	}
-	q.buf = buf
-	q.head = 0
-}
-
 // NewFairScheduler builds a scheduler for the given tenant classes.
 // maxInflight bounds requests concurrently past the scheduler
 // (non-positive defaults to 128 — two full retrieval batches, so the
@@ -133,7 +92,7 @@ func NewFairScheduler(classes []TenantClass, maxInflight int) (*FairScheduler, e
 	}
 	s := &FairScheduler{
 		classes:     append([]TenantClass(nil), classes...),
-		queues:      make([]reqRing, len(classes)),
+		queues:      make([]des.Queue[*workload.Request], len(classes)),
 		rem:         make([]int, len(classes)),
 		lastServed:  make([]int, len(classes)),
 		inflightBy:  make([]int, len(classes)),
@@ -207,16 +166,16 @@ func (s *FairScheduler) Rejected(t int) int { return s.rejected[t] }
 // installed, an arrival to a full tenant queue is rejected instead.
 func (s *FairScheduler) Submit(req *workload.Request) {
 	t := s.clamp(req.Tenant) // untagged requests ride the first class
-	if s.queueCap > 0 && s.queues[t].len() >= s.queueCap {
+	if s.queueCap > 0 && s.queues[t].Len() >= s.queueCap {
 		s.rejected[t]++
 		if s.reject != nil {
 			s.reject(req)
 		}
 		return
 	}
-	s.queues[t].push(req)
+	s.queues[t].Push(req)
 	s.queued++
-	if n := s.queues[t].len(); n > s.peakQueue[t] {
+	if n := s.queues[t].Len(); n > s.peakQueue[t] {
 		s.peakQueue[t] = n
 	}
 	s.dispatch()
@@ -252,7 +211,7 @@ func (s *FairScheduler) dispatch() {
 		if t < 0 {
 			return // every queued tenant is at its per-tenant cap
 		}
-		req := s.queues[t].pop()
+		req := s.queues[t].Pop()
 		s.queued--
 		s.rem[t]--
 		s.serial++
@@ -277,7 +236,7 @@ func (s *FairScheduler) pick() int {
 	for pass := 0; pass < 2; pass++ {
 		best := -1
 		for i := range s.queues {
-			if s.queues[i].len() == 0 || s.rem[i] <= 0 || s.inflightBy[i] >= s.caps[i] {
+			if s.queues[i].Len() == 0 || s.rem[i] <= 0 || s.inflightBy[i] >= s.caps[i] {
 				continue
 			}
 			if best < 0 || s.better(i, best) {
