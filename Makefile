@@ -1,10 +1,11 @@
 # Developer entry points. CI runs, in order: `make vet`, `make
-# vet-arm64`, `make fma-arm64`, `make lint`, `make build`, `make census`, `make
-# race-engines`, the race test suite with a coverage profile and `make
-# cover-ratchet` on it, `make fuzz-smoke`, `make bench-smoke` and `make
-# scaling-smoke`. The race test suite also runs the public API's godoc
-# Examples and checks their printed output. `make verify` bundles vet,
-# lint, build and race for a local run.
+# vet-arm64`, `make test-386`, `make fma-arm64`, `make lint`, `make build`,
+# `make census`, `make race-engines`, the race test suite with a coverage
+# profile and `make cover-ratchet` on it, `make fuzz-smoke`, `make
+# bench-smoke` and `make scaling-smoke`. The race test suite also runs the
+# public API's godoc Examples and checks their printed output. `make
+# verify` bundles vet, lint, build and race for a local run; `make
+# rebaseline` is the one way to move a golden.
 
 GO ?= go
 
@@ -21,7 +22,7 @@ FUZZTIME ?= 5s
 # improves; never lower it to make CI pass.
 COVER_MIN ?= 81.0
 
-.PHONY: verify build census test vet vet-arm64 fma-arm64 lint race race-engines bench bench-search bench-smoke scaling-smoke fuzz-smoke cover cover-check cover-ratchet fmt
+.PHONY: verify build census test vet vet-arm64 test-386 rebaseline fma-arm64 lint race race-engines bench bench-search bench-smoke scaling-smoke fuzz-smoke cover cover-check cover-ratchet fmt
 
 verify: vet lint build race
 
@@ -44,12 +45,32 @@ vet:
 	$(GO) vet ./...
 
 # Cross-vet for arm64: compile-checks every package (and its tests) for
-# the other 64-bit target. The bit pins are verified on amd64 only; Go
-# may fuse x*y+z into one FMA instruction on arm64, which rounds once
-# where amd64 rounds twice, so there the schedule is compile-checked but
-# not pinned (fma-arm64 pins the kernels' part of it).
+# the other 64-bit target. Go may fuse x*y+z into one FMA instruction on
+# arm64, which rounds once where amd64 rounds twice, so there the
+# schedule is compile-checked but not pinned (fma-arm64 pins the
+# kernels' part of it).
 vet-arm64:
 	GOARCH=arm64 $(GO) vet ./...
+
+# The pins on a second instruction set that runs on an amd64 host:
+# 386 has a 32-bit int, no FMA, pure-Go math.Exp and math.Log and the Go
+# DotRows loop arm64 runs, and every golden must hold there bit for bit.
+PKGS_386 = . ./internal/experiments ./internal/rag ./internal/ivf ./internal/retrieval ./internal/rng ./internal/stats ./internal/pq ./internal/vecmath
+test-386:
+	GOARCH=386 $(GO) test $(PKGS_386)
+
+# Every pin is a test matching PINS that compares its output with
+# testdata/<name>.golden through internal/golden, which on a mismatch
+# writes <name>.golden.got beside the golden and prints each changed
+# cell. rebaseline runs the pins, moves every .got over its golden and
+# runs them again, which must pass. It does not move the godoc
+# Examples' `// Output:` or benchmark/baseline.json.
+PINS = Golden|Pinned|ServedDecision
+rebaseline:
+	@find . -name '*.golden.got' -delete
+	-$(GO) test -count=1 -run '$(PINS)' ./...
+	@find . -name '*.golden.got' | while read -r got; do mv "$$got" "$${got%.got}"; echo "rebaselined $${got%.got}"; done
+	$(GO) test -count=1 -run '$(PINS)' ./...
 
 # No fused multiply-add in the search kernels on arm64: compiles pq and
 # vecmath for arm64 with the assembly listing and fails on any fused

@@ -246,7 +246,7 @@ func printCorpus(f *serveFlags, spec vlr.Spec, o *rag.Options, res *rag.Result) 
 	if len(o.Drift) > 0 {
 		fmt.Printf("drift: popularity rotates by %d templates at t=%v\n", o.Drift[0].Rotate, o.Drift[0].At)
 	}
-	label := f.system
+	label := string(o.Kind)
 	switch {
 	case f.ingest && f.adaptive:
 		label += " (live ingest + compaction)"
@@ -255,7 +255,7 @@ func printCorpus(f *serveFlags, spec vlr.Spec, o *rag.Options, res *rag.Result) 
 	case f.adaptive:
 		label += " (adaptive)"
 	case o.Replicas > 0:
-		label = fmt.Sprintf("%s x%d (%s)", f.system, o.Replicas, res.Policy)
+		label = fmt.Sprintf("%s x%d (%s)", o.Kind, o.Replicas, res.Policy)
 	}
 	s := res.Summary
 	fmt.Printf("%s | %s | %s @ %.1f req/s (SLO %v)\n", label, spec.Name, o.Model.Name, f.rate, res.SLOTotal)

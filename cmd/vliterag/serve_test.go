@@ -168,8 +168,8 @@ func TestServeMatchesPublicAPI(t *testing.T) {
 		"-brownout -queue-cap 32",
 		"-precision -sq-budget 0.2",
 	} {
-		// A 30 s window: the default 20 s warmup would leave a 20 s one
-		// nothing to measure.
+		// A 30 s window: rag refuses one no longer than the default 20 s
+		// warm-up, which would leave nothing to measure.
 		f := parseServe(t, "-duration 30s "+args)
 		if err := validateServeFlags(f); err != nil {
 			t.Fatalf("%q: %v", args, err)

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"flag"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -171,8 +172,13 @@ func (f *serveFlags) options(w *vlr.Workload) (rag.Options, error) {
 	if err != nil {
 		return rag.Options{}, err
 	}
+	kinds := rag.AllKinds()
+	k := slices.IndexFunc(kinds, func(k rag.Kind) bool { return strings.EqualFold(string(k), f.system) })
+	if k < 0 {
+		return rag.Options{}, fmt.Errorf("serve: unknown -system %q (have %v)", f.system, kinds)
+	}
 	o := rag.Options{
-		Node: node, Model: m, Kind: vlr.System(f.system),
+		Node: node, Model: m, Kind: kinds[k],
 		Duration: f.dur, Seed: f.seed, SharedQueue: f.sharedQueue,
 		Policy: vlr.RoutePolicy(f.policy), Workers: f.workers, NetDelay: f.netDelay,
 	}

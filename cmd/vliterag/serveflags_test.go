@@ -44,7 +44,8 @@ func parseServe(t *testing.T, args string) *serveFlags {
 // serveCmd takes: the flag checks, the options, and rag.Run. A row whose
 // error starts with "rag:" is one the flags pass and rag's rules refuse
 // before any work, so the command holds no copy of a mode rule. Rows
-// that run do so on a 1 s arrival window.
+// that run do so on a 21 s arrival window, just past the default 20 s
+// warm-up.
 func TestValidateServeFlags(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -100,6 +101,9 @@ func TestValidateServeFlags(t *testing.T) {
 		{"negative slo on a baseline", "-system ALL-GPU -slo -50ms", "rag: negative SLOSearch"},
 		{"negative slo on a lineup", "-tenants 3 -slo -50ms", "rag: tenant 0 (gold-0) negative SLOSearch"},
 		{"unknown policy on one node", "-policy bogus", "unknown routing policy"},
+		{"system in any case", "-system cpu-only", ""},
+		{"unknown system", "-system bogus", `unknown -system "bogus" (have [CPU-Only DED-GPU ALL-GPU vLiteRAG HedraRAG])`},
+		{"warm-up covers the window", "-duration 20s", "rag: Warmup 20s covers the whole Duration 20s"},
 		// Mode combinations: each one rag's rules table refuses.
 		{"adapt with replicas", "-adapt -replicas 2", "rag: the adapt controller re-plans a single node"},
 		{"adapt on a baseline", "-adapt -system CPU-Only", "rag: adaptive serving requires the hot-swappable vLiteRAG runtime, got CPU-Only"},
@@ -122,7 +126,7 @@ func TestValidateServeFlags(t *testing.T) {
 	w := orcas1K(t)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := parseServe(t, "-duration 1s "+tc.args)
+			f := parseServe(t, "-duration 21s "+tc.args)
 			err := validateServeFlags(f)
 			if strings.HasPrefix(tc.wantErr, "rag:") && err != nil {
 				t.Fatalf("the flag checks refused a combination rag's rules own: %v", err)

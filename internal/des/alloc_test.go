@@ -14,8 +14,9 @@ func countPlain()    { sinkCount++ }
 // TestScheduleAndPopAllocFree pins the tentpole contract: once the
 // heap's backing array has grown to the working-set size, scheduling
 // through AtArg/AfterArg with a pre-bound callback and popping events
-// allocate nothing. testing.AllocsPerRun would report any regression
-// (interface boxing, closure capture, heap reallocation churn).
+// allocate nothing and keep the heap's arrays. testing.AllocsPerRun
+// reports interface boxing, closure capture and reallocation churn; the
+// capacities, growth AllocsPerRun rounds away.
 func TestScheduleAndPopAllocFree(t *testing.T) {
 	var s Sim
 	arg := &struct{ n int }{}
@@ -25,6 +26,7 @@ func TestScheduleAndPopAllocFree(t *testing.T) {
 	}
 	s.Run()
 	fn := countEvent // long-lived func value, as engines hold in fields
+	caps := heapCaps(&s)
 	allocs := testing.AllocsPerRun(100, func() {
 		base := s.Now()
 		for i := 0; i < 64; i++ {
@@ -35,7 +37,15 @@ func TestScheduleAndPopAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("AtArg schedule+pop allocated %.1f objects/op, want 0", allocs)
 	}
+	if heapCaps(&s) != caps {
+		t.Fatalf("heap arrays (key, slab, free) regrew: capacities %v, warm %v", heapCaps(&s), caps)
+	}
 }
+
+// heapCaps returns the capacities of the heap's arrays: AllocsPerRun
+// reads 0 for an array that doubles a few times in the measured runs, a
+// changed capacity does not.
+func heapCaps(s *Sim) [3]int { return [3]int{cap(s.key), cap(s.slab), cap(s.free)} }
 
 // TestPlainCallbackScheduleAllocFree covers the thunk form: a stored
 // func() field (no fresh closure per event) also schedules and fires
@@ -47,6 +57,7 @@ func TestPlainCallbackScheduleAllocFree(t *testing.T) {
 	}
 	s.Run()
 	fn := countPlain
+	caps := heapCaps(&s)
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {
 			s.AfterArg(time.Duration(i), countEvent, nil)
@@ -57,6 +68,9 @@ func TestPlainCallbackScheduleAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("At schedule+pop allocated %.1f objects/op, want 0", allocs)
+	}
+	if heapCaps(&s) != caps {
+		t.Fatalf("heap arrays (key, slab, free) regrew: capacities %v, warm %v", heapCaps(&s), caps)
 	}
 }
 

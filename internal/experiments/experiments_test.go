@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"encoding/csv"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"vectorliterag/internal/dataset"
+	"vectorliterag/internal/golden"
 	"vectorliterag/internal/rag"
 )
 
@@ -28,18 +27,6 @@ func quickReport(t *testing.T, id string) *Report {
 		quickReports[id] = rep
 	}
 	return quickReports[id]
-}
-
-// golden compares got against testdata/<name>.
-func golden(t *testing.T, name, got string) {
-	t.Helper()
-	want, err := os.ReadFile(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("%s drifted:\ngot:\n%s\nwant:\n%s", name, got, want)
-	}
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -78,13 +65,16 @@ func TestLookupListsValidIDs(t *testing.T) {
 // TestAllQuickGolden pins every artifact: the quick-mode text of all
 // registered experiments in Names() order, each followed by the blank
 // line the CLI prints, is the output recorded before the experiments
-// moved onto one Report type.
+// moved onto one Report type; their CSV, every table's rows at more
+// digits, is `vliterag run -exp all -quick -csv` without "=== id ===".
 func TestAllQuickGolden(t *testing.T) {
-	var b strings.Builder
+	var text, rows strings.Builder
 	for _, id := range Names() {
-		b.WriteString(quickReport(t, id).Render() + "\n")
+		text.WriteString(quickReport(t, id).Render() + "\n")
+		rows.WriteString(quickReport(t, id).CSV() + "\n")
 	}
-	golden(t, "all_quick.golden", b.String())
+	golden.Check(t, "all_quick", text.String())
+	golden.Check(t, "all_quick_csv", rows.String())
 }
 
 // TestCSVExports: every table of every registered experiment exports,
@@ -495,12 +485,6 @@ func TestTenantsIsolation(t *testing.T) {
 	}
 }
 
-// TestTenantsGoldenPinned: the quick-mode artifact is bit-identical
-// across runs with the same seed; the golden file pins it.
-func TestTenantsGoldenPinned(t *testing.T) {
-	golden(t, "tenants_quick.golden", quickReport(t, "tenants").CSV())
-}
-
 // TestFaultsResilience: the headline failure-handling artifact — the
 // baseline drops the crashed replica's in-flight work, every resilient
 // arm serves the full population, hedges win a visible share of their
@@ -552,12 +536,6 @@ func TestFaultsResilience(t *testing.T) {
 			t.Errorf("render missing %q", want)
 		}
 	}
-}
-
-// TestFaultsGoldenPinned: the quick-mode faults artifact is
-// bit-identical across runs with the same seed; the golden pins it.
-func TestFaultsGoldenPinned(t *testing.T) {
-	golden(t, "faults_quick.golden", quickReport(t, "faults").CSV())
 }
 
 // sameAcrossWorkers re-runs an experiment at each worker count and
@@ -643,12 +621,6 @@ func TestIngestFreshness(t *testing.T) {
 	}
 }
 
-// TestIngestGoldenPinned: the quick-mode ingest artifact is
-// bit-identical across runs with the same seed; the golden pins it.
-func TestIngestGoldenPinned(t *testing.T) {
-	golden(t, "ingest_quick.golden", quickReport(t, "ingest").CSV())
-}
-
 // TestIngestDeterministicAcrossWorkers: mutations, re-encodes, and
 // compactions all schedule on the single shared timeline, so the
 // artifact must be bit-identical for every Workers value.
@@ -711,12 +683,6 @@ func TestPrecisionHeadline(t *testing.T) {
 			t.Errorf("render missing %q", want)
 		}
 	}
-}
-
-// TestPrecisionGoldenPinned: the quick-mode artifact is bit-identical
-// across runs with the same seed; the golden pins it.
-func TestPrecisionGoldenPinned(t *testing.T) {
-	golden(t, "precision_quick.golden", quickReport(t, "precision").CSV())
 }
 
 // TestPrecisionDeterministicAcrossWorkers: every arm runs on the
@@ -791,12 +757,6 @@ func TestOverloadResilience(t *testing.T) {
 			t.Errorf("render missing %q", want)
 		}
 	}
-}
-
-// TestOverloadGoldenPinned: the quick-mode artifact is bit-identical
-// across runs with the same seed; the golden pins it.
-func TestOverloadGoldenPinned(t *testing.T) {
-	golden(t, "overload_quick.golden", quickReport(t, "overload").CSV())
 }
 
 // TestOverloadDeterministicAcrossWorkers: every arm runs on the

@@ -2,10 +2,12 @@ package ivf
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"testing"
 
+	"vectorliterag/internal/golden"
 	"vectorliterag/internal/rng"
 )
 
@@ -13,21 +15,16 @@ import (
 // an experiment golden: FNV-1a over the coarse centroids, every
 // inverted list's ids and codes, and the ProbeInto / SearchInto results
 // of 64 fixed queries, for one small fixed-seed build per PQ sub-vector
-// width (dim 32 → sd 4; dim 64 → sd 8). The constants were recorded
-// before the k-means, encode, probe and LUT loops moved onto
-// vecmath.DotRows; a kernel change that alters one float32 rounding
-// anywhere in build or search moves them.
+// width (dim 32 → sd 4; dim 64 → sd 8), in testdata/build_digest.golden.
+// The digests were recorded before the k-means, encode, probe and LUT
+// loops moved onto vecmath.DotRows; a kernel change that alters one
+// float32 rounding anywhere in build or search moves them.
 func TestBuildDigestPinned(t *testing.T) {
-	for _, tc := range []struct {
-		dim  int
-		want uint64
-	}{
-		{dim: 32, want: 0xd85f1033f0459ba1},
-		{dim: 64, want: 0xb490b76dfbe7c452},
-	} {
-		r := rng.New(uint64(100 + tc.dim))
-		data, _ := clusteredData(r, 24, 60, tc.dim, 0.9)
-		ix, err := Build(data, BuildConfig{Dim: tc.dim, NList: 24, PQM: 8, PQK: 64, TrainIters: 6, Seed: 11, Workers: 1})
+	out := "dim,digest\n"
+	for _, dim := range []int{32, 64} {
+		r := rng.New(uint64(100 + dim))
+		data, _ := clusteredData(r, 24, 60, dim, 0.9)
+		ix, err := Build(data, BuildConfig{Dim: dim, NList: 24, PQM: 8, PQK: 64, TrainIters: 6, Seed: 11, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,10 +48,10 @@ func TestBuildDigestPinned(t *testing.T) {
 		// Queries: corpus rows pushed off their cluster by noise, so probe
 		// order and the scan's abandon decisions both matter.
 		s := ix.NewSearchScratch()
-		q := make([]float32, tc.dim)
-		n := len(data) / tc.dim
+		q := make([]float32, dim)
+		n := len(data) / dim
 		for i := 0; i < 64; i++ {
-			row := data[r.Intn(n)*tc.dim:]
+			row := data[r.Intn(n)*dim:]
 			for d := range q {
 				q[d] = row[d] + float32(r.NormFloat64()*2)
 			}
@@ -66,8 +63,7 @@ func TestBuildDigestPinned(t *testing.T) {
 				u32(math.Float32bits(nb.Dist))
 			}
 		}
-		if got := h.Sum64(); got != tc.want {
-			t.Errorf("dim %d: build+search digest %#016x, want %#016x", tc.dim, got, tc.want)
-		}
+		out += fmt.Sprintf("%d,0x%016x\n", dim, h.Sum64())
 	}
+	golden.Check(t, "build_digest", out)
 }

@@ -271,8 +271,8 @@ func FuzzCompletionOrder(f *testing.F) {
 
 // TestWarmRingAllocFree pins the steady state: once warm, an instance
 // allocates nothing per decode iteration while requests of mixed
-// lengths keep joining and finishing: a queue that regrew its backing
-// array would show as an allocation.
+// lengths keep joining and finishing, and its queues keep their arrays:
+// AllocsPerRun reads 0 for an array that doubles a few times.
 func TestWarmRingAllocFree(t *testing.T) {
 	var sim des.Sim
 	node := hw.L40SNode()
@@ -308,9 +308,12 @@ func TestWarmRingAllocFree(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		cycle()
 	}
-	j0, f0 := joined, finished
+	j0, f0, caps := joined, finished, inst.queueCaps()
 	if allocs := testing.AllocsPerRun(500, cycle); allocs != 0 {
 		t.Fatalf("warm instance allocated %.2f objects per cycle, want 0", allocs)
+	}
+	if inst.queueCaps() != caps {
+		t.Fatalf("queue arrays (waiting, prefilling, run) regrew: capacities %v, warm %v", inst.queueCaps(), caps)
 	}
 	if joined-j0 < 100 || finished-f0 < 100 {
 		t.Fatalf("only %d joins and %d completions while measured", joined-j0, finished-f0)

@@ -84,7 +84,7 @@ func fuzzMask(data []byte, n int) []uint64 {
 func fuzzIDs(n int) []int32 {
 	ids := make([]int32, n)
 	for i := range ids {
-		ids[i] = int32((i*2654435761 + 11) % 100003)
+		ids[i] = int32((int64(i)*2654435761 + 11) % 100003)
 	}
 	return ids
 }

@@ -13,13 +13,13 @@ import (
 	"vectorliterag/internal/workload"
 )
 
-// bytesPerRequest runs o, and o cut to one second as the measure of the
-// decision, and fails unless the decision is under a tenth of the whole
+// bytesPerRequest runs o, and o cut to one second (half of it warm-up)
+// as the measure of the decision, and fails unless the decision is under a tenth of the whole
 // run and the run allocated at most limit bytes per admitted request.
 func bytesPerRequest(t *testing.T, label string, o Options, limit float64) {
 	t.Helper()
 	short := o
-	short.Duration = time.Second
+	short.Duration, short.Warmup = time.Second, time.Second/2
 	allocated := func(o Options) (uint64, int) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

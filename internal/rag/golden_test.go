@@ -1,59 +1,34 @@
 package rag
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"vectorliterag/internal/golden"
 	"vectorliterag/internal/serve"
 )
 
-// The pre-refactor rag.Run — the 200-line monolith that wired arrivals,
-// engines, and the LLM cluster by hand — produced these values for each
-// system on the shared test workload (Orcas1K spec, small physical
-// realization, seed 1, 12 req/s, 60 s window). The stage-pipeline
-// composition must reproduce them exactly: the refactor moved wiring,
-// not semantics, and the DES is deterministic.
-var goldenRuns = map[Kind]struct {
-	attainment float64
-	ttftP90    int64 // virtual ns
-	e2eP90     int64 // virtual ns
-	n          int
-	unserved   int
-	avgBatch   float64
-	rho        float64
-}{
-	CPUOnly:  {0.64824120603015079, 599264561, 4605487168, 597, 0, 2.7265917602996255, 0},
-	DedGPU:   {1, 176266050, 5005767054, 597, 0, 1.0833333333333333, 1},
-	AllGPU:   {1, 204900366, 4947621399, 597, 0, 1.058139534883721, 1},
-	VLiteRAG: {0.99664991624790622, 340412119, 4721119078, 597, 0, 1.3481481481481481, 0.171875},
-	HedraRAG: {0.60636515912897826, 602031536, 4946895676, 597, 0, 2.7265917602996255, 0.0},
-}
-
+// TestPipelineMatchesPreRefactorGoldens: the pre-refactor rag.Run — the
+// 200-line monolith that wired arrivals, engines, and the LLM cluster by
+// hand — produced testdata/runs.golden for each system on the shared
+// test workload (Orcas1K spec, small physical realization, seed 1, 12
+// req/s, 60 s window). The stage-pipeline composition must reproduce it
+// exactly: the refactor moved wiring, not semantics, and the DES is
+// deterministic.
 func TestPipelineMatchesPreRefactorGoldens(t *testing.T) {
-	for kind, want := range goldenRuns {
+	var b strings.Builder
+	b.WriteString("kind,attainment,ttft_p90_ns,e2e_p90_ns,n,unserved,avg_batch,rho\n")
+	for _, kind := range AllKinds() {
 		res, err := Run(baseOpts(t, kind, 12))
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		s := res.Summary
-		if s.Attainment != want.attainment {
-			t.Errorf("%s: attainment %.17g, golden %.17g", kind, s.Attainment, want.attainment)
-		}
-		if int64(s.TTFT.P90) != want.ttftP90 {
-			t.Errorf("%s: TTFT p90 %d, golden %d", kind, int64(s.TTFT.P90), want.ttftP90)
-		}
-		if int64(s.E2E.P90) != want.e2eP90 {
-			t.Errorf("%s: E2E p90 %d, golden %d", kind, int64(s.E2E.P90), want.e2eP90)
-		}
-		if s.N != want.n || s.Unserved != want.unserved {
-			t.Errorf("%s: N=%d unserved=%d, golden N=%d unserved=%d", kind, s.N, s.Unserved, want.n, want.unserved)
-		}
-		if res.AvgBatch != want.avgBatch {
-			t.Errorf("%s: avg batch %.17g, golden %.17g", kind, res.AvgBatch, want.avgBatch)
-		}
-		if res.Rho != want.rho {
-			t.Errorf("%s: rho %.17g, golden %.17g", kind, res.Rho, want.rho)
-		}
+		fmt.Fprintf(&b, "%s,%.17g,%d,%d,%d,%d,%.17g,%.17g\n", kind, s.Attainment,
+			int64(s.TTFT.P90), int64(s.E2E.P90), s.N, s.Unserved, res.AvgBatch, res.Rho)
 	}
+	golden.Check(t, "runs", b.String())
 }
 
 func TestAllKindsSupersetOfKinds(t *testing.T) {

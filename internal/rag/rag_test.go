@@ -72,8 +72,15 @@ func TestRunValidation(t *testing.T) {
 		t.Fatal("zero rate accepted")
 	}
 	o = baseOpts(t, Kind("bogus"), 10)
-	if _, err := Run(o); err == nil {
-		t.Fatal("unknown kind accepted")
+	if _, err := Run(o); err == nil || !strings.Contains(err.Error(), "[CPU-Only DED-GPU ALL-GPU vLiteRAG HedraRAG]") {
+		t.Fatalf("unknown kind: error %v does not list the kinds", err)
+	}
+	// A warm-up as long as the window once reported attainment 0 over 0
+	// requests.
+	o = baseOpts(t, AllGPU, 10)
+	o.Warmup = o.Duration
+	if _, err := Run(o); err == nil || !strings.Contains(err.Error(), "Warmup 1m0s covers the whole Duration 1m0s") {
+		t.Fatalf("a warm-up covering the window: error %v", err)
 	}
 	// The decision's own inputs are refused by Run and Decide alike: a
 	// negative or NaN queuing factor once bought τ_s past the SLO (or a

@@ -173,6 +173,9 @@ func (opts *Options) validate() (err error) {
 	if opts.Drain == 0 {
 		opts.Drain = 120 * time.Second
 	}
+	if opts.Warmup >= opts.Duration {
+		return fmt.Errorf("rag: Warmup %v covers the whole Duration %v: no arrival would be measured", opts.Warmup, opts.Duration)
+	}
 	// A routed lineup always runs as a fleet; a routed single corpus
 	// runs as one only when NetDelay asks for it.
 	if opts.Replicas > 0 && opts.NetDelay == 0 && opts.Tenants != nil {
@@ -222,7 +225,7 @@ func (opts *Options) validateDecision() (err error) {
 	}
 	opts.Kind = cmp.Or(opts.Kind, VLiteRAG)
 	if !slices.Contains(AllKinds(), opts.Kind) {
-		return fmt.Errorf("rag: unknown kind %q", opts.Kind)
+		return fmt.Errorf("rag: unknown kind %q (have %v)", opts.Kind, AllKinds())
 	}
 	if !(opts.Epsilon >= 0) {
 		return fmt.Errorf("rag: queuing factor Epsilon %v is negative or NaN", opts.Epsilon)

@@ -125,7 +125,7 @@ func TestIdleReplicasReportNothing(t *testing.T) {
 	for _, netDelay := range []time.Duration{0, time.Millisecond} {
 		for _, policy := range serve.Policies() {
 			o := routed(shardedClusterOpts(t, 1, 2), 12, policy)
-			o.NetDelay, o.Rate, o.Duration, o.Warmup = netDelay, 0.5, 8*time.Second, 0
+			o.NetDelay, o.Rate, o.Duration, o.Warmup = netDelay, 0.5, 8*time.Second, time.Second
 			res, err := Run(o)
 			if err != nil {
 				t.Fatal(err)

@@ -2,12 +2,14 @@ package retrieval
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"testing"
 
 	"vectorliterag/internal/dataset"
 	"vectorliterag/internal/des"
+	"vectorliterag/internal/golden"
 	"vectorliterag/internal/gpu"
 	"vectorliterag/internal/splitter"
 	"vectorliterag/internal/workload"
@@ -211,38 +213,18 @@ func engineDigest(t *testing.T, base *fixture, sc digestScenario) uint64 {
 }
 
 // TestEngineDigestPinned pins every engine configuration's complete
-// observable output. The constants were recorded before the hybrid,
-// multi-tenant and GPU-sharded engines shared one batch pipeline, so any
-// drift in batching, routing, stage pricing, precision dispatch,
-// degradation, slowdown or hot-swap handling shows up as a changed hash.
+// observable output in testdata/engine_digest.golden. The digests were
+// recorded before the hybrid, multi-tenant and GPU-sharded engines
+// shared one batch pipeline, so any drift in batching, routing, stage
+// pricing, precision dispatch, degradation, slowdown or hot-swap handling
+// shows up as a changed hash. "cpu-degrade" was recorded with the
+// CPU-only engine's Degrade fix; before it, it hashed as "cpu". One
+// tenant is the hybrid engine, so "mt1" hashes as "hybrid".
 func TestEngineDigestPinned(t *testing.T) {
-	want := map[string]uint64{
-		"cpu": 0x3a9149b0751f63bb,
-		// Recorded with the CPU-only engine's Degrade fix; before it, this
-		// scenario hashed as "cpu".
-		"cpu-degrade":            0xa8dc32a0eabae926,
-		"cpu-live":               0x79a06b2a20aa1362,
-		"hybrid":                 0x4c3bbe9ca4f115a7,
-		"hybrid-live":            0xf22c009a30677043,
-		"hybrid-nodispatch":      0x98ebf7aabffd7ff6,
-		"hybrid-degrade-forcepq": 0x004c522a8a49c63c,
-		"sq8":                    0xdc47343fb6e8cd1f,
-		"sq8-nvme":               0x08d714bbf9ef7965,
-		"hotswap":                0x15bafaa6a8a4f935,
-		"allgpu":                 0xb621976b3b18e35e,
-		"allgpu-slow":            0x659e2d07b16c7b0f,
-		"dedgpu":                 0x0bb7cfe473d612c1,
-		"dedgpu-slow":            0xcaa623fa9856f591,
-		"hedra":                  0x56395ad1c5e7ca70,
-		"hedra-slow":             0xd4ce6b664fc9ffdc,
-		// One tenant is the hybrid engine, so "mt1" hashes as "hybrid".
-		"mt1": 0x4c3bbe9ca4f115a7,
-		"mt3": 0x2ed40f8837cca08b,
-	}
+	out := "scenario,digest\n"
 	base := setup(t)
 	for _, sc := range digestScenarios() {
-		if got := engineDigest(t, base, sc); got != want[sc.name] {
-			t.Errorf("%s: digest %#016x, want %#016x", sc.name, got, want[sc.name])
-		}
+		out += fmt.Sprintf("%s,0x%016x\n", sc.name, engineDigest(t, base, sc))
 	}
+	golden.Check(t, "engine_digest", out)
 }

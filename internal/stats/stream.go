@@ -135,7 +135,7 @@ func (o *Selector) Reset(sets, bound int, ps []float64) {
 	w := min(bound, maxScratch)
 	o.win = 0
 	for b := maxWindow; b >= 8; b /= 2 {
-		if b*b <= 256*bound && sets*b <= w {
+		if int64(b*b) <= 256*int64(bound) && sets*b <= w { // int64: 256·bound overflows a 32-bit int
 			o.win = b
 			break
 		}

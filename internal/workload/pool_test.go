@@ -50,7 +50,8 @@ func TestPoolRecyclesAndResets(t *testing.T) {
 
 // TestPooledLifecycleAllocFree is the tentpole regression guard for the
 // request path: once the pool holds the working set, a full
-// get→stamp→release cycle allocates nothing.
+// get→stamp→release cycle allocates nothing and keeps its free list's
+// array: AllocsPerRun reads 0 for one that doubles a few times.
 func TestPooledLifecycleAllocFree(t *testing.T) {
 	var p Pool
 	var live [64]*Request
@@ -61,6 +62,7 @@ func TestPooledLifecycleAllocFree(t *testing.T) {
 	for _, r := range live {
 		p.Put(r)
 	}
+	warm := cap(p.free)
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := range live {
 			r := p.Get()
@@ -74,6 +76,9 @@ func TestPooledLifecycleAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("pooled request lifecycle allocated %.1f objects/op, want 0", allocs)
+	}
+	if cap(p.free) != warm {
+		t.Fatalf("free list regrew: capacity %d, warm %d", cap(p.free), warm)
 	}
 	if p.Allocated() != len(live) {
 		t.Fatalf("pool constructed %d requests, want %d", p.Allocated(), len(live))
