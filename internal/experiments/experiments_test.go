@@ -485,6 +485,12 @@ func TestTenantsIsolation(t *testing.T) {
 	}
 }
 
+// TestTenantsGoldenPinned: the quick-mode artifact is bit-identical
+// across runs with the same seed; testdata/tenants_quick.golden pins it.
+func TestTenantsGoldenPinned(t *testing.T) {
+	golden.Check(t, "tenants_quick", quickReport(t, "tenants").CSV())
+}
+
 // TestFaultsResilience: the headline failure-handling artifact — the
 // baseline drops the crashed replica's in-flight work, every resilient
 // arm serves the full population, hedges win a visible share of their
@@ -536,6 +542,12 @@ func TestFaultsResilience(t *testing.T) {
 			t.Errorf("render missing %q", want)
 		}
 	}
+}
+
+// TestFaultsGoldenPinned: the quick-mode faults artifact is bit-identical
+// across runs with the same seed; testdata/faults_quick.golden pins it.
+func TestFaultsGoldenPinned(t *testing.T) {
+	golden.Check(t, "faults_quick", quickReport(t, "faults").CSV())
 }
 
 // sameAcrossWorkers re-runs an experiment at each worker count and
@@ -621,6 +633,12 @@ func TestIngestFreshness(t *testing.T) {
 	}
 }
 
+// TestIngestGoldenPinned: the quick-mode ingest artifact is bit-identical
+// across runs with the same seed; testdata/ingest_quick.golden pins it.
+func TestIngestGoldenPinned(t *testing.T) {
+	golden.Check(t, "ingest_quick", quickReport(t, "ingest").CSV())
+}
+
 // TestIngestDeterministicAcrossWorkers: mutations, re-encodes, and
 // compactions all schedule on the single shared timeline, so the
 // artifact must be bit-identical for every Workers value.
@@ -683,6 +701,12 @@ func TestPrecisionHeadline(t *testing.T) {
 			t.Errorf("render missing %q", want)
 		}
 	}
+}
+
+// TestPrecisionGoldenPinned: the quick-mode artifact is bit-identical
+// across runs with the same seed; testdata/precision_quick.golden pins it.
+func TestPrecisionGoldenPinned(t *testing.T) {
+	golden.Check(t, "precision_quick", quickReport(t, "precision").CSV())
 }
 
 // TestPrecisionDeterministicAcrossWorkers: every arm runs on the
@@ -757,6 +781,12 @@ func TestOverloadResilience(t *testing.T) {
 			t.Errorf("render missing %q", want)
 		}
 	}
+}
+
+// TestOverloadGoldenPinned: the quick-mode artifact is bit-identical
+// across runs with the same seed; testdata/overload_quick.golden pins it.
+func TestOverloadGoldenPinned(t *testing.T) {
+	golden.Check(t, "overload_quick", quickReport(t, "overload").CSV())
 }
 
 // TestOverloadDeterministicAcrossWorkers: every arm runs on the
